@@ -222,8 +222,8 @@ fn verify(args: &CliArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let len =
         std::fs::metadata(path).map_err(|e| CliError(format!("cannot read {path}: {e}")))?.len();
     writeln!(out, "file          : {path} ({len} bytes)")?;
-    // Loading verifies the magic, version, section CRCs, and footer (v5) or
-    // the structural checks alone (v2–v4).
+    // Loading verifies the magic, the version (7, the only one read), every
+    // section CRC and the footer, then runs the structural checks.
     let index = MbiIndex::load_file(path).map_err(|e| CliError(format!("corrupt index: {e}")))?;
     writeln!(out, "checksums     : ok")?;
     index.validate().map_err(|e| CliError(format!("structural validation failed: {e}")))?;

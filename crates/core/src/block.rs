@@ -206,10 +206,11 @@ const CHUNK: usize = 64;
 /// The streaming engine used to publish each snapshot with a full
 /// `Vec<Arc<Block>>` clone — `O(leaves)` pointer copies *per publication*,
 /// `O(leaves²)` over a run, and the dominant publication cost once an index
-/// is old (the `late_over_early` ratio in BENCH_streaming.json). Here blocks
-/// live in sealed chunks of `CHUNK` (64) `Arc`s shared by every snapshot;
-/// [`Self::share`] clones one `Arc` plus the `< CHUNK` tail pointers, so
-/// publication cost no longer grows with index age.
+/// is old (`e2e` watches it as `engine.publish_max_us` against
+/// `engine.publish_p50_us`). Here blocks live in sealed chunks of `CHUNK`
+/// (64) `Arc`s shared by every snapshot; [`Self::share`] clones one `Arc`
+/// plus the `< CHUNK` tail pointers, so publication cost no longer grows
+/// with index age.
 ///
 /// The master copy appends with [`Self::push`] / `extend`; sealing a full
 /// chunk is `Arc::make_mut` on the chunk list — in-place while unshared,

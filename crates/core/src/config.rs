@@ -73,8 +73,7 @@ pub struct MbiConfig {
     /// ~4× less memory per row than the f32 scan, and the best
     /// `k × sq8_overfetch` candidates are reranked against the exact rows,
     /// so returned distances are always exact. Off by default — exact scans
-    /// remain the baseline behaviour. (Files persisted before v6 load with
-    /// the default; the binary codec fills it in explicitly.)
+    /// remain the baseline behaviour.
     pub sq8_scan: bool,
     /// Over-fetch factor of the SQ8 rerank: the first pass keeps
     /// `k × sq8_overfetch` candidates for exact reranking. Larger values

@@ -1,11 +1,11 @@
 //! Streaming ingest engine: background merge-chain builds with atomic
 //! snapshot publication.
 //!
-//! [`ConcurrentMbi`](crate::ConcurrentMbi) is the simplest correct serving
-//! wrapper, but it runs every seal's merge-chain build *inline under the
-//! global write lock* — a root-level merge over `2^h` leaves stalls every
-//! insert and query for the whole build. [`StreamingMbi`] removes the build
-//! from the insert path entirely:
+//! One lock around an [`MbiIndex`] would be a correct way to query during
+//! ingest, but it runs every seal's merge-chain build *inline under the
+//! write lock* — a root-level merge over `2^h` leaves stalls every insert
+//! and query for the whole build. [`StreamingMbi`] removes the build from
+//! the insert path entirely:
 //!
 //! * **Inserts** append to a write-side *tail* (a leaf-sized partial buffer
 //!   behind a short `RwLock`) and return. When a leaf fills, the buffer is
@@ -116,8 +116,9 @@ pub enum Backpressure {
     /// memory, insert latency spikes to one *queue wait*, never to a build).
     Block,
     /// Build the merge chain on the inserting thread instead of waiting — a
-    /// load-shedding mode that degrades towards `ConcurrentMbi`'s inline
-    /// behaviour under sustained overload but never stalls on a full queue.
+    /// load-shedding mode that degrades towards the synchronous index's
+    /// inline builds under sustained overload but never stalls on a full
+    /// queue.
     BuildInline,
 }
 
@@ -304,7 +305,7 @@ impl EngineConfig {
 
 /// A point-in-time snapshot of progress counters and latency samples.
 ///
-/// Latencies are raw microsecond samples (not pre-aggregated) so callers can
+/// Latencies are raw nanosecond samples (not pre-aggregated) so callers can
 /// feed them to whatever summariser they use — `mbi-eval`'s
 /// `IngestSummary::from_engine_stats` turns them into the serialisable
 /// mean/p50/p99/max report (core cannot depend on eval, which depends on
@@ -330,32 +331,19 @@ pub struct EngineStats {
     pub spawn_failures: u64,
     /// Chain-build panics caught and retried (or halted on).
     pub build_panics: u64,
-    /// Per-insert wall-clock micros, in insert order (empty when
-    /// [`EngineConfig::record_insert_latency`] is off). Derived from
-    /// [`EngineStats::insert_nanos`] by integer division — a sub-µs insert
-    /// rounds to `0` here; use the nanos series for percentiles.
-    pub insert_micros: Vec<u64>,
-    /// Per-chain graph-build wall-clock micros, in completion order
-    /// (derived from [`EngineStats::build_nanos`]).
-    pub build_micros: Vec<u64>,
-    /// One `(sealed_rows, micros)` sample per snapshot publication, in
+    /// Per-insert wall-clock nanoseconds, in insert order (empty when
+    /// [`EngineConfig::record_insert_latency`] is off). A streaming insert
+    /// is an append plus a channel send and routinely finishes under a
+    /// microsecond, hence the unit.
+    pub insert_nanos: Vec<u64>,
+    /// Per-chain graph-build wall-clock nanoseconds, in completion order.
+    pub build_nanos: Vec<u64>,
+    /// One `(sealed_rows, nanos)` sample per snapshot publication, in
     /// publication order: how many rows the published snapshot covers and
     /// how long the publication itself took (staging the chain's blocks,
     /// assembling the pointer-shared snapshot, swapping it in, trimming the
     /// tail — everything except the lock-free graph build). With the
-    /// segment-shared store this stays flat as `sealed_rows` grows; the
-    /// `streaming_ingest` bench records the series as evidence. Derived
-    /// from [`EngineStats::publish_nanos`].
-    pub publish_micros: Vec<(u64, u64)>,
-    /// Per-insert wall-clock nanoseconds — the samples behind
-    /// [`EngineStats::insert_micros`] at full clock resolution. A streaming
-    /// insert is an append plus a channel send and routinely finishes under
-    /// a microsecond, so latency percentiles must be computed here.
-    pub insert_nanos: Vec<u64>,
-    /// Per-chain graph-build wall-clock nanoseconds, in completion order.
-    pub build_nanos: Vec<u64>,
-    /// Per-publication `(sealed_rows, nanos)` samples, in publication
-    /// order.
+    /// segment-shared store this stays flat as `sealed_rows` grows.
     pub publish_nanos: Vec<(u64, u64)>,
 }
 
@@ -1239,9 +1227,6 @@ impl StreamingMbi {
                 m.blocks.iter().map(|b| b.height).max().unwrap_or(0),
             )
         };
-        let insert_nanos = self.shared.insert_nanos.lock().clone();
-        let build_nanos = self.shared.build_nanos.lock().clone();
-        let publish_nanos = self.shared.publish_nanos.lock().clone();
         EngineStats {
             seals,
             published_leaves,
@@ -1251,12 +1236,9 @@ impl StreamingMbi {
             inline_builds: self.shared.inline_builds.load(Ordering::Relaxed),
             spawn_failures: self.shared.spawn_failures.load(Ordering::Relaxed),
             build_panics: self.shared.build_panics.load(Ordering::Relaxed),
-            insert_micros: insert_nanos.iter().map(|&n| n / 1_000).collect(),
-            build_micros: build_nanos.iter().map(|&n| n / 1_000).collect(),
-            publish_micros: publish_nanos.iter().map(|&(rows, n)| (rows, n / 1_000)).collect(),
-            insert_nanos,
-            build_nanos,
-            publish_nanos,
+            insert_nanos: self.shared.insert_nanos.lock().clone(),
+            build_nanos: self.shared.build_nanos.lock().clone(),
+            publish_nanos: self.shared.publish_nanos.lock().clone(),
         }
     }
 
@@ -1861,8 +1843,8 @@ mod tests {
         assert_eq!(stats.queued_builds, 0);
         assert_eq!(stats.published_blocks, blocks_for_leaves(8));
         assert_eq!(stats.published_height, 3);
-        assert_eq!(stats.build_micros.len(), 8);
-        assert_eq!(stats.insert_micros.len(), 67);
+        assert_eq!(stats.build_nanos.len(), 8);
+        assert_eq!(stats.insert_nanos.len(), 67);
         assert_eq!(stats.spawn_failures, 0);
         assert_eq!(stats.build_panics, 0);
         let snap = engine.snapshot();
@@ -1975,7 +1957,7 @@ mod tests {
             EngineConfig::default().with_record_insert_latency(false),
         );
         fill(&engine, 20);
-        assert!(engine.stats().insert_micros.is_empty());
+        assert!(engine.stats().insert_nanos.is_empty());
         assert_eq!(engine.engine_config().builder_threads, 1);
     }
 
@@ -2008,10 +1990,10 @@ mod tests {
         fill(&engine, 64);
         engine.flush();
         let stats = engine.stats();
-        assert!(!stats.publish_micros.is_empty(), "every publication takes a sample");
-        let (last_rows, _) = *stats.publish_micros.last().unwrap();
+        assert!(!stats.publish_nanos.is_empty(), "every publication takes a sample");
+        let (last_rows, _) = *stats.publish_nanos.last().unwrap();
         assert_eq!(last_rows, 64, "samples carry the published row count");
-        assert!(stats.publish_micros.iter().all(|&(rows, _)| rows > 0 && rows <= 64));
+        assert!(stats.publish_nanos.iter().all(|&(rows, _)| rows > 0 && rows <= 64));
     }
 
     #[test]

@@ -46,9 +46,8 @@
 //! | [`block`] | §4.1 | [`Block`], [`BlockGraph`] |
 //! | [`index`] | §4.2, Alg. 3–4 | [`MbiIndex`]: insert / query / exact query |
 //! | [`select`] | §4.3 | top-down block selection, overlap ratio |
-//! | [`persist`] | — | binary save/load of a built index |
-//! | [`concurrent`] | — | [`ConcurrentMbi`]: queries concurrent with ingest |
-//! | [`engine`] | — | [`StreamingMbi`]: background builds, snapshot publication |
+//! | [`persist`] | §4.4.2 | the one on-disk format (v7): checksummed save/load of an index or snapshot |
+//! | [`engine`] | — | [`StreamingMbi`]: queries concurrent with ingest, background builds, snapshot publication |
 //! | [`tier`] | — | [`ColdIndex`]: mmap-backed cold tier, LRU block cache, prefetch |
 //! | [`times`] | — | [`TimeChunks`]: chunk-shared timestamp column for snapshots |
 //! | [`tuner`] | §5.4.2 | [`TauTuner`]: per-window-length `τ` calibration |
@@ -60,7 +59,6 @@
 #![warn(missing_docs)]
 
 pub mod block;
-pub mod concurrent;
 pub mod config;
 pub mod engine;
 pub mod error;
@@ -76,7 +74,6 @@ pub mod tuner;
 pub mod wal;
 
 pub use block::{Block, BlockGraph, SharedBlocks};
-pub use concurrent::ConcurrentMbi;
 pub use config::{GraphBackend, MbiConfig};
 pub use engine::{
     Backpressure, EngineConfig, EngineHealth, EngineStats, IndexSnapshot, RetryPolicy,

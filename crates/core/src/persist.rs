@@ -2,45 +2,47 @@
 //!
 //! Time-accumulating deployments restart; rebuilding every block graph costs
 //! `O(|D|^1.14 log |D|)` (§4.4.2), so a saved index pays for itself quickly.
-//! The format is a single little-endian stream: a header with magic/version,
-//! the configuration, the raw data columns, then each block with its graph.
-//! Everything is length-prefixed and validated on load; malformed input
-//! yields [`MbiError::Corrupt`] (carrying the byte offset where parsing
-//! failed) or [`MbiError::ChecksumMismatch`], never a panic.
+//! There is one on-disk format, version 7: a single little-endian stream in
+//! a checksummed envelope. Everything is length-prefixed and validated on
+//! load; malformed input yields [`MbiError::Corrupt`] (carrying the byte
+//! offset where parsing failed) or [`MbiError::ChecksumMismatch`], never a
+//! panic. A header version other than 7 is `Corrupt` at byte 4 — there is
+//! no converter and no second reader.
 //!
-//! # Format v6: checksummed streams + SQ8 columns
-//!
-//! Version 5 wrapped the payload of the previous formats in integrity
-//! armour so disk corruption is *detected*, not parsed; version 6 keeps the
-//! identical envelope and extends the bodies:
+//! # Envelope
 //!
 //! ```text
-//! stream := "MBI1" version:u32 kind:u8 body footer
-//! kind   := 0 (MbiIndex, v3-layout body) | 1 (IndexSnapshot, v4-layout body)
+//! stream := "MBI1" version:u32 kind:u8 config data blocks footer
+//! kind   := 0 (MbiIndex, flat body) | 1 (IndexSnapshot, leaf records)
 //! footer := count:u8 (tag:u8 len:u64 crc:u32)*count footer_crc:u32
 //!           footer_len:u32 "MBIF"
 //! ```
 //!
-//! The sections — `header` (magic + version + kind), `config`, `data`,
+//! The four sections — `header` (magic + version + kind), `config`, `data`,
 //! `blocks` — tile the stream exactly; each carries the CRC32 of its bytes,
 //! and the footer carries its own CRC. Any single-byte flip anywhere in a
-//! v5/v6 stream therefore fails a checksum (or the structural parse) before
-//! an index is built from it. v6 appends the SQ8 knobs (`sq8_scan`,
-//! `sq8_overfetch`) to the config record and, for snapshots, an optional
-//! per-leaf SQ8 column (per-dimension `mins`/`deltas`, the `u8` code matrix,
-//! decoded squared norms) after each leaf's float data — so quantized
-//! engines restart without re-encoding. Versions 2–5 are still readable;
-//! pre-v6 streams load with the SQ8 knobs at their defaults (off).
+//! stream therefore fails a checksum (or the structural parse) before an
+//! index is built from it, so disk corruption is *detected*, not parsed.
 //! All `save_file` paths write atomically: temp file in the same directory,
 //! fsync, rename, directory fsync — a crash mid-save leaves the previous
 //! file intact.
 //!
-//! # Format v7: page-aligned leaf records for the cold tier
+//! # Index kind: flat body
 //!
-//! v7 keeps the v5/v6 envelope (same footer, same four sections) but lays
-//! the snapshot `data` section out so [`crate::tier::ColdIndex`] can mmap
-//! the file and load each leaf independently, without touching (faulting)
-//! the rest:
+//! ```text
+//! data   := n:u64 ts:i64[n] rows:f32[n·d] has_norms:u8 [inv:f32[n]]
+//! blocks := num_leaves:u64 num_blocks:u64
+//!           (rows:u64×2 height:u32 start_ts:i64 end_ts:i64 graph)*num_blocks
+//! ```
+//!
+//! An [`MbiIndex`] stream holds every row, the unsealed tail included, and
+//! is only ever loaded whole.
+//!
+//! # Snapshot kind: page-aligned leaf records
+//!
+//! The snapshot `data` section is laid out so [`crate::tier::ColdIndex`]
+//! can mmap the file and load each leaf independently, without touching
+//! (faulting) the rest:
 //!
 //! ```text
 //! data   := num_leaves:u64 seg_rows:u64 has_norms:u8 has_sq8:u8
@@ -62,10 +64,8 @@
 //! after the block metadata; leaf block entries point back into the leaf
 //! records. The per-piece CRCs let the cold reader verify lazily, piece by
 //! piece, while the footer's whole-section CRCs still guard eager loads.
-//! Index-kind (`MbiIndex`) v7 streams keep the flat v6 body; the config
-//! record gains the cold-tier knobs (`ram_budget_bytes`, `cache_shards`) in
-//! both kinds. Versions 2–6 remain readable; pre-v7 streams load with the
-//! tier knobs at their defaults (everything resident).
+//! The optional SQ8 column group lets quantized engines restart without
+//! re-encoding.
 //!
 //! ```
 //! use mbi_core::{MbiConfig, MbiIndex, TimeWindow};
@@ -88,7 +88,7 @@ use crate::error::MbiError;
 use crate::index::MbiIndex;
 use crate::times::TimeChunks;
 use crate::wal::crc32;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use mbi_ann::{
     EntryPolicy, HnswIndex, HnswParams, KnnGraph, NnDescentParams, SearchParams, Segment,
     SegmentStore, Sq8Column, VectorStore,
@@ -99,27 +99,8 @@ use std::path::Path;
 use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"MBI1";
-// v2 appended `query_threads` to the config record. v3 appended the optional
-// inverse-norm column (flag byte + `n` f32s) after the vector floats. v4 is
-// the *snapshot* layout: leaf-sized segments instead of flat columns. v5
-// unifies both kinds under one checksummed envelope (kind byte + per-section
-// CRC32s + footer); the body keeps the v3 (index) / v4 (snapshot) layout.
-// v6 keeps the v5 envelope and appends the SQ8 knobs to the config record
-// plus an optional per-leaf SQ8 code column to snapshot bodies. v7 keeps
-// the envelope and rewrites snapshot data sections as page-aligned leaf
-// records with CRC directories (see the module docs).
-// v2–v6 streams are still readable.
+/// The one format version this build writes and reads.
 const VERSION: u32 = 7;
-const OLDEST_READABLE_VERSION: u32 = 2;
-const SNAPSHOT_BODY_VERSION: u32 = 4;
-const INDEX_BODY_VERSION: u32 = 3;
-/// Body layout of both kinds under a v6 envelope: the legacy layout plus the
-/// config extension (and, for snapshots, the per-leaf SQ8 column).
-const SQ8_BODY_VERSION: u32 = 6;
-/// Body layout under a v7 envelope: the config gains the cold-tier knobs;
-/// snapshot data sections become page-aligned self-contained leaf records
-/// (index bodies keep the v6 flat layout plus the config extension).
-const TIER_BODY_VERSION: u32 = 7;
 
 const KIND_INDEX: u8 = 0;
 const KIND_SNAPSHOT: u8 = 1;
@@ -139,58 +120,74 @@ const LEAF_DIR_ENTRY_LEN: usize = 8 * 3 + 4 * 5;
 /// location (`graph_off`, `graph_len`, `graph_crc`).
 const BLOCK_DIR_ENTRY_LEN: usize = 8 * 2 + 4 + 8 * 2 + 8 * 2 + 4;
 
-/// A byte source that knows its absolute position in the original stream,
-/// so every parse failure reports the offset where it happened.
-struct Src {
-    b: Bytes,
-    base: usize,
-    len_at_start: usize,
+/// A bounded little-endian cursor over `b[pos..end]` of the full stream.
+/// `pos` is absolute, so every parse failure reports the offset where it
+/// happened; the cursor only borrows, so the snapshot directories parse off
+/// a memory map without copying (or faulting) anything beyond themselves.
+/// Callers reserve with [`Src::need`] before the `get_*` calls.
+struct Src<'a> {
+    b: &'a [u8],
+    pos: usize,
+    end: usize,
 }
 
-impl Src {
-    fn new(b: Bytes) -> Self {
-        let len_at_start = b.len();
-        Src { b, base: 0, len_at_start }
-    }
-
-    /// A source for a slice that begins `base` bytes into the full stream.
-    fn with_base(b: Bytes, base: usize) -> Self {
-        let len_at_start = b.len();
-        Src { b, base, len_at_start }
-    }
-
-    /// Absolute offset of the next unread byte.
-    fn offset(&self) -> usize {
-        self.base + self.len_at_start - self.b.remaining()
+impl<'a> Src<'a> {
+    fn new(b: &'a [u8], pos: usize, end: usize) -> Self {
+        debug_assert!(pos <= end && end <= b.len());
+        Src { b, pos, end }
     }
 
     fn corrupt(&self, detail: impl Into<String>) -> MbiError {
-        MbiError::corrupt(self.offset(), detail)
+        MbiError::corrupt(self.pos, detail)
+    }
+
+    fn has_remaining(&self) -> bool {
+        self.pos < self.end
     }
 
     fn need(&self, need: usize) -> Result<(), MbiError> {
-        if self.b.remaining() < need {
+        if self.end - self.pos < need {
             Err(self.corrupt(format!(
                 "truncated stream: need {need} bytes, have {}",
-                self.b.remaining()
+                self.end - self.pos
             )))
         } else {
             Ok(())
         }
     }
-}
 
-impl std::ops::Deref for Src {
-    type Target = Bytes;
-
-    fn deref(&self) -> &Bytes {
-        &self.b
+    fn take<const N: usize>(&mut self) -> [u8; N] {
+        let x = self.b[self.pos..self.end][..N].try_into().expect("N bytes");
+        self.pos += N;
+        x
     }
-}
 
-impl std::ops::DerefMut for Src {
-    fn deref_mut(&mut self) -> &mut Bytes {
-        &mut self.b
+    fn get_u8(&mut self) -> u8 {
+        u8::from_le_bytes(self.take())
+    }
+
+    fn get_u16_le(&mut self) -> u16 {
+        u16::from_le_bytes(self.take())
+    }
+
+    fn get_u32_le(&mut self) -> u32 {
+        u32::from_le_bytes(self.take())
+    }
+
+    fn get_u64_le(&mut self) -> u64 {
+        u64::from_le_bytes(self.take())
+    }
+
+    fn get_i64_le(&mut self) -> i64 {
+        i64::from_le_bytes(self.take())
+    }
+
+    fn get_f32_le(&mut self) -> f32 {
+        f32::from_le_bytes(self.take())
+    }
+
+    fn get_f64_le(&mut self) -> f64 {
+        f64::from_le_bytes(self.take())
     }
 }
 
@@ -217,7 +214,7 @@ pub(crate) fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), MbiError> {
     Ok(())
 }
 
-/// Appends the v5 footer: per-section CRCs, the footer's own CRC, its
+/// Appends the footer: per-section CRCs, the footer's own CRC, its
 /// length, and the trailing magic. `bounds` are the section boundaries
 /// (`bounds[i]..bounds[i+1]` is section `i`), tiling `b` exactly.
 fn write_footer(b: &mut BytesMut, bounds: &[usize]) {
@@ -237,17 +234,17 @@ fn write_footer(b: &mut BytesMut, bounds: &[usize]) {
     b.put_slice(FOOTER_MAGIC);
 }
 
-/// Parses and structurally verifies a v5+ footer on a raw byte slice: the
+/// Parses and structurally verifies the footer on a raw byte slice: the
 /// footer's own CRC is checked and the sections must tile the stream, but
-/// the sections themselves are *not* hashed — [`verify_v5`] does that for
-/// eager loads, while the cold (mmap) reader verifies lazily per piece so
-/// opening a file never faults its data pages. Returns each section's
+/// the sections themselves are *not* hashed — [`verify_sections`] does that
+/// for eager loads, while the cold (mmap) reader verifies lazily per piece
+/// so opening a file never faults its data pages. Returns each section's
 /// absolute byte range and stored CRC, in [`SECTIONS`] order.
 fn parse_footer(b: &[u8]) -> Result<[(usize, usize, u32); 4], MbiError> {
     let total = b.len();
     // footer_crc + footer_len + trailing magic is the minimal suffix.
     if total < HEADER_LEN + 12 {
-        return Err(MbiError::corrupt(total, "truncated stream: no room for v5 footer"));
+        return Err(MbiError::corrupt(total, "truncated stream: no room for footer"));
     }
     if &b[total - 4..] != FOOTER_MAGIC {
         return Err(MbiError::corrupt(total - 4, "bad footer magic"));
@@ -262,15 +259,7 @@ fn parse_footer(b: &[u8]) -> Result<[(usize, usize, u32); 4], MbiError> {
     }
     let footer_start = total - 8 - footer_len;
     let footer = &b[footer_start..total - 8];
-    let stored_footer_crc = rd_u32(footer, footer_len - 4);
-    let computed = crc32(&footer[..footer_len - 4]);
-    if computed != stored_footer_crc {
-        return Err(MbiError::ChecksumMismatch {
-            section: "footer",
-            expected: stored_footer_crc,
-            got: computed,
-        });
-    }
+    check_crc(&footer[..footer_len - 4], rd_u32(footer, footer_len - 4), "footer")?;
     let count = footer[0] as usize;
     if count != SECTIONS.len() {
         return Err(MbiError::corrupt(
@@ -306,17 +295,42 @@ fn parse_footer(b: &[u8]) -> Result<[(usize, usize, u32); 4], MbiError> {
     Ok(sections)
 }
 
-/// Verifies a v5 stream's footer and every section CRC; returns the body
+/// Checks the envelope header — magic, then the one readable version — and
+/// returns the kind byte. Any other version is `Corrupt` at byte 4.
+fn read_header(b: &[u8]) -> Result<u8, MbiError> {
+    if b.len() >= 4 && &b[..4] != MAGIC {
+        return Err(MbiError::corrupt(0, "bad magic"));
+    }
+    if b.len() < HEADER_LEN {
+        return Err(MbiError::corrupt(b.len(), "truncated stream: no room for header"));
+    }
+    let version = rd_u32(b, 4);
+    if version != VERSION {
+        return Err(MbiError::corrupt(
+            4,
+            format!("unsupported version {version}: only version {VERSION} streams are readable"),
+        ));
+    }
+    Ok(b[8])
+}
+
+/// Verifies a stream's footer and every section CRC; returns the body
 /// region `(start, end)` — the bytes after the kind byte, before the footer.
-fn verify_v5(b: &[u8]) -> Result<(usize, usize), MbiError> {
+fn verify_sections(b: &[u8]) -> Result<(usize, usize), MbiError> {
     let sections = parse_footer(b)?;
     for (&name, &(start, end, expected)) in SECTIONS.iter().zip(&sections) {
-        let got = crc32(&b[start..end]);
-        if got != expected {
-            return Err(MbiError::ChecksumMismatch { section: name, expected, got });
-        }
+        check_crc(&b[start..end], expected, name)?;
     }
     Ok((HEADER_LEN, sections[3].1))
+}
+
+/// Fails with [`MbiError::ChecksumMismatch`] unless `bytes` hash to `expected`.
+fn check_crc(bytes: &[u8], expected: u32, section: &'static str) -> Result<(), MbiError> {
+    let got = crc32(bytes);
+    if got != expected {
+        return Err(MbiError::ChecksumMismatch { section, expected, got });
+    }
+    Ok(())
 }
 
 fn rd_u32(b: &[u8], off: usize) -> u32 {
@@ -363,55 +377,15 @@ impl MbiIndex {
         Self::load_from(&mut f)
     }
 
-    /// Serialises the index into one contiguous buffer (v5: checksummed
-    /// sections + footer).
+    /// Serialises the index into one contiguous buffer (checksummed
+    /// sections + footer over the flat index-kind body).
     pub fn to_bytes(&self) -> Bytes {
-        self.encode(VERSION)
-    }
-
-    /// Serialises in the pre-norm-column v2 layout. Kept (hidden) so the
-    /// backward-compatibility tests can produce genuine v2 streams.
-    #[doc(hidden)]
-    pub fn to_bytes_v2(&self) -> Bytes {
-        self.encode(2)
-    }
-
-    /// Serialises in the unchecksummed v3 layout (hidden, for
-    /// backward-compatibility tests).
-    #[doc(hidden)]
-    pub fn to_bytes_v3(&self) -> Bytes {
-        self.encode(3)
-    }
-
-    /// Serialises in the checksummed pre-SQ8 v5 layout (hidden, for
-    /// backward-compatibility tests).
-    #[doc(hidden)]
-    pub fn to_bytes_v5(&self) -> Bytes {
-        self.encode(5)
-    }
-
-    /// Serialises in the pre-cold-tier v6 layout (hidden, for
-    /// backward-compatibility tests).
-    #[doc(hidden)]
-    pub fn to_bytes_v6(&self) -> Bytes {
-        self.encode(6)
-    }
-
-    fn encode(&self, version: u32) -> Bytes {
-        let body_version = match version {
-            v if v >= 7 => TIER_BODY_VERSION,
-            6 => SQ8_BODY_VERSION,
-            5 => INDEX_BODY_VERSION,
-            v => v,
-        };
         let mut b = BytesMut::with_capacity(128 + self.data_bytes() + self.index_memory_bytes());
         b.put_slice(MAGIC);
-        b.put_u32_le(version);
-        if version >= 5 {
-            b.put_u8(KIND_INDEX);
-        }
+        b.put_u32_le(VERSION);
+        b.put_u8(KIND_INDEX);
         let mut bounds = vec![0, b.len()];
-        write_config(&mut b, &self.config, body_version);
+        write_config(&mut b, &self.config);
         bounds.push(b.len());
 
         let n = self.timestamps.len();
@@ -422,16 +396,14 @@ impl MbiIndex {
         for &v in self.store.as_flat() {
             b.put_f32_le(v);
         }
-        if body_version >= 3 {
-            match self.store.inv_norms() {
-                Some(inv) => {
-                    b.put_u8(1);
-                    for &x in inv {
-                        b.put_f32_le(x);
-                    }
+        match self.store.inv_norms() {
+            Some(inv) => {
+                b.put_u8(1);
+                for &x in inv {
+                    b.put_f32_le(x);
                 }
-                None => b.put_u8(0),
             }
+            None => b.put_u8(0),
         }
         bounds.push(b.len());
 
@@ -446,53 +418,24 @@ impl MbiIndex {
             write_graph(&mut b, &block.graph);
         }
         bounds.push(b.len());
-        if version >= 5 {
-            write_footer(&mut b, &bounds);
-        }
+        write_footer(&mut b, &bounds);
         b.freeze()
     }
 
     /// Deserialises an index from one contiguous buffer.
     pub fn from_bytes(b: Bytes) -> Result<Self, MbiError> {
-        let mut src = Src::new(b.clone());
-        src.need(8)?;
-        let mut magic = [0u8; 4];
-        src.copy_to_slice(&mut magic);
-        if &magic != MAGIC {
-            return Err(MbiError::corrupt(0, "bad magic"));
+        if read_header(&b)? != KIND_INDEX {
+            return Err(MbiError::corrupt(8, "stream holds a snapshot, not an index"));
         }
-        let version = src.get_u32_le();
-        match version {
-            2 | 3 => decode_index_body(&mut src, version),
-            4 => Err(src.corrupt("version 4 streams hold a snapshot, not an index")),
-            5..=7 => {
-                src.need(1)?;
-                if src.get_u8() != KIND_INDEX {
-                    return Err(MbiError::corrupt(8, "stream holds a snapshot, not an index"));
-                }
-                let (start, end) = verify_v5(&b)?;
-                let mut src = Src::with_base(b.slice(start..end), start);
-                let body = match version {
-                    7 => TIER_BODY_VERSION,
-                    6 => SQ8_BODY_VERSION,
-                    _ => INDEX_BODY_VERSION,
-                };
-                decode_index_body(&mut src, body)
-            }
-            v => Err(MbiError::corrupt(4, format!("unsupported version {v}"))),
-        }
+        let (start, end) = verify_sections(&b)?;
+        decode_index_body(&mut Src::new(&b, start, end))
     }
 }
 
-/// Decodes an index body (config / data / blocks) laid out as
-/// `body_version` (2 or 3), consuming `src` exactly.
-fn decode_index_body(src: &mut Src, body_version: u32) -> Result<MbiIndex, MbiError> {
-    debug_assert!(
-        (OLDEST_READABLE_VERSION..=INDEX_BODY_VERSION).contains(&body_version)
-            || body_version == SQ8_BODY_VERSION
-            || body_version == TIER_BODY_VERSION
-    );
-    let config = read_config(src, body_version)?;
+/// Decodes an index-kind body (config / data / blocks), consuming `src`
+/// exactly.
+fn decode_index_body(src: &mut Src<'_>) -> Result<MbiIndex, MbiError> {
+    let config = read_config(src)?;
 
     src.need(8)?;
     let n = src.get_u64_le() as usize;
@@ -503,7 +446,7 @@ fn decode_index_body(src: &mut Src, body_version: u32) -> Result<MbiIndex, MbiEr
     }
     for (i, pair) in timestamps.windows(2).enumerate() {
         if pair[1] < pair[0] {
-            return Err(MbiError::corrupt(src.offset() - (n - i - 1) * 8, "timestamps not sorted"));
+            return Err(MbiError::corrupt(src.pos - (n - i - 1) * 8, "timestamps not sorted"));
         }
     }
     let floats = n.checked_mul(config.dim).ok_or_else(|| overflow(src))?;
@@ -512,32 +455,18 @@ fn decode_index_body(src: &mut Src, body_version: u32) -> Result<MbiIndex, MbiEr
     for _ in 0..floats {
         flat.push(src.get_f32_le());
     }
-    let has_norms = if body_version >= 3 {
-        src.need(1)?;
-        src.get_u8() != 0
-    } else {
-        false
-    };
+    src.need(1)?;
+    let has_norms = src.get_u8() != 0;
     let mut store = if has_norms {
         src.need(n.checked_mul(4).ok_or_else(|| overflow(src))?)?;
-        let mut inv = Vec::with_capacity(n);
-        for _ in 0..n {
-            let x = src.get_f32_le();
-            if !x.is_finite() || x < 0.0 {
-                return Err(MbiError::corrupt(
-                    src.offset() - 4,
-                    format!("invalid inverse norm {x}"),
-                ));
-            }
-            inv.push(x);
-        }
+        let inv = read_f32_column(src.b, src.pos, n, "inverse norm", false)?;
+        src.pos += n * 4;
         VectorStore::from_flat_with_inv_norms(config.dim, flat, inv)
     } else {
         VectorStore::from_flat(config.dim, flat)
     };
-    // v2 streams (and v3 streams written without the column) predate the
-    // cache; angular indexes recompute it so loaded indexes query
-    // identically to freshly built ones.
+    // A stream written without the column still loads: angular indexes
+    // recompute it so loaded indexes query identically to freshly built ones.
     if config.metric == Metric::Angular && !store.has_norm_cache() {
         store.enable_norm_cache();
     }
@@ -599,101 +528,11 @@ impl IndexSnapshot {
         Self::load_from(&mut f)
     }
 
-    /// Serialises the snapshot into one contiguous buffer (v7: checksummed
+    /// Serialises the snapshot into one contiguous buffer (checksummed
     /// sections + footer over page-aligned, directory-indexed leaf records
     /// that a [`crate::tier::ColdIndex`] can serve straight off disk).
     pub fn to_bytes(&self) -> Bytes {
         self.encode_v7()
-    }
-
-    /// Serialises in the unchecksummed v4 layout (hidden, for
-    /// backward-compatibility tests).
-    #[doc(hidden)]
-    pub fn to_bytes_v4(&self) -> Bytes {
-        self.encode(SNAPSHOT_BODY_VERSION)
-    }
-
-    /// Serialises in the checksummed pre-SQ8 v5 layout (hidden, for
-    /// backward-compatibility tests).
-    #[doc(hidden)]
-    pub fn to_bytes_v5(&self) -> Bytes {
-        self.encode(5)
-    }
-
-    /// Serialises in the pre-cold-tier v6 layout (hidden, for
-    /// backward-compatibility tests).
-    #[doc(hidden)]
-    pub fn to_bytes_v6(&self) -> Bytes {
-        self.encode(6)
-    }
-
-    /// Encodes the legacy (≤ v6) streaming layouts — one leaf after another
-    /// with no alignment or per-piece directory.
-    fn encode(&self, version: u32) -> Bytes {
-        debug_assert!(version < TIER_BODY_VERSION, "v7 snapshots use encode_v7");
-        let body_version = if version >= 6 { SQ8_BODY_VERSION } else { SNAPSHOT_BODY_VERSION };
-        let config = self.config();
-        let s_l = config.leaf_size;
-        let store = self.store();
-        let mut b = BytesMut::with_capacity(128 + store.memory_bytes());
-        b.put_slice(MAGIC);
-        b.put_u32_le(version);
-        if version >= 5 {
-            b.put_u8(KIND_SNAPSHOT);
-        }
-        let mut bounds = vec![0, b.len()];
-        write_config(&mut b, config, body_version);
-        bounds.push(b.len());
-        b.put_u64_le(self.num_leaves() as u64);
-        b.put_u64_le(s_l as u64);
-        let has_norms = store.segments().first().is_some_and(|s| s.has_norm_cache());
-        b.put_u8(u8::from(has_norms));
-        let has_sq8 = body_version >= SQ8_BODY_VERSION && store.has_sq8();
-        if body_version >= SQ8_BODY_VERSION {
-            b.put_u8(u8::from(has_sq8));
-        }
-        for (seg, chunk) in store.segments().iter().zip(self.times().chunks()) {
-            for &t in chunk.iter() {
-                b.put_i64_le(t);
-            }
-            for &v in seg.as_flat() {
-                b.put_f32_le(v);
-            }
-            if has_norms {
-                let inv = seg.inv_norms().expect("norm flag implies a cached column");
-                for &x in inv {
-                    b.put_f32_le(x);
-                }
-            }
-            if has_sq8 {
-                let col = seg.sq8().expect("sq8 flag implies a uniform code column");
-                for &m in col.mins() {
-                    b.put_f32_le(m);
-                }
-                for &d in col.deltas() {
-                    b.put_f32_le(d);
-                }
-                b.put_slice(col.codes());
-                for &n2 in col.row_norm2() {
-                    b.put_f32_le(n2);
-                }
-            }
-        }
-        bounds.push(b.len());
-        b.put_u64_le(self.blocks().len() as u64);
-        for block in self.blocks() {
-            b.put_u64_le(block.rows.start as u64);
-            b.put_u64_le(block.rows.end as u64);
-            b.put_u32_le(block.height);
-            b.put_i64_le(block.start_ts);
-            b.put_i64_le(block.end_ts);
-            write_graph(&mut b, &block.graph);
-        }
-        bounds.push(b.len());
-        if version >= 5 {
-            write_footer(&mut b, &bounds);
-        }
-        b.freeze()
     }
 
     /// Encodes the v7 layout: a leaf directory with per-piece CRCs, then one
@@ -796,7 +635,7 @@ impl IndexSnapshot {
         b.put_u32_le(VERSION);
         b.put_u8(KIND_SNAPSHOT);
         let mut bounds = vec![0, b.len()];
-        write_config(&mut b, config, TIER_BODY_VERSION);
+        write_config(&mut b, config);
         bounds.push(b.len());
 
         let data_start = b.len();
@@ -867,146 +706,22 @@ impl IndexSnapshot {
         b.freeze()
     }
 
-    /// Deserialises a snapshot from one contiguous buffer. Accepts the
-    /// native checksummed v5 layout, the unchecksummed v4 layout, plus
-    /// v2/v3/v5 [`MbiIndex`] streams (converted via
-    /// [`IndexSnapshot::from_index`] — fails with [`MbiError::UnsealedTail`]
-    /// if the stored index has tail rows).
+    /// Deserialises a snapshot from one contiguous buffer. Also accepts an
+    /// [`MbiIndex`] stream (converted via [`IndexSnapshot::from_index`] —
+    /// fails with [`MbiError::UnsealedTail`] if the stored index has tail
+    /// rows).
     pub fn from_bytes(b: Bytes) -> Result<Self, MbiError> {
-        let mut src = Src::new(b.clone());
-        src.need(8)?;
-        let mut magic = [0u8; 4];
-        src.copy_to_slice(&mut magic);
-        if &magic != MAGIC {
-            return Err(MbiError::corrupt(0, "bad magic"));
-        }
-        let version = src.get_u32_le();
-        match version {
-            // Pre-v4 streams are whole MbiIndex streams, re-read from the top.
-            2 | 3 => IndexSnapshot::from_index(&MbiIndex::from_bytes(b)?),
-            4 => decode_snapshot_body(&mut src, SNAPSHOT_BODY_VERSION),
-            5 | 6 => {
-                src.need(1)?;
-                let kind = src.get_u8();
-                let (start, end) = verify_v5(&b)?;
-                let body = if version >= 6 { SQ8_BODY_VERSION } else { SNAPSHOT_BODY_VERSION };
-                match kind {
-                    KIND_SNAPSHOT => {
-                        let mut src = Src::with_base(b.slice(start..end), start);
-                        decode_snapshot_body(&mut src, body)
-                    }
-                    KIND_INDEX => IndexSnapshot::from_index(&MbiIndex::from_bytes(b)?),
-                    k => Err(MbiError::corrupt(8, format!("unknown stream kind {k}"))),
-                }
-            }
-            7 => {
-                src.need(1)?;
-                let kind = src.get_u8();
-                verify_v5(&b)?;
-                match kind {
-                    KIND_SNAPSHOT => decode_snapshot_v7(&b),
-                    KIND_INDEX => IndexSnapshot::from_index(&MbiIndex::from_bytes(b)?),
-                    k => Err(MbiError::corrupt(8, format!("unknown stream kind {k}"))),
-                }
-            }
-            v => Err(MbiError::corrupt(4, format!("unsupported version {v}"))),
+        let kind = read_header(&b)?;
+        verify_sections(&b)?;
+        match kind {
+            KIND_SNAPSHOT => decode_snapshot_v7(&b),
+            KIND_INDEX => IndexSnapshot::from_index(&MbiIndex::from_bytes(b)?),
+            k => Err(MbiError::corrupt(8, format!("unknown stream kind {k}"))),
         }
     }
 }
 
-/// Decodes a snapshot body (config / leaf records / blocks) in the v4 or v6
-/// layout, consuming `src` exactly.
-fn decode_snapshot_body(src: &mut Src, body_version: u32) -> Result<IndexSnapshot, MbiError> {
-    let config = read_config(src, body_version)?;
-    src.need(8 + 8 + 1)?;
-    let num_leaves = src.get_u64_le() as usize;
-    let seg_rows = src.get_u64_le() as usize;
-    if seg_rows != config.leaf_size {
-        return Err(src.corrupt(format!(
-            "segment rows {seg_rows} do not match leaf size {}",
-            config.leaf_size
-        )));
-    }
-    let has_norms = src.get_u8() != 0;
-    if config.metric == Metric::Angular && !has_norms {
-        return Err(src.corrupt("angular snapshot lacks norm column"));
-    }
-    let has_sq8 = if body_version >= SQ8_BODY_VERSION {
-        src.need(1)?;
-        src.get_u8() != 0
-    } else {
-        false
-    };
-    let leaf_bytes = seg_rows * 8
-        + seg_rows * config.dim * 4
-        + if has_norms { seg_rows * 4 } else { 0 }
-        + if has_sq8 { config.dim * 8 + seg_rows * config.dim + seg_rows * 4 } else { 0 };
-    let mut store = SegmentStore::new(config.dim, seg_rows);
-    let mut times = TimeChunks::new(seg_rows);
-    for _ in 0..num_leaves {
-        src.need(leaf_bytes)?;
-        let mut chunk = Vec::with_capacity(seg_rows);
-        for _ in 0..seg_rows {
-            chunk.push(src.get_i64_le());
-        }
-        let mut flat = Vec::with_capacity(seg_rows * config.dim);
-        for _ in 0..seg_rows * config.dim {
-            flat.push(src.get_f32_le());
-        }
-        let leaf_store = if has_norms {
-            let mut inv = Vec::with_capacity(seg_rows);
-            for _ in 0..seg_rows {
-                let x = src.get_f32_le();
-                if !x.is_finite() || x < 0.0 {
-                    return Err(MbiError::corrupt(
-                        src.offset() - 4,
-                        format!("invalid inverse norm {x}"),
-                    ));
-                }
-                inv.push(x);
-            }
-            VectorStore::from_flat_with_inv_norms(config.dim, flat, inv)
-        } else {
-            VectorStore::from_flat(config.dim, flat)
-        };
-        let mut seg = Segment::from_store(leaf_store);
-        if has_sq8 {
-            seg.attach_sq8(read_sq8_column(src, config.dim, seg_rows)?);
-        } else if config.sq8_scan {
-            // A quantizing engine must see a uniformly quantized store even
-            // when restoring from a pre-v6 (or hand-built exact) stream.
-            seg.build_sq8();
-        }
-        store.push_segment(Arc::new(seg));
-        times.push_chunk(chunk.into());
-    }
-    src.need(8)?;
-    let num_blocks = src.get_u64_le() as usize;
-    let n = num_leaves * seg_rows;
-    let mut blocks = Vec::with_capacity(num_blocks.min(1 << 20));
-    for _ in 0..num_blocks {
-        src.need(8 * 2 + 4 + 8 * 2)?;
-        let start = src.get_u64_le() as usize;
-        let end = src.get_u64_le() as usize;
-        let height = src.get_u32_le();
-        let start_ts = src.get_i64_le();
-        let end_ts = src.get_i64_le();
-        if start > end || end > n || end_ts <= start_ts {
-            return Err(src.corrupt("invalid block bounds"));
-        }
-        let graph = read_graph(src, end - start)?;
-        blocks.push(Arc::new(Block { rows: start..end, height, start_ts, end_ts, graph }));
-    }
-    if src.has_remaining() {
-        return Err(src.corrupt("trailing bytes"));
-    }
-    let snap =
-        IndexSnapshot { config, store, times, blocks: blocks.into_iter().collect(), num_leaves };
-    snap.validate().map_err(|detail| MbiError::corrupt(0, detail))?;
-    Ok(snap)
-}
-
-fn overflow(src: &Src) -> MbiError {
+fn overflow(src: &Src<'_>) -> MbiError {
     src.corrupt("size overflow")
 }
 
@@ -1019,63 +734,6 @@ fn pad_to(b: &mut BytesMut, target: usize) {
         let n = need.min(PAGE);
         b.put_slice(&ZEROS[..n]);
         need -= n;
-    }
-}
-
-/// A bounded little-endian cursor over a raw byte slice — the borrow-only
-/// analogue of [`Src`] for the v7 directories, which must be parseable off a
-/// memory map without copying (or faulting) anything beyond themselves.
-/// Callers reserve with [`RawSrc::need`] before the `get_*` calls, exactly
-/// like [`Src`].
-struct RawSrc<'a> {
-    b: &'a [u8],
-    pos: usize,
-    end: usize,
-}
-
-impl<'a> RawSrc<'a> {
-    fn new(b: &'a [u8], pos: usize, end: usize) -> Self {
-        debug_assert!(pos <= end && end <= b.len());
-        RawSrc { b, pos, end }
-    }
-
-    fn corrupt(&self, detail: impl Into<String>) -> MbiError {
-        MbiError::corrupt(self.pos, detail)
-    }
-
-    fn need(&self, need: usize) -> Result<(), MbiError> {
-        if self.end - self.pos < need {
-            Err(self.corrupt(format!(
-                "truncated stream: need {need} bytes, have {}",
-                self.end - self.pos
-            )))
-        } else {
-            Ok(())
-        }
-    }
-
-    fn get_u8(&mut self) -> u8 {
-        let x = self.b[self.pos];
-        self.pos += 1;
-        x
-    }
-
-    fn get_u32_le(&mut self) -> u32 {
-        let x = rd_u32(self.b, self.pos);
-        self.pos += 4;
-        x
-    }
-
-    fn get_u64_le(&mut self) -> u64 {
-        let x = rd_u64(self.b, self.pos);
-        self.pos += 8;
-        x
-    }
-
-    fn get_i64_le(&mut self) -> i64 {
-        let x = rd_i64(self.b, self.pos);
-        self.pos += 8;
-        x
     }
 }
 
@@ -1177,40 +835,24 @@ impl V7Layout {
 /// Parses a v7 snapshot stream's directories off a raw byte slice. See
 /// [`V7Layout`] for what is (and deliberately is not) verified here.
 pub(crate) fn parse_v7_layout(b: &[u8]) -> Result<V7Layout, MbiError> {
-    if b.len() < HEADER_LEN {
-        return Err(MbiError::corrupt(b.len(), "truncated stream: no room for header"));
-    }
-    if &b[..4] != MAGIC {
-        return Err(MbiError::corrupt(0, "bad magic"));
-    }
-    let version = rd_u32(b, 4);
-    if !(TIER_BODY_VERSION..=VERSION).contains(&version) {
-        return Err(MbiError::corrupt(
-            4,
-            format!("version {version} stream has no tiered (v7) layout"),
-        ));
-    }
-    if b[8] != KIND_SNAPSHOT {
+    if read_header(b)? != KIND_SNAPSHOT {
         return Err(MbiError::corrupt(8, "cold open requires a snapshot stream"));
     }
     let sections = parse_footer(b)?;
     // Header and config are a few dozen bytes: verify them eagerly.
     for i in [0, 1] {
         let (start, end, expected) = sections[i];
-        let got = crc32(&b[start..end]);
-        if got != expected {
-            return Err(MbiError::ChecksumMismatch { section: SECTIONS[i], expected, got });
-        }
+        check_crc(&b[start..end], expected, SECTIONS[i])?;
     }
     let (c0, c1, _) = sections[1];
-    let mut cfg = Src::with_base(Bytes::from(b[c0..c1].to_vec()), c0);
-    let config = read_config(&mut cfg, TIER_BODY_VERSION)?;
+    let mut cfg = Src::new(b, c0, c1);
+    let config = read_config(&mut cfg)?;
     if cfg.has_remaining() {
         return Err(cfg.corrupt("trailing bytes in config section"));
     }
 
     let (d0, d1, _) = sections[2];
-    let mut d = RawSrc::new(b, d0, d1);
+    let mut d = Src::new(b, d0, d1);
     d.need(8 + 8 + 1 + 1)?;
     let num_leaves = d.get_u64_le() as usize;
     let seg_rows = d.get_u64_le() as usize;
@@ -1229,15 +871,7 @@ pub(crate) fn parse_v7_layout(b: &[u8]) -> Result<V7Layout, MbiError> {
     let dir_bytes = num_leaves.checked_mul(LEAF_DIR_ENTRY_LEN).ok_or_else(|| ovf(d.pos))?;
     d.need(dir_bytes + 4)?;
     let dir_end = d.pos + dir_bytes;
-    let stored_dir_crc = rd_u32(b, dir_end);
-    let got_dir_crc = crc32(&b[d0..dir_end]);
-    if got_dir_crc != stored_dir_crc {
-        return Err(MbiError::ChecksumMismatch {
-            section: "leaf directory",
-            expected: stored_dir_crc,
-            got: got_dir_crc,
-        });
-    }
+    check_crc(&b[d0..dir_end], rd_u32(b, dir_end), "leaf directory")?;
     let mut leaves = Vec::with_capacity(num_leaves);
     for _ in 0..num_leaves {
         leaves.push(V7Leaf {
@@ -1287,21 +921,13 @@ pub(crate) fn parse_v7_layout(b: &[u8]) -> Result<V7Layout, MbiError> {
     }
 
     let (b0, b1, _) = sections[3];
-    let mut s = RawSrc::new(b, b0, b1);
+    let mut s = Src::new(b, b0, b1);
     s.need(8)?;
     let num_blocks = s.get_u64_le() as usize;
     let entry_bytes = num_blocks.checked_mul(BLOCK_DIR_ENTRY_LEN).ok_or_else(|| ovf(s.pos))?;
     s.need(entry_bytes + 4)?;
     let meta_end = s.pos + entry_bytes;
-    let stored_meta_crc = rd_u32(b, meta_end);
-    let got_meta_crc = crc32(&b[b0..meta_end]);
-    if got_meta_crc != stored_meta_crc {
-        return Err(MbiError::ChecksumMismatch {
-            section: "block directory",
-            expected: stored_meta_crc,
-            got: got_meta_crc,
-        });
-    }
+    check_crc(&b[b0..meta_end], rd_u32(b, meta_end), "block directory")?;
     let n = num_leaves.checked_mul(seg_rows).ok_or_else(|| ovf(b0))?;
     let mut blocks = Vec::with_capacity(num_blocks);
     let mut leaf_ix = 0usize;
@@ -1359,13 +985,9 @@ pub(crate) fn parse_v7_layout(b: &[u8]) -> Result<V7Layout, MbiError> {
     Ok(V7Layout { blocks, ..layout_stub })
 }
 
-/// Eagerly decodes a v7 snapshot stream into an in-RAM [`IndexSnapshot`].
-/// The caller has already run [`verify_v5`], so every byte is
-/// CRC-authenticated; this path owns all columns (no mapping).
-/// Decodes one serialized block graph living at `off..off + len` of a v7
-/// stream — the cold tier's lazy-load path. The graph bytes are copied into
-/// an owned buffer (graph decoding builds owned adjacency anyway);
-/// `block_len` is the owning block's row count, used for edge validation.
+/// Decodes one serialized block graph living at `off..off + len` of a
+/// snapshot stream (the cold tier calls this lazily, per piece). `block_len`
+/// is the owning block's row count, used for edge validation.
 pub(crate) fn decode_graph_at(
     b: &[u8],
     off: usize,
@@ -1376,7 +998,7 @@ pub(crate) fn decode_graph_at(
         .checked_add(len)
         .filter(|&e| e <= b.len())
         .ok_or_else(|| MbiError::corrupt(off, "graph range out of bounds"))?;
-    let mut gs = Src::with_base(Bytes::from(b[off..end].to_vec()), off);
+    let mut gs = Src::new(b, off, end);
     let graph = read_graph(&mut gs, block_len)?;
     if gs.has_remaining() {
         return Err(gs.corrupt("trailing bytes after block graph"));
@@ -1384,7 +1006,10 @@ pub(crate) fn decode_graph_at(
     Ok(graph)
 }
 
-fn decode_snapshot_v7(b: &Bytes) -> Result<IndexSnapshot, MbiError> {
+/// Eagerly decodes a snapshot stream into an in-RAM [`IndexSnapshot`]. The
+/// caller has already run [`verify_sections`], so every byte is
+/// CRC-authenticated; this path owns all columns (no mapping).
+fn decode_snapshot_v7(b: &[u8]) -> Result<IndexSnapshot, MbiError> {
     let layout = parse_v7_layout(b)?;
     let config = layout.config;
     let dim = config.dim;
@@ -1404,17 +1029,7 @@ fn decode_snapshot_v7(b: &Bytes) -> Result<IndexSnapshot, MbiError> {
         }
         off += layout.rows_len();
         let leaf_store = if layout.has_norms {
-            let mut inv = Vec::with_capacity(seg_rows);
-            for r in 0..seg_rows {
-                let x = rd_f32(b, off + r * 4);
-                if !x.is_finite() || x < 0.0 {
-                    return Err(MbiError::corrupt(
-                        off + r * 4,
-                        format!("invalid inverse norm {x}"),
-                    ));
-                }
-                inv.push(x);
-            }
+            let inv = read_f32_column(b, off, seg_rows, "inverse norm", false)?;
             VectorStore::from_flat_with_inv_norms(dim, flat, inv)
         } else {
             VectorStore::from_flat(dim, flat)
@@ -1433,14 +1048,7 @@ fn decode_snapshot_v7(b: &Bytes) -> Result<IndexSnapshot, MbiError> {
     }
     let mut blocks = Vec::with_capacity(layout.blocks.len());
     for meta in &layout.blocks {
-        let mut gs = Src::with_base(
-            b.slice(meta.graph_off..meta.graph_off + meta.graph_len),
-            meta.graph_off,
-        );
-        let graph = read_graph(&mut gs, meta.rows.len())?;
-        if gs.has_remaining() {
-            return Err(gs.corrupt("trailing bytes after block graph"));
-        }
+        let graph = decode_graph_at(b, meta.graph_off, meta.graph_len, meta.rows.len())?;
         blocks.push(Arc::new(Block {
             rows: meta.rows.clone(),
             height: meta.height,
@@ -1460,79 +1068,44 @@ fn decode_snapshot_v7(b: &Bytes) -> Result<IndexSnapshot, MbiError> {
     Ok(snap)
 }
 
-/// Reads one leaf's SQ8 column group in v7 order (mins, deltas, row norms,
-/// codes) at absolute offset `off`, validating every value.
+/// Reads `n` f32s at absolute offset `off`, rejecting non-finite values —
+/// and negative ones unless `signed` — with the offending scalar's offset.
+fn read_f32_column(
+    b: &[u8],
+    off: usize,
+    n: usize,
+    what: &str,
+    signed: bool,
+) -> Result<Vec<f32>, MbiError> {
+    (0..n)
+        .map(|i| {
+            let at = off + i * 4;
+            let x = rd_f32(b, at);
+            if !x.is_finite() || (!signed && x < 0.0) {
+                return Err(MbiError::corrupt(at, format!("invalid {what} {x}")));
+            }
+            Ok(x)
+        })
+        .collect()
+}
+
+/// Reads one leaf's SQ8 column group (mins, deltas, row norms, codes) at
+/// absolute offset `off`, validating every value.
 fn read_sq8_column_v7(
     b: &[u8],
     off: usize,
     dim: usize,
     rows: usize,
 ) -> Result<Sq8Column, MbiError> {
-    let mut at = off;
-    let mut mins = Vec::with_capacity(dim);
-    for _ in 0..dim {
-        let x = rd_f32(b, at);
-        if !x.is_finite() {
-            return Err(MbiError::corrupt(at, format!("invalid sq8 min {x}")));
-        }
-        mins.push(x);
-        at += 4;
-    }
-    let mut deltas = Vec::with_capacity(dim);
-    for _ in 0..dim {
-        let x = rd_f32(b, at);
-        if !x.is_finite() || x < 0.0 {
-            return Err(MbiError::corrupt(at, format!("invalid sq8 delta {x}")));
-        }
-        deltas.push(x);
-        at += 4;
-    }
-    let mut row_norm2 = Vec::with_capacity(rows);
-    for _ in 0..rows {
-        let x = rd_f32(b, at);
-        if !x.is_finite() || x < 0.0 {
-            return Err(MbiError::corrupt(at, format!("invalid sq8 row norm {x}")));
-        }
-        row_norm2.push(x);
-        at += 4;
-    }
+    let mins = read_f32_column(b, off, dim, "sq8 min", true)?;
+    let deltas = read_f32_column(b, off + dim * 4, dim, "sq8 delta", false)?;
+    let row_norm2 = read_f32_column(b, off + dim * 8, rows, "sq8 row norm", false)?;
+    let at = off + dim * 8 + rows * 4;
     let codes = b[at..at + rows * dim].to_vec();
     Ok(Sq8Column::from_parts(dim, codes, mins, deltas, row_norm2))
 }
 
-/// Reads one leaf's SQ8 column (mins, deltas, codes, row norms), validating
-/// every value before [`Sq8Column::from_parts`] re-checks the shapes.
-fn read_sq8_column(src: &mut Src, dim: usize, rows: usize) -> Result<Sq8Column, MbiError> {
-    let mut mins = Vec::with_capacity(dim);
-    for _ in 0..dim {
-        let x = src.get_f32_le();
-        if !x.is_finite() {
-            return Err(MbiError::corrupt(src.offset() - 4, format!("invalid sq8 min {x}")));
-        }
-        mins.push(x);
-    }
-    let mut deltas = Vec::with_capacity(dim);
-    for _ in 0..dim {
-        let x = src.get_f32_le();
-        if !x.is_finite() || x < 0.0 {
-            return Err(MbiError::corrupt(src.offset() - 4, format!("invalid sq8 delta {x}")));
-        }
-        deltas.push(x);
-    }
-    let mut codes = vec![0u8; rows * dim];
-    src.copy_to_slice(&mut codes);
-    let mut row_norm2 = Vec::with_capacity(rows);
-    for _ in 0..rows {
-        let x = src.get_f32_le();
-        if !x.is_finite() || x < 0.0 {
-            return Err(MbiError::corrupt(src.offset() - 4, format!("invalid sq8 row norm {x}")));
-        }
-        row_norm2.push(x);
-    }
-    Ok(Sq8Column::from_parts(dim, codes, mins, deltas, row_norm2))
-}
-
-fn write_config(b: &mut BytesMut, c: &MbiConfig, body_version: u32) {
+fn write_config(b: &mut BytesMut, c: &MbiConfig) {
     b.put_u64_le(c.dim as u64);
     b.put_u8(metric_tag(c.metric));
     b.put_u64_le(c.leaf_size as u64);
@@ -1562,17 +1135,13 @@ fn write_config(b: &mut BytesMut, c: &MbiConfig, body_version: u32) {
     }
     b.put_u8(u8::from(c.parallel_build));
     b.put_u64_le(c.query_threads as u64);
-    if body_version >= SQ8_BODY_VERSION {
-        b.put_u8(u8::from(c.sq8_scan));
-        b.put_f32_le(c.sq8_overfetch);
-    }
-    if body_version >= TIER_BODY_VERSION {
-        b.put_u64_le(c.ram_budget_bytes);
-        b.put_u32_le(c.cache_shards.min(u32::MAX as usize) as u32);
-    }
+    b.put_u8(u8::from(c.sq8_scan));
+    b.put_f32_le(c.sq8_overfetch);
+    b.put_u64_le(c.ram_budget_bytes);
+    b.put_u32_le(c.cache_shards.min(u32::MAX as usize) as u32);
 }
 
-fn read_config(b: &mut Src, body_version: u32) -> Result<MbiConfig, MbiError> {
+fn read_config(b: &mut Src<'_>) -> Result<MbiConfig, MbiError> {
     b.need(8 + 1 + 8 + 8 + 1)?;
     let dim = b.get_u64_le() as usize;
     if dim == 0 || dim > 1 << 20 {
@@ -1615,30 +1184,18 @@ fn read_config(b: &mut Src, body_version: u32) -> Result<MbiConfig, MbiError> {
     b.need(1 + 8)?;
     let parallel_build = b.get_u8() != 0;
     let query_threads = b.get_u64_le() as usize;
-    // Pre-v6 records predate the SQ8 knobs; they load with the defaults.
-    let (sq8_scan, sq8_overfetch) = if body_version >= SQ8_BODY_VERSION {
-        b.need(1 + 4)?;
-        let scan = b.get_u8() != 0;
-        let overfetch = b.get_f32_le();
-        if !overfetch.is_finite() || overfetch < 1.0 {
-            return Err(b.corrupt(format!("sq8 overfetch {overfetch} out of range")));
-        }
-        (scan, overfetch)
-    } else {
-        (false, crate::config::default_sq8_overfetch())
-    };
-    // Pre-v7 records predate the cold tier; they load with the defaults.
-    let (ram_budget_bytes, cache_shards) = if body_version >= TIER_BODY_VERSION {
-        b.need(8 + 4)?;
-        let budget = b.get_u64_le();
-        let shards = b.get_u32_le() as usize;
-        if shards == 0 {
-            return Err(b.corrupt("zero cache shards"));
-        }
-        (budget, shards)
-    } else {
-        (u64::MAX, crate::config::default_cache_shards())
-    };
+    b.need(1 + 4)?;
+    let sq8_scan = b.get_u8() != 0;
+    let sq8_overfetch = b.get_f32_le();
+    if !sq8_overfetch.is_finite() || sq8_overfetch < 1.0 {
+        return Err(b.corrupt(format!("sq8 overfetch {sq8_overfetch} out of range")));
+    }
+    b.need(8 + 4)?;
+    let ram_budget_bytes = b.get_u64_le();
+    let cache_shards = b.get_u32_le() as usize;
+    if cache_shards == 0 {
+        return Err(b.corrupt("zero cache shards"));
+    }
     Ok(MbiConfig {
         dim,
         metric,
@@ -1661,7 +1218,7 @@ fn write_hnsw_params(b: &mut BytesMut, p: &HnswParams) {
     b.put_u64_le(p.seed);
 }
 
-fn read_hnsw_params(b: &mut Src) -> Result<HnswParams, MbiError> {
+fn read_hnsw_params(b: &mut Src<'_>) -> Result<HnswParams, MbiError> {
     b.need(24)?;
     Ok(HnswParams {
         m: b.get_u64_le() as usize,
@@ -1678,7 +1235,7 @@ fn metric_tag(m: Metric) -> u8 {
     }
 }
 
-fn metric_from_tag(b: &mut Src) -> Result<Metric, MbiError> {
+fn metric_from_tag(b: &mut Src<'_>) -> Result<Metric, MbiError> {
     match b.get_u8() {
         0 => Ok(Metric::Euclidean),
         1 => Ok(Metric::Angular),
@@ -1719,14 +1276,16 @@ fn write_graph(b: &mut BytesMut, g: &BlockGraph) {
     }
 }
 
-fn read_graph(b: &mut Src, block_len: usize) -> Result<BlockGraph, MbiError> {
+fn read_graph(b: &mut Src<'_>, block_len: usize) -> Result<BlockGraph, MbiError> {
     b.need(1)?;
     match b.get_u8() {
         0 => {
             b.need(16)?;
             let degree = b.get_u64_le() as usize;
             let len = b.get_u64_le() as usize;
-            if degree > 0 && len != degree * block_len {
+            // `degree` slots per row, exactly — so a degree-0 graph has no
+            // edges, and a degree that overflows the product is rejected.
+            if degree.checked_mul(block_len) != Some(len) {
                 return Err(b.corrupt(format!(
                     "graph size {len} does not match degree {degree} × block {block_len}"
                 )));
@@ -1787,6 +1346,8 @@ mod tests {
     use super::*;
     use crate::fail::{ErrorInjectingReader, ErrorInjectingWriter};
     use crate::select::TimeWindow;
+    use crate::tier::ColdIndex;
+    use mbi_ann::FileMap;
 
     fn build_index(backend: GraphBackend, n: usize) -> MbiIndex {
         let config = MbiConfig::new(3, Metric::Euclidean).with_leaf_size(16).with_backend(backend);
@@ -1796,6 +1357,34 @@ mod tests {
             idx.insert(&[x, (x * 0.1).sin(), -x], i as i64).unwrap();
         }
         idx
+    }
+
+    fn build_angular_index(n: usize) -> MbiIndex {
+        let config = MbiConfig::new(3, Metric::Angular).with_leaf_size(16);
+        let mut idx = MbiIndex::new(config);
+        for i in 0..n {
+            let x = i as f32 * 0.37;
+            idx.insert(&[x.sin(), x.cos(), (x * 0.5).sin()], i as i64).unwrap();
+        }
+        idx
+    }
+
+    fn build_sq8_index(n: usize, sq8: bool) -> MbiIndex {
+        let config = MbiConfig::new(3, Metric::Euclidean).with_leaf_size(16).with_sq8_scan(sq8);
+        let mut idx = MbiIndex::new(config);
+        for i in 0..n {
+            let x = i as f32;
+            idx.insert(&[x, (x * 0.2).cos(), -x], i as i64).unwrap();
+        }
+        idx
+    }
+
+    fn snapshot_of(idx: &MbiIndex) -> IndexSnapshot {
+        IndexSnapshot::from_index(idx).unwrap()
+    }
+
+    fn cold_from(stream: &[u8]) -> Result<ColdIndex, MbiError> {
+        ColdIndex::from_map(Arc::new(FileMap::from_bytes(stream.to_vec())))
     }
 
     fn assert_same_answers(a: &MbiIndex, b: &MbiIndex) {
@@ -1809,19 +1398,49 @@ mod tests {
         }
     }
 
-    #[test]
-    fn roundtrip_knn_backend() {
-        let idx = build_index(GraphBackend::default(), 70);
-        let bytes = idx.to_bytes();
-        let loaded = MbiIndex::from_bytes(bytes).unwrap();
-        assert_same_answers(&idx, &loaded);
+    fn assert_same_snapshot_answers(a: &IndexSnapshot, b: &IndexSnapshot) {
+        assert_eq!(a.sealed_rows(), b.sealed_rows());
+        assert_eq!(a.num_leaves(), b.num_leaves());
+        assert_eq!(a.blocks().len(), b.blocks().len());
+        let params = a.config().search;
+        for (q, w) in [(5.0f32, (0i64, 60i64)), (30.0, (10, 50)), (55.0, (40, 64))] {
+            let w = TimeWindow::new(w.0, w.1);
+            let qa = a.query_with_params(&[q, 0.0, -q], 5, w, &params);
+            let qb = b.query_with_params(&[q, 0.0, -q], 5, w, &params);
+            assert_eq!(qa.results, qb.results);
+        }
+    }
+
+    /// Re-seals a mutated stream so the structural check *behind* the CRCs
+    /// is what fires: strips the footer, lets `mutate` edit (or extend) the
+    /// section bytes, and writes a fresh footer over the same section starts.
+    fn refooter(stream: &[u8], mutate: impl FnOnce(&mut Vec<u8>)) -> Bytes {
+        let sections = parse_footer(stream).unwrap();
+        let mut body = stream[..sections[3].1].to_vec();
+        mutate(&mut body);
+        let mut b = BytesMut::with_capacity(body.len() + 80);
+        b.put_slice(&body);
+        write_footer(&mut b, &[0, sections[1].0, sections[2].0, sections[3].0, body.len()]);
+        b.freeze()
+    }
+
+    fn put_u32(b: &mut [u8], off: usize, x: u32) {
+        b[off..off + 4].copy_from_slice(&x.to_le_bytes());
     }
 
     #[test]
-    fn roundtrip_hnsw_backend() {
-        let idx = build_index(GraphBackend::Hnsw(HnswParams::default()), 70);
-        let loaded = MbiIndex::from_bytes(idx.to_bytes()).unwrap();
-        assert_same_answers(&idx, &loaded);
+    fn index_roundtrips() {
+        for idx in [
+            build_index(GraphBackend::default(), 70),
+            build_index(GraphBackend::Hnsw(HnswParams::default()), 70),
+            build_angular_index(70),
+        ] {
+            let loaded = MbiIndex::from_bytes(idx.to_bytes()).unwrap();
+            // The norm column survives when present and is not grown when not.
+            assert_eq!(idx.store().has_norm_cache(), idx.config().metric == Metric::Angular);
+            assert_eq!(loaded.store().inv_norms(), idx.store().inv_norms());
+            assert_same_answers(&idx, &loaded);
+        }
     }
 
     #[test]
@@ -1833,16 +1452,36 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_through_file() {
-        let idx = build_index(GraphBackend::default(), 40);
+    fn roundtrips_through_files() {
+        let idx = build_index(GraphBackend::default(), 32);
         let dir = std::env::temp_dir().join("mbi_persist_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("index.mbi");
         idx.save_file(&path).unwrap();
-        let loaded = MbiIndex::load_file(&path).unwrap();
-        assert_same_answers(&idx, &loaded);
+        assert_same_answers(&idx, &MbiIndex::load_file(&path).unwrap());
+        let snap = snapshot_of(&idx);
+        snap.save_file(&path).unwrap();
+        assert_same_snapshot_answers(&snap, &IndexSnapshot::load_file(&path).unwrap());
         assert!(!dir.join("index.mbi.tmp").exists(), "atomic save leaves no temp file behind");
         std::fs::remove_file(&path).ok();
+    }
+
+    /// One reader means format drift is data loss: the exact bytes written
+    /// for three fixed 64-row indexes are pinned as (length, CRC32),
+    /// computed on the last commit that still carried the v2–v6 ladders.
+    #[test]
+    fn v7_bytes_are_pinned() {
+        let pin = |b: Bytes| (b.len(), crc32(&b));
+        for (idx, index_pin, snapshot_pin) in [
+            (build_index(GraphBackend::default(), 64), (21055, 0xdd13_4c1e), (33800, 0x66d5_96d6)),
+            (build_angular_index(64), (21311, 0x2d1b_13d2), (33800, 0x6961_841e)),
+            (build_sq8_index(64, true), (21055, 0x48c8_e002), (33800, 0xcb15_be7b)),
+        ] {
+            let what = (idx.config().metric, idx.config().sq8_scan);
+            assert_eq!(pin(idx.to_bytes()), index_pin, "{what:?} index stream drifted");
+            let snapshot = snapshot_of(&idx).to_bytes();
+            assert_eq!(pin(snapshot), snapshot_pin, "{what:?} snapshot stream drifted");
+        }
     }
 
     #[test]
@@ -1852,13 +1491,43 @@ mod tests {
     }
 
     #[test]
+    fn rejects_every_retired_version() {
+        let index = build_index(GraphBackend::default(), 64);
+        let snapshot = snapshot_of(&index).to_bytes();
+        for version in [2u32, 3, 4, 5, 6, 8] {
+            let restamp = |stream: &[u8]| {
+                let mut raw = stream.to_vec();
+                put_u32(&mut raw, 4, version);
+                raw
+            };
+            let errs = [
+                MbiIndex::from_bytes(Bytes::from(restamp(&index.to_bytes()))).unwrap_err(),
+                IndexSnapshot::from_bytes(Bytes::from(restamp(&snapshot))).unwrap_err(),
+                cold_from(&restamp(&snapshot)).unwrap_err(),
+            ];
+            for err in errs {
+                assert!(matches!(err, MbiError::Corrupt { offset: 4, .. }), "{err}");
+                let msg = err.to_string();
+                assert!(msg.contains(&format!("version {version}")), "{msg}");
+                assert!(msg.contains("only version 7"), "{msg}");
+            }
+        }
+    }
+
+    #[test]
     fn rejects_truncation_everywhere() {
-        let idx = build_index(GraphBackend::default(), 40);
+        let idx = build_angular_index(32);
+        // Chop both kinds of stream at many points; every prefix must fail
+        // cleanly.
         let full = idx.to_bytes();
-        // Chop the stream at many points; every prefix must fail cleanly.
         for cut in [0, 3, 7, 20, 60, full.len() / 2, full.len() - 1] {
             let err = MbiIndex::from_bytes(full.slice(0..cut));
-            assert!(err.is_err(), "prefix of {cut} bytes was accepted");
+            assert!(err.is_err(), "index prefix of {cut} bytes was accepted");
+        }
+        let full = snapshot_of(&idx).to_bytes();
+        for cut in [0, 3, 7, 20, 60, full.len() / 2, full.len() - 1] {
+            let err = IndexSnapshot::from_bytes(full.slice(0..cut));
+            assert!(err.is_err(), "snapshot prefix of {cut} bytes was accepted");
         }
     }
 
@@ -1867,30 +1536,26 @@ mod tests {
         let idx = build_index(GraphBackend::default(), 40);
         let mut raw = idx.to_bytes().to_vec();
         raw.extend_from_slice(b"junk");
-        // v5: the appended junk displaces the footer → bad footer magic.
-        let err = MbiIndex::from_bytes(Bytes::from(raw)).unwrap_err();
+        // Appended junk displaces the footer → bad footer magic.
+        let err = MbiIndex::from_bytes(Bytes::from(raw.clone())).unwrap_err();
         assert!(err.to_string().contains("footer magic"), "{err}");
-        // Unchecksummed v3 surfaces it as trailing bytes, as before.
-        let mut raw = idx.to_bytes_v3().to_vec();
-        raw.extend_from_slice(b"junk");
-        let err = MbiIndex::from_bytes(Bytes::from(raw)).unwrap_err();
+        assert!(IndexSnapshot::from_bytes(Bytes::from(raw)).is_err());
+        // Junk sealed *inside* the blocks section is caught structurally.
+        let sealed = refooter(&idx.to_bytes(), |body| body.extend_from_slice(b"junk"));
+        let err = MbiIndex::from_bytes(sealed).unwrap_err();
         assert!(err.to_string().contains("trailing"), "{err}");
     }
 
     #[test]
     fn rejects_unsorted_timestamps_with_offset() {
         let idx = build_index(GraphBackend::default(), 40);
-        // Corrupt a v3 stream (no checksums) so the *structural* check is
-        // what fires, and verify the reported offset points at the bad pair.
-        let mut raw = idx.to_bytes_v3().to_vec();
-        let empty = MbiIndex::new(*idx.config()).to_bytes_v3();
-        // minus n, norm-column flag, num_leaves, num_blocks
-        let header_len = empty.len() - 8 - 1 - 16;
-        let ts_start = header_len + 8; // after n
-        raw[ts_start..ts_start + 8].copy_from_slice(&1i64.to_le_bytes());
-        raw[ts_start + 8..ts_start + 16].copy_from_slice(&0i64.to_le_bytes());
-        let err = MbiIndex::from_bytes(Bytes::from(raw)).unwrap_err();
-        match err {
+        let stream = idx.to_bytes();
+        let ts_start = parse_footer(&stream).unwrap()[2].0 + 8; // data section, after n
+        let sealed = refooter(&stream, |body| {
+            body[ts_start..ts_start + 8].copy_from_slice(&1i64.to_le_bytes());
+            body[ts_start + 8..ts_start + 16].copy_from_slice(&0i64.to_le_bytes());
+        });
+        match MbiIndex::from_bytes(sealed).unwrap_err() {
             MbiError::Corrupt { offset, ref detail } if detail.contains("not sorted") => {
                 assert_eq!(offset, ts_start + 8, "offset points at the out-of-order timestamp");
             }
@@ -1899,107 +1564,45 @@ mod tests {
     }
 
     #[test]
-    fn version_mismatch_detected() {
-        let idx = MbiIndex::new(MbiConfig::new(2, Metric::Euclidean));
-        let mut raw = idx.to_bytes().to_vec();
-        raw[4] = 99;
-        let err = MbiIndex::from_bytes(Bytes::from(raw)).unwrap_err();
-        assert!(err.to_string().contains("version"));
-    }
-
-    fn build_angular_index(n: usize) -> MbiIndex {
-        let config = MbiConfig::new(3, Metric::Angular).with_leaf_size(16);
-        let mut idx = MbiIndex::new(config);
-        for i in 0..n {
-            let x = i as f32 * 0.37;
-            idx.insert(&[x.sin(), x.cos(), (x * 0.5).sin()], i as i64).unwrap();
-        }
-        idx
-    }
-
-    #[test]
-    fn v5_roundtrips_norm_column() {
-        let idx = build_angular_index(70);
-        assert!(idx.store().has_norm_cache());
-        let loaded = MbiIndex::from_bytes(idx.to_bytes()).unwrap();
-        assert_eq!(loaded.store().inv_norms(), idx.store().inv_norms());
-        for (q, w) in [(0.3f32, (0i64, 60i64)), (0.9, (10, 50)), (-0.4, (40, 70))] {
-            let qa = idx.query(&[q, 0.2, -q], 5, TimeWindow::new(w.0, w.1));
-            let qb = loaded.query(&[q, 0.2, -q], 5, TimeWindow::new(w.0, w.1));
-            assert_eq!(qa, qb);
-        }
-    }
-
-    #[test]
-    fn euclidean_stream_has_no_norm_column() {
-        let idx = build_index(GraphBackend::default(), 40);
-        assert!(!idx.store().has_norm_cache());
-        let loaded = MbiIndex::from_bytes(idx.to_bytes()).unwrap();
-        assert!(!loaded.store().has_norm_cache());
-        assert_same_answers(&idx, &loaded);
-    }
-
-    #[test]
-    fn reads_v2_streams_and_recomputes_norms() {
-        let idx = build_angular_index(70);
-        let v2 = idx.to_bytes_v2();
-        assert!(v2.len() < idx.to_bytes().len(), "v2 must lack the norm column");
-        let loaded = MbiIndex::from_bytes(v2).unwrap();
-        // The column is recomputed on load, bit-identical to insert-time.
-        assert_eq!(loaded.store().inv_norms(), idx.store().inv_norms());
-        for (q, w) in [(0.3f32, (0i64, 60i64)), (0.9, (10, 50))] {
-            let qa = idx.query(&[q, 0.2, -q], 5, TimeWindow::new(w.0, w.1));
-            let qb = loaded.query(&[q, 0.2, -q], 5, TimeWindow::new(w.0, w.1));
-            assert_eq!(qa, qb);
-        }
-
-        // Euclidean v2 streams load without growing a cache.
-        let e = build_index(GraphBackend::default(), 40);
-        let loaded = MbiIndex::from_bytes(e.to_bytes_v2()).unwrap();
-        assert!(!loaded.store().has_norm_cache());
-        assert_same_answers(&e, &loaded);
-    }
-
-    #[test]
-    fn reads_v3_streams() {
-        let idx = build_angular_index(70);
-        let loaded = MbiIndex::from_bytes(idx.to_bytes_v3()).unwrap();
-        assert_eq!(loaded.store().inv_norms(), idx.store().inv_norms());
-        assert_eq!(loaded.to_bytes(), idx.to_bytes(), "re-save upgrades to v5 canonically");
-    }
-
-    #[test]
     fn rejects_corrupt_norm_column() {
-        let idx = build_angular_index(40);
-        let empty = MbiIndex::new(*idx.config()).to_bytes_v3();
-        let header_len = empty.len() - 8 - 1 - 16;
+        // A NaN flipped into a stored stream trips the data CRC first, so
+        // re-seal it: the per-scalar check itself must still say no.
+        let idx = build_angular_index(64);
         let n = idx.len();
-        // Norm column starts after n, timestamps, floats, and the flag byte.
-        let norms_start = header_len + 8 + n * 8 + n * 3 * 4 + 1;
-        let mut raw = idx.to_bytes_v3().to_vec();
-        raw[norms_start..norms_start + 4].copy_from_slice(&f32::NAN.to_le_bytes());
-        let err = MbiIndex::from_bytes(Bytes::from(raw)).unwrap_err();
+        let stream = idx.to_bytes();
+        // Index kind: the column follows n, the timestamps, the floats and
+        // the flag byte.
+        let norms_start = parse_footer(&stream).unwrap()[2].0 + 8 + n * 8 + n * 3 * 4 + 1;
+        let nan = f32::NAN.to_le_bytes();
+        let sealed =
+            refooter(&stream, |body| body[norms_start..norms_start + 4].copy_from_slice(&nan));
+        let err = MbiIndex::from_bytes(sealed).unwrap_err();
+        assert!(err.to_string().contains("inverse norm"), "{err}");
+
+        let stream = snapshot_of(&idx).to_bytes();
+        let layout = parse_v7_layout(&stream).unwrap();
+        let norms_start = layout.leaves[1].record_off + layout.ts_len() + layout.rows_len();
+        let sealed =
+            refooter(&stream, |body| body[norms_start..norms_start + 4].copy_from_slice(&nan));
+        let err = IndexSnapshot::from_bytes(sealed).unwrap_err();
         assert!(err.to_string().contains("inverse norm"), "{err}");
     }
 
     #[test]
-    fn v5_detects_any_section_flip_as_checksum_mismatch() {
+    fn detects_any_section_flip_as_checksum_mismatch() {
         let idx = build_index(GraphBackend::default(), 40);
         let raw = idx.to_bytes().to_vec();
+        let sections = parse_footer(&raw).unwrap();
         // One flip inside each region: kind byte (header section), config,
-        // data (a vector float — structurally valid, only the CRC sees it),
-        // blocks. The float flip is the crucial case: pre-v5 it loaded as a
-        // silently different index.
-        let empty_body = MbiIndex::new(*idx.config()).to_bytes_v3().len() - 8 - 1 - 16;
-        let data_start = HEADER_LEN + (empty_body - 8); // after config
-        let float_pos = data_start + 8 + idx.len() * 8 + 10; // inside the floats
+        // data (a vector float — structurally valid, only the CRC sees it:
+        // without the checksum it would load as a silently different index),
+        // blocks.
+        let float_pos = sections[2].0 + 8 + idx.len() * 8 + 10;
         for (pos, expect_section) in [
             (8usize, "header"),
-            (HEADER_LEN + 3, "config"),
+            (sections[1].0 + 3, "config"),
             (float_pos, "data"),
-            // The footer occupies the trailing 65 bytes (count + 4 entries
-            // of 13 + footer crc/len + magic); 70 back is in the blocks.
-            (raw.len() - 70, "blocks"),
+            (sections[3].1 - 5, "blocks"),
         ] {
             let mut bad = raw.clone();
             bad[pos] ^= 0x10;
@@ -2015,7 +1618,7 @@ mod tests {
     }
 
     #[test]
-    fn v5_detects_footer_flips() {
+    fn detects_footer_flips() {
         let idx = build_index(GraphBackend::default(), 30);
         let raw = idx.to_bytes().to_vec();
         let n = raw.len();
@@ -2028,6 +1631,51 @@ mod tests {
         bad[n - 1] ^= 0x01;
         let err = MbiIndex::from_bytes(Bytes::from(bad)).unwrap_err();
         assert!(err.to_string().contains("footer magic"), "{err}");
+    }
+
+    #[test]
+    fn hostile_graph_headers_are_corrupt_not_panics() {
+        let idx = build_index(GraphBackend::default(), 64);
+        let index_stream = idx.to_bytes();
+        // Index kind: the first graph follows the two counts and block 0's
+        // fixed fields; its degree sits one tag byte in.
+        let index_degree_at = parse_footer(&index_stream).unwrap()[3].0 + 16 + 36 + 1;
+        let snap_stream = snapshot_of(&idx).to_bytes();
+        let sections = parse_footer(&snap_stream).unwrap();
+        let layout = parse_v7_layout(&snap_stream).unwrap();
+        let leaf = layout.leaves[0];
+        assert_eq!(layout.blocks[0].graph_off, leaf.graph_off, "block 0 is leaf 0");
+        for degree in [0u64, 1 << 63, 3] {
+            let sealed = refooter(&index_stream, |body| {
+                body[index_degree_at..index_degree_at + 8].copy_from_slice(&degree.to_le_bytes());
+            });
+            let err = MbiIndex::from_bytes(sealed).unwrap_err();
+            assert!(matches!(err, MbiError::Corrupt { .. }), "index, degree {degree}: {err}");
+
+            // Snapshot kind: leaf 0's graph CRC is the last field of entry 0
+            // in both directories, each under its own CRC — recompute all
+            // four so only the graph decoder is left to object.
+            let sealed = refooter(&snap_stream, |body| {
+                body[leaf.graph_off + 1..leaf.graph_off + 9].copy_from_slice(&degree.to_le_bytes());
+                let graph_crc = crc32(&body[leaf.graph_off..leaf.graph_off + leaf.graph_len]);
+                let (d0, b0) = (sections[2].0, sections[3].0);
+                put_u32(body, d0 + 18 + LEAF_DIR_ENTRY_LEN - 4, graph_crc);
+                let dir_end = d0 + 18 + layout.num_leaves * LEAF_DIR_ENTRY_LEN;
+                let dir_crc = crc32(&body[d0..dir_end]);
+                put_u32(body, dir_end, dir_crc);
+                put_u32(body, b0 + 8 + BLOCK_DIR_ENTRY_LEN - 4, graph_crc);
+                let meta_end = b0 + 8 + layout.blocks.len() * BLOCK_DIR_ENTRY_LEN;
+                let meta_crc = crc32(&body[b0..meta_end]);
+                put_u32(body, meta_end, meta_crc);
+            });
+            let err = IndexSnapshot::from_bytes(sealed.clone()).unwrap_err();
+            assert!(matches!(err, MbiError::Corrupt { .. }), "snapshot, degree {degree}: {err}");
+            // The cold reader opens on directories alone and meets the graph
+            // on the first query that touches leaf 0.
+            let cold = cold_from(&sealed).unwrap();
+            let err = cold.query(&[0.0, 0.0, 0.0], 3, TimeWindow::new(0, 10)).unwrap_err();
+            assert!(matches!(err, MbiError::Corrupt { .. }), "cold, degree {degree}: {err}");
+        }
     }
 
     #[test]
@@ -2053,44 +1701,33 @@ mod tests {
         assert!(matches!(err, MbiError::Io(_)), "{err}");
     }
 
-    fn assert_same_snapshot_answers(a: &IndexSnapshot, b: &IndexSnapshot) {
-        assert_eq!(a.sealed_rows(), b.sealed_rows());
-        assert_eq!(a.num_leaves(), b.num_leaves());
-        assert_eq!(a.blocks().len(), b.blocks().len());
-        let params = a.config().search;
-        for (q, w) in [(5.0f32, (0i64, 60i64)), (30.0, (10, 50)), (55.0, (40, 64))] {
-            let w = TimeWindow::new(w.0, w.1);
-            let qa = a.query_with_params(&[q, 0.0, -q], 5, w, &params);
-            let qb = b.query_with_params(&[q, 0.0, -q], 5, w, &params);
-            assert_eq!(qa.results, qb.results);
-        }
-    }
-
     #[test]
-    fn snapshot_v6_roundtrips() {
-        let snap = IndexSnapshot::from_index(&build_index(GraphBackend::default(), 64)).unwrap();
-        let bytes = snap.to_bytes();
-        assert_eq!(u32::from_le_bytes(bytes[4..8].try_into().unwrap()), VERSION);
-        assert_eq!(bytes[8], KIND_SNAPSHOT);
-        let loaded = IndexSnapshot::from_bytes(bytes).unwrap();
-        assert_eq!(loaded.validate(), Ok(()));
-        assert_same_snapshot_answers(&snap, &loaded);
-        assert!(!loaded.store().has_norm_cache());
-    }
-
-    fn build_sq8_index(n: usize) -> MbiIndex {
-        let config = MbiConfig::new(3, Metric::Euclidean).with_leaf_size(16).with_sq8_scan(true);
-        let mut idx = MbiIndex::new(config);
-        for i in 0..n {
-            let x = i as f32;
-            idx.insert(&[x, (x * 0.2).cos(), -x], i as i64).unwrap();
+    fn snapshot_roundtrips_and_reencodes_bit_identically() {
+        for idx in [
+            build_index(GraphBackend::default(), 64),
+            build_angular_index(64),
+            build_sq8_index(64, true),
+        ] {
+            let snap = snapshot_of(&idx);
+            assert_eq!(snap.store().has_sq8(), idx.config().sq8_scan, "sq8_scan quantizes");
+            let bytes = snap.to_bytes();
+            assert_eq!(u32::from_le_bytes(bytes[4..8].try_into().unwrap()), VERSION);
+            assert_eq!(bytes[8], KIND_SNAPSHOT);
+            let loaded = IndexSnapshot::from_bytes(bytes.clone()).unwrap();
+            assert_eq!(loaded.validate(), Ok(()));
+            assert_eq!(loaded.config().sq8_scan, idx.config().sq8_scan);
+            for (a, b) in snap.store().segments().iter().zip(loaded.store().segments()) {
+                assert_eq!(a.inv_norms(), b.inv_norms(), "norm column survives when present");
+                assert_eq!(a.sq8(), b.sq8(), "codes and parameters survive when present");
+            }
+            assert_same_snapshot_answers(&snap, &loaded);
+            assert_eq!(&loaded.to_bytes()[..], &bytes[..], "decode → encode is a fixed point");
         }
-        idx
     }
 
     #[test]
     fn v7_layout_is_page_aligned_with_colocated_graphs() {
-        let snap = IndexSnapshot::from_index(&build_sq8_index(64)).unwrap();
+        let snap = snapshot_of(&build_sq8_index(64, true));
         let bytes = snap.to_bytes();
         let layout = parse_v7_layout(&bytes).unwrap();
         assert_eq!(layout.num_leaves, 4);
@@ -2123,50 +1760,6 @@ mod tests {
     }
 
     #[test]
-    fn v7_roundtrips_and_reencodes_bit_identically() {
-        let snap = IndexSnapshot::from_index(&build_angular_index(64)).unwrap();
-        let bytes = snap.to_bytes();
-        assert_eq!(u32::from_le_bytes(bytes[4..8].try_into().unwrap()), 7);
-        let loaded = IndexSnapshot::from_bytes(bytes.clone()).unwrap();
-        assert!(loaded.store().has_norm_cache());
-        assert_same_snapshot_answers(&snap, &loaded);
-        assert_eq!(&loaded.to_bytes()[..], &bytes[..], "decode → encode is a fixed point");
-    }
-
-    #[test]
-    fn snapshot_reads_v6_streams() {
-        let snap = IndexSnapshot::from_index(&build_sq8_index(64)).unwrap();
-        let v6 = snap.to_bytes_v6();
-        assert_eq!(u32::from_le_bytes(v6[4..8].try_into().unwrap()), 6);
-        let loaded = IndexSnapshot::from_bytes(v6).unwrap();
-        assert_eq!(
-            loaded.config().ram_budget_bytes,
-            u64::MAX,
-            "pre-v7 streams load with tier knobs at their defaults"
-        );
-        for (a, b) in snap.store().segments().iter().zip(loaded.store().segments()) {
-            assert_eq!(a.sq8(), b.sq8(), "v6 code columns survive");
-        }
-        assert_same_snapshot_answers(&snap, &loaded);
-        assert_eq!(
-            &loaded.to_bytes()[..],
-            &snap.to_bytes()[..],
-            "a v6 load upgrades to the identical v7 stream"
-        );
-    }
-
-    #[test]
-    fn index_reads_v6_streams() {
-        let idx = build_index(GraphBackend::default(), 70);
-        let v6 = idx.to_bytes_v6();
-        assert_eq!(u32::from_le_bytes(v6[4..8].try_into().unwrap()), 6);
-        let loaded = MbiIndex::from_bytes(v6).unwrap();
-        assert_eq!(loaded.config().ram_budget_bytes, u64::MAX);
-        assert_eq!(loaded.config().cache_shards, 8);
-        assert_same_answers(&idx, &loaded);
-    }
-
-    #[test]
     fn v7_tier_knobs_roundtrip() {
         let config = MbiConfig::new(3, Metric::Euclidean)
             .with_leaf_size(16)
@@ -2180,143 +1773,54 @@ mod tests {
         let loaded = MbiIndex::from_bytes(idx.to_bytes()).unwrap();
         assert_eq!(loaded.config().ram_budget_bytes, 123);
         assert_eq!(loaded.config().cache_shards, 3);
-        let snap = IndexSnapshot::from_index(&idx).unwrap();
-        let loaded = IndexSnapshot::from_bytes(snap.to_bytes()).unwrap();
+        let loaded = IndexSnapshot::from_bytes(snapshot_of(&idx).to_bytes()).unwrap();
         assert_eq!(loaded.config().ram_budget_bytes, 123);
         assert_eq!(loaded.config().cache_shards, 3);
     }
 
     #[test]
-    fn snapshot_reads_v5_streams_with_sq8_defaults() {
-        let snap = IndexSnapshot::from_index(&build_index(GraphBackend::default(), 64)).unwrap();
-        let v5 = snap.to_bytes_v5();
-        assert_eq!(u32::from_le_bytes(v5[4..8].try_into().unwrap()), 5);
-        let loaded = IndexSnapshot::from_bytes(v5).unwrap();
-        assert!(!loaded.config().sq8_scan, "pre-v6 streams load with SQ8 off");
-        assert_eq!(loaded.config().sq8_overfetch, 3.0);
-        assert!(!loaded.store().has_sq8());
-        assert_same_snapshot_answers(&snap, &loaded);
-    }
+    fn quantizing_config_rebuilds_sq8_from_columnless_stream() {
+        // A stream written exact (`has_sq8 = 0`) whose config says
+        // `sq8_scan = true` must still load uniformly quantized — eagerly and
+        // through the cold tier — and answer like a natively quantized one.
+        // Crafted from the same rows written with the knob off: the config
+        // record's flag (it sits before `sq8_overfetch` and the two tier
+        // knobs) is flipped on and the stream re-sealed.
+        let exact = snapshot_of(&build_sq8_index(64, false));
+        assert!(!exact.store().has_sq8());
+        let stream = exact.to_bytes();
+        let flag_at = parse_footer(&stream).unwrap()[1].1 - (8 + 4) - 4 - 1;
+        assert_eq!(stream[flag_at], 0);
+        let sealed = refooter(&stream, |body| body[flag_at] = 1);
+        assert!(!parse_v7_layout(&sealed).unwrap().has_sq8);
 
-    #[test]
-    fn index_reads_v5_streams_with_sq8_defaults() {
-        let idx = build_index(GraphBackend::default(), 70);
-        let v5 = idx.to_bytes_v5();
-        assert_eq!(u32::from_le_bytes(v5[4..8].try_into().unwrap()), 5);
-        let loaded = MbiIndex::from_bytes(v5).unwrap();
-        assert!(!loaded.config().sq8_scan);
-        assert_same_answers(&idx, &loaded);
-    }
-
-    #[test]
-    fn snapshot_v6_roundtrips_sq8_column() {
-        let config = MbiConfig::new(3, Metric::Euclidean).with_leaf_size(16).with_sq8_scan(true);
-        let mut idx = MbiIndex::new(config);
-        for i in 0..64 {
-            let x = i as f32;
-            idx.insert(&[x, (x * 0.1).sin(), -x], i as i64).unwrap();
-        }
-        let snap = IndexSnapshot::from_index(&idx).unwrap();
-        assert!(snap.store().has_sq8(), "sq8_scan quantizes every sealed segment");
-        let loaded = IndexSnapshot::from_bytes(snap.to_bytes()).unwrap();
+        let native = snapshot_of(&build_sq8_index(64, true));
+        let loaded = IndexSnapshot::from_bytes(sealed.clone()).unwrap();
         assert!(loaded.config().sq8_scan);
-        assert!(loaded.store().has_sq8());
-        for (a, b) in snap.store().segments().iter().zip(loaded.store().segments()) {
-            assert_eq!(a.sq8(), b.sq8(), "codes and parameters survive the roundtrip");
-        }
-        assert_same_snapshot_answers(&snap, &loaded);
-    }
-
-    #[test]
-    fn quantizing_config_rebuilds_sq8_from_v5_stream() {
-        // A v5 stream carries no code column; if its config is upgraded to
-        // sq8_scan (here: via an index stream, whose conversion path seals
-        // segments through the engine), the loaded store must still be
-        // uniformly quantized.
-        let config = MbiConfig::new(3, Metric::Euclidean).with_leaf_size(16).with_sq8_scan(true);
-        let mut idx = MbiIndex::new(config);
-        for i in 0..48 {
-            let x = i as f32;
-            idx.insert(&[x, x * 0.5, -x], i as i64).unwrap();
-        }
-        let snap = IndexSnapshot::from_index(&idx).unwrap();
-        // Splice the v6 config (sq8_scan=true) body through the v4 layout:
-        // decode_snapshot_body must quantize on load.
-        let v4 = {
-            let mut b = BytesMut::new();
-            b.put_slice(MAGIC);
-            b.put_u32_le(6);
-            b.put_u8(KIND_SNAPSHOT);
-            let mut bounds = vec![0, b.len()];
-            write_config(&mut b, snap.config(), SQ8_BODY_VERSION);
-            bounds.push(b.len());
-            b.put_u64_le(snap.num_leaves() as u64);
-            b.put_u64_le(snap.config().leaf_size as u64);
-            b.put_u8(0); // no norms
-            b.put_u8(0); // no sq8 column despite sq8_scan=true
-            for (seg, chunk) in snap.store().segments().iter().zip(snap.times().chunks()) {
-                for &t in chunk.iter() {
-                    b.put_i64_le(t);
-                }
-                for &v in seg.as_flat() {
-                    b.put_f32_le(v);
-                }
-            }
-            bounds.push(b.len());
-            b.put_u64_le(snap.blocks().len() as u64);
-            for block in snap.blocks() {
-                b.put_u64_le(block.rows.start as u64);
-                b.put_u64_le(block.rows.end as u64);
-                b.put_u32_le(block.height);
-                b.put_i64_le(block.start_ts);
-                b.put_i64_le(block.end_ts);
-                write_graph(&mut b, &block.graph);
-            }
-            bounds.push(b.len());
-            write_footer(&mut b, &bounds);
-            b.freeze()
-        };
-        let loaded = IndexSnapshot::from_bytes(v4).unwrap();
         assert!(loaded.store().has_sq8(), "sq8_scan config quantizes columnless streams on load");
-        assert_same_snapshot_answers(&snap, &loaded);
-    }
-
-    #[test]
-    fn snapshot_reads_v4_streams() {
-        let snap = IndexSnapshot::from_index(&build_angular_index(64)).unwrap();
-        let v4 = snap.to_bytes_v4();
-        assert_eq!(u32::from_le_bytes(v4[4..8].try_into().unwrap()), 4);
-        let loaded = IndexSnapshot::from_bytes(v4).unwrap();
-        assert!(loaded.store().has_norm_cache());
-        for (a, b) in snap.store().segments().iter().zip(loaded.store().segments()) {
-            assert_eq!(a.as_flat(), b.as_flat());
-            assert_eq!(a.inv_norms(), b.inv_norms());
+        for (a, b) in native.store().segments().iter().zip(loaded.store().segments()) {
+            assert_eq!(a.sq8(), b.sq8(), "rebuilt codes match insert-time codes");
         }
-    }
+        assert_same_snapshot_answers(&native, &loaded);
 
-    #[test]
-    fn snapshot_roundtrips_through_file() {
-        let snap = IndexSnapshot::from_index(&build_index(GraphBackend::default(), 32)).unwrap();
-        let dir = std::env::temp_dir().join("mbi_persist_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("snapshot.mbi");
-        snap.save_file(&path).unwrap();
-        let loaded = IndexSnapshot::load_file(&path).unwrap();
-        assert_same_snapshot_answers(&snap, &loaded);
-        assert!(!dir.join("snapshot.mbi.tmp").exists());
-        std::fs::remove_file(&path).ok();
+        let cold = cold_from(&sealed).unwrap();
+        let params = native.config().search;
+        for (q, w) in [(5.0f32, (0i64, 60i64)), (30.0, (10, 50)), (55.0, (40, 64))] {
+            let w = TimeWindow::new(w.0, w.1);
+            let hot = native.query_with_params(&[q, 0.0, -q], 5, w, &params);
+            let via_cold = cold.query_with_params(&[q, 0.0, -q], 5, w, &params).unwrap();
+            assert_eq!(hot.results, via_cold.results);
+        }
     }
 
     #[test]
     fn snapshot_reads_index_streams() {
-        // An index stream (v3 or v5) loads as a snapshot when sealed …
+        // An index stream loads as a snapshot when sealed …
         let idx = build_index(GraphBackend::default(), 64);
-        for bytes in [idx.to_bytes_v3(), idx.to_bytes()] {
-            let snap = IndexSnapshot::from_bytes(bytes).unwrap();
-            assert_eq!(snap.num_leaves(), idx.num_leaves());
-            assert_eq!(snap.validate(), Ok(()));
-            assert_same_snapshot_answers(&snap, &IndexSnapshot::from_index(&idx).unwrap());
-        }
+        let snap = IndexSnapshot::from_bytes(idx.to_bytes()).unwrap();
+        assert_eq!(snap.num_leaves(), idx.num_leaves());
+        assert_eq!(snap.validate(), Ok(()));
+        assert_same_snapshot_answers(&snap, &snapshot_of(&idx));
         // … and surfaces the tail explicitly when not.
         let with_tail = build_index(GraphBackend::default(), 70);
         match IndexSnapshot::from_bytes(with_tail.to_bytes()) {
@@ -2327,25 +1831,8 @@ mod tests {
 
     #[test]
     fn index_loader_rejects_snapshot_streams() {
-        let snap = IndexSnapshot::from_index(&build_index(GraphBackend::default(), 32)).unwrap();
+        let snap = snapshot_of(&build_index(GraphBackend::default(), 32));
         let err = MbiIndex::from_bytes(snap.to_bytes()).unwrap_err();
         assert!(err.to_string().contains("snapshot"), "{err}");
-        let err = MbiIndex::from_bytes(snap.to_bytes_v4()).unwrap_err();
-        assert!(err.to_string().contains("snapshot"), "{err}");
-    }
-
-    #[test]
-    fn snapshot_rejects_truncation_everywhere() {
-        let snap = IndexSnapshot::from_index(&build_angular_index(32)).unwrap();
-        let full = snap.to_bytes();
-        for cut in [0, 3, 7, 20, 60, full.len() / 2, full.len() - 1] {
-            assert!(
-                IndexSnapshot::from_bytes(full.slice(0..cut)).is_err(),
-                "prefix of {cut} bytes was accepted"
-            );
-        }
-        let mut raw = full.to_vec();
-        raw.extend_from_slice(b"junk");
-        assert!(IndexSnapshot::from_bytes(Bytes::from(raw)).is_err());
     }
 }

@@ -1256,12 +1256,4 @@ mod tests {
         assert_cold_matches(&snap, &cold);
         std::fs::remove_file(&path).ok();
     }
-
-    #[test]
-    fn rejects_pre_v7_streams() {
-        let snap = build_snapshot(Metric::Euclidean, 64, u64::MAX, false);
-        let bytes = snap.to_bytes_v6().to_vec();
-        let err = ColdIndex::from_map(Arc::new(FileMap::from_bytes(bytes))).unwrap_err();
-        assert!(err.to_string().contains("no tiered"), "{err}");
-    }
 }

@@ -66,7 +66,7 @@ const CRC_TABLE: [u32; 256] = {
     table
 };
 
-/// CRC32 (IEEE) of `data` — the checksum used by WAL records and the v5
+/// CRC32 (IEEE) of `data` — the checksum used by WAL records and the
 /// persistence footer.
 pub fn crc32(data: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;

@@ -1,7 +1,7 @@
 //! Ingest-side latency reporting for the streaming engine.
 //!
 //! [`mbi_core::StreamingMbi`] exposes raw per-insert and per-chain-build
-//! microsecond samples through [`mbi_core::EngineStats`]; this module folds
+//! nanosecond samples through [`mbi_core::EngineStats`]; this module folds
 //! them into a serialisable [`IngestSummary`] (mean/p50/p99/max, plus seal
 //! and inline-build counters) suitable for `results/*.json` next to the
 //! query-side [`LatencySummary`].
@@ -9,6 +9,7 @@
 use crate::latency::{LatencyRecorder, LatencySummary};
 use mbi_core::EngineStats;
 use serde::{Deserialize, Serialize};
+use std::time::Duration;
 
 /// A frozen ingest report (serialisable for `results/*.json`).
 ///
@@ -31,31 +32,28 @@ pub struct IngestSummary {
 }
 
 impl IngestSummary {
-    /// Builds a summary from raw microsecond samples.
+    /// Builds a summary (in microseconds) from raw nanosecond samples.
     ///
     /// # Panics
     ///
-    /// Panics if `insert_micros` is empty — an ingest run with zero inserts
+    /// Panics if `insert_nanos` is empty — an ingest run with zero inserts
     /// has nothing to report.
-    pub fn from_micros(
-        insert_micros: &[u64],
-        build_micros: &[u64],
+    pub fn from_nanos(
+        insert_nanos: &[u64],
+        build_nanos: &[u64],
         seals: u64,
         inline_builds: u64,
     ) -> Self {
-        assert!(!insert_micros.is_empty(), "no insert latencies recorded");
-        let mut insert = LatencyRecorder::with_capacity(insert_micros.len());
-        for &us in insert_micros {
-            insert.record_micros(us);
-        }
-        let build = (!build_micros.is_empty()).then(|| {
-            let mut rec = LatencyRecorder::with_capacity(build_micros.len());
-            for &us in build_micros {
-                rec.record_micros(us);
+        assert!(!insert_nanos.is_empty(), "no insert latencies recorded");
+        let summarise = |nanos: &[u64]| {
+            let mut rec = LatencyRecorder::with_capacity(nanos.len());
+            for &ns in nanos {
+                rec.record(Duration::from_nanos(ns));
             }
             rec.summary()
-        });
-        IngestSummary { insert: insert.summary(), build, seals, inline_builds }
+        };
+        let build = (!build_nanos.is_empty()).then(|| summarise(build_nanos));
+        IngestSummary { insert: summarise(insert_nanos), build, seals, inline_builds }
     }
 
     /// Builds a summary straight from a [`StreamingMbi`] stats snapshot.
@@ -67,9 +65,9 @@ impl IngestSummary {
     /// Panics if the engine recorded no insert latencies (no inserts ran, or
     /// `EngineConfig::record_insert_latency` was disabled).
     pub fn from_engine_stats(stats: &EngineStats) -> Self {
-        IngestSummary::from_micros(
-            &stats.insert_micros,
-            &stats.build_micros,
+        IngestSummary::from_nanos(
+            &stats.insert_nanos,
+            &stats.build_nanos,
             stats.seals as u64,
             stats.inline_builds,
         )
@@ -83,8 +81,13 @@ mod tests {
     use mbi_math::Metric;
 
     #[test]
-    fn from_micros_summarises_both_distributions() {
-        let s = IngestSummary::from_micros(&[10, 20, 30, 40], &[1000, 3000], 2, 1);
+    fn from_nanos_summarises_both_distributions_in_micros() {
+        let s = IngestSummary::from_nanos(
+            &[10_000, 20_000, 30_000, 40_999],
+            &[1_000_000, 3_000_000],
+            2,
+            1,
+        );
         assert_eq!(s.insert.count, 4);
         assert_eq!(s.insert.mean_us, 25.0);
         assert_eq!(s.insert.max_us, 40.0);
@@ -97,7 +100,7 @@ mod tests {
 
     #[test]
     fn no_builds_yields_none() {
-        let s = IngestSummary::from_micros(&[5, 7], &[], 0, 0);
+        let s = IngestSummary::from_nanos(&[5_000, 7_000], &[], 0, 0);
         assert!(s.build.is_none());
         assert_eq!(s.seals, 0);
     }
@@ -105,7 +108,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "no insert latencies")]
     fn empty_inserts_panic() {
-        IngestSummary::from_micros(&[], &[], 0, 0);
+        IngestSummary::from_nanos(&[], &[], 0, 0);
     }
 
     #[test]

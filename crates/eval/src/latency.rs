@@ -55,13 +55,6 @@ impl LatencyRecorder {
     /// Records one latency observation.
     pub fn record(&mut self, elapsed: Duration) {
         let us = elapsed.as_micros().min(u128::from(u64::MAX)) as u64;
-        self.record_micros(us);
-    }
-
-    /// Records one latency observation already expressed in microseconds —
-    /// for replaying samples captured elsewhere (e.g.
-    /// `mbi_core::EngineStats::insert_micros`).
-    pub fn record_micros(&mut self, us: u64) {
         self.micros.push(us);
         self.stats.push(us as f64);
         self.sorted = false;

@@ -5,7 +5,8 @@
 //! around the clock (GK2A takes 30 pictures per hour) while forecasters run
 //! similarity searches over arbitrary historical windows. Demonstrates:
 //!
-//! * [`ConcurrentMbi`]: inserts and queries from different threads;
+//! * [`StreamingMbi`]: inserts and queries from different threads, with
+//!   merge-chain builds on background threads;
 //! * parallel bottom-up block merging (§4.2) for ingest spikes;
 //! * saving the index to disk and reloading it.
 //!
@@ -14,7 +15,7 @@
 //! cargo run --release --example satellite_monitor
 //! ```
 
-use mbi::{ConcurrentMbi, MbiConfig, MbiIndex, Metric, NnDescentParams, SearchParams, TimeWindow};
+use mbi::{MbiConfig, MbiIndex, Metric, NnDescentParams, SearchParams, StreamingMbi, TimeWindow};
 use mbi_data::{DriftingMixture, TimestampModel};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
@@ -42,7 +43,7 @@ fn main() {
         .with_parallel_build(true); // merge chains build their graphs in parallel
 
     // Phase 1: backfill half the history.
-    let index = ConcurrentMbi::new(config);
+    let index = StreamingMbi::new(config);
     let backfill = dataset.len() / 2;
     let t = Instant::now();
     for i in 0..backfill {
@@ -86,8 +87,9 @@ fn main() {
         t.elapsed()
     );
 
-    // Phase 3: persistence across a restart.
-    let index: MbiIndex = index.into_inner();
+    // Phase 3: persistence across a restart (`to_index` waits for the
+    // background builds, then hands back the equivalent synchronous index).
+    let index: MbiIndex = index.to_index();
     let path = std::env::temp_dir().join("satellite.mbi");
     let t = Instant::now();
     index.save_file(&path).expect("save index");

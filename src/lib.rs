@@ -58,10 +58,10 @@
 #![warn(missing_docs)]
 
 pub use mbi_core::{
-    Backpressure, Block, BlockGraph, ColdIndex, ConcurrentMbi, EngineConfig, EngineHealth,
-    EngineStats, GraphBackend, IndexSnapshot, MbiConfig, MbiError, MbiIndex, QueryOutput,
-    ReplEvent, Replica, ReplicationCursor, RetryPolicy, SearchBlockSet, StreamingMbi, TauTuner,
-    TierStats, TimeChunks, TimeWindow, Timestamp, TknnResult, Wal, WalFeed, WalSync,
+    Backpressure, Block, BlockGraph, ColdIndex, EngineConfig, EngineHealth, EngineStats,
+    GraphBackend, IndexSnapshot, MbiConfig, MbiError, MbiIndex, QueryOutput, ReplEvent, Replica,
+    ReplicationCursor, RetryPolicy, SearchBlockSet, StreamingMbi, TauTuner, TierStats, TimeChunks,
+    TimeWindow, Timestamp, TknnResult, Wal, WalFeed, WalSync,
 };
 pub use mbi_math::{Metric, Neighbor, OnlineStats, OrderedF32, TopK};
 
