@@ -224,8 +224,16 @@ fn verify(args: &CliArgs, out: &mut dyn Write) -> Result<(), CliError> {
     writeln!(out, "file          : {path} ({len} bytes)")?;
     // Loading verifies the magic, the version (7, the only one read), every
     // section CRC and the footer, then runs the structural checks.
+    let started = Instant::now();
     let index = MbiIndex::load_file(path).map_err(|e| CliError(format!("corrupt index: {e}")))?;
-    writeln!(out, "checksums     : ok")?;
+    let secs = started.elapsed().as_secs_f64();
+    writeln!(
+        out,
+        "checksums     : ok — {len} bytes read, verified and decoded in {secs:.3} s ({:.0} MB/s), crc32 {}, simd {}",
+        len as f64 / 1e6 / secs.max(1e-9),
+        mbi_math::crc32_backend(),
+        mbi_math::simd::active_backend().name()
+    )?;
     index.validate().map_err(|e| CliError(format!("structural validation failed: {e}")))?;
     writeln!(
         out,
@@ -528,6 +536,12 @@ mod tests {
 
         let out = run_cmd(&format!("verify --index {index}")).unwrap();
         assert!(out.contains("checksums     : ok"), "{out}");
+        let len = std::fs::metadata(&index).unwrap().len();
+        assert!(out.contains(&format!("{len} bytes read, verified and decoded in ")), "{out}");
+        assert!(
+            out.contains(&format!("MB/s), crc32 {}, simd ", mbi_math::crc32_backend())),
+            "{out}"
+        );
         assert!(out.contains("structure     : ok"), "{out}");
 
         // Flip one byte mid-file: verify must fail with a checksum error.

@@ -87,13 +87,12 @@ use crate::engine::IndexSnapshot;
 use crate::error::MbiError;
 use crate::index::MbiIndex;
 use crate::times::TimeChunks;
-use crate::wal::crc32;
 use bytes::{BufMut, Bytes, BytesMut};
 use mbi_ann::{
     EntryPolicy, HnswIndex, HnswParams, KnnGraph, NnDescentParams, SearchParams, Segment,
     SegmentStore, Sq8Column, VectorStore,
 };
-use mbi_math::Metric;
+use mbi_math::{crc32, Metric};
 use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::Arc;

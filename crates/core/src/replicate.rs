@@ -34,8 +34,9 @@ use crate::config::MbiConfig;
 use crate::engine::{EngineConfig, StreamingMbi, WAL_DIR};
 use crate::error::MbiError;
 use crate::fail;
-use crate::wal::{self, crc32, HEADER_LEN, REC_HEADER_LEN};
+use crate::wal::{self, HEADER_LEN, REC_HEADER_LEN};
 use crate::Timestamp;
+use mbi_math::crc32;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 

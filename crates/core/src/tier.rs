@@ -35,6 +35,7 @@ use std::sync::{mpsc, Arc, Mutex, Weak};
 use std::thread::{self, JoinHandle};
 
 use mbi_ann::{Advice, Col, FileMap, SearchParams, SearchStats, Segment, SegmentStore, Sq8Column};
+use mbi_math::crc32;
 
 use crate::block::Block;
 use crate::config::MbiConfig;
@@ -46,7 +47,6 @@ use crate::persist::{
 use crate::query_exec::{Deadline, QueryTarget};
 use crate::select::{select_blocks, BlockMeta, SearchBlockSet, TimeWindow};
 use crate::times::TimeChunks;
-use crate::wal::crc32;
 use crate::Timestamp;
 
 impl BlockMeta for V7BlockMeta {
@@ -1219,6 +1219,55 @@ mod tests {
         let cold = ColdIndex::from_map(Arc::new(FileMap::from_bytes(bytes))).unwrap();
         let err = cold.query(&[0.0, 0.0, 0.0], 3, TimeWindow::new(0, 64)).unwrap_err();
         assert!(matches!(err, MbiError::ChecksumMismatch { section: "leaf rows", .. }), "{err}");
+    }
+
+    /// The test above flips byte 5 of a 768-byte section. At the benchmark's
+    /// geometry (d = 128, leaf 1 024) a row section is 512 KiB and the
+    /// checksum kernel folds it 64 bytes at a time, so flip where a fold
+    /// could lose a byte: the first one, one on a 64-byte boundary, and the
+    /// last — in every section a cache miss verifies lazily.
+    #[test]
+    fn corrupt_byte_anywhere_in_a_lazily_verified_section_is_a_checksum_error() {
+        // Angular + sq8_scan writes all five lazily verified sections.
+        let (dim, leaf) = (128, 1024);
+        let config = MbiConfig::new(dim, Metric::Angular).with_leaf_size(leaf).with_sq8_scan(true);
+        let mut idx = MbiIndex::new(config);
+        let mut v = vec![0.0f32; dim];
+        for i in 0..2 * leaf {
+            for (j, x) in v.iter_mut().enumerate() {
+                *x = ((i * 31 + j * 7) % 101) as f32 * 0.01 + ((i + j) as f32 * 0.37).sin();
+            }
+            idx.insert(&v, i as i64).unwrap();
+        }
+        let clean = IndexSnapshot::from_index(&idx).unwrap().to_bytes().to_vec();
+        let lay = parse_v7_layout(&clean).unwrap();
+        let (l, root) = (lay.leaves[1], lay.blocks.iter().find(|m| m.height == 1).unwrap());
+        let rows_off = l.record_off + lay.ts_len();
+        let inv_off = rows_off + lay.rows_len();
+        let sections = [
+            ("leaf rows", rows_off, lay.rows_len()),
+            ("leaf norms", inv_off, lay.inv_len()),
+            ("leaf sq8", inv_off + lay.inv_len(), lay.sq8_len()),
+            ("block graph", l.graph_off, l.graph_len),
+            ("block graph", root.graph_off, root.graph_len),
+        ];
+        // A window over both leaves selects the root: its graph and both leaf
+        // records are loaded, each through `verify_crc`.
+        let window = TimeWindow::new(0, 2 * leaf as i64);
+        for (name, off, len) in sections {
+            assert!(len > 128, "{name}: {len} bytes never reach a fold boundary");
+            for at in [0, (len / 2).next_multiple_of(64), len - 1] {
+                let mut bytes = clean.clone();
+                bytes[off + at] ^= 0x10;
+                let cold = ColdIndex::from_map_with_budget(Arc::new(FileMap::from_bytes(bytes)), 0)
+                    .unwrap();
+                let err = cold.query(&v, 3, window).unwrap_err();
+                assert!(
+                    matches!(err, MbiError::ChecksumMismatch { section, .. } if section == name),
+                    "{name} byte {at} of {len}: {err}"
+                );
+            }
+        }
     }
 
     #[test]

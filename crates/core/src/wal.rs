@@ -49,32 +49,9 @@ use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-/// CRC32 (IEEE 802.3, reflected) lookup table, built at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-};
-
-/// CRC32 (IEEE) of `data` — the checksum used by WAL records and the
-/// persistence footer.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &byte in data {
-        c = CRC_TABLE[((c ^ byte as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
+/// CRC32 (IEEE) of WAL payloads — [`mbi_math::crc32`], re-exported where it
+/// was first defined so the `mbi_core::wal::crc32` path keeps working.
+pub use mbi_math::crc32;
 
 pub(crate) const WAL_MAGIC: &[u8; 4] = b"MBIW";
 pub(crate) const WAL_VERSION: u32 = 1;
@@ -599,6 +576,45 @@ mod tests {
             }
             other => panic!("expected WalCorrupt, got {other:?}"),
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// At d = 128 a payload is 520 bytes — 32 sixteen-byte folds and an
+    /// 8-byte table tail in the checksum kernel — so the *last* payload byte
+    /// is the one a broken tail would miss.
+    #[test]
+    fn flipped_last_payload_byte_is_corrupt_mid_log_and_torn_at_the_end() {
+        let dir = temp_dir("lastbyte");
+        let dim = 128;
+        let mut wal = Wal::create(&dir, dim).unwrap();
+        for i in 0..4i64 {
+            wal.append(i, &vec![i as f32 + 0.5; dim]).unwrap();
+        }
+        drop(wal);
+        let seg = dir.join(segment_file_name(0));
+        let clean = std::fs::read(&seg).unwrap();
+        let rec = (clean.len() - HEADER_LEN as usize) / 4;
+        assert_eq!(rec, REC_HEADER_LEN + 8 + 4 * dim);
+        let last_byte_of = |record: usize| HEADER_LEN as usize + (record + 1) * rec - 1;
+
+        let mut bytes = clean.clone();
+        bytes[last_byte_of(1)] ^= 0x01;
+        std::fs::write(&seg, &bytes).unwrap();
+        match collect(&dir, dim) {
+            Err(MbiError::WalCorrupt { segment: 0, offset }) => {
+                assert_eq!(offset, HEADER_LEN + rec as u64);
+            }
+            other => panic!("expected WalCorrupt, got {other:?}"),
+        }
+
+        let mut bytes = clean;
+        bytes[last_byte_of(3)] ^= 0x01;
+        std::fs::write(&seg, &bytes).unwrap();
+        let (rows, wal) = collect(&dir, dim).unwrap();
+        assert_eq!(rows.len(), 3);
+        assert_eq!(wal.next_row(), 3);
+        drop(wal);
+        assert_eq!(std::fs::metadata(&seg).unwrap().len(), HEADER_LEN + 3 * rec as u64);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

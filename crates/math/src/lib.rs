@@ -15,6 +15,10 @@
 //! * [`Neighbor`] and [`TopK`] — the `(id, distance)` pair and the bounded
 //!   max-heap used to keep the `k` best candidates in `O(log k)` per insert,
 //!   matching the complexity accounting in §3.2.1 of the paper.
+//! * [`crc32`] — the one CRC32 (IEEE) kernel behind every checksummed byte
+//!   (persist, cold tier, WAL, replication): a PCLMULQDQ fold on `x86_64`, a
+//!   slice-by-16 table loop elsewhere (see DESIGN.md "SIMD dispatch & SQ8
+//!   quantization").
 //! * [`OnlineStats`] — Welford streaming statistics used by the experiment
 //!   harness for timing summaries.
 //!
@@ -23,13 +27,14 @@
 //! ordering bug in a distance kernel silently corrupts every recall number in
 //! the evaluation.
 //!
-//! `unsafe` is denied crate-wide with a single exception: the [`simd`] module
-//! holds the explicit AVX2/NEON kernels behind runtime feature detection, and
-//! is the only place intrinsics are allowed.
+//! `unsafe` is denied crate-wide with one exception, the intrinsics behind
+//! runtime feature detection: the [`simd`] module's explicit AVX2/NEON distance
+//! kernels and its sibling `crc`, the carry-less-multiply checksum fold.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+mod crc;
 mod float;
 mod kernels;
 mod metric;
@@ -37,6 +42,7 @@ pub mod simd;
 mod stats;
 mod topk;
 
+pub use crc::{crc32, crc32_backend};
 pub use float::OrderedF32;
 pub use kernels::{
     angular_batch, angular_from_parts, dot_batch, inv_norm_of, neg_dot_batch,

@@ -79,8 +79,15 @@ const BACKEND_NEON: u8 = 3;
 
 static BACKEND: AtomicU8 = AtomicU8::new(BACKEND_UNINIT);
 
+/// Whether `MBI_FORCE_SCALAR` asks for the portable code paths — the one
+/// switch shared by the distance kernels here and the checksum kernel in
+/// [`crate::crc`].
+pub(crate) fn scalar_forced() -> bool {
+    std::env::var("MBI_FORCE_SCALAR").map(|v| v == "1" || v == "true").unwrap_or(false)
+}
+
 fn detect_backend() -> u8 {
-    if std::env::var("MBI_FORCE_SCALAR").map(|v| v == "1" || v == "true").unwrap_or(false) {
+    if scalar_forced() {
         return BACKEND_SCALAR;
     }
     #[cfg(target_arch = "x86_64")]
