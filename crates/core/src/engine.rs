@@ -488,30 +488,24 @@ impl IndexSnapshot {
         window: TimeWindow,
         params: &SearchParams,
     ) -> QueryOutput {
-        self.target().query_with_params(query, k, window, params)
+        self.query_with_deadline(query, k, window, params, None)
     }
 
-    /// [`IndexSnapshot::query_with_params`] under a cooperative deadline
-    /// (see [`MbiIndex::query_with_deadline`]).
+    /// [`IndexSnapshot::query_with_params`] under a cooperative deadline:
+    /// the executor stops between block visits once `deadline` passes and
+    /// returns whatever it merged so far with [`QueryOutput::timed_out`]
+    /// set. `None` never times out.
     pub fn query_with_deadline(
         &self,
         query: &[f32],
         k: usize,
         window: TimeWindow,
         params: &SearchParams,
-        deadline: Option<std::time::Instant>,
+        deadline: Option<Instant>,
     ) -> QueryOutput {
         let target = self.target();
         let selection = target.block_selection(window);
-        target.query_on_selection_deadline(
-            query,
-            k,
-            window,
-            params,
-            &selection,
-            self.config.query_threads,
-            &crate::query_exec::Deadline::new(deadline),
-        )
+        target.search(query, k, window, params, &selection, self.config.query_threads, deadline)
     }
 
     /// Exact TkNN over the published rows only, by brute force.
@@ -852,6 +846,9 @@ impl StreamingMbi {
                     got: vector.len(),
                 });
             }
+            if t == Timestamp::MAX {
+                return Err(MbiError::TimestampOutOfRange { got: t });
+            }
             if let Some(newest) = tail.last_ts {
                 if t < newest {
                     return Err(MbiError::NonMonotonicTimestamp { newest, got: t });
@@ -999,29 +996,13 @@ impl StreamingMbi {
         window: TimeWindow,
         params: &SearchParams,
     ) -> QueryOutput {
-        assert_eq!(query.len(), self.shared.config.dim, "query has wrong dimension");
-        // Order matters: tail read lock *before* the snapshot load
-        // establishes `first_row ≤ sealed_rows` (the publisher swaps the
-        // snapshot before trimming the tail).
-        let (snap, tail_hits) = {
-            let tail = self.shared.tail.read();
-            let snap = self.shared.snapshot.read().clone();
-            let hits = self.scan_tail(&tail, snap.sealed_rows(), query, k, window);
-            (snap, hits)
-        };
-        let mut out = snap.query_with_params(query, k, window, params);
-        if let Some((hits, tail_stats)) = tail_hits {
-            out.results = merge_results(out.results, hits, k);
-            out.stats.merge(&tail_stats);
-            out.selection.tail = true;
-        }
-        out
+        self.query_with_deadline(query, k, window, params, None)
     }
 
     /// [`StreamingMbi::query_with_params`] under a cooperative deadline
-    /// (see [`MbiIndex::query_with_deadline`]): if `deadline` has already
-    /// passed on entry the tail scan is skipped too and the output is
-    /// flagged `timed_out`; otherwise the bounded tail scan runs and only
+    /// (see [`IndexSnapshot::query_with_deadline`]): if `deadline` has
+    /// already passed on entry the tail scan is skipped too and the output
+    /// is flagged `timed_out`; otherwise the bounded tail scan runs and only
     /// the snapshot's block visits are cut short.
     pub fn query_with_deadline(
         &self,
@@ -1029,20 +1010,17 @@ impl StreamingMbi {
         k: usize,
         window: TimeWindow,
         params: &SearchParams,
-        deadline: Option<std::time::Instant>,
+        deadline: Option<Instant>,
     ) -> QueryOutput {
         assert_eq!(query.len(), self.shared.config.dim, "query has wrong dimension");
-        let late_on_entry = deadline.is_some_and(|d| std::time::Instant::now() >= d);
-        let (snap, tail_hits) = {
-            let tail = self.shared.tail.read();
-            let snap = self.shared.snapshot.read().clone();
-            let hits = if late_on_entry {
+        let late_on_entry = deadline.is_some_and(|d| Instant::now() >= d);
+        let (snap, tail_hits) = self.pin_tail(|tail, sealed_rows| {
+            if late_on_entry {
                 None
             } else {
-                self.scan_tail(&tail, snap.sealed_rows(), query, k, window)
-            };
-            (snap, hits)
-        };
+                self.scan_tail(tail, sealed_rows, query, k, window)
+            }
+        });
         let mut out = snap.query_with_deadline(query, k, window, params, deadline);
         out.timed_out |= late_on_entry;
         if let Some((hits, tail_stats)) = tail_hits {
@@ -1057,9 +1035,10 @@ impl StreamingMbi {
     /// lock and snapshot are taken *once*, every query's tail scan runs
     /// under that single lock hold, and the snapshot (immutable by
     /// construction) is then fanned out across `threads` workers (`0` = all
-    /// cores), mirroring the thread-budget rule of
-    /// [`MbiIndex::query_batch`]. Per query the answer is bit-identical to
-    /// [`StreamingMbi::query_with_params`] against the same state — the
+    /// cores). Batch workers search with fan-out 1 — the batch already
+    /// spreads over the cores; a serial batch keeps
+    /// [`MbiConfig::query_threads`]. Per query the answer is bit-identical
+    /// to [`StreamingMbi::query_with_params`] against the same state — the
     /// server's batch coalescer relies on exactly this equivalence.
     pub fn query_batch(
         &self,
@@ -1070,61 +1049,61 @@ impl StreamingMbi {
         for (q, _, _) in queries {
             assert_eq!(q.len(), self.shared.config.dim, "query has wrong dimension");
         }
-        let (snap, tail_hits) = {
-            let tail = self.shared.tail.read();
-            let snap = self.shared.snapshot.read().clone();
-            let hits: Vec<_> = queries
-                .iter()
-                .map(|(q, k, w)| self.scan_tail(&tail, snap.sealed_rows(), q, *k, *w))
-                .collect();
-            (snap, hits)
-        };
-        let merge_one = |(q, k, w): &(Vec<f32>, usize, TimeWindow),
-                         tail_hit: Option<(Vec<TknnResult>, SearchStats)>,
-                         inner: usize| {
+        let (snap, mut tail_hits) = self.pin_tail(|tail, sealed_rows| {
+            let scan = |(q, k, w): &(Vec<f32>, usize, TimeWindow)| {
+                self.scan_tail(tail, sealed_rows, q, *k, *w)
+            };
+            queries.iter().map(scan).collect::<Vec<_>>()
+        });
+        let search = |(q, k, w): &(Vec<f32>, usize, TimeWindow),
+                      tail_hit: Option<(Vec<TknnResult>, SearchStats)>,
+                      fan_out: usize| {
             let target = snap.target();
-            let selection = target.block_selection(*w);
-            let out = target.query_on_selection_threaded(q, *k, *w, params, &selection, inner);
+            let out = target.search(q, *k, *w, params, &target.block_selection(*w), fan_out, None);
             match tail_hit {
                 Some((hits, _)) => merge_results(out.results, hits, *k),
                 None => out.results,
             }
         };
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let threads = if threads == 0 { cores } else { threads };
-        let mut out: Vec<Vec<TknnResult>> = vec![Vec::new(); queries.len()];
+        let threads = match threads {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
+        };
         if threads <= 1 || queries.len() <= 1 {
-            for ((qkw, hit), slot) in queries.iter().zip(tail_hits).zip(out.iter_mut()) {
-                *slot = merge_one(qkw, hit, self.shared.config.query_threads);
-            }
-            return out;
+            let fan_out = self.shared.config.query_threads;
+            return queries
+                .iter()
+                .zip(tail_hits)
+                .map(|(qkw, hit)| search(qkw, hit, fan_out))
+                .collect();
         }
-        let chunk = queries.len().div_ceil(threads).max(1);
-        let workers = queries.len().div_ceil(chunk);
-        let inner = if workers >= cores { 1 } else { (cores / workers).max(1) };
-        let mut hit_chunks: Vec<Vec<_>> = Vec::with_capacity(workers);
-        {
-            let mut rest = tail_hits;
-            while rest.len() > chunk {
-                let tail = rest.split_off(chunk);
-                hit_chunks.push(rest);
-                rest = tail;
-            }
-            hit_chunks.push(rest);
-        }
+        let chunk = queries.len().div_ceil(threads);
+        let mut out: Vec<Vec<TknnResult>> = vec![Vec::new(); queries.len()];
         std::thread::scope(|scope| {
             for ((qchunk, hchunk), ochunk) in
-                queries.chunks(chunk).zip(hit_chunks).zip(out.chunks_mut(chunk))
+                queries.chunks(chunk).zip(tail_hits.chunks_mut(chunk)).zip(out.chunks_mut(chunk))
             {
-                let merge_one = &merge_one;
+                let search = &search;
                 scope.spawn(move || {
-                    for ((qkw, hit), slot) in qchunk.iter().zip(hchunk).zip(ochunk.iter_mut()) {
-                        *slot = merge_one(qkw, hit, inner);
+                    for ((qkw, hit), slot) in qchunk.iter().zip(hchunk).zip(ochunk) {
+                        *slot = search(qkw, hit.take(), 1);
                     }
                 });
             }
         });
         out
+    }
+
+    /// Takes the tail read lock, clones the published snapshot, and runs
+    /// `scan(tail, sealed_rows)` under that lock. Order matters: the tail
+    /// lock *before* the snapshot load establishes `first_row ≤ sealed_rows`
+    /// (the publisher swaps the snapshot before trimming the tail), so no
+    /// committed row is missed or counted twice.
+    fn pin_tail<R>(&self, scan: impl FnOnce(&TailState, usize) -> R) -> (Arc<IndexSnapshot>, R) {
+        let tail = self.shared.tail.read();
+        let snap = self.shared.snapshot.read().clone();
+        let scanned = scan(&tail, snap.sealed_rows());
+        (snap, scanned)
     }
 
     /// Exact scan of the unpublished, in-window tail rows. Returns `None`
@@ -1190,13 +1169,9 @@ impl StreamingMbi {
     /// brute force — ground truth for tests and recall measurements.
     pub fn exact_query(&self, query: &[f32], k: usize, window: TimeWindow) -> Vec<TknnResult> {
         assert_eq!(query.len(), self.shared.config.dim, "query has wrong dimension");
-        let (snap, tail_hits) = {
-            let tail = self.shared.tail.read();
-            let snap = self.shared.snapshot.read().clone();
-            let hits = self.scan_tail(&tail, snap.sealed_rows(), query, k, window);
-            (snap, hits)
-        };
-        let sealed = snap.target().exact_query(query, k, window);
+        let (snap, tail_hits) =
+            self.pin_tail(|tail, sealed_rows| self.scan_tail(tail, sealed_rows, query, k, window));
+        let sealed = snap.exact_query(query, k, window);
         match tail_hits {
             Some((hits, _)) => merge_results(sealed, hits, k),
             None => sealed,
@@ -1818,6 +1793,62 @@ mod tests {
         engine.insert(&[0.0, 1.0], 10).unwrap();
         assert_eq!(engine.len(), 2);
         assert!(!engine.is_empty());
+    }
+
+    #[test]
+    fn i64_max_is_rejected_before_the_wal() {
+        let dir = temp_dir("i64max");
+        {
+            let engine = StreamingMbi::open(&dir, config(), EngineConfig::default()).unwrap();
+            fill(&engine, 7); // the next row would seal a leaf
+            assert!(matches!(
+                engine.insert(&[7.0, 0.0], i64::MAX),
+                Err(MbiError::TimestampOutOfRange { got: i64::MAX })
+            ));
+            assert_eq!(engine.len(), 7);
+            engine.insert(&[7.0, 0.0], i64::MAX - 1).unwrap();
+            engine.flush();
+            engine.checkpoint().unwrap();
+        }
+        let engine = StreamingMbi::recover(&dir, EngineConfig::default()).unwrap();
+        assert_eq!(engine.len(), 8, "the rejected row never reached the log");
+        assert_eq!(engine.snapshot().blocks().get(0).end_ts, i64::MAX);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn line_snapshot(n: usize) -> IndexSnapshot {
+        let mut idx = MbiIndex::new(config());
+        for i in 0..n {
+            idx.insert(&[i as f32, 0.0], i as i64).unwrap();
+        }
+        IndexSnapshot::from_index(&idx).unwrap()
+    }
+
+    #[test]
+    fn deadline_none_matches_undeadlined_query() {
+        let snap = line_snapshot(96);
+        let params = SearchParams::new(64, 1.2);
+        let w = TimeWindow::new(3, 90);
+        let plain = snap.query_with_params(&[40.0, 0.0], 5, w, &params);
+        let dead = snap.query_with_deadline(&[40.0, 0.0], 5, w, &params, None);
+        assert_eq!(plain.results, dead.results);
+        assert!(!dead.timed_out);
+        let far = Instant::now() + Duration::from_secs(3600);
+        let relaxed = snap.query_with_deadline(&[40.0, 0.0], 5, w, &params, Some(far));
+        assert_eq!(plain.results, relaxed.results);
+        assert!(!relaxed.timed_out);
+    }
+
+    #[test]
+    fn expired_deadline_returns_partial_flagged() {
+        let snap = line_snapshot(96);
+        let past = Instant::now() - Duration::from_millis(1);
+        let params = SearchParams::new(64, 1.2);
+        let out = snap.query_with_deadline(&[40.0, 0.0], 5, TimeWindow::all(), &params, Some(past));
+        // Every block visit is skipped; no panic, empty partial result,
+        // flag set.
+        assert!(out.timed_out);
+        assert!(out.results.is_empty());
     }
 
     #[test]

@@ -22,6 +22,13 @@ pub enum MbiError {
         /// Offered timestamp.
         got: i64,
     },
+    /// `i64::MAX` was offered as a timestamp. Window ends are exclusive, so
+    /// no [`TimeWindow`](crate::TimeWindow) can contain it, and the block
+    /// bound `end_ts = newest + 1` would overflow.
+    TimestampOutOfRange {
+        /// Offered timestamp.
+        got: i64,
+    },
     /// The persisted byte stream is malformed or truncated.
     Corrupt {
         /// Byte offset into the stream where parsing failed.
@@ -93,6 +100,9 @@ impl fmt::Display for MbiError {
                 f,
                 "non-monotonic timestamp: {got} precedes newest stored timestamp {newest}"
             ),
+            MbiError::TimestampOutOfRange { got } => {
+                write!(f, "timestamp {got} is out of range: it must be below i64::MAX")
+            }
             MbiError::Corrupt { offset, detail } => {
                 write!(f, "corrupt index data at byte {offset}: {detail}")
             }
@@ -144,6 +154,8 @@ mod tests {
         assert!(e.to_string().contains("4-d"));
         let e = MbiError::NonMonotonicTimestamp { newest: 10, got: 5 };
         assert!(e.to_string().contains("5 precedes"));
+        let e = MbiError::TimestampOutOfRange { got: i64::MAX };
+        assert!(e.to_string().contains("below i64::MAX"), "{e}");
         let e = MbiError::corrupt(17, "bad magic");
         assert!(e.to_string().contains("bad magic"));
         assert!(e.to_string().contains("byte 17"), "{e}");

@@ -352,12 +352,16 @@ impl MbiIndex {
     ///
     /// Timestamps must be non-decreasing: MBI ingests data in time order
     /// (§4.2); ties are permitted and keep insertion order (§3.1 tie rule).
+    /// `i64::MAX` is rejected ([`MbiError::TimestampOutOfRange`]).
     pub fn insert(&mut self, vector: &[f32], t: Timestamp) -> Result<u32, MbiError> {
         if vector.len() != self.config.dim {
             return Err(MbiError::DimensionMismatch {
                 expected: self.config.dim,
                 got: vector.len(),
             });
+        }
+        if t == Timestamp::MAX {
+            return Err(MbiError::TimestampOutOfRange { got: t });
         }
         if let Some(&newest) = self.timestamps.last() {
             if t < newest {
@@ -455,7 +459,7 @@ impl MbiIndex {
     /// blocks under a different `τ` without rebuilding the index.
     ///
     /// Fan-out width comes from [`MbiConfig::query_threads`]; see
-    /// [`MbiIndex::query_on_selection_threaded`] for an explicit override.
+    /// [`MbiIndex::query_with_params_threaded`] for an explicit override.
     pub fn query_on_selection(
         &self,
         query: &[f32],
@@ -464,31 +468,11 @@ impl MbiIndex {
         params: &SearchParams,
         selection: &SearchBlockSet,
     ) -> QueryOutput {
-        self.query_on_selection_threaded(
-            query,
-            k,
-            window,
-            params,
-            selection,
-            self.config.query_threads,
-        )
+        let threads = self.config.query_threads;
+        self.target().search(query, k, window, params, selection, threads, None)
     }
 
-    /// [`MbiIndex::query_with_params`] with an explicit fan-out width
-    /// (`threads` as in [`MbiIndex::query_on_selection_threaded`]).
-    pub fn query_with_params_threaded(
-        &self,
-        query: &[f32],
-        k: usize,
-        window: TimeWindow,
-        params: &SearchParams,
-        threads: usize,
-    ) -> QueryOutput {
-        let selection = self.block_selection(window);
-        self.query_on_selection_threaded(query, k, window, params, &selection, threads)
-    }
-
-    /// [`MbiIndex::query_on_selection`] with an explicit fan-out width,
+    /// [`MbiIndex::query_with_params`] with an explicit fan-out width,
     /// overriding [`MbiConfig::query_threads`]: `0` = auto (cores, with the
     /// adaptive sequential fallback), `n > 0` forces up to `n` workers.
     ///
@@ -497,40 +481,17 @@ impl MbiIndex {
     /// depends only on the *set* of offered `(dist, id)` pairs (total order,
     /// deterministic tie-break on id), workers are merged in block order,
     /// and the stats fields are order-independent sums.
-    pub fn query_on_selection_threaded(
+    pub fn query_with_params_threaded(
         &self,
         query: &[f32],
         k: usize,
         window: TimeWindow,
         params: &SearchParams,
-        selection: &SearchBlockSet,
         threads: usize,
     ) -> QueryOutput {
-        self.target().query_on_selection_threaded(query, k, window, params, selection, threads)
-    }
-
-    /// [`MbiIndex::query_with_params`] under a cooperative deadline: the
-    /// executor checks the clock between block visits and stops searching
-    /// once `deadline` passes, returning whatever was merged so far with
-    /// [`QueryOutput::timed_out`] set. `None` disables the check entirely.
-    pub fn query_with_deadline(
-        &self,
-        query: &[f32],
-        k: usize,
-        window: TimeWindow,
-        params: &SearchParams,
-        deadline: Option<std::time::Instant>,
-    ) -> QueryOutput {
-        let selection = self.block_selection(window);
-        self.target().query_on_selection_deadline(
-            query,
-            k,
-            window,
-            params,
-            &selection,
-            self.config.query_threads,
-            &crate::query_exec::Deadline::new(deadline),
-        )
+        let target = self.target();
+        let selection = target.block_selection(window);
+        target.search(query, k, window, params, &selection, threads, None)
     }
 
     /// Exact TkNN by binary search + brute force over the whole store — the
@@ -550,47 +511,6 @@ impl MbiIndex {
     pub fn window_len(&self, window: TimeWindow) -> usize {
         let (lo, hi) = self.window_rows(window);
         hi - lo
-    }
-
-    /// Answers many queries, fanning out across `threads` workers (0 → all
-    /// available cores). Queries are read-only, so this is embarrassingly
-    /// parallel; result order matches input order.
-    ///
-    /// Thread-budget rule: inter-query parallelism takes priority. Each
-    /// worker runs its queries with an intra-query fan-out of
-    /// `max(1, cores / workers)` — so when the batch already saturates the
-    /// cores every inner query degrades to sequential, and leftover cores
-    /// (small batches on wide machines) go to intra-query fan-out. The
-    /// combined spawn count never exceeds the core count.
-    pub fn query_batch(
-        &self,
-        queries: &[(Vec<f32>, usize, TimeWindow)],
-        params: &SearchParams,
-        threads: usize,
-    ) -> Vec<Vec<TknnResult>> {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let threads = if threads == 0 { cores } else { threads };
-        let mut out: Vec<Vec<TknnResult>> = vec![Vec::new(); queries.len()];
-        if threads <= 1 {
-            for ((q, k, w), slot) in queries.iter().zip(out.iter_mut()) {
-                *slot = self.query_with_params(q, *k, *w, params).results;
-            }
-            return out;
-        }
-        let chunk = queries.len().div_ceil(threads).max(1);
-        // Workers actually spawned (≤ `threads` for short batches).
-        let workers = queries.len().div_ceil(chunk);
-        let inner = if workers >= cores { 1 } else { (cores / workers).max(1) };
-        std::thread::scope(|scope| {
-            for (qchunk, ochunk) in queries.chunks(chunk).zip(out.chunks_mut(chunk)) {
-                scope.spawn(move || {
-                    for ((q, k, w), slot) in qchunk.iter().zip(ochunk.iter_mut()) {
-                        *slot = self.query_with_params_threaded(q, *k, *w, params, inner).results;
-                    }
-                });
-            }
-        });
-        out
     }
 
     /// Per-level summary of the block tree: `(height, block count, total
@@ -749,6 +669,26 @@ mod tests {
         // Equal timestamps are allowed (tie rule).
         idx.insert(&[0.0, 1.0], 10).unwrap();
         assert_eq!(idx.len(), 2);
+    }
+
+    #[test]
+    fn i64_max_is_rejected_and_max_minus_one_round_trips() {
+        // Seven rows: the next insert seals the first leaf, whose exclusive
+        // end bound is `newest + 1`.
+        let mut idx = line_index(7, small_config());
+        assert!(matches!(
+            idx.insert(&[7.0, 0.0], i64::MAX),
+            Err(MbiError::TimestampOutOfRange { got: i64::MAX })
+        ));
+        assert_eq!((idx.len(), idx.num_leaves()), (7, 0), "a rejected row leaves no trace");
+        idx.insert(&[7.0, 0.0], i64::MAX - 1).unwrap();
+        assert_eq!(idx.blocks()[0].end_ts, i64::MAX);
+        assert!(idx.insert(&[8.0, 0.0], i64::MAX).is_err(), "still rejected at the newest bound");
+        assert_eq!(idx.validate(), Ok(()));
+        let back = MbiIndex::from_bytes(idx.to_bytes()).unwrap();
+        let w = TimeWindow::new(0, i64::MAX);
+        assert_eq!(back.query(&[6.5, 0.0], 3, w), idx.query(&[6.5, 0.0], 3, w));
+        assert_eq!(back.blocks()[0].end_ts, i64::MAX);
     }
 
     #[test]
@@ -993,54 +933,6 @@ mod tests {
         let idx = line_index(40, small_config());
         assert_eq!(idx.window_len(TimeWindow::new(5, 25)), 20);
         assert_eq!(idx.window_len(TimeWindow::new(100, 200)), 0);
-    }
-
-    #[test]
-    fn query_batch_matches_sequential() {
-        let idx = line_index(96, small_config());
-        let queries: Vec<(Vec<f32>, usize, TimeWindow)> =
-            (0..13).map(|i| (vec![i as f32 * 7.0, 0.0], 3, TimeWindow::new(i, i + 50))).collect();
-        let serial = idx.query_batch(&queries, &SearchParams::new(64, 1.2), 1);
-        let parallel = idx.query_batch(&queries, &SearchParams::new(64, 1.2), 4);
-        let auto = idx.query_batch(&queries, &SearchParams::new(64, 1.2), 0);
-        assert_eq!(serial, parallel);
-        assert_eq!(serial, auto);
-        for (i, res) in serial.iter().enumerate() {
-            let direct = idx.query(&queries[i].0, 3, queries[i].2);
-            assert_eq!(*res, direct);
-        }
-    }
-
-    #[test]
-    fn deadline_none_matches_undeadlined_query() {
-        let idx = line_index(96, small_config());
-        let params = SearchParams::new(64, 1.2);
-        let w = TimeWindow::new(3, 90);
-        let plain = idx.query_with_params(&[40.0, 0.0], 5, w, &params);
-        let dead = idx.query_with_deadline(&[40.0, 0.0], 5, w, &params, None);
-        assert_eq!(plain.results, dead.results);
-        assert!(!dead.timed_out);
-        let far = std::time::Instant::now() + std::time::Duration::from_secs(3600);
-        let relaxed = idx.query_with_deadline(&[40.0, 0.0], 5, w, &params, Some(far));
-        assert_eq!(plain.results, relaxed.results);
-        assert!(!relaxed.timed_out);
-    }
-
-    #[test]
-    fn expired_deadline_returns_partial_flagged() {
-        let idx = line_index(96, small_config());
-        let past = std::time::Instant::now() - std::time::Duration::from_millis(1);
-        let out = idx.query_with_deadline(
-            &[40.0, 0.0],
-            5,
-            TimeWindow::all(),
-            &SearchParams::new(64, 1.2),
-            Some(past),
-        );
-        // Every block visit (and the tail) is skipped; no panic, empty
-        // partial result, flag set.
-        assert!(out.timed_out);
-        assert!(out.results.is_empty());
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Generic query execution (Algorithm 4) over any postorder block array.
 //!
-//! [`MbiIndex`](crate::MbiIndex) owns its blocks directly (`Vec<Block>`);
-//! the streaming engine's published snapshots share them (`Vec<Arc<Block>>`).
-//! Both answer queries through the same [`QueryTarget`] — a borrowed view of
-//! the index state, generic over how a block is held — so the per-block
-//! search, the cost-model dispatch, the intra-query fan-out, and the tail
-//! scan are written (and audited) exactly once.
+//! [`MbiIndex`](crate::MbiIndex) owns its blocks directly (`Vec<Block>`),
+//! the streaming engine's snapshots share them, and the cold tier pins them
+//! from a mapped file. All three answer through [`QueryTarget::search`] — one
+//! method over a borrowed view, generic over how a block is held — so the
+//! per-block search, the cost-model dispatch, the intra-query fan-out, the
+//! deadline, and the tail scan are written (and audited) exactly once.
 
 use crate::block::Block;
 use crate::config::MbiConfig;
@@ -26,19 +26,19 @@ use std::time::Instant;
 /// unbounded. The flag latches, so once any worker observes expiry every
 /// later [`Deadline::expired`] call is a single atomic load — no further
 /// clock reads.
-pub(crate) struct Deadline {
+struct Deadline {
     at: Option<Instant>,
     hit: AtomicBool,
 }
 
 impl Deadline {
-    pub(crate) fn new(at: Option<Instant>) -> Self {
+    fn new(at: Option<Instant>) -> Self {
         Deadline { at, hit: AtomicBool::new(false) }
     }
 
     /// Whether the deadline has passed (checked between block visits —
     /// granularity is one block search, never mid-scan).
-    pub(crate) fn expired(&self) -> bool {
+    fn expired(&self) -> bool {
         let Some(at) = self.at else { return false };
         if self.hit.load(Ordering::Relaxed) {
             return true;
@@ -51,7 +51,7 @@ impl Deadline {
     }
 
     /// Whether any [`Deadline::expired`] call returned true.
-    pub(crate) fn was_hit(&self) -> bool {
+    fn was_hit(&self) -> bool {
         self.hit.load(Ordering::Relaxed)
     }
 }
@@ -148,14 +148,9 @@ where
     V: VectorSource + ?Sized,
     T: TimeSource + ?Sized,
 {
-    /// Total rows (sealed + tail).
-    pub fn len(&self) -> usize {
-        self.times.len()
-    }
-
     /// Row range of the non-full tail leaf (possibly empty).
     pub fn tail_rows(&self) -> std::ops::Range<usize> {
-        self.num_leaves * self.config.leaf_size..self.len()
+        self.num_leaves * self.config.leaf_size..self.times.len()
     }
 
     /// Computes the search block set for `window` (Algorithm 4 line 3).
@@ -164,66 +159,28 @@ where
         let tail_rows = self.tail_rows();
         let tail = !tail_rows.is_empty() && {
             let ts = self.times.get(tail_rows.start);
-            let te = self.times.get(self.len() - 1) + 1;
+            let te = self.times.get(tail_rows.end - 1) + 1;
             window.overlap_with(ts, te) > 0
         };
         SearchBlockSet { blocks, tail }
     }
 
-    /// Approximate TkNN query with instrumentation, using the configured
-    /// fan-out width.
-    pub fn query_with_params(
-        &self,
-        query: &[f32],
-        k: usize,
-        window: TimeWindow,
-        params: &SearchParams,
-    ) -> QueryOutput {
-        let selection = self.block_selection(window);
-        self.query_on_selection_threaded(
-            query,
-            k,
-            window,
-            params,
-            &selection,
-            self.config.query_threads,
-        )
-    }
-
-    /// Runs the per-block search + merge of Algorithm 4 over an explicit
-    /// search block set with an explicit fan-out width (`0` = auto). See
-    /// [`MbiIndex::query_on_selection_threaded`](crate::MbiIndex::query_on_selection_threaded)
-    /// for the determinism argument; this is its implementation.
-    pub fn query_on_selection_threaded(
-        &self,
-        query: &[f32],
-        k: usize,
-        window: TimeWindow,
-        params: &SearchParams,
-        selection: &SearchBlockSet,
-        threads: usize,
-    ) -> QueryOutput {
-        self.query_on_selection_deadline(
-            query,
-            k,
-            window,
-            params,
-            selection,
-            threads,
-            &Deadline::new(None),
-        )
-    }
-
-    /// [`Self::query_on_selection_threaded`] under a cooperative deadline:
-    /// the deadline is checked between block visits (sequential path) and
-    /// per block per worker (fan-out path, via the shared latched flag), so
-    /// a straggler query stops within one block search of expiry instead of
+    /// The one query body (Algorithm 4 after selection): per-block search +
+    /// merge over `selection`, then the tail scan, with a fan-out width
+    /// `threads` (`0` = auto) and an optional cooperative `deadline`. Every
+    /// front-end's approximate query ends here. See
+    /// [`MbiIndex::query_with_params_threaded`](crate::MbiIndex::query_with_params_threaded)
+    /// for why the output does not depend on `threads`.
+    ///
+    /// The deadline is checked between block visits (sequential path) and
+    /// per block per worker (fan-out path, via a shared latched flag), so a
+    /// straggler query stops within one block search of expiry instead of
     /// holding a server worker indefinitely. On expiry the output carries
     /// whatever was merged so far with `timed_out = true` — partial results,
-    /// never a panic. With `deadline = None` this is exactly the undeadlined
-    /// path (one untaken branch per block).
+    /// never a panic. With `deadline = None` no clock is read (one untaken
+    /// branch per block).
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn query_on_selection_deadline(
+    pub fn search(
         &self,
         query: &[f32],
         k: usize,
@@ -231,9 +188,10 @@ where
         params: &SearchParams,
         selection: &SearchBlockSet,
         threads: usize,
-        deadline: &Deadline,
+        deadline: Option<Instant>,
     ) -> QueryOutput {
         assert_eq!(query.len(), self.config.dim, "query has wrong dimension");
+        let deadline = &Deadline::new(deadline);
         let mut stats = SearchStats::default();
         let mut merged = TopK::new(k);
         let (wlo, whi) = self.window_rows(window);
@@ -241,69 +199,51 @@ where
         // this query touches (and every worker — `PreparedQuery` is `Copy`).
         let pq = PreparedQuery::new(self.config.metric, query);
 
-        let workers = self.effective_query_threads(threads, selection);
-        if workers <= 1 {
+        // One worker's pass over a run of selected blocks: the sequential
+        // path runs it once over the whole selection, the fan-out path once
+        // per chunk. Each call borrows its own thread's scratch, so repeated
+        // queries reuse the same allocations per worker thread.
+        let search_blocks = |blocks: &[usize], top: &mut TopK, stats: &mut SearchStats| {
             with_thread_scratch(|scratch, buf| {
-                for &bi in &selection.blocks {
+                for &bi in blocks {
                     if deadline.expired() {
                         break;
                     }
                     self.search_one_block(
-                        bi,
-                        &pq,
-                        k,
-                        wlo,
-                        whi,
-                        window,
-                        params,
-                        &mut merged,
-                        &mut stats,
-                        scratch,
-                        buf,
+                        bi, &pq, k, wlo, whi, window, params, top, stats, scratch, buf,
                     );
                 }
-            });
+            })
+        };
+        let workers = self.effective_query_threads(threads, selection);
+        if workers <= 1 {
+            search_blocks(&selection.blocks, &mut merged, &mut stats);
         } else {
             // Scoped fan-out over contiguous chunks of the selection. Chunks
             // are merged in block order below; per the determinism argument
             // in the doc comment the order is immaterial to the output, but
-            // keeping it fixed makes that claim trivially auditable. Each
-            // worker borrows its own thread's scratch, so repeated queries
-            // reuse the same allocations per worker thread.
+            // keeping it fixed makes that claim trivially auditable.
             let chunk = selection.blocks.len().div_ceil(workers);
-            let mut parts: Vec<Option<(TopK, SearchStats)>> =
-                (0..selection.blocks.len().div_ceil(chunk)).map(|_| None).collect();
-            std::thread::scope(|scope| {
-                for (slot, blocks) in parts.iter_mut().zip(selection.blocks.chunks(chunk)) {
-                    scope.spawn(move || {
-                        let mut local = TopK::new(k);
-                        let mut local_stats = SearchStats::default();
-                        with_thread_scratch(|scratch, buf| {
-                            for &bi in blocks {
-                                if deadline.expired() {
-                                    break;
-                                }
-                                self.search_one_block(
-                                    bi,
-                                    &pq,
-                                    k,
-                                    wlo,
-                                    whi,
-                                    window,
-                                    params,
-                                    &mut local,
-                                    &mut local_stats,
-                                    scratch,
-                                    buf,
-                                );
-                            }
-                        });
-                        *slot = Some((local, local_stats));
-                    });
-                }
+            let parts: Vec<(TopK, SearchStats)> = std::thread::scope(|scope| {
+                let workers: Vec<_> = selection
+                    .blocks
+                    .chunks(chunk)
+                    .map(|blocks| {
+                        let search_blocks = &search_blocks;
+                        scope.spawn(move || {
+                            let (mut local, mut local_stats) =
+                                (TopK::new(k), SearchStats::default());
+                            search_blocks(blocks, &mut local, &mut local_stats);
+                            (local, local_stats)
+                        })
+                    })
+                    .collect();
+                workers
+                    .into_iter()
+                    .map(|w| w.join().expect("scoped query worker panicked"))
+                    .collect()
             });
-            for part in parts {
-                let (local, local_stats) = part.expect("every scoped worker ran to completion");
+            for (local, local_stats) in parts {
                 merged.merge(local);
                 stats.merge(&local_stats);
             }
@@ -335,7 +275,7 @@ where
 
     /// Searches one selected full block, merging hits into `merged` and
     /// counters into `stats` — the per-block body shared by the sequential
-    /// and fan-out paths of [`Self::query_on_selection_threaded`].
+    /// and fan-out paths of [`Self::search`].
     ///
     /// The block is answered by an SF-style filtered graph search (Algorithm
     /// 4 line 8) — unless the window covers so few of the block's rows that
@@ -377,9 +317,11 @@ where
         let degree = self.config.search_degree_estimate();
         // The beam typically visits ~2k vertices before the ε bound
         // stops it, hence the factor 2 on the k/ρ visit estimate.
-        let graph_cost =
-            (2 * k as u64).saturating_mul(degree as u64).saturating_mul(block.len() as u64)
-                / m as u64;
+        let graph_cost = (k as u64)
+            .saturating_mul(2)
+            .saturating_mul(degree as u64)
+            .saturating_mul(block.len() as u64)
+            / m as u64;
         if (m as u64) < graph_cost {
             // Scan of the in-window rows of this block (quantized first
             // pass + exact rerank when SQ8 is on).

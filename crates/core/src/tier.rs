@@ -33,6 +33,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc, Mutex, Weak};
 use std::thread::{self, JoinHandle};
+use std::time::Instant;
 
 use mbi_ann::{Advice, Col, FileMap, SearchParams, SearchStats, Segment, SegmentStore, Sq8Column};
 use mbi_math::crc32;
@@ -44,7 +45,7 @@ use crate::index::{QueryOutput, TknnResult};
 use crate::persist::{
     decode_graph_at, parse_v7_layout, rd_f32, rd_i64, V7BlockMeta, V7Layout, PAGE,
 };
-use crate::query_exec::{Deadline, QueryTarget};
+use crate::query_exec::QueryTarget;
 use crate::select::{select_blocks, BlockMeta, SearchBlockSet, TimeWindow};
 use crate::times::TimeChunks;
 use crate::Timestamp;
@@ -804,15 +805,6 @@ impl ColdIndex {
         }
     }
 
-    fn send_prefetch(&self, keys: &[PieceKey]) {
-        if keys.is_empty() || !self.core.prefetch_enabled.load(Relaxed) {
-            return;
-        }
-        if let Some(tx) = &self.prefetch_tx {
-            let _ = tx.send(keys.to_vec());
-        }
-    }
-
     /// TkNN with the config's default search parameters.
     pub fn query(
         &self,
@@ -836,37 +828,7 @@ impl ColdIndex {
         window: TimeWindow,
         params: &SearchParams,
     ) -> Result<QueryOutput, MbiError> {
-        let core = &*self.core;
-        let lay = &core.layout;
-        // Selection runs on directory metadata alone — this is the prefetch
-        // oracle: every block the executor will touch is named here, before
-        // any vector byte is read.
-        let selection = SearchBlockSet {
-            blocks: select_blocks(&lay.blocks, lay.num_leaves, lay.config.tau, window),
-            tail: false,
-        };
-        let keys = core.cover_pieces(&selection.blocks);
-        self.send_prefetch(&keys);
-        let out = {
-            let (store, slots) = core.pin(&keys)?;
-            let target = QueryTarget {
-                config: &lay.config,
-                store: &store,
-                times: &core.times,
-                blocks: &slots,
-                num_leaves: lay.num_leaves,
-            };
-            target.query_on_selection_threaded(
-                query,
-                k,
-                window,
-                params,
-                &selection,
-                lay.config.query_threads,
-            )
-        };
-        core.cache.maintain();
-        Ok(out)
+        self.query_with_deadline(query, k, window, params, None)
     }
 
     /// [`Self::query_with_params`] under a cooperative deadline: the search
@@ -884,16 +846,17 @@ impl ColdIndex {
         k: usize,
         window: TimeWindow,
         params: &SearchParams,
-        deadline: Option<std::time::Instant>,
+        deadline: Option<Instant>,
     ) -> Result<QueryOutput, MbiError> {
-        let core = &*self.core;
-        let lay = &core.layout;
+        let lay = &self.core.layout;
+        // Selection runs on directory metadata alone — this is the prefetch
+        // oracle: every block the executor will touch is named here, before
+        // any vector byte is read.
         let selection = SearchBlockSet {
             blocks: select_blocks(&lay.blocks, lay.num_leaves, lay.config.tau, window),
             tail: false,
         };
-        let deadline = Deadline::new(deadline);
-        if deadline.expired() {
+        if deadline.is_some_and(|d| Instant::now() >= d) {
             return Ok(QueryOutput {
                 results: Vec::new(),
                 stats: SearchStats::default(),
@@ -901,29 +864,11 @@ impl ColdIndex {
                 timed_out: true,
             });
         }
-        let keys = core.cover_pieces(&selection.blocks);
-        self.send_prefetch(&keys);
-        let out = {
-            let (store, slots) = core.pin(&keys)?;
-            let target = QueryTarget {
-                config: &lay.config,
-                store: &store,
-                times: &core.times,
-                blocks: &slots,
-                num_leaves: lay.num_leaves,
-            };
-            target.query_on_selection_deadline(
-                query,
-                k,
-                window,
-                params,
-                &selection,
-                lay.config.query_threads,
-                &deadline,
-            )
-        };
-        core.cache.maintain();
-        Ok(out)
+        let keys = self.core.cover_pieces(&selection.blocks);
+        self.with_pinned(&keys, |target| {
+            let threads = lay.config.query_threads;
+            target.search(query, k, window, params, &selection, threads, deadline)
+        })
     }
 
     /// Exact (brute-force) TkNN over the mapped rows.
@@ -934,25 +879,40 @@ impl ColdIndex {
         window: TimeWindow,
     ) -> Result<Vec<TknnResult>, MbiError> {
         let core = &*self.core;
-        let lay = &core.layout;
+        let seg_rows = core.layout.seg_rows;
         let lo = core.times.partition_below(window.start);
         let hi = core.times.partition_below(window.end);
         let keys: Vec<PieceKey> = if lo < hi {
-            (lo / lay.seg_rows..hi.div_ceil(lay.seg_rows)).map(PieceKey::Leaf).collect()
+            (lo / seg_rows..hi.div_ceil(seg_rows)).map(PieceKey::Leaf).collect()
         } else {
             Vec::new()
         };
-        self.send_prefetch(&keys);
+        self.with_pinned(&keys, |target| target.exact_query(query, k, window))
+    }
+
+    /// Prefetches and pins the pieces `keys` names, runs `f` on a
+    /// [`QueryTarget`] over them, unpins, and lets the cache evict back
+    /// under budget.
+    fn with_pinned<R>(
+        &self,
+        keys: &[PieceKey],
+        f: impl FnOnce(&QueryTarget<'_, [ColdSlot], SegmentStore, TimeChunks>) -> R,
+    ) -> Result<R, MbiError> {
+        let core = &*self.core;
+        if let Some(tx) = &self.prefetch_tx {
+            if !keys.is_empty() && core.prefetch_enabled.load(Relaxed) {
+                let _ = tx.send(keys.to_vec());
+            }
+        }
         let out = {
-            let (store, slots) = core.pin(&keys)?;
-            let target = QueryTarget {
-                config: &lay.config,
+            let (store, slots) = core.pin(keys)?;
+            f(&QueryTarget {
+                config: &core.layout.config,
                 store: &store,
                 times: &core.times,
-                blocks: &slots,
-                num_leaves: lay.num_leaves,
-            };
-            target.exact_query(query, k, window)
+                blocks: slots.as_slice(),
+                num_leaves: core.layout.num_leaves,
+            })
         };
         core.cache.maintain();
         Ok(out)
@@ -1098,6 +1058,39 @@ mod tests {
         let none = cold.query_with_deadline(&query, 5, w, &params, None).unwrap();
         assert_eq!(none.results, plain.results);
         assert!(!none.timed_out);
+    }
+
+    /// Every front-end's `query_with_params` is its deadline path with
+    /// `None`; a deadline that never fires must not change a bit either.
+    #[test]
+    fn no_deadline_and_a_far_deadline_match_query_with_params_on_every_front_end() {
+        let snap = build_snapshot(Metric::Euclidean, 128, 0, false);
+        let cold = cold_with(&snap, 0);
+        let mut idx = MbiIndex::new(*snap.config());
+        for i in 0..133 {
+            idx.insert(&[i as f32 * 0.01, 0.5, 0.2], i as i64).unwrap();
+        }
+        let engine = crate::StreamingMbi::from_index(idx, crate::EngineConfig::default());
+        let (params, w, q) = (snap.config().search, TimeWindow::new(5, 131), [0.4f32, 0.1, 0.6]);
+        let far = Some(Instant::now() + std::time::Duration::from_secs(3600));
+        let same = |name: &str,
+                    plain: QueryOutput,
+                    run: &dyn Fn(Option<Instant>) -> QueryOutput| {
+            for out in [run(None), run(far)] {
+                assert_eq!(out.results, plain.results, "{name}");
+                assert_eq!((out.stats, &out.selection), (plain.stats, &plain.selection), "{name}");
+                assert!(!out.timed_out, "{name}");
+            }
+        };
+        same("snapshot", snap.query_with_params(&q, 5, w, &params), &|d| {
+            snap.query_with_deadline(&q, 5, w, &params, d)
+        });
+        let streamed = engine.query_with_params(&q, 5, w, &params);
+        assert!(streamed.selection.tail, "the engine answers from a non-empty tail");
+        same("streaming", streamed, &|d| engine.query_with_deadline(&q, 5, w, &params, d));
+        same("cold", cold.query_with_params(&q, 5, w, &params).unwrap(), &|d| {
+            cold.query_with_deadline(&q, 5, w, &params, d).unwrap()
+        });
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Equivalence and instrumentation tests for the intra-query block fan-out
-//! (`MbiIndex::query_on_selection_threaded`).
+//! (`MbiIndex::query_with_params_threaded`).
 //!
 //! The contract under test: results *and* merged [`SearchStats`] are
 //! bit-identical for every fan-out width, and `blocks_searched` counts only

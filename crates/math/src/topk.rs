@@ -51,6 +51,9 @@ impl Ord for Neighbor {
     }
 }
 
+/// Largest `k` whose heap [`TopK::new`] preallocates in full.
+const PREALLOC_CAP: usize = 1024;
+
 /// A bounded max-heap keeping the `k` smallest-distance [`Neighbor`]s seen.
 ///
 /// `push` is `O(log k)`; `into_sorted_vec` yields ascending distance order.
@@ -75,9 +78,12 @@ pub struct TopK {
 }
 
 impl TopK {
-    /// Creates a collector for the `k` nearest entries.
+    /// Creates a collector for the `k` nearest entries. The preallocation
+    /// is capped at 1 024 entries — `k` arrives from the network, and a
+    /// hostile `k` must not reserve gigabytes up front; the heap still grows
+    /// to `k` as entries arrive.
     pub fn new(k: usize) -> Self {
-        TopK { k, heap: BinaryHeap::with_capacity(k.saturating_add(1)) }
+        TopK { k, heap: BinaryHeap::with_capacity(k.min(PREALLOC_CAP) + 1) }
     }
 
     /// Clears the collector and re-arms it for `k` entries, keeping the
@@ -301,6 +307,21 @@ mod tests {
         all.sort_unstable();
         assert_eq!(topk_by_sort(items.clone(), 6), all);
         assert_eq!(topk_by_sort(items, 100), all);
+    }
+
+    #[test]
+    fn hostile_k_preallocates_little_and_still_keeps_everything() {
+        for k in [usize::MAX, u32::MAX as usize] {
+            let mut t = TopK::new(k);
+            assert!(t.heap.capacity() <= PREALLOC_CAP + 1, "k = {k}");
+            for i in 0..3000u32 {
+                t.offer(i, (3000 - i) as f32);
+            }
+            assert_eq!(t.len(), 3000, "the heap grows past the preallocation");
+            assert_eq!(t.into_sorted_vec()[0], n(2999, 1.0));
+        }
+        // Ordinary k still allocates exactly as before.
+        assert!(TopK::new(10).heap.capacity() >= 11);
     }
 
     #[test]

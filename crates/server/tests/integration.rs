@@ -328,3 +328,52 @@ fn oversized_http_head_answers_431() {
     assert_eq!(status, 200);
     handle.shutdown();
 }
+
+#[test]
+fn hostile_k_gets_a_reply_and_the_server_keeps_serving() {
+    let (handle, addr) = start(
+        ServerConfig::new("127.0.0.1:0", index_config())
+            .with_tenant(TenantConfig::memory("alpha", "tok-a")),
+    );
+    let mut client = BinaryClient::connect(addr, "alpha", "tok-a").unwrap();
+    for i in 0..40 {
+        client.insert(&row(i), i as i64).unwrap();
+    }
+    // k = u32::MAX over the binary protocol: every row comes back, and the
+    // server does not try to reserve a u32::MAX-entry heap first.
+    let reply = client.query(&row(3), u32::MAX as usize, TimeWindow::all(), None).unwrap();
+    assert_eq!(reply.results.len(), 40);
+    assert_eq!(reply.results[0].dist, 0.0);
+    // k = u64::MAX over HTTP.
+    let (status, body) = http_request(
+        addr,
+        "POST",
+        "/query",
+        &[("Authorization", "Bearer tok-a")],
+        r#"{"vector":[0.1,0.9,0.5,1.0],"k":18446744073709551615}"#,
+    )
+    .unwrap();
+    assert_eq!(status, 200, "{body}");
+    let v = serde_json::from_str(&body).unwrap();
+    assert_eq!(v.get("results").and_then(|r| r.as_seq()).map(<[_]>::len), Some(40));
+    client.ping().unwrap();
+    handle.shutdown();
+}
+
+#[test]
+fn http_insert_at_i64_max_is_a_bad_request() {
+    let (handle, addr) = start(
+        ServerConfig::new("127.0.0.1:0", index_config())
+            .with_tenant(TenantConfig::memory("alpha", "tok-a")),
+    );
+    let insert = |t: i64| {
+        let body = format!(r#"{{"vector":[0.1,0.2,0.3,0.4],"timestamp":{t}}}"#);
+        http_request(addr, "POST", "/insert", &[("Authorization", "Bearer tok-a")], &body).unwrap()
+    };
+    let (status, body) = insert(i64::MAX);
+    assert_eq!(status, 400, "{body}");
+    assert_eq!(insert(i64::MAX - 1).0, 200, "the largest storable timestamp is accepted");
+    let tenant = handle.registry().by_name("alpha").unwrap();
+    assert_eq!(tenant.len(), 1, "the rejected row left no trace");
+    handle.shutdown();
+}

@@ -1,7 +1,7 @@
-//! Index inspection and batch querying: the operational side of running MBI
+//! Index inspection: the operational side of running MBI
 //! in production — structure dumps, per-level size accounting (the
-//! `O(|D| log |D|)` of §4.4.1 made visible), integrity validation, and the
-//! parallel batch-query API.
+//! `O(|D| log |D|)` of §4.4.1 made visible), integrity validation, and a
+//! timed query loop checked against the intra-query fan-out path.
 //!
 //! Run with:
 //! ```sh
@@ -57,7 +57,7 @@ fn main() {
     index.validate().expect("freshly built index is consistent");
     println!("\nvalidate(): ok");
 
-    // 4. Batch queries fan out across cores; results match one-at-a-time.
+    // 4. A loop of queries; the answers do not depend on the fan-out width.
     let batch: Vec<(Vec<f32>, usize, TimeWindow)> = (0..32)
         .map(|i| {
             let q = dataset.test.get(i % dataset.test.len()).to_vec();
@@ -66,19 +66,20 @@ fn main() {
         })
         .collect();
     let t0 = std::time::Instant::now();
-    let answers = index.query_batch(&batch, &index.config().search, 0);
+    let answers: Vec<_> = batch.iter().map(|(q, k, w)| index.query(q, *k, *w)).collect();
     let elapsed = t0.elapsed();
     let hits: usize = answers.iter().map(Vec::len).sum();
     println!(
-        "\nbatch: {} queries → {} results in {:.2?} ({:.0} qps)",
+        "\nloop: {} queries → {} results in {:.2?} ({:.0} qps)",
         batch.len(),
         hits,
         elapsed,
         batch.len() as f64 / elapsed.as_secs_f64()
     );
-    for (i, (q, k, w)) in batch.iter().enumerate().take(2) {
-        let single = index.query(q, *k, *w);
-        assert_eq!(single, answers[i], "batch result matches single-query path");
+    let search = index.config().search;
+    for ((q, k, w), answer) in batch.iter().zip(&answers) {
+        let fanned = index.query_with_params_threaded(q, *k, *w, &search, 4);
+        assert_eq!(fanned.results, *answer, "fan-out result matches the single-thread query");
     }
-    println!("batch results verified against single-query path");
+    println!("loop results verified against the 4-way fan-out path");
 }
