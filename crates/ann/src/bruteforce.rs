@@ -41,43 +41,37 @@ pub fn brute_force_prepared(
     k: usize,
     stats: &mut SearchStats,
 ) -> Vec<Neighbor> {
-    let n = view.len();
-    let mut top = TopK::new(k);
-    if n == 0 {
-        return top.into_sorted_vec();
-    }
-    assert_eq!(pq.query().len(), view.dim(), "query has wrong dimension");
-
     let dim = view.dim();
-    let mut dists: Vec<f32> = Vec::with_capacity(SCAN_BATCH.min(n));
-    let mut row = 0usize;
-    while row < n {
+    scan(view, pq, k, stats, |row, max, dists| {
         let (flat, inv, run) = view.chunk_at(row);
-        let mut start = 0usize;
-        while start < run {
-            let end = (start + SCAN_BATCH).min(run);
-            dists.clear();
-            pq.distance_batch(
-                &flat[start * dim..end * dim],
-                inv.map(|s| &s[start..end]),
-                &mut dists,
-            );
-            for (j, &d) in dists.iter().enumerate() {
-                top.offer((row + start + j) as u32, d);
-            }
-            start = end;
-        }
-        row += run;
-    }
-    stats.scanned += n as u64;
-    stats.dist_evals += n as u64;
-    top.into_sorted_vec()
+        let m = run.min(max);
+        pq.distance_batch(&flat[..m * dim], inv.map(|s| &s[..m]), dists);
+        m
+    })
 }
 
 /// Rerank budget: `max(k, ceil(k × overfetch))`, capped at the row count.
 pub(crate) fn rerank_budget(k: usize, overfetch: f32, n: usize) -> usize {
     let of = if overfetch.is_finite() && overfetch > 1.0 { overfetch } else { 1.0 };
     (((k as f64) * of as f64).ceil() as usize).max(k).min(n)
+}
+
+/// Second pass of every SQ8 search: replaces the approximate `survivors`
+/// with the best `k` of them by exact distance, sorted ascending.
+pub(crate) fn rerank(
+    view: VectorView<'_>,
+    pq: &PreparedQuery<'_>,
+    k: usize,
+    survivors: &mut Vec<Neighbor>,
+    stats: &mut SearchStats,
+) {
+    stats.dist_evals += survivors.len() as u64;
+    let mut top = TopK::new(k);
+    for nb in survivors.iter() {
+        top.offer(nb.id, view.distance(pq, nb.id as usize));
+    }
+    survivors.clear();
+    survivors.extend(top.into_sorted_vec());
 }
 
 /// kNN over every row of `view` with the SQ8 two-pass scan: rank all rows by
@@ -95,52 +89,59 @@ pub fn brute_force_sq8_prepared(
     overfetch: f32,
     stats: &mut SearchStats,
 ) -> Vec<Neighbor> {
-    let n = view.len();
-    if !view.has_sq8() || n == 0 || k == 0 {
+    if !view.has_sq8() {
         return brute_force_prepared(view, pq, k, stats);
     }
-    assert_eq!(pq.query().len(), view.dim(), "query has wrong dimension");
-    let budget = rerank_budget(k, overfetch, n);
+    let dim = view.dim();
+    // One preparation per segment, reused while its rows keep streaming.
+    let mut prepared: Option<Sq8Scan> = None;
+    let budget = rerank_budget(k, overfetch, view.len());
+    let mut survivors = scan(view, pq, budget, stats, |row, max, dists| {
+        let (chunk, run) = view.sq8_chunk_at(row);
+        if !prepared.as_ref().is_some_and(|s| s.matches(chunk.mins)) {
+            prepared = Some(Sq8Scan::new(pq, chunk.mins, chunk.deltas));
+        }
+        let m = run.min(max);
+        let codes = &chunk.codes[..m * dim];
+        prepared.as_ref().unwrap().approx_batch(codes, &chunk.row_norm2[..m], dists);
+        m
+    });
+    rerank(view, pq, k, &mut survivors, stats);
+    survivors
+}
 
-    // First pass: approximate distances over the code column.
-    let mut approx = TopK::new(budget);
+/// The one chunked scan behind both scans above: offers every row of `view`
+/// to a top-`k` heap, in ascending id order. `batch(row, max, dists)`
+/// appends the distances of rows `row..row + m` to `dists` and returns `m`,
+/// where `1 ≤ m ≤ max` and the rows never cross the end of `row`'s
+/// contiguous run — so each call is one kernel pass over at most
+/// `SCAN_BATCH` rows of one segment.
+fn scan(
+    view: VectorView<'_>,
+    pq: &PreparedQuery<'_>,
+    k: usize,
+    stats: &mut SearchStats,
+    mut batch: impl FnMut(usize, usize, &mut Vec<f32>) -> usize,
+) -> Vec<Neighbor> {
+    let n = view.len();
+    let mut top = TopK::new(k);
+    if n == 0 {
+        return top.into_sorted_vec();
+    }
+    assert_eq!(pq.query().len(), view.dim(), "query has wrong dimension");
+
     let mut dists: Vec<f32> = Vec::with_capacity(SCAN_BATCH.min(n));
-    let mut scan: Option<Sq8Scan> = None;
     let mut row = 0usize;
     while row < n {
-        let (chunk, run) = view.sq8_chunk_at(row);
-        if !scan.as_ref().is_some_and(|s| s.matches(chunk.mins)) {
-            scan = Some(Sq8Scan::new(pq, chunk.mins, chunk.deltas));
+        dists.clear();
+        let m = batch(row, SCAN_BATCH, &mut dists);
+        for (j, &d) in dists.iter().enumerate() {
+            top.offer((row + j) as u32, d);
         }
-        let scan = scan.as_ref().unwrap();
-        let dim = view.dim();
-        let mut start = 0usize;
-        while start < run {
-            let end = (start + SCAN_BATCH).min(run);
-            dists.clear();
-            scan.approx_batch(
-                &chunk.codes[start * dim..end * dim],
-                &chunk.row_norm2[start..end],
-                &mut dists,
-            );
-            for (j, &d) in dists.iter().enumerate() {
-                approx.offer((row + start + j) as u32, d);
-            }
-            start = end;
-        }
-        row += run;
+        row += m;
     }
     stats.scanned += n as u64;
     stats.dist_evals += n as u64;
-
-    // Second pass: exact distances for the survivors only.
-    let survivors = approx.into_sorted_vec();
-    stats.dist_evals += survivors.len() as u64;
-    let mut top = TopK::new(k);
-    for nb in survivors {
-        let (row, inv) = view.row_with_inv(nb.id as usize);
-        top.offer(nb.id, pq.distance_to_row(row, inv));
-    }
     top.into_sorted_vec()
 }
 
@@ -179,8 +180,7 @@ pub fn brute_force_filtered_prepared(
         }
         stats.scanned += 1;
         stats.dist_evals += 1;
-        let (row, inv) = view.row_with_inv(i);
-        top.offer(id, pq.distance_to_row(row, inv));
+        top.offer(id, view.distance(pq, i));
     }
     top.into_sorted_vec()
 }

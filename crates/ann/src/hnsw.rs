@@ -3,22 +3,22 @@
 //! §4.1 of the MBI paper says each block may use *any* index structure for
 //! efficient kNN search and the authors pick a graph method; the evaluation
 //! uses NNDescent graphs, but HNSW is the obvious alternative (it tops the
-//! ann-benchmarks leaderboard the paper cites). This implementation provides
-//! the second [`crate::BlockIndex`] backend and powers an ablation bench that
-//! swaps the per-block index.
+//! ann-benchmarks leaderboard the paper cites). This implementation is the
+//! second per-block graph backend and powers an ablation bench that swaps
+//! the per-block index.
 //!
 //! Construction follows the published algorithm: geometric level assignment
 //! (`mL = 1/ln M`), greedy descent through the upper layers, `ef_construction`
 //! beam at each insertion layer, and the distance-based neighbour-selection
 //! heuristic with bidirectional link repair. Filtered search descends to the
-//! base layer greedily and then reuses [`crate::greedy_search`] (Algorithm 2)
-//! so that `ε`/`M_C`/time-filter semantics are identical across both backends.
+//! base layer greedily and then runs the one Algorithm 2 loop behind
+//! [`crate::greedy_search_prepared`], so `ε`/`M_C`/time-filter semantics are
+//! identical across both backends.
 
 use crate::graph::Graph;
 use crate::scratch::SearchScratch;
 use crate::search::{greedy_search_prepared, EntryPolicy, SearchParams, SearchStats};
 use crate::store::VectorView;
-use crate::BlockIndex;
 use mbi_math::{Metric, Neighbor, OrderedF32, PreparedQuery};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -56,7 +56,8 @@ struct NodeLinks {
 /// block's [`VectorView`].
 ///
 /// ```
-/// use mbi_ann::{BlockIndex, HnswIndex, HnswParams, SearchParams, SearchStats, VectorStore};
+/// use mbi_ann::{HnswIndex, HnswParams, PreparedQuery, SearchParams, SearchScratch, SearchStats};
+/// use mbi_ann::VectorStore;
 /// use mbi_math::Metric;
 ///
 /// let mut store = VectorStore::new(2);
@@ -64,10 +65,11 @@ struct NodeLinks {
 ///     store.push(&[i as f32, 0.0]);
 /// }
 /// let index = HnswIndex::build(HnswParams::default(), store.view(), Metric::Euclidean);
-/// let mut stats = SearchStats::default();
-/// let hits = index.search(
-///     store.view(), Metric::Euclidean, &[150.2, 0.0], 3,
-///     &SearchParams::new(64, 1.2), &mut |_| true, &mut stats,
+/// let pq = PreparedQuery::new(Metric::Euclidean, &[150.2, 0.0]);
+/// let (mut stats, mut hits) = (SearchStats::default(), Vec::new());
+/// index.search_prepared(
+///     store.view(), &pq, 3, &SearchParams::new(64, 1.2), &mut |_| true,
+///     &mut stats, &mut SearchScratch::new(), &mut hits,
 /// );
 /// assert_eq!(hits[0].id, 150);
 /// ```
@@ -276,6 +278,32 @@ impl HnswIndex {
         self.nodes[node as usize].links[layer] = selected.into_iter().map(|n| n.id).collect();
     }
 
+    /// Filtered approximate kNN (Algorithm 2 on the base layer): a greedy
+    /// descent through the upper layers picks the entry vertex, then the
+    /// kNN graph's beam loop runs on layer 0. Ids are local to `view`;
+    /// results land in `out` (cleared first, sorted ascending).
+    #[allow(clippy::too_many_arguments)]
+    pub fn search_prepared(
+        &self,
+        view: VectorView<'_>,
+        pq: &PreparedQuery<'_>,
+        k: usize,
+        params: &SearchParams,
+        filter: &mut dyn FnMut(u32) -> bool,
+        stats: &mut SearchStats,
+        scratch: &mut SearchScratch,
+        out: &mut Vec<Neighbor>,
+    ) {
+        debug_assert_eq!(pq.metric(), self.metric, "index was built with a different metric");
+        out.clear();
+        if self.nodes.is_empty() || k == 0 {
+            return;
+        }
+        let entry = self.descend(pq, view, stats);
+        let base = SearchParams { entry: EntryPolicy::Fixed(entry), ..*params };
+        greedy_search_prepared(&BaseLayer(self), view, pq, k, &base, filter, stats, scratch, out);
+    }
+
     /// Greedy descent from the top layer to layer 1; returns the entry point
     /// for the base-layer beam search.
     fn descend(
@@ -285,10 +313,7 @@ impl HnswIndex {
         stats: &mut SearchStats,
     ) -> u32 {
         let mut curr = self.entry;
-        let mut curr_dist = {
-            let (row, inv) = view.row_with_inv(curr as usize);
-            pq.distance_to_row(row, inv)
-        };
+        let mut curr_dist = view.distance(pq, curr as usize);
         stats.dist_evals += 1;
         for layer in (1..=self.max_level).rev() {
             loop {
@@ -300,10 +325,7 @@ impl HnswIndex {
                 };
                 let mut best = (curr, curr_dist);
                 for &nb in links {
-                    let d = {
-                        let (row, inv) = view.row_with_inv(nb as usize);
-                        pq.distance_to_row(row, inv)
-                    };
+                    let d = view.distance(pq, nb as usize);
                     stats.dist_evals += 1;
                     if d < best.1 {
                         best = (nb, d);
@@ -398,52 +420,29 @@ fn sample_level(rng: &mut SmallRng, ml: f64) -> usize {
     ((-u.ln()) * ml).floor() as usize
 }
 
-impl BlockIndex for HnswIndex {
-    fn search_prepared(
-        &self,
-        view: VectorView<'_>,
-        pq: &PreparedQuery<'_>,
-        k: usize,
-        params: &SearchParams,
-        filter: &mut dyn FnMut(u32) -> bool,
-        stats: &mut SearchStats,
-        scratch: &mut SearchScratch,
-        out: &mut Vec<Neighbor>,
-    ) {
-        debug_assert_eq!(pq.metric(), self.metric, "index was built with a different metric");
-        out.clear();
-        if self.nodes.is_empty() || k == 0 {
-            return;
-        }
-        let entry = self.descend(pq, view, stats);
-        let base_params = SearchParams { entry: EntryPolicy::Fixed(entry), ..*params };
-        greedy_search_prepared(
-            &BaseLayer(self),
-            view,
-            pq,
-            k,
-            &base_params,
-            filter,
-            stats,
-            scratch,
-            out,
-        );
-    }
-
-    fn memory_bytes(&self) -> usize {
-        HnswIndex::memory_bytes(self)
-    }
-
-    fn kind(&self) -> &'static str {
-        "hnsw"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::store::VectorStore;
     use crate::{brute_force, SearchParams};
+
+    /// Self-contained search for the tests: prepares the query and uses a
+    /// fresh scratch.
+    fn search(
+        idx: &HnswIndex,
+        view: VectorView<'_>,
+        q: &[f32],
+        k: usize,
+        params: &SearchParams,
+        filter: &mut dyn FnMut(u32) -> bool,
+        stats: &mut SearchStats,
+    ) -> Vec<Neighbor> {
+        let pq = PreparedQuery::new(idx.metric, q);
+        let mut out = Vec::new();
+        let mut scratch = SearchScratch::new();
+        idx.search_prepared(view, &pq, k, params, filter, stats, &mut scratch, &mut out);
+        out
+    }
 
     fn random_store(n: usize, dim: usize, seed: u64) -> VectorStore {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -461,9 +460,9 @@ mod tests {
         let idx = HnswIndex::build(HnswParams::default(), s.view(), Metric::Euclidean);
         assert!(idx.is_empty());
         let mut stats = SearchStats::default();
-        let res = idx.search(
+        let res = search(
+            &idx,
             s.view(),
-            Metric::Euclidean,
             &[0.0; 4],
             3,
             &SearchParams::default(),
@@ -479,9 +478,9 @@ mod tests {
         s.push(&[1.0, 1.0]);
         let idx = HnswIndex::build(HnswParams::default(), s.view(), Metric::Euclidean);
         let mut stats = SearchStats::default();
-        let res = idx.search(
+        let res = search(
+            &idx,
             s.view(),
-            Metric::Euclidean,
             &[0.0, 0.0],
             3,
             &SearchParams::default(),
@@ -507,15 +506,8 @@ mod tests {
             let q = queries.get(qi);
             let mut st = SearchStats::default();
             let exact = brute_force(s.view(), Metric::Euclidean, q, 10, &mut st);
-            let approx = idx.search(
-                s.view(),
-                Metric::Euclidean,
-                q,
-                10,
-                &SearchParams::new(128, 1.2),
-                &mut |_| true,
-                &mut st,
-            );
+            let approx =
+                search(&idx, s.view(), q, 10, &SearchParams::new(128, 1.2), &mut |_| true, &mut st);
             let exact_ids: std::collections::HashSet<u32> = exact.iter().map(|n| n.id).collect();
             total += exact.len();
             hits += approx.iter().filter(|n| exact_ids.contains(&n.id)).count();
@@ -529,9 +521,9 @@ mod tests {
         let s = random_store(500, 8, 2);
         let idx = HnswIndex::build(HnswParams::default(), s.view(), Metric::Euclidean);
         let mut stats = SearchStats::default();
-        let res = idx.search(
+        let res = search(
+            &idx,
             s.view(),
-            Metric::Euclidean,
             s.get(123),
             5,
             &SearchParams::new(128, 1.2),
@@ -578,7 +570,6 @@ mod tests {
         let s = random_store(100, 4, 6);
         let idx = HnswIndex::build(HnswParams::default(), s.view(), Metric::Euclidean);
         assert!(idx.memory_bytes() > 100 * 4);
-        assert_eq!(idx.kind(), "hnsw");
     }
 
     #[test]
@@ -590,24 +581,8 @@ mod tests {
         let mut sa = SearchStats::default();
         let mut sb = SearchStats::default();
         let q = s.get(17);
-        let ra = a.search(
-            s.view(),
-            Metric::Euclidean,
-            q,
-            5,
-            &SearchParams::default(),
-            &mut |_| true,
-            &mut sa,
-        );
-        let rb = b.search(
-            s.view(),
-            Metric::Euclidean,
-            q,
-            5,
-            &SearchParams::default(),
-            &mut |_| true,
-            &mut sb,
-        );
+        let ra = search(&a, s.view(), q, 5, &SearchParams::default(), &mut |_| true, &mut sa);
+        let rb = search(&b, s.view(), q, 5, &SearchParams::default(), &mut |_| true, &mut sb);
         assert_eq!(ra, rb);
     }
 }

@@ -19,18 +19,19 @@
 //! * [`greedy_search`] — Algorithm 2: best-first traversal with a candidate
 //!   set capped at `M_C`, range factor `ε`, and a pluggable predicate filter
 //!   used for the time window. When the filter accepts everything this is
-//!   plain graph kNN search.
+//!   plain graph kNN search. Every graph search, HNSW's base layer and the
+//!   SQ8 first pass included, runs one loop; SQ8 only changes the scorer.
 //! * [`HnswIndex`] — an alternative per-block index (hierarchical navigable
 //!   small world, Malkov & Yashunin 2018). The paper notes any graph index
 //!   can back a block; HNSW powers the ablation benchmark.
 //! * [`brute_force`] — exact (optionally filtered) kNN, used by the BSBF
-//!   baseline, by MBI's non-full tail leaf, and for ground truth.
-//! * [`BlockIndex`] — the object-safe trait MBI blocks use to dispatch to
-//!   either graph implementation. Its required method takes a
-//!   [`PreparedQuery`] plus a caller-owned [`SearchScratch`], so the hot
-//!   query path never re-derives the query norm and never allocates;
-//!   [`with_thread_scratch`] supplies a thread-local scratch for callers
-//!   that don't manage their own.
+//!   baseline, by MBI's non-full tail leaf, and for ground truth. The exact
+//!   and SQ8 scans share one chunked loop.
+//!
+//! The hot entry points take a [`PreparedQuery`] plus a caller-owned
+//! [`SearchScratch`], so the query path never re-derives the query norm and
+//! never allocates; [`with_thread_scratch`] supplies a thread-local scratch
+//! for callers that don't manage their own.
 
 // `unsafe` is denied crate-wide with a single exception (mirroring
 // `mbi_math::simd`): the `mapped` module holds the raw `mmap`/`madvise`
@@ -67,83 +68,3 @@ pub use sq8::{Sq8ChunkRef, Sq8Column, Sq8Scan};
 pub use store::{VectorStore, VectorView};
 
 pub use mbi_math::{Metric, Neighbor, PreparedQuery};
-
-/// An object-safe per-block ANN index.
-///
-/// Implementations never own the raw vectors; the caller supplies the block's
-/// [`VectorView`] at search time. Returned ids are **local** to the view
-/// (`0..view.len()`); MBI translates them back to global row ids.
-pub trait BlockIndex: Send + Sync {
-    /// Approximate filtered kNN under a [`PreparedQuery`], with caller-owned
-    /// working memory: find up to `k` neighbours among view rows accepted by
-    /// `filter`, following Algorithm 2 semantics (keep searching until `k`
-    /// accepted results are found, then expand only within `ε ×` the current
-    /// worst result distance). Results land in `out` (cleared first, sorted
-    /// ascending). This is the hot path: steady-state callers reuse
-    /// `scratch` and `out` across blocks and queries and allocate nothing.
-    #[allow(clippy::too_many_arguments)]
-    fn search_prepared(
-        &self,
-        view: VectorView<'_>,
-        pq: &PreparedQuery<'_>,
-        k: usize,
-        params: &SearchParams,
-        filter: &mut dyn FnMut(u32) -> bool,
-        stats: &mut SearchStats,
-        scratch: &mut SearchScratch,
-        out: &mut Vec<Neighbor>,
-    );
-
-    /// [`search_prepared`](Self::search_prepared) with the SQ8 quantized
-    /// first pass: candidates are scored against the view's `u8` code column
-    /// and the best `k × overfetch` results are reranked against the exact
-    /// f32 rows. The default implementation ignores SQ8 and searches
-    /// exactly — indexes opt in by overriding (the kNN graph does; views
-    /// without the column fall back to exact either way).
-    #[allow(clippy::too_many_arguments)]
-    fn search_sq8_prepared(
-        &self,
-        view: VectorView<'_>,
-        pq: &PreparedQuery<'_>,
-        k: usize,
-        _overfetch: f32,
-        params: &SearchParams,
-        filter: &mut dyn FnMut(u32) -> bool,
-        stats: &mut SearchStats,
-        scratch: &mut SearchScratch,
-        out: &mut Vec<Neighbor>,
-    ) {
-        self.search_prepared(view, pq, k, params, filter, stats, scratch, out);
-    }
-
-    /// Approximate filtered kNN, self-contained: prepares the query, borrows
-    /// the calling thread's reusable [`SearchScratch`], and returns the
-    /// results as a fresh `Vec`. Provided in terms of
-    /// [`search_prepared`](Self::search_prepared).
-    #[allow(clippy::too_many_arguments)]
-    fn search(
-        &self,
-        view: VectorView<'_>,
-        metric: Metric,
-        query: &[f32],
-        k: usize,
-        params: &SearchParams,
-        filter: &mut dyn FnMut(u32) -> bool,
-        stats: &mut SearchStats,
-    ) -> Vec<Neighbor> {
-        let pq = PreparedQuery::new(metric, query);
-        with_thread_scratch(|scratch, _| {
-            let mut out = Vec::new();
-            self.search_prepared(view, &pq, k, params, filter, stats, scratch, &mut out);
-            out
-        })
-    }
-
-    /// Bytes of heap memory used by the index structure itself (excluding the
-    /// raw vectors, which are shared). This feeds the Table 4 / Figure 7b
-    /// index-size accounting.
-    fn memory_bytes(&self) -> usize;
-
-    /// Short name for reports ("nndescent" / "hnsw").
-    fn kind(&self) -> &'static str;
-}

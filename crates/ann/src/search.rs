@@ -9,11 +9,12 @@
 //!   behaviour that makes SF slow on short windows and that MBI exploits;
 //! * per-block search inside MBI's query process (Algorithm 4, line 8).
 
-use crate::graph::{Graph, KnnGraph};
+use crate::bruteforce::{rerank, rerank_budget};
+use crate::graph::Graph;
 use crate::scratch::{with_thread_scratch, SearchScratch};
 use crate::sq8::Sq8Scan;
 use crate::store::VectorView;
-use mbi_math::{Metric, Neighbor, OrderedF32, PreparedQuery, TopK};
+use mbi_math::{Metric, Neighbor, OrderedF32, PreparedQuery};
 use serde::{Deserialize, Serialize};
 
 /// How the search picks its starting vertex (Algorithm 2 line 1 samples a
@@ -136,10 +137,78 @@ pub fn greedy_search_prepared(
     scratch: &mut SearchScratch,
     out: &mut Vec<Neighbor>,
 ) {
+    let exact = |id: u32| view.distance(pq, id as usize);
+    beam_search(graph, view, pq, k, params, filter, stats, scratch, out, exact);
+    out.sort_unstable();
+}
+
+/// [`greedy_search_prepared`] with the SQ8 quantized first pass: the same
+/// beam loop scores every candidate against the segment's `u8` code column
+/// (~4× less memory traffic per distance than the f32 rows) and collects
+/// `k × overfetch` approximate results, which are then reranked against the
+/// exact f32 rows and cut to `k`. Distances in `out` are always exact.
+///
+/// Falls back to the exact search when the view carries no SQ8 column.
+///
+/// Traversal decisions (visit order, termination) run on approximate
+/// distances, so visited/dist-eval stats can differ slightly from the exact
+/// search; the recall floor test bounds the quality effect.
+#[allow(clippy::too_many_arguments)]
+pub fn greedy_search_sq8_prepared(
+    graph: &dyn Graph,
+    view: VectorView<'_>,
+    pq: &PreparedQuery<'_>,
+    k: usize,
+    overfetch: f32,
+    params: &SearchParams,
+    filter: &mut dyn FnMut(u32) -> bool,
+    stats: &mut SearchStats,
+    scratch: &mut SearchScratch,
+    out: &mut Vec<Neighbor>,
+) {
+    if !view.has_sq8() {
+        greedy_search_prepared(graph, view, pq, k, params, filter, stats, scratch, out);
+        return;
+    }
+    let budget = rerank_budget(k, overfetch, graph.node_count());
+    // Per-segment scan preparations, cached by parameter identity: a block
+    // view spans few segments (one per leaf under it), and graph neighbours
+    // cluster, so the cache stays tiny and rarely misses.
+    let mut scans: Vec<Sq8Scan> = Vec::new();
+    let approx = |id: u32| {
+        let r = view.sq8_row(id as usize);
+        let pos = scans.iter().position(|s| s.matches(r.mins)).unwrap_or_else(|| {
+            scans.push(Sq8Scan::new(pq, r.mins, r.deltas));
+            scans.len() - 1
+        });
+        scans[pos].approx_row(r.codes, r.row_norm2[0])
+    };
+    beam_search(graph, view, pq, budget, params, filter, stats, scratch, out, approx);
+    rerank(view, pq, k, out, stats);
+}
+
+/// The one Algorithm 2 loop behind both entry points above. `score` gives a
+/// candidate's distance — exact over the f32 rows, or approximate over the
+/// SQ8 codes — and `budget` is the capacity of the result set `R` (`k` for
+/// exact, the rerank budget for SQ8). Leaves `R` in `out`, unsorted; `out`
+/// is empty when the graph is empty or `budget == 0`.
+#[allow(clippy::too_many_arguments)]
+fn beam_search(
+    graph: &dyn Graph,
+    view: VectorView<'_>,
+    pq: &PreparedQuery<'_>,
+    budget: usize,
+    params: &SearchParams,
+    filter: &mut dyn FnMut(u32) -> bool,
+    stats: &mut SearchStats,
+    scratch: &mut SearchScratch,
+    out: &mut Vec<Neighbor>,
+    mut score: impl FnMut(u32) -> f32,
+) {
     out.clear();
     let n = graph.node_count();
     debug_assert_eq!(n, view.len(), "graph and view must describe the same rows");
-    if n == 0 || k == 0 {
+    if n == 0 || budget == 0 {
         return;
     }
 
@@ -148,7 +217,7 @@ pub fn greedy_search_prepared(
         EntryPolicy::QueryHash => (hash_query(pq.query()) % n as u64) as u32,
     };
 
-    scratch.begin(n, k);
+    scratch.begin(n, budget);
     let SearchScratch { epoch, visited, candidates, results, neighbor_ids, distances } = scratch;
     let epoch = *epoch;
 
@@ -157,10 +226,7 @@ pub fn greedy_search_prepared(
     // see DESIGN.md for the deviation note — standard in HNSW-style
     // searchers). `candidates` is sorted descending, so the best candidate
     // is `last()`.
-    let d0 = {
-        let (row, inv) = view.row_with_inv(entry as usize);
-        pq.distance_to_row(row, inv)
-    };
+    let d0 = score(entry);
     stats.dist_evals += 1;
     visited[entry as usize] = epoch;
     candidates.push((OrderedF32(d0), entry));
@@ -200,8 +266,7 @@ pub fn greedy_search_prepared(
         }
         distances.clear();
         for &nb in neighbor_ids.iter() {
-            let (row, inv) = view.row_with_inv(nb as usize);
-            distances.push(pq.distance_to_row(row, inv));
+            distances.push(score(nb));
         }
         stats.dist_evals += neighbor_ids.len() as u64;
 
@@ -223,125 +288,6 @@ pub fn greedy_search_prepared(
     }
 
     out.extend(results.iter().copied());
-    out.sort_unstable();
-}
-
-/// [`greedy_search_prepared`] with the SQ8 quantized first pass: the
-/// traversal scores every candidate against the segment's `u8` code column
-/// (~4× less memory traffic per distance than the f32 rows) and collects
-/// `k × overfetch` approximate results, which are then reranked against the
-/// exact f32 rows and cut to `k`. Distances in `out` are always exact.
-///
-/// Falls back to the exact search when the view carries no SQ8 column.
-///
-/// Traversal decisions (visit order, termination) run on approximate
-/// distances, so visited/dist-eval stats can differ slightly from the exact
-/// search; the recall floor test bounds the quality effect.
-#[allow(clippy::too_many_arguments)]
-pub fn greedy_search_sq8_prepared(
-    graph: &dyn Graph,
-    view: VectorView<'_>,
-    pq: &PreparedQuery<'_>,
-    k: usize,
-    overfetch: f32,
-    params: &SearchParams,
-    filter: &mut dyn FnMut(u32) -> bool,
-    stats: &mut SearchStats,
-    scratch: &mut SearchScratch,
-    out: &mut Vec<Neighbor>,
-) {
-    if !view.has_sq8() {
-        greedy_search_prepared(graph, view, pq, k, params, filter, stats, scratch, out);
-        return;
-    }
-    out.clear();
-    let n = graph.node_count();
-    debug_assert_eq!(n, view.len(), "graph and view must describe the same rows");
-    if n == 0 || k == 0 {
-        return;
-    }
-    let budget = crate::bruteforce::rerank_budget(k, overfetch, n);
-
-    let entry = match params.entry {
-        EntryPolicy::Fixed(id) => (id as usize).min(n - 1) as u32,
-        EntryPolicy::QueryHash => (hash_query(pq.query()) % n as u64) as u32,
-    };
-
-    scratch.begin(n, budget);
-    let SearchScratch { epoch, visited, candidates, results, neighbor_ids, distances } = scratch;
-    let epoch = *epoch;
-
-    // Per-segment scan preparations, cached by parameter identity: a block
-    // view spans few segments (one per leaf under it), and graph neighbours
-    // cluster, so the cache stays tiny and rarely misses.
-    let mut scans: Vec<Sq8Scan> = Vec::new();
-    let approx_row = |i: usize, scans: &mut Vec<Sq8Scan>| {
-        let r = view.sq8_row(i);
-        let scan = match scans.iter().position(|s| s.matches(r.mins)) {
-            Some(pos) => &scans[pos],
-            None => {
-                scans.push(Sq8Scan::new(pq, r.mins, r.deltas));
-                scans.last().unwrap()
-            }
-        };
-        scan.approx_row(r.codes, r.row_norm2[0])
-    };
-
-    let d0 = approx_row(entry as usize, &mut scans);
-    stats.dist_evals += 1;
-    visited[entry as usize] = epoch;
-    candidates.push((OrderedF32(d0), entry));
-
-    while let Some(&(dist, id)) = candidates.last() {
-        if results.is_full() && dist.get() > params.epsilon * results.worst() {
-            break;
-        }
-        candidates.pop();
-        stats.visited += 1;
-
-        if filter(id) {
-            results.offer(id, dist.get());
-        }
-
-        let bound =
-            if results.is_full() { params.epsilon * results.worst() } else { f32::INFINITY };
-
-        neighbor_ids.clear();
-        for &nb in graph.neighbors(id) {
-            let mark = &mut visited[nb as usize];
-            if *mark != epoch {
-                *mark = epoch;
-                neighbor_ids.push(nb);
-            }
-        }
-        distances.clear();
-        for &nb in neighbor_ids.iter() {
-            distances.push(approx_row(nb as usize, &mut scans));
-        }
-        stats.dist_evals += neighbor_ids.len() as u64;
-
-        for (&nb, &d) in neighbor_ids.iter().zip(distances.iter()) {
-            if d < bound {
-                let key = (OrderedF32(d), nb);
-                let pos = candidates.binary_search_by(|probe| key.cmp(probe)).unwrap_or_else(|e| e);
-                candidates.insert(pos, key);
-            }
-        }
-
-        if candidates.len() > params.max_candidates {
-            let excess = candidates.len() - params.max_candidates;
-            candidates.drain(..excess);
-        }
-    }
-
-    // Exact rerank of the approximate result set, cut to k.
-    stats.dist_evals += results.len() as u64;
-    let mut exact = TopK::new(k);
-    for nb in results.iter() {
-        let (row, inv) = view.row_with_inv(nb.id as usize);
-        exact.offer(nb.id, pq.distance_to_row(row, inv));
-    }
-    out.extend(exact.into_sorted_vec());
 }
 
 /// Algorithm 2: best-first search over `graph` for the `k` nearest rows of
@@ -390,53 +336,11 @@ pub fn greedy_search(
     })
 }
 
-impl crate::BlockIndex for crate::KnnGraph {
-    fn search_prepared(
-        &self,
-        view: VectorView<'_>,
-        pq: &PreparedQuery<'_>,
-        k: usize,
-        params: &SearchParams,
-        filter: &mut dyn FnMut(u32) -> bool,
-        stats: &mut SearchStats,
-        scratch: &mut SearchScratch,
-        out: &mut Vec<Neighbor>,
-    ) {
-        greedy_search_prepared(self, view, pq, k, params, filter, stats, scratch, out);
-    }
-
-    fn search_sq8_prepared(
-        &self,
-        view: VectorView<'_>,
-        pq: &PreparedQuery<'_>,
-        k: usize,
-        overfetch: f32,
-        params: &SearchParams,
-        filter: &mut dyn FnMut(u32) -> bool,
-        stats: &mut SearchStats,
-        scratch: &mut SearchScratch,
-        out: &mut Vec<Neighbor>,
-    ) {
-        greedy_search_sq8_prepared(
-            self, view, pq, k, overfetch, params, filter, stats, scratch, out,
-        );
-    }
-
-    fn memory_bytes(&self) -> usize {
-        KnnGraph::memory_bytes(self)
-    }
-
-    fn kind(&self) -> &'static str {
-        "knn_graph"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::nndescent::exact_graph;
     use crate::store::VectorStore;
-    use crate::BlockIndex;
 
     /// 1-D line dataset where distances are obvious.
     fn line(n: usize) -> VectorStore {
@@ -625,26 +529,6 @@ mod tests {
             &mut wide,
         );
         assert!(wide.dist_evals >= narrow.dist_evals);
-    }
-
-    #[test]
-    fn block_index_impl_for_knn_graph() {
-        let s = line(60);
-        let g = exact_graph(s.view(), Metric::Euclidean, 6);
-        let idx: &dyn BlockIndex = &g;
-        let mut stats = SearchStats::default();
-        let res = idx.search(
-            s.view(),
-            Metric::Euclidean,
-            &[20.0, 0.0],
-            2,
-            &SearchParams::default(),
-            &mut accept_all,
-            &mut stats,
-        );
-        assert_eq!(res[0].id, 20);
-        assert_eq!(idx.kind(), "knn_graph");
-        assert!(idx.memory_bytes() > 0);
     }
 
     #[test]

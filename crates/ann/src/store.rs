@@ -5,7 +5,7 @@
 
 use crate::segment::Segment;
 use crate::sq8::Sq8ChunkRef;
-use mbi_math::{inv_norm_of, Metric};
+use mbi_math::{inv_norm_of, Metric, PreparedQuery};
 use std::sync::Arc;
 
 /// An append-only store of `d`-dimensional `f32` vectors.
@@ -471,6 +471,19 @@ impl<'a> VectorView<'a> {
                 segs[r / seg_rows].row_with_inv(r % seg_rows)
             }
         }
+    }
+
+    /// Exact distance from `pq` to row `i`, through the cached inverse norm
+    /// when present — the exact scorer of the graph searches and of the SQ8
+    /// rerank.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= len()`.
+    #[inline]
+    pub(crate) fn distance(&self, pq: &PreparedQuery<'_>, i: usize) -> f32 {
+        let (row, inv) = self.row_with_inv(i);
+        pq.distance_to_row(row, inv)
     }
 
     /// The longest contiguous run starting at row `row`: its flat row-major

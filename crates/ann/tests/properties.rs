@@ -156,7 +156,6 @@ proptest! {
         k in 1usize..8,
         seed in 0u64..200,
     ) {
-        use mbi_ann::BlockIndex;
         let s = store(n, 6, seed);
         let idx = HnswIndex::build(
             HnswParams { m: 6, ef_construction: 40, seed },
@@ -166,14 +165,16 @@ proptest! {
         let q: Vec<f32> = (0..6).map(|i| (i as f32 - seed as f32 * 0.01).sin()).collect();
         let lo = (n / 3) as u32;
         let mut stats = SearchStats::default();
-        let got = idx.search(
+        let mut got = Vec::new();
+        idx.search_prepared(
             s.view(),
-            Metric::Euclidean,
-            &q,
+            &PreparedQuery::new(Metric::Euclidean, &q),
             k,
             &SearchParams::new(64, 1.2),
             &mut |id| id >= lo,
             &mut stats,
+            &mut SearchScratch::new(),
+            &mut got,
         );
         prop_assert!(got.len() <= k);
         for (i, r) in got.iter().enumerate() {

@@ -3,14 +3,15 @@
 use crate::config::GraphBackend;
 use crate::Timestamp;
 use mbi_ann::{
-    BlockIndex, HnswIndex, KnnGraph, Neighbor, SearchParams, SearchScratch, SearchStats, VectorView,
+    greedy_search_prepared, greedy_search_sq8_prepared, HnswIndex, KnnGraph, Neighbor,
+    SearchParams, SearchScratch, SearchStats, VectorView,
 };
 use mbi_math::{Metric, PreparedQuery};
 
 /// The graph index of one block — either backend, dispatched statically.
 ///
-/// An enum (rather than `Box<dyn BlockIndex>`) keeps blocks `Clone`,
-/// serialisable, and free of virtual dispatch in the query hot path.
+/// An enum (rather than a trait object) keeps blocks `Clone`, serialisable,
+/// and free of virtual dispatch in the query hot path.
 #[derive(Clone, Debug)]
 pub enum BlockGraph {
     /// NNDescent kNN graph (the paper's choice).
@@ -63,27 +64,10 @@ impl BlockGraph {
         }
     }
 
-    /// Filtered approximate kNN within the block (Algorithm 2). Ids are local
-    /// to `view`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn search(
-        &self,
-        view: VectorView<'_>,
-        metric: Metric,
-        query: &[f32],
-        k: usize,
-        params: &SearchParams,
-        filter: &mut dyn FnMut(u32) -> bool,
-        stats: &mut SearchStats,
-    ) -> Vec<Neighbor> {
-        match self {
-            BlockGraph::Knn(g) => g.search(view, metric, query, k, params, filter, stats),
-            BlockGraph::Hnsw(h) => h.search(view, metric, query, k, params, filter, stats),
-        }
-    }
-
-    /// [`Self::search`] under a [`PreparedQuery`] with caller-owned scratch
-    /// and output buffer — the hot path used by Algorithm 4's per-block loop.
+    /// Filtered approximate kNN within the block (Algorithm 2) under a
+    /// [`PreparedQuery`], with caller-owned scratch and output buffer — the
+    /// hot path used by Algorithm 4's per-block loop. Ids are local to
+    /// `view`.
     #[allow(clippy::too_many_arguments)]
     pub fn search_prepared(
         &self,
@@ -98,7 +82,7 @@ impl BlockGraph {
     ) {
         match self {
             BlockGraph::Knn(g) => {
-                g.search_prepared(view, pq, k, params, filter, stats, scratch, out)
+                greedy_search_prepared(g, view, pq, k, params, filter, stats, scratch, out)
             }
             BlockGraph::Hnsw(h) => {
                 h.search_prepared(view, pq, k, params, filter, stats, scratch, out)
@@ -107,9 +91,9 @@ impl BlockGraph {
     }
 
     /// [`Self::search_prepared`] with the SQ8 quantized first pass + exact
-    /// rerank ([`BlockIndex::search_sq8_prepared`]). The kNN-graph backend
-    /// traverses on the code column; HNSW keeps its default exact search.
-    /// Views without the SQ8 column fall back to exact either way.
+    /// rerank ([`greedy_search_sq8_prepared`]). The kNN-graph backend
+    /// traverses on the code column; HNSW stays exact. Views without the SQ8
+    /// column fall back to exact either way.
     #[allow(clippy::too_many_arguments)]
     pub fn search_sq8_prepared(
         &self,
@@ -124,11 +108,11 @@ impl BlockGraph {
         out: &mut Vec<Neighbor>,
     ) {
         match self {
-            BlockGraph::Knn(g) => {
-                g.search_sq8_prepared(view, pq, k, overfetch, params, filter, stats, scratch, out)
-            }
+            BlockGraph::Knn(g) => greedy_search_sq8_prepared(
+                g, view, pq, k, overfetch, params, filter, stats, scratch, out,
+            ),
             BlockGraph::Hnsw(h) => {
-                h.search_sq8_prepared(view, pq, k, overfetch, params, filter, stats, scratch, out)
+                h.search_prepared(view, pq, k, params, filter, stats, scratch, out)
             }
         }
     }
@@ -357,6 +341,21 @@ mod tests {
         s
     }
 
+    /// Unfiltered Euclidean search through [`BlockGraph::search_prepared`].
+    fn search(
+        g: &BlockGraph,
+        view: VectorView<'_>,
+        q: &[f32],
+        k: usize,
+        params: &SearchParams,
+    ) -> Vec<Neighbor> {
+        let pq = PreparedQuery::new(Metric::Euclidean, q);
+        let (mut stats, mut scratch, mut out) =
+            (SearchStats::default(), SearchScratch::new(), Vec::new());
+        g.search_prepared(view, &pq, k, params, &mut |_| true, &mut stats, &mut scratch, &mut out);
+        out
+    }
+
     fn test_block(n: usize) -> (VectorStore, Block) {
         let s = store(n);
         let g = BlockGraph::build(&GraphBackend::default(), s.view(), Metric::Euclidean, 0);
@@ -377,16 +376,7 @@ mod tests {
     #[test]
     fn block_graph_search_finds_neighbors() {
         let (s, b) = test_block(64);
-        let mut stats = SearchStats::default();
-        let res = b.graph.search(
-            s.view(),
-            Metric::Euclidean,
-            &[31.8, 0.0],
-            3,
-            &SearchParams::new(32, 1.2),
-            &mut |_| true,
-            &mut stats,
-        );
+        let res = search(&b.graph, s.view(), &[31.8, 0.0], 3, &SearchParams::new(32, 1.2));
         assert_eq!(res[0].id, 32);
         assert_eq!(b.graph.kind(), "knn_graph");
     }
@@ -401,16 +391,7 @@ mod tests {
             3,
         );
         assert_eq!(g.kind(), "hnsw");
-        let mut stats = SearchStats::default();
-        let res = g.search(
-            s.view(),
-            Metric::Euclidean,
-            &[100.2, 0.0],
-            2,
-            &SearchParams::new(64, 1.2),
-            &mut |_| true,
-            &mut stats,
-        );
+        let res = search(&g, s.view(), &[100.2, 0.0], 2, &SearchParams::new(64, 1.2));
         assert_eq!(res[0].id, 100);
     }
 

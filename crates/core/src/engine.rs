@@ -72,8 +72,8 @@ use crate::config::MbiConfig;
 use crate::error::MbiError;
 use crate::fail;
 use crate::index::{
-    assemble_blocks, blocks_for_leaves, build_chain_graphs, merge_chain, validate_blocks, MbiIndex,
-    QueryOutput, TknnResult,
+    assemble_blocks, blocks_for_leaves, build_chain_graphs, check_row, merge_chain,
+    validate_blocks, MbiIndex, QueryOutput, TknnResult,
 };
 use crate::query_exec::QueryTarget;
 use crate::select::TimeWindow;
@@ -835,20 +835,12 @@ impl StreamingMbi {
 
     fn insert_impl(&self, vector: &[f32], t: Timestamp, durable: bool) -> Result<u32, MbiError> {
         let t0 = self.shared.engine.record_insert_latency.then(Instant::now);
+        check_row(&self.shared.config, vector, t)?;
         let s_l = self.shared.config.leaf_size;
         let mut sealed_leaf = None;
         let mut seal_wal_err = None;
         let id = {
             let mut tail = self.shared.tail.write();
-            if vector.len() != self.shared.config.dim {
-                return Err(MbiError::DimensionMismatch {
-                    expected: self.shared.config.dim,
-                    got: vector.len(),
-                });
-            }
-            if t == Timestamp::MAX {
-                return Err(MbiError::TimestampOutOfRange { got: t });
-            }
             if let Some(newest) = tail.last_ts {
                 if t < newest {
                     return Err(MbiError::NonMonotonicTimestamp { newest, got: t });
@@ -1814,6 +1806,99 @@ mod tests {
         assert_eq!(engine.len(), 8, "the rejected row never reached the log");
         assert_eq!(engine.snapshot().blocks().get(0).end_ts, i64::MAX);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The 4-d, leaf-64, degree-8 configuration of the row-validation and
+    /// early-checkpoint tests.
+    fn leaf64_config(metric: Metric) -> MbiConfig {
+        let backend = crate::GraphBackend::NnDescent(mbi_ann::NnDescentParams::with_degree(8));
+        MbiConfig::new(4, metric).with_leaf_size(64).with_backend(backend)
+    }
+
+    fn row4(i: usize) -> [f32; 4] {
+        let x = i as f32;
+        [(x * 0.37).sin(), (x * 0.11).cos(), 0.5 + x * 0.01, -0.25]
+    }
+
+    #[test]
+    fn non_finite_rows_are_rejected_before_the_wal() {
+        let dir = temp_dir("nonfinite");
+        let config = leaf64_config(Metric::Euclidean).with_sq8_scan(true);
+        let q = row4(5);
+        let before = {
+            let engine = StreamingMbi::open(&dir, config, EngineConfig::default()).unwrap();
+            for i in 0..63 {
+                engine.insert(&row4(i), i as i64).unwrap();
+            }
+            // The next accepted row seals the leaf. A NaN used to panic every
+            // build retry of its chain and halt the engine; an infinite or
+            // overflowing row to write an SQ8 column recovery rejects.
+            for bad in [
+                [0.5, f32::NAN, 0.5, 0.5],
+                [0.5, 0.5, f32::INFINITY, 0.5],
+                [f32::NEG_INFINITY, 0.5, 0.5, 0.5],
+                [0.5, 0.5, 0.5, 3e38],
+            ] {
+                assert!(matches!(engine.insert(&bad, 63), Err(MbiError::NonFiniteVector)));
+                assert_eq!(engine.len(), 63, "{bad:?} reached the tail");
+            }
+            engine.insert(&row4(63), 63).unwrap();
+            engine.insert(&row4(64), 64).unwrap();
+            engine.flush();
+            assert_eq!(engine.health(), EngineHealth::Healthy);
+            assert_eq!(engine.stats().published_leaves, 1);
+            engine.checkpoint().unwrap();
+            engine.query(&q, 5, TimeWindow::all())
+        };
+        let engine = StreamingMbi::recover(&dir, EngineConfig::default()).unwrap();
+        assert_eq!(engine.len(), 65, "no rejected row reached the log");
+        assert_eq!(engine.query(&q, 5, TimeWindow::all()), before);
+        assert_eq!(engine.health(), EngineHealth::Healthy);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn angular_engine_checkpointed_before_its_first_leaf_recovers() {
+        // Below one full leaf the snapshot holds no segment, so it carries no
+        // norm column — which the reader used to reject for angular indexes.
+        for rows in [0, 63] {
+            let dir = temp_dir(&format!("angular_early_{rows}"));
+            let q = row4(7);
+            let before = {
+                let engine = StreamingMbi::open(
+                    &dir,
+                    leaf64_config(Metric::Angular),
+                    EngineConfig::default(),
+                )
+                .unwrap();
+                for i in 0..rows {
+                    engine.insert(&row4(i), i as i64).unwrap();
+                }
+                engine.checkpoint().unwrap();
+                engine.query(&q, 5, TimeWindow::all())
+            };
+            let engine = StreamingMbi::recover(&dir, EngineConfig::default()).unwrap();
+            assert_eq!(engine.len(), rows);
+            assert_eq!(engine.query(&q, 5, TimeWindow::all()), before, "{rows} rows");
+            // The recovered engine keeps ingesting past its first seal and
+            // answers like one that never stopped.
+            let fresh = StreamingMbi::new(leaf64_config(Metric::Angular));
+            for i in 0..rows + 65 {
+                if i >= rows {
+                    engine.insert(&row4(i), i as i64).unwrap();
+                }
+                fresh.insert(&row4(i), i as i64).unwrap();
+            }
+            engine.flush();
+            fresh.flush();
+            assert_eq!(engine.health(), EngineHealth::Healthy);
+            let q = row4(rows + 3);
+            assert_eq!(
+                engine.query(&q, 5, TimeWindow::all()),
+                fresh.query(&q, 5, TimeWindow::all())
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     fn line_snapshot(n: usize) -> IndexSnapshot {

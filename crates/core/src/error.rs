@@ -29,6 +29,10 @@ pub enum MbiError {
         /// Offered timestamp.
         got: i64,
     },
+    /// A vector with a NaN or infinite component, or whose squared norm
+    /// `Σx²` overflows `f32`, was offered. No distance to it is finite, so
+    /// graph builds could not order it and an SQ8 column could not encode it.
+    NonFiniteVector,
     /// The persisted byte stream is malformed or truncated.
     Corrupt {
         /// Byte offset into the stream where parsing failed.
@@ -103,6 +107,9 @@ impl fmt::Display for MbiError {
             MbiError::TimestampOutOfRange { got } => {
                 write!(f, "timestamp {got} is out of range: it must be below i64::MAX")
             }
+            MbiError::NonFiniteVector => {
+                write!(f, "vector has a non-finite component or its squared norm overflows f32")
+            }
             MbiError::Corrupt { offset, detail } => {
                 write!(f, "corrupt index data at byte {offset}: {detail}")
             }
@@ -156,6 +163,7 @@ mod tests {
         assert!(e.to_string().contains("5 precedes"));
         let e = MbiError::TimestampOutOfRange { got: i64::MAX };
         assert!(e.to_string().contains("below i64::MAX"), "{e}");
+        assert!(MbiError::NonFiniteVector.to_string().contains("non-finite"));
         let e = MbiError::corrupt(17, "bad magic");
         assert!(e.to_string().contains("bad magic"));
         assert!(e.to_string().contains("byte 17"), "{e}");

@@ -90,6 +90,24 @@ pub(crate) fn blocks_for_leaves(leaves: usize) -> usize {
     2 * leaves - leaves.count_ones() as usize
 }
 
+/// The row checks every insert path runs before it stores (or logs) a row:
+/// the configured dimension, a timestamp below `i64::MAX`, and a finite
+/// `Σx²` — which is finite exactly when every component is and the squared
+/// norm does not overflow. A row failing the last check would panic the
+/// NNDescent build at its seal, or write an SQ8 column no reader accepts.
+pub(crate) fn check_row(config: &MbiConfig, vector: &[f32], t: Timestamp) -> Result<(), MbiError> {
+    if vector.len() != config.dim {
+        return Err(MbiError::DimensionMismatch { expected: config.dim, got: vector.len() });
+    }
+    if t == Timestamp::MAX {
+        return Err(MbiError::TimestampOutOfRange { got: t });
+    }
+    if !vector.iter().map(|x| x * x).sum::<f32>().is_finite() {
+        return Err(MbiError::NonFiniteVector);
+    }
+    Ok(())
+}
+
 /// Builds the graphs of one pending merge chain — §4.2 "Parallelization of
 /// MBI": each block of a chain is independent, so with `threads > 1` the
 /// chain fans out across scoped workers and remaining cores go to intra-build
@@ -352,17 +370,11 @@ impl MbiIndex {
     ///
     /// Timestamps must be non-decreasing: MBI ingests data in time order
     /// (§4.2); ties are permitted and keep insertion order (§3.1 tie rule).
-    /// `i64::MAX` is rejected ([`MbiError::TimestampOutOfRange`]).
+    /// `i64::MAX` is rejected ([`MbiError::TimestampOutOfRange`]), and so is
+    /// a vector with a non-finite component or squared norm
+    /// ([`MbiError::NonFiniteVector`]).
     pub fn insert(&mut self, vector: &[f32], t: Timestamp) -> Result<u32, MbiError> {
-        if vector.len() != self.config.dim {
-            return Err(MbiError::DimensionMismatch {
-                expected: self.config.dim,
-                got: vector.len(),
-            });
-        }
-        if t == Timestamp::MAX {
-            return Err(MbiError::TimestampOutOfRange { got: t });
-        }
+        check_row(&self.config, vector, t)?;
         if let Some(&newest) = self.timestamps.last() {
             if t < newest {
                 return Err(MbiError::NonMonotonicTimestamp { newest, got: t });
@@ -689,6 +701,41 @@ mod tests {
         let w = TimeWindow::new(0, i64::MAX);
         assert_eq!(back.query(&[6.5, 0.0], 3, w), idx.query(&[6.5, 0.0], 3, w));
         assert_eq!(back.blocks()[0].end_ts, i64::MAX);
+    }
+
+    /// Rows no distance can order: a NaN or infinite component, or a finite
+    /// one whose square overflows `Σx²`.
+    fn non_finite_rows() -> [[f32; 4]; 4] {
+        [
+            [0.5, f32::NAN, 0.5, 0.5],
+            [0.5, 0.5, f32::INFINITY, 0.5],
+            [f32::NEG_INFINITY, 0.5, 0.5, 0.5],
+            [0.5, 0.5, 0.5, 3e38],
+        ]
+    }
+
+    #[test]
+    fn non_finite_rows_are_rejected_before_the_seal() {
+        let backend = crate::GraphBackend::NnDescent(mbi_ann::NnDescentParams::with_degree(8));
+        let config = MbiConfig::new(4, Metric::Euclidean)
+            .with_leaf_size(64)
+            .with_backend(backend)
+            .with_sq8_scan(true);
+        let mut idx = MbiIndex::new(config);
+        let row = |i: usize| [i as f32, (i as f32 * 0.3).sin(), 1.0, -(i as f32)];
+        for i in 0..63 {
+            idx.insert(&row(i), i as i64).unwrap();
+        }
+        // The next accepted row seals the leaf: a NaN here used to panic
+        // NNDescent, an infinite component to poison the SQ8 column.
+        for bad in non_finite_rows() {
+            assert!(matches!(idx.insert(&bad, 63), Err(MbiError::NonFiniteVector)), "{bad:?}");
+            assert_eq!(idx.len(), 63, "a rejected row leaves no trace");
+        }
+        idx.insert(&row(63), 63).unwrap();
+        assert_eq!(idx.num_leaves(), 1);
+        assert_eq!(idx.validate(), Ok(()));
+        assert_eq!(idx.query(&row(10), 1, TimeWindow::all())[0].id, 10);
     }
 
     #[test]

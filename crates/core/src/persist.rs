@@ -863,7 +863,9 @@ pub(crate) fn parse_v7_layout(b: &[u8]) -> Result<V7Layout, MbiError> {
             format!("segment rows {seg_rows} do not match leaf size {}", config.leaf_size),
         ));
     }
-    if config.metric == Metric::Angular && !has_norms {
+    // An empty store has no segment to carry the column, so the writer
+    // stores `has_norms = 0` for it whatever the metric.
+    if config.metric == Metric::Angular && !has_norms && num_leaves > 0 {
         return Err(MbiError::corrupt(d0 + 16, "angular snapshot lacks norm column"));
     }
     let ovf = |at: usize| MbiError::corrupt(at, "size overflow");
@@ -1481,6 +1483,88 @@ mod tests {
             let snapshot = snapshot_of(&idx).to_bytes();
             assert_eq!(pin(snapshot), snapshot_pin, "{what:?} snapshot stream drifted");
         }
+    }
+
+    /// Query outputs pinned like the stream bytes: per backend and front-end,
+    /// one CRC-32 over every answer's `(id, dist bits)` and its five
+    /// `SearchStats` counters. Both indexes run with `sq8_scan` on, so the
+    /// snapshot and the cold tier (budget 0: every piece reloads) traverse
+    /// and scan the code column, `MbiIndex`'s flat store falls back to exact,
+    /// and HNSW blocks stay exact under SQ8 everywhere. The SQ8 scorer runs
+    /// through the dispatched `sq8_code_dot` kernel, so the pins must hold on
+    /// the SIMD and the forced-scalar backend alike.
+    #[test]
+    fn query_outputs_are_pinned() {
+        fn transcript(bytes: &mut Vec<u8>, out: &crate::index::QueryOutput) {
+            for r in &out.results {
+                bytes.extend(r.id.to_le_bytes());
+                bytes.extend(r.dist.to_bits().to_le_bytes());
+            }
+            let s = &out.stats;
+            for c in [s.dist_evals, s.visited, s.scanned, s.blocks_searched, s.blocks_bruteforced] {
+                bytes.extend(c.to_le_bytes());
+            }
+        }
+        let hnsw = GraphBackend::Hnsw(HnswParams::default());
+        for (name, backend, pins) in [
+            ("nndescent", GraphBackend::default(), [0x636c_c263, 0x8631_9084, 0x8631_9084]),
+            ("hnsw", hnsw, [0x8a26_e4c0, 0x0577_bf59, 0x0577_bf59]),
+        ] {
+            let config = MbiConfig::new(4, Metric::Euclidean)
+                .with_leaf_size(32)
+                .with_backend(backend)
+                .with_sq8_scan(true);
+            let mut idx = MbiIndex::new(config);
+            for i in 0..256 {
+                let x = i as f32;
+                let v = [(x * 0.37).sin(), (x * 0.11).cos(), (x * 0.05).sin() * 2.0, x / 256.0];
+                idx.insert(&v, i as i64).unwrap();
+            }
+            let snapshot = snapshot_of(&idx);
+            let map = Arc::new(FileMap::from_bytes(snapshot.to_bytes().to_vec()));
+            let cold = ColdIndex::from_map_with_budget(map, 0).unwrap();
+            let params = config.search;
+            let mut bytes = [Vec::new(), Vec::new(), Vec::new()];
+            for q in 0..4 {
+                let x = q as f32 * 61.0 + 7.0;
+                let query = [(x * 0.3).cos(), (x * 0.2).sin(), 0.5 - q as f32 * 0.4, x / 256.0];
+                for (lo, hi) in [(0, 256), (10, 200), (100, 140), (37, 45)] {
+                    let w = TimeWindow::new(lo, hi);
+                    for k in [1, 10] {
+                        transcript(&mut bytes[0], &idx.query_with_params(&query, k, w, &params));
+                        transcript(
+                            &mut bytes[1],
+                            &snapshot.query_with_params(&query, k, w, &params),
+                        );
+                        let out = cold.query_with_params(&query, k, w, &params).unwrap();
+                        transcript(&mut bytes[2], &out);
+                    }
+                }
+            }
+            let got = bytes.map(|b| crc32(&b));
+            assert_eq!(got, pins, "{name} outputs drifted (MbiIndex, IndexSnapshot, ColdIndex)");
+        }
+    }
+
+    #[test]
+    fn empty_angular_snapshot_opens_and_answers_empty() {
+        // No segment carries a norm column yet, so the stream says
+        // `has_norms = 0`; the reader accepts that for an empty store only.
+        let stream = snapshot_of(&build_angular_index(0)).to_bytes();
+        let q = [0.6, 0.8, 0.0];
+        let snapshot = IndexSnapshot::from_bytes(stream.clone()).unwrap();
+        assert_eq!(snapshot.sealed_rows(), 0);
+        let params = snapshot.config().search;
+        assert!(snapshot.query_with_params(&q, 5, TimeWindow::all(), &params).results.is_empty());
+        let cold = cold_from(&stream).unwrap();
+        assert!(cold.query(&q, 5, TimeWindow::all()).unwrap().is_empty());
+        // A non-empty angular stream without the column is still corrupt.
+        let full = snapshot_of(&build_angular_index(64)).to_bytes();
+        let d0 = parse_footer(&full).unwrap()[2].0;
+        let mut raw = full.to_vec();
+        raw[d0 + 16] = 0;
+        let err = IndexSnapshot::from_bytes(refooter(&raw, |_| {})).unwrap_err();
+        assert!(err.to_string().contains("lacks norm column"), "{err}");
     }
 
     #[test]

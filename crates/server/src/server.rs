@@ -765,6 +765,13 @@ fn handle_binary_op(
                     (Status::Ok, id.to_le_bytes().to_vec())
                 }
                 Err(TenantError::ReadOnly) => (Status::ReadOnly, b"tenant is read-only".to_vec()),
+                // A row the engine refuses to store is the client's error.
+                Err(TenantError::Engine(
+                    e @ (MbiError::DimensionMismatch { .. }
+                    | MbiError::NonMonotonicTimestamp { .. }
+                    | MbiError::TimestampOutOfRange { .. }
+                    | MbiError::NonFiniteVector),
+                )) => (Status::BadRequest, e.to_string().into_bytes()),
                 Err(TenantError::Engine(e)) => (Status::Internal, e.to_string().into_bytes()),
             }
         }

@@ -377,3 +377,40 @@ fn http_insert_at_i64_max_is_a_bad_request() {
     assert_eq!(tenant.len(), 1, "the rejected row left no trace");
     handle.shutdown();
 }
+
+#[test]
+fn non_finite_rows_are_bad_requests_on_both_protocols() {
+    let (handle, addr) = start(
+        ServerConfig::new("127.0.0.1:0", index_config().with_sq8_scan(true))
+            .with_tenant(TenantConfig::memory("alpha", "tok-a")),
+    );
+    let mut client = BinaryClient::connect(addr, "alpha", "tok-a").unwrap();
+    for i in 0..31 {
+        client.insert(&row(i), i as i64).unwrap();
+    }
+    // The next accepted row seals the first leaf; a NaN there used to halt
+    // the tenant's builder for good.
+    match client.insert(&[0.1, f32::NAN, 0.3, 0.4], 31) {
+        Err(ClientError::Server { status: Status::BadRequest, message }) => {
+            assert!(message.contains("non-finite"), "{message}");
+        }
+        other => panic!("a NaN row must be refused, got {other:?}"),
+    }
+    // JSON has no NaN, but 1e39 overflows f32 to infinity.
+    let (status, body) = http_request(
+        addr,
+        "POST",
+        "/insert",
+        &[("Authorization", "Bearer tok-a")],
+        r#"{"vector":[0.1,1e39,0.3,0.4],"timestamp":31}"#,
+    )
+    .unwrap();
+    assert_eq!(status, 400, "{body}");
+    let tenant = handle.registry().by_name("alpha").unwrap();
+    assert_eq!(tenant.len(), 31, "rejected rows left no trace");
+    client.insert(&row(31), 31).unwrap();
+    let hit = client.query(&row(31), 1, TimeWindow::all(), None).unwrap();
+    assert_eq!(hit.results[0].dist, 0.0);
+    assert!(!tenant.health().is_halted());
+    handle.shutdown();
+}
