@@ -132,8 +132,11 @@ enum Backing {
     #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
     Mapped { addr: *const u8, len: usize },
     /// Whole file buffered in memory — the portable fallback. `advise` is a
-    /// no-op: everything is always resident.
-    Buffered(Vec<u8>),
+    /// no-op: everything is always resident. The `len` bytes live in `u64`
+    /// words so the base is 8-byte aligned like a mapping's page-aligned
+    /// one: [`Col`] views `f32`/`i64` columns in place at offsets the
+    /// format aligns relative to the file start.
+    Buffered { words: Vec<u64>, len: usize },
 }
 
 // The mapped pointer is read-only and owned exclusively by this value; the
@@ -172,13 +175,19 @@ impl FileMap {
         }
         let mut buf = Vec::with_capacity(len);
         std::io::Read::read_to_end(&mut { file }, &mut buf)?;
-        Ok(FileMap { backing: Backing::Buffered(buf) })
+        Ok(FileMap::from_bytes(buf))
     }
 
-    /// Wraps an already-owned byte buffer — used by tests and by callers that
-    /// decoded from memory but want the same `Col` plumbing.
+    /// Copies a byte buffer into an 8-byte-aligned one — used by tests and
+    /// by callers that decoded from memory but want the same `Col` plumbing.
     pub fn from_bytes(bytes: Vec<u8>) -> FileMap {
-        FileMap { backing: Backing::Buffered(bytes) }
+        let mut words = vec![0u64; bytes.len().div_ceil(8)];
+        // SAFETY: `words` spans at least `bytes.len()` bytes, the two buffers
+        // are distinct allocations, and every bit pattern is a valid `u64`.
+        unsafe {
+            std::ptr::copy_nonoverlapping(bytes.as_ptr(), words.as_mut_ptr().cast(), bytes.len());
+        }
+        FileMap { backing: Backing::Buffered { words, len: bytes.len() } }
     }
 
     /// Total length in bytes.
@@ -186,7 +195,7 @@ impl FileMap {
         match &self.backing {
             #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
             Backing::Mapped { len, .. } => *len,
-            Backing::Buffered(b) => b.len(),
+            Backing::Buffered { len, .. } => *len,
         }
     }
 
@@ -201,7 +210,7 @@ impl FileMap {
         match &self.backing {
             #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
             Backing::Mapped { .. } => true,
-            Backing::Buffered(_) => false,
+            Backing::Buffered { .. } => false,
         }
     }
 
@@ -215,7 +224,11 @@ impl FileMap {
                 // `self`, and files are only replaced atomically (doc above).
                 unsafe { std::slice::from_raw_parts(*addr, *len) }
             }
-            Backing::Buffered(b) => b,
+            // SAFETY: `words` holds at least `len` initialised bytes that live
+            // as long as `self`, and `u8` needs no alignment.
+            Backing::Buffered { words, len } => unsafe {
+                std::slice::from_raw_parts(words.as_ptr().cast(), *len)
+            },
         }
     }
 
@@ -271,7 +284,8 @@ pub enum Col<T: Plain> {
     Mapped {
         /// The mapping holding the bytes.
         map: Arc<FileMap>,
-        /// Byte offset of element 0 — always `align_of::<T>()`-aligned.
+        /// Byte offset of element 0; its absolute address is always
+        /// `align_of::<T>()`-aligned.
         byte_off: usize,
         /// Element count.
         len: usize,
@@ -281,9 +295,10 @@ pub enum Col<T: Plain> {
 impl<T: Plain> Col<T> {
     /// A zero-copy column over `len` elements at `byte_off` of `map`.
     ///
-    /// Fails (with a diagnostic) when the range is out of bounds or
-    /// misaligned for `T`. On big-endian targets the bytes are decoded into
-    /// an owned column instead, so callers never branch on endianness.
+    /// Fails (with a diagnostic) when the range is out of bounds or its
+    /// absolute address is misaligned for `T`. On big-endian targets the
+    /// bytes are decoded into an owned column instead, so callers never
+    /// branch on endianness.
     pub fn mapped(map: Arc<FileMap>, byte_off: usize, len: usize) -> Result<Col<T>, String> {
         let elem = std::mem::size_of::<T>();
         let bytes = len.checked_mul(elem).ok_or("column length overflows")?;
@@ -291,10 +306,10 @@ impl<T: Plain> Col<T> {
         if end > map.len() {
             return Err(format!("column [{byte_off}, {end}) exceeds the {}-byte file", map.len()));
         }
-        if !byte_off.is_multiple_of(std::mem::align_of::<T>()) {
+        let addr = (map.bytes().as_ptr() as usize).wrapping_add(byte_off);
+        if !addr.is_multiple_of(std::mem::align_of::<T>()) {
             return Err(format!(
-                "column offset {byte_off} is not aligned for {}-byte elements",
-                elem
+                "column offset {byte_off} (address {addr:#x}) is not aligned for {elem}-byte elements"
             ));
         }
         if cfg!(target_endian = "little") {
@@ -336,7 +351,8 @@ impl<T: Plain> Deref for Col<T> {
             Col::Owned(v) => v,
             Col::Mapped { map, byte_off, len } => {
                 let bytes = &map.bytes()[*byte_off..*byte_off + *len * std::mem::size_of::<T>()];
-                // Sound: bounds and alignment were validated in `mapped()`,
+                // SAFETY: bounds and the absolute address's alignment were
+                // validated in `mapped()` (the map never moves its bytes),
                 // `Plain` admits every bit pattern, and the target is
                 // little-endian (checked at construction).
                 unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const T, *len) }
@@ -429,6 +445,22 @@ mod tests {
         let owned: Col<f32> = vals.clone().into();
         assert_eq!(&owned[..], &vals[..]);
         assert!(owned.heap_bytes() >= vals.len() * 4);
+    }
+
+    #[test]
+    fn buffered_bytes_start_8_aligned() {
+        for len in 0..=64usize {
+            let bytes: Vec<u8> = (0..len as u8).collect();
+            let map = FileMap::from_bytes(bytes.clone());
+            assert!((map.bytes().as_ptr() as usize).is_multiple_of(8), "length {len}");
+            assert_eq!(map.bytes(), &bytes[..]);
+        }
+        // A misaligned absolute address is refused whatever the offset.
+        let map = Arc::new(FileMap::from_bytes(vec![0u8; 64]));
+        for off in [1, 2, 3, 5] {
+            assert!(Col::<f32>::mapped(Arc::clone(&map), off, 1).is_err(), "offset {off}");
+        }
+        assert!(Col::<f32>::mapped(map, 4, 1).is_ok());
     }
 
     #[test]

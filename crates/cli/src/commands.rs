@@ -6,11 +6,12 @@ use crate::CliError;
 use mbi_ann::{NnDescentParams, SearchParams};
 use mbi_core::tuner::TunerConfig;
 use mbi_core::{
-    EngineConfig, GraphBackend, MbiConfig, MbiIndex, StreamingMbi, TauTuner, TimeWindow,
+    EngineConfig, GraphBackend, IndexSnapshot, MbiConfig, MbiIndex, StreamingMbi, TauTuner,
+    TimeWindow,
 };
 use mbi_data::preset_by_name;
 use mbi_math::Metric;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::time::Instant;
 
 /// Dispatches a parsed command line; all output goes to `out` (stdout in
@@ -43,9 +44,11 @@ USAGE:
                [--timestamps <ts.txt>] [--metric euclidean|angular|inner_product]
                [--leaf-size <n>] [--tau <f>] [--degree <n>] [--parallel]
   mbi info     --index <index.mbi> [--tree]
-  mbi verify   --index <index.mbi>
-               (checksum + structural integrity check; exits non-zero on any
-                corruption — run it on anything restored from backup)
+  mbi verify   --index <index.mbi|snapshot.mbi>
+               (checksum + structural integrity check of an index, or of a
+                snapshot: a durable engine's checkpoint or a cold tenant's file;
+                exits non-zero on any corruption — run it on anything restored
+                from backup)
   mbi query    --index <index.mbi> (--vector \"x0,x1,…\" | --queries <q.fvecs>)
                [--k <n>] [--from <ts>] [--to <ts>] [--mc <n>] [--epsilon <f>]
                [--query-threads <n>]   (0 = auto; results identical at any width)
@@ -223,10 +226,23 @@ fn verify(args: &CliArgs, out: &mut dyn Write) -> Result<(), CliError> {
         std::fs::metadata(path).map_err(|e| CliError(format!("cannot read {path}: {e}")))?.len();
     writeln!(out, "file          : {path} ({len} bytes)")?;
     // Loading verifies the magic, the version (7, the only one read), every
-    // section CRC and the footer, then runs the structural checks.
+    // section CRC and the footer, then runs the structural checks. Byte 8
+    // is the stream kind: 1 marks a snapshot (a durable engine's checkpoint,
+    // a cold tenant's file), which the snapshot reader loads.
+    let mut head = [0u8; 9];
+    let kind =
+        std::fs::File::open(path).and_then(|mut f| f.read_exact(&mut head)).map(|()| head[8]);
+    let corrupt = |e| CliError(format!("corrupt index: {e}"));
     let started = Instant::now();
-    let index = MbiIndex::load_file(path).map_err(|e| CliError(format!("corrupt index: {e}")))?;
-    let secs = started.elapsed().as_secs_f64();
+    let (secs, structure, (rows, leaves, blocks)) = if kind.ok() == Some(1) {
+        let snap = IndexSnapshot::load_file(path).map_err(corrupt)?;
+        let secs = started.elapsed().as_secs_f64();
+        (secs, snap.validate(), (snap.sealed_rows(), snap.num_leaves(), snap.blocks().len()))
+    } else {
+        let index = MbiIndex::load_file(path).map_err(corrupt)?;
+        let secs = started.elapsed().as_secs_f64();
+        (secs, index.validate(), (index.len(), index.num_leaves(), index.blocks().len()))
+    };
     writeln!(
         out,
         "checksums     : ok — {len} bytes read, verified and decoded in {secs:.3} s ({:.0} MB/s), crc32 {}, simd {}",
@@ -234,14 +250,8 @@ fn verify(args: &CliArgs, out: &mut dyn Write) -> Result<(), CliError> {
         mbi_math::crc32_backend(),
         mbi_math::simd::active_backend().name()
     )?;
-    index.validate().map_err(|e| CliError(format!("structural validation failed: {e}")))?;
-    writeln!(
-        out,
-        "structure     : ok — {} rows, {} leaves, {} blocks",
-        index.len(),
-        index.num_leaves(),
-        index.blocks().len()
-    )?;
+    structure.map_err(|e| CliError(format!("structural validation failed: {e}")))?;
+    writeln!(out, "structure     : ok — {rows} rows, {leaves} leaves, {blocks} blocks")?;
     Ok(())
 }
 
@@ -549,6 +559,34 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x08;
         let corrupt = tmp("v_corrupt.mbi");
+        std::fs::write(&corrupt, &bytes).unwrap();
+        let err = run_cmd(&format!("verify --index {corrupt}")).unwrap_err();
+        assert!(err.to_string().contains("corrupt index"), "{err}");
+    }
+
+    /// A durable engine's checkpoint is a snapshot stream, the file a server
+    /// actually serves; `verify` reads it through the snapshot reader.
+    #[test]
+    fn verify_reads_an_engine_checkpoint() {
+        let dir = tmp("ckpt");
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = MbiConfig::new(4, Metric::Euclidean).with_leaf_size(32);
+        let engine = StreamingMbi::open(&dir, config, EngineConfig::default()).unwrap();
+        for i in 0..100i64 {
+            let x = i as f32;
+            engine.insert(&[x, x.sin(), x.cos(), 1.0], i).unwrap();
+        }
+        engine.checkpoint().unwrap();
+        drop(engine);
+        let snapshot = format!("{dir}/snapshot.mbi");
+        let out = run_cmd(&format!("verify --index {snapshot}")).unwrap();
+        assert!(out.contains("checksums     : ok"), "{out}");
+        assert!(out.contains("structure     : ok — 96 rows, 3 leaves, 4 blocks"), "{out}");
+
+        let mut bytes = std::fs::read(&snapshot).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x08;
+        let corrupt = tmp("ckpt_corrupt.mbi");
         std::fs::write(&corrupt, &bytes).unwrap();
         let err = run_cmd(&format!("verify --index {corrupt}")).unwrap_err();
         assert!(err.to_string().contains("corrupt index"), "{err}");

@@ -180,6 +180,11 @@ impl Block {
     pub fn memory_bytes(&self) -> usize {
         self.graph.memory_bytes() + std::mem::size_of::<Block>()
     }
+
+    /// The block's directory entry: everything but its graph.
+    pub(crate) fn entry(&self) -> crate::index::BlockEntry<'_> {
+        (&self.rows, self.height, self.start_ts, self.end_ts)
+    }
 }
 
 /// Blocks per sealed [`SharedBlocks`] chunk.

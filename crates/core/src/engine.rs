@@ -73,7 +73,7 @@ use crate::error::MbiError;
 use crate::fail;
 use crate::index::{
     assemble_blocks, blocks_for_leaves, build_chain_graphs, check_row, merge_chain,
-    validate_blocks, MbiIndex, QueryOutput, TknnResult,
+    validate_blocks, validate_edges, MbiIndex, QueryOutput, TknnResult,
 };
 use crate::query_exec::QueryTarget;
 use crate::select::TimeWindow;
@@ -217,14 +217,6 @@ pub struct EngineConfig {
     pub queue_depth: usize,
     /// Policy when the seal queue is full (default [`Backpressure::Block`]).
     pub backpressure: Backpressure,
-    /// Intra-build threads per chain build (`0` = auto: available cores
-    /// divided by `builder_threads`; default 0). Graphs are bit-identical
-    /// for every value.
-    pub build_threads: usize,
-    /// Record per-insert latency into [`EngineStats::insert_nanos`]
-    /// (default true; turn off to shave the `Instant` reads in ingest-bound
-    /// deployments).
-    pub record_insert_latency: bool,
     /// Retry/backoff policy for panicked chain builds (default: 2 retries,
     /// 10 ms doubling backoff).
     pub retry: RetryPolicy,
@@ -244,8 +236,6 @@ impl Default for EngineConfig {
             builder_threads: 1,
             queue_depth: 2,
             backpressure: Backpressure::Block,
-            build_threads: 0,
-            record_insert_latency: true,
             retry: RetryPolicy::default(),
             wal_sync: WalSync::OnSeal,
             replica_lag_cap_rows: u64::MAX,
@@ -269,18 +259,6 @@ impl EngineConfig {
     /// Sets the full-queue policy.
     pub fn with_backpressure(mut self, policy: Backpressure) -> Self {
         self.backpressure = policy;
-        self
-    }
-
-    /// Sets the intra-build thread count per chain (`0` = auto).
-    pub fn with_build_threads(mut self, n: usize) -> Self {
-        self.build_threads = n;
-        self
-    }
-
-    /// Enables or disables per-insert latency recording.
-    pub fn with_record_insert_latency(mut self, on: bool) -> Self {
-        self.record_insert_latency = on;
         self
     }
 
@@ -331,10 +309,9 @@ pub struct EngineStats {
     pub spawn_failures: u64,
     /// Chain-build panics caught and retried (or halted on).
     pub build_panics: u64,
-    /// Per-insert wall-clock nanoseconds, in insert order (empty when
-    /// [`EngineConfig::record_insert_latency`] is off). A streaming insert
-    /// is an append plus a channel send and routinely finishes under a
-    /// microsecond, hence the unit.
+    /// Per-insert wall-clock nanoseconds, in insert order. A streaming
+    /// insert is an append plus a channel send and routinely finishes under
+    /// a microsecond, hence the unit.
     pub insert_nanos: Vec<u64>,
     /// Per-chain graph-build wall-clock nanoseconds, in completion order.
     pub build_nanos: Vec<u64>,
@@ -476,7 +453,9 @@ impl IndexSnapshot {
                 return Err("timestamps not sorted".into());
             }
         }
-        validate_blocks(self.config.leaf_size, self.num_leaves, &self.blocks, &self.times)
+        let blocks = self.blocks.iter().map(|b| b.entry());
+        validate_blocks(self.config.leaf_size, self.num_leaves, blocks, &self.times)?;
+        validate_edges(self.blocks.iter().map(|b| &**b))
     }
 
     /// Approximate TkNN over the published rows only (the engine's
@@ -651,10 +630,9 @@ impl Shared {
         self.master.lock()
     }
 
+    /// Intra-build threads per chain build: the available cores divided
+    /// among the builders. Graphs are bit-identical for every value.
     fn effective_build_threads(&self) -> usize {
-        if self.engine.build_threads != 0 {
-            return self.engine.build_threads;
-        }
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         (cores / self.engine.builder_threads).max(1)
     }
@@ -834,7 +812,7 @@ impl StreamingMbi {
     }
 
     fn insert_impl(&self, vector: &[f32], t: Timestamp, durable: bool) -> Result<u32, MbiError> {
-        let t0 = self.shared.engine.record_insert_latency.then(Instant::now);
+        let t0 = Instant::now();
         check_row(&self.shared.config, vector, t)?;
         let s_l = self.shared.config.leaf_size;
         let mut sealed_leaf = None;
@@ -904,9 +882,7 @@ impl StreamingMbi {
         if let Some(leaf) = sealed_leaf {
             self.dispatch(leaf);
         }
-        if let Some(t0) = t0 {
-            self.shared.insert_nanos.lock().push(t0.elapsed().as_nanos() as u64);
-        }
+        self.shared.insert_nanos.lock().push(t0.elapsed().as_nanos() as u64);
         match seal_wal_err {
             Some(e) => Err(e),
             None => Ok(id as u32),
@@ -1367,10 +1343,8 @@ impl StreamingMbi {
     /// an index bit-identical to a synchronous one fed those rows.
     pub fn recover(dir: impl AsRef<Path>, engine: EngineConfig) -> Result<Self, MbiError> {
         let dir = dir.as_ref();
+        // The snapshot reader checks every CRC and the block structure.
         let snapshot = IndexSnapshot::load_file(dir.join(SNAPSHOT_FILE))?;
-        snapshot.validate().map_err(|detail| {
-            MbiError::corrupt(0, format!("recovered snapshot invalid: {detail}"))
-        })?;
         let config = snapshot.config;
         let sealed = snapshot.sealed_rows() as u64;
         let mut replayed: Vec<(Timestamp, Vec<f32>)> = Vec::new();
@@ -2064,17 +2038,6 @@ mod tests {
         assert_eq!(stats.published_leaves, 10);
         let idx = engine.to_index();
         assert_eq!(idx.validate(), Ok(()));
-    }
-
-    #[test]
-    fn latency_recording_can_be_disabled() {
-        let engine = StreamingMbi::with_engine_config(
-            config(),
-            EngineConfig::default().with_record_insert_latency(false),
-        );
-        fill(&engine, 20);
-        assert!(engine.stats().insert_nanos.is_empty());
-        assert_eq!(engine.engine_config().builder_threads, 1);
     }
 
     #[test]

@@ -9,7 +9,6 @@ use crate::select::{SearchBlockSet, TimeWindow};
 use crate::Timestamp;
 use mbi_ann::{SearchParams, SearchStats, VectorStore};
 use mbi_math::Metric;
-use std::borrow::Borrow;
 
 /// One TkNN answer: a vector id (insertion order), its timestamp, and its
 /// distance to the query.
@@ -186,22 +185,22 @@ pub(crate) fn assemble_blocks<T: TimeSource + ?Sized>(
         .collect()
 }
 
+/// One block-directory entry as [`validate_blocks`] sees it: row range,
+/// height, and timestamp bounds `[start_ts, end_ts)`.
+pub(crate) type BlockEntry<'a> = (&'a std::ops::Range<usize>, u32, Timestamp, Timestamp);
+
 /// Checks that `blocks` is the postorder layout of the maximal-subtree
-/// forest implied by `num_leaves` (heights, row ranges), that every block's
-/// timestamp bounds match its rows, and that every graph edge stays inside
-/// its block — invariants 3–5 of [`MbiIndex::validate`], shared with
-/// [`IndexSnapshot::validate`](crate::IndexSnapshot::validate).
-pub(crate) fn validate_blocks<A, T>(
+/// forest implied by `num_leaves` (heights, row ranges) and that every
+/// block's timestamp bounds match its rows — invariants 3–4 of
+/// [`MbiIndex::validate`]. It reads directory entries only, so the v7
+/// reader runs it on a cold file's graph-less block directory before any
+/// query walks the tree; [`validate_edges`] checks invariant 5.
+pub(crate) fn validate_blocks<'a, T: TimeSource + ?Sized>(
     leaf_size: usize,
     num_leaves: usize,
-    blocks: &A,
+    blocks: impl IntoIterator<Item = BlockEntry<'a>>,
     timestamps: &T,
-) -> Result<(), String>
-where
-    A: crate::select::BlockArray + ?Sized,
-    A::Item: Borrow<Block>,
-    T: TimeSource + ?Sized,
-{
+) -> Result<(), String> {
     // Reconstruct the expected postorder layout.
     let mut expected: Vec<(std::ops::Range<usize>, u32)> = Vec::new();
     let mut first_leaf = 0usize;
@@ -212,6 +211,7 @@ where
         push_subtree(first_leaf, 1 << b, leaf_size, &mut expected);
         first_leaf += 1 << b;
     }
+    let blocks: Vec<BlockEntry<'a>> = blocks.into_iter().collect();
     if expected.len() != blocks.len() {
         return Err(format!(
             "expected {} blocks for {num_leaves} leaves, found {}",
@@ -219,22 +219,37 @@ where
             blocks.len()
         ));
     }
-    for (i, (rows, height)) in expected.iter().enumerate() {
-        let block: &Block = blocks.at(i).borrow();
-        if block.rows != *rows || block.height != *height {
+    for (i, ((rows, height), &(found_rows, found_height, found_start, found_end))) in
+        expected.iter().zip(&blocks).enumerate()
+    {
+        if found_rows != rows || found_height != *height {
             return Err(format!(
-                "block {i}: expected rows {rows:?} height {height}, found {:?} height {}",
-                block.rows, block.height
+                "block {i}: expected rows {rows:?} height {height}, found {found_rows:?} height \
+                 {found_height}"
             ));
         }
         let start_ts = timestamps.get(rows.start);
-        let end_ts = timestamps.get(rows.end - 1) + 1;
-        if block.start_ts != start_ts || block.end_ts != end_ts {
+        // Inserts refuse `i64::MAX`, so only hostile bytes reach this `None`.
+        let Some(end_ts) = timestamps.get(rows.end - 1).checked_add(1) else {
+            return Err(format!("block {i}: timestamp {} is out of range", Timestamp::MAX));
+        };
+        if found_start != start_ts || found_end != end_ts {
             return Err(format!(
-                "block {i}: timestamp bounds [{}, {}) do not match rows ([{start_ts}, {end_ts}))",
-                block.start_ts, block.end_ts
+                "block {i}: timestamp bounds [{found_start}, {found_end}) do not match rows \
+                 ([{start_ts}, {end_ts}))"
             ));
         }
+    }
+    Ok(())
+}
+
+/// Invariant 5 of [`MbiIndex::validate`]: every kNN-graph edge stays inside
+/// its block. The graph decoder enforces it on persisted bytes; this checks
+/// graphs already in memory.
+pub(crate) fn validate_edges<'a>(
+    blocks: impl IntoIterator<Item = &'a Block>,
+) -> Result<(), String> {
+    for (i, block) in blocks.into_iter().enumerate() {
         if let BlockGraph::Knn(g) = &block.graph {
             use mbi_ann::Graph;
             if g.node_count() != block.len() {
@@ -616,9 +631,10 @@ impl MbiIndex {
         validate_blocks(
             self.config.leaf_size,
             self.num_leaves,
-            &self.blocks,
+            self.blocks.iter().map(Block::entry),
             self.timestamps.as_slice(),
-        )
+        )?;
+        validate_edges(&self.blocks)
     }
 }
 

@@ -62,10 +62,16 @@
 //! a block search needs); offsets are absolute, so the directory alone
 //! resolves any leaf. Internal (height ≥ 1) block graphs are concatenated
 //! after the block metadata; leaf block entries point back into the leaf
-//! records. The per-piece CRCs let the cold reader verify lazily, piece by
-//! piece, while the footer's whole-section CRCs still guard eager loads.
-//! The optional SQ8 column group lets quantized engines restart without
-//! re-encoding.
+//! records. The optional SQ8 column group lets quantized engines restart
+//! without re-encoding.
+//!
+//! A snapshot stream has one reader, shared by the eager loader
+//! ([`IndexSnapshot::from_bytes`]) and the cold tier: an open step
+//! (`open_v7`: directories, CRC-checked timestamp chunks, and the postorder
+//! and timestamp structure queries walk) and a per-piece decoder that
+//! checks each piece's own CRC and scalars. The cold tier decodes lazily
+//! over a mapped file; the eager loader decodes every piece into owned
+//! columns, after the whole-section CRCs have also covered every byte.
 //!
 //! ```
 //! use mbi_core::{MbiConfig, MbiIndex, TimeWindow};
@@ -85,15 +91,18 @@ use crate::block::{Block, BlockGraph};
 use crate::config::{GraphBackend, MbiConfig};
 use crate::engine::IndexSnapshot;
 use crate::error::MbiError;
-use crate::index::MbiIndex;
+use crate::index::{validate_blocks, MbiIndex};
 use crate::times::TimeChunks;
+use crate::Timestamp;
 use bytes::{BufMut, Bytes, BytesMut};
+use mbi_ann::mapped::Plain;
 use mbi_ann::{
-    EntryPolicy, HnswIndex, HnswParams, KnnGraph, NnDescentParams, SearchParams, Segment,
-    SegmentStore, Sq8Column, VectorStore,
+    Col, EntryPolicy, FileMap, HnswIndex, HnswParams, KnnGraph, NnDescentParams, SearchParams,
+    Segment, SegmentStore, Sq8Column, VectorStore,
 };
 use mbi_math::{crc32, Metric};
 use std::io::{Read, Write};
+use std::ops::Deref;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -340,14 +349,6 @@ fn rd_u64(b: &[u8], off: usize) -> u64 {
     u64::from_le_bytes(b[off..off + 8].try_into().expect("8 bytes"))
 }
 
-pub(crate) fn rd_i64(b: &[u8], off: usize) -> i64 {
-    i64::from_le_bytes(b[off..off + 8].try_into().expect("8 bytes"))
-}
-
-pub(crate) fn rd_f32(b: &[u8], off: usize) -> f32 {
-    f32::from_le_bytes(b[off..off + 4].try_into().expect("4 bytes"))
-}
-
 impl MbiIndex {
     /// Serialises the index to `w`.
     pub fn save_to(&self, w: &mut impl Write) -> Result<(), MbiError> {
@@ -458,8 +459,13 @@ fn decode_index_body(src: &mut Src<'_>) -> Result<MbiIndex, MbiError> {
     let has_norms = src.get_u8() != 0;
     let mut store = if has_norms {
         src.need(n.checked_mul(4).ok_or_else(|| overflow(src))?)?;
-        let inv = read_f32_column(src.b, src.pos, n, "inverse norm", false)?;
-        src.pos += n * 4;
+        let at = src.pos;
+        let inv = scalars(
+            (0..n).map(|_| src.get_f32_le()).collect::<Vec<_>>(),
+            at,
+            "inverse norm",
+            false,
+        )?;
         VectorStore::from_flat_with_inv_norms(config.dim, flat, inv)
     } else {
         VectorStore::from_flat(config.dim, flat)
@@ -713,7 +719,22 @@ impl IndexSnapshot {
         let kind = read_header(&b)?;
         verify_sections(&b)?;
         match kind {
-            KIND_SNAPSHOT => decode_snapshot_v7(&b),
+            KIND_SNAPSHOT => {
+                // The cold tier's reader with every column copied out of the
+                // stream: the snapshot owns its bytes, so `memory_bytes`
+                // counts them and the stream buffer is freed once loaded.
+                let (layout, times) = open_v7(&b)?;
+                let cols = Columns::Copied(&b);
+                let mut store = SegmentStore::new(layout.config.dim, layout.seg_rows);
+                for leaf in 0..layout.num_leaves {
+                    store.push_segment(Arc::new(layout.decode_segment(&cols, leaf)?));
+                }
+                let blocks = (0..layout.blocks.len())
+                    .map(|bi| layout.decode_block(&b, bi).map(Arc::new))
+                    .collect::<Result<_, _>>()?;
+                let (config, num_leaves) = (layout.config, layout.num_leaves);
+                Ok(IndexSnapshot { config, store, times, blocks, num_leaves })
+            }
             KIND_INDEX => IndexSnapshot::from_index(&MbiIndex::from_bytes(b)?),
             k => Err(MbiError::corrupt(8, format!("unknown stream kind {k}"))),
         }
@@ -793,9 +814,81 @@ pub(crate) struct V7Layout {
     pub(crate) has_sq8: bool,
     pub(crate) leaves: Vec<V7Leaf>,
     pub(crate) blocks: Vec<V7BlockMeta>,
+    /// `leaf_block[i]` = postorder index of leaf `i`'s height-0 block.
+    pub(crate) leaf_block: Vec<usize>,
 }
 
 impl V7Layout {
+    /// The file span leaf `leaf`'s record occupies, page-rounded and graph
+    /// included.
+    pub(crate) fn leaf_span(&self, leaf: usize) -> std::ops::Range<usize> {
+        let l = &self.leaves[leaf];
+        l.record_off..(l.graph_off + l.graph_len).next_multiple_of(PAGE)
+    }
+
+    /// Decodes leaf `leaf`'s vector columns into a segment. Each column is
+    /// checked against its directory CRC (for mapped bytes that pass *is*
+    /// the disk read), the norm and SQ8 scalars must be finite and in range,
+    /// and a quantizing config rebuilds the codes of a stream written
+    /// without them.
+    pub(crate) fn decode_segment(
+        &self,
+        cols: &Columns<'_>,
+        leaf: usize,
+    ) -> Result<Segment, MbiError> {
+        let (l, b) = (&self.leaves[leaf], cols.bytes());
+        let (dim, rows) = (self.config.dim, self.seg_rows);
+        let rows_off = l.record_off + self.ts_len();
+        let inv_off = rows_off + self.rows_len();
+        let sq8_off = inv_off + self.inv_len();
+        check_crc(&b[rows_off..inv_off], l.crc_rows, "leaf rows")?;
+        let data = cols.col(rows_off, rows * dim)?;
+        let inv_norms = if self.has_norms {
+            check_crc(&b[inv_off..sq8_off], l.crc_inv, "leaf norms")?;
+            Some(scalars(cols.col(inv_off, rows)?, inv_off, "inverse norm", false)?)
+        } else {
+            None
+        };
+        let sq8 = if self.has_sq8 {
+            check_crc(&b[sq8_off..sq8_off + self.sq8_len()], l.crc_sq8, "leaf sq8")?;
+            // Column order: mins, deltas, row norms, codes.
+            let deltas_off = sq8_off + dim * 4;
+            let norms_off = deltas_off + dim * 4;
+            let codes_off = norms_off + rows * 4;
+            Some(Sq8Column::from_cols(
+                dim,
+                cols.col(codes_off, rows * dim)?,
+                scalars(cols.col(sq8_off, dim)?, sq8_off, "sq8 min", true)?,
+                scalars(cols.col(deltas_off, dim)?, deltas_off, "sq8 delta", false)?,
+                scalars(cols.col(norms_off, rows)?, norms_off, "sq8 row norm", false)?,
+            ))
+        } else {
+            None
+        };
+        let mut seg = Segment::from_cols(dim, data, inv_norms, sq8);
+        if !self.has_sq8 && self.config.sq8_scan {
+            // A quantizing engine must see a uniformly quantized store even
+            // when restoring from a stream written without codes.
+            seg.build_sq8();
+        }
+        Ok(seg)
+    }
+
+    /// Decodes block `bi`: its directory entry plus its graph, checked
+    /// against the directory CRC and decoded with every edge bounds-checked.
+    pub(crate) fn decode_block(&self, b: &[u8], bi: usize) -> Result<Block, MbiError> {
+        let m = &self.blocks[bi];
+        let end = m.graph_off + m.graph_len;
+        check_crc(&b[m.graph_off..end], m.graph_crc, "block graph")?;
+        let mut src = Src::new(b, m.graph_off, end);
+        let graph = read_graph(&mut src, m.rows.len())?;
+        if src.has_remaining() {
+            return Err(src.corrupt("trailing bytes after block graph"));
+        }
+        let (rows, height, start_ts, end_ts) = (m.rows.clone(), m.height, m.start_ts, m.end_ts);
+        Ok(Block { rows, height, start_ts, end_ts, graph })
+    }
+
     /// Bytes of one record's timestamp column.
     pub(crate) fn ts_len(&self) -> usize {
         self.seg_rows * 8
@@ -886,8 +979,6 @@ pub(crate) fn parse_v7_layout(b: &[u8]) -> Result<V7Layout, MbiError> {
             crc_graph: d.get_u32_le(),
         });
     }
-    let layout_stub =
-        V7Layout { config, num_leaves, seg_rows, has_norms, has_sq8, leaves, blocks: Vec::new() };
     // Geometry: records are page-aligned, non-overlapping, graph contiguous
     // with its payload, everything inside the data section.
     let payload_len = seg_rows
@@ -900,9 +991,8 @@ pub(crate) fn parse_v7_layout(b: &[u8]) -> Result<V7Layout, MbiError> {
             }
         })
         .ok_or_else(|| ovf(d0))?;
-    debug_assert_eq!(payload_len, layout_stub.payload_len());
     let mut prev_end = dir_end + 4;
-    for (i, leaf) in layout_stub.leaves.iter().enumerate() {
+    for (i, leaf) in leaves.iter().enumerate() {
         let at = d0 + 18 + i * LEAF_DIR_ENTRY_LEN;
         if leaf.record_off % PAGE != 0 {
             return Err(MbiError::corrupt(at, "leaf record not page-aligned"));
@@ -929,9 +1019,8 @@ pub(crate) fn parse_v7_layout(b: &[u8]) -> Result<V7Layout, MbiError> {
     s.need(entry_bytes + 4)?;
     let meta_end = s.pos + entry_bytes;
     check_crc(&b[b0..meta_end], rd_u32(b, meta_end), "block directory")?;
-    let n = num_leaves.checked_mul(seg_rows).ok_or_else(|| ovf(b0))?;
     let mut blocks = Vec::with_capacity(num_blocks);
-    let mut leaf_ix = 0usize;
+    let mut leaf_block = Vec::with_capacity(num_leaves);
     let mut prev_graph_end = meta_end + 4;
     for i in 0..num_blocks {
         let at = b0 + 8 + i * BLOCK_DIR_ENTRY_LEN;
@@ -943,11 +1032,10 @@ pub(crate) fn parse_v7_layout(b: &[u8]) -> Result<V7Layout, MbiError> {
         let graph_off = s.get_u64_le() as usize;
         let graph_len = s.get_u64_le() as usize;
         let graph_crc = s.get_u32_le();
-        if start > end || end > n || end_ts <= start_ts {
-            return Err(MbiError::corrupt(at, "invalid block bounds"));
-        }
+        // Rows, heights and time bounds are checked against the postorder
+        // layout by `open_v7`, once the timestamps are read.
         if height == 0 {
-            let Some(leaf) = layout_stub.leaves.get(leaf_ix) else {
+            let Some(leaf) = leaves.get(leaf_block.len()) else {
                 return Err(MbiError::corrupt(at, "more leaf blocks than leaf records"));
             };
             if graph_off != leaf.graph_off
@@ -959,7 +1047,7 @@ pub(crate) fn parse_v7_layout(b: &[u8]) -> Result<V7Layout, MbiError> {
                     "leaf block graph does not match the leaf directory",
                 ));
             }
-            leaf_ix += 1;
+            leaf_block.push(i);
         } else {
             if graph_off < prev_graph_end {
                 return Err(MbiError::corrupt(at, "overlapping block graphs"));
@@ -980,130 +1068,105 @@ pub(crate) fn parse_v7_layout(b: &[u8]) -> Result<V7Layout, MbiError> {
             graph_crc,
         });
     }
-    if leaf_ix != num_leaves {
+    if leaf_block.len() != num_leaves {
         return Err(MbiError::corrupt(b0, "leaf record count does not match height-0 blocks"));
     }
-    Ok(V7Layout { blocks, ..layout_stub })
+    let layout =
+        V7Layout { config, num_leaves, seg_rows, has_norms, has_sq8, leaves, blocks, leaf_block };
+    debug_assert_eq!(payload_len, layout.payload_len());
+    Ok(layout)
 }
 
-/// Decodes one serialized block graph living at `off..off + len` of a
-/// snapshot stream (the cold tier calls this lazily, per piece). `block_len`
-/// is the owning block's row count, used for edge validation.
-pub(crate) fn decode_graph_at(
-    b: &[u8],
-    off: usize,
-    len: usize,
-    block_len: usize,
-) -> Result<BlockGraph, MbiError> {
-    let end = off
-        .checked_add(len)
-        .filter(|&e| e <= b.len())
-        .ok_or_else(|| MbiError::corrupt(off, "graph range out of bounds"))?;
-    let mut gs = Src::new(b, off, end);
-    let graph = read_graph(&mut gs, block_len)?;
-    if gs.has_remaining() {
-        return Err(gs.corrupt("trailing bytes after block graph"));
-    }
-    Ok(graph)
-}
-
-/// Eagerly decodes a snapshot stream into an in-RAM [`IndexSnapshot`]. The
-/// caller has already run [`verify_sections`], so every byte is
-/// CRC-authenticated; this path owns all columns (no mapping).
-fn decode_snapshot_v7(b: &[u8]) -> Result<IndexSnapshot, MbiError> {
+/// The one open step of a v7 snapshot stream, shared by the eager loader
+/// and the cold tier: parses the directories, reads every timestamp chunk
+/// against its CRC (selection and windowing read this column on every
+/// query), then checks the structure a query walks — timestamps
+/// non-decreasing, and the block directory the postorder layout for
+/// `num_leaves` with time bounds matching the timestamps. Records and
+/// graphs are left to [`V7Layout::decode_segment`] and
+/// [`V7Layout::decode_block`].
+pub(crate) fn open_v7(b: &[u8]) -> Result<(V7Layout, TimeChunks), MbiError> {
     let layout = parse_v7_layout(b)?;
-    let config = layout.config;
-    let dim = config.dim;
-    let seg_rows = layout.seg_rows;
-    let mut store = SegmentStore::new(dim, seg_rows);
-    let mut times = TimeChunks::new(seg_rows);
+    let mut times = TimeChunks::new(layout.seg_rows);
+    let mut newest = Timestamp::MIN;
     for leaf in &layout.leaves {
-        let mut off = leaf.record_off;
-        let mut chunk = Vec::with_capacity(seg_rows);
-        for r in 0..seg_rows {
-            chunk.push(rd_i64(b, off + r * 8));
+        let ts = &b[leaf.record_off..leaf.record_off + layout.ts_len()];
+        check_crc(ts, leaf.crc_ts, "leaf timestamps")?;
+        let chunk: Vec<Timestamp> = le_vec(ts);
+        for (r, &t) in chunk.iter().enumerate() {
+            if t < newest {
+                return Err(MbiError::corrupt(leaf.record_off + r * 8, "timestamps not sorted"));
+            }
+            newest = t;
         }
-        off += layout.ts_len();
-        let mut flat = Vec::with_capacity(seg_rows * dim);
-        for r in 0..seg_rows * dim {
-            flat.push(rd_f32(b, off + r * 4));
-        }
-        off += layout.rows_len();
-        let leaf_store = if layout.has_norms {
-            let inv = read_f32_column(b, off, seg_rows, "inverse norm", false)?;
-            VectorStore::from_flat_with_inv_norms(dim, flat, inv)
-        } else {
-            VectorStore::from_flat(dim, flat)
-        };
-        off += layout.inv_len();
-        let mut seg = Segment::from_store(leaf_store);
-        if layout.has_sq8 {
-            seg.attach_sq8(read_sq8_column_v7(b, off, dim, seg_rows)?);
-        } else if config.sq8_scan {
-            // A quantizing engine must see a uniformly quantized store even
-            // when restoring from a stream written without codes.
-            seg.build_sq8();
-        }
-        store.push_segment(Arc::new(seg));
         times.push_chunk(chunk.into());
     }
-    let mut blocks = Vec::with_capacity(layout.blocks.len());
-    for meta in &layout.blocks {
-        let graph = decode_graph_at(b, meta.graph_off, meta.graph_len, meta.rows.len())?;
-        blocks.push(Arc::new(Block {
-            rows: meta.rows.clone(),
-            height: meta.height,
-            start_ts: meta.start_ts,
-            end_ts: meta.end_ts,
-            graph,
-        }));
-    }
-    let snap = IndexSnapshot {
-        config,
-        store,
-        times,
-        blocks: blocks.into_iter().collect(),
-        num_leaves: layout.num_leaves,
-    };
-    snap.validate().map_err(|detail| MbiError::corrupt(0, detail))?;
-    Ok(snap)
+    let blocks = layout.blocks.iter().map(|m| (&m.rows, m.height, m.start_ts, m.end_ts));
+    validate_blocks(layout.seg_rows, layout.num_leaves, blocks, &times)
+        .map_err(|detail| MbiError::corrupt(0, detail))?;
+    Ok((layout, times))
 }
 
-/// Reads `n` f32s at absolute offset `off`, rejecting non-finite values —
-/// and negative ones unless `signed` — with the offending scalar's offset.
-fn read_f32_column(
-    b: &[u8],
+/// Where a decoded leaf's columns live: viewed in place inside a shared map
+/// (the cold tier: zero copy, charged to its block cache) or copied out of
+/// the stream into owned vectors (the eager loader).
+pub(crate) enum Columns<'a> {
+    Mapped(&'a Arc<FileMap>),
+    Copied(&'a [u8]),
+}
+
+impl Columns<'_> {
+    fn bytes(&self) -> &[u8] {
+        match self {
+            Columns::Mapped(map) => map.bytes(),
+            Columns::Copied(b) => b,
+        }
+    }
+
+    /// The column of `len` elements at absolute offset `off`.
+    fn col<T: LeScalar>(&self, off: usize, len: usize) -> Result<Col<T>, MbiError> {
+        match self {
+            Columns::Mapped(map) => {
+                Col::mapped(Arc::clone(map), off, len).map_err(|e| MbiError::corrupt(off, e))
+            }
+            Columns::Copied(b) => Ok(Col::Owned(le_vec(&b[off..off + len * size_of::<T>()]))),
+        }
+    }
+}
+
+/// A column element the format stores little-endian.
+trait LeScalar: Plain {
+    fn from_le(b: &[u8]) -> Self;
+}
+
+macro_rules! le_scalar {
+    ($($t:ty),*) => {$(
+        impl LeScalar for $t {
+            fn from_le(b: &[u8]) -> Self {
+                <$t>::from_le_bytes(b.try_into().expect("one element"))
+            }
+        }
+    )*};
+}
+le_scalar!(u8, f32, i64);
+
+fn le_vec<T: LeScalar>(b: &[u8]) -> Vec<T> {
+    b.chunks_exact(size_of::<T>()).map(T::from_le).collect()
+}
+
+/// Passes `col` through unless it holds a non-finite scalar — or a negative
+/// one unless `signed` — which is `Corrupt` at that scalar's offset (the
+/// column starts at `off`).
+fn scalars<C: Deref<Target = [f32]>>(
+    col: C,
     off: usize,
-    n: usize,
     what: &str,
     signed: bool,
-) -> Result<Vec<f32>, MbiError> {
-    (0..n)
-        .map(|i| {
-            let at = off + i * 4;
-            let x = rd_f32(b, at);
-            if !x.is_finite() || (!signed && x < 0.0) {
-                return Err(MbiError::corrupt(at, format!("invalid {what} {x}")));
-            }
-            Ok(x)
-        })
-        .collect()
-}
-
-/// Reads one leaf's SQ8 column group (mins, deltas, row norms, codes) at
-/// absolute offset `off`, validating every value.
-fn read_sq8_column_v7(
-    b: &[u8],
-    off: usize,
-    dim: usize,
-    rows: usize,
-) -> Result<Sq8Column, MbiError> {
-    let mins = read_f32_column(b, off, dim, "sq8 min", true)?;
-    let deltas = read_f32_column(b, off + dim * 4, dim, "sq8 delta", false)?;
-    let row_norm2 = read_f32_column(b, off + dim * 8, rows, "sq8 row norm", false)?;
-    let at = off + dim * 8 + rows * 4;
-    let codes = b[at..at + rows * dim].to_vec();
-    Ok(Sq8Column::from_parts(dim, codes, mins, deltas, row_norm2))
+) -> Result<C, MbiError> {
+    match col.iter().position(|&x| !x.is_finite() || (!signed && x < 0.0)) {
+        Some(i) => Err(MbiError::corrupt(off + i * 4, format!("invalid {what} {}", col[i]))),
+        None => Ok(col),
+    }
 }
 
 fn write_config(b: &mut BytesMut, c: &MbiConfig) {
@@ -1429,6 +1492,56 @@ mod tests {
         b[off..off + 4].copy_from_slice(&x.to_le_bytes());
     }
 
+    /// Where a clean snapshot stream keeps its two directories.
+    struct Dirs {
+        lay: V7Layout,
+        /// Start of the data section: `num_leaves`, `seg_rows`, the flags,
+        /// then the leaf directory.
+        d0: usize,
+        /// Start of the blocks section: `num_blocks`, then the block
+        /// directory.
+        b0: usize,
+    }
+
+    impl Dirs {
+        fn of(stream: &[u8]) -> Dirs {
+            let sections = parse_footer(stream).unwrap();
+            Dirs { lay: parse_v7_layout(stream).unwrap(), d0: sections[2].0, b0: sections[3].0 }
+        }
+
+        fn leaf_entry(&self, leaf: usize) -> usize {
+            self.d0 + 18 + leaf * LEAF_DIR_ENTRY_LEN
+        }
+
+        fn block_entry(&self, block: usize) -> usize {
+            self.b0 + 8 + block * BLOCK_DIR_ENTRY_LEN
+        }
+
+        /// Rewrites leaf `leaf`'s piece CRC `k` (0 timestamps, 1 rows,
+        /// 2 norms, 3 sq8, 4 graph) over the piece's bytes in `body`.
+        fn recrc_piece(&self, body: &mut [u8], leaf: usize, k: usize) {
+            let (lay, l) = (&self.lay, self.lay.leaves[leaf]);
+            let lens = [lay.ts_len(), lay.rows_len(), lay.inv_len(), lay.sq8_len(), l.graph_len];
+            let start = l.record_off + lens[..k].iter().sum::<usize>();
+            let crc = crc32(&body[start..start + lens[k]]);
+            put_u32(body, self.leaf_entry(leaf) + 24 + 4 * k, crc);
+        }
+
+        /// `refooter` that also rewrites both directory CRCs after `mutate`,
+        /// so only the structural checks behind them can object.
+        fn reseal(&self, stream: &[u8], mutate: impl FnOnce(&mut Vec<u8>)) -> Bytes {
+            refooter(stream, |body| {
+                mutate(body);
+                let dir_end = self.leaf_entry(self.lay.num_leaves);
+                let dir_crc = crc32(&body[self.d0..dir_end]);
+                put_u32(body, dir_end, dir_crc);
+                let meta_end = self.block_entry(self.lay.blocks.len());
+                let meta_crc = crc32(&body[self.b0..meta_end]);
+                put_u32(body, meta_end, meta_crc);
+            })
+        }
+    }
+
     #[test]
     fn index_roundtrips() {
         for idx in [
@@ -1662,13 +1775,20 @@ mod tests {
         let err = MbiIndex::from_bytes(sealed).unwrap_err();
         assert!(err.to_string().contains("inverse norm"), "{err}");
 
+        // Snapshot kind: the column's own CRC is re-sealed too, and the
+        // eager and cold readers both refuse it.
         let stream = snapshot_of(&idx).to_bytes();
-        let layout = parse_v7_layout(&stream).unwrap();
-        let norms_start = layout.leaves[1].record_off + layout.ts_len() + layout.rows_len();
-        let sealed =
-            refooter(&stream, |body| body[norms_start..norms_start + 4].copy_from_slice(&nan));
-        let err = IndexSnapshot::from_bytes(sealed).unwrap_err();
+        let dirs = Dirs::of(&stream);
+        let lay = &dirs.lay;
+        let norms_start = lay.leaves[1].record_off + lay.ts_len() + lay.rows_len();
+        let sealed = dirs.reseal(&stream, |body| {
+            body[norms_start..norms_start + 4].copy_from_slice(&nan);
+            dirs.recrc_piece(body, 1, 2);
+        });
+        let err = IndexSnapshot::from_bytes(sealed.clone()).unwrap_err();
         assert!(err.to_string().contains("inverse norm"), "{err}");
+        let err = cold_from(&sealed).unwrap().exact_query(&[0.0; 3], 3, TimeWindow::all());
+        assert!(err.unwrap_err().to_string().contains("inverse norm"));
     }
 
     #[test]
@@ -1724,10 +1844,9 @@ mod tests {
         // fixed fields; its degree sits one tag byte in.
         let index_degree_at = parse_footer(&index_stream).unwrap()[3].0 + 16 + 36 + 1;
         let snap_stream = snapshot_of(&idx).to_bytes();
-        let sections = parse_footer(&snap_stream).unwrap();
-        let layout = parse_v7_layout(&snap_stream).unwrap();
-        let leaf = layout.leaves[0];
-        assert_eq!(layout.blocks[0].graph_off, leaf.graph_off, "block 0 is leaf 0");
+        let dirs = Dirs::of(&snap_stream);
+        let leaf = dirs.lay.leaves[0];
+        assert_eq!(dirs.lay.blocks[0].graph_off, leaf.graph_off, "block 0 is leaf 0");
         for degree in [0u64, 1 << 63, 3] {
             let sealed = refooter(&index_stream, |body| {
                 body[index_degree_at..index_degree_at + 8].copy_from_slice(&degree.to_le_bytes());
@@ -1738,18 +1857,11 @@ mod tests {
             // Snapshot kind: leaf 0's graph CRC is the last field of entry 0
             // in both directories, each under its own CRC — recompute all
             // four so only the graph decoder is left to object.
-            let sealed = refooter(&snap_stream, |body| {
+            let sealed = dirs.reseal(&snap_stream, |body| {
                 body[leaf.graph_off + 1..leaf.graph_off + 9].copy_from_slice(&degree.to_le_bytes());
-                let graph_crc = crc32(&body[leaf.graph_off..leaf.graph_off + leaf.graph_len]);
-                let (d0, b0) = (sections[2].0, sections[3].0);
-                put_u32(body, d0 + 18 + LEAF_DIR_ENTRY_LEN - 4, graph_crc);
-                let dir_end = d0 + 18 + layout.num_leaves * LEAF_DIR_ENTRY_LEN;
-                let dir_crc = crc32(&body[d0..dir_end]);
-                put_u32(body, dir_end, dir_crc);
-                put_u32(body, b0 + 8 + BLOCK_DIR_ENTRY_LEN - 4, graph_crc);
-                let meta_end = b0 + 8 + layout.blocks.len() * BLOCK_DIR_ENTRY_LEN;
-                let meta_crc = crc32(&body[b0..meta_end]);
-                put_u32(body, meta_end, meta_crc);
+                dirs.recrc_piece(body, 0, 4);
+                let (leaf_crc, block_crc) = (dirs.leaf_entry(1) - 4, dirs.block_entry(1) - 4);
+                body.copy_within(leaf_crc..leaf_crc + 4, block_crc);
             });
             let err = IndexSnapshot::from_bytes(sealed.clone()).unwrap_err();
             assert!(matches!(err, MbiError::Corrupt { .. }), "snapshot, degree {degree}: {err}");
@@ -1759,6 +1871,182 @@ mod tests {
             let err = cold.query(&[0.0, 0.0, 0.0], 3, TimeWindow::new(0, 10)).unwrap_err();
             assert!(matches!(err, MbiError::Corrupt { .. }), "cold, degree {degree}: {err}");
         }
+    }
+
+    /// Selection finds a child at `c − 2^h`, so a height off the postorder
+    /// layout must stop the cold open, not underflow in the first query.
+    #[test]
+    fn cold_open_rejects_a_block_height_off_the_postorder_layout() {
+        let stream = snapshot_of(&build_index(GraphBackend::default(), 32)).to_bytes();
+        let dirs = Dirs::of(&stream);
+        assert_eq!((dirs.lay.num_leaves, dirs.lay.blocks[2].height), (2, 1));
+        let sealed = dirs.reseal(&stream, |body| put_u32(body, dirs.block_entry(2) + 16, 5));
+        for err in [
+            IndexSnapshot::from_bytes(sealed.clone()).unwrap_err(),
+            cold_from(&sealed).unwrap_err(),
+        ] {
+            match err {
+                MbiError::Corrupt { detail, .. } => {
+                    assert_eq!(
+                        detail,
+                        "block 2: expected rows 0..32 height 1, found 0..32 height 5"
+                    );
+                }
+                other => panic!("expected Corrupt, got {other}"),
+            }
+        }
+    }
+
+    /// Windowing binary-searches the timestamp column, so an unsorted chunk
+    /// must stop the cold open rather than answer outside the window.
+    #[test]
+    fn cold_open_rejects_unsorted_timestamps() {
+        let stream = snapshot_of(&build_index(GraphBackend::default(), 32)).to_bytes();
+        let dirs = Dirs::of(&stream);
+        let ts = dirs.lay.leaves[0].record_off;
+        let sealed = dirs.reseal(&stream, |body| {
+            for (row, t) in [(3, 9i64), (9, 3)] {
+                body[ts + row * 8..ts + row * 8 + 8].copy_from_slice(&t.to_le_bytes());
+            }
+            dirs.recrc_piece(body, 0, 0);
+        });
+        for err in [
+            IndexSnapshot::from_bytes(sealed.clone()).unwrap_err(),
+            cold_from(&sealed).unwrap_err(),
+        ] {
+            match err {
+                MbiError::Corrupt { offset, detail } if detail == "timestamps not sorted" => {
+                    assert_eq!(offset, ts + 4 * 8, "offset names the first row out of order");
+                }
+                other => panic!("expected unsorted-timestamp Corrupt, got {other}"),
+            }
+        }
+    }
+
+    /// One verdict per hostile stream. Each case edits one field of the leaf
+    /// directory, the block directory or a timestamp chunk of a clean
+    /// snapshot and re-seals every CRC over it, so the structural checks
+    /// behind them decide. The eager loader and the cold tier (budgets 0 and
+    /// unlimited) must both refuse the stream, or both open it and answer
+    /// every window alike; neither may panic.
+    #[test]
+    fn v7_verdict_table() {
+        let clean = snapshot_of(&build_index(GraphBackend::default(), 64)).to_bytes();
+        let dirs = Dirs::of(&clean);
+        let lay = &dirs.lay;
+        // A block's own span selects it, so these windows load every piece.
+        let windows: Vec<TimeWindow> = (lay.blocks.iter())
+            .map(|m| TimeWindow::new(m.start_ts, m.end_ts))
+            .chain([TimeWindow::all()])
+            .collect();
+        let q = [20.0f32, 0.5, -20.0];
+        type Answers = Vec<Vec<crate::TknnResult>>;
+        let eager = |s: &Bytes| -> Result<Answers, MbiError> {
+            let snap = IndexSnapshot::from_bytes(s.clone())?;
+            let params = snap.config().search;
+            let answer =
+                |w| [snap.query_with_params(&q, 5, w, &params).results, snap.exact_query(&q, 5, w)];
+            Ok(windows.iter().flat_map(|&w| answer(w)).collect())
+        };
+        let cold = |s: &Bytes, budget| -> Result<Answers, MbiError> {
+            let cold =
+                ColdIndex::from_map_with_budget(Arc::new(FileMap::from_bytes(s.to_vec())), budget)?;
+            let mut out = Vec::new();
+            for &w in &windows {
+                out.extend([cold.query(&q, 5, w)?, cold.exact_query(&q, 5, w)?]);
+            }
+            Ok(out)
+        };
+
+        // Every directory field as (name, offset, width).
+        let mut fields = vec![
+            ("num_leaves", dirs.d0, 8),
+            ("seg_rows", dirs.d0 + 8, 8),
+            ("has_norms", dirs.d0 + 16, 1),
+            ("has_sq8", dirs.d0 + 17, 1),
+            ("num_blocks", dirs.b0, 8),
+        ];
+        let leaf_fields = [
+            ("record_off", 8),
+            ("graph_off", 8),
+            ("graph_len", 8),
+            ("crc_ts", 4),
+            ("crc_rows", 4),
+            ("crc_inv", 4),
+            ("crc_sq8", 4),
+            ("crc_graph", 4),
+        ];
+        let block_fields = [
+            ("rows.start", 8),
+            ("rows.end", 8),
+            ("height", 4),
+            ("start_ts", 8),
+            ("end_ts", 8),
+            ("graph_off", 8),
+            ("graph_len", 8),
+            ("graph_crc", 4),
+        ];
+        let entries = (0..lay.num_leaves).map(|i| (dirs.leaf_entry(i), leaf_fields));
+        for (mut at, shape) in
+            entries.chain((0..lay.blocks.len()).map(|i| (dirs.block_entry(i), block_fields)))
+        {
+            for (name, width) in shape {
+                fields.push((name, at, width));
+                at += width;
+            }
+        }
+        let mut cases = vec![("clean".to_string(), clean.clone())];
+        for (name, at, width) in fields {
+            let mut raw = [0u8; 8];
+            raw[..width].copy_from_slice(&clean[at..at + width]);
+            let (v, max) = (u64::from_le_bytes(raw), u64::MAX >> (64 - 8 * width));
+            let mut xs = vec![v ^ 1, v.wrapping_add(1) & max, v.wrapping_sub(1) & max, 0, max];
+            xs.sort_unstable();
+            xs.dedup();
+            for x in xs.into_iter().filter(|&x| x != v) {
+                let sealed = dirs.reseal(&clean, |body| {
+                    body[at..at + width].copy_from_slice(&x.to_le_bytes()[..width]);
+                });
+                cases.push((format!("{name} at byte {at} set to {x}"), sealed));
+            }
+        }
+        // Timestamp edits as (leaf, row, timestamp); row r of leaf l holds
+        // 16·l + r. Each chunk is re-sealed under its own CRC.
+        for edits in [
+            vec![(0, 3, 9), (0, 9, 3)],
+            vec![(1, 0, i64::MIN)],
+            vec![(3, 15, i64::MAX)],
+            vec![(0, 0, -1)],
+            vec![(3, 15, 64)],
+            vec![(2, 5, 38)],
+        ] {
+            let sealed = dirs.reseal(&clean, |body| {
+                for &(leaf, row, t) in &edits {
+                    let at = lay.leaves[leaf].record_off + row * 8;
+                    body[at..at + 8].copy_from_slice(&i64::to_le_bytes(t));
+                    dirs.recrc_piece(body, leaf, 0);
+                }
+            });
+            cases.push((format!("timestamps {edits:?}"), sealed));
+        }
+
+        let mut opened = Vec::new();
+        for (what, stream) in &cases {
+            match [eager(stream), cold(stream, 0), cold(stream, u64::MAX)] {
+                [Ok(a), Ok(b), Ok(c)] => {
+                    assert!(a == b && a == c, "{what}: eager and cold answers differ");
+                    opened.push(what.as_str());
+                }
+                [Err(_), Err(_), Err(_)] => {}
+                verdicts => panic!("{what}: verdicts differ: {verdicts:?}"),
+            }
+        }
+        // Only the clean stream, the CRCs of its absent norm and SQ8 columns
+        // (0, so two edits each), and a timestamp edit that keeps every
+        // bound open.
+        let harmless = ["clean", "crc_inv", "crc_sq8", "timestamps [(2, 5, 38)]"];
+        assert!(opened.iter().all(|w| harmless.iter().any(|h| w.starts_with(h))), "{opened:?}");
+        assert_eq!(opened.len(), 2 + lay.num_leaves * 2 * 2, "{opened:?}");
     }
 
     #[test]

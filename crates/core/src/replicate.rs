@@ -18,10 +18,10 @@
 //! * [`ReplicationCursor`] — a durable `(segment, offset, row)` position,
 //!   derivable from the row count alone, so a follower resumes from
 //!   `engine.len()` after any crash or disconnect.
-//! * [`WalFeed`] — the leader-side reader: lists segments, parses records
-//!   past the cursor, emits [`ReplEvent::Record`]s and, when a segment is
-//!   followed by a newer one (i.e. sealed), a [`ReplEvent::Seal`] carrying
-//!   the segment CRC.
+//! * [`WalFeed`] — the leader-side reader: lists segments, reads records
+//!   past the cursor through the WAL's one segment scanner, emits
+//!   [`ReplEvent::Record`]s and, when a segment is followed by a newer one
+//!   (i.e. sealed), a [`ReplEvent::Seal`] carrying the segment CRC.
 //! * [`Replica`] — the follower-side applier: inserts records through a
 //!   durable [`StreamingMbi`] (idempotently skipping rows it already has),
 //!   verifies every seal, and supports [`Replica::promote`] for manual
@@ -34,16 +34,11 @@ use crate::config::MbiConfig;
 use crate::engine::{EngineConfig, StreamingMbi, WAL_DIR};
 use crate::error::MbiError;
 use crate::fail;
-use crate::wal::{self, HEADER_LEN, REC_HEADER_LEN};
+use crate::wal::{self, record_offset, ScanStop, SegmentScan, HEADER_LEN};
 use crate::Timestamp;
 use mbi_math::crc32;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-/// Encoded size of one WAL record for `dim`-dimensional vectors.
-fn rec_size(dim: usize) -> u64 {
-    (REC_HEADER_LEN + 8 + dim * 4) as u64
-}
 
 /// A durable replication position: the next record to ship is at byte
 /// `offset` of segment `segment` and carries global row id `row`.
@@ -68,7 +63,7 @@ impl ReplicationCursor {
     pub fn at_row(row: u64, dim: usize, leaf_size: usize) -> Self {
         let leaf = leaf_size.max(1) as u64;
         let segment = row - row % leaf;
-        ReplicationCursor { segment, offset: HEADER_LEN + (row - segment) * rec_size(dim), row }
+        ReplicationCursor { segment, offset: record_offset(dim, row - segment), row }
     }
 }
 
@@ -148,8 +143,7 @@ impl WalFeed {
             Some(fail::FailAction::Panic) => panic!("injected feed panic"),
             None => {}
         }
-        let rec = rec_size(self.dim);
-        let seal_len = HEADER_LEN + self.leaf_size as u64 * rec;
+        let seal_len = record_offset(self.dim, self.leaf_size as u64);
         let mut out = Vec::new();
         let segments = wal::list_segments(&self.dir)?;
         loop {
@@ -170,37 +164,31 @@ impl WalFeed {
                 }
                 Err(e) => return Err(e.into()),
             };
-            if bytes.len() < HEADER_LEN as usize {
-                // Segment creation caught mid-write; its header lands next
-                // poll.
-                return Ok(out);
-            }
-            validate_header(&bytes, *first_row, self.dim)?;
+            // A sealed segment (a newer one follows it) must hold exactly
+            // `leaf_size` whole records. The live tail may end mid-append —
+            // a torn header or record is re-read whole next poll — but
+            // corruption anywhere is reported, as recovery would.
             let sealed = pos + 1 < segments.len();
-            if sealed && (bytes.len() as u64) < seal_len {
-                return Err(MbiError::WalCorrupt {
-                    segment: *first_row,
-                    offset: bytes.len() as u64,
-                });
+            let corrupt = |offset: u64| MbiError::WalCorrupt { segment: *first_row, offset };
+            if sealed && bytes.len() as u64 != seal_len {
+                return Err(corrupt(seal_len.min(bytes.len() as u64)));
             }
-            let limit = if sealed { seal_len } else { bytes.len() as u64 };
-            while self.cursor.offset + rec <= limit && out.len() < max {
-                let off = self.cursor.offset as usize;
-                match parse_record(&bytes, off, self.dim) {
-                    Ok((timestamp, vector)) => {
+            let mut scan = match SegmentScan::new(&bytes, *first_row, self.dim, self.cursor.offset)
+            {
+                Ok(scan) => scan,
+                Err(ScanStop::Torn(_)) if !sealed => return Ok(out),
+                Err(stop) => return Err(corrupt(stop.offset())),
+            };
+            while out.len() < max {
+                match scan.next_record() {
+                    Ok(Some((timestamp, vector))) => {
                         out.push(ReplEvent::Record { row: self.cursor.row, timestamp, vector });
                         self.cursor.row += 1;
-                        self.cursor.offset += rec;
+                        self.cursor.offset = scan.offset as u64;
                     }
-                    Err(_) if !sealed => {
-                        // The live tail may expose a record mid-append; stop
-                        // here and re-read it whole next poll. If the bytes
-                        // are genuinely corrupt the seal pass reports it.
-                        return Ok(out);
-                    }
-                    Err(offset) => {
-                        return Err(MbiError::WalCorrupt { segment: *first_row, offset })
-                    }
+                    Ok(None) => break,
+                    Err(ScanStop::Torn(_)) if !sealed => return Ok(out),
+                    Err(stop) => return Err(corrupt(stop.offset())),
                 }
             }
             if sealed && self.cursor.offset >= seal_len {
@@ -234,45 +222,6 @@ fn cursor_pruned(cursor: ReplicationCursor) -> MbiError {
             cursor.row, cursor.segment
         ),
     ))
-}
-
-/// Validates a segment header against the expected first row and dim.
-fn validate_header(bytes: &[u8], first_row: u64, dim: usize) -> Result<(), MbiError> {
-    let corrupt = |offset: u64| MbiError::WalCorrupt { segment: first_row, offset };
-    if &bytes[0..4] != wal::WAL_MAGIC {
-        return Err(corrupt(0));
-    }
-    if u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes")) != wal::WAL_VERSION {
-        return Err(corrupt(4));
-    }
-    if u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")) != first_row {
-        return Err(corrupt(8));
-    }
-    if u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes")) != dim as u64 {
-        return Err(corrupt(16));
-    }
-    Ok(())
-}
-
-/// Parses and CRC-verifies the record at `off`; the caller has bounds-checked
-/// `off + rec_size`. Errors with the failing offset.
-fn parse_record(bytes: &[u8], off: usize, dim: usize) -> Result<(Timestamp, Vec<f32>), u64> {
-    let rec_payload = 8 + dim * 4;
-    let len = u32::from_le_bytes(bytes[off..off + 4].try_into().expect("4 bytes")) as usize;
-    if len != rec_payload {
-        return Err(off as u64);
-    }
-    let stored = u32::from_le_bytes(bytes[off + 4..off + 8].try_into().expect("4 bytes"));
-    let payload = &bytes[off + REC_HEADER_LEN..off + REC_HEADER_LEN + rec_payload];
-    if crc32(payload) != stored {
-        return Err(off as u64);
-    }
-    let timestamp = i64::from_le_bytes(payload[0..8].try_into().expect("8 bytes"));
-    let mut vector = Vec::with_capacity(dim);
-    for c in payload[8..].chunks_exact(4) {
-        vector.push(f32::from_le_bytes(c.try_into().expect("4 bytes")));
-    }
-    Ok((timestamp, vector))
 }
 
 /// Follower-side applier: a durable [`StreamingMbi`] fed from a leader's
@@ -391,7 +340,7 @@ impl Replica {
     fn verify_seal(&self, segment: u64, leader_crc: u32) -> Result<(), MbiError> {
         let dir = self.engine.durable_dir().expect("replica engines are durable").join(WAL_DIR);
         let path = dir.join(wal::segment_file_name(segment));
-        let end = (HEADER_LEN + self.leaf_size as u64 * rec_size(self.dim)) as usize;
+        let end = record_offset(self.dim, self.leaf_size as u64) as usize;
         let bytes = match std::fs::read(&path) {
             Ok(b) if b.len() >= end => b,
             // The follower's own checkpoint already pruned (or truncated)
@@ -409,68 +358,36 @@ impl Replica {
         // Diverged. Name the first record that fails its *own* stored CRC
         // (local bit rot); when every record is self-consistent the
         // histories themselves differ — report the record region start.
-        let rec = rec_size(self.dim) as usize;
-        let mut offset = HEADER_LEN;
-        let mut off = HEADER_LEN as usize;
-        while off + rec <= end {
-            if parse_record(&bytes, off, self.dim).is_err() {
-                offset = off as u64;
-                break;
-            }
-            off += rec;
-        }
+        let scan = SegmentScan::new(&bytes[..end], segment, self.dim, HEADER_LEN);
+        let stop = scan.and_then(|mut scan| {
+            while scan.next_record()?.is_some() {}
+            Ok(())
+        });
+        let offset = stop.err().map_or(HEADER_LEN, ScanStop::offset);
         Err(MbiError::ReplicaDiverged { segment, offset })
     }
 
-    /// Manual failover: flushes the engine, verifies the WAL tail segment
-    /// read-only, checkpoints, and marks the replica promoted. After this
-    /// the engine accepts writes and [`Replica::apply`] refuses further
-    /// leader records (applying them would diverge).
+    /// Manual failover: flushes the engine, runs recovery's check of the
+    /// newest WAL segment read-only (a log recovery would refuse is
+    /// [`MbiError::WalCorrupt`] here too), checkpoints, and marks the
+    /// replica promoted. After this the engine accepts writes and
+    /// [`Replica::apply`] refuses further leader records (applying them
+    /// would diverge).
     pub fn promote(&self) -> Result<(), MbiError> {
         self.engine.flush();
         let dir = self.engine.durable_dir().expect("replica engines are durable").join(WAL_DIR);
-        verify_tail_segment(&dir, self.dim)?;
+        wal::check_newest_segment(&dir, self.dim)?;
         self.engine.checkpoint()?;
         self.promoted.store(true, Ordering::Relaxed);
         Ok(())
     }
 }
 
-/// Read-only validation of the newest WAL segment: every record parses and
-/// passes its CRC (a torn final record is tolerated — it was never acked).
-/// The pre-promotion gate: a follower must not open for writes on top of a
-/// log it could not itself recover from.
-fn verify_tail_segment(wal_dir: &Path, dim: usize) -> Result<(), MbiError> {
-    let segments = wal::list_segments(wal_dir)?;
-    let Some(&(first_row, ref path)) = segments.last() else {
-        return Ok(());
-    };
-    let bytes = std::fs::read(path)?;
-    if bytes.len() < HEADER_LEN as usize {
-        // The torn, never-acked creation of a fresh segment.
-        return Ok(());
-    }
-    validate_header(&bytes, first_row, dim)?;
-    let rec = rec_size(dim) as usize;
-    let mut off = HEADER_LEN as usize;
-    while off + rec <= bytes.len() {
-        if let Err(offset) = parse_record(&bytes, off, dim) {
-            // A failure on the record touching EOF is a torn tail; replay
-            // (and recovery) stop there. Anywhere else is corruption.
-            if off + rec == bytes.len() {
-                return Ok(());
-            }
-            return Err(MbiError::WalCorrupt { segment: first_row, offset });
-        }
-        off += rec;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::select::TimeWindow;
+    use crate::wal::Wal;
     use mbi_math::Metric;
 
     fn config() -> MbiConfig {
@@ -646,5 +563,113 @@ mod tests {
         let err = feed.next_batch(64).unwrap_err();
         assert!(err.to_string().contains("re-seeded"), "{err}");
         std::fs::remove_dir_all(&ldir).unwrap();
+    }
+
+    /// The promotion gate accepts exactly what recovery accepts: 20 stray
+    /// bytes after the last record, announcing a 4-byte payload, are
+    /// corruption to both, not a torn tail.
+    #[test]
+    fn promote_refuses_a_log_recovery_refuses() {
+        let rdir = temp_dir("gate_r");
+        let config = MbiConfig::new(2, Metric::Euclidean).with_leaf_size(8);
+        let replica = Replica::open(&rdir, config, EngineConfig::default()).unwrap();
+        for row in 0..4u64 {
+            let vector = vec![row as f32, 0.0];
+            replica.apply(&ReplEvent::Record { row, timestamp: row as i64, vector }).unwrap();
+        }
+        let wal_dir = rdir.join(WAL_DIR);
+        let mut stray = 4u32.to_le_bytes().to_vec();
+        stray.resize(20, 0xab);
+        let segment = wal_dir.join(wal::segment_file_name(0));
+        let mut file = std::fs::OpenOptions::new().append(true).open(segment).unwrap();
+        std::io::Write::write_all(&mut file, &stray).unwrap();
+        match replica.promote() {
+            Err(MbiError::WalCorrupt { segment: 0, offset: 120 }) => {}
+            other => panic!("expected WalCorrupt at byte 120, got {other:?}"),
+        }
+        assert!(!replica.is_promoted());
+        match Wal::recover(&wal_dir, 2, |_| Ok(())) {
+            Err(MbiError::WalCorrupt { segment: 0, offset: 120 }) => {}
+            other => panic!("expected recovery to refuse the same log, got {other:?}"),
+        }
+        drop(replica);
+        std::fs::remove_dir_all(&rdir).unwrap();
+    }
+
+    /// One table of newest-segment tails and each reader's verdict on it:
+    /// recovery, the promotion gate, and the replication feed with the
+    /// segment live (the newest) or sealed (a newer one follows it).
+    #[test]
+    fn wal_verdict_table() {
+        let dir = temp_dir("verdicts");
+        let mut wal = Wal::create(&dir, 2).unwrap();
+        for i in 0..4i64 {
+            wal.append(i, &[i as f32, 0.0]).unwrap();
+        }
+        drop(wal);
+        // The 24-byte header, then four 24-byte records (length, CRC,
+        // timestamp, two floats): one whole leaf of `config()`.
+        let clean = std::fs::read(dir.join(wal::segment_file_name(0))).unwrap();
+        let last = clean.len() - 24;
+        let edit = |at: usize, bytes: &[u8]| {
+            let mut b = clean.clone();
+            b[at..at + bytes.len()].copy_from_slice(bytes);
+            b
+        };
+        let flip = |at: usize| edit(at, &[clean[at] ^ 1]);
+        let mut stray = clean.clone();
+        stray.extend(4u32.to_le_bytes());
+        stray.resize(clean.len() + 20, 0xab);
+        let mut next_header = clean[..24].to_vec();
+        next_header[8..16].copy_from_slice(&4u64.to_le_bytes());
+
+        // Ok(n): n records read and the rest tolerated as a torn tail;
+        // Err(o): `WalCorrupt { segment: 0, offset: o }`.
+        type Verdict = Result<u64, u64>;
+        #[rustfmt::skip]
+        let table = [
+            // shape                    bytes                            recover  gate      live     sealed
+            ("clean end",               clean.clone(),                   Ok(4),   Ok(()),   Ok(4),   Ok(4)),
+            ("partial segment header",  clean[..10].to_vec(),            Ok(0),   Ok(()),   Ok(0),   Err(10)),
+            ("partial record header",   clean[..last + 5].to_vec(),      Ok(3),   Ok(()),   Ok(3),   Err(101)),
+            ("partial record",          clean[..last + 12].to_vec(),     Ok(3),   Ok(()),   Ok(3),   Err(108)),
+            ("bad CRC at EOF",          flip(last + 10),                 Ok(3),   Ok(()),   Ok(3),   Err(96)),
+            ("bad CRC mid-segment",     flip(48 + 10),                   Err(48), Err(48),  Err(48), Err(48)),
+            ("short length field",      edit(last, &4u32.to_le_bytes()), Err(96), Err(96),  Err(96), Err(96)),
+            ("long length field",       edit(last, &999u32.to_le_bytes()), Ok(3), Ok(()),   Ok(3),   Err(96)),
+            ("20 stray bytes",          stray,                           Err(120), Err(120), Err(120), Err(120)),
+        ];
+        for (shape, bytes, recover, gate, live, sealed) in table {
+            let offset = |e: MbiError| match e {
+                MbiError::WalCorrupt { segment: 0, offset } => offset,
+                other => panic!("{shape}: {other}"),
+            };
+            let feed = |dir: &Path| -> Verdict {
+                let events = WalFeed::new(dir, 2, 4, 0).next_batch(64).map_err(offset)?;
+                Ok(events.iter().filter(|e| matches!(e, ReplEvent::Record { .. })).count() as u64)
+            };
+            let (live_dir, sealed_dir) = (temp_dir("verdict_live"), temp_dir("verdict_sealed"));
+            for dir in [&live_dir, &sealed_dir] {
+                std::fs::create_dir_all(dir).unwrap();
+                std::fs::write(dir.join(wal::segment_file_name(0)), &bytes).unwrap();
+            }
+            std::fs::write(sealed_dir.join(wal::segment_file_name(4)), &next_header).unwrap();
+
+            assert_eq!(feed(&live_dir), live, "{shape}: live feed");
+            assert_eq!(feed(&sealed_dir), sealed, "{shape}: sealed feed");
+            let gated = wal::check_newest_segment(&live_dir, 2).map_err(offset);
+            assert_eq!(gated, gate, "{shape}: promotion gate");
+            let mut rows = 0;
+            let recovered = Wal::recover(&live_dir, 2, |_| {
+                rows += 1;
+                Ok(())
+            });
+            assert_eq!(recovered.map(|_| rows).map_err(offset), recover, "{shape}: recovery");
+            assert_eq!(gated, recover.map(drop), "{shape}: the gate accepts what recovery does");
+            for dir in [live_dir, sealed_dir] {
+                std::fs::remove_dir_all(dir).unwrap();
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

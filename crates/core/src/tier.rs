@@ -4,10 +4,12 @@
 //!
 //! A [`ColdIndex`] opens a v7 snapshot *without* decoding its payload: only
 //! the header, config, directories, and the timestamp column (8 bytes/row —
-//! the selection and windowing floor) are touched at open. Leaf records and
-//! internal-block graphs are loaded on demand, verified against their
-//! per-section CRCs, and cached as zero-copy [`Col`]-backed segments under
-//! the RAM budget of [`MbiConfig::ram_budget_bytes`].
+//! the selection and windowing floor) are touched at open. It reads the
+//! file through the persist module's one snapshot reader, the same one the
+//! eager loader uses, so both check the same CRCs and structure and refuse
+//! the same streams. Leaf records and internal-block graphs are decoded on
+//! demand and cached as zero-copy [`Col`]-backed segments under the RAM
+//! budget of [`MbiConfig::ram_budget_bytes`].
 //!
 //! Because MBI's block selection names every block a query will touch
 //! *before* any distance math runs, the selection doubles as a prefetch
@@ -35,16 +37,13 @@ use std::sync::{mpsc, Arc, Mutex, Weak};
 use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
-use mbi_ann::{Advice, Col, FileMap, SearchParams, SearchStats, Segment, SegmentStore, Sq8Column};
-use mbi_math::crc32;
+use mbi_ann::{Advice, Col, FileMap, SearchParams, SearchStats, Segment, SegmentStore};
 
 use crate::block::Block;
 use crate::config::MbiConfig;
 use crate::error::MbiError;
 use crate::index::{QueryOutput, TknnResult};
-use crate::persist::{
-    decode_graph_at, parse_v7_layout, rd_f32, rd_i64, V7BlockMeta, V7Layout, PAGE,
-};
+use crate::persist::{open_v7, Columns, V7BlockMeta, V7Layout};
 use crate::query_exec::QueryTarget;
 use crate::select::{select_blocks, BlockMeta, SearchBlockSet, TimeWindow};
 use crate::times::TimeChunks;
@@ -299,8 +298,6 @@ struct ColdCore {
     layout: V7Layout,
     times: TimeChunks,
     cache: BlockCache,
-    /// `block_of_leaf[leaf ordinal]` = postorder index of its height-0 block.
-    block_of_leaf: Vec<usize>,
     /// Leaves with ordinal `>= hot_floor` are pinned resident (the newest
     /// leaves whose records fit in half the RAM budget).
     hot_floor: usize,
@@ -314,155 +311,24 @@ struct ColdCore {
 }
 
 impl ColdCore {
-    /// Verifies the stored CRC of `b[off..off + len]` — for mapped backing
-    /// this read *is* the disk I/O of the piece.
-    fn verify_crc(
-        &self,
-        off: usize,
-        len: usize,
-        expected: u32,
-        section: &'static str,
-    ) -> Result<(), MbiError> {
-        let got = crc32(&self.map.bytes()[off..off + len]);
-        if got != expected {
-            return Err(MbiError::ChecksumMismatch { section, expected, got });
-        }
-        Ok(())
-    }
-
-    /// The file span a leaf's record occupies (page-rounded, graph
-    /// included) — the unit of residency accounting and `madvise`.
-    fn leaf_span(&self, leaf: usize) -> Range<usize> {
-        let l = &self.layout.leaves[leaf];
-        l.record_off..(l.graph_off + l.graph_len).next_multiple_of(PAGE)
-    }
-
-    /// Decodes leaf `leaf`: CRC-verify each section over the mapped bytes,
-    /// then build a zero-copy segment plus its height-0 block.
+    /// Decodes leaf `leaf` over the mapped bytes: a zero-copy segment plus
+    /// its height-0 block, charged for the record's page-rounded file span
+    /// (the unit of residency accounting and `madvise`) and its heap.
     fn load_leaf(&self, leaf: usize) -> Result<LoadedPiece, MbiError> {
         let lay = &self.layout;
-        let l = &lay.leaves[leaf];
-        let b = self.map.bytes();
-        let dim = lay.config.dim;
-        let rows = lay.seg_rows;
-        let rows_off = l.record_off + lay.ts_len();
-        let inv_off = rows_off + lay.rows_len();
-        let sq8_off = inv_off + lay.inv_len();
-
-        self.verify_crc(rows_off, lay.rows_len(), l.crc_rows, "leaf rows")?;
-        let data = Col::mapped(self.map.clone(), rows_off, rows * dim)
-            .map_err(|e| MbiError::corrupt(rows_off, e))?;
-
-        let inv_norms = if lay.has_norms {
-            self.verify_crc(inv_off, lay.inv_len(), l.crc_inv, "leaf norms")?;
-            for r in 0..rows {
-                let x = rd_f32(b, inv_off + r * 4);
-                if !x.is_finite() || x < 0.0 {
-                    return Err(MbiError::corrupt(
-                        inv_off + r * 4,
-                        format!("invalid inverse norm {x}"),
-                    ));
-                }
-            }
-            Some(
-                Col::mapped(self.map.clone(), inv_off, rows)
-                    .map_err(|e| MbiError::corrupt(inv_off, e))?,
-            )
-        } else {
-            None
-        };
-
-        let sq8 = if lay.has_sq8 {
-            self.verify_crc(sq8_off, lay.sq8_len(), l.crc_sq8, "leaf sq8")?;
-            Some(self.map_sq8(sq8_off, dim, rows)?)
-        } else {
-            None
-        };
-
-        let mut seg = Segment::from_cols(dim, data, inv_norms, sq8);
-        if !lay.has_sq8 && lay.config.sq8_scan {
-            // A quantizing config must see a uniformly quantized store even
-            // when the stream was written without codes.
-            seg.build_sq8();
-        }
-
-        self.verify_crc(l.graph_off, l.graph_len, l.crc_graph, "block graph")?;
-        let graph = decode_graph_at(b, l.graph_off, l.graph_len, rows)?;
-        let meta = &lay.blocks[self.block_of_leaf[leaf]];
-        let block = Arc::new(Block {
-            rows: meta.rows.clone(),
-            height: 0,
-            start_ts: meta.start_ts,
-            end_ts: meta.end_ts,
-            graph,
-        });
-
-        let span = self.leaf_span(leaf);
+        let seg = lay.decode_segment(&Columns::Mapped(&self.map), leaf)?;
+        let block = Arc::new(lay.decode_block(self.map.bytes(), lay.leaf_block[leaf])?);
+        let span = lay.leaf_span(leaf);
         let bytes = (span.end - span.start) as u64
             + seg.memory_bytes() as u64
             + block.memory_bytes() as u64;
         Ok(LoadedPiece { piece: Piece::Leaf(Arc::new(seg), block), bytes, advise: Some(span) })
     }
 
-    /// Maps one leaf's SQ8 column group (v7 order: mins, deltas, row norms,
-    /// codes), validating every scalar like the eager decoder does.
-    fn map_sq8(&self, sq8_off: usize, dim: usize, rows: usize) -> Result<Sq8Column, MbiError> {
-        let b = self.map.bytes();
-        let mins_off = sq8_off;
-        let deltas_off = mins_off + dim * 4;
-        let norms_off = deltas_off + dim * 4;
-        let codes_off = norms_off + rows * 4;
-        for i in 0..dim {
-            let x = rd_f32(b, mins_off + i * 4);
-            if !x.is_finite() {
-                return Err(MbiError::corrupt(mins_off + i * 4, format!("invalid sq8 min {x}")));
-            }
-            let x = rd_f32(b, deltas_off + i * 4);
-            if !x.is_finite() || x < 0.0 {
-                return Err(MbiError::corrupt(
-                    deltas_off + i * 4,
-                    format!("invalid sq8 delta {x}"),
-                ));
-            }
-        }
-        for r in 0..rows {
-            let x = rd_f32(b, norms_off + r * 4);
-            if !x.is_finite() || x < 0.0 {
-                return Err(MbiError::corrupt(
-                    norms_off + r * 4,
-                    format!("invalid sq8 row norm {x}"),
-                ));
-            }
-        }
-        fn col<T: mbi_ann::mapped::Plain>(
-            map: &Arc<FileMap>,
-            off: usize,
-            len: usize,
-        ) -> Result<Col<T>, MbiError> {
-            Col::mapped(map.clone(), off, len).map_err(|e| MbiError::corrupt(off, e))
-        }
-        Ok(Sq8Column::from_cols(
-            dim,
-            col(&self.map, codes_off, rows * dim)?,
-            col(&self.map, mins_off, dim)?,
-            col(&self.map, deltas_off, dim)?,
-            col(&self.map, norms_off, rows)?,
-        ))
-    }
-
     /// Decodes the graph of internal block `bi` into an owned [`Block`].
     fn load_graph(&self, bi: usize) -> Result<LoadedPiece, MbiError> {
         let meta = &self.layout.blocks[bi];
-        self.verify_crc(meta.graph_off, meta.graph_len, meta.graph_crc, "block graph")?;
-        let graph =
-            decode_graph_at(self.map.bytes(), meta.graph_off, meta.graph_len, meta.rows.len())?;
-        let block = Arc::new(Block {
-            rows: meta.rows.clone(),
-            height: meta.height,
-            start_ts: meta.start_ts,
-            end_ts: meta.end_ts,
-            graph,
-        });
+        let block = Arc::new(self.layout.decode_block(self.map.bytes(), bi)?);
         let bytes = block.memory_bytes() as u64;
         let advise = Some(meta.graph_off..meta.graph_off + meta.graph_len);
         Ok(LoadedPiece { piece: Piece::Graph(block), bytes, advise })
@@ -498,7 +364,7 @@ impl ColdCore {
     /// Issues `madvise(WILLNEED)` for the file span backing `key`.
     fn advise_will_need(&self, key: PieceKey) {
         let range = match key {
-            PieceKey::Leaf(leaf) => self.leaf_span(leaf),
+            PieceKey::Leaf(leaf) => self.layout.leaf_span(leaf),
             PieceKey::Graph(bi) => {
                 let m = &self.layout.blocks[bi];
                 m.graph_off..m.graph_off + m.graph_len
@@ -570,7 +436,7 @@ impl ColdCore {
             match (key, piece) {
                 (PieceKey::Leaf(leaf), Piece::Leaf(seg, block)) => {
                     segs[leaf] = seg;
-                    slots[self.block_of_leaf[leaf]] = ColdSlot::Loaded(block);
+                    slots[lay.leaf_block[leaf]] = ColdSlot::Loaded(block);
                 }
                 (PieceKey::Graph(bi), Piece::Graph(block)) => {
                     slots[bi] = ColdSlot::Loaded(block);
@@ -683,7 +549,11 @@ impl ColdIndex {
     /// Budget precedence: explicit caller override, then `MBI_RAM_BUDGET`,
     /// then the value persisted in the stream's config.
     fn build(map: Arc<FileMap>, budget_override: Option<u64>) -> Result<ColdIndex, MbiError> {
-        let mut layout = parse_v7_layout(map.bytes())?;
+        // The open step copies the timestamp column out of the map: selection
+        // and window partitioning touch it on every query, and at 8 bytes/row
+        // it is ~d/2 times smaller than the vectors, so queries never fault
+        // timestamp pages.
+        let (mut layout, times) = open_v7(map.bytes())?;
         if let Some(b) = budget_override {
             layout.config.ram_budget_bytes = b;
         } else if let Ok(v) = std::env::var("MBI_RAM_BUDGET") {
@@ -693,36 +563,6 @@ impl ColdIndex {
         }
         let config = layout.config;
 
-        // The timestamp column is the floor of the cold tier: selection and
-        // window partitioning touch it on every query, and at 8 bytes/row it
-        // is ~d/2 times smaller than the vectors. Verify and copy it now so
-        // queries never fault timestamp pages.
-        let mut times = TimeChunks::new(layout.seg_rows);
-        for leaf in &layout.leaves {
-            let ts_len = layout.ts_len();
-            let got = crc32(&map.bytes()[leaf.record_off..leaf.record_off + ts_len]);
-            if got != leaf.crc_ts {
-                return Err(MbiError::ChecksumMismatch {
-                    section: "leaf timestamps",
-                    expected: leaf.crc_ts,
-                    got,
-                });
-            }
-            let chunk: Arc<[Timestamp]> = (0..layout.seg_rows)
-                .map(|r| rd_i64(map.bytes(), leaf.record_off + r * 8))
-                .collect();
-            times.push_chunk(chunk);
-        }
-
-        let block_of_leaf: Vec<usize> = layout
-            .blocks
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| m.height == 0)
-            .map(|(i, _)| i)
-            .collect();
-        debug_assert_eq!(block_of_leaf.len(), layout.num_leaves);
-
         // Pin the newest leaves whose records fit in half the budget: the
         // hot suffix of a time-accumulating workload. The other half is
         // left to the LRU over cold reads.
@@ -730,8 +570,7 @@ impl ColdIndex {
         let mut pinned_bytes: u64 = 0;
         let half_budget = config.ram_budget_bytes / 2;
         for leaf in (0..layout.num_leaves).rev() {
-            let l = &layout.leaves[leaf];
-            let span = ((l.graph_off + l.graph_len).next_multiple_of(PAGE) - l.record_off) as u64;
+            let span = layout.leaf_span(leaf).len() as u64;
             if pinned_bytes.saturating_add(span) > half_budget {
                 break;
             }
@@ -746,7 +585,6 @@ impl ColdIndex {
             layout,
             times,
             cache,
-            block_of_leaf,
             hot_floor,
             empty_seg,
             prefetch_enabled: AtomicBool::new(true),
@@ -934,6 +772,7 @@ mod tests {
     use super::*;
     use crate::engine::IndexSnapshot;
     use crate::index::MbiIndex;
+    use crate::persist::{parse_v7_layout, PAGE};
     use mbi_math::Metric;
 
     fn build_snapshot(metric: Metric, n: usize, budget: u64, sq8: bool) -> IndexSnapshot {

@@ -26,13 +26,19 @@
 //!
 //! # Failure semantics
 //!
-//! * A **torn tail** — the final record of the final segment cut short, or
-//!   failing its CRC — is tolerated: the row was never acked (the append
-//!   errored or the process died inside it), so replay simply stops there
-//!   and the segment is truncated back to the last valid boundary.
-//! * Any other invalid record is **corruption**, reported as
-//!   [`MbiError::WalCorrupt`] with the segment and byte offset — never a
-//!   panic, never silently dropped data.
+//! One scanner, `SegmentScan`, reads segments for [`Wal::recover`], the
+//! replica promotion gate, and the replication feed: it stops at the first
+//! invalid byte and says whether a torn append could have left it.
+//!
+//! * A **torn tail** — the newest segment's header or final record cut
+//!   short, or that record failing its CRC exactly at EOF — is tolerated:
+//!   the row was never acked (the append errored or the process died inside
+//!   it), so replay stops there and the segment is truncated back to the
+//!   last valid boundary. Promotion accepts exactly these tails.
+//! * Any other invalid byte — a whole record header with the wrong length,
+//!   a CRC failure before EOF, a torn record in an older segment — is
+//!   **corruption**, reported as [`MbiError::WalCorrupt`] with the segment
+//!   and byte offset: never a panic, never silently dropped data.
 //! * A failed append (I/O error, injected fault) rolls the segment back to
 //!   the last record boundary so later appends keep the log parseable.
 //!
@@ -53,10 +59,10 @@ use std::path::{Path, PathBuf};
 /// was first defined so the `mbi_core::wal::crc32` path keeps working.
 pub use mbi_math::crc32;
 
-pub(crate) const WAL_MAGIC: &[u8; 4] = b"MBIW";
-pub(crate) const WAL_VERSION: u32 = 1;
+const WAL_MAGIC: &[u8; 4] = b"MBIW";
+const WAL_VERSION: u32 = 1;
 pub(crate) const HEADER_LEN: u64 = 24;
-pub(crate) const REC_HEADER_LEN: usize = 8;
+const REC_HEADER_LEN: usize = 8;
 
 pub(crate) fn segment_file_name(first_row: u64) -> String {
     format!("wal-{first_row:020}.log")
@@ -128,7 +134,7 @@ impl Wal {
             dir,
             dim,
         };
-        wal.scratch.reserve(REC_HEADER_LEN + 8 + dim * 4);
+        wal.scratch.reserve(record_len(dim) as usize);
         Ok(wal)
     }
 
@@ -337,94 +343,16 @@ impl Wal {
             return Self::create(dir, dim);
         };
 
-        let rec_payload = 8 + dim * 4;
         // The first remaining segment sets the starting row (earlier ones
         // may have been pruned under a persisted snapshot); every later
         // segment must continue exactly where its predecessor stopped.
         let mut next_row = segments[0].0;
         let mut last_valid_len = HEADER_LEN;
         for (i, (first_row, path)) in segments.iter().enumerate() {
-            let is_last = i == segments.len() - 1;
+            let newest = i == segments.len() - 1;
             let bytes = std::fs::read(path)?;
-            let corrupt =
-                |offset: usize| MbiError::WalCorrupt { segment: *first_row, offset: offset as u64 };
-
-            // Header. A segment shorter than its header can only be the
-            // torn, never-acked creation of the newest segment.
-            if bytes.len() < HEADER_LEN as usize {
-                if is_last && *first_row == next_row {
-                    last_valid_len = 0;
-                    break;
-                }
-                return Err(corrupt(bytes.len()));
-            }
-            if &bytes[0..4] != WAL_MAGIC {
-                return Err(corrupt(0));
-            }
-            if u32::from_le_bytes(bytes[4..8].try_into().unwrap()) != WAL_VERSION {
-                return Err(corrupt(4));
-            }
-            let header_row = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-            if header_row != *first_row || header_row != next_row {
-                return Err(corrupt(8));
-            }
-            if u64::from_le_bytes(bytes[16..24].try_into().unwrap()) != dim as u64 {
-                return Err(corrupt(16));
-            }
-
-            let mut off = HEADER_LEN as usize;
-            loop {
-                if off == bytes.len() {
-                    break;
-                }
-                let torn = |end: usize| is_last && end >= bytes.len();
-                if bytes.len() - off < REC_HEADER_LEN {
-                    if torn(bytes.len()) {
-                        break;
-                    }
-                    return Err(corrupt(off));
-                }
-                let len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
-                let end = off + REC_HEADER_LEN + len;
-                if len != rec_payload {
-                    // A torn append writes a *prefix* of a correct record, so
-                    // a fully-present header with the wrong length is
-                    // corruption — unless the header itself is part of the
-                    // torn tail region (its record extends past EOF).
-                    if torn(end) && end > bytes.len() {
-                        break;
-                    }
-                    return Err(corrupt(off));
-                }
-                if end > bytes.len() {
-                    if torn(end) {
-                        break;
-                    }
-                    return Err(corrupt(off));
-                }
-                let crc = u32::from_le_bytes(bytes[off + 4..off + 8].try_into().unwrap());
-                let payload = &bytes[off + REC_HEADER_LEN..end];
-                if crc32(payload) != crc {
-                    // A CRC failure on the record ending exactly at EOF of
-                    // the newest segment is a torn write; anywhere else it
-                    // is corruption.
-                    if torn(end) && end == bytes.len() {
-                        break;
-                    }
-                    return Err(corrupt(off));
-                }
-                let timestamp = i64::from_le_bytes(payload[0..8].try_into().unwrap());
-                let mut vector = Vec::with_capacity(dim);
-                for c in payload[8..].chunks_exact(4) {
-                    vector.push(f32::from_le_bytes(c.try_into().unwrap()));
-                }
-                visit(WalRecord { row: next_row, timestamp, vector: &vector })?;
-                next_row += 1;
-                off = end;
-                if is_last {
-                    last_valid_len = off as u64;
-                }
-            }
+            last_valid_len =
+                replay_segment(&bytes, *first_row, dim, &mut next_row, newest, &mut visit)?;
         }
 
         // Reopen the newest segment for appending, truncating any torn tail
@@ -451,11 +379,160 @@ impl Wal {
             dim,
         };
         // Position the write cursor at the (possibly truncated) end.
-        use std::io::Seek;
-        wal.file.seek(std::io::SeekFrom::End(0))?;
-        wal.scratch.reserve(REC_HEADER_LEN + rec_payload);
+        wal.file.seek(SeekFrom::End(0))?;
+        wal.scratch.reserve(record_len(dim) as usize);
         Ok(wal)
     }
+}
+
+/// Bytes of one record for `dim`-dimensional vectors.
+fn record_len(dim: usize) -> u64 {
+    (REC_HEADER_LEN + 8 + dim * 4) as u64
+}
+
+/// Byte offset of record `k` of a segment: records are fixed-size, so a
+/// row's position is a pure function of its index in the segment.
+pub(crate) fn record_offset(dim: usize, k: u64) -> u64 {
+    HEADER_LEN + k * record_len(dim)
+}
+
+/// Why a [`SegmentScan`] stopped before the end of its bytes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum ScanStop {
+    /// The bytes at this offset could be a torn append: a header or record
+    /// cut short, or a record failing its CRC exactly at EOF. Tolerated at
+    /// the end of the newest segment; anywhere else it is corruption here.
+    Torn(u64),
+    /// Bytes at this offset that no torn append leaves behind.
+    Corrupt(u64),
+}
+
+impl ScanStop {
+    pub(crate) fn offset(self) -> u64 {
+        match self {
+            ScanStop::Torn(offset) | ScanStop::Corrupt(offset) => offset,
+        }
+    }
+}
+
+/// The one reader of the segment format: checks the header, then walks the
+/// fixed-size records from a given offset, verifying each CRC. Recovery,
+/// the promotion gate, the replication feed and the divergence diagnosis
+/// all read segments through it and differ only in which [`ScanStop`] they
+/// tolerate.
+pub(crate) struct SegmentScan<'a> {
+    bytes: &'a [u8],
+    payload_len: usize,
+    /// Where the next record starts: just past the last record read.
+    pub(crate) offset: usize,
+}
+
+impl<'a> SegmentScan<'a> {
+    /// Checks the 24-byte header — magic, version, `first_row` (the file
+    /// name's number) and `dim`, at offsets 0/4/8/16 — and positions the
+    /// scan at byte `from`, which must be a record boundary.
+    pub(crate) fn new(
+        bytes: &'a [u8],
+        first_row: u64,
+        dim: usize,
+        from: u64,
+    ) -> Result<Self, ScanStop> {
+        if bytes.len() < HEADER_LEN as usize {
+            return Err(ScanStop::Torn(bytes.len() as u64));
+        }
+        let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
+        if &bytes[0..4] != WAL_MAGIC {
+            return Err(ScanStop::Corrupt(0));
+        }
+        if bytes[4..8] != WAL_VERSION.to_le_bytes() {
+            return Err(ScanStop::Corrupt(4));
+        }
+        if word(8) != first_row {
+            return Err(ScanStop::Corrupt(8));
+        }
+        if word(16) != dim as u64 {
+            return Err(ScanStop::Corrupt(16));
+        }
+        Ok(SegmentScan { bytes, payload_len: 8 + dim * 4, offset: from as usize })
+    }
+
+    /// The next record as `(timestamp, vector)`, `Ok(None)` at the end of
+    /// the bytes, or why the record at [`Self::offset`] is unreadable.
+    pub(crate) fn next_record(&mut self) -> Result<Option<(Timestamp, Vec<f32>)>, ScanStop> {
+        let (b, off) = (self.bytes, self.offset);
+        if off >= b.len() {
+            return Ok(None);
+        }
+        let (torn, corrupt) = (ScanStop::Torn(off as u64), ScanStop::Corrupt(off as u64));
+        if b.len() - off < REC_HEADER_LEN {
+            return Err(torn);
+        }
+        let field = |at: usize| u32::from_le_bytes(b[at..at + 4].try_into().expect("4 bytes"));
+        let end = off + REC_HEADER_LEN + field(off) as usize;
+        if field(off) as usize != self.payload_len || end > b.len() {
+            // A torn append writes a *prefix* of a correct record, so a
+            // whole header with the wrong length is corruption — unless the
+            // record it announces runs past EOF.
+            return Err(if end > b.len() { torn } else { corrupt });
+        }
+        let payload = &b[off + REC_HEADER_LEN..end];
+        if crc32(payload) != field(off + 4) {
+            // Only the record ending exactly at EOF can be a torn write.
+            return Err(if end == b.len() { torn } else { corrupt });
+        }
+        self.offset = end;
+        let (ts, vector) = payload.split_at(8);
+        let vector =
+            vector.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")));
+        Ok(Some((Timestamp::from_le_bytes(ts.try_into().expect("8 bytes")), vector.collect())))
+    }
+}
+
+/// Recovery's verdict on one segment: replays its records through `visit`,
+/// numbering them from `*next_row`, and returns the length of its valid
+/// prefix. A torn tail ends replay only in the `newest` segment, and a torn
+/// header only when that segment continues the log; every other stop is
+/// [`MbiError::WalCorrupt`].
+fn replay_segment(
+    bytes: &[u8],
+    first_row: u64,
+    dim: usize,
+    next_row: &mut u64,
+    newest: bool,
+    visit: &mut impl FnMut(WalRecord<'_>) -> Result<(), MbiError>,
+) -> Result<u64, MbiError> {
+    let corrupt = |offset: u64| MbiError::WalCorrupt { segment: first_row, offset };
+    let mut scan = match SegmentScan::new(bytes, first_row, dim, HEADER_LEN) {
+        Ok(scan) if first_row == *next_row => scan,
+        Ok(_) => return Err(corrupt(8)),
+        Err(ScanStop::Torn(_)) if newest && first_row == *next_row => return Ok(0),
+        Err(stop) => return Err(corrupt(stop.offset())),
+    };
+    loop {
+        match scan.next_record() {
+            Ok(Some((timestamp, vector))) => {
+                visit(WalRecord { row: *next_row, timestamp, vector: &vector })?;
+                *next_row += 1;
+            }
+            Ok(None) => return Ok(scan.offset as u64),
+            Err(ScanStop::Torn(_)) if newest => return Ok(scan.offset as u64),
+            Err(stop) => return Err(corrupt(stop.offset())),
+        }
+    }
+}
+
+/// The promotion gate: recovery's scan of the newest segment in `dir`, run
+/// read-only. A follower must not open for writes on top of a log it could
+/// not itself recover from, so this accepts exactly what
+/// [`Wal::recover`] accepts there.
+pub(crate) fn check_newest_segment(dir: &Path, dim: usize) -> Result<(), MbiError> {
+    let segments = list_segments(dir)?;
+    let Some(&(first_row, ref path)) = segments.last() else {
+        return Ok(());
+    };
+    let bytes = std::fs::read(path)?;
+    replay_segment(&bytes, first_row, dim, &mut { first_row }, true, &mut |_| Ok(()))?;
+    Ok(())
 }
 
 /// Segment files of `dir` as `(first_row, path)`, sorted by row.

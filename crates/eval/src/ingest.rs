@@ -62,8 +62,7 @@ impl IngestSummary {
     ///
     /// # Panics
     ///
-    /// Panics if the engine recorded no insert latencies (no inserts ran, or
-    /// `EngineConfig::record_insert_latency` was disabled).
+    /// Panics if the engine recorded no insert latencies (no inserts ran).
     pub fn from_engine_stats(stats: &EngineStats) -> Self {
         IngestSummary::from_nanos(
             &stats.insert_nanos,

@@ -18,7 +18,7 @@ use crate::config::ServerConfig;
 use crate::http::{self, ParseError, Request};
 use crate::metrics::ServerMetrics;
 use crate::signal;
-use crate::tenant::{Tenant, TenantError, TenantRegistry};
+use crate::tenant::{Tenant, TenantRegistry};
 use crate::wire::{self, Op, Status};
 use mbi_core::{MbiError, TimeWindow};
 use serde::Value;
@@ -423,7 +423,7 @@ fn handle_http_request(req: &Request, shared: &Shared) -> (u16, String) {
         ("POST", "/promote") => match authenticate_http(req, shared) {
             Ok(tenant) => match tenant.promote() {
                 Ok(()) => (200, render(Value::Map(vec![("promoted".into(), Value::Bool(true))]))),
-                Err(e) => (400, http::error_body(&e.to_string())),
+                Err(e) => (e.status().0, http::error_body(&e.to_string())),
             },
             Err(resp) => resp,
         },
@@ -588,8 +588,7 @@ fn http_insert(req: &Request, tenant: &Arc<Tenant>, shared: &Shared) -> (u16, St
             tenant.metrics.inserts.fetch_add(1, Ordering::Relaxed);
             (200, render(Value::Map(vec![("id".into(), Value::UInt(u64::from(id)))])))
         }
-        Err(TenantError::ReadOnly) => (403, http::error_body("tenant is read-only")),
-        Err(TenantError::Engine(e)) => (400, http::error_body(&e.to_string())),
+        Err(e) => (e.status().0, http::error_body(&e.to_string())),
     }
 }
 
@@ -764,15 +763,7 @@ fn handle_binary_op(
                     tenant.metrics.inserts.fetch_add(1, Ordering::Relaxed);
                     (Status::Ok, id.to_le_bytes().to_vec())
                 }
-                Err(TenantError::ReadOnly) => (Status::ReadOnly, b"tenant is read-only".to_vec()),
-                // A row the engine refuses to store is the client's error.
-                Err(TenantError::Engine(
-                    e @ (MbiError::DimensionMismatch { .. }
-                    | MbiError::NonMonotonicTimestamp { .. }
-                    | MbiError::TimestampOutOfRange { .. }
-                    | MbiError::NonFiniteVector),
-                )) => (Status::BadRequest, e.to_string().into_bytes()),
-                Err(TenantError::Engine(e)) => (Status::Internal, e.to_string().into_bytes()),
+                Err(e) => (e.status().1, e.to_string().into_bytes()),
             }
         }
         Op::Stats => {
@@ -796,7 +787,7 @@ fn handle_binary_op(
             };
             match tenant.promote() {
                 Ok(()) => (Status::Ok, Vec::new()),
-                Err(e) => (Status::BadRequest, e.to_string().into_bytes()),
+                Err(e) => (e.status().1, e.to_string().into_bytes()),
             }
         }
     }

@@ -6,6 +6,7 @@ use crate::coalesce::Coalescer;
 use crate::config::{ReplicaSource, ServerConfig, TenantConfig};
 use crate::metrics::TenantMetrics;
 use crate::replicate::ReplicaState;
+use crate::wire::Status;
 use mbi_ann::SearchParams;
 use mbi_core::{
     ColdIndex, EngineHealth, MbiError, QueryOutput, Replica, StreamingMbi, TimeWindow, TknnResult,
@@ -161,9 +162,7 @@ impl Tenant {
                 state.promoted.store(true, Ordering::Relaxed);
                 Ok(())
             }
-            _ => Err(TenantError::Engine(MbiError::Io(std::io::Error::other(
-                "tenant is not a replica",
-            )))),
+            _ => Err(TenantError::NotReplica),
         }
     }
 
@@ -340,8 +339,31 @@ impl Tenant {
 pub enum TenantError {
     /// Insert on a cold (read-only) tenant.
     ReadOnly,
+    /// Promotion of a tenant that does not follow a leader.
+    NotReplica,
     /// The engine rejected the operation.
     Engine(MbiError),
+}
+
+impl TenantError {
+    /// The one mapping onto both protocols: the HTTP status and the binary
+    /// frame status. A row the engine refuses, a write to a read-only
+    /// tenant and a promotion of a non-replica are the client's error;
+    /// every other engine failure (I/O, the WAL, a checksum, a log that
+    /// will not promote) is the server's, so the client may retry.
+    pub(crate) fn status(&self) -> (u16, Status) {
+        match self {
+            TenantError::ReadOnly => (403, Status::ReadOnly),
+            TenantError::NotReplica
+            | TenantError::Engine(
+                MbiError::DimensionMismatch { .. }
+                | MbiError::NonMonotonicTimestamp { .. }
+                | MbiError::TimestampOutOfRange { .. }
+                | MbiError::NonFiniteVector,
+            ) => (400, Status::BadRequest),
+            TenantError::Engine(_) => (500, Status::Internal),
+        }
+    }
 }
 
 impl From<MbiError> for TenantError {
@@ -354,6 +376,7 @@ impl std::fmt::Display for TenantError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TenantError::ReadOnly => write!(f, "tenant is read-only"),
+            TenantError::NotReplica => write!(f, "tenant is not a replica"),
             TenantError::Engine(e) => write!(f, "{e}"),
         }
     }
@@ -465,5 +488,33 @@ impl TenantRegistry {
     /// code).
     pub fn any_halted(&self) -> bool {
         self.tenants.iter().any(|t| t.health().is_halted())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_tenant_error_maps_to_one_status_per_protocol() {
+        let client = (400, Status::BadRequest);
+        let server = (500, Status::Internal);
+        let engine = |e| TenantError::Engine(e);
+        for (err, want) in [
+            (TenantError::ReadOnly, (403, Status::ReadOnly)),
+            (TenantError::NotReplica, client),
+            (engine(MbiError::DimensionMismatch { expected: 2, got: 3 }), client),
+            (engine(MbiError::NonMonotonicTimestamp { newest: 5, got: 4 }), client),
+            (engine(MbiError::TimestampOutOfRange { got: i64::MAX }), client),
+            (engine(MbiError::NonFiniteVector), client),
+            (engine(MbiError::Corrupt { offset: 8, detail: "bad".into() }), server),
+            (engine(MbiError::ChecksumMismatch { section: "data", expected: 1, got: 2 }), server),
+            (engine(MbiError::WalCorrupt { segment: 0, offset: 120 }), server),
+            (engine(MbiError::ReplicaDiverged { segment: 0, offset: 24 }), server),
+            (engine(MbiError::Io(std::io::Error::other("disk full"))), server),
+            (engine(MbiError::UnsealedTail { tail_rows: 3 }), server),
+        ] {
+            assert_eq!(err.status(), want, "{err}");
+        }
     }
 }

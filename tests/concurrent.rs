@@ -188,8 +188,7 @@ fn streaming_flush_converges_to_the_synchronous_index() {
         EngineConfig::default()
             .with_builder_threads(2)
             .with_queue_depth(1)
-            .with_backpressure(Backpressure::BuildInline)
-            .with_record_insert_latency(false),
+            .with_backpressure(Backpressure::BuildInline),
     ];
     for ec in engine_configs {
         let engine = StreamingMbi::with_engine_config(config(), ec);
