@@ -95,18 +95,6 @@ impl Segment {
         }
     }
 
-    /// Attaches a prebuilt SQ8 column — the persist-load path, which must
-    /// not pay a re-encode pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the column's dimension or row count doesn't match.
-    pub fn attach_sq8(&mut self, col: Sq8Column) {
-        assert_eq!(col.dim(), self.dim, "SQ8 column has wrong dimension");
-        assert_eq!(col.len(), self.len(), "SQ8 column has wrong row count");
-        self.sq8 = Some(col);
-    }
-
     /// Whether the SQ8 code column is present.
     #[inline]
     pub fn has_sq8(&self) -> bool {

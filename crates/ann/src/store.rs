@@ -180,39 +180,6 @@ impl VectorStore {
         )
     }
 
-    /// Copies rows `range.start..range.end` into a new owned store, carrying
-    /// the matching slice of the inverse-norm column when present — so the
-    /// copy is bit-identical to what a fresh insert-time computation would
-    /// produce, without paying for one. Used by the streaming engine to hand
-    /// a build worker an immutable chunk and to publish snapshot prefixes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is out of bounds or reversed.
-    pub fn materialize(&self, range: std::ops::Range<usize>) -> VectorStore {
-        assert!(range.start <= range.end && range.end <= self.len(), "row range out of bounds");
-        VectorStore {
-            dim: self.dim,
-            data: self.data[range.start * self.dim..range.end * self.dim].to_vec(),
-            inv_norms: self.inv_norms.as_deref().map(|inv| inv[range].to_vec()),
-        }
-    }
-
-    /// Removes the first `rows` vectors (and their inverse norms), shifting
-    /// the remainder down — the streaming engine trims its write-side tail
-    /// with this after a sealed prefix is published.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows > len()`.
-    pub fn drop_front(&mut self, rows: usize) {
-        assert!(rows <= self.len(), "cannot drop {rows} of {} rows", self.len());
-        self.data.drain(..rows * self.dim);
-        if let Some(inv) = &mut self.inv_norms {
-            inv.drain(..rows);
-        }
-    }
-
     /// Appends every row of `view`. When this store keeps an inverse-norm
     /// column the values are copied from the view's column if it has one
     /// (bit-identical, no recompute) and computed otherwise.
@@ -755,52 +722,6 @@ mod tests {
     #[should_panic(expected = "does not match row count")]
     fn from_flat_with_inv_norms_rejects_mismatch() {
         VectorStore::from_flat_with_inv_norms(2, vec![0.0; 4], vec![0.0; 3]);
-    }
-
-    #[test]
-    fn materialize_copies_rows_and_norms() {
-        let mut s = VectorStore::new(2);
-        s.enable_norm_cache();
-        for i in 0..6 {
-            s.push(&[i as f32 * 3.0, i as f32 * 4.0]);
-        }
-        let m = s.materialize(2..5);
-        assert_eq!(m.len(), 3);
-        assert_eq!(m.dim(), 2);
-        assert_eq!(m.get(0), s.get(2));
-        assert_eq!(m.inv_norms().unwrap(), &s.inv_norms().unwrap()[2..5]);
-        // Without the cache the copy has none either.
-        let plain = VectorStore::from_flat(2, vec![0.0; 8]);
-        assert!(!plain.materialize(0..4).has_norm_cache());
-        assert!(s.materialize(3..3).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn materialize_rejects_out_of_range() {
-        VectorStore::from_flat(2, vec![0.0; 4]).materialize(0..3);
-    }
-
-    #[test]
-    fn drop_front_shifts_rows() {
-        let mut s = VectorStore::new(2);
-        s.enable_norm_cache();
-        for i in 0..5 {
-            s.push(&[i as f32 * 3.0, i as f32 * 4.0]);
-        }
-        let tail_norms = s.inv_norms().unwrap()[3..].to_vec();
-        s.drop_front(3);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.get(0), &[9.0, 12.0]);
-        assert_eq!(s.inv_norms().unwrap(), &tail_norms[..]);
-        s.drop_front(2);
-        assert!(s.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot drop")]
-    fn drop_front_rejects_overdrain() {
-        VectorStore::from_flat(2, vec![0.0; 4]).drop_front(3);
     }
 
     #[test]

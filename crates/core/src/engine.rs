@@ -288,6 +288,11 @@ impl EngineConfig {
 /// `IngestSummary::from_engine_stats` turns them into the serialisable
 /// mean/p50/p99/max report (core cannot depend on eval, which depends on
 /// core).
+///
+/// The engine keeps only the newest 65 536 samples of each latency series
+/// (a fixed bound, not a knob), so a long-running engine's memory and the
+/// cost of each `stats()` call stay bounded; the counters are never
+/// truncated.
 #[derive(Clone, Debug, Default)]
 pub struct EngineStats {
     /// Leaves sealed so far (= merge chains handed to the builders,
@@ -616,9 +621,31 @@ struct Shared {
     inline_builds: AtomicU64,
     spawn_failures: AtomicU64,
     build_panics: AtomicU64,
-    insert_nanos: Mutex<Vec<u64>>,
-    build_nanos: Mutex<Vec<u64>>,
-    publish_nanos: Mutex<Vec<(u64, u64)>>,
+    insert_nanos: Samples<u64>,
+    build_nanos: Samples<u64>,
+    publish_nanos: Samples<(u64, u64)>,
+}
+
+/// Samples kept per latency series (see [`EngineStats`]).
+const LATENCY_SAMPLES: usize = 1 << 16;
+
+/// One latency series, holding its newest [`LATENCY_SAMPLES`] samples.
+#[derive(Debug, Default)]
+struct Samples<T>(Mutex<VecDeque<T>>);
+
+impl<T: Copy> Samples<T> {
+    fn push(&self, sample: T) {
+        let mut series = self.0.lock();
+        if series.len() == LATENCY_SAMPLES {
+            series.pop_front();
+        }
+        series.push_back(sample);
+    }
+
+    /// The kept samples, oldest first.
+    fn to_vec(&self) -> Vec<T> {
+        self.0.lock().iter().copied().collect()
+    }
 }
 
 impl Shared {
@@ -710,9 +737,9 @@ impl StreamingMbi {
             inline_builds: AtomicU64::new(0),
             spawn_failures: AtomicU64::new(0),
             build_panics: AtomicU64::new(0),
-            insert_nanos: Mutex::new(Vec::new()),
-            build_nanos: Mutex::new(Vec::new()),
-            publish_nanos: Mutex::new(Vec::new()),
+            insert_nanos: Samples::default(),
+            build_nanos: Samples::default(),
+            publish_nanos: Samples::default(),
             config,
             engine,
         });
@@ -882,7 +909,7 @@ impl StreamingMbi {
         if let Some(leaf) = sealed_leaf {
             self.dispatch(leaf);
         }
-        self.shared.insert_nanos.lock().push(t0.elapsed().as_nanos() as u64);
+        self.shared.insert_nanos.push(t0.elapsed().as_nanos() as u64);
         match seal_wal_err {
             Some(e) => Err(e),
             None => Ok(id as u32),
@@ -1179,9 +1206,9 @@ impl StreamingMbi {
             inline_builds: self.shared.inline_builds.load(Ordering::Relaxed),
             spawn_failures: self.shared.spawn_failures.load(Ordering::Relaxed),
             build_panics: self.shared.build_panics.load(Ordering::Relaxed),
-            insert_nanos: self.shared.insert_nanos.lock().clone(),
-            build_nanos: self.shared.build_nanos.lock().clone(),
-            publish_nanos: self.shared.publish_nanos.lock().clone(),
+            insert_nanos: self.shared.insert_nanos.to_vec(),
+            build_nanos: self.shared.build_nanos.to_vec(),
+            publish_nanos: self.shared.publish_nanos.to_vec(),
         }
     }
 
@@ -1577,7 +1604,7 @@ fn process_chain(shared: &Shared, leaf: usize) {
     );
     // Record before publication so a flush() that returns has every
     // published chain's sample in view.
-    shared.build_nanos.lock().push(t0.elapsed().as_nanos() as u64);
+    shared.build_nanos.push(t0.elapsed().as_nanos() as u64);
 
     // Stage, then publish every consecutive ready chain in leaf order. The
     // publish decision is against the live snapshot (not just "did this
@@ -1636,7 +1663,7 @@ fn process_chain(shared: &Shared, leaf: usize) {
                 tail.first_row += s_l;
             }
         }
-        shared.publish_nanos.lock().push((sealed as u64, t_pub.elapsed().as_nanos() as u64));
+        shared.publish_nanos.push((sealed as u64, t_pub.elapsed().as_nanos() as u64));
         shared.publish_cv.notify_all();
     }
 }
@@ -1920,6 +1947,19 @@ mod tests {
         assert_eq!(engine.stats().seals, 0);
         assert_eq!(engine.health(), EngineHealth::Healthy);
         assert!(engine.durable_dir().is_none());
+    }
+
+    #[test]
+    fn latency_series_keep_only_the_newest_samples() {
+        // A leaf that never seals: every insert is a tail append, and the
+        // series must stop growing at its bound instead of with the engine.
+        let engine = StreamingMbi::new(config().with_leaf_size(1 << 17));
+        fill(&engine, 65_636);
+        let stats = engine.stats();
+        assert_eq!(stats.seals, 0);
+        assert_eq!(stats.insert_nanos.len(), 65_536);
+        assert!(stats.build_nanos.is_empty() && stats.publish_nanos.is_empty());
+        assert_eq!(engine.len(), 65_636);
     }
 
     #[test]

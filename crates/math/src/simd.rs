@@ -26,10 +26,12 @@
 //! fallback — CI runs the math and ann suites both ways to pin the
 //! bit-identity contract.
 //!
-//! The SQ8 kernels scan `u8` scalar-quantized rows (see
-//! `mbi-ann`'s segment column): codes are decoded on the fly as
-//! `x̂ᵢ = deltaᵢ · codeᵢ + minᵢ` and folded into the same canonical reduction,
-//! so a quantized scan touches a quarter of the memory of an `f32` scan.
+//! The SQ8 kernel scores `u8` scalar-quantized rows (see `mbi-ann`'s segment
+//! column) without decoding them: with `x̂ᵢ = deltaᵢ · codeᵢ + minᵢ`, the
+//! expanded form `⟨q, x̂⟩ = ⟨q, min⟩ + Σᵢ (qᵢ·deltaᵢ)·codeᵢ` leaves one raw code
+//! dot per row ([`sq8_code_dot_batch`]), folded into the same canonical
+//! reduction, so a quantized scan touches a quarter of the memory of an `f32`
+//! scan.
 #![allow(unsafe_code)]
 
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -193,45 +195,6 @@ pub(crate) fn angular_batch_uncached(
     dispatch!(angular_batch_uncached(query, query_inv_norm, rows, out))
 }
 
-/// Appends `‖query − x̂ᵢ‖²` for each SQ8-coded row of `codes`, decoding
-/// `x̂ᵢⱼ = deltaⱼ·codeᵢⱼ + minⱼ` on the fly.
-///
-/// # Panics
-///
-/// Panics if `codes.len()` is not a multiple of `query.len()`, or if the
-/// per-dimension parameter columns are shorter than `query.len()`.
-pub fn sq8_euclidean_batch(
-    query: &[f32],
-    codes: &[u8],
-    mins: &[f32],
-    deltas: &[f32],
-    out: &mut Vec<f32>,
-) {
-    sq8_validate(query, codes, mins, deltas);
-    out.reserve(codes.len() / query.len());
-    dispatch!(sq8_euclidean_batch(query, codes, mins, deltas, out))
-}
-
-/// Appends `⟨query, x̂ᵢ⟩` (or `−⟨query, x̂ᵢ⟩` when `negate` is set) for each
-/// SQ8-coded row of `codes`, decoding `x̂ᵢⱼ = deltaⱼ·codeᵢⱼ + minⱼ` on the fly.
-///
-/// # Panics
-///
-/// Panics if `codes.len()` is not a multiple of `query.len()`, or if the
-/// per-dimension parameter columns are shorter than `query.len()`.
-pub fn sq8_dot_batch(
-    query: &[f32],
-    codes: &[u8],
-    mins: &[f32],
-    deltas: &[f32],
-    negate: bool,
-    out: &mut Vec<f32>,
-) {
-    sq8_validate(query, codes, mins, deltas);
-    out.reserve(codes.len() / query.len());
-    dispatch!(sq8_dot_batch(query, codes, mins, deltas, negate, out))
-}
-
 /// Appends `Σⱼ qdⱼ·codeᵢⱼ` for each SQ8-coded row of `codes` — the raw code
 /// dot of the expanded-form scan, where `qd` is the query pre-scaled by the
 /// per-dimension deltas (`qdⱼ = qⱼ·deltaⱼ`).
@@ -268,20 +231,6 @@ pub fn sq8_code_dot_batch(qd: &[f32], codes: &[u8], out: &mut Vec<f32>) {
 pub fn sq8_code_dot(qd: &[f32], codes: &[u8]) -> f32 {
     assert_eq!(codes.len(), qd.len(), "code row length does not match dim");
     dispatch!(sq8_code_dot_row(qd, codes))
-}
-
-#[inline]
-fn sq8_validate(query: &[f32], codes: &[u8], mins: &[f32], deltas: &[f32]) {
-    let dim = query.len();
-    assert!(dim > 0, "query must have at least one dimension");
-    assert_eq!(
-        codes.len() % dim,
-        0,
-        "codes length {} is not a multiple of dim {}",
-        codes.len(),
-        dim
-    );
-    assert!(mins.len() >= dim && deltas.len() >= dim, "SQ8 parameter columns shorter than dim");
 }
 
 #[inline]
@@ -491,127 +440,6 @@ pub mod scalar {
         for row in rows.chunks_exact(query.len()) {
             let (dp, nb2) = dot_norm2_row(query, row);
             out.push(angular_from_parts(dp, query_inv_norm, inv_from_norm2(nb2)));
-        }
-    }
-
-    /// Squared Euclidean distance of `query` against one SQ8-coded row
-    /// (`x̂ᵢ = deltaᵢ·codeᵢ + minᵢ`).
-    #[inline]
-    pub fn sq8_se_row(query: &[f32], codes: &[u8], mins: &[f32], deltas: &[f32]) -> f32 {
-        debug_assert_eq!(query.len(), codes.len());
-        let n = query.len();
-        let mut acc = [[0.0f32; LANES]; CHAINS];
-        let mut i = 0;
-        while i + STRIDE <= n {
-            for (c, chain) in acc.iter_mut().enumerate() {
-                let base = i + c * LANES;
-                for (l, slot) in chain.iter_mut().enumerate() {
-                    let j = base + l;
-                    let x = deltas[j].mul_add(codes[j] as f32, mins[j]);
-                    let d = query[j] - x;
-                    *slot = d.mul_add(d, *slot);
-                }
-            }
-            i += STRIDE;
-        }
-        let mut v = [0.0f32; LANES];
-        for (l, slot) in v.iter_mut().enumerate() {
-            *slot = (acc[0][l] + acc[1][l]) + (acc[2][l] + acc[3][l]);
-        }
-        while i + LANES <= n {
-            for (l, slot) in v.iter_mut().enumerate() {
-                let j = i + l;
-                let x = deltas[j].mul_add(codes[j] as f32, mins[j]);
-                let d = query[j] - x;
-                *slot = d.mul_add(d, *slot);
-            }
-            i += LANES;
-        }
-        let mut s = v[0];
-        for &lane in &v[1..] {
-            s += lane;
-        }
-        while i < n {
-            let x = deltas[i].mul_add(codes[i] as f32, mins[i]);
-            let d = query[i] - x;
-            s = d.mul_add(d, s);
-            i += 1;
-        }
-        s
-    }
-
-    /// Inner product of `query` against one SQ8-coded row.
-    #[inline]
-    pub fn sq8_dot_row(query: &[f32], codes: &[u8], mins: &[f32], deltas: &[f32]) -> f32 {
-        debug_assert_eq!(query.len(), codes.len());
-        let n = query.len();
-        let mut acc = [[0.0f32; LANES]; CHAINS];
-        let mut i = 0;
-        while i + STRIDE <= n {
-            for (c, chain) in acc.iter_mut().enumerate() {
-                let base = i + c * LANES;
-                for (l, slot) in chain.iter_mut().enumerate() {
-                    let j = base + l;
-                    let x = deltas[j].mul_add(codes[j] as f32, mins[j]);
-                    *slot = query[j].mul_add(x, *slot);
-                }
-            }
-            i += STRIDE;
-        }
-        let mut v = [0.0f32; LANES];
-        for (l, slot) in v.iter_mut().enumerate() {
-            *slot = (acc[0][l] + acc[1][l]) + (acc[2][l] + acc[3][l]);
-        }
-        while i + LANES <= n {
-            for (l, slot) in v.iter_mut().enumerate() {
-                let j = i + l;
-                let x = deltas[j].mul_add(codes[j] as f32, mins[j]);
-                *slot = query[j].mul_add(x, *slot);
-            }
-            i += LANES;
-        }
-        let mut s = v[0];
-        for &lane in &v[1..] {
-            s += lane;
-        }
-        while i < n {
-            let x = deltas[i].mul_add(codes[i] as f32, mins[i]);
-            s = query[i].mul_add(x, s);
-            i += 1;
-        }
-        s
-    }
-
-    /// Batched SQ8 squared Euclidean scan.
-    pub fn sq8_euclidean_batch(
-        query: &[f32],
-        codes: &[u8],
-        mins: &[f32],
-        deltas: &[f32],
-        out: &mut Vec<f32>,
-    ) {
-        for row in codes.chunks_exact(query.len()) {
-            out.push(sq8_se_row(query, row, mins, deltas));
-        }
-    }
-
-    /// Batched SQ8 inner-product scan; `negate` fuses the sign flip.
-    pub fn sq8_dot_batch(
-        query: &[f32],
-        codes: &[u8],
-        mins: &[f32],
-        deltas: &[f32],
-        negate: bool,
-        out: &mut Vec<f32>,
-    ) {
-        if negate {
-            for row in codes.chunks_exact(query.len()) {
-                out.push(-sq8_dot_row(query, row, mins, deltas));
-            }
-        } else {
-            for row in codes.chunks_exact(query.len()) {
-                out.push(sq8_dot_row(query, row, mins, deltas));
-            }
         }
     }
 
@@ -921,187 +749,6 @@ pub mod avx2 {
         _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(bytes))
     }
 
-    /// Squared Euclidean distance of `query` against one SQ8-coded row.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2 and FMA. `codes`, `mins`, `deltas` must be at least
-    /// `query.len()` long.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn sq8_se_row(query: &[f32], codes: &[u8], mins: &[f32], deltas: &[f32]) -> f32 {
-        debug_assert_eq!(query.len(), codes.len());
-        let n = query.len();
-        let (pq, pc, pm, pd) = (query.as_ptr(), codes.as_ptr(), mins.as_ptr(), deltas.as_ptr());
-        let mut acc0 = _mm256_setzero_ps();
-        let mut acc1 = _mm256_setzero_ps();
-        let mut acc2 = _mm256_setzero_ps();
-        let mut acc3 = _mm256_setzero_ps();
-        let mut i = 0;
-        while i + STRIDE <= n {
-            // SAFETY: i + 32 <= n for all four streams.
-            let x0 = _mm256_fmadd_ps(
-                _mm256_loadu_ps(pd.add(i)),
-                load8_codes(pc.add(i)),
-                _mm256_loadu_ps(pm.add(i)),
-            );
-            let x1 = _mm256_fmadd_ps(
-                _mm256_loadu_ps(pd.add(i + 8)),
-                load8_codes(pc.add(i + 8)),
-                _mm256_loadu_ps(pm.add(i + 8)),
-            );
-            let x2 = _mm256_fmadd_ps(
-                _mm256_loadu_ps(pd.add(i + 16)),
-                load8_codes(pc.add(i + 16)),
-                _mm256_loadu_ps(pm.add(i + 16)),
-            );
-            let x3 = _mm256_fmadd_ps(
-                _mm256_loadu_ps(pd.add(i + 24)),
-                load8_codes(pc.add(i + 24)),
-                _mm256_loadu_ps(pm.add(i + 24)),
-            );
-            let d0 = _mm256_sub_ps(_mm256_loadu_ps(pq.add(i)), x0);
-            let d1 = _mm256_sub_ps(_mm256_loadu_ps(pq.add(i + 8)), x1);
-            let d2 = _mm256_sub_ps(_mm256_loadu_ps(pq.add(i + 16)), x2);
-            let d3 = _mm256_sub_ps(_mm256_loadu_ps(pq.add(i + 24)), x3);
-            acc0 = _mm256_fmadd_ps(d0, d0, acc0);
-            acc1 = _mm256_fmadd_ps(d1, d1, acc1);
-            acc2 = _mm256_fmadd_ps(d2, d2, acc2);
-            acc3 = _mm256_fmadd_ps(d3, d3, acc3);
-            i += STRIDE;
-        }
-        let mut v = _mm256_add_ps(_mm256_add_ps(acc0, acc1), _mm256_add_ps(acc2, acc3));
-        while i + LANES <= n {
-            // SAFETY: i + 8 <= n.
-            let x = _mm256_fmadd_ps(
-                _mm256_loadu_ps(pd.add(i)),
-                load8_codes(pc.add(i)),
-                _mm256_loadu_ps(pm.add(i)),
-            );
-            let d = _mm256_sub_ps(_mm256_loadu_ps(pq.add(i)), x);
-            v = _mm256_fmadd_ps(d, d, v);
-            i += LANES;
-        }
-        let mut s = hsum_ordered(v);
-        while i < n {
-            // SAFETY: i < n.
-            let x = (*pd.add(i)).mul_add(*pc.add(i) as f32, *pm.add(i));
-            let d = *pq.add(i) - x;
-            s = d.mul_add(d, s);
-            i += 1;
-        }
-        s
-    }
-
-    /// Inner product of `query` against one SQ8-coded row.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2 and FMA. `codes`, `mins`, `deltas` must be at least
-    /// `query.len()` long.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn sq8_dot_row(query: &[f32], codes: &[u8], mins: &[f32], deltas: &[f32]) -> f32 {
-        debug_assert_eq!(query.len(), codes.len());
-        let n = query.len();
-        let (pq, pc, pm, pd) = (query.as_ptr(), codes.as_ptr(), mins.as_ptr(), deltas.as_ptr());
-        let mut acc0 = _mm256_setzero_ps();
-        let mut acc1 = _mm256_setzero_ps();
-        let mut acc2 = _mm256_setzero_ps();
-        let mut acc3 = _mm256_setzero_ps();
-        let mut i = 0;
-        while i + STRIDE <= n {
-            // SAFETY: i + 32 <= n for all four streams.
-            let x0 = _mm256_fmadd_ps(
-                _mm256_loadu_ps(pd.add(i)),
-                load8_codes(pc.add(i)),
-                _mm256_loadu_ps(pm.add(i)),
-            );
-            let x1 = _mm256_fmadd_ps(
-                _mm256_loadu_ps(pd.add(i + 8)),
-                load8_codes(pc.add(i + 8)),
-                _mm256_loadu_ps(pm.add(i + 8)),
-            );
-            let x2 = _mm256_fmadd_ps(
-                _mm256_loadu_ps(pd.add(i + 16)),
-                load8_codes(pc.add(i + 16)),
-                _mm256_loadu_ps(pm.add(i + 16)),
-            );
-            let x3 = _mm256_fmadd_ps(
-                _mm256_loadu_ps(pd.add(i + 24)),
-                load8_codes(pc.add(i + 24)),
-                _mm256_loadu_ps(pm.add(i + 24)),
-            );
-            acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(pq.add(i)), x0, acc0);
-            acc1 = _mm256_fmadd_ps(_mm256_loadu_ps(pq.add(i + 8)), x1, acc1);
-            acc2 = _mm256_fmadd_ps(_mm256_loadu_ps(pq.add(i + 16)), x2, acc2);
-            acc3 = _mm256_fmadd_ps(_mm256_loadu_ps(pq.add(i + 24)), x3, acc3);
-            i += STRIDE;
-        }
-        let mut v = _mm256_add_ps(_mm256_add_ps(acc0, acc1), _mm256_add_ps(acc2, acc3));
-        while i + LANES <= n {
-            // SAFETY: i + 8 <= n.
-            let x = _mm256_fmadd_ps(
-                _mm256_loadu_ps(pd.add(i)),
-                load8_codes(pc.add(i)),
-                _mm256_loadu_ps(pm.add(i)),
-            );
-            v = _mm256_fmadd_ps(_mm256_loadu_ps(pq.add(i)), x, v);
-            i += LANES;
-        }
-        let mut s = hsum_ordered(v);
-        while i < n {
-            // SAFETY: i < n.
-            let x = (*pd.add(i)).mul_add(*pc.add(i) as f32, *pm.add(i));
-            s = (*pq.add(i)).mul_add(x, s);
-            i += 1;
-        }
-        s
-    }
-
-    /// Batched SQ8 squared Euclidean scan.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2 and FMA. `codes.len()` must be a multiple of
-    /// `query.len()`; `mins`/`deltas` hold one entry per dimension.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn sq8_euclidean_batch(
-        query: &[f32],
-        codes: &[u8],
-        mins: &[f32],
-        deltas: &[f32],
-        out: &mut Vec<f32>,
-    ) {
-        for row in codes.chunks_exact(query.len()) {
-            out.push(sq8_se_row(query, row, mins, deltas));
-        }
-    }
-
-    /// Batched SQ8 inner-product scan; `negate` fuses the sign flip.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2 and FMA. `codes.len()` must be a multiple of
-    /// `query.len()`; `mins`/`deltas` hold one entry per dimension.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn sq8_dot_batch(
-        query: &[f32],
-        codes: &[u8],
-        mins: &[f32],
-        deltas: &[f32],
-        negate: bool,
-        out: &mut Vec<f32>,
-    ) {
-        if negate {
-            for row in codes.chunks_exact(query.len()) {
-                out.push(-sq8_dot_row(query, row, mins, deltas));
-            }
-        } else {
-            for row in codes.chunks_exact(query.len()) {
-                out.push(sq8_dot_row(query, row, mins, deltas));
-            }
-        }
-    }
-
     /// `Σⱼ qdⱼ · codeⱼ` for one coded row (expanded-form SQ8 scan).
     ///
     /// # Safety
@@ -1401,120 +1048,6 @@ pub mod neon {
         V8(lo, hi)
     }
 
-    /// Squared Euclidean distance of `query` against one SQ8-coded row.
-    ///
-    /// # Safety
-    ///
-    /// `codes`, `mins`, `deltas` must be at least `query.len()` long.
-    pub unsafe fn sq8_se_row(query: &[f32], codes: &[u8], mins: &[f32], deltas: &[f32]) -> f32 {
-        debug_assert_eq!(query.len(), codes.len());
-        let n = query.len();
-        let (pq, pc, pm, pd) = (query.as_ptr(), codes.as_ptr(), mins.as_ptr(), deltas.as_ptr());
-        let mut acc = [v8_zero(); 4];
-        let mut i = 0;
-        while i + STRIDE <= n {
-            for (c, slot) in acc.iter_mut().enumerate() {
-                let base = i + c * LANES;
-                let x =
-                    v8_fma(v8_load(pm.add(base)), v8_load(pd.add(base)), load8_codes(pc.add(base)));
-                let d = v8_sub(v8_load(pq.add(base)), x);
-                *slot = v8_fma(*slot, d, d);
-            }
-            i += STRIDE;
-        }
-        let mut v = v8_add(v8_add(acc[0], acc[1]), v8_add(acc[2], acc[3]));
-        while i + LANES <= n {
-            let x = v8_fma(v8_load(pm.add(i)), v8_load(pd.add(i)), load8_codes(pc.add(i)));
-            let d = v8_sub(v8_load(pq.add(i)), x);
-            v = v8_fma(v, d, d);
-            i += LANES;
-        }
-        let mut s = hsum_ordered(v);
-        while i < n {
-            let x = (*pd.add(i)).mul_add(*pc.add(i) as f32, *pm.add(i));
-            let d = *pq.add(i) - x;
-            s = d.mul_add(d, s);
-            i += 1;
-        }
-        s
-    }
-
-    /// Inner product of `query` against one SQ8-coded row.
-    ///
-    /// # Safety
-    ///
-    /// `codes`, `mins`, `deltas` must be at least `query.len()` long.
-    pub unsafe fn sq8_dot_row(query: &[f32], codes: &[u8], mins: &[f32], deltas: &[f32]) -> f32 {
-        debug_assert_eq!(query.len(), codes.len());
-        let n = query.len();
-        let (pq, pc, pm, pd) = (query.as_ptr(), codes.as_ptr(), mins.as_ptr(), deltas.as_ptr());
-        let mut acc = [v8_zero(); 4];
-        let mut i = 0;
-        while i + STRIDE <= n {
-            for (c, slot) in acc.iter_mut().enumerate() {
-                let base = i + c * LANES;
-                let x =
-                    v8_fma(v8_load(pm.add(base)), v8_load(pd.add(base)), load8_codes(pc.add(base)));
-                *slot = v8_fma(*slot, v8_load(pq.add(base)), x);
-            }
-            i += STRIDE;
-        }
-        let mut v = v8_add(v8_add(acc[0], acc[1]), v8_add(acc[2], acc[3]));
-        while i + LANES <= n {
-            let x = v8_fma(v8_load(pm.add(i)), v8_load(pd.add(i)), load8_codes(pc.add(i)));
-            v = v8_fma(v, v8_load(pq.add(i)), x);
-            i += LANES;
-        }
-        let mut s = hsum_ordered(v);
-        while i < n {
-            let x = (*pd.add(i)).mul_add(*pc.add(i) as f32, *pm.add(i));
-            s = (*pq.add(i)).mul_add(x, s);
-            i += 1;
-        }
-        s
-    }
-
-    /// Batched SQ8 squared Euclidean scan.
-    ///
-    /// # Safety
-    ///
-    /// `codes.len()` must be a multiple of `query.len()`.
-    pub unsafe fn sq8_euclidean_batch(
-        query: &[f32],
-        codes: &[u8],
-        mins: &[f32],
-        deltas: &[f32],
-        out: &mut Vec<f32>,
-    ) {
-        for row in codes.chunks_exact(query.len()) {
-            out.push(sq8_se_row(query, row, mins, deltas));
-        }
-    }
-
-    /// Batched SQ8 inner-product scan; `negate` fuses the sign flip.
-    ///
-    /// # Safety
-    ///
-    /// `codes.len()` must be a multiple of `query.len()`.
-    pub unsafe fn sq8_dot_batch(
-        query: &[f32],
-        codes: &[u8],
-        mins: &[f32],
-        deltas: &[f32],
-        negate: bool,
-        out: &mut Vec<f32>,
-    ) {
-        if negate {
-            for row in codes.chunks_exact(query.len()) {
-                out.push(-sq8_dot_row(query, row, mins, deltas));
-            }
-        } else {
-            for row in codes.chunks_exact(query.len()) {
-                out.push(sq8_dot_row(query, row, mins, deltas));
-            }
-        }
-    }
-
     /// `Σⱼ qdⱼ · codeⱼ` for one coded row (expanded-form SQ8 scan).
     ///
     /// # Safety
@@ -1626,35 +1159,25 @@ mod tests {
             let codes: Vec<u8> = (0..dim * 3).map(|i| (i * 37 % 256) as u8).collect();
             let mins = vec_of(dim, 17);
             let deltas: Vec<f32> = vec_of(dim, 19).iter().map(|x| x.abs() / 255.0).collect();
-            let mut se_s = Vec::new();
-            let mut dp_s = Vec::new();
-            let mut cd_s = Vec::new();
             let qd: Vec<f32> = q.iter().zip(&deltas).map(|(x, d)| x * d).collect();
-            scalar::sq8_euclidean_batch(&q, &codes, &mins, &deltas, &mut se_s);
-            scalar::sq8_dot_batch(&q, &codes, &mins, &deltas, true, &mut dp_s);
+            let mut cd_s = Vec::new();
             scalar::sq8_code_dot_batch(&qd, &codes, &mut cd_s);
             #[cfg(target_arch = "x86_64")]
             if avx2::available() {
-                let mut se_v = Vec::new();
-                let mut dp_v = Vec::new();
                 let mut cd_v = Vec::new();
                 // SAFETY: availability checked above.
-                unsafe {
-                    avx2::sq8_euclidean_batch(&q, &codes, &mins, &deltas, &mut se_v);
-                    avx2::sq8_dot_batch(&q, &codes, &mins, &deltas, true, &mut dp_v);
-                    avx2::sq8_code_dot_batch(&qd, &codes, &mut cd_v);
-                }
-                for i in 0..se_s.len() {
-                    assert_eq!(se_v[i].to_bits(), se_s[i].to_bits(), "sq8 se dim={dim} i={i}");
-                    assert_eq!(dp_v[i].to_bits(), dp_s[i].to_bits(), "sq8 dot dim={dim} i={i}");
-                    assert_eq!(cd_v[i].to_bits(), cd_s[i].to_bits(), "sq8 cd dim={dim} i={i}");
+                unsafe { avx2::sq8_code_dot_batch(&qd, &codes, &mut cd_v) };
+                for (i, (v, s)) in cd_v.iter().zip(&cd_s).enumerate() {
+                    assert_eq!(v.to_bits(), s.to_bits(), "sq8 cd dim={dim} i={i}");
                 }
             }
-            // Expanded form reconstructs the direct decode-dot to fp tolerance:
-            // ⟨q,x̂⟩ = ⟨q,min⟩ + Σ qdⱼ·codeⱼ.
+            // Expanded form reconstructs the decoded dot to fp tolerance:
+            // ⟨q,x̂⟩ = ⟨q,min⟩ + Σ qdⱼ·codeⱼ with x̂ⱼ = deltaⱼ·codeⱼ + minⱼ.
             let qm: f32 = q.iter().zip(&mins).map(|(x, m)| x * m).sum();
-            for (i, &cd) in cd_s.iter().enumerate() {
-                let direct = -dp_s[i];
+            for (i, (row, &cd)) in codes.chunks_exact(dim).zip(&cd_s).enumerate() {
+                let decoded = row.iter().zip(&mins).zip(&deltas);
+                let x_hat = decoded.map(|((&c, &m), &d)| d.mul_add(c as f32, m));
+                let direct: f32 = q.iter().zip(x_hat).map(|(a, b)| a * b).sum();
                 let expanded = qm + cd;
                 let tol = 1e-4 * direct.abs().max(1.0);
                 assert!(

@@ -1,8 +1,8 @@
 //! Property tests pinning the SIMD dispatch contract: whatever backend is
 //! active (AVX2, NEON, or the scalar fallback — forced via `MBI_FORCE_SCALAR`
 //! in one CI leg), the Euclidean and inner-product kernels are bit-identical
-//! to the portable scalar reference shape, and the angular paths agree with
-//! the three-pass scalar formula to within `1e-5`.
+//! to the portable scalar reference shape, the SQ8 code dot is too, and the
+//! angular paths agree with the three-pass scalar formula to within `1e-5`.
 
 use mbi_math::simd::{self, scalar};
 use mbi_math::{
@@ -83,29 +83,30 @@ proptest! {
     }
 
     #[test]
-    fn dispatched_sq8_kernels_are_bit_identical_to_scalar_reference(
+    fn dispatched_sq8_code_dot_is_bit_identical_to_scalar_reference(
         dim_idx in 0usize..DIMS.len(),
         n in 1usize..=MAX_ROWS,
         pool in value_pool(),
         codes in prop::collection::vec(any::<u8>(), MAX_DIM * MAX_ROWS),
     ) {
         let dim = DIMS[dim_idx];
-        let q = &pool[..dim];
-        let mins = &pool[dim..2 * dim];
-        let deltas: Vec<f32> = pool[2 * dim..3 * dim].iter().map(|x| x.abs() / 255.0).collect();
+        // The query pre-scaled by the per-dimension deltas, as `Sq8Scan` builds it.
+        let qd: Vec<f32> =
+            pool[..dim].iter().zip(&pool[dim..2 * dim]).map(|(q, d)| q * d.abs() / 255.0).collect();
         let codes = &codes[..dim * n];
 
-        let (mut se, mut dp) = (vec![], vec![]);
-        simd::sq8_euclidean_batch(q, codes, mins, &deltas, &mut se);
-        simd::sq8_dot_batch(q, codes, mins, &deltas, true, &mut dp);
+        let mut cd = vec![];
+        simd::sq8_code_dot_batch(&qd, codes, &mut cd);
+        let mut cd_ref = vec![];
+        scalar::sq8_code_dot_batch(&qd, codes, &mut cd_ref);
 
-        let (mut se_ref, mut dp_ref) = (vec![], vec![]);
-        scalar::sq8_euclidean_batch(q, codes, mins, &deltas, &mut se_ref);
-        scalar::sq8_dot_batch(q, codes, mins, &deltas, true, &mut dp_ref);
-
-        for i in 0..n {
-            prop_assert_eq!(se[i].to_bits(), se_ref[i].to_bits(), "sq8 se dim={} i={}", dim, i);
-            prop_assert_eq!(dp[i].to_bits(), dp_ref[i].to_bits(), "sq8 dot dim={} i={}", dim, i);
+        prop_assert_eq!(cd.len(), n);
+        for (i, row) in codes.chunks_exact(dim).enumerate() {
+            prop_assert_eq!(cd[i].to_bits(), cd_ref[i].to_bits(), "sq8 cd dim={} i={}", dim, i);
+            // The graph-search gather path scores one row at a time through
+            // the same dispatch.
+            prop_assert_eq!(simd::sq8_code_dot(&qd, row).to_bits(), cd[i].to_bits(),
+                "sq8 row dim={} i={}", dim, i);
         }
     }
 }
