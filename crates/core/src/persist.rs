@@ -164,10 +164,15 @@ impl<'a> Src<'a> {
         }
     }
 
-    fn take<const N: usize>(&mut self) -> [u8; N] {
-        let x = self.b[self.pos..self.end][..N].try_into().expect("N bytes");
-        self.pos += N;
+    /// The next `n` bytes, consumed.
+    fn bytes(&mut self, n: usize) -> &'a [u8] {
+        let x = &self.b[self.pos..self.end][..n];
+        self.pos += n;
         x
+    }
+
+    fn take<const N: usize>(&mut self) -> [u8; N] {
+        self.bytes(N).try_into().expect("N bytes")
     }
 
     fn get_u8(&mut self) -> u8 {
@@ -440,10 +445,7 @@ fn decode_index_body(src: &mut Src<'_>) -> Result<MbiIndex, MbiError> {
     src.need(8)?;
     let n = src.get_u64_le() as usize;
     src.need(n.checked_mul(8).ok_or_else(|| overflow(src))?)?;
-    let mut timestamps = Vec::with_capacity(n);
-    for _ in 0..n {
-        timestamps.push(src.get_i64_le());
-    }
+    let timestamps: Vec<i64> = le_vec(src.bytes(n * 8));
     for (i, pair) in timestamps.windows(2).enumerate() {
         if pair[1] < pair[0] {
             return Err(MbiError::corrupt(src.pos - (n - i - 1) * 8, "timestamps not sorted"));
@@ -451,21 +453,13 @@ fn decode_index_body(src: &mut Src<'_>) -> Result<MbiIndex, MbiError> {
     }
     let floats = n.checked_mul(config.dim).ok_or_else(|| overflow(src))?;
     src.need(floats.checked_mul(4).ok_or_else(|| overflow(src))?)?;
-    let mut flat = Vec::with_capacity(floats);
-    for _ in 0..floats {
-        flat.push(src.get_f32_le());
-    }
+    let flat = le_vec(src.bytes(floats * 4));
     src.need(1)?;
     let has_norms = src.get_u8() != 0;
     let mut store = if has_norms {
         src.need(n.checked_mul(4).ok_or_else(|| overflow(src))?)?;
         let at = src.pos;
-        let inv = scalars(
-            (0..n).map(|_| src.get_f32_le()).collect::<Vec<_>>(),
-            at,
-            "inverse norm",
-            false,
-        )?;
+        let inv = scalars(le_vec::<f32>(src.bytes(n * 4)), at, "inverse norm", false)?;
         VectorStore::from_flat_with_inv_norms(config.dim, flat, inv)
     } else {
         VectorStore::from_flat(config.dim, flat)
@@ -1148,7 +1142,7 @@ macro_rules! le_scalar {
         }
     )*};
 }
-le_scalar!(u8, f32, i64);
+le_scalar!(u8, u32, f32, i64);
 
 fn le_vec<T: LeScalar>(b: &[u8]) -> Vec<T> {
     b.chunks_exact(size_of::<T>()).map(T::from_le).collect()
@@ -1308,20 +1302,27 @@ fn metric_from_tag(b: &mut Src<'_>) -> Result<Metric, MbiError> {
     }
 }
 
+/// Appends `g`, reserving its exact serialised size first.
 fn write_graph(b: &mut BytesMut, g: &BlockGraph) {
     match g {
         BlockGraph::Knn(g) => {
+            let flat = g.as_flat();
+            b.reserve(1 + 8 + 8 + flat.len() * 4);
             b.put_u8(0);
             b.put_u64_le(g.degree() as u64);
-            let flat = g.as_flat();
             b.put_u64_le(flat.len() as u64);
-            for &x in flat {
-                b.put_u32_le(x);
+            let start = b.len();
+            b.resize(start + flat.len() * 4, 0);
+            for (dst, x) in b[start..].chunks_exact_mut(4).zip(flat) {
+                dst.copy_from_slice(&x.to_le_bytes());
             }
         }
         BlockGraph::Hnsw(h) => {
-            b.put_u8(1);
             let (params, metric, entry, max_level, links) = h.to_parts();
+            let lists: usize = links.iter().map(|node| 2 + node.len() * 4).sum();
+            let edges: usize = links.iter().flatten().map(Vec::len).sum();
+            b.reserve(1 + 24 + 1 + 4 + 8 + 8 + lists + edges * 4);
+            b.put_u8(1);
             write_hnsw_params(b, &params);
             b.put_u8(metric_tag(metric));
             b.put_u32_le(entry);
@@ -1354,15 +1355,11 @@ fn read_graph(b: &mut Src<'_>, block_len: usize) -> Result<BlockGraph, MbiError>
                     "graph size {len} does not match degree {degree} × block {block_len}"
                 )));
             }
-            b.need(len.checked_mul(4).ok_or_else(|| overflow(b))?)?;
-            let mut flat = Vec::with_capacity(len);
-            for _ in 0..len {
-                let x = b.get_u32_le();
-                if x != u32::MAX && x as usize >= block_len {
-                    return Err(b.corrupt(format!("edge to missing node {x}")));
-                }
-                flat.push(x);
-            }
+            // In range, or the padding sentinel. A `u32` bound keeps the
+            // check in 32-bit vector lanes; a block of 2^32 rows or more
+            // makes every edge valid, and so does the clamped bound.
+            let n = u32::try_from(block_len).unwrap_or(u32::MAX);
+            let flat = read_edges(b, len, "edge", |x| x == u32::MAX || x < n)?;
             Ok(BlockGraph::Knn(KnnGraph::from_flat(degree, flat)))
         }
         1 => {
@@ -1386,23 +1383,39 @@ fn read_graph(b: &mut Src<'_>, block_len: usize) -> Result<BlockGraph, MbiError>
                 for _ in 0..layers {
                     b.need(4)?;
                     let len = b.get_u32_le() as usize;
-                    b.need(len.checked_mul(4).ok_or_else(|| overflow(b))?)?;
-                    let mut layer = Vec::with_capacity(len);
-                    for _ in 0..len {
-                        let nb = b.get_u32_le();
-                        if nb as usize >= n {
-                            return Err(b.corrupt(format!("hnsw edge to missing node {nb}")));
-                        }
-                        layer.push(nb);
-                    }
-                    node.push(layer);
+                    node.push(read_edges(b, len, "hnsw edge", |nb| (nb as usize) < n)?);
                 }
                 links.push(node);
+            }
+            // The first query descends through every layer below
+            // `max_level`, and `HnswIndex::insert` leaves the entry node with
+            // exactly `max_level + 1` of them.
+            if n > 0 && max_level.checked_add(1) != Some(links[entry as usize].len()) {
+                return Err(b.corrupt(format!("hnsw max level {max_level} off the entry's layers")));
             }
             Ok(BlockGraph::Hnsw(HnswIndex::from_parts(params, metric, entry, max_level, links)))
         }
         t => Err(b.corrupt(format!("unknown graph tag {t}"))),
     }
+}
+
+/// Decodes `len` edges in bulk and checks them in one branch-free pass; only
+/// on failure is the first bad edge located, reported at the byte after it.
+fn read_edges(
+    b: &mut Src<'_>,
+    len: usize,
+    what: &str,
+    valid: impl Fn(u32) -> bool,
+) -> Result<Vec<u32>, MbiError> {
+    b.need(len.checked_mul(4).ok_or_else(|| overflow(b))?)?;
+    let at = b.pos;
+    let edges: Vec<u32> = le_vec(b.bytes(len * 4));
+    if !edges.iter().fold(true, |ok, &x| ok & valid(x)) {
+        let i = edges.iter().position(|&x| !valid(x)).expect("a bad edge");
+        let detail = format!("{what} to missing node {}", edges[i]);
+        return Err(MbiError::corrupt(at + (i + 1) * 4, detail));
+    }
+    Ok(edges)
 }
 
 #[cfg(test)]
@@ -1539,6 +1552,46 @@ mod tests {
                 let meta_crc = crc32(&body[self.b0..meta_end]);
                 put_u32(body, meta_end, meta_crc);
             })
+        }
+
+        /// `reseal` for an edit inside block `bi`'s graph: the graph CRC is
+        /// the last field of the block's entry and, for a leaf block, of its
+        /// leaf's entry too; both are rewritten before the directory CRCs.
+        fn reseal_graph(&self, stream: &[u8], bi: usize, mutate: impl FnOnce(&mut [u8])) -> Bytes {
+            let m = &self.lay.blocks[bi];
+            self.reseal(stream, |body| {
+                mutate(&mut body[m.graph_off..m.graph_off + m.graph_len]);
+                let crc = crc32(&body[m.graph_off..m.graph_off + m.graph_len]);
+                put_u32(body, self.block_entry(bi + 1) - 4, crc);
+                if let Some(leaf) = self.lay.leaf_block.iter().position(|&b| b == bi) {
+                    put_u32(body, self.leaf_entry(leaf + 1) - 4, crc);
+                }
+            })
+        }
+    }
+
+    /// Where each block's graph starts in an index-kind stream: the graphs
+    /// follow one another in the blocks section, each after its block's
+    /// 36 bytes of fixed fields.
+    fn index_graph_offsets(idx: &MbiIndex, stream: &[u8]) -> Vec<usize> {
+        let mut at = parse_footer(stream).unwrap()[3].0 + 16;
+        let mut offsets = Vec::new();
+        for block in idx.blocks() {
+            let mut g = BytesMut::new();
+            write_graph(&mut g, &block.graph);
+            offsets.push(at + 36);
+            at += 36 + g.len();
+        }
+        offsets
+    }
+
+    /// `Some(offset)` for a `Corrupt` verdict, `None` for a successful one;
+    /// any other error fails the test.
+    fn corrupt_at<T>(r: Result<T, MbiError>, what: &str, detail: &str) -> Option<usize> {
+        match r {
+            Ok(_) => None,
+            Err(MbiError::Corrupt { offset, detail: d }) if d == detail => Some(offset),
+            Err(e) => panic!("{what}: expected Ok or Corrupt({detail:?}), got {e}"),
         }
     }
 
@@ -1870,6 +1923,168 @@ mod tests {
             let cold = cold_from(&sealed).unwrap();
             let err = cold.query(&[0.0, 0.0, 0.0], 3, TimeWindow::new(0, 10)).unwrap_err();
             assert!(matches!(err, MbiError::Corrupt { .. }), "cold, degree {degree}: {err}");
+        }
+    }
+
+    /// `HnswIndex::insert` leaves the entry node with exactly `max_level + 1`
+    /// layers, and the first query walks every layer below `max_level`: any
+    /// other value is `Corrupt`. One layer too many used to load; `2^40` used
+    /// to load and then hang that first query.
+    #[test]
+    fn hostile_hnsw_max_level_is_corrupt_not_a_hang() {
+        let idx = build_index(GraphBackend::Hnsw(HnswParams::default()), 64);
+        let BlockGraph::Hnsw(h) = &idx.blocks()[0].graph else { panic!("an HNSW block") };
+        let (_, _, entry, max_level, links) = h.to_parts();
+        let entry_layers = links[entry as usize].len() as u64;
+        // Tag, parameters, metric tag and entry precede `max_level`.
+        let field = 1 + 24 + 1 + 4;
+        let index_stream = idx.to_bytes();
+        let index_at = index_graph_offsets(&idx, &index_stream)[0] + field;
+        assert_eq!(rd_u64(&index_stream, index_at), max_level as u64);
+        let snap_stream = snapshot_of(&idx).to_bytes();
+        let dirs = Dirs::of(&snap_stream);
+        for hostile in [entry_layers, 1 << 40] {
+            let sealed = refooter(&index_stream, |body| {
+                body[index_at..index_at + 8].copy_from_slice(&hostile.to_le_bytes());
+            });
+            let err = MbiIndex::from_bytes(sealed).unwrap_err();
+            assert!(matches!(err, MbiError::Corrupt { .. }), "index, max_level {hostile}: {err}");
+
+            let sealed = dirs.reseal_graph(&snap_stream, 0, |g| {
+                g[field..field + 8].copy_from_slice(&hostile.to_le_bytes());
+            });
+            let err = IndexSnapshot::from_bytes(sealed.clone()).unwrap_err();
+            assert!(
+                matches!(err, MbiError::Corrupt { .. }),
+                "snapshot, max_level {hostile}: {err}"
+            );
+            let map = Arc::new(FileMap::from_bytes(sealed.to_vec()));
+            let cold = ColdIndex::from_map_with_budget(map, 0).unwrap();
+            let err = cold.query(&[0.0, 0.0, 0.0], 3, TimeWindow::new(0, 10)).unwrap_err();
+            assert!(matches!(err, MbiError::Corrupt { .. }), "cold, max_level {hostile}: {err}");
+        }
+    }
+
+    /// One verdict per edited edge of a leaf graph and of a height-1 graph:
+    /// the first edge, one on a 64-byte boundary of the adjacency and the
+    /// last, set to `n − 1`, `n`, `u32::MAX − 1` and `u32::MAX` (`n` the
+    /// block's row count, `u32::MAX` the padding), CRCs re-sealed. The index
+    /// loader, the snapshot loader and the cold tier at budgets 0 and
+    /// unlimited must open the stream or report `Corrupt` at the byte after
+    /// the bad edge, as recorded on the reader that decoded one edge at a
+    /// time.
+    #[test]
+    fn graph_edge_verdict_table() {
+        // Per graph, per slot: where a bad edge is reported in the index
+        // stream and in the snapshot stream.
+        const BAD_EDGE_AT: [[(usize, usize); 3]; 2] = [
+            [(1476, 4437), (2308, 5269), (3072, 6033)],
+            [(4782, 20905), (6382, 22505), (7978, 24101)],
+        ];
+        let idx = build_index(GraphBackend::default(), 64);
+        let index_stream = idx.to_bytes();
+        let index_graphs = index_graph_offsets(&idx, &index_stream);
+        let snap_stream = snapshot_of(&idx).to_bytes();
+        let dirs = Dirs::of(&snap_stream);
+        let q = [20.0f32, 0.5, -20.0];
+        for (g, bi) in [0, 2].into_iter().enumerate() {
+            let m = &dirs.lay.blocks[bi];
+            assert_eq!(m.height as usize, g, "block {bi}");
+            let BlockGraph::Knn(graph) = &idx.blocks()[bi].graph else { panic!("a kNN block") };
+            let (n, len) = (m.rows.len() as u32, graph.as_flat().len());
+            let window = TimeWindow::new(m.start_ts, m.end_ts);
+            for (s, slot) in [0, (len / 2).next_multiple_of(16), len - 1].into_iter().enumerate() {
+                let edge = 17 + 4 * slot;
+                for x in [n - 1, n, u32::MAX - 1, u32::MAX] {
+                    let what = format!("block {bi}, edge {slot} of {len} set to {x}");
+                    let detail = format!("edge to missing node {x}");
+                    let edit = |bytes: &mut [u8]| {
+                        bytes[edge..edge + 4].copy_from_slice(&x.to_le_bytes());
+                    };
+                    let sealed =
+                        refooter(&index_stream, |body| edit(&mut body[index_graphs[bi]..]));
+                    let index = corrupt_at(MbiIndex::from_bytes(sealed), &what, &detail);
+                    let sealed = dirs.reseal_graph(&snap_stream, bi, edit);
+                    let snapshot =
+                        corrupt_at(IndexSnapshot::from_bytes(sealed.clone()), &what, &detail);
+                    for budget in [0, u64::MAX] {
+                        let map = Arc::new(FileMap::from_bytes(sealed.to_vec()));
+                        let cold = ColdIndex::from_map_with_budget(map, budget)
+                            .and_then(|cold| cold.query(&q, 5, window));
+                        let cold = corrupt_at(cold, &what, &detail);
+                        assert_eq!(cold, snapshot, "{what}: cold at budget {budget}");
+                    }
+                    let (index_at, snapshot_at) = BAD_EDGE_AT[g][s];
+                    let expected = if x < n || x == u32::MAX {
+                        (None, None)
+                    } else {
+                        (Some(index_at), Some(snapshot_at))
+                    };
+                    assert_eq!((index, snapshot), expected, "{what}");
+                }
+            }
+        }
+    }
+
+    /// The per-element decoder the bulk one replaced: the `Corrupt` offset of
+    /// the first out-of-range edge of a serialised kNN graph at `base`.
+    fn first_bad_edge(graph: &[u8], base: usize, block_len: usize) -> Option<usize> {
+        let mut at = base + 17;
+        for edge in graph[17..].chunks_exact(4) {
+            at += 4;
+            let x = u32::from_le_bytes(edge.try_into().unwrap());
+            if x != u32::MAX && x as usize >= block_len {
+                return Some(at);
+            }
+        }
+        None
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+        /// Any kNN graph survives `write_graph` → `read_graph`, padding and
+        /// all, at lengths that are no multiple of a vector lane; an edge out
+        /// of range is `Corrupt` where the per-element reference says.
+        #[test]
+        fn knn_graph_roundtrips_and_bad_edges_match_the_reference(
+            degree in 0usize..=33,
+            block_len in 0usize..=70,
+            raw in proptest::collection::vec(proptest::arbitrary::any::<u32>(), 33 * 70),
+            base in 0usize..8,
+            bad in (proptest::arbitrary::any::<usize>(), proptest::arbitrary::any::<usize>()),
+            bad_value in proptest::arbitrary::any::<u32>(),
+        ) {
+            // Ids in range, or the padding sentinel.
+            let n = block_len as u32;
+            let flat = raw[..degree * block_len].iter().map(|&r| r % (n + 1)).map(|e| {
+                if e == n { u32::MAX } else { e }
+            });
+            let graph = KnnGraph::from_flat(degree, flat.collect());
+            let mut b = BytesMut::new();
+            b.put_slice(&[0xa5; 8][..base]);
+            write_graph(&mut b, &BlockGraph::Knn(graph.clone()));
+            let mut stream = b.to_vec();
+            let mut src = Src::new(&stream, base, stream.len());
+            let BlockGraph::Knn(back) = read_graph(&mut src, block_len).unwrap() else {
+                panic!("a kNN graph")
+            };
+            proptest::prop_assert_eq!(&back, &graph);
+            proptest::prop_assert!(!src.has_remaining());
+
+            let len = graph.as_flat().len();
+            if len > 0 {
+                // One or two edges in [n, u32::MAX − 1].
+                let x = n + bad_value % (u32::MAX - n);
+                for slot in [bad.0 % len, bad.1 % len] {
+                    let at = base + 17 + 4 * slot;
+                    stream[at..at + 4].copy_from_slice(&x.to_le_bytes());
+                }
+                let expected = first_bad_edge(&stream[base..], base, block_len);
+                let got = read_graph(&mut Src::new(&stream, base, stream.len()), block_len);
+                proptest::prop_assert!(expected.is_some());
+                let detail = format!("edge to missing node {x}");
+                proptest::prop_assert_eq!(corrupt_at(got, "bad edge", &detail), expected);
+            }
         }
     }
 
