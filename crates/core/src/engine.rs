@@ -10,34 +10,34 @@
 //! * **Inserts** append to a write-side *tail* (a leaf-sized partial buffer
 //!   behind a short `RwLock`) and return. When a leaf fills, the buffer is
 //!   frozen into an immutable [`Segment`] whose `Arc` is shared with the
-//!   builder-side *master* copy — a pointer move, not a row copy — and the
-//!   leaf index is handed to the background builders over a bounded channel.
+//!   builder-side *master* copy — a pointer move, not a row copy — the new
+//!   leaf is published (below), and the leaf index is handed to the
+//!   background builders over a bounded channel.
 //! * **Builders** (dedicated `std::thread` workers) compute the leaf's merge
 //!   chain (Algorithm 3), *share* the chain's segments out of the master
 //!   (the chain range is always leaf-aligned), build the graphs lock-free
 //!   with the exact same deterministic seeds as the synchronous path, and
 //!   stage the finished blocks. Chains may finish out of order; they are
 //!   *published* strictly in leaf order.
-//! * **Publication** swaps an [`Arc<IndexSnapshot>`] — an immutable sealed
-//!   prefix of shared segments, shared timestamp chunks, and postorder
-//!   blocks — under a short write lock. Assembling the snapshot is
-//!   `O(published leaves)` pointer copies: consecutive snapshots share every
+//! * **Publication** swaps an [`Arc<IndexSnapshot>`] under a short write
+//!   lock: every sealed leaf (shared segments and timestamp chunks) with
+//!   postorder blocks over the first [`IndexSnapshot::num_leaves`]. A seal
+//!   publishes one, and so does every chain publication. Like an
+//!   [`MbiIndex`], the snapshot serves rows under blocks by graph search and
+//!   its unbuilt leaves by exact scan (Algorithm 4 line 6). Assembling it is
+//!   `O(sealed leaves)` pointer copies: consecutive snapshots share every
 //!   segment of their common prefix, so publication cost is independent of
 //!   how many rows have accumulated. Queries clone the current `Arc` (no
-//!   lock held while searching) and serve the not-yet-published region from
-//!   the tail with the BSBF scan, so every committed row is always visible
-//!   exactly once.
+//!   lock held while searching) and scan only the partial leaf beside it.
 //!
-//! # Correctness of the tail fallback
+//! # Every committed row exactly once
 //!
-//! The publisher swaps the snapshot *before* trimming the published rows off
-//! the tail, and a query acquires the tail read lock *before* loading the
-//! snapshot. Lock acquire/release ordering therefore guarantees
-//! `tail.first_row ≤ snapshot.sealed_rows()` at query time: any row the
-//! snapshot already covers that is still present in the tail is skipped by
-//! clamping the tail scan to start at `sealed_rows − first_row`. Every
-//! committed row is thus served exactly once — from the snapshot's graphs if
-//! its chain has been published, else by exact scan — and once builds drain
+//! A seal publishes while it still holds the tail write lock, and a query
+//! takes the tail read lock *before* it loads the snapshot. So the snapshot
+//! a query sees holds exactly the rows before `tail.first_row`, and the tail
+//! holds the rest: each committed row is served once — by the snapshot's
+//! graphs if its chain is published, by the snapshot's exact tail scan if
+//! not, or by the scan of the partial leaf. Once builds drain
 //! ([`StreamingMbi::flush`]) the snapshot's blocks are bit-identical to a
 //! synchronous [`MbiIndex`] fed the same stream (same ranges, same
 //! deterministic seed salts, same norm-cache columns).
@@ -50,9 +50,10 @@
 //! [`Degraded`](EngineHealth::Degraded) while chains are failing and
 //! [`Halted`](EngineHealth::Halted) once one exhausts its retries. Neither
 //! state compromises answers: an unpublished chain blocks in-order
-//! publication, so its rows simply *stay in the tail*, which queries already
-//! serve by exact scan — a failed build degrades recall-free to brute force
-//! over that region, it never loses or double-counts a row. Inserts and
+//! publication, so its rows simply *stay unbuilt leaves* of the snapshot,
+//! which queries already serve by exact scan — a failed build degrades
+//! recall-free to brute force over that region, it never loses or
+//! double-counts a row. Inserts and
 //! queries keep working in every health state, and every lock in the engine
 //! is non-poisoning (`parking_lot`), so a builder panic cannot wedge the
 //! insert or query path. [`StreamingMbi::flush`] returns (rather than hangs)
@@ -83,7 +84,7 @@ use crate::Timestamp;
 use mbi_ann::{
     brute_force_prepared, SearchParams, SearchStats, Segment, SegmentStore, VectorStore,
 };
-use mbi_math::{Metric, OrderedF32, PreparedQuery, TopK};
+use mbi_math::{Metric, OrderedF32, PreparedQuery};
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -108,19 +109,6 @@ pub(crate) fn finish_segment(config: &MbiConfig, mut seg: Segment) -> Segment {
 pub const SNAPSHOT_FILE: &str = "snapshot.mbi";
 /// Subdirectory holding the WAL segments inside a durable engine directory.
 pub const WAL_DIR: &str = "wal";
-
-/// What an insert does when it seals a leaf but the builder queue is full.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Backpressure {
-    /// Block the inserting thread until a queue slot frees up (bounded
-    /// memory, insert latency spikes to one *queue wait*, never to a build).
-    Block,
-    /// Build the merge chain on the inserting thread instead of waiting — a
-    /// load-shedding mode that degrades towards the synchronous index's
-    /// inline builds under sustained overload but never stalls on a full
-    /// queue.
-    BuildInline,
-}
 
 /// When the WAL of a durable engine fsyncs acked rows.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -167,16 +155,16 @@ impl RetryPolicy {
 
 /// Builder health, reported by [`StreamingMbi::health`]. Queries and inserts
 /// stay correct in every state (see the module docs on failure isolation);
-/// the states describe how much of the data is served by graphs vs. by the
-/// exact tail scan.
+/// the states describe how much of the data is served by graphs vs. by
+/// exact scan.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum EngineHealth {
     /// No chain build has failed (or every failure has since been retried
     /// successfully).
     Healthy,
     /// These chains have failed at least once and are being retried; their
-    /// rows (and every later row) are served from the tail by exact scan
-    /// until the retry succeeds.
+    /// rows (and every later row) are served by exact scan until the retry
+    /// succeeds.
     Degraded {
         /// Leaf indices of the currently failing chains.
         failed_chains: Vec<usize>,
@@ -213,10 +201,10 @@ pub struct EngineConfig {
     /// Dedicated background builder threads (minimum 1; default 1).
     pub builder_threads: usize,
     /// Capacity of the bounded seal queue (default 2; `0` = rendezvous —
-    /// a seal waits for an idle builder).
+    /// a seal waits for an idle builder). A seal that finds the queue full
+    /// waits for a slot: memory stays bounded, and insert latency spikes to
+    /// one queue wait, never to a build.
     pub queue_depth: usize,
-    /// Policy when the seal queue is full (default [`Backpressure::Block`]).
-    pub backpressure: Backpressure,
     /// Retry/backoff policy for panicked chain builds (default: 2 retries,
     /// 10 ms doubling backoff).
     pub retry: RetryPolicy,
@@ -235,7 +223,6 @@ impl Default for EngineConfig {
         EngineConfig {
             builder_threads: 1,
             queue_depth: 2,
-            backpressure: Backpressure::Block,
             retry: RetryPolicy::default(),
             wal_sync: WalSync::OnSeal,
             replica_lag_cap_rows: u64::MAX,
@@ -253,12 +240,6 @@ impl EngineConfig {
     /// Sets the bounded seal-queue depth.
     pub fn with_queue_depth(mut self, depth: usize) -> Self {
         self.queue_depth = depth;
-        self
-    }
-
-    /// Sets the full-queue policy.
-    pub fn with_backpressure(mut self, policy: Backpressure) -> Self {
-        self.backpressure = policy;
         self
     }
 
@@ -296,7 +277,8 @@ impl EngineConfig {
 #[derive(Clone, Debug, Default)]
 pub struct EngineStats {
     /// Leaves sealed so far (= merge chains handed to the builders,
-    /// including any built inline under [`Backpressure::BuildInline`]).
+    /// including any built inline because no builder thread could be
+    /// spawned).
     pub seals: usize,
     /// Leaves whose chains have been published to the snapshot.
     pub published_leaves: usize,
@@ -306,8 +288,8 @@ pub struct EngineStats {
     pub published_blocks: usize,
     /// Greatest block height in the current snapshot (0 when empty).
     pub published_height: u32,
-    /// Chains built on an inserting thread because the queue was full (or
-    /// because no builder thread could be spawned).
+    /// Chains built on an inserting thread because no builder thread could
+    /// be spawned.
     pub inline_builds: u64,
     /// Builder threads that failed to spawn; the engine fell back to
     /// building those chains inline on the inserting thread.
@@ -320,18 +302,22 @@ pub struct EngineStats {
     pub insert_nanos: Vec<u64>,
     /// Per-chain graph-build wall-clock nanoseconds, in completion order.
     pub build_nanos: Vec<u64>,
-    /// One `(sealed_rows, nanos)` sample per snapshot publication, in
-    /// publication order: how many rows the published snapshot covers and
-    /// how long the publication itself took (staging the chain's blocks,
-    /// assembling the pointer-shared snapshot, swapping it in, trimming the
-    /// tail — everything except the lock-free graph build). With the
+    /// One `(sealed_rows, nanos)` sample per chain publication, in
+    /// publication order: how many rows the published snapshot has under
+    /// blocks and how long the publication itself took (staging the chain's
+    /// blocks, assembling the pointer-shared snapshot, swapping it in —
+    /// everything except the lock-free graph build). With the
     /// segment-shared store this stays flat as `sealed_rows` grows.
     pub publish_nanos: Vec<(u64, u64)>,
 }
 
-/// An immutable published view of the sealed prefix: leaf-sized shared
+/// An immutable published view of every sealed leaf: leaf-sized shared
 /// vector segments, the matching shared timestamp chunks, and the postorder
-/// block array. Queries run on it without any lock.
+/// block array over the first [`Self::num_leaves`] leaves. It has an
+/// [`MbiIndex`]'s semantics — blocks over a prefix, exact scan of the rest:
+/// rows under blocks are graph-searched, and the leaves sealed but not yet
+/// built are scanned exactly (Algorithm 4 line 6). Queries run on it
+/// without any lock.
 ///
 /// Everything in a snapshot is shared by `Arc`: consecutive snapshots of the
 /// same engine hold the *same* segments, timestamp chunks, and blocks for
@@ -374,17 +360,19 @@ impl IndexSnapshot {
         &self.config
     }
 
-    /// Rows covered by this snapshot (`num_leaves · S_L`).
+    /// Rows under blocks (`num_leaves · S_L`) — the prefix
+    /// [`Self::to_bytes`] persists. Unbuilt leaves past it are served by
+    /// exact scan but not persisted: a checkpoint's WAL keeps their rows.
     pub fn sealed_rows(&self) -> usize {
-        self.times.len()
+        self.num_leaves * self.config.leaf_size
     }
 
-    /// Whether the snapshot covers no rows.
+    /// Whether the snapshot holds no rows.
     pub fn is_empty(&self) -> bool {
         self.times.is_empty()
     }
 
-    /// Number of published (full) leaves.
+    /// Number of leaves under blocks (built and published).
     pub fn num_leaves(&self) -> usize {
         self.num_leaves
     }
@@ -394,7 +382,8 @@ impl IndexSnapshot {
         &self.blocks
     }
 
-    /// The segment-shared vector store (one segment per published leaf).
+    /// The segment-shared vector store (one segment per sealed leaf, built
+    /// or not).
     pub fn store(&self) -> &SegmentStore {
         &self.store
     }
@@ -412,11 +401,18 @@ impl IndexSnapshot {
         if !index.tail_rows().is_empty() {
             return Err(MbiError::UnsealedTail { tail_rows: index.tail_rows().len() });
         }
+        Ok(Self::whole_leaves(index))
+    }
+
+    /// Every whole leaf of `index` as a snapshot, with the index's blocks
+    /// over its first `num_leaves`; rows past the last whole leaf are left
+    /// out.
+    fn whole_leaves(index: &MbiIndex) -> Self {
         let config = *index.config();
         let s_l = config.leaf_size;
         let mut store = SegmentStore::new(config.dim, s_l);
         let mut times = TimeChunks::new(s_l);
-        for leaf in 0..index.num_leaves() {
+        for leaf in 0..index.len() / s_l {
             let rows = leaf * s_l..(leaf + 1) * s_l;
             store.push_segment(Arc::new(finish_segment(
                 &config,
@@ -424,13 +420,13 @@ impl IndexSnapshot {
             )));
             times.push_chunk(index.timestamps()[rows].into());
         }
-        Ok(IndexSnapshot {
+        IndexSnapshot {
             config,
             store,
             times,
             blocks: index.blocks().iter().cloned().map(Arc::new).collect(),
             num_leaves: index.num_leaves(),
-        })
+        }
     }
 
     /// Exhaustively checks the snapshot's structural invariants (the
@@ -445,12 +441,14 @@ impl IndexSnapshot {
                 self.times.len()
             ));
         }
-        if self.num_leaves * self.config.leaf_size != self.times.len() {
+        if !self.times.len().is_multiple_of(self.config.leaf_size)
+            || self.times.len() < self.sealed_rows()
+        {
             return Err(format!(
-                "{} leaves of {} rows do not cover {} stored rows",
-                self.num_leaves,
+                "{} stored rows are not whole leaves of {} rows past the {} leaves under blocks",
+                self.times.len(),
                 self.config.leaf_size,
-                self.times.len()
+                self.num_leaves
             ));
         }
         for i in 1..self.times.len() {
@@ -463,8 +461,9 @@ impl IndexSnapshot {
         validate_edges(self.blocks.iter().map(|b| &**b))
     }
 
-    /// Approximate TkNN over the published rows only (the engine's
-    /// [`StreamingMbi::query`] adds the tail).
+    /// Approximate TkNN over the snapshot's rows: graph search under the
+    /// blocks, exact scan of the unbuilt leaves (the engine's
+    /// [`StreamingMbi::query`] adds the partial leaf).
     pub fn query_with_params(
         &self,
         query: &[f32],
@@ -492,7 +491,7 @@ impl IndexSnapshot {
         target.search(query, k, window, params, &selection, self.config.query_threads, deadline)
     }
 
-    /// Exact TkNN over the published rows only, by brute force.
+    /// Exact TkNN over the snapshot's rows, by brute force.
     pub fn exact_query(&self, query: &[f32], k: usize, window: TimeWindow) -> Vec<TknnResult> {
         self.target().exact_query(query, k, window)
     }
@@ -500,72 +499,26 @@ impl IndexSnapshot {
     /// Bytes of heap memory the snapshot holds: vector segments with every
     /// side column (inverse norms *and* the SQ8 code column when the engine
     /// quantizes), timestamp chunks, and block graphs. Structure shared
-    /// with other snapshots or the engine tail is counted once per holder;
-    /// mapped (cold-tier) columns count `0` — their residency is charged to
-    /// [`crate::tier::TierStats::bytes_resident`] instead.
+    /// with other snapshots or the engine's master copy is counted once per
+    /// holder; mapped (cold-tier) columns count `0` — their residency is
+    /// charged to [`crate::tier::TierStats::bytes_resident`] instead.
     pub fn memory_bytes(&self) -> usize {
         self.store.memory_bytes() + self.times.memory_bytes() + self.blocks.memory_bytes()
     }
 }
 
-/// The write-side tail: rows not yet covered by the published snapshot.
-/// `first_row` is the global row id of the tail's first local row; it is
-/// always a multiple of `S_L` and only ever increases (trims happen at
-/// publication).
-///
-/// Sealed-but-unpublished leaves sit in `sealed` as the *same*
-/// `Arc<Segment>` / timestamp chunk the master copy holds — sealing a leaf
-/// freezes the partial buffers and shares the pointers, so neither the seal
-/// nor the publication trim copies a row: the trim pops whole leaves off the
-/// front of the deque in O(1) each.
+/// The write-side tail: the growing, non-full leaf. `first_row` is the
+/// global row id of its first row — the sealed row count, always a multiple
+/// of `S_L` — and the published snapshot holds exactly the rows before it
+/// (see the module docs).
 #[derive(Debug)]
 struct TailState {
-    /// Sealed, not-yet-trimmed leaves, oldest first: leaf `first_row / S_L`
-    /// onwards, each exactly `S_L` rows.
-    sealed: VecDeque<(Arc<Segment>, Arc<[Timestamp]>)>,
-    /// The growing, non-full last leaf (rows past every sealed leaf).
+    /// The partial leaf's rows.
     partial: VectorStore,
     /// Timestamps of the partial leaf, parallel to `partial`.
     partial_ts: Vec<Timestamp>,
     first_row: usize,
     last_ts: Option<Timestamp>,
-    leaf_size: usize,
-}
-
-impl TailState {
-    /// Local rows currently in the tail (sealed-but-untrimmed + partial).
-    fn len(&self) -> usize {
-        self.sealed.len() * self.leaf_size + self.partial.len()
-    }
-
-    /// Timestamp of local tail row `local`.
-    fn ts_at(&self, local: usize) -> Timestamp {
-        let sealed_rows = self.sealed.len() * self.leaf_size;
-        if local < sealed_rows {
-            self.sealed[local / self.leaf_size].1[local % self.leaf_size]
-        } else {
-            self.partial_ts[local - sealed_rows]
-        }
-    }
-
-    /// Index of the first local row with timestamp `>= bound` (chunk-level
-    /// binary search over the sealed deque, then within one chunk).
-    fn partition_below(&self, bound: Timestamp) -> usize {
-        let s_l = self.leaf_size;
-        let (mut lo, mut hi) = (0usize, self.sealed.len());
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if self.sealed[mid].1[s_l - 1] < bound {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        if lo < self.sealed.len() {
-            return lo * s_l + self.sealed[lo].1.partition_point(|&t| t < bound);
-        }
-        self.sealed.len() * s_l + self.partial_ts.partition_point(|&t| t < bound)
-    }
 }
 
 /// The builder-side master copy: every sealed leaf (pushed as a shared
@@ -575,8 +528,8 @@ impl TailState {
 /// has been published.
 #[derive(Debug)]
 struct Master {
-    /// All enqueued leaves as shared segments (`enqueued_leaves` of them);
-    /// the published snapshot shares the first `published_leaves`.
+    /// Every sealed leaf as a shared segment; the published snapshot shares
+    /// all of them.
     store: SegmentStore,
     /// Timestamp chunks parallel to `store`.
     times: TimeChunks,
@@ -586,7 +539,12 @@ struct Master {
     blocks: SharedBlocks,
     ready: BTreeMap<usize, Vec<Block>>,
     published_leaves: usize,
-    enqueued_leaves: usize,
+}
+
+impl Master {
+    fn sealed_leaves(&self) -> usize {
+        self.times.num_chunks()
+    }
 }
 
 /// One currently-failing chain build (cleared when a retry succeeds).
@@ -667,11 +625,29 @@ impl Shared {
     fn halted(&self) -> bool {
         self.halted.load(Ordering::SeqCst)
     }
+
+    /// Swaps in a snapshot of `m`: every sealed leaf, with blocks over the
+    /// first `published_leaves`. Every published snapshot is built here,
+    /// under the master lock (lock order tail → master → snapshot), so a
+    /// newer master state can never be overwritten by an older one. Costs
+    /// `O(sealed leaves)` pointer copies, never a row copy.
+    fn publish(&self, m: &Master) {
+        let snap = IndexSnapshot {
+            config: self.config,
+            store: m.store.clone(),
+            times: m.times.clone(),
+            // Chunk-shared: amortised O(1), not an O(blocks) clone.
+            blocks: m.blocks.share(),
+            num_leaves: m.published_leaves,
+        };
+        *self.snapshot.write() = Arc::new(snap);
+    }
 }
 
 /// A streaming MBI: `&self` inserts return without building graphs; merge
 /// chains build on background threads; queries are served from a lock-free
-/// snapshot plus an exact scan of the unpublished tail.
+/// snapshot (exact scan of its unbuilt leaves) plus an exact scan of the
+/// partial leaf.
 ///
 /// ```
 /// use mbi_core::{EngineConfig, MbiConfig, StreamingMbi, TimeWindow};
@@ -715,12 +691,10 @@ impl StreamingMbi {
         let shared = Arc::new(Shared {
             snapshot: RwLock::new(Arc::new(IndexSnapshot::empty(config))),
             tail: RwLock::new(TailState {
-                sealed: VecDeque::new(),
                 partial: Self::fresh_partial(&config),
                 partial_ts: Vec::with_capacity(config.leaf_size),
                 first_row: 0,
                 last_ts: None,
-                leaf_size: config.leaf_size,
             }),
             master: Mutex::new(Master {
                 store: SegmentStore::new(config.dim, config.leaf_size),
@@ -728,7 +702,6 @@ impl StreamingMbi {
                 blocks: SharedBlocks::new(),
                 ready: BTreeMap::new(),
                 published_leaves: 0,
-                enqueued_leaves: 0,
             }),
             publish_cv: Condvar::new(),
             halted: AtomicBool::new(false),
@@ -820,10 +793,9 @@ impl StreamingMbi {
     }
 
     /// Appends a timestamped vector; returns the new global row id. Never
-    /// builds graphs on this thread (except under [`Backpressure::
-    /// BuildInline`] with a full queue): a seal freezes the leaf into a
-    /// shared segment — moving the buffers, copying no rows — and enqueues
-    /// the chain.
+    /// builds graphs on this thread (unless no builder thread could be
+    /// spawned): a seal freezes the leaf into a shared segment — moving the
+    /// buffers, copying no rows — publishes it, and enqueues the chain.
     ///
     /// On a durable engine ([`Self::open`]) the row is appended to the WAL —
     /// and, under [`WalSync::Always`], fsynced — *before* this method
@@ -863,33 +835,32 @@ impl StreamingMbi {
                 }
             }
             tail.last_ts = Some(t);
-            let id = tail.first_row + tail.len();
+            let id = tail.first_row + tail.partial.len();
             tail.partial.push(vector);
             tail.partial_ts.push(t);
-            let global_len = tail.first_row + tail.len();
-            if global_len.is_multiple_of(s_l) {
+            if tail.partial.len() == s_l {
                 // A leaf just filled. Freeze the partial buffers into a
-                // shared segment (a move, not a copy) and hand the *same*
-                // pointers to the master copy — still holding the tail lock
-                // so concurrent writers enqueue leaves in seal order.
-                let leaf = global_len / s_l - 1;
-                let seg = Arc::new(finish_segment(
+                // shared segment (a move, not a copy), hand it to the master
+                // copy and publish it — still holding the tail lock, so
+                // writers seal leaves in order and a query sees the leaf in
+                // exactly one of the snapshot and the tail.
+                let leaf = tail.first_row / s_l;
+                let seg = finish_segment(
                     &self.shared.config,
                     Segment::from_store(std::mem::replace(
                         &mut tail.partial,
                         Self::fresh_partial(&self.shared.config),
                     )),
-                ));
-                let ts: Arc<[Timestamp]> =
-                    std::mem::replace(&mut tail.partial_ts, Vec::with_capacity(s_l)).into();
+                );
+                let ts = std::mem::replace(&mut tail.partial_ts, Vec::with_capacity(s_l));
                 {
                     let mut m = self.shared.master_lock();
-                    debug_assert_eq!(m.enqueued_leaves, leaf, "leaves must seal in order");
-                    m.store.push_segment(Arc::clone(&seg));
-                    m.times.push_chunk(Arc::clone(&ts));
-                    m.enqueued_leaves = leaf + 1;
+                    debug_assert_eq!(m.sealed_leaves(), leaf, "leaves must seal in order");
+                    m.store.push_segment(Arc::new(seg));
+                    m.times.push_chunk(ts.into());
+                    self.shared.publish(&m);
                 }
-                tail.sealed.push_back((seg, ts));
+                tail.first_row += s_l;
                 sealed_leaf = Some(leaf);
                 // Rotate the WAL so segment boundaries are leaf boundaries
                 // (rotation fsyncs the finished segment — the OnSeal sync
@@ -916,32 +887,19 @@ impl StreamingMbi {
         }
     }
 
-    /// Hands a sealed leaf to the builders according to the backpressure
-    /// policy. With no builder threads (every spawn failed), chains build
-    /// inline on the inserting thread.
+    /// Hands a sealed leaf to the builders, waiting for a queue slot when
+    /// they fall behind. With no builder threads (every spawn failed),
+    /// chains build inline on the inserting thread.
     fn dispatch(&self, leaf: usize) {
         if self.workers.is_empty() {
             self.shared.inline_builds.fetch_add(1, Ordering::Relaxed);
             run_chain(&self.shared, leaf);
             return;
         }
-        let tx = self.tx.lock();
-        match self.shared.engine.backpressure {
-            Backpressure::Block => {
-                if let Some(tx) = tx.as_ref() {
-                    // The workers outlive the sender (drop takes it first),
-                    // so send only fails after disconnect mid-drop.
-                    let _ = tx.send(leaf);
-                }
-            }
-            Backpressure::BuildInline => {
-                let sent = tx.as_ref().map(|tx| tx.try_send(leaf));
-                drop(tx);
-                if !matches!(sent, Some(Ok(()))) {
-                    self.shared.inline_builds.fetch_add(1, Ordering::Relaxed);
-                    run_chain(&self.shared, leaf);
-                }
-            }
+        if let Some(tx) = self.tx.lock().as_ref() {
+            // The workers outlive the sender (drop takes it first), so send
+            // only fails after disconnect mid-drop.
+            let _ = tx.send(leaf);
         }
     }
 
@@ -956,10 +914,10 @@ impl StreamingMbi {
         Ok(())
     }
 
-    /// Total committed rows (published + tail).
+    /// Total committed rows (sealed + partial leaf).
     pub fn len(&self) -> usize {
         let tail = self.shared.tail.read();
-        tail.first_row + tail.len()
+        tail.first_row + tail.partial.len()
     }
 
     /// Whether no rows have been inserted.
@@ -980,10 +938,11 @@ impl StreamingMbi {
     }
 
     /// Approximate TkNN over every committed row: the published snapshot
-    /// answers with its per-block graphs, the unpublished tail is scanned
-    /// exactly, and the two top-k lists are merged. See the module docs for
-    /// why no committed row is missed or double-counted — including when
-    /// builds are failing (the failed region stays in the tail).
+    /// answers (graph search under its blocks, exact scan of its unbuilt
+    /// leaves), the partial leaf is scanned exactly, and the two top-k lists
+    /// are merged. See the module docs for why no committed row is missed or
+    /// double-counted — including when builds are failing (the failed region
+    /// stays unbuilt).
     pub fn query_with_params(
         &self,
         query: &[f32],
@@ -996,9 +955,9 @@ impl StreamingMbi {
 
     /// [`StreamingMbi::query_with_params`] under a cooperative deadline
     /// (see [`IndexSnapshot::query_with_deadline`]): if `deadline` has
-    /// already passed on entry the tail scan is skipped too and the output
-    /// is flagged `timed_out`; otherwise the bounded tail scan runs and only
-    /// the snapshot's block visits are cut short.
+    /// already passed on entry the partial-leaf scan is skipped too and the
+    /// output is flagged `timed_out`; otherwise the bounded partial-leaf
+    /// scan runs and only the snapshot's search is cut short.
     pub fn query_with_deadline(
         &self,
         query: &[f32],
@@ -1009,12 +968,8 @@ impl StreamingMbi {
     ) -> QueryOutput {
         assert_eq!(query.len(), self.shared.config.dim, "query has wrong dimension");
         let late_on_entry = deadline.is_some_and(|d| Instant::now() >= d);
-        let (snap, tail_hits) = self.pin_tail(|tail, sealed_rows| {
-            if late_on_entry {
-                None
-            } else {
-                self.scan_tail(tail, sealed_rows, query, k, window)
-            }
+        let (snap, tail_hits) = self.pin_tail(|tail| {
+            (!late_on_entry).then(|| self.scan_tail(tail, query, k, window)).flatten()
         });
         let mut out = snap.query_with_deadline(query, k, window, params, deadline);
         out.timed_out |= late_on_entry;
@@ -1027,8 +982,8 @@ impl StreamingMbi {
     }
 
     /// Answers many queries against one consistent engine state: the tail
-    /// lock and snapshot are taken *once*, every query's tail scan runs
-    /// under that single lock hold, and the snapshot (immutable by
+    /// lock and snapshot are taken *once*, every query's partial-leaf scan
+    /// runs under that single lock hold, and the snapshot (immutable by
     /// construction) is then fanned out across `threads` workers (`0` = all
     /// cores). Batch workers search with fan-out 1 — the batch already
     /// spreads over the cores; a serial batch keeps
@@ -1044,11 +999,8 @@ impl StreamingMbi {
         for (q, _, _) in queries {
             assert_eq!(q.len(), self.shared.config.dim, "query has wrong dimension");
         }
-        let (snap, mut tail_hits) = self.pin_tail(|tail, sealed_rows| {
-            let scan = |(q, k, w): &(Vec<f32>, usize, TimeWindow)| {
-                self.scan_tail(tail, sealed_rows, q, *k, *w)
-            };
-            queries.iter().map(scan).collect::<Vec<_>>()
+        let (snap, mut tail_hits) = self.pin_tail(|tail| {
+            queries.iter().map(|(q, k, w)| self.scan_tail(tail, q, *k, *w)).collect::<Vec<_>>()
         });
         let search = |(q, k, w): &(Vec<f32>, usize, TimeWindow),
                       tail_hit: Option<(Vec<TknnResult>, SearchStats)>,
@@ -1090,69 +1042,41 @@ impl StreamingMbi {
     }
 
     /// Takes the tail read lock, clones the published snapshot, and runs
-    /// `scan(tail, sealed_rows)` under that lock. Order matters: the tail
-    /// lock *before* the snapshot load establishes `first_row ≤ sealed_rows`
-    /// (the publisher swaps the snapshot before trimming the tail), so no
-    /// committed row is missed or counted twice.
-    fn pin_tail<R>(&self, scan: impl FnOnce(&TailState, usize) -> R) -> (Arc<IndexSnapshot>, R) {
+    /// `scan(tail)` under that lock. Order matters: a seal publishes under
+    /// the tail write lock, so the snapshot loaded under the read lock holds
+    /// exactly the rows before `tail.first_row` — no committed row is missed
+    /// or counted twice.
+    fn pin_tail<R>(&self, scan: impl FnOnce(&TailState) -> R) -> (Arc<IndexSnapshot>, R) {
         let tail = self.shared.tail.read();
         let snap = self.shared.snapshot.read().clone();
-        let scanned = scan(&tail, snap.sealed_rows());
+        let scanned = scan(&tail);
         (snap, scanned)
     }
 
-    /// Exact scan of the unpublished, in-window tail rows. Returns `None`
-    /// when no such rows exist.
+    /// Exact scan of the partial leaf's in-window rows — the only rows the
+    /// snapshot does not hold. Returns `None` when no such rows exist.
     fn scan_tail(
         &self,
         tail: &TailState,
-        sealed_rows: usize,
         query: &[f32],
         k: usize,
         window: TimeWindow,
     ) -> Option<(Vec<TknnResult>, SearchStats)> {
-        let wlo = tail.partition_below(window.start);
-        let whi = tail.partition_below(window.end);
-        let lo = wlo.max(sealed_rows.saturating_sub(tail.first_row));
-        if whi <= lo {
+        let lo = tail.partial_ts.partition_point(|&t| t < window.start);
+        let hi = tail.partial_ts.partition_point(|&t| t < window.end);
+        if hi <= lo {
             return None;
         }
         let mut stats =
             SearchStats { blocks_searched: 1, blocks_bruteforced: 1, ..Default::default() };
         let pq = PreparedQuery::new(self.shared.config.metric, query);
-        // The tail is piecewise (sealed leaf segments, then the partial
-        // buffer); scan each in-range piece and keep the top-k of the union.
-        // Piece top-ks retain every candidate for the overall top-k, and the
-        // `(dist, id)` tie-break is unaffected because local ids are offered
-        // in ascending global order.
-        let s_l = tail.leaf_size;
-        let sealed_len = tail.sealed.len() * s_l;
-        let mut top = TopK::new(k);
-        let mut pos = lo;
-        while pos < whi.min(sealed_len) {
-            let ci = pos / s_l;
-            let start = pos % s_l;
-            let end = (whi - ci * s_l).min(s_l);
-            for n in brute_force_prepared(tail.sealed[ci].0.slice(start..end), &pq, k, &mut stats) {
-                top.offer((ci * s_l + start + n.id as usize) as u32, n.dist);
-            }
-            pos = (ci + 1) * s_l;
-        }
-        if whi > sealed_len {
-            let off = pos - sealed_len;
-            let view = tail.partial.slice(off..whi - sealed_len);
-            for n in brute_force_prepared(view, &pq, k, &mut stats) {
-                top.offer((pos + n.id as usize) as u32, n.dist);
-            }
-        }
-        let hits = top
-            .into_sorted_vec()
+        let hits = brute_force_prepared(tail.partial.slice(lo..hi), &pq, k, &mut stats)
             .into_iter()
             .map(|n| {
-                let local = n.id as usize;
+                let local = lo + n.id as usize;
                 TknnResult {
                     id: (tail.first_row + local) as u32,
-                    timestamp: tail.ts_at(local),
+                    timestamp: tail.partial_ts[local],
                     dist: n.dist,
                 }
             })
@@ -1164,8 +1088,7 @@ impl StreamingMbi {
     /// brute force — ground truth for tests and recall measurements.
     pub fn exact_query(&self, query: &[f32], k: usize, window: TimeWindow) -> Vec<TknnResult> {
         assert_eq!(query.len(), self.shared.config.dim, "query has wrong dimension");
-        let (snap, tail_hits) =
-            self.pin_tail(|tail, sealed_rows| self.scan_tail(tail, sealed_rows, query, k, window));
+        let (snap, tail_hits) = self.pin_tail(|tail| self.scan_tail(tail, query, k, window));
         let sealed = snap.exact_query(query, k, window);
         match tail_hits {
             Some((hits, _)) => merge_results(sealed, hits, k),
@@ -1173,15 +1096,14 @@ impl StreamingMbi {
         }
     }
 
-    /// Blocks until every sealed leaf has been published to the snapshot —
-    /// or until the engine halts ([`EngineHealth::Halted`]), so a failed
-    /// build can never hang a flusher. After a clean `flush`, a query sees
-    /// exactly what a synchronous [`MbiIndex`] fed the same stream would
-    /// serve, and [`EngineStats::queued_builds`] is 0 (barring concurrent
-    /// inserts).
+    /// Blocks until every sealed leaf's chain has been published — or until
+    /// the engine halts ([`EngineHealth::Halted`]), so a failed build can
+    /// never hang a flusher. After a clean `flush`, a query sees exactly
+    /// what a synchronous [`MbiIndex`] fed the same stream would serve, and
+    /// [`EngineStats::queued_builds`] is 0 (barring concurrent inserts).
     pub fn flush(&self) {
         let mut m = self.shared.master_lock();
-        while m.published_leaves < m.enqueued_leaves && !self.shared.halted() {
+        while m.published_leaves < m.sealed_leaves() && !self.shared.halted() {
             self.shared.publish_cv.wait(&mut m);
         }
     }
@@ -1191,7 +1113,7 @@ impl StreamingMbi {
         let (seals, published_leaves, published_blocks, published_height) = {
             let m = self.shared.master_lock();
             (
-                m.enqueued_leaves,
+                m.sealed_leaves(),
                 m.published_leaves,
                 m.blocks.len(),
                 m.blocks.iter().map(|b| b.height).max().unwrap_or(0),
@@ -1213,91 +1135,54 @@ impl StreamingMbi {
     }
 
     /// Flushes, then assembles a standalone synchronous [`MbiIndex`] holding
-    /// every committed row (published blocks deep-cloned, tail rows
+    /// every committed row (published blocks deep-cloned, partial leaf
     /// appended). The result is bit-identical — blocks, graphs, norm cache —
     /// to an `MbiIndex` fed the same stream, which the convergence tests
     /// assert and persistence relies on.
     pub fn to_index(&self) -> MbiIndex {
         self.flush();
-        // Same nesting as a sealing insert (tail → master), so this cannot
-        // deadlock against one.
         let tail = self.shared.tail.read();
-        let m = self.shared.master_lock();
-        let s_l = self.shared.config.leaf_size;
-        let sealed = m.published_leaves * s_l;
-        let total = tail.first_row + tail.len();
+        let snap = self.shared.snapshot.read().clone();
+        let total = tail.first_row + tail.partial.len();
         let mut store = VectorStore::with_capacity(self.shared.config.dim, total);
         if self.shared.config.metric == Metric::Angular {
             store.enable_norm_cache();
         }
-        let mut timestamps = Vec::with_capacity(total);
-        for (seg, chunk) in m.store.segments().iter().zip(m.times.chunks()).take(m.published_leaves)
-        {
-            store.extend_from_view(seg.slice(0..s_l));
-            timestamps.extend_from_slice(chunk);
-        }
-        // Tail leaves already published (not yet trimmed) are skipped; the
-        // rest of the sealed deque and the partial buffer follow.
-        let skip_leaves = (sealed - tail.first_row) / s_l;
-        for (seg, chunk) in tail.sealed.iter().skip(skip_leaves) {
-            store.extend_from_view(seg.slice(0..s_l));
-            timestamps.extend_from_slice(chunk);
-        }
+        store.extend_from_view(snap.store.slice(0..tail.first_row));
         store.extend_from_view(tail.partial.slice(0..tail.partial.len()));
+        let mut timestamps = snap.times.to_vec();
         timestamps.extend_from_slice(&tail.partial_ts);
         MbiIndex {
             config: self.shared.config,
             store,
             timestamps,
-            blocks: m.blocks.iter().map(|b| (**b).clone()).collect(),
-            num_leaves: m.published_leaves,
+            blocks: snap.blocks.iter().map(|b| (**b).clone()).collect(),
+            num_leaves: snap.num_leaves,
         }
     }
 
-    /// Resumes streaming from a synchronous index: sealed leaves become
-    /// shared segments (published immediately, blocks reused — nothing is
-    /// rebuilt), tail rows refill the partial buffer. The inverse of
-    /// [`Self::to_index`] up to storage layout: queries answer identically.
+    /// Resumes streaming from a synchronous index: its whole leaves become
+    /// shared segments (published immediately, blocks reused — only chains
+    /// the index never built are rebuilt), tail rows refill the partial
+    /// buffer. The inverse of [`Self::to_index`] up to storage layout:
+    /// queries answer identically.
     pub fn from_index(index: MbiIndex, engine: EngineConfig) -> Self {
-        let config = *index.config();
-        let s_l = config.leaf_size;
-        let this = Self::with_engine_config(config, engine);
-        let num_leaves = index.num_leaves();
-        let MbiIndex { store, timestamps, blocks, .. } = index;
+        let this = Self::from_snapshot(IndexSnapshot::whole_leaves(&index), engine);
         {
             let mut tail = this.shared.tail.write();
-            let mut m = this.shared.master_lock();
-            for leaf in 0..num_leaves {
-                let rows = leaf * s_l..(leaf + 1) * s_l;
-                m.store.push_segment(Arc::new(finish_segment(
-                    &config,
-                    Segment::from_view(store.slice(rows.clone())),
-                )));
-                m.times.push_chunk(timestamps[rows].into());
+            for i in tail.first_row..index.len() {
+                tail.partial.push(index.store().get(i));
+                tail.partial_ts.push(index.timestamps()[i]);
             }
-            m.blocks = blocks.into_iter().map(Arc::new).collect();
-            m.published_leaves = num_leaves;
-            m.enqueued_leaves = num_leaves;
-            *this.shared.snapshot.write() = Arc::new(IndexSnapshot {
-                config,
-                store: m.store.share(0..num_leaves * s_l),
-                times: m.times.share_prefix(num_leaves),
-                blocks: m.blocks.share(),
-                num_leaves,
-            });
-            tail.first_row = num_leaves * s_l;
-            tail.last_ts = timestamps.last().copied();
-            for (i, &t) in timestamps.iter().enumerate().skip(num_leaves * s_l) {
-                tail.partial.push(store.get(i));
-                tail.partial_ts.push(t);
-            }
+            tail.last_ts = index.timestamps().last().copied();
         }
         this
     }
 
     /// Resumes streaming from a published (or persisted) snapshot: its
     /// leaves, blocks, and timestamp chunks are adopted by pointer — nothing
-    /// is copied or rebuilt — and new inserts continue after them.
+    /// is copied or rebuilt — and new inserts continue after them. The
+    /// chains of any unbuilt leaves are enqueued.
     pub fn from_snapshot(snapshot: IndexSnapshot, engine: EngineConfig) -> Self {
         Self::from_snapshot_internal(snapshot, engine, None)
     }
@@ -1307,22 +1192,22 @@ impl StreamingMbi {
         engine: EngineConfig,
         durability: Option<Durability>,
     ) -> Self {
-        let config = snapshot.config;
-        let num_leaves = snapshot.num_leaves;
-        let sealed = snapshot.sealed_rows();
-        let last_ts = (sealed > 0).then(|| snapshot.times.get(sealed - 1));
-        let this = Self::build(config, engine, durability);
-        {
+        let rows = snapshot.times.len();
+        let this = Self::build(snapshot.config, engine, durability);
+        let unbuilt = {
             let mut tail = this.shared.tail.write();
             let mut m = this.shared.master_lock();
+            tail.first_row = rows;
+            tail.last_ts = (rows > 0).then(|| snapshot.times.get(rows - 1));
             m.store = snapshot.store.clone();
             m.times = snapshot.times.clone();
             m.blocks = snapshot.blocks.clone();
-            m.published_leaves = num_leaves;
-            m.enqueued_leaves = num_leaves;
+            m.published_leaves = snapshot.num_leaves;
             *this.shared.snapshot.write() = Arc::new(snapshot);
-            tail.first_row = sealed;
-            tail.last_ts = last_ts;
+            m.published_leaves..m.sealed_leaves()
+        };
+        for leaf in unbuilt {
+            this.dispatch(leaf);
         }
         this
     }
@@ -1530,8 +1415,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// in the failing map (making the engine [`Degraded`](EngineHealth::
 /// Degraded)), and retried with the configured exponential backoff. A chain
 /// that exhausts its retries halts the engine — publication freezes, but
-/// inserts, queries, and `flush` all keep working (the unpublished rows are
-/// served from the tail by exact scan).
+/// inserts, queries, and `flush` all keep working (the unbuilt leaves are
+/// served by exact scan).
 fn run_chain(shared: &Shared, leaf: usize) {
     let policy = shared.engine.retry;
     for attempt in 0.. {
@@ -1570,16 +1455,16 @@ fn run_chain(shared: &Shared, leaf: usize) {
 /// same deterministic ids as the synchronous path, stage the blocks, and
 /// publish every chain that is next in leaf order.
 ///
-/// Publication materialises nothing: the new snapshot shares the sealed
-/// prefix's segments and timestamp chunks with the master (and with every
-/// previous snapshot), so the work under the lock is `O(published leaves)`
+/// Publication materialises nothing: the new snapshot shares every sealed
+/// leaf's segment and timestamp chunk with the master (and with every
+/// previous snapshot), so the work under the lock is `O(sealed leaves)`
 /// pointer copies plus the new chain's blocks — independent of row count.
 ///
 /// Re-running after a panic is safe at every point: staging is skipped for
 /// already-published leaves, and the publish decision compares the master's
 /// frontier against the *live* snapshot, so a crash between advancing the
 /// frontier and swapping the snapshot heals on the retry (or on the next
-/// publication).
+/// seal, which publishes the master's whole state).
 fn process_chain(shared: &Shared, leaf: usize) {
     if fail::trigger("builder::build") == Some(fail::FailAction::Panic) {
         panic!("{}", fail::INJECTED_MSG);
@@ -1606,63 +1491,29 @@ fn process_chain(shared: &Shared, leaf: usize) {
     // published chain's sample in view.
     shared.build_nanos.push(t0.elapsed().as_nanos() as u64);
 
-    // Stage, then publish every consecutive ready chain in leaf order. The
-    // publish decision is against the live snapshot (not just "did this
-    // call advance"), so a previous attempt that advanced the frontier but
-    // died before the swap is healed here.
+    // Stage, then publish every consecutive ready chain in leaf order.
     let t_pub = Instant::now();
-    let cur_leaves = shared.snapshot.read().num_leaves;
-    let publish = {
-        let mut m = shared.master_lock();
-        if leaf >= m.published_leaves {
-            let blocks = assemble_blocks(pending, graphs, &m.times);
-            m.ready.insert(leaf, blocks);
-        }
-        while let Some(chain) = {
-            let next = m.published_leaves;
-            m.ready.remove(&next)
-        } {
-            m.blocks.extend(chain.into_iter().map(Arc::new));
-            m.published_leaves += 1;
-        }
-        (m.published_leaves > cur_leaves).then(|| {
-            Arc::new(IndexSnapshot {
-                config: shared.config,
-                store: m.store.share(0..m.published_leaves * s_l),
-                times: m.times.share_prefix(m.published_leaves),
-                // Chunk-shared: amortised O(1), not an O(blocks) clone.
-                blocks: m.blocks.share(),
-                num_leaves: m.published_leaves,
-            })
-        })
-    };
-
+    let mut m = shared.master_lock();
+    if leaf >= m.published_leaves {
+        let blocks = assemble_blocks(pending, graphs, &m.times);
+        m.ready.insert(leaf, blocks);
+    }
+    while let Some(chain) = {
+        let next = m.published_leaves;
+        m.ready.remove(&next)
+    } {
+        m.blocks.extend(chain.into_iter().map(Arc::new));
+        m.published_leaves += 1;
+    }
     if fail::trigger("engine::publish") == Some(fail::FailAction::Panic) {
         panic!("{}", fail::INJECTED_MSG);
     }
-
-    if let Some(snap) = publish {
-        let sealed = snap.sealed_rows();
-        {
-            // Concurrent publishers race benignly: only a strictly newer
-            // snapshot replaces the current one.
-            let mut cur = shared.snapshot.write();
-            if snap.num_leaves > cur.num_leaves {
-                *cur = snap;
-            }
-        }
-        {
-            // Trim the published prefix off the tail — *after* the swap, so
-            // a query that still sees these rows in its snapshot clamps them
-            // out of its tail scan instead of losing them. Whole shared
-            // leaves pop off the front of the deque: O(1) per leaf, no row
-            // moves.
-            let mut tail = shared.tail.write();
-            while tail.first_row < sealed {
-                tail.sealed.pop_front();
-                tail.first_row += s_l;
-            }
-        }
+    // Against the live snapshot, not "did this call advance": a previous
+    // attempt that advanced the frontier but died before the swap heals here.
+    if shared.snapshot.read().num_leaves < m.published_leaves {
+        shared.publish(&m);
+        let sealed = m.published_leaves * s_l;
+        drop(m);
         shared.publish_nanos.push((sealed as u64, t_pub.elapsed().as_nanos() as u64));
         shared.publish_cv.notify_all();
     }
@@ -2065,22 +1916,6 @@ mod tests {
     }
 
     #[test]
-    fn build_inline_policy_never_stalls_and_converges() {
-        let engine = StreamingMbi::with_engine_config(
-            config(),
-            EngineConfig::default()
-                .with_queue_depth(0)
-                .with_backpressure(Backpressure::BuildInline),
-        );
-        fill(&engine, 80);
-        engine.flush();
-        let stats = engine.stats();
-        assert_eq!(stats.published_leaves, 10);
-        let idx = engine.to_index();
-        assert_eq!(idx.validate(), Ok(()));
-    }
-
-    #[test]
     fn consecutive_snapshots_share_segments() {
         let engine = StreamingMbi::new(config());
         fill(&engine, 16);
@@ -2177,6 +2012,43 @@ mod tests {
         assert_eq!(snap.query_with_params(&[7.0, 0.0], 3, w, &config().search).results, {
             sync.query(&[7.0, 0.0], 3, w)
         });
+    }
+
+    #[test]
+    fn unbuilt_leaves_are_scanned_exactly_and_rebuilt_on_resume() {
+        // Four sealed leaves with blocks over the first two: what an engine
+        // publishes while the last two chains are still building.
+        let config = config().with_sq8_scan(true);
+        let mut sync = MbiIndex::new(config);
+        for i in 0..32usize {
+            sync.insert(&[i as f32, (i % 5) as f32], i as i64).unwrap();
+        }
+        let mut snap = IndexSnapshot::from_index(&sync).unwrap();
+        snap.blocks = snap.blocks.iter().take(blocks_for_leaves(2)).cloned().collect();
+        snap.num_leaves = 2;
+        assert_eq!(snap.validate(), Ok(()));
+        assert_eq!(snap.sealed_rows(), 16);
+        assert_eq!(snap.times().len(), 32);
+        // The unbuilt leaves carry SQ8 codes, yet are scanned exactly: one
+        // distance evaluation per in-window row, no rerank.
+        for (x, w) in [
+            (20.0, TimeWindow::new(16, 32)),
+            (17.0, TimeWindow::new(18, 27)),
+            (31.0, TimeWindow::new(30, 40)),
+        ] {
+            let q = [x, 1.0];
+            let out = snap.query_with_params(&q, 3, w, &config.search);
+            assert_eq!(out.results, snap.exact_query(&q, 3, w), "{w:?}");
+            assert_eq!(out.stats.dist_evals, (w.end.min(32) - w.start) as u64, "{w:?}");
+        }
+        // Persistence keeps the prefix under blocks.
+        let prefix = IndexSnapshot::from_bytes(snap.to_bytes()).unwrap();
+        assert_eq!((prefix.num_leaves(), prefix.times().len()), (2, 16));
+        assert_eq!(prefix.validate(), Ok(()));
+        // Resuming builds the missing chains.
+        let engine = StreamingMbi::from_snapshot(snap, EngineConfig::default());
+        engine.flush();
+        assert_eq!(engine.to_index().to_bytes(), sync.to_bytes());
     }
 
     #[test]

@@ -76,8 +76,7 @@ pub mod wal;
 pub use block::{Block, BlockGraph, SharedBlocks};
 pub use config::{GraphBackend, MbiConfig};
 pub use engine::{
-    Backpressure, EngineConfig, EngineHealth, EngineStats, IndexSnapshot, RetryPolicy,
-    StreamingMbi, WalSync,
+    EngineConfig, EngineHealth, EngineStats, IndexSnapshot, RetryPolicy, StreamingMbi, WalSync,
 };
 pub use error::MbiError;
 pub use index::{LevelStats, MbiIndex, QueryOutput, TknnResult};

@@ -530,6 +530,12 @@ impl IndexSnapshot {
     /// Serialises the snapshot into one contiguous buffer (checksummed
     /// sections + footer over page-aligned, directory-indexed leaf records
     /// that a [`crate::tier::ColdIndex`] can serve straight off disk).
+    ///
+    /// Only the prefix under blocks is written — the
+    /// [`sealed_rows`](IndexSnapshot::sealed_rows) rows of the first
+    /// [`num_leaves`](IndexSnapshot::num_leaves) leaves. Unbuilt leaves are
+    /// left out: a checkpoint prunes the WAL only up to that prefix, so
+    /// recovery replays their rows and rebuilds their chains.
     pub fn to_bytes(&self) -> Bytes {
         self.encode_v7()
     }
@@ -542,7 +548,8 @@ impl IndexSnapshot {
         let config = self.config();
         let dim = config.dim;
         let s_l = config.leaf_size;
-        let store = self.store();
+        // The prefix under blocks: unbuilt leaves are not persisted.
+        let store = &self.store().share(0..self.sealed_rows());
         let num_leaves = self.num_leaves();
         let has_norms = store.segments().first().is_some_and(|s| s.has_norm_cache());
         let has_sq8 = store.has_sq8();

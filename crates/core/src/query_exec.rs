@@ -126,8 +126,9 @@ impl TimeSource for TimeChunks {
 }
 
 /// A borrowed view of one queryable index state: parallel store/timestamp
-/// columns, the postorder block array, and the number of sealed leaves.
-/// Rows `[num_leaves · S_L, times.len())` are the tail.
+/// columns, the postorder block array, and the number of leaves under
+/// blocks. Rows `[num_leaves · S_L, times.len())` are the tail, served by
+/// exact scan.
 pub(crate) struct QueryTarget<'a, A: ?Sized, V: ?Sized, T: ?Sized> {
     /// Index configuration (`τ`, metric, search defaults, fan-out width).
     pub config: &'a MbiConfig,
@@ -135,9 +136,9 @@ pub(crate) struct QueryTarget<'a, A: ?Sized, V: ?Sized, T: ?Sized> {
     pub store: &'a V,
     /// The timestamp column (non-decreasing), parallel to `store`.
     pub times: &'a T,
-    /// Postorder block array over the sealed prefix.
+    /// Postorder block array over the first `num_leaves` leaves.
     pub blocks: &'a A,
-    /// Number of sealed (full) leaves.
+    /// Number of leaves under blocks.
     pub num_leaves: usize,
 }
 
@@ -148,7 +149,10 @@ where
     V: VectorSource + ?Sized,
     T: TimeSource + ?Sized,
 {
-    /// Row range of the non-full tail leaf (possibly empty).
+    /// Rows no block covers yet (possibly empty): an [`MbiIndex`]'s non-full
+    /// leaf, or a snapshot's sealed but unbuilt leaves.
+    ///
+    /// [`MbiIndex`]: crate::MbiIndex
     pub fn tail_rows(&self) -> std::ops::Range<usize> {
         self.num_leaves * self.config.leaf_size..self.times.len()
     }
@@ -249,9 +253,12 @@ where
             }
         }
 
-        // Tail: binary search + brute force (Algorithm 4 line 6 — the
-        // non-full leaf has no graph, so BSBF applies). Stays on the calling
-        // thread: it is a single bounded scan, never worth a spawn.
+        // Tail: binary search + brute force (Algorithm 4 line 6 — rows no
+        // block covers have no graph, so BSBF applies). Always the exact
+        // scan, SQ8 or not: a snapshot's unbuilt leaves carry code columns,
+        // but they are served exactly until their chain is published. Stays
+        // on the calling thread: it is a single bounded scan, never worth a
+        // spawn.
         if selection.tail && !deadline.expired() {
             let tail = self.tail_rows();
             let lo = wlo.max(tail.start);
@@ -259,7 +266,8 @@ where
             if hi > lo {
                 stats.blocks_searched += 1;
                 stats.blocks_bruteforced += 1;
-                for n in self.scan_rows(lo..hi, &pq, k, &mut stats) {
+                let view = self.store.slice(lo..hi);
+                for n in brute_force_prepared(view, &pq, k, &mut stats) {
                     merged.offer(lo as u32 + n.id, n.dist);
                 }
             }
@@ -323,10 +331,18 @@ where
             .saturating_mul(block.len() as u64)
             / m as u64;
         if (m as u64) < graph_cost {
-            // Scan of the in-window rows of this block (quantized first
-            // pass + exact rerank when SQ8 is on).
+            // Scan of the in-window rows of this block: quantized first
+            // pass + exact rerank when SQ8 is on (exact inside the sq8 entry
+            // point when the rows carry no code column, e.g. the flat
+            // synchronous store). Returned distances are exact either way.
             stats.blocks_bruteforced += 1;
-            for n in self.scan_rows(lo..hi, pq, k, stats) {
+            let view = self.store.slice(lo..hi);
+            let top = if self.config.sq8_scan {
+                brute_force_sq8_prepared(view, pq, k, self.config.sq8_overfetch, stats)
+            } else {
+                brute_force_prepared(view, pq, k, stats)
+            };
+            for n in top {
                 merged.offer(lo as u32 + n.id, n.dist);
             }
             return;
@@ -352,26 +368,6 @@ where
         }
         for n in buf.iter() {
             merged.offer(base + n.id, n.dist);
-        }
-    }
-
-    /// Candidate scan over a row range: the SQ8 two-pass scan when the
-    /// config enables it (falling back to exact inside the sq8 entry point
-    /// when the rows carry no code column — e.g. the flat synchronous store
-    /// or the unsealed tail), the exact batched scan otherwise. Returned
-    /// distances are exact either way.
-    fn scan_rows(
-        &self,
-        rows: std::ops::Range<usize>,
-        pq: &PreparedQuery<'_>,
-        k: usize,
-        stats: &mut SearchStats,
-    ) -> Vec<Neighbor> {
-        let view = self.store.slice(rows);
-        if self.config.sq8_scan {
-            brute_force_sq8_prepared(view, pq, k, self.config.sq8_overfetch, stats)
-        } else {
-            brute_force_prepared(view, pq, k, stats)
         }
     }
 

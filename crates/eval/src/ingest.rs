@@ -26,8 +26,8 @@ pub struct IngestSummary {
     pub build: Option<LatencySummary>,
     /// Leaves sealed (= merge chains dispatched) over the run.
     pub seals: u64,
-    /// Chains built inline on an inserting thread because the build queue
-    /// was full (only non-zero under `Backpressure::BuildInline`).
+    /// Chains built inline on an inserting thread because no builder thread
+    /// could be spawned.
     pub inline_builds: u64,
 }
 

@@ -212,8 +212,8 @@ impl Tenant {
 
     /// Engine-level stats as JSON: the scalar `EngineStats` counters for a
     /// streaming tenant, `TierStats` for a cold one. (The per-sample nano
-    /// series stay in-process — they are unbounded and belong to the bench
-    /// harness, not a stats endpoint.)
+    /// series stay in-process — up to 65 536 samples each, they belong to
+    /// the bench harness, not a stats endpoint.)
     pub fn engine_stats_value(&self) -> Value {
         match &self.engine {
             TenantEngine::Streaming(e) => {

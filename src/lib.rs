@@ -58,8 +58,8 @@
 #![warn(missing_docs)]
 
 pub use mbi_core::{
-    Backpressure, Block, BlockGraph, ColdIndex, EngineConfig, EngineHealth, EngineStats,
-    GraphBackend, IndexSnapshot, MbiConfig, MbiError, MbiIndex, QueryOutput, ReplEvent, Replica,
+    Block, BlockGraph, ColdIndex, EngineConfig, EngineHealth, EngineStats, GraphBackend,
+    IndexSnapshot, MbiConfig, MbiError, MbiIndex, QueryOutput, ReplEvent, Replica,
     ReplicationCursor, RetryPolicy, SearchBlockSet, StreamingMbi, TauTuner, TierStats, TimeChunks,
     TimeWindow, Timestamp, TknnResult, Wal, WalFeed, WalSync,
 };

@@ -3,8 +3,8 @@
 //! engine to the synchronous index, and clean builder-thread shutdown.
 
 use mbi::{
-    Backpressure, BlockGraph, EngineConfig, GraphBackend, MbiConfig, MbiIndex, Metric,
-    NnDescentParams, StreamingMbi, TimeWindow,
+    BlockGraph, EngineConfig, GraphBackend, MbiConfig, MbiIndex, Metric, NnDescentParams,
+    StreamingMbi, TimeWindow,
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -169,9 +169,9 @@ fn streaming_queries_stay_correct_during_root_level_merges() {
 #[test]
 fn streaming_flush_converges_to_the_synchronous_index() {
     // 1000 rows = 15 sealed leaves + a 40-row tail; exercises out-of-order
-    // background completion (multi-builder), rendezvous channels, and the
-    // inline-build fallback. Every configuration must converge to the same
-    // bits as the single-threaded synchronous build.
+    // background completion (multi-builder) and rendezvous channels. Every
+    // configuration must converge to the same bits as the single-threaded
+    // synchronous build.
     let mut sync = MbiIndex::new(config());
     for i in 0..1_000i64 {
         sync.insert(&vec_for(i), i).unwrap();
@@ -181,14 +181,7 @@ fn streaming_flush_converges_to_the_synchronous_index() {
     let engine_configs = [
         EngineConfig::default(),
         EngineConfig::default().with_builder_threads(3).with_queue_depth(8),
-        EngineConfig::default()
-            .with_builder_threads(2)
-            .with_queue_depth(0)
-            .with_backpressure(Backpressure::BuildInline),
-        EngineConfig::default()
-            .with_builder_threads(2)
-            .with_queue_depth(1)
-            .with_backpressure(Backpressure::BuildInline),
+        EngineConfig::default().with_builder_threads(2).with_queue_depth(0),
     ];
     for ec in engine_configs {
         let engine = StreamingMbi::with_engine_config(config(), ec);
@@ -280,4 +273,46 @@ fn streaming_snapshot_queries_match_the_synchronous_index() {
         assert_eq!(engine.query(&q, k, w), sync.query(&q, k, w), "q{qi} k{k}");
         assert_eq!(engine.exact_query(&q, k, w), sync.exact_query(&q, k, w), "exact q{qi} k{k}");
     }
+}
+
+#[test]
+fn every_committed_row_is_served_exactly_once_across_seals() {
+    // A seal publishes its leaf while it holds the tail lock, and a query
+    // takes that lock before it loads the snapshot: every sealed leaf is in
+    // exactly one of the two. An exact query for all rows must return each
+    // committed id once — ids exactly `0..m` — for an `m` between the row
+    // counts read before and after it.
+    const N: i64 = 1_500;
+    let engine = StreamingMbi::with_engine_config(
+        config(),
+        EngineConfig::default().with_builder_threads(1).with_queue_depth(1),
+    );
+    let done = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for i in 0..N {
+                engine.insert(&vec_for(i), i).unwrap();
+            }
+            done.store(true, Ordering::Release);
+        });
+        for reader in 0..3i64 {
+            let (engine, done) = (&engine, &done);
+            s.spawn(move || {
+                let q = vec_for(reader * 500);
+                let mut rounds = 0;
+                while !done.load(Ordering::Acquire) || rounds < 3 {
+                    let n0 = engine.len();
+                    let hits = engine.exact_query(&q, N as usize, TimeWindow::all());
+                    let n1 = engine.len();
+                    let mut ids: Vec<usize> = hits.iter().map(|h| h.id as usize).collect();
+                    ids.sort_unstable();
+                    let m = ids.len();
+                    assert!(n0 <= m && m <= n1, "{n0} ≤ {m} ≤ {n1}");
+                    assert!(ids.iter().enumerate().all(|(i, &id)| i == id), "ids are not 0..{m}");
+                    rounds += 1;
+                }
+            });
+        }
+    });
+    assert_eq!(engine.len(), N as usize);
 }
