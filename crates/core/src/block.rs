@@ -181,6 +181,11 @@ impl Block {
         self.graph.memory_bytes() + std::mem::size_of::<Block>()
     }
 
+    /// What block selection reads: `(start_ts, end_ts, height)`.
+    pub(crate) fn select_meta(&self) -> (Timestamp, Timestamp, u32) {
+        (self.start_ts, self.end_ts, self.height)
+    }
+
     /// The block's directory entry: everything but its graph.
     pub(crate) fn entry(&self) -> crate::index::BlockEntry<'_> {
         (&self.rows, self.height, self.start_ts, self.end_ts)
@@ -321,18 +326,6 @@ impl FromIterator<std::sync::Arc<Block>> for SharedBlocks {
     }
 }
 
-impl crate::select::BlockArray for SharedBlocks {
-    type Item = std::sync::Arc<Block>;
-    #[inline]
-    fn len(&self) -> usize {
-        SharedBlocks::len(self)
-    }
-    #[inline]
-    fn at(&self, i: usize) -> &std::sync::Arc<Block> {
-        self.get(i)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -402,7 +395,6 @@ mod tests {
 
     #[test]
     fn shared_blocks_push_get_iter_share() {
-        use crate::select::BlockArray;
         use std::sync::Arc;
         let (_, b) = test_block(4);
         // Enough blocks to seal several chunks plus a partial tail.
@@ -418,7 +410,6 @@ mod tests {
         assert!(!blocks.is_empty());
         for i in 0..n {
             assert_eq!(blocks.get(i).start_ts, i as i64, "positional access");
-            assert_eq!(blocks.at(i).start_ts, i as i64, "BlockArray access");
         }
         let collected: Vec<i64> = blocks.iter().map(|b| b.start_ts).collect();
         assert_eq!(collected, (0..n as i64).collect::<Vec<_>>(), "iter is in postorder");

@@ -345,12 +345,29 @@ impl IndexSnapshot {
         }
     }
 
-    fn target(&self) -> QueryTarget<'_, SharedBlocks, SegmentStore, TimeChunks> {
+    /// Selection over this snapshot's blocks, then the one query body over
+    /// the blocks it names.
+    fn search(
+        &self,
+        query: &[f32],
+        k: usize,
+        window: TimeWindow,
+        params: &SearchParams,
+        threads: usize,
+        deadline: Option<Instant>,
+    ) -> QueryOutput {
+        let target = self.target();
+        let meta = |i| self.blocks.get(i).select_meta();
+        let selection = target.block_selection(window, self.config.tau, meta);
+        let blocks: Vec<&Block> = selection.blocks.iter().map(|&i| &**self.blocks.get(i)).collect();
+        target.search(query, k, window, params, &selection, &blocks, threads, deadline)
+    }
+
+    fn target(&self) -> QueryTarget<'_, SegmentStore, TimeChunks> {
         QueryTarget {
             config: &self.config,
             store: &self.store,
             times: &self.times,
-            blocks: &self.blocks,
             num_leaves: self.num_leaves,
         }
     }
@@ -486,9 +503,7 @@ impl IndexSnapshot {
         params: &SearchParams,
         deadline: Option<Instant>,
     ) -> QueryOutput {
-        let target = self.target();
-        let selection = target.block_selection(window);
-        target.search(query, k, window, params, &selection, self.config.query_threads, deadline)
+        self.search(query, k, window, params, self.config.query_threads, deadline)
     }
 
     /// Exact TkNN over the snapshot's rows, by brute force.
@@ -1005,8 +1020,7 @@ impl StreamingMbi {
         let search = |(q, k, w): &(Vec<f32>, usize, TimeWindow),
                       tail_hit: Option<(Vec<TknnResult>, SearchStats)>,
                       fan_out: usize| {
-            let target = snap.target();
-            let out = target.search(q, *k, *w, params, &target.block_selection(*w), fan_out, None);
+            let out = snap.search(q, *k, *w, params, fan_out, None);
             match tail_hit {
                 Some((hits, _)) => merge_results(out.results, hits, *k),
                 None => out.results,

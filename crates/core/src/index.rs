@@ -444,19 +444,23 @@ impl MbiIndex {
 
     /// The borrowed [`QueryTarget`] view of this index — the shared query
     /// executor used by both this type and the streaming engine's snapshots.
-    pub(crate) fn target(&self) -> QueryTarget<'_, [Block], VectorStore, [Timestamp]> {
+    pub(crate) fn target(&self) -> QueryTarget<'_, VectorStore, [Timestamp]> {
         QueryTarget {
             config: &self.config,
             store: &self.store,
             times: self.timestamps.as_slice(),
-            blocks: &self.blocks,
             num_leaves: self.num_leaves,
         }
     }
 
     /// Computes the search block set for `window` (Algorithm 4 line 3).
     pub fn block_selection(&self, window: TimeWindow) -> SearchBlockSet {
-        self.target().block_selection(window)
+        self.target().block_selection(window, self.config.tau, |i| self.blocks[i].select_meta())
+    }
+
+    /// The blocks `selection` names, in selection order.
+    fn cover(&self, selection: &SearchBlockSet) -> Vec<&Block> {
+        selection.blocks.iter().map(|&i| &self.blocks[i]).collect()
     }
 
     /// Approximate TkNN query with the configured default search parameters.
@@ -495,8 +499,9 @@ impl MbiIndex {
         params: &SearchParams,
         selection: &SearchBlockSet,
     ) -> QueryOutput {
+        let blocks = self.cover(selection);
         let threads = self.config.query_threads;
-        self.target().search(query, k, window, params, selection, threads, None)
+        self.target().search(query, k, window, params, selection, &blocks, threads, None)
     }
 
     /// [`MbiIndex::query_with_params`] with an explicit fan-out width,
@@ -516,9 +521,9 @@ impl MbiIndex {
         params: &SearchParams,
         threads: usize,
     ) -> QueryOutput {
-        let target = self.target();
-        let selection = target.block_selection(window);
-        target.search(query, k, window, params, &selection, threads, None)
+        let selection = self.block_selection(window);
+        let blocks = self.cover(&selection);
+        self.target().search(query, k, window, params, &selection, &blocks, threads, None)
     }
 
     /// Exact TkNN by binary search + brute force over the whole store — the

@@ -783,7 +783,7 @@ pub(crate) struct V7Leaf {
 /// One block's metadata from a v7 blocks section, graph unloaded: enough to
 /// run block selection and to fetch + verify the graph on demand.
 #[derive(Clone, Debug)]
-pub(crate) struct V7BlockMeta {
+pub(crate) struct V7BlockEntry {
     /// Global row range the block covers.
     pub(crate) rows: std::ops::Range<usize>,
     /// Height in the postorder tree (0 = leaf).
@@ -814,7 +814,7 @@ pub(crate) struct V7Layout {
     pub(crate) has_norms: bool,
     pub(crate) has_sq8: bool,
     pub(crate) leaves: Vec<V7Leaf>,
-    pub(crate) blocks: Vec<V7BlockMeta>,
+    pub(crate) blocks: Vec<V7BlockEntry>,
     /// `leaf_block[i]` = postorder index of leaf `i`'s height-0 block.
     pub(crate) leaf_block: Vec<usize>,
 }
@@ -1059,7 +1059,7 @@ pub(crate) fn parse_v7_layout(b: &[u8]) -> Result<V7Layout, MbiError> {
             }
             prev_graph_end = graph_end;
         }
-        blocks.push(V7BlockMeta {
+        blocks.push(V7BlockEntry {
             rows: start..end,
             height,
             start_ts,

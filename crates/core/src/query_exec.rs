@@ -1,16 +1,17 @@
-//! Generic query execution (Algorithm 4) over any postorder block array.
+//! Generic query execution (Algorithm 4) over any block tree.
 //!
 //! [`MbiIndex`](crate::MbiIndex) owns its blocks directly (`Vec<Block>`),
-//! the streaming engine's snapshots share them, and the cold tier pins them
-//! from a mapped file. All three answer through [`QueryTarget::search`] — one
-//! method over a borrowed view, generic over how a block is held — so the
-//! per-block search, the cost-model dispatch, the intra-query fan-out, the
-//! deadline, and the tail scan are written (and audited) exactly once.
+//! the streaming engine's snapshots share them, and the cold tier pins the
+//! blocks a query touches from a mapped file. Each front-end runs selection
+//! over its own block metadata and hands the selected blocks to
+//! [`QueryTarget::search`], so the per-block search, the cost-model
+//! dispatch, the intra-query fan-out, the deadline, and the tail scan are
+//! written (and audited) exactly once.
 
 use crate::block::Block;
 use crate::config::MbiConfig;
 use crate::index::{QueryOutput, TknnResult};
-use crate::select::{select_blocks, BlockArray, SearchBlockSet, TimeWindow};
+use crate::select::{select_blocks, SearchBlockSet, TimeWindow};
 use crate::times::TimeChunks;
 use crate::Timestamp;
 use mbi_ann::{
@@ -18,7 +19,6 @@ use mbi_ann::{
     SearchScratch, SearchStats, SegmentStore, VectorStore, VectorView,
 };
 use mbi_math::{Neighbor, PreparedQuery, TopK};
-use std::borrow::Borrow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
@@ -126,26 +126,24 @@ impl TimeSource for TimeChunks {
 }
 
 /// A borrowed view of one queryable index state: parallel store/timestamp
-/// columns, the postorder block array, and the number of leaves under
-/// blocks. Rows `[num_leaves · S_L, times.len())` are the tail, served by
-/// exact scan.
-pub(crate) struct QueryTarget<'a, A: ?Sized, V: ?Sized, T: ?Sized> {
+/// columns and the number of leaves under blocks. Rows
+/// `[num_leaves · S_L, times.len())` are the tail, served by exact scan.
+/// The blocks themselves stay with the front-end: selection reads their
+/// metadata through an accessor, and [`Self::search`] receives the ones
+/// selection named.
+pub(crate) struct QueryTarget<'a, V: ?Sized, T: ?Sized> {
     /// Index configuration (`τ`, metric, search defaults, fan-out width).
     pub config: &'a MbiConfig,
     /// The raw vectors, rows `0..times.len()`.
     pub store: &'a V,
     /// The timestamp column (non-decreasing), parallel to `store`.
     pub times: &'a T,
-    /// Postorder block array over the first `num_leaves` leaves.
-    pub blocks: &'a A,
     /// Number of leaves under blocks.
     pub num_leaves: usize,
 }
 
-impl<'a, A, V, T> QueryTarget<'a, A, V, T>
+impl<'a, V, T> QueryTarget<'a, V, T>
 where
-    A: BlockArray + Sync + ?Sized,
-    A::Item: Borrow<Block> + Sync,
     V: VectorSource + ?Sized,
     T: TimeSource + ?Sized,
 {
@@ -157,9 +155,16 @@ where
         self.num_leaves * self.config.leaf_size..self.times.len()
     }
 
-    /// Computes the search block set for `window` (Algorithm 4 line 3).
-    pub fn block_selection(&self, window: TimeWindow) -> SearchBlockSet {
-        let blocks = select_blocks(self.blocks, self.num_leaves, self.config.tau, window);
+    /// Computes the search block set for `window` at threshold `tau`
+    /// (Algorithm 4 line 3). `meta(i)` is the `(start_ts, end_ts, height)`
+    /// of the block at postorder index `i`.
+    pub fn block_selection(
+        &self,
+        window: TimeWindow,
+        tau: f64,
+        meta: impl Fn(usize) -> (Timestamp, Timestamp, u32),
+    ) -> SearchBlockSet {
+        let blocks = select_blocks(meta, self.num_leaves, tau, window);
         let tail_rows = self.tail_rows();
         let tail = !tail_rows.is_empty() && {
             let ts = self.times.get(tail_rows.start);
@@ -170,7 +175,8 @@ where
     }
 
     /// The one query body (Algorithm 4 after selection): per-block search +
-    /// merge over `selection`, then the tail scan, with a fan-out width
+    /// merge over `blocks` — the blocks `selection` names, in selection
+    /// order — then the tail scan, with a fan-out width
     /// `threads` (`0` = auto) and an optional cooperative `deadline`. Every
     /// front-end's approximate query ends here. See
     /// [`MbiIndex::query_with_params_threaded`](crate::MbiIndex::query_with_params_threaded)
@@ -191,10 +197,12 @@ where
         window: TimeWindow,
         params: &SearchParams,
         selection: &SearchBlockSet,
+        blocks: &[&Block],
         threads: usize,
         deadline: Option<Instant>,
     ) -> QueryOutput {
         assert_eq!(query.len(), self.config.dim, "query has wrong dimension");
+        assert_eq!(blocks.len(), selection.blocks.len(), "one block per selected index");
         let deadline = &Deadline::new(deadline);
         let mut stats = SearchStats::default();
         let mut merged = TopK::new(k);
@@ -207,30 +215,29 @@ where
         // path runs it once over the whole selection, the fan-out path once
         // per chunk. Each call borrows its own thread's scratch, so repeated
         // queries reuse the same allocations per worker thread.
-        let search_blocks = |blocks: &[usize], top: &mut TopK, stats: &mut SearchStats| {
+        let search_blocks = |blocks: &[&Block], top: &mut TopK, stats: &mut SearchStats| {
             with_thread_scratch(|scratch, buf| {
-                for &bi in blocks {
+                for block in blocks {
                     if deadline.expired() {
                         break;
                     }
                     self.search_one_block(
-                        bi, &pq, k, wlo, whi, window, params, top, stats, scratch, buf,
+                        block, &pq, k, wlo, whi, window, params, top, stats, scratch, buf,
                     );
                 }
             })
         };
-        let workers = self.effective_query_threads(threads, selection);
+        let workers = self.effective_query_threads(threads, blocks);
         if workers <= 1 {
-            search_blocks(&selection.blocks, &mut merged, &mut stats);
+            search_blocks(blocks, &mut merged, &mut stats);
         } else {
             // Scoped fan-out over contiguous chunks of the selection. Chunks
             // are merged in block order below; per the determinism argument
             // in the doc comment the order is immaterial to the output, but
             // keeping it fixed makes that claim trivially auditable.
-            let chunk = selection.blocks.len().div_ceil(workers);
+            let chunk = blocks.len().div_ceil(workers);
             let parts: Vec<(TopK, SearchStats)> = std::thread::scope(|scope| {
-                let workers: Vec<_> = selection
-                    .blocks
+                let workers: Vec<_> = blocks
                     .chunks(chunk)
                     .map(|blocks| {
                         let search_blocks = &search_blocks;
@@ -301,7 +308,7 @@ where
     #[allow(clippy::too_many_arguments)]
     fn search_one_block(
         &self,
-        bi: usize,
+        block: &Block,
         pq: &PreparedQuery<'_>,
         k: usize,
         wlo: usize,
@@ -313,7 +320,6 @@ where
         scratch: &mut SearchScratch,
         buf: &mut Vec<Neighbor>,
     ) {
-        let block: &Block = self.blocks.at(bi).borrow();
         let base = block.rows.start as u32;
         let lo = wlo.max(block.rows.start);
         let hi = whi.min(block.rows.end);
@@ -378,8 +384,8 @@ where
     /// falls back to sequential when there is nothing to amortise a spawn
     /// against: fewer than two selected full blocks, a single core, or
     /// fewer than [`MIN_PARALLEL_ROWS`] total rows under selection.
-    fn effective_query_threads(&self, requested: usize, selection: &SearchBlockSet) -> usize {
-        let nblocks = selection.blocks.len();
+    fn effective_query_threads(&self, requested: usize, blocks: &[&Block]) -> usize {
+        let nblocks = blocks.len();
         if nblocks <= 1 {
             return 1;
         }
@@ -390,8 +396,7 @@ where
         if cores <= 1 {
             return 1;
         }
-        let total_rows: usize =
-            selection.blocks.iter().map(|&bi| self.blocks.at(bi).borrow().len()).sum();
+        let total_rows: usize = blocks.iter().map(|b| b.len()).sum();
         if total_rows < MIN_PARALLEL_ROWS {
             return 1;
         }

@@ -9,10 +9,12 @@
 //! windows span `(−∞, ∞)`; these always fall into Case 3 (recurse) and are
 //! never selected. Equivalently — and this is how it is implemented here —
 //! the materialised blocks form a forest of maximal complete subtrees given
-//! by the binary decomposition of the number of full leaves, and selection
-//! simply walks each maximal root. The non-full tail leaf (if any) is not a
-//! block yet; the caller scans it with BSBF, exactly as Algorithm 4 line 6
-//! prescribes for non-full leaf blocks.
+//! by the binary decomposition of the number of leaves under blocks, and
+//! selection simply walks each maximal root. Selection reads only each
+//! block's time span and height, through an accessor the caller supplies.
+//! The rows no block covers are the *tail* — an index's partial leaf, or a
+//! snapshot's sealed but unbuilt leaves; the executor scans them with BSBF,
+//! exactly as Algorithm 4 line 6 prescribes for non-full leaf blocks.
 
 use crate::Timestamp;
 use serde::{Deserialize, Serialize};
@@ -80,107 +82,13 @@ impl TimeWindow {
     }
 }
 
-/// The minimal view of a block that selection needs; implemented by
-/// [`crate::Block`] and by lightweight stand-ins in property tests.
-pub trait BlockMeta {
-    /// Earliest timestamp in the block.
-    fn start_ts(&self) -> Timestamp;
-    /// Exclusive upper timestamp.
-    fn end_ts(&self) -> Timestamp;
-    /// Height in the tree (leaf = 0).
-    fn height(&self) -> u32;
-}
-
-impl BlockMeta for crate::Block {
-    fn start_ts(&self) -> Timestamp {
-        self.start_ts
-    }
-    fn end_ts(&self) -> Timestamp {
-        self.end_ts
-    }
-    fn height(&self) -> u32 {
-        self.height
-    }
-}
-
-/// The streaming engine's snapshots share blocks (`Vec<Arc<Block>>`), so
-/// selection must see through the `Arc`. (A blanket `impl` over
-/// `Borrow<Block>` would collide with the test stand-ins above under
-/// coherence, hence the concrete impl.)
-impl BlockMeta for std::sync::Arc<crate::Block> {
-    fn start_ts(&self) -> Timestamp {
-        self.as_ref().start_ts
-    }
-    fn end_ts(&self) -> Timestamp {
-        self.as_ref().end_ts
-    }
-    fn height(&self) -> u32 {
-        self.as_ref().height
-    }
-}
-
-/// A positionally indexed postorder block array.
-///
-/// Selection, validation, and the query executor are generic over this, so
-/// one implementation serves the synchronous index (`Vec<Block>` /
-/// `&[Block]`), the streaming snapshots' chunk-shared
-/// [`SharedBlocks`](crate::SharedBlocks), and the storage tier's resident
-/// metadata table — none of which can cheaply present itself as a plain
-/// slice.
-pub trait BlockArray {
-    /// How a block is held (`Block`, `Arc<Block>`, a metadata stand-in…).
-    type Item: BlockMeta;
-
-    /// Number of blocks.
-    fn len(&self) -> usize;
-
-    /// The block at postorder index `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= len()`.
-    fn at(&self, i: usize) -> &Self::Item;
-
-    /// Whether the array holds no blocks.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl<B: BlockMeta> BlockArray for [B] {
-    type Item = B;
-    #[inline]
-    fn len(&self) -> usize {
-        <[B]>::len(self)
-    }
-    #[inline]
-    fn at(&self, i: usize) -> &B {
-        &self[i]
-    }
-}
-
-/// Owned vectors get their own impl (rather than relying on `&Vec<B>`
-/// coercing to `&[B]`): generic callers of [`select_blocks`] defeat deref
-/// coercion, and the existing call sites pass `&Vec<_>` directly.
-impl<B: BlockMeta> BlockArray for Vec<B> {
-    type Item = B;
-    #[inline]
-    fn len(&self) -> usize {
-        self.as_slice().len()
-    }
-    #[inline]
-    fn at(&self, i: usize) -> &B {
-        &self[i]
-    }
-}
-
 /// The outcome of block selection for one query.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SearchBlockSet {
     /// Postorder indices of the selected full blocks.
     pub blocks: Vec<usize>,
-    /// Whether the non-full tail leaf overlaps the window and must be
-    /// scanned with BSBF.
+    /// Whether the tail — the rows no block covers — overlaps the window
+    /// and must be scanned with BSBF.
     pub tail: bool,
 }
 
@@ -191,21 +99,22 @@ impl SearchBlockSet {
     }
 }
 
-/// The overlap ratio `r_o(q, B_c)` of §4.3:
+/// The overlap ratio `r_o(q, B_c)` of §4.3 for a block spanning
+/// `[start_ts, end_ts)`:
 /// `max(0, min(B.t_e, t_e) − max(B.t_s, t_s)) / (B.t_e − B.t_s)`.
 ///
 /// Blocks built by [`crate::MbiIndex`] always have a positive span (`end_ts`
-/// is exclusive, one past the last timestamp), but generic [`BlockMeta`]
-/// stand-ins can present a zero-span block. The ratio's limit as the span
-/// shrinks to a point is 1 when the window contains that instant and 0
-/// otherwise, so a degenerate block is treated as fully covered or disjoint
-/// instead of dividing by zero (a panic in debug, NaN — which silently fails
-/// every `> τ` comparison — in release).
-pub fn overlap_ratio<B: BlockMeta>(window: TimeWindow, block: &B) -> f64 {
-    let num = window.overlap_with(block.start_ts(), block.end_ts());
-    let den = block.end_ts() - block.start_ts();
+/// is exclusive, one past the last timestamp), but a caller's accessor can
+/// present a zero-span block. The ratio's limit as the span shrinks to a
+/// point is 1 when the window contains that instant and 0 otherwise, so a
+/// degenerate block is treated as fully covered or disjoint instead of
+/// dividing by zero (a panic in debug, NaN — which silently fails every
+/// `> τ` comparison — in release).
+pub fn overlap_ratio(window: TimeWindow, start_ts: Timestamp, end_ts: Timestamp) -> f64 {
+    let num = window.overlap_with(start_ts, end_ts);
+    let den = end_ts - start_ts;
     if den <= 0 {
-        return if window.contains(block.start_ts()) { 1.0 } else { 0.0 };
+        return if window.contains(start_ts) { 1.0 } else { 0.0 };
     }
     num as f64 / den as f64
 }
@@ -229,35 +138,32 @@ pub fn maximal_roots(num_leaves: usize) -> Vec<usize> {
     roots
 }
 
-/// `BlockSelection` of Algorithm 4 applied to every maximal root. Returns
-/// postorder indices of the selected blocks, in increasing time order.
-pub fn select_blocks<A: BlockArray + ?Sized>(
-    blocks: &A,
-    num_leaves: usize,
-    tau: f64,
-    window: TimeWindow,
-) -> Vec<usize> {
+/// `BlockSelection` of Algorithm 4 applied to every maximal root. `meta(i)`
+/// is the `(start_ts, end_ts, height)` of the block at postorder index `i`.
+/// Returns postorder indices of the selected blocks, in increasing time
+/// order.
+pub fn select_blocks<F>(meta: F, num_leaves: usize, tau: f64, window: TimeWindow) -> Vec<usize>
+where
+    F: Fn(usize) -> (Timestamp, Timestamp, u32),
+{
     let mut selected = Vec::new();
     for root in maximal_roots(num_leaves) {
-        select_rec(blocks, root, tau, window, &mut selected);
+        select_rec(&meta, root, tau, window, &mut selected);
     }
     selected
 }
 
-fn select_rec<A: BlockArray + ?Sized>(
-    blocks: &A,
-    c: usize,
-    tau: f64,
-    window: TimeWindow,
-    out: &mut Vec<usize>,
-) {
-    let block = blocks.at(c);
-    let r_o = overlap_ratio(window, block);
+fn select_rec<F>(meta: &F, c: usize, tau: f64, window: TimeWindow, out: &mut Vec<usize>)
+where
+    F: Fn(usize) -> (Timestamp, Timestamp, u32),
+{
+    let (start_ts, end_ts, h) = meta(c);
+    let r_o = overlap_ratio(window, start_ts, end_ts);
     if r_o == 0.0 {
         // Case 1: disjoint from the window.
         return;
     }
-    if block.height() == 0 || r_o > tau {
+    if h == 0 || r_o > tau {
         // Case 2: leaf, or the window covers enough of the block.
         out.push(c);
         return;
@@ -265,11 +171,10 @@ fn select_rec<A: BlockArray + ?Sized>(
     // Case 3: recurse into children. With height h, the right child is at
     // c − 1 and the left child at c − 2^h (postorder arithmetic; the paper
     // writes the sibling of B_i as B_{i+1−2^h} with the parent at i + 1).
-    let h = block.height();
     let left = c - (1usize << h);
     let right = c - 1;
-    select_rec(blocks, left, tau, window, out);
-    select_rec(blocks, right, tau, window, out);
+    select_rec(meta, left, tau, window, out);
+    select_rec(meta, right, tau, window, out);
 }
 
 #[cfg(test)]
@@ -283,16 +188,9 @@ mod tests {
         h: u32,
     }
 
-    impl BlockMeta for Meta {
-        fn start_ts(&self) -> i64 {
-            self.s
-        }
-        fn end_ts(&self) -> i64 {
-            self.e
-        }
-        fn height(&self) -> u32 {
-            self.h
-        }
+    /// The selection accessor over a test block array.
+    fn meta(blocks: &[Meta]) -> impl Fn(usize) -> (i64, i64, u32) + '_ {
+        |i| (blocks[i].s, blocks[i].e, blocks[i].h)
     }
 
     /// Builds the postorder block array of a complete tree over `leaves`
@@ -350,39 +248,39 @@ mod tests {
     #[test]
     fn overlap_ratio_values() {
         let b = Meta { s: 0, e: 100, h: 3 };
-        assert_eq!(overlap_ratio(TimeWindow::new(0, 100), &b), 1.0);
-        assert_eq!(overlap_ratio(TimeWindow::new(0, 50), &b), 0.5);
-        assert_eq!(overlap_ratio(TimeWindow::new(100, 200), &b), 0.0);
-        assert_eq!(overlap_ratio(TimeWindow::new(-50, 25), &b), 0.25);
+        assert_eq!(overlap_ratio(TimeWindow::new(0, 100), b.s, b.e), 1.0);
+        assert_eq!(overlap_ratio(TimeWindow::new(0, 50), b.s, b.e), 0.5);
+        assert_eq!(overlap_ratio(TimeWindow::new(100, 200), b.s, b.e), 0.0);
+        assert_eq!(overlap_ratio(TimeWindow::new(-50, 25), b.s, b.e), 0.25);
     }
 
     #[test]
     fn overlap_ratio_zero_span_block() {
         let b = Meta { s: 50, e: 50, h: 0 };
-        assert_eq!(overlap_ratio(TimeWindow::new(0, 100), &b), 1.0);
-        assert_eq!(overlap_ratio(TimeWindow::new(50, 51), &b), 1.0);
-        assert_eq!(overlap_ratio(TimeWindow::new(0, 50), &b), 0.0);
-        assert_eq!(overlap_ratio(TimeWindow::new(51, 100), &b), 0.0);
+        assert_eq!(overlap_ratio(TimeWindow::new(0, 100), b.s, b.e), 1.0);
+        assert_eq!(overlap_ratio(TimeWindow::new(50, 51), b.s, b.e), 1.0);
+        assert_eq!(overlap_ratio(TimeWindow::new(0, 50), b.s, b.e), 0.0);
+        assert_eq!(overlap_ratio(TimeWindow::new(51, 100), b.s, b.e), 0.0);
         // And through selection: a zero-span leaf inside the window is
         // selected rather than panicking or vanishing behind a NaN ratio.
         let blocks = vec![Meta { s: 50, e: 50, h: 0 }];
-        assert_eq!(select_blocks(&blocks, 1, 0.5, TimeWindow::new(0, 100)), vec![0]);
-        assert!(select_blocks(&blocks, 1, 0.5, TimeWindow::new(0, 50)).is_empty());
+        assert_eq!(select_blocks(meta(&blocks), 1, 0.5, TimeWindow::new(0, 100)), vec![0]);
+        assert!(select_blocks(meta(&blocks), 1, 0.5, TimeWindow::new(0, 50)).is_empty());
     }
 
     #[test]
     fn full_window_selects_single_root_with_low_tau() {
         let blocks = complete_tree(8, 10); // 15 blocks, root = 14, span [0, 80)
-        let sel = select_blocks(&blocks, 8, 0.5, TimeWindow::new(0, 80));
+        let sel = select_blocks(meta(&blocks), 8, 0.5, TimeWindow::new(0, 80));
         assert_eq!(sel, vec![14], "whole-database window should use the root");
     }
 
     #[test]
     fn disjoint_window_selects_nothing() {
         let blocks = complete_tree(8, 10);
-        let sel = select_blocks(&blocks, 8, 0.5, TimeWindow::new(1000, 2000));
+        let sel = select_blocks(meta(&blocks), 8, 0.5, TimeWindow::new(1000, 2000));
         assert!(sel.is_empty());
-        let sel = select_blocks(&blocks, 8, 0.5, TimeWindow::new(40, 40));
+        let sel = select_blocks(meta(&blocks), 8, 0.5, TimeWindow::new(40, 40));
         assert!(sel.is_empty(), "empty window matches nothing");
     }
 
@@ -392,7 +290,7 @@ mod tests {
         // covered... no: even full cover gives r_o = 1 which is not > 1, so
         // selection descends to leaves.
         let blocks = complete_tree(4, 10); // spans [0,40)
-        let sel = select_blocks(&blocks, 4, 1.0, TimeWindow::new(0, 40));
+        let sel = select_blocks(meta(&blocks), 4, 1.0, TimeWindow::new(0, 40));
         let heights: Vec<u32> = sel.iter().map(|&i| blocks[i].h).collect();
         assert_eq!(heights, vec![0, 0, 0, 0]);
     }
@@ -402,7 +300,7 @@ mod tests {
         // Lemma 4.1: τ ≤ 0.5 on a complete tree ⇒ ≤ 2 blocks.
         let blocks = complete_tree(16, 5); // span [0, 80)
         for (s, e) in [(0, 80), (3, 41), (17, 22), (0, 1), (79, 80), (10, 70), (35, 45)] {
-            let sel = select_blocks(&blocks, 16, 0.5, TimeWindow::new(s, e));
+            let sel = select_blocks(meta(&blocks), 16, 0.5, TimeWindow::new(s, e));
             assert!(sel.len() <= 2, "window [{s},{e}) selected {} blocks: {:?}", sel.len(), sel);
         }
     }
@@ -412,10 +310,10 @@ mod tests {
         let blocks = complete_tree(16, 5);
         let w = TimeWindow::new(12, 63);
         for tau in [0.1, 0.3, 0.5, 0.7, 0.9, 1.0] {
-            let sel = select_blocks(&blocks, 16, tau, w);
+            let sel = select_blocks(meta(&blocks), 16, tau, w);
             // Every selected block overlaps the window.
             for &i in &sel {
-                assert!(overlap_ratio(w, &blocks[i]) > 0.0);
+                assert!(overlap_ratio(w, blocks[i].s, blocks[i].e) > 0.0);
             }
             // Selected blocks are pairwise disjoint in time.
             for (ai, &a) in sel.iter().enumerate() {
@@ -436,7 +334,7 @@ mod tests {
         // Window [5, 40) over leaves of span 10: leaf 0 is half covered,
         // leaves 1-3 fully. With τ = 0.5 the selection mixes levels.
         let blocks = complete_tree(4, 10);
-        let sel = select_blocks(&blocks, 4, 0.5, TimeWindow::new(5, 40));
+        let sel = select_blocks(meta(&blocks), 4, 0.5, TimeWindow::new(5, 40));
         let covered: i64 = sel
             .iter()
             .map(|&i| TimeWindow::new(5, 40).overlap_with(blocks[i].s, blocks[i].e))
@@ -454,7 +352,7 @@ mod tests {
         blocks.push(Meta { s: 40, e: 50, h: 0 });
         blocks.push(Meta { s: 50, e: 60, h: 0 });
         blocks.push(Meta { s: 40, e: 60, h: 1 });
-        let sel = select_blocks(&blocks, 6, 0.4, TimeWindow::new(0, 60));
+        let sel = select_blocks(meta(&blocks), 6, 0.4, TimeWindow::new(0, 60));
         // Both maximal roots are fully covered: r_o = 1 > 0.4 each.
         assert_eq!(sel, vec![6, 9]);
     }

@@ -20,14 +20,14 @@
 //! stay pinned until the query consumes them, so a tiny budget cannot evict
 //! a prefetched piece before it is used.
 //!
-//! Queries are bit-identical to the in-RAM [`IndexSnapshot`] path: both run
-//! the same executor over the same `VectorSource`/`TimeSource`/`BlockArray`
-//! abstractions, and the SQ8/f32 bytes served from the map are the bytes the
-//! snapshot serialised.
+//! Queries are bit-identical to the in-RAM [`IndexSnapshot`] path: selection
+//! reads the same spans and heights (here from the block directory), both
+//! run the same executor over the same `VectorSource`/`TimeSource`
+//! abstractions and the selected blocks alone, and the SQ8/f32 bytes served
+//! from the map are the bytes the snapshot serialised.
 //!
 //! [`IndexSnapshot`]: crate::engine::IndexSnapshot
 
-use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::path::Path;
@@ -43,23 +43,10 @@ use crate::block::Block;
 use crate::config::MbiConfig;
 use crate::error::MbiError;
 use crate::index::{QueryOutput, TknnResult};
-use crate::persist::{open_v7, Columns, V7BlockMeta, V7Layout};
+use crate::persist::{open_v7, Columns, V7Layout};
 use crate::query_exec::QueryTarget;
-use crate::select::{select_blocks, BlockMeta, SearchBlockSet, TimeWindow};
+use crate::select::{select_blocks, SearchBlockSet, TimeWindow};
 use crate::times::TimeChunks;
-use crate::Timestamp;
-
-impl BlockMeta for V7BlockMeta {
-    fn start_ts(&self) -> Timestamp {
-        self.start_ts
-    }
-    fn end_ts(&self) -> Timestamp {
-        self.end_ts
-    }
-    fn height(&self) -> u32 {
-        self.height
-    }
-}
 
 /// One cacheable unit of the file: a leaf record (rows + side columns + its
 /// co-located graph, decoded together) or an internal block's graph.
@@ -247,49 +234,6 @@ impl BlockCache {
     }
 }
 
-/// A block-array slot of the cold executor: either a decoded block (for
-/// blocks in the query's cover) or bare directory metadata (for everything
-/// else — selection only reads timestamps and heights).
-enum ColdSlot {
-    Loaded(Arc<Block>),
-    Meta { start_ts: Timestamp, end_ts: Timestamp, height: u32 },
-}
-
-impl BlockMeta for ColdSlot {
-    fn start_ts(&self) -> Timestamp {
-        match self {
-            ColdSlot::Loaded(b) => b.start_ts,
-            ColdSlot::Meta { start_ts, .. } => *start_ts,
-        }
-    }
-    fn end_ts(&self) -> Timestamp {
-        match self {
-            ColdSlot::Loaded(b) => b.end_ts,
-            ColdSlot::Meta { end_ts, .. } => *end_ts,
-        }
-    }
-    fn height(&self) -> u32 {
-        match self {
-            ColdSlot::Loaded(b) => b.height,
-            ColdSlot::Meta { height, .. } => *height,
-        }
-    }
-}
-
-impl Borrow<Block> for ColdSlot {
-    fn borrow(&self) -> &Block {
-        match self {
-            ColdSlot::Loaded(b) => b,
-            // The executor only borrows blocks named by the selection, and
-            // the cover loaded every selected block; reaching a Meta slot is
-            // a logic bug, not a recoverable state.
-            ColdSlot::Meta { .. } => {
-                unreachable!("executor borrowed a block outside the loaded cover")
-            }
-        }
-    }
-}
-
 /// Shared core of a cold index: the map, parsed layout, eager timestamp
 /// column, and the block cache. Owned by [`ColdIndex`] and weakly by the
 /// prefetch thread.
@@ -374,10 +318,13 @@ impl ColdCore {
     }
 
     /// Expands a resolved selection into the pieces it touches: one leaf
-    /// piece per covered leaf, plus the graph of every internal block.
-    fn cover_pieces(&self, selected: &[usize]) -> Vec<PieceKey> {
+    /// piece per covered leaf, plus the graph of every internal block. Also
+    /// returns, per selected block, the index of the key whose piece holds
+    /// that block (its leaf piece, or its graph).
+    fn cover_pieces(&self, selected: &[usize]) -> (Vec<PieceKey>, Vec<usize>) {
         let s_l = self.layout.seg_rows;
         let mut keys = Vec::new();
+        let mut own = Vec::with_capacity(selected.len());
         for &bi in selected {
             let meta = &self.layout.blocks[bi];
             if meta.height == 0 {
@@ -388,8 +335,9 @@ impl ColdCore {
                 );
                 keys.push(PieceKey::Graph(bi));
             }
+            own.push(keys.len() - 1);
         }
-        keys
+        (keys, own)
     }
 
     /// Fetches every piece of a cover, pinned. When prefetch is enabled and
@@ -420,31 +368,24 @@ impl ColdCore {
         Ok(pieces)
     }
 
-    /// Loads and pins every piece of a cover, assembling the executor's
-    /// store (placeholder segments outside the cover) and block array
-    /// (metadata-only slots outside the cover).
-    fn pin(&self, keys: &[PieceKey]) -> Result<(SegmentStore, Vec<ColdSlot>), MbiError> {
+    /// Loads and pins every piece of a cover: the executor's store
+    /// (placeholder segments outside the cover) and each piece's block, in
+    /// key order.
+    fn pin(&self, keys: &[PieceKey]) -> Result<(SegmentStore, Vec<Arc<Block>>), MbiError> {
         let lay = &self.layout;
         let mut segs = vec![self.empty_seg.clone(); lay.num_leaves];
-        let mut slots: Vec<ColdSlot> = lay
-            .blocks
-            .iter()
-            .map(|m| ColdSlot::Meta { start_ts: m.start_ts, end_ts: m.end_ts, height: m.height })
-            .collect();
-        let pieces = self.fetch_pieces(keys)?;
-        for (&key, piece) in keys.iter().zip(pieces) {
-            match (key, piece) {
+        let mut blocks = Vec::with_capacity(keys.len());
+        for (&key, piece) in keys.iter().zip(self.fetch_pieces(keys)?) {
+            blocks.push(match (key, piece) {
                 (PieceKey::Leaf(leaf), Piece::Leaf(seg, block)) => {
                     segs[leaf] = seg;
-                    slots[lay.leaf_block[leaf]] = ColdSlot::Loaded(block);
+                    block
                 }
-                (PieceKey::Graph(bi), Piece::Graph(block)) => {
-                    slots[bi] = ColdSlot::Loaded(block);
-                }
+                (PieceKey::Graph(_), Piece::Graph(block)) => block,
                 _ => unreachable!("cache returned a piece of the wrong kind"),
-            }
+            });
         }
-        Ok((SegmentStore::from_pinned(lay.config.dim, lay.seg_rows, segs), slots))
+        Ok((SegmentStore::from_pinned(lay.config.dim, lay.seg_rows, segs), blocks))
     }
 }
 
@@ -520,7 +461,8 @@ impl ColdIndex {
     ///
     /// Only the directories and the timestamp column are read eagerly; the
     /// environment variable `MBI_RAM_BUDGET` (bytes) overrides the persisted
-    /// [`MbiConfig::ram_budget_bytes`] for the lifetime of this handle.
+    /// [`MbiConfig::ram_budget_bytes`] for the lifetime of this handle. A
+    /// value that is not a byte count is an error, not ignored.
     pub fn open(path: impl AsRef<Path>) -> Result<ColdIndex, MbiError> {
         let map = FileMap::open(path.as_ref()).map_err(MbiError::Io)?;
         Self::from_map(Arc::new(map))
@@ -557,9 +499,7 @@ impl ColdIndex {
         if let Some(b) = budget_override {
             layout.config.ram_budget_bytes = b;
         } else if let Ok(v) = std::env::var("MBI_RAM_BUDGET") {
-            if let Ok(n) = v.trim().parse::<u64>() {
-                layout.config.ram_budget_bytes = n;
-            }
+            layout.config.ram_budget_bytes = parse_ram_budget(&v)?;
         }
         let config = layout.config;
 
@@ -690,8 +630,12 @@ impl ColdIndex {
         // Selection runs on directory metadata alone — this is the prefetch
         // oracle: every block the executor will touch is named here, before
         // any vector byte is read.
+        let meta = |i: usize| {
+            let m = &lay.blocks[i];
+            (m.start_ts, m.end_ts, m.height)
+        };
         let selection = SearchBlockSet {
-            blocks: select_blocks(&lay.blocks, lay.num_leaves, lay.config.tau, window),
+            blocks: select_blocks(meta, lay.num_leaves, lay.config.tau, window),
             tail: false,
         };
         if deadline.is_some_and(|d| Instant::now() >= d) {
@@ -702,10 +646,11 @@ impl ColdIndex {
                 timed_out: true,
             });
         }
-        let keys = self.core.cover_pieces(&selection.blocks);
-        self.with_pinned(&keys, |target| {
+        let (keys, own) = self.core.cover_pieces(&selection.blocks);
+        self.with_pinned(&keys, |target, pinned| {
+            let blocks: Vec<&Block> = own.iter().map(|&i| &*pinned[i]).collect();
             let threads = lay.config.query_threads;
-            target.search(query, k, window, params, &selection, threads, deadline)
+            target.search(query, k, window, params, &selection, &blocks, threads, deadline)
         })
     }
 
@@ -725,16 +670,16 @@ impl ColdIndex {
         } else {
             Vec::new()
         };
-        self.with_pinned(&keys, |target| target.exact_query(query, k, window))
+        self.with_pinned(&keys, |target, _| target.exact_query(query, k, window))
     }
 
     /// Prefetches and pins the pieces `keys` names, runs `f` on a
-    /// [`QueryTarget`] over them, unpins, and lets the cache evict back
-    /// under budget.
+    /// [`QueryTarget`] over them and the pieces' blocks (in key order),
+    /// unpins, and lets the cache evict back under budget.
     fn with_pinned<R>(
         &self,
         keys: &[PieceKey],
-        f: impl FnOnce(&QueryTarget<'_, [ColdSlot], SegmentStore, TimeChunks>) -> R,
+        f: impl FnOnce(&QueryTarget<'_, SegmentStore, TimeChunks>, &[Arc<Block>]) -> R,
     ) -> Result<R, MbiError> {
         let core = &*self.core;
         if let Some(tx) = &self.prefetch_tx {
@@ -743,18 +688,30 @@ impl ColdIndex {
             }
         }
         let out = {
-            let (store, slots) = core.pin(keys)?;
-            f(&QueryTarget {
+            let (store, blocks) = core.pin(keys)?;
+            let target = QueryTarget {
                 config: &core.layout.config,
                 store: &store,
                 times: &core.times,
-                blocks: slots.as_slice(),
                 num_leaves: core.layout.num_leaves,
-            })
+            };
+            f(&target, &blocks)
         };
         core.cache.maintain();
         Ok(out)
     }
+}
+
+/// Parses an `MBI_RAM_BUDGET` value: a byte count, surrounding whitespace
+/// allowed. Anything else (`512M`, `-1`, empty) is an error naming the
+/// variable and its value.
+fn parse_ram_budget(value: &str) -> Result<u64, MbiError> {
+    value.trim().parse().map_err(|_| {
+        MbiError::Io(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("MBI_RAM_BUDGET={value:?} is not a byte count"),
+        ))
+    })
 }
 
 impl Drop for ColdIndex {
@@ -1136,5 +1093,19 @@ mod tests {
         let cold = ColdIndex::open(&path).unwrap();
         assert_cold_matches(&snap, &cold);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn ram_budget_override_is_a_byte_count_or_an_error() {
+        assert_eq!(parse_ram_budget("0").unwrap(), 0);
+        assert_eq!(parse_ram_budget(" 4096\n").unwrap(), 4096);
+        for bad in ["512M", "-1", "", "1e6", "18446744073709551616"] {
+            let err = parse_ram_budget(bad).unwrap_err();
+            assert!(
+                matches!(&err, MbiError::Io(e) if e.kind() == std::io::ErrorKind::InvalidInput)
+            );
+            let msg = err.to_string();
+            assert!(msg.contains(&format!("MBI_RAM_BUDGET={bad:?}")), "{bad:?}: {msg}");
+        }
     }
 }

@@ -9,7 +9,7 @@
 //! bucket.
 
 use crate::index::MbiIndex;
-use crate::select::{select_blocks, SearchBlockSet, TimeWindow};
+use crate::select::TimeWindow;
 use mbi_ann::SearchParams;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -190,13 +190,10 @@ pub fn query_with_tau(
     tau: f64,
     search: &SearchParams,
 ) -> Vec<u32> {
-    // Re-run selection with the override, then reuse the normal per-block
-    // machinery by temporarily cloning config — selection is the only place
-    // τ matters, so we inline the same flow as `query_with_params`.
-    let selection = SearchBlockSet {
-        blocks: select_blocks(index.blocks(), index.num_leaves(), tau, window),
-        tail: index.block_selection(window).tail,
-    };
+    // Selection is the only place τ matters: select at the override, then
+    // run the index's own per-block search over that selection.
+    let meta = |i: usize| index.blocks()[i].select_meta();
+    let selection = index.target().block_selection(window, tau, meta);
     index
         .query_on_selection(query, k, window, search, &selection)
         .results

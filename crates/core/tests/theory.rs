@@ -2,7 +2,7 @@
 //! implementation: Lemma 4.1, Lemma 4.3, and the §4.4.1 index-size
 //! structure.
 
-use mbi_core::select::{maximal_roots, overlap_ratio, select_blocks, BlockMeta};
+use mbi_core::select::{maximal_roots, overlap_ratio, select_blocks};
 use mbi_core::TimeWindow;
 use proptest::prelude::*;
 
@@ -14,16 +14,9 @@ struct Meta {
     h: u32,
 }
 
-impl BlockMeta for Meta {
-    fn start_ts(&self) -> i64 {
-        self.s
-    }
-    fn end_ts(&self) -> i64 {
-        self.e
-    }
-    fn height(&self) -> u32 {
-        self.h
-    }
+/// The selection accessor over a test block array.
+fn meta(blocks: &[Meta]) -> impl Fn(usize) -> (i64, i64, u32) + '_ {
+    |i| (blocks[i].s, blocks[i].e, blocks[i].h)
 }
 
 /// Postorder blocks of a complete tree over `leaves` unit-span leaves.
@@ -58,7 +51,7 @@ proptest! {
         let hi = leaves as i64;
         let s = s.min(hi);
         let e = (s + len).min(hi);
-        let sel = select_blocks(&blocks, leaves, tau, TimeWindow::new(s, e));
+        let sel = select_blocks(meta(&blocks), leaves, tau, TimeWindow::new(s, e));
         prop_assert!(sel.len() <= 2, "selected {:?}", sel);
     }
 
@@ -75,7 +68,7 @@ proptest! {
         let leaves = 1usize << leaves_pow;
         let blocks = complete_tree(leaves);
         let e = len.min(leaves as i64);
-        let sel = select_blocks(&blocks, leaves, tau, TimeWindow::new(0, e));
+        let sel = select_blocks(meta(&blocks), leaves, tau, TimeWindow::new(0, e));
         let mut per_level = std::collections::HashMap::new();
         for &i in &sel {
             *per_level.entry(blocks[i].h).or_insert(0u32) += 1;
@@ -105,7 +98,7 @@ proptest! {
         let s = s.min(hi);
         let e = (s + len).min(hi);
         let w = TimeWindow::new(s, e);
-        let sel = select_blocks(&blocks, leaves, tau, w);
+        let sel = select_blocks(meta(&blocks), leaves, tau, w);
         let covered: i64 = sel.iter().map(|&i| w.overlap_with(blocks[i].s, blocks[i].e)).sum();
         prop_assert_eq!(covered, w.len());
         // Pairwise disjoint.
@@ -133,8 +126,8 @@ proptest! {
         let s = s.min(hi - 1);
         let e = (s + len).min(hi);
         let w = TimeWindow::new(s, e);
-        for &i in &select_blocks(&blocks, leaves, tau, w) {
-            let r = overlap_ratio(w, &blocks[i]);
+        for &i in &select_blocks(meta(&blocks), leaves, tau, w) {
+            let r = overlap_ratio(w, blocks[i].s, blocks[i].e);
             prop_assert!(r > 0.0);
             if blocks[i].h > 0 {
                 prop_assert!(r > tau, "internal block {} selected with r_o {} <= τ {}", i, r, tau);

@@ -2,7 +2,10 @@
 //! through its block cache must answer every query bit-identically to the
 //! in-RAM snapshot it was serialised from — for arbitrary index shapes,
 //! RAM budgets (including zero), window placements that straddle segment
-//! boundaries, and repeated evict/re-read cycles.
+//! boundaries, and repeated evict/re-read cycles. Each front-end selects
+//! from its own block metadata (the index's blocks, the snapshot's shared
+//! blocks, the file's block directory), so selections and search counters
+//! must match too, and so must the [`MbiIndex`] the snapshot came from.
 
 use std::sync::Arc;
 
@@ -18,7 +21,7 @@ fn build_snapshot(
     tau: f64,
     sq8: bool,
     budget: u64,
-) -> IndexSnapshot {
+) -> (MbiIndex, IndexSnapshot) {
     let backend =
         GraphBackend::NnDescent(NnDescentParams { degree: 4, max_iters: 2, ..Default::default() });
     let mut idx = MbiIndex::new(
@@ -34,7 +37,8 @@ fn build_snapshot(
         let x = i as f32;
         idx.insert(&[(x * 0.31).sin() + 1.5, (x * 0.17).cos() + 1.5, 0.1 * x], i as i64).unwrap();
     }
-    IndexSnapshot::from_index(&idx).expect("sealed tail")
+    let snap = IndexSnapshot::from_index(&idx).expect("sealed tail");
+    (idx, snap)
 }
 
 proptest! {
@@ -62,7 +66,8 @@ proptest! {
             1 => 64 * 1024,
             _ => u64::MAX,
         };
-        let snap = build_snapshot(leaves, leaf_size, metric, tau_pct as f64 / 100.0, sq8, budget);
+        let (idx, snap) =
+            build_snapshot(leaves, leaf_size, metric, tau_pct as f64 / 100.0, sq8, budget);
         // Explicit budget so the `budget == 0` stats assertion below holds
         // even when the process runs under an MBI_RAM_BUDGET override (the
         // CI tiering job forces 0 for the whole suite).
@@ -80,6 +85,16 @@ proptest! {
             let hot = snap.query_with_params(&query, 5, w, &params);
             let via_cold = cold.query_with_params(&query, 5, w, &params).expect("cold query");
             prop_assert_eq!(&hot.results, &via_cold.results, "pass {}", pass);
+            prop_assert_eq!(&hot.stats, &via_cold.stats, "stats pass {}", pass);
+            prop_assert_eq!(&hot.selection, &via_cold.selection, "selection pass {}", pass);
+            let via_index = idx.query_with_params(&query, 5, w, &params);
+            prop_assert_eq!(&via_index.selection.blocks, &hot.selection.blocks);
+            // The index's flat store carries no SQ8 code column, so under
+            // SQ8 it scores exactly; without SQ8 all three run the same math.
+            if !sq8 {
+                prop_assert_eq!(&via_index.results, &hot.results, "index pass {}", pass);
+                prop_assert_eq!(&via_index.stats, &hot.stats, "index stats pass {}", pass);
+            }
             prop_assert_eq!(
                 snap.exact_query(&query, 5, w),
                 cold.exact_query(&query, 5, w).expect("cold exact"),
