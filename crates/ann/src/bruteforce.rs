@@ -57,21 +57,24 @@ pub(crate) fn rerank_budget(k: usize, overfetch: f32, n: usize) -> usize {
 }
 
 /// Second pass of every SQ8 search: replaces the approximate `survivors`
-/// with the best `k` of them by exact distance, sorted ascending.
+/// with the best `k` of them by exact distance, sorted ascending. `top` is
+/// working memory, re-armed here.
 pub(crate) fn rerank(
     view: VectorView<'_>,
     pq: &PreparedQuery<'_>,
     k: usize,
     survivors: &mut Vec<Neighbor>,
     stats: &mut SearchStats,
+    top: &mut TopK,
 ) {
     stats.dist_evals += survivors.len() as u64;
-    let mut top = TopK::new(k);
+    top.reset(k);
     for nb in survivors.iter() {
         top.offer(nb.id, view.distance(pq, nb.id as usize));
     }
     survivors.clear();
-    survivors.extend(top.into_sorted_vec());
+    survivors.extend(top.iter().copied());
+    survivors.sort_unstable();
 }
 
 /// kNN over every row of `view` with the SQ8 two-pass scan: rank all rows by
@@ -106,7 +109,7 @@ pub fn brute_force_sq8_prepared(
         prepared.as_ref().unwrap().approx_batch(codes, &chunk.row_norm2[..m], dists);
         m
     });
-    rerank(view, pq, k, &mut survivors, stats);
+    rerank(view, pq, k, &mut survivors, stats, &mut TopK::new(k));
     survivors
 }
 

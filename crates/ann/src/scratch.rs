@@ -8,6 +8,7 @@
 //! out a thread-local instance, which is what the query fan-out workers and
 //! the legacy non-prepared entry points use.
 
+use crate::sq8::Sq8ScanCache;
 use mbi_math::{Neighbor, OrderedF32, TopK};
 use std::cell::RefCell;
 
@@ -31,6 +32,8 @@ pub struct SearchScratch {
     pub(crate) neighbor_ids: Vec<u32>,
     /// Distance output buffer paired with `neighbor_ids`.
     pub(crate) distances: Vec<f32>,
+    /// Per-segment SQ8 query preparations of the quantized graph search.
+    pub(crate) sq8_scans: Sq8ScanCache,
 }
 
 impl SearchScratch {
@@ -43,6 +46,7 @@ impl SearchScratch {
             results: TopK::new(0),
             neighbor_ids: Vec::new(),
             distances: Vec::new(),
+            sq8_scans: Sq8ScanCache::default(),
         }
     }
 

@@ -12,8 +12,8 @@
 use crate::bruteforce::{rerank, rerank_budget};
 use crate::graph::Graph;
 use crate::scratch::{with_thread_scratch, SearchScratch};
-use crate::sq8::Sq8Scan;
 use crate::store::VectorView;
+use mbi_math::simd::prefetch;
 use mbi_math::{Metric, Neighbor, OrderedF32, PreparedQuery};
 use serde::{Deserialize, Serialize};
 
@@ -116,9 +116,10 @@ fn hash_query(query: &[f32]) -> u64 {
 /// `out` (cleared first, then sorted ascending). Semantics — visit order,
 /// result set, and every [`SearchStats`] counter — are identical to the
 /// original per-call-allocating implementation; the neighbour expansion
-/// gathers unseen ids first and then evaluates their distances in one tight
-/// pass, so the query row stays hot while candidates stream through the
-/// prepared kernel (norm-cached single-dot-pass on angular views).
+/// gathers unseen ids first, prefetches all their rows, and then evaluates
+/// their distances in one tight pass, so the rows' cache misses overlap and
+/// the query row stays hot while candidates stream through the prepared
+/// kernel (norm-cached single-dot-pass on angular views).
 ///
 /// Ids passed to `filter` and placed in `out` are view-local. The candidate
 /// set `C` holds unvisited candidates ordered by distance and is pruned to
@@ -137,8 +138,9 @@ pub fn greedy_search_prepared(
     scratch: &mut SearchScratch,
     out: &mut Vec<Neighbor>,
 ) {
+    let fetch = |id: u32| prefetch(view.get(id as usize));
     let exact = |id: u32| view.distance(pq, id as usize);
-    beam_search(graph, view, pq, k, params, filter, stats, scratch, out, exact);
+    beam_search(graph, view, pq, k, params, filter, stats, scratch, out, fetch, exact);
     out.sort_unstable();
 }
 
@@ -171,27 +173,23 @@ pub fn greedy_search_sq8_prepared(
         return;
     }
     let budget = rerank_budget(k, overfetch, graph.node_count());
-    // Per-segment scan preparations, cached by parameter identity: a block
-    // view spans few segments (one per leaf under it), and graph neighbours
-    // cluster, so the cache stays tiny and rarely misses.
-    let mut scans: Vec<Sq8Scan> = Vec::new();
-    let approx = |id: u32| {
-        let r = view.sq8_row(id as usize);
-        let pos = scans.iter().position(|s| s.matches(r.mins)).unwrap_or_else(|| {
-            scans.push(Sq8Scan::new(pq, r.mins, r.deltas));
-            scans.len() - 1
-        });
-        scans[pos].approx_row(r.codes, r.row_norm2[0])
-    };
-    beam_search(graph, view, pq, budget, params, filter, stats, scratch, out, approx);
-    rerank(view, pq, k, out, stats);
+    // The scan cache leaves the scratch for the search (a move, not an
+    // allocation) so the scorer can hold it beside the loop's borrow.
+    let mut scans = std::mem::take(&mut scratch.sq8_scans);
+    scans.clear();
+    let fetch = |id: u32| prefetch(view.sq8_row(id as usize).codes);
+    let approx = |id: u32| scans.approx_row(pq, view.sq8_row(id as usize));
+    beam_search(graph, view, pq, budget, params, filter, stats, scratch, out, fetch, approx);
+    scratch.sq8_scans = scans;
+    rerank(view, pq, k, out, stats, &mut scratch.results);
 }
 
 /// The one Algorithm 2 loop behind both entry points above. `score` gives a
 /// candidate's distance — exact over the f32 rows, or approximate over the
-/// SQ8 codes — and `budget` is the capacity of the result set `R` (`k` for
-/// exact, the rerank budget for SQ8). Leaves `R` in `out`, unsorted; `out`
-/// is empty when the graph is empty or `budget == 0`.
+/// SQ8 codes — and `fetch` prefetches the bytes `score` will read for that
+/// candidate. `budget` is the capacity of the result set `R` (`k` for exact,
+/// the rerank budget for SQ8). Leaves `R` in `out`, unsorted; `out` is empty
+/// when the graph is empty or `budget == 0`.
 #[allow(clippy::too_many_arguments)]
 fn beam_search(
     graph: &dyn Graph,
@@ -203,6 +201,7 @@ fn beam_search(
     stats: &mut SearchStats,
     scratch: &mut SearchScratch,
     out: &mut Vec<Neighbor>,
+    fetch: impl Fn(u32),
     mut score: impl FnMut(u32) -> f32,
 ) {
     out.clear();
@@ -218,7 +217,8 @@ fn beam_search(
     };
 
     scratch.begin(n, budget);
-    let SearchScratch { epoch, visited, candidates, results, neighbor_ids, distances } = scratch;
+    let SearchScratch { epoch, visited, candidates, results, neighbor_ids, distances, .. } =
+        scratch;
     let epoch = *epoch;
 
     // `visited` covers both "currently in C" and "already visited": a node
@@ -254,8 +254,9 @@ fn beam_search(
         let bound =
             if results.is_full() { params.epsilon * results.worst() } else { f32::INFINITY };
 
-        // Gather unseen neighbours, then evaluate their distances in one
-        // pass (1-to-many: the query stays in registers).
+        // Gather unseen neighbours, prefetch all their rows so the misses
+        // overlap, then evaluate their distances in one pass (1-to-many: the
+        // query stays in registers).
         neighbor_ids.clear();
         for &nb in graph.neighbors(id) {
             let mark = &mut visited[nb as usize];
@@ -263,6 +264,9 @@ fn beam_search(
                 *mark = epoch;
                 neighbor_ids.push(nb);
             }
+        }
+        for &nb in neighbor_ids.iter() {
+            fetch(nb);
         }
         distances.clear();
         for &nb in neighbor_ids.iter() {

@@ -257,17 +257,31 @@ impl Sq8Scan {
     ///
     /// Panics if the parameter columns don't match the query dimension.
     pub fn new(pq: &PreparedQuery<'_>, mins: &[f32], deltas: &[f32]) -> Self {
+        let mut scan = Sq8Scan {
+            metric: pq.metric(),
+            qd: Vec::new(),
+            qm: 0.0,
+            q_norm2: 0.0,
+            q_inv: 0.0,
+            anchor: 0,
+        };
+        scan.prepare(pq, mins, deltas);
+        scan
+    }
+
+    /// [`Self::new`] in place: re-prepares this scan for another query or
+    /// segment, reusing its `qd` buffer.
+    fn prepare(&mut self, pq: &PreparedQuery<'_>, mins: &[f32], deltas: &[f32]) {
         let q = pq.query();
         assert_eq!(mins.len(), q.len(), "mins column does not match query dimension");
         assert_eq!(deltas.len(), q.len(), "deltas column does not match query dimension");
-        Sq8Scan {
-            metric: pq.metric(),
-            qd: q.iter().zip(deltas).map(|(&x, &d)| x * d).collect(),
-            qm: dot(q, mins),
-            q_norm2: dot(q, q),
-            q_inv: inv_norm_of(q),
-            anchor: mins.as_ptr() as usize,
-        }
+        self.metric = pq.metric();
+        self.qd.clear();
+        self.qd.extend(q.iter().zip(deltas).map(|(&x, &d)| x * d));
+        self.qm = dot(q, mins);
+        self.q_norm2 = dot(q, q);
+        self.q_inv = inv_norm_of(q);
+        self.anchor = mins.as_ptr() as usize;
     }
 
     /// Whether this scan was prepared against exactly these parameters —
@@ -306,5 +320,40 @@ impl Sq8Scan {
                 angular_from_parts(qdot, self.q_inv, inv)
             }
         }
+    }
+}
+
+/// The [`Sq8Scan`]s of one graph search, one per segment it has touched. A
+/// block spans few segments (one per leaf under it) and graph neighbours
+/// cluster, so the linear lookup stays short. It lives in a
+/// [`SearchScratch`](crate::SearchScratch), so warm searches re-prepare
+/// earlier scans in place instead of allocating.
+#[derive(Debug, Default)]
+pub(crate) struct Sq8ScanCache {
+    scans: Vec<Sq8Scan>,
+    /// `scans[..live]` are prepared for the current search; the rest are
+    /// spare buffers.
+    live: usize,
+}
+
+impl Sq8ScanCache {
+    /// Forgets every preparation; call once per search.
+    pub(crate) fn clear(&mut self) {
+        self.live = 0;
+    }
+
+    /// Approximate distance from `pq` to the one-row chunk `row`, preparing
+    /// its segment's scan on first sight.
+    pub(crate) fn approx_row(&mut self, pq: &PreparedQuery<'_>, row: Sq8ChunkRef<'_>) -> f32 {
+        let live = &self.scans[..self.live];
+        let pos = live.iter().position(|s| s.matches(row.mins)).unwrap_or_else(|| {
+            match self.scans.get_mut(self.live) {
+                Some(spare) => spare.prepare(pq, row.mins, row.deltas),
+                None => self.scans.push(Sq8Scan::new(pq, row.mins, row.deltas)),
+            }
+            self.live += 1;
+            self.live - 1
+        });
+        self.scans[pos].approx_row(row.codes, row.row_norm2[0])
     }
 }

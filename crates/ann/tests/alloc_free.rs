@@ -1,0 +1,137 @@
+//! A warm graph search allocates nothing.
+//!
+//! `SearchScratch` owns every buffer a beam search needs — the visited
+//! marks, the candidate set, the result heap, the gather buffers and the
+//! SQ8 per-segment query preparations — so once a scratch and an output
+//! vector have served a set of queries, serving them again must not touch
+//! the allocator. A counting global allocator (delegating to `System`)
+//! checks that for the exact and the SQ8 graph search, under a time-style
+//! filter and without one. It counts per thread, so the test harness's own
+//! threads do not disturb it; this binary holds only this test.
+
+use mbi_ann::{
+    greedy_search_prepared, greedy_search_sq8_prepared, Metric, NnDescentParams, PreparedQuery,
+    SearchParams, SearchScratch, SearchStats, Segment, SegmentStore, VectorStore,
+};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// `System`, counting every allocation and reallocation of the calling thread.
+struct Counting;
+
+fn count() {
+    // `try_with`: the allocator also runs while thread locals are torn down.
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter itself never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+const DIM: usize = 16;
+const SEG_ROWS: usize = 200;
+
+fn lcg_rows(n: usize, seed: u32) -> VectorStore {
+    let mut s = VectorStore::new(DIM);
+    let mut state = seed | 1;
+    for _ in 0..n {
+        let v: Vec<f32> = (0..DIM)
+            .map(|_| {
+                state = state.wrapping_mul(1664525).wrapping_add(1013904223);
+                ((state >> 8) as f32 / (1 << 24) as f32) - 0.5
+            })
+            .collect();
+        s.push(&v);
+    }
+    s
+}
+
+#[test]
+fn warm_graph_searches_do_not_allocate() {
+    let flat = lcg_rows(3 * SEG_ROWS, 7);
+    let mut quantized = SegmentStore::new(DIM, SEG_ROWS);
+    for c in 0..3 {
+        let mut seg = Segment::from_view(flat.slice(c * SEG_ROWS..(c + 1) * SEG_ROWS));
+        seg.build_sq8();
+        quantized.push_segment(Arc::new(seg));
+    }
+    let view = quantized.view();
+    let graph = NnDescentParams::with_degree(8).build(flat.view(), Metric::Euclidean);
+    let queries = lcg_rows(8, 555);
+    let params = SearchParams::new(64, 1.2);
+    let mut scratch = SearchScratch::new();
+    let mut out = Vec::new();
+    let mut stats = SearchStats::default();
+
+    let mut run_all = |scratch: &mut SearchScratch, out: &mut Vec<_>| {
+        for qi in 0..queries.len() {
+            let pq = PreparedQuery::new(Metric::Euclidean, queries.get(qi));
+            for windowed in [false, true] {
+                let mut filter = |id: u32| !windowed || (150..420).contains(&id);
+                for k in [1, 10] {
+                    greedy_search_prepared(
+                        &graph,
+                        view,
+                        &pq,
+                        k,
+                        &params,
+                        &mut filter,
+                        &mut stats,
+                        scratch,
+                        out,
+                    );
+                    greedy_search_sq8_prepared(
+                        &graph,
+                        view,
+                        &pq,
+                        k,
+                        3.0,
+                        &params,
+                        &mut filter,
+                        &mut stats,
+                        scratch,
+                        out,
+                    );
+                }
+            }
+        }
+    };
+
+    run_all(&mut scratch, &mut out);
+    let before = allocations();
+    run_all(&mut scratch, &mut out);
+    let warm = allocations() - before;
+    assert_eq!(warm, 0, "warm graph searches allocated {warm} times");
+    assert!(stats.dist_evals > 0 && !out.is_empty(), "the searches ran");
+}

@@ -2,19 +2,24 @@
 //!
 //! Every public entry point that runs one of the two loops — exact and SQ8,
 //! over a flat store and over a three-segment quantized store, under all
-//! three metrics — answers fixed queries on fixed data, and each case folds
-//! its output into one CRC-32: every returned `(id, dist bits)` followed by
-//! the five `SearchStats` counters. Refactors of either loop must reproduce
-//! the table bit for bit; a change meant to alter results updates it and
-//! says why.
+//! three metrics, with the default entry policy and with a fixed start —
+//! answers fixed queries on fixed data, and each case folds its output into
+//! one CRC-32: every returned `(id, dist bits)` followed by the five
+//! `SearchStats` counters. Refactors of either loop must reproduce the table
+//! bit for bit; a change meant to alter results updates it and says why.
+//!
+//! The `fixed` rows start every search at one vertex, so they pin the loop
+//! apart from the entry policy: a change to how `QueryHash` seeds the search
+//! moves only the `hash` rows' graph columns.
 //!
 //! The SQ8 scorer runs through the dispatched `sq8_code_dot` kernel, so the
 //! table must hold on the SIMD and the forced-scalar backend alike.
 
 use mbi_ann::{
     brute_force_prepared, brute_force_sq8_prepared, greedy_search_prepared,
-    greedy_search_sq8_prepared, KnnGraph, Metric, Neighbor, NnDescentParams, PreparedQuery,
-    SearchParams, SearchScratch, SearchStats, Segment, SegmentStore, VectorStore, VectorView,
+    greedy_search_sq8_prepared, EntryPolicy, KnnGraph, Metric, Neighbor, NnDescentParams,
+    PreparedQuery, SearchParams, SearchScratch, SearchStats, Segment, SegmentStore, VectorStore,
+    VectorView,
 };
 use mbi_math::crc32;
 use std::ops::Range;
@@ -73,7 +78,7 @@ fn transcript(bytes: &mut Vec<u8>, out: &[Neighbor], stats: &SearchStats) {
     }
 }
 
-/// The 20 case pins of one (metric, store) pair, in the order
+/// The 20 case pins of one (metric, store, entry) triple, in the order
 /// `filter ∈ {all, window}` × `k ∈ {1, 10}` × `{graph, graph sq8 ×1,
 /// graph sq8 ×3, scan, scan sq8 ×3}`. The graph searches filter by id; the
 /// scans, which take no filter, run over the window's rows instead.
@@ -83,8 +88,9 @@ fn pins(
     window: VectorView<'_>,
     metric: Metric,
     queries: &VectorStore,
+    entry: EntryPolicy,
 ) -> Vec<u32> {
-    let params = SearchParams::new(64, 1.2);
+    let params = SearchParams { entry, ..SearchParams::new(64, 1.2) };
     let mut scratch = SearchScratch::new();
     let mut out = Vec::new();
     let mut pins = Vec::new();
@@ -134,46 +140,86 @@ fn pins(
     pins
 }
 
-/// One row per (metric, store); one line per (filter, k), columns in the
-/// routine order of [`pins`]. On the flat store the SQ8 entry points fall
-/// back to exact, so their columns repeat the exact ones.
+/// The start of the `fixed` rows: a mid-store vertex, outside the id window.
+const FIXED: EntryPolicy = EntryPolicy::Fixed(700);
+
+/// One row per (metric, store, entry); one line per (filter, k), columns in
+/// the routine order of [`pins`]. On the flat store the SQ8 entry points fall
+/// back to exact, so their columns repeat the exact ones; the scans take no
+/// entry, so their columns repeat between a `hash` row and its `fixed` row.
 #[rustfmt::skip]
-const PINNED: [(&str, &str, [u32; 20]); 6] = [
-    ("euclidean", "flat", [
+const PINNED: [(&str, &str, &str, [u32; 20]); 12] = [
+    ("euclidean", "flat", "hash", [
         0x946d_fbee, 0x946d_fbee, 0x946d_fbee, 0x43c9_bd02, 0x43c9_bd02,
         0x17b6_9a0d, 0x17b6_9a0d, 0x17b6_9a0d, 0x9f87_b823, 0x9f87_b823,
         0x5076_f81c, 0x5076_f81c, 0x5076_f81c, 0xb5d1_a0ba, 0xb5d1_a0ba,
         0x91aa_4734, 0x91aa_4734, 0x91aa_4734, 0x806c_4ffe, 0x806c_4ffe,
     ]),
-    ("euclidean", "sq8", [
+    ("euclidean", "sq8", "hash", [
         0x946d_fbee, 0x2d2f_593e, 0x4f45_25d3, 0x43c9_bd02, 0xd0f9_ad2f,
         0x17b6_9a0d, 0x0823_5b6b, 0x4481_f50e, 0x9f87_b823, 0xc663_96e3,
         0x5076_f81c, 0x97b6_0a38, 0x4bb8_68ad, 0xb5d1_a0ba, 0x8f00_7485,
         0x91aa_4734, 0xdc47_ca96, 0xac96_8b3e, 0x806c_4ffe, 0xbc1d_b29d,
     ]),
-    ("angular", "flat", [
+    ("euclidean", "flat", "fixed", [
+        0x1cd6_5556, 0x1cd6_5556, 0x1cd6_5556, 0x43c9_bd02, 0x43c9_bd02,
+        0xb9cf_df42, 0xb9cf_df42, 0xb9cf_df42, 0x9f87_b823, 0x9f87_b823,
+        0xa666_b13a, 0xa666_b13a, 0xa666_b13a, 0xb5d1_a0ba, 0xb5d1_a0ba,
+        0x2963_900d, 0x2963_900d, 0x2963_900d, 0x806c_4ffe, 0x806c_4ffe,
+    ]),
+    ("euclidean", "sq8", "fixed", [
+        0x1cd6_5556, 0x8e7a_4191, 0xa8fe_bed1, 0x43c9_bd02, 0xd0f9_ad2f,
+        0xb9cf_df42, 0x3fa5_ebec, 0x13f7_9b10, 0x9f87_b823, 0xc663_96e3,
+        0xa666_b13a, 0x4a5d_72fa, 0x525f_a4a7, 0xb5d1_a0ba, 0x8f00_7485,
+        0x2963_900d, 0xff9a_f3d2, 0xbf01_03e2, 0x806c_4ffe, 0xbc1d_b29d,
+    ]),
+    ("angular", "flat", "hash", [
         0x5162_42d0, 0x5162_42d0, 0x5162_42d0, 0x4bac_a59c, 0x4bac_a59c,
         0xe435_3a44, 0xe435_3a44, 0xe435_3a44, 0x4834_bdf2, 0x4834_bdf2,
         0xf446_bf84, 0xf446_bf84, 0xf446_bf84, 0x9e85_bcdb, 0x9e85_bcdb,
         0x8cab_03d1, 0x8cab_03d1, 0x8cab_03d1, 0x5a5d_1234, 0x5a5d_1234,
     ]),
-    ("angular", "sq8", [
+    ("angular", "sq8", "hash", [
         0x5162_42d0, 0xbf88_9b01, 0x8e6d_a54c, 0x4bac_a59c, 0xd89c_b5b1,
         0xe435_3a44, 0x40bb_30ff, 0xcbb3_4d24, 0x4834_bdf2, 0x11d0_9332,
         0xf446_bf84, 0xe2ab_42fb, 0x4325_a151, 0x9e85_bcdb, 0xa454_68e4,
         0x8cab_03d1, 0x4604_aa77, 0xc29c_5e3d, 0x5a5d_1234, 0x662c_ef57,
     ]),
-    ("inner_product", "flat", [
+    ("angular", "flat", "fixed", [
+        0x334d_1eba, 0x334d_1eba, 0x334d_1eba, 0x4bac_a59c, 0x4bac_a59c,
+        0xecfc_28d8, 0xecfc_28d8, 0xecfc_28d8, 0x4834_bdf2, 0x4834_bdf2,
+        0x8d54_5a03, 0x8d54_5a03, 0x8d54_5a03, 0x9e85_bcdb, 0x9e85_bcdb,
+        0x3b50_249f, 0x3b50_249f, 0x3b50_249f, 0x5a5d_1234, 0x5a5d_1234,
+    ]),
+    ("angular", "sq8", "fixed", [
+        0x334d_1eba, 0xa1e1_0a7d, 0x6d17_44ed, 0x4bac_a59c, 0xd89c_b5b1,
+        0xecfc_28d8, 0xa8c0_fab0, 0xaf1e_7bac, 0x4834_bdf2, 0x11d0_9332,
+        0x8d54_5a03, 0x617a_1e30, 0x2298_4739, 0x9e85_bcdb, 0xa454_68e4,
+        0x3b50_249f, 0x4aab_9dae, 0xc033_1b5f, 0x5a5d_1234, 0x662c_ef57,
+    ]),
+    ("inner_product", "flat", "hash", [
         0xac58_d6fb, 0xac58_d6fb, 0xac58_d6fb, 0xa829_2636, 0xa829_2636,
         0xde87_e617, 0xde87_e617, 0xde87_e617, 0x12df_dc67, 0x12df_dc67,
         0x3799_eb1b, 0x3799_eb1b, 0x3799_eb1b, 0x437d_ee96, 0x437d_ee96,
         0x02af_b298, 0x02af_b298, 0x02af_b298, 0x272d_266d, 0x272d_266d,
     ]),
-    ("inner_product", "sq8", [
+    ("inner_product", "sq8", "hash", [
         0xac58_d6fb, 0x6b98_24df, 0xddd5_bd45, 0xa829_2636, 0x3b19_361b,
         0xde87_e617, 0xef28_71ee, 0x72ab_f2ad, 0x12df_dc67, 0x4b3b_f2a7,
         0x3799_eb1b, 0x75a1_3bf0, 0xda29_11b8, 0x437d_ee96, 0x79ac_3aa9,
         0x02af_b298, 0xa1d3_dfa6, 0x2ef1_eda6, 0x272d_266d, 0x1b5c_db0e,
+    ]),
+    ("inner_product", "flat", "fixed", [
+        0xfaae_845f, 0xfaae_845f, 0xfaae_845f, 0xa829_2636, 0xa829_2636,
+        0x275a_2008, 0x275a_2008, 0x275a_2008, 0x12df_dc67, 0x12df_dc67,
+        0x38ef_4699, 0x38ef_4699, 0x38ef_4699, 0x437d_ee96, 0x437d_ee96,
+        0x75a2_3506, 0x75a2_3506, 0x75a2_3506, 0x272d_266d, 0x272d_266d,
+    ]),
+    ("inner_product", "sq8", "fixed", [
+        0xfaae_845f, 0x3d6e_767b, 0x0646_bbf9, 0xa829_2636, 0x3b19_361b,
+        0x275a_2008, 0x4811_92b1, 0xf678_0000, 0x12df_dc67, 0x4b3b_f2a7,
+        0x38ef_4699, 0xff2f_b4bd, 0x8537_98fa, 0x437d_ee96, 0x79ac_3aa9,
+        0x75a2_3506, 0xe417_f61f, 0x3ae6_9428, 0x272d_266d, 0x1b5c_db0e,
     ]),
 ];
 
@@ -188,23 +234,26 @@ fn beam_loop_and_scan_outputs_are_pinned() {
     let mut got = Vec::new();
     for metric in [Metric::Euclidean, Metric::Angular, Metric::InnerProduct] {
         let graph = NnDescentParams::with_degree(8).build(flat.view(), metric);
-        got.push(pins(&graph, flat.view(), flat.slice(WINDOW), metric, &queries));
-        got.push(pins(&graph, segmented.view(), segmented.slice(WINDOW), metric, &queries));
+        for entry in [EntryPolicy::QueryHash, FIXED] {
+            got.push(pins(&graph, flat.view(), flat.slice(WINDOW), metric, &queries, entry));
+            let (whole, window) = (segmented.view(), segmented.slice(WINDOW));
+            got.push(pins(&graph, whole, window, metric, &queries, entry));
+        }
     }
 
     let table: Vec<String> = PINNED
         .iter()
         .zip(&got)
-        .map(|((metric, store, _), pins)| {
+        .map(|((metric, store, entry, _), pins)| {
             let hex: Vec<String> = pins.iter().map(|p| format!("0x{p:08x}")).collect();
-            format!("    (\"{metric}\", \"{store}\", [{}]),", hex.join(", "))
+            format!("    (\"{metric}\", \"{store}\", \"{entry}\", [{}]),", hex.join(", "))
         })
         .collect();
-    for ((metric, store, want), got) in PINNED.iter().zip(&got) {
+    for ((metric, store, entry, want), got) in PINNED.iter().zip(&got) {
         assert_eq!(
             &want[..],
             &got[..],
-            "{metric}/{store} outputs drifted; observed table:\n{}",
+            "{metric}/{store}/{entry} outputs drifted; observed table:\n{}",
             table.join("\n")
         );
     }
