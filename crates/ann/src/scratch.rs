@@ -1,12 +1,13 @@
 //! Reusable per-search working memory.
 //!
 //! Every beam search used to allocate its visited set, candidate set, and
-//! result heap per call. [`SearchScratch`] owns all of them and is reused
-//! across searches — the visited set clears in `O(1)` via an epoch counter
-//! instead of a memset — so steady-state queries allocate nothing once the
-//! buffers have grown to their working size. [`with_thread_scratch`] hands
-//! out a thread-local instance, which is what the query fan-out workers and
-//! the legacy non-prepared entry points use.
+//! result heap per call. [`SearchScratch`] owns all of them, and the SQ8
+//! search's per-segment query preparations, and is reused across searches —
+//! the visited set clears in `O(1)` via an epoch counter instead of a memset
+//! — so steady-state queries allocate nothing once the buffers have grown to
+//! their working size (`tests/alloc_free.rs` counts).
+//! [`with_thread_scratch`] hands out a thread-local instance, which is what
+//! the query fan-out workers and the legacy non-prepared entry points use.
 
 use crate::sq8::Sq8ScanCache;
 use mbi_math::{Neighbor, OrderedF32, TopK};

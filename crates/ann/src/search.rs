@@ -17,17 +17,31 @@ use mbi_math::simd::prefetch;
 use mbi_math::{Metric, Neighbor, OrderedF32, PreparedQuery};
 use serde::{Deserialize, Serialize};
 
-/// How the search picks its starting vertex (Algorithm 2 line 1 samples a
+/// How the search seeds its candidate set (Algorithm 2 line 1 samples one
 /// random vertex).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum EntryPolicy {
-    /// Always start from this node id (clamped to the graph size).
+    /// Always start from this one node id (clamped to the graph size). HNSW
+    /// enters its base layer this way, at the vertex its upper layers found.
     Fixed(u32),
-    /// Start from a node chosen by hashing the query vector's bits — random
-    /// across queries, deterministic for a given query, so experiments are
-    /// exactly reproducible without threading an RNG through every search.
+    /// Start from the best of `P = min(64, n)` strided pivots. Pivot `i` is
+    /// `(h + i·⌊n/P⌋) mod n`, where `h` hashes the query vector's bits, so
+    /// the pivots are distinct, spread evenly over the block's rows (which
+    /// are time-ordered), and random across queries yet deterministic for a
+    /// given query: experiments reproduce exactly without threading an RNG
+    /// through every search. All pivots are prefetched, scored (each counts
+    /// as a distance evaluation) and marked visited, and `C` keeps the
+    /// `M_C` best of them, so the walk starts near the answer instead of at
+    /// one random vertex. SF's single whole-dataset search uses the same
+    /// policy.
     QueryHash,
 }
+
+/// Most pivots [`EntryPolicy::QueryHash`] scores per search. Of 1, 16, 32,
+/// 64 and 128, 64 needs the fewest distance evaluations per query; at 128
+/// the pivots cost more than the shorter walk saves (EXPERIMENTS.md,
+/// "Entry pivots").
+const PIVOTS: usize = 64;
 
 /// Parameters of the graph search (Algorithm 2).
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
@@ -211,11 +225,6 @@ fn beam_search(
         return;
     }
 
-    let entry = match params.entry {
-        EntryPolicy::Fixed(id) => (id as usize).min(n - 1) as u32,
-        EntryPolicy::QueryHash => (hash_query(pq.query()) % n as u64) as u32,
-    };
-
     scratch.begin(n, budget);
     let SearchScratch { epoch, visited, candidates, results, neighbor_ids, distances, .. } =
         scratch;
@@ -226,10 +235,30 @@ fn beam_search(
     // see DESIGN.md for the deviation note — standard in HNSW-style
     // searchers). `candidates` is sorted descending, so the best candidate
     // is `last()`.
-    let d0 = score(entry);
-    stats.dist_evals += 1;
-    visited[entry as usize] = epoch;
-    candidates.push((OrderedF32(d0), entry));
+    //
+    // Line 1: seed C with the entry vertices, every row prefetched before
+    // the first is scored.
+    match params.entry {
+        EntryPolicy::Fixed(id) => neighbor_ids.push((id as usize).min(n - 1) as u32),
+        EntryPolicy::QueryHash => {
+            let pivots = n.min(PIVOTS);
+            let (h, stride) = ((hash_query(pq.query()) % n as u64) as usize, n / pivots);
+            neighbor_ids.extend((0..pivots).map(|i| ((h + i * stride) % n) as u32));
+        }
+    }
+    for &s in neighbor_ids.iter() {
+        fetch(s);
+    }
+    for &s in neighbor_ids.iter() {
+        visited[s as usize] = epoch;
+        candidates.push((OrderedF32(score(s)), s));
+    }
+    stats.dist_evals += neighbor_ids.len() as u64;
+    candidates.sort_unstable_by(|a, b| b.cmp(a));
+    // Keep the M_C best starts, and at least one, so a `Fixed` start
+    // survives any M_C.
+    let excess = candidates.len().saturating_sub(params.max_candidates.max(1));
+    candidates.drain(..excess);
 
     while let Some(&(dist, id)) = candidates.last() {
         // Early termination: candidates are visited in ascending distance,
@@ -533,6 +562,48 @@ mod tests {
             &mut wide,
         );
         assert!(wide.dist_evals >= narrow.dist_evals);
+    }
+
+    #[test]
+    fn query_hash_seeds_distinct_strided_pivots() {
+        // At n ≤ 64 every row is a pivot, scored exactly once: the search
+        // degenerates to an exact scan and never expands a neighbour.
+        let s = line(50);
+        let g = exact_graph(s.view(), Metric::Euclidean, 4);
+        let mut stats = SearchStats::default();
+        let params = SearchParams::new(64, 1.2);
+        let q = [17.2f32, 0.0];
+        let res = greedy_search(
+            &g,
+            s.view(),
+            Metric::Euclidean,
+            &q,
+            3,
+            &params,
+            &mut accept_all,
+            &mut stats,
+        );
+        assert_eq!(stats.dist_evals, 50);
+        assert_eq!(res.iter().map(|r| r.id).collect::<Vec<_>>(), [17, 18, 16]);
+
+        // Larger graphs score 64 pivots before the walk; C keeps M_C of them.
+        let s = line(1000);
+        let g = exact_graph(s.view(), Metric::Euclidean, 6);
+        let mut stats = SearchStats::default();
+        let params = SearchParams::new(16, 1.2);
+        let q = [612.4f32, 0.0];
+        let res = greedy_search(
+            &g,
+            s.view(),
+            Metric::Euclidean,
+            &q,
+            2,
+            &params,
+            &mut accept_all,
+            &mut stats,
+        );
+        assert!(stats.dist_evals >= 64, "{stats:?}");
+        assert_eq!(res.iter().map(|r| r.id).collect::<Vec<_>>(), [612, 613]);
     }
 
     #[test]

@@ -1665,7 +1665,10 @@ mod tests {
     /// and scan the code column, `MbiIndex`'s flat store falls back to exact,
     /// and HNSW blocks stay exact under SQ8 everywhere. The SQ8 scorer runs
     /// through the dispatched `sq8_code_dot` kernel, so the pins must hold on
-    /// the SIMD and the forced-scalar backend alike.
+    /// the SIMD and the forced-scalar backend alike. HNSW enters its base
+    /// layer at a fixed vertex, so its row pins the beam loop alone; the
+    /// NNDescent row also pins the default entry policy (re-recorded when
+    /// `QueryHash` began seeding `C` with strided pivots).
     #[test]
     fn query_outputs_are_pinned() {
         fn transcript(bytes: &mut Vec<u8>, out: &crate::index::QueryOutput) {
@@ -1680,7 +1683,7 @@ mod tests {
         }
         let hnsw = GraphBackend::Hnsw(HnswParams::default());
         for (name, backend, pins) in [
-            ("nndescent", GraphBackend::default(), [0x636c_c263, 0x8631_9084, 0x8631_9084]),
+            ("nndescent", GraphBackend::default(), [0xd4dd_96f5, 0xf8db_a202, 0xf8db_a202]),
             ("hnsw", hnsw, [0x8a26_e4c0, 0x0577_bf59, 0x0577_bf59]),
         ] {
             let config = MbiConfig::new(4, Metric::Euclidean)
