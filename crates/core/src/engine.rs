@@ -73,9 +73,10 @@ use crate::config::MbiConfig;
 use crate::error::MbiError;
 use crate::fail;
 use crate::index::{
-    assemble_blocks, blocks_for_leaves, build_chain_graphs, check_row, merge_chain,
-    validate_blocks, validate_edges, MbiIndex, QueryOutput, TknnResult,
+    assemble_blocks, build_chain_graphs, check_row, validate_blocks, validate_edges, MbiIndex,
+    QueryOutput, TknnResult,
 };
+use crate::layout::{blocks_for_leaves, merge_chain};
 use crate::query_exec::QueryTarget;
 use crate::select::TimeWindow;
 use crate::times::TimeChunks;

@@ -4,6 +4,7 @@
 use crate::block::{Block, BlockGraph};
 use crate::config::MbiConfig;
 use crate::error::MbiError;
+use crate::layout::{self, blocks_for_leaves, merge_chain};
 use crate::query_exec::{QueryTarget, TimeSource, VectorSource};
 use crate::select::{SearchBlockSet, TimeWindow};
 use crate::Timestamp;
@@ -49,44 +50,6 @@ pub struct LevelStats {
     pub rows: usize,
     /// Total graph bytes at this height.
     pub graph_bytes: usize,
-}
-
-/// Appends the postorder layout of a complete subtree over `leaves` leaves
-/// starting at `first_leaf` (used by [`MbiIndex::validate`]).
-fn push_subtree(
-    first_leaf: usize,
-    leaves: usize,
-    leaf_size: usize,
-    out: &mut Vec<(std::ops::Range<usize>, u32)>,
-) {
-    if leaves > 1 {
-        push_subtree(first_leaf, leaves / 2, leaf_size, out);
-        push_subtree(first_leaf + leaves / 2, leaves / 2, leaf_size, out);
-    }
-    let start = first_leaf * leaf_size;
-    out.push((start..start + leaves * leaf_size, leaves.trailing_zeros()));
-}
-
-/// The pending merge chain created when the `leaf_count`-th leaf seals
-/// (the `while j is even` loop of Algorithm 3): the leaf itself plus one
-/// ancestor per trailing zero bit of `leaf_count`; the ancestor of height
-/// `h` covers the last `2^h` leaves. Row ranges are global.
-pub(crate) fn merge_chain(
-    leaf_count: usize,
-    leaf_size: usize,
-) -> Vec<(std::ops::Range<usize>, u32)> {
-    let end = leaf_count * leaf_size;
-    (0..=leaf_count.trailing_zeros()).map(|h| (end - (1usize << h) * leaf_size..end, h)).collect()
-}
-
-/// Number of blocks materialised after `leaves` full leaves:
-/// `Σ_j (1 + tz(j)) = 2·leaves − popcount(leaves)`. Block ids — and with
-/// them the graph seed salts — are a pure function of the leaf count, which
-/// is what lets the streaming engine build merge chains out of order on
-/// background threads and still publish graphs bit-identical to the
-/// synchronous path.
-pub(crate) fn blocks_for_leaves(leaves: usize) -> usize {
-    2 * leaves - leaves.count_ones() as usize
 }
 
 /// The row checks every insert path runs before it stores (or logs) a row:
@@ -201,28 +164,18 @@ pub(crate) fn validate_blocks<'a, T: TimeSource + ?Sized>(
     blocks: impl IntoIterator<Item = BlockEntry<'a>>,
     timestamps: &T,
 ) -> Result<(), String> {
-    // Reconstruct the expected postorder layout.
-    let mut expected: Vec<(std::ops::Range<usize>, u32)> = Vec::new();
-    let mut first_leaf = 0usize;
-    for b in (0..usize::BITS).rev() {
-        if num_leaves & (1 << b) == 0 {
-            continue;
-        }
-        push_subtree(first_leaf, 1 << b, leaf_size, &mut expected);
-        first_leaf += 1 << b;
-    }
     let blocks: Vec<BlockEntry<'a>> = blocks.into_iter().collect();
-    if expected.len() != blocks.len() {
+    let expected = blocks_for_leaves(num_leaves);
+    if expected != blocks.len() {
         return Err(format!(
-            "expected {} blocks for {num_leaves} leaves, found {}",
-            expected.len(),
+            "expected {expected} blocks for {num_leaves} leaves, found {}",
             blocks.len()
         ));
     }
     for (i, ((rows, height), &(found_rows, found_height, found_start, found_end))) in
-        expected.iter().zip(&blocks).enumerate()
+        layout::postorder(num_leaves, leaf_size).zip(&blocks).enumerate()
     {
-        if found_rows != rows || found_height != *height {
+        if *found_rows != rows || found_height != height {
             return Err(format!(
                 "block {i}: expected rows {rows:?} height {height}, found {found_rows:?} height \
                  {found_height}"
@@ -423,7 +376,8 @@ impl MbiIndex {
     fn seal_tail(&mut self) {
         self.num_leaves += 1;
         debug_assert_eq!(self.num_leaves * self.config.leaf_size, self.len());
-        debug_assert_eq!(self.blocks.len(), blocks_for_leaves(self.num_leaves - 1));
+        let base_id = blocks_for_leaves(self.num_leaves - 1);
+        debug_assert_eq!(self.blocks.len(), base_id);
 
         let pending = merge_chain(self.num_leaves, self.config.leaf_size);
         let threads = if self.config.parallel_build {
@@ -431,14 +385,8 @@ impl MbiIndex {
         } else {
             1
         };
-        let graphs = build_chain_graphs(
-            &self.config,
-            &self.store,
-            0,
-            &pending,
-            self.blocks.len() as u64,
-            threads,
-        );
+        let graphs =
+            build_chain_graphs(&self.config, &self.store, 0, &pending, base_id as u64, threads);
         self.blocks.extend(assemble_blocks(pending, graphs, self.timestamps.as_slice()));
     }
 
@@ -563,8 +511,8 @@ impl MbiIndex {
     }
 
     /// Renders the block tree as indented ASCII, one line per block in
-    /// postorder, deepest roots last — a debugging aid exposed by
-    /// `mbi info --tree`:
+    /// postorder, each forest root drawn `└─` after its subtree — a
+    /// debugging aid exposed by `mbi info --tree`:
     ///
     /// ```text
     /// ├─ B0  h0  rows [0, 8)      t [0, 8)      8.2 KiB
@@ -575,10 +523,12 @@ impl MbiIndex {
     pub fn render_tree(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
-        let max_h = self.blocks.iter().map(|b| b.height).max().unwrap_or(0);
+        let mut roots = layout::roots(self.num_leaves).peekable();
         for (i, b) in self.blocks.iter().enumerate() {
-            let indent = "  ".repeat((max_h - b.height) as usize);
-            let glyph = if b.height == max_h { "└─" } else { "├─" };
+            // Postorder: the first root at or after a block is its tree's.
+            let root = *roots.peek().unwrap_or(&i);
+            let indent = "  ".repeat((self.blocks[root].height - b.height) as usize);
+            let glyph = if roots.next_if_eq(&i).is_some() { "└─" } else { "├─" };
             let _ = writeln!(
                 out,
                 "{indent}{glyph} B{i}  h{}  rows [{}, {})  t [{}, {})  {:.1} KiB",
@@ -945,6 +895,11 @@ mod tests {
         assert!(text.contains("B2  h1  rows [0, 16)"), "{text}");
         assert!(text.contains("tail: rows [16, 19) (3 vectors"), "{text}");
         assert_eq!(text.lines().count(), 4);
+
+        // Three leaves: every forest root hangs at the margin.
+        let text = line_index(24, small_config()).render_tree();
+        let lines: Vec<&str> = text.lines().map(|l| l.split("  h").next().unwrap()).collect();
+        assert_eq!(lines, ["  ├─ B0", "  ├─ B1", "└─ B2", "└─ B3"], "{text}");
 
         let empty = MbiIndex::new(small_config());
         assert_eq!(empty.render_tree(), "(empty index)\n");

@@ -45,6 +45,7 @@
 //! | [`config`] | Table 3 | [`MbiConfig`], [`GraphBackend`] |
 //! | [`block`] | §4.1 | [`Block`], [`BlockGraph`] |
 //! | [`index`] | §4.2, Alg. 3–4 | [`MbiIndex`]: insert / query / exact query |
+//! | `layout` | §4.2–4.3, Alg. 3–4 | crate-private: the binary postorder arithmetic (block count, leaf index, children, merge chain, roots) |
 //! | [`select`] | §4.3 | top-down block selection, overlap ratio |
 //! | [`persist`] | §4.4.2 | the one on-disk format (v7): checksummed save/load of an index or snapshot |
 //! | [`engine`] | — | [`StreamingMbi`]: queries concurrent with ingest, background builds, snapshot publication |
@@ -64,6 +65,7 @@ pub mod engine;
 pub mod error;
 pub mod fail;
 pub mod index;
+pub(crate) mod layout;
 pub mod persist;
 pub(crate) mod query_exec;
 pub mod replicate;

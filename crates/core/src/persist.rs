@@ -92,6 +92,7 @@ use crate::config::{GraphBackend, MbiConfig};
 use crate::engine::IndexSnapshot;
 use crate::error::MbiError;
 use crate::index::{validate_blocks, MbiIndex};
+use crate::layout;
 use crate::times::TimeChunks;
 use crate::Timestamp;
 use bytes::{BufMut, Bytes, BytesMut};
@@ -565,17 +566,6 @@ impl IndexSnapshot {
                 g.freeze()
             })
             .collect();
-        // The i-th height-0 block in postorder is leaf i (left to right in
-        // time order); its graph is co-located with the leaf's record.
-        let leaf_block: Vec<usize> = self
-            .blocks()
-            .iter()
-            .enumerate()
-            .filter(|(_, blk)| blk.height == 0)
-            .map(|(i, _)| i)
-            .collect();
-        assert_eq!(leaf_block.len(), num_leaves, "one height-0 block per sealed leaf");
-
         let ts_len = s_l * 8;
         let rows_len = s_l * dim * 4;
         let inv_len = if has_norms { s_l * 4 } else { 0 };
@@ -616,7 +606,8 @@ impl IndexSnapshot {
                 p.extend_from_slice(col.codes());
             }
             debug_assert_eq!(p.len(), payload_len);
-            let graph = graphs[leaf_block[i]].clone();
+            // Leaf i's graph is co-located with its record.
+            let graph = graphs[layout::leaf_block(i)].clone();
             let crcs = [
                 crc32(&p[..ts_len]),
                 crc32(&p[ts_len..ts_len + rows_len]),
@@ -815,8 +806,6 @@ pub(crate) struct V7Layout {
     pub(crate) has_sq8: bool,
     pub(crate) leaves: Vec<V7Leaf>,
     pub(crate) blocks: Vec<V7BlockEntry>,
-    /// `leaf_block[i]` = postorder index of leaf `i`'s height-0 block.
-    pub(crate) leaf_block: Vec<usize>,
 }
 
 impl V7Layout {
@@ -1021,7 +1010,7 @@ pub(crate) fn parse_v7_layout(b: &[u8]) -> Result<V7Layout, MbiError> {
     let meta_end = s.pos + entry_bytes;
     check_crc(&b[b0..meta_end], rd_u32(b, meta_end), "block directory")?;
     let mut blocks = Vec::with_capacity(num_blocks);
-    let mut leaf_block = Vec::with_capacity(num_leaves);
+    let mut leaf_blocks = 0usize;
     let mut prev_graph_end = meta_end + 4;
     for i in 0..num_blocks {
         let at = b0 + 8 + i * BLOCK_DIR_ENTRY_LEN;
@@ -1036,7 +1025,7 @@ pub(crate) fn parse_v7_layout(b: &[u8]) -> Result<V7Layout, MbiError> {
         // Rows, heights and time bounds are checked against the postorder
         // layout by `open_v7`, once the timestamps are read.
         if height == 0 {
-            let Some(leaf) = leaves.get(leaf_block.len()) else {
+            let Some(leaf) = leaves.get(leaf_blocks) else {
                 return Err(MbiError::corrupt(at, "more leaf blocks than leaf records"));
             };
             if graph_off != leaf.graph_off
@@ -1048,7 +1037,7 @@ pub(crate) fn parse_v7_layout(b: &[u8]) -> Result<V7Layout, MbiError> {
                     "leaf block graph does not match the leaf directory",
                 ));
             }
-            leaf_block.push(i);
+            leaf_blocks += 1;
         } else {
             if graph_off < prev_graph_end {
                 return Err(MbiError::corrupt(at, "overlapping block graphs"));
@@ -1069,11 +1058,10 @@ pub(crate) fn parse_v7_layout(b: &[u8]) -> Result<V7Layout, MbiError> {
             graph_crc,
         });
     }
-    if leaf_block.len() != num_leaves {
+    if leaf_blocks != num_leaves {
         return Err(MbiError::corrupt(b0, "leaf record count does not match height-0 blocks"));
     }
-    let layout =
-        V7Layout { config, num_leaves, seg_rows, has_norms, has_sq8, leaves, blocks, leaf_block };
+    let layout = V7Layout { config, num_leaves, seg_rows, has_norms, has_sq8, leaves, blocks };
     debug_assert_eq!(payload_len, layout.payload_len());
     Ok(layout)
 }
@@ -1570,7 +1558,7 @@ mod tests {
                 mutate(&mut body[m.graph_off..m.graph_off + m.graph_len]);
                 let crc = crc32(&body[m.graph_off..m.graph_off + m.graph_len]);
                 put_u32(body, self.block_entry(bi + 1) - 4, crc);
-                if let Some(leaf) = self.lay.leaf_block.iter().position(|&b| b == bi) {
+                if let Some(leaf) = layout::block_leaf(bi) {
                     put_u32(body, self.leaf_entry(leaf + 1) - 4, crc);
                 }
             })

@@ -16,6 +16,7 @@
 //! snapshot's sealed but unbuilt leaves; the executor scans them with BSBF,
 //! exactly as Algorithm 4 line 6 prescribes for non-full leaf blocks.
 
+use crate::layout;
 use crate::Timestamp;
 use serde::{Deserialize, Serialize};
 
@@ -120,22 +121,9 @@ pub fn overlap_ratio(window: TimeWindow, start_ts: Timestamp, end_ts: Timestamp)
 }
 
 /// Postorder indices of the roots of the maximal complete subtrees for
-/// `num_leaves` full leaves. A complete subtree with `2^b` leaves occupies
-/// `2^(b+1) − 1` consecutive postorder slots and its root is the last one.
+/// `num_leaves` full leaves, oldest first.
 pub fn maximal_roots(num_leaves: usize) -> Vec<usize> {
-    let mut roots = Vec::new();
-    let mut pos = 0usize;
-    if num_leaves == 0 {
-        return roots;
-    }
-    for b in (0..usize::BITS - num_leaves.leading_zeros()).rev() {
-        if num_leaves & (1 << b) != 0 {
-            let size = (1usize << (b + 1)) - 1;
-            roots.push(pos + size - 1);
-            pos += size;
-        }
-    }
-    roots
+    layout::roots(num_leaves).collect()
 }
 
 /// `BlockSelection` of Algorithm 4 applied to every maximal root. `meta(i)`
@@ -147,7 +135,7 @@ where
     F: Fn(usize) -> (Timestamp, Timestamp, u32),
 {
     let mut selected = Vec::new();
-    for root in maximal_roots(num_leaves) {
+    for root in layout::roots(num_leaves) {
         select_rec(&meta, root, tau, window, &mut selected);
     }
     selected
@@ -168,11 +156,8 @@ where
         out.push(c);
         return;
     }
-    // Case 3: recurse into children. With height h, the right child is at
-    // c − 1 and the left child at c − 2^h (postorder arithmetic; the paper
-    // writes the sibling of B_i as B_{i+1−2^h} with the parent at i + 1).
-    let left = c - (1usize << h);
-    let right = c - 1;
+    // Case 3: recurse into children.
+    let (left, right) = layout::children(c, h);
     select_rec(meta, left, tau, window, out);
     select_rec(meta, right, tau, window, out);
 }

@@ -43,6 +43,7 @@ use crate::block::Block;
 use crate::config::MbiConfig;
 use crate::error::MbiError;
 use crate::index::{QueryOutput, TknnResult};
+use crate::layout;
 use crate::persist::{open_v7, Columns, V7Layout};
 use crate::query_exec::QueryTarget;
 use crate::select::{select_blocks, SearchBlockSet, TimeWindow};
@@ -261,7 +262,7 @@ impl ColdCore {
     fn load_leaf(&self, leaf: usize) -> Result<LoadedPiece, MbiError> {
         let lay = &self.layout;
         let seg = lay.decode_segment(&Columns::Mapped(&self.map), leaf)?;
-        let block = Arc::new(lay.decode_block(self.map.bytes(), lay.leaf_block[leaf])?);
+        let block = Arc::new(lay.decode_block(self.map.bytes(), layout::leaf_block(leaf))?);
         let span = lay.leaf_span(leaf);
         let bytes = (span.end - span.start) as u64
             + seg.memory_bytes() as u64
