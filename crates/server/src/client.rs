@@ -122,8 +122,14 @@ pub struct QueryReply {
 /// One authenticated binary-protocol connection. Idempotent calls
 /// (query/stats/health/ping) transparently reconnect and retry on transient
 /// transport errors per the client's [`RetryPolicy`]; inserts never do.
+///
+/// After any transport or framing error the connection is dropped and the
+/// next call dials a fresh one: a reply that arrives after its request gave
+/// up must never be read as the answer to a later request.
 pub struct BinaryClient {
-    stream: TcpStream,
+    /// The live connection, read through a buffer and written through its
+    /// socket; `None` after an error, until the next call re-dials.
+    conn: Option<BufReader<TcpStream>>,
     peer: SocketAddr,
     tenant: String,
     token: String,
@@ -158,9 +164,9 @@ impl BinaryClient {
             .ok_or_else(|| ClientError::Protocol("address resolved to nothing".into()))?;
         let mut rng = jitter_seed();
         let mut attempt = 0usize;
-        let stream = loop {
+        let conn = loop {
             match Self::dial(peer, tenant, token, None) {
-                Ok(s) => break s,
+                Ok(c) => break c,
                 // Auth/protocol rejections are deterministic; only
                 // transport errors are worth retrying.
                 Err(e @ (ClientError::Server { .. } | ClientError::Protocol(_))) => return Err(e),
@@ -174,7 +180,7 @@ impl BinaryClient {
             }
         };
         Ok(BinaryClient {
-            stream,
+            conn: Some(conn),
             peer,
             tenant: tenant.to_string(),
             token: token.to_string(),
@@ -184,24 +190,27 @@ impl BinaryClient {
         })
     }
 
-    /// One fresh authenticated connection to `peer`.
+    /// One fresh authenticated connection to `peer`. The magic and the AUTH
+    /// frame go out in one write.
     fn dial(
         peer: SocketAddr,
         tenant: &str,
         token: &str,
         timeout: Option<Duration>,
-    ) -> Result<TcpStream, ClientError> {
-        let mut stream = TcpStream::connect(peer)?;
+    ) -> Result<BufReader<TcpStream>, ClientError> {
+        let stream = TcpStream::connect(peer)?;
         stream.set_nodelay(true).ok();
         stream.set_read_timeout(timeout)?;
-        stream.write_all(&wire::MAGIC)?;
         let payload = wire::PayloadWriter::new().str16(tenant).str16(token).build();
-        wire::write_frame(&mut stream, Op::Auth as u8, payload.as_slice())?;
-        let Some((tag, body)) = wire::read_frame(&mut stream)? else {
+        let mut hello = wire::MAGIC.to_vec();
+        wire::push_frame(&mut hello, Op::Auth as u8, &payload)?;
+        (&stream).write_all(&hello)?;
+        let mut conn = BufReader::new(stream);
+        let Some((tag, body)) = wire::read_frame(&mut conn)? else {
             return Err(ClientError::Protocol("server closed mid-call".into()));
         };
         match Status::from_u8(tag) {
-            Some(Status::Ok) => Ok(stream),
+            Some(Status::Ok) => Ok(conn),
             Some(status) => Err(ClientError::Server {
                 status,
                 message: String::from_utf8_lossy(&body).into_owned(),
@@ -210,22 +219,37 @@ impl BinaryClient {
         }
     }
 
-    /// Re-dials and re-authenticates after a transport failure.
-    fn reconnect(&mut self) -> Result<(), ClientError> {
-        self.stream = Self::dial(self.peer, &self.tenant, &self.token, self.timeout)?;
-        Ok(())
-    }
-
     /// Sets a receive timeout on the connection (it survives reconnects).
     pub fn set_timeout(&mut self, timeout: Option<Duration>) -> std::io::Result<()> {
         self.timeout = timeout;
-        self.stream.set_read_timeout(timeout)
+        match &self.conn {
+            Some(conn) => conn.get_ref().set_read_timeout(timeout),
+            None => Ok(()),
+        }
     }
 
     /// One raw round-trip; returns the status and untouched payload bytes.
+    /// Re-dials first when the last call broke the connection, and drops the
+    /// connection when this one breaks it.
     fn call_raw(&mut self, op: Op, payload: &[u8]) -> Result<(Status, Vec<u8>), ClientError> {
-        wire::write_frame(&mut self.stream, op as u8, payload)?;
-        let Some((tag, body)) = wire::read_frame(&mut self.stream)? else {
+        let mut conn = match self.conn.take() {
+            Some(conn) => conn,
+            None => Self::dial(self.peer, &self.tenant, &self.token, self.timeout)?,
+        };
+        let reply = Self::round_trip(&mut conn, op, payload);
+        if !matches!(reply, Err(ClientError::Io(_) | ClientError::Protocol(_))) {
+            self.conn = Some(conn);
+        }
+        reply
+    }
+
+    fn round_trip(
+        conn: &mut BufReader<TcpStream>,
+        op: Op,
+        payload: &[u8],
+    ) -> Result<(Status, Vec<u8>), ClientError> {
+        wire::write_frame(&mut conn.get_ref(), op as u8, payload)?;
+        let Some((tag, body)) = wire::read_frame(conn)? else {
             return Err(ClientError::Protocol("server closed mid-call".into()));
         };
         match Status::from_u8(tag) {
@@ -234,10 +258,11 @@ impl BinaryClient {
         }
     }
 
-    /// [`Self::call_raw`] with reconnect-and-retry on transport errors —
-    /// only safe for idempotent ops. A clean close mid-call
+    /// [`Self::call_raw`] with retry on transport errors — only safe for
+    /// idempotent ops. A clean close mid-call
     /// (`Protocol("server closed mid-call")`) retries too: for a read-only
-    /// op the work was either not done or safely repeatable.
+    /// op the work was either not done or safely repeatable. Each retry
+    /// re-dials, and a failed re-dial consumes the attempt.
     fn call_raw_idempotent(
         &mut self,
         op: Op,
@@ -255,9 +280,6 @@ impl BinaryClient {
             }
             std::thread::sleep(self.retry.backoff(attempt, &mut self.rng));
             attempt += 1;
-            // A failed reconnect consumes the attempt; keep looping until
-            // the budget runs out.
-            let _ = self.reconnect();
         }
     }
 

@@ -48,10 +48,25 @@ impl From<std::io::Error> for ParseError {
     }
 }
 
+/// Reads one line of the request head into `line`, taking at most `room`
+/// bytes: a longer line makes the head too large, and is refused before it
+/// is buffered whole.
+fn read_head_line<R: Read>(
+    reader: &mut BufReader<R>,
+    room: usize,
+    line: &mut String,
+) -> Result<usize, ParseError> {
+    let n = reader.by_ref().take(room as u64 + 1).read_line(line)?;
+    if n > room {
+        return Err(ParseError::Malformed("request head too large".into()));
+    }
+    Ok(n)
+}
+
 /// Reads one request from `reader`.
 pub fn read_request<R: Read>(reader: &mut BufReader<R>) -> Result<Request, ParseError> {
     let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
+    if read_head_line(reader, MAX_HEAD_BYTES, &mut line)? == 0 {
         return Err(ParseError::Closed);
     }
     let mut parts = line.split_whitespace();
@@ -68,13 +83,10 @@ pub fn read_request<R: Read>(reader: &mut BufReader<R>) -> Result<Request, Parse
     let mut head_bytes = line.len();
     loop {
         let mut h = String::new();
-        if reader.read_line(&mut h)? == 0 {
+        if read_head_line(reader, MAX_HEAD_BYTES - head_bytes, &mut h)? == 0 {
             return Err(ParseError::Malformed("eof inside headers".into()));
         }
         head_bytes += h.len();
-        if head_bytes > MAX_HEAD_BYTES {
-            return Err(ParseError::Malformed("request head too large".into()));
-        }
         let h = h.trim_end();
         if h.is_empty() {
             break;
@@ -130,12 +142,14 @@ pub fn write_response<W: Write>(
         503 => "Service Unavailable",
         _ => "Error",
     };
-    write!(
-        out,
+    // Formatted whole, then written once: `write!` straight into a socket
+    // is one `write` call (and one TCP segment) per formatted piece.
+    let response = format!(
         "HTTP/1.1 {status} {reason}\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: {}\r\n\r\n{body}",
         body.len(),
         if keep_alive { "keep-alive" } else { "close" },
-    )?;
+    );
+    out.write_all(response.as_bytes())?;
     out.flush()
 }
 
@@ -188,6 +202,26 @@ mod tests {
             parse("GET / HTTP/1.1\r\nContent-Length: nope\r\n\r\n"),
             Err(ParseError::Malformed(_))
         ));
+    }
+
+    #[test]
+    fn an_endless_head_line_is_refused_at_the_cap() {
+        // No newline ever arrives: the parser stops one byte past the cap
+        // instead of buffering the stream.
+        for prefix in ["", "GET / HTTP/1.1\r\n"] {
+            let endless = prefix.as_bytes().chain(std::io::repeat(b'a'));
+            match read_request(&mut BufReader::new(endless)) {
+                Err(ParseError::Malformed(m)) => assert_eq!(m, "request head too large"),
+                other => panic!("{prefix:?}: {other:?}"),
+            }
+        }
+        // A head of exactly the cap still parses; one byte more does not.
+        let head = |pad: usize| {
+            let fixed = "GET / HTTP/1.1\r\nx-pad: \r\n\r\n".len();
+            format!("GET / HTTP/1.1\r\nx-pad: {}\r\n\r\n", "p".repeat(pad - fixed))
+        };
+        assert!(parse(&head(MAX_HEAD_BYTES)).is_ok());
+        assert!(matches!(parse(&head(MAX_HEAD_BYTES + 1)), Err(ParseError::Malformed(_))));
     }
 
     #[test]

@@ -206,10 +206,10 @@ fn push_loop(out: &mut &TcpStream, feed: &mut WalFeed, engine: &StreamingMbi, sh
 fn send_push(out: &mut &TcpStream, tag: u8, payload: &[u8], site: &str) -> bool {
     match fail::trigger(site) {
         Some(fail::FailAction::ShortWrite) => {
-            let mut bytes = ((payload.len() + 1) as u32).to_le_bytes().to_vec();
-            bytes.push(tag);
-            bytes.extend_from_slice(&payload[..payload.len() / 2]);
-            let _ = out.write_all(&bytes);
+            let mut frame = Vec::new();
+            if wire::push_frame(&mut frame, tag, payload).is_ok() {
+                let _ = out.write_all(&frame[..5 + payload.len() / 2]);
+            }
             let _ = out.flush();
             let _ = out.shutdown(std::net::Shutdown::Both);
             return false;
@@ -335,12 +335,13 @@ fn follow_once(
     };
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(LINK_POLL));
-    if let Err(e) = stream.write_all(&wire::MAGIC) {
-        return transient(format!("handshake: {e}"));
-    }
+    // The magic and the AUTH frame go out in one write.
     let auth = wire::PayloadWriter::new().str16(&source.tenant).str16(&source.token).build();
-    if let Err(e) = wire::write_frame(&mut &stream, Op::Auth as u8, &auth) {
-        return transient(format!("auth send: {e}"));
+    let mut hello = wire::MAGIC.to_vec();
+    let sent =
+        wire::push_frame(&mut hello, Op::Auth as u8, &auth).and_then(|()| stream.write_all(&hello));
+    if let Err(e) = sent {
+        return transient(format!("handshake: {e}"));
     }
     match read_reply(&stream, shared, replica) {
         Ok(Some((tag, body))) if tag == Status::Ok as u8 => drop(body),

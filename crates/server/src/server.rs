@@ -23,19 +23,17 @@ use crate::wire::{self, Op, Status};
 use mbi_core::{MbiError, TimeWindow};
 use serde::Value;
 use std::io::{BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How long the accept loop sleeps when no connection is pending. Short,
-/// because this bounds the accept latency of every fresh connection (one
-/// HTTP request from `curl` pays it once).
-const ACCEPT_POLL: Duration = Duration::from_millis(1);
 /// Per-connection read timeout used to poll the stop flag between requests.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
 /// How long [`ServerHandle::shutdown`] waits for in-flight work to drain.
 const DRAIN_TIMEOUT: Duration = Duration::from_secs(10);
+/// Bound on the connect that wakes the accept loop at shutdown.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// The server. Construct with [`Server::start`]; it returns a
 /// [`ServerHandle`] immediately and serves on background threads.
@@ -54,7 +52,6 @@ impl Server {
     pub fn start(config: ServerConfig) -> Result<ServerHandle, MbiError> {
         let registry = Arc::new(TenantRegistry::build(&config)?);
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             config,
@@ -127,18 +124,31 @@ impl ServerHandle {
     /// no builder join. Recovery must then reconstruct every acked insert
     /// from the log alone.
     pub fn abort(mut self) {
-        self.shared.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.accept.take() {
-            let _ = t.join();
-        }
+        self.stop_accepting();
         std::mem::forget(Arc::clone(&self.registry));
     }
 
-    fn drain(&mut self) {
-        self.shared.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.accept.take() {
-            let _ = t.join();
+    /// Raises the stop flag and wakes the accept loop, which blocks in
+    /// `accept()`, with one connection to the listener's own address. If
+    /// that connect fails the accept thread is left detached — it exits at
+    /// the next connection it accepts — so shutdown never hangs on it.
+    fn stop_accepting(&mut self) {
+        self.shared.stop.store(true, Ordering::SeqCst);
+        let Some(accept) = self.accept.take() else { return };
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
         }
+        if TcpStream::connect_timeout(&wake, WAKE_TIMEOUT).is_ok() {
+            let _ = accept.join();
+        }
+    }
+
+    fn drain(&mut self) {
+        self.stop_accepting();
         for t in self.followers.drain(..) {
             let _ = t.join();
         }
@@ -173,8 +183,14 @@ impl Drop for ServerHandle {
 }
 
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    while !shared.stop.load(Ordering::Relaxed) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        // The stop flag is raised before the wake-up connection is made, so
+        // the accept that returns it sees the flag.
+        if shared.stop.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 let open = shared.metrics.connections.fetch_add(1, Ordering::Relaxed) + 1;
                 if open > shared.config.max_connections {
@@ -194,10 +210,10 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
                     shared.metrics.connections_refused.fetch_add(1, Ordering::Relaxed);
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
+            // A failed accept (an aborted handshake, or out of descriptors)
+            // is retried; back off briefly so descriptor exhaustion does not
+            // spin this thread.
+            Err(_) => std::thread::sleep(Duration::from_millis(1)),
         }
     }
 }
@@ -653,9 +669,21 @@ fn serve_binary(stream: &TcpStream, shared: &Shared) {
             return;
         }
         let (status, response) = handle_binary_op(op, &payload, &mut tenant, shared);
-        if wire::write_frame(&mut out, status as u8, &response).is_err() {
+        if send_reply(&mut out, status, &response).is_err() {
             return;
         }
+    }
+}
+
+/// Writes one reply frame. A reply over [`wire::MAX_FRAME`] is refused by
+/// [`wire::write_frame`] before any byte is sent, so the connection is still
+/// in step: the client gets a `BadRequest` frame in its place.
+fn send_reply<W: Write>(out: &mut W, status: Status, response: &[u8]) -> std::io::Result<()> {
+    match wire::write_frame(out, status as u8, response) {
+        Err(e) if e.kind() == std::io::ErrorKind::InvalidInput => {
+            wire::write_frame(out, Status::BadRequest as u8, e.to_string().as_bytes())
+        }
+        sent => sent,
     }
 }
 
@@ -790,5 +818,27 @@ fn handle_binary_op(
                 Err(e) => (e.status().1, e.to_string().into_bytes()),
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_oversized_reply_is_answered_with_bad_request() {
+        let mut out = Vec::new();
+        send_reply(&mut out, Status::Ok, &vec![0u8; wire::MAX_FRAME]).unwrap();
+        let mut sent = out.as_slice();
+        let (tag, message) = wire::read_frame(&mut sent).unwrap().unwrap();
+        assert_eq!(Status::from_u8(tag), Some(Status::BadRequest));
+        let message = String::from_utf8(message).unwrap();
+        assert!(message.contains("exceeds cap"), "{message}");
+        assert!(sent.is_empty(), "no byte of the oversized frame was sent");
+        // A reply within the cap goes out as it is.
+        let mut out = Vec::new();
+        send_reply(&mut out, Status::Ok, b"fits").unwrap();
+        let (tag, body) = wire::read_frame(&mut out.as_slice()).unwrap().unwrap();
+        assert_eq!((Status::from_u8(tag), body.as_slice()), (Some(Status::Ok), &b"fits"[..]));
     }
 }

@@ -175,12 +175,31 @@ pub fn read_frame_limit<R: Read>(r: &mut R, max: usize) -> std::io::Result<Optio
     Ok(Some((tag[0], payload)))
 }
 
-/// Writes one frame.
+/// Appends one whole frame — header and payload — to `buf`. A frame longer
+/// than [`MAX_FRAME`], which every reader rejects, is an `InvalidInput`
+/// error and leaves `buf` untouched.
+pub fn push_frame(buf: &mut Vec<u8>, tag: u8, payload: &[u8]) -> std::io::Result<()> {
+    let len = payload.len() + 1;
+    if len > MAX_FRAME {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("frame length {len} exceeds cap {MAX_FRAME}"),
+        ));
+    }
+    buf.reserve(4 + len);
+    buf.extend_from_slice(&(len as u32).to_le_bytes());
+    buf.push(tag);
+    buf.extend_from_slice(payload);
+    Ok(())
+}
+
+/// Writes one frame with a single `write_all`, so on a `TCP_NODELAY`
+/// socket the header and payload leave as one segment and wake the peer
+/// once. An oversized frame fails before any byte is written.
 pub fn write_frame<W: Write>(w: &mut W, tag: u8, payload: &[u8]) -> std::io::Result<()> {
-    let len = (payload.len() + 1) as u32;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(&[tag])?;
-    w.write_all(payload)?;
+    let mut frame = Vec::new();
+    push_frame(&mut frame, tag, payload)?;
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -382,6 +401,43 @@ mod tests {
         let zero = 0u32.to_le_bytes().to_vec();
         let err = read_frame_limit(&mut zero.as_slice(), 64).unwrap_err();
         assert!(!err.to_string().contains("exceeds cap"), "{err}");
+    }
+
+    #[test]
+    fn oversized_frames_are_refused_before_any_byte_is_written() {
+        /// Keeps the header of what it is sent and counts the rest, so the
+        /// test does not hold a second 64 MiB copy.
+        #[derive(Default)]
+        struct Head(Vec<u8>, usize);
+        impl Write for Head {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                let room = 5usize.saturating_sub(self.0.len()).min(buf.len());
+                self.0.extend_from_slice(&buf[..room]);
+                self.1 += buf.len();
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        // The largest legal payload: the length field is exactly MAX_FRAME.
+        // A reader accepts that header and fails only for want of the
+        // payload bytes this test does not keep.
+        let mut payload = vec![0u8; MAX_FRAME - 1];
+        let mut sent = Head::default();
+        write_frame(&mut sent, Status::Ok as u8, &payload).unwrap();
+        assert_eq!(sent.1, 4 + MAX_FRAME);
+        assert!(read_frame(&mut sent.0.as_slice()).is_err_and(|e| !e.to_string().contains("cap")));
+        // One byte more and nothing leaves: no header, no partial frame.
+        payload.push(0);
+        let mut sent = Head::default();
+        let err = write_frame(&mut sent, Status::Ok as u8, &payload).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert_eq!(sent.1, 0, "bytes written for an oversized frame");
+        let mut buf = Vec::new();
+        let err = push_frame(&mut buf, Status::Ok as u8, &payload).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(buf.is_empty());
     }
 
     #[test]

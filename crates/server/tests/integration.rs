@@ -414,3 +414,90 @@ fn non_finite_rows_are_bad_requests_on_both_protocols() {
     assert!(!tenant.health().is_halted());
     handle.shutdown();
 }
+
+/// A scripted binary-protocol server: it accepts every connection, answers
+/// AUTH, and answers each INSERT with the request's timestamp as the row id
+/// — after `slow` when the timestamp is 1. Returns its address.
+fn scripted_server(slow: Duration) -> SocketAddr {
+    use mbi_server::wire::{self, PayloadReader};
+    use std::io::{BufReader, Read};
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    std::thread::spawn(move || {
+        for conn in listener.incoming() {
+            let Ok(conn) = conn else { return };
+            std::thread::spawn(move || {
+                let mut reader = BufReader::new(&conn);
+                let mut magic = [0u8; 4];
+                reader.read_exact(&mut magic).unwrap();
+                assert_eq!(magic, wire::MAGIC);
+                while let Ok(Some((op, payload))) = wire::read_frame(&mut reader) {
+                    let reply = if op == wire::Op::Insert as u8 {
+                        let ts = PayloadReader::new(&payload).i64().unwrap();
+                        if ts == 1 {
+                            std::thread::sleep(slow);
+                        }
+                        (ts as u32).to_le_bytes().to_vec()
+                    } else {
+                        Vec::new()
+                    };
+                    if wire::write_frame(&mut &conn, Status::Ok as u8, &reply).is_err() {
+                        return;
+                    }
+                }
+            });
+        }
+    });
+    addr
+}
+
+#[test]
+fn a_reply_that_arrives_after_its_timeout_is_never_read_as_the_next_answer() {
+    let addr = scripted_server(Duration::from_millis(300));
+    let mut client = BinaryClient::connect(addr, "alpha", "tok-a").unwrap();
+    client.set_timeout(Some(Duration::from_millis(100))).unwrap();
+    match client.insert(&row(1), 1) {
+        Err(ClientError::Io(e)) => {
+            assert!(matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ))
+        }
+        other => panic!("the slow insert should time out, got {other:?}"),
+    }
+    // Let the late reply to request 1 land on the old connection.
+    std::thread::sleep(Duration::from_millis(400));
+    // Request 2 must get its own answer (id 2), not request 1's stale one.
+    assert_eq!(client.insert(&row(2), 2).unwrap(), 2);
+    assert_eq!(client.insert(&row(3), 3).unwrap(), 3);
+}
+
+/// Runs `stop` on a server bound to `addr` that no client ever connected
+/// to, and fails if it has not returned within 2 s: the accept loop blocks
+/// in `accept()`, and only the wake-up connection can end it.
+fn stops_within_two_seconds(addr: &str, stop: fn(mbi_server::ServerHandle)) {
+    let (handle, _) = start(
+        ServerConfig::new(addr, index_config()).with_tenant(TenantConfig::memory("alpha", "tok-a")),
+    );
+    let (done, returned) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        stop(handle);
+        let _ = done.send(());
+    });
+    returned.recv_timeout(Duration::from_secs(2)).expect("stop returned within 2 s");
+}
+
+#[test]
+fn shutdown_of_an_idle_server_returns_promptly() {
+    stops_within_two_seconds("127.0.0.1:0", mbi_server::ServerHandle::shutdown);
+}
+
+#[test]
+fn abort_of_an_idle_server_returns_promptly() {
+    stops_within_two_seconds("127.0.0.1:0", mbi_server::ServerHandle::abort);
+}
+
+#[test]
+fn a_server_bound_to_the_unspecified_address_is_woken_through_loopback() {
+    stops_within_two_seconds("0.0.0.0:0", mbi_server::ServerHandle::shutdown);
+}
