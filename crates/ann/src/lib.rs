@@ -63,7 +63,7 @@ pub use search::{
     greedy_search, greedy_search_prepared, greedy_search_sq8_prepared, EntryPolicy, SearchParams,
     SearchStats,
 };
-pub use segment::{Segment, SegmentStore};
+pub use segment::{RowMismatch, Segment, SegmentStore};
 pub use sq8::{Sq8ChunkRef, Sq8Column, Sq8Scan};
 pub use store::{VectorStore, VectorView};
 

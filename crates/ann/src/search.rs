@@ -152,7 +152,7 @@ pub fn greedy_search_prepared(
     scratch: &mut SearchScratch,
     out: &mut Vec<Neighbor>,
 ) {
-    let fetch = |id: u32| prefetch(view.get(id as usize));
+    let fetch = |id: u32| prefetch(view.unverified_row(id as usize));
     let exact = |id: u32| view.distance(pq, id as usize);
     beam_search(graph, view, pq, k, params, filter, stats, scratch, out, fetch, exact);
     out.sort_unstable();

@@ -12,8 +12,76 @@
 use crate::mapped::Col;
 use crate::sq8::Sq8Column;
 use crate::store::{VectorStore, VectorView};
+use mbi_math::crc32;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::{Arc, OnceLock};
+
+/// A row whose bytes did not match their stored CRC-32.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RowMismatch {
+    /// Row index within its segment.
+    pub row: usize,
+    /// The CRC-32 stored for the row.
+    pub expected: u32,
+    /// The CRC-32 of the row's bytes as read.
+    pub got: u32,
+}
+
+/// First-touch verification of a mapped segment's rows: each row is checked
+/// against its stored CRC-32 the first time an accessor hands it out, so a
+/// cache miss pays for the rows a query reads, not for the whole column.
+#[derive(Debug)]
+pub(crate) struct RowCheck {
+    /// The rows' bytes in place in the map (`row_bytes` per row).
+    bytes: Col<u8>,
+    row_bytes: usize,
+    /// The stored CRC-32 of each row.
+    crcs: Col<u32>,
+    /// One bit per row, set once the row matched its CRC. A row that failed
+    /// is never marked, so every read of it fails again. The bits publish
+    /// nothing but themselves (the bytes they vouch for are immutable), so
+    /// `Relaxed` suffices.
+    verified: Box<[AtomicU64]>,
+    /// Checks that failed, counting a row each time it is read.
+    failures: AtomicU64,
+    /// The first row that failed.
+    first_failure: OnceLock<RowMismatch>,
+    /// Bytes checksummed, shared with the owner's other segments.
+    checked_bytes: Arc<AtomicU64>,
+}
+
+impl RowCheck {
+    /// Checks row `r` unless it already passed.
+    #[inline]
+    pub(crate) fn verify(&self, r: usize) {
+        let bit = 1u64 << (r % 64);
+        if self.verified[r / 64].load(Relaxed) & bit == 0 {
+            self.verify_row(r, bit);
+        }
+    }
+
+    /// Checks every row of `rows` that has not passed yet.
+    #[inline]
+    pub(crate) fn verify_rows(&self, rows: Range<usize>) {
+        for r in rows {
+            self.verify(r);
+        }
+    }
+
+    #[inline(never)]
+    fn verify_row(&self, r: usize, bit: u64) {
+        let got = crc32(&self.bytes[r * self.row_bytes..(r + 1) * self.row_bytes]);
+        let expected = self.crcs[r];
+        self.checked_bytes.fetch_add(self.row_bytes as u64, Relaxed);
+        if got == expected {
+            self.verified[r / 64].fetch_or(bit, Relaxed);
+        } else {
+            self.failures.fetch_add(1, Relaxed);
+            let _ = self.first_failure.set(RowMismatch { row: r, expected, got });
+        }
+    }
+}
 
 /// An immutable, contiguous run of rows: flat `f32` data plus the optional
 /// inverse-norm column and the optional SQ8 code column. Segments are
@@ -25,12 +93,21 @@ use std::sync::Arc;
 /// mapped-in-place for segments the storage tier rehydrates straight from a
 /// checkpoint file. Every search kernel sees a plain slice either way, so hot
 /// and cold segments are bit-identical to scan.
+///
+/// A mapped segment may carry per-row CRC-32s
+/// ([`with_row_check`](Self::with_row_check)): every accessor that hands out
+/// rows — [`row`](Self::row), [`row_with_inv`](Self::row_with_inv),
+/// [`as_flat`](Self::as_flat) and the views — first checks each row it has
+/// not checked before. A mismatch does not stop the read; it is counted
+/// ([`row_failures`](Self::row_failures)) for the owner to turn into an error
+/// before any answer scored on those bytes leaves it.
 #[derive(Clone, Debug)]
 pub struct Segment {
     dim: usize,
     pub(crate) data: Col<f32>,
     pub(crate) inv_norms: Option<Col<f32>>,
     pub(crate) sq8: Option<Sq8Column>,
+    check: Option<Arc<RowCheck>>,
 }
 
 impl Segment {
@@ -39,7 +116,8 @@ impl Segment {
     /// moves with the data, bit-identical to its insert-time values.
     pub fn from_store(store: VectorStore) -> Self {
         let (dim, data, inv_norms) = store.into_parts();
-        Segment { dim, data: data.into(), inv_norms: inv_norms.map(Into::into), sq8: None }
+        let inv_norms = inv_norms.map(Into::into);
+        Segment { dim, data: data.into(), inv_norms, sq8: None, check: None }
     }
 
     /// Assembles a segment from owned-or-mapped columns — the storage tier's
@@ -66,7 +144,54 @@ impl Segment {
             assert_eq!(col.dim(), dim, "SQ8 column has wrong dimension");
             assert_eq!(col.len(), rows, "SQ8 column has wrong row count");
         }
-        Segment { dim, data, inv_norms, sq8 }
+        Segment { dim, data, inv_norms, sq8, check: None }
+    }
+
+    /// Attaches the rows' stored CRC-32s, one per row, so each row is
+    /// verified the first time it is read. Every byte checksummed is added to
+    /// `checked_bytes`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the rows are mapped and `crcs` holds one value per row.
+    pub fn with_row_check(mut self, crcs: Col<u32>, checked_bytes: Arc<AtomicU64>) -> Self {
+        assert_eq!(crcs.len(), self.len(), "row CRC column has wrong row count");
+        let Col::Mapped { map, byte_off, len } = &self.data else {
+            panic!("row checks verify mapped rows");
+        };
+        let row_bytes = self.dim * size_of::<f32>();
+        let bytes = Col::mapped(Arc::clone(map), *byte_off, len * size_of::<f32>())
+            .expect("the f32 column's own bytes are in bounds");
+        let verified = (0..self.len().div_ceil(64)).map(|_| AtomicU64::new(0)).collect();
+        self.check = Some(Arc::new(RowCheck {
+            bytes,
+            row_bytes,
+            crcs,
+            verified,
+            failures: AtomicU64::new(0),
+            first_failure: OnceLock::new(),
+            checked_bytes,
+        }));
+        self
+    }
+
+    /// Row checks that have failed so far (0 without a row check). A failed
+    /// row counts again each time it is read.
+    pub fn row_failures(&self) -> u64 {
+        self.check.as_ref().map_or(0, |c| c.failures.load(Relaxed))
+    }
+
+    /// The first row that failed its check, if any.
+    pub fn first_row_mismatch(&self) -> Option<RowMismatch> {
+        self.check.as_ref().and_then(|c| c.first_failure.get().copied())
+    }
+
+    /// Checks rows `rows` (a no-op without a row check).
+    #[inline]
+    pub(crate) fn verify_rows(&self, rows: Range<usize>) {
+        if let Some(check) = &self.check {
+            check.verify_rows(rows);
+        }
     }
 
     /// Copies every row of `view` (and its inverse-norm column, when
@@ -83,7 +208,8 @@ impl Segment {
             }
             row += run;
         }
-        Segment { dim: view.dim(), data: data.into(), inv_norms: inv.map(Into::into), sq8: None }
+        let inv_norms = inv.map(Into::into);
+        Segment { dim: view.dim(), data: data.into(), inv_norms, sq8: None, check: None }
     }
 
     /// Quantizes the segment's rows into an SQ8 column (idempotent). Called
@@ -91,7 +217,8 @@ impl Segment {
     /// first pass; must happen before the segment is shared by `Arc`.
     pub fn build_sq8(&mut self) {
         if self.sq8.is_none() {
-            self.sq8 = Some(Sq8Column::encode(self.dim, &self.data));
+            let codes = Sq8Column::encode(self.dim, self.as_flat());
+            self.sq8 = Some(codes);
         }
     }
 
@@ -128,6 +255,16 @@ impl Segment {
     /// Row `i` of the segment.
     #[inline]
     pub fn row(&self, i: usize) -> &[f32] {
+        if let Some(check) = &self.check {
+            check.verify(i);
+        }
+        self.unverified_row(i)
+    }
+
+    /// Row `i` without its check — only for a prefetch hint, which reads
+    /// nothing.
+    #[inline]
+    pub(crate) fn unverified_row(&self, i: usize) -> &[f32] {
         &self.data[i * self.dim..(i + 1) * self.dim]
     }
 
@@ -149,9 +286,10 @@ impl Segment {
         self.inv_norms.as_deref()
     }
 
-    /// The flat row-major buffer.
+    /// The flat row-major buffer (every row checked first).
     #[inline]
     pub fn as_flat(&self) -> &[f32] {
+        self.verify_rows(0..self.len());
         &self.data
     }
 
@@ -174,18 +312,20 @@ impl Segment {
             &self.data[range.start * self.dim..range.end * self.dim],
             self.inv_norms.as_deref().map(|inv| &inv[range.clone()]),
             self.sq8.as_ref().map(|c| c.slice(range.start, range.end)),
+            self.check.as_deref().map(|c| (c, range.start)),
         )
     }
 
     /// Bytes of heap memory held by this segment — raw vectors, the
     /// inverse-norm column (the flat store's `memory_bytes` historically
-    /// forgot the column; both now count it), and the SQ8 column. Mapped
-    /// columns report 0: their residency belongs to the storage tier's block
-    /// cache, not the segment.
+    /// forgot the column; both now count it), the SQ8 column, and the row
+    /// check's verified bits. Mapped columns report 0: their residency
+    /// belongs to the storage tier's block cache, not the segment.
     pub fn memory_bytes(&self) -> usize {
         self.data.heap_bytes()
             + self.inv_norms.as_ref().map_or(0, Col::heap_bytes)
             + self.sq8.as_ref().map_or(0, Sq8Column::memory_bytes)
+            + self.check.as_ref().map_or(0, |c| c.verified.len() * size_of::<AtomicU64>())
     }
 
     /// Whether any column of this segment views mapped file bytes (a

@@ -3,7 +3,7 @@
 //! contiguous run of rows or over a run of shared
 //! [`Segment`](crate::Segment)s.
 
-use crate::segment::Segment;
+use crate::segment::{RowCheck, Segment};
 use crate::sq8::Sq8ChunkRef;
 use mbi_math::{inv_norm_of, Metric, PreparedQuery};
 use std::sync::Arc;
@@ -236,8 +236,15 @@ impl VectorStore {
 /// rows, or a run of leaf-sized shared segments.
 #[derive(Clone, Copy, Debug)]
 enum Repr<'a> {
-    /// A single flat run (plus the matching norm-column and SQ8 slices).
-    Contig { data: &'a [f32], inv_norms: Option<&'a [f32]>, sq8: Option<Sq8ChunkRef<'a>> },
+    /// A single flat run (plus the matching norm-column and SQ8 slices, and
+    /// for a run of a row-checked segment, its check and the run's first
+    /// row in the segment).
+    Contig {
+        data: &'a [f32],
+        inv_norms: Option<&'a [f32]>,
+        sq8: Option<Sq8ChunkRef<'a>>,
+        check: Option<(&'a RowCheck, usize)>,
+    },
     /// `len` rows starting `skip` rows into `segs[0]`; every segment holds
     /// exactly `seg_rows` rows, so each per-segment run is contiguous.
     Segmented { segs: &'a [Arc<Segment>], seg_rows: usize, skip: usize },
@@ -254,6 +261,10 @@ enum Repr<'a> {
 /// view in contiguous runs via [`Self::chunk_at`]; point lookups use
 /// [`Self::get`] / [`Self::row_with_inv`], which cost one extra div/mod on
 /// segmented views and nothing on contiguous ones.
+///
+/// Over a row-checked [`Segment`](crate::Segment), every accessor that hands
+/// out rows checks each of them the first time it is read; a prefetch hint
+/// reads nothing and checks nothing.
 #[derive(Clone, Copy, Debug)]
 pub struct VectorView<'a> {
     dim: usize,
@@ -276,22 +287,24 @@ impl<'a> VectorView<'a> {
     /// A contiguous view over `data` with an optional matching norm column.
     #[inline]
     pub(crate) fn contiguous(dim: usize, data: &'a [f32], inv_norms: Option<&'a [f32]>) -> Self {
-        Self::contiguous_with_sq8(dim, data, inv_norms, None)
+        Self::contiguous_with_sq8(dim, data, inv_norms, None, None)
     }
 
-    /// A contiguous view that additionally carries the matching SQ8 slice —
-    /// what [`Segment::slice`](crate::Segment::slice) hands out when the
-    /// segment is quantized.
+    /// A contiguous view that additionally carries the matching SQ8 slice
+    /// and the segment's row check with the run's first row — what
+    /// [`Segment::slice`](crate::Segment::slice) hands out.
     #[inline]
     pub(crate) fn contiguous_with_sq8(
         dim: usize,
         data: &'a [f32],
         inv_norms: Option<&'a [f32]>,
         sq8: Option<Sq8ChunkRef<'a>>,
+        check: Option<(&'a RowCheck, usize)>,
     ) -> Self {
         debug_assert!(inv_norms.is_none_or(|inv| inv.len() * dim == data.len()));
         debug_assert!(sq8.is_none_or(|c| c.codes.len() == data.len()));
-        VectorView { dim, len: data.len() / dim, repr: Repr::Contig { data, inv_norms, sq8 } }
+        let repr = Repr::Contig { data, inv_norms, sq8, check };
+        VectorView { dim, len: data.len() / dim, repr }
     }
 
     /// A segmented view of `len` rows starting `skip` rows into `segs[0]`.
@@ -408,13 +421,29 @@ impl<'a> VectorView<'a> {
     pub fn get(&self, i: usize) -> &'a [f32] {
         assert!(i < self.len, "row {i} out of bounds for view of {} rows", self.len);
         match self.repr {
-            Repr::Contig { data, .. } => {
-                let start = i * self.dim;
-                &data[start..start + self.dim]
+            Repr::Contig { data, check, .. } => {
+                if let Some((check, first)) = check {
+                    check.verify(first + i);
+                }
+                &data[i * self.dim..(i + 1) * self.dim]
             }
             Repr::Segmented { segs, seg_rows, skip } => {
                 let r = skip + i;
                 segs[r / seg_rows].row(r % seg_rows)
+            }
+        }
+    }
+
+    /// Row `i` without its check — only for a prefetch hint, which reads
+    /// nothing.
+    #[inline]
+    pub(crate) fn unverified_row(&self, i: usize) -> &'a [f32] {
+        assert!(i < self.len, "row {i} out of bounds for view of {} rows", self.len);
+        match self.repr {
+            Repr::Contig { data, .. } => &data[i * self.dim..(i + 1) * self.dim],
+            Repr::Segmented { segs, seg_rows, skip } => {
+                let r = skip + i;
+                segs[r / seg_rows].unverified_row(r % seg_rows)
             }
         }
     }
@@ -429,7 +458,10 @@ impl<'a> VectorView<'a> {
     pub fn row_with_inv(&self, i: usize) -> (&'a [f32], Option<f32>) {
         assert!(i < self.len, "row {i} out of bounds for view of {} rows", self.len);
         match self.repr {
-            Repr::Contig { data, inv_norms, .. } => {
+            Repr::Contig { data, inv_norms, check, .. } => {
+                if let Some((check, first)) = check {
+                    check.verify(first + i);
+                }
                 let start = i * self.dim;
                 (&data[start..start + self.dim], inv_norms.map(|inv| inv[i]))
             }
@@ -457,7 +489,8 @@ impl<'a> VectorView<'a> {
     /// data, the matching norm-column slice (when present), and its length in
     /// rows (always ≥ 1). Batched kernels walk the whole view as
     /// `row += run` — on a contiguous view the first call covers everything,
-    /// on a segmented view each call covers the rest of one segment.
+    /// on a segmented view each call covers the rest of one segment. Every
+    /// row of the run is checked first.
     ///
     /// # Panics
     ///
@@ -466,8 +499,11 @@ impl<'a> VectorView<'a> {
     pub fn chunk_at(&self, row: usize) -> (&'a [f32], Option<&'a [f32]>, usize) {
         assert!(row < self.len, "row {row} out of bounds for view of {} rows", self.len);
         match self.repr {
-            Repr::Contig { data, inv_norms, .. } => {
+            Repr::Contig { data, inv_norms, check, .. } => {
                 let run = self.len - row;
+                if let Some((check, first)) = check {
+                    check.verify_rows(first + row..first + row + run);
+                }
                 (&data[row * self.dim..], inv_norms.map(|inv| &inv[row..]), run)
             }
             Repr::Segmented { segs, seg_rows, skip } => {
@@ -475,8 +511,9 @@ impl<'a> VectorView<'a> {
                 let seg = &segs[r / seg_rows];
                 let off = r % seg_rows;
                 let run = (seg_rows - off).min(self.len - row);
+                seg.verify_rows(off..off + run);
                 (
-                    &seg.as_flat()[off * self.dim..(off + run) * self.dim],
+                    &seg.data[off * self.dim..(off + run) * self.dim],
                     seg.inv_norms().map(|inv| &inv[off..off + run]),
                     run,
                 )
@@ -500,7 +537,12 @@ impl<'a> VectorView<'a> {
     #[inline]
     pub fn as_flat(&self) -> &'a [f32] {
         match self.repr {
-            Repr::Contig { data, .. } => data,
+            Repr::Contig { data, check, .. } => {
+                if let Some((check, first)) = check {
+                    check.verify_rows(first..first + self.len);
+                }
+                data
+            }
             Repr::Segmented { .. } => panic!("as_flat() on a segmented view; use chunk_at()"),
         }
     }

@@ -81,12 +81,11 @@ pub struct MbiConfig {
     pub sq8_overfetch: f32,
     /// RAM budget of the cold-tier block cache, in bytes. Only consulted by
     /// [`crate::tier::ColdIndex`]: leaf records and internal-block graphs
-    /// loaded from a v7 file count against this budget and the
+    /// loaded from a v8 file count against this budget and the
     /// least-recently-used ones are evicted once it is exceeded. `u64::MAX`
     /// (the default) keeps everything resident; `0` forces every load to be
     /// evicted as soon as it is unpinned — the all-cold stress configuration.
-    /// In-RAM indexes ignore the budget. (Files persisted before v7 load
-    /// with the default.)
+    /// In-RAM indexes ignore the budget.
     pub ram_budget_bytes: u64,
     /// Shard count of the cold-tier block cache's LRU map; `≥ 1`. More
     /// shards reduce lock contention under concurrent queries at the price

@@ -150,6 +150,13 @@ impl From<std::io::Error> for MbiError {
     }
 }
 
+/// A mapped row that failed its CRC is corruption of the "leaf rows".
+impl From<mbi_ann::RowMismatch> for MbiError {
+    fn from(m: mbi_ann::RowMismatch) -> Self {
+        MbiError::ChecksumMismatch { section: "leaf rows", expected: m.expected, got: m.got }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -2,11 +2,11 @@
 //!
 //! Time-accumulating deployments restart; rebuilding every block graph costs
 //! `O(|D|^1.14 log |D|)` (§4.4.2), so a saved index pays for itself quickly.
-//! There is one on-disk format, version 7: a single little-endian stream in
+//! There is one on-disk format, version 8: a single little-endian stream in
 //! a checksummed envelope. Everything is length-prefixed and validated on
 //! load; malformed input yields [`MbiError::Corrupt`] (carrying the byte
 //! offset where parsing failed) or [`MbiError::ChecksumMismatch`], never a
-//! panic. A header version other than 7 is `Corrupt` at byte 4 — there is
+//! panic. A header version other than 8 is `Corrupt` at byte 4 — there is
 //! no converter and no second reader.
 //!
 //! # Envelope
@@ -49,7 +49,7 @@
 //!           leaf_dir[num_leaves] dir_crc:u32 pad(page) record[num_leaves]
 //! leaf_dir := record_off:u64 graph_off:u64 graph_len:u64
 //!             crc_ts:u32 crc_rows:u32 crc_inv:u32 crc_sq8:u32 crc_graph:u32
-//! record := ts:i64[s_l] rows:f32[s_l·d] [inv:f32[s_l]]
+//! record := ts:i64[s_l] rows:f32[s_l·d] row_crc:u32[s_l] [inv:f32[s_l]]
 //!           [mins:f32[d] deltas:f32[d] row_norm2:f32[s_l] codes:u8[s_l·d]]
 //!           graph pad(page)
 //! blocks := num_blocks:u64 block_meta[num_blocks] meta_crc:u32 graphs
@@ -65,13 +65,21 @@
 //! records. The optional SQ8 column group lets quantized engines restart
 //! without re-encoding.
 //!
+//! `row_crc[r]` is the CRC32 of row `r`'s `d·4` bytes, and the directory's
+//! `crc_rows` is the CRC32 of the `row_crc` column, not of the rows. So a
+//! reader can check the rows a query reads, one at a time, instead of the
+//! whole row column before any of it is used: the cold tier checks the
+//! 4-byte-per-row column when it loads a leaf and each row the first time a
+//! query reads it; the eager loader checks every row.
+//!
 //! A snapshot stream has one reader, shared by the eager loader
 //! ([`IndexSnapshot::from_bytes`]) and the cold tier: an open step
-//! (`open_v7`: directories, CRC-checked timestamp chunks, and the postorder
+//! (`open_v8`: directories, CRC-checked timestamp chunks, and the postorder
 //! and timestamp structure queries walk) and a per-piece decoder that
 //! checks each piece's own CRC and scalars. The cold tier decodes lazily
-//! over a mapped file; the eager loader decodes every piece into owned
-//! columns, after the whole-section CRCs have also covered every byte.
+//! over a mapped file, rows verified as they are read; the eager loader
+//! decodes every piece into owned columns, after the whole-section CRCs have
+//! also covered every byte.
 //!
 //! ```
 //! use mbi_core::{MbiConfig, MbiIndex, TimeWindow};
@@ -105,11 +113,12 @@ use mbi_math::{crc32, Metric};
 use std::io::{Read, Write};
 use std::ops::Deref;
 use std::path::Path;
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"MBI1";
 /// The one format version this build writes and reads.
-const VERSION: u32 = 7;
+const VERSION: u32 = 8;
 
 const KIND_INDEX: u8 = 0;
 const KIND_SNAPSHOT: u8 = 1;
@@ -119,13 +128,13 @@ const FOOTER_MAGIC: &[u8; 4] = b"MBIF";
 const SECTIONS: [&str; 4] = ["header", "config", "data", "blocks"];
 /// magic + version + kind.
 const HEADER_LEN: usize = 4 + 4 + 1;
-/// v7 leaf records start on this boundary, so a mapped read of one record
+/// v8 leaf records start on this boundary, so a mapped read of one record
 /// faults only its own pages.
 pub(crate) const PAGE: usize = mbi_ann::PAGE_SIZE;
-/// v7 leaf-directory entry: `record_off` + `graph_off` + `graph_len` + five
-/// per-piece CRCs (ts, rows, inv, sq8, graph).
+/// v8 leaf-directory entry: `record_off` + `graph_off` + `graph_len` + five
+/// per-piece CRCs (ts, row CRCs, inv, sq8, graph).
 const LEAF_DIR_ENTRY_LEN: usize = 8 * 3 + 4 * 5;
-/// v7 block-directory entry: row range + height + timestamp span + graph
+/// v8 block-directory entry: row range + height + timestamp span + graph
 /// location (`graph_off`, `graph_len`, `graph_crc`).
 const BLOCK_DIR_ENTRY_LEN: usize = 8 * 2 + 4 + 8 * 2 + 8 * 2 + 4;
 
@@ -538,14 +547,14 @@ impl IndexSnapshot {
     /// left out: a checkpoint prunes the WAL only up to that prefix, so
     /// recovery replays their rows and rebuilds their chains.
     pub fn to_bytes(&self) -> Bytes {
-        self.encode_v7()
+        self.encode_v8()
     }
 
-    /// Encodes the v7 layout: a leaf directory with per-piece CRCs, then one
-    /// page-aligned, self-contained record per leaf (timestamps, rows,
-    /// optional norm and SQ8 columns, the leaf block's graph), then the
+    /// Encodes the v8 layout: a leaf directory with per-piece CRCs, then one
+    /// page-aligned, self-contained record per leaf (timestamps, rows, row
+    /// CRCs, optional norm and SQ8 columns, the leaf block's graph), then the
     /// block metadata with a graph directory and the internal-block graphs.
-    fn encode_v7(&self) -> Bytes {
+    fn encode_v8(&self) -> Bytes {
         let config = self.config();
         let dim = config.dim;
         let s_l = config.leaf_size;
@@ -568,9 +577,10 @@ impl IndexSnapshot {
             .collect();
         let ts_len = s_l * 8;
         let rows_len = s_l * dim * 4;
+        let row_crc_len = s_l * 4;
         let inv_len = if has_norms { s_l * 4 } else { 0 };
         let sq8_len = if has_sq8 { dim * 8 + s_l * 4 + s_l * dim } else { 0 };
-        let payload_len = ts_len + rows_len + inv_len + sq8_len;
+        let payload_len = ts_len + rows_len + row_crc_len + inv_len + sq8_len;
 
         struct LeafBlob {
             payload: Vec<u8>,
@@ -585,6 +595,11 @@ impl IndexSnapshot {
             }
             for &v in seg.as_flat() {
                 p.extend_from_slice(&v.to_le_bytes());
+            }
+            let crc_off = ts_len + rows_len;
+            for r in 0..s_l {
+                let crc = crc32(&p[ts_len + r * dim * 4..ts_len + (r + 1) * dim * 4]);
+                p.extend_from_slice(&crc.to_le_bytes());
             }
             if has_norms {
                 let inv = seg.inv_norms().expect("norm flag implies a cached column");
@@ -608,14 +623,11 @@ impl IndexSnapshot {
             debug_assert_eq!(p.len(), payload_len);
             // Leaf i's graph is co-located with its record.
             let graph = graphs[layout::leaf_block(i)].clone();
+            let inv_off = crc_off + row_crc_len;
             let crcs = [
                 crc32(&p[..ts_len]),
-                crc32(&p[ts_len..ts_len + rows_len]),
-                if has_norms {
-                    crc32(&p[ts_len + rows_len..ts_len + rows_len + inv_len])
-                } else {
-                    0
-                },
+                crc32(&p[crc_off..inv_off]),
+                if has_norms { crc32(&p[inv_off..inv_off + inv_len]) } else { 0 },
                 if has_sq8 { crc32(&p[payload_len - sq8_len..]) } else { 0 },
                 crc32(&graph),
             ];
@@ -715,7 +727,7 @@ impl IndexSnapshot {
                 // The cold tier's reader with every column copied out of the
                 // stream: the snapshot owns its bytes, so `memory_bytes`
                 // counts them and the stream buffer is freed once loaded.
-                let (layout, times) = open_v7(&b)?;
+                let (layout, times) = open_v8(&b)?;
                 let cols = Columns::Copied(&b);
                 let mut store = SegmentStore::new(layout.config.dim, layout.seg_rows);
                 for leaf in 0..layout.num_leaves {
@@ -737,7 +749,7 @@ fn overflow(src: &Src<'_>) -> MbiError {
     src.corrupt("size overflow")
 }
 
-/// Zero-fills `b` up to absolute offset `target` (v7 page padding).
+/// Zero-fills `b` up to absolute offset `target` (v8 page padding).
 fn pad_to(b: &mut BytesMut, target: usize) {
     const ZEROS: [u8; PAGE] = [0; PAGE];
     debug_assert!(target >= b.len());
@@ -749,10 +761,10 @@ fn pad_to(b: &mut BytesMut, target: usize) {
     }
 }
 
-/// Where one leaf's record lives in a v7 stream: the page-aligned record
+/// Where one leaf's record lives in a v8 stream: the page-aligned record
 /// offset, the co-located graph, and the per-piece CRCs from the directory.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct V7Leaf {
+pub(crate) struct V8Leaf {
     /// Absolute, page-aligned offset of the record (timestamps first).
     pub(crate) record_off: usize,
     /// Absolute offset of the leaf block's serialized graph.
@@ -761,7 +773,7 @@ pub(crate) struct V7Leaf {
     pub(crate) graph_len: usize,
     /// CRC32 of the timestamp column.
     pub(crate) crc_ts: u32,
-    /// CRC32 of the row (f32 vector) column.
+    /// CRC32 of the row CRC column (each row's own CRC32 is in the record).
     pub(crate) crc_rows: u32,
     /// CRC32 of the inverse-norm column; 0 when the stream has none.
     pub(crate) crc_inv: u32,
@@ -771,10 +783,10 @@ pub(crate) struct V7Leaf {
     pub(crate) crc_graph: u32,
 }
 
-/// One block's metadata from a v7 blocks section, graph unloaded: enough to
+/// One block's metadata from a v8 blocks section, graph unloaded: enough to
 /// run block selection and to fetch + verify the graph on demand.
 #[derive(Clone, Debug)]
-pub(crate) struct V7BlockEntry {
+pub(crate) struct V8BlockEntry {
     /// Global row range the block covers.
     pub(crate) rows: std::ops::Range<usize>,
     /// Height in the postorder tree (0 = leaf).
@@ -792,23 +804,23 @@ pub(crate) struct V7BlockEntry {
     pub(crate) graph_crc: u32,
 }
 
-/// The parsed geometry of a v7 snapshot stream: config, flags, and where
+/// The parsed geometry of a v8 snapshot stream: config, flags, and where
 /// every leaf record and block graph lives — everything a reader (eager or
 /// cold/mmap) needs to load pieces independently. Parsing verifies the
 /// footer, the header and config sections, and both directory CRCs, but
 /// never reads a record payload: opening a cold file faults only the
 /// directory pages.
-pub(crate) struct V7Layout {
+pub(crate) struct V8Layout {
     pub(crate) config: MbiConfig,
     pub(crate) num_leaves: usize,
     pub(crate) seg_rows: usize,
     pub(crate) has_norms: bool,
     pub(crate) has_sq8: bool,
-    pub(crate) leaves: Vec<V7Leaf>,
-    pub(crate) blocks: Vec<V7BlockEntry>,
+    pub(crate) leaves: Vec<V8Leaf>,
+    pub(crate) blocks: Vec<V8BlockEntry>,
 }
 
-impl V7Layout {
+impl V8Layout {
     /// The file span leaf `leaf`'s record occupies, page-rounded and graph
     /// included.
     pub(crate) fn leaf_span(&self, leaf: usize) -> std::ops::Range<usize> {
@@ -816,11 +828,12 @@ impl V7Layout {
         l.record_off..(l.graph_off + l.graph_len).next_multiple_of(PAGE)
     }
 
-    /// Decodes leaf `leaf`'s vector columns into a segment. Each column is
-    /// checked against its directory CRC (for mapped bytes that pass *is*
-    /// the disk read), the norm and SQ8 scalars must be finite and in range,
-    /// and a quantizing config rebuilds the codes of a stream written
-    /// without them.
+    /// Decodes leaf `leaf`'s vector columns into a segment. The row CRC,
+    /// norm and SQ8 columns are checked against their directory CRCs (for
+    /// mapped bytes that pass *is* the disk read), the norm and SQ8 scalars
+    /// must be finite and in range, and a quantizing config rebuilds the
+    /// codes of a stream written without them. Copied rows are checked
+    /// against their row CRCs here; mapped rows as they are read.
     pub(crate) fn decode_segment(
         &self,
         cols: &Columns<'_>,
@@ -829,10 +842,12 @@ impl V7Layout {
         let (l, b) = (&self.leaves[leaf], cols.bytes());
         let (dim, rows) = (self.config.dim, self.seg_rows);
         let rows_off = l.record_off + self.ts_len();
-        let inv_off = rows_off + self.rows_len();
+        let crc_off = rows_off + self.rows_len();
+        let inv_off = crc_off + self.row_crc_len();
         let sq8_off = inv_off + self.inv_len();
-        check_crc(&b[rows_off..inv_off], l.crc_rows, "leaf rows")?;
+        check_crc(&b[crc_off..inv_off], l.crc_rows, "leaf row checksums")?;
         let data = cols.col(rows_off, rows * dim)?;
+        let row_crcs: Col<u32> = cols.col(crc_off, rows)?;
         let inv_norms = if self.has_norms {
             check_crc(&b[inv_off..sq8_off], l.crc_inv, "leaf norms")?;
             Some(scalars(cols.col(inv_off, rows)?, inv_off, "inverse norm", false)?)
@@ -856,10 +871,26 @@ impl V7Layout {
             None
         };
         let mut seg = Segment::from_cols(dim, data, inv_norms, sq8);
+        match cols {
+            Columns::Mapped { checked_bytes, .. } => {
+                seg = seg.with_row_check(row_crcs, Arc::clone(checked_bytes));
+            }
+            Columns::Copied(_) => {
+                let row_bytes = dim * 4;
+                for (r, &crc) in row_crcs.iter().enumerate() {
+                    let row = rows_off + r * row_bytes;
+                    check_crc(&b[row..row + row_bytes], crc, "leaf rows")?;
+                }
+            }
+        }
         if !self.has_sq8 && self.config.sq8_scan {
             // A quantizing engine must see a uniformly quantized store even
-            // when restoring from a stream written without codes.
+            // when restoring from a stream written without codes. Encoding
+            // reads (and so checks) every row.
             seg.build_sq8();
+            if let Some(mismatch) = seg.first_row_mismatch() {
+                return Err(mismatch.into());
+            }
         }
         Ok(seg)
     }
@@ -889,6 +920,11 @@ impl V7Layout {
         self.seg_rows * self.config.dim * 4
     }
 
+    /// Bytes of one record's row CRC column.
+    pub(crate) fn row_crc_len(&self) -> usize {
+        self.seg_rows * 4
+    }
+
     /// Bytes of one record's inverse-norm column (0 when absent).
     pub(crate) fn inv_len(&self) -> usize {
         if self.has_norms {
@@ -910,13 +946,13 @@ impl V7Layout {
 
     /// Bytes of one record before its graph.
     pub(crate) fn payload_len(&self) -> usize {
-        self.ts_len() + self.rows_len() + self.inv_len() + self.sq8_len()
+        self.ts_len() + self.rows_len() + self.row_crc_len() + self.inv_len() + self.sq8_len()
     }
 }
 
-/// Parses a v7 snapshot stream's directories off a raw byte slice. See
-/// [`V7Layout`] for what is (and deliberately is not) verified here.
-pub(crate) fn parse_v7_layout(b: &[u8]) -> Result<V7Layout, MbiError> {
+/// Parses a v8 snapshot stream's directories off a raw byte slice. See
+/// [`V8Layout`] for what is (and deliberately is not) verified here.
+pub(crate) fn parse_v8_layout(b: &[u8]) -> Result<V8Layout, MbiError> {
     if read_header(b)? != KIND_SNAPSHOT {
         return Err(MbiError::corrupt(8, "cold open requires a snapshot stream"));
     }
@@ -958,7 +994,7 @@ pub(crate) fn parse_v7_layout(b: &[u8]) -> Result<V7Layout, MbiError> {
     check_crc(&b[d0..dir_end], rd_u32(b, dir_end), "leaf directory")?;
     let mut leaves = Vec::with_capacity(num_leaves);
     for _ in 0..num_leaves {
-        leaves.push(V7Leaf {
+        leaves.push(V8Leaf {
             record_off: d.get_u64_le() as usize,
             graph_off: d.get_u64_le() as usize,
             graph_len: d.get_u64_le() as usize,
@@ -972,7 +1008,7 @@ pub(crate) fn parse_v7_layout(b: &[u8]) -> Result<V7Layout, MbiError> {
     // Geometry: records are page-aligned, non-overlapping, graph contiguous
     // with its payload, everything inside the data section.
     let payload_len = seg_rows
-        .checked_mul(8 + config.dim * 4 + usize::from(has_norms) * 4)
+        .checked_mul(8 + config.dim * 4 + 4 + usize::from(has_norms) * 4)
         .and_then(|x| {
             if has_sq8 {
                 x.checked_add(config.dim * 8 + seg_rows * 4 + seg_rows * config.dim)
@@ -1023,7 +1059,7 @@ pub(crate) fn parse_v7_layout(b: &[u8]) -> Result<V7Layout, MbiError> {
         let graph_len = s.get_u64_le() as usize;
         let graph_crc = s.get_u32_le();
         // Rows, heights and time bounds are checked against the postorder
-        // layout by `open_v7`, once the timestamps are read.
+        // layout by `open_v8`, once the timestamps are read.
         if height == 0 {
             let Some(leaf) = leaves.get(leaf_blocks) else {
                 return Err(MbiError::corrupt(at, "more leaf blocks than leaf records"));
@@ -1048,7 +1084,7 @@ pub(crate) fn parse_v7_layout(b: &[u8]) -> Result<V7Layout, MbiError> {
             }
             prev_graph_end = graph_end;
         }
-        blocks.push(V7BlockEntry {
+        blocks.push(V8BlockEntry {
             rows: start..end,
             height,
             start_ts,
@@ -1061,21 +1097,21 @@ pub(crate) fn parse_v7_layout(b: &[u8]) -> Result<V7Layout, MbiError> {
     if leaf_blocks != num_leaves {
         return Err(MbiError::corrupt(b0, "leaf record count does not match height-0 blocks"));
     }
-    let layout = V7Layout { config, num_leaves, seg_rows, has_norms, has_sq8, leaves, blocks };
+    let layout = V8Layout { config, num_leaves, seg_rows, has_norms, has_sq8, leaves, blocks };
     debug_assert_eq!(payload_len, layout.payload_len());
     Ok(layout)
 }
 
-/// The one open step of a v7 snapshot stream, shared by the eager loader
+/// The one open step of a v8 snapshot stream, shared by the eager loader
 /// and the cold tier: parses the directories, reads every timestamp chunk
 /// against its CRC (selection and windowing read this column on every
 /// query), then checks the structure a query walks — timestamps
 /// non-decreasing, and the block directory the postorder layout for
 /// `num_leaves` with time bounds matching the timestamps. Records and
-/// graphs are left to [`V7Layout::decode_segment`] and
-/// [`V7Layout::decode_block`].
-pub(crate) fn open_v7(b: &[u8]) -> Result<(V7Layout, TimeChunks), MbiError> {
-    let layout = parse_v7_layout(b)?;
+/// graphs are left to [`V8Layout::decode_segment`] and
+/// [`V8Layout::decode_block`].
+pub(crate) fn open_v8(b: &[u8]) -> Result<(V8Layout, TimeChunks), MbiError> {
+    let layout = parse_v8_layout(b)?;
     let mut times = TimeChunks::new(layout.seg_rows);
     let mut newest = Timestamp::MIN;
     for leaf in &layout.leaves {
@@ -1097,17 +1133,18 @@ pub(crate) fn open_v7(b: &[u8]) -> Result<(V7Layout, TimeChunks), MbiError> {
 }
 
 /// Where a decoded leaf's columns live: viewed in place inside a shared map
-/// (the cold tier: zero copy, charged to its block cache) or copied out of
-/// the stream into owned vectors (the eager loader).
+/// (the cold tier: zero copy, charged to its block cache, rows checked as
+/// they are read and the bytes checked counted in `checked_bytes`) or copied
+/// out of the stream into owned vectors (the eager loader).
 pub(crate) enum Columns<'a> {
-    Mapped(&'a Arc<FileMap>),
+    Mapped { map: &'a Arc<FileMap>, checked_bytes: &'a Arc<AtomicU64> },
     Copied(&'a [u8]),
 }
 
 impl Columns<'_> {
     fn bytes(&self) -> &[u8] {
         match self {
-            Columns::Mapped(map) => map.bytes(),
+            Columns::Mapped { map, .. } => map.bytes(),
             Columns::Copied(b) => b,
         }
     }
@@ -1115,7 +1152,7 @@ impl Columns<'_> {
     /// The column of `len` elements at absolute offset `off`.
     fn col<T: LeScalar>(&self, off: usize, len: usize) -> Result<Col<T>, MbiError> {
         match self {
-            Columns::Mapped(map) => {
+            Columns::Mapped { map, .. } => {
                 Col::mapped(Arc::clone(map), off, len).map_err(|e| MbiError::corrupt(off, e))
             }
             Columns::Copied(b) => Ok(Col::Owned(le_vec(&b[off..off + len * size_of::<T>()]))),
@@ -1502,7 +1539,7 @@ mod tests {
 
     /// Where a clean snapshot stream keeps its two directories.
     struct Dirs {
-        lay: V7Layout,
+        lay: V8Layout,
         /// Start of the data section: `num_leaves`, `seg_rows`, the flags,
         /// then the leaf directory.
         d0: usize,
@@ -1514,7 +1551,7 @@ mod tests {
     impl Dirs {
         fn of(stream: &[u8]) -> Dirs {
             let sections = parse_footer(stream).unwrap();
-            Dirs { lay: parse_v7_layout(stream).unwrap(), d0: sections[2].0, b0: sections[3].0 }
+            Dirs { lay: parse_v8_layout(stream).unwrap(), d0: sections[2].0, b0: sections[3].0 }
         }
 
         fn leaf_entry(&self, leaf: usize) -> usize {
@@ -1525,13 +1562,22 @@ mod tests {
             self.b0 + 8 + block * BLOCK_DIR_ENTRY_LEN
         }
 
-        /// Rewrites leaf `leaf`'s piece CRC `k` (0 timestamps, 1 rows,
+        /// Rewrites leaf `leaf`'s piece CRC `k` (0 timestamps, 1 row CRCs,
         /// 2 norms, 3 sq8, 4 graph) over the piece's bytes in `body`.
         fn recrc_piece(&self, body: &mut [u8], leaf: usize, k: usize) {
             let (lay, l) = (&self.lay, self.lay.leaves[leaf]);
-            let lens = [lay.ts_len(), lay.rows_len(), lay.inv_len(), lay.sq8_len(), l.graph_len];
-            let start = l.record_off + lens[..k].iter().sum::<usize>();
-            let crc = crc32(&body[start..start + lens[k]]);
+            // The record's columns in order; the rows have no piece CRC.
+            let lens = [
+                lay.ts_len(),
+                lay.rows_len(),
+                lay.row_crc_len(),
+                lay.inv_len(),
+                lay.sq8_len(),
+                l.graph_len,
+            ];
+            let col = if k == 0 { 0 } else { k + 1 };
+            let start = l.record_off + lens[..col].iter().sum::<usize>();
+            let crc = crc32(&body[start..start + lens[col]]);
             put_u32(body, self.leaf_entry(leaf) + 24 + 4 * k, crc);
         }
 
@@ -1630,14 +1676,14 @@ mod tests {
 
     /// One reader means format drift is data loss: the exact bytes written
     /// for three fixed 64-row indexes are pinned as (length, CRC32),
-    /// computed on the last commit that still carried the v2–v6 ladders.
+    /// recorded when format v8 added the per-row CRC column.
     #[test]
-    fn v7_bytes_are_pinned() {
+    fn v8_bytes_are_pinned() {
         let pin = |b: Bytes| (b.len(), crc32(&b));
         for (idx, index_pin, snapshot_pin) in [
-            (build_index(GraphBackend::default(), 64), (21055, 0xdd13_4c1e), (33800, 0x66d5_96d6)),
-            (build_angular_index(64), (21311, 0x2d1b_13d2), (33800, 0x6961_841e)),
-            (build_sq8_index(64, true), (21055, 0x48c8_e002), (33800, 0xcb15_be7b)),
+            (build_index(GraphBackend::default(), 64), (21055, 0x1b9c_e913), (33800, 0xba03_e1f9)),
+            (build_angular_index(64), (21311, 0x3e9a_f03a), (33800, 0xd176_8348)),
+            (build_sq8_index(64, true), (21055, 0x8e47_450f), (33800, 0xa94e_3731)),
         ] {
             let what = (idx.config().metric, idx.config().sq8_scan);
             assert_eq!(pin(idx.to_bytes()), index_pin, "{what:?} index stream drifted");
@@ -1741,7 +1787,7 @@ mod tests {
     fn rejects_every_retired_version() {
         let index = build_index(GraphBackend::default(), 64);
         let snapshot = snapshot_of(&index).to_bytes();
-        for version in [2u32, 3, 4, 5, 6, 8] {
+        for version in [2u32, 3, 4, 5, 6, 7, 9] {
             let restamp = |stream: &[u8]| {
                 let mut raw = stream.to_vec();
                 put_u32(&mut raw, 4, version);
@@ -1756,7 +1802,7 @@ mod tests {
                 assert!(matches!(err, MbiError::Corrupt { offset: 4, .. }), "{err}");
                 let msg = err.to_string();
                 assert!(msg.contains(&format!("version {version}")), "{msg}");
-                assert!(msg.contains("only version 7"), "{msg}");
+                assert!(msg.contains("only version 8"), "{msg}");
             }
         }
     }
@@ -1831,7 +1877,8 @@ mod tests {
         let stream = snapshot_of(&idx).to_bytes();
         let dirs = Dirs::of(&stream);
         let lay = &dirs.lay;
-        let norms_start = lay.leaves[1].record_off + lay.ts_len() + lay.rows_len();
+        let norms_start =
+            lay.leaves[1].record_off + lay.ts_len() + lay.rows_len() + lay.row_crc_len();
         let sealed = dirs.reseal(&stream, |body| {
             body[norms_start..norms_start + 4].copy_from_slice(&nan);
             dirs.recrc_piece(body, 1, 2);
@@ -1896,8 +1943,6 @@ mod tests {
         let index_degree_at = parse_footer(&index_stream).unwrap()[3].0 + 16 + 36 + 1;
         let snap_stream = snapshot_of(&idx).to_bytes();
         let dirs = Dirs::of(&snap_stream);
-        let leaf = dirs.lay.leaves[0];
-        assert_eq!(dirs.lay.blocks[0].graph_off, leaf.graph_off, "block 0 is leaf 0");
         for degree in [0u64, 1 << 63, 3] {
             let sealed = refooter(&index_stream, |body| {
                 body[index_degree_at..index_degree_at + 8].copy_from_slice(&degree.to_le_bytes());
@@ -1905,22 +1950,29 @@ mod tests {
             let err = MbiIndex::from_bytes(sealed).unwrap_err();
             assert!(matches!(err, MbiError::Corrupt { .. }), "index, degree {degree}: {err}");
 
-            // Snapshot kind: leaf 0's graph CRC is the last field of entry 0
-            // in both directories, each under its own CRC — recompute all
-            // four so only the graph decoder is left to object.
-            let sealed = dirs.reseal(&snap_stream, |body| {
-                body[leaf.graph_off + 1..leaf.graph_off + 9].copy_from_slice(&degree.to_le_bytes());
-                dirs.recrc_piece(body, 0, 4);
-                let (leaf_crc, block_crc) = (dirs.leaf_entry(1) - 4, dirs.block_entry(1) - 4);
-                body.copy_within(leaf_crc..leaf_crc + 4, block_crc);
-            });
-            let err = IndexSnapshot::from_bytes(sealed.clone()).unwrap_err();
-            assert!(matches!(err, MbiError::Corrupt { .. }), "snapshot, degree {degree}: {err}");
-            // The cold reader opens on directories alone and meets the graph
-            // on the first query that touches leaf 0.
-            let cold = cold_from(&sealed).unwrap();
-            let err = cold.query(&[0.0, 0.0, 0.0], 3, TimeWindow::new(0, 10)).unwrap_err();
-            assert!(matches!(err, MbiError::Corrupt { .. }), "cold, degree {degree}: {err}");
+            // Snapshot kind: leaf 0's graph (block 0) and a height-1 graph
+            // (block 2), every CRC over them re-sealed so only the graph
+            // decoder is left to object.
+            for bi in [0, 2] {
+                let what = format!("block {bi}, degree {degree}");
+                let sealed = dirs.reseal_graph(&snap_stream, bi, |g| {
+                    g[1..9].copy_from_slice(&degree.to_le_bytes());
+                });
+                let err = IndexSnapshot::from_bytes(sealed.clone()).unwrap_err();
+                assert!(matches!(err, MbiError::Corrupt { .. }), "snapshot, {what}: {err}");
+                // The cold reader opens on directories alone and meets a
+                // graph on the first query that reads it: a height-1 graph
+                // whenever its block is selected, a leaf's only when the leaf
+                // is graph-searched, which never pays at 16 rows.
+                let m = &dirs.lay.blocks[bi];
+                let cold = cold_from(&sealed).unwrap();
+                let got = cold.query(&[0.0, 0.0, 0.0], 3, TimeWindow::new(m.start_ts, m.end_ts));
+                if m.height > 0 {
+                    assert!(matches!(got, Err(MbiError::Corrupt { .. })), "cold, {what}: {got:?}");
+                } else {
+                    assert!(got.is_ok(), "cold, {what}: {got:?}");
+                }
+            }
         }
     }
 
@@ -1931,35 +1983,43 @@ mod tests {
     #[test]
     fn hostile_hnsw_max_level_is_corrupt_not_a_hang() {
         let idx = build_index(GraphBackend::Hnsw(HnswParams::default()), 64);
-        let BlockGraph::Hnsw(h) = &idx.blocks()[0].graph else { panic!("an HNSW block") };
-        let (_, _, entry, max_level, links) = h.to_parts();
-        let entry_layers = links[entry as usize].len() as u64;
-        // Tag, parameters, metric tag and entry precede `max_level`.
-        let field = 1 + 24 + 1 + 4;
         let index_stream = idx.to_bytes();
-        let index_at = index_graph_offsets(&idx, &index_stream)[0] + field;
-        assert_eq!(rd_u64(&index_stream, index_at), max_level as u64);
         let snap_stream = snapshot_of(&idx).to_bytes();
         let dirs = Dirs::of(&snap_stream);
-        for hostile in [entry_layers, 1 << 40] {
-            let sealed = refooter(&index_stream, |body| {
-                body[index_at..index_at + 8].copy_from_slice(&hostile.to_le_bytes());
-            });
-            let err = MbiIndex::from_bytes(sealed).unwrap_err();
-            assert!(matches!(err, MbiError::Corrupt { .. }), "index, max_level {hostile}: {err}");
+        // Tag, parameters, metric tag and entry precede `max_level`.
+        let field = 1 + 24 + 1 + 4;
+        // A leaf graph (block 0) and a height-1 graph (block 2).
+        for bi in [0, 2] {
+            let BlockGraph::Hnsw(h) = &idx.blocks()[bi].graph else { panic!("an HNSW block") };
+            let (_, _, entry, max_level, links) = h.to_parts();
+            let entry_layers = links[entry as usize].len() as u64;
+            let index_at = index_graph_offsets(&idx, &index_stream)[bi] + field;
+            assert_eq!(rd_u64(&index_stream, index_at), max_level as u64);
+            for hostile in [entry_layers, 1 << 40] {
+                let what = format!("block {bi}, max_level {hostile}");
+                let sealed = refooter(&index_stream, |body| {
+                    body[index_at..index_at + 8].copy_from_slice(&hostile.to_le_bytes());
+                });
+                let err = MbiIndex::from_bytes(sealed).unwrap_err();
+                assert!(matches!(err, MbiError::Corrupt { .. }), "index, {what}: {err}");
 
-            let sealed = dirs.reseal_graph(&snap_stream, 0, |g| {
-                g[field..field + 8].copy_from_slice(&hostile.to_le_bytes());
-            });
-            let err = IndexSnapshot::from_bytes(sealed.clone()).unwrap_err();
-            assert!(
-                matches!(err, MbiError::Corrupt { .. }),
-                "snapshot, max_level {hostile}: {err}"
-            );
-            let map = Arc::new(FileMap::from_bytes(sealed.to_vec()));
-            let cold = ColdIndex::from_map_with_budget(map, 0).unwrap();
-            let err = cold.query(&[0.0, 0.0, 0.0], 3, TimeWindow::new(0, 10)).unwrap_err();
-            assert!(matches!(err, MbiError::Corrupt { .. }), "cold, max_level {hostile}: {err}");
+                let sealed = dirs.reseal_graph(&snap_stream, bi, |g| {
+                    g[field..field + 8].copy_from_slice(&hostile.to_le_bytes());
+                });
+                let err = IndexSnapshot::from_bytes(sealed.clone()).unwrap_err();
+                assert!(matches!(err, MbiError::Corrupt { .. }), "snapshot, {what}: {err}");
+                // As in the test above: the cold tier reads the height-1
+                // graph, and never the leaf graph of a leaf it scans.
+                let m = &dirs.lay.blocks[bi];
+                let map = Arc::new(FileMap::from_bytes(sealed.to_vec()));
+                let cold = ColdIndex::from_map_with_budget(map, 0).unwrap();
+                let got = cold.query(&[0.0, 0.0, 0.0], 3, TimeWindow::new(m.start_ts, m.end_ts));
+                if m.height > 0 {
+                    assert!(matches!(got, Err(MbiError::Corrupt { .. })), "cold, {what}: {got:?}");
+                } else {
+                    assert!(got.is_ok(), "cold, {what}: {got:?}");
+                }
+            }
         }
     }
 
@@ -1970,13 +2030,15 @@ mod tests {
     /// loader, the snapshot loader and the cold tier at budgets 0 and
     /// unlimited must open the stream or report `Corrupt` at the byte after
     /// the bad edge, as recorded on the reader that decoded one edge at a
-    /// time.
+    /// time — except that the cold tier never reads the leaf graph: it
+    /// decodes a leaf's graph only when it graph-searches the leaf, and at 16
+    /// rows a scan always pays.
     #[test]
     fn graph_edge_verdict_table() {
         // Per graph, per slot: where a bad edge is reported in the index
         // stream and in the snapshot stream.
         const BAD_EDGE_AT: [[(usize, usize); 3]; 2] = [
-            [(1476, 4437), (2308, 5269), (3072, 6033)],
+            [(1476, 4501), (2308, 5333), (3072, 6097)],
             [(4782, 20905), (6382, 22505), (7978, 24101)],
         ];
         let idx = build_index(GraphBackend::default(), 64);
@@ -2010,7 +2072,8 @@ mod tests {
                         let cold = ColdIndex::from_map_with_budget(map, budget)
                             .and_then(|cold| cold.query(&q, 5, window));
                         let cold = corrupt_at(cold, &what, &detail);
-                        assert_eq!(cold, snapshot, "{what}: cold at budget {budget}");
+                        let read = if m.height > 0 { snapshot } else { None };
+                        assert_eq!(cold, read, "{what}: cold at budget {budget}");
                     }
                     let (index_at, snapshot_at) = BAD_EDGE_AT[g][s];
                     let expected = if x < n || x == u32::MAX {
@@ -2143,7 +2206,7 @@ mod tests {
     /// unlimited) must both refuse the stream, or both open it and answer
     /// every window alike; neither may panic.
     #[test]
-    fn v7_verdict_table() {
+    fn v8_verdict_table() {
         let clean = snapshot_of(&build_index(GraphBackend::default(), 64)).to_bytes();
         let dirs = Dirs::of(&clean);
         let lay = &dirs.lay;
@@ -2262,6 +2325,58 @@ mod tests {
         assert_eq!(opened.len(), 2 + lay.num_leaves * 2 * 2, "{opened:?}");
     }
 
+    /// One verdict per row check: a flipped byte of a row and a flipped
+    /// byte of its stored CRC, at the first, a middle and the last row of
+    /// leaves 0 and 3, every section and directory CRC re-sealed so only the
+    /// row check can object. The eager loader refuses the stream; the cold
+    /// tier (budgets 0 and unlimited) opens it, answers every exact query
+    /// that skips the row as the clean stream does, and fails the first
+    /// query that reads it, approximate or exact.
+    #[test]
+    fn row_crc_verdict_table() {
+        let clean = snapshot_of(&build_index(GraphBackend::default(), 64)).to_bytes();
+        let dirs = Dirs::of(&clean);
+        let lay = &dirs.lay;
+        let (s_l, row_len) = (lay.seg_rows, lay.config.dim * 4);
+        let q = [20.0f32, 0.5, -20.0];
+        let leaf_rows = |r: Option<MbiError>| {
+            matches!(r, Some(MbiError::ChecksumMismatch { section: "leaf rows", .. }))
+        };
+        for leaf in [0, 3] {
+            let rows_off = lay.leaves[leaf].record_off + lay.ts_len();
+            for row in [0, s_l / 2, s_l - 1] {
+                let crc_at = rows_off + lay.rows_len() + 4 * row;
+                for (what, at) in [("row", rows_off + row * row_len + 5), ("row crc", crc_at + 2)] {
+                    let what = format!("leaf {leaf}, {what} {row}");
+                    let sealed = dirs.reseal(&clean, |body| {
+                        body[at] ^= 0x10;
+                        dirs.recrc_piece(body, leaf, 1);
+                    });
+                    assert!(
+                        leaf_rows(IndexSnapshot::from_bytes(sealed.clone()).err()),
+                        "eager, {what}"
+                    );
+                    let t = (leaf * s_l + row) as i64;
+                    for budget in [0, u64::MAX] {
+                        let open = |s: &[u8]| {
+                            let map = Arc::new(FileMap::from_bytes(s.to_vec()));
+                            ColdIndex::from_map_with_budget(map, budget).unwrap()
+                        };
+                        let (cold, reference) = (open(&sealed), open(&clean));
+                        for w in [TimeWindow::new(i64::MIN, t), TimeWindow::new(t + 1, i64::MAX)] {
+                            let want = reference.exact_query(&q, 5, w).unwrap();
+                            assert_eq!(cold.exact_query(&q, 5, w).unwrap(), want, "{what}, {w:?}");
+                        }
+                        let w = TimeWindow::new(t, t + 1);
+                        assert!(leaf_rows(cold.query(&q, 5, w).err()), "{what}, budget {budget}");
+                        let exact = cold.exact_query(&q, 5, w).err();
+                        assert!(leaf_rows(exact), "{what}, budget {budget}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn error_injecting_writer_surfaces_io_error() {
         let idx = build_index(GraphBackend::default(), 40);
@@ -2310,10 +2425,10 @@ mod tests {
     }
 
     #[test]
-    fn v7_layout_is_page_aligned_with_colocated_graphs() {
+    fn v8_layout_is_page_aligned_with_colocated_graphs() {
         let snap = snapshot_of(&build_sq8_index(64, true));
         let bytes = snap.to_bytes();
-        let layout = parse_v7_layout(&bytes).unwrap();
+        let layout = parse_v8_layout(&bytes).unwrap();
         assert_eq!(layout.num_leaves, 4);
         assert!(layout.has_sq8);
         assert_eq!(layout.blocks.len(), snap.blocks().len());
@@ -2329,10 +2444,18 @@ mod tests {
                     leaf.record_off + layout.payload_len(),
                     "leaf graphs are co-located with their records"
                 );
-                // Per-piece CRCs authenticate each column independently.
+                // Per-piece CRCs authenticate each column independently; the
+                // rows are authenticated one by one by the row CRC column.
                 let ts = leaf.record_off..leaf.record_off + layout.ts_len();
                 assert_eq!(crc32(&bytes[ts.clone()]), leaf.crc_ts);
-                assert_eq!(crc32(&bytes[ts.end..ts.end + layout.rows_len()]), leaf.crc_rows);
+                let crcs =
+                    ts.end + layout.rows_len()..ts.end + layout.rows_len() + layout.row_crc_len();
+                assert_eq!(crc32(&bytes[crcs.clone()]), leaf.crc_rows);
+                let row_bytes = layout.config.dim * 4;
+                for (r, crc) in bytes[crcs].chunks_exact(4).enumerate() {
+                    let row = ts.end + r * row_bytes;
+                    assert_eq!(crc32(&bytes[row..row + row_bytes]).to_le_bytes(), crc, "row {r}");
+                }
                 assert_eq!(
                     crc32(&bytes[meta.graph_off..meta.graph_off + meta.graph_len]),
                     leaf.crc_graph
@@ -2344,7 +2467,7 @@ mod tests {
     }
 
     #[test]
-    fn v7_tier_knobs_roundtrip() {
+    fn v8_tier_knobs_roundtrip() {
         let config = MbiConfig::new(3, Metric::Euclidean)
             .with_leaf_size(16)
             .with_ram_budget_bytes(123)
@@ -2376,7 +2499,7 @@ mod tests {
         let flag_at = parse_footer(&stream).unwrap()[1].1 - (8 + 4) - 4 - 1;
         assert_eq!(stream[flag_at], 0);
         let sealed = refooter(&stream, |body| body[flag_at] = 1);
-        assert!(!parse_v7_layout(&sealed).unwrap().has_sq8);
+        assert!(!parse_v8_layout(&sealed).unwrap().has_sq8);
 
         let native = snapshot_of(&build_sq8_index(64, true));
         let loaded = IndexSnapshot::from_bytes(sealed.clone()).unwrap();

@@ -61,6 +61,26 @@ impl Deadline {
 /// costs more than the per-block searches it would parallelise.
 const MIN_PARALLEL_ROWS: usize = 8 * 1024;
 
+/// Whether the executor answers a selected block of `len` rows, `m > 0` of
+/// them in the window, by graph search rather than by an exact scan of the
+/// `m` rows. Cost model: the filtered graph search must visit ≈ k/ρ
+/// vertices to collect k in-window results (ρ = m/|B| is the in-window
+/// density) at ≈ degree distance evaluations per visit, i.e. ≈ k·degree·|B|/m
+/// evals, while a BSBF scan of the block's in-window rows costs exactly m.
+/// Dispatching on the cheaper side is what makes MBI "operate like BSBF when
+/// the query time window is short" (challenge C1, §4) even below leaf
+/// granularity. The cold tier asks this before a query to read a block's
+/// graph only when it is searched.
+pub(crate) fn graph_search_pays(config: &MbiConfig, k: usize, len: usize, m: usize) -> bool {
+    let degree = config.search_degree_estimate();
+    // The beam typically visits ~2k vertices before the ε bound stops it,
+    // hence the factor 2 on the k/ρ visit estimate.
+    let graph_cost =
+        (k as u64).saturating_mul(2).saturating_mul(degree as u64).saturating_mul(len as u64)
+            / m as u64;
+    m as u64 >= graph_cost
+}
+
 /// Row storage a query can execute against: the flat [`VectorStore`] owned
 /// by [`MbiIndex`](crate::MbiIndex) or the segment-shared [`SegmentStore`]
 /// of a published snapshot. All the executor needs is a row-range view;
@@ -222,7 +242,7 @@ where
                         break;
                     }
                     self.search_one_block(
-                        block, &pq, k, wlo, whi, window, params, top, stats, scratch, buf,
+                        block, &pq, k, wlo, whi, params, top, stats, scratch, buf,
                     );
                 }
             })
@@ -294,13 +314,7 @@ where
     ///
     /// The block is answered by an SF-style filtered graph search (Algorithm
     /// 4 line 8) — unless the window covers so few of the block's rows that
-    /// an exact scan is cheaper. Cost model: the filtered graph search must
-    /// visit ≈ k/ρ vertices to collect k in-window results (ρ = m/|B| is the
-    /// in-window density) at ≈ degree distance evaluations per visit, i.e.
-    /// ≈ k·degree·|B|/m evals, while a BSBF scan of the block's in-window
-    /// rows costs exactly m. Dispatching on the cheaper side is what makes
-    /// MBI "operate like BSBF when the query time window is short"
-    /// (challenge C1, §4) even below leaf granularity.
+    /// an exact scan is cheaper ([`graph_search_pays`]).
     ///
     /// `stats.blocks_searched` counts only blocks whose in-window row range
     /// is non-empty — a block selected on timestamp overlap can still hold
@@ -313,7 +327,6 @@ where
         k: usize,
         wlo: usize,
         whi: usize,
-        window: TimeWindow,
         params: &SearchParams,
         merged: &mut TopK,
         stats: &mut SearchStats,
@@ -328,15 +341,7 @@ where
             return;
         }
         stats.blocks_searched += 1;
-        let degree = self.config.search_degree_estimate();
-        // The beam typically visits ~2k vertices before the ε bound
-        // stops it, hence the factor 2 on the k/ρ visit estimate.
-        let graph_cost = (k as u64)
-            .saturating_mul(2)
-            .saturating_mul(degree as u64)
-            .saturating_mul(block.len() as u64)
-            / m as u64;
-        if (m as u64) < graph_cost {
+        if !graph_search_pays(self.config, k, block.len(), m) {
             // Scan of the in-window rows of this block: quantized first
             // pass + exact rerank when SQ8 is on (exact inside the sq8 entry
             // point when the rows carry no code column, e.g. the flat
@@ -354,9 +359,10 @@ where
             return;
         }
         let view = self.store.slice(block.rows.clone());
-        let fully_covered = window.start <= block.start_ts && block.end_ts <= window.end;
-        let ts = self.times;
-        let mut filter = |lid: u32| fully_covered || window.contains(ts.get((base + lid) as usize));
+        // Timestamps are non-decreasing, so the block's in-window rows are
+        // exactly `lo..hi`.
+        let in_window = (lo - block.rows.start) as u32..(hi - block.rows.start) as u32;
+        let mut filter = |lid: u32| in_window.contains(&lid);
         if self.config.sq8_scan {
             block.graph.search_sq8_prepared(
                 view,

@@ -1,8 +1,8 @@
-//! Disk-tiered cold blocks: an mmap-backed read path over a v7 snapshot
+//! Disk-tiered cold blocks: an mmap-backed read path over a v8 snapshot
 //! file, a sharded size-budgeted LRU block cache, and selection-driven
 //! prefetch.
 //!
-//! A [`ColdIndex`] opens a v7 snapshot *without* decoding its payload: only
+//! A [`ColdIndex`] opens a v8 snapshot *without* decoding its payload: only
 //! the header, config, directories, and the timestamp column (8 bytes/row —
 //! the selection and windowing floor) are touched at open. It reads the
 //! file through the persist module's one snapshot reader, the same one the
@@ -10,6 +10,14 @@
 //! the same streams. Leaf records and internal-block graphs are decoded on
 //! demand and cached as zero-copy [`Col`]-backed segments under the RAM
 //! budget of [`MbiConfig::ram_budget_bytes`].
+//!
+//! A miss pays only for what the query reads. Loading a leaf checks its
+//! 4-byte-per-row CRC column (and its norm and SQ8 columns), not its rows:
+//! each row is checked against its CRC the first time any query reads it,
+//! and a query that read a row failing its check returns
+//! [`MbiError::ChecksumMismatch`] instead of an answer. A leaf's own graph
+//! is decoded and checked only when a query graph-searches that leaf, not
+//! when its rows serve a parent block or a scan.
 //!
 //! Because MBI's block selection names every block a query will touch
 //! *before* any distance math runs, the selection doubles as a prefetch
@@ -33,24 +41,24 @@ use std::ops::Range;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{mpsc, Arc, Mutex, Weak};
+use std::sync::{mpsc, Arc, Mutex, OnceLock, Weak};
 use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
-use mbi_ann::{Advice, Col, FileMap, SearchParams, SearchStats, Segment, SegmentStore};
+use mbi_ann::{Advice, Col, FileMap, KnnGraph, SearchParams, SearchStats, Segment, SegmentStore};
 
-use crate::block::Block;
+use crate::block::{Block, BlockGraph};
 use crate::config::MbiConfig;
 use crate::error::MbiError;
 use crate::index::{QueryOutput, TknnResult};
 use crate::layout;
-use crate::persist::{open_v7, Columns, V7Layout};
-use crate::query_exec::QueryTarget;
+use crate::persist::{open_v8, Columns, V8BlockEntry, V8Layout};
+use crate::query_exec::{graph_search_pays, QueryTarget};
 use crate::select::{select_blocks, SearchBlockSet, TimeWindow};
 use crate::times::TimeChunks;
 
 /// One cacheable unit of the file: a leaf record (rows + side columns + its
-/// co-located graph, decoded together) or an internal block's graph.
+/// co-located graph) or an internal block's graph.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 enum PieceKey {
     /// Leaf ordinal in time order (the i-th height-0 block in postorder).
@@ -62,7 +70,9 @@ enum PieceKey {
 /// A decoded, cache-resident piece. Cloning is two `Arc` bumps.
 #[derive(Clone)]
 enum Piece {
-    Leaf(Arc<Segment>, Arc<Block>),
+    /// A leaf's rows, and its block once a query graph-searched the leaf
+    /// ([`ColdCore::leaf_block`]).
+    Leaf(Arc<Segment>, Arc<OnceLock<Arc<Block>>>),
     Graph(Arc<Block>),
 }
 
@@ -71,8 +81,20 @@ impl Piece {
     /// the piece pinned, so it may be evicted.
     fn evictable(&self) -> bool {
         match self {
-            Piece::Leaf(seg, block) => Arc::strong_count(seg) == 1 && Arc::strong_count(block) == 1,
+            Piece::Leaf(seg, block) => {
+                Arc::strong_count(seg) == 1
+                    && Arc::strong_count(block) == 1
+                    && block.get().is_none_or(|b| Arc::strong_count(b) == 1)
+            }
             Piece::Graph(block) => Arc::strong_count(block) == 1,
+        }
+    }
+
+    /// Row checks of the piece's rows that have failed so far.
+    fn row_failures(&self) -> u64 {
+        match self {
+            Piece::Leaf(seg, _) => seg.row_failures(),
+            Piece::Graph(_) => 0,
         }
     }
 }
@@ -199,6 +221,18 @@ impl BlockCache {
         Ok(piece)
     }
 
+    /// Adds `bytes` to the charge of the resident piece `key` — a leaf
+    /// block decoded after its leaf was loaded. The caller holds the piece
+    /// pinned, so it is still resident; the next [`Self::maintain`] evicts
+    /// back under budget.
+    fn charge(&self, key: PieceKey, bytes: u64) {
+        let mut shard = self.lock_shard(self.shard_of(key));
+        if let Some(entry) = shard.map.get_mut(&key) {
+            entry.bytes += bytes;
+            shard.bytes += bytes;
+        }
+    }
+
     /// Evicts least-recently-used unpinned, unreferenced pieces until the
     /// shard fits its budget (oldest leaf first among equal generations).
     /// Pieces still pinned by an in-flight query are skipped; they become
@@ -240,7 +274,7 @@ impl BlockCache {
 /// prefetch thread.
 struct ColdCore {
     map: Arc<FileMap>,
-    layout: V7Layout,
+    layout: V8Layout,
     times: TimeChunks,
     cache: BlockCache,
     /// Leaves with ordinal `>= hot_floor` are pinned resident (the newest
@@ -253,27 +287,56 @@ struct ColdCore {
     /// Defaults to `available_parallelism() > 1`: on a single-core host the
     /// helper cannot overlap anything and only adds contention.
     helper_decode: AtomicBool,
+    /// Bytes checksummed since open: piece columns and graphs at load, rows
+    /// as queries read them.
+    checked_bytes: Arc<AtomicU64>,
 }
 
 impl ColdCore {
-    /// Decodes leaf `leaf` over the mapped bytes: a zero-copy segment plus
-    /// its height-0 block, charged for the record's page-rounded file span
-    /// (the unit of residency accounting and `madvise`) and its heap.
+    /// Decodes leaf `leaf`'s columns over the mapped bytes into a zero-copy
+    /// segment whose rows are checked as they are read, charged for the
+    /// record's page-rounded file span (the unit of residency accounting and
+    /// `madvise`) and its heap. The leaf's block waits for
+    /// [`Self::leaf_block`].
     fn load_leaf(&self, leaf: usize) -> Result<LoadedPiece, MbiError> {
         let lay = &self.layout;
-        let seg = lay.decode_segment(&Columns::Mapped(&self.map), leaf)?;
-        let block = Arc::new(lay.decode_block(self.map.bytes(), layout::leaf_block(leaf))?);
+        let cols = Columns::Mapped { map: &self.map, checked_bytes: &self.checked_bytes };
+        let seg = lay.decode_segment(&cols, leaf)?;
+        let checked = lay.row_crc_len() + lay.inv_len() + lay.sq8_len();
+        self.checked_bytes.fetch_add(checked as u64, Relaxed);
         let span = lay.leaf_span(leaf);
-        let bytes = (span.end - span.start) as u64
-            + seg.memory_bytes() as u64
-            + block.memory_bytes() as u64;
-        Ok(LoadedPiece { piece: Piece::Leaf(Arc::new(seg), block), bytes, advise: Some(span) })
+        let bytes = (span.end - span.start) as u64 + seg.memory_bytes() as u64;
+        let piece = Piece::Leaf(Arc::new(seg), Arc::default());
+        Ok(LoadedPiece { piece, bytes, advise: Some(span) })
+    }
+
+    /// Block `bi` with its graph, decoded and checked.
+    fn decode_block(&self, bi: usize) -> Result<Arc<Block>, MbiError> {
+        let block = self.layout.decode_block(self.map.bytes(), bi)?;
+        self.checked_bytes.fetch_add(self.layout.blocks[bi].graph_len as u64, Relaxed);
+        Ok(Arc::new(block))
+    }
+
+    /// Leaf `leaf`'s block, decoding its co-located graph the first time a
+    /// query graph-searches the leaf; `cell` is the leaf piece's slot for
+    /// it. The graph's heap is charged to the leaf piece when it decodes.
+    fn leaf_block(&self, leaf: usize, cell: &OnceLock<Arc<Block>>) -> Result<Arc<Block>, MbiError> {
+        if let Some(block) = cell.get() {
+            return Ok(Arc::clone(block));
+        }
+        let block = self.decode_block(layout::leaf_block(leaf))?;
+        if cell.set(Arc::clone(&block)).is_ok() {
+            self.cache.charge(PieceKey::Leaf(leaf), block.memory_bytes() as u64);
+            return Ok(block);
+        }
+        // A concurrent query decoded it first; keep one copy.
+        Ok(Arc::clone(cell.get().expect("set by the query that won the race")))
     }
 
     /// Decodes the graph of internal block `bi` into an owned [`Block`].
     fn load_graph(&self, bi: usize) -> Result<LoadedPiece, MbiError> {
         let meta = &self.layout.blocks[bi];
-        let block = Arc::new(self.layout.decode_block(self.map.bytes(), bi)?);
+        let block = self.decode_block(bi)?;
         let bytes = block.memory_bytes() as u64;
         let advise = Some(meta.graph_off..meta.graph_off + meta.graph_len);
         Ok(LoadedPiece { piece: Piece::Graph(block), bytes, advise })
@@ -321,24 +384,47 @@ impl ColdCore {
     /// Expands a resolved selection into the pieces it touches: one leaf
     /// piece per covered leaf, plus the graph of every internal block. Also
     /// returns, per selected block, the index of the key whose piece holds
-    /// that block (its leaf piece, or its graph).
-    fn cover_pieces(&self, selected: &[usize]) -> (Vec<PieceKey>, Vec<usize>) {
+    /// that block's graph (its graph, or its leaf piece), or `None` for a
+    /// leaf that `searched` says the executor scans.
+    fn cover_pieces(
+        &self,
+        selected: &[usize],
+        searched: impl Fn(&V8BlockEntry) -> bool,
+    ) -> (Vec<PieceKey>, Vec<Option<usize>>) {
         let s_l = self.layout.seg_rows;
         let mut keys = Vec::new();
-        let mut own = Vec::with_capacity(selected.len());
+        let mut graphs = Vec::with_capacity(selected.len());
         for &bi in selected {
             let meta = &self.layout.blocks[bi];
-            if meta.height == 0 {
-                keys.push(PieceKey::Leaf(meta.rows.start / s_l));
-            } else {
-                keys.extend(
-                    (meta.rows.start / s_l..meta.rows.end.div_ceil(s_l)).map(PieceKey::Leaf),
-                );
+            keys.extend((meta.rows.start / s_l..meta.rows.end.div_ceil(s_l)).map(PieceKey::Leaf));
+            if meta.height > 0 {
                 keys.push(PieceKey::Graph(bi));
             }
-            own.push(keys.len() - 1);
+            graphs.push((meta.height > 0 || searched(meta)).then_some(keys.len() - 1));
         }
-        (keys, own)
+        (keys, graphs)
+    }
+
+    /// Selected block `bi` as the executor receives it: with its graph when
+    /// `graph` names the piece holding it, and graph-less for a scanned leaf
+    /// (the executor then reads only its rows and metadata).
+    fn selected_block(
+        &self,
+        bi: usize,
+        graph: Option<(PieceKey, &Piece)>,
+    ) -> Result<Arc<Block>, MbiError> {
+        match graph {
+            Some((PieceKey::Leaf(leaf), Piece::Leaf(_, cell))) => self.leaf_block(leaf, cell),
+            Some((PieceKey::Graph(_), Piece::Graph(block))) => Ok(Arc::clone(block)),
+            Some(_) => unreachable!("cache returned a piece of the wrong kind"),
+            None => {
+                let m = &self.layout.blocks[bi];
+                let graph = BlockGraph::Knn(KnnGraph::from_flat(0, Vec::new()));
+                let (rows, height, start_ts, end_ts) =
+                    (m.rows.clone(), m.height, m.start_ts, m.end_ts);
+                Ok(Arc::new(Block { rows, height, start_ts, end_ts, graph }))
+            }
+        }
     }
 
     /// Fetches every piece of a cover, pinned. When prefetch is enabled and
@@ -370,23 +456,18 @@ impl ColdCore {
     }
 
     /// Loads and pins every piece of a cover: the executor's store
-    /// (placeholder segments outside the cover) and each piece's block, in
-    /// key order.
-    fn pin(&self, keys: &[PieceKey]) -> Result<(SegmentStore, Vec<Arc<Block>>), MbiError> {
+    /// (placeholder segments outside the cover) and the pieces, in key
+    /// order.
+    fn pin(&self, keys: &[PieceKey]) -> Result<(SegmentStore, Vec<Piece>), MbiError> {
         let lay = &self.layout;
         let mut segs = vec![self.empty_seg.clone(); lay.num_leaves];
-        let mut blocks = Vec::with_capacity(keys.len());
-        for (&key, piece) in keys.iter().zip(self.fetch_pieces(keys)?) {
-            blocks.push(match (key, piece) {
-                (PieceKey::Leaf(leaf), Piece::Leaf(seg, block)) => {
-                    segs[leaf] = seg;
-                    block
-                }
-                (PieceKey::Graph(_), Piece::Graph(block)) => block,
-                _ => unreachable!("cache returned a piece of the wrong kind"),
-            });
+        let pieces = self.fetch_pieces(keys)?;
+        for (&key, piece) in keys.iter().zip(&pieces) {
+            if let (PieceKey::Leaf(leaf), Piece::Leaf(seg, _)) = (key, piece) {
+                segs[leaf] = Arc::clone(seg);
+            }
         }
-        Ok((SegmentStore::from_pinned(lay.config.dim, lay.seg_rows, segs), blocks))
+        Ok((SegmentStore::from_pinned(lay.config.dim, lay.seg_rows, segs), pieces))
     }
 }
 
@@ -418,6 +499,10 @@ pub struct TierStats {
     /// Pieces decoded by the prefetch helper thread (the back half of each
     /// cold cover) rather than the query thread itself.
     pub prefetches: u64,
+    /// Bytes checksummed by queries: each loaded leaf's row CRC, norm and
+    /// SQ8 columns, each decoded graph, and each row the first time a query
+    /// reads it after its leaf was loaded.
+    pub bytes_verified: u64,
     /// Bytes currently charged against the RAM budget.
     pub bytes_resident: u64,
     /// Newest leaves pinned resident (never evicted).
@@ -426,7 +511,7 @@ pub struct TierStats {
     pub budget_bytes: u64,
 }
 
-/// A read-only MBI snapshot served from a v7 file through an LRU block
+/// A read-only MBI snapshot served from a v8 file through an LRU block
 /// cache — the cold tier.
 ///
 /// Queries return the exact same results as the in-RAM snapshot the file
@@ -458,7 +543,7 @@ impl std::fmt::Debug for ColdIndex {
 }
 
 impl ColdIndex {
-    /// Opens and maps a v7 snapshot file.
+    /// Opens and maps a v8 snapshot file.
     ///
     /// Only the directories and the timestamp column are read eagerly; the
     /// environment variable `MBI_RAM_BUDGET` (bytes) overrides the persisted
@@ -496,7 +581,7 @@ impl ColdIndex {
         // and window partitioning touch it on every query, and at 8 bytes/row
         // it is ~d/2 times smaller than the vectors, so queries never fault
         // timestamp pages.
-        let (mut layout, times) = open_v7(map.bytes())?;
+        let (mut layout, times) = open_v8(map.bytes())?;
         if let Some(b) = budget_override {
             layout.config.ram_budget_bytes = b;
         } else if let Ok(v) = std::env::var("MBI_RAM_BUDGET") {
@@ -532,6 +617,7 @@ impl ColdIndex {
             helper_decode: AtomicBool::new(
                 thread::available_parallelism().is_ok_and(|n| n.get() > 1),
             ),
+            checked_bytes: Arc::default(),
         });
 
         let (tx, rx) = mpsc::channel::<Vec<PieceKey>>();
@@ -578,6 +664,7 @@ impl ColdIndex {
             misses: c.misses.load(Relaxed),
             evictions: c.evictions.load(Relaxed),
             prefetches: c.prefetches.load(Relaxed),
+            bytes_verified: self.core.checked_bytes.load(Relaxed),
             bytes_resident: c.bytes_resident(),
             pinned_leaves: self.core.layout.num_leaves - self.core.hot_floor,
             budget_bytes: self.core.layout.config.ram_budget_bytes,
@@ -598,7 +685,8 @@ impl ColdIndex {
     /// TkNN with explicit search parameters, plus search statistics.
     ///
     /// Fails only on I/O-level corruption (a piece whose CRC no longer
-    /// matches the directory); results are bit-identical to the in-RAM
+    /// matches the directory, or a row the query read whose CRC no longer
+    /// matches its stored one); results are bit-identical to the in-RAM
     /// snapshot path.
     pub fn query_with_params(
         &self,
@@ -647,11 +735,20 @@ impl ColdIndex {
                 timed_out: true,
             });
         }
-        let (keys, own) = self.core.cover_pieces(&selection.blocks);
-        self.with_pinned(&keys, |target, pinned| {
-            let blocks: Vec<&Block> = own.iter().map(|&i| &*pinned[i]).collect();
+        let core = &*self.core;
+        let (wlo, whi) =
+            (core.times.partition_below(window.start), core.times.partition_below(window.end));
+        let (keys, graphs) = core.cover_pieces(&selection.blocks, |m| {
+            let in_window = whi.min(m.rows.end).saturating_sub(wlo.max(m.rows.start));
+            in_window > 0 && graph_search_pays(&lay.config, k, m.rows.len(), in_window)
+        });
+        self.with_pinned(&keys, |target, pieces| {
+            let blocks = (selection.blocks.iter().zip(&graphs))
+                .map(|(&bi, g)| core.selected_block(bi, g.map(|i| (keys[i], &pieces[i]))))
+                .collect::<Result<Vec<_>, _>>()?;
+            let blocks: Vec<&Block> = blocks.iter().map(|b| &**b).collect();
             let threads = lay.config.query_threads;
-            target.search(query, k, window, params, &selection, &blocks, threads, deadline)
+            Ok(target.search(query, k, window, params, &selection, &blocks, threads, deadline))
         })
     }
 
@@ -671,16 +768,20 @@ impl ColdIndex {
         } else {
             Vec::new()
         };
-        self.with_pinned(&keys, |target, _| target.exact_query(query, k, window))
+        self.with_pinned(&keys, |target, _| Ok(target.exact_query(query, k, window)))
     }
 
     /// Prefetches and pins the pieces `keys` names, runs `f` on a
-    /// [`QueryTarget`] over them and the pieces' blocks (in key order),
-    /// unpins, and lets the cache evict back under budget.
+    /// [`QueryTarget`] over them and the pieces (in key order), unpins, and
+    /// lets the cache evict back under budget. If `f` read a row that failed
+    /// its check, its answer is dropped for
+    /// [`ChecksumMismatch`](MbiError::ChecksumMismatch): the failure counters
+    /// are per segment, so a concurrent query's failed read on a shared leaf
+    /// can fail this query too, but an answer never leaves on bad bytes.
     fn with_pinned<R>(
         &self,
         keys: &[PieceKey],
-        f: impl FnOnce(&QueryTarget<'_, SegmentStore, TimeChunks>, &[Arc<Block>]) -> R,
+        f: impl FnOnce(&QueryTarget<'_, SegmentStore, TimeChunks>, &[Piece]) -> Result<R, MbiError>,
     ) -> Result<R, MbiError> {
         let core = &*self.core;
         if let Some(tx) = &self.prefetch_tx {
@@ -689,17 +790,25 @@ impl ColdIndex {
             }
         }
         let out = {
-            let (store, blocks) = core.pin(keys)?;
+            let (store, pieces) = core.pin(keys)?;
             let target = QueryTarget {
                 config: &core.layout.config,
                 store: &store,
                 times: &core.times,
                 num_leaves: core.layout.num_leaves,
             };
-            f(&target, &blocks)
+            let failures: Vec<u64> = pieces.iter().map(Piece::row_failures).collect();
+            let out = f(&target, &pieces);
+            let failed = pieces.iter().zip(failures).find(|(p, n)| p.row_failures() > *n);
+            match failed {
+                Some((Piece::Leaf(seg, _), _)) => {
+                    Err(seg.first_row_mismatch().expect("a failed check records its row").into())
+                }
+                _ => out,
+            }
         };
         core.cache.maintain();
-        Ok(out)
+        out
     }
 }
 
@@ -730,7 +839,7 @@ mod tests {
     use super::*;
     use crate::engine::IndexSnapshot;
     use crate::index::MbiIndex;
-    use crate::persist::{parse_v7_layout, PAGE};
+    use crate::persist::{parse_v8_layout, PAGE};
     use mbi_math::Metric;
 
     fn build_snapshot(metric: Metric, n: usize, budget: u64, sq8: bool) -> IndexSnapshot {
@@ -1000,7 +1109,7 @@ mod tests {
     fn corrupt_leaf_rows_surface_checksum_error() {
         let snap = build_snapshot(Metric::Euclidean, 64, u64::MAX, false);
         let mut bytes = snap.to_bytes().to_vec();
-        let layout = parse_v7_layout(&bytes).unwrap();
+        let layout = parse_v8_layout(&bytes).unwrap();
         // Flip one byte inside leaf 0's row section; the directory CRC stays
         // valid (it covers the directory, not the records), so open succeeds
         // and the load must catch it lazily.
@@ -1011,14 +1120,10 @@ mod tests {
         assert!(matches!(err, MbiError::ChecksumMismatch { section: "leaf rows", .. }), "{err}");
     }
 
-    /// The test above flips byte 5 of a 768-byte section. At the benchmark's
-    /// geometry (d = 128, leaf 1 024) a row section is 512 KiB and the
-    /// checksum kernel folds it 64 bytes at a time, so flip where a fold
-    /// could lose a byte: the first one, one on a 64-byte boundary, and the
-    /// last — in every section a cache miss verifies lazily.
-    #[test]
-    fn corrupt_byte_anywhere_in_a_lazily_verified_section_is_a_checksum_error() {
-        // Angular + sq8_scan writes all five lazily verified sections.
+    /// Two leaves at the benchmark's geometry (d = 128, leaf 1 024) under
+    /// one root, angular with SQ8 so every column a leaf load checks is
+    /// written: the clean stream, and a query vector that is no stored row.
+    fn two_benchmark_leaves() -> (Vec<u8>, Vec<f32>) {
         let (dim, leaf) = (128, 1024);
         let config = MbiConfig::new(dim, Metric::Angular).with_leaf_size(leaf).with_sq8_scan(true);
         let mut idx = MbiIndex::new(config);
@@ -1029,42 +1134,134 @@ mod tests {
             }
             idx.insert(&v, i as i64).unwrap();
         }
-        let clean = IndexSnapshot::from_index(&idx).unwrap().to_bytes().to_vec();
-        let lay = parse_v7_layout(&clean).unwrap();
+        let q = v.iter().enumerate().map(|(j, x)| x + (j as f32 * 0.11).cos()).collect();
+        (IndexSnapshot::from_index(&idx).unwrap().to_bytes().to_vec(), q)
+    }
+
+    fn cold_at_zero(bytes: Vec<u8>) -> ColdIndex {
+        ColdIndex::from_map_with_budget(Arc::new(FileMap::from_bytes(bytes)), 0).unwrap()
+    }
+
+    /// The test above flips byte 5 of a 768-byte section. At the benchmark's
+    /// geometry a row section is 512 KiB and the checksum kernel folds 64
+    /// bytes at a time, so flip where a fold could lose a byte: the first
+    /// one, one on a 64-byte boundary, and the last — in every section a
+    /// query reads, with a query that reads it. Each flip must fail the
+    /// first query on a fresh index, naming the section.
+    #[test]
+    fn corrupt_byte_anywhere_in_a_lazily_verified_section_is_a_checksum_error() {
+        let (clean, q) = two_benchmark_leaves();
+        let lay = parse_v8_layout(&clean).unwrap();
+        let (s_l, row_len) = (lay.seg_rows, lay.config.dim * 4);
         let (l, root) = (lay.leaves[1], lay.blocks.iter().find(|m| m.height == 1).unwrap());
         let rows_off = l.record_off + lay.ts_len();
-        let inv_off = rows_off + lay.rows_len();
-        let sections = [
-            ("leaf rows", rows_off, lay.rows_len()),
-            ("leaf norms", inv_off, lay.inv_len()),
-            ("leaf sq8", inv_off + lay.inv_len(), lay.sq8_len()),
-            ("block graph", l.graph_off, l.graph_len),
-            ("block graph", root.graph_off, root.graph_len),
+        let crc_off = rows_off + lay.rows_len();
+        let inv_off = crc_off + lay.row_crc_len();
+        // Over both leaves the root is graph-searched; over leaf 1, leaf 1.
+        let both = TimeWindow::new(0, 2 * s_l as i64);
+        let leaf_1 = TimeWindow::new(s_l as i64, 2 * s_l as i64);
+        // The root search's best answer was reranked on its exact row.
+        let best = cold_at_zero(clean.clone()).query(&q, 3, both).unwrap()[0].id as usize;
+        let best_off = lay.leaves[best / s_l].record_off + lay.ts_len() + (best % s_l) * row_len;
+        // (bytes, the section the error names, offset, length, the window of
+        // a query that reads them — `None`: five rows around the flip, a
+        // scan that reranks every one of them).
+        let cases = [
+            ("rows of a scanned window", "leaf rows", rows_off, lay.rows_len(), None),
+            ("a row the root search scores", "leaf rows", best_off, row_len, Some(both)),
+            ("row checksums", "leaf row checksums", crc_off, lay.row_crc_len(), Some(both)),
+            ("norms", "leaf norms", inv_off, lay.inv_len(), Some(both)),
+            ("sq8", "leaf sq8", inv_off + lay.inv_len(), lay.sq8_len(), Some(both)),
+            (
+                "a graph-searched leaf's graph",
+                "block graph",
+                l.graph_off,
+                l.graph_len,
+                Some(leaf_1),
+            ),
+            ("the root graph", "block graph", root.graph_off, root.graph_len, Some(both)),
         ];
-        // A window over both leaves selects the root: its graph and both leaf
-        // records are loaded, each through `verify_crc`.
-        let window = TimeWindow::new(0, 2 * leaf as i64);
-        for (name, off, len) in sections {
-            assert!(len > 128, "{name}: {len} bytes never reach a fold boundary");
+        for (what, section, off, len, window) in cases {
+            assert!(len > 128, "{what}: {len} bytes never reach a fold boundary");
             for at in [0, (len / 2).next_multiple_of(64), len - 1] {
+                let window = window.unwrap_or_else(|| {
+                    let t = (s_l + at / row_len) as i64;
+                    TimeWindow::new(t - 2, t + 3)
+                });
                 let mut bytes = clean.clone();
                 bytes[off + at] ^= 0x10;
-                let cold = ColdIndex::from_map_with_budget(Arc::new(FileMap::from_bytes(bytes)), 0)
-                    .unwrap();
-                let err = cold.query(&v, 3, window).unwrap_err();
+                let err = cold_at_zero(bytes).query(&q, 3, window).unwrap_err();
                 assert!(
-                    matches!(err, MbiError::ChecksumMismatch { section, .. } if section == name),
-                    "{name} byte {at} of {len}: {err}"
+                    matches!(err, MbiError::ChecksumMismatch { section: s, .. } if s == section),
+                    "{what}, byte {at} of {len}, window {window:?}: {err}"
                 );
             }
         }
+    }
+
+    /// A row is checked when a query reads it, not when its leaf loads: a
+    /// corrupt row no query reads changes no answer, at any budget, and the
+    /// first query that reads it fails — without poisoning later queries
+    /// that do not.
+    #[test]
+    fn a_corrupt_row_fails_only_the_queries_that_read_it() {
+        let (clean, q) = two_benchmark_leaves();
+        let lay = parse_v8_layout(&clean).unwrap();
+        let s_l = lay.seg_rows;
+        let bad = s_l + 700;
+        let mut bytes = clean.clone();
+        bytes[lay.leaves[1].record_off + lay.ts_len() + (bad % s_l) * lay.config.dim * 4 + 9] ^= 1;
+        // Leaf 0 graph-searched, then scans of leaf 1 around the bad row.
+        let clear = [(0, s_l), (s_l, bad), (bad + 1, 2 * s_l)].map(|(a, b)| (a as i64, b as i64));
+        for budget in [0, u64::MAX] {
+            let map = |b: &Vec<u8>| Arc::new(FileMap::from_bytes(b.clone()));
+            let cold = ColdIndex::from_map_with_budget(map(&bytes), budget).unwrap();
+            let reference = ColdIndex::from_map_with_budget(map(&clean), budget).unwrap();
+            let same = || {
+                for (a, b) in clear {
+                    let w = TimeWindow::new(a, b);
+                    assert_eq!(cold.query(&q, 10, w).unwrap(), reference.query(&q, 10, w).unwrap());
+                    let exact = cold.exact_query(&q, 10, w).unwrap();
+                    assert_eq!(exact, reference.exact_query(&q, 10, w).unwrap(), "{w:?}");
+                }
+            };
+            same();
+            let w = TimeWindow::new(bad as i64 - 3, bad as i64 + 3);
+            for err in
+                [cold.query(&q, 10, w).unwrap_err(), cold.exact_query(&q, 10, w).unwrap_err()]
+            {
+                let leaf_rows =
+                    matches!(err, MbiError::ChecksumMismatch { section: "leaf rows", .. });
+                assert!(leaf_rows, "budget {budget}: {err}");
+            }
+            same();
+        }
+    }
+
+    /// Bytes verified per query at the benchmark's geometry, budget 0: a
+    /// window over both leaves graph-searches the root, and checks its
+    /// graph, both leaves' row CRC, norm and SQ8 columns, and the rows it
+    /// scores — less than one leaf's row column.
+    #[test]
+    fn a_root_search_verifies_less_than_one_row_column() {
+        let (clean, q) = two_benchmark_leaves();
+        let lay = parse_v8_layout(&clean).unwrap();
+        let cold = cold_at_zero(clean);
+        let out = cold.query_with_params(&q, 10, TimeWindow::new(0, 2048), &lay.config.search);
+        let root = lay.blocks.len() - 1;
+        assert_eq!(out.unwrap().selection.blocks, [root]);
+        let verified = cold.stats().bytes_verified;
+        let loads = 2 * (lay.row_crc_len() + lay.inv_len() + lay.sq8_len());
+        let least = (loads + lay.blocks[root].graph_len) as u64;
+        assert!(verified > least, "rows are checked too: {verified} vs {least}");
+        assert!(verified < lay.rows_len() as u64, "{verified} bytes verified");
     }
 
     #[test]
     fn corrupt_timestamps_rejected_at_open() {
         let snap = build_snapshot(Metric::Euclidean, 64, u64::MAX, false);
         let mut bytes = snap.to_bytes().to_vec();
-        let layout = parse_v7_layout(&bytes).unwrap();
+        let layout = parse_v8_layout(&bytes).unwrap();
         let off = layout.leaves[1].record_off + 3;
         bytes[off] ^= 0x01;
         let err = ColdIndex::from_map(Arc::new(FileMap::from_bytes(bytes))).unwrap_err();

@@ -1,4 +1,4 @@
-//! Property tests for the cold tier: a [`ColdIndex`] serving a v7 stream
+//! Property tests for the cold tier: a [`ColdIndex`] serving a v8 stream
 //! through its block cache must answer every query bit-identically to the
 //! in-RAM snapshot it was serialised from — for arbitrary index shapes,
 //! RAM budgets (including zero), window placements that straddle segment
@@ -75,7 +75,7 @@ proptest! {
             Arc::new(FileMap::from_bytes(snap.to_bytes().to_vec())),
             budget,
         )
-        .expect("v7 stream opens cold");
+        .expect("v8 stream opens cold");
         let params = snap.config().search;
         let w = TimeWindow::new(win_a, win_a + win_len);
         let query = [qx, 0.3, -qx * 0.5];

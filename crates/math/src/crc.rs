@@ -3,7 +3,7 @@
 //! verification on every block-cache miss, WAL records, replication seals.
 //!
 //! The polynomial is IEEE rather than CRC32C (which has a dedicated `crc32`
-//! instruction) because the values are already on disk: format v7 and the WAL
+//! instruction) because the values are already on disk: the snapshot format and the WAL
 //! pin them, so a faster checksum has to be a faster way to compute the *same*
 //! function. Two implementations, chosen once per process:
 //!

@@ -240,6 +240,7 @@ impl Tenant {
                     ("misses".into(), Value::UInt(t.misses)),
                     ("evictions".into(), Value::UInt(t.evictions)),
                     ("prefetches".into(), Value::UInt(t.prefetches)),
+                    ("bytes_verified".into(), Value::UInt(t.bytes_verified)),
                     ("bytes_resident".into(), Value::UInt(t.bytes_resident)),
                     ("pinned_leaves".into(), Value::UInt(t.pinned_leaves as u64)),
                     ("budget_bytes".into(), Value::UInt(t.budget_bytes)),
