@@ -56,7 +56,7 @@ pub use bruteforce::{
 };
 pub use graph::{Graph, KnnGraph};
 pub use hnsw::{HnswIndex, HnswParams};
-pub use mapped::{Advice, Col, FileMap, PAGE_SIZE};
+pub use mapped::{Col, FileMap, PAGE_SIZE};
 pub use nndescent::NnDescentParams;
 pub use scratch::{with_thread_scratch, SearchScratch};
 pub use search::{

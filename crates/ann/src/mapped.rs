@@ -10,10 +10,9 @@
 //!
 //! Two building blocks live here:
 //!
-//! * [`FileMap`] — a read-only mapping of one file with page-granular
-//!   [`advice`](FileMap::advise) so the tier layer can issue readahead
-//!   (`WillNeed`) before a cold block is searched and drop residency
-//!   (`DontNeed`) when the block cache evicts it.
+//! * [`FileMap`] — a read-only mapping of one file whose pages the tier
+//!   layer [drops](FileMap::drop_pages) (`madvise(DONTNEED)`) when the
+//!   block cache evicts a piece.
 //! * [`Col<T>`] — an owned-**or**-mapped typed column. Sealed segments built
 //!   in RAM own `Vec<T>`s exactly as before; segments rehydrated from a
 //!   checkpoint view the mapped bytes in place (zero copy, verified by CRC at
@@ -27,23 +26,12 @@ use std::ops::{Deref, Range};
 use std::path::Path;
 use std::sync::Arc;
 
-/// Page size assumed for alignment and advice granularity. Linux x86-64 uses
-/// 4 KiB pages; the persist layer aligns leaf records to this.
+/// Page size assumed for alignment and `madvise` granularity. Linux x86-64
+/// uses 4 KiB pages; the persist layer aligns leaf records to this.
 pub const PAGE_SIZE: usize = 4096;
-
-/// Residency advice forwarded to `madvise(2)` on mapped files.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Advice {
-    /// `MADV_WILLNEED`: start asynchronous readahead of the range.
-    WillNeed,
-    /// `MADV_DONTNEED`: drop the range's resident pages (they are re-faulted
-    /// from the file on the next touch).
-    DontNeed,
-}
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 mod sys {
-    use super::Advice;
     use std::arch::asm;
     use std::os::unix::io::RawFd;
 
@@ -52,7 +40,6 @@ mod sys {
     const SYS_MADVISE: usize = 28;
     const PROT_READ: usize = 1;
     const MAP_PRIVATE: usize = 2;
-    const MADV_WILLNEED: usize = 3;
     const MADV_DONTNEED: usize = 4;
 
     /// Raw 6-argument Linux syscall.
@@ -112,15 +99,12 @@ mod sys {
         }
     }
 
-    /// Issues `madvise` for a sub-range of a live mapping. Advisory only: a
-    /// failure changes performance, never correctness, so errors are ignored.
-    pub(super) fn advise(addr: *const u8, len: usize, advice: Advice) {
-        let adv = match advice {
-            Advice::WillNeed => MADV_WILLNEED,
-            Advice::DontNeed => MADV_DONTNEED,
-        };
+    /// Issues `madvise(DONTNEED)` for a sub-range of a live mapping.
+    /// Advisory only: a failure changes performance, never correctness, so
+    /// errors are ignored.
+    pub(super) fn dont_need(addr: *const u8, len: usize) {
         unsafe {
-            let _ = syscall6(SYS_MADVISE, addr as usize, len, adv, 0, 0, 0);
+            let _ = syscall6(SYS_MADVISE, addr as usize, len, MADV_DONTNEED, 0, 0, 0);
         }
     }
 }
@@ -131,8 +115,8 @@ enum Backing {
     /// Live `mmap` region (Linux x86-64 with a successful map).
     #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
     Mapped { addr: *const u8, len: usize },
-    /// Whole file buffered in memory — the portable fallback. `advise` is a
-    /// no-op: everything is always resident. The `len` bytes live in `u64`
+    /// Whole file buffered in memory — the portable fallback. `drop_pages`
+    /// is a no-op: everything is always resident. The `len` bytes live in `u64`
     /// words so the base is 8-byte aligned like a mapping's page-aligned
     /// one: [`Col`] views `f32`/`i64` columns in place at offsets the
     /// format aligns relative to the file start.
@@ -232,19 +216,20 @@ impl FileMap {
         }
     }
 
-    /// Issues residency advice for `range`, widened to page boundaries.
+    /// Drops the resident pages of `range`, widened to page boundaries
+    /// (`madvise(DONTNEED)`); the next touch re-faults them from the file.
     /// Advisory: a no-op on the buffered fallback and on any kernel error.
-    pub fn advise(&self, range: Range<usize>, advice: Advice) {
+    pub fn drop_pages(&self, range: Range<usize>) {
         #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
         if let Backing::Mapped { addr, len } = &self.backing {
             let start = (range.start.min(*len) / PAGE_SIZE) * PAGE_SIZE;
             let end = range.end.min(*len).next_multiple_of(PAGE_SIZE).min(*len);
             if end > start {
-                sys::advise(unsafe { addr.add(start) }, end - start, advice);
+                sys::dont_need(unsafe { addr.add(start) }, end - start);
             }
             return;
         }
-        let _ = (range, advice);
+        let _ = range;
     }
 }
 
@@ -407,14 +392,13 @@ mod tests {
     }
 
     #[test]
-    fn advise_is_safe_on_any_range() {
+    fn drop_pages_is_safe_on_any_range() {
         let data = vec![3u8; 3 * PAGE_SIZE + 100];
-        let path = temp_file("advise", &data);
+        let path = temp_file("drop_pages", &data);
         let map = FileMap::open(&path).unwrap();
-        map.advise(0..map.len(), Advice::WillNeed);
-        map.advise(PAGE_SIZE + 1..2 * PAGE_SIZE + 7, Advice::DontNeed);
-        map.advise(map.len()..map.len() + 999, Advice::WillNeed); // clamped
-        assert_eq!(map.bytes()[PAGE_SIZE + 500], 3, "pages re-fault after DontNeed");
+        map.drop_pages(PAGE_SIZE + 1..2 * PAGE_SIZE + 7);
+        map.drop_pages(map.len()..map.len() + 999); // clamped
+        assert_eq!(map.bytes()[PAGE_SIZE + 500], 3, "pages re-fault after drop_pages");
         std::fs::remove_file(&path).unwrap();
     }
 

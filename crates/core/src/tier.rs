@@ -1,6 +1,5 @@
 //! Disk-tiered cold blocks: an mmap-backed read path over a v8 snapshot
-//! file, a sharded size-budgeted LRU block cache, and selection-driven
-//! prefetch.
+//! file and a sharded size-budgeted LRU block cache.
 //!
 //! A [`ColdIndex`] opens a v8 snapshot *without* decoding its payload: only
 //! the header, config, directories, and the timestamp column (8 bytes/row —
@@ -19,14 +18,11 @@
 //! is decoded and checked only when a query graph-searches that leaf, not
 //! when its rows serve a parent block or a scan.
 //!
-//! Because MBI's block selection names every block a query will touch
-//! *before* any distance math runs, the selection doubles as a prefetch
-//! oracle: the resolved block cover is handed to a background thread that
-//! issues `madvise(WILLNEED)` over every cold span, and (on multi-core
-//! hosts) the pin walk splits the cover between the query thread and a
-//! scoped helper thread so two pieces decode at once. Helper-decoded pieces
-//! stay pinned until the query consumes them, so a tiny budget cannot evict
-//! a prefetched piece before it is used.
+//! MBI's block selection names every block a query will touch *before* any
+//! distance math runs, so a query pins its whole cover first — on the
+//! calling thread, loading each missing piece in cover order — and searches
+//! it after. A [`ColdIndex`] starts no thread: a miss costs less than a
+//! thread spawn, so there is nothing for a helper to overlap.
 //!
 //! Queries are bit-identical to the in-RAM [`IndexSnapshot`] path: selection
 //! reads the same spans and heights (here from the block directory), both
@@ -39,13 +35,11 @@
 use std::collections::HashMap;
 use std::ops::Range;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{mpsc, Arc, Mutex, OnceLock, Weak};
-use std::thread::{self, JoinHandle};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-use mbi_ann::{Advice, Col, FileMap, KnnGraph, SearchParams, SearchStats, Segment, SegmentStore};
+use mbi_ann::{Col, FileMap, KnnGraph, SearchParams, SearchStats, Segment, SegmentStore};
 
 use crate::block::{Block, BlockGraph};
 use crate::config::MbiConfig;
@@ -71,7 +65,7 @@ enum PieceKey {
 #[derive(Clone)]
 enum Piece {
     /// A leaf's rows, and its block once a query graph-searched the leaf
-    /// ([`ColdCore::leaf_block`]).
+    /// ([`ColdIndex::leaf_block`]).
     Leaf(Arc<Segment>, Arc<OnceLock<Arc<Block>>>),
     Graph(Arc<Block>),
 }
@@ -136,7 +130,6 @@ struct BlockCache {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    prefetches: AtomicU64,
     map: Arc<FileMap>,
 }
 
@@ -150,7 +143,6 @@ impl BlockCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            prefetches: AtomicU64::new(0),
             map,
         }
     }
@@ -167,10 +159,6 @@ impl BlockCache {
 
     fn lock_shard(&self, i: usize) -> std::sync::MutexGuard<'_, CacheShard> {
         self.shards[i].lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn contains(&self, key: PieceKey) -> bool {
-        self.lock_shard(self.shard_of(key)).map.contains_key(&key)
     }
 
     /// Returns the cached piece for `key`, or decodes it via `load` (run
@@ -249,7 +237,7 @@ impl BlockCache {
             let entry = shard.map.remove(&key).expect("victim chosen from this map");
             shard.bytes -= entry.bytes;
             if let Some(range) = entry.advise {
-                self.map.advise(range, Advice::DontNeed);
+                self.map.drop_pages(range);
             }
             self.evictions.fetch_add(1, Relaxed);
         }
@@ -269,10 +257,21 @@ impl BlockCache {
     }
 }
 
-/// Shared core of a cold index: the map, parsed layout, eager timestamp
-/// column, and the block cache. Owned by [`ColdIndex`] and weakly by the
-/// prefetch thread.
-struct ColdCore {
+/// A read-only MBI snapshot served from a v8 file through an LRU block
+/// cache — the cold tier.
+///
+/// Queries return the exact same results as the in-RAM snapshot the file
+/// was serialised from, for any RAM budget (including `0`, where every
+/// piece is demoted as soon as the query that pinned it completes).
+///
+/// ```no_run
+/// use mbi_core::{tier::ColdIndex, TimeWindow};
+///
+/// let cold = ColdIndex::open("snapshot.mbi").unwrap();
+/// let hits = cold.query(&[0.0; 4], 10, TimeWindow::new(100, 900)).unwrap();
+/// # let _ = hits;
+/// ```
+pub struct ColdIndex {
     map: Arc<FileMap>,
     layout: V8Layout,
     times: TimeChunks,
@@ -282,17 +281,12 @@ struct ColdCore {
     hot_floor: usize,
     /// Placeholder for unpinned store slots; never read by the executor.
     empty_seg: Arc<Segment>,
-    prefetch_enabled: AtomicBool,
-    /// Whether the pin walk may split decode onto a scoped helper thread.
-    /// Defaults to `available_parallelism() > 1`: on a single-core host the
-    /// helper cannot overlap anything and only adds contention.
-    helper_decode: AtomicBool,
     /// Bytes checksummed since open: piece columns and graphs at load, rows
     /// as queries read them.
     checked_bytes: Arc<AtomicU64>,
 }
 
-impl ColdCore {
+impl ColdIndex {
     /// Decodes leaf `leaf`'s columns over the mapped bytes into a zero-copy
     /// segment whose rows are checked as they are read, charged for the
     /// record's page-rounded file span (the unit of residency accounting and
@@ -343,42 +337,17 @@ impl ColdCore {
     }
 
     /// Fetches `key` through the cache, loading and inserting on miss.
-    /// `prefetch` marks loads issued by the prefetch helper (counted in
-    /// [`TierStats::prefetches`]; cache hits are not).
-    fn piece(&self, key: PieceKey, prefetch: bool) -> Result<Piece, MbiError> {
-        let count = || {
-            if prefetch {
-                self.cache.prefetches.fetch_add(1, Relaxed);
-            }
-        };
+    fn piece(&self, key: PieceKey) -> Result<Piece, MbiError> {
         match key {
             PieceKey::Leaf(leaf) => {
                 let pinned = leaf >= self.hot_floor;
-                self.cache.get_or_load(key, leaf, pinned, || {
-                    count();
-                    self.load_leaf(leaf)
-                })
+                self.cache.get_or_load(key, leaf, pinned, || self.load_leaf(leaf))
             }
             PieceKey::Graph(bi) => {
                 let ord = self.layout.blocks[bi].rows.start / self.layout.seg_rows;
-                self.cache.get_or_load(key, ord, false, || {
-                    count();
-                    self.load_graph(bi)
-                })
+                self.cache.get_or_load(key, ord, false, || self.load_graph(bi))
             }
         }
-    }
-
-    /// Issues `madvise(WILLNEED)` for the file span backing `key`.
-    fn advise_will_need(&self, key: PieceKey) {
-        let range = match key {
-            PieceKey::Leaf(leaf) => self.layout.leaf_span(leaf),
-            PieceKey::Graph(bi) => {
-                let m = &self.layout.blocks[bi];
-                m.graph_off..m.graph_off + m.graph_len
-            }
-        };
-        self.map.advise(range, Advice::WillNeed);
     }
 
     /// Expands a resolved selection into the pieces it touches: one leaf
@@ -427,41 +396,14 @@ impl ColdCore {
         }
     }
 
-    /// Fetches every piece of a cover, pinned. When prefetch is enabled and
-    /// at least two pieces are cold, the cover is split between the calling
-    /// thread (front half) and a scoped helper thread (back half) so two
-    /// pieces decode at once. Both halves hold their `Arc` pins until the
-    /// caller takes the merged vector, so even a zero budget cannot evict a
-    /// helper-decoded piece before the query reaches it.
-    fn fetch_pieces(&self, keys: &[PieceKey]) -> Result<Vec<Piece>, MbiError> {
-        let cold = keys.iter().filter(|&&k| !self.cache.contains(k)).count();
-        if cold < 2 || !self.prefetch_enabled.load(Relaxed) || !self.helper_decode.load(Relaxed) {
-            return keys.iter().map(|&k| self.piece(k, false)).collect();
-        }
-        let (front, back) = keys.split_at(keys.len() / 2);
-        let (front_pieces, back_pieces) = thread::scope(|s| {
-            let helper = s
-                .spawn(|| back.iter().map(|&k| self.piece(k, true)).collect::<Result<Vec<_>, _>>());
-            let front_pieces =
-                front.iter().map(|&k| self.piece(k, false)).collect::<Result<Vec<_>, _>>();
-            let back_pieces = match helper.join() {
-                Ok(r) => r,
-                Err(panic) => std::panic::resume_unwind(panic),
-            };
-            (front_pieces, back_pieces)
-        });
-        let mut pieces = front_pieces?;
-        pieces.extend(back_pieces?);
-        Ok(pieces)
-    }
-
-    /// Loads and pins every piece of a cover: the executor's store
-    /// (placeholder segments outside the cover) and the pieces, in key
-    /// order.
+    /// Loads and pins every piece of a cover, in key order, on the calling
+    /// thread: the executor's store (placeholder segments outside the
+    /// cover) and the pieces. The pins hold until the caller drops them, so
+    /// even a zero budget cannot evict a piece before the query reaches it.
     fn pin(&self, keys: &[PieceKey]) -> Result<(SegmentStore, Vec<Piece>), MbiError> {
         let lay = &self.layout;
         let mut segs = vec![self.empty_seg.clone(); lay.num_leaves];
-        let pieces = self.fetch_pieces(keys)?;
+        let pieces = keys.iter().map(|&k| self.piece(k)).collect::<Result<Vec<_>, _>>()?;
         for (&key, piece) in keys.iter().zip(&pieces) {
             if let (PieceKey::Leaf(leaf), Piece::Leaf(seg, _)) = (key, piece) {
                 segs[leaf] = Arc::clone(seg);
@@ -471,33 +413,21 @@ impl ColdCore {
     }
 }
 
-/// The advise thread: receives resolved covers and issues
-/// `madvise(WILLNEED)` for every cold span so the kernel starts readahead
-/// while the query's pin walk is still decoding earlier pieces. Decode
-/// itself happens in [`ColdCore::fetch_pieces`], which holds its pins —
-/// decoding here would let a sub-cover budget evict a prefetched piece
-/// before the query reaches it, turning prefetch into pure wasted work.
-fn prefetch_worker(rx: Receiver<Vec<PieceKey>>, core: Weak<ColdCore>) {
-    while let Ok(keys) = rx.recv() {
-        let Some(core) = core.upgrade() else { return };
-        for key in keys.into_iter().filter(|&k| !core.cache.contains(k)) {
-            core.advise_will_need(key);
-        }
-    }
-}
-
 /// Counters of the cold tier, all cumulative since open except
 /// `bytes_resident`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TierStats {
     /// Cache lookups served without touching the file.
     pub hits: u64,
-    /// Cache lookups that decoded from the map (includes prefetch loads).
+    /// Cache lookups that decoded their piece from the map, on the thread
+    /// of the query that missed.
     pub misses: u64,
     /// Pieces demoted by the LRU policy.
     pub evictions: u64,
-    /// Pieces decoded by the prefetch helper thread (the back half of each
-    /// cold cover) rather than the query thread itself.
+    /// Always 0: no piece is decoded off the query thread. Kept only so
+    /// the `e2e` benchmark's `cold_counters` still builds; ROADMAP item 1
+    /// (the next benchmark change) removes it.
+    #[deprecated(note = "always 0; removed with ROADMAP item 1")]
     pub prefetches: u64,
     /// Bytes checksummed by queries: each loaded leaf's row CRC, norm and
     /// SQ8 columns, each decoded graph, and each row the first time a query
@@ -511,32 +441,12 @@ pub struct TierStats {
     pub budget_bytes: u64,
 }
 
-/// A read-only MBI snapshot served from a v8 file through an LRU block
-/// cache — the cold tier.
-///
-/// Queries return the exact same results as the in-RAM snapshot the file
-/// was serialised from, for any RAM budget (including `0`, where every
-/// piece is demoted as soon as the query that pinned it completes).
-///
-/// ```no_run
-/// use mbi_core::{tier::ColdIndex, TimeWindow};
-///
-/// let cold = ColdIndex::open("snapshot.mbi").unwrap();
-/// let hits = cold.query(&[0.0; 4], 10, TimeWindow::new(100, 900)).unwrap();
-/// # let _ = hits;
-/// ```
-pub struct ColdIndex {
-    core: Arc<ColdCore>,
-    prefetch_tx: Option<Sender<Vec<PieceKey>>>,
-    worker: Option<JoinHandle<()>>,
-}
-
 impl std::fmt::Debug for ColdIndex {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ColdIndex")
-            .field("num_leaves", &self.core.layout.num_leaves)
-            .field("seg_rows", &self.core.layout.seg_rows)
-            .field("hot_floor", &self.core.hot_floor)
+            .field("num_leaves", &self.layout.num_leaves)
+            .field("seg_rows", &self.layout.seg_rows)
+            .field("hot_floor", &self.hot_floor)
             .field("stats", &self.stats())
             .finish_non_exhaustive()
     }
@@ -606,43 +516,31 @@ impl ColdIndex {
 
         let empty_seg = Arc::new(Segment::from_cols(config.dim, Col::from(Vec::new()), None, None));
         let cache = BlockCache::new(config.ram_budget_bytes, config.cache_shards, map.clone());
-        let core = Arc::new(ColdCore {
+        Ok(ColdIndex {
             map,
             layout,
             times,
             cache,
             hot_floor,
             empty_seg,
-            prefetch_enabled: AtomicBool::new(true),
-            helper_decode: AtomicBool::new(
-                thread::available_parallelism().is_ok_and(|n| n.get() > 1),
-            ),
             checked_bytes: Arc::default(),
-        });
-
-        let (tx, rx) = mpsc::channel::<Vec<PieceKey>>();
-        let weak = Arc::downgrade(&core);
-        let worker = thread::Builder::new()
-            .name("mbi-cold-prefetch".into())
-            .spawn(move || prefetch_worker(rx, weak))
-            .map_err(MbiError::Io)?;
-        Ok(ColdIndex { core, prefetch_tx: Some(tx), worker: Some(worker) })
+        })
     }
 
     /// The configuration the file was written with (budget possibly
     /// overridden by `MBI_RAM_BUDGET`).
     pub fn config(&self) -> &MbiConfig {
-        &self.core.layout.config
+        &self.layout.config
     }
 
     /// Number of sealed leaves.
     pub fn num_leaves(&self) -> usize {
-        self.core.layout.num_leaves
+        self.layout.num_leaves
     }
 
     /// Number of rows served (sealed leaves × `S_L`).
     pub fn len(&self) -> usize {
-        self.core.layout.num_leaves * self.core.layout.seg_rows
+        self.layout.num_leaves * self.layout.seg_rows
     }
 
     /// Whether the file holds no sealed rows.
@@ -650,24 +548,25 @@ impl ColdIndex {
         self.len() == 0
     }
 
-    /// Enables or disables selection-driven prefetch (enabled by default).
-    /// Correctness is unaffected; this is the ablation knob.
-    pub fn set_prefetch(&self, enabled: bool) {
-        self.core.prefetch_enabled.store(enabled, Relaxed);
-    }
+    /// Does nothing: every query pins its cover on the calling thread, and
+    /// there is no prefetch to switch. Kept only so the `e2e` benchmark's
+    /// `cold_set_prefetch` still builds; ROADMAP item 1 (the next benchmark
+    /// change) removes it.
+    #[deprecated(note = "a no-op; removed with ROADMAP item 1")]
+    pub fn set_prefetch(&self, _enabled: bool) {}
 
     /// Current cache counters.
     pub fn stats(&self) -> TierStats {
-        let c = &self.core.cache;
+        let c = &self.cache;
         TierStats {
             hits: c.hits.load(Relaxed),
             misses: c.misses.load(Relaxed),
             evictions: c.evictions.load(Relaxed),
-            prefetches: c.prefetches.load(Relaxed),
-            bytes_verified: self.core.checked_bytes.load(Relaxed),
+            bytes_verified: self.checked_bytes.load(Relaxed),
             bytes_resident: c.bytes_resident(),
-            pinned_leaves: self.core.layout.num_leaves - self.core.hot_floor,
-            budget_bytes: self.core.layout.config.ram_budget_bytes,
+            pinned_leaves: self.layout.num_leaves - self.hot_floor,
+            budget_bytes: self.layout.config.ram_budget_bytes,
+            ..TierStats::default()
         }
     }
 
@@ -678,7 +577,7 @@ impl ColdIndex {
         k: usize,
         window: TimeWindow,
     ) -> Result<Vec<TknnResult>, MbiError> {
-        let params = self.core.layout.config.search;
+        let params = self.layout.config.search;
         Ok(self.query_with_params(query, k, window, &params)?.results)
     }
 
@@ -705,8 +604,8 @@ impl ColdIndex {
     ///
     /// An *already-expired* deadline short-circuits before the cold read
     /// path entirely: selection still runs (directory metadata, already
-    /// resident) but no piece is prefetched, pinned, or decoded — a timed
-    /// -out query must not fault cold pages it will never score.
+    /// resident) but no piece is pinned or decoded — a timed-out query
+    /// must not fault cold pages it will never score.
     pub fn query_with_deadline(
         &self,
         query: &[f32],
@@ -715,10 +614,9 @@ impl ColdIndex {
         params: &SearchParams,
         deadline: Option<Instant>,
     ) -> Result<QueryOutput, MbiError> {
-        let lay = &self.core.layout;
-        // Selection runs on directory metadata alone — this is the prefetch
-        // oracle: every block the executor will touch is named here, before
-        // any vector byte is read.
+        let lay = &self.layout;
+        // Selection runs on directory metadata alone: every block the
+        // executor will touch is named here, before any vector byte is read.
         let meta = |i: usize| {
             let m = &lay.blocks[i];
             (m.start_ts, m.end_ts, m.height)
@@ -735,16 +633,15 @@ impl ColdIndex {
                 timed_out: true,
             });
         }
-        let core = &*self.core;
         let (wlo, whi) =
-            (core.times.partition_below(window.start), core.times.partition_below(window.end));
-        let (keys, graphs) = core.cover_pieces(&selection.blocks, |m| {
+            (self.times.partition_below(window.start), self.times.partition_below(window.end));
+        let (keys, graphs) = self.cover_pieces(&selection.blocks, |m| {
             let in_window = whi.min(m.rows.end).saturating_sub(wlo.max(m.rows.start));
             in_window > 0 && graph_search_pays(&lay.config, k, m.rows.len(), in_window)
         });
         self.with_pinned(&keys, |target, pieces| {
             let blocks = (selection.blocks.iter().zip(&graphs))
-                .map(|(&bi, g)| core.selected_block(bi, g.map(|i| (keys[i], &pieces[i]))))
+                .map(|(&bi, g)| self.selected_block(bi, g.map(|i| (keys[i], &pieces[i]))))
                 .collect::<Result<Vec<_>, _>>()?;
             let blocks: Vec<&Block> = blocks.iter().map(|b| &**b).collect();
             let threads = lay.config.query_threads;
@@ -759,10 +656,9 @@ impl ColdIndex {
         k: usize,
         window: TimeWindow,
     ) -> Result<Vec<TknnResult>, MbiError> {
-        let core = &*self.core;
-        let seg_rows = core.layout.seg_rows;
-        let lo = core.times.partition_below(window.start);
-        let hi = core.times.partition_below(window.end);
+        let seg_rows = self.layout.seg_rows;
+        let lo = self.times.partition_below(window.start);
+        let hi = self.times.partition_below(window.end);
         let keys: Vec<PieceKey> = if lo < hi {
             (lo / seg_rows..hi.div_ceil(seg_rows)).map(PieceKey::Leaf).collect()
         } else {
@@ -771,7 +667,7 @@ impl ColdIndex {
         self.with_pinned(&keys, |target, _| Ok(target.exact_query(query, k, window)))
     }
 
-    /// Prefetches and pins the pieces `keys` names, runs `f` on a
+    /// Pins the pieces `keys` names, runs `f` on a
     /// [`QueryTarget`] over them and the pieces (in key order), unpins, and
     /// lets the cache evict back under budget. If `f` read a row that failed
     /// its check, its answer is dropped for
@@ -783,19 +679,13 @@ impl ColdIndex {
         keys: &[PieceKey],
         f: impl FnOnce(&QueryTarget<'_, SegmentStore, TimeChunks>, &[Piece]) -> Result<R, MbiError>,
     ) -> Result<R, MbiError> {
-        let core = &*self.core;
-        if let Some(tx) = &self.prefetch_tx {
-            if !keys.is_empty() && core.prefetch_enabled.load(Relaxed) {
-                let _ = tx.send(keys.to_vec());
-            }
-        }
         let out = {
-            let (store, pieces) = core.pin(keys)?;
+            let (store, pieces) = self.pin(keys)?;
             let target = QueryTarget {
-                config: &core.layout.config,
+                config: &self.layout.config,
                 store: &store,
-                times: &core.times,
-                num_leaves: core.layout.num_leaves,
+                times: &self.times,
+                num_leaves: self.layout.num_leaves,
             };
             let failures: Vec<u64> = pieces.iter().map(Piece::row_failures).collect();
             let out = f(&target, &pieces);
@@ -807,7 +697,7 @@ impl ColdIndex {
                 _ => out,
             }
         };
-        core.cache.maintain();
+        self.cache.maintain();
         out
     }
 }
@@ -824,22 +714,14 @@ fn parse_ram_budget(value: &str) -> Result<u64, MbiError> {
     })
 }
 
-impl Drop for ColdIndex {
-    fn drop(&mut self) {
-        // Dropping the sender unblocks the worker's recv loop.
-        self.prefetch_tx.take();
-        if let Some(handle) = self.worker.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::IndexSnapshot;
     use crate::index::MbiIndex;
     use crate::persist::{parse_v8_layout, PAGE};
+    use crate::GraphBackend;
+    use mbi_ann::NnDescentParams;
     use mbi_math::Metric;
 
     fn build_snapshot(metric: Metric, n: usize, budget: u64, sq8: bool) -> IndexSnapshot {
@@ -847,6 +729,10 @@ mod tests {
             .with_leaf_size(16)
             .with_ram_budget_bytes(budget)
             .with_sq8_scan(sq8);
+        snapshot_of(config, n)
+    }
+
+    fn snapshot_of(config: MbiConfig, n: usize) -> IndexSnapshot {
         let mut idx = MbiIndex::new(config);
         for i in 0..n {
             let x = i as f32;
@@ -951,7 +837,6 @@ mod tests {
         let after = cold.stats();
         assert_eq!(before.misses, after.misses, "no cold piece may be faulted in");
         assert_eq!(before.hits, after.hits, "no cache lookup at all");
-        assert_eq!(before.prefetches, after.prefetches, "no prefetch issued");
 
         // A live deadline takes the normal path and matches the
         // undeadlined query bit-for-bit.
@@ -1032,27 +917,68 @@ mod tests {
         assert!(warm_stats.bytes_resident > 0);
     }
 
+    /// Four threads query one index at once, each starting the windows at
+    /// a different one, so two threads load pieces of the same index
+    /// concurrently: a decode that loses the insert race in
+    /// `BlockCache::get_or_load`, and a leaf graph decoded twice in
+    /// `ColdIndex::leaf_block`, must still answer like the hot snapshot —
+    /// results and search counters — at budget 0 and at a budget of two
+    /// leaf records on one shard (the newest leaf pinned, one more cached).
+    /// τ = 1 selects partly covered leaves, and at k = 1 a degree-4 graph
+    /// search pays on a 16-row leaf, so leaf graphs are decoded too.
     #[test]
-    fn prefetch_off_stays_correct() {
-        let snap = build_snapshot(Metric::Angular, 128, 0, false);
-        let cold = cold_from(&snap);
-        cold.set_prefetch(false);
-        assert_cold_matches(&snap, &cold);
-        assert_eq!(cold.stats().prefetches, 0);
-    }
-
-    #[test]
-    fn forced_helper_decode_stays_bit_identical() {
-        // The scoped-helper decode path is gated on available_parallelism,
-        // so force it on: results must be identical and the helper's loads
-        // must show up in the prefetch counter.
-        let snap = build_snapshot(Metric::Euclidean, 128, 0, false);
-        let cold = cold_with(&snap, 0);
-        cold.core.helper_decode.store(true, Relaxed);
-        assert_cold_matches(&snap, &cold);
-        let stats = cold.stats();
-        assert!(stats.prefetches > 0, "helper decoded no pieces: {stats:?}");
-        assert_eq!(stats.bytes_resident, 0, "budget 0 still demotes everything");
+    fn concurrent_queries_on_one_index_match_hot() {
+        let nd = NnDescentParams { degree: 4, max_iters: 2, ..Default::default() };
+        let config = MbiConfig::new(3, Metric::Euclidean)
+            .with_leaf_size(16)
+            .with_tau(1.0)
+            .with_backend(GraphBackend::NnDescent(nd))
+            .with_cache_shards(1);
+        let snap = snapshot_of(config, 128);
+        let bytes = snap.to_bytes().to_vec();
+        let two_leaves = 2 * parse_v8_layout(&bytes).unwrap().leaf_span(0).len() as u64;
+        let params = snap.config().search;
+        let mut cases = Vec::new();
+        for w in windows() {
+            for q in [0.0f32, 7.5, 99.0] {
+                for k in [1, 5] {
+                    let query = [q * 0.05, 0.2, -q * 0.01 + 0.5];
+                    cases.push((w, query, k, snap.query_with_params(&query, k, w, &params)));
+                }
+            }
+        }
+        for budget in [0, two_leaves] {
+            let map = Arc::new(FileMap::from_bytes(bytes.clone()));
+            let cold = ColdIndex::from_map_with_budget(map, budget).unwrap();
+            let start = std::sync::Barrier::new(4);
+            std::thread::scope(|s| {
+                for t in 0..4 {
+                    let (cold, cases, start) = (&cold, &cases, &start);
+                    s.spawn(move || {
+                        // Three passes that start together, each thread a
+                        // quarter of the cases ahead of the last.
+                        for _ in 0..3 {
+                            start.wait();
+                            for i in 0..cases.len() {
+                                let (w, query, k, hot) =
+                                    &cases[(i + t * cases.len() / 4) % cases.len()];
+                                let out = cold.query_with_params(query, *k, *w, &params).unwrap();
+                                let at = format!("budget {budget}, window {w:?}, k {k}");
+                                assert_eq!(out.results, hot.results, "{at}");
+                                assert_eq!(out.stats, hot.stats, "{at}");
+                            }
+                        }
+                    });
+                }
+            });
+            let stats = cold.stats();
+            assert!(stats.evictions > 0, "budget {budget} must churn: {stats:?}");
+            if budget == 0 {
+                assert_eq!(stats.bytes_resident, 0, "every query demotes what it unpinned");
+            } else {
+                assert_eq!(stats.pinned_leaves, 1, "half of two leaves pins one: {stats:?}");
+            }
+        }
     }
 
     #[test]

@@ -1,9 +1,14 @@
 //! Property tests for binary persistence: roundtrip fidelity across
 //! arbitrary index shapes (size, leaf size, metric, τ, backend) and
-//! structural equality of the reloaded index.
+//! structural equality of the reloaded index, and the rejection of damaged
+//! index-kind and snapshot-kind streams.
 
-use mbi_ann::{HnswParams, NnDescentParams, SearchParams};
-use mbi_core::{GraphBackend, MbiConfig, MbiIndex, TimeWindow};
+use std::sync::Arc;
+
+use mbi_ann::{FileMap, HnswParams, NnDescentParams, SearchParams};
+use mbi_core::{
+    ColdIndex, GraphBackend, IndexSnapshot, MbiConfig, MbiError, MbiIndex, TimeWindow, TknnResult,
+};
 use mbi_math::Metric;
 use proptest::prelude::*;
 
@@ -36,6 +41,48 @@ fn build(
         .unwrap();
     }
     idx
+}
+
+/// The snapshot-kind stream of `leaves` whole leaves.
+fn snapshot_stream(leaves: usize, leaf_size: usize) -> Vec<u8> {
+    let idx = build(leaves * leaf_size, leaf_size, Metric::Euclidean, 0.5, false, 1);
+    IndexSnapshot::from_index(&idx).expect("whole leaves only").to_bytes().to_vec()
+}
+
+/// One answer per query of [`cold_sweep`].
+type Answers = Vec<Result<Vec<TknnResult>, MbiError>>;
+
+/// Opens `bytes` cold at budget 0 and answers a fixed sweep of windows over
+/// `rows` rows, graph search and exact scan: `None` if the open fails.
+fn cold_sweep(bytes: Vec<u8>, rows: i64) -> Option<Answers> {
+    let cold = ColdIndex::from_map_with_budget(Arc::new(FileMap::from_bytes(bytes)), 0).ok()?;
+    let q = [1.0f32, 2.0, 0.5];
+    let windows = [(0, rows), (0, rows / 3 + 1), (rows / 4, 3 * rows / 4 + 1), (rows - 3, rows)];
+    let mut out = Vec::new();
+    for (s, e) in windows {
+        let w = TimeWindow::new(s.max(0), e);
+        out.push(cold.query(&q, 5, w));
+        out.push(cold.exact_query(&q, 5, w));
+    }
+    Some(out)
+}
+
+/// A damaged snapshot stream must fail the eager loader, and the cold tier
+/// must refuse it at open or answer each query of the sweep with an error
+/// or the clean stream's answer — never panic, never answer differently.
+fn assert_snapshot_rejected(clean: &[u8], bad: Vec<u8>, rows: i64, what: &str) {
+    assert!(
+        IndexSnapshot::from_bytes(bytes::Bytes::from(bad.clone())).is_err(),
+        "{what} accepted by the eager loader"
+    );
+    let reference = cold_sweep(clean.to_vec(), rows).expect("the clean stream opens cold");
+    if let Some(answers) = cold_sweep(bad, rows) {
+        for (i, (got, want)) in answers.iter().zip(&reference).enumerate() {
+            if let Ok(got) = got {
+                assert_eq!(got, want.as_ref().expect("clean answer"), "{what} query {i}");
+            }
+        }
+    }
 }
 
 proptest! {
@@ -99,10 +146,10 @@ proptest! {
         prop_assert_eq!(again.len(), n + extra);
     }
 
-    /// Any single-byte corruption of a v5 stream is rejected — every byte
-    /// of the stream is covered by a section CRC, the footer CRC, or a
-    /// structural check, so no flip can load as a silently different index
-    /// (and none may panic).
+    /// Any single-byte corruption of an index-kind stream is rejected —
+    /// every byte of the stream is covered by a section CRC, the footer CRC,
+    /// or a structural check, so no flip can load as a silently different
+    /// index (and none may panic).
     #[test]
     fn any_single_byte_flip_is_rejected(
         n in 1usize..80,
@@ -119,8 +166,8 @@ proptest! {
         prop_assert!(res.is_err(), "flip at byte {} bit {} accepted", pos, bit);
     }
 
-    /// Any truncation of a v5 stream is rejected (the footer pins the exact
-    /// length), and so is any truncation of a snapshot stream.
+    /// Any truncation of an index-kind stream is rejected (the footer pins
+    /// the exact length).
     #[test]
     fn any_truncation_is_rejected(
         n in 1usize..80,
@@ -132,5 +179,43 @@ proptest! {
         let cut = (cut_seed % bytes.len() as u64) as usize;
         prop_assert!(MbiIndex::from_bytes(bytes.slice(0..cut)).is_err(),
             "truncation to {} bytes accepted", cut);
+    }
+}
+
+proptest! {
+    // A snapshot stream is mostly page padding and rows, so a random flip
+    // rarely lands in a timestamp or a directory: run more cases. (At 24, a
+    // reader that skips the timestamp CRC passes; at 512 it fails.)
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Any single-bit flip of a snapshot-kind stream is rejected by the
+    /// eager loader, and the cold tier refuses it or never answers from it
+    /// differently (see [`assert_snapshot_rejected`]).
+    #[test]
+    fn any_snapshot_flip_is_rejected(
+        leaves in 1usize..5,
+        leaf_size in 1usize..16,
+        pos_seed in any::<u64>(),
+        bit in 0u8..8,
+    ) {
+        let clean = snapshot_stream(leaves, leaf_size);
+        let pos = (pos_seed % clean.len() as u64) as usize;
+        let mut bad = clean.clone();
+        bad[pos] ^= 1u8 << bit;
+        let what = format!("flip at byte {pos} bit {bit} of {}", clean.len());
+        assert_snapshot_rejected(&clean, bad, (leaves * leaf_size) as i64, &what);
+    }
+
+    /// Any truncation of a snapshot-kind stream is rejected the same way.
+    #[test]
+    fn any_snapshot_truncation_is_rejected(
+        leaves in 1usize..5,
+        leaf_size in 1usize..16,
+        cut_seed in any::<u64>(),
+    ) {
+        let clean = snapshot_stream(leaves, leaf_size);
+        let cut = (cut_seed % clean.len() as u64) as usize;
+        let what = format!("truncation to {cut} of {} bytes", clean.len());
+        assert_snapshot_rejected(&clean, clean[..cut].to_vec(), (leaves * leaf_size) as i64, &what);
     }
 }

@@ -22,7 +22,7 @@ pub enum TenantEngine {
     /// A live streaming engine (in-memory or durable).
     Streaming(StreamingMbi),
     /// A read-only disk-tiered index; inserts are rejected.
-    Cold(ColdIndex),
+    Cold(Box<ColdIndex>),
     /// A replication follower: a durable engine fed from a leader, serving
     /// read-only queries until promoted.
     Replica {
@@ -239,7 +239,6 @@ impl Tenant {
                     ("hits".into(), Value::UInt(t.hits)),
                     ("misses".into(), Value::UInt(t.misses)),
                     ("evictions".into(), Value::UInt(t.evictions)),
-                    ("prefetches".into(), Value::UInt(t.prefetches)),
                     ("bytes_verified".into(), Value::UInt(t.bytes_verified)),
                     ("bytes_resident".into(), Value::UInt(t.bytes_resident)),
                     ("pinned_leaves".into(), Value::UInt(t.pinned_leaves as u64)),
@@ -453,7 +452,7 @@ impl TenantRegistry {
         }
         if let Some(path) = &tc.cold_path {
             let share = config.index.ram_budget_bytes / cold_count;
-            return Ok(TenantEngine::Cold(ColdIndex::open_with_budget(path, share)?));
+            return Ok(TenantEngine::Cold(Box::new(ColdIndex::open_with_budget(path, share)?)));
         }
         if let Some(dir) = &tc.dir {
             return Ok(TenantEngine::Streaming(StreamingMbi::open(dir, config.index, engine)?));
