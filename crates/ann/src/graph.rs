@@ -2,8 +2,7 @@
 
 /// Read-only adjacency interface shared by [`KnnGraph`] and the base layer of
 /// [`crate::HnswIndex`]; [`crate::greedy_search`] (Algorithm 2) traverses any
-/// `Graph`. `Send + Sync` so `dyn Graph` references can cross scoped-thread
-/// boundaries in MBI's intra-query fan-out.
+/// `Graph`. `Send + Sync` so graphs can be shared by concurrent queries.
 pub trait Graph: Send + Sync {
     /// Out-neighbours of node `id`.
     fn neighbors(&self, id: u32) -> &[u32];

@@ -7,7 +7,7 @@
 //! — so steady-state queries allocate nothing once the buffers have grown to
 //! their working size (`tests/alloc_free.rs` counts).
 //! [`with_thread_scratch`] hands out a thread-local instance, which is what
-//! the query fan-out workers and the legacy non-prepared entry points use.
+//! the query executor and the legacy non-prepared entry points use.
 
 use crate::sq8::Sq8ScanCache;
 use mbi_math::{Neighbor, OrderedF32, TopK};
@@ -83,8 +83,8 @@ thread_local! {
 
 /// Runs `f` with this thread's reusable scratch and result buffer.
 ///
-/// The pair lives in a `thread_local`, so repeated queries on one thread (or
-/// one fan-out worker) reuse the same allocations. Re-entrant calls — e.g. a
+/// The pair lives in a `thread_local`, so repeated queries on one thread
+/// reuse the same allocations. Re-entrant calls — e.g. a
 /// search filter that itself searches — fall back to a fresh scratch rather
 /// than panicking on the nested borrow.
 pub fn with_thread_scratch<R>(f: impl FnOnce(&mut SearchScratch, &mut Vec<Neighbor>) -> R) -> R {

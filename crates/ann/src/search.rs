@@ -89,8 +89,8 @@ pub struct SearchStats {
 }
 
 impl SearchStats {
-    /// Adds another stats record into this one. Merging per-worker records
-    /// in any order yields the same totals — every field is a sum.
+    /// Adds another stats record into this one. Merging records in any
+    /// order yields the same totals — every field is a sum.
     pub fn merge(&mut self, other: &SearchStats) {
         self.dist_evals += other.dist_evals;
         self.visited += other.visited;
@@ -100,8 +100,8 @@ impl SearchStats {
     }
 }
 
-// The intra-query fan-out shares these across scoped worker threads; keep
-// them thread-friendly or that code stops compiling.
+// Concurrent queries and the engine's builder threads share these; keep them
+// thread-friendly or that code stops compiling.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<SearchParams>();

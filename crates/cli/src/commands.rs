@@ -51,7 +51,6 @@ USAGE:
                 from backup)
   mbi query    --index <index.mbi> (--vector \"x0,x1,…\" | --queries <q.fvecs>)
                [--k <n>] [--from <ts>] [--to <ts>] [--mc <n>] [--epsilon <f>]
-               [--query-threads <n>]   (0 = auto; results identical at any width)
   mbi tune     --index <index.mbi> --queries <q.fvecs> [--target-recall <f>] [--k <n>]
   mbi bench-query --index <index.mbi> --queries <q.fvecs>
                [--fraction <f>] [--rounds <n>] [--k <n>] [--mc <n>] [--epsilon <f>]
@@ -62,8 +61,7 @@ USAGE:
   mbi serve    --tenants <name:token[:path]>[,…] [--addr <host:port>] [--dim <n>]
                [--metric euclidean|angular|inner_product] [--leaf-size <n>] [--tau <f>]
                [--degree <n>] [--builders <n>] [--max-connections <n>] [--max-inflight <n>]
-               [--deadline-ms <n>] [--coalesce-ms <n>] [--coalesce-batch <n>]
-               [--idle-ms <n>] [--max-frame-bytes <n>]
+               [--deadline-ms <n>] [--idle-ms <n>] [--max-frame-bytes <n>]
                (multi-tenant network service speaking HTTP/1.1+JSON and the MBI1
                 binary protocol on one port; a tenant path ending in .mbi serves
                 that index read-only, any other path is a durable WAL directory,
@@ -269,7 +267,6 @@ fn query(args: &CliArgs, out: &mut dyn Write) -> Result<(), CliError> {
         args.get_parsed("mc", index.config().search.max_candidates)?,
         args.get_parsed("epsilon", index.config().search.epsilon)?,
     );
-    let query_threads: usize = args.get_parsed("query-threads", index.config().query_threads)?;
 
     let queries: Vec<Vec<f32>> = match (args.get("vector"), args.get("queries")) {
         (Some(lit), None) => vec![io::parse_vector_literal(lit)?],
@@ -289,7 +286,7 @@ fn query(args: &CliArgs, out: &mut dyn Write) -> Result<(), CliError> {
             )));
         }
         let t0 = Instant::now();
-        let result = index.query_with_params_threaded(q, k, window, &search, query_threads);
+        let result = index.query_with_params(q, k, window, &search);
         let took = t0.elapsed();
         writeln!(
             out,

@@ -59,18 +59,13 @@ pub fn parse_serve_config(args: &CliArgs) -> Result<ServerConfig, CliError> {
     engine.builder_threads = args.get_parsed("builders", engine.builder_threads)?;
 
     let deadline_ms: u64 = args.get_parsed("deadline-ms", 2000)?;
-    let coalesce_ms: u64 = args.get_parsed("coalesce-ms", 0)?;
     let idle_ms: u64 = args.get_parsed("idle-ms", 30_000)?;
     let mut config = ServerConfig::new(addr, index)
         .with_engine(engine)
         .with_max_connections(args.get_parsed("max-connections", 256)?)
         .with_max_inflight(args.get_parsed("max-inflight", 64)?)
         .with_default_deadline((deadline_ms > 0).then(|| Duration::from_millis(deadline_ms)))
-        .with_idle_timeout((idle_ms > 0).then(|| Duration::from_millis(idle_ms)))
-        .with_coalescing(
-            Duration::from_millis(coalesce_ms),
-            args.get_parsed("coalesce-batch", 32)?,
-        );
+        .with_idle_timeout((idle_ms > 0).then(|| Duration::from_millis(idle_ms)));
     if let Some(cap) = args.get("max-frame-bytes") {
         let cap: usize =
             cap.parse().map_err(|_| CliError(format!("bad --max-frame-bytes {cap:?}")))?;
@@ -197,13 +192,11 @@ mod tests {
     fn serve_config_parses_and_validates() {
         let config = parse_serve_config(&argv(
             "serve --addr 127.0.0.1:0 --dim 8 --tenants alpha:tok-a,beta:tok-b \
-             --coalesce-ms 5 --coalesce-batch 16 --max-inflight 4 --deadline-ms 100",
+             --max-inflight 4 --deadline-ms 100",
         ))
         .unwrap();
         assert_eq!(config.tenants.len(), 2);
         assert_eq!(config.index.dim, 8);
-        assert_eq!(config.coalesce_window, Duration::from_millis(5));
-        assert_eq!(config.coalesce_max_batch, 16);
         assert_eq!(config.max_inflight, 4);
         assert_eq!(config.default_deadline, Some(Duration::from_millis(100)));
 

@@ -57,17 +57,6 @@ pub struct MbiConfig {
     /// Build the graphs of a bottom-up merge chain in parallel (§4.2
     /// "Parallelization of MBI").
     pub parallel_build: bool,
-    /// Worker threads for intra-query block fan-out: the selected full
-    /// blocks of one query are searched concurrently, each worker merging
-    /// into a local top-k (§4.2 "Parallelization of MBI", query side).
-    ///
-    /// `0` (the default) means *auto*: use the available cores, but fall
-    /// back to a sequential pass when the selection has fewer than two full
-    /// blocks or the estimated per-block work is too small to amortise a
-    /// thread spawn. Any explicit value forces exactly that many workers
-    /// (capped at the number of selected blocks). Results are bit-identical
-    /// across all values.
-    pub query_threads: usize,
     /// Quantize every sealed segment into an SQ8 (`u8` scalar-quantized)
     /// code column and run candidate scans over it: the first pass reads
     /// ~4× less memory per row than the f32 scan, and the best
@@ -117,7 +106,6 @@ impl MbiConfig {
             backend: GraphBackend::default(),
             search: SearchParams::default(),
             parallel_build: false,
-            query_threads: 0,
             sq8_scan: false,
             sq8_overfetch: default_sq8_overfetch(),
             ram_budget_bytes: u64::MAX,
@@ -165,10 +153,12 @@ impl MbiConfig {
         self
     }
 
-    /// Sets the intra-query fan-out width (`0` = auto with adaptive
-    /// sequential fallback; see [`MbiConfig::query_threads`]).
-    pub fn with_query_threads(mut self, threads: usize) -> Self {
-        self.query_threads = threads;
+    /// Returns `self` unchanged: a query runs on its caller's thread, so
+    /// there is no fan-out width to set. Kept only so the `e2e` benchmark's
+    /// `index_config` still builds; ROADMAP item 1 (the next benchmark
+    /// change) removes it.
+    #[deprecated(note = "a no-op; removed with ROADMAP item 1")]
+    pub fn with_query_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -232,13 +222,11 @@ mod tests {
             .with_leaf_size(256)
             .with_tau(0.3)
             .with_parallel_build(true)
-            .with_query_threads(4)
             .with_search(SearchParams::new(64, 1.2));
         assert_eq!(c.dim, 8);
         assert_eq!(c.leaf_size, 256);
         assert_eq!(c.tau, 0.3);
         assert!(c.parallel_build);
-        assert_eq!(c.query_threads, 4);
         assert_eq!(c.search.max_candidates, 64);
         assert_eq!(c.backend.name(), "nndescent");
     }
@@ -248,7 +236,6 @@ mod tests {
         let c = MbiConfig::new(4, Metric::Euclidean);
         assert_eq!(c.tau, 0.5, "§5.4.2 recommends τ = 0.5 by default");
         assert!(!c.parallel_build);
-        assert_eq!(c.query_threads, 0, "auto fan-out by default");
         assert_eq!(c.ram_budget_bytes, u64::MAX, "everything resident");
         assert_eq!(c.cache_shards, 8);
     }

@@ -354,14 +354,13 @@ impl IndexSnapshot {
         k: usize,
         window: TimeWindow,
         params: &SearchParams,
-        threads: usize,
         deadline: Option<Instant>,
     ) -> QueryOutput {
         let target = self.target();
         let meta = |i| self.blocks.get(i).select_meta();
         let selection = target.block_selection(window, self.config.tau, meta);
         let blocks: Vec<&Block> = selection.blocks.iter().map(|&i| &**self.blocks.get(i)).collect();
-        target.search(query, k, window, params, &selection, &blocks, threads, deadline)
+        target.search(query, k, window, params, &selection, &blocks, deadline)
     }
 
     fn target(&self) -> QueryTarget<'_, SegmentStore, TimeChunks> {
@@ -504,7 +503,7 @@ impl IndexSnapshot {
         params: &SearchParams,
         deadline: Option<Instant>,
     ) -> QueryOutput {
-        self.search(query, k, window, params, self.config.query_threads, deadline)
+        self.search(query, k, window, params, deadline)
     }
 
     /// Exact TkNN over the snapshot's rows, by brute force.
@@ -994,65 +993,6 @@ impl StreamingMbi {
             out.stats.merge(&tail_stats);
             out.selection.tail = true;
         }
-        out
-    }
-
-    /// Answers many queries against one consistent engine state: the tail
-    /// lock and snapshot are taken *once*, every query's partial-leaf scan
-    /// runs under that single lock hold, and the snapshot (immutable by
-    /// construction) is then fanned out across `threads` workers (`0` = all
-    /// cores). Batch workers search with fan-out 1 — the batch already
-    /// spreads over the cores; a serial batch keeps
-    /// [`MbiConfig::query_threads`]. Per query the answer is bit-identical
-    /// to [`StreamingMbi::query_with_params`] against the same state — the
-    /// server's batch coalescer relies on exactly this equivalence.
-    pub fn query_batch(
-        &self,
-        queries: &[(Vec<f32>, usize, TimeWindow)],
-        params: &SearchParams,
-        threads: usize,
-    ) -> Vec<Vec<TknnResult>> {
-        for (q, _, _) in queries {
-            assert_eq!(q.len(), self.shared.config.dim, "query has wrong dimension");
-        }
-        let (snap, mut tail_hits) = self.pin_tail(|tail| {
-            queries.iter().map(|(q, k, w)| self.scan_tail(tail, q, *k, *w)).collect::<Vec<_>>()
-        });
-        let search = |(q, k, w): &(Vec<f32>, usize, TimeWindow),
-                      tail_hit: Option<(Vec<TknnResult>, SearchStats)>,
-                      fan_out: usize| {
-            let out = snap.search(q, *k, *w, params, fan_out, None);
-            match tail_hit {
-                Some((hits, _)) => merge_results(out.results, hits, *k),
-                None => out.results,
-            }
-        };
-        let threads = match threads {
-            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-            n => n,
-        };
-        if threads <= 1 || queries.len() <= 1 {
-            let fan_out = self.shared.config.query_threads;
-            return queries
-                .iter()
-                .zip(tail_hits)
-                .map(|(qkw, hit)| search(qkw, hit, fan_out))
-                .collect();
-        }
-        let chunk = queries.len().div_ceil(threads);
-        let mut out: Vec<Vec<TknnResult>> = vec![Vec::new(); queries.len()];
-        std::thread::scope(|scope| {
-            for ((qchunk, hchunk), ochunk) in
-                queries.chunks(chunk).zip(tail_hits.chunks_mut(chunk)).zip(out.chunks_mut(chunk))
-            {
-                let search = &search;
-                scope.spawn(move || {
-                    for ((qkw, hit), slot) in qchunk.iter().zip(hchunk).zip(ochunk) {
-                        *slot = search(qkw, hit.take(), 1);
-                    }
-                });
-            }
-        });
         out
     }
 
@@ -1577,39 +1517,6 @@ mod tests {
     }
 
     #[test]
-    fn query_batch_matches_individual_queries() {
-        let engine = StreamingMbi::new(config());
-        fill(&engine, 67); // 8 sealed leaves + 3 tail rows
-        engine.flush();
-        let params = SearchParams::new(64, 1.2);
-        let queries: Vec<(Vec<f32>, usize, TimeWindow)> =
-            (0..9).map(|i| (vec![i as f32 * 7.0, 0.0], 3, TimeWindow::new(i, i + 50))).collect();
-        let serial = engine.query_batch(&queries, &params, 1);
-        let parallel = engine.query_batch(&queries, &params, 4);
-        assert_eq!(serial, parallel);
-        for ((q, k, w), batch) in queries.iter().zip(&serial) {
-            assert_eq!(*batch, engine.query_with_params(q, *k, *w, &params).results);
-        }
-    }
-
-    #[test]
-    fn query_batch_covers_unpublished_tail() {
-        // No flush: with a slow builder most rows are still tail-resident,
-        // so the batch path must merge tail scans to stay correct.
-        let engine = StreamingMbi::new(config());
-        fill(&engine, 29);
-        let params = SearchParams::new(64, 1.2);
-        let queries: Vec<(Vec<f32>, usize, TimeWindow)> = vec![
-            (vec![28.0, 0.0], 4, TimeWindow::all()),
-            (vec![0.0, 0.0], 2, TimeWindow::new(24, 29)),
-        ];
-        for (i, res) in engine.query_batch(&queries, &params, 0).iter().enumerate() {
-            let (q, k, w) = &queries[i];
-            assert_eq!(*res, engine.query_with_params(q, *k, *w, &params).results, "query {i}");
-        }
-    }
-
-    #[test]
     fn engine_deadline_flags_partial_results() {
         let engine = StreamingMbi::new(config());
         fill(&engine, 67);
@@ -1864,6 +1771,13 @@ mod tests {
                 let got = engine.exact_query(&[i as f32, 0.0], 3, w);
                 let want = sync.exact_query(&[i as f32, 0.0], 3, w);
                 assert_eq!(got, want, "after {} inserts", i + 1);
+                // The approximate path merges the unpublished partial leaf
+                // too: over it and the last sealed leaf, where every block
+                // is scanned, it answers exactly.
+                let recent =
+                    TimeWindow::new(((i + 1) / 8 * 8).saturating_sub(4) as i64, i as i64 + 1);
+                let out = engine.query_with_params(&[i as f32, 0.0], 3, recent, &config().search);
+                assert_eq!(out.results, sync.exact_query(&[i as f32, 0.0], 3, recent));
             }
         }
     }

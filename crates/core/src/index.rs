@@ -406,11 +406,6 @@ impl MbiIndex {
         self.target().block_selection(window, self.config.tau, |i| self.blocks[i].select_meta())
     }
 
-    /// The blocks `selection` names, in selection order.
-    fn cover(&self, selection: &SearchBlockSet) -> Vec<&Block> {
-        selection.blocks.iter().map(|&i| &self.blocks[i]).collect()
-    }
-
     /// Approximate TkNN query with the configured default search parameters.
     pub fn query(&self, query: &[f32], k: usize, window: TimeWindow) -> Vec<TknnResult> {
         self.query_with_params(query, k, window, &self.config.search).results
@@ -436,9 +431,6 @@ impl MbiIndex {
     /// Runs the per-block search + merge of Algorithm 4 over an explicit
     /// search block set. Exposed so callers (e.g. the `τ` tuner) can select
     /// blocks under a different `τ` without rebuilding the index.
-    ///
-    /// Fan-out width comes from [`MbiConfig::query_threads`]; see
-    /// [`MbiIndex::query_with_params_threaded`] for an explicit override.
     pub fn query_on_selection(
         &self,
         query: &[f32],
@@ -447,31 +439,24 @@ impl MbiIndex {
         params: &SearchParams,
         selection: &SearchBlockSet,
     ) -> QueryOutput {
-        let blocks = self.cover(selection);
-        let threads = self.config.query_threads;
-        self.target().search(query, k, window, params, selection, &blocks, threads, None)
+        let blocks: Vec<&Block> = selection.blocks.iter().map(|&i| &self.blocks[i]).collect();
+        self.target().search(query, k, window, params, selection, &blocks, None)
     }
 
-    /// [`MbiIndex::query_with_params`] with an explicit fan-out width,
-    /// overriding [`MbiConfig::query_threads`]: `0` = auto (cores, with the
-    /// adaptive sequential fallback), `n > 0` forces up to `n` workers.
-    ///
-    /// Results and merged [`SearchStats`] are bit-identical for every
-    /// `threads` value: each worker fills a local `TopK` whose retention
-    /// depends only on the *set* of offered `(dist, id)` pairs (total order,
-    /// deterministic tie-break on id), workers are merged in block order,
-    /// and the stats fields are order-independent sums.
+    /// [`MbiIndex::query_with_params`]; `threads` is ignored, since a query
+    /// runs on its caller's thread. Kept only so the `e2e` benchmark's
+    /// `query_fanout` still builds; ROADMAP item 1 (the next benchmark
+    /// change) removes it.
+    #[deprecated(note = "same as `query_with_params`; removed with ROADMAP item 1")]
     pub fn query_with_params_threaded(
         &self,
         query: &[f32],
         k: usize,
         window: TimeWindow,
         params: &SearchParams,
-        threads: usize,
+        _threads: usize,
     ) -> QueryOutput {
-        let selection = self.block_selection(window);
-        let blocks = self.cover(&selection);
-        self.target().search(query, k, window, params, &selection, &blocks, threads, None)
+        self.query_with_params(query, k, window, params)
     }
 
     /// Exact TkNN by binary search + brute force over the whole store — the

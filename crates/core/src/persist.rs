@@ -9,6 +9,11 @@
 //! panic. A header version other than 8 is `Corrupt` at byte 4 — there is
 //! no converter and no second reader.
 //!
+//! The config section keeps one reserved `u64` after `parallel_build`: it
+//! held the query fan-out width, which is gone (a query runs on its
+//! caller's thread). It is written as 0 and read and ignored, whatever it
+//! holds; the slot goes at the next format cut (v9).
+//!
 //! # Envelope
 //!
 //! ```text
@@ -1224,7 +1229,9 @@ fn write_config(b: &mut BytesMut, c: &MbiConfig) {
         }
     }
     b.put_u8(u8::from(c.parallel_build));
-    b.put_u64_le(c.query_threads as u64);
+    // Reserved slot (was the query fan-out width): written 0, read and
+    // ignored; it goes at the next format cut.
+    b.put_u64_le(0);
     b.put_u8(u8::from(c.sq8_scan));
     b.put_f32_le(c.sq8_overfetch);
     b.put_u64_le(c.ram_budget_bytes);
@@ -1273,7 +1280,9 @@ fn read_config(b: &mut Src<'_>) -> Result<MbiConfig, MbiError> {
     };
     b.need(1 + 8)?;
     let parallel_build = b.get_u8() != 0;
-    let query_threads = b.get_u64_le() as usize;
+    // The reserved slot: any value loads, since older writers stored a
+    // fan-out width here.
+    b.get_u64_le();
     b.need(1 + 4)?;
     let sq8_scan = b.get_u8() != 0;
     let sq8_overfetch = b.get_f32_le();
@@ -1294,7 +1303,6 @@ fn read_config(b: &mut Src<'_>) -> Result<MbiConfig, MbiError> {
         backend,
         search: SearchParams { max_candidates, epsilon, entry },
         parallel_build,
-        query_threads,
         sq8_scan,
         sq8_overfetch,
         ram_budget_bytes,
@@ -2483,6 +2491,35 @@ mod tests {
         let loaded = IndexSnapshot::from_bytes(snapshot_of(&idx).to_bytes()).unwrap();
         assert_eq!(loaded.config().ram_budget_bytes, 123);
         assert_eq!(loaded.config().cache_shards, 3);
+
+        // The reserved slot after `parallel_build` (it precedes `sq8_scan`,
+        // `sq8_overfetch` and the two tier knobs) loads with any value —
+        // older streams carry a fan-out width there — and changes no answer.
+        let with_slot = |stream: &[u8], v: u64| {
+            let at = parse_footer(stream).unwrap()[1].1 - (8 + 4) - 4 - 1 - 8;
+            assert_eq!(stream[at..at + 8], [0; 8], "the slot is written as 0");
+            refooter(stream, |body| body[at..at + 8].copy_from_slice(&v.to_le_bytes()))
+        };
+        let idx = build_index(GraphBackend::default(), 64);
+        let (index_stream, snapshot_stream) = (idx.to_bytes(), snapshot_of(&idx).to_bytes());
+        let snapshot = IndexSnapshot::from_bytes(snapshot_stream.clone()).unwrap();
+        let cold = cold_from(&snapshot_stream).unwrap();
+        let params = idx.config().search;
+        for v in [1, u64::MAX] {
+            assert_same_answers(&idx, &MbiIndex::from_bytes(with_slot(&index_stream, v)).unwrap());
+            let stream = with_slot(&snapshot_stream, v);
+            assert_same_snapshot_answers(
+                &snapshot,
+                &IndexSnapshot::from_bytes(stream.clone()).unwrap(),
+            );
+            let other = cold_from(&stream).unwrap();
+            for (q, w) in [(5.0f32, (0i64, 60i64)), (30.0, (10, 50)), (55.0, (40, 64))] {
+                let (q, w) = ([q, 0.0, -q], TimeWindow::new(w.0, w.1));
+                let want = cold.query_with_params(&q, 5, w, &params).unwrap();
+                let got = other.query_with_params(&q, 5, w, &params).unwrap();
+                assert_eq!((got.results, got.stats), (want.results, want.stats), "slot {v}");
+            }
+        }
     }
 
     #[test]

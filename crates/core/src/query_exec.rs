@@ -5,8 +5,9 @@
 //! blocks a query touches from a mapped file. Each front-end runs selection
 //! over its own block metadata and hands the selected blocks to
 //! [`QueryTarget::search`], so the per-block search, the cost-model
-//! dispatch, the intra-query fan-out, the deadline, and the tail scan are
-//! written (and audited) exactly once.
+//! dispatch, the deadline, and the tail scan are written (and audited)
+//! exactly once. A query runs on its caller's thread: one search per
+//! selected block, in selection order, merged into one top-k.
 
 use crate::block::Block;
 use crate::config::MbiConfig;
@@ -19,47 +20,37 @@ use mbi_ann::{
     SearchScratch, SearchStats, SegmentStore, VectorStore, VectorView,
 };
 use mbi_math::{Neighbor, PreparedQuery, TopK};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::cell::Cell;
 use std::time::Instant;
 
-/// Cooperative deadline shared by every worker of one query: `None` means
-/// unbounded. The flag latches, so once any worker observes expiry every
-/// later [`Deadline::expired`] call is a single atomic load — no further
-/// clock reads.
+/// Cooperative deadline of one query: `None` means unbounded. The flag
+/// latches, so once expiry is observed every later [`Deadline::expired`]
+/// call reads no clock.
 struct Deadline {
     at: Option<Instant>,
-    hit: AtomicBool,
+    hit: Cell<bool>,
 }
 
 impl Deadline {
     fn new(at: Option<Instant>) -> Self {
-        Deadline { at, hit: AtomicBool::new(false) }
+        Deadline { at, hit: Cell::new(false) }
     }
 
     /// Whether the deadline has passed (checked between block visits —
     /// granularity is one block search, never mid-scan).
     fn expired(&self) -> bool {
         let Some(at) = self.at else { return false };
-        if self.hit.load(Ordering::Relaxed) {
-            return true;
+        if !self.hit.get() && Instant::now() >= at {
+            self.hit.set(true);
         }
-        if Instant::now() >= at {
-            self.hit.store(true, Ordering::Relaxed);
-            return true;
-        }
-        false
+        self.hit.get()
     }
 
     /// Whether any [`Deadline::expired`] call returned true.
     fn was_hit(&self) -> bool {
-        self.hit.load(Ordering::Relaxed)
+        self.hit.get()
     }
 }
-
-/// Minimum total rows under the selected full blocks before auto-mode
-/// intra-query fan-out spawns workers; below this a scoped-thread spawn
-/// costs more than the per-block searches it would parallelise.
-const MIN_PARALLEL_ROWS: usize = 8 * 1024;
 
 /// Whether the executor answers a selected block of `len` rows, `m > 0` of
 /// them in the window, by graph search rather than by an exact scan of the
@@ -106,7 +97,7 @@ impl VectorSource for SegmentStore {
 
 /// Timestamp column a query can execute against: flat (`[Timestamp]`) or
 /// chunk-shared ([`TimeChunks`]). Always non-decreasing.
-pub(crate) trait TimeSource: Sync {
+pub(crate) trait TimeSource {
     /// Total timestamps (= total rows).
     fn len(&self) -> usize;
     /// Timestamp of row `i`.
@@ -152,7 +143,7 @@ impl TimeSource for TimeChunks {
 /// metadata through an accessor, and [`Self::search`] receives the ones
 /// selection named.
 pub(crate) struct QueryTarget<'a, V: ?Sized, T: ?Sized> {
-    /// Index configuration (`τ`, metric, search defaults, fan-out width).
+    /// Index configuration (`τ`, metric, search defaults).
     pub config: &'a MbiConfig,
     /// The raw vectors, rows `0..times.len()`.
     pub store: &'a V,
@@ -196,19 +187,14 @@ where
 
     /// The one query body (Algorithm 4 after selection): per-block search +
     /// merge over `blocks` — the blocks `selection` names, in selection
-    /// order — then the tail scan, with a fan-out width
-    /// `threads` (`0` = auto) and an optional cooperative `deadline`. Every
-    /// front-end's approximate query ends here. See
-    /// [`MbiIndex::query_with_params_threaded`](crate::MbiIndex::query_with_params_threaded)
-    /// for why the output does not depend on `threads`.
+    /// order — then the tail scan, under an optional cooperative
+    /// `deadline`. Every front-end's approximate query ends here.
     ///
-    /// The deadline is checked between block visits (sequential path) and
-    /// per block per worker (fan-out path, via a shared latched flag), so a
-    /// straggler query stops within one block search of expiry instead of
-    /// holding a server worker indefinitely. On expiry the output carries
-    /// whatever was merged so far with `timed_out = true` — partial results,
-    /// never a panic. With `deadline = None` no clock is read (one untaken
-    /// branch per block).
+    /// The deadline is checked between block visits, so a straggler query
+    /// stops within one block search of expiry instead of holding a server
+    /// worker indefinitely. On expiry the output carries whatever was merged
+    /// so far with `timed_out = true` — partial results, never a panic. With
+    /// `deadline = None` no clock is read (one untaken branch per block).
     #[allow(clippy::too_many_arguments)]
     pub fn search(
         &self,
@@ -218,74 +204,43 @@ where
         params: &SearchParams,
         selection: &SearchBlockSet,
         blocks: &[&Block],
-        threads: usize,
         deadline: Option<Instant>,
     ) -> QueryOutput {
         assert_eq!(query.len(), self.config.dim, "query has wrong dimension");
         assert_eq!(blocks.len(), selection.blocks.len(), "one block per selected index");
-        let deadline = &Deadline::new(deadline);
+        let deadline = Deadline::new(deadline);
         let mut stats = SearchStats::default();
         let mut merged = TopK::new(k);
         let (wlo, whi) = self.window_rows(window);
         // Prepared once per query: the norm work is shared by every block
-        // this query touches (and every worker — `PreparedQuery` is `Copy`).
+        // this query touches.
         let pq = PreparedQuery::new(self.config.metric, query);
 
-        // One worker's pass over a run of selected blocks: the sequential
-        // path runs it once over the whole selection, the fan-out path once
-        // per chunk. Each call borrows its own thread's scratch, so repeated
-        // queries reuse the same allocations per worker thread.
-        let search_blocks = |blocks: &[&Block], top: &mut TopK, stats: &mut SearchStats| {
-            with_thread_scratch(|scratch, buf| {
-                for block in blocks {
-                    if deadline.expired() {
-                        break;
-                    }
-                    self.search_one_block(
-                        block, &pq, k, wlo, whi, params, top, stats, scratch, buf,
-                    );
+        // The thread's scratch is reused by every query on this thread.
+        with_thread_scratch(|scratch, buf| {
+            for block in blocks {
+                if deadline.expired() {
+                    break;
                 }
-            })
-        };
-        let workers = self.effective_query_threads(threads, blocks);
-        if workers <= 1 {
-            search_blocks(blocks, &mut merged, &mut stats);
-        } else {
-            // Scoped fan-out over contiguous chunks of the selection. Chunks
-            // are merged in block order below; per the determinism argument
-            // in the doc comment the order is immaterial to the output, but
-            // keeping it fixed makes that claim trivially auditable.
-            let chunk = blocks.len().div_ceil(workers);
-            let parts: Vec<(TopK, SearchStats)> = std::thread::scope(|scope| {
-                let workers: Vec<_> = blocks
-                    .chunks(chunk)
-                    .map(|blocks| {
-                        let search_blocks = &search_blocks;
-                        scope.spawn(move || {
-                            let (mut local, mut local_stats) =
-                                (TopK::new(k), SearchStats::default());
-                            search_blocks(blocks, &mut local, &mut local_stats);
-                            (local, local_stats)
-                        })
-                    })
-                    .collect();
-                workers
-                    .into_iter()
-                    .map(|w| w.join().expect("scoped query worker panicked"))
-                    .collect()
-            });
-            for (local, local_stats) in parts {
-                merged.merge(local);
-                stats.merge(&local_stats);
+                self.search_one_block(
+                    block,
+                    &pq,
+                    k,
+                    wlo,
+                    whi,
+                    params,
+                    &mut merged,
+                    &mut stats,
+                    scratch,
+                    buf,
+                );
             }
-        }
+        });
 
         // Tail: binary search + brute force (Algorithm 4 line 6 — rows no
         // block covers have no graph, so BSBF applies). Always the exact
         // scan, SQ8 or not: a snapshot's unbuilt leaves carry code columns,
-        // but they are served exactly until their chain is published. Stays
-        // on the calling thread: it is a single bounded scan, never worth a
-        // spawn.
+        // but they are served exactly until their chain is published.
         if selection.tail && !deadline.expired() {
             let tail = self.tail_rows();
             let lo = wlo.max(tail.start);
@@ -309,8 +264,7 @@ where
     }
 
     /// Searches one selected full block, merging hits into `merged` and
-    /// counters into `stats` — the per-block body shared by the sequential
-    /// and fan-out paths of [`Self::search`].
+    /// counters into `stats` — the per-block body of [`Self::search`].
     ///
     /// The block is answered by an SF-style filtered graph search (Algorithm
     /// 4 line 8) — unless the window covers so few of the block's rows that
@@ -381,32 +335,6 @@ where
         for n in buf.iter() {
             merged.offer(base + n.id, n.dist);
         }
-    }
-
-    /// Resolves a requested fan-out width to the worker count actually used.
-    ///
-    /// An explicit request (`requested > 0`) is honoured up to one worker
-    /// per selected block. Auto mode (`0`) uses the available cores but
-    /// falls back to sequential when there is nothing to amortise a spawn
-    /// against: fewer than two selected full blocks, a single core, or
-    /// fewer than [`MIN_PARALLEL_ROWS`] total rows under selection.
-    fn effective_query_threads(&self, requested: usize, blocks: &[&Block]) -> usize {
-        let nblocks = blocks.len();
-        if nblocks <= 1 {
-            return 1;
-        }
-        if requested != 0 {
-            return requested.min(nblocks);
-        }
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        if cores <= 1 {
-            return 1;
-        }
-        let total_rows: usize = blocks.iter().map(|b| b.len()).sum();
-        if total_rows < MIN_PARALLEL_ROWS {
-            return 1;
-        }
-        cores.min(nblocks)
     }
 
     /// Exact TkNN by binary search + brute force over the whole store — the

@@ -644,8 +644,7 @@ impl ColdIndex {
                 .map(|(&bi, g)| self.selected_block(bi, g.map(|i| (keys[i], &pieces[i]))))
                 .collect::<Result<Vec<_>, _>>()?;
             let blocks: Vec<&Block> = blocks.iter().map(|b| &**b).collect();
-            let threads = lay.config.query_threads;
-            Ok(target.search(query, k, window, params, &selection, &blocks, threads, deadline))
+            Ok(target.search(query, k, window, params, &selection, &blocks, deadline))
         })
     }
 

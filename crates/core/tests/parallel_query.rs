@@ -1,10 +1,10 @@
-//! Equivalence and instrumentation tests for the intra-query block fan-out
-//! (`MbiIndex::query_with_params_threaded`).
+//! Equivalence and instrumentation tests for the query executor.
 //!
-//! The contract under test: results *and* merged [`SearchStats`] are
-//! bit-identical for every fan-out width, and `blocks_searched` counts only
-//! the places a query actually searched (selected blocks whose in-window row
-//! range is empty are skipped untouched).
+//! The contracts under test: the norm-cached angular pipeline returns the
+//! scalar distances and survives a persist round trip bit for bit, and
+//! `blocks_searched` counts only the places a query actually searched
+//! (selected blocks whose in-window row range is empty are skipped
+//! untouched).
 
 use mbi_ann::{SearchParams, SearchStats};
 use mbi_core::{MbiConfig, MbiIndex, TimeWindow};
@@ -14,13 +14,9 @@ use rand::{rngs::SmallRng, Rng, SeedableRng};
 
 const DIM: usize = 4;
 
-/// Builds an index over `n` pseudo-random vectors with mildly clumpy
-/// timestamps (duplicates and gaps), deterministically from `seed`.
-fn random_index(n: usize, leaf_size: usize, tau: f64, seed: u64) -> MbiIndex {
-    random_metric_index(Metric::Euclidean, n, leaf_size, tau, seed)
-}
-
-/// [`random_index`] under an arbitrary metric.
+/// Builds an index over `n` pseudo-random vectors under `metric` with
+/// mildly clumpy timestamps (duplicates and gaps), deterministically from
+/// `seed`.
 fn random_metric_index(
     metric: Metric,
     n: usize,
@@ -51,36 +47,9 @@ fn random_query(seed: u64) -> Vec<f32> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
-    #[test]
-    fn fanout_width_is_observationally_invisible(
-        n in 48usize..260,
-        leaf_size in 4usize..24,
-        k in 1usize..9,
-        tau in 0.25f64..0.9,
-        seed in 0u64..1_000_000,
-        wlo in 0i64..180,
-        wspan in 1i64..200,
-    ) {
-        let idx = random_index(n, leaf_size, tau, seed);
-        let query = random_query(seed ^ 0xDEAD_BEEF);
-        let window = TimeWindow::new(wlo, wlo + wspan);
-        let params = SearchParams::new(48, 1.2);
-
-        let sequential = idx.query_with_params_threaded(&query, k, window, &params, 1);
-        for threads in [2usize, 3, 4, 0] {
-            let fanned = idx.query_with_params_threaded(&query, k, window, &params, threads);
-            // Bit-identical ids, timestamps, and f32 distances...
-            prop_assert_eq!(&sequential.results, &fanned.results, "threads = {}", threads);
-            // ...and identical merged work counters.
-            prop_assert_eq!(&sequential.stats, &fanned.stats, "threads = {}", threads);
-            prop_assert_eq!(&sequential.selection.blocks, &fanned.selection.blocks);
-            prop_assert_eq!(sequential.selection.tail, fanned.selection.tail);
-        }
-    }
-
-    /// The norm-cached angular pipeline: fan-out width stays observationally
-    /// invisible, every returned distance agrees with a scalar recompute
-    /// within 1e-5, and the persisted index answers identically.
+    /// The norm-cached angular pipeline: every returned distance agrees with
+    /// a scalar recompute within 1e-5, and the persisted index answers
+    /// identically.
     #[test]
     fn angular_cached_pipeline_is_equivalent(
         n in 48usize..220,
@@ -96,51 +65,19 @@ proptest! {
         let window = TimeWindow::new(wlo, wlo + wspan);
         let params = SearchParams::new(48, 1.2);
 
-        let sequential = idx.query_with_params_threaded(&query, k, window, &params, 1);
-        for threads in [2usize, 4, 0] {
-            let fanned = idx.query_with_params_threaded(&query, k, window, &params, threads);
-            prop_assert_eq!(&sequential.results, &fanned.results, "threads = {}", threads);
-            prop_assert_eq!(&sequential.stats, &fanned.stats, "threads = {}", threads);
-        }
+        let out = idx.query_with_params(&query, k, window, &params);
         // Cached distances match the scalar three-pass kernel within 1e-5.
-        for r in &sequential.results {
+        for r in &out.results {
             let scalar = Metric::Angular.distance(&query, idx.vector_of(r.id));
             prop_assert!((r.dist - scalar).abs() <= 1e-5, "{} vs {}", r.dist, scalar);
             prop_assert!(window.contains(r.timestamp));
         }
         // Round-tripping through the v3 norm column changes nothing.
         let loaded = MbiIndex::from_bytes(idx.to_bytes()).unwrap();
-        let reloaded = loaded.query_with_params_threaded(&query, k, window, &params, 1);
-        prop_assert_eq!(&sequential.results, &reloaded.results);
-        prop_assert_eq!(&sequential.stats, &reloaded.stats);
+        let reloaded = loaded.query_with_params(&query, k, window, &params);
+        prop_assert_eq!(&out.results, &reloaded.results);
+        prop_assert_eq!(&out.stats, &reloaded.stats);
     }
-}
-
-/// The `query_threads` config knob and the explicit-threads entry point
-/// agree (same machinery, different plumbing).
-#[test]
-fn config_knob_matches_explicit_threads() {
-    let idx = random_index(200, 8, 0.5, 7);
-    let query = random_query(99);
-    let params = SearchParams::new(48, 1.2);
-    let window = TimeWindow::new(10, 160);
-
-    let explicit = idx.query_with_params_threaded(&query, 5, window, &params, 4);
-
-    // Rebuild the same data under a config carrying the knob.
-    let cfg = MbiConfig::new(DIM, Metric::Euclidean)
-        .with_leaf_size(8)
-        .with_tau(0.5)
-        .with_search(SearchParams::new(48, 1.2))
-        .with_query_threads(4);
-    let mut knob_idx = MbiIndex::new(cfg);
-    for id in 0..idx.len() as u32 {
-        knob_idx.insert(idx.vector_of(id), idx.timestamp_of(id)).unwrap();
-    }
-
-    let via_knob = knob_idx.query_with_params(&query, 5, window, &params);
-    assert_eq!(explicit.results, via_knob.results);
-    assert_eq!(explicit.stats, via_knob.stats);
 }
 
 /// A block can be *selected* on timestamp overlap yet hold zero in-window
@@ -165,11 +102,6 @@ fn gap_window_skips_selected_block_in_stats() {
     assert_eq!(out.stats.blocks_searched, 0, "no rows in window → nothing searched");
     assert_eq!(out.stats.blocks_bruteforced, 0);
     assert_eq!(out.stats.dist_evals, 0);
-
-    // Same skip rule under forced fan-out.
-    let fanned =
-        idx.query_with_params_threaded(&[0.0, 0.0], 3, window, &SearchParams::default(), 4);
-    assert_eq!(fanned.stats, out.stats);
 }
 
 /// The tail analogue: a gap *inside the tail's timestamp span* selects the
@@ -219,8 +151,8 @@ fn dense_window_counts_every_place() {
     assert!(out.stats.blocks_bruteforced <= out.stats.blocks_searched);
 }
 
-/// `SearchStats::merge` is plain field-wise addition, so per-worker records
-/// combine to the same totals in any order.
+/// `SearchStats::merge` is plain field-wise addition, so the engine's tail
+/// merge adds the same totals in any order.
 #[test]
 fn stats_merge_sums_every_field() {
     let a = SearchStats {
@@ -253,20 +185,4 @@ fn stats_merge_sums_every_field() {
     let mut with_default = SearchStats::default();
     with_default.merge(&expected);
     assert_eq!(with_default, expected, "default is the identity");
-}
-
-/// Forcing more workers than selected blocks caps at one worker per block
-/// and still answers correctly (equivalence against the exact scan).
-#[test]
-fn oversubscribed_fanout_is_safe_and_correct() {
-    let idx = random_index(180, 8, 0.5, 42);
-    let query = random_query(1234);
-    let params = SearchParams::new(64, 1.2);
-    let window = TimeWindow::new(0, i64::MAX);
-
-    let out = idx.query_with_params_threaded(&query, 6, window, &params, 64);
-    let seq = idx.query_with_params_threaded(&query, 6, window, &params, 1);
-    assert_eq!(out.results, seq.results);
-    assert_eq!(out.stats, seq.stats);
-    assert_eq!(out.results.len(), 6);
 }

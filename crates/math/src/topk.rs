@@ -166,13 +166,6 @@ impl TopK {
         v
     }
 
-    /// Merges another collector's retained entries into this one.
-    pub fn merge(&mut self, other: TopK) {
-        for n in other.heap {
-            self.push(n);
-        }
-    }
-
     /// Iterates over retained entries in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = &Neighbor> {
         self.heap.iter()
@@ -260,19 +253,6 @@ mod tests {
         assert!(!t.offer(5, 1.0), "same dist, larger id must not replace");
         assert!(t.offer(1, 1.0), "same dist, smaller id replaces");
         assert_eq!(t.into_sorted_vec(), vec![n(1, 1.0)]);
-    }
-
-    #[test]
-    fn merge_combines_collectors() {
-        let mut a = TopK::new(3);
-        a.offer(0, 1.0);
-        a.offer(1, 9.0);
-        let mut b = TopK::new(3);
-        b.offer(2, 2.0);
-        b.offer(3, 3.0);
-        a.merge(b);
-        let out = a.into_sorted_vec();
-        assert_eq!(out, vec![n(0, 1.0), n(2, 2.0), n(3, 3.0)]);
     }
 
     #[test]

@@ -113,8 +113,6 @@ impl std::fmt::Display for ClientError {
 pub struct QueryReply {
     /// The top-k results.
     pub results: Vec<TknnResult>,
-    /// The query rode a coalesced batch.
-    pub coalesced: bool,
     /// The deadline expired; results are partial.
     pub timed_out: bool,
 }
@@ -303,8 +301,7 @@ impl BinaryClient {
         }
     }
 
-    /// One kNN query. `deadline` of `None` uses the server's default (and
-    /// keeps the query eligible for coalescing).
+    /// One kNN query. `deadline` of `None` uses the server's default.
     pub fn query(
         &mut self,
         vector: &[f32],
@@ -335,7 +332,6 @@ impl BinaryClient {
         let (flags, results) = wire::decode_results(&body).map_err(ClientError::Protocol)?;
         Ok(QueryReply {
             results,
-            coalesced: flags & wire::FLAG_COALESCED != 0,
             timed_out: flags & wire::FLAG_TIMED_OUT != 0 || status == Status::Timeout,
         })
     }

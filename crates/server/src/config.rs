@@ -125,12 +125,6 @@ pub struct ServerConfig {
     /// Default per-request deadline applied when a request does not carry
     /// its own; `None` = unbounded.
     pub default_deadline: Option<Duration>,
-    /// Coalescing window: a query waits up to this long for companions to
-    /// merge into one batch call. `Duration::ZERO` disables coalescing.
-    pub coalesce_window: Duration,
-    /// Upper bound on one coalesced batch; a full batch executes before
-    /// the window elapses.
-    pub coalesce_max_batch: usize,
     /// Idle-connection deadline (the slow-loris guard): a connection that
     /// sends no complete request for this long is dropped and counted in
     /// `idle_dropped`. `None` = no deadline. Replication subscriptions are
@@ -151,7 +145,7 @@ pub struct ServerConfig {
 
 impl ServerConfig {
     /// A config with production-ish defaults: 256 connections, 64 in-flight
-    /// requests, a 2 s default deadline, coalescing off.
+    /// requests, a 2 s default deadline.
     pub fn new(addr: impl Into<String>, index: MbiConfig) -> Self {
         ServerConfig {
             addr: addr.into(),
@@ -160,8 +154,6 @@ impl ServerConfig {
             max_connections: 256,
             max_inflight: 64,
             default_deadline: Some(Duration::from_secs(2)),
-            coalesce_window: Duration::ZERO,
-            coalesce_max_batch: 32,
             idle_timeout: Some(Duration::from_secs(30)),
             max_frame_bytes: crate::wire::MAX_FRAME,
             replica_lag_warn_rows: 10_000,
@@ -181,10 +173,12 @@ impl ServerConfig {
         self
     }
 
-    /// Sets the coalescing window and batch cap.
-    pub fn with_coalescing(mut self, window: Duration, max_batch: usize) -> Self {
-        self.coalesce_window = window;
-        self.coalesce_max_batch = max_batch.max(2);
+    /// Returns `self` unchanged: every query runs on its connection's
+    /// thread, so there is no coalescing window to set. Kept only so the
+    /// `e2e` benchmark's `start_server` still builds; ROADMAP item 1 (the
+    /// next benchmark change) removes it.
+    #[deprecated(note = "a no-op; removed with ROADMAP item 1")]
+    pub fn with_coalescing(self, _window: Duration, _max_batch: usize) -> Self {
         self
     }
 

@@ -14,7 +14,7 @@
 //! workspace's vendored-stand-in discipline applies (no async runtime is
 //! worth stubbing — blocking threads serve the tested load fine).
 //!
-//! The server owns five concerns the engine itself does not:
+//! The server owns four concerns the engine itself does not:
 //!
 //! 1. **Tenancy** ([`tenant`]) — one engine per named tenant, bearer-token
 //!    auth, builder threads and RAM budget divided across tenants.
@@ -22,19 +22,15 @@
 //!    in-flight request gate that sheds load with `503`/`Overloaded`
 //!    instead of queueing unboundedly, and per-request deadlines that cut
 //!    off stragglers with `408`/`Timeout` via the engine's cooperative
-//!    deadline check.
-//! 3. **Batch coalescing** ([`coalesce`]) — concurrent single queries
-//!    within a small time window merge into one
-//!    [`StreamingMbi::query_batch`](mbi_core::StreamingMbi::query_batch)
-//!    call and demultiplex, bit-identical to serial execution.
-//! 4. **Replication** ([`replicate`]) — WAL-shipped read replicas over the
+//!    deadline check. Each query runs on its connection's thread.
+//! 3. **Replication** ([`replicate`]) — WAL-shipped read replicas over the
 //!    binary protocol: a leader streams sealed segments plus the live tail
 //!    to followers that serve read-only queries while they tail, verify
 //!    every segment handoff by CRC (divergence is a named error, never
 //!    silent drift), survive link faults with jittered backoff, and can be
 //!    promoted to writable primaries on failover.
-//! 5. **Observability** ([`metrics`]) — per-tenant p50/p99/max latency,
-//!    QPS, queue depth, coalesce ratio, replication lag, and the engine's
+//! 4. **Observability** ([`metrics`]) — per-tenant p50/p99/max latency,
+//!    QPS, queue depth, replication lag, and the engine's
 //!    own stats/health/tier counters as JSON.
 
 // deny (not forbid): the signal module needs one audited `extern "C"` FFI
@@ -44,7 +40,6 @@
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod coalesce;
 pub mod config;
 pub mod http;
 pub mod metrics;
@@ -55,7 +50,6 @@ pub mod tenant;
 pub mod wire;
 
 pub use client::{BinaryClient, ClientError, RetryPolicy};
-pub use coalesce::Coalescer;
 pub use config::{ReplicaSource, ServerConfig, TenantConfig};
 pub use metrics::{LatencyHistogram, ServerMetrics, TenantMetrics};
 pub use replicate::ReplicaState;

@@ -151,10 +151,6 @@ pub struct TenantMetrics {
     pub timeouts: AtomicU64,
     /// Requests rejected for a bad or cross-tenant token.
     pub unauthorized: AtomicU64,
-    /// Queries answered through a coalesced batch of ≥ 2.
-    pub coalesced: AtomicU64,
-    /// Coalesced batch executions (of any size).
-    pub batches: AtomicU64,
 }
 
 impl TenantMetrics {
@@ -162,7 +158,6 @@ impl TenantMetrics {
     /// scales QPS.
     pub fn to_value(&self, uptime: Duration) -> Value {
         let queries = self.queries.load(Ordering::Relaxed);
-        let coalesced = self.coalesced.load(Ordering::Relaxed);
         let secs = uptime.as_secs_f64().max(1e-9);
         let lat = self.query_latency.summary();
         Value::Map(vec![
@@ -171,12 +166,6 @@ impl TenantMetrics {
             ("shed".into(), Value::UInt(self.shed.load(Ordering::Relaxed))),
             ("timeouts".into(), Value::UInt(self.timeouts.load(Ordering::Relaxed))),
             ("unauthorized".into(), Value::UInt(self.unauthorized.load(Ordering::Relaxed))),
-            ("coalesced".into(), Value::UInt(coalesced)),
-            ("batches".into(), Value::UInt(self.batches.load(Ordering::Relaxed))),
-            (
-                "coalesce_ratio".into(),
-                Value::Float(if queries == 0 { 0.0 } else { coalesced as f64 / queries as f64 }),
-            ),
             ("qps".into(), Value::Float(queries as f64 / secs)),
             ("latency".into(), lat.to_value()),
         ])
@@ -280,12 +269,10 @@ mod tests {
     }
 
     #[test]
-    fn tenant_metrics_render_ratio() {
+    fn tenant_metrics_render_qps() {
         let m = TenantMetrics::default();
         m.queries.store(10, Ordering::Relaxed);
-        m.coalesced.store(4, Ordering::Relaxed);
         let v = m.to_value(Duration::from_secs(2));
-        assert_eq!(v.get("coalesce_ratio").unwrap().as_f64(), Some(0.4));
         assert_eq!(v.get("qps").unwrap().as_f64(), Some(5.0));
     }
 }

@@ -13,14 +13,13 @@
 //! cooperative check: an expired query comes back flagged partial and is
 //! answered with `408`/`Timeout` — the connection and server keep serving.
 
-use crate::coalesce::CoalesceOutcome;
 use crate::config::ServerConfig;
 use crate::http::{self, ParseError, Request};
 use crate::metrics::ServerMetrics;
 use crate::signal;
 use crate::tenant::{Tenant, TenantRegistry};
 use crate::wire::{self, Op, Status};
-use mbi_core::{MbiError, TimeWindow};
+use mbi_core::{MbiError, QueryOutput, TimeWindow};
 use serde::Value;
 use std::io::{BufReader, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
@@ -327,24 +326,16 @@ fn admit(shared: &Shared) -> Option<InflightGuard<'_>> {
     Some(InflightGuard(&shared.metrics.inflight))
 }
 
-/// What one executed query carries back to either protocol layer.
-struct QueryDone {
-    results: Vec<mbi_core::TknnResult>,
-    timed_out: bool,
-    coalesced: bool,
-    batch_size: usize,
-}
-
-/// Routes one query through the coalescer (deadline-free) or the direct
-/// deadline path, recording tenant metrics either way.
+/// Runs one query on the connection's thread under its deadline (the
+/// request's own, else the server default) and records tenant metrics.
 fn run_query(
     tenant: &Tenant,
-    query: Vec<f32>,
+    query: &[f32],
     k: usize,
     window: TimeWindow,
     explicit_deadline: Option<Duration>,
     shared: &Shared,
-) -> Result<QueryDone, String> {
+) -> Result<QueryOutput, String> {
     if query.len() != tenant.dim() {
         return Err(format!(
             "query dimension {} does not match index dimension {}",
@@ -353,34 +344,14 @@ fn run_query(
         ));
     }
     let start = Instant::now();
-    let done = if tenant.coalescer.enabled() && explicit_deadline.is_none() {
-        // Deadline-free queries ride the coalescer; the window plus one
-        // batch execution bounds their latency.
-        let CoalesceOutcome { results, batch_size } =
-            tenant
-                .coalescer
-                .submit(query, k, window, |batch| tenant.query_batch(batch, batch.len()))?;
-        if batch_size > 1 {
-            tenant.metrics.coalesced.fetch_add(1, Ordering::Relaxed);
-        }
-        QueryDone { results, timed_out: false, coalesced: batch_size > 1, batch_size }
-    } else {
-        let deadline =
-            explicit_deadline.or(shared.config.default_deadline).map(|d| Instant::now() + d);
-        let out = tenant.query(&query, k, window, deadline).map_err(|e| e.to_string())?;
-        if out.timed_out {
-            tenant.metrics.timeouts.fetch_add(1, Ordering::Relaxed);
-        }
-        QueryDone {
-            results: out.results,
-            timed_out: out.timed_out,
-            coalesced: false,
-            batch_size: 1,
-        }
-    };
+    let deadline = explicit_deadline.or(shared.config.default_deadline).map(|d| Instant::now() + d);
+    let out = tenant.query(query, k, window, deadline).map_err(|e| e.to_string())?;
+    if out.timed_out {
+        tenant.metrics.timeouts.fetch_add(1, Ordering::Relaxed);
+    }
     tenant.metrics.queries.fetch_add(1, Ordering::Relaxed);
     tenant.metrics.query_latency.record(start.elapsed());
-    Ok(done)
+    Ok(out)
 }
 
 // ---------------------------------------------------------------------------
@@ -521,7 +492,7 @@ fn http_query(req: &Request, tenant: &Arc<Tenant>, shared: &Shared) -> (u16, Str
         Err(m) => return (400, http::error_body(&m)),
     };
     let (query, k, window, deadline) = parsed;
-    match run_query(tenant, query, k, window, deadline, shared) {
+    match run_query(tenant, &query, k, window, deadline, shared) {
         Ok(done) => {
             let results: Vec<Value> = done
                 .results
@@ -537,8 +508,6 @@ fn http_query(req: &Request, tenant: &Arc<Tenant>, shared: &Shared) -> (u16, Str
             let body = Value::Map(vec![
                 ("results".into(), Value::Seq(results)),
                 ("timed_out".into(), Value::Bool(done.timed_out)),
-                ("coalesced".into(), Value::Bool(done.coalesced)),
-                ("batch_size".into(), Value::UInt(done.batch_size as u64)),
             ]);
             (if done.timed_out { 408 } else { 200 }, render(body))
         }
@@ -750,15 +719,9 @@ fn handle_binary_op(
                 Err(m) => return (Status::BadRequest, m.into_bytes()),
             };
             let deadline = (deadline_ms > 0).then(|| Duration::from_millis(u64::from(deadline_ms)));
-            match run_query(tenant, query, k, window, deadline, shared) {
+            match run_query(tenant, &query, k, window, deadline, shared) {
                 Ok(done) => {
-                    let mut flags = 0u8;
-                    if done.coalesced {
-                        flags |= wire::FLAG_COALESCED;
-                    }
-                    if done.timed_out {
-                        flags |= wire::FLAG_TIMED_OUT;
-                    }
+                    let flags = if done.timed_out { wire::FLAG_TIMED_OUT } else { 0 };
                     let body = wire::encode_results(&done.results, flags);
                     (if done.timed_out { Status::Timeout } else { Status::Ok }, body)
                 }

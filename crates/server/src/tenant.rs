@@ -2,15 +2,12 @@
 //! division of shared resources (builder threads, RAM budget) across
 //! tenants.
 
-use crate::coalesce::Coalescer;
 use crate::config::{ReplicaSource, ServerConfig, TenantConfig};
 use crate::metrics::TenantMetrics;
 use crate::replicate::ReplicaState;
 use crate::wire::Status;
 use mbi_ann::SearchParams;
-use mbi_core::{
-    ColdIndex, EngineHealth, MbiError, QueryOutput, Replica, StreamingMbi, TimeWindow, TknnResult,
-};
+use mbi_core::{ColdIndex, EngineHealth, MbiError, QueryOutput, Replica, StreamingMbi, TimeWindow};
 use serde::Value;
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
@@ -45,17 +42,15 @@ pub struct FollowerInfo {
     pub connected: bool,
 }
 
-/// One tenant: engine + token + serving metrics + its coalescer.
+/// One tenant: engine + token + serving metrics.
 pub struct Tenant {
     /// Namespace name.
     pub name: String,
     token: String,
     /// The tenant's engine.
     pub engine: TenantEngine,
-    /// Serving counters (latency, shed, timeouts, coalescing).
+    /// Serving counters (latency, shed, timeouts).
     pub metrics: TenantMetrics,
-    /// The tenant's query coalescer (a no-op when the window is zero).
-    pub coalescer: Coalescer,
     /// Leader-side registry of subscribed followers (empty unless this
     /// tenant has ever served a `REPL_SUBSCRIBE`).
     pub followers: Mutex<BTreeMap<String, FollowerInfo>>,
@@ -92,8 +87,8 @@ impl Tenant {
         }
     }
 
-    /// One query with an optional cooperative deadline (never through the
-    /// coalescer — the server routes deadline-free queries there itself).
+    /// One query with an optional cooperative deadline, on the calling
+    /// thread.
     pub fn query(
         &self,
         query: &[f32],
@@ -115,25 +110,6 @@ impl Tenant {
                 &self.search_params(),
                 deadline,
             )),
-        }
-    }
-
-    /// One batched call for the coalescer.
-    pub fn query_batch(
-        &self,
-        queries: &[(Vec<f32>, usize, TimeWindow)],
-        threads: usize,
-    ) -> Result<Vec<Vec<TknnResult>>, MbiError> {
-        let params = self.search_params();
-        match &self.engine {
-            TenantEngine::Streaming(e) => Ok(e.query_batch(queries, &params, threads)),
-            TenantEngine::Cold(c) => queries
-                .iter()
-                .map(|(q, k, w)| Ok(c.query_with_params(q, *k, *w, &params)?.results))
-                .collect(),
-            TenantEngine::Replica { replica, .. } => {
-                Ok(replica.engine().query_batch(queries, &params, threads))
-            }
         }
     }
 
@@ -423,7 +399,6 @@ impl TenantRegistry {
                 token: tc.token.clone(),
                 engine: engine_impl,
                 metrics: TenantMetrics::default(),
-                coalescer: Coalescer::new(config.coalesce_window, config.coalesce_max_batch),
                 followers: Mutex::new(BTreeMap::new()),
             }));
         }

@@ -22,8 +22,9 @@
 //! | 08 | PROMOTE | (empty)                                                  |
 //!
 //! Status 0 is OK; the non-zero codes mirror the HTTP error statuses. OK
-//! payloads: QUERY → `u8 flags` (bit 0 coalesced, bit 1 timed-out/partial),
-//! `u32 n`, then `n × (u32 id, i64 timestamp, f32 dist)`; INSERT → `u32 id`;
+//! payloads: QUERY → `u8 flags` (bit 1 timed-out/partial; bit 0 is
+//! reserved: the server never sets it and the client ignores it), `u32 n`,
+//! then `n × (u32 id, i64 timestamp, f32 dist)`; INSERT → `u32 id`;
 //! STATS/HEALTH → a JSON document; AUTH/PING/PROMOTE → empty. Every error
 //! payload is a human-readable message.
 //!
@@ -136,8 +137,6 @@ impl Status {
     }
 }
 
-/// QUERY response flag: the query was answered through a coalesced batch.
-pub const FLAG_COALESCED: u8 = 1 << 0;
 /// QUERY response flag: the deadline expired; results are partial.
 pub const FLAG_TIMED_OUT: u8 = 1 << 1;
 
@@ -472,9 +471,9 @@ mod tests {
             TknnResult { id: 1, timestamp: 10, dist: 0.5 },
             TknnResult { id: 9, timestamp: -3, dist: 2.25 },
         ];
-        let enc = encode_results(&results, FLAG_COALESCED);
+        let enc = encode_results(&results, FLAG_TIMED_OUT);
         let (flags, dec) = decode_results(&enc).unwrap();
-        assert_eq!(flags, FLAG_COALESCED);
+        assert_eq!(flags, FLAG_TIMED_OUT);
         assert_eq!(dec.len(), 2);
         assert_eq!((dec[0].id, dec[0].timestamp, dec[0].dist), (1, 10, 0.5));
         assert_eq!((dec[1].id, dec[1].timestamp, dec[1].dist), (9, -3, 2.25));

@@ -1,11 +1,11 @@
 //! Loopback integration tests: a real server on 127.0.0.1, real TCP
 //! clients on both protocols.
 //!
-//! The issue's acceptance scenarios live here: two tenants with isolated
-//! namespaces and cross-tenant auth rejection, coalesced concurrent queries
-//! bit-identical to serial, a deadline-exceeded query answered with an
-//! error frame while the server keeps serving, and graceful shutdown
-//! checkpointing every durable tenant's WAL.
+//! The serving scenarios: two tenants with isolated namespaces and
+//! cross-tenant auth rejection, concurrent connections bit-identical to
+//! serial, a deadline-exceeded query answered with an error frame while the
+//! server keeps serving, and graceful shutdown checkpointing every durable
+//! tenant's WAL.
 
 use mbi_core::{EngineConfig, MbiConfig, StreamingMbi, TimeWindow};
 use mbi_math::Metric;
@@ -105,11 +105,10 @@ fn two_tenants_are_isolated_and_cross_tenant_tokens_rejected() {
 }
 
 #[test]
-fn coalesced_concurrent_queries_are_bit_identical_to_serial() {
+fn concurrent_connections_are_bit_identical_to_serial() {
     let (handle, addr) = start(
         ServerConfig::new("127.0.0.1:0", index_config())
-            .with_tenant(TenantConfig::memory("alpha", "tok-a"))
-            .with_coalescing(Duration::from_millis(40), 8),
+            .with_tenant(TenantConfig::memory("alpha", "tok-a")),
     );
     let mut seed = BinaryClient::connect(addr, "alpha", "tok-a").unwrap();
     for i in 0..200 {
@@ -119,38 +118,30 @@ fn coalesced_concurrent_queries_are_bit_identical_to_serial() {
     let queries: Vec<[f32; 4]> = (0..8).map(|i| row(i * 25 + 3)).collect();
     let window = TimeWindow::new(10, 180);
 
-    // Serial reference: an explicit deadline routes around the coalescer,
-    // so these answers come from individual engine calls.
+    // Serial reference: one connection, one query after another.
     let serial: Vec<_> = queries
         .iter()
         .map(|q| seed.query(q, 5, window, Some(Duration::from_secs(30))).unwrap().results)
         .collect();
 
-    // Concurrent deadline-free queries ride the coalescer. Each thread has
-    // its own connection; all eight fire inside one 40 ms window.
-    let coalesced: Vec<(Vec<mbi_core::TknnResult>, bool)> = std::thread::scope(|scope| {
+    // The same queries as one burst, each on its own connection (and so on
+    // its own server thread).
+    let concurrent: Vec<Vec<mbi_core::TknnResult>> = std::thread::scope(|scope| {
         let handles: Vec<_> = queries
             .iter()
             .map(|q| {
                 scope.spawn(move || {
                     let mut c = BinaryClient::connect(addr, "alpha", "tok-a").unwrap();
-                    let reply = c.query(q, 5, window, None).unwrap();
-                    (reply.results, reply.coalesced)
+                    c.query(q, 5, window, None).unwrap().results
                 })
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
 
-    for (i, ((got, _), want)) in coalesced.iter().zip(&serial).enumerate() {
-        assert_eq!(got, want, "query {i}: coalesced result differs from serial");
+    for (i, (got, want)) in concurrent.iter().zip(&serial).enumerate() {
+        assert_eq!(got, want, "query {i}: concurrent result differs from serial");
     }
-    // With an 8-query batch cap and an 8-thread burst, at least some of the
-    // queries must actually have shared a batch.
-    assert!(
-        coalesced.iter().any(|(_, was_coalesced)| *was_coalesced),
-        "no query was coalesced — the window never collected a batch"
-    );
 
     handle.shutdown();
 }
