@@ -1,22 +1,12 @@
-//! Adjacency structures for graph-based ANN search.
-
-/// Read-only adjacency interface shared by [`KnnGraph`] and the base layer of
-/// [`crate::HnswIndex`]; [`crate::greedy_search`] (Algorithm 2) traverses any
-/// `Graph`. `Send + Sync` so graphs can be shared by concurrent queries.
-pub trait Graph: Send + Sync {
-    /// Out-neighbours of node `id`.
-    fn neighbors(&self, id: u32) -> &[u32];
-    /// Number of nodes.
-    fn node_count(&self) -> usize;
-}
+//! The adjacency structure of graph-based ANN search.
 
 /// A fixed-degree kNN graph in one flat allocation.
 ///
 /// Node `i`'s neighbours occupy `nbrs[i*degree .. (i+1)*degree]`. Nodes with
 /// fewer than `degree` real neighbours (tiny blocks) pad with `u32::MAX`,
-/// which [`Graph::neighbors`] strips. The flat layout makes a block's graph a
-/// single allocation — the `O(n·k')` per-block space of §4.4.1 with zero
-/// per-node overhead.
+/// which [`KnnGraph::neighbors`] strips. The flat layout makes a block's
+/// graph a single allocation — the `O(n·k')` per-block space of §4.4.1 with
+/// zero per-node overhead.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct KnnGraph {
     degree: usize,
@@ -80,11 +70,10 @@ impl KnnGraph {
     pub fn memory_bytes(&self) -> usize {
         self.nbrs.capacity() * std::mem::size_of::<u32>()
     }
-}
 
-impl Graph for KnnGraph {
+    /// Out-neighbours of node `id`.
     #[inline]
-    fn neighbors(&self, id: u32) -> &[u32] {
+    pub fn neighbors(&self, id: u32) -> &[u32] {
         let start = id as usize * self.degree;
         let row = &self.nbrs[start..start + self.degree];
         // Padding is always at the tail; cut it off.
@@ -94,8 +83,9 @@ impl Graph for KnnGraph {
         }
     }
 
+    /// Number of nodes.
     #[inline]
-    fn node_count(&self) -> usize {
+    pub fn node_count(&self) -> usize {
         self.nbrs.len().checked_div(self.degree).unwrap_or(0)
     }
 }

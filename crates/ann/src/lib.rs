@@ -19,11 +19,9 @@
 //! * [`greedy_search`] — Algorithm 2: best-first traversal with a candidate
 //!   set capped at `M_C`, range factor `ε`, and a pluggable predicate filter
 //!   used for the time window. When the filter accepts everything this is
-//!   plain graph kNN search. Every graph search, HNSW's base layer and the
-//!   SQ8 first pass included, runs one loop; SQ8 only changes the scorer.
-//! * [`HnswIndex`] — an alternative per-block index (hierarchical navigable
-//!   small world, Malkov & Yashunin 2018). The paper notes any graph index
-//!   can back a block; HNSW powers the ablation benchmark.
+//!   plain graph kNN search. Every graph search, the SQ8 first pass
+//!   included, runs one loop over a [`KnnGraph`]; SQ8 only changes the
+//!   scorer.
 //! * [`brute_force`] — exact (optionally filtered) kNN, used by the BSBF
 //!   baseline, by MBI's non-full tail leaf, and for ground truth. The exact
 //!   and SQ8 scans share one chunked loop.
@@ -41,7 +39,6 @@
 
 mod bruteforce;
 mod graph;
-mod hnsw;
 pub mod mapped;
 mod nndescent;
 mod scratch;
@@ -54,8 +51,7 @@ pub use bruteforce::{
     brute_force, brute_force_filtered, brute_force_filtered_prepared, brute_force_prepared,
     brute_force_sq8_prepared,
 };
-pub use graph::{Graph, KnnGraph};
-pub use hnsw::{HnswIndex, HnswParams};
+pub use graph::KnnGraph;
 pub use mapped::{Col, FileMap, PAGE_SIZE};
 pub use nndescent::NnDescentParams;
 pub use scratch::{with_thread_scratch, SearchScratch};

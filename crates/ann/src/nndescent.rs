@@ -24,7 +24,7 @@ use serde::{Deserialize, Serialize};
 /// Parameters for the NNDescent builder.
 ///
 /// ```
-/// use mbi_ann::{Graph, NnDescentParams, VectorStore};
+/// use mbi_ann::{NnDescentParams, VectorStore};
 /// use mbi_math::Metric;
 ///
 /// let mut store = VectorStore::new(2);
@@ -389,7 +389,6 @@ fn subsample<T>(v: &mut Vec<T>, sample: usize, rng: &mut SmallRng) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::Graph;
     use crate::store::VectorStore;
 
     fn grid_store(n: usize) -> VectorStore {

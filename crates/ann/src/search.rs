@@ -10,7 +10,7 @@
 //! * per-block search inside MBI's query process (Algorithm 4, line 8).
 
 use crate::bruteforce::{rerank, rerank_budget};
-use crate::graph::Graph;
+use crate::graph::KnnGraph;
 use crate::scratch::{with_thread_scratch, SearchScratch};
 use crate::store::VectorView;
 use mbi_math::simd::prefetch;
@@ -21,8 +21,8 @@ use serde::{Deserialize, Serialize};
 /// random vertex).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum EntryPolicy {
-    /// Always start from this one node id (clamped to the graph size). HNSW
-    /// enters its base layer this way, at the vertex its upper layers found.
+    /// Always start from this one node id (clamped to the graph size). The
+    /// fixed-entry pins use it to check the beam loop apart from the pivots.
     Fixed(u32),
     /// Start from the best of `P = min(64, n)` strided pivots. Pivot `i` is
     /// `(h + i·⌊n/P⌋) mod n`, where `h` hashes the query vector's bits, so
@@ -142,7 +142,7 @@ fn hash_query(query: &[f32]) -> u64 {
 /// current worst accepted distance (line 11).
 #[allow(clippy::too_many_arguments)]
 pub fn greedy_search_prepared(
-    graph: &dyn Graph,
+    graph: &KnnGraph,
     view: VectorView<'_>,
     pq: &PreparedQuery<'_>,
     k: usize,
@@ -171,7 +171,7 @@ pub fn greedy_search_prepared(
 /// search; the recall floor test bounds the quality effect.
 #[allow(clippy::too_many_arguments)]
 pub fn greedy_search_sq8_prepared(
-    graph: &dyn Graph,
+    graph: &KnnGraph,
     view: VectorView<'_>,
     pq: &PreparedQuery<'_>,
     k: usize,
@@ -206,7 +206,7 @@ pub fn greedy_search_sq8_prepared(
 /// when the graph is empty or `budget == 0`.
 #[allow(clippy::too_many_arguments)]
 fn beam_search(
-    graph: &dyn Graph,
+    graph: &KnnGraph,
     view: VectorView<'_>,
     pq: &PreparedQuery<'_>,
     budget: usize,
@@ -232,7 +232,7 @@ fn beam_search(
 
     // `visited` covers both "currently in C" and "already visited": a node
     // is offered to C at most once (pruned candidates are not re-offered;
-    // see DESIGN.md for the deviation note — standard in HNSW-style
+    // see DESIGN.md for the deviation note — standard in best-first graph
     // searchers). `candidates` is sorted descending, so the best candidate
     // is `last()`.
     //
@@ -352,7 +352,7 @@ fn beam_search(
 /// ```
 #[allow(clippy::too_many_arguments)]
 pub fn greedy_search(
-    graph: &dyn Graph,
+    graph: &KnnGraph,
     view: VectorView<'_>,
     metric: Metric,
     query: &[f32],

@@ -2,8 +2,8 @@
 //! soundness, and agreement with the brute-force oracle.
 
 use mbi_ann::{
-    brute_force, brute_force_filtered, greedy_search, greedy_search_prepared, Graph, HnswIndex,
-    HnswParams, NnDescentParams, SearchParams, SearchScratch, SearchStats, VectorStore,
+    brute_force, brute_force_filtered, greedy_search, greedy_search_prepared, NnDescentParams,
+    SearchParams, SearchScratch, SearchStats, VectorStore,
 };
 use mbi_math::{Metric, PreparedQuery};
 use proptest::prelude::*;
@@ -147,42 +147,6 @@ proptest! {
         );
         let exact = brute_force(s.view(), Metric::Euclidean, &q, k, &mut stats);
         prop_assert_eq!(got, exact);
-    }
-
-    /// HNSW search soundness under filters.
-    #[test]
-    fn hnsw_search_is_sound(
-        n in 2usize..250,
-        k in 1usize..8,
-        seed in 0u64..200,
-    ) {
-        let s = store(n, 6, seed);
-        let idx = HnswIndex::build(
-            HnswParams { m: 6, ef_construction: 40, seed },
-            s.view(),
-            Metric::Euclidean,
-        );
-        let q: Vec<f32> = (0..6).map(|i| (i as f32 - seed as f32 * 0.01).sin()).collect();
-        let lo = (n / 3) as u32;
-        let mut stats = SearchStats::default();
-        let mut got = Vec::new();
-        idx.search_prepared(
-            s.view(),
-            &PreparedQuery::new(Metric::Euclidean, &q),
-            k,
-            &SearchParams::new(64, 1.2),
-            &mut |id| id >= lo,
-            &mut stats,
-            &mut SearchScratch::new(),
-            &mut got,
-        );
-        prop_assert!(got.len() <= k);
-        for (i, r) in got.iter().enumerate() {
-            prop_assert!(r.id >= lo);
-            if i > 0 {
-                prop_assert!(got[i - 1] <= *r);
-            }
-        }
     }
 
     /// Brute force against a naive reference.

@@ -15,7 +15,6 @@
 //! | `fig7` | Figure 7 (indexing time / index size scalability, SIFT) |
 //! | `fig8` | Figure 8 (leaf size `S_L` effects, MovieLens) |
 //! | `fig9` | Figure 9 (τ sweep, window fraction vs QPS) |
-//! | `ablation` | per-block backend ablation (NNDescent vs HNSW blocks) |
 //!
 //! Common flags: `--scale <f>` (dataset size multiplier ×  the per-dataset
 //! default), `--queries <n>`, `--seed <n>`, `--datasets a,b,c`, `--out <dir>`

@@ -3,25 +3,18 @@
 use crate::config::GraphBackend;
 use crate::Timestamp;
 use mbi_ann::{
-    greedy_search_prepared, greedy_search_sq8_prepared, HnswIndex, KnnGraph, Neighbor,
-    SearchParams, SearchScratch, SearchStats, VectorView,
+    greedy_search_prepared, greedy_search_sq8_prepared, KnnGraph, Neighbor, SearchParams,
+    SearchScratch, SearchStats, VectorView,
 };
 use mbi_math::{Metric, PreparedQuery};
 
-/// The graph index of one block — either backend, dispatched statically.
-///
-/// An enum (rather than a trait object) keeps blocks `Clone`, serialisable,
-/// and free of virtual dispatch in the query hot path.
+/// The graph index of one block: the NNDescent kNN graph of §4.1, searched
+/// with Algorithm 2.
 #[derive(Clone, Debug)]
-pub enum BlockGraph {
-    /// NNDescent kNN graph (the paper's choice).
-    Knn(KnnGraph),
-    /// HNSW graph.
-    Hnsw(HnswIndex),
-}
+pub struct BlockGraph(pub KnnGraph);
 
 impl BlockGraph {
-    /// Builds a graph over `view` using the configured backend.
+    /// Builds a graph over `view` with the configured NNDescent parameters.
     ///
     /// `seed_salt` (derived from the block id) decorrelates the randomised
     /// builds of different blocks while keeping everything reproducible.
@@ -36,9 +29,7 @@ impl BlockGraph {
 
     /// Like [`Self::build`] with intra-build parallelism (NNDescent computes
     /// its local-join distances on `threads` workers; results are identical
-    /// for every thread count). HNSW construction is inherently sequential
-    /// (each insert depends on the previous graph), so `threads` is ignored
-    /// for that backend.
+    /// for every thread count).
     pub fn build_threaded(
         backend: &GraphBackend,
         view: VectorView<'_>,
@@ -46,22 +37,12 @@ impl BlockGraph {
         seed_salt: u64,
         threads: usize,
     ) -> Self {
-        match backend {
-            GraphBackend::NnDescent(p) => {
-                let params = mbi_ann::NnDescentParams {
-                    seed: p.seed.wrapping_add(seed_salt.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-                    ..*p
-                };
-                BlockGraph::Knn(params.build_threaded(view, metric, threads))
-            }
-            GraphBackend::Hnsw(p) => {
-                let params = mbi_ann::HnswParams {
-                    seed: p.seed.wrapping_add(seed_salt.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-                    ..*p
-                };
-                BlockGraph::Hnsw(HnswIndex::build(params, view, metric))
-            }
-        }
+        let GraphBackend::NnDescent(p) = backend;
+        let params = mbi_ann::NnDescentParams {
+            seed: p.seed.wrapping_add(seed_salt.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+            ..*p
+        };
+        BlockGraph(params.build_threaded(view, metric, threads))
     }
 
     /// Filtered approximate kNN within the block (Algorithm 2) under a
@@ -80,20 +61,12 @@ impl BlockGraph {
         scratch: &mut SearchScratch,
         out: &mut Vec<Neighbor>,
     ) {
-        match self {
-            BlockGraph::Knn(g) => {
-                greedy_search_prepared(g, view, pq, k, params, filter, stats, scratch, out)
-            }
-            BlockGraph::Hnsw(h) => {
-                h.search_prepared(view, pq, k, params, filter, stats, scratch, out)
-            }
-        }
+        greedy_search_prepared(&self.0, view, pq, k, params, filter, stats, scratch, out)
     }
 
     /// [`Self::search_prepared`] with the SQ8 quantized first pass + exact
-    /// rerank ([`greedy_search_sq8_prepared`]). The kNN-graph backend
-    /// traverses on the code column; HNSW stays exact. Views without the SQ8
-    /// column fall back to exact either way.
+    /// rerank ([`greedy_search_sq8_prepared`]): the search traverses on the
+    /// code column. Views without the SQ8 column fall back to exact.
     #[allow(clippy::too_many_arguments)]
     pub fn search_sq8_prepared(
         &self,
@@ -107,30 +80,14 @@ impl BlockGraph {
         scratch: &mut SearchScratch,
         out: &mut Vec<Neighbor>,
     ) {
-        match self {
-            BlockGraph::Knn(g) => greedy_search_sq8_prepared(
-                g, view, pq, k, overfetch, params, filter, stats, scratch, out,
-            ),
-            BlockGraph::Hnsw(h) => {
-                h.search_prepared(view, pq, k, params, filter, stats, scratch, out)
-            }
-        }
+        greedy_search_sq8_prepared(
+            &self.0, view, pq, k, overfetch, params, filter, stats, scratch, out,
+        )
     }
 
     /// Bytes of heap memory used by the graph structure.
     pub fn memory_bytes(&self) -> usize {
-        match self {
-            BlockGraph::Knn(g) => g.memory_bytes(),
-            BlockGraph::Hnsw(h) => h.memory_bytes(),
-        }
-    }
-
-    /// Backend name ("knn_graph" / "hnsw").
-    pub fn kind(&self) -> &'static str {
-        match self {
-            BlockGraph::Knn(_) => "knn_graph",
-            BlockGraph::Hnsw(_) => "hnsw",
-        }
+        self.0.memory_bytes()
     }
 }
 
@@ -376,21 +333,6 @@ mod tests {
         let (s, b) = test_block(64);
         let res = search(&b.graph, s.view(), &[31.8, 0.0], 3, &SearchParams::new(32, 1.2));
         assert_eq!(res[0].id, 32);
-        assert_eq!(b.graph.kind(), "knn_graph");
-    }
-
-    #[test]
-    fn hnsw_backend_builds_and_searches() {
-        let s = store(200);
-        let g = BlockGraph::build(
-            &GraphBackend::Hnsw(mbi_ann::HnswParams::default()),
-            s.view(),
-            Metric::Euclidean,
-            3,
-        );
-        assert_eq!(g.kind(), "hnsw");
-        let res = search(&g, s.view(), &[100.2, 0.0], 2, &SearchParams::new(64, 1.2));
-        assert_eq!(res[0].id, 100);
     }
 
     #[test]
@@ -438,9 +380,7 @@ mod tests {
         let s = store(300);
         let a = BlockGraph::build(&GraphBackend::default(), s.view(), Metric::Euclidean, 7);
         let b = BlockGraph::build(&GraphBackend::default(), s.view(), Metric::Euclidean, 7);
-        let (BlockGraph::Knn(ga), BlockGraph::Knn(gb)) = (&a, &b) else {
-            panic!("expected knn graphs");
-        };
+        let (BlockGraph(ga), BlockGraph(gb)) = (&a, &b);
         assert_eq!(ga.as_flat(), gb.as_flat());
     }
 }

@@ -1,29 +1,22 @@
 //! Index configuration — the knobs of Table 3.
 
-use mbi_ann::{HnswParams, NnDescentParams, SearchParams};
+use mbi_ann::{NnDescentParams, SearchParams};
 use mbi_math::Metric;
 use serde::{Deserialize, Serialize};
 
-/// Which graph implementation backs each block's index.
-///
-/// The paper's evaluation uses NNDescent kNN graphs (§5.1.3) but notes any
-/// index supporting efficient kNN search works (§4.1); HNSW is provided for
-/// the backend ablation.
+/// How each block's graph index is built. The paper builds NNDescent kNN
+/// graphs (§5.1.3); §4.1 allows any index with efficient kNN search, but
+/// NNDescent is the only one here.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub enum GraphBackend {
-    /// NNDescent-constructed kNN graph (the paper's choice).
+    /// NNDescent-constructed kNN graph.
     NnDescent(NnDescentParams),
-    /// Hierarchical navigable small world graph.
-    Hnsw(HnswParams),
 }
 
 impl GraphBackend {
     /// Short name for reports.
     pub fn name(&self) -> &'static str {
-        match self {
-            GraphBackend::NnDescent(_) => "nndescent",
-            GraphBackend::Hnsw(_) => "hnsw",
-        }
+        "nndescent"
     }
 }
 
@@ -200,15 +193,12 @@ impl MbiConfig {
         self
     }
 
-    /// Expected out-degree of a block graph under the configured backend —
-    /// the per-visit cost factor in the query planner's scan-vs-graph
-    /// dispatch (each visited vertex evaluates ≈ degree neighbour
-    /// distances).
+    /// Expected out-degree of a block graph — the per-visit cost factor in
+    /// the query planner's scan-vs-graph dispatch (each visited vertex
+    /// evaluates ≈ degree neighbour distances).
     pub fn search_degree_estimate(&self) -> usize {
-        match &self.backend {
-            GraphBackend::NnDescent(p) => p.degree + 1, // + connectivity ring edge
-            GraphBackend::Hnsw(p) => p.m * 2,           // base-layer cap
-        }
+        let GraphBackend::NnDescent(p) = &self.backend;
+        p.degree + 1 // + connectivity ring edge
     }
 }
 
@@ -271,11 +261,5 @@ mod tests {
     #[should_panic(expected = "leaf size must be positive")]
     fn zero_leaf_rejected() {
         MbiConfig::new(4, Metric::Euclidean).with_leaf_size(0);
-    }
-
-    #[test]
-    fn hnsw_backend_name() {
-        let b = GraphBackend::Hnsw(HnswParams::default());
-        assert_eq!(b.name(), "hnsw");
     }
 }

@@ -203,20 +203,18 @@ pub(crate) fn validate_edges<'a>(
     blocks: impl IntoIterator<Item = &'a Block>,
 ) -> Result<(), String> {
     for (i, block) in blocks.into_iter().enumerate() {
-        if let BlockGraph::Knn(g) = &block.graph {
-            use mbi_ann::Graph;
-            if g.node_count() != block.len() {
-                return Err(format!(
-                    "block {i}: graph has {} nodes for {} rows",
-                    g.node_count(),
-                    block.len()
-                ));
-            }
-            for node in 0..g.node_count() as u32 {
-                for &nb in g.neighbors(node) {
-                    if nb as usize >= block.len() {
-                        return Err(format!("block {i}: edge {node}→{nb} escapes the block"));
-                    }
+        let BlockGraph(g) = &block.graph;
+        if g.node_count() != block.len() {
+            return Err(format!(
+                "block {i}: graph has {} nodes for {} rows",
+                g.node_count(),
+                block.len()
+            ));
+        }
+        for node in 0..g.node_count() as u32 {
+            for &nb in g.neighbors(node) {
+                if nb as usize >= block.len() {
+                    return Err(format!("block {i}: edge {node}→{nb} escapes the block"));
                 }
             }
         }
@@ -811,9 +809,7 @@ mod tests {
         for (a, b) in serial.blocks().iter().zip(parallel.blocks()) {
             assert_eq!(a.rows, b.rows);
             assert_eq!(a.height, b.height);
-            let (BlockGraph::Knn(ga), BlockGraph::Knn(gb)) = (&a.graph, &b.graph) else {
-                panic!("expected knn graphs");
-            };
+            let (BlockGraph(ga), BlockGraph(gb)) = (&a.graph, &b.graph);
             assert_eq!(ga.as_flat(), gb.as_flat(), "same seeds → identical graphs");
         }
     }
@@ -856,20 +852,6 @@ mod tests {
         let vecs: Vec<[f32; 2]> = (0..10).map(|i| [i as f32, 0.0]).collect();
         idx.insert_batch(vecs.iter().map(|v| (v.as_slice(), v[0] as i64))).unwrap();
         assert_eq!(idx.len(), 10);
-    }
-
-    #[test]
-    fn hnsw_backend_end_to_end() {
-        let config = MbiConfig::new(2, Metric::Euclidean)
-            .with_leaf_size(16)
-            .with_backend(crate::GraphBackend::Hnsw(mbi_ann::HnswParams::default()));
-        let idx = line_index(80, config);
-        let got = idx.query(&[40.0, 0.0], 5, TimeWindow::new(10, 70));
-        let exact = idx.exact_query(&[40.0, 0.0], 5, TimeWindow::new(10, 70));
-        assert_eq!(got.len(), 5);
-        let got_ids: std::collections::HashSet<u32> = got.iter().map(|r| r.id).collect();
-        let hits = exact.iter().filter(|r| got_ids.contains(&r.id)).count();
-        assert!(hits >= 4, "HNSW-backed recall too low: {hits}/5");
     }
 
     #[test]

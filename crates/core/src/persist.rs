@@ -111,8 +111,8 @@ use crate::Timestamp;
 use bytes::{BufMut, Bytes, BytesMut};
 use mbi_ann::mapped::Plain;
 use mbi_ann::{
-    Col, EntryPolicy, FileMap, HnswIndex, HnswParams, KnnGraph, NnDescentParams, SearchParams,
-    Segment, SegmentStore, Sq8Column, VectorStore,
+    Col, EntryPolicy, FileMap, KnnGraph, NnDescentParams, SearchParams, Segment, SegmentStore,
+    Sq8Column, VectorStore,
 };
 use mbi_math::{crc32, Metric};
 use std::io::{Read, Write};
@@ -192,10 +192,6 @@ impl<'a> Src<'a> {
 
     fn get_u8(&mut self) -> u8 {
         u8::from_le_bytes(self.take())
-    }
-
-    fn get_u16_le(&mut self) -> u16 {
-        u16::from_le_bytes(self.take())
     }
 
     fn get_u32_le(&mut self) -> u32 {
@@ -1205,20 +1201,13 @@ fn write_config(b: &mut BytesMut, c: &MbiConfig) {
     b.put_u8(metric_tag(c.metric));
     b.put_u64_le(c.leaf_size as u64);
     b.put_f64_le(c.tau);
-    match &c.backend {
-        GraphBackend::NnDescent(p) => {
-            b.put_u8(0);
-            b.put_u64_le(p.degree as u64);
-            b.put_f64_le(p.rho);
-            b.put_f64_le(p.delta);
-            b.put_u64_le(p.max_iters as u64);
-            b.put_u64_le(p.seed);
-        }
-        GraphBackend::Hnsw(p) => {
-            b.put_u8(1);
-            write_hnsw_params(b, p);
-        }
-    }
+    let GraphBackend::NnDescent(p) = &c.backend;
+    b.put_u8(0);
+    b.put_u64_le(p.degree as u64);
+    b.put_f64_le(p.rho);
+    b.put_f64_le(p.delta);
+    b.put_u64_le(p.max_iters as u64);
+    b.put_u64_le(p.seed);
     b.put_u64_le(c.search.max_candidates as u64);
     b.put_f32_le(c.search.epsilon);
     match c.search.entry {
@@ -1264,7 +1253,6 @@ fn read_config(b: &mut Src<'_>) -> Result<MbiConfig, MbiError> {
                 seed: b.get_u64_le(),
             })
         }
-        1 => GraphBackend::Hnsw(read_hnsw_params(b)?),
         t => return Err(b.corrupt(format!("unknown backend tag {t}"))),
     };
     b.need(8 + 4 + 1)?;
@@ -1310,21 +1298,6 @@ fn read_config(b: &mut Src<'_>) -> Result<MbiConfig, MbiError> {
     })
 }
 
-fn write_hnsw_params(b: &mut BytesMut, p: &HnswParams) {
-    b.put_u64_le(p.m as u64);
-    b.put_u64_le(p.ef_construction as u64);
-    b.put_u64_le(p.seed);
-}
-
-fn read_hnsw_params(b: &mut Src<'_>) -> Result<HnswParams, MbiError> {
-    b.need(24)?;
-    Ok(HnswParams {
-        m: b.get_u64_le() as usize,
-        ef_construction: b.get_u64_le() as usize,
-        seed: b.get_u64_le(),
-    })
-}
-
 fn metric_tag(m: Metric) -> u8 {
     match m {
         Metric::Euclidean => 0,
@@ -1343,41 +1316,16 @@ fn metric_from_tag(b: &mut Src<'_>) -> Result<Metric, MbiError> {
 }
 
 /// Appends `g`, reserving its exact serialised size first.
-fn write_graph(b: &mut BytesMut, g: &BlockGraph) {
-    match g {
-        BlockGraph::Knn(g) => {
-            let flat = g.as_flat();
-            b.reserve(1 + 8 + 8 + flat.len() * 4);
-            b.put_u8(0);
-            b.put_u64_le(g.degree() as u64);
-            b.put_u64_le(flat.len() as u64);
-            let start = b.len();
-            b.resize(start + flat.len() * 4, 0);
-            for (dst, x) in b[start..].chunks_exact_mut(4).zip(flat) {
-                dst.copy_from_slice(&x.to_le_bytes());
-            }
-        }
-        BlockGraph::Hnsw(h) => {
-            let (params, metric, entry, max_level, links) = h.to_parts();
-            let lists: usize = links.iter().map(|node| 2 + node.len() * 4).sum();
-            let edges: usize = links.iter().flatten().map(Vec::len).sum();
-            b.reserve(1 + 24 + 1 + 4 + 8 + 8 + lists + edges * 4);
-            b.put_u8(1);
-            write_hnsw_params(b, &params);
-            b.put_u8(metric_tag(metric));
-            b.put_u32_le(entry);
-            b.put_u64_le(max_level as u64);
-            b.put_u64_le(links.len() as u64);
-            for node in &links {
-                b.put_u16_le(node.len() as u16);
-                for layer in node {
-                    b.put_u32_le(layer.len() as u32);
-                    for &nb in layer {
-                        b.put_u32_le(nb);
-                    }
-                }
-            }
-        }
+fn write_graph(b: &mut BytesMut, BlockGraph(g): &BlockGraph) {
+    let flat = g.as_flat();
+    b.reserve(1 + 8 + 8 + flat.len() * 4);
+    b.put_u8(0);
+    b.put_u64_le(g.degree() as u64);
+    b.put_u64_le(flat.len() as u64);
+    let start = b.len();
+    b.resize(start + flat.len() * 4, 0);
+    for (dst, x) in b[start..].chunks_exact_mut(4).zip(flat) {
+        dst.copy_from_slice(&x.to_le_bytes());
     }
 }
 
@@ -1400,40 +1348,7 @@ fn read_graph(b: &mut Src<'_>, block_len: usize) -> Result<BlockGraph, MbiError>
             // makes every edge valid, and so does the clamped bound.
             let n = u32::try_from(block_len).unwrap_or(u32::MAX);
             let flat = read_edges(b, len, "edge", |x| x == u32::MAX || x < n)?;
-            Ok(BlockGraph::Knn(KnnGraph::from_flat(degree, flat)))
-        }
-        1 => {
-            let params = read_hnsw_params(b)?;
-            b.need(1 + 4 + 8 + 8)?;
-            let metric = metric_from_tag(b)?;
-            let entry = b.get_u32_le();
-            let max_level = b.get_u64_le() as usize;
-            let n = b.get_u64_le() as usize;
-            if n != block_len {
-                return Err(b.corrupt("hnsw node count mismatch"));
-            }
-            if n > 0 && entry as usize >= n {
-                return Err(b.corrupt("hnsw entry out of range"));
-            }
-            let mut links = Vec::with_capacity(n);
-            for _ in 0..n {
-                b.need(2)?;
-                let layers = b.get_u16_le() as usize;
-                let mut node = Vec::with_capacity(layers);
-                for _ in 0..layers {
-                    b.need(4)?;
-                    let len = b.get_u32_le() as usize;
-                    node.push(read_edges(b, len, "hnsw edge", |nb| (nb as usize) < n)?);
-                }
-                links.push(node);
-            }
-            // The first query descends through every layer below
-            // `max_level`, and `HnswIndex::insert` leaves the entry node with
-            // exactly `max_level + 1` of them.
-            if n > 0 && max_level.checked_add(1) != Some(links[entry as usize].len()) {
-                return Err(b.corrupt(format!("hnsw max level {max_level} off the entry's layers")));
-            }
-            Ok(BlockGraph::Hnsw(HnswIndex::from_parts(params, metric, entry, max_level, links)))
+            Ok(BlockGraph(KnnGraph::from_flat(degree, flat)))
         }
         t => Err(b.corrupt(format!("unknown graph tag {t}"))),
     }
@@ -1646,11 +1561,7 @@ mod tests {
 
     #[test]
     fn index_roundtrips() {
-        for idx in [
-            build_index(GraphBackend::default(), 70),
-            build_index(GraphBackend::Hnsw(HnswParams::default()), 70),
-            build_angular_index(70),
-        ] {
+        for idx in [build_index(GraphBackend::default(), 70), build_angular_index(70)] {
             let loaded = MbiIndex::from_bytes(idx.to_bytes()).unwrap();
             // The norm column survives when present and is not grown when not.
             assert_eq!(idx.store().has_norm_cache(), idx.config().metric == Metric::Angular);
@@ -1700,17 +1611,18 @@ mod tests {
         }
     }
 
-    /// Query outputs pinned like the stream bytes: per backend and front-end,
-    /// one CRC-32 over every answer's `(id, dist bits)` and its five
-    /// `SearchStats` counters. Both indexes run with `sq8_scan` on, so the
+    /// Query outputs pinned like the stream bytes: per entry policy and
+    /// front-end, one CRC-32 over every answer's `(id, dist bits)` and its
+    /// five `SearchStats` counters. The index runs with `sq8_scan` on, so the
     /// snapshot and the cold tier (budget 0: every piece reloads) traverse
-    /// and scan the code column, `MbiIndex`'s flat store falls back to exact,
-    /// and HNSW blocks stay exact under SQ8 everywhere. The SQ8 scorer runs
-    /// through the dispatched `sq8_code_dot` kernel, so the pins must hold on
-    /// the SIMD and the forced-scalar backend alike. HNSW enters its base
-    /// layer at a fixed vertex, so its row pins the beam loop alone; the
-    /// NNDescent row also pins the default entry policy (re-recorded when
-    /// `QueryHash` began seeding `C` with strided pivots).
+    /// and scan the code column, and `MbiIndex`'s flat store falls back to
+    /// exact. The SQ8 scorer runs through the dispatched `sq8_code_dot`
+    /// kernel, so the pins must hold on the SIMD and the forced-scalar
+    /// backend alike. The `QueryHash` row also pins the default entry policy
+    /// (re-recorded when it began seeding `C` with strided pivots); the
+    /// `Fixed` row starts every search at one vertex, so it pins the beam
+    /// loop alone (recorded on the tree that still had a second backend,
+    /// before the loop stopped taking a trait object).
     #[test]
     fn query_outputs_are_pinned() {
         fn transcript(bytes: &mut Vec<u8>, out: &crate::index::QueryOutput) {
@@ -1723,14 +1635,14 @@ mod tests {
                 bytes.extend(c.to_le_bytes());
             }
         }
-        let hnsw = GraphBackend::Hnsw(HnswParams::default());
-        for (name, backend, pins) in [
-            ("nndescent", GraphBackend::default(), [0xd4dd_96f5, 0xf8db_a202, 0xf8db_a202]),
-            ("hnsw", hnsw, [0x8a26_e4c0, 0x0577_bf59, 0x0577_bf59]),
+        let fixed = SearchParams { entry: EntryPolicy::Fixed(5), ..SearchParams::default() };
+        for (name, search, pins) in [
+            ("query-hash entry", SearchParams::default(), [0xd4dd_96f5, 0xf8db_a202, 0xf8db_a202]),
+            ("fixed entry", fixed, [0x436e_504c, 0x82fa_9c8d, 0x82fa_9c8d]),
         ] {
             let config = MbiConfig::new(4, Metric::Euclidean)
                 .with_leaf_size(32)
-                .with_backend(backend)
+                .with_search(search)
                 .with_sq8_scan(true);
             let mut idx = MbiIndex::new(config);
             for i in 0..256 {
@@ -1942,32 +1854,43 @@ mod tests {
         assert!(err.to_string().contains("footer magic"), "{err}");
     }
 
+    /// Hostile graph degrees, and graph tags no reader knows: `1` (HNSW's,
+    /// a backend since deleted) and `0xFF`. Each is `Corrupt` with its own
+    /// detail, never a panic.
     #[test]
     fn hostile_graph_headers_are_corrupt_not_panics() {
+        fn corrupt_with(err: &MbiError, detail: &str) -> bool {
+            matches!(err, MbiError::Corrupt { detail: d, .. } if d.contains(detail))
+        }
         let idx = build_index(GraphBackend::default(), 64);
         let index_stream = idx.to_bytes();
         // Index kind: the first graph follows the two counts and block 0's
-        // fixed fields; its degree sits one tag byte in.
-        let index_degree_at = parse_footer(&index_stream).unwrap()[3].0 + 16 + 36 + 1;
+        // fixed fields; it opens with its tag byte, then its degree.
+        let index_graph_at = parse_footer(&index_stream).unwrap()[3].0 + 16 + 36;
         let snap_stream = snapshot_of(&idx).to_bytes();
         let dirs = Dirs::of(&snap_stream);
-        for degree in [0u64, 1 << 63, 3] {
-            let sealed = refooter(&index_stream, |body| {
-                body[index_degree_at..index_degree_at + 8].copy_from_slice(&degree.to_le_bytes());
-            });
+        // (what, offset into the graph, the bytes written there, the detail)
+        let degrees = [0u64, 1 << 63, 3].map(|degree| {
+            let detail = "does not match degree".to_string();
+            (format!("degree {degree}"), 1, degree.to_le_bytes().to_vec(), detail)
+        });
+        let tags = [1u8, 0xFF].map(|tag| {
+            (format!("graph tag {tag}"), 0, vec![tag], format!("unknown graph tag {tag}"))
+        });
+        for (what, at, bytes, detail) in degrees.into_iter().chain(tags) {
+            let edit = |g: &mut [u8]| g[at..at + bytes.len()].copy_from_slice(&bytes);
+            let sealed = refooter(&index_stream, |body| edit(&mut body[index_graph_at..]));
             let err = MbiIndex::from_bytes(sealed).unwrap_err();
-            assert!(matches!(err, MbiError::Corrupt { .. }), "index, degree {degree}: {err}");
+            assert!(corrupt_with(&err, &detail), "index, {what}: {err}");
 
             // Snapshot kind: leaf 0's graph (block 0) and a height-1 graph
             // (block 2), every CRC over them re-sealed so only the graph
             // decoder is left to object.
             for bi in [0, 2] {
-                let what = format!("block {bi}, degree {degree}");
-                let sealed = dirs.reseal_graph(&snap_stream, bi, |g| {
-                    g[1..9].copy_from_slice(&degree.to_le_bytes());
-                });
+                let what = format!("block {bi}, {what}");
+                let sealed = dirs.reseal_graph(&snap_stream, bi, edit);
                 let err = IndexSnapshot::from_bytes(sealed.clone()).unwrap_err();
-                assert!(matches!(err, MbiError::Corrupt { .. }), "snapshot, {what}: {err}");
+                assert!(corrupt_with(&err, &detail), "snapshot, {what}: {err}");
                 // The cold reader opens on directories alone and meets a
                 // graph on the first query that reads it: a height-1 graph
                 // whenever its block is selected, a leaf's only when the leaf
@@ -1976,54 +1899,8 @@ mod tests {
                 let cold = cold_from(&sealed).unwrap();
                 let got = cold.query(&[0.0, 0.0, 0.0], 3, TimeWindow::new(m.start_ts, m.end_ts));
                 if m.height > 0 {
-                    assert!(matches!(got, Err(MbiError::Corrupt { .. })), "cold, {what}: {got:?}");
-                } else {
-                    assert!(got.is_ok(), "cold, {what}: {got:?}");
-                }
-            }
-        }
-    }
-
-    /// `HnswIndex::insert` leaves the entry node with exactly `max_level + 1`
-    /// layers, and the first query walks every layer below `max_level`: any
-    /// other value is `Corrupt`. One layer too many used to load; `2^40` used
-    /// to load and then hang that first query.
-    #[test]
-    fn hostile_hnsw_max_level_is_corrupt_not_a_hang() {
-        let idx = build_index(GraphBackend::Hnsw(HnswParams::default()), 64);
-        let index_stream = idx.to_bytes();
-        let snap_stream = snapshot_of(&idx).to_bytes();
-        let dirs = Dirs::of(&snap_stream);
-        // Tag, parameters, metric tag and entry precede `max_level`.
-        let field = 1 + 24 + 1 + 4;
-        // A leaf graph (block 0) and a height-1 graph (block 2).
-        for bi in [0, 2] {
-            let BlockGraph::Hnsw(h) = &idx.blocks()[bi].graph else { panic!("an HNSW block") };
-            let (_, _, entry, max_level, links) = h.to_parts();
-            let entry_layers = links[entry as usize].len() as u64;
-            let index_at = index_graph_offsets(&idx, &index_stream)[bi] + field;
-            assert_eq!(rd_u64(&index_stream, index_at), max_level as u64);
-            for hostile in [entry_layers, 1 << 40] {
-                let what = format!("block {bi}, max_level {hostile}");
-                let sealed = refooter(&index_stream, |body| {
-                    body[index_at..index_at + 8].copy_from_slice(&hostile.to_le_bytes());
-                });
-                let err = MbiIndex::from_bytes(sealed).unwrap_err();
-                assert!(matches!(err, MbiError::Corrupt { .. }), "index, {what}: {err}");
-
-                let sealed = dirs.reseal_graph(&snap_stream, bi, |g| {
-                    g[field..field + 8].copy_from_slice(&hostile.to_le_bytes());
-                });
-                let err = IndexSnapshot::from_bytes(sealed.clone()).unwrap_err();
-                assert!(matches!(err, MbiError::Corrupt { .. }), "snapshot, {what}: {err}");
-                // As in the test above: the cold tier reads the height-1
-                // graph, and never the leaf graph of a leaf it scans.
-                let m = &dirs.lay.blocks[bi];
-                let map = Arc::new(FileMap::from_bytes(sealed.to_vec()));
-                let cold = ColdIndex::from_map_with_budget(map, 0).unwrap();
-                let got = cold.query(&[0.0, 0.0, 0.0], 3, TimeWindow::new(m.start_ts, m.end_ts));
-                if m.height > 0 {
-                    assert!(matches!(got, Err(MbiError::Corrupt { .. })), "cold, {what}: {got:?}");
+                    let corrupt = matches!(&got, Err(e) if corrupt_with(e, &detail));
+                    assert!(corrupt, "cold, {what}: {got:?}");
                 } else {
                     assert!(got.is_ok(), "cold, {what}: {got:?}");
                 }
@@ -2058,7 +1935,7 @@ mod tests {
         for (g, bi) in [0, 2].into_iter().enumerate() {
             let m = &dirs.lay.blocks[bi];
             assert_eq!(m.height as usize, g, "block {bi}");
-            let BlockGraph::Knn(graph) = &idx.blocks()[bi].graph else { panic!("a kNN block") };
+            let BlockGraph(graph) = &idx.blocks()[bi].graph;
             let (n, len) = (m.rows.len() as u32, graph.as_flat().len());
             let window = TimeWindow::new(m.start_ts, m.end_ts);
             for (s, slot) in [0, (len / 2).next_multiple_of(16), len - 1].into_iter().enumerate() {
@@ -2131,12 +2008,10 @@ mod tests {
             let graph = KnnGraph::from_flat(degree, flat.collect());
             let mut b = BytesMut::new();
             b.put_slice(&[0xa5; 8][..base]);
-            write_graph(&mut b, &BlockGraph::Knn(graph.clone()));
+            write_graph(&mut b, &BlockGraph(graph.clone()));
             let mut stream = b.to_vec();
             let mut src = Src::new(&stream, base, stream.len());
-            let BlockGraph::Knn(back) = read_graph(&mut src, block_len).unwrap() else {
-                panic!("a kNN graph")
-            };
+            let BlockGraph(back) = read_graph(&mut src, block_len).unwrap();
             proptest::prop_assert_eq!(&back, &graph);
             proptest::prop_assert!(!src.has_remaining());
 
@@ -2519,6 +2394,24 @@ mod tests {
                 let got = other.query_with_params(&q, 5, w, &params).unwrap();
                 assert_eq!((got.results, got.stats), (want.results, want.stats), "slot {v}");
             }
+        }
+
+        // A backend tag other than NNDescent's 0 is `Corrupt` in every
+        // reader: 1 (HNSW's, a backend since deleted) and an unknown 0xFF.
+        // The tag follows `dim`, the metric tag, `leaf_size` and `tau`.
+        for tag in [1u8, 0xFF] {
+            let with_tag = |stream: &[u8]| {
+                let at = parse_footer(stream).unwrap()[1].0 + 8 + 1 + 8 + 8;
+                assert_eq!(stream[at], 0, "NNDescent's backend tag");
+                refooter(stream, |body| body[at] = tag)
+            };
+            let detail = format!("unknown backend tag {tag}");
+            let verdicts = [
+                corrupt_at(MbiIndex::from_bytes(with_tag(&index_stream)), "index", &detail),
+                corrupt_at(IndexSnapshot::from_bytes(with_tag(&snapshot_stream)), "eager", &detail),
+                corrupt_at(cold_from(&with_tag(&snapshot_stream)), "cold", &detail),
+            ];
+            assert!(verdicts.iter().all(Option::is_some), "backend tag {tag}: {verdicts:?}");
         }
     }
 

@@ -388,7 +388,7 @@ impl ColdIndex {
             Some(_) => unreachable!("cache returned a piece of the wrong kind"),
             None => {
                 let m = &self.layout.blocks[bi];
-                let graph = BlockGraph::Knn(KnnGraph::from_flat(0, Vec::new()));
+                let graph = BlockGraph(KnnGraph::from_flat(0, Vec::new()));
                 let (rows, height, start_ts, end_ts) =
                     (m.rows.clone(), m.height, m.start_ts, m.end_ts);
                 Ok(Arc::new(Block { rows, height, start_ts, end_ts, graph }))

@@ -1,30 +1,20 @@
 //! Property tests for binary persistence: roundtrip fidelity across
-//! arbitrary index shapes (size, leaf size, metric, τ, backend) and
+//! arbitrary index shapes (size, leaf size, metric, τ, timestamp stride) and
 //! structural equality of the reloaded index, and the rejection of damaged
 //! index-kind and snapshot-kind streams.
 
 use std::sync::Arc;
 
-use mbi_ann::{FileMap, HnswParams, NnDescentParams, SearchParams};
+use mbi_ann::{FileMap, NnDescentParams, SearchParams};
 use mbi_core::{
     ColdIndex, GraphBackend, IndexSnapshot, MbiConfig, MbiError, MbiIndex, TimeWindow, TknnResult,
 };
 use mbi_math::Metric;
 use proptest::prelude::*;
 
-fn build(
-    n: usize,
-    leaf_size: usize,
-    metric: Metric,
-    tau: f64,
-    hnsw: bool,
-    ts_stride: i64,
-) -> MbiIndex {
-    let backend = if hnsw {
-        GraphBackend::Hnsw(HnswParams { m: 4, ef_construction: 16, seed: 1 })
-    } else {
-        GraphBackend::NnDescent(NnDescentParams { degree: 4, max_iters: 2, ..Default::default() })
-    };
+fn build(n: usize, leaf_size: usize, metric: Metric, tau: f64, ts_stride: i64) -> MbiIndex {
+    let backend =
+        GraphBackend::NnDescent(NnDescentParams { degree: 4, max_iters: 2, ..Default::default() });
     let mut idx = MbiIndex::new(
         MbiConfig::new(3, metric)
             .with_leaf_size(leaf_size)
@@ -45,7 +35,7 @@ fn build(
 
 /// The snapshot-kind stream of `leaves` whole leaves.
 fn snapshot_stream(leaves: usize, leaf_size: usize) -> Vec<u8> {
-    let idx = build(leaves * leaf_size, leaf_size, Metric::Euclidean, 0.5, false, 1);
+    let idx = build(leaves * leaf_size, leaf_size, Metric::Euclidean, 0.5, 1);
     IndexSnapshot::from_index(&idx).expect("whole leaves only").to_bytes().to_vec()
 }
 
@@ -94,7 +84,6 @@ proptest! {
         leaf_size in 1usize..40,
         metric_pick in 0u8..3,
         tau_pct in 1u32..=100,
-        hnsw in any::<bool>(),
         ts_stride in 1i64..5,
     ) {
         let metric = match metric_pick {
@@ -102,7 +91,7 @@ proptest! {
             1 => Metric::Angular,
             _ => Metric::InnerProduct,
         };
-        let idx = build(n, leaf_size, metric, tau_pct as f64 / 100.0, hnsw, ts_stride);
+        let idx = build(n, leaf_size, metric, tau_pct as f64 / 100.0, ts_stride);
         let loaded = MbiIndex::from_bytes(idx.to_bytes()).expect("roundtrip");
 
         prop_assert_eq!(loaded.len(), idx.len());
@@ -131,7 +120,7 @@ proptest! {
         leaf_size in 1usize..16,
         extra in 1usize..60,
     ) {
-        let idx = build(n, leaf_size, Metric::Euclidean, 0.5, false, 1);
+        let idx = build(n, leaf_size, Metric::Euclidean, 0.5, 1);
         let mut loaded = MbiIndex::from_bytes(idx.to_bytes()).expect("roundtrip");
         let last = *loaded.timestamps().last().unwrap_or(&-1);
         for j in 0..extra {
@@ -157,7 +146,7 @@ proptest! {
         pos_seed in any::<u64>(),
         bit in 0u8..8,
     ) {
-        let idx = build(n, leaf_size, Metric::Euclidean, 0.5, false, 1);
+        let idx = build(n, leaf_size, Metric::Euclidean, 0.5, 1);
         let bytes = idx.to_bytes().to_vec();
         let pos = (pos_seed % bytes.len() as u64) as usize;
         let mut bad = bytes;
@@ -174,7 +163,7 @@ proptest! {
         leaf_size in 1usize..16,
         cut_seed in any::<u64>(),
     ) {
-        let idx = build(n, leaf_size, Metric::Euclidean, 0.5, false, 1);
+        let idx = build(n, leaf_size, Metric::Euclidean, 0.5, 1);
         let bytes = idx.to_bytes();
         let cut = (cut_seed % bytes.len() as u64) as usize;
         prop_assert!(MbiIndex::from_bytes(bytes.slice(0..cut)).is_err(),

@@ -3,7 +3,7 @@
 //! A from-scratch Rust implementation of *"Efficient Proximity Search in
 //! Time-accumulating High-dimensional Data using Multi-level Block Indexing"*
 //! (Han, Kim & Park, EDBT 2024), including the full evaluation substrate:
-//! the NNDescent/HNSW graph indexes each block uses, the BSBF and SF
+//! the NNDescent graph index each block uses, the BSBF and SF
 //! baselines the paper compares against, synthetic stand-ins for the paper's
 //! datasets, and a harness regenerating every table and figure.
 //!
@@ -65,7 +65,7 @@ pub use mbi_core::{
 };
 pub use mbi_math::{Metric, Neighbor, OnlineStats, OrderedF32, TopK};
 
-/// The graph-ANN substrate (vector store, NNDescent, HNSW, beam search).
+/// The graph-ANN substrate (vector store, NNDescent, beam search).
 pub use mbi_ann as ann;
 /// The BSBF and SF baselines from §3.2 of the paper.
 pub use mbi_baselines as baselines;
@@ -80,4 +80,4 @@ pub use mbi_math as math;
 /// The multi-tenant network query service (HTTP/JSON + binary protocols).
 pub use mbi_server as server;
 
-pub use mbi_ann::{HnswParams, NnDescentParams, SearchParams, SearchStats, Segment, SegmentStore};
+pub use mbi_ann::{NnDescentParams, SearchParams, SearchStats, Segment, SegmentStore};

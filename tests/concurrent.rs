@@ -106,13 +106,9 @@ fn assert_same_index(a: &MbiIndex, b: &MbiIndex) {
         assert_eq!(x.height, y.height);
         assert_eq!(x.start_ts, y.start_ts);
         assert_eq!(x.end_ts, y.end_ts);
-        match (&x.graph, &y.graph) {
-            (BlockGraph::Knn(g), BlockGraph::Knn(h)) => {
-                assert_eq!(g.degree(), h.degree());
-                assert_eq!(g.as_flat(), h.as_flat(), "graph differs in block {:?}", x.rows);
-            }
-            _ => panic!("graph backend mismatch in block {:?}", x.rows),
-        }
+        let (BlockGraph(g), BlockGraph(h)) = (&x.graph, &y.graph);
+        assert_eq!(g.degree(), h.degree());
+        assert_eq!(g.as_flat(), h.as_flat(), "graph differs in block {:?}", x.rows);
     }
 }
 

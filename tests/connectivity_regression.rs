@@ -56,8 +56,6 @@ fn well_separated_clusters_remain_searchable() {
 
 #[test]
 fn every_block_graph_is_strongly_connected() {
-    use mbi::ann::Graph;
-
     let dataset = DriftingMixture { clusters: 8, spread: 0.02, ..DriftingMixture::new(8, 7) }
         .generate("conn", Metric::Euclidean, 1_500, 1);
 
@@ -70,9 +68,7 @@ fn every_block_graph_is_strongly_connected() {
     }
 
     for (bi, block) in index.blocks().iter().enumerate() {
-        let mbi::BlockGraph::Knn(g) = &block.graph else {
-            panic!("expected knn graphs");
-        };
+        let mbi::BlockGraph(g) = &block.graph;
         let n = g.node_count();
         let mut seen = vec![false; n];
         let mut queue = std::collections::VecDeque::from([0u32]);

@@ -1,13 +1,9 @@
 //! End-to-end pipeline tests: dataset generation → index construction →
-//! TkNN queries → recall against exact ground truth, for all three methods
-//! and both MBI backends.
+//! TkNN queries → recall against exact ground truth, for all three methods.
 
 use mbi::baselines::{BsbfIndex, SfConfig, SfIndex};
 use mbi::data::{ground_truth, recall_vs_truth, windows_for_fraction, DriftingMixture};
-use mbi::{
-    GraphBackend, HnswParams, MbiConfig, MbiIndex, Metric, NnDescentParams, SearchParams,
-    TimeWindow,
-};
+use mbi::{GraphBackend, MbiConfig, MbiIndex, Metric, NnDescentParams, SearchParams, TimeWindow};
 
 const K: usize = 10;
 
@@ -78,23 +74,6 @@ fn mbi_reaches_high_recall_across_window_lengths() {
         let recall = recall_vs_truth(&results, &truth, K);
         assert!(recall >= 0.9, "MBI recall {recall:.3} too low at fraction {fraction}");
     }
-}
-
-#[test]
-fn mbi_with_hnsw_blocks_reaches_high_recall() {
-    let f = fixture(
-        Metric::Euclidean,
-        GraphBackend::Hnsw(HnswParams { m: 12, ef_construction: 80, seed: 3 }),
-    );
-    let (workload, truth) = workload(&f, 0.3);
-    let results: Vec<Vec<u32>> = workload
-        .iter()
-        .map(|(q, w)| {
-            f.mbi.query_with_params(q, K, *w, &f.search).results.into_iter().map(|r| r.id).collect()
-        })
-        .collect();
-    let recall = recall_vs_truth(&results, &truth, K);
-    assert!(recall >= 0.9, "HNSW-backed recall {recall:.3}");
 }
 
 #[test]

@@ -2,10 +2,7 @@
 //! and fuzzing malformed inputs (truncations and bit flips must produce
 //! errors, never panics or silently wrong indexes).
 
-use mbi::{
-    GraphBackend, HnswParams, MbiConfig, MbiIndex, Metric, NnDescentParams, SearchParams,
-    TimeWindow,
-};
+use mbi::{GraphBackend, MbiConfig, MbiIndex, Metric, NnDescentParams, SearchParams, TimeWindow};
 
 fn build(backend: GraphBackend, n: usize) -> MbiIndex {
     let config = MbiConfig::new(8, Metric::Angular)
@@ -49,13 +46,6 @@ fn same_behaviour(a: &MbiIndex, b: &MbiIndex) {
 fn roundtrip_nndescent_1000() {
     let idx =
         build(GraphBackend::NnDescent(NnDescentParams { degree: 10, ..Default::default() }), 1000);
-    let loaded = MbiIndex::from_bytes(idx.to_bytes()).unwrap();
-    same_behaviour(&idx, &loaded);
-}
-
-#[test]
-fn roundtrip_hnsw_1000() {
-    let idx = build(GraphBackend::Hnsw(HnswParams { m: 8, ef_construction: 48, seed: 9 }), 1000);
     let loaded = MbiIndex::from_bytes(idx.to_bytes()).unwrap();
     same_behaviour(&idx, &loaded);
 }
