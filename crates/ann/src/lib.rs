@@ -38,6 +38,7 @@
 #![warn(missing_docs)]
 
 mod bruteforce;
+mod check;
 mod graph;
 pub mod mapped;
 mod nndescent;
@@ -51,7 +52,8 @@ pub use bruteforce::{
     brute_force, brute_force_filtered, brute_force_filtered_prepared, brute_force_prepared,
     brute_force_sq8_prepared,
 };
-pub use graph::KnnGraph;
+pub use check::ChunkFault;
+pub use graph::{KnnGraph, ADJACENCY_CHUNK};
 pub use mapped::{Col, FileMap, PAGE_SIZE};
 pub use nndescent::NnDescentParams;
 pub use scratch::{with_thread_scratch, SearchScratch};
@@ -59,7 +61,7 @@ pub use search::{
     greedy_search, greedy_search_prepared, greedy_search_sq8_prepared, EntryPolicy, SearchParams,
     SearchStats,
 };
-pub use segment::{RowMismatch, Segment, SegmentStore};
+pub use segment::{Segment, SegmentStore};
 pub use sq8::{Sq8ChunkRef, Sq8Column, Sq8Scan};
 pub use store::{VectorStore, VectorView};
 

@@ -9,79 +9,13 @@
 //! brute-force kernels and the graph-search gather paths stream the same
 //! memory layout as the flat [`VectorStore`](crate::VectorStore).
 
+use crate::check::{ChunkCheck, ChunkFault};
 use crate::mapped::Col;
 use crate::sq8::Sq8Column;
 use crate::store::{VectorStore, VectorView};
-use mbi_math::crc32;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, OnceLock};
-
-/// A row whose bytes did not match their stored CRC-32.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RowMismatch {
-    /// Row index within its segment.
-    pub row: usize,
-    /// The CRC-32 stored for the row.
-    pub expected: u32,
-    /// The CRC-32 of the row's bytes as read.
-    pub got: u32,
-}
-
-/// First-touch verification of a mapped segment's rows: each row is checked
-/// against its stored CRC-32 the first time an accessor hands it out, so a
-/// cache miss pays for the rows a query reads, not for the whole column.
-#[derive(Debug)]
-pub(crate) struct RowCheck {
-    /// The rows' bytes in place in the map (`row_bytes` per row).
-    bytes: Col<u8>,
-    row_bytes: usize,
-    /// The stored CRC-32 of each row.
-    crcs: Col<u32>,
-    /// One bit per row, set once the row matched its CRC. A row that failed
-    /// is never marked, so every read of it fails again. The bits publish
-    /// nothing but themselves (the bytes they vouch for are immutable), so
-    /// `Relaxed` suffices.
-    verified: Box<[AtomicU64]>,
-    /// Checks that failed, counting a row each time it is read.
-    failures: AtomicU64,
-    /// The first row that failed.
-    first_failure: OnceLock<RowMismatch>,
-    /// Bytes checksummed, shared with the owner's other segments.
-    checked_bytes: Arc<AtomicU64>,
-}
-
-impl RowCheck {
-    /// Checks row `r` unless it already passed.
-    #[inline]
-    pub(crate) fn verify(&self, r: usize) {
-        let bit = 1u64 << (r % 64);
-        if self.verified[r / 64].load(Relaxed) & bit == 0 {
-            self.verify_row(r, bit);
-        }
-    }
-
-    /// Checks every row of `rows` that has not passed yet.
-    #[inline]
-    pub(crate) fn verify_rows(&self, rows: Range<usize>) {
-        for r in rows {
-            self.verify(r);
-        }
-    }
-
-    #[inline(never)]
-    fn verify_row(&self, r: usize, bit: u64) {
-        let got = crc32(&self.bytes[r * self.row_bytes..(r + 1) * self.row_bytes]);
-        let expected = self.crcs[r];
-        self.checked_bytes.fetch_add(self.row_bytes as u64, Relaxed);
-        if got == expected {
-            self.verified[r / 64].fetch_or(bit, Relaxed);
-        } else {
-            self.failures.fetch_add(1, Relaxed);
-            let _ = self.first_failure.set(RowMismatch { row: r, expected, got });
-        }
-    }
-}
+use std::sync::atomic::AtomicU64;
+use std::sync::Arc;
 
 /// An immutable, contiguous run of rows: flat `f32` data plus the optional
 /// inverse-norm column and the optional SQ8 code column. Segments are
@@ -99,15 +33,15 @@ impl RowCheck {
 /// rows — [`row`](Self::row), [`row_with_inv`](Self::row_with_inv),
 /// [`as_flat`](Self::as_flat) and the views — first checks each row it has
 /// not checked before. A mismatch does not stop the read; it is counted
-/// ([`row_failures`](Self::row_failures)) for the owner to turn into an error
-/// before any answer scored on those bytes leaves it.
+/// ([`check_failures`](Self::check_failures)) for the owner to turn into an
+/// error before any answer scored on those bytes leaves it.
 #[derive(Clone, Debug)]
 pub struct Segment {
     dim: usize,
     pub(crate) data: Col<f32>,
     pub(crate) inv_norms: Option<Col<f32>>,
     pub(crate) sq8: Option<Sq8Column>,
-    check: Option<Arc<RowCheck>>,
+    check: Option<Arc<ChunkCheck>>,
 }
 
 impl Segment {
@@ -156,41 +90,28 @@ impl Segment {
     /// Panics unless the rows are mapped and `crcs` holds one value per row.
     pub fn with_row_check(mut self, crcs: Col<u32>, checked_bytes: Arc<AtomicU64>) -> Self {
         assert_eq!(crcs.len(), self.len(), "row CRC column has wrong row count");
-        let Col::Mapped { map, byte_off, len } = &self.data else {
-            panic!("row checks verify mapped rows");
-        };
         let row_bytes = self.dim * size_of::<f32>();
-        let bytes = Col::mapped(Arc::clone(map), *byte_off, len * size_of::<f32>())
-            .expect("the f32 column's own bytes are in bounds");
-        let verified = (0..self.len().div_ceil(64)).map(|_| AtomicU64::new(0)).collect();
-        self.check = Some(Arc::new(RowCheck {
-            bytes,
-            row_bytes,
-            crcs,
-            verified,
-            failures: AtomicU64::new(0),
-            first_failure: OnceLock::new(),
-            checked_bytes,
-        }));
+        let check = ChunkCheck::new(&self.data, row_bytes, crcs, None, checked_bytes);
+        self.check = Some(Arc::new(check));
         self
     }
 
     /// Row checks that have failed so far (0 without a row check). A failed
     /// row counts again each time it is read.
-    pub fn row_failures(&self) -> u64 {
-        self.check.as_ref().map_or(0, |c| c.failures.load(Relaxed))
+    pub fn check_failures(&self) -> u64 {
+        self.check.as_ref().map_or(0, |c| c.failures())
     }
 
-    /// The first row that failed its check, if any.
-    pub fn first_row_mismatch(&self) -> Option<RowMismatch> {
-        self.check.as_ref().and_then(|c| c.first_failure.get().copied())
+    /// The first row that failed its check, if any; its chunk is the row.
+    pub fn first_fault(&self) -> Option<ChunkFault> {
+        self.check.as_ref().and_then(|c| c.first_fault())
     }
 
     /// Checks rows `rows` (a no-op without a row check).
     #[inline]
     pub(crate) fn verify_rows(&self, rows: Range<usize>) {
         if let Some(check) = &self.check {
-            check.verify_rows(rows);
+            check.verify_range(rows);
         }
     }
 
@@ -325,7 +246,7 @@ impl Segment {
         self.data.heap_bytes()
             + self.inv_norms.as_ref().map_or(0, Col::heap_bytes)
             + self.sq8.as_ref().map_or(0, Sq8Column::memory_bytes)
-            + self.check.as_ref().map_or(0, |c| c.verified.len() * size_of::<AtomicU64>())
+            + self.check.as_ref().map_or(0, |c| c.memory_bytes())
     }
 
     /// Whether any column of this segment views mapped file bytes (a

@@ -3,7 +3,8 @@
 //! contiguous run of rows or over a run of shared
 //! [`Segment`](crate::Segment)s.
 
-use crate::segment::{RowCheck, Segment};
+use crate::check::ChunkCheck;
+use crate::segment::Segment;
 use crate::sq8::Sq8ChunkRef;
 use mbi_math::{inv_norm_of, Metric, PreparedQuery};
 use std::sync::Arc;
@@ -243,7 +244,7 @@ enum Repr<'a> {
         data: &'a [f32],
         inv_norms: Option<&'a [f32]>,
         sq8: Option<Sq8ChunkRef<'a>>,
-        check: Option<(&'a RowCheck, usize)>,
+        check: Option<(&'a ChunkCheck, usize)>,
     },
     /// `len` rows starting `skip` rows into `segs[0]`; every segment holds
     /// exactly `seg_rows` rows, so each per-segment run is contiguous.
@@ -299,7 +300,7 @@ impl<'a> VectorView<'a> {
         data: &'a [f32],
         inv_norms: Option<&'a [f32]>,
         sq8: Option<Sq8ChunkRef<'a>>,
-        check: Option<(&'a RowCheck, usize)>,
+        check: Option<(&'a ChunkCheck, usize)>,
     ) -> Self {
         debug_assert!(inv_norms.is_none_or(|inv| inv.len() * dim == data.len()));
         debug_assert!(sq8.is_none_or(|c| c.codes.len() == data.len()));
@@ -502,7 +503,7 @@ impl<'a> VectorView<'a> {
             Repr::Contig { data, inv_norms, check, .. } => {
                 let run = self.len - row;
                 if let Some((check, first)) = check {
-                    check.verify_rows(first + row..first + row + run);
+                    check.verify_range(first + row..first + row + run);
                 }
                 (&data[row * self.dim..], inv_norms.map(|inv| &inv[row..]), run)
             }
@@ -539,7 +540,7 @@ impl<'a> VectorView<'a> {
         match self.repr {
             Repr::Contig { data, check, .. } => {
                 if let Some((check, first)) = check {
-                    check.verify_rows(first..first + self.len);
+                    check.verify_range(first..first + self.len);
                 }
                 data
             }

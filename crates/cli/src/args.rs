@@ -4,29 +4,33 @@
 use crate::CliError;
 use std::collections::HashMap;
 
-/// Every subcommand and the keys it reads, `--key value` options and bare
-/// `--switch` flags alike, space-separated. A key outside its command's
-/// list is an error before any work starts, so a misspelled or retired
-/// option is never silently ignored.
-const COMMAND_KEYS: &[(&str, &str)] = &[
-    ("generate", "preset count seed out timestamps queries"),
-    ("build", "input out timestamps metric leaf-size tau degree parallel"),
-    ("info", "index tree"),
-    ("verify", "index"),
-    ("query", "index vector queries k from to mc epsilon"),
-    ("tune", "index queries target-recall k"),
-    ("bench-query", "index queries fraction rounds k mc epsilon streaming builders"),
+/// Every subcommand, the `--key value` options it reads and the bare
+/// `--switch` flags it reads, each list space-separated. A key outside its
+/// command's lists is an error before any work starts, so a misspelled or
+/// retired option is never silently ignored; so is a switch given a value
+/// and an option given none, so `--parallel true` cannot read as off and a
+/// bare `--k` cannot fall back to the default.
+const COMMAND_KEYS: &[(&str, &str, &str)] = &[
+    ("generate", "preset count seed out timestamps queries", ""),
+    ("build", "input out timestamps metric leaf-size tau degree", "parallel"),
+    ("info", "index", "tree"),
+    ("verify", "index", ""),
+    ("query", "index vector queries k from to mc epsilon", ""),
+    ("tune", "index queries target-recall k", ""),
+    ("bench-query", "index queries fraction rounds k mc epsilon builders", "streaming"),
     (
         "serve",
         "tenants addr dim metric leaf-size tau degree builders max-connections max-inflight \
          deadline-ms idle-ms max-frame-bytes",
+        "",
     ),
     (
         "replicate",
         "from leader-tenant leader-token dir dim name token addr metric leaf-size tau degree \
          deadline-ms lag-warn-rows",
+        "",
     ),
-    ("help", ""),
+    ("help", "", ""),
 ];
 
 /// Parsed command line: a subcommand plus `--key value` options and bare
@@ -50,21 +54,32 @@ impl CliArgs {
             .filter(|c| !c.starts_with("--"))
             .cloned()
             .ok_or_else(|| CliError("missing subcommand (try `mbi help`)".into()))?;
-        let keys = COMMAND_KEYS.iter().find(|(c, _)| *c == command).map(|(_, keys)| *keys);
+        let keys = COMMAND_KEYS.iter().find(|(c, ..)| *c == command);
+        let listed = |list: &str, key: &str| list.split_whitespace().any(|k| k == key);
         let mut options = HashMap::new();
         let mut switches = Vec::new();
         while let Some(a) = it.next() {
             let Some(key) = a.strip_prefix("--") else {
                 return Err(CliError(format!("unexpected positional argument {a:?}")));
             };
-            if keys.is_some_and(|keys| !keys.split_whitespace().any(|k| k == key)) {
-                return Err(CliError(format!("unknown option --{key} for `{command}`")));
-            }
-            match it.peek() {
-                Some(v) if !v.starts_with("--") => {
-                    options.insert(key.to_string(), it.next().expect("peeked").clone());
+            let value = it.next_if(|v| !v.starts_with("--"));
+            // An unknown subcommand is reported by `run`; until then a key
+            // followed by a value reads as an option.
+            let is_switch = match keys {
+                Some((_, opts, _)) if listed(opts, key) => false,
+                Some((_, _, flags)) if listed(flags, key) => true,
+                Some(_) => return Err(CliError(format!("unknown option --{key} for `{command}`"))),
+                None => value.is_none(),
+            };
+            match (is_switch, value) {
+                (false, Some(v)) => {
+                    options.insert(key.to_string(), v.clone());
                 }
-                _ => switches.push(key.to_string()),
+                (true, None) => switches.push(key.to_string()),
+                (false, None) => return Err(CliError(format!("option --{key} needs a value"))),
+                (true, Some(v)) => {
+                    return Err(CliError(format!("switch --{key} takes no value, got {v:?}")));
+                }
             }
         }
         Ok(CliArgs { command, options, switches })
@@ -160,6 +175,34 @@ mod tests {
         }
         // An unknown subcommand is reported by `run`, not here.
         assert!(CliArgs::parse(&argv("frobnicate --x 1")).is_ok());
+    }
+
+    /// A switch given a value would be stored as an option and read as off;
+    /// an option given no value would be stored as a switch and fall back to
+    /// its default. Both are errors.
+    #[test]
+    fn switches_take_no_value_and_options_need_one() {
+        for (line, error) in [
+            (
+                "build --input d.fvecs --out i.mbi --parallel true",
+                "switch --parallel takes no value, got \"true\"",
+            ),
+            ("info --index i.mbi --tree yes", "switch --tree takes no value, got \"yes\""),
+            (
+                "bench-query --index i.mbi --streaming 1 --rounds 2",
+                "switch --streaming takes no value, got \"1\"",
+            ),
+            ("query --index i.mbi --vector 1,2 --k", "option --k needs a value"),
+            ("query --index i.mbi --k --vector 1,2", "option --k needs a value"),
+            ("build --parallel --input", "option --input needs a value"),
+        ] {
+            assert_eq!(CliArgs::parse(&argv(line)).unwrap_err().0, error, "{line}");
+        }
+        let a = CliArgs::parse(&argv("build --parallel --input d.fvecs")).unwrap();
+        assert!(a.switch("parallel"));
+        assert_eq!(a.get("input"), Some("d.fvecs"));
+        let a = CliArgs::parse(&argv("query --index i.mbi --from -5 --to 9")).unwrap();
+        assert_eq!(a.get_parsed("from", 0i64).unwrap(), -5, "a negative value is a value");
     }
 
     #[test]

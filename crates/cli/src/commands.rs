@@ -223,7 +223,7 @@ fn verify(args: &CliArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let len =
         std::fs::metadata(path).map_err(|e| CliError(format!("cannot read {path}: {e}")))?.len();
     writeln!(out, "file          : {path} ({len} bytes)")?;
-    // Loading verifies the magic, the version (8, the only one read), every
+    // Loading verifies the magic, the version (9, the only one read), every
     // section CRC and the footer, then runs the structural checks. Byte 8
     // is the stream kind: 1 marks a snapshot (a durable engine's checkpoint,
     // a cold tenant's file), which the snapshot reader loads.

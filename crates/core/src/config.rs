@@ -63,7 +63,7 @@ pub struct MbiConfig {
     pub sq8_overfetch: f32,
     /// RAM budget of the cold-tier block cache, in bytes. Only consulted by
     /// [`crate::tier::ColdIndex`]: leaf records and internal-block graphs
-    /// loaded from a v8 file count against this budget and the
+    /// loaded from a snapshot file count against this budget and the
     /// least-recently-used ones are evicted once it is exceeded. `u64::MAX`
     /// (the default) keeps everything resident; `0` forces every load to be
     /// evicted as soon as it is unpinned — the all-cold stress configuration.

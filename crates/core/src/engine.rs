@@ -1376,12 +1376,7 @@ fn run_chain(shared: &Shared, leaf: usize) {
     let policy = shared.engine.retry;
     for attempt in 0.. {
         match catch_unwind(AssertUnwindSafe(|| process_chain(shared, leaf))) {
-            Ok(()) => {
-                if attempt > 0 {
-                    shared.failing.lock().remove(&leaf);
-                }
-                return;
-            }
+            Ok(()) => return,
             Err(payload) => {
                 shared.build_panics.fetch_add(1, Ordering::Relaxed);
                 let last_error = panic_message(payload.as_ref());
@@ -1449,6 +1444,10 @@ fn process_chain(shared: &Shared, leaf: usize) {
     // Stage, then publish every consecutive ready chain in leaf order.
     let t_pub = Instant::now();
     let mut m = shared.master_lock();
+    // A retry that got this far has healed: clear its failure under the
+    // master lock, before publication, so a `flush()` that returns on the
+    // publication never reads the chain as failing.
+    shared.failing.lock().remove(&leaf);
     if leaf >= m.published_leaves {
         let blocks = assemble_blocks(pending, graphs, &m.times);
         m.ready.insert(leaf, blocks);

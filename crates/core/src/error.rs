@@ -150,10 +150,18 @@ impl From<std::io::Error> for MbiError {
     }
 }
 
-/// A mapped row that failed its CRC is corruption of the "leaf rows".
-impl From<mbi_ann::RowMismatch> for MbiError {
-    fn from(m: mbi_ann::RowMismatch) -> Self {
-        MbiError::ChecksumMismatch { section: "leaf rows", expected: m.expected, got: m.got }
+impl MbiError {
+    /// The error for a lazily checked chunk of `section` (a leaf's rows or
+    /// a block graph's adjacency) that failed its first-use check.
+    pub(crate) fn from_fault(section: &'static str, fault: mbi_ann::ChunkFault) -> MbiError {
+        match fault {
+            mbi_ann::ChunkFault::Checksum { expected, got, .. } => {
+                MbiError::ChecksumMismatch { section, expected, got }
+            }
+            mbi_ann::ChunkFault::BadId { offset, id } => {
+                MbiError::corrupt(offset, format!("edge to missing node {id}"))
+            }
+        }
     }
 }
 

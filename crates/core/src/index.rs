@@ -155,7 +155,7 @@ pub(crate) type BlockEntry<'a> = (&'a std::ops::Range<usize>, u32, Timestamp, Ti
 /// Checks that `blocks` is the postorder layout of the maximal-subtree
 /// forest implied by `num_leaves` (heights, row ranges) and that every
 /// block's timestamp bounds match its rows — invariants 3–4 of
-/// [`MbiIndex::validate`]. It reads directory entries only, so the v8
+/// [`MbiIndex::validate`]. It reads directory entries only, so the snapshot
 /// reader runs it on a cold file's graph-less block directory before any
 /// query walks the tree; [`validate_edges`] checks invariant 5.
 pub(crate) fn validate_blocks<'a, T: TimeSource + ?Sized>(

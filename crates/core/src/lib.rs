@@ -47,7 +47,7 @@
 //! | [`index`] | §4.2, Alg. 3–4 | [`MbiIndex`]: insert / query / exact query |
 //! | `layout` | §4.2–4.3, Alg. 3–4 | crate-private: the binary postorder arithmetic (block count, leaf index, children, merge chain, roots) |
 //! | [`select`] | §4.3 | top-down block selection, overlap ratio |
-//! | [`persist`] | §4.4.2 | the one on-disk format (v8): checksummed save/load of an index or snapshot |
+//! | [`persist`] | §4.4.2 | the one on-disk format (v9): checksummed save/load of an index or snapshot |
 //! | [`engine`] | — | [`StreamingMbi`]: queries concurrent with ingest, background builds, snapshot publication |
 //! | [`tier`] | — | [`ColdIndex`]: mmap-backed cold tier, LRU block cache; each query pins its cover on its own thread |
 //! | [`times`] | — | [`TimeChunks`]: chunk-shared timestamp column for snapshots |

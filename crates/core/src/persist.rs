@@ -2,17 +2,12 @@
 //!
 //! Time-accumulating deployments restart; rebuilding every block graph costs
 //! `O(|D|^1.14 log |D|)` (§4.4.2), so a saved index pays for itself quickly.
-//! There is one on-disk format, version 8: a single little-endian stream in
+//! There is one on-disk format, version 9: a single little-endian stream in
 //! a checksummed envelope. Everything is length-prefixed and validated on
 //! load; malformed input yields [`MbiError::Corrupt`] (carrying the byte
 //! offset where parsing failed) or [`MbiError::ChecksumMismatch`], never a
-//! panic. A header version other than 8 is `Corrupt` at byte 4 — there is
+//! panic. A header version other than 9 is `Corrupt` at byte 4 — there is
 //! no converter and no second reader.
-//!
-//! The config section keeps one reserved `u64` after `parallel_build`: it
-//! held the query fan-out width, which is gone (a query runs on its
-//! caller's thread). It is written as 0 and read and ignored, whatever it
-//! holds; the slot goes at the next format cut (v9).
 //!
 //! # Envelope
 //!
@@ -31,6 +26,22 @@
 //! All `save_file` paths write atomically: temp file in the same directory,
 //! fsync, rename, directory fsync — a crash mid-save leaves the previous
 //! file intact.
+//!
+//! # Block graphs
+//!
+//! Both stream kinds store a block of `n` rows' kNN graph in one encoding:
+//!
+//! ```text
+//! graph := tag:u32 degree:u64 len:u64 edges:u32[len] chunk_crc:u32[⌈n/16⌉]
+//! ```
+//!
+//! `tag` is 0 (NNDescent's kNN graph, the only kind), `len = degree · n`,
+//! and vertex `v`'s list is `edges[v·degree ..][..degree]`: ids below `n`,
+//! padded at the tail with `u32::MAX`. `chunk_crc[c]` is the CRC32 of the
+//! lists of vertices `16c .. min(16c + 16, n)` ([`ADJACENCY_CHUNK`]), so no
+//! list spans two chunks. The 20-byte header keeps `edges` 4-byte aligned
+//! wherever the graph starts 4-byte aligned, which every snapshot graph
+//! does, so a reader can view the edges in place in a mapped file.
 //!
 //! # Index kind: flat body
 //!
@@ -56,7 +67,7 @@
 //!             crc_ts:u32 crc_rows:u32 crc_inv:u32 crc_sq8:u32 crc_graph:u32
 //! record := ts:i64[s_l] rows:f32[s_l·d] row_crc:u32[s_l] [inv:f32[s_l]]
 //!           [mins:f32[d] deltas:f32[d] row_norm2:f32[s_l] codes:u8[s_l·d]]
-//!           graph pad(page)
+//!           pad(4) graph pad(page)
 //! blocks := num_blocks:u64 block_meta[num_blocks] meta_crc:u32 graphs
 //! block_meta := rows:u64×2 height:u32 start_ts:i64 end_ts:i64
 //!               graph_off:u64 graph_len:u64 graph_crc:u32
@@ -71,20 +82,24 @@
 //! without re-encoding.
 //!
 //! `row_crc[r]` is the CRC32 of row `r`'s `d·4` bytes, and the directory's
-//! `crc_rows` is the CRC32 of the `row_crc` column, not of the rows. So a
-//! reader can check the rows a query reads, one at a time, instead of the
-//! whole row column before any of it is used: the cold tier checks the
-//! 4-byte-per-row column when it loads a leaf and each row the first time a
-//! query reads it; the eager loader checks every row.
+//! `crc_rows` is the CRC32 of the `row_crc` column, not of the rows. Graphs
+//! are covered the same way: a directory's `crc_graph` / `graph_crc` is the
+//! CRC32 of the graph's header followed by its `chunk_crc` column, not of
+//! its edges. So a reader can check what a query reads, a row or a chunk of
+//! vertex lists at a time, instead of a whole column before any of it is
+//! used: the cold tier checks the small CRC columns when it loads a piece,
+//! each row the first time a query reads it, and each adjacency chunk (its
+//! CRC, then every id) the first time a search expands a vertex in it. The
+//! eager loaders check every row, every chunk and every id.
 //!
 //! A snapshot stream has one reader, shared by the eager loader
 //! ([`IndexSnapshot::from_bytes`]) and the cold tier: an open step
-//! (`open_v8`: directories, CRC-checked timestamp chunks, and the postorder
-//! and timestamp structure queries walk) and a per-piece decoder that
-//! checks each piece's own CRC and scalars. The cold tier decodes lazily
-//! over a mapped file, rows verified as they are read; the eager loader
-//! decodes every piece into owned columns, after the whole-section CRCs have
-//! also covered every byte.
+//! (`open_snapshot`: directories, CRC-checked timestamp chunks, and the
+//! postorder and timestamp structure queries walk) and a per-piece decoder
+//! that checks each piece's own CRCs and scalars. The cold tier decodes
+//! lazily over a mapped file, copying nothing: rows and adjacency chunks are
+//! verified as they are read. The eager loader decodes every piece into
+//! owned columns, after the whole-section CRCs have also covered every byte.
 //!
 //! ```
 //! use mbi_core::{MbiConfig, MbiIndex, TimeWindow};
@@ -112,18 +127,18 @@ use bytes::{BufMut, Bytes, BytesMut};
 use mbi_ann::mapped::Plain;
 use mbi_ann::{
     Col, EntryPolicy, FileMap, KnnGraph, NnDescentParams, SearchParams, Segment, SegmentStore,
-    Sq8Column, VectorStore,
+    Sq8Column, VectorStore, ADJACENCY_CHUNK,
 };
 use mbi_math::{crc32, Metric};
 use std::io::{Read, Write};
 use std::ops::Deref;
 use std::path::Path;
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"MBI1";
 /// The one format version this build writes and reads.
-const VERSION: u32 = 8;
+const VERSION: u32 = 9;
 
 const KIND_INDEX: u8 = 0;
 const KIND_SNAPSHOT: u8 = 1;
@@ -133,15 +148,17 @@ const FOOTER_MAGIC: &[u8; 4] = b"MBIF";
 const SECTIONS: [&str; 4] = ["header", "config", "data", "blocks"];
 /// magic + version + kind.
 const HEADER_LEN: usize = 4 + 4 + 1;
-/// v8 leaf records start on this boundary, so a mapped read of one record
-/// faults only its own pages.
+/// Snapshot leaf records start on this boundary, so a mapped read of one
+/// record faults only its own pages.
 pub(crate) const PAGE: usize = mbi_ann::PAGE_SIZE;
-/// v8 leaf-directory entry: `record_off` + `graph_off` + `graph_len` + five
+/// Leaf-directory entry: `record_off` + `graph_off` + `graph_len` + five
 /// per-piece CRCs (ts, row CRCs, inv, sq8, graph).
 const LEAF_DIR_ENTRY_LEN: usize = 8 * 3 + 4 * 5;
-/// v8 block-directory entry: row range + height + timestamp span + graph
+/// Block-directory entry: row range + height + timestamp span + graph
 /// location (`graph_off`, `graph_len`, `graph_crc`).
 const BLOCK_DIR_ENTRY_LEN: usize = 8 * 2 + 4 + 8 * 2 + 8 * 2 + 4;
+/// Graph header: `tag:u32 degree:u64 len:u64`.
+pub(crate) const GRAPH_HEADER_LEN: usize = 4 + 8 + 8;
 
 /// A bounded little-endian cursor over `b[pos..end]` of the full stream.
 /// `pos` is absolute, so every parse failure reports the offset where it
@@ -431,7 +448,7 @@ impl MbiIndex {
             b.put_u32_le(block.height);
             b.put_i64_le(block.start_ts);
             b.put_i64_le(block.end_ts);
-            write_graph(&mut b, &block.graph);
+            write_graph(&mut b, &block.graph, block.len());
         }
         bounds.push(b.len());
         write_footer(&mut b, &bounds);
@@ -548,14 +565,15 @@ impl IndexSnapshot {
     /// left out: a checkpoint prunes the WAL only up to that prefix, so
     /// recovery replays their rows and rebuilds their chains.
     pub fn to_bytes(&self) -> Bytes {
-        self.encode_v8()
+        self.encode_snapshot()
     }
 
-    /// Encodes the v8 layout: a leaf directory with per-piece CRCs, then one
-    /// page-aligned, self-contained record per leaf (timestamps, rows, row
-    /// CRCs, optional norm and SQ8 columns, the leaf block's graph), then the
-    /// block metadata with a graph directory and the internal-block graphs.
-    fn encode_v8(&self) -> Bytes {
+    /// Encodes the snapshot layout: a leaf directory with per-piece CRCs,
+    /// then one page-aligned, self-contained record per leaf (timestamps,
+    /// rows, row CRCs, optional norm and SQ8 columns, the leaf block's
+    /// graph), then the block metadata with a graph directory and the
+    /// internal-block graphs.
+    fn encode_snapshot(&self) -> Bytes {
         let config = self.config();
         let dim = config.dim;
         let s_l = config.leaf_size;
@@ -572,7 +590,7 @@ impl IndexSnapshot {
             .iter()
             .map(|blk| {
                 let mut g = BytesMut::new();
-                write_graph(&mut g, &blk.graph);
+                write_graph(&mut g, &blk.graph, blk.len());
                 g.freeze()
             })
             .collect();
@@ -581,7 +599,9 @@ impl IndexSnapshot {
         let row_crc_len = s_l * 4;
         let inv_len = if has_norms { s_l * 4 } else { 0 };
         let sq8_len = if has_sq8 { dim * 8 + s_l * 4 + s_l * dim } else { 0 };
-        let payload_len = ts_len + rows_len + row_crc_len + inv_len + sq8_len;
+        let sq8_off = ts_len + rows_len + row_crc_len + inv_len;
+        // Padded so the co-located graph's edges start 4-byte aligned.
+        let payload_len = (sq8_off + sq8_len).next_multiple_of(4);
 
         struct LeafBlob {
             payload: Vec<u8>,
@@ -621,7 +641,7 @@ impl IndexSnapshot {
                 }
                 p.extend_from_slice(col.codes());
             }
-            debug_assert_eq!(p.len(), payload_len);
+            p.resize(payload_len, 0);
             // Leaf i's graph is co-located with its record.
             let graph = graphs[layout::leaf_block(i)].clone();
             let inv_off = crc_off + row_crc_len;
@@ -629,8 +649,8 @@ impl IndexSnapshot {
                 crc32(&p[..ts_len]),
                 crc32(&p[crc_off..inv_off]),
                 if has_norms { crc32(&p[inv_off..inv_off + inv_len]) } else { 0 },
-                if has_sq8 { crc32(&p[payload_len - sq8_len..]) } else { 0 },
-                crc32(&graph),
+                if has_sq8 { crc32(&p[sq8_off..sq8_off + sq8_len]) } else { 0 },
+                graph_crc(&graph, s_l),
             ];
             blobs.push(LeafBlob { payload: p, graph, crcs });
         }
@@ -693,7 +713,7 @@ impl IndexSnapshot {
             } else {
                 let off = g_off;
                 g_off += graphs[i].len();
-                (off, graphs[i].len(), crc32(&graphs[i]))
+                (off, graphs[i].len(), graph_crc(&graphs[i], blk.len()))
             };
             b.put_u64_le(blk.rows.start as u64);
             b.put_u64_le(blk.rows.end as u64);
@@ -728,14 +748,14 @@ impl IndexSnapshot {
                 // The cold tier's reader with every column copied out of the
                 // stream: the snapshot owns its bytes, so `memory_bytes`
                 // counts them and the stream buffer is freed once loaded.
-                let (layout, times) = open_v8(&b)?;
+                let (layout, times) = open_snapshot(&b)?;
                 let cols = Columns::Copied(&b);
                 let mut store = SegmentStore::new(layout.config.dim, layout.seg_rows);
                 for leaf in 0..layout.num_leaves {
                     store.push_segment(Arc::new(layout.decode_segment(&cols, leaf)?));
                 }
                 let blocks = (0..layout.blocks.len())
-                    .map(|bi| layout.decode_block(&b, bi).map(Arc::new))
+                    .map(|bi| layout.decode_block(&cols, bi).map(Arc::new))
                     .collect::<Result<_, _>>()?;
                 let (config, num_leaves) = (layout.config, layout.num_leaves);
                 Ok(IndexSnapshot { config, store, times, blocks, num_leaves })
@@ -750,7 +770,7 @@ fn overflow(src: &Src<'_>) -> MbiError {
     src.corrupt("size overflow")
 }
 
-/// Zero-fills `b` up to absolute offset `target` (v8 page padding).
+/// Zero-fills `b` up to absolute offset `target` (page padding).
 fn pad_to(b: &mut BytesMut, target: usize) {
     const ZEROS: [u8; PAGE] = [0; PAGE];
     debug_assert!(target >= b.len());
@@ -762,10 +782,11 @@ fn pad_to(b: &mut BytesMut, target: usize) {
     }
 }
 
-/// Where one leaf's record lives in a v8 stream: the page-aligned record
-/// offset, the co-located graph, and the per-piece CRCs from the directory.
+/// Where one leaf's record lives in a snapshot stream: the page-aligned
+/// record offset, the co-located graph, and the per-piece CRCs from the
+/// directory.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct V8Leaf {
+pub(crate) struct LeafEntry {
     /// Absolute, page-aligned offset of the record (timestamps first).
     pub(crate) record_off: usize,
     /// Absolute offset of the leaf block's serialized graph.
@@ -780,14 +801,14 @@ pub(crate) struct V8Leaf {
     pub(crate) crc_inv: u32,
     /// CRC32 of the SQ8 column group; 0 when the stream has none.
     pub(crate) crc_sq8: u32,
-    /// CRC32 of the serialized graph.
+    /// CRC32 of the graph's header and chunk-CRC column.
     pub(crate) crc_graph: u32,
 }
 
-/// One block's metadata from a v8 blocks section, graph unloaded: enough to
-/// run block selection and to fetch + verify the graph on demand.
+/// One block's metadata from a snapshot's blocks section, graph unloaded:
+/// enough to run block selection and to fetch + verify the graph on demand.
 #[derive(Clone, Debug)]
-pub(crate) struct V8BlockEntry {
+pub(crate) struct BlockEntry {
     /// Global row range the block covers.
     pub(crate) rows: std::ops::Range<usize>,
     /// Height in the postorder tree (0 = leaf).
@@ -801,27 +822,27 @@ pub(crate) struct V8BlockEntry {
     pub(crate) graph_off: usize,
     /// Serialized graph length in bytes.
     pub(crate) graph_len: usize,
-    /// CRC32 of the serialized graph.
+    /// CRC32 of the graph's header and chunk-CRC column.
     pub(crate) graph_crc: u32,
 }
 
-/// The parsed geometry of a v8 snapshot stream: config, flags, and where
+/// The parsed geometry of a snapshot stream: config, flags, and where
 /// every leaf record and block graph lives — everything a reader (eager or
 /// cold/mmap) needs to load pieces independently. Parsing verifies the
 /// footer, the header and config sections, and both directory CRCs, but
 /// never reads a record payload: opening a cold file faults only the
 /// directory pages.
-pub(crate) struct V8Layout {
+pub(crate) struct SnapshotLayout {
     pub(crate) config: MbiConfig,
     pub(crate) num_leaves: usize,
     pub(crate) seg_rows: usize,
     pub(crate) has_norms: bool,
     pub(crate) has_sq8: bool,
-    pub(crate) leaves: Vec<V8Leaf>,
-    pub(crate) blocks: Vec<V8BlockEntry>,
+    pub(crate) leaves: Vec<LeafEntry>,
+    pub(crate) blocks: Vec<BlockEntry>,
 }
 
-impl V8Layout {
+impl SnapshotLayout {
     /// The file span leaf `leaf`'s record occupies, page-rounded and graph
     /// included.
     pub(crate) fn leaf_span(&self, leaf: usize) -> std::ops::Range<usize> {
@@ -874,6 +895,7 @@ impl V8Layout {
         let mut seg = Segment::from_cols(dim, data, inv_norms, sq8);
         match cols {
             Columns::Mapped { checked_bytes, .. } => {
+                checked_bytes.fetch_add((sq8_off + self.sq8_len() - crc_off) as u64, Relaxed);
                 seg = seg.with_row_check(row_crcs, Arc::clone(checked_bytes));
             }
             Columns::Copied(_) => {
@@ -889,26 +911,52 @@ impl V8Layout {
             // when restoring from a stream written without codes. Encoding
             // reads (and so checks) every row.
             seg.build_sq8();
-            if let Some(mismatch) = seg.first_row_mismatch() {
-                return Err(mismatch.into());
+            if let Some(fault) = seg.first_fault() {
+                return Err(MbiError::from_fault("leaf rows", fault));
             }
         }
         Ok(seg)
     }
 
-    /// Decodes block `bi`: its directory entry plus its graph, checked
-    /// against the directory CRC and decoded with every edge bounds-checked.
-    pub(crate) fn decode_block(&self, b: &[u8], bi: usize) -> Result<Block, MbiError> {
-        let m = &self.blocks[bi];
+    /// Decodes block `bi`: its directory entry plus its graph. The graph's
+    /// header and chunk-CRC column are checked against the directory CRC and
+    /// the header against the block. Copied edges are then checked here,
+    /// every chunk against its CRC and every id against the block; mapped
+    /// edges are viewed in place and checked a chunk at a time, the first
+    /// time a search expands a vertex in the chunk.
+    pub(crate) fn decode_block(&self, cols: &Columns<'_>, bi: usize) -> Result<Block, MbiError> {
+        let (m, b) = (&self.blocks[bi], cols.bytes());
+        let n = m.rows.len();
+        let chunks = n.div_ceil(ADJACENCY_CHUNK);
         let end = m.graph_off + m.graph_len;
-        check_crc(&b[m.graph_off..end], m.graph_crc, "block graph")?;
-        let mut src = Src::new(b, m.graph_off, end);
-        let graph = read_graph(&mut src, m.rows.len())?;
-        if src.has_remaining() {
-            return Err(src.corrupt("trailing bytes after block graph"));
+        if m.graph_len < GRAPH_HEADER_LEN + chunks * 4 {
+            return Err(MbiError::corrupt(m.graph_off, "block graph shorter than its header"));
         }
+        let crc_off = end - chunks * 4;
+        check_crc(&graph_checked_bytes(&b[m.graph_off..end], n), m.graph_crc, "block graph")?;
+        let mut src = Src::new(b, m.graph_off, crc_off);
+        let (degree, len) = read_graph_header(&mut src, n)?;
+        if len.checked_mul(4) != Some(src.end - src.pos) {
+            return Err(src.corrupt("block graph length does not match its header"));
+        }
+        let edges_off = src.pos;
+        let graph = match cols {
+            Columns::Mapped { checked_bytes, .. } => {
+                checked_bytes.fetch_add((GRAPH_HEADER_LEN + chunks * 4) as u64, Relaxed);
+                KnnGraph::from_flat(degree, cols.col::<u32>(edges_off, len)?).with_chunk_check(
+                    cols.col(crc_off, chunks)?,
+                    id_bound(n),
+                    Arc::clone(checked_bytes),
+                )
+            }
+            Columns::Copied(_) => {
+                let edges = &b[edges_off..crc_off];
+                check_chunks(edges, degree, &b[crc_off..end])?;
+                KnnGraph::from_flat(degree, check_edges(edges, edges_off, n)?)
+            }
+        };
         let (rows, height, start_ts, end_ts) = (m.rows.clone(), m.height, m.start_ts, m.end_ts);
-        Ok(Block { rows, height, start_ts, end_ts, graph })
+        Ok(Block { rows, height, start_ts, end_ts, graph: BlockGraph(graph) })
     }
 
     /// Bytes of one record's timestamp column.
@@ -945,15 +993,17 @@ impl V8Layout {
         }
     }
 
-    /// Bytes of one record before its graph.
+    /// Bytes of one record before its graph, padded to 4 so the graph's
+    /// edges start 4-byte aligned.
     pub(crate) fn payload_len(&self) -> usize {
-        self.ts_len() + self.rows_len() + self.row_crc_len() + self.inv_len() + self.sq8_len()
+        (self.ts_len() + self.rows_len() + self.row_crc_len() + self.inv_len() + self.sq8_len())
+            .next_multiple_of(4)
     }
 }
 
-/// Parses a v8 snapshot stream's directories off a raw byte slice. See
-/// [`V8Layout`] for what is (and deliberately is not) verified here.
-pub(crate) fn parse_v8_layout(b: &[u8]) -> Result<V8Layout, MbiError> {
+/// Parses a snapshot stream's directories off a raw byte slice. See
+/// [`SnapshotLayout`] for what is (and deliberately is not) verified here.
+pub(crate) fn parse_layout(b: &[u8]) -> Result<SnapshotLayout, MbiError> {
     if read_header(b)? != KIND_SNAPSHOT {
         return Err(MbiError::corrupt(8, "cold open requires a snapshot stream"));
     }
@@ -995,7 +1045,7 @@ pub(crate) fn parse_v8_layout(b: &[u8]) -> Result<V8Layout, MbiError> {
     check_crc(&b[d0..dir_end], rd_u32(b, dir_end), "leaf directory")?;
     let mut leaves = Vec::with_capacity(num_leaves);
     for _ in 0..num_leaves {
-        leaves.push(V8Leaf {
+        leaves.push(LeafEntry {
             record_off: d.get_u64_le() as usize,
             graph_off: d.get_u64_le() as usize,
             graph_len: d.get_u64_le() as usize,
@@ -1017,6 +1067,7 @@ pub(crate) fn parse_v8_layout(b: &[u8]) -> Result<V8Layout, MbiError> {
                 Some(x)
             }
         })
+        .and_then(|x| x.checked_next_multiple_of(4))
         .ok_or_else(|| ovf(d0))?;
     let mut prev_end = dir_end + 4;
     for (i, leaf) in leaves.iter().enumerate() {
@@ -1060,7 +1111,7 @@ pub(crate) fn parse_v8_layout(b: &[u8]) -> Result<V8Layout, MbiError> {
         let graph_len = s.get_u64_le() as usize;
         let graph_crc = s.get_u32_le();
         // Rows, heights and time bounds are checked against the postorder
-        // layout by `open_v8`, once the timestamps are read.
+        // layout by `open_snapshot`, once the timestamps are read.
         if height == 0 {
             let Some(leaf) = leaves.get(leaf_blocks) else {
                 return Err(MbiError::corrupt(at, "more leaf blocks than leaf records"));
@@ -1079,13 +1130,16 @@ pub(crate) fn parse_v8_layout(b: &[u8]) -> Result<V8Layout, MbiError> {
             if graph_off < prev_graph_end {
                 return Err(MbiError::corrupt(at, "overlapping block graphs"));
             }
+            if !graph_off.is_multiple_of(4) {
+                return Err(MbiError::corrupt(at, "block graph not 4-byte aligned"));
+            }
             let graph_end = graph_off.checked_add(graph_len).ok_or_else(|| ovf(at))?;
             if graph_end > b1 {
                 return Err(MbiError::corrupt(at, "block graph overruns blocks section"));
             }
             prev_graph_end = graph_end;
         }
-        blocks.push(V8BlockEntry {
+        blocks.push(BlockEntry {
             rows: start..end,
             height,
             start_ts,
@@ -1098,21 +1152,22 @@ pub(crate) fn parse_v8_layout(b: &[u8]) -> Result<V8Layout, MbiError> {
     if leaf_blocks != num_leaves {
         return Err(MbiError::corrupt(b0, "leaf record count does not match height-0 blocks"));
     }
-    let layout = V8Layout { config, num_leaves, seg_rows, has_norms, has_sq8, leaves, blocks };
+    let layout =
+        SnapshotLayout { config, num_leaves, seg_rows, has_norms, has_sq8, leaves, blocks };
     debug_assert_eq!(payload_len, layout.payload_len());
     Ok(layout)
 }
 
-/// The one open step of a v8 snapshot stream, shared by the eager loader
+/// The one open step of a snapshot stream, shared by the eager loader
 /// and the cold tier: parses the directories, reads every timestamp chunk
 /// against its CRC (selection and windowing read this column on every
 /// query), then checks the structure a query walks — timestamps
 /// non-decreasing, and the block directory the postorder layout for
 /// `num_leaves` with time bounds matching the timestamps. Records and
-/// graphs are left to [`V8Layout::decode_segment`] and
-/// [`V8Layout::decode_block`].
-pub(crate) fn open_v8(b: &[u8]) -> Result<(V8Layout, TimeChunks), MbiError> {
-    let layout = parse_v8_layout(b)?;
+/// graphs are left to [`SnapshotLayout::decode_segment`] and
+/// [`SnapshotLayout::decode_block`].
+pub(crate) fn open_snapshot(b: &[u8]) -> Result<(SnapshotLayout, TimeChunks), MbiError> {
+    let layout = parse_layout(b)?;
     let mut times = TimeChunks::new(layout.seg_rows);
     let mut newest = Timestamp::MIN;
     for leaf in &layout.leaves {
@@ -1133,10 +1188,11 @@ pub(crate) fn open_v8(b: &[u8]) -> Result<(V8Layout, TimeChunks), MbiError> {
     Ok((layout, times))
 }
 
-/// Where a decoded leaf's columns live: viewed in place inside a shared map
-/// (the cold tier: zero copy, charged to its block cache, rows checked as
-/// they are read and the bytes checked counted in `checked_bytes`) or copied
-/// out of the stream into owned vectors (the eager loader).
+/// Where a decoded piece's columns live: viewed in place inside a shared
+/// map (the cold tier: zero copy, charged to its block cache, rows and
+/// adjacency chunks checked as they are read, and the bytes checked counted
+/// in `checked_bytes`) or copied out of the stream into owned vectors (the
+/// eager loader).
 pub(crate) enum Columns<'a> {
     Mapped { map: &'a Arc<FileMap>, checked_bytes: &'a Arc<AtomicU64> },
     Copied(&'a [u8]),
@@ -1218,9 +1274,6 @@ fn write_config(b: &mut BytesMut, c: &MbiConfig) {
         }
     }
     b.put_u8(u8::from(c.parallel_build));
-    // Reserved slot (was the query fan-out width): written 0, read and
-    // ignored; it goes at the next format cut.
-    b.put_u64_le(0);
     b.put_u8(u8::from(c.sq8_scan));
     b.put_f32_le(c.sq8_overfetch);
     b.put_u64_le(c.ram_budget_bytes);
@@ -1266,12 +1319,8 @@ fn read_config(b: &mut Src<'_>) -> Result<MbiConfig, MbiError> {
         }
         t => return Err(b.corrupt(format!("unknown entry tag {t}"))),
     };
-    b.need(1 + 8)?;
+    b.need(1 + 1 + 4)?;
     let parallel_build = b.get_u8() != 0;
-    // The reserved slot: any value loads, since older writers stored a
-    // fan-out width here.
-    b.get_u64_le();
-    b.need(1 + 4)?;
     let sq8_scan = b.get_u8() != 0;
     let sq8_overfetch = b.get_f32_le();
     if !sq8_overfetch.is_finite() || sq8_overfetch < 1.0 {
@@ -1315,11 +1364,13 @@ fn metric_from_tag(b: &mut Src<'_>) -> Result<Metric, MbiError> {
     }
 }
 
-/// Appends `g`, reserving its exact serialised size first.
-fn write_graph(b: &mut BytesMut, BlockGraph(g): &BlockGraph) {
+/// Appends the graph `g` of a block of `block_len` rows, reserving its
+/// exact serialised size first.
+fn write_graph(b: &mut BytesMut, BlockGraph(g): &BlockGraph, block_len: usize) {
     let flat = g.as_flat();
-    b.reserve(1 + 8 + 8 + flat.len() * 4);
-    b.put_u8(0);
+    let chunks = block_len.div_ceil(ADJACENCY_CHUNK);
+    b.reserve(GRAPH_HEADER_LEN + flat.len() * 4 + chunks * 4);
+    b.put_u32_le(0);
     b.put_u64_le(g.degree() as u64);
     b.put_u64_le(flat.len() as u64);
     let start = b.len();
@@ -1327,47 +1378,96 @@ fn write_graph(b: &mut BytesMut, BlockGraph(g): &BlockGraph) {
     for (dst, x) in b[start..].chunks_exact_mut(4).zip(flat) {
         dst.copy_from_slice(&x.to_le_bytes());
     }
-}
-
-fn read_graph(b: &mut Src<'_>, block_len: usize) -> Result<BlockGraph, MbiError> {
-    b.need(1)?;
-    match b.get_u8() {
-        0 => {
-            b.need(16)?;
-            let degree = b.get_u64_le() as usize;
-            let len = b.get_u64_le() as usize;
-            // `degree` slots per row, exactly — so a degree-0 graph has no
-            // edges, and a degree that overflows the product is rejected.
-            if degree.checked_mul(block_len) != Some(len) {
-                return Err(b.corrupt(format!(
-                    "graph size {len} does not match degree {degree} × block {block_len}"
-                )));
-            }
-            // In range, or the padding sentinel. A `u32` bound keeps the
-            // check in 32-bit vector lanes; a block of 2^32 rows or more
-            // makes every edge valid, and so does the clamped bound.
-            let n = u32::try_from(block_len).unwrap_or(u32::MAX);
-            let flat = read_edges(b, len, "edge", |x| x == u32::MAX || x < n)?;
-            Ok(BlockGraph(KnnGraph::from_flat(degree, flat)))
-        }
-        t => Err(b.corrupt(format!("unknown graph tag {t}"))),
+    let crcs: Vec<u32> = chunk_crcs(&b[start..], g.degree(), chunks).collect();
+    for crc in crcs {
+        b.put_u32_le(crc);
     }
 }
 
-/// Decodes `len` edges in bulk and checks them in one branch-free pass; only
-/// on failure is the first bad edge located, reported at the byte after it.
-fn read_edges(
-    b: &mut Src<'_>,
-    len: usize,
-    what: &str,
-    valid: impl Fn(u32) -> bool,
-) -> Result<Vec<u32>, MbiError> {
-    b.need(len.checked_mul(4).ok_or_else(|| overflow(b))?)?;
+/// The CRC32 of each chunk of [`ADJACENCY_CHUNK`] vertex lists of `edges`
+/// (the last chunk may be shorter, and every chunk of a degree-0 graph is
+/// empty).
+fn chunk_crcs(edges: &[u8], degree: usize, chunks: usize) -> impl Iterator<Item = u32> + '_ {
+    let chunk_bytes = ADJACENCY_CHUNK * degree * 4;
+    (0..chunks).map(move |c| {
+        let start = (c * chunk_bytes).min(edges.len());
+        crc32(&edges[start..(start + chunk_bytes).min(edges.len())])
+    })
+}
+
+/// The bytes a snapshot directory's graph CRC covers: the serialised
+/// graph's header, then its chunk-CRC column — not its edges.
+fn graph_checked_bytes(graph: &[u8], block_len: usize) -> Vec<u8> {
+    let column = block_len.div_ceil(ADJACENCY_CHUNK) * 4;
+    [&graph[..GRAPH_HEADER_LEN], &graph[graph.len() - column..]].concat()
+}
+
+/// The directory CRC of a serialised graph of a block of `block_len` rows.
+fn graph_crc(graph: &[u8], block_len: usize) -> u32 {
+    crc32(&graph_checked_bytes(graph, block_len))
+}
+
+/// Reads a graph header and checks it against a block of `block_len`
+/// rows; returns `(degree, len)`.
+fn read_graph_header(b: &mut Src<'_>, block_len: usize) -> Result<(usize, usize), MbiError> {
+    b.need(GRAPH_HEADER_LEN)?;
+    let tag = b.get_u32_le();
+    if tag != 0 {
+        return Err(MbiError::corrupt(b.pos - 4, format!("unknown graph tag {tag}")));
+    }
+    let degree = b.get_u64_le() as usize;
+    let len = b.get_u64_le() as usize;
+    // `degree` slots per row, exactly — so a degree-0 graph has no edges,
+    // and a degree that overflows the product is rejected.
+    if degree.checked_mul(block_len) != Some(len) {
+        return Err(b.corrupt(format!(
+            "graph size {len} does not match degree {degree} × block {block_len}"
+        )));
+    }
+    Ok((degree, len))
+}
+
+/// Reads a graph of a block of `block_len` rows in full, every chunk checked
+/// against its CRC and every edge against the block.
+fn read_graph(b: &mut Src<'_>, block_len: usize) -> Result<BlockGraph, MbiError> {
+    let (degree, len) = read_graph_header(b, block_len)?;
+    let chunks = block_len.div_ceil(ADJACENCY_CHUNK);
+    let edge_bytes = len.checked_mul(4).ok_or_else(|| overflow(b))?;
+    b.need(edge_bytes.checked_add(chunks * 4).ok_or_else(|| overflow(b))?)?;
     let at = b.pos;
-    let edges: Vec<u32> = le_vec(b.bytes(len * 4));
+    let edges = b.bytes(edge_bytes);
+    check_chunks(edges, degree, b.bytes(chunks * 4))?;
+    Ok(BlockGraph(KnnGraph::from_flat(degree, check_edges(edges, at, block_len)?)))
+}
+
+/// Checks every chunk of `edges` against its stored CRC in `crcs`.
+fn check_chunks(edges: &[u8], degree: usize, crcs: &[u8]) -> Result<(), MbiError> {
+    let stored = crcs.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")));
+    for (expected, got) in stored.zip(chunk_crcs(edges, degree, crcs.len() / 4)) {
+        if expected != got {
+            return Err(MbiError::ChecksumMismatch { section: "block graph", expected, got });
+        }
+    }
+    Ok(())
+}
+
+/// The largest id a block of `block_len` rows admits, plus one. A `u32`
+/// bound keeps the edge check in 32-bit vector lanes; a block of 2^32 rows
+/// or more makes every edge valid, and so does the clamped bound.
+fn id_bound(block_len: usize) -> u32 {
+    u32::try_from(block_len).unwrap_or(u32::MAX)
+}
+
+/// Decodes the edges at absolute offset `at` in bulk and checks them in one
+/// branch-free pass: each in range, or the padding sentinel. Only on
+/// failure is the first bad edge located, reported at the byte after it.
+fn check_edges(bytes: &[u8], at: usize, block_len: usize) -> Result<Vec<u32>, MbiError> {
+    let n = id_bound(block_len);
+    let valid = |x: u32| x == u32::MAX || x < n;
+    let edges: Vec<u32> = le_vec(bytes);
     if !edges.iter().fold(true, |ok, &x| ok & valid(x)) {
         let i = edges.iter().position(|&x| !valid(x)).expect("a bad edge");
-        let detail = format!("{what} to missing node {}", edges[i]);
+        let detail = format!("edge to missing node {}", edges[i]);
         return Err(MbiError::corrupt(at + (i + 1) * 4, detail));
     }
     Ok(edges)
@@ -1462,7 +1562,7 @@ mod tests {
 
     /// Where a clean snapshot stream keeps its two directories.
     struct Dirs {
-        lay: V8Layout,
+        lay: SnapshotLayout,
         /// Start of the data section: `num_leaves`, `seg_rows`, the flags,
         /// then the leaf directory.
         d0: usize,
@@ -1474,7 +1574,7 @@ mod tests {
     impl Dirs {
         fn of(stream: &[u8]) -> Dirs {
             let sections = parse_footer(stream).unwrap();
-            Dirs { lay: parse_v8_layout(stream).unwrap(), d0: sections[2].0, b0: sections[3].0 }
+            Dirs { lay: parse_layout(stream).unwrap(), d0: sections[2].0, b0: sections[3].0 }
         }
 
         fn leaf_entry(&self, leaf: usize) -> usize {
@@ -1486,18 +1586,12 @@ mod tests {
         }
 
         /// Rewrites leaf `leaf`'s piece CRC `k` (0 timestamps, 1 row CRCs,
-        /// 2 norms, 3 sq8, 4 graph) over the piece's bytes in `body`.
+        /// 2 norms, 3 sq8) over the piece's bytes in `body`.
         fn recrc_piece(&self, body: &mut [u8], leaf: usize, k: usize) {
             let (lay, l) = (&self.lay, self.lay.leaves[leaf]);
             // The record's columns in order; the rows have no piece CRC.
-            let lens = [
-                lay.ts_len(),
-                lay.rows_len(),
-                lay.row_crc_len(),
-                lay.inv_len(),
-                lay.sq8_len(),
-                l.graph_len,
-            ];
+            let lens =
+                [lay.ts_len(), lay.rows_len(), lay.row_crc_len(), lay.inv_len(), lay.sq8_len()];
             let col = if k == 0 { 0 } else { k + 1 };
             let start = l.record_off + lens[..col].iter().sum::<usize>();
             let crc = crc32(&body[start..start + lens[col]]);
@@ -1518,19 +1612,35 @@ mod tests {
             })
         }
 
-        /// `reseal` for an edit inside block `bi`'s graph: the graph CRC is
-        /// the last field of the block's entry and, for a leaf block, of its
-        /// leaf's entry too; both are rewritten before the directory CRCs.
+        /// `reseal` for an edit inside block `bi`'s graph: every chunk CRC
+        /// is recomputed over the edited edges (at the clean graph's degree),
+        /// then the graph's directory CRC over its header and chunk-CRC
+        /// column — the last field of the block's entry and, for a leaf
+        /// block, of its leaf's entry too — before the directory CRCs.
         fn reseal_graph(&self, stream: &[u8], bi: usize, mutate: impl FnOnce(&mut [u8])) -> Bytes {
             let m = &self.lay.blocks[bi];
+            let (n, degree) = (m.rows.len(), rd_u64(stream, m.graph_off + 4) as usize);
             self.reseal(stream, |body| {
-                mutate(&mut body[m.graph_off..m.graph_off + m.graph_len]);
-                let crc = crc32(&body[m.graph_off..m.graph_off + m.graph_len]);
+                let graph = &mut body[m.graph_off..m.graph_off + m.graph_len];
+                mutate(graph);
+                rechunk(graph, degree, n);
+                let crc = graph_crc(graph, n);
                 put_u32(body, self.block_entry(bi + 1) - 4, crc);
                 if let Some(leaf) = layout::block_leaf(bi) {
                     put_u32(body, self.leaf_entry(leaf + 1) - 4, crc);
                 }
             })
+        }
+    }
+
+    /// Recomputes the chunk-CRC column of `graph`, exactly the bytes of a
+    /// serialised graph of a block of `n` rows, over its edges at `degree`.
+    fn rechunk(graph: &mut [u8], degree: usize, n: usize) {
+        let chunks = n.div_ceil(ADJACENCY_CHUNK);
+        let (edges, column) = graph.split_at_mut(graph.len() - 4 * chunks);
+        let crcs: Vec<u32> = chunk_crcs(&edges[GRAPH_HEADER_LEN..], degree, chunks).collect();
+        for (dst, crc) in column.chunks_exact_mut(4).zip(crcs) {
+            dst.copy_from_slice(&crc.to_le_bytes());
         }
     }
 
@@ -1542,7 +1652,7 @@ mod tests {
         let mut offsets = Vec::new();
         for block in idx.blocks() {
             let mut g = BytesMut::new();
-            write_graph(&mut g, &block.graph);
+            write_graph(&mut g, &block.graph, block.len());
             offsets.push(at + 36);
             at += 36 + g.len();
         }
@@ -1595,14 +1705,15 @@ mod tests {
 
     /// One reader means format drift is data loss: the exact bytes written
     /// for three fixed 64-row indexes are pinned as (length, CRC32),
-    /// recorded when format v8 added the per-row CRC column.
+    /// recorded when format v9 gave every block graph 4-byte-aligned edges
+    /// and a chunk-CRC column, and dropped the config's reserved slot.
     #[test]
-    fn v8_bytes_are_pinned() {
+    fn v9_bytes_are_pinned() {
         let pin = |b: Bytes| (b.len(), crc32(&b));
         for (idx, index_pin, snapshot_pin) in [
-            (build_index(GraphBackend::default(), 64), (21055, 0x1b9c_e913), (33800, 0xba03_e1f9)),
-            (build_angular_index(64), (21311, 0x3e9a_f03a), (33800, 0xd176_8348)),
-            (build_sq8_index(64, true), (21055, 0x8e47_450f), (33800, 0xa94e_3731)),
+            (build_index(GraphBackend::default(), 64), (21116, 0x05b8_6636), (33841, 0xc7b2_5d20)),
+            (build_angular_index(64), (21372, 0xd222_146c), (33841, 0xe327_9ed0)),
+            (build_sq8_index(64, true), (21116, 0x1547_5e25), (33841, 0xeccb_e1e4)),
         ] {
             let what = (idx.config().metric, idx.config().sq8_scan);
             assert_eq!(pin(idx.to_bytes()), index_pin, "{what:?} index stream drifted");
@@ -1707,7 +1818,7 @@ mod tests {
     fn rejects_every_retired_version() {
         let index = build_index(GraphBackend::default(), 64);
         let snapshot = snapshot_of(&index).to_bytes();
-        for version in [2u32, 3, 4, 5, 6, 7, 9] {
+        for version in [2u32, 3, 4, 5, 6, 7, 8, 10] {
             let restamp = |stream: &[u8]| {
                 let mut raw = stream.to_vec();
                 put_u32(&mut raw, 4, version);
@@ -1722,7 +1833,7 @@ mod tests {
                 assert!(matches!(err, MbiError::Corrupt { offset: 4, .. }), "{err}");
                 let msg = err.to_string();
                 assert!(msg.contains(&format!("version {version}")), "{msg}");
-                assert!(msg.contains("only version 8"), "{msg}");
+                assert!(msg.contains("only version 9"), "{msg}");
             }
         }
     }
@@ -1872,7 +1983,7 @@ mod tests {
         // (what, offset into the graph, the bytes written there, the detail)
         let degrees = [0u64, 1 << 63, 3].map(|degree| {
             let detail = "does not match degree".to_string();
-            (format!("degree {degree}"), 1, degree.to_le_bytes().to_vec(), detail)
+            (format!("degree {degree}"), 4, degree.to_le_bytes().to_vec(), detail)
         });
         let tags = [1u8, 0xFF].map(|tag| {
             (format!("graph tag {tag}"), 0, vec![tag], format!("unknown graph tag {tag}"))
@@ -1892,18 +2003,14 @@ mod tests {
                 let err = IndexSnapshot::from_bytes(sealed.clone()).unwrap_err();
                 assert!(corrupt_with(&err, &detail), "snapshot, {what}: {err}");
                 // The cold reader opens on directories alone and meets a
-                // graph on the first query that reads it: a height-1 graph
-                // whenever its block is selected, a leaf's only when the leaf
-                // is graph-searched, which never pays at 16 rows.
+                // graph's header on the first query that loads its piece: a
+                // height-1 graph whenever its block is selected, a leaf's
+                // whenever the leaf's rows are read.
                 let m = &dirs.lay.blocks[bi];
                 let cold = cold_from(&sealed).unwrap();
                 let got = cold.query(&[0.0, 0.0, 0.0], 3, TimeWindow::new(m.start_ts, m.end_ts));
-                if m.height > 0 {
-                    let corrupt = matches!(&got, Err(e) if corrupt_with(e, &detail));
-                    assert!(corrupt, "cold, {what}: {got:?}");
-                } else {
-                    assert!(got.is_ok(), "cold, {what}: {got:?}");
-                }
+                let corrupt = matches!(&got, Err(e) if corrupt_with(e, &detail));
+                assert!(corrupt, "cold, {what}: {got:?}");
             }
         }
     }
@@ -1912,19 +2019,20 @@ mod tests {
     /// the first edge, one on a 64-byte boundary of the adjacency and the
     /// last, set to `n − 1`, `n`, `u32::MAX − 1` and `u32::MAX` (`n` the
     /// block's row count, `u32::MAX` the padding), CRCs re-sealed. The index
-    /// loader, the snapshot loader and the cold tier at budgets 0 and
-    /// unlimited must open the stream or report `Corrupt` at the byte after
-    /// the bad edge, as recorded on the reader that decoded one edge at a
-    /// time — except that the cold tier never reads the leaf graph: it
-    /// decodes a leaf's graph only when it graph-searches the leaf, and at 16
-    /// rows a scan always pays.
+    /// loader and the snapshot loader must open the stream or report
+    /// `Corrupt` at the byte after the bad edge, as recorded on the reader
+    /// that decoded one edge at a time. The cold tier at budgets 0 and
+    /// unlimited opens every stream and answers: it checks an adjacency chunk
+    /// only when a search expands a vertex in it, and at 16 and 32 rows a
+    /// scan always pays, so no query here expands one
+    /// (`graph_chunk_verdict_table` covers the chunks a search expands).
     #[test]
     fn graph_edge_verdict_table() {
         // Per graph, per slot: where a bad edge is reported in the index
         // stream and in the snapshot stream.
         const BAD_EDGE_AT: [[(usize, usize); 3]; 2] = [
-            [(1476, 4501), (2308, 5333), (3072, 6097)],
-            [(4782, 20905), (6382, 22505), (7978, 24101)],
+            [(1471, 4504), (2303, 5336), (3067, 6100)],
+            [(4791, 20908), (6391, 22508), (7987, 24104)],
         ];
         let idx = build_index(GraphBackend::default(), 64);
         let index_stream = idx.to_bytes();
@@ -1937,17 +2045,21 @@ mod tests {
             assert_eq!(m.height as usize, g, "block {bi}");
             let BlockGraph(graph) = &idx.blocks()[bi].graph;
             let (n, len) = (m.rows.len() as u32, graph.as_flat().len());
+            let graph_len = GRAPH_HEADER_LEN + 4 * len + 4 * m.rows.len().div_ceil(ADJACENCY_CHUNK);
             let window = TimeWindow::new(m.start_ts, m.end_ts);
             for (s, slot) in [0, (len / 2).next_multiple_of(16), len - 1].into_iter().enumerate() {
-                let edge = 17 + 4 * slot;
+                let edge = GRAPH_HEADER_LEN + 4 * slot;
                 for x in [n - 1, n, u32::MAX - 1, u32::MAX] {
                     let what = format!("block {bi}, edge {slot} of {len} set to {x}");
                     let detail = format!("edge to missing node {x}");
                     let edit = |bytes: &mut [u8]| {
                         bytes[edge..edge + 4].copy_from_slice(&x.to_le_bytes());
                     };
-                    let sealed =
-                        refooter(&index_stream, |body| edit(&mut body[index_graphs[bi]..]));
+                    let sealed = refooter(&index_stream, |body| {
+                        let bytes = &mut body[index_graphs[bi]..][..graph_len];
+                        edit(bytes);
+                        rechunk(bytes, graph.degree(), m.rows.len());
+                    });
                     let index = corrupt_at(MbiIndex::from_bytes(sealed), &what, &detail);
                     let sealed = dirs.reseal_graph(&snap_stream, bi, edit);
                     let snapshot =
@@ -1956,9 +2068,7 @@ mod tests {
                         let map = Arc::new(FileMap::from_bytes(sealed.to_vec()));
                         let cold = ColdIndex::from_map_with_budget(map, budget)
                             .and_then(|cold| cold.query(&q, 5, window));
-                        let cold = corrupt_at(cold, &what, &detail);
-                        let read = if m.height > 0 { snapshot } else { None };
-                        assert_eq!(cold, read, "{what}: cold at budget {budget}");
+                        assert!(cold.is_ok(), "{what}: cold at budget {budget}: {cold:?}");
                     }
                     let (index_at, snapshot_at) = BAD_EDGE_AT[g][s];
                     let expected = if x < n || x == u32::MAX {
@@ -1972,11 +2082,107 @@ mod tests {
         }
     }
 
+    /// One verdict per flipped graph byte: in an edge, in the chunk-CRC
+    /// column and in the header, of a leaf graph and of the height-1 root,
+    /// each at the adjacency chunk of the best answer of a query that
+    /// graph-searches the block (a search expands every vertex it answers
+    /// with). The index and snapshot loaders refuse the stream as written
+    /// (a section CRC) and with its sections re-sealed (the graph's own
+    /// CRCs). The cold tier, at budgets 0 and unlimited, fails the first
+    /// query: at load for the header and column, on expanding the chunk for
+    /// the edge. Then one edge is set out of range with every CRC over it
+    /// re-sealed: `Corrupt` at the byte after it from all three readers,
+    /// never a panic or an out-of-bounds read.
+    #[test]
+    fn graph_chunk_verdict_table() {
+        let config = MbiConfig::new(3, Metric::Euclidean).with_leaf_size(256);
+        let mut idx = MbiIndex::new(config);
+        for i in 0..512 {
+            let x = i as f32 * 0.37;
+            idx.insert(&[x.sin(), (x * 0.7).cos(), (x * 0.13).sin()], i as i64).unwrap();
+        }
+        let (index_stream, snap) = (idx.to_bytes(), snapshot_of(&idx));
+        let (stream, index_graphs) = (snap.to_bytes(), index_graph_offsets(&idx, &index_stream));
+        let dirs = Dirs::of(&stream);
+        let (q, k) = ([0.3f32, -0.2, 0.5], 3);
+        let graph_section = |r: Result<_, MbiError>| {
+            matches!(r, Err(MbiError::ChecksumMismatch { section: "block graph", .. }))
+        };
+        for bi in [1, 2] {
+            let m = &dirs.lay.blocks[bi];
+            let w = TimeWindow::new(m.start_ts, m.end_ts);
+            let hot = snap.query_with_params(&q, k, w, &config.search);
+            assert_eq!(hot.stats.blocks_bruteforced, 0, "block {bi} is graph-searched");
+            let cold = |s: &[u8], budget| {
+                let map = Arc::new(FileMap::from_bytes(s.to_vec()));
+                ColdIndex::from_map_with_budget(map, budget)?.query_with_params(
+                    &q,
+                    k,
+                    w,
+                    &config.search,
+                )
+            };
+            for budget in [0, u64::MAX] {
+                assert_eq!(cold(&stream, budget).unwrap().results, hot.results, "clean, {budget}");
+            }
+            // The best answer's vertex list: its chunk, and its first edge.
+            let v = hot.results[0].id as usize - m.rows.start;
+            let degree = idx.blocks()[bi].graph.0.degree();
+            let column = m.graph_len - 4 * m.rows.len().div_ceil(ADJACENCY_CHUNK);
+            let edge = GRAPH_HEADER_LEN + 4 * v * degree;
+            for (what, at) in [
+                ("edge", edge + 1),
+                ("chunk crc", column + 4 * (v / ADJACENCY_CHUNK) + 2),
+                ("header", 5),
+            ] {
+                let what = format!("block {bi}, {what} byte {at} of the graph");
+                let flip = |b: &mut [u8], graph: usize| b[graph + at] ^= 0x04;
+                let mut raw = index_stream.to_vec();
+                flip(&mut raw, index_graphs[bi]);
+                assert!(MbiIndex::from_bytes(Bytes::from(raw.clone())).is_err(), "index, {what}");
+                let sealed = refooter(&raw, |_| {});
+                assert!(MbiIndex::from_bytes(sealed).is_err(), "resealed index, {what}");
+                let mut raw = stream.to_vec();
+                flip(&mut raw, m.graph_off);
+                let err = IndexSnapshot::from_bytes(Bytes::from(raw.clone())).err();
+                assert!(err.is_some(), "snapshot, {what}");
+                let sealed = refooter(&raw, |_| {});
+                let got = IndexSnapshot::from_bytes(sealed).map(|_| ());
+                assert!(graph_section(got), "resealed snapshot, {what}");
+                for budget in [0, u64::MAX] {
+                    assert!(graph_section(cold(&raw, budget).map(|_| ())), "cold {budget}, {what}");
+                }
+            }
+            for x in [m.rows.len() as u32, u32::MAX - 1] {
+                let what = format!("block {bi}, edge of vertex {v} set to {x}");
+                let detail = format!("edge to missing node {x}");
+                let set = |g: &mut [u8]| g[edge..edge + 4].copy_from_slice(&x.to_le_bytes());
+                let sealed = refooter(&index_stream, |body| {
+                    let len = column + 4 * m.rows.len().div_ceil(ADJACENCY_CHUNK);
+                    let graph = &mut body[index_graphs[bi]..][..len];
+                    set(graph);
+                    rechunk(graph, degree, m.rows.len());
+                });
+                let index = corrupt_at(MbiIndex::from_bytes(sealed), &what, &detail);
+                let sealed = dirs.reseal_graph(&stream, bi, set);
+                let snapshot =
+                    corrupt_at(IndexSnapshot::from_bytes(sealed.clone()), &what, &detail);
+                assert_eq!(snapshot, Some(m.graph_off + edge + 4), "{what}");
+                assert_eq!(index, Some(index_graphs[bi] + edge + 4), "{what}");
+                for budget in [0, u64::MAX] {
+                    let got = corrupt_at(cold(&sealed, budget), &what, &detail);
+                    assert_eq!(got, snapshot, "{what}: cold at budget {budget}");
+                }
+            }
+        }
+    }
+
     /// The per-element decoder the bulk one replaced: the `Corrupt` offset of
-    /// the first out-of-range edge of a serialised kNN graph at `base`.
-    fn first_bad_edge(graph: &[u8], base: usize, block_len: usize) -> Option<usize> {
-        let mut at = base + 17;
-        for edge in graph[17..].chunks_exact(4) {
+    /// the first out-of-range edge of the `len` edges of a serialised kNN
+    /// graph at `base`.
+    fn first_bad_edge(graph: &[u8], base: usize, len: usize, block_len: usize) -> Option<usize> {
+        let mut at = base + GRAPH_HEADER_LEN;
+        for edge in graph[GRAPH_HEADER_LEN..][..4 * len].chunks_exact(4) {
             at += 4;
             let x = u32::from_le_bytes(edge.try_into().unwrap());
             if x != u32::MAX && x as usize >= block_len {
@@ -1989,8 +2195,10 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
         /// Any kNN graph survives `write_graph` → `read_graph`, padding and
-        /// all, at lengths that are no multiple of a vector lane; an edge out
-        /// of range is `Corrupt` where the per-element reference says.
+        /// all, at lengths that are no multiple of a vector lane or of a
+        /// chunk; an edge out of range under re-sealed chunk CRCs is
+        /// `Corrupt` where the per-element reference says, and without the
+        /// re-seal a checksum mismatch.
         #[test]
         fn knn_graph_roundtrips_and_bad_edges_match_the_reference(
             degree in 0usize..=33,
@@ -2005,10 +2213,10 @@ mod tests {
             let flat = raw[..degree * block_len].iter().map(|&r| r % (n + 1)).map(|e| {
                 if e == n { u32::MAX } else { e }
             });
-            let graph = KnnGraph::from_flat(degree, flat.collect());
+            let graph = KnnGraph::from_flat(degree, flat.collect::<Vec<_>>());
             let mut b = BytesMut::new();
             b.put_slice(&[0xa5; 8][..base]);
-            write_graph(&mut b, &BlockGraph(graph.clone()));
+            write_graph(&mut b, &BlockGraph(graph.clone()), block_len);
             let mut stream = b.to_vec();
             let mut src = Src::new(&stream, base, stream.len());
             let BlockGraph(back) = read_graph(&mut src, block_len).unwrap();
@@ -2019,11 +2227,16 @@ mod tests {
             if len > 0 {
                 // One or two edges in [n, u32::MAX − 1].
                 let x = n + bad_value % (u32::MAX - n);
+                let edges = base + GRAPH_HEADER_LEN;
                 for slot in [bad.0 % len, bad.1 % len] {
-                    let at = base + 17 + 4 * slot;
+                    let at = edges + 4 * slot;
                     stream[at..at + 4].copy_from_slice(&x.to_le_bytes());
                 }
-                let expected = first_bad_edge(&stream[base..], base, block_len);
+                let got = read_graph(&mut Src::new(&stream, base, stream.len()), block_len);
+                let stale = matches!(got, Err(MbiError::ChecksumMismatch { section: "block graph", .. }));
+                proptest::prop_assert!(stale, "{:?}", got.err());
+                rechunk(&mut stream[base..], degree, block_len);
+                let expected = first_bad_edge(&stream[base..], base, len, block_len);
                 let got = read_graph(&mut Src::new(&stream, base, stream.len()), block_len);
                 proptest::prop_assert!(expected.is_some());
                 let detail = format!("edge to missing node {x}");
@@ -2089,7 +2302,7 @@ mod tests {
     /// unlimited) must both refuse the stream, or both open it and answer
     /// every window alike; neither may panic.
     #[test]
-    fn v8_verdict_table() {
+    fn directory_verdict_table() {
         let clean = snapshot_of(&build_index(GraphBackend::default(), 64)).to_bytes();
         let dirs = Dirs::of(&clean);
         let lay = &dirs.lay;
@@ -2308,10 +2521,10 @@ mod tests {
     }
 
     #[test]
-    fn v8_layout_is_page_aligned_with_colocated_graphs() {
+    fn layout_is_page_aligned_with_colocated_graphs() {
         let snap = snapshot_of(&build_sq8_index(64, true));
         let bytes = snap.to_bytes();
-        let layout = parse_v8_layout(&bytes).unwrap();
+        let layout = parse_layout(&bytes).unwrap();
         assert_eq!(layout.num_leaves, 4);
         assert!(layout.has_sq8);
         assert_eq!(layout.blocks.len(), snap.blocks().len());
@@ -2339,18 +2552,18 @@ mod tests {
                     let row = ts.end + r * row_bytes;
                     assert_eq!(crc32(&bytes[row..row + row_bytes]).to_le_bytes(), crc, "row {r}");
                 }
-                assert_eq!(
-                    crc32(&bytes[meta.graph_off..meta.graph_off + meta.graph_len]),
-                    leaf.crc_graph
-                );
+                let graph = &bytes[meta.graph_off..meta.graph_off + meta.graph_len];
+                assert_eq!(graph_crc(graph, meta.rows.len()), leaf.crc_graph);
                 leaf_ix += 1;
             }
+            // Every graph's edges can be viewed in place as `u32`s.
+            assert_eq!((meta.graph_off + GRAPH_HEADER_LEN) % 4, 0, "block {:?}", meta.rows);
         }
         assert_eq!(leaf_ix, layout.num_leaves);
     }
 
     #[test]
-    fn v8_tier_knobs_roundtrip() {
+    fn tier_knobs_roundtrip() {
         let config = MbiConfig::new(3, Metric::Euclidean)
             .with_leaf_size(16)
             .with_ram_budget_bytes(123)
@@ -2367,34 +2580,8 @@ mod tests {
         assert_eq!(loaded.config().ram_budget_bytes, 123);
         assert_eq!(loaded.config().cache_shards, 3);
 
-        // The reserved slot after `parallel_build` (it precedes `sq8_scan`,
-        // `sq8_overfetch` and the two tier knobs) loads with any value —
-        // older streams carry a fan-out width there — and changes no answer.
-        let with_slot = |stream: &[u8], v: u64| {
-            let at = parse_footer(stream).unwrap()[1].1 - (8 + 4) - 4 - 1 - 8;
-            assert_eq!(stream[at..at + 8], [0; 8], "the slot is written as 0");
-            refooter(stream, |body| body[at..at + 8].copy_from_slice(&v.to_le_bytes()))
-        };
         let idx = build_index(GraphBackend::default(), 64);
         let (index_stream, snapshot_stream) = (idx.to_bytes(), snapshot_of(&idx).to_bytes());
-        let snapshot = IndexSnapshot::from_bytes(snapshot_stream.clone()).unwrap();
-        let cold = cold_from(&snapshot_stream).unwrap();
-        let params = idx.config().search;
-        for v in [1, u64::MAX] {
-            assert_same_answers(&idx, &MbiIndex::from_bytes(with_slot(&index_stream, v)).unwrap());
-            let stream = with_slot(&snapshot_stream, v);
-            assert_same_snapshot_answers(
-                &snapshot,
-                &IndexSnapshot::from_bytes(stream.clone()).unwrap(),
-            );
-            let other = cold_from(&stream).unwrap();
-            for (q, w) in [(5.0f32, (0i64, 60i64)), (30.0, (10, 50)), (55.0, (40, 64))] {
-                let (q, w) = ([q, 0.0, -q], TimeWindow::new(w.0, w.1));
-                let want = cold.query_with_params(&q, 5, w, &params).unwrap();
-                let got = other.query_with_params(&q, 5, w, &params).unwrap();
-                assert_eq!((got.results, got.stats), (want.results, want.stats), "slot {v}");
-            }
-        }
 
         // A backend tag other than NNDescent's 0 is `Corrupt` in every
         // reader: 1 (HNSW's, a backend since deleted) and an unknown 0xFF.
@@ -2429,7 +2616,7 @@ mod tests {
         let flag_at = parse_footer(&stream).unwrap()[1].1 - (8 + 4) - 4 - 1;
         assert_eq!(stream[flag_at], 0);
         let sealed = refooter(&stream, |body| body[flag_at] = 1);
-        assert!(!parse_v8_layout(&sealed).unwrap().has_sq8);
+        assert!(!parse_layout(&sealed).unwrap().has_sq8);
 
         let native = snapshot_of(&build_sq8_index(64, true));
         let loaded = IndexSnapshot::from_bytes(sealed.clone()).unwrap();

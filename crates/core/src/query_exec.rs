@@ -60,9 +60,8 @@ impl Deadline {
 /// evals, while a BSBF scan of the block's in-window rows costs exactly m.
 /// Dispatching on the cheaper side is what makes MBI "operate like BSBF when
 /// the query time window is short" (challenge C1, §4) even below leaf
-/// granularity. The cold tier asks this before a query to read a block's
-/// graph only when it is searched.
-pub(crate) fn graph_search_pays(config: &MbiConfig, k: usize, len: usize, m: usize) -> bool {
+/// granularity.
+fn graph_search_pays(config: &MbiConfig, k: usize, len: usize, m: usize) -> bool {
     let degree = config.search_degree_estimate();
     // The beam typically visits ~2k vertices before the ε bound stops it,
     // hence the factor 2 on the k/ρ visit estimate.

@@ -1,22 +1,27 @@
-//! Disk-tiered cold blocks: an mmap-backed read path over a v8 snapshot
-//! file and a sharded size-budgeted LRU block cache.
+//! Disk-tiered cold blocks: an mmap-backed read path over a snapshot file
+//! and a sharded size-budgeted LRU block cache.
 //!
-//! A [`ColdIndex`] opens a v8 snapshot *without* decoding its payload: only
+//! A [`ColdIndex`] opens a snapshot *without* decoding its payload: only
 //! the header, config, directories, and the timestamp column (8 bytes/row —
 //! the selection and windowing floor) are touched at open. It reads the
 //! file through the persist module's one snapshot reader, the same one the
 //! eager loader uses, so both check the same CRCs and structure and refuse
-//! the same streams. Leaf records and internal-block graphs are decoded on
-//! demand and cached as zero-copy [`Col`]-backed segments under the RAM
-//! budget of [`MbiConfig::ram_budget_bytes`].
+//! the same streams. Leaf records and internal-block graphs are loaded on
+//! demand as zero-copy [`Col`]-backed segments and graphs, and cached under
+//! the RAM budget of [`MbiConfig::ram_budget_bytes`].
 //!
-//! A miss pays only for what the query reads. Loading a leaf checks its
-//! 4-byte-per-row CRC column (and its norm and SQ8 columns), not its rows:
-//! each row is checked against its CRC the first time any query reads it,
-//! and a query that read a row failing its check returns
-//! [`MbiError::ChecksumMismatch`] instead of an answer. A leaf's own graph
-//! is decoded and checked only when a query graph-searches that leaf, not
-//! when its rows serve a parent block or a scan.
+//! A miss copies and decodes nothing, and pays only for what the query
+//! reads. Loading a leaf checks its 4-byte-per-row CRC column (and its norm
+//! and SQ8 columns) and its graph's chunk-CRC column, not its rows or its
+//! edges; loading an internal block checks its graph's header and chunk-CRC
+//! column. Each row is checked against its CRC the first time any query
+//! reads it, and each chunk of 16 vertex lists — its CRC, then every id —
+//! the first time a search expands a vertex in it. A query that read a row
+//! or expanded a chunk failing its check returns
+//! [`MbiError::ChecksumMismatch`] (or [`MbiError::Corrupt`], for an id out
+//! of range under a matching CRC) instead of an answer. The check bits live
+//! in the loaded piece, so a piece loaded again after eviction is checked
+//! again.
 //!
 //! MBI's block selection names every block a query will touch *before* any
 //! distance math runs, so a query pins its whole cover first — on the
@@ -27,8 +32,8 @@
 //! Queries are bit-identical to the in-RAM [`IndexSnapshot`] path: selection
 //! reads the same spans and heights (here from the block directory), both
 //! run the same executor over the same `VectorSource`/`TimeSource`
-//! abstractions and the selected blocks alone, and the SQ8/f32 bytes served
-//! from the map are the bytes the snapshot serialised.
+//! abstractions and the selected blocks alone, and the SQ8/f32 rows and the
+//! edges served from the map are the bytes the snapshot serialised.
 //!
 //! [`IndexSnapshot`]: crate::engine::IndexSnapshot
 
@@ -36,18 +41,18 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use mbi_ann::{Col, FileMap, KnnGraph, SearchParams, SearchStats, Segment, SegmentStore};
+use mbi_ann::{Col, FileMap, SearchParams, SearchStats, Segment, SegmentStore, PAGE_SIZE};
 
-use crate::block::{Block, BlockGraph};
+use crate::block::Block;
 use crate::config::MbiConfig;
 use crate::error::MbiError;
 use crate::index::{QueryOutput, TknnResult};
 use crate::layout;
-use crate::persist::{open_v8, Columns, V8BlockEntry, V8Layout};
-use crate::query_exec::{graph_search_pays, QueryTarget};
+use crate::persist::{open_snapshot, Columns, SnapshotLayout};
+use crate::query_exec::QueryTarget;
 use crate::select::{select_blocks, SearchBlockSet, TimeWindow};
 use crate::times::TimeChunks;
 
@@ -61,44 +66,63 @@ enum PieceKey {
     Graph(usize),
 }
 
-/// A decoded, cache-resident piece. Cloning is two `Arc` bumps.
+/// A loaded, cache-resident piece: views over the map, no copies. Cloning
+/// is one or two `Arc` bumps.
 #[derive(Clone)]
 enum Piece {
-    /// A leaf's rows, and its block once a query graph-searched the leaf
-    /// ([`ColdIndex::leaf_block`]).
-    Leaf(Arc<Segment>, Arc<OnceLock<Arc<Block>>>),
+    /// A leaf's rows and its block.
+    Leaf(Arc<Segment>, Arc<Block>),
+    /// An internal block.
     Graph(Arc<Block>),
 }
 
 impl Piece {
+    /// The block the piece holds.
+    fn block(&self) -> &Block {
+        match self {
+            Piece::Leaf(_, block) | Piece::Graph(block) => block,
+        }
+    }
+
     /// Whether the cache holds the only remaining reference — no query has
     /// the piece pinned, so it may be evicted.
     fn evictable(&self) -> bool {
         match self {
-            Piece::Leaf(seg, block) => {
-                Arc::strong_count(seg) == 1
-                    && Arc::strong_count(block) == 1
-                    && block.get().is_none_or(|b| Arc::strong_count(b) == 1)
-            }
+            Piece::Leaf(seg, block) => Arc::strong_count(seg) == 1 && Arc::strong_count(block) == 1,
             Piece::Graph(block) => Arc::strong_count(block) == 1,
         }
     }
 
-    /// Row checks of the piece's rows that have failed so far.
-    fn row_failures(&self) -> u64 {
-        match self {
-            Piece::Leaf(seg, _) => seg.row_failures(),
+    /// First-use checks that have failed so far: of the leaf's rows, and
+    /// of the block's adjacency.
+    fn failures(&self) -> [u64; 2] {
+        let rows = match self {
+            Piece::Leaf(seg, _) => seg.check_failures(),
             Piece::Graph(_) => 0,
-        }
+        };
+        [rows, self.block().graph.0.check_failures()]
+    }
+
+    /// The error for the first check that failed since `before` (an
+    /// earlier [`Self::failures`]), if one did.
+    fn fault_since(&self, before: [u64; 2]) -> Option<MbiError> {
+        let [rows, graph] = self.failures();
+        let (section, fault) = match self {
+            Piece::Leaf(seg, _) if rows > before[0] => ("leaf rows", seg.first_fault()),
+            _ if graph > before[1] => ("block graph", self.block().graph.0.first_fault()),
+            _ => return None,
+        };
+        Some(MbiError::from_fault(section, fault.expect("a failed check records its fault")))
     }
 }
 
-/// A freshly decoded piece plus its accounting: resident cost in bytes and
-/// the file range to `madvise(DONTNEED)` when the piece is evicted.
+/// A freshly loaded piece plus its accounting: its page-rounded file span
+/// — charged to the budget with the piece's heap, and handed to
+/// `madvise(DONTNEED)` when the piece is evicted.
 struct LoadedPiece {
     piece: Piece,
     bytes: u64,
-    advise: Option<Range<usize>>,
+    span: Range<usize>,
 }
 
 struct CacheEntry {
@@ -111,7 +135,7 @@ struct CacheEntry {
     ord: usize,
     /// Pinned pieces (the hot suffix of leaves) are never evicted.
     pinned: bool,
-    advise: Option<Range<usize>>,
+    span: Range<usize>,
 }
 
 #[derive(Default)]
@@ -120,7 +144,7 @@ struct CacheShard {
     bytes: u64,
 }
 
-/// Sharded, size-budgeted LRU over decoded pieces. Loads run outside the
+/// Sharded, size-budgeted LRU over loaded pieces. Loads run outside the
 /// shard lock; a double-insert race keeps the first inserted piece.
 struct BlockCache {
     shards: Vec<Mutex<CacheShard>>,
@@ -161,7 +185,7 @@ impl BlockCache {
         self.shards[i].lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Returns the cached piece for `key`, or decodes it via `load` (run
+    /// Returns the cached piece for `key`, or loads it via `load` (run
     /// outside the shard lock) and inserts it, evicting LRU pieces if the
     /// shard exceeds its budget.
     fn get_or_load<F>(
@@ -187,8 +211,8 @@ impl BlockCache {
         self.misses.fetch_add(1, Relaxed);
         let mut shard = self.lock_shard(shard_i);
         if let Some(entry) = shard.map.get_mut(&key) {
-            // Raced with another loader; the first insert wins, our decode
-            // is discarded.
+            // Raced with another loader; the first insert wins, our load is
+            // discarded.
             entry.last_used = self.generation.fetch_add(1, Relaxed);
             return Ok(entry.piece.clone());
         }
@@ -202,23 +226,11 @@ impl BlockCache {
                 last_used: self.generation.fetch_add(1, Relaxed),
                 ord,
                 pinned,
-                advise: loaded.advise,
+                span: loaded.span,
             },
         );
         self.evict_over_budget(&mut shard);
         Ok(piece)
-    }
-
-    /// Adds `bytes` to the charge of the resident piece `key` — a leaf
-    /// block decoded after its leaf was loaded. The caller holds the piece
-    /// pinned, so it is still resident; the next [`Self::maintain`] evicts
-    /// back under budget.
-    fn charge(&self, key: PieceKey, bytes: u64) {
-        let mut shard = self.lock_shard(self.shard_of(key));
-        if let Some(entry) = shard.map.get_mut(&key) {
-            entry.bytes += bytes;
-            shard.bytes += bytes;
-        }
     }
 
     /// Evicts least-recently-used unpinned, unreferenced pieces until the
@@ -236,9 +248,7 @@ impl BlockCache {
             let Some(key) = victim else { break };
             let entry = shard.map.remove(&key).expect("victim chosen from this map");
             shard.bytes -= entry.bytes;
-            if let Some(range) = entry.advise {
-                self.map.drop_pages(range);
-            }
+            self.map.drop_pages(entry.span);
             self.evictions.fetch_add(1, Relaxed);
         }
     }
@@ -257,8 +267,8 @@ impl BlockCache {
     }
 }
 
-/// A read-only MBI snapshot served from a v8 file through an LRU block
-/// cache — the cold tier.
+/// A read-only MBI snapshot served from a snapshot file through an LRU
+/// block cache — the cold tier.
 ///
 /// Queries return the exact same results as the in-RAM snapshot the file
 /// was serialised from, for any RAM budget (including `0`, where every
@@ -273,7 +283,7 @@ impl BlockCache {
 /// ```
 pub struct ColdIndex {
     map: Arc<FileMap>,
-    layout: V8Layout,
+    layout: SnapshotLayout,
     times: TimeChunks,
     cache: BlockCache,
     /// Leaves with ordinal `>= hot_floor` are pinned resident (the newest
@@ -281,59 +291,40 @@ pub struct ColdIndex {
     hot_floor: usize,
     /// Placeholder for unpinned store slots; never read by the executor.
     empty_seg: Arc<Segment>,
-    /// Bytes checksummed since open: piece columns and graphs at load, rows
-    /// as queries read them.
+    /// Bytes checksummed since open: pieces' CRC columns at load, rows and
+    /// adjacency chunks as queries read them.
     checked_bytes: Arc<AtomicU64>,
 }
 
 impl ColdIndex {
-    /// Decodes leaf `leaf`'s columns over the mapped bytes into a zero-copy
-    /// segment whose rows are checked as they are read, charged for the
-    /// record's page-rounded file span (the unit of residency accounting and
-    /// `madvise`) and its heap. The leaf's block waits for
-    /// [`Self::leaf_block`].
+    /// Columns over the map, checked as they are read.
+    fn mapped(&self) -> Columns<'_> {
+        Columns::Mapped { map: &self.map, checked_bytes: &self.checked_bytes }
+    }
+
+    /// Loads leaf `leaf` over the mapped bytes: a zero-copy segment whose
+    /// rows are checked as they are read and the leaf's block, its graph
+    /// checked as it is expanded, charged for the record's page-rounded file
+    /// span (the graph included) and their heap.
     fn load_leaf(&self, leaf: usize) -> Result<LoadedPiece, MbiError> {
-        let lay = &self.layout;
-        let cols = Columns::Mapped { map: &self.map, checked_bytes: &self.checked_bytes };
-        let seg = lay.decode_segment(&cols, leaf)?;
-        let checked = lay.row_crc_len() + lay.inv_len() + lay.sq8_len();
-        self.checked_bytes.fetch_add(checked as u64, Relaxed);
-        let span = lay.leaf_span(leaf);
-        let bytes = (span.end - span.start) as u64 + seg.memory_bytes() as u64;
-        let piece = Piece::Leaf(Arc::new(seg), Arc::default());
-        Ok(LoadedPiece { piece, bytes, advise: Some(span) })
+        let seg = self.layout.decode_segment(&self.mapped(), leaf)?;
+        let block = self.layout.decode_block(&self.mapped(), layout::leaf_block(leaf))?;
+        let span = self.layout.leaf_span(leaf);
+        let bytes = (span.len() + seg.memory_bytes() + block.memory_bytes()) as u64;
+        let piece = Piece::Leaf(Arc::new(seg), Arc::new(block));
+        Ok(LoadedPiece { piece, bytes, span })
     }
 
-    /// Block `bi` with its graph, decoded and checked.
-    fn decode_block(&self, bi: usize) -> Result<Arc<Block>, MbiError> {
-        let block = self.layout.decode_block(self.map.bytes(), bi)?;
-        self.checked_bytes.fetch_add(self.layout.blocks[bi].graph_len as u64, Relaxed);
-        Ok(Arc::new(block))
-    }
-
-    /// Leaf `leaf`'s block, decoding its co-located graph the first time a
-    /// query graph-searches the leaf; `cell` is the leaf piece's slot for
-    /// it. The graph's heap is charged to the leaf piece when it decodes.
-    fn leaf_block(&self, leaf: usize, cell: &OnceLock<Arc<Block>>) -> Result<Arc<Block>, MbiError> {
-        if let Some(block) = cell.get() {
-            return Ok(Arc::clone(block));
-        }
-        let block = self.decode_block(layout::leaf_block(leaf))?;
-        if cell.set(Arc::clone(&block)).is_ok() {
-            self.cache.charge(PieceKey::Leaf(leaf), block.memory_bytes() as u64);
-            return Ok(block);
-        }
-        // A concurrent query decoded it first; keep one copy.
-        Ok(Arc::clone(cell.get().expect("set by the query that won the race")))
-    }
-
-    /// Decodes the graph of internal block `bi` into an owned [`Block`].
+    /// Loads internal block `bi` over the mapped bytes, its graph checked
+    /// as it is expanded, charged for the graph's page-rounded file span and
+    /// the block's heap.
     fn load_graph(&self, bi: usize) -> Result<LoadedPiece, MbiError> {
         let meta = &self.layout.blocks[bi];
-        let block = self.decode_block(bi)?;
-        let bytes = block.memory_bytes() as u64;
-        let advise = Some(meta.graph_off..meta.graph_off + meta.graph_len);
-        Ok(LoadedPiece { piece: Piece::Graph(block), bytes, advise })
+        let block = self.layout.decode_block(&self.mapped(), bi)?;
+        let span = meta.graph_off / PAGE_SIZE * PAGE_SIZE
+            ..(meta.graph_off + meta.graph_len).next_multiple_of(PAGE_SIZE);
+        let bytes = (span.len() + block.memory_bytes()) as u64;
+        Ok(LoadedPiece { piece: Piece::Graph(Arc::new(block)), bytes, span })
     }
 
     /// Fetches `key` through the cache, loading and inserting on miss.
@@ -351,49 +342,22 @@ impl ColdIndex {
     }
 
     /// Expands a resolved selection into the pieces it touches: one leaf
-    /// piece per covered leaf, plus the graph of every internal block. Also
-    /// returns, per selected block, the index of the key whose piece holds
-    /// that block's graph (its graph, or its leaf piece), or `None` for a
-    /// leaf that `searched` says the executor scans.
-    fn cover_pieces(
-        &self,
-        selected: &[usize],
-        searched: impl Fn(&V8BlockEntry) -> bool,
-    ) -> (Vec<PieceKey>, Vec<Option<usize>>) {
+    /// piece per covered leaf, then the block's own piece for an internal
+    /// block. Also returns, per selected block, the index of the key whose
+    /// piece holds that block — always the last key of its group.
+    fn cover_pieces(&self, selected: &[usize]) -> (Vec<PieceKey>, Vec<usize>) {
         let s_l = self.layout.seg_rows;
         let mut keys = Vec::new();
-        let mut graphs = Vec::with_capacity(selected.len());
+        let mut holders = Vec::with_capacity(selected.len());
         for &bi in selected {
             let meta = &self.layout.blocks[bi];
             keys.extend((meta.rows.start / s_l..meta.rows.end.div_ceil(s_l)).map(PieceKey::Leaf));
             if meta.height > 0 {
                 keys.push(PieceKey::Graph(bi));
             }
-            graphs.push((meta.height > 0 || searched(meta)).then_some(keys.len() - 1));
+            holders.push(keys.len() - 1);
         }
-        (keys, graphs)
-    }
-
-    /// Selected block `bi` as the executor receives it: with its graph when
-    /// `graph` names the piece holding it, and graph-less for a scanned leaf
-    /// (the executor then reads only its rows and metadata).
-    fn selected_block(
-        &self,
-        bi: usize,
-        graph: Option<(PieceKey, &Piece)>,
-    ) -> Result<Arc<Block>, MbiError> {
-        match graph {
-            Some((PieceKey::Leaf(leaf), Piece::Leaf(_, cell))) => self.leaf_block(leaf, cell),
-            Some((PieceKey::Graph(_), Piece::Graph(block))) => Ok(Arc::clone(block)),
-            Some(_) => unreachable!("cache returned a piece of the wrong kind"),
-            None => {
-                let m = &self.layout.blocks[bi];
-                let graph = BlockGraph(KnnGraph::from_flat(0, Vec::new()));
-                let (rows, height, start_ts, end_ts) =
-                    (m.rows.clone(), m.height, m.start_ts, m.end_ts);
-                Ok(Arc::new(Block { rows, height, start_ts, end_ts, graph }))
-            }
-        }
+        (keys, holders)
     }
 
     /// Loads and pins every piece of a cover, in key order, on the calling
@@ -419,19 +383,21 @@ impl ColdIndex {
 pub struct TierStats {
     /// Cache lookups served without touching the file.
     pub hits: u64,
-    /// Cache lookups that decoded their piece from the map, on the thread
+    /// Cache lookups that loaded their piece from the map, on the thread
     /// of the query that missed.
     pub misses: u64,
     /// Pieces demoted by the LRU policy.
     pub evictions: u64,
-    /// Always 0: no piece is decoded off the query thread. Kept only so
+    /// Always 0: no piece is loaded off the query thread. Kept only so
     /// the `e2e` benchmark's `cold_counters` still builds; ROADMAP item 1
     /// (the next benchmark change) removes it.
     #[deprecated(note = "always 0; removed with ROADMAP item 1")]
     pub prefetches: u64,
     /// Bytes checksummed by queries: each loaded leaf's row CRC, norm and
-    /// SQ8 columns, each decoded graph, and each row the first time a query
-    /// reads it after its leaf was loaded.
+    /// SQ8 columns, each loaded graph's header and chunk-CRC column, each
+    /// row the first time a query reads it, and each adjacency chunk the
+    /// first time a search expands a vertex in it — after every load of the
+    /// piece, since the check bits live in the loaded piece.
     pub bytes_verified: u64,
     /// Bytes currently charged against the RAM budget.
     pub bytes_resident: u64,
@@ -453,7 +419,7 @@ impl std::fmt::Debug for ColdIndex {
 }
 
 impl ColdIndex {
-    /// Opens and maps a v8 snapshot file.
+    /// Opens and maps a snapshot file.
     ///
     /// Only the directories and the timestamp column are read eagerly; the
     /// environment variable `MBI_RAM_BUDGET` (bytes) overrides the persisted
@@ -491,7 +457,7 @@ impl ColdIndex {
         // and window partitioning touch it on every query, and at 8 bytes/row
         // it is ~d/2 times smaller than the vectors, so queries never fault
         // timestamp pages.
-        let (mut layout, times) = open_v8(map.bytes())?;
+        let (mut layout, times) = open_snapshot(map.bytes())?;
         if let Some(b) = budget_override {
             layout.config.ram_budget_bytes = b;
         } else if let Ok(v) = std::env::var("MBI_RAM_BUDGET") {
@@ -584,8 +550,9 @@ impl ColdIndex {
     /// TkNN with explicit search parameters, plus search statistics.
     ///
     /// Fails only on I/O-level corruption (a piece whose CRC no longer
-    /// matches the directory, or a row the query read whose CRC no longer
-    /// matches its stored one); results are bit-identical to the in-RAM
+    /// matches the directory, a row the query read or an adjacency chunk it
+    /// expanded whose CRC no longer matches its stored one, or an id out of
+    /// range in such a chunk); results are bit-identical to the in-RAM
     /// snapshot path.
     pub fn query_with_params(
         &self,
@@ -604,7 +571,7 @@ impl ColdIndex {
     ///
     /// An *already-expired* deadline short-circuits before the cold read
     /// path entirely: selection still runs (directory metadata, already
-    /// resident) but no piece is pinned or decoded — a timed-out query
+    /// resident) but no piece is pinned or loaded — a timed-out query
     /// must not fault cold pages it will never score.
     pub fn query_with_deadline(
         &self,
@@ -633,17 +600,9 @@ impl ColdIndex {
                 timed_out: true,
             });
         }
-        let (wlo, whi) =
-            (self.times.partition_below(window.start), self.times.partition_below(window.end));
-        let (keys, graphs) = self.cover_pieces(&selection.blocks, |m| {
-            let in_window = whi.min(m.rows.end).saturating_sub(wlo.max(m.rows.start));
-            in_window > 0 && graph_search_pays(&lay.config, k, m.rows.len(), in_window)
-        });
+        let (keys, holders) = self.cover_pieces(&selection.blocks);
         self.with_pinned(&keys, |target, pieces| {
-            let blocks = (selection.blocks.iter().zip(&graphs))
-                .map(|(&bi, g)| self.selected_block(bi, g.map(|i| (keys[i], &pieces[i]))))
-                .collect::<Result<Vec<_>, _>>()?;
-            let blocks: Vec<&Block> = blocks.iter().map(|b| &**b).collect();
+            let blocks: Vec<&Block> = holders.iter().map(|&i| pieces[i].block()).collect();
             Ok(target.search(query, k, window, params, &selection, &blocks, deadline))
         })
     }
@@ -668,34 +627,28 @@ impl ColdIndex {
 
     /// Pins the pieces `keys` names, runs `f` on a
     /// [`QueryTarget`] over them and the pieces (in key order), unpins, and
-    /// lets the cache evict back under budget. If `f` read a row that failed
-    /// its check, its answer is dropped for
-    /// [`ChecksumMismatch`](MbiError::ChecksumMismatch): the failure counters
-    /// are per segment, so a concurrent query's failed read on a shared leaf
-    /// can fail this query too, but an answer never leaves on bad bytes.
+    /// lets the cache evict back under budget. If `f` read a row or expanded
+    /// an adjacency chunk that failed its check, its answer is dropped for
+    /// that failure's error: the failure counters are per piece, so a
+    /// concurrent query's failed read on a shared piece can fail this query
+    /// too, but an answer never leaves on bad bytes.
     fn with_pinned<R>(
         &self,
         keys: &[PieceKey],
         f: impl FnOnce(&QueryTarget<'_, SegmentStore, TimeChunks>, &[Piece]) -> Result<R, MbiError>,
     ) -> Result<R, MbiError> {
-        let out = {
-            let (store, pieces) = self.pin(keys)?;
+        let out = self.pin(keys).and_then(|(store, pieces)| {
             let target = QueryTarget {
                 config: &self.layout.config,
                 store: &store,
                 times: &self.times,
                 num_leaves: self.layout.num_leaves,
             };
-            let failures: Vec<u64> = pieces.iter().map(Piece::row_failures).collect();
+            let before: Vec<[u64; 2]> = pieces.iter().map(Piece::failures).collect();
             let out = f(&target, &pieces);
-            let failed = pieces.iter().zip(failures).find(|(p, n)| p.row_failures() > *n);
-            match failed {
-                Some((Piece::Leaf(seg, _), _)) => {
-                    Err(seg.first_row_mismatch().expect("a failed check records its row").into())
-                }
-                _ => out,
-            }
-        };
+            let failed = pieces.iter().zip(before).find_map(|(p, before)| p.fault_since(before));
+            failed.map_or(out, Err)
+        });
         self.cache.maintain();
         out
     }
@@ -718,9 +671,9 @@ mod tests {
     use super::*;
     use crate::engine::IndexSnapshot;
     use crate::index::MbiIndex;
-    use crate::persist::{parse_v8_layout, PAGE};
+    use crate::persist::{parse_layout, GRAPH_HEADER_LEN, PAGE};
     use crate::GraphBackend;
-    use mbi_ann::NnDescentParams;
+    use mbi_ann::{NnDescentParams, ADJACENCY_CHUNK};
     use mbi_math::Metric;
 
     fn build_snapshot(metric: Metric, n: usize, budget: u64, sq8: bool) -> IndexSnapshot {
@@ -893,7 +846,7 @@ mod tests {
         let first = cold.query_with_params(&query, 7, w, &params).unwrap();
         assert_eq!(first.results, snap.query_with_params(&query, 7, w, &params).results);
         for _ in 0..5 {
-            // Every pass re-faults and re-decodes the whole cover.
+            // Every pass re-faults and re-checks the whole cover.
             let again = cold.query_with_params(&query, 7, w, &params).unwrap();
             assert_eq!(again.results, first.results);
             assert_eq!(cold.stats().bytes_resident, 0);
@@ -918,13 +871,14 @@ mod tests {
 
     /// Four threads query one index at once, each starting the windows at
     /// a different one, so two threads load pieces of the same index
-    /// concurrently: a decode that loses the insert race in
-    /// `BlockCache::get_or_load`, and a leaf graph decoded twice in
-    /// `ColdIndex::leaf_block`, must still answer like the hot snapshot —
-    /// results and search counters — at budget 0 and at a budget of two
-    /// leaf records on one shard (the newest leaf pinned, one more cached).
-    /// τ = 1 selects partly covered leaves, and at k = 1 a degree-4 graph
-    /// search pays on a 16-row leaf, so leaf graphs are decoded too.
+    /// concurrently: a load that loses the insert race in
+    /// `BlockCache::get_or_load`, and two threads checking the same rows or
+    /// adjacency chunk of a shared piece at once, must still answer like the
+    /// hot snapshot — results and search counters — at budget 0 and at a
+    /// budget of two leaf records on one shard (the newest leaf pinned, one
+    /// more cached). τ = 1 selects partly covered leaves, and at k = 1 a
+    /// degree-4 graph search pays on a 16-row leaf, so leaf graphs are
+    /// searched too.
     #[test]
     fn concurrent_queries_on_one_index_match_hot() {
         let nd = NnDescentParams { degree: 4, max_iters: 2, ..Default::default() };
@@ -935,7 +889,7 @@ mod tests {
             .with_cache_shards(1);
         let snap = snapshot_of(config, 128);
         let bytes = snap.to_bytes().to_vec();
-        let two_leaves = 2 * parse_v8_layout(&bytes).unwrap().leaf_span(0).len() as u64;
+        let two_leaves = 2 * parse_layout(&bytes).unwrap().leaf_span(0).len() as u64;
         let params = snap.config().search;
         let mut cases = Vec::new();
         for w in windows() {
@@ -1034,7 +988,7 @@ mod tests {
     fn corrupt_leaf_rows_surface_checksum_error() {
         let snap = build_snapshot(Metric::Euclidean, 64, u64::MAX, false);
         let mut bytes = snap.to_bytes().to_vec();
-        let layout = parse_v8_layout(&bytes).unwrap();
+        let layout = parse_layout(&bytes).unwrap();
         // Flip one byte inside leaf 0's row section; the directory CRC stays
         // valid (it covers the directory, not the records), so open succeeds
         // and the load must catch it lazily.
@@ -1071,12 +1025,15 @@ mod tests {
     /// geometry a row section is 512 KiB and the checksum kernel folds 64
     /// bytes at a time, so flip where a fold could lose a byte: the first
     /// one, one on a 64-byte boundary, and the last — in every section a
-    /// query reads, with a query that reads it. Each flip must fail the
-    /// first query on a fresh index, naming the section.
+    /// query reads, with a query that reads it. For a graph, those are its
+    /// chunk-CRC column, read when its piece loads, and the adjacency chunk
+    /// of the search's best answer: a search expands every vertex it answers
+    /// with. Each flip must fail the first query on a fresh index, naming the
+    /// section.
     #[test]
     fn corrupt_byte_anywhere_in_a_lazily_verified_section_is_a_checksum_error() {
         let (clean, q) = two_benchmark_leaves();
-        let lay = parse_v8_layout(&clean).unwrap();
+        let lay = parse_layout(&clean).unwrap();
         let (s_l, row_len) = (lay.seg_rows, lay.config.dim * 4);
         let (l, root) = (lay.leaves[1], lay.blocks.iter().find(|m| m.height == 1).unwrap());
         let rows_off = l.record_off + lay.ts_len();
@@ -1091,21 +1048,27 @@ mod tests {
         // (bytes, the section the error names, offset, length, the window of
         // a query that reads them — `None`: five rows around the flip, a
         // scan that reranks every one of them).
-        let cases = [
+        let mut cases = vec![
             ("rows of a scanned window", "leaf rows", rows_off, lay.rows_len(), None),
             ("a row the root search scores", "leaf rows", best_off, row_len, Some(both)),
             ("row checksums", "leaf row checksums", crc_off, lay.row_crc_len(), Some(both)),
             ("norms", "leaf norms", inv_off, lay.inv_len(), Some(both)),
             ("sq8", "leaf sq8", inv_off + lay.inv_len(), lay.sq8_len(), Some(both)),
-            (
-                "a graph-searched leaf's graph",
-                "block graph",
-                l.graph_off,
-                l.graph_len,
-                Some(leaf_1),
-            ),
-            ("the root graph", "block graph", root.graph_off, root.graph_len, Some(both)),
         ];
+        for (m, w) in [(&lay.blocks[layout::leaf_block(1)], leaf_1), (root, both)] {
+            let best = cold_at_zero(clean.clone()).query(&q, 3, w).unwrap()[0].id as usize;
+            let header = &clean[m.graph_off + 4..m.graph_off + 12];
+            let degree = u64::from_le_bytes(header.try_into().unwrap()) as usize;
+            let chunk = ADJACENCY_CHUNK * degree * 4;
+            let column = m.rows.len().div_ceil(ADJACENCY_CHUNK) * 4;
+            let expanded =
+                m.graph_off + GRAPH_HEADER_LEN + (best - m.rows.start) / ADJACENCY_CHUNK * chunk;
+            let graph_end = m.graph_off + m.graph_len;
+            cases.extend([
+                ("a graph's chunk CRCs", "block graph", graph_end - column, column, Some(w)),
+                ("a chunk the search expands", "block graph", expanded, chunk, Some(w)),
+            ]);
+        }
         for (what, section, off, len, window) in cases {
             assert!(len > 128, "{what}: {len} bytes never reach a fold boundary");
             for at in [0, (len / 2).next_multiple_of(64), len - 1] {
@@ -1131,7 +1094,7 @@ mod tests {
     #[test]
     fn a_corrupt_row_fails_only_the_queries_that_read_it() {
         let (clean, q) = two_benchmark_leaves();
-        let lay = parse_v8_layout(&clean).unwrap();
+        let lay = parse_layout(&clean).unwrap();
         let s_l = lay.seg_rows;
         let bad = s_l + 700;
         let mut bytes = clean.clone();
@@ -1163,30 +1126,66 @@ mod tests {
         }
     }
 
-    /// Bytes verified per query at the benchmark's geometry, budget 0: a
-    /// window over both leaves graph-searches the root, and checks its
-    /// graph, both leaves' row CRC, norm and SQ8 columns, and the rows it
-    /// scores — less than one leaf's row column.
+    /// A miss decodes nothing. At budget 0, a query that graph-searches the
+    /// root of four leaves checks, exactly: each leaf's row CRC column and
+    /// its graph's header and chunk-CRC column (the leaf loads), the root
+    /// graph's header and chunk-CRC column (its load), one row per distance
+    /// evaluation (the exact scorer reads each scored row once), and one
+    /// adjacency chunk for some of the vertices it expands — under a quarter
+    /// of the root graph's bytes in all. Its answer and counters are the
+    /// in-RAM snapshot's.
     #[test]
-    fn a_root_search_verifies_less_than_one_row_column() {
-        let (clean, q) = two_benchmark_leaves();
-        let lay = parse_v8_layout(&clean).unwrap();
-        let cold = cold_at_zero(clean);
-        let out = cold.query_with_params(&q, 10, TimeWindow::new(0, 2048), &lay.config.search);
+    fn a_root_search_checks_under_a_quarter_of_its_graph() {
+        let (dim, s_l) = (8, 1024);
+        let mut idx = MbiIndex::new(MbiConfig::new(dim, Metric::Euclidean).with_leaf_size(s_l));
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut vector = || {
+            let mut next = || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 40) as f32 / (1 << 24) as f32
+            };
+            (0..dim).map(|_| next()).collect::<Vec<f32>>()
+        };
+        for i in 0..4 * s_l {
+            idx.insert(&vector(), i as i64).unwrap();
+        }
+        let q = vector();
+        let snap = IndexSnapshot::from_index(&idx).unwrap();
+        let bytes = snap.to_bytes().to_vec();
+        let lay = parse_layout(&bytes).unwrap();
+        let cold = cold_at_zero(bytes);
+        let (w, params) = (TimeWindow::all(), lay.config.search);
+        let out = cold.query_with_params(&q, 10, w, &params).unwrap();
+        let hot = snap.query_with_params(&q, 10, w, &params);
+        assert_eq!((&out.results, out.stats), (&hot.results, hot.stats));
         let root = lay.blocks.len() - 1;
-        assert_eq!(out.unwrap().selection.blocks, [root]);
-        let verified = cold.stats().bytes_verified;
-        let loads = 2 * (lay.row_crc_len() + lay.inv_len() + lay.sq8_len());
-        let least = (loads + lay.blocks[root].graph_len) as u64;
-        assert!(verified > least, "rows are checked too: {verified} vs {least}");
-        assert!(verified < lay.rows_len() as u64, "{verified} bytes verified");
+        assert_eq!(out.selection.blocks, [root]);
+        assert_eq!(out.stats.blocks_bruteforced, 0, "the root is graph-searched");
+
+        let verified = cold.stats().bytes_verified as usize;
+        let graph_len = lay.blocks[root].graph_len;
+        assert!(verified < graph_len / 4, "{verified} of a {graph_len}-byte graph");
+        let column =
+            |bi: usize| GRAPH_HEADER_LEN + lay.blocks[bi].rows.len().div_ceil(ADJACENCY_CHUNK) * 4;
+        let loads = (0..lay.num_leaves)
+            .map(|leaf| lay.row_crc_len() + column(layout::leaf_block(leaf)))
+            .sum::<usize>()
+            + column(root);
+        let rows = out.stats.dist_evals as usize * dim * 4;
+        let chunk = ADJACENCY_CHUNK * idx.blocks()[root].graph.0.degree() * 4;
+        let expanded = verified - loads - rows;
+        assert_eq!(expanded % chunk, 0, "{expanded} bytes of {chunk}-byte chunks");
+        let chunks = expanded / chunk;
+        assert!((1..=out.stats.visited as usize).contains(&chunks), "{chunks} chunks, {out:?}");
     }
 
     #[test]
     fn corrupt_timestamps_rejected_at_open() {
         let snap = build_snapshot(Metric::Euclidean, 64, u64::MAX, false);
         let mut bytes = snap.to_bytes().to_vec();
-        let layout = parse_v8_layout(&bytes).unwrap();
+        let layout = parse_layout(&bytes).unwrap();
         let off = layout.leaves[1].record_off + 3;
         bytes[off] ^= 0x01;
         let err = ColdIndex::from_map(Arc::new(FileMap::from_bytes(bytes))).unwrap_err();

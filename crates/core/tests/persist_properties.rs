@@ -1,8 +1,9 @@
 //! Property tests for binary persistence: roundtrip fidelity across
 //! arbitrary index shapes (size, leaf size, metric, τ, timestamp stride) and
 //! structural equality of the reloaded index, and the rejection of damaged
-//! index-kind and snapshot-kind streams.
+//! index-kind and snapshot-kind streams — anywhere, and in block graphs.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use mbi_ann::{FileMap, NnDescentParams, SearchParams};
@@ -73,6 +74,82 @@ fn assert_snapshot_rejected(clean: &[u8], bad: Vec<u8>, rows: i64, what: &str) {
             }
         }
     }
+}
+
+fn u64_at(b: &[u8], at: usize) -> usize {
+    u64::from_le_bytes(b[at..at + 8].try_into().unwrap()) as usize
+}
+
+/// Each section's byte range, read from the footer as `persist` documents
+/// it: `count:u8 (tag:u8 len:u64 crc:u32)*count footer_crc:u32
+/// footer_len:u32 "MBIF"`, the sections tiling the stream from byte 0.
+fn sections(b: &[u8]) -> Vec<Range<usize>> {
+    let footer_len = u32::from_le_bytes(b[b.len() - 8..b.len() - 4].try_into().unwrap());
+    let footer = b.len() - 8 - footer_len as usize;
+    let mut start = 0;
+    (0..b[footer] as usize)
+        .map(|i| {
+            let len = u64_at(b, footer + 1 + 13 * i + 1);
+            start += len;
+            start - len..start
+        })
+        .collect()
+}
+
+/// Rewrites every section CRC and the footer CRC over the bytes as they
+/// are, so only the checks behind them (a graph's own CRCs and structure)
+/// can object.
+fn reseal_sections(mut b: Vec<u8>) -> Vec<u8> {
+    let footer = sections(&b).last().unwrap().end;
+    for (i, r) in sections(&b).into_iter().enumerate() {
+        let crc = mbi_math::crc32(&b[r]);
+        let at = footer + 1 + 13 * i + 9;
+        b[at..at + 4].copy_from_slice(&crc.to_le_bytes());
+    }
+    let crc_at = b.len() - 12;
+    let crc = mbi_math::crc32(&b[footer..crc_at]);
+    b[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
+    b
+}
+
+/// The byte range of every block graph of a stream: for a snapshot, from
+/// the block directory (`graph_off`, `graph_len` at bytes 36 and 44 of each
+/// 56-byte entry); for an index, walking the blocks section, where each
+/// graph follows its block's 36 bytes of fixed fields and spans its 20-byte
+/// header, `len` edges and one chunk CRC per 16 rows.
+fn graph_spans(b: &[u8], snapshot: bool) -> Vec<Range<usize>> {
+    let blocks = sections(b)[3].clone();
+    if snapshot {
+        let entries = blocks.start + 8;
+        let entry = |i: usize| (u64_at(b, entries + 56 * i + 36), u64_at(b, entries + 56 * i + 44));
+        (0..u64_at(b, blocks.start)).map(entry).map(|(off, len)| off..off + len).collect()
+    } else {
+        let mut at = blocks.start + 16;
+        let mut spans = Vec::new();
+        for _ in 0..u64_at(b, blocks.start + 8) {
+            let rows = u64_at(b, at + 8) - u64_at(b, at);
+            at += 36;
+            let len = 20 + 4 * u64_at(b, at + 12) + 4 * rows.div_ceil(16);
+            spans.push(at..at + len);
+            at += len;
+        }
+        assert_eq!(at, blocks.end, "the graphs end the blocks section");
+        spans
+    }
+}
+
+/// A byte of a stream's block graphs, picked by `seed`.
+fn graph_byte(b: &[u8], snapshot: bool, seed: u64) -> usize {
+    let spans = graph_spans(b, snapshot);
+    let total: usize = spans.iter().map(Range::len).sum();
+    let mut at = (seed % total as u64) as usize;
+    for span in spans {
+        if at < span.len() {
+            return span.start + at;
+        }
+        at -= span.len();
+    }
+    unreachable!("the offset lies inside the spans")
 }
 
 proptest! {
@@ -169,6 +246,41 @@ proptest! {
         prop_assert!(MbiIndex::from_bytes(bytes.slice(0..cut)).is_err(),
             "truncation to {} bytes accepted", cut);
     }
+
+    /// Any single-bit flip in an index-kind stream's block graphs is
+    /// rejected, also with every section CRC re-sealed over it: a graph's
+    /// chunk CRCs and header checks stand alone.
+    #[test]
+    fn any_index_graph_flip_is_rejected(
+        leaf_size in 1usize..40,
+        extra in 0usize..60,
+        pos_seed in any::<u64>(),
+        bit in 0u8..8,
+    ) {
+        // At least one whole leaf, so at least one graph.
+        let idx = build(leaf_size + extra, leaf_size, Metric::Euclidean, 0.5, 1);
+        let mut bad = idx.to_bytes().to_vec();
+        let pos = graph_byte(&bad, false, pos_seed);
+        bad[pos] ^= 1u8 << bit;
+        let what = format!("flip at graph byte {pos} bit {bit}");
+        prop_assert!(MbiIndex::from_bytes(bytes::Bytes::from(bad.clone())).is_err(), "{}", what);
+        let sealed = bytes::Bytes::from(reseal_sections(bad));
+        prop_assert!(MbiIndex::from_bytes(sealed).is_err(), "resealed {}", what);
+    }
+
+    /// Any truncation inside an index-kind stream's block graphs is rejected.
+    #[test]
+    fn any_index_graph_truncation_is_rejected(
+        leaf_size in 1usize..40,
+        extra in 0usize..60,
+        cut_seed in any::<u64>(),
+    ) {
+        let idx = build(leaf_size + extra, leaf_size, Metric::Euclidean, 0.5, 1);
+        let bytes = idx.to_bytes();
+        let cut = graph_byte(&bytes, false, cut_seed);
+        prop_assert!(MbiIndex::from_bytes(bytes.slice(0..cut)).is_err(),
+            "truncation to {} bytes accepted", cut);
+    }
 }
 
 proptest! {
@@ -193,6 +305,42 @@ proptest! {
         bad[pos] ^= 1u8 << bit;
         let what = format!("flip at byte {pos} bit {bit} of {}", clean.len());
         assert_snapshot_rejected(&clean, bad, (leaves * leaf_size) as i64, &what);
+    }
+
+    /// Any single-bit flip in a snapshot-kind stream's block graphs is
+    /// rejected the same way, also with every section CRC re-sealed over it:
+    /// the eager loader meets the graph's own CRCs, and the cold tier meets
+    /// the header and chunk-CRC column at load and each adjacency chunk when
+    /// a search expands it.
+    #[test]
+    fn any_snapshot_graph_flip_is_rejected(
+        leaves in 1usize..5,
+        leaf_size in 1usize..40,
+        pos_seed in any::<u64>(),
+        bit in 0u8..8,
+    ) {
+        let clean = snapshot_stream(leaves, leaf_size);
+        let pos = graph_byte(&clean, true, pos_seed);
+        let mut bad = clean.clone();
+        bad[pos] ^= 1u8 << bit;
+        let rows = (leaves * leaf_size) as i64;
+        let what = format!("flip at graph byte {pos} bit {bit} of {}", clean.len());
+        assert_snapshot_rejected(&clean, bad.clone(), rows, &what);
+        assert_snapshot_rejected(&clean, reseal_sections(bad), rows, &format!("resealed {what}"));
+    }
+
+    /// Any truncation inside a snapshot-kind stream's block graphs is
+    /// rejected the same way.
+    #[test]
+    fn any_snapshot_graph_truncation_is_rejected(
+        leaves in 1usize..5,
+        leaf_size in 1usize..40,
+        cut_seed in any::<u64>(),
+    ) {
+        let clean = snapshot_stream(leaves, leaf_size);
+        let cut = graph_byte(&clean, true, cut_seed);
+        let what = format!("truncation to {cut} of {} bytes", clean.len());
+        assert_snapshot_rejected(&clean, clean[..cut].to_vec(), (leaves * leaf_size) as i64, &what);
     }
 
     /// Any truncation of a snapshot-kind stream is rejected the same way.

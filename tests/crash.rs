@@ -263,7 +263,7 @@ fn recovered_engine_answers_windowed_queries_exactly() {
 fn tiered_checkpoint_crash_recovers_bit_identically_and_serves_cold() {
     use mbi::ColdIndex;
     // Cold-tier configuration: quantized scans plus a zero RAM budget (the
-    // all-cold stress setting). The engine's checkpoint file is a v8
+    // all-cold stress setting). The engine's checkpoint file is a snapshot
     // stream, so after a crash the same file must (a) recover the engine
     // bit-identically and (b) open directly as a ColdIndex whose answers
     // match the recovered snapshot.
