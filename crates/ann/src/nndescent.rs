@@ -327,22 +327,30 @@ impl<'a> Builder<'a> {
             return;
         }
         let chunk = batch.len().div_ceil(threads);
+        let eval_chunk = |nodes: &[(Vec<u32>, Vec<u32>)]| {
+            let mut local = Vec::new();
+            for node in nodes {
+                eval_node(node, &mut local);
+            }
+            local
+        };
         let mut partials: Vec<Vec<(u32, u32, f32)>> = Vec::new();
         std::thread::scope(|scope| {
+            // A chunk whose thread the OS refuses is evaluated on this
+            // thread instead, in its turn: the pairs are the same either way.
             let handles: Vec<_> = batch
                 .chunks(chunk)
                 .map(|nodes| {
-                    scope.spawn(move || {
-                        let mut local = Vec::new();
-                        for node in nodes {
-                            eval_node(node, &mut local);
-                        }
-                        local
-                    })
+                    std::thread::Builder::new()
+                        .spawn_scoped(scope, move || eval_chunk(nodes))
+                        .map_err(|_| nodes)
                 })
                 .collect();
             for h in handles {
-                partials.push(h.join().expect("NNDescent worker panicked"));
+                partials.push(match h {
+                    Ok(h) => h.join().expect("NNDescent worker panicked"),
+                    Err(nodes) => eval_chunk(nodes),
+                });
             }
         });
         for mut p in partials {

@@ -112,22 +112,26 @@ pub(crate) fn build_chain_graphs<V: VectorSource + ?Sized>(
             .collect();
     }
     let inner_threads = (threads / pending.len()).max(1);
+    let build = |i: usize| {
+        let rows = local(&pending[i].0);
+        BlockGraph::build_threaded(
+            backend,
+            store.slice(rows),
+            metric,
+            base_id + i as u64,
+            inner_threads,
+        )
+    };
     let mut graphs: Vec<Option<BlockGraph>> = (0..pending.len()).map(|_| None).collect();
     std::thread::scope(|scope| {
         for (i, slot) in graphs.iter_mut().enumerate() {
-            let rows = local(&pending[i].0);
-            scope.spawn(move || {
-                *slot = Some(BlockGraph::build_threaded(
-                    backend,
-                    store.slice(rows),
-                    metric,
-                    base_id + i as u64,
-                    inner_threads,
-                ));
-            });
+            let build = &build;
+            // A block whose thread the OS refuses keeps an empty slot and is
+            // built below, on this thread: the graph is the same either way.
+            let _ = std::thread::Builder::new().spawn_scoped(scope, move || *slot = Some(build(i)));
         }
     });
-    graphs.into_iter().map(|g| g.expect("every scoped builder ran to completion")).collect()
+    graphs.into_iter().enumerate().map(|(i, g)| g.unwrap_or_else(|| build(i))).collect()
 }
 
 /// Pairs a chain's ranges with its built graphs into [`Block`]s, reading the

@@ -77,9 +77,7 @@ pub mod wal;
 
 pub use block::{Block, BlockGraph, SharedBlocks};
 pub use config::{GraphBackend, MbiConfig};
-pub use engine::{
-    EngineConfig, EngineHealth, EngineStats, IndexSnapshot, RetryPolicy, StreamingMbi, WalSync,
-};
+pub use engine::{EngineConfig, EngineHealth, EngineStats, IndexSnapshot, StreamingMbi, WalSync};
 pub use error::MbiError;
 pub use index::{LevelStats, MbiIndex, QueryOutput, TknnResult};
 pub use replicate::{ReplEvent, Replica, ReplicationCursor, WalFeed};

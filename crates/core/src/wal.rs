@@ -806,4 +806,114 @@ mod tests {
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
+
+    /// A clean dim-2 segment of four records (one leaf of four rows), the
+    /// base of `replicate::tests::wal_verdict_table`'s shapes.
+    fn clean_segment() -> &'static [u8] {
+        static CLEAN: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+        CLEAN.get_or_init(|| {
+            let dir = temp_dir("hostile_seed");
+            let mut wal = Wal::create(&dir, 2).unwrap();
+            for i in 0..4i64 {
+                wal.append(i, &[i as f32, 0.0]).unwrap();
+            }
+            drop(wal);
+            let bytes = std::fs::read(dir.join(segment_file_name(0))).unwrap();
+            std::fs::remove_dir_all(&dir).unwrap();
+            bytes
+        })
+    }
+
+    /// The verdict table's segment shapes: clean, torn at each depth, a
+    /// bad CRC at EOF and mid-segment, wrong length fields, stray bytes.
+    fn verdict_shapes() -> Vec<Vec<u8>> {
+        let clean = clean_segment();
+        let last = clean.len() - 24;
+        let edit = |at: usize, bytes: &[u8]| {
+            let mut b = clean.to_vec();
+            b[at..at + bytes.len()].copy_from_slice(bytes);
+            b
+        };
+        let flip = |at: usize| edit(at, &[clean[at] ^ 1]);
+        let mut stray = clean.to_vec();
+        stray.extend(4u32.to_le_bytes());
+        stray.resize(clean.len() + 20, 0xab);
+        vec![
+            clean.to_vec(),
+            clean[..10].to_vec(),
+            clean[..last + 5].to_vec(),
+            clean[..last + 12].to_vec(),
+            flip(last + 10),
+            flip(48 + 10),
+            edit(last, &4u32.to_le_bytes()),
+            edit(last, &999u32.to_le_bytes()),
+            stray,
+        ]
+    }
+
+    /// `Ok(())` or the offset of a `WalCorrupt` in segment 0; anything
+    /// else (a panic included) fails the test.
+    fn verdict<T>(r: Result<T, MbiError>) -> Result<(), u64> {
+        match r {
+            Ok(_) => Ok(()),
+            Err(MbiError::WalCorrupt { segment: 0, offset }) => Err(offset),
+            Err(other) => panic!("hostile WAL bytes gave {other:?}"),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// Hostile segment bytes — arbitrary bytes after a valid header,
+        /// arbitrary whole files, and the verdict table's shapes with bytes
+        /// flipped, cut and appended — make recovery and the promotion gate
+        /// answer `Ok` or `WalCorrupt`, never panic, whether the segment is
+        /// the newest or has a successor. As the newest segment, the gate
+        /// accepts exactly what recovery does.
+        #[test]
+        fn arbitrary_wal_bytes_never_panic(
+            kind in 0..4usize,
+            shape in 0..9usize,
+            flips in proptest::collection::vec(
+                (proptest::arbitrary::any::<usize>(), 1..=255u8), 0..4),
+            cut in proptest::arbitrary::any::<usize>(),
+            tail in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..80),
+        ) {
+            let bytes = match kind {
+                0 => [&clean_segment()[..HEADER_LEN as usize], &tail[..]].concat(),
+                1 => tail,
+                _ => {
+                    let mut b = verdict_shapes().swap_remove(shape);
+                    for (at, x) in flips {
+                        if !b.is_empty() {
+                            let at = at % b.len();
+                            b[at] ^= x;
+                        }
+                    }
+                    if kind == 3 {
+                        b.truncate(cut % (b.len() + 1));
+                        b.extend(tail);
+                    }
+                    b
+                }
+            };
+            let (newest, middle) = (temp_dir("hostile_newest"), temp_dir("hostile_middle"));
+            for dir in [&newest, &middle] {
+                std::fs::create_dir_all(dir).unwrap();
+                std::fs::write(dir.join(segment_file_name(0)), &bytes).unwrap();
+            }
+            let mut next_header = clean_segment()[..HEADER_LEN as usize].to_vec();
+            next_header[8..16].copy_from_slice(&4u64.to_le_bytes());
+            std::fs::write(middle.join(segment_file_name(4)), &next_header).unwrap();
+
+            let gate = verdict(check_newest_segment(&newest, 2));
+            let recovered = verdict(Wal::recover(&newest, 2, |_| Ok(())));
+            proptest::prop_assert_eq!(gate, recovered, "{:?}", bytes);
+            verdict(check_newest_segment(&middle, 2)).unwrap();
+            let _ = verdict(Wal::recover(&middle, 2, |_| Ok(())));
+            for dir in [newest, middle] {
+                std::fs::remove_dir_all(dir).unwrap();
+            }
+        }
+    }
 }

@@ -177,15 +177,6 @@ impl Tenant {
         }
     }
 
-    /// The engine's failure log (empty for cold tenants).
-    pub fn failure_log(&self) -> Vec<String> {
-        match &self.engine {
-            TenantEngine::Streaming(e) => e.failure_log(),
-            TenantEngine::Cold(_) => Vec::new(),
-            TenantEngine::Replica { replica, .. } => replica.engine().failure_log(),
-        }
-    }
-
     /// Engine-level stats as JSON: the scalar `EngineStats` counters for a
     /// streaming tenant, `TierStats` for a cold one. (The per-sample nano
     /// series stay in-process — up to 65 536 samples each, they belong to
@@ -288,24 +279,20 @@ impl Tenant {
         Some(Value::Map(entries))
     }
 
-    /// Health as JSON: stable label, halted flag, failing chains, and the
-    /// diagnostic failure log.
+    /// Health as JSON: stable label, halted flag, and a failure log that is
+    /// empty or names the panicked chain and its panic message.
     pub fn health_value(&self) -> Value {
         let health = self.health();
-        let failed = match &health {
-            EngineHealth::Degraded { failed_chains } => {
-                failed_chains.iter().map(|&c| Value::UInt(c as u64)).collect()
+        let failure_log = match &health {
+            EngineHealth::Healthy => Vec::new(),
+            EngineHealth::Halted { chain, error } => {
+                vec![Value::Str(format!("chain {chain} panicked: {error}"))]
             }
-            _ => Vec::new(),
         };
         Value::Map(vec![
             ("status".into(), Value::Str(health.label().into())),
             ("halted".into(), Value::Bool(health.is_halted())),
-            ("failed_chains".into(), Value::Seq(failed)),
-            (
-                "failure_log".into(),
-                Value::Seq(self.failure_log().into_iter().map(Value::Str).collect()),
-            ),
+            ("failure_log".into(), Value::Seq(failure_log)),
         ])
     }
 }

@@ -60,8 +60,8 @@
 pub use mbi_core::{
     Block, BlockGraph, ColdIndex, EngineConfig, EngineHealth, EngineStats, GraphBackend,
     IndexSnapshot, MbiConfig, MbiError, MbiIndex, QueryOutput, ReplEvent, Replica,
-    ReplicationCursor, RetryPolicy, SearchBlockSet, StreamingMbi, TauTuner, TierStats, TimeChunks,
-    TimeWindow, Timestamp, TknnResult, Wal, WalFeed, WalSync,
+    ReplicationCursor, SearchBlockSet, StreamingMbi, TauTuner, TierStats, TimeChunks, TimeWindow,
+    Timestamp, TknnResult, Wal, WalFeed, WalSync,
 };
 pub use mbi_math::{Metric, Neighbor, OnlineStats, OrderedF32, TopK};
 

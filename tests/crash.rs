@@ -377,7 +377,7 @@ fn server_killed_mid_ingest_recovers_every_tenant_bit_identically() {
 mod failpoints {
     use super::*;
     use mbi::core::fail::{self, FailAction};
-    use mbi::{EngineHealth, RetryPolicy};
+    use mbi::EngineHealth;
     use std::sync::{Mutex, MutexGuard, OnceLock};
 
     fn serial() -> MutexGuard<'static, ()> {
@@ -396,37 +396,25 @@ mod failpoints {
         }
     }
 
-    #[test]
-    fn builder_panic_is_retried_and_heals() {
-        let _g = Armed(serial());
-        // First build attempt of the first chain panics; the retry succeeds.
-        fail::arm("builder::build", FailAction::Panic, 0, 1);
-        let engine = StreamingMbi::with_engine_config(config(), EngineConfig::default());
-        for i in 0..16usize {
-            engine.insert(&row(i), i as i64).unwrap();
+    /// Asserts `engine` halted on chain `chain` with the injected panic.
+    fn assert_halted_on(engine: &StreamingMbi, chain: usize) {
+        match engine.health() {
+            EngineHealth::Halted { chain: c, error } => {
+                assert_eq!(c, chain);
+                assert!(error.contains(fail::INJECTED_MSG), "{error}");
+            }
+            other => panic!("expected Halted on chain {chain}, got {other:?}"),
         }
-        engine.flush();
-        assert_eq!(engine.health(), EngineHealth::Healthy, "failure cleared after retry");
-        let stats = engine.stats();
-        assert_eq!(stats.build_panics, 1);
-        assert_eq!(stats.published_leaves, 1);
-        assert!(engine.failure_log().is_empty());
     }
 
     #[test]
-    fn exhausted_retries_halt_without_wedging_inserts_or_queries() {
+    fn builder_panic_halts_without_wedging_inserts_or_queries() {
         let _g = Armed(serial());
-        // Every attempt of the first chain panics: 1 + max_retries failures
-        // halt the engine. Later rows keep flowing into the tail.
-        fail::arm("builder::build", FailAction::Panic, 0, 100);
-        let engine = StreamingMbi::with_engine_config(
-            config(),
-            EngineConfig::default().with_retry_policy(RetryPolicy {
-                max_retries: 1,
-                initial_backoff: std::time::Duration::from_millis(1),
-                max_backoff: std::time::Duration::from_millis(2),
-            }),
-        );
+        // The first chain's build panics once. Builds are deterministic, so
+        // the engine does not retry: it halts at once, and later rows keep
+        // flowing into the snapshot's unbuilt leaves and the tail.
+        fail::arm("builder::build", FailAction::Panic, 0, 1);
+        let engine = StreamingMbi::with_engine_config(config(), EngineConfig::default());
         let mut sync = MbiIndex::new(config());
         for i in 0..40usize {
             engine.insert(&row(i), i as i64).unwrap();
@@ -434,15 +422,13 @@ mod failpoints {
         }
         // flush() must return (not hang) on a halted engine.
         engine.flush();
-        assert_eq!(engine.health(), EngineHealth::Halted);
-        assert!(engine.stats().build_panics >= 2, "initial attempt + retry");
+        assert_halted_on(&engine, 0);
+        assert_eq!(engine.stats().build_panics, 1, "one panic, no retry");
         assert_eq!(engine.stats().published_leaves, 0, "publication frozen");
-        let log = engine.failure_log();
-        assert!(log.iter().any(|l| l.contains("injected fault")), "{log:?}");
 
         // The regression the poisoning locks used to cause: inserts and
         // queries keep working after a builder panic, and answers stay
-        // exact (the unpublished region is served from the tail).
+        // exact (the unpublished region is served by exact scan).
         for i in 40..50usize {
             engine.insert(&row(i), i as i64).unwrap();
             sync.insert(&row(i), i as i64).unwrap();
@@ -450,53 +436,92 @@ mod failpoints {
         let w = TimeWindow::new(0, 50);
         let q = row(23);
         assert_eq!(engine.exact_query(&q, 7, w), sync.exact_query(&q, 7, w));
-        assert_eq!(engine.query(&q, 7, w), sync.exact_query(&q, 7, w), "tail scan is exact");
+        assert_eq!(
+            engine.query(&q, 7, w),
+            sync.exact_query(&q, 7, w),
+            "unbuilt leaves scan exactly"
+        );
     }
 
     #[test]
-    fn degraded_health_reports_the_failing_chain() {
+    fn halted_engine_builds_no_later_chain() {
         let _g = Armed(serial());
-        // Fail the first chain's first two attempts with a long gap, so we
-        // can observe Degraded between retries.
-        fail::arm("builder::build", FailAction::Panic, 0, 2);
-        let engine = StreamingMbi::with_engine_config(
-            config(),
-            EngineConfig::default().with_retry_policy(RetryPolicy {
-                max_retries: 5,
-                initial_backoff: std::time::Duration::from_millis(150),
-                max_backoff: std::time::Duration::from_millis(300),
-            }),
-        );
+        // A rendezvous queue and one builder: a seal's send returns only
+        // when the builder takes its chain, i.e. once it has finished every
+        // earlier chain. So after the four seals below, at least three
+        // later chains have been run — and must have built nothing.
+        fail::arm("builder::build", FailAction::Panic, 0, 1);
+        let engine =
+            StreamingMbi::with_engine_config(config(), EngineConfig::default().with_queue_depth(0));
+        let mut sync = MbiIndex::new(config());
         for i in 0..16usize {
             engine.insert(&row(i), i as i64).unwrap();
-        }
-        // Wait until the first failure registers (the build itself is fast;
-        // the backoff window keeps the chain in `failing`).
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        loop {
-            match engine.health() {
-                EngineHealth::Degraded { failed_chains } => {
-                    assert_eq!(failed_chains, vec![0]);
-                    break;
-                }
-                _ if std::time::Instant::now() > deadline => {
-                    panic!("never observed Degraded; health={:?}", engine.health())
-                }
-                _ => std::thread::sleep(std::time::Duration::from_millis(5)),
-            }
+            sync.insert(&row(i), i as i64).unwrap();
         }
         engine.flush();
-        // The failing entry is cleared just *after* the successful retry
-        // publishes (which is what wakes flush), so poll for Healthy.
+        assert_halted_on(&engine, 0);
+        let before = engine.stats();
+        fail::disarm_all();
+        for i in 16..16 * 5 {
+            engine.insert(&row(i), i as i64).unwrap();
+            sync.insert(&row(i), i as i64).unwrap();
+        }
+        engine.flush();
+        let after = engine.stats();
+        assert_eq!(after.seals, 5);
+        assert_eq!(
+            after.build_nanos.len(),
+            before.build_nanos.len(),
+            "no chain built after the halt"
+        );
+        assert_eq!(after.build_panics, 1);
+        assert_eq!(after.published_leaves, 0);
+        assert_halted_on(&engine, 0);
+        let w = TimeWindow::all();
+        for q in [row(3), row(40), row(77)] {
+            assert_eq!(engine.exact_query(&q, 5, w), sync.exact_query(&q, 5, w));
+            assert_eq!(engine.query(&q, 5, w), sync.exact_query(&q, 5, w));
+        }
+    }
+
+    #[test]
+    fn halted_tenant_fails_healthz() {
+        use mbi::server::client::{http_request, BinaryClient};
+        use mbi::server::{Server, ServerConfig, TenantConfig};
+
+        let _g = Armed(serial());
+        fail::arm("builder::build", FailAction::Panic, 0, 1);
+        let handle = Server::start(
+            ServerConfig::new("127.0.0.1:0", config())
+                .with_tenant(TenantConfig::memory("photos", "tok-p")),
+        )
+        .unwrap();
+        let addr = handle.addr();
+        let mut client = BinaryClient::connect(addr, "photos", "tok-p").unwrap();
+        for i in 0..16usize {
+            client.insert(&row(i), i as i64).unwrap();
+        }
+        // The leaf's chain panics on the tenant's builder thread.
+        let tenant = handle.registry().by_name("photos").unwrap();
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        while engine.health() != EngineHealth::Healthy {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "failure never cleared; health={:?}",
-                engine.health()
-            );
+        while !tenant.health().is_halted() {
+            assert!(std::time::Instant::now() < deadline, "tenant never halted");
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
+
+        let (status, body) = http_request(addr, "GET", "/healthz", &[], "").unwrap();
+        assert_eq!(status, 503, "{body}");
+        let doc = client.health().unwrap();
+        assert!(doc.contains(r#""status":"halted""#), "{doc}");
+        assert!(doc.contains(r#""halted":true"#), "{doc}");
+        assert!(doc.contains("chain 0 panicked: injected fault"), "{doc}");
+        // /healthz carries the same per-tenant document as the HEALTH frame.
+        assert_eq!(body, format!(r#"{{"status":"halted","tenants":{{"photos":{doc}}}}}"#));
+
+        let q = row(5);
+        let hits = client.query(&q, 3, TimeWindow::all(), None).unwrap();
+        assert_eq!(hits.results, sync_index(16).exact_query(&q, 3, TimeWindow::all()));
+        handle.shutdown();
     }
 
     #[test]
@@ -558,31 +583,35 @@ mod failpoints {
     }
 
     #[test]
-    fn publish_path_panic_heals_on_retry() {
+    fn publish_path_panic_halts_and_keeps_serving() {
         let _g = Armed(serial());
         // Panic *after* staging and frontier advance, before the snapshot
-        // swap — the nastiest spot. The retry must still publish.
+        // swap — the nastiest spot. The engine halts; the published
+        // snapshot stays valid and every row stays served.
         fail::arm("engine::publish", FailAction::Panic, 0, 1);
         let engine = StreamingMbi::with_engine_config(config(), EngineConfig::default());
+        let mut sync = MbiIndex::new(config());
         for i in 0..16usize {
             engine.insert(&row(i), i as i64).unwrap();
+            sync.insert(&row(i), i as i64).unwrap();
         }
         engine.flush();
-        // The publication frontier advances *before* the injected panic, so
-        // flush() can return while the retry is still re-swapping the
-        // snapshot; poll for the heal.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        while engine.snapshot().num_leaves() != 1 || engine.health() != EngineHealth::Healthy {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "retry never published: health={:?}, leaves={}",
-                engine.health(),
-                engine.snapshot().num_leaves()
-            );
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
+        assert_halted_on(&engine, 0);
         assert_eq!(engine.stats().build_panics, 1);
         assert_eq!(engine.snapshot().validate(), Ok(()));
+
+        for i in 16..40usize {
+            engine.insert(&row(i), i as i64).unwrap();
+            sync.insert(&row(i), i as i64).unwrap();
+        }
+        engine.flush();
+        assert_eq!(engine.snapshot().validate(), Ok(()));
+        let q = row(29);
+        let all = TimeWindow::all();
+        assert_eq!(engine.exact_query(&q, 7, all), sync.exact_query(&q, 7, all));
+        // Past the first leaf every row is an unbuilt leaf or the tail: exact.
+        let recent = TimeWindow::new(16, 40);
+        assert_eq!(engine.query(&q, 7, recent), sync.exact_query(&q, 7, recent));
     }
 
     #[test]
@@ -591,25 +620,17 @@ mod failpoints {
         let dir = temp_dir("kill_mid_build");
         let n = 37usize;
         {
-            // Every build attempt dies: the engine halts with all chains
-            // unbuilt — the closest in-process approximation of killing the
-            // process mid-chain. All rows are in the WAL, none published.
+            // The first build dies and halts the engine, so every chain
+            // stays unbuilt — the closest in-process approximation of
+            // killing the process mid-chain. All rows are in the WAL, none
+            // published.
             fail::arm("builder::build", FailAction::Panic, 0, 1000);
-            let engine = StreamingMbi::open(
-                &dir,
-                config(),
-                EngineConfig::default().with_retry_policy(RetryPolicy {
-                    max_retries: 0,
-                    initial_backoff: std::time::Duration::from_millis(1),
-                    max_backoff: std::time::Duration::from_millis(1),
-                }),
-            )
-            .unwrap();
+            let engine = StreamingMbi::open(&dir, config(), EngineConfig::default()).unwrap();
             for i in 0..n {
                 engine.insert(&row(i), i as i64).unwrap();
             }
             engine.flush();
-            assert_eq!(engine.health(), EngineHealth::Halted);
+            assert_halted_on(&engine, 0);
             assert_eq!(engine.snapshot().num_leaves(), 0);
         }
         fail::disarm_all();
