@@ -62,7 +62,7 @@
 //! # Durability
 //!
 //! [`StreamingMbi::open`] attaches the engine to a directory: every insert
-//! appends to a segmented, checksummed [`Wal`] *before* it
+//! appends to a segmented, checksummed [`Wal`](crate::Wal) *before* it
 //! is acknowledged, [`StreamingMbi::checkpoint`] atomically persists the
 //! published snapshot and prunes the log, and [`StreamingMbi::recover`]
 //! rebuilds the exact acked state — snapshot plus WAL replay, tolerating a
@@ -71,16 +71,10 @@
 use crate::block::{Block, SharedBlocks};
 use crate::config::MbiConfig;
 use crate::error::MbiError;
-use crate::fail;
-use crate::index::{
-    assemble_blocks, build_chain_graphs, check_row, validate_blocks, validate_edges, MbiIndex,
-    QueryOutput, TknnResult,
-};
-use crate::layout::{blocks_for_leaves, merge_chain};
+use crate::index::{check_row, validate_blocks, validate_edges, MbiIndex, QueryOutput, TknnResult};
 use crate::query_exec::QueryTarget;
 use crate::select::TimeWindow;
 use crate::times::TimeChunks;
-use crate::wal::Wal;
 use crate::Timestamp;
 use mbi_ann::{
     brute_force_prepared, SearchParams, SearchStats, Segment, SegmentStore, VectorStore,
@@ -88,13 +82,18 @@ use mbi_ann::{
 use mbi_math::{Metric, OrderedF32, PreparedQuery};
 use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
 use std::collections::{BTreeMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender};
-use std::sync::{mpsc, Arc, OnceLock};
+use std::sync::mpsc::SyncSender;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
+
+mod builder;
+mod durable;
+
+use builder::spawn_builders;
+use durable::Durability;
+pub use durable::{WalSync, SNAPSHOT_FILE, WAL_DIR};
 
 /// Applies the config's seal-time column policy to a freshly frozen
 /// segment: when the SQ8 scan is enabled, every sealed segment carries its
@@ -104,24 +103,6 @@ pub(crate) fn finish_segment(config: &MbiConfig, mut seg: Segment) -> Segment {
         seg.build_sq8();
     }
     seg
-}
-
-/// File name of the persisted snapshot inside a durable engine directory.
-pub const SNAPSHOT_FILE: &str = "snapshot.mbi";
-/// Subdirectory holding the WAL segments inside a durable engine directory.
-pub const WAL_DIR: &str = "wal";
-
-/// When the WAL of a durable engine fsyncs acked rows.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WalSync {
-    /// fsync after every append: an acked insert is on stable storage, at
-    /// the cost of one `fdatasync` per insert.
-    Always,
-    /// fsync when a leaf seals (the segment rotation syncs the finished
-    /// segment) and at [`StreamingMbi::checkpoint`]. Rows of the growing
-    /// partial leaf survive a process crash (the OS holds them) but up to
-    /// one leaf may be lost to a power failure. The default.
-    OnSeal,
 }
 
 /// Builder health, reported by [`StreamingMbi::health`]. Queries and inserts
@@ -517,14 +498,6 @@ impl Master {
     }
 }
 
-/// Durable attachment of an engine to a directory: the open WAL plus the
-/// directory that holds the persisted snapshot.
-#[derive(Debug)]
-struct Durability {
-    dir: PathBuf,
-    wal: Mutex<Wal>,
-}
-
 #[derive(Debug)]
 struct Shared {
     config: MbiConfig,
@@ -806,22 +779,6 @@ impl StreamingMbi {
         }
     }
 
-    /// Hands a sealed leaf to the builders, waiting for a queue slot when
-    /// they fall behind. With no builder threads (every spawn failed),
-    /// chains build inline on the inserting thread.
-    fn dispatch(&self, leaf: usize) {
-        if self.workers.is_empty() {
-            self.shared.inline_builds.fetch_add(1, Ordering::Relaxed);
-            run_chain(&self.shared, leaf);
-            return;
-        }
-        if let Some(tx) = self.tx.lock().as_ref() {
-            // The workers outlive the sender (drop takes it first), so send
-            // only fails after disconnect mid-drop.
-            let _ = tx.send(leaf);
-        }
-    }
-
     /// Appends many timestamped vectors.
     pub fn insert_batch<'a, I>(&self, items: I) -> Result<(), MbiError>
     where
@@ -1070,155 +1027,6 @@ impl StreamingMbi {
         }
         this
     }
-
-    /// Opens a *durable* engine in `dir`: creates the directory (with an
-    /// empty persisted snapshot and a fresh WAL) when it does not hold one
-    /// yet, otherwise recovers the existing state exactly like
-    /// [`Self::recover`] — in which case `config` is ignored in favour of
-    /// the persisted one.
-    ///
-    /// On a durable engine every insert is WAL-logged before it is acked
-    /// (see [`WalSync`] for the fsync cadence), and
-    /// [`Self::checkpoint`] persists the published snapshot and prunes the
-    /// log.
-    pub fn open(
-        dir: impl AsRef<Path>,
-        config: MbiConfig,
-        engine: EngineConfig,
-    ) -> Result<Self, MbiError> {
-        let dir = dir.as_ref();
-        if dir.join(SNAPSHOT_FILE).exists() {
-            return Self::recover(dir, engine);
-        }
-        std::fs::create_dir_all(dir)?;
-        IndexSnapshot::empty(config).save_file(dir.join(SNAPSHOT_FILE))?;
-        let mut wal = Wal::create(dir.join(WAL_DIR), config.dim)?;
-        wal.set_hold_lag_cap(engine.replica_lag_cap_rows);
-        Ok(Self::build(
-            config,
-            engine,
-            Some(Durability { dir: dir.to_path_buf(), wal: Mutex::new(wal) }),
-        ))
-    }
-
-    /// Recovers a durable engine from `dir`: loads the persisted snapshot
-    /// (verifying its checksums), replays every acked WAL row past the
-    /// snapshot through the normal insert path (so sealed leaves re-enqueue
-    /// their chain builds), and resumes appending to the log. A torn final
-    /// WAL record — an append the process died inside — is truncated away;
-    /// it was never acked. Any other corruption in the snapshot or the log
-    /// is an error, never silently dropped data.
-    ///
-    /// After recovery the engine serves **exactly the acked prefix** of the
-    /// pre-crash insert stream: [`Self::flush`] + [`Self::to_index`] yields
-    /// an index bit-identical to a synchronous one fed those rows.
-    pub fn recover(dir: impl AsRef<Path>, engine: EngineConfig) -> Result<Self, MbiError> {
-        let dir = dir.as_ref();
-        // The snapshot reader checks every CRC and the block structure.
-        let snapshot = IndexSnapshot::load_file(dir.join(SNAPSHOT_FILE))?;
-        let config = snapshot.config;
-        let sealed = snapshot.sealed_rows() as u64;
-        let mut replayed: Vec<(Timestamp, Vec<f32>)> = Vec::new();
-        let mut first_kept = None;
-        let mut wal = Wal::recover(dir.join(WAL_DIR), config.dim, |r| {
-            if r.row >= sealed {
-                if first_kept.is_none() {
-                    first_kept = Some(r.row);
-                }
-                replayed.push((r.timestamp, r.vector.to_vec()));
-            }
-            Ok(())
-        })?;
-        if let Some(first) = first_kept {
-            if first != sealed {
-                return Err(MbiError::corrupt(
-                    0,
-                    format!(
-                        "WAL resumes at row {first} but the snapshot covers only {sealed} rows — \
-                         the rows in between are gone"
-                    ),
-                ));
-            }
-        }
-        if wal.next_row() < sealed {
-            // Every logged row is inside the snapshot (the log may even be
-            // empty after aggressive pruning); restart it at the boundary.
-            wal.reset_to(sealed)?;
-        }
-        wal.set_hold_lag_cap(engine.replica_lag_cap_rows);
-        let this = Self::from_snapshot_internal(
-            snapshot,
-            engine,
-            Some(Durability { dir: dir.to_path_buf(), wal: Mutex::new(wal) }),
-        );
-        for (t, v) in replayed {
-            // Replay through the normal path minus the WAL append (the rows
-            // are already in the log); seals re-enqueue their chain builds.
-            this.insert_impl(&v, t, false)?;
-        }
-        Ok(this)
-    }
-
-    /// Persists the published snapshot atomically (temp file + fsync +
-    /// rename) and prunes every WAL segment it covers. Flushes first, so on
-    /// a healthy engine the checkpoint covers every sealed leaf; on a halted
-    /// one it covers the published prefix and the WAL retains the rest.
-    ///
-    /// Returns an error on a non-durable engine (one not created by
-    /// [`Self::open`] / [`Self::recover`]).
-    pub fn checkpoint(&self) -> Result<(), MbiError> {
-        let Some(d) = &self.shared.durability else {
-            return Err(MbiError::Io(std::io::Error::other(
-                "checkpoint on a non-durable engine (create it with StreamingMbi::open)",
-            )));
-        };
-        self.flush();
-        let snap = self.snapshot();
-        snap.save_file(d.dir.join(SNAPSHOT_FILE))?;
-        d.wal.lock().prune(snap.sealed_rows() as u64)?;
-        Ok(())
-    }
-
-    /// The durable directory this engine persists to, if any.
-    pub fn durable_dir(&self) -> Option<&Path> {
-        self.shared.durability.as_ref().map(|d| d.dir.as_path())
-    }
-
-    /// Registers (or refreshes) the replication retention hold `id` at
-    /// `row`: [`Self::checkpoint`] will not prune WAL segments containing
-    /// row `row` or later while the hold stands, so a follower resuming
-    /// from its durable cursor always finds its segments — unless it lags
-    /// past [`EngineConfig::replica_lag_cap_rows`] and is evicted (see
-    /// [`Self::take_evicted_replica_holds`]). A no-op on a non-durable
-    /// engine.
-    pub fn set_replica_hold(&self, id: &str, row: u64) {
-        if let Some(d) = &self.shared.durability {
-            d.wal.lock().hold(id, row);
-        }
-    }
-
-    /// Releases the retention hold `id` (follower disconnected cleanly or
-    /// was deregistered). A no-op when absent.
-    pub fn release_replica_hold(&self, id: &str) {
-        if let Some(d) = &self.shared.durability {
-            d.wal.lock().release_hold(id);
-        }
-    }
-
-    /// The registered replication holds as `(id, row)` pairs.
-    pub fn replica_holds(&self) -> Vec<(String, u64)> {
-        self.shared.durability.as_ref().map(|d| d.wal.lock().holds()).unwrap_or_default()
-    }
-
-    /// Drains the ids of holds evicted by the lag cap since the last call —
-    /// each names a follower that must be re-seeded.
-    pub fn take_evicted_replica_holds(&self) -> Vec<String> {
-        self.shared
-            .durability
-            .as_ref()
-            .map(|d| d.wal.lock().take_evicted_holds())
-            .unwrap_or_default()
-    }
 }
 
 impl Drop for StreamingMbi {
@@ -1239,146 +1047,6 @@ impl Drop for StreamingMbi {
         if let Some(d) = &self.shared.durability {
             let _ = d.wal.lock().sync();
         }
-    }
-}
-
-/// Starts the engine's builder threads on a fresh seal queue. A spawn
-/// failure (thread exhaustion, injected fault) is not fatal: it is counted,
-/// and with no thread at all [`StreamingMbi::dispatch`] builds chains inline
-/// on the inserting thread.
-fn spawn_builders(shared: &Arc<Shared>) -> (SyncSender<usize>, Vec<JoinHandle<()>>) {
-    let (tx, rx) = mpsc::sync_channel::<usize>(shared.engine.queue_depth);
-    let rx = Arc::new(Mutex::new(rx));
-    let mut workers = Vec::with_capacity(shared.engine.builder_threads);
-    for i in 0..shared.engine.builder_threads {
-        let worker_shared = Arc::clone(shared);
-        let worker_rx = Arc::clone(&rx);
-        let spawned = if fail::trigger("builder::spawn").is_some() {
-            Err(std::io::Error::other(fail::INJECTED_MSG))
-        } else {
-            std::thread::Builder::new()
-                .name(format!("mbi-builder-{i}"))
-                .spawn(move || worker_loop(&worker_shared, &worker_rx))
-        };
-        match spawned {
-            Ok(handle) => workers.push(handle),
-            Err(_) => {
-                shared.spawn_failures.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-    (tx, workers)
-}
-
-/// Builder thread body: take leaf indices off the shared channel until it
-/// disconnects. Only one worker blocks in `recv` at a time (the receiver
-/// lives behind a mutex — `std::sync::mpsc` receivers are single-consumer);
-/// the others are inside builds, so job pickup is effectively immediate.
-fn worker_loop(shared: &Shared, rx: &Mutex<Receiver<usize>>) {
-    loop {
-        let job = {
-            let rx = rx.lock();
-            rx.recv()
-        };
-        match job {
-            Ok(leaf) => run_chain(shared, leaf),
-            Err(_) => return,
-        }
-    }
-}
-
-/// Extracts a human-readable message from a caught panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "chain build panicked".to_string()
-    }
-}
-
-/// Runs `process_chain` with panic isolation. A panic halts the engine:
-/// the first panicked chain's leaf and message are kept, publication
-/// freezes, and every later chain returns here at once — so the seal queue
-/// still drains, and nothing is built that could never be published. The
-/// unbuilt leaves stay served by exact scan; inserts, queries and `flush`
-/// keep working.
-fn run_chain(shared: &Shared, leaf: usize) {
-    if shared.halted() {
-        return;
-    }
-    if let Err(payload) = catch_unwind(AssertUnwindSafe(|| process_chain(shared, leaf))) {
-        shared.build_panics.fetch_add(1, Ordering::Relaxed);
-        // Only the first panic is kept; a concurrent one loses the race.
-        let _ = shared.halt.set((leaf, panic_message(payload.as_ref())));
-        // Lock/unlock the master mutex before notifying so a flusher
-        // between its predicate check and its wait cannot miss the wakeup.
-        drop(shared.master_lock());
-        shared.publish_cv.notify_all();
-    }
-}
-
-/// Builds and publishes the merge chain of (0-based) leaf `leaf`: compute the
-/// chain, *share* its rows out of the master (pointer copies — the chain
-/// range is always segment-aligned), build the graphs lock-free with the
-/// same deterministic ids as the synchronous path, stage the blocks, and
-/// publish every chain that is next in leaf order.
-///
-/// Publication materialises nothing: the new snapshot shares every sealed
-/// leaf's segment and timestamp chunk with the master (and with every
-/// previous snapshot), so the work under the lock is `O(sealed leaves)`
-/// pointer copies plus the new chain's blocks — independent of row count.
-///
-/// A panic between advancing the frontier and swapping the snapshot leaves
-/// a consistent master behind: the next seal publishes its whole state.
-fn process_chain(shared: &Shared, leaf: usize) {
-    if fail::trigger("builder::build") == Some(fail::FailAction::Panic) {
-        panic!("{}", fail::INJECTED_MSG);
-    }
-    let t0 = Instant::now();
-    let s_l = shared.config.leaf_size;
-    let pending = merge_chain(leaf + 1, s_l);
-    let chain_rows = pending.last().expect("chain is never empty").0.clone();
-    let base_id = blocks_for_leaves(leaf) as u64;
-
-    // Share the chain's segments so the build holds no lock and copies no
-    // rows. The segments carry the inverse-norm column, keeping angular
-    // graphs bit-identical.
-    let chunk = shared.master_lock().store.share(chain_rows.clone());
-    let graphs = build_chain_graphs(
-        &shared.config,
-        &chunk,
-        chain_rows.start,
-        &pending,
-        base_id,
-        shared.effective_build_threads(),
-    );
-    // Record before publication so a flush() that returns has every
-    // published chain's sample in view.
-    shared.build_nanos.push(t0.elapsed().as_nanos() as u64);
-
-    // Stage, then publish every consecutive ready chain in leaf order.
-    let t_pub = Instant::now();
-    let mut m = shared.master_lock();
-    let blocks = assemble_blocks(pending, graphs, &m.times);
-    m.ready.insert(leaf, blocks);
-    while let Some(chain) = {
-        let next = m.published_leaves;
-        m.ready.remove(&next)
-    } {
-        m.blocks.extend(chain.into_iter().map(Arc::new));
-        m.published_leaves += 1;
-    }
-    if fail::trigger("engine::publish") == Some(fail::FailAction::Panic) {
-        panic!("{}", fail::INJECTED_MSG);
-    }
-    if shared.snapshot.read().num_leaves < m.published_leaves {
-        shared.publish(&m);
-        let sealed = m.published_leaves * s_l;
-        drop(m);
-        shared.publish_nanos.push((sealed as u64, t_pub.elapsed().as_nanos() as u64));
-        shared.publish_cv.notify_all();
     }
 }
 
@@ -1405,6 +1073,8 @@ fn merge_results(a: Vec<TknnResult>, b: Vec<TknnResult>, k: usize) -> Vec<TknnRe
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::blocks_for_leaves;
+    use std::path::PathBuf;
     use std::time::Duration;
 
     fn config() -> MbiConfig {
