@@ -78,17 +78,6 @@ fn worker_loop(shared: &Shared, rx: &Mutex<Receiver<usize>>) {
     }
 }
 
-/// Extracts a human-readable message from a caught panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "chain build panicked".to_string()
-    }
-}
-
 /// Runs `process_chain` with panic isolation. A panic halts the engine:
 /// the first panicked chain's leaf and message are kept, publication
 /// freezes, and every later chain returns here at once — so the seal queue
@@ -101,11 +90,16 @@ fn run_chain(shared: &Shared, leaf: usize) {
     }
     if let Err(payload) = catch_unwind(AssertUnwindSafe(|| process_chain(shared, leaf))) {
         shared.build_panics.fetch_add(1, Ordering::Relaxed);
+        let error = match (payload.downcast_ref::<&str>(), payload.downcast_ref::<String>()) {
+            (Some(s), _) => s.to_string(),
+            (_, Some(s)) => s.clone(),
+            _ => "chain build panicked".to_string(),
+        };
         // Only the first panic is kept; a concurrent one loses the race.
-        let _ = shared.halt.set((leaf, panic_message(payload.as_ref())));
+        let _ = shared.halt.set((leaf, error));
         // Lock/unlock the master mutex before notifying so a flusher
         // between its predicate check and its wait cannot miss the wakeup.
-        drop(shared.master_lock());
+        drop(shared.master.lock());
         shared.publish_cv.notify_all();
     }
 }
@@ -136,7 +130,7 @@ fn process_chain(shared: &Shared, leaf: usize) {
     // Share the chain's segments so the build holds no lock and copies no
     // rows. The segments carry the inverse-norm column, keeping angular
     // graphs bit-identical.
-    let chunk = shared.master_lock().store.share(chain_rows.clone());
+    let chunk = shared.master.lock().store.share(chain_rows.clone());
     let graphs = build_chain_graphs(
         &shared.config,
         &chunk,
@@ -151,7 +145,7 @@ fn process_chain(shared: &Shared, leaf: usize) {
 
     // Stage, then publish every consecutive ready chain in leaf order.
     let t_pub = Instant::now();
-    let mut m = shared.master_lock();
+    let mut m = shared.master.lock();
     let blocks = assemble_blocks(pending, graphs, &m.times);
     m.ready.insert(leaf, blocks);
     while let Some(chain) = {

@@ -80,7 +80,7 @@ use mbi_ann::{
     brute_force_prepared, SearchParams, SearchStats, Segment, SegmentStore, VectorStore,
 };
 use mbi_math::{Metric, OrderedF32, PreparedQuery};
-use parking_lot::{Condvar, Mutex, MutexGuard, RwLock};
+use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::SyncSender;
@@ -282,23 +282,6 @@ impl IndexSnapshot {
         }
     }
 
-    /// Selection over this snapshot's blocks, then the one query body over
-    /// the blocks it names.
-    fn search(
-        &self,
-        query: &[f32],
-        k: usize,
-        window: TimeWindow,
-        params: &SearchParams,
-        deadline: Option<Instant>,
-    ) -> QueryOutput {
-        let target = self.target();
-        let meta = |i| self.blocks.get(i).select_meta();
-        let selection = target.block_selection(window, self.config.tau, meta);
-        let blocks: Vec<&Block> = selection.blocks.iter().map(|&i| &**self.blocks.get(i)).collect();
-        target.search(query, k, window, params, &selection, &blocks, deadline)
-    }
-
     fn target(&self) -> QueryTarget<'_, SegmentStore, TimeChunks> {
         QueryTarget {
             config: &self.config,
@@ -439,7 +422,11 @@ impl IndexSnapshot {
         params: &SearchParams,
         deadline: Option<Instant>,
     ) -> QueryOutput {
-        self.search(query, k, window, params, deadline)
+        let target = self.target();
+        let meta = |i| self.blocks.get(i).select_meta();
+        let selection = target.block_selection(window, self.config.tau, meta);
+        let blocks: Vec<&Block> = selection.blocks.iter().map(|&i| &**self.blocks.get(i)).collect();
+        target.search(query, k, window, params, &selection, &blocks, deadline)
     }
 
     /// Exact TkNN over the snapshot's rows, by brute force.
@@ -504,6 +491,8 @@ struct Shared {
     engine: EngineConfig,
     snapshot: RwLock<Arc<IndexSnapshot>>,
     tail: RwLock<TailState>,
+    /// Like every engine lock, non-poisoning (`parking_lot`): a builder
+    /// panic unwinds through its guard and every other thread keeps going.
     master: Mutex<Master>,
     publish_cv: Condvar,
     /// The first panicked chain's leaf and message; once set, publication
@@ -543,14 +532,6 @@ impl<T: Copy> Samples<T> {
 }
 
 impl Shared {
-    /// Locks the master state. All engine locks are non-poisoning
-    /// (`parking_lot`): a builder panic unwinds through its guards and every
-    /// other thread keeps going — the panic halts the engine, never wedging
-    /// `flush`/`drop`.
-    fn master_lock(&self) -> MutexGuard<'_, Master> {
-        self.master.lock()
-    }
-
     /// Intra-build threads per chain build: the available cores divided
     /// among the builders. Graphs are bit-identical for every value.
     fn effective_build_threads(&self) -> usize {
@@ -746,7 +727,7 @@ impl StreamingMbi {
                 );
                 let ts = std::mem::replace(&mut tail.partial_ts, Vec::with_capacity(s_l));
                 {
-                    let mut m = self.shared.master_lock();
+                    let mut m = self.shared.master.lock();
                     debug_assert_eq!(m.sealed_leaves(), leaf, "leaves must seal in order");
                     m.store.push_segment(Arc::new(seg));
                     m.times.push_chunk(ts.into());
@@ -918,7 +899,7 @@ impl StreamingMbi {
     /// what a synchronous [`MbiIndex`] fed the same stream would serve, and
     /// [`EngineStats::queued_builds`] is 0 (barring concurrent inserts).
     pub fn flush(&self) {
-        let mut m = self.shared.master_lock();
+        let mut m = self.shared.master.lock();
         while m.published_leaves < m.sealed_leaves() && !self.shared.halted() {
             self.shared.publish_cv.wait(&mut m);
         }
@@ -927,7 +908,7 @@ impl StreamingMbi {
     /// Progress counters and latency samples (see [`EngineStats`]).
     pub fn stats(&self) -> EngineStats {
         let (seals, published_leaves, published_blocks, published_height) = {
-            let m = self.shared.master_lock();
+            let m = self.shared.master.lock();
             (
                 m.sealed_leaves(),
                 m.published_leaves,
@@ -1012,7 +993,7 @@ impl StreamingMbi {
         let this = Self::build(snapshot.config, engine, durability);
         let unbuilt = {
             let mut tail = this.shared.tail.write();
-            let mut m = this.shared.master_lock();
+            let mut m = this.shared.master.lock();
             tail.first_row = rows;
             tail.last_ts = (rows > 0).then(|| snapshot.times.get(rows - 1));
             m.store = snapshot.store.clone();
