@@ -5,7 +5,6 @@
 //! ground-truth computation for recall measurements. Costs `O(m log k)` for
 //! `m` scanned rows using the bounded heap, as analysed in §3.2.1.
 
-use crate::sq8::Sq8Scan;
 use crate::store::VectorView;
 use crate::SearchStats;
 use mbi_math::{Metric, Neighbor, PreparedQuery, TopK};
@@ -41,103 +40,21 @@ pub fn brute_force_prepared(
     k: usize,
     stats: &mut SearchStats,
 ) -> Vec<Neighbor> {
-    let dim = view.dim();
-    scan(view, pq, k, stats, |row, max, dists| {
-        let (flat, inv, run) = view.chunk_at(row);
-        let m = run.min(max);
-        pq.distance_batch(&flat[..m * dim], inv.map(|s| &s[..m]), dists);
-        m
-    })
-}
-
-/// Rerank budget: `max(k, ceil(k × overfetch))`, capped at the row count.
-pub(crate) fn rerank_budget(k: usize, overfetch: f32, n: usize) -> usize {
-    let of = if overfetch.is_finite() && overfetch > 1.0 { overfetch } else { 1.0 };
-    (((k as f64) * of as f64).ceil() as usize).max(k).min(n)
-}
-
-/// Second pass of every SQ8 search: replaces the approximate `survivors`
-/// with the best `k` of them by exact distance, sorted ascending. `top` is
-/// working memory, re-armed here.
-pub(crate) fn rerank(
-    view: VectorView<'_>,
-    pq: &PreparedQuery<'_>,
-    k: usize,
-    survivors: &mut Vec<Neighbor>,
-    stats: &mut SearchStats,
-    top: &mut TopK,
-) {
-    stats.dist_evals += survivors.len() as u64;
-    top.reset(k);
-    for nb in survivors.iter() {
-        top.offer(nb.id, view.distance(pq, nb.id as usize));
-    }
-    survivors.clear();
-    survivors.extend(top.iter().copied());
-    survivors.sort_unstable();
-}
-
-/// kNN over every row of `view` with the SQ8 two-pass scan: rank all rows by
-/// quantized distance (one `u8` load per coordinate — ~4× less memory
-/// traffic than the f32 scan), keep the best `k × overfetch`, then rerank
-/// those against the exact f32 rows. Returned distances are always exact;
-/// only rows whose approximate rank fell outside the overfetch window can be
-/// missed, which is what the recall floor test bounds.
-///
-/// Falls back to the exact scan when the view carries no SQ8 column.
-pub fn brute_force_sq8_prepared(
-    view: VectorView<'_>,
-    pq: &PreparedQuery<'_>,
-    k: usize,
-    overfetch: f32,
-    stats: &mut SearchStats,
-) -> Vec<Neighbor> {
-    if !view.has_sq8() {
-        return brute_force_prepared(view, pq, k, stats);
-    }
-    let dim = view.dim();
-    // One preparation per segment, reused while its rows keep streaming.
-    let mut prepared: Option<Sq8Scan> = None;
-    let budget = rerank_budget(k, overfetch, view.len());
-    let mut survivors = scan(view, pq, budget, stats, |row, max, dists| {
-        let (chunk, run) = view.sq8_chunk_at(row);
-        if !prepared.as_ref().is_some_and(|s| s.matches(chunk.mins)) {
-            prepared = Some(Sq8Scan::new(pq, chunk.mins, chunk.deltas));
-        }
-        let m = run.min(max);
-        let codes = &chunk.codes[..m * dim];
-        prepared.as_ref().unwrap().approx_batch(codes, &chunk.row_norm2[..m], dists);
-        m
-    });
-    rerank(view, pq, k, &mut survivors, stats, &mut TopK::new(k));
-    survivors
-}
-
-/// The one chunked scan behind both scans above: offers every row of `view`
-/// to a top-`k` heap, in ascending id order. `batch(row, max, dists)`
-/// appends the distances of rows `row..row + m` to `dists` and returns `m`,
-/// where `1 ≤ m ≤ max` and the rows never cross the end of `row`'s
-/// contiguous run — so each call is one kernel pass over at most
-/// `SCAN_BATCH` rows of one segment.
-fn scan(
-    view: VectorView<'_>,
-    pq: &PreparedQuery<'_>,
-    k: usize,
-    stats: &mut SearchStats,
-    mut batch: impl FnMut(usize, usize, &mut Vec<f32>) -> usize,
-) -> Vec<Neighbor> {
     let n = view.len();
     let mut top = TopK::new(k);
     if n == 0 {
         return top.into_sorted_vec();
     }
-    assert_eq!(pq.query().len(), view.dim(), "query has wrong dimension");
+    let dim = view.dim();
+    assert_eq!(pq.query().len(), dim, "query has wrong dimension");
 
     let mut dists: Vec<f32> = Vec::with_capacity(SCAN_BATCH.min(n));
     let mut row = 0usize;
     while row < n {
+        let (flat, inv, run) = view.chunk_at(row);
+        let m = run.min(SCAN_BATCH);
         dists.clear();
-        let m = batch(row, SCAN_BATCH, &mut dists);
+        pq.distance_batch(&flat[..m * dim], inv.map(|s| &s[..m]), &mut dists);
         for (j, &d) in dists.iter().enumerate() {
             top.offer((row + j) as u32, d);
         }

@@ -19,12 +19,10 @@
 //! * [`greedy_search`] — Algorithm 2: best-first traversal with a candidate
 //!   set capped at `M_C`, range factor `ε`, and a pluggable predicate filter
 //!   used for the time window. When the filter accepts everything this is
-//!   plain graph kNN search. Every graph search, the SQ8 first pass
-//!   included, runs one loop over a [`KnnGraph`]; SQ8 only changes the
-//!   scorer.
+//!   plain graph kNN search. Every candidate is scored with the exact
+//!   distance.
 //! * [`brute_force`] — exact (optionally filtered) kNN, used by the BSBF
-//!   baseline, by MBI's non-full tail leaf, and for ground truth. The exact
-//!   and SQ8 scans share one chunked loop.
+//!   baseline, by MBI's non-full tail leaf, and for ground truth.
 //!
 //! The hot entry points take a [`PreparedQuery`] plus a caller-owned
 //! [`SearchScratch`], so the query path never re-derives the query norm and
@@ -45,24 +43,18 @@ mod nndescent;
 mod scratch;
 mod search;
 mod segment;
-mod sq8;
 mod store;
 
 pub use bruteforce::{
     brute_force, brute_force_filtered, brute_force_filtered_prepared, brute_force_prepared,
-    brute_force_sq8_prepared,
 };
 pub use check::ChunkFault;
 pub use graph::{KnnGraph, ADJACENCY_CHUNK};
 pub use mapped::{Col, FileMap, PAGE_SIZE};
 pub use nndescent::NnDescentParams;
 pub use scratch::{with_thread_scratch, SearchScratch};
-pub use search::{
-    greedy_search, greedy_search_prepared, greedy_search_sq8_prepared, EntryPolicy, SearchParams,
-    SearchStats,
-};
+pub use search::{greedy_search, greedy_search_prepared, EntryPolicy, SearchParams, SearchStats};
 pub use segment::{Segment, SegmentStore};
-pub use sq8::{Sq8ChunkRef, Sq8Column, Sq8Scan};
 pub use store::{VectorStore, VectorView};
 
 pub use mbi_math::{Metric, Neighbor, PreparedQuery};

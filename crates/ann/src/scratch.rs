@@ -1,15 +1,13 @@
 //! Reusable per-search working memory.
 //!
 //! Every beam search used to allocate its visited set, candidate set, and
-//! result heap per call. [`SearchScratch`] owns all of them, and the SQ8
-//! search's per-segment query preparations, and is reused across searches —
-//! the visited set clears in `O(1)` via an epoch counter instead of a memset
-//! — so steady-state queries allocate nothing once the buffers have grown to
-//! their working size (`tests/alloc_free.rs` counts).
+//! result heap per call. [`SearchScratch`] owns all of them and is reused
+//! across searches — the visited set clears in `O(1)` via an epoch counter
+//! instead of a memset — so steady-state queries allocate nothing once the
+//! buffers have grown to their working size (`tests/alloc_free.rs` counts).
 //! [`with_thread_scratch`] hands out a thread-local instance, which is what
 //! the query executor and the legacy non-prepared entry points use.
 
-use crate::sq8::Sq8ScanCache;
 use mbi_math::{Neighbor, OrderedF32, TopK};
 use std::cell::RefCell;
 
@@ -33,8 +31,6 @@ pub struct SearchScratch {
     pub(crate) neighbor_ids: Vec<u32>,
     /// Distance output buffer paired with `neighbor_ids`.
     pub(crate) distances: Vec<f32>,
-    /// Per-segment SQ8 query preparations of the quantized graph search.
-    pub(crate) sq8_scans: Sq8ScanCache,
 }
 
 impl SearchScratch {
@@ -47,7 +43,6 @@ impl SearchScratch {
             results: TopK::new(0),
             neighbor_ids: Vec::new(),
             distances: Vec::new(),
-            sq8_scans: Sq8ScanCache::default(),
         }
     }
 

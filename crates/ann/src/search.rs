@@ -9,7 +9,6 @@
 //!   behaviour that makes SF slow on short windows and that MBI exploits;
 //! * per-block search inside MBI's query process (Algorithm 4, line 8).
 
-use crate::bruteforce::{rerank, rerank_budget};
 use crate::graph::KnnGraph;
 use crate::scratch::{with_thread_scratch, SearchScratch};
 use crate::store::VectorView;
@@ -139,7 +138,8 @@ fn hash_query(query: &[f32]) -> u64 {
 /// set `C` holds unvisited candidates ordered by distance and is pruned to
 /// `params.max_candidates`; while fewer than `k` accepted results exist the
 /// search expands unconditionally (line 9), afterwards only within `ε ×` the
-/// current worst accepted distance (line 11).
+/// current worst accepted distance (line 11). `out` is empty when the graph
+/// is empty or `k == 0`.
 #[allow(clippy::too_many_arguments)]
 pub fn greedy_search_prepared(
     graph: &KnnGraph,
@@ -152,82 +152,15 @@ pub fn greedy_search_prepared(
     scratch: &mut SearchScratch,
     out: &mut Vec<Neighbor>,
 ) {
-    let fetch = |id: u32| prefetch(view.unverified_row(id as usize));
-    let exact = |id: u32| view.distance(pq, id as usize);
-    beam_search(graph, view, pq, k, params, filter, stats, scratch, out, fetch, exact);
-    out.sort_unstable();
-}
-
-/// [`greedy_search_prepared`] with the SQ8 quantized first pass: the same
-/// beam loop scores every candidate against the segment's `u8` code column
-/// (~4× less memory traffic per distance than the f32 rows) and collects
-/// `k × overfetch` approximate results, which are then reranked against the
-/// exact f32 rows and cut to `k`. Distances in `out` are always exact.
-///
-/// Falls back to the exact search when the view carries no SQ8 column.
-///
-/// Traversal decisions (visit order, termination) run on approximate
-/// distances, so visited/dist-eval stats can differ slightly from the exact
-/// search; the recall floor test bounds the quality effect.
-#[allow(clippy::too_many_arguments)]
-pub fn greedy_search_sq8_prepared(
-    graph: &KnnGraph,
-    view: VectorView<'_>,
-    pq: &PreparedQuery<'_>,
-    k: usize,
-    overfetch: f32,
-    params: &SearchParams,
-    filter: &mut dyn FnMut(u32) -> bool,
-    stats: &mut SearchStats,
-    scratch: &mut SearchScratch,
-    out: &mut Vec<Neighbor>,
-) {
-    if !view.has_sq8() {
-        greedy_search_prepared(graph, view, pq, k, params, filter, stats, scratch, out);
-        return;
-    }
-    let budget = rerank_budget(k, overfetch, graph.node_count());
-    // The scan cache leaves the scratch for the search (a move, not an
-    // allocation) so the scorer can hold it beside the loop's borrow.
-    let mut scans = std::mem::take(&mut scratch.sq8_scans);
-    scans.clear();
-    let fetch = |id: u32| prefetch(view.sq8_row(id as usize).codes);
-    let approx = |id: u32| scans.approx_row(pq, view.sq8_row(id as usize));
-    beam_search(graph, view, pq, budget, params, filter, stats, scratch, out, fetch, approx);
-    scratch.sq8_scans = scans;
-    rerank(view, pq, k, out, stats, &mut scratch.results);
-}
-
-/// The one Algorithm 2 loop behind both entry points above. `score` gives a
-/// candidate's distance — exact over the f32 rows, or approximate over the
-/// SQ8 codes — and `fetch` prefetches the bytes `score` will read for that
-/// candidate. `budget` is the capacity of the result set `R` (`k` for exact,
-/// the rerank budget for SQ8). Leaves `R` in `out`, unsorted; `out` is empty
-/// when the graph is empty or `budget == 0`.
-#[allow(clippy::too_many_arguments)]
-fn beam_search(
-    graph: &KnnGraph,
-    view: VectorView<'_>,
-    pq: &PreparedQuery<'_>,
-    budget: usize,
-    params: &SearchParams,
-    filter: &mut dyn FnMut(u32) -> bool,
-    stats: &mut SearchStats,
-    scratch: &mut SearchScratch,
-    out: &mut Vec<Neighbor>,
-    fetch: impl Fn(u32),
-    mut score: impl FnMut(u32) -> f32,
-) {
     out.clear();
     let n = graph.node_count();
     debug_assert_eq!(n, view.len(), "graph and view must describe the same rows");
-    if n == 0 || budget == 0 {
+    if n == 0 || k == 0 {
         return;
     }
 
-    scratch.begin(n, budget);
-    let SearchScratch { epoch, visited, candidates, results, neighbor_ids, distances, .. } =
-        scratch;
+    scratch.begin(n, k);
+    let SearchScratch { epoch, visited, candidates, results, neighbor_ids, distances } = scratch;
     let epoch = *epoch;
 
     // `visited` covers both "currently in C" and "already visited": a node
@@ -247,11 +180,11 @@ fn beam_search(
         }
     }
     for &s in neighbor_ids.iter() {
-        fetch(s);
+        prefetch(view.unverified_row(s as usize));
     }
     for &s in neighbor_ids.iter() {
         visited[s as usize] = epoch;
-        candidates.push((OrderedF32(score(s)), s));
+        candidates.push((OrderedF32(view.distance(pq, s as usize)), s));
     }
     stats.dist_evals += neighbor_ids.len() as u64;
     candidates.sort_unstable_by(|a, b| b.cmp(a));
@@ -295,11 +228,11 @@ fn beam_search(
             }
         }
         for &nb in neighbor_ids.iter() {
-            fetch(nb);
+            prefetch(view.unverified_row(nb as usize));
         }
         distances.clear();
         for &nb in neighbor_ids.iter() {
-            distances.push(score(nb));
+            distances.push(view.distance(pq, nb as usize));
         }
         stats.dist_evals += neighbor_ids.len() as u64;
 
@@ -321,6 +254,7 @@ fn beam_search(
     }
 
     out.extend(results.iter().copied());
+    out.sort_unstable();
 }
 
 /// Algorithm 2: best-first search over `graph` for the `k` nearest rows of

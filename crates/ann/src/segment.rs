@@ -11,17 +11,15 @@
 
 use crate::check::{ChunkCheck, ChunkFault};
 use crate::mapped::Col;
-use crate::sq8::Sq8Column;
 use crate::store::{VectorStore, VectorView};
 use std::ops::Range;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 /// An immutable, contiguous run of rows: flat `f32` data plus the optional
-/// inverse-norm column and the optional SQ8 code column. Segments are
-/// created once (when a leaf seals or a persisted store loads) and then
-/// shared by `Arc` across the engine's master copy, its write-side tail, and
-/// every published snapshot.
+/// inverse-norm column. Segments are created once (when a leaf seals or a
+/// persisted store loads) and then shared by `Arc` across the engine's master
+/// copy, its write-side tail, and every published snapshot.
 ///
 /// The buffers are [`Col`]s: heap-owned for segments sealed in RAM,
 /// mapped-in-place for segments the storage tier rehydrates straight from a
@@ -40,7 +38,6 @@ pub struct Segment {
     dim: usize,
     pub(crate) data: Col<f32>,
     pub(crate) inv_norms: Option<Col<f32>>,
-    pub(crate) sq8: Option<Sq8Column>,
     check: Option<Arc<ChunkCheck>>,
 }
 
@@ -51,7 +48,7 @@ impl Segment {
     pub fn from_store(store: VectorStore) -> Self {
         let (dim, data, inv_norms) = store.into_parts();
         let inv_norms = inv_norms.map(Into::into);
-        Segment { dim, data: data.into(), inv_norms, sq8: None, check: None }
+        Segment { dim, data: data.into(), inv_norms, check: None }
     }
 
     /// Assembles a segment from owned-or-mapped columns — the storage tier's
@@ -62,23 +59,14 @@ impl Segment {
     /// Panics if the shapes are inconsistent: `dim == 0`, a data length that
     /// is not a whole number of rows, or side columns whose row counts don't
     /// match the data.
-    pub fn from_cols(
-        dim: usize,
-        data: Col<f32>,
-        inv_norms: Option<Col<f32>>,
-        sq8: Option<Sq8Column>,
-    ) -> Self {
+    pub fn from_cols(dim: usize, data: Col<f32>, inv_norms: Option<Col<f32>>) -> Self {
         assert!(dim > 0, "vector dimension must be positive");
         assert_eq!(data.len() % dim, 0, "flat buffer length not a multiple of dim");
         let rows = data.len() / dim;
         if let Some(inv) = &inv_norms {
             assert_eq!(inv.len(), rows, "inverse-norm column has wrong row count");
         }
-        if let Some(col) = &sq8 {
-            assert_eq!(col.dim(), dim, "SQ8 column has wrong dimension");
-            assert_eq!(col.len(), rows, "SQ8 column has wrong row count");
-        }
-        Segment { dim, data, inv_norms, sq8, check: None }
+        Segment { dim, data, inv_norms, check: None }
     }
 
     /// Attaches the rows' stored CRC-32s, one per row, so each row is
@@ -130,29 +118,7 @@ impl Segment {
             row += run;
         }
         let inv_norms = inv.map(Into::into);
-        Segment { dim: view.dim(), data: data.into(), inv_norms, sq8: None, check: None }
-    }
-
-    /// Quantizes the segment's rows into an SQ8 column (idempotent). Called
-    /// once at seal time when the engine's config enables the quantized
-    /// first pass; must happen before the segment is shared by `Arc`.
-    pub fn build_sq8(&mut self) {
-        if self.sq8.is_none() {
-            let codes = Sq8Column::encode(self.dim, self.as_flat());
-            self.sq8 = Some(codes);
-        }
-    }
-
-    /// Whether the SQ8 code column is present.
-    #[inline]
-    pub fn has_sq8(&self) -> bool {
-        self.sq8.is_some()
-    }
-
-    /// The SQ8 code column, if present.
-    #[inline]
-    pub fn sq8(&self) -> Option<&Sq8Column> {
-        self.sq8.as_ref()
+        Segment { dim: view.dim(), data: data.into(), inv_norms, check: None }
     }
 
     /// The dimensionality `d`.
@@ -228,33 +194,29 @@ impl Segment {
     #[inline]
     pub fn slice(&self, range: Range<usize>) -> VectorView<'_> {
         assert!(range.start <= range.end && range.end <= self.len(), "row range out of bounds");
-        VectorView::contiguous_with_sq8(
+        VectorView::contiguous_checked(
             self.dim,
             &self.data[range.start * self.dim..range.end * self.dim],
             self.inv_norms.as_deref().map(|inv| &inv[range.clone()]),
-            self.sq8.as_ref().map(|c| c.slice(range.start, range.end)),
             self.check.as_deref().map(|c| (c, range.start)),
         )
     }
 
     /// Bytes of heap memory held by this segment — raw vectors, the
     /// inverse-norm column (the flat store's `memory_bytes` historically
-    /// forgot the column; both now count it), the SQ8 column, and the row
-    /// check's verified bits. Mapped columns report 0: their residency
+    /// forgot the column; both now count it), and the row check's verified
+    /// bits. Mapped columns report 0: their residency
     /// belongs to the storage tier's block cache, not the segment.
     pub fn memory_bytes(&self) -> usize {
         self.data.heap_bytes()
             + self.inv_norms.as_ref().map_or(0, Col::heap_bytes)
-            + self.sq8.as_ref().map_or(0, Sq8Column::memory_bytes)
             + self.check.as_ref().map_or(0, |c| c.memory_bytes())
     }
 
     /// Whether any column of this segment views mapped file bytes (a
     /// cold-tier segment).
     pub fn is_mapped(&self) -> bool {
-        self.data.is_mapped()
-            || self.inv_norms.as_ref().is_some_and(Col::is_mapped)
-            || self.sq8.as_ref().is_some_and(Sq8Column::is_mapped)
+        self.data.is_mapped() || self.inv_norms.as_ref().is_some_and(Col::is_mapped)
     }
 
     /// Bytes occupied by the stored vectors only (length, not capacity).
@@ -333,20 +295,13 @@ impl SegmentStore {
         self.segments.first().is_some_and(|s| s.has_norm_cache())
     }
 
-    /// Whether the segments carry the SQ8 code column (uniform across the
-    /// store by the [`Self::push_segment`] invariant; `false` when empty).
-    #[inline]
-    pub fn has_sq8(&self) -> bool {
-        self.segments.first().is_some_and(|s| s.has_sq8())
-    }
-
     /// Appends a shared segment.
     ///
     /// # Panics
     ///
     /// Panics unless the segment has exactly `seg_rows` rows of dimension
-    /// `dim`, and its norm-column and SQ8-column presence matches the
-    /// segments already stored.
+    /// `dim`, and its norm-column presence matches the segments already
+    /// stored.
     pub fn push_segment(&mut self, seg: Arc<Segment>) {
         assert_eq!(seg.dim(), self.dim, "segment has wrong dimension");
         assert_eq!(seg.len(), self.seg_rows, "segment has wrong row count");
@@ -355,11 +310,6 @@ impl SegmentStore {
                 first.has_norm_cache(),
                 seg.has_norm_cache(),
                 "segments must uniformly carry (or not carry) the norm column"
-            );
-            assert_eq!(
-                first.has_sq8(),
-                seg.has_sq8(),
-                "segments must uniformly carry (or not carry) the SQ8 column"
             );
         }
         self.segments.push(seg);

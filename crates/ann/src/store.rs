@@ -5,7 +5,6 @@
 
 use crate::check::ChunkCheck;
 use crate::segment::Segment;
-use crate::sq8::Sq8ChunkRef;
 use mbi_math::{inv_norm_of, Metric, PreparedQuery};
 use std::sync::Arc;
 
@@ -237,15 +236,10 @@ impl VectorStore {
 /// rows, or a run of leaf-sized shared segments.
 #[derive(Clone, Copy, Debug)]
 enum Repr<'a> {
-    /// A single flat run (plus the matching norm-column and SQ8 slices, and
-    /// for a run of a row-checked segment, its check and the run's first
-    /// row in the segment).
-    Contig {
-        data: &'a [f32],
-        inv_norms: Option<&'a [f32]>,
-        sq8: Option<Sq8ChunkRef<'a>>,
-        check: Option<(&'a ChunkCheck, usize)>,
-    },
+    /// A single flat run (plus the matching norm-column slice, and for a run
+    /// of a row-checked segment, its check and the run's first row in the
+    /// segment).
+    Contig { data: &'a [f32], inv_norms: Option<&'a [f32]>, check: Option<(&'a ChunkCheck, usize)> },
     /// `len` rows starting `skip` rows into `segs[0]`; every segment holds
     /// exactly `seg_rows` rows, so each per-segment run is contiguous.
     Segmented { segs: &'a [Arc<Segment>], seg_rows: usize, skip: usize },
@@ -288,23 +282,21 @@ impl<'a> VectorView<'a> {
     /// A contiguous view over `data` with an optional matching norm column.
     #[inline]
     pub(crate) fn contiguous(dim: usize, data: &'a [f32], inv_norms: Option<&'a [f32]>) -> Self {
-        Self::contiguous_with_sq8(dim, data, inv_norms, None, None)
+        Self::contiguous_checked(dim, data, inv_norms, None)
     }
 
-    /// A contiguous view that additionally carries the matching SQ8 slice
-    /// and the segment's row check with the run's first row — what
+    /// A contiguous view that additionally carries the segment's row check
+    /// with the run's first row — what
     /// [`Segment::slice`](crate::Segment::slice) hands out.
     #[inline]
-    pub(crate) fn contiguous_with_sq8(
+    pub(crate) fn contiguous_checked(
         dim: usize,
         data: &'a [f32],
         inv_norms: Option<&'a [f32]>,
-        sq8: Option<Sq8ChunkRef<'a>>,
         check: Option<(&'a ChunkCheck, usize)>,
     ) -> Self {
         debug_assert!(inv_norms.is_none_or(|inv| inv.len() * dim == data.len()));
-        debug_assert!(sq8.is_none_or(|c| c.codes.len() == data.len()));
-        let repr = Repr::Contig { data, inv_norms, sq8, check };
+        let repr = Repr::Contig { data, inv_norms, check };
         VectorView { dim, len: data.len() / dim, repr }
     }
 
@@ -353,64 +345,6 @@ impl<'a> VectorView<'a> {
             Repr::Contig { inv_norms, .. } => inv_norms.is_some(),
             Repr::Segmented { segs, .. } => segs[0].has_norm_cache(),
         }
-    }
-
-    /// Whether the rows carry the SQ8 code column (uniform across a
-    /// segmented view by the store's push invariant).
-    #[inline]
-    pub fn has_sq8(&self) -> bool {
-        match self.repr {
-            Repr::Contig { sq8, .. } => sq8.is_some(),
-            Repr::Segmented { segs, .. } => segs[0].has_sq8(),
-        }
-    }
-
-    /// The longest SQ8 run starting at row `row` — the quantized counterpart
-    /// of [`Self::chunk_at`], with identical run boundaries. Each chunk
-    /// carries the owning segment's own affine parameters, so a multi-segment
-    /// walk re-prepares its [`Sq8Scan`](crate::Sq8Scan) per chunk (`O(d)`,
-    /// amortised over the segment's rows).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row >= len()` or the view has no SQ8 column.
-    #[inline]
-    pub fn sq8_chunk_at(&self, row: usize) -> (Sq8ChunkRef<'a>, usize) {
-        assert!(row < self.len, "row {row} out of bounds for view of {} rows", self.len);
-        match self.repr {
-            Repr::Contig { sq8, .. } => {
-                let c = sq8.expect("sq8_chunk_at() on a view without the SQ8 column");
-                let run = self.len - row;
-                (
-                    Sq8ChunkRef {
-                        codes: &c.codes[row * self.dim..],
-                        row_norm2: &c.row_norm2[row..],
-                        ..c
-                    },
-                    run,
-                )
-            }
-            Repr::Segmented { segs, seg_rows, skip } => {
-                let r = skip + row;
-                let seg = &segs[r / seg_rows];
-                let off = r % seg_rows;
-                let run = (seg_rows - off).min(self.len - row);
-                let col = seg.sq8().expect("sq8_chunk_at() on a view without the SQ8 column");
-                (col.slice(off, off + run), run)
-            }
-        }
-    }
-
-    /// Row `i`'s SQ8 codes, decoded squared norm, and owning-segment
-    /// parameters — the graph-search gather path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= len()` or the view has no SQ8 column.
-    #[inline]
-    pub fn sq8_row(&self, i: usize) -> Sq8ChunkRef<'a> {
-        let (chunk, _) = self.sq8_chunk_at(i);
-        Sq8ChunkRef { codes: &chunk.codes[..self.dim], row_norm2: &chunk.row_norm2[..1], ..chunk }
     }
 
     /// Returns row `i` (local to the view).
@@ -474,8 +408,7 @@ impl<'a> VectorView<'a> {
     }
 
     /// Exact distance from `pq` to row `i`, through the cached inverse norm
-    /// when present — the exact scorer of the graph searches and of the SQ8
-    /// rerank.
+    /// when present — the scorer of the graph search.
     ///
     /// # Panics
     ///

@@ -1,17 +1,17 @@
 //! A warm graph search allocates nothing.
 //!
 //! `SearchScratch` owns every buffer a beam search needs — the visited
-//! marks, the candidate set, the result heap, the gather buffers and the
-//! SQ8 per-segment query preparations — so once a scratch and an output
-//! vector have served a set of queries, serving them again must not touch
-//! the allocator. A counting global allocator (delegating to `System`)
-//! checks that for the exact and the SQ8 graph search, under a time-style
-//! filter and without one. It counts per thread, so the test harness's own
-//! threads do not disturb it; this binary holds only this test.
+//! marks, the candidate set, the result heap and the gather buffers — so
+//! once a scratch and an output vector have served a set of queries, serving
+//! them again must not touch the allocator. A counting global allocator
+//! (delegating to `System`) checks that for the graph search over a
+//! three-segment store, under a time-style filter and without one. It counts
+//! per thread, so the test harness's own threads do not disturb it; this
+//! binary holds only this test.
 
 use mbi_ann::{
-    greedy_search_prepared, greedy_search_sq8_prepared, Metric, NnDescentParams, PreparedQuery,
-    SearchParams, SearchScratch, SearchStats, Segment, SegmentStore, VectorStore,
+    greedy_search_prepared, Metric, NnDescentParams, PreparedQuery, SearchParams, SearchScratch,
+    SearchStats, Segment, SegmentStore, VectorStore,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -80,13 +80,12 @@ fn lcg_rows(n: usize, seed: u32) -> VectorStore {
 #[test]
 fn warm_graph_searches_do_not_allocate() {
     let flat = lcg_rows(3 * SEG_ROWS, 7);
-    let mut quantized = SegmentStore::new(DIM, SEG_ROWS);
+    let mut segmented = SegmentStore::new(DIM, SEG_ROWS);
     for c in 0..3 {
-        let mut seg = Segment::from_view(flat.slice(c * SEG_ROWS..(c + 1) * SEG_ROWS));
-        seg.build_sq8();
-        quantized.push_segment(Arc::new(seg));
+        let seg = Segment::from_view(flat.slice(c * SEG_ROWS..(c + 1) * SEG_ROWS));
+        segmented.push_segment(Arc::new(seg));
     }
-    let view = quantized.view();
+    let view = segmented.view();
     let graph = NnDescentParams::with_degree(8).build(flat.view(), Metric::Euclidean);
     let queries = lcg_rows(8, 555);
     let params = SearchParams::new(64, 1.2);
@@ -105,18 +104,6 @@ fn warm_graph_searches_do_not_allocate() {
                         view,
                         &pq,
                         k,
-                        &params,
-                        &mut filter,
-                        &mut stats,
-                        scratch,
-                        out,
-                    );
-                    greedy_search_sq8_prepared(
-                        &graph,
-                        view,
-                        &pq,
-                        k,
-                        3.0,
                         &params,
                         &mut filter,
                         &mut stats,

@@ -1,8 +1,8 @@
 //! Pinned outputs of Algorithm 2's beam loop and of the chunked exact scan.
 //!
-//! Every public entry point that runs one of the two loops — exact and SQ8,
-//! over a flat store and over a three-segment quantized store, under all
-//! three metrics, with the default entry policy and with a fixed start —
+//! Every public entry point that runs one of the two loops — over a flat
+//! store and over a three-segment store, under all three metrics, with the
+//! default entry policy and with a fixed start —
 //! answers fixed queries on fixed data, and each case folds its output into
 //! one CRC-32: every returned `(id, dist bits)` followed by the five
 //! `SearchStats` counters. Refactors of either loop must reproduce the table
@@ -12,14 +12,13 @@
 //! apart from the entry policy: a change to how `QueryHash` seeds the search
 //! moves only the `hash` rows' graph columns.
 //!
-//! The SQ8 scorer runs through the dispatched `sq8_code_dot` kernel, so the
-//! table must hold on the SIMD and the forced-scalar backend alike.
+//! Both loops score through the dispatched distance kernels, so the table
+//! must hold on the SIMD and the forced-scalar backend alike.
 
 use mbi_ann::{
-    brute_force_prepared, brute_force_sq8_prepared, greedy_search_prepared,
-    greedy_search_sq8_prepared, EntryPolicy, KnnGraph, Metric, Neighbor, NnDescentParams,
-    PreparedQuery, SearchParams, SearchScratch, SearchStats, Segment, SegmentStore, VectorStore,
-    VectorView,
+    brute_force_prepared, greedy_search_prepared, EntryPolicy, KnnGraph, Metric, Neighbor,
+    NnDescentParams, PreparedQuery, SearchParams, SearchScratch, SearchStats, Segment,
+    SegmentStore, VectorStore, VectorView,
 };
 use mbi_math::crc32;
 use std::ops::Range;
@@ -51,11 +50,10 @@ fn lcg_rows(n: usize, seed: u32) -> VectorStore {
     s
 }
 
-fn quantized(src: &VectorStore) -> SegmentStore {
+fn segmented(src: &VectorStore) -> SegmentStore {
     let mut store = SegmentStore::new(DIM, SEG_ROWS);
     for c in 0..src.len() / SEG_ROWS {
-        let mut seg = Segment::from_view(src.slice(c * SEG_ROWS..(c + 1) * SEG_ROWS));
-        seg.build_sq8();
+        let seg = Segment::from_view(src.slice(c * SEG_ROWS..(c + 1) * SEG_ROWS));
         store.push_segment(Arc::new(seg));
     }
     store
@@ -78,9 +76,9 @@ fn transcript(bytes: &mut Vec<u8>, out: &[Neighbor], stats: &SearchStats) {
     }
 }
 
-/// The 20 case pins of one (metric, store, entry) triple, in the order
-/// `filter ∈ {all, window}` × `k ∈ {1, 10}` × `{graph, graph sq8 ×1,
-/// graph sq8 ×3, scan, scan sq8 ×3}`. The graph searches filter by id; the
+/// The 8 case pins of one (metric, store, entry) triple, in the order
+/// `filter ∈ {all, window}` × `k ∈ {1, 10}` × `{graph, scan}`. The graph
+/// searches filter by id; the
 /// scans, which take no filter, run over the window's rows instead.
 fn pins(
     graph: &KnnGraph,
@@ -98,14 +96,14 @@ fn pins(
         let scan_view = if windowed { window } else { whole };
         let accept = |id: u32| !windowed || WINDOW.contains(&(id as usize));
         for k in [1usize, 10] {
-            for case in 0..5 {
+            for graph_case in [true, false] {
                 let mut bytes = Vec::new();
                 for qi in 0..queries.len() {
                     let pq = PreparedQuery::new(metric, queries.get(qi));
                     let mut stats = SearchStats::default();
                     let mut filter = accept;
-                    match case {
-                        0 => greedy_search_prepared(
+                    if graph_case {
+                        greedy_search_prepared(
                             graph,
                             whole,
                             &pq,
@@ -115,21 +113,9 @@ fn pins(
                             &mut stats,
                             &mut scratch,
                             &mut out,
-                        ),
-                        1 | 2 => greedy_search_sq8_prepared(
-                            graph,
-                            whole,
-                            &pq,
-                            k,
-                            if case == 1 { 1.0 } else { 3.0 },
-                            &params,
-                            &mut filter,
-                            &mut stats,
-                            &mut scratch,
-                            &mut out,
-                        ),
-                        3 => out = brute_force_prepared(scan_view, &pq, k, &mut stats),
-                        _ => out = brute_force_sq8_prepared(scan_view, &pq, k, 3.0, &mut stats),
+                        );
+                    } else {
+                        out = brute_force_prepared(scan_view, &pq, k, &mut stats);
                     }
                     transcript(&mut bytes, &out, &stats);
                 }
@@ -143,95 +129,70 @@ fn pins(
 /// The start of the `fixed` rows: a mid-store vertex, outside the id window.
 const FIXED: EntryPolicy = EntryPolicy::Fixed(700);
 
-/// One row per (metric, store, entry); one line per (filter, k), columns in
-/// the routine order of [`pins`]. On the flat store the SQ8 entry points fall
-/// back to exact, so their columns repeat the exact ones; the scans take no
+/// One row per (metric, store, entry); two `(filter, k)` cases per line,
+/// columns in the routine order of [`pins`]. A segmented row repeats its flat
+/// row, since segment seams change neither loop's answers; the scans take no
 /// entry, so their columns repeat between a `hash` row and its `fixed` row.
 /// The `hash` rows' graph columns were re-recorded when `QueryHash` began
 /// seeding `C` with the best of 64 strided pivots instead of one hashed
 /// vertex; the `fixed` rows and every scan column held.
 #[rustfmt::skip]
-const PINNED: [(&str, &str, &str, [u32; 20]); 12] = [
+const PINNED: [(&str, &str, &str, [u32; 8]); 12] = [
     ("euclidean", "flat", "hash", [
-        0x705c_f282, 0x705c_f282, 0x705c_f282, 0x43c9_bd02, 0x43c9_bd02,
-        0xe875_f018, 0xe875_f018, 0xe875_f018, 0x9f87_b823, 0x9f87_b823,
-        0x33c7_3740, 0x33c7_3740, 0x33c7_3740, 0xb5d1_a0ba, 0xb5d1_a0ba,
-        0x7e44_5982, 0x7e44_5982, 0x7e44_5982, 0x806c_4ffe, 0x806c_4ffe,
+        0x705c_f282, 0x43c9_bd02, 0xe875_f018, 0x9f87_b823,
+        0x33c7_3740, 0xb5d1_a0ba, 0x7e44_5982, 0x806c_4ffe,
     ]),
-    ("euclidean", "sq8", "hash", [
-        0x705c_f282, 0x9c72_b6b1, 0x36ef_fb15, 0x43c9_bd02, 0xd0f9_ad2f,
-        0xe875_f018, 0xfa74_0657, 0x9b5e_e6c3, 0x9f87_b823, 0xc663_96e3,
-        0x33c7_3740, 0xdfe9_7373, 0xa120_aec7, 0xb5d1_a0ba, 0x8f00_7485,
-        0x7e44_5982, 0x070c_f87e, 0x6ee9_8087, 0x806c_4ffe, 0xbc1d_b29d,
+    ("euclidean", "segmented", "hash", [
+        0x705c_f282, 0x43c9_bd02, 0xe875_f018, 0x9f87_b823,
+        0x33c7_3740, 0xb5d1_a0ba, 0x7e44_5982, 0x806c_4ffe,
     ]),
     ("euclidean", "flat", "fixed", [
-        0x1cd6_5556, 0x1cd6_5556, 0x1cd6_5556, 0x43c9_bd02, 0x43c9_bd02,
-        0xb9cf_df42, 0xb9cf_df42, 0xb9cf_df42, 0x9f87_b823, 0x9f87_b823,
-        0xa666_b13a, 0xa666_b13a, 0xa666_b13a, 0xb5d1_a0ba, 0xb5d1_a0ba,
-        0x2963_900d, 0x2963_900d, 0x2963_900d, 0x806c_4ffe, 0x806c_4ffe,
+        0x1cd6_5556, 0x43c9_bd02, 0xb9cf_df42, 0x9f87_b823,
+        0xa666_b13a, 0xb5d1_a0ba, 0x2963_900d, 0x806c_4ffe,
     ]),
-    ("euclidean", "sq8", "fixed", [
-        0x1cd6_5556, 0x8e7a_4191, 0xa8fe_bed1, 0x43c9_bd02, 0xd0f9_ad2f,
-        0xb9cf_df42, 0x3fa5_ebec, 0x13f7_9b10, 0x9f87_b823, 0xc663_96e3,
-        0xa666_b13a, 0x4a5d_72fa, 0x525f_a4a7, 0xb5d1_a0ba, 0x8f00_7485,
-        0x2963_900d, 0xff9a_f3d2, 0xbf01_03e2, 0x806c_4ffe, 0xbc1d_b29d,
+    ("euclidean", "segmented", "fixed", [
+        0x1cd6_5556, 0x43c9_bd02, 0xb9cf_df42, 0x9f87_b823,
+        0xa666_b13a, 0xb5d1_a0ba, 0x2963_900d, 0x806c_4ffe,
     ]),
     ("angular", "flat", "hash", [
-        0x1337_5f44, 0x1337_5f44, 0x1337_5f44, 0x4bac_a59c, 0x4bac_a59c,
-        0xe762_f7c8, 0xe762_f7c8, 0xe762_f7c8, 0x4834_bdf2, 0x4834_bdf2,
-        0xceb6_efae, 0xceb6_efae, 0xceb6_efae, 0x9e85_bcdb, 0x9e85_bcdb,
-        0xcb01_35e5, 0xcb01_35e5, 0xcb01_35e5, 0x5a5d_1234, 0x5a5d_1234,
+        0x1337_5f44, 0x4bac_a59c, 0xe762_f7c8, 0x4834_bdf2,
+        0xceb6_efae, 0x9e85_bcdb, 0xcb01_35e5, 0x5a5d_1234,
     ]),
-    ("angular", "sq8", "hash", [
-        0x1337_5f44, 0xabd9_b110, 0xa946_f743, 0x4bac_a59c, 0xd89c_b5b1,
-        0xe762_f7c8, 0x4fe9_9ee4, 0xeb73_5198, 0x4834_bdf2, 0x11d0_9332,
-        0xceb6_efae, 0x7658_01fa, 0x3ba1_9ece, 0x9e85_bcdb, 0xa454_68e4,
-        0xcb01_35e5, 0x9012_ae66, 0xe12c_a466, 0x5a5d_1234, 0x662c_ef57,
+    ("angular", "segmented", "hash", [
+        0x1337_5f44, 0x4bac_a59c, 0xe762_f7c8, 0x4834_bdf2,
+        0xceb6_efae, 0x9e85_bcdb, 0xcb01_35e5, 0x5a5d_1234,
     ]),
     ("angular", "flat", "fixed", [
-        0x334d_1eba, 0x334d_1eba, 0x334d_1eba, 0x4bac_a59c, 0x4bac_a59c,
-        0xecfc_28d8, 0xecfc_28d8, 0xecfc_28d8, 0x4834_bdf2, 0x4834_bdf2,
-        0x8d54_5a03, 0x8d54_5a03, 0x8d54_5a03, 0x9e85_bcdb, 0x9e85_bcdb,
-        0x3b50_249f, 0x3b50_249f, 0x3b50_249f, 0x5a5d_1234, 0x5a5d_1234,
+        0x334d_1eba, 0x4bac_a59c, 0xecfc_28d8, 0x4834_bdf2,
+        0x8d54_5a03, 0x9e85_bcdb, 0x3b50_249f, 0x5a5d_1234,
     ]),
-    ("angular", "sq8", "fixed", [
-        0x334d_1eba, 0xa1e1_0a7d, 0x6d17_44ed, 0x4bac_a59c, 0xd89c_b5b1,
-        0xecfc_28d8, 0xa8c0_fab0, 0xaf1e_7bac, 0x4834_bdf2, 0x11d0_9332,
-        0x8d54_5a03, 0x617a_1e30, 0x2298_4739, 0x9e85_bcdb, 0xa454_68e4,
-        0x3b50_249f, 0x4aab_9dae, 0xc033_1b5f, 0x5a5d_1234, 0x662c_ef57,
+    ("angular", "segmented", "fixed", [
+        0x334d_1eba, 0x4bac_a59c, 0xecfc_28d8, 0x4834_bdf2,
+        0x8d54_5a03, 0x9e85_bcdb, 0x3b50_249f, 0x5a5d_1234,
     ]),
     ("inner_product", "flat", "hash", [
-        0xd4ea_053d, 0xd4ea_053d, 0xd4ea_053d, 0xa829_2636, 0xa829_2636,
-        0x77aa_64f2, 0x77aa_64f2, 0x77aa_64f2, 0x12df_dc67, 0x12df_dc67,
-        0x897c_1ec2, 0x897c_1ec2, 0x897c_1ec2, 0x437d_ee96, 0x437d_ee96,
-        0xe1c2_e95e, 0xe1c2_e95e, 0xe1c2_e95e, 0x272d_266d, 0x272d_266d,
+        0xd4ea_053d, 0xa829_2636, 0x77aa_64f2, 0x12df_dc67,
+        0x897c_1ec2, 0x437d_ee96, 0xe1c2_e95e, 0x272d_266d,
     ]),
-    ("inner_product", "sq8", "hash", [
-        0xd4ea_053d, 0x47da_1510, 0x4d09_43b4, 0xa829_2636, 0x3b19_361b,
-        0x77aa_64f2, 0x4b5e_e864, 0x8e74_02cf, 0x12df_dc67, 0x4b3b_f2a7,
-        0x897c_1ec2, 0x9fb4_2c20, 0x0b00_f1c5, 0x437d_ee96, 0x79ac_3aa9,
-        0xe1c2_e95e, 0x951b_abd0, 0xd2ee_845b, 0x272d_266d, 0x1b5c_db0e,
+    ("inner_product", "segmented", "hash", [
+        0xd4ea_053d, 0xa829_2636, 0x77aa_64f2, 0x12df_dc67,
+        0x897c_1ec2, 0x437d_ee96, 0xe1c2_e95e, 0x272d_266d,
     ]),
     ("inner_product", "flat", "fixed", [
-        0xfaae_845f, 0xfaae_845f, 0xfaae_845f, 0xa829_2636, 0xa829_2636,
-        0x275a_2008, 0x275a_2008, 0x275a_2008, 0x12df_dc67, 0x12df_dc67,
-        0x38ef_4699, 0x38ef_4699, 0x38ef_4699, 0x437d_ee96, 0x437d_ee96,
-        0x75a2_3506, 0x75a2_3506, 0x75a2_3506, 0x272d_266d, 0x272d_266d,
+        0xfaae_845f, 0xa829_2636, 0x275a_2008, 0x12df_dc67,
+        0x38ef_4699, 0x437d_ee96, 0x75a2_3506, 0x272d_266d,
     ]),
-    ("inner_product", "sq8", "fixed", [
-        0xfaae_845f, 0x3d6e_767b, 0x0646_bbf9, 0xa829_2636, 0x3b19_361b,
-        0x275a_2008, 0x4811_92b1, 0xf678_0000, 0x12df_dc67, 0x4b3b_f2a7,
-        0x38ef_4699, 0xff2f_b4bd, 0x8537_98fa, 0x437d_ee96, 0x79ac_3aa9,
-        0x75a2_3506, 0xe417_f61f, 0x3ae6_9428, 0x272d_266d, 0x1b5c_db0e,
+    ("inner_product", "segmented", "fixed", [
+        0xfaae_845f, 0xa829_2636, 0x275a_2008, 0x12df_dc67,
+        0x38ef_4699, 0x437d_ee96, 0x75a2_3506, 0x272d_266d,
     ]),
 ];
 
 #[test]
 fn beam_loop_and_scan_outputs_are_pinned() {
     let flat = lcg_rows(N, 7);
-    let segmented = quantized(&flat);
+    let segmented = segmented(&flat);
     assert_eq!(segmented.num_segments(), 3);
-    assert!(segmented.has_sq8());
     let queries = lcg_rows(3, 555);
 
     let mut got = Vec::new();

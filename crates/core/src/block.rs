@@ -3,8 +3,8 @@
 use crate::config::GraphBackend;
 use crate::Timestamp;
 use mbi_ann::{
-    greedy_search_prepared, greedy_search_sq8_prepared, KnnGraph, Neighbor, SearchParams,
-    SearchScratch, SearchStats, VectorView,
+    greedy_search_prepared, KnnGraph, Neighbor, SearchParams, SearchScratch, SearchStats,
+    VectorView,
 };
 use mbi_math::{Metric, PreparedQuery};
 
@@ -62,27 +62,6 @@ impl BlockGraph {
         out: &mut Vec<Neighbor>,
     ) {
         greedy_search_prepared(&self.0, view, pq, k, params, filter, stats, scratch, out)
-    }
-
-    /// [`Self::search_prepared`] with the SQ8 quantized first pass + exact
-    /// rerank ([`greedy_search_sq8_prepared`]): the search traverses on the
-    /// code column. Views without the SQ8 column fall back to exact.
-    #[allow(clippy::too_many_arguments)]
-    pub fn search_sq8_prepared(
-        &self,
-        view: VectorView<'_>,
-        pq: &PreparedQuery<'_>,
-        k: usize,
-        overfetch: f32,
-        params: &SearchParams,
-        filter: &mut dyn FnMut(u32) -> bool,
-        stats: &mut SearchStats,
-        scratch: &mut SearchScratch,
-        out: &mut Vec<Neighbor>,
-    ) {
-        greedy_search_sq8_prepared(
-            &self.0, view, pq, k, overfetch, params, filter, stats, scratch, out,
-        )
     }
 
     /// Bytes of heap memory used by the graph structure.

@@ -50,17 +50,6 @@ pub struct MbiConfig {
     /// Build the graphs of a bottom-up merge chain in parallel (§4.2
     /// "Parallelization of MBI").
     pub parallel_build: bool,
-    /// Quantize every sealed segment into an SQ8 (`u8` scalar-quantized)
-    /// code column and run candidate scans over it: the first pass reads
-    /// ~4× less memory per row than the f32 scan, and the best
-    /// `k × sq8_overfetch` candidates are reranked against the exact rows,
-    /// so returned distances are always exact. Off by default — exact scans
-    /// remain the baseline behaviour.
-    pub sq8_scan: bool,
-    /// Over-fetch factor of the SQ8 rerank: the first pass keeps
-    /// `k × sq8_overfetch` candidates for exact reranking. Larger values
-    /// trade first-pass win for recall; `≥ 1`.
-    pub sq8_overfetch: f32,
     /// RAM budget of the cold-tier block cache, in bytes. Only consulted by
     /// [`crate::tier::ColdIndex`]: leaf records and internal-block graphs
     /// loaded from a snapshot file count against this budget and the
@@ -73,12 +62,6 @@ pub struct MbiConfig {
     /// shards reduce lock contention under concurrent queries at the price
     /// of a slightly less accurate global LRU order.
     pub cache_shards: usize,
-}
-
-/// Default SQ8 over-fetch: 3× keeps recall ≥ 0.95 across the paper's
-/// datasets while the rerank stays ≪ the first-pass cost.
-pub(crate) fn default_sq8_overfetch() -> f32 {
-    3.0
 }
 
 /// Default cold-cache shard count: enough to keep eight querying threads
@@ -99,8 +82,6 @@ impl MbiConfig {
             backend: GraphBackend::default(),
             search: SearchParams::default(),
             parallel_build: false,
-            sq8_scan: false,
-            sq8_overfetch: default_sq8_overfetch(),
             ram_budget_bytes: u64::MAX,
             cache_shards: default_cache_shards(),
         }
@@ -152,27 +133,6 @@ impl MbiConfig {
     /// change) removes it.
     #[deprecated(note = "a no-op; removed with ROADMAP item 1")]
     pub fn with_query_threads(self, _threads: usize) -> Self {
-        self
-    }
-
-    /// Enables or disables the SQ8 quantized first pass (see
-    /// [`MbiConfig::sq8_scan`]).
-    pub fn with_sq8_scan(mut self, enabled: bool) -> Self {
-        self.sq8_scan = enabled;
-        self
-    }
-
-    /// Sets the SQ8 rerank over-fetch factor.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `overfetch` is finite and `≥ 1`.
-    pub fn with_sq8_overfetch(mut self, overfetch: f32) -> Self {
-        assert!(
-            overfetch.is_finite() && overfetch >= 1.0,
-            "sq8 overfetch must be finite and >= 1, got {overfetch}"
-        );
-        self.sq8_overfetch = overfetch;
         self
     }
 

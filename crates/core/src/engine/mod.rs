@@ -95,16 +95,6 @@ use builder::spawn_builders;
 use durable::Durability;
 pub use durable::{WalSync, SNAPSHOT_FILE, WAL_DIR};
 
-/// Applies the config's seal-time column policy to a freshly frozen
-/// segment: when the SQ8 scan is enabled, every sealed segment carries its
-/// code column from birth, so the store-wide uniformity invariant holds.
-pub(crate) fn finish_segment(config: &MbiConfig, mut seg: Segment) -> Segment {
-    if config.sq8_scan {
-        seg.build_sq8();
-    }
-    seg
-}
-
 /// Builder health, reported by [`StreamingMbi::health`]. Queries and inserts
 /// stay correct in both states (see the module docs on failure isolation);
 /// the states describe whether new rows still move from exact scan to graph
@@ -350,10 +340,7 @@ impl IndexSnapshot {
         let mut times = TimeChunks::new(s_l);
         for leaf in 0..index.len() / s_l {
             let rows = leaf * s_l..(leaf + 1) * s_l;
-            store.push_segment(Arc::new(finish_segment(
-                &config,
-                Segment::from_view(index.store().slice(rows.clone())),
-            )));
+            store.push_segment(Arc::new(Segment::from_view(index.store().slice(rows.clone()))));
             times.push_chunk(index.timestamps()[rows].into());
         }
         IndexSnapshot {
@@ -434,9 +421,8 @@ impl IndexSnapshot {
         self.target().exact_query(query, k, window)
     }
 
-    /// Bytes of heap memory the snapshot holds: vector segments with every
-    /// side column (inverse norms *and* the SQ8 code column when the engine
-    /// quantizes), timestamp chunks, and block graphs. Structure shared
+    /// Bytes of heap memory the snapshot holds: vector segments with their
+    /// inverse-norm columns, timestamp chunks, and block graphs. Structure shared
     /// with other snapshots or the engine's master copy is counted once per
     /// holder; mapped (cold-tier) columns count `0` — their residency is
     /// charged to [`crate::tier::TierStats::bytes_resident`] instead.
@@ -718,13 +704,10 @@ impl StreamingMbi {
                 // writers seal leaves in order and a query sees the leaf in
                 // exactly one of the snapshot and the tail.
                 let leaf = tail.first_row / s_l;
-                let seg = finish_segment(
-                    &self.shared.config,
-                    Segment::from_store(std::mem::replace(
-                        &mut tail.partial,
-                        Self::fresh_partial(&self.shared.config),
-                    )),
-                );
+                let seg = Segment::from_store(std::mem::replace(
+                    &mut tail.partial,
+                    Self::fresh_partial(&self.shared.config),
+                ));
                 let ts = std::mem::replace(&mut tail.partial_ts, Vec::with_capacity(s_l));
                 {
                     let mut m = self.shared.master.lock();
@@ -1157,7 +1140,7 @@ mod tests {
     #[test]
     fn non_finite_rows_are_rejected_before_the_wal() {
         let dir = temp_dir("nonfinite");
-        let config = leaf64_config(Metric::Euclidean).with_sq8_scan(true);
+        let config = leaf64_config(Metric::Euclidean);
         let q = row4(5);
         let before = {
             let engine = StreamingMbi::open(&dir, config, EngineConfig::default()).unwrap();
@@ -1165,8 +1148,7 @@ mod tests {
                 engine.insert(&row4(i), i as i64).unwrap();
             }
             // The next accepted row seals the leaf. A NaN would panic its
-            // chain's build and halt the engine; an infinite or overflowing
-            // row would write an SQ8 column recovery rejects.
+            // chain's build and halt the engine.
             for bad in [
                 [0.5, f32::NAN, 0.5, 0.5],
                 [0.5, 0.5, f32::INFINITY, 0.5],
@@ -1384,27 +1366,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_memory_accounts_for_sq8_column() {
-        let run = |sq8: bool| {
-            let engine = StreamingMbi::new(config().with_sq8_scan(sq8));
-            fill(&engine, 64);
-            engine.flush();
-            engine.snapshot().memory_bytes()
-        };
-        let (plain, quantized) = (run(false), run(true));
-        assert!(plain > 0);
-        // 64 rows × 2 dims of u8 codes plus per-segment mins/deltas/norms:
-        // the quantized snapshot must report strictly more resident bytes.
-        assert!(quantized > plain, "sq8 column unaccounted: sq8 on {quantized} <= off {plain}");
-        let per_seg = 2 * 4 + 2 * 4 + 8 * 4; // mins + deltas + row_norm2 (8 rows)
-        let codes = 64 * 2;
-        assert!(
-            quantized >= plain + codes + 8 * per_seg / 2,
-            "sq8 accounting smaller than the column itself: {quantized} vs {plain}"
-        );
-    }
-
-    #[test]
     fn consecutive_snapshots_share_segments() {
         let engine = StreamingMbi::new(config());
         fill(&engine, 16);
@@ -1507,7 +1468,7 @@ mod tests {
     fn unbuilt_leaves_are_scanned_exactly_and_rebuilt_on_resume() {
         // Four sealed leaves with blocks over the first two: what an engine
         // publishes while the last two chains are still building.
-        let config = config().with_sq8_scan(true);
+        let config = config();
         let mut sync = MbiIndex::new(config);
         for i in 0..32usize {
             sync.insert(&[i as f32, (i % 5) as f32], i as i64).unwrap();
@@ -1518,8 +1479,8 @@ mod tests {
         assert_eq!(snap.validate(), Ok(()));
         assert_eq!(snap.sealed_rows(), 16);
         assert_eq!(snap.times().len(), 32);
-        // The unbuilt leaves carry SQ8 codes, yet are scanned exactly: one
-        // distance evaluation per in-window row, no rerank.
+        // The unbuilt leaves are scanned exactly: one distance evaluation per
+        // in-window row.
         for (x, w) in [
             (20.0, TimeWindow::new(16, 32)),
             (17.0, TimeWindow::new(18, 27)),

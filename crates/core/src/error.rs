@@ -31,7 +31,7 @@ pub enum MbiError {
     },
     /// A vector with a NaN or infinite component, or whose squared norm
     /// `Σx²` overflows `f32`, was offered. No distance to it is finite, so
-    /// graph builds could not order it and an SQ8 column could not encode it.
+    /// a graph build could not order it and no query could rank it.
     NonFiniteVector,
     /// The persisted byte stream is malformed or truncated.
     Corrupt {

@@ -56,7 +56,8 @@ pub struct LevelStats {
 /// the configured dimension, a timestamp below `i64::MAX`, and a finite
 /// `Σx²` — which is finite exactly when every component is and the squared
 /// norm does not overflow. A row failing the last check would panic the
-/// NNDescent build at its seal, or write an SQ8 column no reader accepts.
+/// NNDescent build at its seal, or score every query at a distance that is
+/// not finite.
 pub(crate) fn check_row(config: &MbiConfig, vector: &[f32], t: Timestamp) -> Result<(), MbiError> {
     if vector.len() != config.dim {
         return Err(MbiError::DimensionMismatch { expected: config.dim, got: vector.len() });
@@ -675,17 +676,14 @@ mod tests {
     #[test]
     fn non_finite_rows_are_rejected_before_the_seal() {
         let backend = crate::GraphBackend::NnDescent(mbi_ann::NnDescentParams::with_degree(8));
-        let config = MbiConfig::new(4, Metric::Euclidean)
-            .with_leaf_size(64)
-            .with_backend(backend)
-            .with_sq8_scan(true);
+        let config = MbiConfig::new(4, Metric::Euclidean).with_leaf_size(64).with_backend(backend);
         let mut idx = MbiIndex::new(config);
         let row = |i: usize| [i as f32, (i as f32 * 0.3).sin(), 1.0, -(i as f32)];
         for i in 0..63 {
             idx.insert(&row(i), i as i64).unwrap();
         }
         // The next accepted row seals the leaf: a NaN here used to panic
-        // NNDescent, an infinite component to poison the SQ8 column.
+        // NNDescent.
         for bad in non_finite_rows() {
             assert!(matches!(idx.insert(&bad, 63), Err(MbiError::NonFiniteVector)), "{bad:?}");
             assert_eq!(idx.len(), 63, "a rejected row leaves no trace");

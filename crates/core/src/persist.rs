@@ -2,11 +2,11 @@
 //!
 //! Time-accumulating deployments restart; rebuilding every block graph costs
 //! `O(|D|^1.14 log |D|)` (§4.4.2), so a saved index pays for itself quickly.
-//! There is one on-disk format, version 9: a single little-endian stream in
+//! There is one on-disk format, version 10: a single little-endian stream in
 //! a checksummed envelope. Everything is length-prefixed and validated on
 //! load; malformed input yields [`MbiError::Corrupt`] (carrying the byte
 //! offset where parsing failed) or [`MbiError::ChecksumMismatch`], never a
-//! panic. A header version other than 9 is `Corrupt` at byte 4 — there is
+//! panic. A header version other than 10 is `Corrupt` at byte 4 — there is
 //! no converter and no second reader.
 //!
 //! # Envelope
@@ -61,12 +61,11 @@
 //! (faulting) the rest:
 //!
 //! ```text
-//! data   := num_leaves:u64 seg_rows:u64 has_norms:u8 has_sq8:u8
+//! data   := num_leaves:u64 seg_rows:u64 has_norms:u8
 //!           leaf_dir[num_leaves] dir_crc:u32 pad(page) record[num_leaves]
 //! leaf_dir := record_off:u64 graph_off:u64 graph_len:u64
-//!             crc_ts:u32 crc_rows:u32 crc_inv:u32 crc_sq8:u32 crc_graph:u32
+//!             crc_ts:u32 crc_rows:u32 crc_inv:u32 crc_graph:u32
 //! record := ts:i64[s_l] rows:f32[s_l·d] row_crc:u32[s_l] [inv:f32[s_l]]
-//!           [mins:f32[d] deltas:f32[d] row_norm2:f32[s_l] codes:u8[s_l·d]]
 //!           pad(4) graph pad(page)
 //! blocks := num_blocks:u64 block_meta[num_blocks] meta_crc:u32 graphs
 //! block_meta := rows:u64×2 height:u32 start_ts:i64 end_ts:i64
@@ -78,8 +77,7 @@
 //! a block search needs); offsets are absolute, so the directory alone
 //! resolves any leaf. Internal (height ≥ 1) block graphs are concatenated
 //! after the block metadata; leaf block entries point back into the leaf
-//! records. The optional SQ8 column group lets quantized engines restart
-//! without re-encoding.
+//! records.
 //!
 //! `row_crc[r]` is the CRC32 of row `r`'s `d·4` bytes, and the directory's
 //! `crc_rows` is the CRC32 of the `row_crc` column, not of the rows. Graphs
@@ -127,7 +125,7 @@ use bytes::{BufMut, Bytes, BytesMut};
 use mbi_ann::mapped::Plain;
 use mbi_ann::{
     Col, EntryPolicy, FileMap, KnnGraph, NnDescentParams, SearchParams, Segment, SegmentStore,
-    Sq8Column, VectorStore, ADJACENCY_CHUNK,
+    VectorStore, ADJACENCY_CHUNK,
 };
 use mbi_math::{crc32, Metric};
 use std::io::{Read, Write};
@@ -138,7 +136,7 @@ use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"MBI1";
 /// The one format version this build writes and reads.
-const VERSION: u32 = 9;
+const VERSION: u32 = 10;
 
 const KIND_INDEX: u8 = 0;
 const KIND_SNAPSHOT: u8 = 1;
@@ -152,8 +150,8 @@ const HEADER_LEN: usize = 4 + 4 + 1;
 /// record faults only its own pages.
 pub(crate) const PAGE: usize = mbi_ann::PAGE_SIZE;
 /// Leaf-directory entry: `record_off` + `graph_off` + `graph_len` + five
-/// per-piece CRCs (ts, row CRCs, inv, sq8, graph).
-const LEAF_DIR_ENTRY_LEN: usize = 8 * 3 + 4 * 5;
+/// per-piece CRCs (ts, row CRCs, inv, graph).
+const LEAF_DIR_ENTRY_LEN: usize = 8 * 3 + 4 * 4;
 /// Block-directory entry: row range + height + timestamp span + graph
 /// location (`graph_off`, `graph_len`, `graph_crc`).
 const BLOCK_DIR_ENTRY_LEN: usize = 8 * 2 + 4 + 8 * 2 + 8 * 2 + 4;
@@ -487,7 +485,7 @@ fn decode_index_body(src: &mut Src<'_>) -> Result<MbiIndex, MbiError> {
     let mut store = if has_norms {
         src.need(n.checked_mul(4).ok_or_else(|| overflow(src))?)?;
         let at = src.pos;
-        let inv = scalars(le_vec::<f32>(src.bytes(n * 4)), at, "inverse norm", false)?;
+        let inv = inv_norms(le_vec::<f32>(src.bytes(n * 4)), at)?;
         VectorStore::from_flat_with_inv_norms(config.dim, flat, inv)
     } else {
         VectorStore::from_flat(config.dim, flat)
@@ -570,7 +568,7 @@ impl IndexSnapshot {
 
     /// Encodes the snapshot layout: a leaf directory with per-piece CRCs,
     /// then one page-aligned, self-contained record per leaf (timestamps,
-    /// rows, row CRCs, optional norm and SQ8 columns, the leaf block's
+    /// rows, row CRCs, the optional norm column, the leaf block's
     /// graph), then the block metadata with a graph directory and the
     /// internal-block graphs.
     fn encode_snapshot(&self) -> Bytes {
@@ -581,7 +579,6 @@ impl IndexSnapshot {
         let store = &self.store().share(0..self.sealed_rows());
         let num_leaves = self.num_leaves();
         let has_norms = store.segments().first().is_some_and(|s| s.has_norm_cache());
-        let has_sq8 = store.has_sq8();
 
         // Serialise every block graph up front: the directories need graph
         // lengths and CRCs before the first record byte is written.
@@ -598,15 +595,13 @@ impl IndexSnapshot {
         let rows_len = s_l * dim * 4;
         let row_crc_len = s_l * 4;
         let inv_len = if has_norms { s_l * 4 } else { 0 };
-        let sq8_len = if has_sq8 { dim * 8 + s_l * 4 + s_l * dim } else { 0 };
-        let sq8_off = ts_len + rows_len + row_crc_len + inv_len;
         // Padded so the co-located graph's edges start 4-byte aligned.
-        let payload_len = (sq8_off + sq8_len).next_multiple_of(4);
+        let payload_len = (ts_len + rows_len + row_crc_len + inv_len).next_multiple_of(4);
 
         struct LeafBlob {
             payload: Vec<u8>,
             graph: Bytes,
-            crcs: [u32; 5],
+            crcs: [u32; 4],
         }
         let mut blobs = Vec::with_capacity(num_leaves);
         for (i, (seg, chunk)) in store.segments().iter().zip(self.times().chunks()).enumerate() {
@@ -628,19 +623,6 @@ impl IndexSnapshot {
                     p.extend_from_slice(&x.to_le_bytes());
                 }
             }
-            if has_sq8 {
-                let col = seg.sq8().expect("sq8 flag implies a uniform code column");
-                for &m in col.mins() {
-                    p.extend_from_slice(&m.to_le_bytes());
-                }
-                for &d in col.deltas() {
-                    p.extend_from_slice(&d.to_le_bytes());
-                }
-                for &n2 in col.row_norm2() {
-                    p.extend_from_slice(&n2.to_le_bytes());
-                }
-                p.extend_from_slice(col.codes());
-            }
             p.resize(payload_len, 0);
             // Leaf i's graph is co-located with its record.
             let graph = graphs[layout::leaf_block(i)].clone();
@@ -649,7 +631,6 @@ impl IndexSnapshot {
                 crc32(&p[..ts_len]),
                 crc32(&p[crc_off..inv_off]),
                 if has_norms { crc32(&p[inv_off..inv_off + inv_len]) } else { 0 },
-                if has_sq8 { crc32(&p[sq8_off..sq8_off + sq8_len]) } else { 0 },
                 graph_crc(&graph, s_l),
             ];
             blobs.push(LeafBlob { payload: p, graph, crcs });
@@ -672,7 +653,6 @@ impl IndexSnapshot {
         b.put_u64_le(num_leaves as u64);
         b.put_u64_le(s_l as u64);
         b.put_u8(u8::from(has_norms));
-        b.put_u8(u8::from(has_sq8));
         let dir_end = b.len() + num_leaves * LEAF_DIR_ENTRY_LEN + 4;
         let mut record_offs = Vec::with_capacity(num_leaves);
         let mut rec_off = dir_end.next_multiple_of(PAGE);
@@ -709,7 +689,7 @@ impl IndexSnapshot {
                 let blob = &blobs[leaf_ix];
                 let off = record_offs[leaf_ix] + payload_len;
                 leaf_ix += 1;
-                (off, blob.graph.len(), blob.crcs[4])
+                (off, blob.graph.len(), blob.crcs[3])
             } else {
                 let off = g_off;
                 g_off += graphs[i].len();
@@ -799,8 +779,6 @@ pub(crate) struct LeafEntry {
     pub(crate) crc_rows: u32,
     /// CRC32 of the inverse-norm column; 0 when the stream has none.
     pub(crate) crc_inv: u32,
-    /// CRC32 of the SQ8 column group; 0 when the stream has none.
-    pub(crate) crc_sq8: u32,
     /// CRC32 of the graph's header and chunk-CRC column.
     pub(crate) crc_graph: u32,
 }
@@ -837,7 +815,6 @@ pub(crate) struct SnapshotLayout {
     pub(crate) num_leaves: usize,
     pub(crate) seg_rows: usize,
     pub(crate) has_norms: bool,
-    pub(crate) has_sq8: bool,
     pub(crate) leaves: Vec<LeafEntry>,
     pub(crate) blocks: Vec<BlockEntry>,
 }
@@ -850,12 +827,11 @@ impl SnapshotLayout {
         l.record_off..(l.graph_off + l.graph_len).next_multiple_of(PAGE)
     }
 
-    /// Decodes leaf `leaf`'s vector columns into a segment. The row CRC,
-    /// norm and SQ8 columns are checked against their directory CRCs (for
-    /// mapped bytes that pass *is* the disk read), the norm and SQ8 scalars
-    /// must be finite and in range, and a quantizing config rebuilds the
-    /// codes of a stream written without them. Copied rows are checked
-    /// against their row CRCs here; mapped rows as they are read.
+    /// Decodes leaf `leaf`'s vector columns into a segment. The row CRC and
+    /// norm columns are checked against their directory CRCs (for mapped
+    /// bytes that pass *is* the disk read), and the norms must be finite and
+    /// non-negative. Copied rows are checked against their row CRCs here;
+    /// mapped rows as they are read.
     pub(crate) fn decode_segment(
         &self,
         cols: &Columns<'_>,
@@ -866,36 +842,20 @@ impl SnapshotLayout {
         let rows_off = l.record_off + self.ts_len();
         let crc_off = rows_off + self.rows_len();
         let inv_off = crc_off + self.row_crc_len();
-        let sq8_off = inv_off + self.inv_len();
+        let inv_end = inv_off + self.inv_len();
         check_crc(&b[crc_off..inv_off], l.crc_rows, "leaf row checksums")?;
         let data = cols.col(rows_off, rows * dim)?;
         let row_crcs: Col<u32> = cols.col(crc_off, rows)?;
         let inv_norms = if self.has_norms {
-            check_crc(&b[inv_off..sq8_off], l.crc_inv, "leaf norms")?;
-            Some(scalars(cols.col(inv_off, rows)?, inv_off, "inverse norm", false)?)
+            check_crc(&b[inv_off..inv_end], l.crc_inv, "leaf norms")?;
+            Some(inv_norms(cols.col(inv_off, rows)?, inv_off)?)
         } else {
             None
         };
-        let sq8 = if self.has_sq8 {
-            check_crc(&b[sq8_off..sq8_off + self.sq8_len()], l.crc_sq8, "leaf sq8")?;
-            // Column order: mins, deltas, row norms, codes.
-            let deltas_off = sq8_off + dim * 4;
-            let norms_off = deltas_off + dim * 4;
-            let codes_off = norms_off + rows * 4;
-            Some(Sq8Column::from_cols(
-                dim,
-                cols.col(codes_off, rows * dim)?,
-                scalars(cols.col(sq8_off, dim)?, sq8_off, "sq8 min", true)?,
-                scalars(cols.col(deltas_off, dim)?, deltas_off, "sq8 delta", false)?,
-                scalars(cols.col(norms_off, rows)?, norms_off, "sq8 row norm", false)?,
-            ))
-        } else {
-            None
-        };
-        let mut seg = Segment::from_cols(dim, data, inv_norms, sq8);
+        let mut seg = Segment::from_cols(dim, data, inv_norms);
         match cols {
             Columns::Mapped { checked_bytes, .. } => {
-                checked_bytes.fetch_add((sq8_off + self.sq8_len() - crc_off) as u64, Relaxed);
+                checked_bytes.fetch_add((inv_end - crc_off) as u64, Relaxed);
                 seg = seg.with_row_check(row_crcs, Arc::clone(checked_bytes));
             }
             Columns::Copied(_) => {
@@ -904,15 +864,6 @@ impl SnapshotLayout {
                     let row = rows_off + r * row_bytes;
                     check_crc(&b[row..row + row_bytes], crc, "leaf rows")?;
                 }
-            }
-        }
-        if !self.has_sq8 && self.config.sq8_scan {
-            // A quantizing engine must see a uniformly quantized store even
-            // when restoring from a stream written without codes. Encoding
-            // reads (and so checks) every row.
-            seg.build_sq8();
-            if let Some(fault) = seg.first_fault() {
-                return Err(MbiError::from_fault("leaf rows", fault));
             }
         }
         Ok(seg)
@@ -983,21 +934,10 @@ impl SnapshotLayout {
         }
     }
 
-    /// Bytes of one record's SQ8 column group (0 when absent): mins, deltas,
-    /// row norms, codes.
-    pub(crate) fn sq8_len(&self) -> usize {
-        if self.has_sq8 {
-            self.config.dim * 8 + self.seg_rows * 4 + self.seg_rows * self.config.dim
-        } else {
-            0
-        }
-    }
-
     /// Bytes of one record before its graph, padded to 4 so the graph's
     /// edges start 4-byte aligned.
     pub(crate) fn payload_len(&self) -> usize {
-        (self.ts_len() + self.rows_len() + self.row_crc_len() + self.inv_len() + self.sq8_len())
-            .next_multiple_of(4)
+        (self.ts_len() + self.rows_len() + self.row_crc_len() + self.inv_len()).next_multiple_of(4)
     }
 }
 
@@ -1022,11 +962,10 @@ pub(crate) fn parse_layout(b: &[u8]) -> Result<SnapshotLayout, MbiError> {
 
     let (d0, d1, _) = sections[2];
     let mut d = Src::new(b, d0, d1);
-    d.need(8 + 8 + 1 + 1)?;
+    d.need(8 + 8 + 1)?;
     let num_leaves = d.get_u64_le() as usize;
     let seg_rows = d.get_u64_le() as usize;
     let has_norms = d.get_u8() != 0;
-    let has_sq8 = d.get_u8() != 0;
     if seg_rows != config.leaf_size {
         return Err(MbiError::corrupt(
             d0 + 8,
@@ -1052,7 +991,6 @@ pub(crate) fn parse_layout(b: &[u8]) -> Result<SnapshotLayout, MbiError> {
             crc_ts: d.get_u32_le(),
             crc_rows: d.get_u32_le(),
             crc_inv: d.get_u32_le(),
-            crc_sq8: d.get_u32_le(),
             crc_graph: d.get_u32_le(),
         });
     }
@@ -1060,18 +998,11 @@ pub(crate) fn parse_layout(b: &[u8]) -> Result<SnapshotLayout, MbiError> {
     // with its payload, everything inside the data section.
     let payload_len = seg_rows
         .checked_mul(8 + config.dim * 4 + 4 + usize::from(has_norms) * 4)
-        .and_then(|x| {
-            if has_sq8 {
-                x.checked_add(config.dim * 8 + seg_rows * 4 + seg_rows * config.dim)
-            } else {
-                Some(x)
-            }
-        })
         .and_then(|x| x.checked_next_multiple_of(4))
         .ok_or_else(|| ovf(d0))?;
     let mut prev_end = dir_end + 4;
     for (i, leaf) in leaves.iter().enumerate() {
-        let at = d0 + 18 + i * LEAF_DIR_ENTRY_LEN;
+        let at = d0 + 17 + i * LEAF_DIR_ENTRY_LEN;
         if leaf.record_off % PAGE != 0 {
             return Err(MbiError::corrupt(at, "leaf record not page-aligned"));
         }
@@ -1152,8 +1083,7 @@ pub(crate) fn parse_layout(b: &[u8]) -> Result<SnapshotLayout, MbiError> {
     if leaf_blocks != num_leaves {
         return Err(MbiError::corrupt(b0, "leaf record count does not match height-0 blocks"));
     }
-    let layout =
-        SnapshotLayout { config, num_leaves, seg_rows, has_norms, has_sq8, leaves, blocks };
+    let layout = SnapshotLayout { config, num_leaves, seg_rows, has_norms, leaves, blocks };
     debug_assert_eq!(payload_len, layout.payload_len());
     Ok(layout)
 }
@@ -1231,23 +1161,18 @@ macro_rules! le_scalar {
         }
     )*};
 }
-le_scalar!(u8, u32, f32, i64);
+le_scalar!(u32, f32, i64);
 
 fn le_vec<T: LeScalar>(b: &[u8]) -> Vec<T> {
     b.chunks_exact(size_of::<T>()).map(T::from_le).collect()
 }
 
-/// Passes `col` through unless it holds a non-finite scalar — or a negative
-/// one unless `signed` — which is `Corrupt` at that scalar's offset (the
-/// column starts at `off`).
-fn scalars<C: Deref<Target = [f32]>>(
-    col: C,
-    off: usize,
-    what: &str,
-    signed: bool,
-) -> Result<C, MbiError> {
-    match col.iter().position(|&x| !x.is_finite() || (!signed && x < 0.0)) {
-        Some(i) => Err(MbiError::corrupt(off + i * 4, format!("invalid {what} {}", col[i]))),
+/// Passes an inverse-norm column through unless it holds a non-finite or
+/// negative value, which is `Corrupt` at that value's offset (the column
+/// starts at `off`).
+fn inv_norms<C: Deref<Target = [f32]>>(col: C, off: usize) -> Result<C, MbiError> {
+    match col.iter().position(|&x| !x.is_finite() || x < 0.0) {
+        Some(i) => Err(MbiError::corrupt(off + i * 4, format!("invalid inverse norm {}", col[i]))),
         None => Ok(col),
     }
 }
@@ -1274,8 +1199,6 @@ fn write_config(b: &mut BytesMut, c: &MbiConfig) {
         }
     }
     b.put_u8(u8::from(c.parallel_build));
-    b.put_u8(u8::from(c.sq8_scan));
-    b.put_f32_le(c.sq8_overfetch);
     b.put_u64_le(c.ram_budget_bytes);
     b.put_u32_le(c.cache_shards.min(u32::MAX as usize) as u32);
 }
@@ -1319,14 +1242,8 @@ fn read_config(b: &mut Src<'_>) -> Result<MbiConfig, MbiError> {
         }
         t => return Err(b.corrupt(format!("unknown entry tag {t}"))),
     };
-    b.need(1 + 1 + 4)?;
+    b.need(1 + 8 + 4)?;
     let parallel_build = b.get_u8() != 0;
-    let sq8_scan = b.get_u8() != 0;
-    let sq8_overfetch = b.get_f32_le();
-    if !sq8_overfetch.is_finite() || sq8_overfetch < 1.0 {
-        return Err(b.corrupt(format!("sq8 overfetch {sq8_overfetch} out of range")));
-    }
-    b.need(8 + 4)?;
     let ram_budget_bytes = b.get_u64_le();
     let cache_shards = b.get_u32_le() as usize;
     if cache_shards == 0 {
@@ -1340,8 +1257,6 @@ fn read_config(b: &mut Src<'_>) -> Result<MbiConfig, MbiError> {
         backend,
         search: SearchParams { max_candidates, epsilon, entry },
         parallel_build,
-        sq8_scan,
-        sq8_overfetch,
         ram_budget_bytes,
         cache_shards,
     })
@@ -1501,16 +1416,6 @@ mod tests {
         idx
     }
 
-    fn build_sq8_index(n: usize, sq8: bool) -> MbiIndex {
-        let config = MbiConfig::new(3, Metric::Euclidean).with_leaf_size(16).with_sq8_scan(sq8);
-        let mut idx = MbiIndex::new(config);
-        for i in 0..n {
-            let x = i as f32;
-            idx.insert(&[x, (x * 0.2).cos(), -x], i as i64).unwrap();
-        }
-        idx
-    }
-
     fn snapshot_of(idx: &MbiIndex) -> IndexSnapshot {
         IndexSnapshot::from_index(idx).unwrap()
     }
@@ -1563,8 +1468,8 @@ mod tests {
     /// Where a clean snapshot stream keeps its two directories.
     struct Dirs {
         lay: SnapshotLayout,
-        /// Start of the data section: `num_leaves`, `seg_rows`, the flags,
-        /// then the leaf directory.
+        /// Start of the data section: `num_leaves`, `seg_rows`, the norm
+        /// flag, then the leaf directory.
         d0: usize,
         /// Start of the blocks section: `num_blocks`, then the block
         /// directory.
@@ -1578,7 +1483,7 @@ mod tests {
         }
 
         fn leaf_entry(&self, leaf: usize) -> usize {
-            self.d0 + 18 + leaf * LEAF_DIR_ENTRY_LEN
+            self.d0 + 17 + leaf * LEAF_DIR_ENTRY_LEN
         }
 
         fn block_entry(&self, block: usize) -> usize {
@@ -1586,12 +1491,11 @@ mod tests {
         }
 
         /// Rewrites leaf `leaf`'s piece CRC `k` (0 timestamps, 1 row CRCs,
-        /// 2 norms, 3 sq8) over the piece's bytes in `body`.
+        /// 2 norms) over the piece's bytes in `body`.
         fn recrc_piece(&self, body: &mut [u8], leaf: usize, k: usize) {
             let (lay, l) = (&self.lay, self.lay.leaves[leaf]);
             // The record's columns in order; the rows have no piece CRC.
-            let lens =
-                [lay.ts_len(), lay.rows_len(), lay.row_crc_len(), lay.inv_len(), lay.sq8_len()];
+            let lens = [lay.ts_len(), lay.rows_len(), lay.row_crc_len(), lay.inv_len()];
             let col = if k == 0 { 0 } else { k + 1 };
             let start = l.record_off + lens[..col].iter().sum::<usize>();
             let crc = crc32(&body[start..start + lens[col]]);
@@ -1704,18 +1608,17 @@ mod tests {
     }
 
     /// One reader means format drift is data loss: the exact bytes written
-    /// for three fixed 64-row indexes are pinned as (length, CRC32),
-    /// recorded when format v9 gave every block graph 4-byte-aligned edges
-    /// and a chunk-CRC column, and dropped the config's reserved slot.
+    /// for two fixed 64-row indexes are pinned as (length, CRC32), recorded
+    /// when format v10 dropped the quantized column group, its flag and
+    /// directory CRC, and the config's two quantizer fields.
     #[test]
-    fn v9_bytes_are_pinned() {
+    fn v10_bytes_are_pinned() {
         let pin = |b: Bytes| (b.len(), crc32(&b));
         for (idx, index_pin, snapshot_pin) in [
-            (build_index(GraphBackend::default(), 64), (21116, 0x05b8_6636), (33841, 0xc7b2_5d20)),
-            (build_angular_index(64), (21372, 0xd222_146c), (33841, 0xe327_9ed0)),
-            (build_sq8_index(64, true), (21116, 0x1547_5e25), (33841, 0xeccb_e1e4)),
+            (build_index(GraphBackend::default(), 64), (21111, 0x1d4a_dc26), (33841, 0x4817_5df0)),
+            (build_angular_index(64), (21367, 0x3506_1ce8), (33841, 0x6c82_9e00)),
         ] {
-            let what = (idx.config().metric, idx.config().sq8_scan);
+            let what = idx.config().metric;
             assert_eq!(pin(idx.to_bytes()), index_pin, "{what:?} index stream drifted");
             let snapshot = snapshot_of(&idx).to_bytes();
             assert_eq!(pin(snapshot), snapshot_pin, "{what:?} snapshot stream drifted");
@@ -1724,16 +1627,17 @@ mod tests {
 
     /// Query outputs pinned like the stream bytes: per entry policy and
     /// front-end, one CRC-32 over every answer's `(id, dist bits)` and its
-    /// five `SearchStats` counters. The index runs with `sq8_scan` on, so the
-    /// snapshot and the cold tier (budget 0: every piece reloads) traverse
-    /// and scan the code column, and `MbiIndex`'s flat store falls back to
-    /// exact. The SQ8 scorer runs through the dispatched `sq8_code_dot`
-    /// kernel, so the pins must hold on the SIMD and the forced-scalar
-    /// backend alike. The `QueryHash` row also pins the default entry policy
-    /// (re-recorded when it began seeding `C` with strided pivots); the
-    /// `Fixed` row starts every search at one vertex, so it pins the beam
-    /// loop alone (recorded on the tree that still had a second backend,
-    /// before the loop stopped taking a trait object).
+    /// five `SearchStats` counters. `MbiIndex`, the snapshot and the cold
+    /// tier (budget 0: every piece reloads) run one executor over the same
+    /// rows and graphs, so all three must give the same pin; the scores run
+    /// through the dispatched distance kernels, so the pins must hold on the
+    /// SIMD and the forced-scalar backend alike. The pins were recorded on
+    /// `MbiIndex` while the snapshot and the cold tier could still score
+    /// through quantized codes. The `QueryHash` row also pins the default
+    /// entry policy (re-recorded when it began seeding `C` with strided
+    /// pivots); the `Fixed` row starts every search at one vertex, so it pins
+    /// the beam loop alone (recorded on the tree that still had a second
+    /// backend, before the loop stopped taking a trait object).
     #[test]
     fn query_outputs_are_pinned() {
         fn transcript(bytes: &mut Vec<u8>, out: &crate::index::QueryOutput) {
@@ -1748,13 +1652,11 @@ mod tests {
         }
         let fixed = SearchParams { entry: EntryPolicy::Fixed(5), ..SearchParams::default() };
         for (name, search, pins) in [
-            ("query-hash entry", SearchParams::default(), [0xd4dd_96f5, 0xf8db_a202, 0xf8db_a202]),
-            ("fixed entry", fixed, [0x436e_504c, 0x82fa_9c8d, 0x82fa_9c8d]),
+            ("query-hash entry", SearchParams::default(), [0xd4dd_96f5; 3]),
+            ("fixed entry", fixed, [0x436e_504c; 3]),
         ] {
-            let config = MbiConfig::new(4, Metric::Euclidean)
-                .with_leaf_size(32)
-                .with_search(search)
-                .with_sq8_scan(true);
+            let config =
+                MbiConfig::new(4, Metric::Euclidean).with_leaf_size(32).with_search(search);
             let mut idx = MbiIndex::new(config);
             for i in 0..256 {
                 let x = i as f32;
@@ -1818,7 +1720,7 @@ mod tests {
     fn rejects_every_retired_version() {
         let index = build_index(GraphBackend::default(), 64);
         let snapshot = snapshot_of(&index).to_bytes();
-        for version in [2u32, 3, 4, 5, 6, 7, 8, 10] {
+        for version in [2u32, 3, 4, 5, 6, 7, 8, 9, 11] {
             let restamp = |stream: &[u8]| {
                 let mut raw = stream.to_vec();
                 put_u32(&mut raw, 4, version);
@@ -1833,7 +1735,7 @@ mod tests {
                 assert!(matches!(err, MbiError::Corrupt { offset: 4, .. }), "{err}");
                 let msg = err.to_string();
                 assert!(msg.contains(&format!("version {version}")), "{msg}");
-                assert!(msg.contains("only version 9"), "{msg}");
+                assert!(msg.contains("only version 10"), "{msg}");
             }
         }
     }
@@ -2031,8 +1933,8 @@ mod tests {
         // Per graph, per slot: where a bad edge is reported in the index
         // stream and in the snapshot stream.
         const BAD_EDGE_AT: [[(usize, usize); 3]; 2] = [
-            [(1471, 4504), (2303, 5336), (3067, 6100)],
-            [(4791, 20908), (6391, 22508), (7987, 24104)],
+            [(1466, 4504), (2298, 5336), (3062, 6100)],
+            [(4786, 20908), (6386, 22508), (7982, 24104)],
         ];
         let idx = build_index(GraphBackend::default(), 64);
         let index_stream = idx.to_bytes();
@@ -2082,6 +1984,18 @@ mod tests {
         }
     }
 
+    /// Two 256-row leaves under one root: big enough that a window over a
+    /// whole block is graph-searched, not scanned.
+    fn two_graph_searched_leaves() -> MbiIndex {
+        let config = MbiConfig::new(3, Metric::Euclidean).with_leaf_size(256);
+        let mut idx = MbiIndex::new(config);
+        for i in 0..512 {
+            let x = i as f32 * 0.37;
+            idx.insert(&[x.sin(), (x * 0.7).cos(), (x * 0.13).sin()], i as i64).unwrap();
+        }
+        idx
+    }
+
     /// One verdict per flipped graph byte: in an edge, in the chunk-CRC
     /// column and in the header, of a leaf graph and of the height-1 root,
     /// each at the adjacency chunk of the best answer of a query that
@@ -2095,12 +2009,8 @@ mod tests {
     /// never a panic or an out-of-bounds read.
     #[test]
     fn graph_chunk_verdict_table() {
-        let config = MbiConfig::new(3, Metric::Euclidean).with_leaf_size(256);
-        let mut idx = MbiIndex::new(config);
-        for i in 0..512 {
-            let x = i as f32 * 0.37;
-            idx.insert(&[x.sin(), (x * 0.7).cos(), (x * 0.13).sin()], i as i64).unwrap();
-        }
+        let idx = two_graph_searched_leaves();
+        let config = *idx.config();
         let (index_stream, snap) = (idx.to_bytes(), snapshot_of(&idx));
         let (stream, index_graphs) = (snap.to_bytes(), index_graph_offsets(&idx, &index_stream));
         let dirs = Dirs::of(&stream);
@@ -2335,7 +2245,6 @@ mod tests {
             ("num_leaves", dirs.d0, 8),
             ("seg_rows", dirs.d0 + 8, 8),
             ("has_norms", dirs.d0 + 16, 1),
-            ("has_sq8", dirs.d0 + 17, 1),
             ("num_blocks", dirs.b0, 8),
         ];
         let leaf_fields = [
@@ -2345,7 +2254,6 @@ mod tests {
             ("crc_ts", 4),
             ("crc_rows", 4),
             ("crc_inv", 4),
-            ("crc_sq8", 4),
             ("crc_graph", 4),
         ];
         let block_fields = [
@@ -2358,11 +2266,11 @@ mod tests {
             ("graph_len", 8),
             ("graph_crc", 4),
         ];
-        let entries = (0..lay.num_leaves).map(|i| (dirs.leaf_entry(i), leaf_fields));
+        let entries = (0..lay.num_leaves).map(|i| (dirs.leaf_entry(i), &leaf_fields[..]));
         for (mut at, shape) in
-            entries.chain((0..lay.blocks.len()).map(|i| (dirs.block_entry(i), block_fields)))
+            entries.chain((0..lay.blocks.len()).map(|i| (dirs.block_entry(i), &block_fields[..])))
         {
-            for (name, width) in shape {
+            for &(name, width) in shape {
                 fields.push((name, at, width));
                 at += width;
             }
@@ -2413,12 +2321,11 @@ mod tests {
                 verdicts => panic!("{what}: verdicts differ: {verdicts:?}"),
             }
         }
-        // Only the clean stream, the CRCs of its absent norm and SQ8 columns
-        // (0, so two edits each), and a timestamp edit that keeps every
-        // bound open.
-        let harmless = ["clean", "crc_inv", "crc_sq8", "timestamps [(2, 5, 38)]"];
+        // Only the clean stream, the CRC of its absent norm column (0, so
+        // two edits), and a timestamp edit that keeps every bound open.
+        let harmless = ["clean", "crc_inv", "timestamps [(2, 5, 38)]"];
         assert!(opened.iter().all(|w| harmless.iter().any(|h| w.starts_with(h))), "{opened:?}");
-        assert_eq!(opened.len(), 2 + lay.num_leaves * 2 * 2, "{opened:?}");
+        assert_eq!(opened.len(), 2 + lay.num_leaves * 2, "{opened:?}");
     }
 
     /// One verdict per row check: a flipped byte of a row and a flipped
@@ -2473,6 +2380,98 @@ mod tests {
         }
     }
 
+    /// The clean streams of `directory_verdict_table` and
+    /// `row_crc_verdict_table` (Euclidean, and its angular twin with a norm
+    /// column) and of `graph_chunk_verdict_table`, with their directories.
+    fn hostile_seeds() -> &'static [(Bytes, Dirs)] {
+        static SEEDS: std::sync::OnceLock<Vec<(Bytes, Dirs)>> = std::sync::OnceLock::new();
+        SEEDS.get_or_init(|| {
+            [
+                build_index(GraphBackend::default(), 64),
+                build_angular_index(64),
+                two_graph_searched_leaves(),
+            ]
+            .iter()
+            .map(|idx| {
+                let stream = snapshot_of(idx).to_bytes();
+                let dirs = Dirs::of(&stream);
+                (stream, dirs)
+            })
+            .collect()
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// Hostile snapshot bytes — whole random streams (bare, or behind a
+        /// valid v10 snapshot header), and the verdict tables' clean streams
+        /// with random bytes overwritten, then cut and extended, or with the
+        /// overwrites confined to the directories or to one block's graph
+        /// and every CRC over them re-sealed so the structural checks
+        /// decide — make the eager loader and a cold open plus one query
+        /// answer `Ok` or `Err`, never panic. When the eager loader accepts
+        /// a stream, the cold tier answers that query as it does.
+        #[test]
+        fn arbitrary_snapshot_bytes_never_panic(
+            kind in 0..5usize,
+            seed in 0..3usize,
+            writes in proptest::collection::vec(
+                (proptest::arbitrary::any::<usize>(), proptest::arbitrary::any::<u8>()), 1..6),
+            cut in proptest::arbitrary::any::<usize>(),
+            tail in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..300),
+            window in (proptest::arbitrary::any::<i64>(), 0i64..600),
+            budget_pick in 0..2usize,
+        ) {
+            let (clean, dirs) = &hostile_seeds()[seed];
+            let overwrite = |b: &mut [u8], range: std::ops::Range<usize>| {
+                for &(at, x) in &writes {
+                    if !range.is_empty() {
+                        b[range.start + at % range.len()] = x;
+                    }
+                }
+            };
+            let stream: Bytes = match kind {
+                0 => tail.into(),
+                1 => {
+                    let mut b = clean[..HEADER_LEN].to_vec();
+                    b.extend(tail);
+                    b.into()
+                }
+                2 => {
+                    let mut b = clean.to_vec();
+                    overwrite(&mut b, 0..clean.len());
+                    b.truncate(cut % (b.len() + 1));
+                    b.extend(tail);
+                    b.into()
+                }
+                3 => dirs.reseal(clean, |body| {
+                    let leaves = dirs.d0..dirs.leaf_entry(dirs.lay.num_leaves);
+                    let blocks = dirs.b0..dirs.block_entry(dirs.lay.blocks.len());
+                    overwrite(body, if cut.is_multiple_of(2) { leaves } else { blocks });
+                }),
+                _ => dirs.reseal_graph(clean, cut % dirs.lay.blocks.len(), |graph| {
+                    overwrite(graph, GRAPH_HEADER_LEN..graph.len());
+                }),
+            };
+            let (start, len) = window;
+            let w = TimeWindow::new(start % 700, (start % 700).saturating_add(len));
+            let eager = IndexSnapshot::from_bytes(stream.clone()).map(|snap| {
+                let q = vec![0.25f32; snap.config().dim];
+                snap.query_with_params(&q, 5, w, &snap.config().search).results
+            });
+            let budget = [0, u64::MAX][budget_pick];
+            let map = Arc::new(FileMap::from_bytes(stream.to_vec()));
+            let cold = ColdIndex::from_map_with_budget(map, budget).and_then(|cold| {
+                let q = vec![0.25f32; cold.config().dim];
+                cold.query(&q, 5, w)
+            });
+            if let Ok(want) = eager {
+                proptest::prop_assert_eq!(cold.ok(), Some(want), "kind {} seed {}", kind, seed);
+            }
+        }
+    }
+
     #[test]
     fn error_injecting_writer_surfaces_io_error() {
         let idx = build_index(GraphBackend::default(), 40);
@@ -2498,22 +2497,15 @@ mod tests {
 
     #[test]
     fn snapshot_roundtrips_and_reencodes_bit_identically() {
-        for idx in [
-            build_index(GraphBackend::default(), 64),
-            build_angular_index(64),
-            build_sq8_index(64, true),
-        ] {
+        for idx in [build_index(GraphBackend::default(), 64), build_angular_index(64)] {
             let snap = snapshot_of(&idx);
-            assert_eq!(snap.store().has_sq8(), idx.config().sq8_scan, "sq8_scan quantizes");
             let bytes = snap.to_bytes();
             assert_eq!(u32::from_le_bytes(bytes[4..8].try_into().unwrap()), VERSION);
             assert_eq!(bytes[8], KIND_SNAPSHOT);
             let loaded = IndexSnapshot::from_bytes(bytes.clone()).unwrap();
             assert_eq!(loaded.validate(), Ok(()));
-            assert_eq!(loaded.config().sq8_scan, idx.config().sq8_scan);
             for (a, b) in snap.store().segments().iter().zip(loaded.store().segments()) {
                 assert_eq!(a.inv_norms(), b.inv_norms(), "norm column survives when present");
-                assert_eq!(a.sq8(), b.sq8(), "codes and parameters survive when present");
             }
             assert_same_snapshot_answers(&snap, &loaded);
             assert_eq!(&loaded.to_bytes()[..], &bytes[..], "decode → encode is a fixed point");
@@ -2522,11 +2514,11 @@ mod tests {
 
     #[test]
     fn layout_is_page_aligned_with_colocated_graphs() {
-        let snap = snapshot_of(&build_sq8_index(64, true));
+        let snap = snapshot_of(&build_angular_index(64));
         let bytes = snap.to_bytes();
         let layout = parse_layout(&bytes).unwrap();
         assert_eq!(layout.num_leaves, 4);
-        assert!(layout.has_sq8);
+        assert!(layout.has_norms);
         assert_eq!(layout.blocks.len(), snap.blocks().len());
         let mut leaf_ix = 0;
         for (meta, block) in layout.blocks.iter().zip(snap.blocks()) {
@@ -2599,41 +2591,6 @@ mod tests {
                 corrupt_at(cold_from(&with_tag(&snapshot_stream)), "cold", &detail),
             ];
             assert!(verdicts.iter().all(Option::is_some), "backend tag {tag}: {verdicts:?}");
-        }
-    }
-
-    #[test]
-    fn quantizing_config_rebuilds_sq8_from_columnless_stream() {
-        // A stream written exact (`has_sq8 = 0`) whose config says
-        // `sq8_scan = true` must still load uniformly quantized — eagerly and
-        // through the cold tier — and answer like a natively quantized one.
-        // Crafted from the same rows written with the knob off: the config
-        // record's flag (it sits before `sq8_overfetch` and the two tier
-        // knobs) is flipped on and the stream re-sealed.
-        let exact = snapshot_of(&build_sq8_index(64, false));
-        assert!(!exact.store().has_sq8());
-        let stream = exact.to_bytes();
-        let flag_at = parse_footer(&stream).unwrap()[1].1 - (8 + 4) - 4 - 1;
-        assert_eq!(stream[flag_at], 0);
-        let sealed = refooter(&stream, |body| body[flag_at] = 1);
-        assert!(!parse_layout(&sealed).unwrap().has_sq8);
-
-        let native = snapshot_of(&build_sq8_index(64, true));
-        let loaded = IndexSnapshot::from_bytes(sealed.clone()).unwrap();
-        assert!(loaded.config().sq8_scan);
-        assert!(loaded.store().has_sq8(), "sq8_scan config quantizes columnless streams on load");
-        for (a, b) in native.store().segments().iter().zip(loaded.store().segments()) {
-            assert_eq!(a.sq8(), b.sq8(), "rebuilt codes match insert-time codes");
-        }
-        assert_same_snapshot_answers(&native, &loaded);
-
-        let cold = cold_from(&sealed).unwrap();
-        let params = native.config().search;
-        for (q, w) in [(5.0f32, (0i64, 60i64)), (30.0, (10, 50)), (55.0, (40, 64))] {
-            let w = TimeWindow::new(w.0, w.1);
-            let hot = native.query_with_params(&[q, 0.0, -q], 5, w, &params);
-            let via_cold = cold.query_with_params(&[q, 0.0, -q], 5, w, &params).unwrap();
-            assert_eq!(hot.results, via_cold.results);
         }
     }
 

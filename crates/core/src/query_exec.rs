@@ -16,8 +16,8 @@ use crate::select::{select_blocks, SearchBlockSet, TimeWindow};
 use crate::times::TimeChunks;
 use crate::Timestamp;
 use mbi_ann::{
-    brute_force_prepared, brute_force_sq8_prepared, with_thread_scratch, SearchParams,
-    SearchScratch, SearchStats, SegmentStore, VectorStore, VectorView,
+    brute_force_prepared, with_thread_scratch, SearchParams, SearchScratch, SearchStats,
+    SegmentStore, VectorStore, VectorView,
 };
 use mbi_math::{Neighbor, PreparedQuery, TopK};
 use std::cell::Cell;
@@ -237,9 +237,7 @@ where
         });
 
         // Tail: binary search + brute force (Algorithm 4 line 6 — rows no
-        // block covers have no graph, so BSBF applies). Always the exact
-        // scan, SQ8 or not: a snapshot's unbuilt leaves carry code columns,
-        // but they are served exactly until their chain is published.
+        // block covers have no graph, so BSBF applies).
         if selection.tail && !deadline.expired() {
             let tail = self.tail_rows();
             let lo = wlo.max(tail.start);
@@ -295,18 +293,10 @@ where
         }
         stats.blocks_searched += 1;
         if !graph_search_pays(self.config, k, block.len(), m) {
-            // Scan of the in-window rows of this block: quantized first
-            // pass + exact rerank when SQ8 is on (exact inside the sq8 entry
-            // point when the rows carry no code column, e.g. the flat
-            // synchronous store). Returned distances are exact either way.
+            // Exact scan of the in-window rows of this block.
             stats.blocks_bruteforced += 1;
             let view = self.store.slice(lo..hi);
-            let top = if self.config.sq8_scan {
-                brute_force_sq8_prepared(view, pq, k, self.config.sq8_overfetch, stats)
-            } else {
-                brute_force_prepared(view, pq, k, stats)
-            };
-            for n in top {
+            for n in brute_force_prepared(view, pq, k, stats) {
                 merged.offer(lo as u32 + n.id, n.dist);
             }
             return;
@@ -316,21 +306,7 @@ where
         // exactly `lo..hi`.
         let in_window = (lo - block.rows.start) as u32..(hi - block.rows.start) as u32;
         let mut filter = |lid: u32| in_window.contains(&lid);
-        if self.config.sq8_scan {
-            block.graph.search_sq8_prepared(
-                view,
-                pq,
-                k,
-                self.config.sq8_overfetch,
-                params,
-                &mut filter,
-                stats,
-                scratch,
-                buf,
-            );
-        } else {
-            block.graph.search_prepared(view, pq, k, params, &mut filter, stats, scratch, buf);
-        }
+        block.graph.search_prepared(view, pq, k, params, &mut filter, stats, scratch, buf);
         for n in buf.iter() {
             merged.offer(base + n.id, n.dist);
         }

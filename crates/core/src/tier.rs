@@ -12,8 +12,8 @@
 //!
 //! A miss copies and decodes nothing, and pays only for what the query
 //! reads. Loading a leaf checks its 4-byte-per-row CRC column (and its norm
-//! and SQ8 columns) and its graph's chunk-CRC column, not its rows or its
-//! edges; loading an internal block checks its graph's header and chunk-CRC
+//! column) and its graph's chunk-CRC column, not its rows or its edges;
+//! loading an internal block checks its graph's header and chunk-CRC
 //! column. Each row is checked against its CRC the first time any query
 //! reads it, and each chunk of 16 vertex lists — its CRC, then every id —
 //! the first time a search expands a vertex in it. A query that read a row
@@ -32,8 +32,8 @@
 //! Queries are bit-identical to the in-RAM [`IndexSnapshot`] path: selection
 //! reads the same spans and heights (here from the block directory), both
 //! run the same executor over the same `VectorSource`/`TimeSource`
-//! abstractions and the selected blocks alone, and the SQ8/f32 rows and the
-//! edges served from the map are the bytes the snapshot serialised.
+//! abstractions and the selected blocks alone, and the rows and the edges
+//! served from the map are the bytes the snapshot serialised.
 //!
 //! [`IndexSnapshot`]: crate::engine::IndexSnapshot
 
@@ -393,8 +393,8 @@ pub struct TierStats {
     /// (the next benchmark change) removes it.
     #[deprecated(note = "always 0; removed with ROADMAP item 1")]
     pub prefetches: u64,
-    /// Bytes checksummed by queries: each loaded leaf's row CRC, norm and
-    /// SQ8 columns, each loaded graph's header and chunk-CRC column, each
+    /// Bytes checksummed by queries: each loaded leaf's row CRC and norm
+    /// columns, each loaded graph's header and chunk-CRC column, each
     /// row the first time a query reads it, and each adjacency chunk the
     /// first time a search expands a vertex in it — after every load of the
     /// piece, since the check bits live in the loaded piece.
@@ -480,7 +480,7 @@ impl ColdIndex {
             hot_floor = leaf;
         }
 
-        let empty_seg = Arc::new(Segment::from_cols(config.dim, Col::from(Vec::new()), None, None));
+        let empty_seg = Arc::new(Segment::from_cols(config.dim, Col::from(Vec::new()), None));
         let cache = BlockCache::new(config.ram_budget_bytes, config.cache_shards, map.clone());
         Ok(ColdIndex {
             map,
@@ -676,11 +676,8 @@ mod tests {
     use mbi_ann::{NnDescentParams, ADJACENCY_CHUNK};
     use mbi_math::Metric;
 
-    fn build_snapshot(metric: Metric, n: usize, budget: u64, sq8: bool) -> IndexSnapshot {
-        let config = MbiConfig::new(3, metric)
-            .with_leaf_size(16)
-            .with_ram_budget_bytes(budget)
-            .with_sq8_scan(sq8);
+    fn build_snapshot(metric: Metric, n: usize, budget: u64) -> IndexSnapshot {
+        let config = MbiConfig::new(3, metric).with_leaf_size(16).with_ram_budget_bytes(budget);
         snapshot_of(config, n)
     }
 
@@ -740,7 +737,7 @@ mod tests {
     #[test]
     fn cold_matches_hot_all_metrics_all_resident() {
         for metric in [Metric::Euclidean, Metric::Angular, Metric::InnerProduct] {
-            let snap = build_snapshot(metric, 128, u64::MAX, false);
+            let snap = build_snapshot(metric, 128, u64::MAX);
             let cold = cold_with(&snap, u64::MAX);
             assert_cold_matches(&snap, &cold);
             let stats = cold.stats();
@@ -752,7 +749,7 @@ mod tests {
     #[test]
     fn cold_matches_hot_all_metrics_zero_budget() {
         for metric in [Metric::Euclidean, Metric::Angular, Metric::InnerProduct] {
-            let snap = build_snapshot(metric, 128, 0, false);
+            let snap = build_snapshot(metric, 128, 0);
             let cold = cold_with(&snap, 0);
             assert_cold_matches(&snap, &cold);
             let stats = cold.stats();
@@ -763,19 +760,8 @@ mod tests {
     }
 
     #[test]
-    fn cold_matches_hot_with_sq8() {
-        for metric in [Metric::Euclidean, Metric::Angular] {
-            for budget in [u64::MAX, 0] {
-                let snap = build_snapshot(metric, 128, budget, true);
-                let cold = cold_from(&snap);
-                assert_cold_matches(&snap, &cold);
-            }
-        }
-    }
-
-    #[test]
     fn expired_deadline_times_out_without_faulting_cold_pages() {
-        let snap = build_snapshot(Metric::Euclidean, 128, 0, false);
+        let snap = build_snapshot(Metric::Euclidean, 128, 0);
         let cold = cold_with(&snap, 0);
         let params = snap.config().search;
         let w = TimeWindow::new(0, 128);
@@ -807,7 +793,7 @@ mod tests {
     /// `None`; a deadline that never fires must not change a bit either.
     #[test]
     fn no_deadline_and_a_far_deadline_match_query_with_params_on_every_front_end() {
-        let snap = build_snapshot(Metric::Euclidean, 128, 0, false);
+        let snap = build_snapshot(Metric::Euclidean, 128, 0);
         let cold = cold_with(&snap, 0);
         let mut idx = MbiIndex::new(*snap.config());
         for i in 0..133 {
@@ -838,7 +824,7 @@ mod tests {
 
     #[test]
     fn evict_and_reread_cycles_stay_bit_identical() {
-        let snap = build_snapshot(Metric::Euclidean, 128, 0, false);
+        let snap = build_snapshot(Metric::Euclidean, 128, 0);
         let cold = cold_with(&snap, 0);
         let params = snap.config().search;
         let w = TimeWindow::new(3, 120);
@@ -856,7 +842,7 @@ mod tests {
 
     #[test]
     fn warm_cache_serves_hits() {
-        let snap = build_snapshot(Metric::Euclidean, 128, u64::MAX, false);
+        let snap = build_snapshot(Metric::Euclidean, 128, u64::MAX);
         let cold = cold_with(&snap, u64::MAX);
         let w = TimeWindow::new(0, 128);
         let query = [2.0f32, 0.0, 0.4];
@@ -936,7 +922,7 @@ mod tests {
 
     #[test]
     fn small_budget_partial_pinning() {
-        let snap = build_snapshot(Metric::Euclidean, 128, 0, false);
+        let snap = build_snapshot(Metric::Euclidean, 128, 0);
         // One leaf record (dim 3, S_L 16) spans two pages once the graph is
         // co-located; a 4-page half-budget pins the newest 1-2 leaves.
         let bytes = snap.to_bytes().to_vec();
@@ -963,7 +949,7 @@ mod tests {
     fn mixed_window_reads_after_eviction_pressure() {
         // A pseudo-random walk over windows at a tiny budget: every answer
         // must match the hot snapshot regardless of what was evicted.
-        let snap = build_snapshot(Metric::InnerProduct, 256, 3 * PAGE as u64, false);
+        let snap = build_snapshot(Metric::InnerProduct, 256, 3 * PAGE as u64);
         let cold = cold_with(&snap, 3 * PAGE as u64);
         let params = snap.config().search;
         let mut state = 0x243f6a88u64;
@@ -986,7 +972,7 @@ mod tests {
 
     #[test]
     fn corrupt_leaf_rows_surface_checksum_error() {
-        let snap = build_snapshot(Metric::Euclidean, 64, u64::MAX, false);
+        let snap = build_snapshot(Metric::Euclidean, 64, u64::MAX);
         let mut bytes = snap.to_bytes().to_vec();
         let layout = parse_layout(&bytes).unwrap();
         // Flip one byte inside leaf 0's row section; the directory CRC stays
@@ -1000,11 +986,11 @@ mod tests {
     }
 
     /// Two leaves at the benchmark's geometry (d = 128, leaf 1 024) under
-    /// one root, angular with SQ8 so every column a leaf load checks is
-    /// written: the clean stream, and a query vector that is no stored row.
+    /// one root, angular so every column a leaf load checks is written: the
+    /// clean stream, and a query vector that is no stored row.
     fn two_benchmark_leaves() -> (Vec<u8>, Vec<f32>) {
         let (dim, leaf) = (128, 1024);
-        let config = MbiConfig::new(dim, Metric::Angular).with_leaf_size(leaf).with_sq8_scan(true);
+        let config = MbiConfig::new(dim, Metric::Angular).with_leaf_size(leaf);
         let mut idx = MbiIndex::new(config);
         let mut v = vec![0.0f32; dim];
         for i in 0..2 * leaf {
@@ -1042,18 +1028,17 @@ mod tests {
         // Over both leaves the root is graph-searched; over leaf 1, leaf 1.
         let both = TimeWindow::new(0, 2 * s_l as i64);
         let leaf_1 = TimeWindow::new(s_l as i64, 2 * s_l as i64);
-        // The root search's best answer was reranked on its exact row.
+        // The root search scored its best answer on that answer's row.
         let best = cold_at_zero(clean.clone()).query(&q, 3, both).unwrap()[0].id as usize;
         let best_off = lay.leaves[best / s_l].record_off + lay.ts_len() + (best % s_l) * row_len;
         // (bytes, the section the error names, offset, length, the window of
         // a query that reads them — `None`: five rows around the flip, a
-        // scan that reranks every one of them).
+        // scan that scores every one of them).
         let mut cases = vec![
             ("rows of a scanned window", "leaf rows", rows_off, lay.rows_len(), None),
             ("a row the root search scores", "leaf rows", best_off, row_len, Some(both)),
             ("row checksums", "leaf row checksums", crc_off, lay.row_crc_len(), Some(both)),
             ("norms", "leaf norms", inv_off, lay.inv_len(), Some(both)),
-            ("sq8", "leaf sq8", inv_off + lay.inv_len(), lay.sq8_len(), Some(both)),
         ];
         for (m, w) in [(&lay.blocks[layout::leaf_block(1)], leaf_1), (root, both)] {
             let best = cold_at_zero(clean.clone()).query(&q, 3, w).unwrap()[0].id as usize;
@@ -1183,7 +1168,7 @@ mod tests {
 
     #[test]
     fn corrupt_timestamps_rejected_at_open() {
-        let snap = build_snapshot(Metric::Euclidean, 64, u64::MAX, false);
+        let snap = build_snapshot(Metric::Euclidean, 64, u64::MAX);
         let mut bytes = snap.to_bytes().to_vec();
         let layout = parse_layout(&bytes).unwrap();
         let off = layout.leaves[1].record_off + 3;
@@ -1207,7 +1192,7 @@ mod tests {
 
     #[test]
     fn open_through_file_roundtrips() {
-        let snap = build_snapshot(Metric::Euclidean, 64, u64::MAX, true);
+        let snap = build_snapshot(Metric::Euclidean, 64, u64::MAX);
         let dir = std::env::temp_dir().join("mbi_tier_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cold.mbi");

@@ -19,7 +19,6 @@ fn build_snapshot(
     leaf_size: usize,
     metric: Metric,
     tau: f64,
-    sq8: bool,
     budget: u64,
 ) -> (MbiIndex, IndexSnapshot) {
     let backend =
@@ -30,7 +29,6 @@ fn build_snapshot(
             .with_tau(tau)
             .with_backend(backend)
             .with_search(SearchParams::new(24, 1.2))
-            .with_sq8_scan(sq8)
             .with_ram_budget_bytes(budget),
     );
     for i in 0..leaves * leaf_size {
@@ -50,7 +48,6 @@ proptest! {
         leaf_size in 1usize..24,
         metric_pick in 0u8..3,
         tau_pct in 1u32..=100,
-        sq8 in any::<bool>(),
         budget_pick in 0u8..3,
         win_a in 0i64..220,
         win_len in 0i64..220,
@@ -67,7 +64,7 @@ proptest! {
             _ => u64::MAX,
         };
         let (idx, snap) =
-            build_snapshot(leaves, leaf_size, metric, tau_pct as f64 / 100.0, sq8, budget);
+            build_snapshot(leaves, leaf_size, metric, tau_pct as f64 / 100.0, budget);
         // Explicit budget so the `budget == 0` stats assertion below holds
         // even when the process runs under an MBI_RAM_BUDGET override (the
         // CI tiering job forces 0 for the whole suite).
@@ -89,12 +86,9 @@ proptest! {
             prop_assert_eq!(&hot.selection, &via_cold.selection, "selection pass {}", pass);
             let via_index = idx.query_with_params(&query, 5, w, &params);
             prop_assert_eq!(&via_index.selection.blocks, &hot.selection.blocks);
-            // The index's flat store carries no SQ8 code column, so under
-            // SQ8 it scores exactly; without SQ8 all three run the same math.
-            if !sq8 {
-                prop_assert_eq!(&via_index.results, &hot.results, "index pass {}", pass);
-                prop_assert_eq!(&via_index.stats, &hot.stats, "index stats pass {}", pass);
-            }
+            // All three run the same math over the same rows and graphs.
+            prop_assert_eq!(&via_index.results, &hot.results, "index pass {}", pass);
+            prop_assert_eq!(&via_index.stats, &hot.stats, "index stats pass {}", pass);
             prop_assert_eq!(
                 snap.exact_query(&query, 5, w),
                 cold.exact_query(&query, 5, w).expect("cold exact"),

@@ -372,7 +372,7 @@ fn http_insert_at_i64_max_is_a_bad_request() {
 #[test]
 fn non_finite_rows_are_bad_requests_on_both_protocols() {
     let (handle, addr) = start(
-        ServerConfig::new("127.0.0.1:0", index_config().with_sq8_scan(true))
+        ServerConfig::new("127.0.0.1:0", index_config())
             .with_tenant(TenantConfig::memory("alpha", "tok-a")),
     );
     let mut client = BinaryClient::connect(addr, "alpha", "tok-a").unwrap();

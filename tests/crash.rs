@@ -262,13 +262,13 @@ fn recovered_engine_answers_windowed_queries_exactly() {
 #[test]
 fn tiered_checkpoint_crash_recovers_bit_identically_and_serves_cold() {
     use mbi::ColdIndex;
-    // Cold-tier configuration: quantized scans plus a zero RAM budget (the
-    // all-cold stress setting). The engine's checkpoint file is a snapshot
+    // Cold-tier configuration: a zero RAM budget (the all-cold stress
+    // setting). The engine's checkpoint file is a snapshot
     // stream, so after a crash the same file must (a) recover the engine
     // bit-identically and (b) open directly as a ColdIndex whose answers
     // match the recovered snapshot.
     let dir = temp_dir("tiered");
-    let cold_config = config().with_sq8_scan(true).with_ram_budget_bytes(0);
+    let cold_config = config().with_ram_budget_bytes(0);
     let n = 64usize;
     {
         let engine = StreamingMbi::open(&dir, cold_config, EngineConfig::default()).unwrap();
@@ -296,7 +296,7 @@ fn tiered_checkpoint_crash_recovers_bit_identically_and_serves_cold() {
     assert_eq!(
         recovered.to_bytes(),
         oracle.to_bytes(),
-        "recovery is bit-identical with sq8 + zero RAM budget enabled"
+        "recovery is bit-identical with a zero RAM budget"
     );
     // Re-checkpoint, then serve the fresh checkpoint through the cold tier:
     // every answer must match the in-RAM snapshot that wrote it.
