@@ -51,14 +51,18 @@ pub fn brute_force_prepared(
     let mut dists: Vec<f32> = Vec::with_capacity(SCAN_BATCH.min(n));
     let mut row = 0usize;
     while row < n {
+        // One `chunk_at` per run: it checks every row of the run.
         let (flat, inv, run) = view.chunk_at(row);
-        let m = run.min(SCAN_BATCH);
-        dists.clear();
-        pq.distance_batch(&flat[..m * dim], inv.map(|s| &s[..m]), &mut dists);
-        for (j, &d) in dists.iter().enumerate() {
-            top.offer((row + j) as u32, d);
+        for at in (0..run).step_by(SCAN_BATCH) {
+            let m = (run - at).min(SCAN_BATCH);
+            dists.clear();
+            let rows = &flat[at * dim..(at + m) * dim];
+            pq.distance_batch(rows, inv.map(|s| &s[at..at + m]), &mut dists);
+            for (j, &d) in dists.iter().enumerate() {
+                top.offer((row + at + j) as u32, d);
+            }
         }
-        row += m;
+        row += run;
     }
     stats.scanned += n as u64;
     stats.dist_evals += n as u64;

@@ -50,24 +50,6 @@ pub struct MbiConfig {
     /// Build the graphs of a bottom-up merge chain in parallel (§4.2
     /// "Parallelization of MBI").
     pub parallel_build: bool,
-    /// RAM budget of the cold-tier block cache, in bytes. Only consulted by
-    /// [`crate::tier::ColdIndex`]: leaf records and internal-block graphs
-    /// loaded from a snapshot file count against this budget and the
-    /// least-recently-used ones are evicted once it is exceeded. `u64::MAX`
-    /// (the default) keeps everything resident; `0` forces every load to be
-    /// evicted as soon as it is unpinned — the all-cold stress configuration.
-    /// In-RAM indexes ignore the budget.
-    pub ram_budget_bytes: u64,
-    /// Shard count of the cold-tier block cache's LRU map; `≥ 1`. More
-    /// shards reduce lock contention under concurrent queries at the price
-    /// of a slightly less accurate global LRU order.
-    pub cache_shards: usize,
-}
-
-/// Default cold-cache shard count: enough to keep eight querying threads
-/// from serialising on one mutex while the LRU order stays close to global.
-pub(crate) fn default_cache_shards() -> usize {
-    8
 }
 
 impl MbiConfig {
@@ -82,8 +64,6 @@ impl MbiConfig {
             backend: GraphBackend::default(),
             search: SearchParams::default(),
             parallel_build: false,
-            ram_budget_bytes: u64::MAX,
-            cache_shards: default_cache_shards(),
         }
     }
 
@@ -136,23 +116,6 @@ impl MbiConfig {
         self
     }
 
-    /// Sets the cold-tier cache budget (see [`MbiConfig::ram_budget_bytes`]).
-    pub fn with_ram_budget_bytes(mut self, bytes: u64) -> Self {
-        self.ram_budget_bytes = bytes;
-        self
-    }
-
-    /// Sets the cold-tier cache shard count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0`.
-    pub fn with_cache_shards(mut self, shards: usize) -> Self {
-        assert!(shards > 0, "cache shards must be positive");
-        self.cache_shards = shards;
-        self
-    }
-
     /// Expected out-degree of a block graph — the per-visit cost factor in
     /// the query planner's scan-vs-graph dispatch (each visited vertex
     /// evaluates ≈ degree neighbour distances).
@@ -186,23 +149,6 @@ mod tests {
         let c = MbiConfig::new(4, Metric::Euclidean);
         assert_eq!(c.tau, 0.5, "§5.4.2 recommends τ = 0.5 by default");
         assert!(!c.parallel_build);
-        assert_eq!(c.ram_budget_bytes, u64::MAX, "everything resident");
-        assert_eq!(c.cache_shards, 8);
-    }
-
-    #[test]
-    fn tier_builders() {
-        let c = MbiConfig::new(4, Metric::Euclidean)
-            .with_ram_budget_bytes(1 << 20)
-            .with_cache_shards(2);
-        assert_eq!(c.ram_budget_bytes, 1 << 20);
-        assert_eq!(c.cache_shards, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "cache shards must be positive")]
-    fn zero_cache_shards_rejected() {
-        MbiConfig::new(4, Metric::Euclidean).with_cache_shards(0);
     }
 
     #[test]

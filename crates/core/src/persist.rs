@@ -2,11 +2,11 @@
 //!
 //! Time-accumulating deployments restart; rebuilding every block graph costs
 //! `O(|D|^1.14 log |D|)` (§4.4.2), so a saved index pays for itself quickly.
-//! There is one on-disk format, version 10: a single little-endian stream in
+//! There is one on-disk format, version 11: a single little-endian stream in
 //! a checksummed envelope. Everything is length-prefixed and validated on
 //! load; malformed input yields [`MbiError::Corrupt`] (carrying the byte
 //! offset where parsing failed) or [`MbiError::ChecksumMismatch`], never a
-//! panic. A header version other than 10 is `Corrupt` at byte 4 — there is
+//! panic. A header version other than 11 is `Corrupt` at byte 4 — there is
 //! no converter and no second reader.
 //!
 //! # Envelope
@@ -136,7 +136,7 @@ use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"MBI1";
 /// The one format version this build writes and reads.
-const VERSION: u32 = 10;
+const VERSION: u32 = 11;
 
 const KIND_INDEX: u8 = 0;
 const KIND_SNAPSHOT: u8 = 1;
@@ -1199,8 +1199,6 @@ fn write_config(b: &mut BytesMut, c: &MbiConfig) {
         }
     }
     b.put_u8(u8::from(c.parallel_build));
-    b.put_u64_le(c.ram_budget_bytes);
-    b.put_u32_le(c.cache_shards.min(u32::MAX as usize) as u32);
 }
 
 fn read_config(b: &mut Src<'_>) -> Result<MbiConfig, MbiError> {
@@ -1242,13 +1240,8 @@ fn read_config(b: &mut Src<'_>) -> Result<MbiConfig, MbiError> {
         }
         t => return Err(b.corrupt(format!("unknown entry tag {t}"))),
     };
-    b.need(1 + 8 + 4)?;
+    b.need(1)?;
     let parallel_build = b.get_u8() != 0;
-    let ram_budget_bytes = b.get_u64_le();
-    let cache_shards = b.get_u32_le() as usize;
-    if cache_shards == 0 {
-        return Err(b.corrupt("zero cache shards"));
-    }
     Ok(MbiConfig {
         dim,
         metric,
@@ -1257,8 +1250,6 @@ fn read_config(b: &mut Src<'_>) -> Result<MbiConfig, MbiError> {
         backend,
         search: SearchParams { max_candidates, epsilon, entry },
         parallel_build,
-        ram_budget_bytes,
-        cache_shards,
     })
 }
 
@@ -1420,8 +1411,10 @@ mod tests {
         IndexSnapshot::from_index(idx).unwrap()
     }
 
+    /// Opens `stream` cold at budget 0, where every query reloads what it
+    /// reads.
     fn cold_from(stream: &[u8]) -> Result<ColdIndex, MbiError> {
-        ColdIndex::from_map(Arc::new(FileMap::from_bytes(stream.to_vec())))
+        ColdIndex::from_map_with_budget(Arc::new(FileMap::from_bytes(stream.to_vec())), 0)
     }
 
     fn assert_same_answers(a: &MbiIndex, b: &MbiIndex) {
@@ -1609,14 +1602,14 @@ mod tests {
 
     /// One reader means format drift is data loss: the exact bytes written
     /// for two fixed 64-row indexes are pinned as (length, CRC32), recorded
-    /// when format v10 dropped the quantized column group, its flag and
-    /// directory CRC, and the config's two quantizer fields.
+    /// when format v11 dropped the config's cold-cache budget and shard
+    /// count.
     #[test]
-    fn v10_bytes_are_pinned() {
+    fn v11_bytes_are_pinned() {
         let pin = |b: Bytes| (b.len(), crc32(&b));
         for (idx, index_pin, snapshot_pin) in [
-            (build_index(GraphBackend::default(), 64), (21111, 0x1d4a_dc26), (33841, 0x4817_5df0)),
-            (build_angular_index(64), (21367, 0x3506_1ce8), (33841, 0x6c82_9e00)),
+            (build_index(GraphBackend::default(), 64), (21099, 0xfc8b_5ba6), (33841, 0xb32e_32cd)),
+            (build_angular_index(64), (21355, 0x1af5_03da), (33841, 0x97bb_f13d)),
         ] {
             let what = idx.config().metric;
             assert_eq!(pin(idx.to_bytes()), index_pin, "{what:?} index stream drifted");
@@ -1720,7 +1713,7 @@ mod tests {
     fn rejects_every_retired_version() {
         let index = build_index(GraphBackend::default(), 64);
         let snapshot = snapshot_of(&index).to_bytes();
-        for version in [2u32, 3, 4, 5, 6, 7, 8, 9, 11] {
+        for version in [2u32, 3, 4, 5, 6, 7, 8, 9, 10, 12] {
             let restamp = |stream: &[u8]| {
                 let mut raw = stream.to_vec();
                 put_u32(&mut raw, 4, version);
@@ -1735,7 +1728,7 @@ mod tests {
                 assert!(matches!(err, MbiError::Corrupt { offset: 4, .. }), "{err}");
                 let msg = err.to_string();
                 assert!(msg.contains(&format!("version {version}")), "{msg}");
-                assert!(msg.contains("only version 10"), "{msg}");
+                assert!(msg.contains("only version 11"), "{msg}");
             }
         }
     }
@@ -1923,7 +1916,8 @@ mod tests {
     /// block's row count, `u32::MAX` the padding), CRCs re-sealed. The index
     /// loader and the snapshot loader must open the stream or report
     /// `Corrupt` at the byte after the bad edge, as recorded on the reader
-    /// that decoded one edge at a time. The cold tier at budgets 0 and
+    /// that decoded one edge at a time (the index-stream offsets moved 12
+    /// bytes earlier when v11 cut the config record). The cold tier at budgets 0 and
     /// unlimited opens every stream and answers: it checks an adjacency chunk
     /// only when a search expands a vertex in it, and at 16 and 32 rows a
     /// scan always pays, so no query here expands one
@@ -1933,8 +1927,8 @@ mod tests {
         // Per graph, per slot: where a bad edge is reported in the index
         // stream and in the snapshot stream.
         const BAD_EDGE_AT: [[(usize, usize); 3]; 2] = [
-            [(1466, 4504), (2298, 5336), (3062, 6100)],
-            [(4786, 20908), (6386, 22508), (7982, 24104)],
+            [(1454, 4504), (2286, 5336), (3050, 6100)],
+            [(4774, 20908), (6374, 22508), (7970, 24104)],
         ];
         let idx = build_index(GraphBackend::default(), 64);
         let index_stream = idx.to_bytes();
@@ -2405,7 +2399,7 @@ mod tests {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
 
         /// Hostile snapshot bytes — whole random streams (bare, or behind a
-        /// valid v10 snapshot header), and the verdict tables' clean streams
+        /// valid v11 snapshot header), and the verdict tables' clean streams
         /// with random bytes overwritten, then cut and extended, or with the
         /// overwrites confined to the directories or to one block's graph
         /// and every CRC over them re-sealed so the structural checks
@@ -2554,30 +2548,13 @@ mod tests {
         assert_eq!(leaf_ix, layout.num_leaves);
     }
 
+    /// A backend tag other than NNDescent's 0 is `Corrupt` in every reader:
+    /// 1 (HNSW's, a backend since deleted) and an unknown 0xFF. The tag
+    /// follows `dim`, the metric tag, `leaf_size` and `tau`.
     #[test]
-    fn tier_knobs_roundtrip() {
-        let config = MbiConfig::new(3, Metric::Euclidean)
-            .with_leaf_size(16)
-            .with_ram_budget_bytes(123)
-            .with_cache_shards(3);
-        let mut idx = MbiIndex::new(config);
-        for i in 0..32 {
-            let x = i as f32;
-            idx.insert(&[x, 0.0, -x], i as i64).unwrap();
-        }
-        let loaded = MbiIndex::from_bytes(idx.to_bytes()).unwrap();
-        assert_eq!(loaded.config().ram_budget_bytes, 123);
-        assert_eq!(loaded.config().cache_shards, 3);
-        let loaded = IndexSnapshot::from_bytes(snapshot_of(&idx).to_bytes()).unwrap();
-        assert_eq!(loaded.config().ram_budget_bytes, 123);
-        assert_eq!(loaded.config().cache_shards, 3);
-
+    fn unknown_backend_tags_are_corrupt() {
         let idx = build_index(GraphBackend::default(), 64);
         let (index_stream, snapshot_stream) = (idx.to_bytes(), snapshot_of(&idx).to_bytes());
-
-        // A backend tag other than NNDescent's 0 is `Corrupt` in every
-        // reader: 1 (HNSW's, a backend since deleted) and an unknown 0xFF.
-        // The tag follows `dim`, the metric tag, `leaf_size` and `tau`.
         for tag in [1u8, 0xFF] {
             let with_tag = |stream: &[u8]| {
                 let at = parse_footer(stream).unwrap()[1].0 + 8 + 1 + 8 + 8;

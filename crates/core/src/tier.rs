@@ -1,5 +1,5 @@
 //! Disk-tiered cold blocks: an mmap-backed read path over a snapshot file
-//! and a sharded size-budgeted LRU block cache.
+//! and a size-budgeted LRU block cache.
 //!
 //! A [`ColdIndex`] opens a snapshot *without* decoding its payload: only
 //! the header, config, directories, and the timestamp column (8 bytes/row —
@@ -8,7 +8,7 @@
 //! eager loader uses, so both check the same CRCs and structure and refuse
 //! the same streams. Leaf records and internal-block graphs are loaded on
 //! demand as zero-copy [`Col`]-backed segments and graphs, and cached under
-//! the RAM budget of [`MbiConfig::ram_budget_bytes`].
+//! the RAM budget the index was opened with.
 //!
 //! A miss copies and decodes nothing, and pays only for what the query
 //! reads. Loading a leaf checks its 4-byte-per-row CRC column (and its norm
@@ -41,7 +41,7 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use mbi_ann::{Col, FileMap, SearchParams, SearchStats, Segment, SegmentStore, PAGE_SIZE};
@@ -56,23 +56,15 @@ use crate::query_exec::QueryTarget;
 use crate::select::{select_blocks, SearchBlockSet, TimeWindow};
 use crate::times::TimeChunks;
 
-/// One cacheable unit of the file: a leaf record (rows + side columns + its
-/// co-located graph) or an internal block's graph.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-enum PieceKey {
-    /// Leaf ordinal in time order (the i-th height-0 block in postorder).
-    Leaf(usize),
-    /// Postorder index of a height ≥ 1 block.
-    Graph(usize),
-}
-
-/// A loaded, cache-resident piece: views over the map, no copies. Cloning
+/// A loaded, cache-resident piece — one cacheable unit of the file, keyed
+/// by its block's postorder index: views over the map, no copies. Cloning
 /// is one or two `Arc` bumps.
 #[derive(Clone)]
 enum Piece {
-    /// A leaf's rows and its block.
+    /// A leaf record: its rows (and side columns) and its block, whose
+    /// graph is co-located in the record.
     Leaf(Arc<Segment>, Arc<Block>),
-    /// An internal block.
+    /// An internal block's graph.
     Graph(Arc<Block>),
 }
 
@@ -116,154 +108,107 @@ impl Piece {
     }
 }
 
-/// A freshly loaded piece plus its accounting: its page-rounded file span
-/// — charged to the budget with the piece's heap, and handed to
-/// `madvise(DONTNEED)` when the piece is evicted.
-struct LoadedPiece {
-    piece: Piece,
-    bytes: u64,
-    span: Range<usize>,
-}
-
 struct CacheEntry {
     piece: Piece,
+    /// The piece's page-rounded file span — handed to `madvise(DONTNEED)`
+    /// when the piece is evicted.
+    span: Range<usize>,
+    /// Bytes charged to the budget: the span plus the piece's heap.
     bytes: u64,
-    /// Global LRU generation of the last touch (monotone, unique).
+    /// LRU clock value of the last touch; every touch takes a new one.
     last_used: u64,
-    /// Leaf ordinal the piece covers (leftmost leaf for graphs) — the
-    /// oldest-first tie-break.
-    ord: usize,
     /// Pinned pieces (the hot suffix of leaves) are never evicted.
     pinned: bool,
-    span: Range<usize>,
 }
 
+/// The cache's state, behind its one lock.
 #[derive(Default)]
-struct CacheShard {
-    map: HashMap<PieceKey, CacheEntry>,
+struct Lru {
+    entries: HashMap<usize, CacheEntry>,
+    /// Bytes charged by `entries`.
     bytes: u64,
+    clock: u64,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
 }
 
-/// Sharded, size-budgeted LRU over loaded pieces. Loads run outside the
-/// shard lock; a double-insert race keeps the first inserted piece.
+impl Lru {
+    /// The cached piece under `key`, marked most recently used.
+    fn touch(&mut self, key: usize) -> Option<Piece> {
+        let entry = self.entries.get_mut(&key)?;
+        self.clock += 1;
+        entry.last_used = self.clock;
+        Some(entry.piece.clone())
+    }
+}
+
+/// Size-budgeted LRU over loaded pieces. Loads run outside the lock; a
+/// double-insert race keeps the first inserted piece.
 struct BlockCache {
-    shards: Vec<Mutex<CacheShard>>,
-    /// Per-shard budget: `ram_budget_bytes / cache_shards`.
-    shard_budget: u64,
-    generation: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    lru: Mutex<Lru>,
+    budget: u64,
     map: Arc<FileMap>,
 }
 
 impl BlockCache {
-    fn new(budget: u64, shards: usize, map: Arc<FileMap>) -> Self {
-        assert!(shards > 0, "cache shards must be positive");
-        BlockCache {
-            shards: (0..shards).map(|_| Mutex::new(CacheShard::default())).collect(),
-            shard_budget: budget / shards as u64,
-            generation: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            map,
-        }
-    }
-
-    fn shard_of(&self, key: PieceKey) -> usize {
-        // Keys are dense small integers; splitting leaf/graph keyspaces and
-        // striding by ordinal spreads a contiguous cover across shards.
-        let (tag, ord) = match key {
-            PieceKey::Leaf(l) => (0usize, l),
-            PieceKey::Graph(b) => (1usize, b),
-        };
-        (ord * 2 + tag) % self.shards.len()
-    }
-
-    fn lock_shard(&self, i: usize) -> std::sync::MutexGuard<'_, CacheShard> {
-        self.shards[i].lock().unwrap_or_else(|e| e.into_inner())
+    fn lock(&self) -> MutexGuard<'_, Lru> {
+        self.lru.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Returns the cached piece for `key`, or loads it via `load` (run
-    /// outside the shard lock) and inserts it, evicting LRU pieces if the
-    /// shard exceeds its budget.
-    fn get_or_load<F>(
-        &self,
-        key: PieceKey,
-        ord: usize,
-        pinned: bool,
-        load: F,
-    ) -> Result<Piece, MbiError>
+    /// outside the lock) and inserts it, evicting LRU pieces if the cache
+    /// exceeds its budget.
+    fn get_or_load<F>(&self, key: usize, load: F) -> Result<Piece, MbiError>
     where
-        F: FnOnce() -> Result<LoadedPiece, MbiError>,
+        F: FnOnce() -> Result<CacheEntry, MbiError>,
     {
-        let shard_i = self.shard_of(key);
         {
-            let mut shard = self.lock_shard(shard_i);
-            if let Some(entry) = shard.map.get_mut(&key) {
-                entry.last_used = self.generation.fetch_add(1, Relaxed);
-                self.hits.fetch_add(1, Relaxed);
-                return Ok(entry.piece.clone());
+            let mut lru = self.lock();
+            if let Some(piece) = lru.touch(key) {
+                lru.hits += 1;
+                return Ok(piece);
             }
         }
-        let loaded = load()?;
-        self.misses.fetch_add(1, Relaxed);
-        let mut shard = self.lock_shard(shard_i);
-        if let Some(entry) = shard.map.get_mut(&key) {
-            // Raced with another loader; the first insert wins, our load is
-            // discarded.
-            entry.last_used = self.generation.fetch_add(1, Relaxed);
-            return Ok(entry.piece.clone());
+        let entry = load()?;
+        let mut lru = self.lock();
+        lru.misses += 1;
+        // Raced with another loader: the first insert wins, this load is
+        // discarded.
+        if let Some(piece) = lru.touch(key) {
+            return Ok(piece);
         }
-        let piece = loaded.piece.clone();
-        shard.bytes += loaded.bytes;
-        shard.map.insert(
-            key,
-            CacheEntry {
-                piece: loaded.piece,
-                bytes: loaded.bytes,
-                last_used: self.generation.fetch_add(1, Relaxed),
-                ord,
-                pinned,
-                span: loaded.span,
-            },
-        );
-        self.evict_over_budget(&mut shard);
+        lru.bytes += entry.bytes;
+        lru.entries.insert(key, entry);
+        let piece = lru.touch(key).expect("inserted under this lock");
+        self.evict_over_budget(&mut lru);
         Ok(piece)
     }
 
     /// Evicts least-recently-used unpinned, unreferenced pieces until the
-    /// shard fits its budget (oldest leaf first among equal generations).
-    /// Pieces still pinned by an in-flight query are skipped; they become
-    /// evictable at the next pass after the query drops them.
-    fn evict_over_budget(&self, shard: &mut CacheShard) {
-        while shard.bytes > self.shard_budget {
-            let victim = shard
-                .map
+    /// cache fits its budget. Pieces still pinned by an in-flight query
+    /// are skipped; they become evictable at the next pass after the query
+    /// drops them.
+    fn evict_over_budget(&self, lru: &mut Lru) {
+        while lru.bytes > self.budget {
+            let victim = lru
+                .entries
                 .iter()
                 .filter(|(_, e)| !e.pinned && e.piece.evictable())
-                .min_by_key(|(_, e)| (e.last_used, e.ord))
-                .map(|(k, _)| *k);
+                .min_by_key(|(_, e)| e.last_used)
+                .map(|(&k, _)| k);
             let Some(key) = victim else { break };
-            let entry = shard.map.remove(&key).expect("victim chosen from this map");
-            shard.bytes -= entry.bytes;
+            let entry = lru.entries.remove(&key).expect("victim chosen from this map");
+            lru.bytes -= entry.bytes;
+            lru.evictions += 1;
             self.map.drop_pages(entry.span);
-            self.evictions.fetch_add(1, Relaxed);
         }
     }
 
-    /// Runs an eviction pass on every shard — called after each query so
-    /// over-budget pieces are demoted as soon as they are unpinned.
+    /// Runs an eviction pass — called after each query so over-budget
+    /// pieces are demoted as soon as they are unpinned.
     fn maintain(&self) {
-        for i in 0..self.shards.len() {
-            let mut shard = self.lock_shard(i);
-            self.evict_over_budget(&mut shard);
-        }
-    }
-
-    fn bytes_resident(&self) -> u64 {
-        (0..self.shards.len()).map(|i| self.lock_shard(i).bytes).sum()
+        self.evict_over_budget(&mut self.lock());
     }
 }
 
@@ -277,7 +222,7 @@ impl BlockCache {
 /// ```no_run
 /// use mbi_core::{tier::ColdIndex, TimeWindow};
 ///
-/// let cold = ColdIndex::open("snapshot.mbi").unwrap();
+/// let cold = ColdIndex::open_with_budget("snapshot.mbi", 256 << 20).unwrap();
 /// let hits = cold.query(&[0.0; 4], 10, TimeWindow::new(100, 900)).unwrap();
 /// # let _ = hits;
 /// ```
@@ -306,54 +251,58 @@ impl ColdIndex {
     /// rows are checked as they are read and the leaf's block, its graph
     /// checked as it is expanded, charged for the record's page-rounded file
     /// span (the graph included) and their heap.
-    fn load_leaf(&self, leaf: usize) -> Result<LoadedPiece, MbiError> {
+    fn load_leaf(&self, leaf: usize) -> Result<CacheEntry, MbiError> {
         let seg = self.layout.decode_segment(&self.mapped(), leaf)?;
         let block = self.layout.decode_block(&self.mapped(), layout::leaf_block(leaf))?;
         let span = self.layout.leaf_span(leaf);
         let bytes = (span.len() + seg.memory_bytes() + block.memory_bytes()) as u64;
         let piece = Piece::Leaf(Arc::new(seg), Arc::new(block));
-        Ok(LoadedPiece { piece, bytes, span })
+        Ok(CacheEntry { piece, span, bytes, last_used: 0, pinned: leaf >= self.hot_floor })
     }
 
     /// Loads internal block `bi` over the mapped bytes, its graph checked
     /// as it is expanded, charged for the graph's page-rounded file span and
     /// the block's heap.
-    fn load_graph(&self, bi: usize) -> Result<LoadedPiece, MbiError> {
+    fn load_graph(&self, bi: usize) -> Result<CacheEntry, MbiError> {
         let meta = &self.layout.blocks[bi];
         let block = self.layout.decode_block(&self.mapped(), bi)?;
         let span = meta.graph_off / PAGE_SIZE * PAGE_SIZE
             ..(meta.graph_off + meta.graph_len).next_multiple_of(PAGE_SIZE);
         let bytes = (span.len() + block.memory_bytes()) as u64;
-        Ok(LoadedPiece { piece: Piece::Graph(Arc::new(block)), bytes, span })
+        let piece = Piece::Graph(Arc::new(block));
+        Ok(CacheEntry { piece, span, bytes, last_used: 0, pinned: false })
     }
 
-    /// Fetches `key` through the cache, loading and inserting on miss.
-    fn piece(&self, key: PieceKey) -> Result<Piece, MbiError> {
-        match key {
-            PieceKey::Leaf(leaf) => {
-                let pinned = leaf >= self.hot_floor;
-                self.cache.get_or_load(key, leaf, pinned, || self.load_leaf(leaf))
-            }
-            PieceKey::Graph(bi) => {
-                let ord = self.layout.blocks[bi].rows.start / self.layout.seg_rows;
-                self.cache.get_or_load(key, ord, false, || self.load_graph(bi))
-            }
+    /// The leaf ordinal of block `bi`, if it is a leaf.
+    fn leaf_of(&self, bi: usize) -> Option<usize> {
+        let meta = &self.layout.blocks[bi];
+        (meta.height == 0).then(|| meta.rows.start / self.layout.seg_rows)
+    }
+
+    /// Fetches block `bi`'s piece through the cache, loading and inserting
+    /// on miss.
+    fn piece(&self, bi: usize) -> Result<Piece, MbiError> {
+        match self.leaf_of(bi) {
+            Some(leaf) => self.cache.get_or_load(bi, || self.load_leaf(leaf)),
+            None => self.cache.get_or_load(bi, || self.load_graph(bi)),
         }
     }
 
-    /// Expands a resolved selection into the pieces it touches: one leaf
-    /// piece per covered leaf, then the block's own piece for an internal
-    /// block. Also returns, per selected block, the index of the key whose
-    /// piece holds that block — always the last key of its group.
-    fn cover_pieces(&self, selected: &[usize]) -> (Vec<PieceKey>, Vec<usize>) {
+    /// Expands a resolved selection into the pieces it touches, as block
+    /// indices: one leaf piece per covered leaf, then the block's own piece
+    /// for an internal block. Also returns, per selected block, the index
+    /// of the key whose piece holds that block — always the last key of its
+    /// group.
+    fn cover_pieces(&self, selected: &[usize]) -> (Vec<usize>, Vec<usize>) {
         let s_l = self.layout.seg_rows;
         let mut keys = Vec::new();
         let mut holders = Vec::with_capacity(selected.len());
         for &bi in selected {
             let meta = &self.layout.blocks[bi];
-            keys.extend((meta.rows.start / s_l..meta.rows.end.div_ceil(s_l)).map(PieceKey::Leaf));
+            let leaves = meta.rows.start / s_l..meta.rows.end.div_ceil(s_l);
+            keys.extend(leaves.map(layout::leaf_block));
             if meta.height > 0 {
-                keys.push(PieceKey::Graph(bi));
+                keys.push(bi);
             }
             holders.push(keys.len() - 1);
         }
@@ -364,12 +313,12 @@ impl ColdIndex {
     /// thread: the executor's store (placeholder segments outside the
     /// cover) and the pieces. The pins hold until the caller drops them, so
     /// even a zero budget cannot evict a piece before the query reaches it.
-    fn pin(&self, keys: &[PieceKey]) -> Result<(SegmentStore, Vec<Piece>), MbiError> {
+    fn pin(&self, keys: &[usize]) -> Result<(SegmentStore, Vec<Piece>), MbiError> {
         let lay = &self.layout;
         let mut segs = vec![self.empty_seg.clone(); lay.num_leaves];
         let pieces = keys.iter().map(|&k| self.piece(k)).collect::<Result<Vec<_>, _>>()?;
         for (&key, piece) in keys.iter().zip(&pieces) {
-            if let (PieceKey::Leaf(leaf), Piece::Leaf(seg, _)) = (key, piece) {
+            if let (Some(leaf), Piece::Leaf(seg, _)) = (self.leaf_of(key), piece) {
                 segs[leaf] = Arc::clone(seg);
             }
         }
@@ -403,7 +352,7 @@ pub struct TierStats {
     pub bytes_resident: u64,
     /// Newest leaves pinned resident (never evicted).
     pub pinned_leaves: usize,
-    /// The configured budget, after any `MBI_RAM_BUDGET` override.
+    /// The RAM budget this index was opened with.
     pub budget_bytes: u64,
 }
 
@@ -419,69 +368,44 @@ impl std::fmt::Debug for ColdIndex {
 }
 
 impl ColdIndex {
-    /// Opens and maps a snapshot file.
+    /// Opens and maps a snapshot file, to be served within `budget` bytes
+    /// of cache: the newest leaves whose records fit in half of it are
+    /// pinned, and the least-recently-used of the other pieces are evicted
+    /// once the cache exceeds it. `u64::MAX` keeps everything resident; `0`
+    /// evicts every piece as soon as its query unpins it.
     ///
-    /// Only the directories and the timestamp column are read eagerly; the
-    /// environment variable `MBI_RAM_BUDGET` (bytes) overrides the persisted
-    /// [`MbiConfig::ram_budget_bytes`] for the lifetime of this handle. A
-    /// value that is not a byte count is an error, not ignored.
-    pub fn open(path: impl AsRef<Path>) -> Result<ColdIndex, MbiError> {
-        let map = FileMap::open(path.as_ref()).map_err(MbiError::Io)?;
-        Self::from_map(Arc::new(map))
-    }
-
-    /// [`Self::open`] with an explicit RAM budget, overriding both the
-    /// persisted [`MbiConfig::ram_budget_bytes`] and the `MBI_RAM_BUDGET`
-    /// environment variable.
+    /// Only the directories and the timestamp column are read eagerly.
     pub fn open_with_budget(path: impl AsRef<Path>, budget: u64) -> Result<ColdIndex, MbiError> {
         let map = FileMap::open(path.as_ref()).map_err(MbiError::Io)?;
         Self::from_map_with_budget(Arc::new(map), budget)
     }
 
-    /// Opens a cold index over an already-mapped (or in-memory) byte
-    /// buffer — the same validation and cache behaviour as [`Self::open`].
-    pub fn from_map(map: Arc<FileMap>) -> Result<ColdIndex, MbiError> {
-        Self::build(map, None)
-    }
-
-    /// [`Self::from_map`] with an explicit RAM budget (see
-    /// [`Self::open_with_budget`]).
+    /// [`Self::open_with_budget`] over an already-mapped (or in-memory) byte
+    /// buffer.
     pub fn from_map_with_budget(map: Arc<FileMap>, budget: u64) -> Result<ColdIndex, MbiError> {
-        Self::build(map, Some(budget))
-    }
-
-    /// Budget precedence: explicit caller override, then `MBI_RAM_BUDGET`,
-    /// then the value persisted in the stream's config.
-    fn build(map: Arc<FileMap>, budget_override: Option<u64>) -> Result<ColdIndex, MbiError> {
         // The open step copies the timestamp column out of the map: selection
         // and window partitioning touch it on every query, and at 8 bytes/row
         // it is ~d/2 times smaller than the vectors, so queries never fault
         // timestamp pages.
-        let (mut layout, times) = open_snapshot(map.bytes())?;
-        if let Some(b) = budget_override {
-            layout.config.ram_budget_bytes = b;
-        } else if let Ok(v) = std::env::var("MBI_RAM_BUDGET") {
-            layout.config.ram_budget_bytes = parse_ram_budget(&v)?;
-        }
-        let config = layout.config;
+        let (layout, times) = open_snapshot(map.bytes())?;
 
         // Pin the newest leaves whose records fit in half the budget: the
         // hot suffix of a time-accumulating workload. The other half is
         // left to the LRU over cold reads.
         let mut hot_floor = layout.num_leaves;
         let mut pinned_bytes: u64 = 0;
-        let half_budget = config.ram_budget_bytes / 2;
         for leaf in (0..layout.num_leaves).rev() {
             let span = layout.leaf_span(leaf).len() as u64;
-            if pinned_bytes.saturating_add(span) > half_budget {
+            if pinned_bytes.saturating_add(span) > budget / 2 {
                 break;
             }
             pinned_bytes += span;
             hot_floor = leaf;
         }
 
-        let empty_seg = Arc::new(Segment::from_cols(config.dim, Col::from(Vec::new()), None));
-        let cache = BlockCache::new(config.ram_budget_bytes, config.cache_shards, map.clone());
+        let empty_seg =
+            Arc::new(Segment::from_cols(layout.config.dim, Col::from(Vec::new()), None));
+        let cache = BlockCache { lru: Mutex::default(), budget, map: map.clone() };
         Ok(ColdIndex {
             map,
             layout,
@@ -493,8 +417,7 @@ impl ColdIndex {
         })
     }
 
-    /// The configuration the file was written with (budget possibly
-    /// overridden by `MBI_RAM_BUDGET`).
+    /// The configuration the file was written with.
     pub fn config(&self) -> &MbiConfig {
         &self.layout.config
     }
@@ -523,15 +446,15 @@ impl ColdIndex {
 
     /// Current cache counters.
     pub fn stats(&self) -> TierStats {
-        let c = &self.cache;
+        let lru = self.cache.lock();
         TierStats {
-            hits: c.hits.load(Relaxed),
-            misses: c.misses.load(Relaxed),
-            evictions: c.evictions.load(Relaxed),
+            hits: lru.hits,
+            misses: lru.misses,
+            evictions: lru.evictions,
             bytes_verified: self.checked_bytes.load(Relaxed),
-            bytes_resident: c.bytes_resident(),
+            bytes_resident: lru.bytes,
             pinned_leaves: self.layout.num_leaves - self.hot_floor,
-            budget_bytes: self.layout.config.ram_budget_bytes,
+            budget_bytes: self.cache.budget,
             ..TierStats::default()
         }
     }
@@ -617,8 +540,8 @@ impl ColdIndex {
         let seg_rows = self.layout.seg_rows;
         let lo = self.times.partition_below(window.start);
         let hi = self.times.partition_below(window.end);
-        let keys: Vec<PieceKey> = if lo < hi {
-            (lo / seg_rows..hi.div_ceil(seg_rows)).map(PieceKey::Leaf).collect()
+        let keys: Vec<usize> = if lo < hi {
+            (lo / seg_rows..hi.div_ceil(seg_rows)).map(layout::leaf_block).collect()
         } else {
             Vec::new()
         };
@@ -634,7 +557,7 @@ impl ColdIndex {
     /// too, but an answer never leaves on bad bytes.
     fn with_pinned<R>(
         &self,
-        keys: &[PieceKey],
+        keys: &[usize],
         f: impl FnOnce(&QueryTarget<'_, SegmentStore, TimeChunks>, &[Piece]) -> Result<R, MbiError>,
     ) -> Result<R, MbiError> {
         let out = self.pin(keys).and_then(|(store, pieces)| {
@@ -654,18 +577,6 @@ impl ColdIndex {
     }
 }
 
-/// Parses an `MBI_RAM_BUDGET` value: a byte count, surrounding whitespace
-/// allowed. Anything else (`512M`, `-1`, empty) is an error naming the
-/// variable and its value.
-fn parse_ram_budget(value: &str) -> Result<u64, MbiError> {
-    value.trim().parse().map_err(|_| {
-        MbiError::Io(std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            format!("MBI_RAM_BUDGET={value:?} is not a byte count"),
-        ))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -676,9 +587,8 @@ mod tests {
     use mbi_ann::{NnDescentParams, ADJACENCY_CHUNK};
     use mbi_math::Metric;
 
-    fn build_snapshot(metric: Metric, n: usize, budget: u64) -> IndexSnapshot {
-        let config = MbiConfig::new(3, metric).with_leaf_size(16).with_ram_budget_bytes(budget);
-        snapshot_of(config, n)
+    fn build_snapshot(metric: Metric, n: usize) -> IndexSnapshot {
+        snapshot_of(MbiConfig::new(3, metric).with_leaf_size(16), n)
     }
 
     fn snapshot_of(config: MbiConfig, n: usize) -> IndexSnapshot {
@@ -690,15 +600,6 @@ mod tests {
         IndexSnapshot::from_index(&idx).unwrap()
     }
 
-    fn cold_from(snap: &IndexSnapshot) -> ColdIndex {
-        let bytes = snap.to_bytes().to_vec();
-        ColdIndex::from_map(Arc::new(FileMap::from_bytes(bytes))).unwrap()
-    }
-
-    /// Opens with an explicit budget so the assertion stays valid even when
-    /// the whole test process runs under an `MBI_RAM_BUDGET` override (the
-    /// CI tiering job forces 0). Tests that assert budget-dependent stats
-    /// must use this; identity-only tests can use [`cold_from`].
     fn cold_with(snap: &IndexSnapshot, budget: u64) -> ColdIndex {
         let bytes = snap.to_bytes().to_vec();
         ColdIndex::from_map_with_budget(Arc::new(FileMap::from_bytes(bytes)), budget).unwrap()
@@ -737,7 +638,7 @@ mod tests {
     #[test]
     fn cold_matches_hot_all_metrics_all_resident() {
         for metric in [Metric::Euclidean, Metric::Angular, Metric::InnerProduct] {
-            let snap = build_snapshot(metric, 128, u64::MAX);
+            let snap = build_snapshot(metric, 128);
             let cold = cold_with(&snap, u64::MAX);
             assert_cold_matches(&snap, &cold);
             let stats = cold.stats();
@@ -749,7 +650,7 @@ mod tests {
     #[test]
     fn cold_matches_hot_all_metrics_zero_budget() {
         for metric in [Metric::Euclidean, Metric::Angular, Metric::InnerProduct] {
-            let snap = build_snapshot(metric, 128, 0);
+            let snap = build_snapshot(metric, 128);
             let cold = cold_with(&snap, 0);
             assert_cold_matches(&snap, &cold);
             let stats = cold.stats();
@@ -761,7 +662,7 @@ mod tests {
 
     #[test]
     fn expired_deadline_times_out_without_faulting_cold_pages() {
-        let snap = build_snapshot(Metric::Euclidean, 128, 0);
+        let snap = build_snapshot(Metric::Euclidean, 128);
         let cold = cold_with(&snap, 0);
         let params = snap.config().search;
         let w = TimeWindow::new(0, 128);
@@ -793,7 +694,7 @@ mod tests {
     /// `None`; a deadline that never fires must not change a bit either.
     #[test]
     fn no_deadline_and_a_far_deadline_match_query_with_params_on_every_front_end() {
-        let snap = build_snapshot(Metric::Euclidean, 128, 0);
+        let snap = build_snapshot(Metric::Euclidean, 128);
         let cold = cold_with(&snap, 0);
         let mut idx = MbiIndex::new(*snap.config());
         for i in 0..133 {
@@ -824,7 +725,7 @@ mod tests {
 
     #[test]
     fn evict_and_reread_cycles_stay_bit_identical() {
-        let snap = build_snapshot(Metric::Euclidean, 128, 0);
+        let snap = build_snapshot(Metric::Euclidean, 128);
         let cold = cold_with(&snap, 0);
         let params = snap.config().search;
         let w = TimeWindow::new(3, 120);
@@ -842,7 +743,7 @@ mod tests {
 
     #[test]
     fn warm_cache_serves_hits() {
-        let snap = build_snapshot(Metric::Euclidean, 128, u64::MAX);
+        let snap = build_snapshot(Metric::Euclidean, 128);
         let cold = cold_with(&snap, u64::MAX);
         let w = TimeWindow::new(0, 128);
         let query = [2.0f32, 0.0, 0.4];
@@ -855,14 +756,37 @@ mod tests {
         assert!(warm_stats.bytes_resident > 0);
     }
 
+    /// The budget bounds one LRU, not a share of it: at four leaf spans
+    /// the hot suffix pins two leaves and the other half holds a leaf that
+    /// is not pinned, so a second query over leaf 0 misses nothing.
+    #[test]
+    fn a_budget_that_fits_a_leaf_record_keeps_it() {
+        let snap = build_snapshot(Metric::Euclidean, 128);
+        let span = parse_layout(&snap.to_bytes()).unwrap().leaf_span(0).len() as u64;
+        let cold = cold_with(&snap, 4 * span);
+        assert_eq!(cold.stats().pinned_leaves, 2, "half the budget pins two leaves");
+        let (params, w, query) = (snap.config().search, TimeWindow::new(0, 16), [0.3f32, 0.0, 1.0]);
+        let first = cold.query_with_params(&query, 5, w, &params).unwrap();
+        assert_eq!(first.results, snap.query_with_params(&query, 5, w, &params).results);
+        let after_first = cold.stats();
+        assert!(after_first.misses > 0, "the first pass loads leaf 0: {after_first:?}");
+        let second = cold.query_with_params(&query, 5, w, &params).unwrap();
+        assert_eq!(second.results, first.results);
+        let after_second = cold.stats();
+        assert_eq!(
+            after_second.misses, after_first.misses,
+            "leaf 0 stayed cached: {after_second:?}"
+        );
+        assert_eq!(after_second.evictions, 0, "{after_second:?}");
+    }
+
     /// Four threads query one index at once, each starting the windows at
     /// a different one, so two threads load pieces of the same index
     /// concurrently: a load that loses the insert race in
     /// `BlockCache::get_or_load`, and two threads checking the same rows or
     /// adjacency chunk of a shared piece at once, must still answer like the
     /// hot snapshot — results and search counters — at budget 0 and at a
-    /// budget of two leaf records on one shard (the newest leaf pinned, one
-    /// more cached). τ = 1 selects partly covered leaves, and at k = 1 a
+    /// budget of two leaf records (the newest leaf pinned, one more cached). τ = 1 selects partly covered leaves, and at k = 1 a
     /// degree-4 graph search pays on a 16-row leaf, so leaf graphs are
     /// searched too.
     #[test]
@@ -871,8 +795,7 @@ mod tests {
         let config = MbiConfig::new(3, Metric::Euclidean)
             .with_leaf_size(16)
             .with_tau(1.0)
-            .with_backend(GraphBackend::NnDescent(nd))
-            .with_cache_shards(1);
+            .with_backend(GraphBackend::NnDescent(nd));
         let snap = snapshot_of(config, 128);
         let bytes = snap.to_bytes().to_vec();
         let two_leaves = 2 * parse_layout(&bytes).unwrap().leaf_span(0).len() as u64;
@@ -922,24 +845,13 @@ mod tests {
 
     #[test]
     fn small_budget_partial_pinning() {
-        let snap = build_snapshot(Metric::Euclidean, 128, 0);
+        let snap = build_snapshot(Metric::Euclidean, 128);
         // One leaf record (dim 3, S_L 16) spans two pages once the graph is
         // co-located; a 4-page half-budget pins the newest 1-2 leaves.
-        let bytes = snap.to_bytes().to_vec();
-        let layout_budget = (8 * PAGE) as u64;
-        // Restore (not remove) any pre-existing override afterwards so a
-        // process-wide MBI_RAM_BUDGET (the CI tiering job) stays in force
-        // for the rest of the suite.
-        let prev = std::env::var("MBI_RAM_BUDGET").ok();
-        std::env::set_var("MBI_RAM_BUDGET", layout_budget.to_string());
-        let cold = ColdIndex::from_map(Arc::new(FileMap::from_bytes(bytes)));
-        match prev {
-            Some(v) => std::env::set_var("MBI_RAM_BUDGET", v),
-            None => std::env::remove_var("MBI_RAM_BUDGET"),
-        }
-        let cold = cold.unwrap();
+        let budget = (8 * PAGE) as u64;
+        let cold = cold_with(&snap, budget);
         let stats = cold.stats();
-        assert_eq!(stats.budget_bytes, layout_budget, "env var overrides persisted budget");
+        assert_eq!(stats.budget_bytes, budget, "the budget is the one given at open");
         assert!(stats.pinned_leaves >= 1, "half the budget pins newest leaves: {stats:?}");
         assert!(stats.pinned_leaves < 8, "budget cannot pin everything: {stats:?}");
         assert_cold_matches(&snap, &cold);
@@ -949,7 +861,7 @@ mod tests {
     fn mixed_window_reads_after_eviction_pressure() {
         // A pseudo-random walk over windows at a tiny budget: every answer
         // must match the hot snapshot regardless of what was evicted.
-        let snap = build_snapshot(Metric::InnerProduct, 256, 3 * PAGE as u64);
+        let snap = build_snapshot(Metric::InnerProduct, 256);
         let cold = cold_with(&snap, 3 * PAGE as u64);
         let params = snap.config().search;
         let mut state = 0x243f6a88u64;
@@ -972,7 +884,7 @@ mod tests {
 
     #[test]
     fn corrupt_leaf_rows_surface_checksum_error() {
-        let snap = build_snapshot(Metric::Euclidean, 64, u64::MAX);
+        let snap = build_snapshot(Metric::Euclidean, 64);
         let mut bytes = snap.to_bytes().to_vec();
         let layout = parse_layout(&bytes).unwrap();
         // Flip one byte inside leaf 0's row section; the directory CRC stays
@@ -980,7 +892,7 @@ mod tests {
         // and the load must catch it lazily.
         let off = layout.leaves[0].record_off + layout.ts_len() + 5;
         bytes[off] ^= 0xff;
-        let cold = ColdIndex::from_map(Arc::new(FileMap::from_bytes(bytes))).unwrap();
+        let cold = cold_at_zero(bytes);
         let err = cold.query(&[0.0, 0.0, 0.0], 3, TimeWindow::new(0, 64)).unwrap_err();
         assert!(matches!(err, MbiError::ChecksumMismatch { section: "leaf rows", .. }), "{err}");
     }
@@ -1168,12 +1080,13 @@ mod tests {
 
     #[test]
     fn corrupt_timestamps_rejected_at_open() {
-        let snap = build_snapshot(Metric::Euclidean, 64, u64::MAX);
+        let snap = build_snapshot(Metric::Euclidean, 64);
         let mut bytes = snap.to_bytes().to_vec();
         let layout = parse_layout(&bytes).unwrap();
         let off = layout.leaves[1].record_off + 3;
         bytes[off] ^= 0x01;
-        let err = ColdIndex::from_map(Arc::new(FileMap::from_bytes(bytes))).unwrap_err();
+        let map = Arc::new(FileMap::from_bytes(bytes));
+        let err = ColdIndex::from_map_with_budget(map, 0).unwrap_err();
         assert!(
             matches!(err, MbiError::ChecksumMismatch { section: "leaf timestamps", .. }),
             "{err}"
@@ -1184,7 +1097,7 @@ mod tests {
     fn empty_snapshot_opens_and_answers() {
         let config = MbiConfig::new(4, Metric::Euclidean).with_leaf_size(8);
         let snap = IndexSnapshot::from_index(&MbiIndex::new(config)).unwrap();
-        let cold = cold_from(&snap);
+        let cold = cold_with(&snap, 0);
         assert!(cold.is_empty());
         assert_eq!(cold.query(&[0.0; 4], 3, TimeWindow::new(0, 100)).unwrap(), vec![]);
         assert_eq!(cold.exact_query(&[0.0; 4], 3, TimeWindow::new(0, 100)).unwrap(), vec![]);
@@ -1192,27 +1105,14 @@ mod tests {
 
     #[test]
     fn open_through_file_roundtrips() {
-        let snap = build_snapshot(Metric::Euclidean, 64, u64::MAX);
+        let snap = build_snapshot(Metric::Euclidean, 64);
         let dir = std::env::temp_dir().join("mbi_tier_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("cold.mbi");
         crate::persist::atomic_write(&path, &snap.to_bytes()).unwrap();
-        let cold = ColdIndex::open(&path).unwrap();
-        assert_cold_matches(&snap, &cold);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn ram_budget_override_is_a_byte_count_or_an_error() {
-        assert_eq!(parse_ram_budget("0").unwrap(), 0);
-        assert_eq!(parse_ram_budget(" 4096\n").unwrap(), 4096);
-        for bad in ["512M", "-1", "", "1e6", "18446744073709551616"] {
-            let err = parse_ram_budget(bad).unwrap_err();
-            assert!(
-                matches!(&err, MbiError::Io(e) if e.kind() == std::io::ErrorKind::InvalidInput)
-            );
-            let msg = err.to_string();
-            assert!(msg.contains(&format!("MBI_RAM_BUDGET={bad:?}")), "{bad:?}: {msg}");
+        for budget in [0, u64::MAX] {
+            assert_cold_matches(&snap, &ColdIndex::open_with_budget(&path, budget).unwrap());
         }
+        std::fs::remove_file(&path).ok();
     }
 }

@@ -861,15 +861,27 @@ mod tests {
         }
     }
 
+    /// The replication feed's first batch over `dir` (dim 2, leaf 4, from
+    /// row 0): `Ok(())` or a `WalCorrupt`'s `(segment, offset)`, in any
+    /// segment; anything else (a panic included) fails the test.
+    fn feed_verdict(dir: &Path) -> Result<(), (u64, u64)> {
+        match crate::replicate::WalFeed::new(dir, 2, 4, 0).next_batch(64) {
+            Ok(_) => Ok(()),
+            Err(MbiError::WalCorrupt { segment, offset }) => Err((segment, offset)),
+            Err(other) => panic!("hostile WAL bytes gave the feed {other:?}"),
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
 
         /// Hostile segment bytes — arbitrary bytes after a valid header,
         /// arbitrary whole files, and the verdict table's shapes with bytes
-        /// flipped, cut and appended — make recovery and the promotion gate
-        /// answer `Ok` or `WalCorrupt`, never panic, whether the segment is
-        /// the newest or has a successor. As the newest segment, the gate
-        /// accepts exactly what recovery does.
+        /// flipped, cut and appended — make recovery, the promotion gate and
+        /// the replication feed answer `Ok` or `WalCorrupt`, never panic,
+        /// whether the segment is the newest or has a successor. As the
+        /// newest segment, the gate accepts exactly what recovery does, and
+        /// the feed fails exactly where recovery does.
         #[test]
         fn arbitrary_wal_bytes_never_panic(
             kind in 0..4usize,
@@ -906,10 +918,14 @@ mod tests {
             next_header[8..16].copy_from_slice(&4u64.to_le_bytes());
             std::fs::write(middle.join(segment_file_name(4)), &next_header).unwrap();
 
+            // Recovery truncates a torn tail, so the readers go first.
             let gate = verdict(check_newest_segment(&newest, 2));
+            let fed = feed_verdict(&newest);
             let recovered = verdict(Wal::recover(&newest, 2, |_| Ok(())));
             proptest::prop_assert_eq!(gate, recovered, "{:?}", bytes);
+            proptest::prop_assert_eq!(fed, recovered.map_err(|offset| (0, offset)), "{:?}", bytes);
             verdict(check_newest_segment(&middle, 2)).unwrap();
+            let _ = feed_verdict(&middle);
             let _ = verdict(Wal::recover(&middle, 2, |_| Ok(())));
             for dir in [newest, middle] {
                 std::fs::remove_dir_all(dir).unwrap();

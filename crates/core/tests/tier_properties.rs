@@ -19,7 +19,6 @@ fn build_snapshot(
     leaf_size: usize,
     metric: Metric,
     tau: f64,
-    budget: u64,
 ) -> (MbiIndex, IndexSnapshot) {
     let backend =
         GraphBackend::NnDescent(NnDescentParams { degree: 4, max_iters: 2, ..Default::default() });
@@ -28,8 +27,7 @@ fn build_snapshot(
             .with_leaf_size(leaf_size)
             .with_tau(tau)
             .with_backend(backend)
-            .with_search(SearchParams::new(24, 1.2))
-            .with_ram_budget_bytes(budget),
+            .with_search(SearchParams::new(24, 1.2)),
     );
     for i in 0..leaves * leaf_size {
         let x = i as f32;
@@ -63,11 +61,7 @@ proptest! {
             1 => 64 * 1024,
             _ => u64::MAX,
         };
-        let (idx, snap) =
-            build_snapshot(leaves, leaf_size, metric, tau_pct as f64 / 100.0, budget);
-        // Explicit budget so the `budget == 0` stats assertion below holds
-        // even when the process runs under an MBI_RAM_BUDGET override (the
-        // CI tiering job forces 0 for the whole suite).
+        let (idx, snap) = build_snapshot(leaves, leaf_size, metric, tau_pct as f64 / 100.0);
         let cold = ColdIndex::from_map_with_budget(
             Arc::new(FileMap::from_bytes(snap.to_bytes().to_vec())),
             budget,

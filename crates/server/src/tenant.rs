@@ -354,9 +354,9 @@ impl TenantRegistry {
     /// Builds every tenant's engine from the server config.
     ///
     /// Shared-resource division: `engine.builder_threads` is split evenly
-    /// across streaming tenants (each gets at least 1), and the index
-    /// config's `ram_budget_bytes` is split evenly across cold tenants —
-    /// the documented approximation of one shared pool/budget.
+    /// across streaming tenants (each gets at least 1), and
+    /// `cold_budget_bytes` is split evenly across cold tenants — the
+    /// documented approximation of one shared pool/budget.
     pub fn build(config: &ServerConfig) -> Result<TenantRegistry, MbiError> {
         let invalid =
             |msg: String| MbiError::Io(std::io::Error::new(std::io::ErrorKind::InvalidInput, msg));
@@ -413,7 +413,7 @@ impl TenantRegistry {
             });
         }
         if let Some(path) = &tc.cold_path {
-            let share = config.index.ram_budget_bytes / cold_count;
+            let share = config.cold_budget_bytes / cold_count;
             return Ok(TenantEngine::Cold(Box::new(ColdIndex::open_with_budget(path, share)?)));
         }
         if let Some(dir) = &tc.dir {

@@ -262,16 +262,15 @@ fn recovered_engine_answers_windowed_queries_exactly() {
 #[test]
 fn tiered_checkpoint_crash_recovers_bit_identically_and_serves_cold() {
     use mbi::ColdIndex;
-    // Cold-tier configuration: a zero RAM budget (the all-cold stress
-    // setting). The engine's checkpoint file is a snapshot
-    // stream, so after a crash the same file must (a) recover the engine
-    // bit-identically and (b) open directly as a ColdIndex whose answers
-    // match the recovered snapshot.
+    // The engine's checkpoint file is a snapshot stream, so after a crash
+    // the same file must (a) recover the engine bit-identically and (b) open
+    // directly as a ColdIndex at a zero RAM budget (the all-cold stress
+    // setting) whose answers match the recovered snapshot.
     let dir = temp_dir("tiered");
-    let cold_config = config().with_ram_budget_bytes(0);
+    let cfg = config();
     let n = 64usize;
     {
-        let engine = StreamingMbi::open(&dir, cold_config, EngineConfig::default()).unwrap();
+        let engine = StreamingMbi::open(&dir, cfg, EngineConfig::default()).unwrap();
         for i in 0..48usize {
             engine.insert(&row(i), i as i64).unwrap();
         }
@@ -286,22 +285,18 @@ fn tiered_checkpoint_crash_recovers_bit_identically_and_serves_cold() {
     // live name. Recovery must shrug the leftover off.
     std::fs::write(dir.join(format!("{SNAPSHOT_FILE}.tmp")), b"torn mid-checkpoint").unwrap();
     let engine = StreamingMbi::recover(&dir, EngineConfig::default()).unwrap();
-    assert_eq!(engine.len(), n, "recovered row count with tiering config");
+    assert_eq!(engine.len(), n, "recovered row count");
     let recovered = engine.to_index();
     assert_eq!(recovered.validate(), Ok(()));
-    let mut oracle = MbiIndex::new(cold_config);
+    let mut oracle = MbiIndex::new(cfg);
     for i in 0..n {
         oracle.insert(&row(i), i as i64).unwrap();
     }
-    assert_eq!(
-        recovered.to_bytes(),
-        oracle.to_bytes(),
-        "recovery is bit-identical with a zero RAM budget"
-    );
+    assert_eq!(recovered.to_bytes(), oracle.to_bytes(), "recovery is bit-identical");
     // Re-checkpoint, then serve the fresh checkpoint through the cold tier:
     // every answer must match the in-RAM snapshot that wrote it.
     engine.checkpoint().unwrap();
-    let cold = ColdIndex::open(dir.join(SNAPSHOT_FILE)).unwrap();
+    let cold = ColdIndex::open_with_budget(dir.join(SNAPSHOT_FILE), 0).unwrap();
     let snap = engine.snapshot();
     assert_eq!(cold.len(), snap.sealed_rows());
     for (s, e) in [(0i64, n as i64), (3, 40), (17, 18), (50, 64)] {
@@ -309,7 +304,7 @@ fn tiered_checkpoint_crash_recovers_bit_identically_and_serves_cold() {
         let q = row(11);
         assert_eq!(
             cold.query(&q, 5, w).unwrap(),
-            snap.query_with_params(&q, 5, w, &cold_config.search).results,
+            snap.query_with_params(&q, 5, w, &cfg.search).results,
             "cold tier answer for window [{s},{e})"
         );
         assert_eq!(cold.exact_query(&q, 5, w).unwrap(), snap.exact_query(&q, 5, w));
