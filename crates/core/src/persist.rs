@@ -1601,9 +1601,7 @@ mod tests {
     }
 
     /// One reader means format drift is data loss: the exact bytes written
-    /// for two fixed 64-row indexes are pinned as (length, CRC32), recorded
-    /// when format v11 dropped the config's cold-cache budget and shard
-    /// count.
+    /// for two fixed 64-row indexes are pinned as (length, CRC32).
     #[test]
     fn v11_bytes_are_pinned() {
         let pin = |b: Bytes| (b.len(), crc32(&b));
@@ -1916,8 +1914,7 @@ mod tests {
     /// block's row count, `u32::MAX` the padding), CRCs re-sealed. The index
     /// loader and the snapshot loader must open the stream or report
     /// `Corrupt` at the byte after the bad edge, as recorded on the reader
-    /// that decoded one edge at a time (the index-stream offsets moved 12
-    /// bytes earlier when v11 cut the config record). The cold tier at budgets 0 and
+    /// that decoded one edge at a time. The cold tier at budgets 0 and
     /// unlimited opens every stream and answers: it checks an adjacency chunk
     /// only when a search expands a vertex in it, and at 16 and 32 rows a
     /// scan always pays, so no query here expands one

@@ -786,9 +786,9 @@ mod tests {
     /// `BlockCache::get_or_load`, and two threads checking the same rows or
     /// adjacency chunk of a shared piece at once, must still answer like the
     /// hot snapshot — results and search counters — at budget 0 and at a
-    /// budget of two leaf records (the newest leaf pinned, one more cached). τ = 1 selects partly covered leaves, and at k = 1 a
-    /// degree-4 graph search pays on a 16-row leaf, so leaf graphs are
-    /// searched too.
+    /// budget of two leaf records (the newest leaf pinned, one more
+    /// cached). τ = 1 selects partly covered leaves, and at k = 1 a degree-4
+    /// graph search pays on a 16-row leaf, so leaf graphs are searched too.
     #[test]
     fn concurrent_queries_on_one_index_match_hot() {
         let nd = NnDescentParams { degree: 4, max_iters: 2, ..Default::default() };

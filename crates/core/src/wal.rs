@@ -851,25 +851,20 @@ mod tests {
         ]
     }
 
-    /// `Ok(())` or the offset of a `WalCorrupt` in segment 0; anything
-    /// else (a panic included) fails the test.
-    fn verdict<T>(r: Result<T, MbiError>) -> Result<(), u64> {
+    /// `Ok(())` or a `WalCorrupt`'s `(segment, offset)`, in any segment;
+    /// anything else (a panic included) fails the test.
+    fn verdict<T>(r: Result<T, MbiError>) -> Result<(), (u64, u64)> {
         match r {
             Ok(_) => Ok(()),
-            Err(MbiError::WalCorrupt { segment: 0, offset }) => Err(offset),
+            Err(MbiError::WalCorrupt { segment, offset }) => Err((segment, offset)),
             Err(other) => panic!("hostile WAL bytes gave {other:?}"),
         }
     }
 
     /// The replication feed's first batch over `dir` (dim 2, leaf 4, from
-    /// row 0): `Ok(())` or a `WalCorrupt`'s `(segment, offset)`, in any
-    /// segment; anything else (a panic included) fails the test.
-    fn feed_verdict(dir: &Path) -> Result<(), (u64, u64)> {
-        match crate::replicate::WalFeed::new(dir, 2, 4, 0).next_batch(64) {
-            Ok(_) => Ok(()),
-            Err(MbiError::WalCorrupt { segment, offset }) => Err((segment, offset)),
-            Err(other) => panic!("hostile WAL bytes gave the feed {other:?}"),
-        }
+    /// row 0).
+    fn feed(dir: &Path) -> Result<Vec<crate::replicate::ReplEvent>, MbiError> {
+        crate::replicate::WalFeed::new(dir, 2, 4, 0).next_batch(64)
     }
 
     proptest::proptest! {
@@ -920,12 +915,12 @@ mod tests {
 
             // Recovery truncates a torn tail, so the readers go first.
             let gate = verdict(check_newest_segment(&newest, 2));
-            let fed = feed_verdict(&newest);
+            let fed = verdict(feed(&newest));
             let recovered = verdict(Wal::recover(&newest, 2, |_| Ok(())));
             proptest::prop_assert_eq!(gate, recovered, "{:?}", bytes);
-            proptest::prop_assert_eq!(fed, recovered.map_err(|offset| (0, offset)), "{:?}", bytes);
+            proptest::prop_assert_eq!(fed, recovered, "{:?}", bytes);
             verdict(check_newest_segment(&middle, 2)).unwrap();
-            let _ = feed_verdict(&middle);
+            let _ = verdict(feed(&middle));
             let _ = verdict(Wal::recover(&middle, 2, |_| Ok(())));
             for dir in [newest, middle] {
                 std::fs::remove_dir_all(dir).unwrap();

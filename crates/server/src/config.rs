@@ -115,11 +115,6 @@ pub struct ServerConfig {
     /// stealing — an idle tenant's builders sleep on their queue and cost
     /// nothing.
     pub engine: EngineConfig,
-    /// RAM budget of the cold tenants' block caches, in bytes: split evenly
-    /// across cold tenants, each opening its file at its share (see
-    /// [`ColdIndex::open_with_budget`](mbi_core::ColdIndex::open_with_budget)).
-    /// `u64::MAX` (the default) keeps everything resident.
-    pub cold_budget_bytes: u64,
     /// Accepted-connection cap; beyond it new connections get an immediate
     /// overload response and are closed.
     pub max_connections: usize,
@@ -156,7 +151,6 @@ impl ServerConfig {
             addr: addr.into(),
             index,
             engine: EngineConfig::default(),
-            cold_budget_bytes: u64::MAX,
             max_connections: 256,
             max_inflight: 64,
             default_deadline: Some(Duration::from_secs(2)),

@@ -354,9 +354,9 @@ impl TenantRegistry {
     /// Builds every tenant's engine from the server config.
     ///
     /// Shared-resource division: `engine.builder_threads` is split evenly
-    /// across streaming tenants (each gets at least 1), and
-    /// `cold_budget_bytes` is split evenly across cold tenants — the
-    /// documented approximation of one shared pool/budget.
+    /// across streaming tenants (each gets at least 1) — the documented
+    /// approximation of one shared pool. A cold tenant opens its file with
+    /// an unlimited cache budget: every block it touches stays resident.
     pub fn build(config: &ServerConfig) -> Result<TenantRegistry, MbiError> {
         let invalid =
             |msg: String| MbiError::Io(std::io::Error::new(std::io::ErrorKind::InvalidInput, msg));
@@ -374,13 +374,11 @@ impl TenantRegistry {
             }
         }
         let streaming = config.tenants.iter().filter(|t| t.cold_path.is_none()).count().max(1);
-        let cold_count =
-            config.tenants.iter().filter(|t| t.cold_path.is_some()).count().max(1) as u64;
         let mut engine = config.engine;
         engine.builder_threads = (engine.builder_threads / streaming).max(1);
         let mut tenants = Vec::with_capacity(config.tenants.len());
         for tc in &config.tenants {
-            let engine_impl = Self::build_engine(config, tc, engine, cold_count)?;
+            let engine_impl = Self::build_engine(config, tc, engine)?;
             tenants.push(Arc::new(Tenant {
                 name: tc.name.clone(),
                 token: tc.token.clone(),
@@ -396,7 +394,6 @@ impl TenantRegistry {
         config: &ServerConfig,
         tc: &TenantConfig,
         engine: mbi_core::EngineConfig,
-        cold_count: u64,
     ) -> Result<TenantEngine, MbiError> {
         if let Some(source) = &tc.replica_of {
             let dir = tc.dir.as_ref().ok_or_else(|| {
@@ -413,8 +410,7 @@ impl TenantRegistry {
             });
         }
         if let Some(path) = &tc.cold_path {
-            let share = config.cold_budget_bytes / cold_count;
-            return Ok(TenantEngine::Cold(Box::new(ColdIndex::open_with_budget(path, share)?)));
+            return Ok(TenantEngine::Cold(Box::new(ColdIndex::open_with_budget(path, u64::MAX)?)));
         }
         if let Some(dir) = &tc.dir {
             return Ok(TenantEngine::Streaming(StreamingMbi::open(dir, config.index, engine)?));
