@@ -3,31 +3,30 @@
 //! other documented exception).
 //!
 //! The build environment vendors no `libc`/`memmap2`, so on x86-64 Linux the
-//! `mmap`/`munmap`/`madvise` calls are issued as raw syscalls via
+//! `mmap`/`munmap` calls are issued as raw syscalls via
 //! `core::arch::asm!`. Every other platform (and any map failure) falls back
 //! to reading the whole file into an owned buffer, which keeps behaviour —
 //! though not residency — identical.
 //!
 //! Two building blocks live here:
 //!
-//! * [`FileMap`] — a read-only mapping of one file whose pages the tier
-//!   layer [drops](FileMap::drop_pages) (`madvise(DONTNEED)`) when the
-//!   block cache evicts a piece.
+//! * [`FileMap`] — a read-only mapping of one file. Its pages are clean and
+//!   file-backed, so the kernel's page cache keeps or reclaims them; nothing
+//!   here tracks or drops residency.
 //! * [`Col<T>`] — an owned-**or**-mapped typed column. Sealed segments built
-//!   in RAM own `Vec<T>`s exactly as before; segments rehydrated from a
-//!   checkpoint view the mapped bytes in place (zero copy, verified by CRC at
-//!   load time). Both deref to `[T]`, so every kernel downstream is oblivious
-//!   to where the bytes live.
+//!   in RAM own `Vec<T>`s; segments of a cold index view the mapped bytes in
+//!   place (zero copy, checked by CRC on first read). Both deref to `[T]`,
+//!   so every kernel downstream is oblivious to where the bytes live.
 
 #![allow(unsafe_code)]
 
 use std::fs::File;
-use std::ops::{Deref, Range};
+use std::ops::Deref;
 use std::path::Path;
 use std::sync::Arc;
 
-/// Page size assumed for alignment and `madvise` granularity. Linux x86-64
-/// uses 4 KiB pages; the persist layer aligns leaf records to this.
+/// Page size assumed for alignment. Linux x86-64 uses 4 KiB pages; the
+/// persist layer aligns leaf records to this.
 pub const PAGE_SIZE: usize = 4096;
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
@@ -37,10 +36,8 @@ mod sys {
 
     const SYS_MMAP: usize = 9;
     const SYS_MUNMAP: usize = 11;
-    const SYS_MADVISE: usize = 28;
     const PROT_READ: usize = 1;
     const MAP_PRIVATE: usize = 2;
-    const MADV_DONTNEED: usize = 4;
 
     /// Raw 6-argument Linux syscall.
     ///
@@ -98,15 +95,6 @@ mod sys {
             let _ = syscall6(SYS_MUNMAP, addr as usize, len, 0, 0, 0, 0);
         }
     }
-
-    /// Issues `madvise(DONTNEED)` for a sub-range of a live mapping.
-    /// Advisory only: a failure changes performance, never correctness, so
-    /// errors are ignored.
-    pub(super) fn dont_need(addr: *const u8, len: usize) {
-        unsafe {
-            let _ = syscall6(SYS_MADVISE, addr as usize, len, MADV_DONTNEED, 0, 0, 0);
-        }
-    }
 }
 
 /// How the file's bytes are held.
@@ -115,8 +103,8 @@ enum Backing {
     /// Live `mmap` region (Linux x86-64 with a successful map).
     #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
     Mapped { addr: *const u8, len: usize },
-    /// Whole file buffered in memory — the portable fallback. `drop_pages`
-    /// is a no-op: everything is always resident. The `len` bytes live in `u64`
+    /// Whole file buffered in memory — the portable fallback: everything is
+    /// always resident. The `len` bytes live in `u64`
     /// words so the base is 8-byte aligned like a mapping's page-aligned
     /// one: [`Col`] views `f32`/`i64` columns in place at offsets the
     /// format aligns relative to the file start.
@@ -215,22 +203,6 @@ impl FileMap {
             },
         }
     }
-
-    /// Drops the resident pages of `range`, widened to page boundaries
-    /// (`madvise(DONTNEED)`); the next touch re-faults them from the file.
-    /// Advisory: a no-op on the buffered fallback and on any kernel error.
-    pub fn drop_pages(&self, range: Range<usize>) {
-        #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-        if let Backing::Mapped { addr, len } = &self.backing {
-            let start = (range.start.min(*len) / PAGE_SIZE) * PAGE_SIZE;
-            let end = range.end.min(*len).next_multiple_of(PAGE_SIZE).min(*len);
-            if end > start {
-                sys::dont_need(unsafe { addr.add(start) }, end - start);
-            }
-            return;
-        }
-        let _ = range;
-    }
 }
 
 impl Drop for FileMap {
@@ -313,7 +285,7 @@ impl<T: Plain> Col<T> {
     }
 
     /// Bytes of *heap* memory this column owns (0 for mapped columns — their
-    /// residency is charged to the block cache, not the segment).
+    /// pages belong to the kernel's page cache).
     pub fn heap_bytes(&self) -> usize {
         match self {
             Col::Owned(v) => v.capacity() * std::mem::size_of::<T>(),
@@ -388,17 +360,6 @@ mod tests {
         assert_eq!(map.bytes(), &data[..]);
         #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
         assert!(map.is_mapped(), "linux/x86-64 must take the real mmap path");
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn drop_pages_is_safe_on_any_range() {
-        let data = vec![3u8; 3 * PAGE_SIZE + 100];
-        let path = temp_file("drop_pages", &data);
-        let map = FileMap::open(&path).unwrap();
-        map.drop_pages(PAGE_SIZE + 1..2 * PAGE_SIZE + 7);
-        map.drop_pages(map.len()..map.len() + 999); // clamped
-        assert_eq!(map.bytes()[PAGE_SIZE + 500], 3, "pages re-fault after drop_pages");
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -22,8 +22,8 @@ use std::sync::Arc;
 /// copy, its write-side tail, and every published snapshot.
 ///
 /// The buffers are [`Col`]s: heap-owned for segments sealed in RAM,
-/// mapped-in-place for segments the storage tier rehydrates straight from a
-/// checkpoint file. Every search kernel sees a plain slice either way, so hot
+/// mapped-in-place for the segments of a cold index opened straight from a
+/// snapshot file. Every search kernel sees a plain slice either way, so hot
 /// and cold segments are bit-identical to scan.
 ///
 /// A mapped segment may carry per-row CRC-32s
@@ -205,8 +205,8 @@ impl Segment {
     /// Bytes of heap memory held by this segment — raw vectors, the
     /// inverse-norm column (the flat store's `memory_bytes` historically
     /// forgot the column; both now count it), and the row check's verified
-    /// bits. Mapped columns report 0: their residency
-    /// belongs to the storage tier's block cache, not the segment.
+    /// bits. Mapped columns report 0: their pages belong to the kernel's
+    /// page cache, not the segment.
     pub fn memory_bytes(&self) -> usize {
         self.data.heap_bytes()
             + self.inv_norms.as_ref().map_or(0, Col::heap_bytes)
@@ -313,31 +313,6 @@ impl SegmentStore {
             );
         }
         self.segments.push(seg);
-    }
-
-    /// Assembles a full-width store from pre-pinned segments — the storage
-    /// tier's per-query path. Slot `i` covers global rows
-    /// `i*seg_rows..(i+1)*seg_rows`; slots for blocks *outside* the query's
-    /// selection cover may hold a shared **empty placeholder** segment.
-    /// Touching a placeholder row panics (slice out of bounds) rather than
-    /// returning wrong data, which makes any selection/cover mismatch a loud
-    /// logic bug instead of silent corruption.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dim == 0`, `seg_rows == 0`, or a non-empty segment has the
-    /// wrong dimension or row count. Column-presence uniformity is *not*
-    /// required across slots (placeholders carry no columns).
-    pub fn from_pinned(dim: usize, seg_rows: usize, segments: Vec<Arc<Segment>>) -> Self {
-        assert!(dim > 0, "vector dimension must be positive");
-        assert!(seg_rows > 0, "segment size must be positive");
-        for seg in &segments {
-            if !seg.is_empty() {
-                assert_eq!(seg.dim(), dim, "segment has wrong dimension");
-                assert_eq!(seg.len(), seg_rows, "segment has wrong row count");
-            }
-        }
-        SegmentStore { dim, seg_rows, segments }
     }
 
     /// Row `i`.

@@ -73,7 +73,7 @@ use crate::config::MbiConfig;
 use crate::error::MbiError;
 use crate::index::{check_row, validate_blocks, validate_edges, MbiIndex, QueryOutput, TknnResult};
 use crate::query_exec::QueryTarget;
-use crate::select::TimeWindow;
+use crate::select::{SearchBlockSet, TimeWindow};
 use crate::times::TimeChunks;
 use crate::Timestamp;
 use mbi_ann::{
@@ -409,11 +409,29 @@ impl IndexSnapshot {
         params: &SearchParams,
         deadline: Option<Instant>,
     ) -> QueryOutput {
-        let target = self.target();
+        self.search(query, k, window, params, &self.selection(window), deadline)
+    }
+
+    /// The blocks, and whether the unbuilt leaves, a query over `window`
+    /// searches (Algorithm 4 line 3): block metadata alone, no row read.
+    pub(crate) fn selection(&self, window: TimeWindow) -> SearchBlockSet {
         let meta = |i| self.blocks.get(i).select_meta();
-        let selection = target.block_selection(window, self.config.tau, meta);
+        self.target().block_selection(window, self.config.tau, meta)
+    }
+
+    /// The rest of [`Self::query_with_deadline`]: searches what
+    /// `selection` names.
+    pub(crate) fn search(
+        &self,
+        query: &[f32],
+        k: usize,
+        window: TimeWindow,
+        params: &SearchParams,
+        selection: &SearchBlockSet,
+        deadline: Option<Instant>,
+    ) -> QueryOutput {
         let blocks: Vec<&Block> = selection.blocks.iter().map(|&i| &**self.blocks.get(i)).collect();
-        target.search(query, k, window, params, &selection, &blocks, deadline)
+        self.target().search(query, k, window, params, selection, &blocks, deadline)
     }
 
     /// Exact TkNN over the snapshot's rows, by brute force.
@@ -424,8 +442,8 @@ impl IndexSnapshot {
     /// Bytes of heap memory the snapshot holds: vector segments with their
     /// inverse-norm columns, timestamp chunks, and block graphs. Structure shared
     /// with other snapshots or the engine's master copy is counted once per
-    /// holder; mapped (cold-tier) columns count `0` — their residency is
-    /// charged to [`crate::tier::TierStats::bytes_resident`] instead.
+    /// holder; mapped (cold-tier) columns count `0` — their pages belong to
+    /// the kernel's page cache, which keeps or reclaims them.
     pub fn memory_bytes(&self) -> usize {
         self.store.memory_bytes() + self.times.memory_bytes() + self.blocks.memory_bytes()
     }

@@ -49,7 +49,7 @@
 //! | [`select`] | §4.3 | top-down block selection, overlap ratio |
 //! | [`persist`] | §4.4.2 | the one on-disk format (v9): checksummed save/load of an index or snapshot |
 //! | [`engine`] | — | [`StreamingMbi`]: queries concurrent with ingest, background builds, snapshot publication |
-//! | [`tier`] | — | [`ColdIndex`]: mmap-backed cold tier, LRU block cache; each query pins its cover on its own thread |
+//! | [`tier`] | — | [`ColdIndex`]: an `IndexSnapshot` over a mapped snapshot file; rows and chunks checked once per open |
 //! | [`times`] | — | [`TimeChunks`]: chunk-shared timestamp column for snapshots |
 //! | [`tuner`] | §5.4.2 | [`TauTuner`]: per-window-length `τ` calibration |
 //! | [`wal`] | — | [`Wal`]: segmented, checksummed write-ahead log |

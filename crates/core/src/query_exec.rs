@@ -1,8 +1,8 @@
 //! Generic query execution (Algorithm 4) over any block tree.
 //!
 //! [`MbiIndex`](crate::MbiIndex) owns its blocks directly (`Vec<Block>`),
-//! the streaming engine's snapshots share them, and the cold tier pins the
-//! blocks a query touches from a mapped file. Each front-end runs selection
+//! the streaming engine's snapshots share them, and the cold tier is a
+//! snapshot whose blocks view a mapped file. Each front-end runs selection
 //! over its own block metadata and hands the selected blocks to
 //! [`QueryTarget::search`], so the per-block search, the cost-model
 //! dispatch, the deadline, and the tail scan are written (and audited)

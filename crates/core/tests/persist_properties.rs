@@ -43,10 +43,10 @@ fn snapshot_stream(leaves: usize, leaf_size: usize) -> Vec<u8> {
 /// One answer per query of [`cold_sweep`].
 type Answers = Vec<Result<Vec<TknnResult>, MbiError>>;
 
-/// Opens `bytes` cold at budget 0 and answers a fixed sweep of windows over
+/// Opens `bytes` cold and answers a fixed sweep of windows over
 /// `rows` rows, graph search and exact scan: `None` if the open fails.
 fn cold_sweep(bytes: Vec<u8>, rows: i64) -> Option<Answers> {
-    let cold = ColdIndex::from_map_with_budget(Arc::new(FileMap::from_bytes(bytes)), 0).ok()?;
+    let cold = ColdIndex::from_map(Arc::new(FileMap::from_bytes(bytes))).ok()?;
     let q = [1.0f32, 2.0, 0.5];
     let windows = [(0, rows), (0, rows / 3 + 1), (rows / 4, 3 * rows / 4 + 1), (rows - 3, rows)];
     let mut out = Vec::new();

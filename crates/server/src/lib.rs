@@ -17,7 +17,7 @@
 //! The server owns four concerns the engine itself does not:
 //!
 //! 1. **Tenancy** ([`tenant`]) — one engine per named tenant, bearer-token
-//!    auth, builder threads and RAM budget divided across tenants.
+//!    auth, builder threads divided across tenants.
 //! 2. **Admission control** ([`server`]) — a connection cap, a bounded
 //!    in-flight request gate that sheds load with `503`/`Overloaded`
 //!    instead of queueing unboundedly, and per-request deadlines that cut

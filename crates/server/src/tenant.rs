@@ -1,6 +1,5 @@
 //! Per-tenant namespaces: one engine per tenant, bearer-token auth, and the
-//! division of shared resources (builder threads, RAM budget) across
-//! tenants.
+//! division of shared builder threads across tenants.
 
 use crate::config::{ReplicaSource, ServerConfig, TenantConfig};
 use crate::metrics::TenantMetrics;
@@ -203,13 +202,7 @@ impl Tenant {
                 Value::Map(vec![
                     ("kind".into(), Value::Str("cold".into())),
                     ("rows".into(), Value::UInt(c.len() as u64)),
-                    ("hits".into(), Value::UInt(t.hits)),
-                    ("misses".into(), Value::UInt(t.misses)),
-                    ("evictions".into(), Value::UInt(t.evictions)),
                     ("bytes_verified".into(), Value::UInt(t.bytes_verified)),
-                    ("bytes_resident".into(), Value::UInt(t.bytes_resident)),
-                    ("pinned_leaves".into(), Value::UInt(t.pinned_leaves as u64)),
-                    ("budget_bytes".into(), Value::UInt(t.budget_bytes)),
                 ])
             }
             TenantEngine::Replica { replica, state, source } => {
@@ -355,8 +348,8 @@ impl TenantRegistry {
     ///
     /// Shared-resource division: `engine.builder_threads` is split evenly
     /// across streaming tenants (each gets at least 1) — the documented
-    /// approximation of one shared pool. A cold tenant opens its file with
-    /// an unlimited cache budget: every block it touches stays resident.
+    /// approximation of one shared pool. A cold tenant maps its file; the
+    /// kernel's page cache decides what of it stays resident.
     pub fn build(config: &ServerConfig) -> Result<TenantRegistry, MbiError> {
         let invalid =
             |msg: String| MbiError::Io(std::io::Error::new(std::io::ErrorKind::InvalidInput, msg));
@@ -410,7 +403,7 @@ impl TenantRegistry {
             });
         }
         if let Some(path) = &tc.cold_path {
-            return Ok(TenantEngine::Cold(Box::new(ColdIndex::open_with_budget(path, u64::MAX)?)));
+            return Ok(TenantEngine::Cold(Box::new(ColdIndex::open(path)?)));
         }
         if let Some(dir) = &tc.dir {
             return Ok(TenantEngine::Streaming(StreamingMbi::open(dir, config.index, engine)?));

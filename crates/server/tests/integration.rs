@@ -4,10 +4,12 @@
 //! The serving scenarios: two tenants with isolated namespaces and
 //! cross-tenant auth rejection, concurrent connections bit-identical to
 //! serial, a deadline-exceeded query answered with an error frame while the
-//! server keeps serving, and graceful shutdown checkpointing every durable
-//! tenant's WAL.
+//! server keeps serving, graceful shutdown checkpointing every durable
+//! tenant's WAL, and a read-only cold tenant served from a snapshot file.
 
-use mbi_core::{EngineConfig, MbiConfig, StreamingMbi, TimeWindow};
+use mbi_core::{
+    ColdIndex, EngineConfig, IndexSnapshot, MbiConfig, MbiIndex, StreamingMbi, TimeWindow,
+};
 use mbi_math::Metric;
 use mbi_server::client::{http_request, BinaryClient, ClientError};
 use mbi_server::wire::Status;
@@ -211,6 +213,71 @@ fn graceful_shutdown_checkpoints_durable_tenants() {
     assert_eq!(hit[0].dist, 0.0);
     drop(engine);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A cold tenant serves a snapshot file read-only: its binary and HTTP
+/// answers are the in-process `ColdIndex`'s, an insert is refused on both
+/// protocols, and the engine section of its `/stats` holds exactly the
+/// kind, the rows and the bytes the tier has checksummed.
+#[test]
+fn a_cold_tenant_answers_like_its_cold_index_and_refuses_inserts() {
+    let path = std::env::temp_dir().join(format!("mbi_server_cold_{}.mbi", std::process::id()));
+    let mut idx = MbiIndex::new(index_config());
+    for i in 0..128 {
+        idx.insert(&row(i), i as i64).unwrap();
+    }
+    IndexSnapshot::from_index(&idx).unwrap().save_file(&path).unwrap();
+    let cold = ColdIndex::open(&path).unwrap();
+    let (handle, addr) = start(
+        ServerConfig::new("127.0.0.1:0", index_config())
+            .with_tenant(TenantConfig::cold("archive", "tok-c", &path)),
+    );
+    let mut client = BinaryClient::connect(addr, "archive", "tok-c").unwrap();
+    let auth = [("Authorization", "Bearer tok-c")];
+    for (i, (from, to)) in [(0, 128), (10, 90), (40, 41), (100, 200)].into_iter().enumerate() {
+        let (q, w) = (row(i * 31 + 5), TimeWindow::new(from, to));
+        let want = cold.query(&q, 5, w).unwrap();
+        assert!(!want.is_empty(), "{w:?}");
+        assert_eq!(client.query(&q, 5, w, None).unwrap().results, want, "binary, {w:?}");
+        // Each f32 printed as its exact f64, so the server parses it back
+        // bit for bit.
+        let vector = q.map(f64::from);
+        let body = format!(r#"{{"vector":{vector:?},"k":5,"from":{from},"to":{to}}}"#);
+        let (status, body) = http_request(addr, "POST", "/query", &auth, &body).unwrap();
+        assert_eq!(status, 200, "{body}");
+        let v = serde_json::from_str(&body).unwrap();
+        let got: Vec<_> = (v.get("results").and_then(|r| r.as_seq()).unwrap().iter())
+            .map(|r| {
+                let field = |name| r.get(name).unwrap();
+                let dist = field("dist").as_f64().unwrap() as f32;
+                (field("id").as_u64().unwrap() as u32, field("timestamp").as_i64().unwrap(), dist)
+            })
+            .collect();
+        let want: Vec<_> = want.iter().map(|r| (r.id, r.timestamp, r.dist)).collect();
+        assert_eq!(got, want, "http, {w:?}");
+    }
+
+    match client.insert(&row(0), 500) {
+        Err(ClientError::Server { status: Status::ReadOnly, .. }) => {}
+        other => panic!("a binary insert into a cold tenant must be refused, got {other:?}"),
+    }
+    let body = r#"{"vector":[0.1,0.2,0.3,0.4],"timestamp":500}"#;
+    let (status, body) = http_request(addr, "POST", "/insert", &auth, body).unwrap();
+    assert_eq!(status, 403, "{body}");
+
+    let stats = serde_json::from_str(&client.stats().unwrap()).unwrap();
+    let Some(serde::Value::Map(engine)) = stats.get("engine") else {
+        panic!("no engine section in {stats:?}");
+    };
+    let keys: Vec<&str> = engine.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(keys, ["kind", "rows", "bytes_verified"]);
+    let engine = stats.get("engine").unwrap();
+    assert_eq!(engine.get("kind").and_then(|k| k.as_str()), Some("cold"));
+    assert_eq!(engine.get("rows").and_then(|r| r.as_u64()), Some(128));
+    assert!(engine.get("bytes_verified").and_then(|b| b.as_u64()) > Some(0), "{stats:?}");
+
+    handle.shutdown();
+    std::fs::remove_file(&path).unwrap();
 }
 
 #[test]
