@@ -64,21 +64,13 @@ impl NnDescentParams {
         NnDescentParams { degree, ..Default::default() }
     }
 
-    /// Builds the approximate kNN graph for all rows of `view`.
+    /// Builds the approximate kNN graph for all rows of `view`, on the
+    /// calling thread.
     ///
     /// # Panics
     ///
     /// Panics if `degree == 0` while `view` has more than one row.
     pub fn build(&self, view: VectorView<'_>, metric: Metric) -> KnnGraph {
-        self.build_threaded(view, metric, 1)
-    }
-
-    /// Like [`Self::build`], computing the local-join distances on `threads`
-    /// worker threads (§4.2 "Parallelization of MBI" builds block graphs in
-    /// parallel; this is the intra-block half of that story). The result is
-    /// **bit-identical** for every thread count — updates are applied in a
-    /// normalized order — so parallelism is purely a wall-clock optimisation.
-    pub fn build_threaded(&self, view: VectorView<'_>, metric: Metric, threads: usize) -> KnnGraph {
         let n = view.len();
         if n <= 1 {
             return KnnGraph::from_lists(self.degree.max(1), &vec![Vec::new(); n]);
@@ -87,7 +79,14 @@ impl NnDescentParams {
         if n <= self.degree + 1 {
             return exact_graph(view, metric, self.degree);
         }
-        Builder::new(self, view, metric, threads).run()
+        Builder::new(self, view, metric).run(self)
+    }
+
+    /// The same as [`Self::build`]: the builder is single-threaded, and a
+    /// chain's blocks build concurrently instead.
+    #[deprecated(note = "same as `build`; removed with ROADMAP item 1")]
+    pub fn build_threaded(&self, view: VectorView<'_>, metric: Metric, _: usize) -> KnnGraph {
+        self.build(view, metric)
     }
 }
 
@@ -131,267 +130,261 @@ fn with_ring(degree: usize, mut lists: Vec<Vec<u32>>) -> KnnGraph {
     KnnGraph::from_lists(degree + 1, &lists)
 }
 
-/// One entry of a node's candidate neighbour list.
-#[derive(Clone, Copy)]
-struct Entry {
-    id: u32,
-    dist: f32,
-    /// True until the entry has participated in a local join.
-    is_new: bool,
+/// Top bit of a list slot's id: set until the entry has taken part in a
+/// local join (a "new" entry in Dong et al.).
+const NEW: u32 = 1 << 31;
+/// The id of an empty slot. Empty slots hold `(+∞, EMPTY)`, so they sort
+/// after every real entry under the `(dist, id)` order.
+const EMPTY: u32 = NEW - 1;
+
+/// Every node's neighbour list in flat `n × k` arrays: node `v`'s list is
+/// slots `v·k..(v+1)·k`, sorted ascending by `(dist, id)`, with [`NEW`] in
+/// the id's top bit and empty slots last.
+struct Lists {
+    k: usize,
+    dist: Vec<f32>,
+    ids: Vec<u32>,
+    /// `worst[v]` is the distance in the last slot of `v`'s list.
+    worst: Vec<f32>,
 }
 
-struct Builder<'a> {
-    params: &'a NnDescentParams,
-    view: VectorView<'a>,
-    metric: Metric,
-    /// `lists[v]` is sorted ascending by `(dist, id)`, capped at `degree`.
-    lists: Vec<Vec<Entry>>,
-    rng: SmallRng,
-    threads: usize,
-}
-
-impl<'a> Builder<'a> {
-    fn new(
-        params: &'a NnDescentParams,
-        view: VectorView<'a>,
-        metric: Metric,
-        threads: usize,
-    ) -> Self {
-        Builder {
-            params,
-            view,
-            metric,
-            lists: Vec::new(),
-            rng: SmallRng::seed_from_u64(params.seed),
-            threads,
+impl Lists {
+    /// Offers `q` to `p`'s list and `p` to `q`'s; returns the inserts made.
+    #[inline]
+    fn apply(&mut self, p: u32, q: u32, d: f32) -> u64 {
+        // Strict: on a tie with a list's last distance the id decides.
+        if d > self.worst[p as usize] && d > self.worst[q as usize] {
+            return 0;
         }
+        u64::from(self.insert(p as usize, q, d)) + u64::from(self.insert(q as usize, p, d))
     }
 
-    fn run(mut self) -> KnnGraph {
-        let n = self.view.len();
-        let k = self.params.degree;
-        self.init_random();
-
-        let sample = ((self.params.rho * k as f64).ceil() as usize).max(1);
-        let threshold = (self.params.delta * n as f64 * k as f64).ceil() as u64;
-
-        for _ in 0..self.params.max_iters {
-            let updates = self.iteration(sample);
-            if updates <= threshold {
-                break;
-            }
-        }
-
-        let lists: Vec<Vec<u32>> =
-            self.lists.iter().map(|l| l.iter().map(|e| e.id).collect()).collect();
-        with_ring(k, lists)
-    }
-
-    fn init_random(&mut self) {
-        let n = self.view.len();
-        let k = self.params.degree;
-        self.lists = Vec::with_capacity(n);
-        for v in 0..n {
-            let mut list: Vec<Entry> = Vec::with_capacity(k + 1);
-            let mut tries = 0;
-            while list.len() < k.min(n - 1) && tries < 4 * k {
-                tries += 1;
-                let u = self.rng.gen_range(0..n);
-                if u == v || list.iter().any(|e| e.id == u as u32) {
-                    continue;
-                }
-                let dist = self.view.pair_distance(self.metric, v, u);
-                list.push(Entry { id: u as u32, dist, is_new: true });
-            }
-            list.sort_unstable_by(|a, b| {
-                (a.dist, a.id).partial_cmp(&(b.dist, b.id)).expect("finite")
-            });
-            self.lists.push(list);
-        }
-    }
-
-    /// One NNDescent round; returns the number of successful list updates.
-    fn iteration(&mut self, sample: usize) -> u64 {
-        let n = self.view.len();
-
-        // Forward samples: up to `sample` new entries (whose flags we clear —
-        // they have now been "used") and all old entries.
-        let mut new_fwd: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut old_fwd: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for v in 0..n {
-            let mut new_idx: Vec<usize> = Vec::new();
-            for (i, e) in self.lists[v].iter().enumerate() {
-                if e.is_new {
-                    new_idx.push(i);
-                } else {
-                    old_fwd[v].push(e.id);
-                }
-            }
-            // Reservoir-sample `sample` of the new entries.
-            subsample(&mut new_idx, sample, &mut self.rng);
-            for &i in &new_idx {
-                let e = &mut self.lists[v][i];
-                e.is_new = false;
-                new_fwd[v].push(e.id);
-            }
-        }
-
-        // Reverse lists.
-        let mut new_rev: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut old_rev: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for v in 0..n {
-            for &u in &new_fwd[v] {
-                new_rev[u as usize].push(v as u32);
-            }
-            for &u in &old_fwd[v] {
-                old_rev[u as usize].push(v as u32);
-            }
-        }
-
-        // Per-node join lists (snapshot for this whole round; pair
-        // generation below is pure, which is what makes the threaded path
-        // bit-identical to the serial one).
-        let mut joins: Vec<(Vec<u32>, Vec<u32>)> = Vec::with_capacity(n);
-        for v in 0..n {
-            let mut new_list: Vec<u32> = Vec::new();
-            let mut old_list: Vec<u32> = Vec::new();
-            new_list.extend_from_slice(&new_fwd[v]);
-            subsample(&mut new_rev[v], sample, &mut self.rng);
-            new_list.extend_from_slice(&new_rev[v]);
-            new_list.sort_unstable();
-            new_list.dedup();
-
-            old_list.extend_from_slice(&old_fwd[v]);
-            subsample(&mut old_rev[v], sample, &mut self.rng);
-            old_list.extend_from_slice(&old_rev[v]);
-            old_list.sort_unstable();
-            old_list.dedup();
-            joins.push((new_list, old_list));
-        }
-
-        // Local joins (new × new and new × old), batched: distances for a
-        // batch of nodes are computed first — in parallel when `threads > 1`;
-        // distance evaluation is the dominant cost — and the resulting
-        // updates are applied strictly in node/pair order afterwards. The
-        // apply order therefore matches the serial algorithm exactly, so the
-        // built graph is identical for every thread count.
-        let mut updates = 0u64;
-        let batch_nodes = (4096 / sample.max(1)).clamp(64, 2048) * self.threads.max(1);
-        let mut evals: Vec<(u32, u32, f32)> = Vec::new();
-        let mut start = 0usize;
-        while start < n {
-            let end = (start + batch_nodes).min(n);
-            evals.clear();
-            self.eval_batch(&joins[start..end], &mut evals);
-            for &(p, q, d) in &evals {
-                if Self::insert(&mut self.lists[p as usize], self.params.degree, q, d) {
-                    updates += 1;
-                }
-                if Self::insert(&mut self.lists[q as usize], self.params.degree, p, d) {
-                    updates += 1;
-                }
-            }
-            start = end;
-        }
-        updates
-    }
-
-    /// Computes the distances of every join pair in `batch`, appending
-    /// `(p, q, σ(p, q))` triples to `out` in node/pair order. Splits the
-    /// batch across `self.threads` worker threads.
-    fn eval_batch(&self, batch: &[(Vec<u32>, Vec<u32>)], out: &mut Vec<(u32, u32, f32)>) {
-        let view = self.view;
-        let metric = self.metric;
-        let eval_node = |(new_list, old_list): &(Vec<u32>, Vec<u32>),
-                         out: &mut Vec<(u32, u32, f32)>| {
-            for i in 0..new_list.len() {
-                let p = new_list[i];
-                for &q in &new_list[i + 1..] {
-                    let d = view.pair_distance(metric, p as usize, q as usize);
-                    out.push((p, q, d));
-                }
-                for &q in old_list {
-                    if p != q {
-                        let d = view.pair_distance(metric, p as usize, q as usize);
-                        out.push((p, q, d));
-                    }
-                }
-            }
-        };
-
-        let threads = self.threads.max(1);
-        if threads == 1 || batch.len() < 2 * threads {
-            for node in batch {
-                eval_node(node, out);
-            }
-            return;
-        }
-        let chunk = batch.len().div_ceil(threads);
-        let eval_chunk = |nodes: &[(Vec<u32>, Vec<u32>)]| {
-            let mut local = Vec::new();
-            for node in nodes {
-                eval_node(node, &mut local);
-            }
-            local
-        };
-        let mut partials: Vec<Vec<(u32, u32, f32)>> = Vec::new();
-        std::thread::scope(|scope| {
-            // A chunk whose thread the OS refuses is evaluated on this
-            // thread instead, in its turn: the pairs are the same either way.
-            let handles: Vec<_> = batch
-                .chunks(chunk)
-                .map(|nodes| {
-                    std::thread::Builder::new()
-                        .spawn_scoped(scope, move || eval_chunk(nodes))
-                        .map_err(|_| nodes)
-                })
-                .collect();
-            for h in handles {
-                partials.push(match h {
-                    Ok(h) => h.join().expect("NNDescent worker panicked"),
-                    Err(nodes) => eval_chunk(nodes),
-                });
-            }
-        });
-        for mut p in partials {
-            out.append(&mut p);
-        }
-    }
-
-    /// Inserts `(id, dist)` into a sorted bounded list; returns whether the
-    /// list changed.
-    fn insert(list: &mut Vec<Entry>, cap: usize, id: u32, dist: f32) -> bool {
-        if let Some(last) = list.last() {
-            if list.len() == cap && (dist, id) >= (last.dist, last.id) {
-                return false;
-            }
-        }
-        if list.iter().any(|e| e.id == id) {
+    /// Inserts `(d, id)` into `v`'s list unless it does not beat the last
+    /// entry or is already there; returns whether the list changed. The
+    /// duplicate scan and the shift have no early exit, so they compile to
+    /// straight-line vector code.
+    #[inline(always)]
+    fn insert(&mut self, v: usize, id: u32, d: f32) -> bool {
+        let k = self.k;
+        let (dist, ids) = (&mut self.dist[v * k..][..k], &mut self.ids[v * k..][..k]);
+        if (d, id) >= (dist[k - 1], ids[k - 1] & !NEW) {
             return false;
         }
-        let pos = list
-            .binary_search_by(|e| (e.dist, e.id).partial_cmp(&(dist, id)).expect("finite"))
-            .unwrap_err();
-        list.insert(pos, Entry { id, dist, is_new: true });
-        if list.len() > cap {
-            list.pop();
+        if ids.iter().fold(0, |dup, &e| dup | u32::from(e & !NEW == id)) != 0 {
+            return false;
         }
+        let pos = dist.iter().zip(&*ids).take_while(|(&de, &ie)| (de, ie & !NEW) < (d, id)).count();
+        for j in (pos + 1..k).rev() {
+            (dist[j], ids[j]) = (dist[j - 1], ids[j - 1]);
+        }
+        (dist[pos], ids[pos]) = (d, id | NEW);
+        self.worst[v] = dist[k - 1];
         true
     }
 }
 
-/// Truncates `v` to a uniform random sample of `sample` elements (in place).
-fn subsample<T>(v: &mut Vec<T>, sample: usize, rng: &mut SmallRng) {
-    if v.len() <= sample {
-        return;
+/// One side (new or old) of a round's samples.
+#[derive(Default)]
+struct Samples {
+    /// Node `v`'s forward sample is `fwd[v·stride..][..len[v]]`.
+    stride: usize,
+    fwd: Vec<u32>,
+    len: Vec<usize>,
+    /// Node `u`'s reverse sample is `rev[offsets[u]..offsets[u + 1]]`: every
+    /// `v` whose forward sample holds `u`, in ascending `v`.
+    offsets: Vec<usize>,
+    rev: Vec<u32>,
+}
+
+impl Samples {
+    fn new(n: usize, stride: usize) -> Self {
+        Samples { stride, fwd: vec![0; n * stride], len: vec![0; n], ..Default::default() }
     }
-    // Partial Fisher–Yates: move a random remaining element into each of the
-    // first `sample` slots.
+
+    fn push(&mut self, v: usize, id: u32) {
+        self.fwd[v * self.stride + self.len[v]] = id;
+        self.len[v] += 1;
+    }
+
+    /// Builds the reverse samples: one counting pass, one placing pass.
+    fn reverse(&mut self) {
+        let (n, stride, fwd, len) = (self.len.len(), self.stride, &self.fwd, &self.len);
+        let edges =
+            || (0..n).flat_map(|v| fwd[v * stride..][..len[v]].iter().map(move |&u| (v, u)));
+        self.offsets = vec![0; n + 1];
+        for (_, u) in edges() {
+            self.offsets[u as usize] += 1;
+        }
+        for v in 0..n {
+            self.offsets[v + 1] += self.offsets[v];
+        }
+        // `offsets[u]` is now the end of `u`'s row: fill it back to front.
+        self.rev.resize(self.offsets[n], 0);
+        for (v, u) in edges().rev() {
+            self.offsets[u as usize] -= 1;
+            self.rev[self.offsets[u as usize]] = v as u32;
+        }
+    }
+}
+
+/// A join list: `(id, row)` pairs, sorted by id and deduplicated.
+type JoinList<'a> = Vec<(u32, &'a [f32])>;
+
+struct Builder<'a> {
+    view: VectorView<'a>,
+    metric: Metric,
+    rng: SmallRng,
+    lists: Lists,
+    /// This round's new samples (stride: the new entries sampled per node,
+    /// `⌈ρ·k⌉`) and old ones (stride `k`).
+    samples: [Samples; 2],
+}
+
+impl<'a> Builder<'a> {
+    fn new(params: &NnDescentParams, view: VectorView<'a>, metric: Metric) -> Self {
+        let (n, k) = (view.len(), params.degree);
+        assert!(n < EMPTY as usize, "NNDescent ids must fit in 31 bits");
+        let sample = ((params.rho * k as f64).ceil() as usize).max(1);
+        let (dist, ids, worst) =
+            (vec![f32::INFINITY; n * k], vec![EMPTY; n * k], vec![f32::INFINITY; n]);
+        Builder {
+            view,
+            metric,
+            rng: SmallRng::seed_from_u64(params.seed),
+            lists: Lists { k, dist, ids, worst },
+            samples: [Samples::new(n, sample), Samples::new(n, k)],
+        }
+    }
+
+    fn run(mut self, params: &NnDescentParams) -> KnnGraph {
+        let (n, k) = (self.view.len(), self.lists.k);
+        self.init_random();
+        let threshold = (params.delta * n as f64 * k as f64).ceil() as u64;
+        for _ in 0..params.max_iters {
+            if self.iteration() <= threshold {
+                break;
+            }
+        }
+        let ids = self.lists.ids.chunks_exact(k);
+        let lists = ids.map(|l| l.iter().take_while(|&&id| id != EMPTY).map(|&id| id & !NEW));
+        with_ring(k, lists.map(Iterator::collect).collect())
+    }
+
+    /// Fills each list with up to `k` random nodes (at most `4k` draws).
+    fn init_random(&mut self) {
+        let (n, k) = (self.view.len(), self.lists.k);
+        for v in 0..n {
+            let (mut len, mut tries) = (0, 0);
+            while len < k && tries < 4 * k {
+                tries += 1;
+                let u = self.rng.gen_range(0..n);
+                if u != v {
+                    let d = self.view.pair_distance(self.metric, v, u);
+                    len += usize::from(self.lists.insert(v, u as u32, d));
+                }
+            }
+        }
+    }
+
+    /// One NNDescent round; returns the number of successful list updates.
+    fn iteration(&mut self) -> u64 {
+        let (n, k) = (self.view.len(), self.lists.k);
+        // Forward samples: up to `sample` new entries (whose flags are
+        // cleared — they have now been used) and all old entries.
+        let mut new_idx: Vec<usize> = Vec::with_capacity(k);
+        for v in 0..n {
+            let [new, old] = &mut self.samples;
+            new_idx.clear();
+            (new.len[v], old.len[v]) = (0, 0);
+            for (j, &id) in self.lists.ids[v * k..][..k].iter().enumerate() {
+                if id == EMPTY {
+                    break;
+                } else if id & NEW != 0 {
+                    new_idx.push(j);
+                } else {
+                    old.push(v, id);
+                }
+            }
+            let taken = subsample(&mut new_idx, new.stride, &mut self.rng);
+            for &j in &new_idx[..taken] {
+                self.lists.ids[v * k + j] &= !NEW;
+                new.push(v, self.lists.ids[v * k + j]);
+            }
+        }
+        self.samples.iter_mut().for_each(Samples::reverse);
+
+        // Each node's join lists are drawn just before its join. The join
+        // never draws from the RNG, so the draws still come in node order.
+        let (mut lists, mut cand) = Default::default();
+        let mut updates = 0;
+        for v in 0..n {
+            self.join_lists(v, &mut lists);
+            updates += self.local_join(&lists, &mut cand);
+        }
+        updates
+    }
+
+    /// Node `v`'s new and old join lists: its forward samples plus `sample`
+    /// of each reverse sample.
+    fn join_lists(&mut self, v: usize, out: &mut [JoinList<'a>; 2]) {
+        let (view, sample) = (self.view, self.samples[0].stride);
+        for (list, side) in out.iter_mut().zip(&mut self.samples) {
+            let rev = &mut side.rev[side.offsets[v]..side.offsets[v + 1]];
+            let taken = subsample(rev, sample, &mut self.rng);
+            let fwd = &side.fwd[v * side.stride..][..side.len[v]];
+            list.clear();
+            list.extend(fwd.iter().chain(&rev[..taken]).map(|&u| (u, view.get(u as usize))));
+            list.sort_unstable_by_key(|e| e.0);
+            list.dedup_by_key(|e| e.0);
+        }
+    }
+
+    /// The local join of one node: every new × new and new × old pair in
+    /// order, four candidates of one row at a time, each distance applied to
+    /// both lists as soon as it is known.
+    fn local_join(&mut self, [new, old]: &[JoinList<'a>; 2], cand: &mut JoinList<'a>) -> u64 {
+        let mut updates = 0;
+        for (i, &(p, a)) in new.iter().enumerate() {
+            cand.clear();
+            cand.extend_from_slice(&new[i + 1..]);
+            cand.extend(old.iter().filter(|e| e.0 != p));
+            for quad in cand.chunks(4) {
+                for (&(q, _), d) in quad.iter().zip(self.score(p, a, quad)) {
+                    updates += self.lists.apply(p, q, d);
+                }
+            }
+        }
+        updates
+    }
+
+    /// Distances from `p` (row `a`) to up to four candidates, in order. A
+    /// short quad repeats its last row in the Euclidean kernel, and the
+    /// extra lanes go unused.
+    fn score(&self, p: u32, a: &[f32], quad: &[(u32, &[f32])]) -> [f32; 4] {
+        if self.metric == Metric::Euclidean {
+            let rows = [0, 1, 2, 3].map(|j| quad[j.min(quad.len() - 1)].1);
+            return mbi_math::squared_euclidean_x4(a, rows);
+        }
+        let mut d = [0.0; 4];
+        for (slot, &(q, _)) in d.iter_mut().zip(quad) {
+            *slot = self.view.pair_distance(self.metric, p as usize, q as usize);
+        }
+        d
+    }
+}
+
+/// Moves a uniform random sample of `sample` elements of `v` to its front
+/// (partial Fisher–Yates) and returns how many were taken; draws nothing
+/// when `v` has at most `sample` elements.
+fn subsample<T>(v: &mut [T], sample: usize, rng: &mut SmallRng) -> usize {
+    if v.len() <= sample {
+        return v.len();
+    }
     for i in 0..sample {
         let j = rng.gen_range(i..v.len());
         v.swap(i, j);
     }
-    v.truncate(sample);
+    sample
 }
 
 #[cfg(test)]
@@ -494,34 +487,18 @@ mod tests {
     }
 
     #[test]
-    fn threaded_build_is_bit_identical_to_serial() {
-        let mut s = VectorStore::new(8);
-        let mut rng = SmallRng::seed_from_u64(77);
-        for _ in 0..600 {
-            let v: Vec<f32> = (0..8).map(|_| rng.gen_range(-1.0..1.0f32)).collect();
-            s.push(&v);
-        }
-        let params = NnDescentParams { degree: 10, seed: 5, ..Default::default() };
-        let serial = params.build_threaded(s.view(), Metric::Euclidean, 1);
-        for threads in [2usize, 3, 8] {
-            let par = params.build_threaded(s.view(), Metric::Euclidean, threads);
-            assert_eq!(serial, par, "threads = {threads} diverged");
-        }
-    }
-
-    #[test]
     fn subsample_truncates_uniformly() {
         let mut rng = SmallRng::seed_from_u64(0);
         let mut v: Vec<u32> = (0..100).collect();
-        subsample(&mut v, 10, &mut rng);
-        assert_eq!(v.len(), 10);
+        assert_eq!(subsample(&mut v, 10, &mut rng), 10);
+        v.truncate(10);
         let mut sorted = v.clone();
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), 10, "sample must not repeat elements");
 
         let mut small: Vec<u32> = vec![1, 2];
-        subsample(&mut small, 10, &mut rng);
+        assert_eq!(subsample(&mut small, 10, &mut rng), 2);
         assert_eq!(small, vec![1, 2]);
     }
 }

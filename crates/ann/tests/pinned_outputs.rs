@@ -222,3 +222,102 @@ fn beam_loop_and_scan_outputs_are_pinned() {
         );
     }
 }
+
+/// Deterministic pseudo-random `dim`-wide rows with the angular norm cache.
+/// `tied` rows take only the values −1, 0 and 1, so many pairs share a
+/// distance and list inserts meet exact ties.
+fn lcg_rows_of(n: usize, dim: usize, seed: u32, tied: bool) -> VectorStore {
+    let mut s = VectorStore::new(dim);
+    s.enable_norm_cache();
+    let mut state = seed | 1;
+    for _ in 0..n {
+        let v: Vec<f32> = (0..dim)
+            .map(|_| {
+                state = state.wrapping_mul(1664525).wrapping_add(1013904223);
+                if tied {
+                    ((state >> 8) % 3) as f32 - 1.0
+                } else {
+                    ((state >> 8) as f32 / (1 << 24) as f32) - 0.5
+                }
+            })
+            .collect();
+        s.push(&v);
+    }
+    s
+}
+
+/// One CRC-32 over a graph's adjacency: its degree, then every slot.
+fn graph_crc(graph: &KnnGraph) -> u32 {
+    let mut bytes = (graph.degree() as u32).to_le_bytes().to_vec();
+    for id in graph.as_flat() {
+        bytes.extend(id.to_le_bytes());
+    }
+    crc32(&bytes)
+}
+
+const NND_DEGREE: usize = 16;
+
+/// The adjacency CRC of the degree-16 NNDescent graph over `n` rows, built
+/// from a contiguous view and from a view that straddles segment seams (the
+/// two must agree).
+fn nndescent_crc(metric: Metric, n: usize, dim: usize, tied: bool) -> u32 {
+    let params = NnDescentParams::with_degree(NND_DEGREE);
+    // Four segments, the view starting half a segment in, so it spans at
+    // least three of them.
+    let seg_rows = n / 3 + 1;
+    let flat = lcg_rows_of(4 * seg_rows, dim, 11, tied);
+    let mut segs = SegmentStore::new(dim, seg_rows);
+    for c in 0..4 {
+        let rows = c * seg_rows..(c + 1) * seg_rows;
+        segs.push_segment(Arc::new(Segment::from_view(flat.slice(rows))));
+    }
+    let rows = seg_rows / 2..seg_rows / 2 + n;
+    let contiguous = graph_crc(&params.build(flat.slice(rows.clone()), metric));
+    let segmented_view = segs.slice(rows);
+    assert!(!segmented_view.is_contiguous());
+    let segmented = graph_crc(&params.build(segmented_view, metric));
+    assert_eq!(contiguous, segmented, "{metric}/{n}/{dim}/tied={tied}: views disagree");
+    contiguous
+}
+
+/// One row per (metric, rows, dim, tied). `degree + 2` rows is the smallest
+/// input that runs the local join; d = 100 leaves an 8-lane and a scalar
+/// tail after the 64-float strides, d = 128 none. The `tied` rows hold only
+/// −1, 0 and 1, so distances tie and the `(dist, id)` order decides list
+/// inserts and the pair prefilter.
+#[rustfmt::skip]
+const NND_PINNED: [(&str, usize, usize, bool, u32); 24] = [
+    ("euclidean", 18, 100, false, 0xf7bcd730), ("euclidean", 18, 128, false, 0x479f4998),
+    ("euclidean", 1024, 100, false, 0x8969e751), ("euclidean", 1024, 128, false, 0x32df3fe8),
+    ("euclidean", 4096, 100, false, 0x836cfdcb), ("euclidean", 4096, 128, false, 0xd40af4a6),
+    ("euclidean", 1024, 100, true, 0xd240da8c), ("euclidean", 4096, 100, true, 0xafd7941e),
+    ("angular", 18, 100, false, 0x9c34b410), ("angular", 18, 128, false, 0xd93a32de),
+    ("angular", 1024, 100, false, 0x05b71c89), ("angular", 1024, 128, false, 0x99b43ea7),
+    ("angular", 4096, 100, false, 0x1052e059), ("angular", 4096, 128, false, 0xed5308a9),
+    ("angular", 1024, 100, true, 0x6d2e3a09), ("angular", 4096, 100, true, 0x88f516ee),
+    ("inner_product", 18, 100, false, 0x941b6cb4), ("inner_product", 18, 128, false, 0x6bc0712d),
+    ("inner_product", 1024, 100, false, 0x081c6bbc), ("inner_product", 1024, 128, false, 0xef4d9e68),
+    ("inner_product", 4096, 100, false, 0xaad16638), ("inner_product", 4096, 128, false, 0x70d32c24),
+    ("inner_product", 1024, 100, true, 0xa3e1b70b), ("inner_product", 4096, 100, true, 0x3b3f3bd4),
+];
+
+#[test]
+fn nndescent_graphs_are_pinned() {
+    let mut got = Vec::new();
+    for metric in [Metric::Euclidean, Metric::Angular, Metric::InnerProduct] {
+        let cases = [NND_DEGREE + 2, 1024, 4096].into_iter().flat_map(|n| [(n, 100), (n, 128)]);
+        let tied = [(1024, 100), (4096, 100)];
+        for (n, dim, tied) in
+            cases.map(|(n, d)| (n, d, false)).chain(tied.map(|(n, d)| (n, d, true)))
+        {
+            got.push((metric.name(), n, dim, tied, nndescent_crc(metric, n, dim, tied)));
+        }
+    }
+    let table: Vec<String> = got
+        .iter()
+        .map(|(m, n, dim, tied, crc)| format!("    (\"{m}\", {n}, {dim}, {tied}, 0x{crc:08x}),"))
+        .collect();
+    for (want, got) in NND_PINNED.iter().zip(&got) {
+        assert_eq!(want, got, "graph drifted; observed table:\n{}", table.join("\n"));
+    }
+}

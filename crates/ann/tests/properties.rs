@@ -173,21 +173,6 @@ proptest! {
         prop_assert_eq!(stats.scanned, n as u64);
     }
 
-    /// Threaded NNDescent equals serial for arbitrary shapes.
-    #[test]
-    fn threaded_nndescent_equals_serial(
-        n in 10usize..200,
-        degree in 3usize..8,
-        seed in 0u64..100,
-        threads in 2usize..5,
-    ) {
-        let s = store(n, 5, seed);
-        let params = NnDescentParams { degree, seed, max_iters: 3, ..Default::default() };
-        let a = params.build_threaded(s.view(), Metric::Euclidean, 1);
-        let b = params.build_threaded(s.view(), Metric::Euclidean, threads);
-        prop_assert_eq!(a, b);
-    }
-
     /// The prepared entry point with an explicit reused scratch returns the
     /// same results and stats as the legacy wrapper, across Euclidean and
     /// inner-product (bit-identical kernels).

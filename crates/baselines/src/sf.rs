@@ -134,14 +134,7 @@ impl SfIndex {
     /// Rebuilds the whole-database graph with NNDescent — the full
     /// `O(n^1.14)` cost the paper charges SF per dataset size in Figure 7a.
     pub fn rebuild(&mut self) {
-        self.rebuild_threaded(1);
-    }
-
-    /// [`Self::rebuild`] with the local-join distances computed on `threads`
-    /// workers (result identical for every thread count).
-    pub fn rebuild_threaded(&mut self, threads: usize) {
-        self.graph =
-            self.config.graph.build_threaded(self.store.view(), self.config.metric, threads);
+        self.graph = self.config.graph.build(self.store.view(), self.config.metric);
         self.indexed = self.len();
     }
 

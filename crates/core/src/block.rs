@@ -24,25 +24,12 @@ impl BlockGraph {
         metric: Metric,
         seed_salt: u64,
     ) -> Self {
-        Self::build_threaded(backend, view, metric, seed_salt, 1)
-    }
-
-    /// Like [`Self::build`] with intra-build parallelism (NNDescent computes
-    /// its local-join distances on `threads` workers; results are identical
-    /// for every thread count).
-    pub fn build_threaded(
-        backend: &GraphBackend,
-        view: VectorView<'_>,
-        metric: Metric,
-        seed_salt: u64,
-        threads: usize,
-    ) -> Self {
         let GraphBackend::NnDescent(p) = backend;
         let params = mbi_ann::NnDescentParams {
             seed: p.seed.wrapping_add(seed_salt.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
             ..*p
         };
-        BlockGraph(params.build_threaded(view, metric, threads))
+        BlockGraph(params.build(view, metric))
     }
 
     /// Filtered approximate kNN within the block (Algorithm 2) under a

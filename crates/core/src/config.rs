@@ -48,7 +48,8 @@ pub struct MbiConfig {
     /// override them per query.
     pub search: SearchParams,
     /// Build the graphs of a bottom-up merge chain in parallel (§4.2
-    /// "Parallelization of MBI").
+    /// "Parallelization of MBI"): a chain's blocks build concurrently, one
+    /// thread per block; each block's build is single-threaded.
     pub parallel_build: bool,
 }
 

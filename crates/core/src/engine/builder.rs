@@ -137,7 +137,7 @@ fn process_chain(shared: &Shared, leaf: usize) {
         chain_rows.start,
         &pending,
         base_id,
-        shared.effective_build_threads(),
+        shared.parallel_chain_build(),
     );
     // Record before publication so a flush() that returns has every
     // published chain's sample in view.

@@ -536,11 +536,11 @@ impl<T: Copy> Samples<T> {
 }
 
 impl Shared {
-    /// Intra-build threads per chain build: the available cores divided
-    /// among the builders. Graphs are bit-identical for every value.
-    fn effective_build_threads(&self) -> usize {
+    /// Whether a chain's blocks build concurrently, one thread per block:
+    /// only when every builder thread has a second core to fan out onto.
+    fn parallel_chain_build(&self) -> bool {
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        (cores / self.engine.builder_threads).max(1)
+        cores >= 2 * self.engine.builder_threads
     }
 
     fn halted(&self) -> bool {

@@ -72,10 +72,10 @@ pub(crate) fn check_row(config: &MbiConfig, vector: &[f32], t: Timestamp) -> Res
 }
 
 /// Builds the graphs of one pending merge chain — §4.2 "Parallelization of
-/// MBI": each block of a chain is independent, so with `threads > 1` the
-/// chain fans out across scoped workers and remaining cores go to intra-build
-/// parallelism (NNDescent's local-join distances). Either way the produced
-/// graphs are identical to a serial build.
+/// MBI": each block of a chain is independent, so with `parallel` a chain's
+/// blocks build concurrently, one scoped worker per block. Each
+/// block's build is single-threaded, so the graphs are identical to a serial
+/// build.
 ///
 /// `pending` holds *global* row ranges; `offset` is the global row of
 /// `store`'s first row, so the synchronous path passes the whole flat store
@@ -89,40 +89,18 @@ pub(crate) fn build_chain_graphs<V: VectorSource + ?Sized>(
     offset: usize,
     pending: &[(std::ops::Range<usize>, u32)],
     base_id: u64,
-    threads: usize,
+    parallel: bool,
 ) -> Vec<BlockGraph> {
     let backend = &config.backend;
     let metric = config.metric;
     let local = |rows: &std::ops::Range<usize>| rows.start - offset..rows.end - offset;
-    if threads <= 1 || pending.len() == 1 {
-        // Sequential over the chain; a single pending block still gets the
-        // full intra-build budget.
-        let inner = threads.max(1);
-        return pending
-            .iter()
-            .enumerate()
-            .map(|(i, (rows, _))| {
-                BlockGraph::build_threaded(
-                    backend,
-                    store.slice(local(rows)),
-                    metric,
-                    base_id + i as u64,
-                    inner,
-                )
-            })
-            .collect();
-    }
-    let inner_threads = (threads / pending.len()).max(1);
     let build = |i: usize| {
         let rows = local(&pending[i].0);
-        BlockGraph::build_threaded(
-            backend,
-            store.slice(rows),
-            metric,
-            base_id + i as u64,
-            inner_threads,
-        )
+        BlockGraph::build(backend, store.slice(rows), metric, base_id + i as u64)
     };
+    if !parallel || pending.len() == 1 {
+        return (0..pending.len()).map(build).collect();
+    }
     let mut graphs: Vec<Option<BlockGraph>> = (0..pending.len()).map(|_| None).collect();
     std::thread::scope(|scope| {
         for (i, slot) in graphs.iter_mut().enumerate() {
@@ -383,13 +361,10 @@ impl MbiIndex {
         debug_assert_eq!(self.blocks.len(), base_id);
 
         let pending = merge_chain(self.num_leaves, self.config.leaf_size);
-        let threads = if self.config.parallel_build {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            1
-        };
+        let parallel = self.config.parallel_build
+            && std::thread::available_parallelism().map_or(1, |n| n.get()) > 1;
         let graphs =
-            build_chain_graphs(&self.config, &self.store, 0, &pending, base_id as u64, threads);
+            build_chain_graphs(&self.config, &self.store, 0, &pending, base_id as u64, parallel);
         self.blocks.extend(assemble_blocks(pending, graphs, self.timestamps.as_slice()));
     }
 

@@ -48,6 +48,6 @@ pub use kernels::{
     angular_batch, angular_from_parts, dot_batch, inv_norm_of, neg_dot_batch,
     squared_euclidean_batch, PreparedQuery,
 };
-pub use metric::{angular_distance, dot, norm, squared_euclidean, Metric};
+pub use metric::{angular_distance, dot, norm, squared_euclidean, squared_euclidean_x4, Metric};
 pub use stats::OnlineStats;
 pub use topk::{topk_by_sort, Neighbor, TopK};

@@ -97,6 +97,19 @@ pub fn squared_euclidean(a: &[f32], b: &[f32]) -> f32 {
     simd::squared_euclidean(a, b)
 }
 
+/// Squared Euclidean distances from `a` to each of four rows, each
+/// bit-identical to [`squared_euclidean`] of that pair — the batch the
+/// NNDescent local join scores one row against.
+///
+/// # Panics
+///
+/// Panics if a row's length differs from `a`'s.
+#[inline]
+pub fn squared_euclidean_x4(a: &[f32], rows: [&[f32]; 4]) -> [f32; 4] {
+    assert!(rows.iter().all(|r| r.len() == a.len()), "dimension mismatch");
+    simd::squared_euclidean_x4(a, rows)
+}
+
 /// Inner product `⟨a, b⟩`.
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {

@@ -177,6 +177,11 @@ pub(crate) fn squared_euclidean(a: &[f32], b: &[f32]) -> f32 {
 }
 
 #[inline]
+pub(crate) fn squared_euclidean_x4(a: &[f32], rows: [&[f32]; 4]) -> [f32; 4] {
+    dispatch!(se_rows4(a, rows))
+}
+
+#[inline]
 pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
     dispatch!(dot_row(a, b))
 }
@@ -362,6 +367,13 @@ pub mod scalar {
             i += 1;
         }
         s
+    }
+
+    /// Squared Euclidean distances from `a` to four rows: [`se_row`] of
+    /// each pair.
+    #[inline]
+    pub fn se_rows4(a: &[f32], rows: [&[f32]; 4]) -> [f32; 4] {
+        rows.map(|b| se_row(a, b))
     }
 
     /// Inner product of one row pair.
@@ -584,6 +596,87 @@ pub mod avx2 {
             i += 1;
         }
         s
+    }
+
+    /// Squared Euclidean distances from `a` to four rows, each bit-identical
+    /// to [`se_row`] of that pair: every pair runs the same 8 chains,
+    /// combine tree, 8-lane folds, ordered horizontal sum and scalar tail.
+    /// The chains are independent, so they run one after another over all
+    /// four rows: each 8-lane group of `a` is loaded once for the four, and
+    /// four rows' loads are in flight at once.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 and FMA. Every row must have `a.len()` elements.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn se_rows4(a: &[f32], rows: [&[f32]; 4]) -> [f32; 4] {
+        debug_assert!(rows.iter().all(|r| r.len() == a.len()));
+        let n = a.len();
+        let (pa, pb) = (a.as_ptr(), rows.map(<[f32]>::as_ptr));
+        let body = n - n % SE_STRIDE;
+        let mut chains = [[_mm256_setzero_ps(); 4]; 8];
+        for (c, acc) in chains.iter_mut().enumerate() {
+            let mut i = c * LANES;
+            while i < body {
+                // SAFETY: i + 8 <= body <= n, for `a` and every row.
+                let x = _mm256_loadu_ps(pa.add(i));
+                for (slot, p) in acc.iter_mut().zip(pb) {
+                    let d = _mm256_sub_ps(x, _mm256_loadu_ps(p.add(i)));
+                    *slot = _mm256_fmadd_ps(d, d, *slot);
+                }
+                i += SE_STRIDE;
+            }
+        }
+        let mut v = [_mm256_setzero_ps(); 4];
+        for (r, slot) in v.iter_mut().enumerate() {
+            let ch = |c: usize| chains[c][r];
+            *slot = _mm256_add_ps(
+                _mm256_add_ps(_mm256_add_ps(ch(0), ch(1)), _mm256_add_ps(ch(2), ch(3))),
+                _mm256_add_ps(_mm256_add_ps(ch(4), ch(5)), _mm256_add_ps(ch(6), ch(7))),
+            );
+        }
+        let mut i = body;
+        while i + LANES <= n {
+            // SAFETY: i + 8 <= n.
+            let x = _mm256_loadu_ps(pa.add(i));
+            for (slot, p) in v.iter_mut().zip(pb) {
+                let d = _mm256_sub_ps(x, _mm256_loadu_ps(p.add(i)));
+                *slot = _mm256_fmadd_ps(d, d, *slot);
+            }
+            i += LANES;
+        }
+        // The ordered horizontal sums, four rows at a time: transpose so each
+        // 4-wide `lane` holds one lane of the four rows, then add lanes 0..8
+        // in order, as `hsum_ordered` does for one row.
+        let t0 = _mm256_unpacklo_ps(v[0], v[1]);
+        let t1 = _mm256_unpackhi_ps(v[0], v[1]);
+        let t2 = _mm256_unpacklo_ps(v[2], v[3]);
+        let t3 = _mm256_unpackhi_ps(v[2], v[3]);
+        let u = [
+            _mm256_shuffle_ps::<0x44>(t0, t2),
+            _mm256_shuffle_ps::<0xEE>(t0, t2),
+            _mm256_shuffle_ps::<0x44>(t1, t3),
+            _mm256_shuffle_ps::<0xEE>(t1, t3),
+        ];
+        let mut s = _mm256_castps256_ps128(u[0]);
+        for l in 1..LANES {
+            let lane = if l < 4 {
+                _mm256_castps256_ps128(u[l])
+            } else {
+                _mm256_extractf128_ps::<1>(u[l - 4])
+            };
+            s = _mm_add_ps(s, lane);
+        }
+        while i < n {
+            // SAFETY: i < n, for `a` and every row.
+            let b = _mm_setr_ps(*pb[0].add(i), *pb[1].add(i), *pb[2].add(i), *pb[3].add(i));
+            let d = _mm_sub_ps(_mm_set1_ps(*pa.add(i)), b);
+            s = _mm_fmadd_ps(d, d, s);
+            i += 1;
+        }
+        let mut out = [0.0f32; 4];
+        _mm_storeu_ps(out.as_mut_ptr(), s);
+        out
     }
 
     /// Inner product of one row pair.
@@ -921,6 +1014,16 @@ pub mod neon {
         s
     }
 
+    /// Squared Euclidean distances from `a` to four rows: [`se_row`] of
+    /// each pair.
+    ///
+    /// # Safety
+    ///
+    /// Every row must have `a.len()` elements.
+    pub unsafe fn se_rows4(a: &[f32], rows: [&[f32]; 4]) -> [f32; 4] {
+        [se_row(a, rows[0]), se_row(a, rows[1]), se_row(a, rows[2]), se_row(a, rows[3])]
+    }
+
     /// Inner product of one row pair.
     ///
     /// # Safety
@@ -1159,6 +1262,24 @@ mod tests {
                 let (dp_s, nb_s) = scalar::dot_norm2_row(&a, &b);
                 assert_eq!(dp_v.to_bits(), dp_s.to_bits(), "dp dim={dim}");
                 assert_eq!(nb_v.to_bits(), nb_s.to_bits(), "nb dim={dim}");
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_blocked_euclidean_matches_scalar_bitwise() {
+        if !avx2::available() {
+            return;
+        }
+        for dim in 1..=300 {
+            let a = vec_of(dim, 11);
+            let rows: Vec<Vec<f32>> = (0..4).map(|r| vec_of(dim, 29 + r)).collect();
+            let rows = [&rows[0][..], &rows[1], &rows[2], &rows[3]];
+            // SAFETY: availability checked above; every row has `dim` floats.
+            let got = unsafe { avx2::se_rows4(&a, rows) };
+            for (r, row) in rows.iter().enumerate() {
+                assert_eq!(got[r].to_bits(), scalar::se_row(&a, row).to_bits(), "dim={dim} r={r}");
             }
         }
     }

@@ -7,7 +7,7 @@
 use mbi_math::simd::{self, scalar};
 use mbi_math::{
     angular_batch, angular_distance, dot, dot_batch, inv_norm_of, neg_dot_batch, squared_euclidean,
-    squared_euclidean_batch,
+    squared_euclidean_batch, squared_euclidean_x4,
 };
 use proptest::prelude::*;
 
@@ -54,6 +54,30 @@ proptest! {
             let row = &rows[i * dim..(i + 1) * dim];
             prop_assert_eq!(se[i].to_bits(), squared_euclidean(q, row).to_bits());
             prop_assert_eq!(dp[i].to_bits(), dot(q, row).to_bits());
+        }
+    }
+
+    /// The 1 × 4 blocked kernel scores every pair bit for bit like the
+    /// one-pair kernel at every length through 300 (up to four 64-float
+    /// strides, each count of 8-lane folds, each scalar tail), over values
+    /// from 1e-12 to 1e12 in magnitude. The unit tests in `simd.rs` hold the
+    /// AVX2 arm to the same under a forced-scalar run.
+    #[test]
+    fn blocked_euclidean_x4_is_bit_identical_to_se_row(
+        exp in -2i32..=2,
+        pool in prop::collection::vec(-1.0f32..1.0, 300 * 5),
+    ) {
+        let scale = 10f32.powi(6 * exp);
+        let pool: Vec<f32> = pool.iter().map(|x| x * scale).collect();
+        for dim in 1..=300 {
+            let a = &pool[..dim];
+            let rows: [&[f32]; 4] = std::array::from_fn(|r| &pool[(r + 1) * dim..(r + 2) * dim]);
+            let got = squared_euclidean_x4(a, rows);
+            for (r, row) in rows.iter().enumerate() {
+                let want = scalar::se_row(a, row).to_bits();
+                prop_assert_eq!(got[r].to_bits(), want, "dim={} r={}", dim, r);
+                prop_assert_eq!(squared_euclidean(a, row).to_bits(), want, "one-pair dim={}", dim);
+            }
         }
     }
 
