@@ -3,7 +3,7 @@
 # at least one test: cargo treats a name as a substring filter, and a filter
 # that matches nothing passes with zero tests run.
 #
-#   .github/run-named-tests.sh -p mbi-core --lib -- v11_bytes_are_pinned tier::
+#   .github/run-named-tests.sh -p mbi-core --lib -- v12_bytes_are_pinned tier::
 set -euo pipefail
 args=()
 while [[ $# -gt 0 && $1 != -- ]]; do

@@ -230,7 +230,8 @@ impl Segment {
 /// are shared. Used as the backing store of the streaming engine's master
 /// copy and of every published `IndexSnapshot` — the segment size is the
 /// index's leaf size, so every sealed leaf is exactly one segment and block
-/// row ranges are always segment-aligned.
+/// row ranges are always segment-aligned. The last segment may be shorter:
+/// a loaded index's partial leaf, which no block covers.
 #[derive(Clone, Debug)]
 pub struct SegmentStore {
     dim: usize,
@@ -263,10 +264,12 @@ impl SegmentStore {
         self.seg_rows
     }
 
-    /// Total rows stored.
+    /// Total rows stored, a short last segment's included.
     #[inline]
     pub fn len(&self) -> usize {
-        self.segments.len() * self.seg_rows
+        self.segments
+            .last()
+            .map_or(0, |last| (self.segments.len() - 1) * self.seg_rows + last.len())
     }
 
     /// Whether the store holds no rows.
@@ -299,12 +302,13 @@ impl SegmentStore {
     ///
     /// # Panics
     ///
-    /// Panics unless the segment has exactly `seg_rows` rows of dimension
-    /// `dim`, and its norm-column presence matches the segments already
-    /// stored.
+    /// Panics unless the segment has `1..=seg_rows` rows of dimension `dim`,
+    /// every segment before it is full, and its norm-column presence matches
+    /// the segments already stored.
     pub fn push_segment(&mut self, seg: Arc<Segment>) {
         assert_eq!(seg.dim(), self.dim, "segment has wrong dimension");
-        assert_eq!(seg.len(), self.seg_rows, "segment has wrong row count");
+        assert!((1..=self.seg_rows).contains(&seg.len()), "segment has wrong row count");
+        assert_eq!(self.len(), self.segments.len() * self.seg_rows, "a short segment must be last");
         if let Some(first) = self.segments.first() {
             assert_eq!(
                 first.has_norm_cache(),
@@ -521,7 +525,28 @@ mod tests {
     #[should_panic(expected = "wrong row count")]
     fn push_segment_rejects_wrong_size() {
         let mut store = SegmentStore::new(2, 4);
+        store.push_segment(Arc::new(Segment::from_store(flat(5))));
+    }
+
+    #[test]
+    fn a_short_last_segment_serves_its_rows() {
+        let src = flat(10);
+        let mut store = segmented(8, 4);
+        store.push_segment(Arc::new(Segment::from_view(src.slice(8..10))));
+        assert_eq!(store.len(), 10);
+        let v = store.slice(3..10);
+        for i in 0..7 {
+            assert_eq!(v.get(i), src.get(3 + i), "row {i}");
+        }
+        assert_eq!(store.to_vector_store().as_flat(), src.as_flat());
+    }
+
+    #[test]
+    #[should_panic(expected = "a short segment must be last")]
+    fn push_segment_rejects_a_segment_after_a_short_one() {
+        let mut store = SegmentStore::new(2, 4);
         store.push_segment(Arc::new(Segment::from_store(flat(3))));
+        store.push_segment(Arc::new(Segment::from_store(flat(4))));
     }
 
     #[test]

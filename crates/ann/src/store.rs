@@ -240,8 +240,9 @@ enum Repr<'a> {
     /// of a row-checked segment, its check and the run's first row in the
     /// segment).
     Contig { data: &'a [f32], inv_norms: Option<&'a [f32]>, check: Option<(&'a ChunkCheck, usize)> },
-    /// `len` rows starting `skip` rows into `segs[0]`; every segment holds
-    /// exactly `seg_rows` rows, so each per-segment run is contiguous.
+    /// `len` rows starting `skip` rows into `segs[0]`; every segment but
+    /// the last holds exactly `seg_rows` rows, so each per-segment run is
+    /// contiguous.
     Segmented { segs: &'a [Arc<Segment>], seg_rows: usize, skip: usize },
 }
 

@@ -6,12 +6,11 @@ use crate::CliError;
 use mbi_ann::{NnDescentParams, SearchParams};
 use mbi_core::tuner::TunerConfig;
 use mbi_core::{
-    EngineConfig, GraphBackend, IndexSnapshot, MbiConfig, MbiIndex, StreamingMbi, TauTuner,
-    TimeWindow,
+    EngineConfig, GraphBackend, MbiConfig, MbiIndex, StreamingMbi, TauTuner, TimeWindow,
 };
 use mbi_data::preset_by_name;
 use mbi_math::Metric;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::time::Instant;
 
 /// Dispatches a parsed command line; all output goes to `out` (stdout in
@@ -223,24 +222,12 @@ fn verify(args: &CliArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let len =
         std::fs::metadata(path).map_err(|e| CliError(format!("cannot read {path}: {e}")))?.len();
     writeln!(out, "file          : {path} ({len} bytes)")?;
-    // Loading verifies the magic, the version (9, the only one read), every
-    // section CRC and the footer, then runs the structural checks. Byte 8
-    // is the stream kind: 1 marks a snapshot (a durable engine's checkpoint,
-    // a cold tenant's file), which the snapshot reader loads.
-    let mut head = [0u8; 9];
-    let kind =
-        std::fs::File::open(path).and_then(|mut f| f.read_exact(&mut head)).map(|()| head[8]);
-    let corrupt = |e| CliError(format!("corrupt index: {e}"));
+    // Loading verifies the magic, the version, every section CRC and the
+    // footer, then runs the structural checks. Any stream loads: an index
+    // `build` saved, a durable engine's checkpoint, a cold tenant's file.
     let started = Instant::now();
-    let (secs, structure, (rows, leaves, blocks)) = if kind.ok() == Some(1) {
-        let snap = IndexSnapshot::load_file(path).map_err(corrupt)?;
-        let secs = started.elapsed().as_secs_f64();
-        (secs, snap.validate(), (snap.sealed_rows(), snap.num_leaves(), snap.blocks().len()))
-    } else {
-        let index = MbiIndex::load_file(path).map_err(corrupt)?;
-        let secs = started.elapsed().as_secs_f64();
-        (secs, index.validate(), (index.len(), index.num_leaves(), index.blocks().len()))
-    };
+    let index = MbiIndex::load_file(path).map_err(|e| CliError(format!("corrupt index: {e}")))?;
+    let secs = started.elapsed().as_secs_f64();
     writeln!(
         out,
         "checksums     : ok — {len} bytes read, verified and decoded in {secs:.3} s ({:.0} MB/s), crc32 {}, simd {}",
@@ -248,7 +235,8 @@ fn verify(args: &CliArgs, out: &mut dyn Write) -> Result<(), CliError> {
         mbi_math::crc32_backend(),
         mbi_math::simd::active_backend().name()
     )?;
-    structure.map_err(|e| CliError(format!("structural validation failed: {e}")))?;
+    index.validate().map_err(|e| CliError(format!("structural validation failed: {e}")))?;
+    let (rows, leaves, blocks) = (index.len(), index.num_leaves(), index.blocks().len());
     writeln!(out, "structure     : ok — {rows} rows, {leaves} leaves, {blocks} blocks")?;
     Ok(())
 }
@@ -300,7 +288,7 @@ fn query(args: &CliArgs, out: &mut dyn Write) -> Result<(), CliError> {
         for (rank, r) in result.results.iter().enumerate() {
             writeln!(
                 out,
-                "  {:>2}. id={:<10} t={:<12} dist={:.6}",
+                "  {:>2}. id={:<10} t={:<12} dist={}",
                 rank + 1,
                 r.id,
                 r.timestamp,
@@ -561,8 +549,8 @@ mod tests {
         assert!(err.to_string().contains("corrupt index"), "{err}");
     }
 
-    /// A durable engine's checkpoint is a snapshot stream, the file a server
-    /// actually serves; `verify` reads it through the snapshot reader.
+    /// A durable engine's checkpoint is the file a server actually serves;
+    /// `verify`, `info` and `query` read it like any other stream.
     #[test]
     fn verify_reads_an_engine_checkpoint() {
         let dir = tmp("ckpt");
@@ -579,6 +567,10 @@ mod tests {
         let out = run_cmd(&format!("verify --index {snapshot}")).unwrap();
         assert!(out.contains("checksums     : ok"), "{out}");
         assert!(out.contains("structure     : ok — 96 rows, 3 leaves, 4 blocks"), "{out}");
+        let out = run_cmd(&format!("info --index {snapshot}")).unwrap();
+        assert!(out.contains("sealed leaves : 3 (+0 tail rows)"), "{out}");
+        let out = run_cmd(&format!("query --index {snapshot} --vector 7,0.6,0.7,1 --k 1")).unwrap();
+        assert!(out.contains("1. id=7 "), "{out}");
 
         let mut bytes = std::fs::read(&snapshot).unwrap();
         let mid = bytes.len() / 2;

@@ -85,6 +85,13 @@ impl StreamingMbi {
         let snapshot = IndexSnapshot::load_file(dir.join(SNAPSHOT_FILE))?;
         let config = snapshot.config;
         let sealed = snapshot.sealed_rows() as u64;
+        // A checkpoint holds whole leaves only; a tail record's rows are in
+        // no WAL, so a file with one (an `MbiIndex` save) cannot resume here.
+        let tail = snapshot.times.len() as u64 - sealed;
+        if tail > 0 {
+            let detail = format!("the snapshot holds {tail} rows past its leaves, in no WAL");
+            return Err(MbiError::corrupt(0, detail));
+        }
         let mut replayed: Vec<(Timestamp, Vec<f32>)> = Vec::new();
         let mut first_kept = None;
         let mut wal = Wal::recover(dir.join(WAL_DIR), config.dim, |r| {

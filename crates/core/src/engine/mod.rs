@@ -286,9 +286,10 @@ impl IndexSnapshot {
         &self.config
     }
 
-    /// Rows under blocks (`num_leaves · S_L`) — the prefix
-    /// [`Self::to_bytes`] persists. Unbuilt leaves past it are served by
-    /// exact scan but not persisted: a checkpoint's WAL keeps their rows.
+    /// Rows under blocks (`num_leaves · S_L`). [`Self::to_bytes`] persists
+    /// them and a short last segment (a loaded index's partial leaf).
+    /// Unbuilt leaves past them are served by exact scan but not persisted:
+    /// a checkpoint's WAL keeps their rows.
     pub fn sealed_rows(&self) -> usize {
         self.num_leaves * self.config.leaf_size
     }
@@ -320,26 +321,15 @@ impl IndexSnapshot {
     }
 
     /// Builds a snapshot from a synchronous index by chunking its rows into
-    /// leaf-sized segments. Fails with [`MbiError::UnsealedTail`] when the
-    /// index has tail rows — a snapshot holds only sealed leaves; use
-    /// [`StreamingMbi::from_index`] to resume streaming with a tail.
-    pub fn from_index(index: &MbiIndex) -> Result<Self, MbiError> {
-        if !index.tail_rows().is_empty() {
-            return Err(MbiError::UnsealedTail { tail_rows: index.tail_rows().len() });
-        }
-        Ok(Self::whole_leaves(index))
-    }
-
-    /// Every whole leaf of `index` as a snapshot, with the index's blocks
-    /// over its first `num_leaves`; rows past the last whole leaf are left
-    /// out.
-    fn whole_leaves(index: &MbiIndex) -> Self {
+    /// leaf-sized segments; its partial leaf becomes a short last segment,
+    /// which queries scan exactly as the index does.
+    pub fn from_index(index: &MbiIndex) -> Self {
         let config = *index.config();
         let s_l = config.leaf_size;
         let mut store = SegmentStore::new(config.dim, s_l);
         let mut times = TimeChunks::new(s_l);
-        for leaf in 0..index.len() / s_l {
-            let rows = leaf * s_l..(leaf + 1) * s_l;
+        for start in (0..index.len()).step_by(s_l) {
+            let rows = start..(start + s_l).min(index.len());
             store.push_segment(Arc::new(Segment::from_view(index.store().slice(rows.clone()))));
             times.push_chunk(index.timestamps()[rows].into());
         }
@@ -349,6 +339,24 @@ impl IndexSnapshot {
             times,
             blocks: index.blocks().iter().cloned().map(Arc::new).collect(),
             num_leaves: index.num_leaves(),
+        }
+    }
+
+    /// The inverse of [`Self::from_index`]: a standalone [`MbiIndex`] with
+    /// every row copied into one flat store and every block deep-cloned.
+    pub(crate) fn to_index(&self) -> MbiIndex {
+        let mut store = self.store.to_vector_store();
+        // An empty angular store carries no norm column yet; the index
+        // keeps one for the rows it will take.
+        if self.config.metric == Metric::Angular {
+            store.enable_norm_cache();
+        }
+        MbiIndex {
+            config: self.config,
+            store,
+            timestamps: self.times.to_vec(),
+            blocks: self.blocks.iter().map(|b| (**b).clone()).collect(),
+            num_leaves: self.num_leaves,
         }
     }
 
@@ -364,13 +372,10 @@ impl IndexSnapshot {
                 self.times.len()
             ));
         }
-        if !self.times.len().is_multiple_of(self.config.leaf_size)
-            || self.times.len() < self.sealed_rows()
-        {
+        if self.times.len() < self.sealed_rows() {
             return Err(format!(
-                "{} stored rows are not whole leaves of {} rows past the {} leaves under blocks",
+                "{} stored rows are fewer than the {} leaves under blocks hold",
                 self.times.len(),
-                self.config.leaf_size,
                 self.num_leaves
             ));
         }
@@ -940,63 +945,57 @@ impl StreamingMbi {
     pub fn to_index(&self) -> MbiIndex {
         self.flush();
         let tail = self.shared.tail.read();
-        let snap = self.shared.snapshot.read().clone();
-        let total = tail.first_row + tail.partial.len();
-        let mut store = VectorStore::with_capacity(self.shared.config.dim, total);
-        if self.shared.config.metric == Metric::Angular {
-            store.enable_norm_cache();
+        let mut snap = IndexSnapshot::clone(&self.shared.snapshot.read());
+        if !tail.partial.is_empty() {
+            snap.store.push_segment(Arc::new(Segment::from_view(tail.partial.view())));
+            snap.times.push_chunk(tail.partial_ts.as_slice().into());
         }
-        store.extend_from_view(snap.store.slice(0..tail.first_row));
-        store.extend_from_view(tail.partial.slice(0..tail.partial.len()));
-        let mut timestamps = snap.times.to_vec();
-        timestamps.extend_from_slice(&tail.partial_ts);
-        MbiIndex {
-            config: self.shared.config,
-            store,
-            timestamps,
-            blocks: snap.blocks.iter().map(|b| (**b).clone()).collect(),
-            num_leaves: snap.num_leaves,
-        }
+        snap.to_index()
     }
 
-    /// Resumes streaming from a synchronous index: its whole leaves become
-    /// shared segments (published immediately, blocks reused — only chains
-    /// the index never built are rebuilt), tail rows refill the partial
-    /// buffer. The inverse of [`Self::to_index`] up to storage layout:
-    /// queries answer identically.
+    /// Resumes streaming from a synchronous index:
+    /// [`Self::from_snapshot`] of [`IndexSnapshot::from_index`]. The inverse
+    /// of [`Self::to_index`] up to storage layout: queries answer
+    /// identically.
     pub fn from_index(index: MbiIndex, engine: EngineConfig) -> Self {
-        let this = Self::from_snapshot(IndexSnapshot::whole_leaves(&index), engine);
-        {
-            let mut tail = this.shared.tail.write();
-            for i in tail.first_row..index.len() {
-                tail.partial.push(index.store().get(i));
-                tail.partial_ts.push(index.timestamps()[i]);
-            }
-            tail.last_ts = index.timestamps().last().copied();
-        }
-        this
+        Self::from_snapshot(IndexSnapshot::from_index(&index), engine)
     }
 
     /// Resumes streaming from a published (or persisted) snapshot: its
     /// leaves, blocks, and timestamp chunks are adopted by pointer — nothing
-    /// is copied or rebuilt — and new inserts continue after them. The
-    /// chains of any unbuilt leaves are enqueued.
+    /// is copied or rebuilt — and new inserts continue after them. A short
+    /// last segment (a loaded index's partial leaf) refills the partial
+    /// buffer, and the chains of any unbuilt leaves are enqueued.
     pub fn from_snapshot(snapshot: IndexSnapshot, engine: EngineConfig) -> Self {
         Self::from_snapshot_internal(snapshot, engine, None)
     }
 
     fn from_snapshot_internal(
-        snapshot: IndexSnapshot,
+        mut snapshot: IndexSnapshot,
         engine: EngineConfig,
         durability: Option<Durability>,
     ) -> Self {
+        let last_ts = (!snapshot.is_empty()).then(|| snapshot.times.get(snapshot.times.len() - 1));
+        // A short last segment is a partial leaf: it moves to the tail.
+        let whole = snapshot.times.len() / snapshot.config.leaf_size;
+        let short = (snapshot.times.num_chunks() > whole).then(|| {
+            let seg = Arc::clone(&snapshot.store.segments()[whole]);
+            let ts = snapshot.times.chunks()[whole].to_vec();
+            snapshot.store = snapshot.store.share(0..whole * snapshot.config.leaf_size);
+            snapshot.times = snapshot.times.share_prefix(whole);
+            (seg, ts)
+        });
         let rows = snapshot.times.len();
         let this = Self::build(snapshot.config, engine, durability);
         let unbuilt = {
             let mut tail = this.shared.tail.write();
             let mut m = this.shared.master.lock();
             tail.first_row = rows;
-            tail.last_ts = (rows > 0).then(|| snapshot.times.get(rows - 1));
+            tail.last_ts = last_ts;
+            if let Some((seg, ts)) = short {
+                tail.partial.extend_from_view(seg.view());
+                tail.partial_ts = ts;
+            }
             m.store = snapshot.store.clone();
             m.times = snapshot.times.clone();
             m.blocks = snapshot.blocks.clone();
@@ -1143,6 +1142,24 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A saved `MbiIndex` with a partial leaf is a valid stream, but its tail
+    /// rows are in no WAL: a durable engine refuses to resume from it.
+    #[test]
+    fn recovery_refuses_a_checkpoint_with_a_tail_record() {
+        let dir = temp_dir("tailed");
+        drop(StreamingMbi::open(&dir, config(), EngineConfig::default()).unwrap());
+        let mut index = MbiIndex::new(config());
+        for i in 0..11usize {
+            index.insert(&[i as f32, 0.0], i as i64).unwrap();
+        }
+        index.save_file(dir.join(durable::SNAPSHOT_FILE)).unwrap();
+        match StreamingMbi::recover(&dir, EngineConfig::default()) {
+            Err(MbiError::Corrupt { detail, .. }) => assert!(detail.contains("3 rows"), "{detail}"),
+            other => panic!("expected Corrupt, got {:?}", other.map(|e| e.len())),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// The 4-d, leaf-64, degree-8 configuration of the row-validation and
     /// early-checkpoint tests.
     fn leaf64_config(metric: Metric) -> MbiConfig {
@@ -1240,7 +1257,7 @@ mod tests {
         for i in 0..n {
             idx.insert(&[i as f32, 0.0], i as i64).unwrap();
         }
-        IndexSnapshot::from_index(&idx).unwrap()
+        IndexSnapshot::from_index(&idx)
     }
 
     #[test]
@@ -1461,25 +1478,28 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_from_index_rejects_unsealed_tails() {
+    fn snapshot_from_index_keeps_the_tail() {
         let mut sync = MbiIndex::new(config());
-        for i in 0..10usize {
-            sync.insert(&[i as f32, 0.0], i as i64).unwrap();
-        }
-        match IndexSnapshot::from_index(&sync) {
-            Err(MbiError::UnsealedTail { tail_rows: 2 }) => {}
-            other => panic!("expected UnsealedTail {{ 2 }}, got {other:?}"),
-        }
-        for i in 10..16usize {
-            sync.insert(&[i as f32, 0.0], i as i64).unwrap();
-        }
-        let snap = IndexSnapshot::from_index(&sync).unwrap();
-        assert_eq!(snap.validate(), Ok(()));
-        assert_eq!(snap.sealed_rows(), 16);
         let w = TimeWindow::all();
-        assert_eq!(snap.query_with_params(&[7.0, 0.0], 3, w, &config().search).results, {
-            sync.query(&[7.0, 0.0], 3, w)
-        });
+        for n in [10usize, 16] {
+            for i in sync.len()..n {
+                sync.insert(&[i as f32, 0.0], i as i64).unwrap();
+            }
+            let snap = IndexSnapshot::from_index(&sync);
+            assert_eq!(snap.validate(), Ok(()));
+            assert_eq!(
+                (snap.sealed_rows(), snap.store().len(), snap.times().len()),
+                (8 * (n / 8), n, n)
+            );
+            for q in [[1.0f32, 0.0], [9.2, 0.0]] {
+                let out = snap.query_with_params(&q, 3, w, &config().search);
+                assert_eq!(out.results, sync.query(&q, 3, w), "{n} rows, query {q:?}");
+            }
+            // The short last segment moves to the engine's partial leaf.
+            let resumed = StreamingMbi::from_snapshot(snap, EngineConfig::default());
+            assert_eq!((resumed.len(), resumed.snapshot().times().len()), (n, 8 * (n / 8)));
+            assert_eq!(resumed.to_index().to_bytes(), sync.to_bytes());
+        }
     }
 
     #[test]
@@ -1491,7 +1511,7 @@ mod tests {
         for i in 0..32usize {
             sync.insert(&[i as f32, (i % 5) as f32], i as i64).unwrap();
         }
-        let mut snap = IndexSnapshot::from_index(&sync).unwrap();
+        let mut snap = IndexSnapshot::from_index(&sync);
         snap.blocks = snap.blocks.iter().take(blocks_for_leaves(2)).cloned().collect();
         snap.num_leaves = 2;
         assert_eq!(snap.validate(), Ok(()));

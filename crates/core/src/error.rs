@@ -76,15 +76,6 @@ pub enum MbiError {
     },
     /// An I/O error during save/load.
     Io(std::io::Error),
-    /// An [`IndexSnapshot`](crate::IndexSnapshot) was requested from an index
-    /// whose last leaf is not full: snapshots hold only sealed leaf-sized
-    /// segments. Resume via
-    /// [`StreamingMbi::from_index`](crate::StreamingMbi::from_index) instead,
-    /// which carries tail rows.
-    UnsealedTail {
-        /// Rows in the non-full tail leaf.
-        tail_rows: usize,
-    },
 }
 
 impl MbiError {
@@ -127,10 +118,6 @@ impl fmt::Display for MbiError {
                  refusing to serve — re-seed this follower"
             ),
             MbiError::Io(e) => write!(f, "i/o error: {e}"),
-            MbiError::UnsealedTail { tail_rows } => write!(
-                f,
-                "index has {tail_rows} unsealed tail rows; snapshots hold only sealed leaves"
-            ),
         }
     }
 }

@@ -2,23 +2,29 @@
 //!
 //! Time-accumulating deployments restart; rebuilding every block graph costs
 //! `O(|D|^1.14 log |D|)` (§4.4.2), so a saved index pays for itself quickly.
-//! There is one on-disk format, version 11: a single little-endian stream in
-//! a checksummed envelope. Everything is length-prefixed and validated on
-//! load; malformed input yields [`MbiError::Corrupt`] (carrying the byte
+//! There is one on-disk format, version 12, and one stream kind: a single
+//! little-endian stream in a checksummed envelope, written alike by
+//! [`MbiIndex`] and [`IndexSnapshot`] and read by one decoder, whether it
+//! copies the stream ([`IndexSnapshot::from_bytes`], which
+//! [`MbiIndex::from_bytes`] flattens) or views it in a mapped file
+//! ([`crate::tier::ColdIndex`]). Everything is length-prefixed and validated
+//! on load; malformed input yields [`MbiError::Corrupt`] (carrying the byte
 //! offset where parsing failed) or [`MbiError::ChecksumMismatch`], never a
-//! panic. A header version other than 11 is `Corrupt` at byte 4 — there is
+//! panic. A header version other than 12 is `Corrupt` at byte 4 — there is
 //! no converter and no second reader.
 //!
 //! # Envelope
 //!
 //! ```text
-//! stream := "MBI1" version:u32 kind:u8 config data blocks footer
-//! kind   := 0 (MbiIndex, flat body) | 1 (IndexSnapshot, leaf records)
+//! stream := "MBI1" version:u32 config data blocks footer
+//! config := dim:u64 metric:u8 leaf_size:u64 tau:f64 degree:u64 rho:f64
+//!           delta:f64 max_iters:u64 seed:u64 max_candidates:u64 epsilon:f32
+//!           entry:u8 [entry_id:u32] parallel_build:u8
 //! footer := count:u8 (tag:u8 len:u64 crc:u32)*count footer_crc:u32
 //!           footer_len:u32 "MBIF"
 //! ```
 //!
-//! The four sections — `header` (magic + version + kind), `config`, `data`,
+//! The four sections — `header` (magic + version), `config`, `data`,
 //! `blocks` — tile the stream exactly; each carries the CRC32 of its bytes,
 //! and the footer carries its own CRC. Any single-byte flip anywhere in a
 //! stream therefore fails a checksum (or the structural parse) before an
@@ -29,7 +35,7 @@
 //!
 //! # Block graphs
 //!
-//! Both stream kinds store a block of `n` rows' kNN graph in one encoding:
+//! A block of `n` rows stores its kNN graph as:
 //!
 //! ```text
 //! graph := tag:u32 degree:u64 len:u64 edges:u32[len] chunk_crc:u32[⌈n/16⌉]
@@ -40,42 +46,38 @@
 //! padded at the tail with `u32::MAX`. `chunk_crc[c]` is the CRC32 of the
 //! lists of vertices `16c .. min(16c + 16, n)` ([`ADJACENCY_CHUNK`]), so no
 //! list spans two chunks. The 20-byte header keeps `edges` 4-byte aligned
-//! wherever the graph starts 4-byte aligned, which every snapshot graph
-//! does, so a reader can view the edges in place in a mapped file.
+//! wherever the graph starts 4-byte aligned, which every graph does, so a
+//! reader can view the edges in place in a mapped file.
 //!
-//! # Index kind: flat body
+//! # Page-aligned records
 //!
-//! ```text
-//! data   := n:u64 ts:i64[n] rows:f32[n·d] has_norms:u8 [inv:f32[n]]
-//! blocks := num_leaves:u64 num_blocks:u64
-//!           (rows:u64×2 height:u32 start_ts:i64 end_ts:i64 graph)*num_blocks
-//! ```
-//!
-//! An [`MbiIndex`] stream holds every row, the unsealed tail included, and
-//! is only ever loaded whole.
-//!
-//! # Snapshot kind: page-aligned leaf records
-//!
-//! The snapshot `data` section is laid out so [`crate::tier::ColdIndex`]
-//! can mmap the file and view each leaf's columns in place, copying
-//! nothing:
+//! The `data` section is laid out so [`crate::tier::ColdIndex`] can mmap the
+//! file and view each record's columns in place, copying nothing:
 //!
 //! ```text
-//! data   := num_leaves:u64 seg_rows:u64 has_norms:u8
-//!           leaf_dir[num_leaves] dir_crc:u32 pad(page) record[num_leaves]
+//! data   := num_leaves:u64 seg_rows:u64 has_norms:u8 tail_rows:u64
+//!           leaf_dir[records] dir_crc:u32 pad(page) record[records]
+//! records := num_leaves + (1 if tail_rows > 0)
 //! leaf_dir := record_off:u64 graph_off:u64 graph_len:u64
 //!             crc_ts:u32 crc_rows:u32 crc_inv:u32 crc_graph:u32
-//! record := ts:i64[s_l] rows:f32[s_l·d] row_crc:u32[s_l] [inv:f32[s_l]]
-//!           pad(4) graph pad(page)
+//! record := ts:i64[r] rows:f32[r·d] row_crc:u32[r] [inv:f32[r]] graph
+//!           pad(page)
 //! blocks := num_blocks:u64 block_meta[num_blocks] meta_crc:u32 graphs
 //! block_meta := rows:u64×2 height:u32 start_ts:i64 end_ts:i64
 //!               graph_off:u64 graph_len:u64 graph_crc:u32
 //! ```
 //!
-//! Every record starts on a 4096-byte page boundary and co-locates the leaf
-//! block's graph with its vectors (one contiguous read brings in everything
-//! a block search needs); offsets are absolute, so the directory alone
-//! resolves any leaf. Internal (height ≥ 1) block graphs are concatenated
+//! A leaf record holds `r = seg_rows` rows and co-locates the leaf block's
+//! graph with its vectors (one contiguous read brings in everything a block
+//! search needs). The optional **tail record** comes last: the
+//! `0 < tail_rows < seg_rows` rows past the leaves under blocks — an
+//! [`MbiIndex`]'s partial leaf, which queries scan exactly. It has a leaf
+//! record's columns and its own directory entry, and no graph (`graph_len`
+//! and `crc_graph` are 0). An engine's checkpoint never holds a partial
+//! leaf, so it writes none, and its sealed but unbuilt leaves are not
+//! written either: its WAL keeps their rows. Every record starts on a
+//! 4096-byte page boundary; offsets are absolute, so the directory alone
+//! resolves any record. Internal (height ≥ 1) block graphs are concatenated
 //! after the block metadata; leaf block entries point back into the leaf
 //! records.
 //!
@@ -90,15 +92,14 @@
 //! then every id) the first time a search expands a vertex in it — once per
 //! open. The eager loaders check every row, every chunk and every id.
 //!
-//! A snapshot stream has one reader, shared by the eager loader
-//! ([`IndexSnapshot::from_bytes`]) and the cold tier: an open step
-//! (`open_snapshot`: directories, CRC-checked timestamp chunks, and the
-//! postorder and timestamp structure queries walk) and a per-piece decoder
-//! that checks each piece's own CRCs and scalars, both run over every piece
-//! by `decode_snapshot`. The cold tier decodes over a mapped file, copying
-//! nothing: rows and adjacency chunks are verified as they are read. The
-//! eager loader decodes every piece into owned columns, after the
-//! whole-section CRCs have also covered every byte.
+//! The one reader has an open step (`open_snapshot`: directories,
+//! CRC-checked timestamp chunks, and the postorder and timestamp structure
+//! queries walk) and a per-piece decoder that checks each piece's own CRCs
+//! and scalars, both run over every piece by `decode_snapshot`. The cold
+//! tier decodes over a mapped file, copying nothing: rows and adjacency
+//! chunks are verified as they are read. The eager loader decodes every
+//! piece into owned columns, after the whole-section CRCs have also covered
+//! every byte.
 //!
 //! ```
 //! use mbi_core::{MbiConfig, MbiIndex, TimeWindow};
@@ -126,7 +127,7 @@ use bytes::{BufMut, Bytes, BytesMut};
 use mbi_ann::mapped::Plain;
 use mbi_ann::{
     Col, EntryPolicy, FileMap, KnnGraph, NnDescentParams, SearchParams, Segment, SegmentStore,
-    VectorStore, ADJACENCY_CHUNK,
+    ADJACENCY_CHUNK,
 };
 use mbi_math::{crc32, Metric};
 use std::io::{Read, Write};
@@ -137,20 +138,20 @@ use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"MBI1";
 /// The one format version this build writes and reads.
-const VERSION: u32 = 11;
-
-const KIND_INDEX: u8 = 0;
-const KIND_SNAPSHOT: u8 = 1;
+const VERSION: u32 = 12;
 
 const FOOTER_MAGIC: &[u8; 4] = b"MBIF";
 /// Section names, in stream order; the footer stores one CRC per section.
 const SECTIONS: [&str; 4] = ["header", "config", "data", "blocks"];
-/// magic + version + kind.
-const HEADER_LEN: usize = 4 + 4 + 1;
-/// Snapshot leaf records start on this boundary, so a mapped read of one
-/// record faults only its own pages.
+/// magic + version.
+const HEADER_LEN: usize = 4 + 4;
+/// Records start on this boundary, so a mapped read of one record faults
+/// only its own pages.
 pub(crate) const PAGE: usize = mbi_ann::PAGE_SIZE;
-/// Leaf-directory entry: `record_off` + `graph_off` + `graph_len` + five
+/// `num_leaves` + `seg_rows` + `has_norms` + `tail_rows`, before the leaf
+/// directory.
+const DATA_HEADER_LEN: usize = 8 + 8 + 1 + 8;
+/// Leaf-directory entry: `record_off` + `graph_off` + `graph_len` + four
 /// per-piece CRCs (ts, row CRCs, inv, graph).
 const LEAF_DIR_ENTRY_LEN: usize = 8 * 3 + 4 * 4;
 /// Block-directory entry: row range + height + timestamp span + graph
@@ -161,9 +162,9 @@ pub(crate) const GRAPH_HEADER_LEN: usize = 4 + 8 + 8;
 
 /// A bounded little-endian cursor over `b[pos..end]` of the full stream.
 /// `pos` is absolute, so every parse failure reports the offset where it
-/// happened; the cursor only borrows, so the snapshot directories parse off
-/// a memory map without copying (or faulting) anything beyond themselves.
-/// Callers reserve with [`Src::need`] before the `get_*` calls.
+/// happened; the cursor only borrows, so the directories parse off a memory
+/// map without copying (or faulting) anything beyond themselves. Callers
+/// reserve with [`Src::need`] before the `get_*` calls.
 struct Src<'a> {
     b: &'a [u8],
     pos: usize,
@@ -336,9 +337,9 @@ fn parse_footer(b: &[u8]) -> Result<[(usize, usize, u32); 4], MbiError> {
     Ok(sections)
 }
 
-/// Checks the envelope header — magic, then the one readable version — and
-/// returns the kind byte. Any other version is `Corrupt` at byte 4.
-fn read_header(b: &[u8]) -> Result<u8, MbiError> {
+/// Checks the envelope header: the magic, then the one readable version.
+/// Any other version is `Corrupt` at byte 4.
+fn read_header(b: &[u8]) -> Result<(), MbiError> {
     if b.len() >= 4 && &b[..4] != MAGIC {
         return Err(MbiError::corrupt(0, "bad magic"));
     }
@@ -352,17 +353,16 @@ fn read_header(b: &[u8]) -> Result<u8, MbiError> {
             format!("unsupported version {version}: only version {VERSION} streams are readable"),
         ));
     }
-    Ok(b[8])
+    Ok(())
 }
 
-/// Verifies a stream's footer and every section CRC; returns the body
-/// region `(start, end)` — the bytes after the kind byte, before the footer.
-fn verify_sections(b: &[u8]) -> Result<(usize, usize), MbiError> {
+/// Verifies a stream's footer and every section CRC.
+fn verify_sections(b: &[u8]) -> Result<(), MbiError> {
     let sections = parse_footer(b)?;
     for (&name, &(start, end, expected)) in SECTIONS.iter().zip(&sections) {
         check_crc(&b[start..end], expected, name)?;
     }
-    Ok((HEADER_LEN, sections[3].1))
+    Ok(())
 }
 
 /// Fails with [`MbiError::ChecksumMismatch`] unless `bytes` hash to `expected`.
@@ -385,8 +385,7 @@ fn rd_u64(b: &[u8], off: usize) -> u64 {
 impl MbiIndex {
     /// Serialises the index to `w`.
     pub fn save_to(&self, w: &mut impl Write) -> Result<(), MbiError> {
-        let buf = self.to_bytes();
-        w.write_all(&buf)?;
+        w.write_all(&self.to_bytes())?;
         Ok(())
     }
 
@@ -399,134 +398,31 @@ impl MbiIndex {
 
     /// Deserialises an index from `r`.
     pub fn load_from(r: &mut impl Read) -> Result<Self, MbiError> {
-        let mut buf = Vec::new();
-        r.read_to_end(&mut buf)?;
-        Self::from_bytes(Bytes::from(buf))
+        IndexSnapshot::load_from(r).map(|snap| snap.to_index())
     }
 
     /// Deserialises an index from a file at `path`.
     pub fn load_file(path: impl AsRef<Path>) -> Result<Self, MbiError> {
-        let mut f = std::io::BufReader::new(std::fs::File::open(path)?);
-        Self::load_from(&mut f)
+        IndexSnapshot::load_file(path).map(|snap| snap.to_index())
     }
 
-    /// Serialises the index into one contiguous buffer (checksummed
-    /// sections + footer over the flat index-kind body).
+    /// Serialises the index into one contiguous buffer: its whole leaves as
+    /// leaf records, its partial leaf as the tail record.
     pub fn to_bytes(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(128 + self.data_bytes() + self.index_memory_bytes());
-        b.put_slice(MAGIC);
-        b.put_u32_le(VERSION);
-        b.put_u8(KIND_INDEX);
-        let mut bounds = vec![0, b.len()];
-        write_config(&mut b, &self.config);
-        bounds.push(b.len());
-
-        let n = self.timestamps.len();
-        b.put_u64_le(n as u64);
-        for &t in &self.timestamps {
-            b.put_i64_le(t);
-        }
-        for &v in self.store.as_flat() {
-            b.put_f32_le(v);
-        }
-        match self.store.inv_norms() {
-            Some(inv) => {
-                b.put_u8(1);
-                for &x in inv {
-                    b.put_f32_le(x);
-                }
-            }
-            None => b.put_u8(0),
-        }
-        bounds.push(b.len());
-
-        b.put_u64_le(self.num_leaves as u64);
-        b.put_u64_le(self.blocks.len() as u64);
-        for block in &self.blocks {
-            b.put_u64_le(block.rows.start as u64);
-            b.put_u64_le(block.rows.end as u64);
-            b.put_u32_le(block.height);
-            b.put_i64_le(block.start_ts);
-            b.put_i64_le(block.end_ts);
-            write_graph(&mut b, &block.graph, block.len());
-        }
-        bounds.push(b.len());
-        write_footer(&mut b, &bounds);
-        b.freeze()
+        let (s_l, dim) = (self.config.leaf_size, self.config.dim);
+        let inv = self.store.inv_norms();
+        let rows = self.store.as_flat().chunks(s_l * dim);
+        let chunks = self.timestamps.chunks(s_l).zip(rows).enumerate().map(|(i, (ts, rows))| {
+            Chunk { ts, rows, inv: inv.map(|inv| &inv[i * s_l..][..ts.len()]) }
+        });
+        encode(&self.config, chunks.collect(), self.num_leaves, self.blocks.iter().collect())
     }
 
-    /// Deserialises an index from one contiguous buffer.
+    /// Deserialises an index from one contiguous buffer: the snapshot the
+    /// stream decodes to ([`IndexSnapshot::from_bytes`]), flattened.
     pub fn from_bytes(b: Bytes) -> Result<Self, MbiError> {
-        if read_header(&b)? != KIND_INDEX {
-            return Err(MbiError::corrupt(8, "stream holds a snapshot, not an index"));
-        }
-        let (start, end) = verify_sections(&b)?;
-        decode_index_body(&mut Src::new(&b, start, end))
+        IndexSnapshot::from_bytes(b).map(|snap| snap.to_index())
     }
-}
-
-/// Decodes an index-kind body (config / data / blocks), consuming `src`
-/// exactly.
-fn decode_index_body(src: &mut Src<'_>) -> Result<MbiIndex, MbiError> {
-    let config = read_config(src)?;
-
-    src.need(8)?;
-    let n = src.get_u64_le() as usize;
-    src.need(n.checked_mul(8).ok_or_else(|| overflow(src))?)?;
-    let timestamps: Vec<i64> = le_vec(src.bytes(n * 8));
-    for (i, pair) in timestamps.windows(2).enumerate() {
-        if pair[1] < pair[0] {
-            return Err(MbiError::corrupt(src.pos - (n - i - 1) * 8, "timestamps not sorted"));
-        }
-    }
-    let floats = n.checked_mul(config.dim).ok_or_else(|| overflow(src))?;
-    src.need(floats.checked_mul(4).ok_or_else(|| overflow(src))?)?;
-    let flat = le_vec(src.bytes(floats * 4));
-    src.need(1)?;
-    let has_norms = src.get_u8() != 0;
-    let mut store = if has_norms {
-        src.need(n.checked_mul(4).ok_or_else(|| overflow(src))?)?;
-        let at = src.pos;
-        let inv = inv_norms(le_vec::<f32>(src.bytes(n * 4)), at)?;
-        VectorStore::from_flat_with_inv_norms(config.dim, flat, inv)
-    } else {
-        VectorStore::from_flat(config.dim, flat)
-    };
-    // A stream written without the column still loads: angular indexes
-    // recompute it so loaded indexes query identically to freshly built ones.
-    if config.metric == Metric::Angular && !store.has_norm_cache() {
-        store.enable_norm_cache();
-    }
-
-    src.need(16)?;
-    let num_leaves = src.get_u64_le() as usize;
-    let num_blocks = src.get_u64_le() as usize;
-    if num_leaves.checked_mul(config.leaf_size).is_none_or(|rows| rows > n) {
-        return Err(src.corrupt("leaf count exceeds data"));
-    }
-    let mut blocks = Vec::with_capacity(num_blocks.min(1 << 20));
-    for _ in 0..num_blocks {
-        src.need(8 * 2 + 4 + 8 * 2)?;
-        let start = src.get_u64_le() as usize;
-        let end = src.get_u64_le() as usize;
-        let height = src.get_u32_le();
-        let start_ts = src.get_i64_le();
-        let end_ts = src.get_i64_le();
-        if start > end || end > n || end_ts <= start_ts {
-            return Err(src.corrupt("invalid block bounds"));
-        }
-        let graph = read_graph(src, end - start)?;
-        blocks.push(Block { rows: start..end, height, start_ts, end_ts, graph });
-    }
-    if src.has_remaining() {
-        return Err(src.corrupt("trailing bytes"));
-    }
-    let index = MbiIndex { config, store, timestamps, blocks, num_leaves };
-    // Full structural validation: persisted bytes may come from an
-    // untrusted source, and a structurally inconsistent index would
-    // return wrong answers rather than crash.
-    index.validate().map_err(|detail| MbiError::corrupt(0, detail))?;
-    Ok(index)
 }
 
 impl IndexSnapshot {
@@ -556,212 +452,202 @@ impl IndexSnapshot {
     }
 
     /// Serialises the snapshot into one contiguous buffer (checksummed
-    /// sections + footer over page-aligned, directory-indexed leaf records
-    /// that a [`crate::tier::ColdIndex`] can serve straight off disk).
+    /// sections + footer over page-aligned, directory-indexed records that a
+    /// [`crate::tier::ColdIndex`] can serve straight off disk).
     ///
-    /// Only the prefix under blocks is written — the
-    /// [`sealed_rows`](IndexSnapshot::sealed_rows) rows of the first
-    /// [`num_leaves`](IndexSnapshot::num_leaves) leaves. Unbuilt leaves are
-    /// left out: a checkpoint prunes the WAL only up to that prefix, so
-    /// recovery replays their rows and rebuilds their chains.
+    /// The [`num_leaves`](IndexSnapshot::num_leaves) leaves under blocks are
+    /// written, and a short last segment (a loaded index's partial leaf) as
+    /// the tail record. Sealed but unbuilt leaves are left out: a checkpoint
+    /// prunes the WAL only up to the leaves under blocks, so recovery
+    /// replays their rows and rebuilds their chains.
     pub fn to_bytes(&self) -> Bytes {
-        self.encode_snapshot()
+        let chunks = self.store.segments().iter().zip(self.times.chunks());
+        let chunks =
+            chunks.map(|(seg, ts)| Chunk { ts, rows: seg.as_flat(), inv: seg.inv_norms() });
+        let blocks = self.blocks.iter().map(|b| &**b).collect();
+        encode(&self.config, chunks.collect(), self.num_leaves, blocks)
     }
 
-    /// Encodes the snapshot layout: a leaf directory with per-piece CRCs,
-    /// then one page-aligned, self-contained record per leaf (timestamps,
-    /// rows, row CRCs, the optional norm column, the leaf block's
-    /// graph), then the block metadata with a graph directory and the
-    /// internal-block graphs.
-    fn encode_snapshot(&self) -> Bytes {
-        let config = self.config();
-        let dim = config.dim;
-        let s_l = config.leaf_size;
-        // The prefix under blocks: unbuilt leaves are not persisted.
-        let store = &self.store().share(0..self.sealed_rows());
-        let num_leaves = self.num_leaves();
-        let has_norms = store.segments().first().is_some_and(|s| s.has_norm_cache());
-
-        // Serialise every block graph up front: the directories need graph
-        // lengths and CRCs before the first record byte is written.
-        let graphs: Vec<Bytes> = self
-            .blocks()
-            .iter()
-            .map(|blk| {
-                let mut g = BytesMut::new();
-                write_graph(&mut g, &blk.graph, blk.len());
-                g.freeze()
-            })
-            .collect();
-        let ts_len = s_l * 8;
-        let rows_len = s_l * dim * 4;
-        let row_crc_len = s_l * 4;
-        let inv_len = if has_norms { s_l * 4 } else { 0 };
-        // Padded so the co-located graph's edges start 4-byte aligned.
-        let payload_len = (ts_len + rows_len + row_crc_len + inv_len).next_multiple_of(4);
-
-        struct LeafBlob {
-            payload: Vec<u8>,
-            graph: Bytes,
-            crcs: [u32; 4],
-        }
-        let mut blobs = Vec::with_capacity(num_leaves);
-        for (i, (seg, chunk)) in store.segments().iter().zip(self.times().chunks()).enumerate() {
-            let mut p = Vec::with_capacity(payload_len);
-            for &t in chunk.iter() {
-                p.extend_from_slice(&t.to_le_bytes());
-            }
-            for &v in seg.as_flat() {
-                p.extend_from_slice(&v.to_le_bytes());
-            }
-            let crc_off = ts_len + rows_len;
-            for r in 0..s_l {
-                let crc = crc32(&p[ts_len + r * dim * 4..ts_len + (r + 1) * dim * 4]);
-                p.extend_from_slice(&crc.to_le_bytes());
-            }
-            if has_norms {
-                let inv = seg.inv_norms().expect("norm flag implies a cached column");
-                for &x in inv {
-                    p.extend_from_slice(&x.to_le_bytes());
-                }
-            }
-            p.resize(payload_len, 0);
-            // Leaf i's graph is co-located with its record.
-            let graph = graphs[layout::leaf_block(i)].clone();
-            let inv_off = crc_off + row_crc_len;
-            let crcs = [
-                crc32(&p[..ts_len]),
-                crc32(&p[crc_off..inv_off]),
-                if has_norms { crc32(&p[inv_off..inv_off + inv_len]) } else { 0 },
-                graph_crc(&graph, s_l),
-            ];
-            blobs.push(LeafBlob { payload: p, graph, crcs });
-        }
-
-        let graph_total: usize = graphs.iter().map(Bytes::len).sum();
-        let mut b = BytesMut::with_capacity(
-            (256 + num_leaves * (payload_len + LEAF_DIR_ENTRY_LEN) + graph_total)
-                .next_multiple_of(PAGE)
-                + num_leaves * PAGE,
-        );
-        b.put_slice(MAGIC);
-        b.put_u32_le(VERSION);
-        b.put_u8(KIND_SNAPSHOT);
-        let mut bounds = vec![0, b.len()];
-        write_config(&mut b, config);
-        bounds.push(b.len());
-
-        let data_start = b.len();
-        b.put_u64_le(num_leaves as u64);
-        b.put_u64_le(s_l as u64);
-        b.put_u8(u8::from(has_norms));
-        let dir_end = b.len() + num_leaves * LEAF_DIR_ENTRY_LEN + 4;
-        let mut record_offs = Vec::with_capacity(num_leaves);
-        let mut rec_off = dir_end.next_multiple_of(PAGE);
-        for blob in &blobs {
-            let graph_off = rec_off + payload_len;
-            b.put_u64_le(rec_off as u64);
-            b.put_u64_le(graph_off as u64);
-            b.put_u64_le(blob.graph.len() as u64);
-            for crc in blob.crcs {
-                b.put_u32_le(crc);
-            }
-            record_offs.push(rec_off);
-            rec_off = (graph_off + blob.graph.len()).next_multiple_of(PAGE);
-        }
-        let dir_crc = crc32(&b[data_start..]);
-        b.put_u32_le(dir_crc);
-        debug_assert_eq!(b.len(), dir_end);
-        for (blob, &off) in blobs.iter().zip(&record_offs) {
-            pad_to(&mut b, off);
-            b.put_slice(&blob.payload);
-            b.put_slice(&blob.graph);
-        }
-        let data_end = b.len().next_multiple_of(PAGE);
-        pad_to(&mut b, data_end);
-        bounds.push(b.len());
-
-        let blocks_start = b.len();
-        b.put_u64_le(self.blocks().len() as u64);
-        let entries_end = b.len() + self.blocks().len() * BLOCK_DIR_ENTRY_LEN;
-        let mut g_off = entries_end + 4; // + meta_crc
-        let mut leaf_ix = 0usize;
-        for (i, blk) in self.blocks().iter().enumerate() {
-            let (graph_off, graph_len, graph_crc) = if blk.height == 0 {
-                let blob = &blobs[leaf_ix];
-                let off = record_offs[leaf_ix] + payload_len;
-                leaf_ix += 1;
-                (off, blob.graph.len(), blob.crcs[3])
-            } else {
-                let off = g_off;
-                g_off += graphs[i].len();
-                (off, graphs[i].len(), graph_crc(&graphs[i], blk.len()))
-            };
-            b.put_u64_le(blk.rows.start as u64);
-            b.put_u64_le(blk.rows.end as u64);
-            b.put_u32_le(blk.height);
-            b.put_i64_le(blk.start_ts);
-            b.put_i64_le(blk.end_ts);
-            b.put_u64_le(graph_off as u64);
-            b.put_u64_le(graph_len as u64);
-            b.put_u32_le(graph_crc);
-        }
-        let meta_crc = crc32(&b[blocks_start..]);
-        b.put_u32_le(meta_crc);
-        for (i, blk) in self.blocks().iter().enumerate() {
-            if blk.height != 0 {
-                b.put_slice(&graphs[i]);
-            }
-        }
-        bounds.push(b.len());
-        write_footer(&mut b, &bounds);
-        b.freeze()
-    }
-
-    /// Deserialises a snapshot from one contiguous buffer. Also accepts an
-    /// [`MbiIndex`] stream (converted via [`IndexSnapshot::from_index`] —
-    /// fails with [`MbiError::UnsealedTail`] if the stored index has tail
-    /// rows).
+    /// Deserialises a snapshot from one contiguous buffer: the cold tier's
+    /// decoder with every column copied out of the stream, after every
+    /// section CRC is checked. The snapshot owns its bytes, so
+    /// `memory_bytes` counts them and the stream buffer is freed once
+    /// loaded. A stream with a tail record loads with its tail as a short
+    /// last segment, scanned exactly like the rows of an [`MbiIndex`]'s
+    /// partial leaf.
     pub fn from_bytes(b: Bytes) -> Result<Self, MbiError> {
-        let kind = read_header(&b)?;
+        read_header(&b)?;
         verify_sections(&b)?;
-        match kind {
-            // The cold tier's decoder with every column copied out of the
-            // stream: the snapshot owns its bytes, so `memory_bytes` counts
-            // them and the stream buffer is freed once loaded.
-            KIND_SNAPSHOT => decode_snapshot(&Columns::Copied(&b)),
-            KIND_INDEX => IndexSnapshot::from_index(&MbiIndex::from_bytes(b)?),
-            k => Err(MbiError::corrupt(8, format!("unknown stream kind {k}"))),
+        decode_snapshot(&Columns::Copied(&b))
+    }
+}
+
+/// At most `S_L` consecutive rows with their timestamps and norms: one
+/// record, as the encoder reads it.
+struct Chunk<'a> {
+    ts: &'a [Timestamp],
+    rows: &'a [f32],
+    inv: Option<&'a [f32]>,
+}
+
+/// Encodes the one stream layout. `chunks` are an index's rows cut every
+/// `S_L` rows and `blocks` its postorder blocks over the first `num_leaves`
+/// chunks. Written: a directory with per-piece CRCs, one page-aligned,
+/// self-contained record per leaf (timestamps, rows, row CRCs, the optional
+/// norm column, the leaf block's graph), the tail record when the chunk
+/// after the leaves is short, then the block metadata with a graph
+/// directory and the internal-block graphs. Whole chunks past the leaves
+/// are left out.
+fn encode(
+    config: &MbiConfig,
+    mut chunks: Vec<Chunk<'_>>,
+    num_leaves: usize,
+    blocks: Vec<&Block>,
+) -> Bytes {
+    let (dim, s_l) = (config.dim, config.leaf_size);
+    let tail_rows = chunks.get(num_leaves).map_or(0, |c| c.ts.len());
+    let tail_rows = if tail_rows < s_l { tail_rows } else { 0 };
+    chunks.truncate(num_leaves + usize::from(tail_rows > 0));
+    let has_norms = chunks.first().is_some_and(|c| c.inv.is_some());
+
+    // Serialise every block graph up front: the directories need graph
+    // lengths and CRCs before the first record byte is written.
+    let graphs: Vec<Bytes> = (blocks.iter())
+        .map(|blk| {
+            let mut g = BytesMut::new();
+            write_graph(&mut g, &blk.graph, blk.len());
+            g.freeze()
+        })
+        .collect();
+
+    struct Blob {
+        payload: Vec<u8>,
+        graph: Bytes,
+        crcs: [u32; 4],
+    }
+    let mut blobs = Vec::with_capacity(chunks.len());
+    for (i, chunk) in chunks.iter().enumerate() {
+        let c = RecordCols::new(0, chunk.ts.len(), dim, has_norms);
+        let mut p = Vec::with_capacity(c.end);
+        for &t in chunk.ts {
+            p.extend_from_slice(&t.to_le_bytes());
+        }
+        for &v in chunk.rows {
+            p.extend_from_slice(&v.to_le_bytes());
+        }
+        let row_crcs: Vec<u32> = p[c.rows..].chunks_exact(dim * 4).map(crc32).collect();
+        for crc in row_crcs {
+            p.extend_from_slice(&crc.to_le_bytes());
+        }
+        for &x in chunk.inv.filter(|_| has_norms).unwrap_or_default() {
+            p.extend_from_slice(&x.to_le_bytes());
+        }
+        debug_assert_eq!(p.len(), c.end);
+        // A leaf's graph is co-located with its record; the tail has none.
+        let (graph, crc_graph) = if i < num_leaves {
+            let graph = graphs[layout::leaf_block(i)].clone();
+            let crc = graph_crc(&graph, s_l);
+            (graph, crc)
+        } else {
+            (Bytes::new(), 0)
+        };
+        let crc_inv = if has_norms { crc32(&p[c.inv..c.end]) } else { 0 };
+        let crcs = [crc32(&p[c.ts..c.rows]), crc32(&p[c.crcs..c.inv]), crc_inv, crc_graph];
+        blobs.push(Blob { payload: p, graph, crcs });
+    }
+
+    let payload_total: usize = blobs.iter().map(|b| b.payload.len()).sum();
+    let graph_total: usize = graphs.iter().map(Bytes::len).sum();
+    let mut b = BytesMut::with_capacity(
+        (256 + blobs.len() * LEAF_DIR_ENTRY_LEN + payload_total + graph_total)
+            .next_multiple_of(PAGE)
+            + blobs.len() * PAGE,
+    );
+    b.put_slice(MAGIC);
+    b.put_u32_le(VERSION);
+    let mut bounds = vec![0, b.len()];
+    write_config(&mut b, config);
+    bounds.push(b.len());
+
+    let data_start = b.len();
+    b.put_u64_le(num_leaves as u64);
+    b.put_u64_le(s_l as u64);
+    b.put_u8(u8::from(has_norms));
+    b.put_u64_le(tail_rows as u64);
+    let dir_end = b.len() + blobs.len() * LEAF_DIR_ENTRY_LEN + 4;
+    let mut graph_offs = Vec::with_capacity(blobs.len());
+    let mut rec_off = dir_end.next_multiple_of(PAGE);
+    for blob in &blobs {
+        let graph_off = rec_off + blob.payload.len();
+        b.put_u64_le(rec_off as u64);
+        b.put_u64_le(graph_off as u64);
+        b.put_u64_le(blob.graph.len() as u64);
+        for crc in blob.crcs {
+            b.put_u32_le(crc);
+        }
+        graph_offs.push(graph_off);
+        rec_off = (graph_off + blob.graph.len()).next_multiple_of(PAGE);
+    }
+    let dir_crc = crc32(&b[data_start..]);
+    b.put_u32_le(dir_crc);
+    debug_assert_eq!(b.len(), dir_end);
+    for blob in &blobs {
+        pad_to_page(&mut b);
+        b.put_slice(&blob.payload);
+        b.put_slice(&blob.graph);
+    }
+    pad_to_page(&mut b);
+    bounds.push(b.len());
+
+    let blocks_start = b.len();
+    b.put_u64_le(blocks.len() as u64);
+    let entries_end = b.len() + blocks.len() * BLOCK_DIR_ENTRY_LEN;
+    let mut g_off = entries_end + 4; // + meta_crc
+    let mut leaf_ix = 0usize;
+    for (i, blk) in blocks.iter().enumerate() {
+        let (graph_off, graph_crc) = if blk.height == 0 {
+            leaf_ix += 1;
+            (graph_offs[leaf_ix - 1], blobs[leaf_ix - 1].crcs[3])
+        } else {
+            g_off += graphs[i].len();
+            (g_off - graphs[i].len(), graph_crc(&graphs[i], blk.len()))
+        };
+        b.put_u64_le(blk.rows.start as u64);
+        b.put_u64_le(blk.rows.end as u64);
+        b.put_u32_le(blk.height);
+        b.put_i64_le(blk.start_ts);
+        b.put_i64_le(blk.end_ts);
+        b.put_u64_le(graph_off as u64);
+        b.put_u64_le(graphs[i].len() as u64);
+        b.put_u32_le(graph_crc);
+    }
+    let meta_crc = crc32(&b[blocks_start..]);
+    b.put_u32_le(meta_crc);
+    for (blk, graph) in blocks.iter().zip(&graphs) {
+        if blk.height != 0 {
+            b.put_slice(graph);
         }
     }
+    bounds.push(b.len());
+    write_footer(&mut b, &bounds);
+    b.freeze()
 }
 
-fn overflow(src: &Src<'_>) -> MbiError {
-    src.corrupt("size overflow")
+/// Zero-fills `b` up to the next page boundary.
+fn pad_to_page(b: &mut BytesMut) {
+    b.resize(b.len().next_multiple_of(PAGE), 0);
 }
 
-/// Zero-fills `b` up to absolute offset `target` (page padding).
-fn pad_to(b: &mut BytesMut, target: usize) {
-    const ZEROS: [u8; PAGE] = [0; PAGE];
-    debug_assert!(target >= b.len());
-    let mut need = target - b.len();
-    while need > 0 {
-        let n = need.min(PAGE);
-        b.put_slice(&ZEROS[..n]);
-        need -= n;
-    }
-}
-
-/// Where one leaf's record lives in a snapshot stream: the page-aligned
-/// record offset, the co-located graph, and the per-piece CRCs from the
-/// directory.
+/// Where one record lives in a stream: the page-aligned record offset, the
+/// co-located graph (none for the tail record), and the per-piece CRCs from
+/// the directory.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct LeafEntry {
     /// Absolute, page-aligned offset of the record (timestamps first).
     pub(crate) record_off: usize,
     /// Absolute offset of the leaf block's serialized graph.
     pub(crate) graph_off: usize,
-    /// Serialized graph length in bytes.
+    /// Serialized graph length in bytes (0 for the tail record).
     pub(crate) graph_len: usize,
     /// CRC32 of the timestamp column.
     pub(crate) crc_ts: u32,
@@ -769,11 +655,40 @@ pub(crate) struct LeafEntry {
     pub(crate) crc_rows: u32,
     /// CRC32 of the inverse-norm column; 0 when the stream has none.
     pub(crate) crc_inv: u32,
-    /// CRC32 of the graph's header and chunk-CRC column.
+    /// CRC32 of the graph's header and chunk-CRC column (0 for the tail
+    /// record).
     pub(crate) crc_graph: u32,
 }
 
-/// One block's metadata from a snapshot's blocks section, graph unloaded:
+/// Absolute offsets of one record's columns: timestamps at `ts`, rows at
+/// `rows`, row CRCs at `crcs`, norms at `inv` (empty without the column),
+/// all ending at `end`, where a leaf's graph starts. Every column is a
+/// whole number of 4-byte elements, so `end` keeps the graph 4-byte aligned.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct RecordCols {
+    pub(crate) ts: usize,
+    pub(crate) rows: usize,
+    pub(crate) crcs: usize,
+    pub(crate) inv: usize,
+    pub(crate) end: usize,
+}
+
+impl RecordCols {
+    /// The columns of a record of `rows` rows of `dim` floats at `off`.
+    fn new(off: usize, rows: usize, dim: usize, has_norms: bool) -> Self {
+        let crcs = off + rows * 8 + rows * dim * 4;
+        let inv = crcs + rows * 4;
+        RecordCols {
+            ts: off,
+            rows: off + rows * 8,
+            crcs,
+            inv,
+            end: inv + usize::from(has_norms) * rows * 4,
+        }
+    }
+}
+
+/// One block's metadata from a stream's blocks section, graph unloaded:
 /// enough to run block selection and to fetch + verify the graph on demand.
 #[derive(Clone, Debug)]
 pub(crate) struct BlockEntry {
@@ -794,23 +709,41 @@ pub(crate) struct BlockEntry {
     pub(crate) graph_crc: u32,
 }
 
-/// The parsed geometry of a snapshot stream: config, flags, and where
-/// every leaf record and block graph lives — everything a reader (eager or
-/// cold/mmap) needs to decode pieces independently. Parsing verifies the
-/// footer, the header and config sections, and both directory CRCs, but
-/// never reads a record payload.
+/// The parsed geometry of a stream: config, flags, and where every record
+/// and block graph lives — everything a reader (eager or cold/mmap) needs
+/// to decode pieces independently. Parsing verifies the footer, the header
+/// and config sections, and both directory CRCs, but never reads a record
+/// payload.
 pub(crate) struct SnapshotLayout {
     pub(crate) config: MbiConfig,
     pub(crate) num_leaves: usize,
     pub(crate) seg_rows: usize,
     pub(crate) has_norms: bool,
+    /// Rows of the tail record; 0 when there is none.
+    pub(crate) tail_rows: usize,
+    /// One entry per record: the leaves', then the tail record's.
     pub(crate) leaves: Vec<LeafEntry>,
     pub(crate) blocks: Vec<BlockEntry>,
 }
 
 impl SnapshotLayout {
-    /// Decodes leaf `leaf`'s vector columns into a segment. The row CRC and
-    /// norm columns are checked against their directory CRCs (for mapped
+    /// Rows of record `i`: a leaf's `seg_rows`, or the tail's `tail_rows`.
+    pub(crate) fn record_rows(&self, i: usize) -> usize {
+        if i < self.num_leaves {
+            self.seg_rows
+        } else {
+            self.tail_rows
+        }
+    }
+
+    /// Where record `i`'s columns lie.
+    pub(crate) fn record(&self, i: usize) -> RecordCols {
+        let rows = self.record_rows(i);
+        RecordCols::new(self.leaves[i].record_off, rows, self.config.dim, self.has_norms)
+    }
+
+    /// Decodes record `leaf`'s vector columns into a segment. The row CRC
+    /// and norm columns are checked against their directory CRCs (for mapped
     /// bytes that pass *is* the disk read), and the norms must be finite and
     /// non-negative. Copied rows are checked against their row CRCs here;
     /// mapped rows as they are read.
@@ -819,31 +752,27 @@ impl SnapshotLayout {
         cols: &Columns<'_>,
         leaf: usize,
     ) -> Result<Segment, MbiError> {
-        let (l, b) = (&self.leaves[leaf], cols.bytes());
-        let (dim, rows) = (self.config.dim, self.seg_rows);
-        let rows_off = l.record_off + self.ts_len();
-        let crc_off = rows_off + self.rows_len();
-        let inv_off = crc_off + self.row_crc_len();
-        let inv_end = inv_off + self.inv_len();
-        check_crc(&b[crc_off..inv_off], l.crc_rows, "leaf row checksums")?;
-        let data = cols.col(rows_off, rows * dim)?;
-        let row_crcs: Col<u32> = cols.col(crc_off, rows)?;
+        let (l, b, c) = (&self.leaves[leaf], cols.bytes(), self.record(leaf));
+        let (dim, rows) = (self.config.dim, self.record_rows(leaf));
+        check_crc(&b[c.crcs..c.inv], l.crc_rows, "leaf row checksums")?;
+        let data = cols.col(c.rows, rows * dim)?;
+        let row_crcs: Col<u32> = cols.col(c.crcs, rows)?;
         let inv_norms = if self.has_norms {
-            check_crc(&b[inv_off..inv_end], l.crc_inv, "leaf norms")?;
-            Some(inv_norms(cols.col(inv_off, rows)?, inv_off)?)
+            check_crc(&b[c.inv..c.end], l.crc_inv, "leaf norms")?;
+            Some(inv_norms(cols.col(c.inv, rows)?, c.inv)?)
         } else {
             None
         };
         let mut seg = Segment::from_cols(dim, data, inv_norms);
         match cols {
             Columns::Mapped { checked_bytes, .. } => {
-                checked_bytes.fetch_add((inv_end - crc_off) as u64, Relaxed);
+                checked_bytes.fetch_add((c.end - c.crcs) as u64, Relaxed);
                 seg = seg.with_row_check(row_crcs, Arc::clone(checked_bytes));
             }
             Columns::Copied(_) => {
                 let row_bytes = dim * 4;
                 for (r, &crc) in row_crcs.iter().enumerate() {
-                    let row = rows_off + r * row_bytes;
+                    let row = c.rows + r * row_bytes;
                     check_crc(&b[row..row + row_bytes], crc, "leaf rows")?;
                 }
             }
@@ -891,44 +820,12 @@ impl SnapshotLayout {
         let (rows, height, start_ts, end_ts) = (m.rows.clone(), m.height, m.start_ts, m.end_ts);
         Ok(Block { rows, height, start_ts, end_ts, graph: BlockGraph(graph) })
     }
-
-    /// Bytes of one record's timestamp column.
-    pub(crate) fn ts_len(&self) -> usize {
-        self.seg_rows * 8
-    }
-
-    /// Bytes of one record's f32 row column.
-    pub(crate) fn rows_len(&self) -> usize {
-        self.seg_rows * self.config.dim * 4
-    }
-
-    /// Bytes of one record's row CRC column.
-    pub(crate) fn row_crc_len(&self) -> usize {
-        self.seg_rows * 4
-    }
-
-    /// Bytes of one record's inverse-norm column (0 when absent).
-    pub(crate) fn inv_len(&self) -> usize {
-        if self.has_norms {
-            self.seg_rows * 4
-        } else {
-            0
-        }
-    }
-
-    /// Bytes of one record before its graph, padded to 4 so the graph's
-    /// edges start 4-byte aligned.
-    pub(crate) fn payload_len(&self) -> usize {
-        (self.ts_len() + self.rows_len() + self.row_crc_len() + self.inv_len()).next_multiple_of(4)
-    }
 }
 
-/// Parses a snapshot stream's directories off a raw byte slice. See
+/// Parses a stream's directories off a raw byte slice. See
 /// [`SnapshotLayout`] for what is (and deliberately is not) verified here.
 pub(crate) fn parse_layout(b: &[u8]) -> Result<SnapshotLayout, MbiError> {
-    if read_header(b)? != KIND_SNAPSHOT {
-        return Err(MbiError::corrupt(8, "cold open requires a snapshot stream"));
-    }
+    read_header(b)?;
     let sections = parse_footer(b)?;
     // Header and config are a few dozen bytes: verify them eagerly.
     for i in [0, 1] {
@@ -944,28 +841,36 @@ pub(crate) fn parse_layout(b: &[u8]) -> Result<SnapshotLayout, MbiError> {
 
     let (d0, d1, _) = sections[2];
     let mut d = Src::new(b, d0, d1);
-    d.need(8 + 8 + 1)?;
+    d.need(DATA_HEADER_LEN)?;
     let num_leaves = d.get_u64_le() as usize;
     let seg_rows = d.get_u64_le() as usize;
     let has_norms = d.get_u8() != 0;
+    let tail_rows = d.get_u64_le() as usize;
     if seg_rows != config.leaf_size {
         return Err(MbiError::corrupt(
             d0 + 8,
             format!("segment rows {seg_rows} do not match leaf size {}", config.leaf_size),
         ));
     }
-    // An empty store has no segment to carry the column, so the writer
-    // stores `has_norms = 0` for it whatever the metric.
-    if config.metric == Metric::Angular && !has_norms && num_leaves > 0 {
-        return Err(MbiError::corrupt(d0 + 16, "angular snapshot lacks norm column"));
+    if tail_rows >= seg_rows {
+        return Err(MbiError::corrupt(
+            d0 + 17,
+            format!("a tail of {tail_rows} rows is not shorter than a leaf"),
+        ));
     }
     let ovf = |at: usize| MbiError::corrupt(at, "size overflow");
-    let dir_bytes = num_leaves.checked_mul(LEAF_DIR_ENTRY_LEN).ok_or_else(|| ovf(d.pos))?;
+    let records = num_leaves.checked_add(usize::from(tail_rows > 0)).ok_or_else(|| ovf(d0))?;
+    // An empty store has no segment to carry the column, so the writer
+    // stores `has_norms = 0` for it whatever the metric.
+    if config.metric == Metric::Angular && !has_norms && records > 0 {
+        return Err(MbiError::corrupt(d0 + 16, "angular snapshot lacks norm column"));
+    }
+    let dir_bytes = records.checked_mul(LEAF_DIR_ENTRY_LEN).ok_or_else(|| ovf(d.pos))?;
     d.need(dir_bytes + 4)?;
     let dir_end = d.pos + dir_bytes;
     check_crc(&b[d0..dir_end], rd_u32(b, dir_end), "leaf directory")?;
-    let mut leaves = Vec::with_capacity(num_leaves);
-    for _ in 0..num_leaves {
+    let mut leaves = Vec::with_capacity(records);
+    for _ in 0..records {
         leaves.push(LeafEntry {
             record_off: d.get_u64_le() as usize,
             graph_off: d.get_u64_le() as usize,
@@ -977,23 +882,27 @@ pub(crate) fn parse_layout(b: &[u8]) -> Result<SnapshotLayout, MbiError> {
         });
     }
     // Geometry: records are page-aligned, non-overlapping, graph contiguous
-    // with its payload, everything inside the data section.
-    let payload_len = seg_rows
-        .checked_mul(8 + config.dim * 4 + 4 + usize::from(has_norms) * 4)
-        .and_then(|x| x.checked_next_multiple_of(4))
-        .ok_or_else(|| ovf(d0))?;
+    // with its payload, everything inside the data section; the tail record
+    // has no graph.
+    let row_len = 8 + config.dim * 4 + 4 + usize::from(has_norms) * 4;
     let mut prev_end = dir_end + 4;
     for (i, leaf) in leaves.iter().enumerate() {
-        let at = d0 + 17 + i * LEAF_DIR_ENTRY_LEN;
+        let at = d0 + DATA_HEADER_LEN + i * LEAF_DIR_ENTRY_LEN;
         if leaf.record_off % PAGE != 0 {
             return Err(MbiError::corrupt(at, "leaf record not page-aligned"));
         }
         if leaf.record_off < prev_end {
             return Err(MbiError::corrupt(at, "overlapping leaf records"));
         }
-        let payload_end = leaf.record_off.checked_add(payload_len).ok_or_else(|| ovf(at))?;
+        let rows = if i < num_leaves { seg_rows } else { tail_rows };
+        let payload_end = (rows.checked_mul(row_len))
+            .and_then(|len| leaf.record_off.checked_add(len))
+            .ok_or_else(|| ovf(at))?;
         if leaf.graph_off != payload_end {
             return Err(MbiError::corrupt(at, "leaf graph not contiguous with its record"));
+        }
+        if i == num_leaves && (leaf.graph_len, leaf.crc_graph) != (0, 0) {
+            return Err(MbiError::corrupt(at, "tail record has a graph"));
         }
         let graph_end = leaf.graph_off.checked_add(leaf.graph_len).ok_or_else(|| ovf(at))?;
         if graph_end > d1 {
@@ -1026,7 +935,7 @@ pub(crate) fn parse_layout(b: &[u8]) -> Result<SnapshotLayout, MbiError> {
         // Rows, heights and time bounds are checked against the postorder
         // layout by `open_snapshot`, once the timestamps are read.
         if height == 0 {
-            let Some(leaf) = leaves.get(leaf_blocks) else {
+            let Some(leaf) = leaves[..num_leaves].get(leaf_blocks) else {
                 return Err(MbiError::corrupt(at, "more leaf blocks than leaf records"));
             };
             if graph_off != leaf.graph_off
@@ -1065,13 +974,14 @@ pub(crate) fn parse_layout(b: &[u8]) -> Result<SnapshotLayout, MbiError> {
     if leaf_blocks != num_leaves {
         return Err(MbiError::corrupt(b0, "leaf record count does not match height-0 blocks"));
     }
-    let layout = SnapshotLayout { config, num_leaves, seg_rows, has_norms, leaves, blocks };
-    debug_assert_eq!(payload_len, layout.payload_len());
-    Ok(layout)
+    if prev_graph_end != b1 {
+        return Err(MbiError::corrupt(prev_graph_end, "trailing bytes in blocks section"));
+    }
+    Ok(SnapshotLayout { config, num_leaves, seg_rows, has_norms, tail_rows, leaves, blocks })
 }
 
-/// The one open step of a snapshot stream, shared by the eager loader
-/// and the cold tier: parses the directories, reads every timestamp chunk
+/// The one open step of a stream, shared by the eager loader and the cold
+/// tier: parses the directories, reads every record's timestamp chunk
 /// against its CRC (selection and windowing read this column on every
 /// query), then checks the structure a query walks — timestamps
 /// non-decreasing, and the block directory the postorder layout for
@@ -1082,17 +992,23 @@ pub(crate) fn open_snapshot(b: &[u8]) -> Result<(SnapshotLayout, TimeChunks), Mb
     let layout = parse_layout(b)?;
     let mut times = TimeChunks::new(layout.seg_rows);
     let mut newest = Timestamp::MIN;
-    for leaf in &layout.leaves {
-        let ts = &b[leaf.record_off..leaf.record_off + layout.ts_len()];
-        check_crc(ts, leaf.crc_ts, "leaf timestamps")?;
-        let chunk: Vec<Timestamp> = le_vec(ts);
+    for (i, leaf) in layout.leaves.iter().enumerate() {
+        let c = layout.record(i);
+        check_crc(&b[c.ts..c.rows], leaf.crc_ts, "leaf timestamps")?;
+        let chunk: Vec<Timestamp> = le_vec(&b[c.ts..c.rows]);
         for (r, &t) in chunk.iter().enumerate() {
             if t < newest {
-                return Err(MbiError::corrupt(leaf.record_off + r * 8, "timestamps not sorted"));
+                return Err(MbiError::corrupt(c.ts + r * 8, "timestamps not sorted"));
             }
             newest = t;
         }
         times.push_chunk(chunk.into());
+    }
+    // Inserts refuse `i64::MAX`: the exclusive end bound of the rows that
+    // hold it would overflow.
+    if newest == Timestamp::MAX {
+        let at = layout.record(layout.leaves.len() - 1).rows - 8;
+        return Err(MbiError::corrupt(at, format!("timestamp {newest} is out of range")));
     }
     let blocks = layout.blocks.iter().map(|m| (&m.rows, m.height, m.start_ts, m.end_ts));
     validate_blocks(layout.seg_rows, layout.num_leaves, blocks, &times)
@@ -1100,15 +1016,15 @@ pub(crate) fn open_snapshot(b: &[u8]) -> Result<(SnapshotLayout, TimeChunks), Mb
     Ok((layout, times))
 }
 
-/// Decodes a snapshot stream into an [`IndexSnapshot`], its columns taken
-/// from `cols`: [`open_snapshot`], then every leaf through
-/// [`SnapshotLayout::decode_segment`] and every block through
-/// [`SnapshotLayout::decode_block`]. The eager loader and the cold tier
-/// differ only in the `cols` they pass.
+/// Decodes a stream into an [`IndexSnapshot`], its columns taken from
+/// `cols`: [`open_snapshot`], then every record through
+/// [`SnapshotLayout::decode_segment`] (the tail record's as a short last
+/// segment) and every block through [`SnapshotLayout::decode_block`]. The
+/// eager loader and the cold tier differ only in the `cols` they pass.
 pub(crate) fn decode_snapshot(cols: &Columns<'_>) -> Result<IndexSnapshot, MbiError> {
     let (layout, times) = open_snapshot(cols.bytes())?;
     let mut store = SegmentStore::new(layout.config.dim, layout.seg_rows);
-    for leaf in 0..layout.num_leaves {
+    for leaf in 0..layout.leaves.len() {
         store.push_segment(Arc::new(layout.decode_segment(cols, leaf)?));
     }
     let blocks = (0..layout.blocks.len())
@@ -1183,7 +1099,6 @@ fn write_config(b: &mut BytesMut, c: &MbiConfig) {
     b.put_u64_le(c.leaf_size as u64);
     b.put_f64_le(c.tau);
     let GraphBackend::NnDescent(p) = &c.backend;
-    b.put_u8(0);
     b.put_u64_le(p.degree as u64);
     b.put_f64_le(p.rho);
     b.put_f64_le(p.delta);
@@ -1202,7 +1117,7 @@ fn write_config(b: &mut BytesMut, c: &MbiConfig) {
 }
 
 fn read_config(b: &mut Src<'_>) -> Result<MbiConfig, MbiError> {
-    b.need(8 + 1 + 8 + 8 + 1)?;
+    b.need(8 + 1 + 8 + 8)?;
     let dim = b.get_u64_le() as usize;
     if dim == 0 || dim > 1 << 20 {
         return Err(b.corrupt(format!("implausible dimension {dim}")));
@@ -1216,19 +1131,14 @@ fn read_config(b: &mut Src<'_>) -> Result<MbiConfig, MbiError> {
     if !(tau > 0.0 && tau <= 1.0) {
         return Err(b.corrupt(format!("tau {tau} out of range")));
     }
-    let backend = match b.get_u8() {
-        0 => {
-            b.need(8 * 4 + 8)?;
-            GraphBackend::NnDescent(NnDescentParams {
-                degree: b.get_u64_le() as usize,
-                rho: b.get_f64_le(),
-                delta: b.get_f64_le(),
-                max_iters: b.get_u64_le() as usize,
-                seed: b.get_u64_le(),
-            })
-        }
-        t => return Err(b.corrupt(format!("unknown backend tag {t}"))),
-    };
+    b.need(8 * 4 + 8)?;
+    let backend = GraphBackend::NnDescent(NnDescentParams {
+        degree: b.get_u64_le() as usize,
+        rho: b.get_f64_le(),
+        delta: b.get_f64_le(),
+        max_iters: b.get_u64_le() as usize,
+        seed: b.get_u64_le(),
+    });
     b.need(8 + 4 + 1)?;
     let max_candidates = b.get_u64_le() as usize;
     let epsilon = b.get_f32_le();
@@ -1333,19 +1243,6 @@ fn read_graph_header(b: &mut Src<'_>, block_len: usize) -> Result<(usize, usize)
     Ok((degree, len))
 }
 
-/// Reads a graph of a block of `block_len` rows in full, every chunk checked
-/// against its CRC and every edge against the block.
-fn read_graph(b: &mut Src<'_>, block_len: usize) -> Result<BlockGraph, MbiError> {
-    let (degree, len) = read_graph_header(b, block_len)?;
-    let chunks = block_len.div_ceil(ADJACENCY_CHUNK);
-    let edge_bytes = len.checked_mul(4).ok_or_else(|| overflow(b))?;
-    b.need(edge_bytes.checked_add(chunks * 4).ok_or_else(|| overflow(b))?)?;
-    let at = b.pos;
-    let edges = b.bytes(edge_bytes);
-    check_chunks(edges, degree, b.bytes(chunks * 4))?;
-    Ok(BlockGraph(KnnGraph::from_flat(degree, check_edges(edges, at, block_len)?)))
-}
-
 /// Checks every chunk of `edges` against its stored CRC in `crcs`.
 fn check_chunks(edges: &[u8], degree: usize, crcs: &[u8]) -> Result<(), MbiError> {
     let stored = crcs.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")));
@@ -1408,7 +1305,7 @@ mod tests {
     }
 
     fn snapshot_of(idx: &MbiIndex) -> IndexSnapshot {
-        IndexSnapshot::from_index(idx).unwrap()
+        IndexSnapshot::from_index(idx)
     }
 
     /// Opens `stream` cold.
@@ -1461,7 +1358,7 @@ mod tests {
     struct Dirs {
         lay: SnapshotLayout,
         /// Start of the data section: `num_leaves`, `seg_rows`, the norm
-        /// flag, then the leaf directory.
+        /// flag, `tail_rows`, then the leaf directory.
         d0: usize,
         /// Start of the blocks section: `num_blocks`, then the block
         /// directory.
@@ -1475,22 +1372,20 @@ mod tests {
         }
 
         fn leaf_entry(&self, leaf: usize) -> usize {
-            self.d0 + 17 + leaf * LEAF_DIR_ENTRY_LEN
+            self.d0 + DATA_HEADER_LEN + leaf * LEAF_DIR_ENTRY_LEN
         }
 
         fn block_entry(&self, block: usize) -> usize {
             self.b0 + 8 + block * BLOCK_DIR_ENTRY_LEN
         }
 
-        /// Rewrites leaf `leaf`'s piece CRC `k` (0 timestamps, 1 row CRCs,
-        /// 2 norms) over the piece's bytes in `body`.
+        /// Rewrites record `leaf`'s piece CRC `k` (0 timestamps, 1 row
+        /// CRCs, 2 norms) over the piece's bytes in `body`.
         fn recrc_piece(&self, body: &mut [u8], leaf: usize, k: usize) {
-            let (lay, l) = (&self.lay, self.lay.leaves[leaf]);
-            // The record's columns in order; the rows have no piece CRC.
-            let lens = [lay.ts_len(), lay.rows_len(), lay.row_crc_len(), lay.inv_len()];
-            let col = if k == 0 { 0 } else { k + 1 };
-            let start = l.record_off + lens[..col].iter().sum::<usize>();
-            let crc = crc32(&body[start..start + lens[col]]);
+            let c = self.lay.record(leaf);
+            // The rows have no piece CRC.
+            let piece = [c.ts..c.rows, c.crcs..c.inv, c.inv..c.end][k].clone();
+            let crc = crc32(&body[piece]);
             put_u32(body, self.leaf_entry(leaf) + 24 + 4 * k, crc);
         }
 
@@ -1499,7 +1394,7 @@ mod tests {
         fn reseal(&self, stream: &[u8], mutate: impl FnOnce(&mut Vec<u8>)) -> Bytes {
             refooter(stream, |body| {
                 mutate(body);
-                let dir_end = self.leaf_entry(self.lay.num_leaves);
+                let dir_end = self.leaf_entry(self.lay.leaves.len());
                 let dir_crc = crc32(&body[self.d0..dir_end]);
                 put_u32(body, dir_end, dir_crc);
                 let meta_end = self.block_entry(self.lay.blocks.len());
@@ -1540,19 +1435,18 @@ mod tests {
         }
     }
 
-    /// Where each block's graph starts in an index-kind stream: the graphs
-    /// follow one another in the blocks section, each after its block's
-    /// 36 bytes of fixed fields.
-    fn index_graph_offsets(idx: &MbiIndex, stream: &[u8]) -> Vec<usize> {
-        let mut at = parse_footer(stream).unwrap()[3].0 + 16;
-        let mut offsets = Vec::new();
-        for block in idx.blocks() {
-            let mut g = BytesMut::new();
-            write_graph(&mut g, &block.graph, block.len());
-            offsets.push(at + 36);
-            at += 36 + g.len();
-        }
-        offsets
+    /// Reads a graph of a block of `block_len` rows in full, every chunk
+    /// checked against its CRC and every edge against the block: the checks
+    /// `decode_block` runs on copied bytes, over a bare graph.
+    fn read_graph(b: &mut Src<'_>, block_len: usize) -> Result<BlockGraph, MbiError> {
+        let (degree, len) = read_graph_header(b, block_len)?;
+        let chunks = block_len.div_ceil(ADJACENCY_CHUNK);
+        let edge_bytes = len.checked_mul(4).ok_or_else(|| b.corrupt("size overflow"))?;
+        b.need(edge_bytes.checked_add(chunks * 4).ok_or_else(|| b.corrupt("size overflow"))?)?;
+        let at = b.pos;
+        let edges = b.bytes(edge_bytes);
+        check_chunks(edges, degree, b.bytes(chunks * 4))?;
+        Ok(BlockGraph(KnnGraph::from_flat(degree, check_edges(edges, at, block_len)?)))
     }
 
     /// `Some(offset)` for a `Corrupt` verdict, `None` for a successful one;
@@ -1600,18 +1494,20 @@ mod tests {
     }
 
     /// One reader means format drift is data loss: the exact bytes written
-    /// for two fixed 64-row indexes are pinned as (length, CRC32).
+    /// for three fixed indexes — 64 rows, Euclidean and angular, and 70 rows,
+    /// whose last 6 are the tail record — are pinned as (length, CRC32). An
+    /// index and its snapshot write the same stream.
     #[test]
-    fn v11_bytes_are_pinned() {
+    fn v12_bytes_are_pinned() {
         let pin = |b: Bytes| (b.len(), crc32(&b));
-        for (idx, index_pin, snapshot_pin) in [
-            (build_index(GraphBackend::default(), 64), (21099, 0xfc8b_5ba6), (33841, 0xb32e_32cd)),
-            (build_angular_index(64), (21355, 0x1af5_03da), (33841, 0x97bb_f13d)),
+        for (idx, want) in [
+            (build_index(GraphBackend::default(), 64), (33841, 0xaeec_9f21)),
+            (build_angular_index(64), (33841, 0x158e_f1bb)),
+            (build_index(GraphBackend::default(), 70), (37937, 0x428a_e35b)),
         ] {
-            let what = idx.config().metric;
-            assert_eq!(pin(idx.to_bytes()), index_pin, "{what:?} index stream drifted");
-            let snapshot = snapshot_of(&idx).to_bytes();
-            assert_eq!(pin(snapshot), snapshot_pin, "{what:?} snapshot stream drifted");
+            let what = (idx.config().metric, idx.len());
+            assert_eq!(pin(idx.to_bytes()), want, "{what:?} stream drifted");
+            assert_eq!(snapshot_of(&idx).to_bytes(), idx.to_bytes(), "{what:?}: one stream");
         }
     }
 
@@ -1708,40 +1604,32 @@ mod tests {
 
     #[test]
     fn rejects_every_retired_version() {
-        let index = build_index(GraphBackend::default(), 64);
-        let snapshot = snapshot_of(&index).to_bytes();
-        for version in [2u32, 3, 4, 5, 6, 7, 8, 9, 10, 12] {
-            let restamp = |stream: &[u8]| {
-                let mut raw = stream.to_vec();
-                put_u32(&mut raw, 4, version);
-                raw
-            };
+        let stream = build_index(GraphBackend::default(), 70).to_bytes();
+        for version in [2u32, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13] {
+            let mut raw = stream.to_vec();
+            put_u32(&mut raw, 4, version);
             let errs = [
-                MbiIndex::from_bytes(Bytes::from(restamp(&index.to_bytes()))).unwrap_err(),
-                IndexSnapshot::from_bytes(Bytes::from(restamp(&snapshot))).unwrap_err(),
-                cold_from(&restamp(&snapshot)).unwrap_err(),
+                MbiIndex::from_bytes(Bytes::from(raw.clone())).unwrap_err(),
+                IndexSnapshot::from_bytes(Bytes::from(raw.clone())).unwrap_err(),
+                cold_from(&raw).unwrap_err(),
             ];
             for err in errs {
                 assert!(matches!(err, MbiError::Corrupt { offset: 4, .. }), "{err}");
                 let msg = err.to_string();
                 assert!(msg.contains(&format!("version {version}")), "{msg}");
-                assert!(msg.contains("only version 11"), "{msg}");
+                assert!(msg.contains("only version 12"), "{msg}");
             }
         }
     }
 
     #[test]
     fn rejects_truncation_everywhere() {
-        let idx = build_angular_index(32);
-        // Chop both kinds of stream at many points; every prefix must fail
-        // cleanly.
-        let full = idx.to_bytes();
+        // Chop the stream at many points, a tail record's included; every
+        // prefix must fail cleanly in both eager loaders.
+        let full = build_angular_index(40).to_bytes();
         for cut in [0, 3, 7, 20, 60, full.len() / 2, full.len() - 1] {
             let err = MbiIndex::from_bytes(full.slice(0..cut));
             assert!(err.is_err(), "index prefix of {cut} bytes was accepted");
-        }
-        let full = snapshot_of(&idx).to_bytes();
-        for cut in [0, 3, 7, 20, 60, full.len() / 2, full.len() - 1] {
             let err = IndexSnapshot::from_bytes(full.slice(0..cut));
             assert!(err.is_err(), "snapshot prefix of {cut} bytes was accepted");
         }
@@ -1758,58 +1646,57 @@ mod tests {
         assert!(IndexSnapshot::from_bytes(Bytes::from(raw)).is_err());
         // Junk sealed *inside* the blocks section is caught structurally.
         let sealed = refooter(&idx.to_bytes(), |body| body.extend_from_slice(b"junk"));
-        let err = MbiIndex::from_bytes(sealed).unwrap_err();
+        let err = MbiIndex::from_bytes(sealed.clone()).unwrap_err();
+        assert!(err.to_string().contains("trailing"), "{err}");
+        let err = cold_from(&sealed).unwrap_err();
         assert!(err.to_string().contains("trailing"), "{err}");
     }
 
     #[test]
     fn rejects_unsorted_timestamps_with_offset() {
-        let idx = build_index(GraphBackend::default(), 40);
-        let stream = idx.to_bytes();
-        let ts_start = parse_footer(&stream).unwrap()[2].0 + 8; // data section, after n
-        let sealed = refooter(&stream, |body| {
-            body[ts_start..ts_start + 8].copy_from_slice(&1i64.to_le_bytes());
-            body[ts_start + 8..ts_start + 16].copy_from_slice(&0i64.to_le_bytes());
-        });
-        match MbiIndex::from_bytes(sealed).unwrap_err() {
-            MbiError::Corrupt { offset, ref detail } if detail.contains("not sorted") => {
-                assert_eq!(offset, ts_start + 8, "offset points at the out-of-order timestamp");
+        // The timestamps of leaf 0's first two rows swapped, and the tail
+        // record's, each under a re-sealed chunk CRC; row r holds r.
+        let stream = build_index(GraphBackend::default(), 40).to_bytes();
+        let dirs = Dirs::of(&stream);
+        for leaf in [0, 2] {
+            let (ts, first) = (dirs.lay.record(leaf).ts, 16 * leaf as i64);
+            let sealed = dirs.reseal(&stream, |body| {
+                body[ts..ts + 8].copy_from_slice(&(first + 1).to_le_bytes());
+                body[ts + 8..ts + 16].copy_from_slice(&first.to_le_bytes());
+                dirs.recrc_piece(body, leaf, 0);
+            });
+            match MbiIndex::from_bytes(sealed).unwrap_err() {
+                MbiError::Corrupt { offset, ref detail } if detail.contains("not sorted") => {
+                    assert_eq!(offset, ts + 8, "offset points at the out-of-order timestamp");
+                }
+                other => panic!("record {leaf}: expected unsorted-timestamp Corrupt, got {other}"),
             }
-            other => panic!("expected unsorted-timestamp Corrupt, got {other}"),
         }
     }
 
     #[test]
     fn rejects_corrupt_norm_column() {
         // A NaN flipped into a stored stream trips the data CRC first, so
-        // re-seal it: the per-scalar check itself must still say no.
-        let idx = build_angular_index(64);
-        let n = idx.len();
-        let stream = idx.to_bytes();
-        // Index kind: the column follows n, the timestamps, the floats and
-        // the flag byte.
-        let norms_start = parse_footer(&stream).unwrap()[2].0 + 8 + n * 8 + n * 3 * 4 + 1;
-        let nan = f32::NAN.to_le_bytes();
-        let sealed =
-            refooter(&stream, |body| body[norms_start..norms_start + 4].copy_from_slice(&nan));
-        let err = MbiIndex::from_bytes(sealed).unwrap_err();
-        assert!(err.to_string().contains("inverse norm"), "{err}");
-
-        // Snapshot kind: the column's own CRC is re-sealed too, and the
-        // eager and cold readers both refuse it as they open.
-        let stream = snapshot_of(&idx).to_bytes();
+        // re-seal it and the column's own CRC: the per-scalar check itself
+        // must still say no, in every reader, for a leaf and for the tail.
+        let stream = build_angular_index(70).to_bytes();
         let dirs = Dirs::of(&stream);
-        let lay = &dirs.lay;
-        let norms_start =
-            lay.leaves[1].record_off + lay.ts_len() + lay.rows_len() + lay.row_crc_len();
-        let sealed = dirs.reseal(&stream, |body| {
-            body[norms_start..norms_start + 4].copy_from_slice(&nan);
-            dirs.recrc_piece(body, 1, 2);
-        });
-        let err = IndexSnapshot::from_bytes(sealed.clone()).unwrap_err();
-        assert!(err.to_string().contains("inverse norm"), "{err}");
-        let err = cold_from(&sealed).unwrap_err();
-        assert!(err.to_string().contains("inverse norm"), "{err}");
+        let nan = f32::NAN.to_le_bytes();
+        for leaf in [1, 4] {
+            let norms_start = dirs.lay.record(leaf).inv + 4;
+            let sealed = dirs.reseal(&stream, |body| {
+                body[norms_start..norms_start + 4].copy_from_slice(&nan);
+                dirs.recrc_piece(body, leaf, 2);
+            });
+            let errs = [
+                MbiIndex::from_bytes(sealed.clone()).unwrap_err(),
+                IndexSnapshot::from_bytes(sealed.clone()).unwrap_err(),
+                cold_from(&sealed).unwrap_err(),
+            ];
+            for err in errs {
+                assert!(err.to_string().contains("inverse norm"), "record {leaf}: {err}");
+            }
+        }
     }
 
     #[test]
@@ -1817,13 +1704,13 @@ mod tests {
         let idx = build_index(GraphBackend::default(), 40);
         let raw = idx.to_bytes().to_vec();
         let sections = parse_footer(&raw).unwrap();
-        // One flip inside each region: kind byte (header section), config,
+        // One flip inside each region: the version (header section), config,
         // data (a vector float — structurally valid, only the CRC sees it:
         // without the checksum it would load as a silently different index),
         // blocks.
-        let float_pos = sections[2].0 + 8 + idx.len() * 8 + 10;
+        let float_pos = Dirs::of(&raw).lay.record(0).rows + 10;
         for (pos, expect_section) in [
-            (8usize, "header"),
+            (5usize, "header"),
             (sections[1].0 + 3, "config"),
             (float_pos, "data"),
             (sections[3].1 - 5, "blocks"),
@@ -1834,7 +1721,7 @@ mod tests {
                 Err(MbiError::ChecksumMismatch { section, .. }) => {
                     assert_eq!(section, expect_section, "flip at byte {pos}");
                 }
-                // A kind-byte flip can also fail before checksumming.
+                // A version flip fails before checksumming.
                 Err(MbiError::Corrupt { .. }) if expect_section == "header" => {}
                 other => panic!("flip at {pos}: expected ChecksumMismatch, got {other:?}"),
             }
@@ -1865,13 +1752,8 @@ mod tests {
         fn corrupt_with(err: &MbiError, detail: &str) -> bool {
             matches!(err, MbiError::Corrupt { detail: d, .. } if d.contains(detail))
         }
-        let idx = build_index(GraphBackend::default(), 64);
-        let index_stream = idx.to_bytes();
-        // Index kind: the first graph follows the two counts and block 0's
-        // fixed fields; it opens with its tag byte, then its degree.
-        let index_graph_at = parse_footer(&index_stream).unwrap()[3].0 + 16 + 36;
-        let snap_stream = snapshot_of(&idx).to_bytes();
-        let dirs = Dirs::of(&snap_stream);
+        let stream = build_index(GraphBackend::default(), 64).to_bytes();
+        let dirs = Dirs::of(&stream);
         // (what, offset into the graph, the bytes written there, the detail)
         let degrees = [0u64, 1 << 63, 3].map(|degree| {
             let detail = "does not match degree".to_string();
@@ -1882,16 +1764,14 @@ mod tests {
         });
         for (what, at, bytes, detail) in degrees.into_iter().chain(tags) {
             let edit = |g: &mut [u8]| g[at..at + bytes.len()].copy_from_slice(&bytes);
-            let sealed = refooter(&index_stream, |body| edit(&mut body[index_graph_at..]));
-            let err = MbiIndex::from_bytes(sealed).unwrap_err();
-            assert!(corrupt_with(&err, &detail), "index, {what}: {err}");
-
-            // Snapshot kind: leaf 0's graph (block 0) and a height-1 graph
-            // (block 2), every CRC over them re-sealed so only the graph
-            // decoder is left to object.
+            // Leaf 0's graph (block 0) and a height-1 graph (block 2), every
+            // CRC over them re-sealed so only the graph decoder is left to
+            // object.
             for bi in [0, 2] {
                 let what = format!("block {bi}, {what}");
-                let sealed = dirs.reseal_graph(&snap_stream, bi, edit);
+                let sealed = dirs.reseal_graph(&stream, bi, edit);
+                let err = MbiIndex::from_bytes(sealed.clone()).unwrap_err();
+                assert!(corrupt_with(&err, &detail), "index, {what}: {err}");
                 let err = IndexSnapshot::from_bytes(sealed.clone()).unwrap_err();
                 assert!(corrupt_with(&err, &detail), "snapshot, {what}: {err}");
                 // The cold reader decodes every graph's header as it opens.
@@ -1905,7 +1785,7 @@ mod tests {
     /// the first edge, one on a 64-byte boundary of the adjacency and the
     /// last, set to `n − 1`, `n`, `u32::MAX − 1` and `u32::MAX` (`n` the
     /// block's row count, `u32::MAX` the padding), CRCs re-sealed. The index
-    /// loader and the snapshot loader must open the stream or report
+    /// loader and the snapshot loader must open the stream or both report
     /// `Corrupt` at the byte after the bad edge, as recorded on the reader
     /// that decoded one edge at a time. The cold tier opens every stream and
     /// answers: it checks an adjacency chunk only when a search expands a
@@ -1914,24 +1794,17 @@ mod tests {
     /// search expands).
     #[test]
     fn graph_edge_verdict_table() {
-        // Per graph, per slot: where a bad edge is reported in the index
-        // stream and in the snapshot stream.
-        const BAD_EDGE_AT: [[(usize, usize); 3]; 2] = [
-            [(1454, 4504), (2286, 5336), (3050, 6100)],
-            [(4774, 20908), (6374, 22508), (7970, 24104)],
-        ];
+        // Per graph, per slot: where a bad edge is reported.
+        const BAD_EDGE_AT: [[usize; 3]; 2] = [[4504, 5336, 6100], [20908, 22508, 24104]];
         let idx = build_index(GraphBackend::default(), 64);
-        let index_stream = idx.to_bytes();
-        let index_graphs = index_graph_offsets(&idx, &index_stream);
-        let snap_stream = snapshot_of(&idx).to_bytes();
-        let dirs = Dirs::of(&snap_stream);
+        let stream = idx.to_bytes();
+        let dirs = Dirs::of(&stream);
         let q = [20.0f32, 0.5, -20.0];
         for (g, bi) in [0, 2].into_iter().enumerate() {
             let m = &dirs.lay.blocks[bi];
             assert_eq!(m.height as usize, g, "block {bi}");
             let BlockGraph(graph) = &idx.blocks()[bi].graph;
             let (n, len) = (m.rows.len() as u32, graph.as_flat().len());
-            let graph_len = GRAPH_HEADER_LEN + 4 * len + 4 * m.rows.len().div_ceil(ADJACENCY_CHUNK);
             let window = TimeWindow::new(m.start_ts, m.end_ts);
             for (s, slot) in [0, (len / 2).next_multiple_of(16), len - 1].into_iter().enumerate() {
                 let edge = GRAPH_HEADER_LEN + 4 * slot;
@@ -1941,24 +1814,14 @@ mod tests {
                     let edit = |bytes: &mut [u8]| {
                         bytes[edge..edge + 4].copy_from_slice(&x.to_le_bytes());
                     };
-                    let sealed = refooter(&index_stream, |body| {
-                        let bytes = &mut body[index_graphs[bi]..][..graph_len];
-                        edit(bytes);
-                        rechunk(bytes, graph.degree(), m.rows.len());
-                    });
-                    let index = corrupt_at(MbiIndex::from_bytes(sealed), &what, &detail);
-                    let sealed = dirs.reseal_graph(&snap_stream, bi, edit);
+                    let sealed = dirs.reseal_graph(&stream, bi, edit);
+                    let index = corrupt_at(MbiIndex::from_bytes(sealed.clone()), &what, &detail);
                     let snapshot =
                         corrupt_at(IndexSnapshot::from_bytes(sealed.clone()), &what, &detail);
                     let cold = cold_from(&sealed).and_then(|cold| cold.query(&q, 5, window));
                     assert!(cold.is_ok(), "{what}: cold: {cold:?}");
-                    let (index_at, snapshot_at) = BAD_EDGE_AT[g][s];
-                    let expected = if x < n || x == u32::MAX {
-                        (None, None)
-                    } else {
-                        (Some(index_at), Some(snapshot_at))
-                    };
-                    assert_eq!((index, snapshot), expected, "{what}");
+                    let at = (x >= n && x != u32::MAX).then_some(BAD_EDGE_AT[g][s]);
+                    assert_eq!((index, snapshot), (at, at), "{what}");
                 }
             }
         }
@@ -1982,7 +1845,7 @@ mod tests {
     /// graph-searches the block (a search expands every vertex it answers
     /// with). The index and snapshot loaders refuse the stream as written
     /// (a section CRC) and with its sections re-sealed (the graph's own
-    /// CRCs). The cold tier refuses it too: at open for the header and the
+    /// CRCs), naming the graph. The cold tier refuses it too: at open for the header and the
     /// column, and for the edge on the first query, which expands its
     /// chunk. Then one edge is set out of range with every CRC over it
     /// re-sealed: `Corrupt` at the byte after it from all three readers,
@@ -1991,8 +1854,7 @@ mod tests {
     fn graph_chunk_verdict_table() {
         let idx = two_graph_searched_leaves();
         let config = *idx.config();
-        let (index_stream, snap) = (idx.to_bytes(), snapshot_of(&idx));
-        let (stream, index_graphs) = (snap.to_bytes(), index_graph_offsets(&idx, &index_stream));
+        let (stream, snap) = (idx.to_bytes(), snapshot_of(&idx));
         let dirs = Dirs::of(&stream);
         let (q, k) = ([0.3f32, -0.2, 0.5], 3);
         let graph_section = |r: Result<_, MbiError>| {
@@ -2019,17 +1881,14 @@ mod tests {
                 ("header", 5),
             ] {
                 let what = format!("block {bi}, {what} byte {at} of the graph");
-                let flip = |b: &mut [u8], graph: usize| b[graph + at] ^= 0x04;
-                let mut raw = index_stream.to_vec();
-                flip(&mut raw, index_graphs[bi]);
-                assert!(MbiIndex::from_bytes(Bytes::from(raw.clone())).is_err(), "index, {what}");
-                let sealed = refooter(&raw, |_| {});
-                assert!(MbiIndex::from_bytes(sealed).is_err(), "resealed index, {what}");
                 let mut raw = stream.to_vec();
-                flip(&mut raw, m.graph_off);
+                raw[m.graph_off + at] ^= 0x04;
+                assert!(MbiIndex::from_bytes(Bytes::from(raw.clone())).is_err(), "index, {what}");
                 let err = IndexSnapshot::from_bytes(Bytes::from(raw.clone())).err();
                 assert!(err.is_some(), "snapshot, {what}");
                 let sealed = refooter(&raw, |_| {});
+                let got = MbiIndex::from_bytes(sealed.clone()).map(|_| ());
+                assert!(graph_section(got), "resealed index, {what}");
                 let got = IndexSnapshot::from_bytes(sealed).map(|_| ());
                 assert!(graph_section(got), "resealed snapshot, {what}");
                 assert!(graph_section(cold(&raw).map(|_| ())), "cold, {what}");
@@ -2038,18 +1897,12 @@ mod tests {
                 let what = format!("block {bi}, edge of vertex {v} set to {x}");
                 let detail = format!("edge to missing node {x}");
                 let set = |g: &mut [u8]| g[edge..edge + 4].copy_from_slice(&x.to_le_bytes());
-                let sealed = refooter(&index_stream, |body| {
-                    let len = column + 4 * m.rows.len().div_ceil(ADJACENCY_CHUNK);
-                    let graph = &mut body[index_graphs[bi]..][..len];
-                    set(graph);
-                    rechunk(graph, degree, m.rows.len());
-                });
-                let index = corrupt_at(MbiIndex::from_bytes(sealed), &what, &detail);
                 let sealed = dirs.reseal_graph(&stream, bi, set);
+                let index = corrupt_at(MbiIndex::from_bytes(sealed.clone()), &what, &detail);
                 let snapshot =
                     corrupt_at(IndexSnapshot::from_bytes(sealed.clone()), &what, &detail);
                 assert_eq!(snapshot, Some(m.graph_off + edge + 4), "{what}");
-                assert_eq!(index, Some(index_graphs[bi] + edge + 4), "{what}");
+                assert_eq!(index, snapshot, "{what}");
                 let got = corrupt_at(cold(&sealed), &what, &detail);
                 assert_eq!(got, snapshot, "{what}: cold");
             }
@@ -2175,14 +2028,15 @@ mod tests {
     }
 
     /// One verdict per hostile stream. Each case edits one field of the leaf
-    /// directory, the block directory or a timestamp chunk of a clean
-    /// snapshot and re-seals every CRC over it, so the structural checks
+    /// directory (the tail record's entry included), the block directory or
+    /// a timestamp chunk of a clean stream with four leaves and a 6-row
+    /// tail record, and re-seals every CRC over it, so the structural checks
     /// behind them decide. The eager loader and the cold tier must both
     /// refuse the stream, or both open it and answer every window alike;
     /// neither may panic.
     #[test]
     fn directory_verdict_table() {
-        let clean = snapshot_of(&build_index(GraphBackend::default(), 64)).to_bytes();
+        let clean = build_index(GraphBackend::default(), 70).to_bytes();
         let dirs = Dirs::of(&clean);
         let lay = &dirs.lay;
         // A block's own span selects it, so these windows load every piece.
@@ -2213,6 +2067,7 @@ mod tests {
             ("num_leaves", dirs.d0, 8),
             ("seg_rows", dirs.d0 + 8, 8),
             ("has_norms", dirs.d0 + 16, 1),
+            ("tail_rows", dirs.d0 + 17, 8),
             ("num_blocks", dirs.b0, 8),
         ];
         let leaf_fields = [
@@ -2234,7 +2089,7 @@ mod tests {
             ("graph_len", 8),
             ("graph_crc", 4),
         ];
-        let entries = (0..lay.num_leaves).map(|i| (dirs.leaf_entry(i), &leaf_fields[..]));
+        let entries = (0..lay.leaves.len()).map(|i| (dirs.leaf_entry(i), &leaf_fields[..]));
         for (mut at, shape) in
             entries.chain((0..lay.blocks.len()).map(|i| (dirs.block_entry(i), &block_fields[..])))
         {
@@ -2258,8 +2113,9 @@ mod tests {
                 cases.push((format!("{name} at byte {at} set to {x}"), sealed));
             }
         }
-        // Timestamp edits as (leaf, row, timestamp); row r of leaf l holds
-        // 16·l + r. Each chunk is re-sealed under its own CRC.
+        // Timestamp edits as (record, row, timestamp); row r of record l
+        // holds 16·l + r, and record 4 is the tail. Each chunk is re-sealed
+        // under its own CRC.
         for edits in [
             vec![(0, 3, 9), (0, 9, 3)],
             vec![(1, 0, i64::MIN)],
@@ -2267,6 +2123,9 @@ mod tests {
             vec![(0, 0, -1)],
             vec![(3, 15, 64)],
             vec![(2, 5, 38)],
+            vec![(4, 2, 60)],
+            vec![(4, 5, i64::MAX)],
+            vec![(4, 0, 63)],
         ] {
             let sealed = dirs.reseal(&clean, |body| {
                 for &(leaf, row, t) in &edits {
@@ -2289,23 +2148,35 @@ mod tests {
                 verdicts => panic!("{what}: verdicts differ: {verdicts:?}"),
             }
         }
-        // Only the clean stream, the CRC of its absent norm column (0, so
-        // two edits), and a timestamp edit that keeps every bound open.
-        let harmless = ["clean", "crc_inv", "timestamps [(2, 5, 38)]"];
+        // Only the clean stream, the CRC of each record's absent norm column
+        // (0, so two edits each), and two timestamp edits that keep every
+        // bound and the order: one in a leaf, one in the tail record.
+        let harmless = ["clean", "crc_inv", "timestamps [(2, 5, 38)]", "timestamps [(4, 0, 63)]"];
         assert!(opened.iter().all(|w| harmless.iter().any(|h| w.starts_with(h))), "{opened:?}");
-        assert_eq!(opened.len(), 2 + lay.num_leaves * 2, "{opened:?}");
+        assert_eq!(opened.len(), 3 + lay.leaves.len() * 2, "{opened:?}");
+
+        // The tail record's own CRCs are checked when the stream opens,
+        // eager or cold.
+        let tail = dirs.leaf_entry(lay.num_leaves);
+        for (name, at) in [("crc_ts", tail + 24), ("crc_rows", tail + 28)] {
+            let sealed = dirs.reseal(&clean, |body| body[at] ^= 1);
+            let stale =
+                |r: Result<(), MbiError>| matches!(r, Err(MbiError::ChecksumMismatch { .. }));
+            assert!(stale(MbiIndex::from_bytes(sealed.clone()).map(|_| ())), "{name}");
+            assert!(stale(cold_from(&sealed).map(|_| ())), "cold, {name}");
+        }
     }
 
     /// One verdict per row check: a flipped byte of a row and a flipped
     /// byte of its stored CRC, at the first, a middle and the last row of
-    /// leaves 0 and 3, every section and directory CRC re-sealed so only the
-    /// row check can object. The eager loader refuses the stream; the cold
-    /// tier opens it, answers every exact query that skips the row as the
-    /// clean stream does, and fails the first query that reads it,
-    /// approximate or exact.
+    /// leaves 0 and 3 and of the tail record, every section and directory
+    /// CRC re-sealed so only the row check can object. Both eager loaders
+    /// refuse the stream; the cold tier opens it, answers every exact query
+    /// that skips the row as the clean stream does, and fails the first
+    /// query that reads it, approximate or exact.
     #[test]
     fn row_crc_verdict_table() {
-        let clean = snapshot_of(&build_index(GraphBackend::default(), 64)).to_bytes();
+        let clean = build_index(GraphBackend::default(), 70).to_bytes();
         let dirs = Dirs::of(&clean);
         let lay = &dirs.lay;
         let (s_l, row_len) = (lay.seg_rows, lay.config.dim * 4);
@@ -2313,16 +2184,17 @@ mod tests {
         let leaf_rows = |r: Option<MbiError>| {
             matches!(r, Some(MbiError::ChecksumMismatch { section: "leaf rows", .. }))
         };
-        for leaf in [0, 3] {
-            let rows_off = lay.leaves[leaf].record_off + lay.ts_len();
-            for row in [0, s_l / 2, s_l - 1] {
-                let crc_at = rows_off + lay.rows_len() + 4 * row;
-                for (what, at) in [("row", rows_off + row * row_len + 5), ("row crc", crc_at + 2)] {
-                    let what = format!("leaf {leaf}, {what} {row}");
+        for leaf in [0, 3, 4] {
+            let (c, rows) = (lay.record(leaf), lay.record_rows(leaf));
+            for row in [0, rows / 2, rows - 1] {
+                let crc_at = c.crcs + 4 * row;
+                for (what, at) in [("row", c.rows + row * row_len + 5), ("row crc", crc_at + 2)] {
+                    let what = format!("record {leaf}, {what} {row}");
                     let sealed = dirs.reseal(&clean, |body| {
                         body[at] ^= 0x10;
                         dirs.recrc_piece(body, leaf, 1);
                     });
+                    assert!(leaf_rows(MbiIndex::from_bytes(sealed.clone()).err()), "index, {what}");
                     assert!(
                         leaf_rows(IndexSnapshot::from_bytes(sealed.clone()).err()),
                         "eager, {what}"
@@ -2343,19 +2215,21 @@ mod tests {
     }
 
     /// The clean streams of `directory_verdict_table` and
-    /// `row_crc_verdict_table` (Euclidean, and its angular twin with a norm
-    /// column) and of `graph_chunk_verdict_table`, with their directories.
+    /// `row_crc_verdict_table` (Euclidean, with a tail record, and its
+    /// angular twin with a norm column), of `graph_chunk_verdict_table`,
+    /// and of four whole leaves with no tail record, with their directories.
     fn hostile_seeds() -> &'static [(Bytes, Dirs)] {
         static SEEDS: std::sync::OnceLock<Vec<(Bytes, Dirs)>> = std::sync::OnceLock::new();
         SEEDS.get_or_init(|| {
             [
-                build_index(GraphBackend::default(), 64),
-                build_angular_index(64),
+                build_index(GraphBackend::default(), 70),
+                build_angular_index(70),
                 two_graph_searched_leaves(),
+                build_index(GraphBackend::default(), 64),
             ]
             .iter()
             .map(|idx| {
-                let stream = snapshot_of(idx).to_bytes();
+                let stream = idx.to_bytes();
                 let dirs = Dirs::of(&stream);
                 (stream, dirs)
             })
@@ -2366,18 +2240,18 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
 
-        /// Hostile snapshot bytes — whole random streams (bare, or behind a
-        /// valid v11 snapshot header), and the verdict tables' clean streams
-        /// with random bytes overwritten, then cut and extended, or with the
-        /// overwrites confined to the directories or to one block's graph
-        /// and every CRC over them re-sealed so the structural checks
-        /// decide — make the eager loader and a cold open plus one query
-        /// answer `Ok` or `Err`, never panic. When the eager loader accepts
-        /// a stream, the cold tier answers that query as it does.
+        /// Hostile bytes — whole random streams (bare, or behind a valid
+        /// v12 header), and the verdict tables' clean streams with random
+        /// bytes overwritten, then cut and extended, or with the overwrites
+        /// confined to the directories or to one block's graph and every
+        /// CRC over them re-sealed so the structural checks decide — make
+        /// both eager loaders and a cold open plus one query answer `Ok` or
+        /// `Err`, never panic. The eager loaders agree, and when they accept
+        /// a stream, the cold tier answers that query as they do.
         #[test]
         fn arbitrary_snapshot_bytes_never_panic(
             kind in 0..5usize,
-            seed in 0..3usize,
+            seed in 0..4usize,
             writes in proptest::collection::vec(
                 (proptest::arbitrary::any::<usize>(), proptest::arbitrary::any::<u8>()), 1..6),
             cut in proptest::arbitrary::any::<usize>(),
@@ -2407,7 +2281,7 @@ mod tests {
                     b.into()
                 }
                 3 => dirs.reseal(clean, |body| {
-                    let leaves = dirs.d0..dirs.leaf_entry(dirs.lay.num_leaves);
+                    let leaves = dirs.d0..dirs.leaf_entry(dirs.lay.leaves.len());
                     let blocks = dirs.b0..dirs.block_entry(dirs.lay.blocks.len());
                     overwrite(body, if cut.is_multiple_of(2) { leaves } else { blocks });
                 }),
@@ -2421,6 +2295,11 @@ mod tests {
                 let q = vec![0.25f32; snap.config().dim];
                 snap.query_with_params(&q, 5, w, &snap.config().search).results
             });
+            let index = MbiIndex::from_bytes(stream.clone()).map(|idx| {
+                let q = vec![0.25f32; idx.dim()];
+                idx.query_with_params(&q, 5, w, &idx.config().search).results
+            });
+            proptest::prop_assert_eq!(index.ok(), eager.as_ref().ok().cloned(), "kind {} seed {}", kind, seed);
             let map = Arc::new(FileMap::from_bytes(stream.to_vec()));
             let cold = ColdIndex::from_map(map).and_then(|cold| {
                 let q = vec![0.25f32; cold.config().dim];
@@ -2457,11 +2336,10 @@ mod tests {
 
     #[test]
     fn snapshot_roundtrips_and_reencodes_bit_identically() {
-        for idx in [build_index(GraphBackend::default(), 64), build_angular_index(64)] {
+        for idx in [build_index(GraphBackend::default(), 64), build_angular_index(70)] {
             let snap = snapshot_of(&idx);
             let bytes = snap.to_bytes();
             assert_eq!(u32::from_le_bytes(bytes[4..8].try_into().unwrap()), VERSION);
-            assert_eq!(bytes[8], KIND_SNAPSHOT);
             let loaded = IndexSnapshot::from_bytes(bytes.clone()).unwrap();
             assert_eq!(loaded.validate(), Ok(()));
             for (a, b) in snap.store().segments().iter().zip(loaded.store().segments()) {
@@ -2474,36 +2352,36 @@ mod tests {
 
     #[test]
     fn layout_is_page_aligned_with_colocated_graphs() {
-        let snap = snapshot_of(&build_angular_index(64));
+        let snap = snapshot_of(&build_angular_index(70));
         let bytes = snap.to_bytes();
         let layout = parse_layout(&bytes).unwrap();
-        assert_eq!(layout.num_leaves, 4);
+        assert_eq!((layout.num_leaves, layout.tail_rows, layout.leaves.len()), (4, 6, 5));
         assert!(layout.has_norms);
         assert_eq!(layout.blocks.len(), snap.blocks().len());
+        for (i, leaf) in layout.leaves.iter().enumerate() {
+            let c = layout.record(i);
+            assert_eq!(leaf.record_off % PAGE, 0, "records start on page boundaries");
+            // Per-piece CRCs authenticate each column independently; the
+            // rows are authenticated one by one by the row CRC column.
+            assert_eq!(crc32(&bytes[c.ts..c.rows]), leaf.crc_ts);
+            assert_eq!(crc32(&bytes[c.crcs..c.inv]), leaf.crc_rows);
+            assert_eq!(crc32(&bytes[c.inv..c.end]), leaf.crc_inv);
+            let row_bytes = layout.config.dim * 4;
+            for (r, crc) in bytes[c.crcs..c.inv].chunks_exact(4).enumerate() {
+                let row = c.rows + r * row_bytes;
+                assert_eq!(crc32(&bytes[row..row + row_bytes]).to_le_bytes(), crc, "row {r}");
+            }
+            assert_eq!(leaf.graph_off, c.end, "leaf graphs are co-located with their records");
+        }
+        let tail = layout.leaves[4];
+        assert_eq!((tail.graph_len, tail.crc_graph), (0, 0), "the tail record has no graph");
         let mut leaf_ix = 0;
         for (meta, block) in layout.blocks.iter().zip(snap.blocks()) {
             assert_eq!(meta.rows, block.rows);
             assert_eq!(meta.height, block.height);
             if meta.height == 0 {
                 let leaf = &layout.leaves[leaf_ix];
-                assert_eq!(leaf.record_off % PAGE, 0, "records start on page boundaries");
-                assert_eq!(
-                    meta.graph_off,
-                    leaf.record_off + layout.payload_len(),
-                    "leaf graphs are co-located with their records"
-                );
-                // Per-piece CRCs authenticate each column independently; the
-                // rows are authenticated one by one by the row CRC column.
-                let ts = leaf.record_off..leaf.record_off + layout.ts_len();
-                assert_eq!(crc32(&bytes[ts.clone()]), leaf.crc_ts);
-                let crcs =
-                    ts.end + layout.rows_len()..ts.end + layout.rows_len() + layout.row_crc_len();
-                assert_eq!(crc32(&bytes[crcs.clone()]), leaf.crc_rows);
-                let row_bytes = layout.config.dim * 4;
-                for (r, crc) in bytes[crcs].chunks_exact(4).enumerate() {
-                    let row = ts.end + r * row_bytes;
-                    assert_eq!(crc32(&bytes[row..row + row_bytes]).to_le_bytes(), crc, "row {r}");
-                }
+                assert_eq!(meta.graph_off, leaf.graph_off, "block {:?}", meta.rows);
                 let graph = &bytes[meta.graph_off..meta.graph_off + meta.graph_len];
                 assert_eq!(graph_crc(graph, meta.rows.len()), leaf.crc_graph);
                 leaf_ix += 1;
@@ -2514,49 +2392,78 @@ mod tests {
         assert_eq!(leaf_ix, layout.num_leaves);
     }
 
-    /// A backend tag other than NNDescent's 0 is `Corrupt` in every reader:
-    /// 1 (HNSW's, a backend since deleted) and an unknown 0xFF. The tag
-    /// follows `dim`, the metric tag, `leaf_size` and `tau`.
+    /// The config's tag bytes take only the values a writer stores, in every
+    /// reader: a metric tag other than 0–2 (after `dim`) and an entry tag
+    /// other than 0–1 (after the graph and search parameters) are `Corrupt`.
     #[test]
-    fn unknown_backend_tags_are_corrupt() {
-        let idx = build_index(GraphBackend::default(), 64);
-        let (index_stream, snapshot_stream) = (idx.to_bytes(), snapshot_of(&idx).to_bytes());
-        for tag in [1u8, 0xFF] {
-            let with_tag = |stream: &[u8]| {
-                let at = parse_footer(stream).unwrap()[1].0 + 8 + 1 + 8 + 8;
-                assert_eq!(stream[at], 0, "NNDescent's backend tag");
-                refooter(stream, |body| body[at] = tag)
-            };
-            let detail = format!("unknown backend tag {tag}");
+    fn unknown_config_tags_are_corrupt() {
+        let stream = build_index(GraphBackend::default(), 70).to_bytes();
+        let config = parse_footer(&stream).unwrap()[1].0;
+        let (metric_at, entry_at) = (config + 8, config + 8 + 1 + 8 + 8 + 40 + 8 + 4);
+        assert_eq!((stream[metric_at], stream[entry_at]), (0, 0), "Euclidean, query-hash entry");
+        for (at, tag, detail) in [
+            (metric_at, 3u8, "unknown metric tag 3"),
+            (metric_at, 0xFF, "unknown metric tag 255"),
+            (entry_at, 2, "unknown entry tag 2"),
+            (entry_at, 0xFF, "unknown entry tag 255"),
+        ] {
+            let sealed = refooter(&stream, |body| body[at] = tag);
             let verdicts = [
-                corrupt_at(MbiIndex::from_bytes(with_tag(&index_stream)), "index", &detail),
-                corrupt_at(IndexSnapshot::from_bytes(with_tag(&snapshot_stream)), "eager", &detail),
-                corrupt_at(cold_from(&with_tag(&snapshot_stream)), "cold", &detail),
+                corrupt_at(MbiIndex::from_bytes(sealed.clone()), "index", detail),
+                corrupt_at(IndexSnapshot::from_bytes(sealed.clone()), "eager", detail),
+                corrupt_at(cold_from(&sealed), "cold", detail),
             ];
-            assert!(verdicts.iter().all(Option::is_some), "backend tag {tag}: {verdicts:?}");
+            assert_eq!(verdicts, [Some(at + 1); 3], "{detail}");
         }
     }
 
+    /// An index with tail rows, saved once, answers bit for bit alike from
+    /// the original, the reloaded index, the eager snapshot and the cold
+    /// tier — results, distance bits and work counters, tail rows included
+    /// — and an engine resumed from it answers as the original does.
     #[test]
-    fn snapshot_reads_index_streams() {
-        // An index stream loads as a snapshot when sealed …
-        let idx = build_index(GraphBackend::default(), 64);
-        let snap = IndexSnapshot::from_bytes(idx.to_bytes()).unwrap();
-        assert_eq!(snap.num_leaves(), idx.num_leaves());
-        assert_eq!(snap.validate(), Ok(()));
-        assert_same_snapshot_answers(&snap, &snapshot_of(&idx));
-        // … and surfaces the tail explicitly when not.
-        let with_tail = build_index(GraphBackend::default(), 70);
-        match IndexSnapshot::from_bytes(with_tail.to_bytes()) {
-            Err(MbiError::UnsealedTail { tail_rows: 6 }) => {}
-            other => panic!("expected UnsealedTail {{ 6 }}, got {other:?}"),
+    fn a_tailed_index_answers_alike_from_every_loader() {
+        let config = MbiConfig::new(3, Metric::Euclidean).with_leaf_size(32);
+        let mut idx = MbiIndex::new(config);
+        for i in 0..117 {
+            let x = i as f32 * 0.37;
+            idx.insert(&[x.sin(), (x * 0.7).cos(), (x * 0.13).sin()], i as i64).unwrap();
         }
-    }
-
-    #[test]
-    fn index_loader_rejects_snapshot_streams() {
-        let snap = snapshot_of(&build_index(GraphBackend::default(), 32));
-        let err = MbiIndex::from_bytes(snap.to_bytes()).unwrap_err();
-        assert!(err.to_string().contains("snapshot"), "{err}");
+        assert_eq!(idx.tail_rows(), 96..117);
+        let stream = idx.to_bytes();
+        let index = MbiIndex::from_bytes(stream.clone()).unwrap();
+        assert_eq!(index.to_bytes(), stream, "decode → encode is a fixed point");
+        let snap = IndexSnapshot::from_bytes(stream.clone()).unwrap();
+        let cold = cold_from(&stream).unwrap();
+        assert_eq!((cold.len(), cold.num_leaves()), (117, 3));
+        let engine = crate::StreamingMbi::from_index(idx.clone(), crate::EngineConfig::default());
+        type Bits = Vec<(u32, i64, u32)>;
+        let bits = |r: &[crate::TknnResult]| -> Bits {
+            r.iter().map(|r| (r.id, r.timestamp, r.dist.to_bits())).collect()
+        };
+        let params = config.search;
+        let mut tail_hits = 0;
+        for (lo, hi) in [(0, 117), (96, 117), (80, 110), (100, 101), (40, 60), (-5, 500)] {
+            let w = TimeWindow::new(lo, hi);
+            for (k, q) in [(1, [0.2f32, -0.1, 0.4]), (5, [-0.6, 0.9, 0.1])] {
+                let want = idx.query_with_params(&q, k, w, &params);
+                let what = format!("window {w:?}, k {k}");
+                tail_hits += want.results.iter().filter(|r| r.id >= 96).count();
+                for (name, got) in [
+                    ("index", index.query_with_params(&q, k, w, &params)),
+                    ("snapshot", snap.query_with_params(&q, k, w, &params)),
+                    ("cold", cold.query_with_params(&q, k, w, &params).unwrap()),
+                ] {
+                    assert_eq!(bits(&got.results), bits(&want.results), "{name}, {what}");
+                    assert_eq!(got.stats, want.stats, "{name}, {what}");
+                }
+                let streamed = engine.query_with_params(&q, k, w, &params);
+                assert_eq!(bits(&streamed.results), bits(&want.results), "engine, {what}");
+                let exact = bits(&idx.exact_query(&q, k, w));
+                assert_eq!(bits(&snap.exact_query(&q, k, w)), exact, "exact, {what}");
+                assert_eq!(bits(&cold.exact_query(&q, k, w).unwrap()), exact, "cold exact, {what}");
+            }
+        }
+        assert!(tail_hits > 0, "some answers are tail rows");
     }
 }

@@ -162,12 +162,12 @@ impl ColdIndex {
         self.snap.num_leaves()
     }
 
-    /// Number of rows served (sealed leaves × `S_L`).
+    /// Number of rows served: the leaves' and the tail record's.
     pub fn len(&self) -> usize {
-        self.snap.sealed_rows()
+        self.snap.times.len()
     }
 
-    /// Whether the file holds no sealed rows.
+    /// Whether the file holds no rows.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -230,6 +230,9 @@ impl ColdIndex {
             checks.extend(self.leaf_rows(block.rows.start / s_l..block.rows.end.div_ceil(s_l)));
             checks.push(Check::Graph(block));
         }
+        if selection.tail {
+            checks.extend(self.leaf_rows(self.snap.num_leaves..self.snap.store.num_segments()));
+        }
         checked(&checks, || self.snap.search(query, k, window, params, &selection, deadline))
     }
 
@@ -248,7 +251,7 @@ impl ColdIndex {
         checked(&checks, || self.snap.exact_query(query, k, window))
     }
 
-    /// The row checks of leaves `leaves`.
+    /// The row checks of leaves `leaves` (the tail record is the last).
     fn leaf_rows(&self, leaves: std::ops::Range<usize>) -> impl Iterator<Item = Check<'_>> {
         self.snap.store.segments()[leaves].iter().map(|seg| Check::Rows(seg))
     }
@@ -288,7 +291,7 @@ mod tests {
             let x = i as f32;
             idx.insert(&[x.mul_add(0.05, 0.3), (x * 0.1).sin(), 1.0 - x * 0.01], i as i64).unwrap();
         }
-        IndexSnapshot::from_index(&idx).unwrap()
+        IndexSnapshot::from_index(&idx)
     }
 
     fn cold_of(snap: &IndexSnapshot) -> ColdIndex {
@@ -497,7 +500,7 @@ mod tests {
         // Flip one byte inside leaf 0's row section; no CRC that open checks
         // covers it, so open succeeds and the first query that reads the
         // row must catch it.
-        let off = layout.leaves[0].record_off + layout.ts_len() + 5;
+        let off = layout.record(0).rows + 5;
         bytes[off] ^= 0xff;
         let cold = cold_from(bytes).unwrap();
         let err = cold.query(&[0.0, 0.0, 0.0], 3, TimeWindow::new(0, 64)).unwrap_err();
@@ -519,7 +522,7 @@ mod tests {
             idx.insert(&v, i as i64).unwrap();
         }
         let q = v.iter().enumerate().map(|(j, x)| x + (j as f32 * 0.11).cos()).collect();
-        (IndexSnapshot::from_index(&idx).unwrap().to_bytes().to_vec(), q)
+        (IndexSnapshot::from_index(&idx).to_bytes().to_vec(), q)
     }
 
     /// The test above flips byte 5 of a 768-byte section. At the benchmark's
@@ -537,28 +540,26 @@ mod tests {
         let (clean, q) = two_benchmark_leaves();
         let lay = parse_layout(&clean).unwrap();
         let (s_l, row_len) = (lay.seg_rows, lay.config.dim * 4);
-        let (l, root) = (lay.leaves[1], lay.blocks.iter().find(|m| m.height == 1).unwrap());
-        let rows_off = l.record_off + lay.ts_len();
-        let crc_off = rows_off + lay.rows_len();
-        let inv_off = crc_off + lay.row_crc_len();
+        let (rec, root) = (lay.record(1), lay.blocks.iter().find(|m| m.height == 1).unwrap());
+        let (rows_off, crc_off, inv_off) = (rec.rows, rec.crcs, rec.inv);
         let reference = cold_from(clean.clone()).unwrap();
         // Over both leaves the root is graph-searched; over leaf 1, leaf 1.
         let both = TimeWindow::new(0, 2 * s_l as i64);
         let leaf_1 = TimeWindow::new(s_l as i64, 2 * s_l as i64);
         // The root search scored its best answer on that answer's row.
         let best = reference.query(&q, 3, both).unwrap()[0].id as usize;
-        let best_off = lay.leaves[best / s_l].record_off + lay.ts_len() + (best % s_l) * row_len;
+        let best_off = lay.record(best / s_l).rows + (best % s_l) * row_len;
         // (bytes, the section the error names, offset, length, the window of
         // a query that reads them — `None`: five rows around the flip, a
         // scan that scores every one of them).
         let mut cases = vec![
-            ("rows of a scanned window", "leaf rows", rows_off, lay.rows_len(), None),
+            ("rows of a scanned window", "leaf rows", rows_off, crc_off - rows_off, None),
             ("a row the root search scores", "leaf rows", best_off, row_len, Some(both)),
         ];
         // (bytes, the section the error names, offset, length).
         let mut at_open = vec![
-            ("row checksums", "leaf row checksums", crc_off, lay.row_crc_len()),
-            ("norms", "leaf norms", inv_off, lay.inv_len()),
+            ("row checksums", "leaf row checksums", crc_off, inv_off - crc_off),
+            ("norms", "leaf norms", inv_off, rec.end - inv_off),
         ];
         for (m, w) in [(&lay.blocks[layout::leaf_block(1)], leaf_1), (root, both)] {
             let best = reference.query(&q, 3, w).unwrap()[0].id as usize;
@@ -615,7 +616,7 @@ mod tests {
         let s_l = lay.seg_rows;
         let bad = s_l + 700;
         let mut bytes = clean.clone();
-        bytes[lay.leaves[1].record_off + lay.ts_len() + (bad % s_l) * lay.config.dim * 4 + 9] ^= 1;
+        bytes[lay.record(1).rows + (bad % s_l) * lay.config.dim * 4 + 9] ^= 1;
         // Leaf 0 graph-searched, then scans of leaf 1 around the bad row.
         let clear = [(0, s_l), (s_l, bad), (bad + 1, 2 * s_l)].map(|(a, b)| (a as i64, b as i64));
         let cold = cold_from(bytes).unwrap();
@@ -661,7 +662,7 @@ mod tests {
             idx.insert(&vector(), i as i64).unwrap();
         }
         let q = vector();
-        let snap = IndexSnapshot::from_index(&idx).unwrap();
+        let snap = IndexSnapshot::from_index(&idx);
         let bytes = snap.to_bytes().to_vec();
         let lay = parse_layout(&bytes).unwrap();
         let cold = cold_from(bytes).unwrap();
@@ -702,7 +703,7 @@ mod tests {
     #[test]
     fn empty_snapshot_opens_and_answers() {
         let config = MbiConfig::new(4, Metric::Euclidean).with_leaf_size(8);
-        let snap = IndexSnapshot::from_index(&MbiIndex::new(config)).unwrap();
+        let snap = IndexSnapshot::from_index(&MbiIndex::new(config));
         let cold = cold_of(&snap);
         assert!(cold.is_empty());
         assert_eq!(cold.query(&[0.0; 4], 3, TimeWindow::new(0, 100)).unwrap(), vec![]);

@@ -9,8 +9,9 @@
 use crate::Timestamp;
 use std::sync::Arc;
 
-/// An immutable, chunked timestamp column: `num_chunks × chunk_rows`
-/// timestamps, non-decreasing across the whole column (the engine validates
+/// An immutable, chunked timestamp column: chunks of `chunk_rows`
+/// timestamps, the last possibly shorter (a loaded index's partial leaf),
+/// non-decreasing across the whole column (the engine validates
 /// monotonicity at insert). Cloning is `O(chunks)` pointer copies.
 #[derive(Clone, Debug)]
 pub struct TimeChunks {
@@ -36,10 +37,10 @@ impl TimeChunks {
         self.chunk_rows
     }
 
-    /// Total timestamps stored.
+    /// Total timestamps stored, a short last chunk's included.
     #[inline]
     pub fn len(&self) -> usize {
-        self.chunks.len() * self.chunk_rows
+        self.chunks.last().map_or(0, |last| (self.chunks.len() - 1) * self.chunk_rows + last.len())
     }
 
     /// Whether the column is empty.
@@ -74,9 +75,11 @@ impl TimeChunks {
     ///
     /// # Panics
     ///
-    /// Panics unless the chunk holds exactly `chunk_rows` timestamps.
+    /// Panics unless the chunk holds `1..=chunk_rows` timestamps and every
+    /// chunk before it is full.
     pub fn push_chunk(&mut self, chunk: Arc<[Timestamp]>) {
-        assert_eq!(chunk.len(), self.chunk_rows, "chunk has wrong length");
+        assert!((1..=self.chunk_rows).contains(&chunk.len()), "chunk has wrong length");
+        assert_eq!(self.len(), self.chunks.len() * self.chunk_rows, "a short chunk must be last");
         self.chunks.push(chunk);
     }
 
@@ -94,7 +97,7 @@ impl TimeChunks {
     /// non-decreasing): a chunk-level partition point followed by one
     /// in-chunk binary search, `O(log chunks + log chunk_rows)`.
     pub fn partition_below(&self, bound: Timestamp) -> usize {
-        let c = self.chunks.partition_point(|chunk| chunk[self.chunk_rows - 1] < bound);
+        let c = self.chunks.partition_point(|chunk| chunk[chunk.len() - 1] < bound);
         if c == self.chunks.len() {
             return self.len();
         }
@@ -113,7 +116,7 @@ impl TimeChunks {
 
     /// Bytes of heap memory held by the chunks plus the pointer array.
     pub fn memory_bytes(&self) -> usize {
-        self.chunks.len() * self.chunk_rows * std::mem::size_of::<Timestamp>()
+        self.len() * std::mem::size_of::<Timestamp>()
             + self.chunks.capacity() * std::mem::size_of::<Arc<[Timestamp]>>()
     }
 }
@@ -169,6 +172,25 @@ mod tests {
     #[should_panic(expected = "wrong length")]
     fn push_chunk_rejects_wrong_length() {
         let mut tc = TimeChunks::new(4);
+        tc.push_chunk(vec![1i64, 2, 3, 4, 5].into());
+    }
+
+    #[test]
+    fn a_short_last_chunk_is_counted_and_searched() {
+        let mut tc = column(2, 4);
+        tc.push_chunk(vec![16i64, 18].into());
+        let flat = tc.to_vec();
+        assert_eq!((tc.len(), tc.get(9)), (10, 18));
+        for bound in -1..=20 {
+            assert_eq!(tc.partition_below(bound), flat.partition_point(|&t| t < bound), "{bound}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a short chunk must be last")]
+    fn push_chunk_rejects_a_chunk_after_a_short_one() {
+        let mut tc = TimeChunks::new(4);
         tc.push_chunk(vec![1i64, 2].into());
+        tc.push_chunk(vec![3i64, 4, 5, 6].into());
     }
 }

@@ -1,7 +1,8 @@
 //! Property tests for binary persistence: roundtrip fidelity across
 //! arbitrary index shapes (size, leaf size, metric, τ, timestamp stride) and
 //! structural equality of the reloaded index, and the rejection of damaged
-//! index-kind and snapshot-kind streams — anywhere, and in block graphs.
+//! streams — anywhere, and in block graphs — by the index loader, the
+//! snapshot loader and the cold tier.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -34,10 +35,10 @@ fn build(n: usize, leaf_size: usize, metric: Metric, tau: f64, ts_stride: i64) -
     idx
 }
 
-/// The snapshot-kind stream of `leaves` whole leaves.
+/// The stream of `leaves` whole leaves (no tail record).
 fn snapshot_stream(leaves: usize, leaf_size: usize) -> Vec<u8> {
     let idx = build(leaves * leaf_size, leaf_size, Metric::Euclidean, 0.5, 1);
-    IndexSnapshot::from_index(&idx).expect("whole leaves only").to_bytes().to_vec()
+    IndexSnapshot::from_index(&idx).to_bytes().to_vec()
 }
 
 /// One answer per query of [`cold_sweep`].
@@ -112,35 +113,19 @@ fn reseal_sections(mut b: Vec<u8>) -> Vec<u8> {
     b
 }
 
-/// The byte range of every block graph of a stream: for a snapshot, from
-/// the block directory (`graph_off`, `graph_len` at bytes 36 and 44 of each
-/// 56-byte entry); for an index, walking the blocks section, where each
-/// graph follows its block's 36 bytes of fixed fields and spans its 20-byte
-/// header, `len` edges and one chunk CRC per 16 rows.
-fn graph_spans(b: &[u8], snapshot: bool) -> Vec<Range<usize>> {
+/// The byte range of every block graph of a stream, from the block
+/// directory (`graph_off`, `graph_len` at bytes 36 and 44 of each 56-byte
+/// entry).
+fn graph_spans(b: &[u8]) -> Vec<Range<usize>> {
     let blocks = sections(b)[3].clone();
-    if snapshot {
-        let entries = blocks.start + 8;
-        let entry = |i: usize| (u64_at(b, entries + 56 * i + 36), u64_at(b, entries + 56 * i + 44));
-        (0..u64_at(b, blocks.start)).map(entry).map(|(off, len)| off..off + len).collect()
-    } else {
-        let mut at = blocks.start + 16;
-        let mut spans = Vec::new();
-        for _ in 0..u64_at(b, blocks.start + 8) {
-            let rows = u64_at(b, at + 8) - u64_at(b, at);
-            at += 36;
-            let len = 20 + 4 * u64_at(b, at + 12) + 4 * rows.div_ceil(16);
-            spans.push(at..at + len);
-            at += len;
-        }
-        assert_eq!(at, blocks.end, "the graphs end the blocks section");
-        spans
-    }
+    let entries = blocks.start + 8;
+    let entry = |i: usize| (u64_at(b, entries + 56 * i + 36), u64_at(b, entries + 56 * i + 44));
+    (0..u64_at(b, blocks.start)).map(entry).map(|(off, len)| off..off + len).collect()
 }
 
 /// A byte of a stream's block graphs, picked by `seed`.
-fn graph_byte(b: &[u8], snapshot: bool, seed: u64) -> usize {
-    let spans = graph_spans(b, snapshot);
+fn graph_byte(b: &[u8], seed: u64) -> usize {
+    let spans = graph_spans(b);
     let total: usize = spans.iter().map(Range::len).sum();
     let mut at = (seed % total as u64) as usize;
     for span in spans {
@@ -212,10 +197,10 @@ proptest! {
         prop_assert_eq!(again.len(), n + extra);
     }
 
-    /// Any single-byte corruption of an index-kind stream is rejected —
-    /// every byte of the stream is covered by a section CRC, the footer CRC,
-    /// or a structural check, so no flip can load as a silently different
-    /// index (and none may panic).
+    /// Any single-byte corruption of an index's stream is rejected — every
+    /// byte of the stream is covered by a section CRC, the footer CRC, or a
+    /// structural check, so no flip can load as a silently different index
+    /// (and none may panic).
     #[test]
     fn any_single_byte_flip_is_rejected(
         n in 1usize..80,
@@ -232,8 +217,8 @@ proptest! {
         prop_assert!(res.is_err(), "flip at byte {} bit {} accepted", pos, bit);
     }
 
-    /// Any truncation of an index-kind stream is rejected (the footer pins
-    /// the exact length).
+    /// Any truncation of an index's stream is rejected (the footer pins the
+    /// exact length).
     #[test]
     fn any_truncation_is_rejected(
         n in 1usize..80,
@@ -247,9 +232,10 @@ proptest! {
             "truncation to {} bytes accepted", cut);
     }
 
-    /// Any single-bit flip in an index-kind stream's block graphs is
-    /// rejected, also with every section CRC re-sealed over it: a graph's
-    /// chunk CRCs and header checks stand alone.
+    /// Any single-bit flip in the block graphs of an index's stream (which
+    /// may end in a tail record) is rejected, also with every section CRC
+    /// re-sealed over it: a graph's chunk CRCs and header checks stand
+    /// alone.
     #[test]
     fn any_index_graph_flip_is_rejected(
         leaf_size in 1usize..40,
@@ -260,7 +246,7 @@ proptest! {
         // At least one whole leaf, so at least one graph.
         let idx = build(leaf_size + extra, leaf_size, Metric::Euclidean, 0.5, 1);
         let mut bad = idx.to_bytes().to_vec();
-        let pos = graph_byte(&bad, false, pos_seed);
+        let pos = graph_byte(&bad, pos_seed);
         bad[pos] ^= 1u8 << bit;
         let what = format!("flip at graph byte {pos} bit {bit}");
         prop_assert!(MbiIndex::from_bytes(bytes::Bytes::from(bad.clone())).is_err(), "{}", what);
@@ -268,7 +254,8 @@ proptest! {
         prop_assert!(MbiIndex::from_bytes(sealed).is_err(), "resealed {}", what);
     }
 
-    /// Any truncation inside an index-kind stream's block graphs is rejected.
+    /// Any truncation inside the block graphs of an index's stream is
+    /// rejected.
     #[test]
     fn any_index_graph_truncation_is_rejected(
         leaf_size in 1usize..40,
@@ -277,7 +264,7 @@ proptest! {
     ) {
         let idx = build(leaf_size + extra, leaf_size, Metric::Euclidean, 0.5, 1);
         let bytes = idx.to_bytes();
-        let cut = graph_byte(&bytes, false, cut_seed);
+        let cut = graph_byte(&bytes, cut_seed);
         prop_assert!(MbiIndex::from_bytes(bytes.slice(0..cut)).is_err(),
             "truncation to {} bytes accepted", cut);
     }
@@ -289,7 +276,7 @@ proptest! {
     // reader that skips the timestamp CRC passes; at 512 it fails.)
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// Any single-bit flip of a snapshot-kind stream is rejected by the
+    /// Any single-bit flip of a whole-leaf stream is rejected by the
     /// eager loader, and the cold tier refuses it or never answers from it
     /// differently (see [`assert_snapshot_rejected`]).
     #[test]
@@ -307,7 +294,7 @@ proptest! {
         assert_snapshot_rejected(&clean, bad, (leaves * leaf_size) as i64, &what);
     }
 
-    /// Any single-bit flip in a snapshot-kind stream's block graphs is
+    /// Any single-bit flip in a whole-leaf stream's block graphs is
     /// rejected the same way, also with every section CRC re-sealed over it:
     /// the eager loader meets the graph's own CRCs, and the cold tier meets
     /// the header and chunk-CRC column at load and each adjacency chunk when
@@ -320,7 +307,7 @@ proptest! {
         bit in 0u8..8,
     ) {
         let clean = snapshot_stream(leaves, leaf_size);
-        let pos = graph_byte(&clean, true, pos_seed);
+        let pos = graph_byte(&clean, pos_seed);
         let mut bad = clean.clone();
         bad[pos] ^= 1u8 << bit;
         let rows = (leaves * leaf_size) as i64;
@@ -329,7 +316,7 @@ proptest! {
         assert_snapshot_rejected(&clean, reseal_sections(bad), rows, &format!("resealed {what}"));
     }
 
-    /// Any truncation inside a snapshot-kind stream's block graphs is
+    /// Any truncation inside a whole-leaf stream's block graphs is
     /// rejected the same way.
     #[test]
     fn any_snapshot_graph_truncation_is_rejected(
@@ -338,12 +325,12 @@ proptest! {
         cut_seed in any::<u64>(),
     ) {
         let clean = snapshot_stream(leaves, leaf_size);
-        let cut = graph_byte(&clean, true, cut_seed);
+        let cut = graph_byte(&clean, cut_seed);
         let what = format!("truncation to {cut} of {} bytes", clean.len());
         assert_snapshot_rejected(&clean, clean[..cut].to_vec(), (leaves * leaf_size) as i64, &what);
     }
 
-    /// Any truncation of a snapshot-kind stream is rejected the same way.
+    /// Any truncation of a whole-leaf stream is rejected the same way.
     #[test]
     fn any_snapshot_truncation_is_rejected(
         leaves in 1usize..5,

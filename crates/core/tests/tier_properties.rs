@@ -2,7 +2,8 @@
 //! stream from its bytes in place must answer every query bit-identically
 //! to the in-RAM snapshot it was serialised from — for arbitrary index
 //! shapes, window placements that straddle segment boundaries, and a second
-//! pass over rows and chunks the first pass already checked. Each front-end
+//! pass over rows and chunks the first pass already checked, with or
+//! without a tail record (a partial leaf, scanned exactly). Each front-end
 //! selects from its own block metadata (the index's blocks, the snapshot's
 //! shared blocks, the blocks the cold index decoded from the file), so
 //! selections and search counters must match too, and so must the
@@ -17,6 +18,7 @@ use proptest::prelude::*;
 
 fn build_snapshot(
     leaves: usize,
+    tail: usize,
     leaf_size: usize,
     metric: Metric,
     tau: f64,
@@ -30,11 +32,11 @@ fn build_snapshot(
             .with_backend(backend)
             .with_search(SearchParams::new(24, 1.2)),
     );
-    for i in 0..leaves * leaf_size {
+    for i in 0..leaves * leaf_size + tail % leaf_size {
         let x = i as f32;
         idx.insert(&[(x * 0.31).sin() + 1.5, (x * 0.17).cos() + 1.5, 0.1 * x], i as i64).unwrap();
     }
-    let snap = IndexSnapshot::from_index(&idx).expect("sealed tail");
+    let snap = IndexSnapshot::from_index(&idx);
     (idx, snap)
 }
 
@@ -44,6 +46,7 @@ proptest! {
     #[test]
     fn cold_answers_match_hot(
         leaves in 0usize..9,
+        tail in 0usize..24,
         leaf_size in 1usize..24,
         metric_pick in 0u8..3,
         tau_pct in 1u32..=100,
@@ -56,7 +59,7 @@ proptest! {
             1 => Metric::Angular,
             _ => Metric::InnerProduct,
         };
-        let (idx, snap) = build_snapshot(leaves, leaf_size, metric, tau_pct as f64 / 100.0);
+        let (idx, snap) = build_snapshot(leaves, tail, leaf_size, metric, tau_pct as f64 / 100.0);
         let cold = ColdIndex::from_map(Arc::new(FileMap::from_bytes(snap.to_bytes().to_vec())))
             .expect("the snapshot stream opens cold");
         let params = snap.config().search;

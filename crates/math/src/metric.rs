@@ -91,9 +91,14 @@ pub(crate) fn dot_norm2(a: &[f32], b: &[f32]) -> (f32, f32) {
 }
 
 /// Squared Euclidean distance `‖a − b‖²`.
+///
+/// # Panics
+///
+/// Panics if the slices have different lengths: the SIMD kernels read `b`
+/// for `a.len()` floats.
 #[inline]
 pub fn squared_euclidean(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
+    assert_eq!(a.len(), b.len(), "dimension mismatch");
     simd::squared_euclidean(a, b)
 }
 
@@ -111,9 +116,13 @@ pub fn squared_euclidean_x4(a: &[f32], rows: [&[f32]; 4]) -> [f32; 4] {
 }
 
 /// Inner product `⟨a, b⟩`.
+///
+/// # Panics
+///
+/// Panics if the slices have different lengths, like [`squared_euclidean`].
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
+    assert_eq!(a.len(), b.len(), "dimension mismatch");
     simd::dot(a, b)
 }
 
@@ -128,6 +137,10 @@ pub fn norm(a: &[f32]) -> f32 {
 /// Zero vectors are treated as maximally distant from everything (`1.0`),
 /// which keeps the function total; synthetic generators never emit them but a
 /// user-supplied query might.
+///
+/// # Panics
+///
+/// Panics if the slices have different lengths, like [`dot`].
 #[inline]
 pub fn angular_distance(a: &[f32], b: &[f32]) -> f32 {
     let dp = dot(a, b);
@@ -219,6 +232,26 @@ mod tests {
     #[should_panic(expected = "dimension mismatch")]
     fn metric_rejects_dim_mismatch() {
         Metric::Euclidean.distance(&[1.0], &[1.0, 2.0]);
+    }
+
+    // The safe kernels check lengths in every build: a release build that
+    // skipped the check would read past the shorter slice.
+    #[test]
+    #[should_panic(expected = "dimension mismatch")]
+    fn squared_euclidean_rejects_dim_mismatch() {
+        squared_euclidean(&[1.0; 64], &[2.0; 8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "dimension mismatch")]
+    fn dot_rejects_dim_mismatch() {
+        dot(&[1.0; 64], &[2.0; 8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "dimension mismatch")]
+    fn angular_distance_rejects_dim_mismatch() {
+        angular_distance(&[1.0; 64], &[2.0; 8]);
     }
 
     #[test]

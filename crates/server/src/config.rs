@@ -30,7 +30,8 @@ pub struct TenantConfig {
     /// `None` (and no `cold_path`) = in-memory streaming tenant. Required
     /// for a replica tenant (the follower's WAL lives here).
     pub dir: Option<PathBuf>,
-    /// Path to a snapshot file for a read-only cold tenant
+    /// Path to a saved index (an `mbi build` output or an engine's
+    /// checkpoint) for a read-only cold tenant
     /// ([`ColdIndex`](mbi_core::ColdIndex)); inserts are rejected.
     pub cold_path: Option<PathBuf>,
     /// Present on a replica tenant: the leader to tail. The tenant serves
@@ -66,7 +67,7 @@ impl TenantConfig {
         }
     }
 
-    /// A read-only cold tenant served from a snapshot file.
+    /// A read-only cold tenant served from a saved index file.
     pub fn cold(
         name: impl Into<String>,
         token: impl Into<String>,

@@ -463,7 +463,6 @@ mod tests {
             (engine(MbiError::WalCorrupt { segment: 0, offset: 120 }), server),
             (engine(MbiError::ReplicaDiverged { segment: 0, offset: 24 }), server),
             (engine(MbiError::Io(std::io::Error::other("disk full"))), server),
-            (engine(MbiError::UnsealedTail { tail_rows: 3 }), server),
         ] {
             assert_eq!(err.status(), want, "{err}");
         }

@@ -7,9 +7,7 @@
 //! server keeps serving, graceful shutdown checkpointing every durable
 //! tenant's WAL, and a read-only cold tenant served from a snapshot file.
 
-use mbi_core::{
-    ColdIndex, EngineConfig, IndexSnapshot, MbiConfig, MbiIndex, StreamingMbi, TimeWindow,
-};
+use mbi_core::{ColdIndex, EngineConfig, MbiConfig, MbiIndex, StreamingMbi, TimeWindow};
 use mbi_math::Metric;
 use mbi_server::client::{http_request, BinaryClient, ClientError};
 use mbi_server::wire::Status;
@@ -215,18 +213,20 @@ fn graceful_shutdown_checkpoints_durable_tenants() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A cold tenant serves a snapshot file read-only: its binary and HTTP
-/// answers are the in-process `ColdIndex`'s, an insert is refused on both
-/// protocols, and the engine section of its `/stats` holds exactly the
-/// kind, the rows and the bytes the tier has checksummed.
+/// A cold tenant serves a saved index read-only, its partial leaf (the
+/// tail record) included: its binary and HTTP answers are the in-process
+/// `ColdIndex`'s, an insert is refused on both protocols, and the engine
+/// section of its `/stats` holds exactly the kind, the rows and the bytes
+/// the tier has checksummed.
 #[test]
 fn a_cold_tenant_answers_like_its_cold_index_and_refuses_inserts() {
     let path = std::env::temp_dir().join(format!("mbi_server_cold_{}.mbi", std::process::id()));
     let mut idx = MbiIndex::new(index_config());
-    for i in 0..128 {
+    for i in 0..140 {
         idx.insert(&row(i), i as i64).unwrap();
     }
-    IndexSnapshot::from_index(&idx).unwrap().save_file(&path).unwrap();
+    assert_eq!(idx.tail_rows(), 128..140);
+    idx.save_file(&path).unwrap();
     let cold = ColdIndex::open(&path).unwrap();
     let (handle, addr) = start(
         ServerConfig::new("127.0.0.1:0", index_config())
@@ -234,7 +234,8 @@ fn a_cold_tenant_answers_like_its_cold_index_and_refuses_inserts() {
     );
     let mut client = BinaryClient::connect(addr, "archive", "tok-c").unwrap();
     let auth = [("Authorization", "Bearer tok-c")];
-    for (i, (from, to)) in [(0, 128), (10, 90), (40, 41), (100, 200)].into_iter().enumerate() {
+    let windows = [(0, 140), (10, 90), (40, 41), (100, 200), (130, 140)];
+    for (i, (from, to)) in windows.into_iter().enumerate() {
         let (q, w) = (row(i * 31 + 5), TimeWindow::new(from, to));
         let want = cold.query(&q, 5, w).unwrap();
         assert!(!want.is_empty(), "{w:?}");
@@ -273,7 +274,7 @@ fn a_cold_tenant_answers_like_its_cold_index_and_refuses_inserts() {
     assert_eq!(keys, ["kind", "rows", "bytes_verified"]);
     let engine = stats.get("engine").unwrap();
     assert_eq!(engine.get("kind").and_then(|k| k.as_str()), Some("cold"));
-    assert_eq!(engine.get("rows").and_then(|r| r.as_u64()), Some(128));
+    assert_eq!(engine.get("rows").and_then(|r| r.as_u64()), Some(140));
     assert!(engine.get("bytes_verified").and_then(|b| b.as_u64()) > Some(0), "{stats:?}");
 
     handle.shutdown();
