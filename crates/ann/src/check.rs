@@ -109,6 +109,11 @@ impl ChunkCheck {
         }
     }
 
+    /// Checks every chunk of the column that has not passed yet.
+    pub(crate) fn verify_all(&self) {
+        self.verify_range(0..self.crcs.len());
+    }
+
     #[inline(never)]
     fn verify_chunk(&self, c: usize, bit: u64) -> bool {
         let start = (c * self.chunk_bytes).min(self.bytes.len());

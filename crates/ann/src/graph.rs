@@ -118,14 +118,22 @@ impl KnnGraph {
     #[inline]
     pub fn as_flat(&self) -> &[u32] {
         if let Some(check) = &self.check {
-            check.verify_range(0..self.node_count().div_ceil(ADJACENCY_CHUNK));
+            check.verify_all();
         }
         &self.nbrs
     }
 
-    /// Bytes of heap memory used by the adjacency lists (0 for mapped
-    /// edges: their residency belongs to the storage tier) and the chunk
-    /// check's verified bits.
+    /// Whether the edges view a stream's bytes in a [`FileMap`] rather than
+    /// owning them.
+    ///
+    /// [`FileMap`]: crate::FileMap
+    pub fn is_mapped(&self) -> bool {
+        self.nbrs.is_mapped()
+    }
+
+    /// Bytes of heap memory used by the adjacency lists (0 for edges in a
+    /// live mapping: their residency belongs to the page cache) and the
+    /// chunk check's verified bits.
     #[inline]
     pub fn memory_bytes(&self) -> usize {
         self.nbrs.heap_bytes() + self.check.as_ref().map_or(0, |c| c.memory_bytes())

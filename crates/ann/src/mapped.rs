@@ -12,11 +12,14 @@
 //!
 //! * [`FileMap`] — a read-only mapping of one file. Its pages are clean and
 //!   file-backed, so the kernel's page cache keeps or reclaims them; nothing
-//!   here tracks or drops residency.
+//!   here tracks or drops residency. The same type holds an owned,
+//!   8-byte-aligned copy of a stream ([`FileMap::read`],
+//!   [`FileMap::from_slice`]): an eager load is a cold open of one.
 //! * [`Col<T>`] — an owned-**or**-mapped typed column. Sealed segments built
-//!   in RAM own `Vec<T>`s; segments of a cold index view the mapped bytes in
-//!   place (zero copy, checked by CRC on first read). Both deref to `[T]`,
-//!   so every kernel downstream is oblivious to where the bytes live.
+//!   in RAM own `Vec<T>`s; segments of a loaded or cold index view the
+//!   stream's bytes in place (zero copy, checked by CRC on first read). Both
+//!   deref to `[T]`, so every kernel downstream is oblivious to where the
+//!   bytes live.
 
 #![allow(unsafe_code)]
 
@@ -103,11 +106,11 @@ enum Backing {
     /// Live `mmap` region (Linux x86-64 with a successful map).
     #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
     Mapped { addr: *const u8, len: usize },
-    /// Whole file buffered in memory — the portable fallback: everything is
-    /// always resident. The `len` bytes live in `u64`
-    /// words so the base is 8-byte aligned like a mapping's page-aligned
-    /// one: [`Col`] views `f32`/`i64` columns in place at offsets the
-    /// format aligns relative to the file start.
+    /// Whole file buffered in memory — an eager load, or the portable
+    /// fallback: everything is always resident. The `len` bytes live in
+    /// `u64` words so the base is 8-byte aligned like a mapping's
+    /// page-aligned one: [`Col`] views `f32`/`i64` columns in place at
+    /// offsets the format aligns relative to the file start.
     Buffered { words: Vec<u64>, len: usize },
 }
 
@@ -145,21 +148,34 @@ impl FileMap {
                 }
             }
         }
-        let mut buf = Vec::with_capacity(len);
-        std::io::Read::read_to_end(&mut { file }, &mut buf)?;
-        Ok(FileMap::from_bytes(buf))
+        Self::read_exact(file, len)
     }
 
-    /// Copies a byte buffer into an 8-byte-aligned one — used by tests and
-    /// by callers that decoded from memory but want the same `Col` plumbing.
+    /// Reads the whole file at `path` into an owned, 8-byte-aligned buffer:
+    /// the bytes a mapping would view, copied once, with no live mapping.
+    pub fn read(path: impl AsRef<Path>) -> std::io::Result<FileMap> {
+        let file = File::open(path.as_ref())?;
+        let len = file.metadata()?.len() as usize;
+        Self::read_exact(file, len)
+    }
+
+    /// Copies a byte buffer into an owned, 8-byte-aligned one.
     pub fn from_bytes(bytes: Vec<u8>) -> FileMap {
-        let mut words = vec![0u64; bytes.len().div_ceil(8)];
-        // SAFETY: `words` spans at least `bytes.len()` bytes, the two buffers
-        // are distinct allocations, and every bit pattern is a valid `u64`.
-        unsafe {
-            std::ptr::copy_nonoverlapping(bytes.as_ptr(), words.as_mut_ptr().cast(), bytes.len());
-        }
-        FileMap { backing: Backing::Buffered { words, len: bytes.len() } }
+        Self::from_slice(&bytes)
+    }
+
+    /// [`Self::from_bytes`] of a borrowed slice.
+    pub fn from_slice(bytes: &[u8]) -> FileMap {
+        Self::read_exact(bytes, bytes.len()).expect("a slice holds its own length")
+    }
+
+    /// Reads exactly `len` bytes of `r` into an owned buffer of `u64` words.
+    fn read_exact(mut r: impl std::io::Read, len: usize) -> std::io::Result<FileMap> {
+        let mut words = vec![0u64; len.div_ceil(8)];
+        // SAFETY: `words` spans at least `len` initialised bytes, borrowed
+        // mutably for this call only, and every bit pattern is a valid `u64`.
+        r.read_exact(unsafe { std::slice::from_raw_parts_mut(words.as_mut_ptr().cast(), len) })?;
+        Ok(FileMap { backing: Backing::Buffered { words, len } })
     }
 
     /// Total length in bytes.
@@ -284,11 +300,13 @@ impl<T: Plain> Col<T> {
         }
     }
 
-    /// Bytes of *heap* memory this column owns (0 for mapped columns — their
-    /// pages belong to the kernel's page cache).
+    /// Bytes of heap memory this column holds: its own elements, or the
+    /// ones it views in a buffered [`FileMap`]. A column over a live mapping
+    /// reports 0: its pages belong to the kernel's page cache.
     pub fn heap_bytes(&self) -> usize {
         match self {
             Col::Owned(v) => v.capacity() * std::mem::size_of::<T>(),
+            Col::Mapped { map, len, .. } if !map.is_mapped() => len * std::mem::size_of::<T>(),
             Col::Mapped { .. } => 0,
         }
     }
@@ -360,6 +378,15 @@ mod tests {
         assert_eq!(map.bytes(), &data[..]);
         #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
         assert!(map.is_mapped(), "linux/x86-64 must take the real mmap path");
+        // A live mapping's pages are the page cache's, not a column's.
+        let live = map.is_mapped();
+        let col = Col::<u8>::mapped(Arc::new(map), 0, data.len()).unwrap();
+        assert_eq!(col.heap_bytes(), if live { 0 } else { data.len() });
+        // Reading the file buffers the same bytes, which columns do count.
+        let read = FileMap::read(&path).unwrap();
+        assert_eq!((read.bytes(), read.is_mapped()), (&data[..], false));
+        let col = Col::<u8>::mapped(Arc::new(read), 0, data.len()).unwrap();
+        assert_eq!(col.heap_bytes(), data.len());
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -385,7 +412,8 @@ mod tests {
         for (a, b) in col.iter().zip(&vals) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-        assert_eq!(col.heap_bytes(), 0);
+        // A buffered map is heap memory, counted by every column viewing it.
+        assert_eq!(col.heap_bytes(), vals.len() * 4);
         assert!(col.is_mapped());
         let owned: Col<f32> = vals.clone().into();
         assert_eq!(&owned[..], &vals[..]);

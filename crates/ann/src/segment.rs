@@ -21,9 +21,9 @@ use std::sync::Arc;
 /// persisted store loads) and then shared by `Arc` across the engine's master
 /// copy, its write-side tail, and every published snapshot.
 ///
-/// The buffers are [`Col`]s: heap-owned for segments sealed in RAM,
-/// mapped-in-place for the segments of a cold index opened straight from a
-/// snapshot file. Every search kernel sees a plain slice either way, so hot
+/// The buffers are [`Col`]s: heap-owned for segments sealed in RAM, viewed
+/// in place for the segments of a loaded snapshot (in its owned stream
+/// buffer) or of a cold index (in the mapped file). Every search kernel sees a plain slice either way, so hot
 /// and cold segments are bit-identical to scan.
 ///
 /// A mapped segment may carry per-row CRC-32s
@@ -104,7 +104,7 @@ impl Segment {
     }
 
     /// Copies every row of `view` (and its inverse-norm column, when
-    /// present) into a new segment — the persist-load path.
+    /// present) into a new segment.
     pub fn from_view(view: VectorView<'_>) -> Self {
         let mut data = Vec::with_capacity(view.len() * view.dim());
         let mut inv = view.has_norm_cache().then(|| Vec::with_capacity(view.len()));
@@ -205,16 +205,16 @@ impl Segment {
     /// Bytes of heap memory held by this segment — raw vectors, the
     /// inverse-norm column (the flat store's `memory_bytes` historically
     /// forgot the column; both now count it), and the row check's verified
-    /// bits. Mapped columns report 0: their pages belong to the kernel's
-    /// page cache, not the segment.
+    /// bits. Columns over a live mapping report 0: their pages belong to
+    /// the kernel's page cache, not the segment.
     pub fn memory_bytes(&self) -> usize {
         self.data.heap_bytes()
             + self.inv_norms.as_ref().map_or(0, Col::heap_bytes)
             + self.check.as_ref().map_or(0, |c| c.memory_bytes())
     }
 
-    /// Whether any column of this segment views mapped file bytes (a
-    /// cold-tier segment).
+    /// Whether any column of this segment views a stream's bytes in a
+    /// [`FileMap`](crate::FileMap) (a loaded or cold-tier segment).
     pub fn is_mapped(&self) -> bool {
         self.data.is_mapped() || self.inv_norms.as_ref().is_some_and(Col::is_mapped)
     }

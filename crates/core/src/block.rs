@@ -115,140 +115,6 @@ impl Block {
     }
 }
 
-/// Blocks per sealed [`SharedBlocks`] chunk.
-const CHUNK: usize = 64;
-
-/// A persistent (in the data-structure sense) postorder block array.
-///
-/// The streaming engine used to publish each snapshot with a full
-/// `Vec<Arc<Block>>` clone — `O(leaves)` pointer copies *per publication*,
-/// `O(leaves²)` over a run, and the dominant publication cost once an index
-/// is old (`e2e` watches it as `engine.publish_max_us` against
-/// `engine.publish_p50_us`). Here blocks live in sealed chunks of `CHUNK`
-/// (64) `Arc`s shared by every snapshot; [`Self::share`] clones one `Arc`
-/// plus the `< CHUNK` tail pointers, so publication cost no longer grows
-/// with index age.
-///
-/// The master copy appends with [`Self::push`] / `extend`; sealing a full
-/// chunk is `Arc::make_mut` on the chunk list — in-place while unshared,
-/// an `O(chunks)` pointer copy (amortised `O(1/CHUNK)` per push) after a
-/// snapshot has shared it.
-#[derive(Clone, Debug, Default)]
-pub struct SharedBlocks {
-    /// Sealed chunks of exactly [`CHUNK`] blocks, shared across snapshots.
-    sealed: std::sync::Arc<Vec<std::sync::Arc<[std::sync::Arc<Block>]>>>,
-    /// Blocks past the last sealed chunk (always `< CHUNK` of them).
-    tail: Vec<std::sync::Arc<Block>>,
-}
-
-impl SharedBlocks {
-    /// An empty array.
-    pub fn new() -> Self {
-        SharedBlocks::default()
-    }
-
-    /// Number of blocks.
-    pub fn len(&self) -> usize {
-        self.sealed.len() * CHUNK + self.tail.len()
-    }
-
-    /// Whether the array holds no blocks.
-    pub fn is_empty(&self) -> bool {
-        self.sealed.is_empty() && self.tail.is_empty()
-    }
-
-    /// The block at postorder index `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= len()`.
-    #[inline]
-    pub fn get(&self, i: usize) -> &std::sync::Arc<Block> {
-        let sealed_len = self.sealed.len() * CHUNK;
-        if i < sealed_len {
-            &self.sealed[i / CHUNK][i % CHUNK]
-        } else {
-            &self.tail[i - sealed_len]
-        }
-    }
-
-    /// Appends a block, sealing the tail into a shared chunk when it fills.
-    pub fn push(&mut self, block: std::sync::Arc<Block>) {
-        self.tail.push(block);
-        if self.tail.len() == CHUNK {
-            let chunk: std::sync::Arc<[std::sync::Arc<Block>]> =
-                std::mem::take(&mut self.tail).into();
-            std::sync::Arc::make_mut(&mut self.sealed).push(chunk);
-        }
-    }
-
-    /// A structurally shared copy: one `Arc` clone for every sealed chunk
-    /// list plus `< CHUNK` tail pointer clones, independent of [`Self::len`].
-    pub fn share(&self) -> Self {
-        self.clone()
-    }
-
-    /// Iterates the blocks in postorder.
-    pub fn iter(&self) -> SharedBlocksIter<'_> {
-        self.sealed.iter().flat_map(chunk_iter as ChunkIterFn).chain(self.tail.iter())
-    }
-
-    /// Bytes of heap memory held by the array structure and the block index
-    /// structures (graphs). Shared blocks are counted once per array that
-    /// references them, mirroring `SegmentStore::memory_bytes`.
-    pub fn memory_bytes(&self) -> usize {
-        let ptr = std::mem::size_of::<std::sync::Arc<Block>>();
-        self.iter().map(|b| b.memory_bytes()).sum::<usize>()
-            + self.len() * ptr
-            + self.sealed.capacity()
-                * std::mem::size_of::<std::sync::Arc<[std::sync::Arc<Block>]>>()
-    }
-}
-
-type ChunkIterFn =
-    fn(&std::sync::Arc<[std::sync::Arc<Block>]>) -> std::slice::Iter<'_, std::sync::Arc<Block>>;
-
-fn chunk_iter(
-    chunk: &std::sync::Arc<[std::sync::Arc<Block>]>,
-) -> std::slice::Iter<'_, std::sync::Arc<Block>> {
-    chunk.iter()
-}
-
-/// The iterator of [`SharedBlocks::iter`] — nameable so `&SharedBlocks`
-/// can implement `IntoIterator` (which `for` loops and `zip` rely on).
-pub type SharedBlocksIter<'a> = std::iter::Chain<
-    std::iter::FlatMap<
-        std::slice::Iter<'a, std::sync::Arc<[std::sync::Arc<Block>]>>,
-        std::slice::Iter<'a, std::sync::Arc<Block>>,
-        ChunkIterFn,
-    >,
-    std::slice::Iter<'a, std::sync::Arc<Block>>,
->;
-
-impl<'a> IntoIterator for &'a SharedBlocks {
-    type Item = &'a std::sync::Arc<Block>;
-    type IntoIter = SharedBlocksIter<'a>;
-    fn into_iter(self) -> SharedBlocksIter<'a> {
-        self.iter()
-    }
-}
-
-impl Extend<std::sync::Arc<Block>> for SharedBlocks {
-    fn extend<I: IntoIterator<Item = std::sync::Arc<Block>>>(&mut self, iter: I) {
-        for block in iter {
-            self.push(block);
-        }
-    }
-}
-
-impl FromIterator<std::sync::Arc<Block>> for SharedBlocks {
-    fn from_iter<I: IntoIterator<Item = std::sync::Arc<Block>>>(iter: I) -> Self {
-        let mut out = SharedBlocks::new();
-        out.extend(iter);
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,43 +165,6 @@ mod tests {
         let (s, b) = test_block(64);
         let res = search(&b.graph, s.view(), &[31.8, 0.0], 3, &SearchParams::new(32, 1.2));
         assert_eq!(res[0].id, 32);
-    }
-
-    #[test]
-    fn shared_blocks_push_get_iter_share() {
-        use std::sync::Arc;
-        let (_, b) = test_block(4);
-        // Enough blocks to seal several chunks plus a partial tail.
-        let n = 3 * CHUNK + 17;
-        let mut blocks = SharedBlocks::new();
-        assert!(blocks.is_empty());
-        for i in 0..n {
-            let mut bi = b.clone();
-            bi.start_ts = i as i64;
-            blocks.push(Arc::new(bi));
-        }
-        assert_eq!(blocks.len(), n);
-        assert!(!blocks.is_empty());
-        for i in 0..n {
-            assert_eq!(blocks.get(i).start_ts, i as i64, "positional access");
-        }
-        let collected: Vec<i64> = blocks.iter().map(|b| b.start_ts).collect();
-        assert_eq!(collected, (0..n as i64).collect::<Vec<_>>(), "iter is in postorder");
-        assert!(blocks.memory_bytes() > 0);
-
-        // A share is an immutable snapshot: pushing to the original does not
-        // grow it, and the common prefix stays the same allocation.
-        let snap = blocks.share();
-        blocks.push(Arc::new(b.clone()));
-        assert_eq!(snap.len(), n);
-        assert_eq!(blocks.len(), n + 1);
-        for i in 0..n {
-            assert!(Arc::ptr_eq(snap.get(i), blocks.get(i)), "prefix blocks shared");
-        }
-        // FromIterator/Extend round-trip.
-        let rebuilt: SharedBlocks = blocks.iter().cloned().collect();
-        assert_eq!(rebuilt.len(), blocks.len());
-        assert!(Arc::ptr_eq(rebuilt.get(0), blocks.get(0)));
     }
 
     #[test]

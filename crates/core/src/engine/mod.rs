@@ -68,7 +68,7 @@
 //! rebuilds the exact acked state — snapshot plus WAL replay, tolerating a
 //! torn final record — after a crash. [`WalSync`] picks the fsync cadence.
 
-use crate::block::{Block, SharedBlocks};
+use crate::block::{Block, BlockGraph};
 use crate::config::MbiConfig;
 use crate::error::MbiError;
 use crate::index::{check_row, validate_blocks, validate_edges, MbiIndex, QueryOutput, TknnResult};
@@ -77,7 +77,7 @@ use crate::select::{SearchBlockSet, TimeWindow};
 use crate::times::TimeChunks;
 use crate::Timestamp;
 use mbi_ann::{
-    brute_force_prepared, SearchParams, SearchStats, Segment, SegmentStore, VectorStore,
+    brute_force_prepared, KnnGraph, SearchParams, SearchStats, Segment, SegmentStore, VectorStore,
 };
 use mbi_math::{Metric, OrderedF32, PreparedQuery};
 use parking_lot::{Condvar, Mutex, RwLock};
@@ -249,15 +249,15 @@ pub struct EngineStats {
 /// Everything in a snapshot is shared by `Arc`: consecutive snapshots of the
 /// same engine hold the *same* segments, timestamp chunks, and blocks for
 /// their common prefix, so publishing a new snapshot costs `O(segments)`
-/// pointer copies for the store plus `O(1)` amortised for the chunk-shared
-/// [`SharedBlocks`] array (never a row copy), and a retired snapshot frees
-/// only what no newer snapshot still references.
+/// pointer copies for the store and `O(blocks)` for the block array (never
+/// a row copy), and a retired snapshot frees only what no newer snapshot
+/// still references.
 #[derive(Clone, Debug)]
 pub struct IndexSnapshot {
     pub(crate) config: MbiConfig,
     pub(crate) store: SegmentStore,
     pub(crate) times: TimeChunks,
-    pub(crate) blocks: SharedBlocks,
+    pub(crate) blocks: Vec<Arc<Block>>,
     pub(crate) num_leaves: usize,
 }
 
@@ -266,7 +266,7 @@ impl IndexSnapshot {
         IndexSnapshot {
             store: SegmentStore::new(config.dim, config.leaf_size),
             times: TimeChunks::new(config.leaf_size),
-            blocks: SharedBlocks::new(),
+            blocks: Vec::new(),
             num_leaves: 0,
             config,
         }
@@ -304,8 +304,9 @@ impl IndexSnapshot {
         self.num_leaves
     }
 
-    /// The published postorder block array (chunk-shared across snapshots).
-    pub fn blocks(&self) -> &SharedBlocks {
+    /// The published postorder block array (each block shared across
+    /// snapshots).
+    pub fn blocks(&self) -> &[Arc<Block>] {
         &self.blocks
     }
 
@@ -343,7 +344,8 @@ impl IndexSnapshot {
     }
 
     /// The inverse of [`Self::from_index`]: a standalone [`MbiIndex`] with
-    /// every row copied into one flat store and every block deep-cloned.
+    /// every row copied into one flat store and every graph's edges into an
+    /// owned column, so it keeps no view of a loaded stream's buffer.
     pub(crate) fn to_index(&self) -> MbiIndex {
         let mut store = self.store.to_vector_store();
         // An empty angular store carries no norm column yet; the index
@@ -355,7 +357,13 @@ impl IndexSnapshot {
             config: self.config,
             store,
             timestamps: self.times.to_vec(),
-            blocks: self.blocks.iter().map(|b| (**b).clone()).collect(),
+            blocks: (self.blocks.iter())
+                .map(|b| {
+                    let BlockGraph(g) = &b.graph;
+                    let graph = BlockGraph(KnnGraph::from_flat(g.degree(), g.as_flat().to_vec()));
+                    Block { rows: b.rows.clone(), graph, ..**b }
+                })
+                .collect(),
             num_leaves: self.num_leaves,
         }
     }
@@ -420,7 +428,7 @@ impl IndexSnapshot {
     /// The blocks, and whether the unbuilt leaves, a query over `window`
     /// searches (Algorithm 4 line 3): block metadata alone, no row read.
     pub(crate) fn selection(&self, window: TimeWindow) -> SearchBlockSet {
-        let meta = |i| self.blocks.get(i).select_meta();
+        let meta = |i: usize| self.blocks[i].select_meta();
         self.target().block_selection(window, self.config.tau, meta)
     }
 
@@ -435,7 +443,7 @@ impl IndexSnapshot {
         selection: &SearchBlockSet,
         deadline: Option<Instant>,
     ) -> QueryOutput {
-        let blocks: Vec<&Block> = selection.blocks.iter().map(|&i| &**self.blocks.get(i)).collect();
+        let blocks: Vec<&Block> = selection.blocks.iter().map(|&i| &*self.blocks[i]).collect();
         self.target().search(query, k, window, params, selection, &blocks, deadline)
     }
 
@@ -445,12 +453,15 @@ impl IndexSnapshot {
     }
 
     /// Bytes of heap memory the snapshot holds: vector segments with their
-    /// inverse-norm columns, timestamp chunks, and block graphs. Structure shared
-    /// with other snapshots or the engine's master copy is counted once per
-    /// holder; mapped (cold-tier) columns count `0` — their pages belong to
-    /// the kernel's page cache, which keeps or reclaims them.
+    /// inverse-norm columns, timestamp chunks, and block graphs. Structure
+    /// shared with other snapshots or the engine's master copy is counted
+    /// once per holder. Columns of a loaded snapshot count the bytes they
+    /// view in its stream buffer; columns over a live mapping (the cold
+    /// tier's) count `0` — their pages belong to the kernel's page cache,
+    /// which keeps or reclaims them.
     pub fn memory_bytes(&self) -> usize {
-        self.store.memory_bytes() + self.times.memory_bytes() + self.blocks.memory_bytes()
+        let blocks = self.blocks.iter().map(|b| b.memory_bytes() + size_of::<Arc<Block>>());
+        self.store.memory_bytes() + self.times.memory_bytes() + blocks.sum::<usize>()
     }
 }
 
@@ -480,10 +491,9 @@ struct Master {
     store: SegmentStore,
     /// Timestamp chunks parallel to `store`.
     times: TimeChunks,
-    /// The postorder block array, chunk-shared with every published
-    /// snapshot — publication shares it in amortised `O(1)` instead of
-    /// cloning `O(blocks)` pointers.
-    blocks: SharedBlocks,
+    /// The postorder block array; every published snapshot shares its
+    /// blocks.
+    blocks: Vec<Arc<Block>>,
     ready: BTreeMap<usize, Vec<Block>>,
     published_leaves: usize,
 }
@@ -556,14 +566,14 @@ impl Shared {
     /// first `published_leaves`. Every published snapshot is built here,
     /// under the master lock (lock order tail → master → snapshot), so a
     /// newer master state can never be overwritten by an older one. Costs
-    /// `O(sealed leaves)` pointer copies, never a row copy.
+    /// `O(sealed leaves)` pointer copies (segments, timestamp chunks and
+    /// blocks), never a row copy.
     fn publish(&self, m: &Master) {
         let snap = IndexSnapshot {
             config: self.config,
             store: m.store.clone(),
             times: m.times.clone(),
-            // Chunk-shared: amortised O(1), not an O(blocks) clone.
-            blocks: m.blocks.share(),
+            blocks: m.blocks.clone(),
             num_leaves: m.published_leaves,
         };
         *self.snapshot.write() = Arc::new(snap);
@@ -625,7 +635,7 @@ impl StreamingMbi {
             master: Mutex::new(Master {
                 store: SegmentStore::new(config.dim, config.leaf_size),
                 times: TimeChunks::new(config.leaf_size),
-                blocks: SharedBlocks::new(),
+                blocks: Vec::new(),
                 ready: BTreeMap::new(),
                 published_leaves: 0,
             }),
@@ -942,8 +952,18 @@ impl StreamingMbi {
     /// appended). The result is bit-identical — blocks, graphs, norm cache —
     /// to an `MbiIndex` fed the same stream, which the convergence tests
     /// assert and persistence relies on.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a halted engine ([`EngineHealth::Halted`]), naming the
+    /// chain and its panic message: an `MbiIndex` cannot hold unbuilt full
+    /// leaves, and the build that would make them representable is the one
+    /// that panicked.
     pub fn to_index(&self) -> MbiIndex {
         self.flush();
+        if let Some((chain, error)) = self.shared.halt.get() {
+            panic!("to_index on a halted engine: the build of chain {chain} panicked: {error}");
+        }
         let tail = self.shared.tail.read();
         let mut snap = IndexSnapshot::clone(&self.shared.snapshot.read());
         if !tail.partial.is_empty() {
@@ -1138,7 +1158,7 @@ mod tests {
         }
         let engine = StreamingMbi::recover(&dir, EngineConfig::default()).unwrap();
         assert_eq!(engine.len(), 8, "the rejected row never reached the log");
-        assert_eq!(engine.snapshot().blocks().get(0).end_ts, i64::MAX);
+        assert_eq!(engine.snapshot().blocks()[0].end_ts, i64::MAX);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

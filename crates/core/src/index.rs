@@ -525,7 +525,8 @@ impl MbiIndex {
     ///
     /// Checked invariants:
     /// 1. timestamps are non-decreasing and parallel to the store;
-    /// 2. sealed rows = `num_leaves · S_L ≤ len`;
+    /// 2. sealed rows = `num_leaves · S_L ≤ len`, and the tail is shorter
+    ///    than one leaf;
     /// 3. the block array is the postorder layout of the maximal-subtree
     ///    forest implied by `num_leaves` (heights, row ranges, child
     ///    arithmetic);
@@ -545,6 +546,13 @@ impl MbiIndex {
         let sealed = self.num_leaves * self.config.leaf_size;
         if sealed > self.len() {
             return Err(format!("{sealed} sealed rows exceed {} stored", self.len()));
+        }
+        if self.len() - sealed >= self.config.leaf_size {
+            return Err(format!(
+                "a tail of {} rows is not shorter than a leaf of {}",
+                self.len() - sealed,
+                self.config.leaf_size
+            ));
         }
         validate_blocks(
             self.config.leaf_size,
@@ -874,6 +882,14 @@ mod tests {
         let mut idx = line_index(32, small_config());
         idx.timestamps[5] = -1; // break sortedness
         assert!(idx.validate().is_err());
+
+        // Two whole leaves past the blocks: a valid postorder layout for
+        // two leaves, over a tail no insert could leave.
+        let mut idx = line_index(32, small_config());
+        idx.num_leaves = 2;
+        idx.blocks.truncate(crate::layout::blocks_for_leaves(2));
+        let err = idx.validate().unwrap_err();
+        assert!(err.contains("tail of 16 rows"), "{err}");
     }
 
     #[test]

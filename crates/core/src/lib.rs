@@ -75,7 +75,7 @@ pub mod times;
 pub mod tuner;
 pub mod wal;
 
-pub use block::{Block, BlockGraph, SharedBlocks};
+pub use block::{Block, BlockGraph};
 pub use config::{GraphBackend, MbiConfig};
 pub use engine::{EngineConfig, EngineHealth, EngineStats, IndexSnapshot, StreamingMbi, WalSync};
 pub use error::MbiError;

@@ -4,14 +4,15 @@
 //! `O(|D|^1.14 log |D|)` (§4.4.2), so a saved index pays for itself quickly.
 //! There is one on-disk format, version 12, and one stream kind: a single
 //! little-endian stream in a checksummed envelope, written alike by
-//! [`MbiIndex`] and [`IndexSnapshot`] and read by one decoder, whether it
-//! copies the stream ([`IndexSnapshot::from_bytes`], which
-//! [`MbiIndex::from_bytes`] flattens) or views it in a mapped file
-//! ([`crate::tier::ColdIndex`]). Everything is length-prefixed and validated
-//! on load; malformed input yields [`MbiError::Corrupt`] (carrying the byte
-//! offset where parsing failed) or [`MbiError::ChecksumMismatch`], never a
-//! panic. A header version other than 12 is `Corrupt` at byte 4 — there is
-//! no converter and no second reader.
+//! [`MbiIndex`] and [`IndexSnapshot`] and read by one decoder, the cold
+//! open, whether over a mapped file ([`crate::tier::ColdIndex`]) or over an
+//! owned copy of the stream ([`IndexSnapshot::from_bytes`], which
+//! [`MbiIndex::from_bytes`] flattens). Everything is length-prefixed and
+//! validated on load; malformed input yields [`MbiError::Corrupt`]
+//! (carrying the byte offset where parsing failed) or
+//! [`MbiError::ChecksumMismatch`], never a panic. A header version other
+//! than 12 is `Corrupt` at byte 4 — there is no converter and no second
+//! reader.
 //!
 //! # Envelope
 //!
@@ -90,16 +91,21 @@
 //! used: the cold tier checks the small CRC columns when it opens, each
 //! row the first time a query reads it, and each adjacency chunk (its CRC,
 //! then every id) the first time a search expands a vertex in it — once per
-//! open. The eager loaders check every row, every chunk and every id.
+//! open. One checker does all three: `mbi_ann`'s chunk check, behind every
+//! row and adjacency accessor.
 //!
 //! The one reader has an open step (`open_snapshot`: directories,
 //! CRC-checked timestamp chunks, and the postorder and timestamp structure
-//! queries walk) and a per-piece decoder that checks each piece's own CRCs
-//! and scalars, both run over every piece by `decode_snapshot`. The cold
-//! tier decodes over a mapped file, copying nothing: rows and adjacency
-//! chunks are verified as they are read. The eager loader decodes every
-//! piece into owned columns, after the whole-section CRCs have also covered
-//! every byte.
+//! queries walk) and a decode of every piece that checks the piece's own
+//! CRCs and scalars, both run by `decode_snapshot`. It copies nothing but
+//! the timestamps: rows, norms and edges are viewed in place.
+//! The cold tier runs it over a mapped file, and rows and adjacency chunks
+//! are checked as queries first read them. The eager loader copies the
+//! stream once into an owned, 8-byte-aligned buffer, checks every section
+//! CRC (the only check that covers page padding), runs the same decoder
+//! over the buffer, and then runs every first-use check at once, so a bad
+//! row, chunk or id fails the load. A loaded snapshot's columns view that
+//! buffer; [`MbiIndex::from_bytes`] copies rows and edges out, freeing it.
 //!
 //! ```
 //! use mbi_core::{MbiConfig, MbiIndex, TimeWindow};
@@ -121,6 +127,7 @@ use crate::engine::IndexSnapshot;
 use crate::error::MbiError;
 use crate::index::{validate_blocks, MbiIndex};
 use crate::layout;
+use crate::tier::check_in_full;
 use crate::times::TimeChunks;
 use crate::Timestamp;
 use bytes::{BufMut, Bytes, BytesMut};
@@ -131,7 +138,6 @@ use mbi_ann::{
 };
 use mbi_math::{crc32, Metric};
 use std::io::{Read, Write};
-use std::ops::Deref;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
@@ -445,10 +451,10 @@ impl IndexSnapshot {
         Self::from_bytes(Bytes::from(buf))
     }
 
-    /// Deserialises a snapshot from a file at `path`.
+    /// Deserialises a snapshot from a file at `path`, read once into the
+    /// buffer its columns view.
     pub fn load_file(path: impl AsRef<Path>) -> Result<Self, MbiError> {
-        let mut f = std::io::BufReader::new(std::fs::File::open(path)?);
-        Self::load_from(&mut f)
+        Self::load_buffer(FileMap::read(path)?)
     }
 
     /// Serialises the snapshot into one contiguous buffer (checksummed
@@ -468,17 +474,25 @@ impl IndexSnapshot {
         encode(&self.config, chunks.collect(), self.num_leaves, blocks)
     }
 
-    /// Deserialises a snapshot from one contiguous buffer: the cold tier's
-    /// decoder with every column copied out of the stream, after every
-    /// section CRC is checked. The snapshot owns its bytes, so
-    /// `memory_bytes` counts them and the stream buffer is freed once
-    /// loaded. A stream with a tail record loads with its tail as a short
-    /// last segment, scanned exactly like the rows of an [`MbiIndex`]'s
-    /// partial leaf.
+    /// Deserialises a snapshot from one contiguous buffer, copied once into
+    /// the buffer its columns view. A stream with a tail record loads with
+    /// its tail as a short last segment, scanned exactly like the rows of an
+    /// [`MbiIndex`]'s partial leaf.
     pub fn from_bytes(b: Bytes) -> Result<Self, MbiError> {
-        read_header(&b)?;
-        verify_sections(&b)?;
-        decode_snapshot(&Columns::Copied(&b))
+        Self::load_buffer(FileMap::from_slice(&b))
+    }
+
+    /// The eager load: the cold open ([`decode_snapshot`]) of an owned
+    /// stream buffer, checked in full. Every section CRC is checked first
+    /// (the only check on page padding), and every row and adjacency chunk
+    /// after the decode, so a bad row, chunk or id fails the load. The
+    /// snapshot's columns view the buffer, which `memory_bytes` counts.
+    fn load_buffer(map: FileMap) -> Result<Self, MbiError> {
+        read_header(map.bytes())?;
+        verify_sections(map.bytes())?;
+        let snap = decode_snapshot(&Arc::new(map), &Arc::default())?;
+        check_in_full(&snap)?;
+        Ok(snap)
     }
 }
 
@@ -741,85 +755,42 @@ impl SnapshotLayout {
         let rows = self.record_rows(i);
         RecordCols::new(self.leaves[i].record_off, rows, self.config.dim, self.has_norms)
     }
+}
 
-    /// Decodes record `leaf`'s vector columns into a segment. The row CRC
-    /// and norm columns are checked against their directory CRCs (for mapped
-    /// bytes that pass *is* the disk read), and the norms must be finite and
-    /// non-negative. Copied rows are checked against their row CRCs here;
-    /// mapped rows as they are read.
-    pub(crate) fn decode_segment(
-        &self,
-        cols: &Columns<'_>,
-        leaf: usize,
-    ) -> Result<Segment, MbiError> {
-        let (l, b, c) = (&self.leaves[leaf], cols.bytes(), self.record(leaf));
-        let (dim, rows) = (self.config.dim, self.record_rows(leaf));
-        check_crc(&b[c.crcs..c.inv], l.crc_rows, "leaf row checksums")?;
-        let data = cols.col(c.rows, rows * dim)?;
-        let row_crcs: Col<u32> = cols.col(c.crcs, rows)?;
-        let inv_norms = if self.has_norms {
-            check_crc(&b[c.inv..c.end], l.crc_inv, "leaf norms")?;
-            Some(inv_norms(cols.col(c.inv, rows)?, c.inv)?)
-        } else {
-            None
-        };
-        let mut seg = Segment::from_cols(dim, data, inv_norms);
-        match cols {
-            Columns::Mapped { checked_bytes, .. } => {
-                checked_bytes.fetch_add((c.end - c.crcs) as u64, Relaxed);
-                seg = seg.with_row_check(row_crcs, Arc::clone(checked_bytes));
-            }
-            Columns::Copied(_) => {
-                let row_bytes = dim * 4;
-                for (r, &crc) in row_crcs.iter().enumerate() {
-                    let row = c.rows + r * row_bytes;
-                    check_crc(&b[row..row + row_bytes], crc, "leaf rows")?;
-                }
-            }
-        }
-        Ok(seg)
+/// Views the graph of a block of `n` rows serialised at `off` (`len`
+/// bytes, at least its header and chunk-CRC column) in `map`: the header is
+/// checked against the block, and each chunk of edges is checked against
+/// its CRC and the block the first time it is read.
+fn view_graph(
+    map: &Arc<FileMap>,
+    off: usize,
+    len: usize,
+    n: usize,
+    checked_bytes: &Arc<AtomicU64>,
+) -> Result<KnnGraph, MbiError> {
+    let chunks = n.div_ceil(ADJACENCY_CHUNK);
+    let crc_off = off + len - chunks * 4;
+    let mut src = Src::new(map.bytes(), off, crc_off);
+    let (degree, edges) = read_graph_header(&mut src, n)?;
+    if edges.checked_mul(4) != Some(src.end - src.pos) {
+        return Err(src.corrupt("block graph length does not match its header"));
     }
+    checked_bytes.fetch_add((GRAPH_HEADER_LEN + chunks * 4) as u64, Relaxed);
+    // Ids are checked in 32-bit lanes; a block of 2^32 rows or more admits
+    // every id, and so does the clamped bound.
+    let ids_below = u32::try_from(n).unwrap_or(u32::MAX);
+    let crcs = col(map, crc_off, chunks)?;
+    Ok(KnnGraph::from_flat(degree, col::<u32>(map, src.pos, edges)?).with_chunk_check(
+        crcs,
+        ids_below,
+        Arc::clone(checked_bytes),
+    ))
+}
 
-    /// Decodes block `bi`: its directory entry plus its graph. The graph's
-    /// header and chunk-CRC column are checked against the directory CRC and
-    /// the header against the block. Copied edges are then checked here,
-    /// every chunk against its CRC and every id against the block; mapped
-    /// edges are viewed in place and checked a chunk at a time, the first
-    /// time a search expands a vertex in the chunk.
-    pub(crate) fn decode_block(&self, cols: &Columns<'_>, bi: usize) -> Result<Block, MbiError> {
-        let (m, b) = (&self.blocks[bi], cols.bytes());
-        let n = m.rows.len();
-        let chunks = n.div_ceil(ADJACENCY_CHUNK);
-        let end = m.graph_off + m.graph_len;
-        if m.graph_len < GRAPH_HEADER_LEN + chunks * 4 {
-            return Err(MbiError::corrupt(m.graph_off, "block graph shorter than its header"));
-        }
-        let crc_off = end - chunks * 4;
-        check_crc(&graph_checked_bytes(&b[m.graph_off..end], n), m.graph_crc, "block graph")?;
-        let mut src = Src::new(b, m.graph_off, crc_off);
-        let (degree, len) = read_graph_header(&mut src, n)?;
-        if len.checked_mul(4) != Some(src.end - src.pos) {
-            return Err(src.corrupt("block graph length does not match its header"));
-        }
-        let edges_off = src.pos;
-        let graph = match cols {
-            Columns::Mapped { checked_bytes, .. } => {
-                checked_bytes.fetch_add((GRAPH_HEADER_LEN + chunks * 4) as u64, Relaxed);
-                KnnGraph::from_flat(degree, cols.col::<u32>(edges_off, len)?).with_chunk_check(
-                    cols.col(crc_off, chunks)?,
-                    id_bound(n),
-                    Arc::clone(checked_bytes),
-                )
-            }
-            Columns::Copied(_) => {
-                let edges = &b[edges_off..crc_off];
-                check_chunks(edges, degree, &b[crc_off..end])?;
-                KnnGraph::from_flat(degree, check_edges(edges, edges_off, n)?)
-            }
-        };
-        let (rows, height, start_ts, end_ts) = (m.rows.clone(), m.height, m.start_ts, m.end_ts);
-        Ok(Block { rows, height, start_ts, end_ts, graph: BlockGraph(graph) })
-    }
+/// The column of `len` elements at absolute offset `off` of `map`, viewed
+/// in place.
+fn col<T: Plain>(map: &Arc<FileMap>, off: usize, len: usize) -> Result<Col<T>, MbiError> {
+    Col::mapped(Arc::clone(map), off, len).map_err(|e| MbiError::corrupt(off, e))
 }
 
 /// Parses a stream's directories off a raw byte slice. See
@@ -986,23 +957,23 @@ pub(crate) fn parse_layout(b: &[u8]) -> Result<SnapshotLayout, MbiError> {
 /// query), then checks the structure a query walks — timestamps
 /// non-decreasing, and the block directory the postorder layout for
 /// `num_leaves` with time bounds matching the timestamps. Records and
-/// graphs are left to [`SnapshotLayout::decode_segment`] and
-/// [`SnapshotLayout::decode_block`].
-pub(crate) fn open_snapshot(b: &[u8]) -> Result<(SnapshotLayout, TimeChunks), MbiError> {
+/// graphs are left to [`decode_snapshot`].
+pub(crate) fn open_snapshot(map: &Arc<FileMap>) -> Result<(SnapshotLayout, TimeChunks), MbiError> {
+    let b = map.bytes();
     let layout = parse_layout(b)?;
     let mut times = TimeChunks::new(layout.seg_rows);
     let mut newest = Timestamp::MIN;
     for (i, leaf) in layout.leaves.iter().enumerate() {
         let c = layout.record(i);
         check_crc(&b[c.ts..c.rows], leaf.crc_ts, "leaf timestamps")?;
-        let chunk: Vec<Timestamp> = le_vec(&b[c.ts..c.rows]);
+        let chunk = col::<Timestamp>(map, c.ts, layout.record_rows(i))?;
         for (r, &t) in chunk.iter().enumerate() {
             if t < newest {
                 return Err(MbiError::corrupt(c.ts + r * 8, "timestamps not sorted"));
             }
             newest = t;
         }
-        times.push_chunk(chunk.into());
+        times.push_chunk(chunk[..].into());
     }
     // Inserts refuse `i64::MAX`: the exclusive end bound of the rows that
     // hold it would overflow.
@@ -1016,77 +987,57 @@ pub(crate) fn open_snapshot(b: &[u8]) -> Result<(SnapshotLayout, TimeChunks), Mb
     Ok((layout, times))
 }
 
-/// Decodes a stream into an [`IndexSnapshot`], its columns taken from
-/// `cols`: [`open_snapshot`], then every record through
-/// [`SnapshotLayout::decode_segment`] (the tail record's as a short last
-/// segment) and every block through [`SnapshotLayout::decode_block`]. The
-/// eager loader and the cold tier differ only in the `cols` they pass.
-pub(crate) fn decode_snapshot(cols: &Columns<'_>) -> Result<IndexSnapshot, MbiError> {
-    let (layout, times) = open_snapshot(cols.bytes())?;
-    let mut store = SegmentStore::new(layout.config.dim, layout.seg_rows);
-    for leaf in 0..layout.leaves.len() {
-        store.push_segment(Arc::new(layout.decode_segment(cols, leaf)?));
+/// Decodes a stream into an [`IndexSnapshot`] whose columns view `map`:
+/// [`open_snapshot`], then every record (the tail record as a short last
+/// segment) and every block. Each record's row CRC and norm columns are
+/// checked against their directory CRCs and its norms must be finite and
+/// non-negative; each graph's header and chunk-CRC column are checked
+/// against its directory CRC and the header against the block. Rows and
+/// adjacency chunks are left to their first-use checks, which count the
+/// bytes they hash in `checked_bytes`. The cold tier opens a mapped file
+/// with it; the eager loaders run it over an owned buffer, then run every
+/// first-use check at once.
+pub(crate) fn decode_snapshot(
+    map: &Arc<FileMap>,
+    checked_bytes: &Arc<AtomicU64>,
+) -> Result<IndexSnapshot, MbiError> {
+    let (layout, times) = open_snapshot(map)?;
+    let (b, dim) = (map.bytes(), layout.config.dim);
+    let mut store = SegmentStore::new(dim, layout.seg_rows);
+    for (i, l) in layout.leaves.iter().enumerate() {
+        let (c, rows) = (layout.record(i), layout.record_rows(i));
+        check_crc(&b[c.crcs..c.inv], l.crc_rows, "leaf row checksums")?;
+        let inv_norms = if layout.has_norms {
+            check_crc(&b[c.inv..c.end], l.crc_inv, "leaf norms")?;
+            Some(inv_norms(col(map, c.inv, rows)?, c.inv)?)
+        } else {
+            None
+        };
+        checked_bytes.fetch_add((c.end - c.crcs) as u64, Relaxed);
+        let seg = Segment::from_cols(dim, col(map, c.rows, rows * dim)?, inv_norms);
+        let seg = seg.with_row_check(col(map, c.crcs, rows)?, Arc::clone(checked_bytes));
+        store.push_segment(Arc::new(seg));
     }
-    let blocks = (0..layout.blocks.len())
-        .map(|bi| layout.decode_block(cols, bi).map(Arc::new))
-        .collect::<Result<_, _>>()?;
+    let mut blocks = Vec::with_capacity(layout.blocks.len());
+    for m in &layout.blocks {
+        let n = m.rows.len();
+        if m.graph_len < GRAPH_HEADER_LEN + n.div_ceil(ADJACENCY_CHUNK) * 4 {
+            return Err(MbiError::corrupt(m.graph_off, "block graph shorter than its header"));
+        }
+        let graph = &b[m.graph_off..m.graph_off + m.graph_len];
+        check_crc(&graph_checked_bytes(graph, n), m.graph_crc, "block graph")?;
+        let graph = BlockGraph(view_graph(map, m.graph_off, m.graph_len, n, checked_bytes)?);
+        let (rows, height, start_ts, end_ts) = (m.rows.clone(), m.height, m.start_ts, m.end_ts);
+        blocks.push(Arc::new(Block { rows, height, start_ts, end_ts, graph }));
+    }
     let (config, num_leaves) = (layout.config, layout.num_leaves);
     Ok(IndexSnapshot { config, store, times, blocks, num_leaves })
-}
-
-/// Where a decoded snapshot's columns live: viewed in place inside a shared
-/// map (the cold tier: zero copy, left to the kernel's page cache, rows and
-/// adjacency chunks checked the first time they are read, and the bytes
-/// checked counted in `checked_bytes`) or copied out of the stream into
-/// owned vectors (the eager loader).
-pub(crate) enum Columns<'a> {
-    Mapped { map: &'a Arc<FileMap>, checked_bytes: &'a Arc<AtomicU64> },
-    Copied(&'a [u8]),
-}
-
-impl Columns<'_> {
-    fn bytes(&self) -> &[u8] {
-        match self {
-            Columns::Mapped { map, .. } => map.bytes(),
-            Columns::Copied(b) => b,
-        }
-    }
-
-    /// The column of `len` elements at absolute offset `off`.
-    fn col<T: LeScalar>(&self, off: usize, len: usize) -> Result<Col<T>, MbiError> {
-        match self {
-            Columns::Mapped { map, .. } => {
-                Col::mapped(Arc::clone(map), off, len).map_err(|e| MbiError::corrupt(off, e))
-            }
-            Columns::Copied(b) => Ok(Col::Owned(le_vec(&b[off..off + len * size_of::<T>()]))),
-        }
-    }
-}
-
-/// A column element the format stores little-endian.
-trait LeScalar: Plain {
-    fn from_le(b: &[u8]) -> Self;
-}
-
-macro_rules! le_scalar {
-    ($($t:ty),*) => {$(
-        impl LeScalar for $t {
-            fn from_le(b: &[u8]) -> Self {
-                <$t>::from_le_bytes(b.try_into().expect("one element"))
-            }
-        }
-    )*};
-}
-le_scalar!(u32, f32, i64);
-
-fn le_vec<T: LeScalar>(b: &[u8]) -> Vec<T> {
-    b.chunks_exact(size_of::<T>()).map(T::from_le).collect()
 }
 
 /// Passes an inverse-norm column through unless it holds a non-finite or
 /// negative value, which is `Corrupt` at that value's offset (the column
 /// starts at `off`).
-fn inv_norms<C: Deref<Target = [f32]>>(col: C, off: usize) -> Result<C, MbiError> {
+fn inv_norms(col: Col<f32>, off: usize) -> Result<Col<f32>, MbiError> {
     match col.iter().position(|&x| !x.is_finite() || x < 0.0) {
         Some(i) => Err(MbiError::corrupt(off + i * 4, format!("invalid inverse norm {}", col[i]))),
         None => Ok(col),
@@ -1243,46 +1194,12 @@ fn read_graph_header(b: &mut Src<'_>, block_len: usize) -> Result<(usize, usize)
     Ok((degree, len))
 }
 
-/// Checks every chunk of `edges` against its stored CRC in `crcs`.
-fn check_chunks(edges: &[u8], degree: usize, crcs: &[u8]) -> Result<(), MbiError> {
-    let stored = crcs.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")));
-    for (expected, got) in stored.zip(chunk_crcs(edges, degree, crcs.len() / 4)) {
-        if expected != got {
-            return Err(MbiError::ChecksumMismatch { section: "block graph", expected, got });
-        }
-    }
-    Ok(())
-}
-
-/// The largest id a block of `block_len` rows admits, plus one. A `u32`
-/// bound keeps the edge check in 32-bit vector lanes; a block of 2^32 rows
-/// or more makes every edge valid, and so does the clamped bound.
-fn id_bound(block_len: usize) -> u32 {
-    u32::try_from(block_len).unwrap_or(u32::MAX)
-}
-
-/// Decodes the edges at absolute offset `at` in bulk and checks them in one
-/// branch-free pass: each in range, or the padding sentinel. Only on
-/// failure is the first bad edge located, reported at the byte after it.
-fn check_edges(bytes: &[u8], at: usize, block_len: usize) -> Result<Vec<u32>, MbiError> {
-    let n = id_bound(block_len);
-    let valid = |x: u32| x == u32::MAX || x < n;
-    let edges: Vec<u32> = le_vec(bytes);
-    if !edges.iter().fold(true, |ok, &x| ok & valid(x)) {
-        let i = edges.iter().position(|&x| !valid(x)).expect("a bad edge");
-        let detail = format!("edge to missing node {}", edges[i]);
-        return Err(MbiError::corrupt(at + (i + 1) * 4, detail));
-    }
-    Ok(edges)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fail::{ErrorInjectingReader, ErrorInjectingWriter};
     use crate::select::TimeWindow;
-    use crate::tier::ColdIndex;
-    use mbi_ann::FileMap;
+    use crate::tier::{Check, ColdIndex};
 
     fn build_index(backend: GraphBackend, n: usize) -> MbiIndex {
         let config = MbiConfig::new(3, Metric::Euclidean).with_leaf_size(16).with_backend(backend);
@@ -1435,18 +1352,30 @@ mod tests {
         }
     }
 
-    /// Reads a graph of a block of `block_len` rows in full, every chunk
-    /// checked against its CRC and every edge against the block: the checks
-    /// `decode_block` runs on copied bytes, over a bare graph.
+    /// Reads a graph of a block of `block_len` rows in full through the one
+    /// checker: viewed in a buffer as `decode_snapshot` views it, then every
+    /// chunk checked against its CRC and every edge against the block, the
+    /// first fault reported as an eager load reports it. The edges are
+    /// viewed in place as `u32`s, so the buffer is shifted to put them on a
+    /// 4-byte boundary, and a `Corrupt` offset is shifted back.
     fn read_graph(b: &mut Src<'_>, block_len: usize) -> Result<BlockGraph, MbiError> {
-        let (degree, len) = read_graph_header(b, block_len)?;
+        let start = b.pos;
+        let (_, len) = read_graph_header(b, block_len)?;
         let chunks = block_len.div_ceil(ADJACENCY_CHUNK);
-        let edge_bytes = len.checked_mul(4).ok_or_else(|| b.corrupt("size overflow"))?;
-        b.need(edge_bytes.checked_add(chunks * 4).ok_or_else(|| b.corrupt("size overflow"))?)?;
-        let at = b.pos;
-        let edges = b.bytes(edge_bytes);
-        check_chunks(edges, degree, b.bytes(chunks * 4))?;
-        Ok(BlockGraph(KnnGraph::from_flat(degree, check_edges(edges, at, block_len)?)))
+        let body = len.checked_mul(4).and_then(|edges| edges.checked_add(chunks * 4));
+        let body = body.ok_or_else(|| b.corrupt("size overflow"))?;
+        b.need(body)?;
+        b.pos += body;
+        let shift = (4 - start % 4) % 4;
+        let map = Arc::new(FileMap::from_bytes([&vec![0; shift][..], &b.b[..b.pos]].concat()));
+        let unshift = |e| match e {
+            MbiError::Corrupt { offset, detail } => MbiError::corrupt(offset - shift, detail),
+            e => e,
+        };
+        let graph = view_graph(&map, start + shift, b.pos - start, block_len, &Arc::default())
+            .map_err(unshift)?;
+        Check::Graph(&graph).run_all().map_err(unshift)?;
+        Ok(BlockGraph(graph))
     }
 
     /// `Some(offset)` for a `Corrupt` verdict, `None` for a successful one;
@@ -2465,5 +2394,42 @@ mod tests {
             }
         }
         assert!(tail_hits > 0, "some answers are tail rows");
+    }
+
+    /// An eager load's columns view its owned stream buffer, and
+    /// `memory_bytes` counts what they view: at least the rows and the
+    /// edges, from a buffer or from a file.
+    #[test]
+    fn an_eager_snapshot_counts_the_bytes_its_columns_view() {
+        let idx = build_angular_index(70);
+        let rows = idx.len() * idx.dim() * 4;
+        let edges: usize = idx.blocks().iter().map(|b| b.graph.0.as_flat().len() * 4).sum();
+        let path = std::env::temp_dir().join(format!("mbi_eager_{}.mbi", std::process::id()));
+        idx.save_file(&path).unwrap();
+        let loaded = [
+            IndexSnapshot::from_bytes(idx.to_bytes()).unwrap(),
+            IndexSnapshot::load_file(&path).unwrap(),
+        ];
+        std::fs::remove_file(&path).unwrap();
+        for snap in loaded {
+            assert!(snap.store().segments().iter().all(|seg| seg.is_mapped()));
+            assert!(snap.blocks().iter().all(|b| b.graph.0.is_mapped()));
+            let bytes = snap.memory_bytes();
+            assert!(bytes >= rows + edges, "{bytes} < {rows} row + {edges} edge bytes");
+        }
+    }
+
+    /// A loaded `MbiIndex` copies its rows and edges out of the stream
+    /// buffer, so it keeps no column that views it.
+    #[test]
+    fn a_loaded_index_keeps_no_view_of_the_stream() {
+        for idx in [build_index(GraphBackend::default(), 70), build_angular_index(70)] {
+            let loaded = MbiIndex::from_bytes(idx.to_bytes()).unwrap();
+            for (got, want) in loaded.blocks().iter().zip(idx.blocks()) {
+                assert!(!got.graph.0.is_mapped(), "block {:?}", got.rows);
+                assert_eq!(got.graph.0, want.graph.0, "block {:?}", got.rows);
+            }
+            assert_eq!(loaded.store().as_flat(), idx.store().as_flat());
+        }
     }
 }

@@ -4,8 +4,9 @@
 //! MBI never rewrites a built block (Algorithm 3 only appends leaves and
 //! merges above them), so every page of a snapshot file is immutable, clean
 //! and file-backed: the kernel's page cache keeps or reclaims it, and a
-//! [`ColdIndex`] keeps no cache of its own. Opening one runs the eager
-//! loader's decoder over the map instead of over a copy. It copies the
+//! [`ColdIndex`] keeps no cache of its own. Opening one runs the one
+//! decoder over the map (an eager load runs it over an owned copy of the
+//! stream, then every first-use check at once). The decoder copies the
 //! timestamp column out (8 bytes/row: selection and windowing read it on
 //! every query), checks every leaf's row-CRC and norm columns and every
 //! graph's header and chunk-CRC column against their directory CRCs, and
@@ -31,22 +32,21 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::Instant;
 
-use mbi_ann::{FileMap, SearchParams, Segment};
+use mbi_ann::{FileMap, KnnGraph, SearchParams, Segment};
 
-use crate::block::Block;
 use crate::config::MbiConfig;
 use crate::engine::IndexSnapshot;
 use crate::error::MbiError;
 use crate::index::{QueryOutput, TknnResult};
-use crate::persist::{decode_snapshot, Columns};
+use crate::persist::decode_snapshot;
 use crate::select::TimeWindow;
 
 /// One first-use check a query's reads can fail: a leaf's rows, or a
 /// block's adjacency.
 #[derive(Clone, Copy)]
-enum Check<'a> {
+pub(crate) enum Check<'a> {
     Rows(&'a Segment),
-    Graph(&'a Block),
+    Graph(&'a KnnGraph),
 }
 
 impl Check<'_> {
@@ -54,7 +54,7 @@ impl Check<'_> {
     fn failures(self) -> u64 {
         match self {
             Check::Rows(seg) => seg.check_failures(),
-            Check::Graph(block) => block.graph.0.check_failures(),
+            Check::Graph(graph) => graph.check_failures(),
         }
     }
 
@@ -62,10 +62,34 @@ impl Check<'_> {
     fn error(self) -> MbiError {
         let (section, fault) = match self {
             Check::Rows(seg) => ("leaf rows", seg.first_fault()),
-            Check::Graph(block) => ("block graph", block.graph.0.first_fault()),
+            Check::Graph(graph) => ("block graph", graph.first_fault()),
         };
         MbiError::from_fault(section, fault.expect("a failed check records its fault"))
     }
+
+    /// Runs every check of this kind now, in order; the first fault, if
+    /// one failed.
+    pub(crate) fn run_all(self) -> Result<(), MbiError> {
+        match self {
+            Check::Rows(seg) => _ = seg.as_flat(),
+            Check::Graph(graph) => _ = graph.as_flat(),
+        }
+        if self.failures() > 0 {
+            Err(self.error())
+        } else {
+            Ok(())
+        }
+    }
+}
+
+/// Runs every first-use check of a freshly decoded snapshot: every record's
+/// rows, then every block's adjacency chunks, in order. The first fault
+/// fails it, so an eager load rejects any bad row, chunk or id before it
+/// returns.
+pub(crate) fn check_in_full(snap: &IndexSnapshot) -> Result<(), MbiError> {
+    let rows = snap.store.segments().iter().map(|seg| Check::Rows(seg));
+    let graphs = snap.blocks.iter().map(|block| Check::Graph(&block.graph.0));
+    rows.chain(graphs).try_for_each(Check::run_all)
 }
 
 /// A read-only MBI snapshot served from a snapshot file — the cold tier.
@@ -148,7 +172,7 @@ impl ColdIndex {
     /// [`Self::open`] over an already-mapped (or in-memory) byte buffer.
     pub fn from_map(map: Arc<FileMap>) -> Result<ColdIndex, MbiError> {
         let checked_bytes = Arc::default();
-        let snap = decode_snapshot(&Columns::Mapped { map: &map, checked_bytes: &checked_bytes })?;
+        let snap = decode_snapshot(&map, &checked_bytes)?;
         Ok(ColdIndex { snap, checked_bytes })
     }
 
@@ -226,9 +250,9 @@ impl ColdIndex {
         let s_l = self.snap.config.leaf_size;
         let mut checks = Vec::new();
         for &bi in &selection.blocks {
-            let block = self.snap.blocks.get(bi);
+            let block = &self.snap.blocks[bi];
             checks.extend(self.leaf_rows(block.rows.start / s_l..block.rows.end.div_ceil(s_l)));
-            checks.push(Check::Graph(block));
+            checks.push(Check::Graph(&block.graph.0));
         }
         if selection.tail {
             checks.extend(self.leaf_rows(self.snap.num_leaves..self.snap.store.num_segments()));

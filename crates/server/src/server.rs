@@ -519,13 +519,7 @@ type ParsedQuery = (Vec<f32>, usize, TimeWindow, Option<Duration>);
 
 fn parse_query_body(body: &str) -> Result<ParsedQuery, String> {
     let v = serde_json::from_str(body).map_err(|e| e.to_string())?;
-    let query: Vec<f32> = v
-        .get("vector")
-        .and_then(Value::as_seq)
-        .ok_or("missing \"vector\" array")?
-        .iter()
-        .map(|x| x.as_f64().map(|f| f as f32).ok_or("non-numeric vector element"))
-        .collect::<Result<_, _>>()?;
+    let query = parse_vector(&v)?;
     let k = v.get("k").and_then(Value::as_u64).ok_or("missing \"k\"")? as usize;
     if k == 0 {
         return Err("k must be positive".into());
@@ -544,29 +538,30 @@ fn parse_query_body(body: &str) -> Result<ParsedQuery, String> {
     Ok((query, k, TimeWindow::new(from, to), deadline))
 }
 
+/// The `"vector"` array of a request body.
+fn parse_vector(v: &Value) -> Result<Vec<f32>, String> {
+    let seq = v.get("vector").and_then(Value::as_seq).ok_or("missing \"vector\" array")?;
+    let floats = seq.iter().map(|x| x.as_f64().map(|f| f as f32));
+    floats.collect::<Option<_>>().ok_or_else(|| "non-numeric vector element".into())
+}
+
+/// An insert body: its vector and timestamp. Every error is a 400.
+fn parse_insert_body(body: &str) -> Result<(Vec<f32>, i64), String> {
+    let v = serde_json::from_str(body).map_err(|e| e.to_string())?;
+    let vector = parse_vector(&v)?;
+    let t = v.get("timestamp").and_then(Value::as_i64).ok_or("missing \"timestamp\"")?;
+    Ok((vector, t))
+}
+
 fn http_insert(req: &Request, tenant: &Arc<Tenant>, shared: &Shared) -> (u16, String) {
     let Some(guard) = admit(shared) else {
         tenant.metrics.shed.fetch_add(1, Ordering::Relaxed);
         return (503, http::error_body("server overloaded"));
     };
     let _guard = guard;
-    let v = match serde_json::from_str(&req.body) {
-        Ok(v) => v,
-        Err(e) => return (400, http::error_body(&e.to_string())),
-    };
-    let Some(vector) = v.get("vector").and_then(Value::as_seq) else {
-        return (400, http::error_body("missing \"vector\" array"));
-    };
-    let vector: Vec<f32> = match vector
-        .iter()
-        .map(|x| x.as_f64().map(|f| f as f32).ok_or("non-numeric vector element"))
-        .collect::<Result<_, _>>()
-    {
-        Ok(vs) => vs,
-        Err(m) => return (400, http::error_body(m)),
-    };
-    let Some(t) = v.get("timestamp").and_then(Value::as_i64) else {
-        return (400, http::error_body("missing \"timestamp\""));
+    let (vector, t) = match parse_insert_body(&req.body) {
+        Ok(p) => p,
+        Err(m) => return (400, http::error_body(&m)),
     };
     match tenant.insert(&vector, t) {
         Ok(id) => {
@@ -803,5 +798,53 @@ mod tests {
         send_reply(&mut out, Status::Ok, b"fits").unwrap();
         let (tag, body) = wire::read_frame(&mut out.as_slice()).unwrap().unwrap();
         assert_eq!((Status::from_u8(tag), body.as_slice()), (Some(Status::Ok), &b"fits"[..]));
+    }
+
+    /// A query body and an insert body the parsers accept.
+    const VALID_BODIES: [&str; 2] = [
+        r#"{"vector":[0.1,-2e3,3],"k":5,"from":-7,"to":90,"deadline_ms":250}"#,
+        r#"{"vector":[0.1,0.2,0.3,0.4],"timestamp":-12}"#,
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(2048))]
+
+        /// Hostile HTTP bodies — arbitrary bytes, and the valid bodies with
+        /// bytes overwritten, then maybe cut and extended, each decoded
+        /// lossily (the request reader refuses a body that is not UTF-8) —
+        /// make the query and the insert body parsers answer `Ok` or an
+        /// error, which the handlers send as a 400, never panic. An accepted
+        /// query asks for at least one neighbour over an ordered window.
+        #[test]
+        fn arbitrary_http_bodies_never_panic(
+            kind in 0..3usize,
+            raw in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..160),
+            writes in proptest::collection::vec(
+                (proptest::arbitrary::any::<usize>(), proptest::arbitrary::any::<u8>()), 1..5),
+            cut in proptest::arbitrary::any::<usize>(),
+        ) {
+            proptest::prop_assert!(parse_query_body(VALID_BODIES[0]).is_ok());
+            proptest::prop_assert!(parse_insert_body(VALID_BODIES[1]).is_ok());
+            let bytes = match kind {
+                0 => raw,
+                _ => {
+                    let mut b = VALID_BODIES[kind - 1].as_bytes().to_vec();
+                    for &(at, x) in &writes {
+                        let at = at % b.len();
+                        b[at] = x;
+                    }
+                    if cut % 2 == 1 {
+                        b.truncate(cut / 2 % (b.len() + 1));
+                        b.extend(raw);
+                    }
+                    b
+                }
+            };
+            let body = String::from_utf8_lossy(&bytes);
+            if let Ok((_, k, window, _)) = parse_query_body(&body) {
+                proptest::prop_assert!(k > 0 && window.start <= window.end, "{}", body);
+            }
+            let _ = parse_insert_body(&body);
+        }
     }
 }

@@ -435,6 +435,26 @@ mod failpoints {
         );
     }
 
+    /// A halted engine holds whole leaves no block covers, which no
+    /// `MbiIndex` can hold (its tail is shorter than a leaf): `to_index`
+    /// refuses with the halted chain and its panic message.
+    #[test]
+    fn halted_engine_refuses_to_index() {
+        let _g = Armed(serial());
+        fail::arm("builder::build", FailAction::Panic, 0, 1);
+        let engine = StreamingMbi::with_engine_config(config(), EngineConfig::default());
+        for i in 0..40usize {
+            engine.insert(&row(i), i as i64).unwrap();
+        }
+        engine.flush();
+        assert_halted_on(&engine, 0);
+        let refusal = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.to_index()))
+            .expect_err("to_index must refuse a halted engine");
+        let msg = refusal.downcast_ref::<String>().expect("a formatted panic message");
+        assert!(msg.contains("chain 0") && msg.contains(fail::INJECTED_MSG), "{msg}");
+        assert_eq!(engine.len(), 40, "the engine keeps serving its rows");
+    }
+
     #[test]
     fn halted_engine_builds_no_later_chain() {
         let _g = Armed(serial());
