@@ -115,8 +115,9 @@ fn run_chain(shared: &Shared, leaf: usize) {
 /// previous snapshot), so the work under the lock is `O(sealed leaves)`
 /// pointer copies plus the new chain's blocks — independent of row count.
 ///
-/// A panic between advancing the frontier and swapping the snapshot leaves
-/// a consistent master behind: the next seal publishes its whole state.
+/// The frontier advances only together with the snapshot swap: a panic
+/// after staging leaves the chain in `ready` and the master's frontier at
+/// the published snapshot's, so a halted engine never publishes it.
 fn process_chain(shared: &Shared, leaf: usize) {
     if fail::trigger("builder::build") == Some(fail::FailAction::Panic) {
         panic!("{}", fail::INJECTED_MSG);
@@ -148,6 +149,10 @@ fn process_chain(shared: &Shared, leaf: usize) {
     let mut m = shared.master.lock();
     let blocks = assemble_blocks(pending, graphs, &m.times);
     m.ready.insert(leaf, blocks);
+    if fail::trigger("engine::publish") == Some(fail::FailAction::Panic) {
+        panic!("{}", fail::INJECTED_MSG);
+    }
+    let frontier = m.published_leaves;
     while let Some(chain) = {
         let next = m.published_leaves;
         m.ready.remove(&next)
@@ -155,10 +160,7 @@ fn process_chain(shared: &Shared, leaf: usize) {
         m.blocks.extend(chain.into_iter().map(Arc::new));
         m.published_leaves += 1;
     }
-    if fail::trigger("engine::publish") == Some(fail::FailAction::Panic) {
-        panic!("{}", fail::INJECTED_MSG);
-    }
-    if shared.snapshot.read().num_leaves < m.published_leaves {
+    if m.published_leaves > frontier {
         shared.publish(&m);
         let sealed = m.published_leaves * s_l;
         drop(m);

@@ -229,8 +229,6 @@ fn cursor_pruned(cursor: ReplicationCursor) -> MbiError {
 #[derive(Debug)]
 pub struct Replica {
     engine: StreamingMbi,
-    dim: usize,
-    leaf_size: usize,
     promoted: AtomicBool,
     duplicates: AtomicU64,
     verified_seals: AtomicU64,
@@ -256,12 +254,8 @@ impl Replica {
                 "a replica engine must be durable (create it with StreamingMbi::open)",
             )));
         }
-        let config = engine.config();
-        let (dim, leaf_size) = (config.dim, config.leaf_size);
         Ok(Replica {
             engine,
-            dim,
-            leaf_size,
             promoted: AtomicBool::new(false),
             duplicates: AtomicU64::new(0),
             verified_seals: AtomicU64::new(0),
@@ -340,7 +334,8 @@ impl Replica {
     fn verify_seal(&self, segment: u64, leader_crc: u32) -> Result<(), MbiError> {
         let dir = self.engine.durable_dir().expect("replica engines are durable").join(WAL_DIR);
         let path = dir.join(wal::segment_file_name(segment));
-        let end = record_offset(self.dim, self.leaf_size as u64) as usize;
+        let config = self.engine.config();
+        let end = record_offset(config.dim, config.leaf_size as u64) as usize;
         let bytes = match std::fs::read(&path) {
             Ok(b) if b.len() >= end => b,
             // The follower's own checkpoint already pruned (or truncated)
@@ -358,7 +353,7 @@ impl Replica {
         // Diverged. Name the first record that fails its *own* stored CRC
         // (local bit rot); when every record is self-consistent the
         // histories themselves differ — report the record region start.
-        let scan = SegmentScan::new(&bytes[..end], segment, self.dim, HEADER_LEN);
+        let scan = SegmentScan::new(&bytes[..end], segment, config.dim, HEADER_LEN);
         let stop = scan.and_then(|mut scan| {
             while scan.next_record()?.is_some() {}
             Ok(())
@@ -376,7 +371,7 @@ impl Replica {
     pub fn promote(&self) -> Result<(), MbiError> {
         self.engine.flush();
         let dir = self.engine.durable_dir().expect("replica engines are durable").join(WAL_DIR);
-        wal::check_newest_segment(&dir, self.dim)?;
+        wal::check_newest_segment(&dir, self.engine.config().dim)?;
         self.engine.checkpoint()?;
         self.promoted.store(true, Ordering::Relaxed);
         Ok(())

@@ -281,7 +281,7 @@ impl BinaryClient {
         }
     }
 
-    fn call(&mut self, op: Op, payload: &[u8]) -> Result<Vec<u8>, ClientError> {
+    pub(crate) fn call(&mut self, op: Op, payload: &[u8]) -> Result<Vec<u8>, ClientError> {
         match self.call_raw(op, payload)? {
             (Status::Ok, body) => Ok(body),
             (status, body) => Err(ClientError::Server {

@@ -5,12 +5,12 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 /// Where a replica tenant replicates from: the leader's address and the
-/// credentials of the leader-side tenant it subscribes to.
+/// credentials of the leader-side tenant it fetches from.
 #[derive(Clone, Debug)]
 pub struct ReplicaSource {
     /// Leader address, e.g. `"127.0.0.1:7171"`.
     pub addr: String,
-    /// Leader-side tenant name to subscribe to.
+    /// Leader-side tenant name to fetch from.
     pub tenant: String,
     /// That tenant's bearer token.
     pub token: String,
@@ -128,8 +128,9 @@ pub struct ServerConfig {
     pub default_deadline: Option<Duration>,
     /// Idle-connection deadline (the slow-loris guard): a connection that
     /// sends no complete request for this long is dropped and counted in
-    /// `idle_dropped`. `None` = no deadline. Replication subscriptions are
-    /// exempt (they are idle by design between pushes).
+    /// `idle_dropped`. `None` = no deadline. A follower's fetch connection
+    /// is no exception: one dropped while the follower applies a batch is
+    /// re-dialled, and counted in its `reconnects`.
     pub idle_timeout: Option<Duration>,
     /// Hard cap on one binary frame (and indirectly the request head cap
     /// guards HTTP); larger frames get a clean error and the connection

@@ -24,11 +24,11 @@
 //!    off stragglers with `408`/`Timeout` via the engine's cooperative
 //!    deadline check. Each query runs on its connection's thread.
 //! 3. **Replication** ([`replicate`]) — WAL-shipped read replicas over the
-//!    binary protocol: a leader streams sealed segments plus the live tail
-//!    to followers that serve read-only queries while they tail, verify
-//!    every segment handoff by CRC (divergence is a named error, never
-//!    silent drift), survive link faults with jittered backoff, and can be
-//!    promoted to writable primaries on failover.
+//!    binary protocol: followers fetch sealed segments plus the live tail
+//!    from a leader in request-sized batches, serve read-only queries while
+//!    they tail, verify every segment handoff by CRC (divergence is a named
+//!    error, never silent drift), survive link faults with jittered
+//!    backoff, and can be promoted to writable primaries on failover.
 //! 4. **Observability** ([`metrics`]) — per-tenant p50/p99/max latency,
 //!    QPS, queue depth, replication lag, and the engine's
 //!    own stats/health/tier counters as JSON.

@@ -1,46 +1,50 @@
-//! The network half of replication: the leader's push loop behind
-//! `REPL_SUBSCRIBE` and the follower's tailing thread.
+//! The network half of replication: the leader's `REPL_FETCH` handler and
+//! the follower's tailing thread.
 //!
 //! The durable substrate lives in [`mbi_core::replicate`] ([`WalFeed`] on
-//! the leader, [`Replica`] on the follower); this module only moves its
-//! events over the binary protocol. One subscribed connection carries
-//! leader→follower push frames ([`REPL_RECORD`](crate::wire::REPL_RECORD),
-//! [`REPL_SEAL`](crate::wire::REPL_SEAL),
-//! [`REPL_HEARTBEAT`](crate::wire::REPL_HEARTBEAT)) and follower→leader
-//! [`REPL_ACK`](crate::wire::REPL_ACK) frames on the same socket. Acks move
-//! the leader's WAL retention hold forward, so segments a live follower
+//! the leader, [`Replica`] on the follower); this module moves its events
+//! over the binary protocol as ordinary requests. A follower asks for the
+//! events from its own row count on ([`Op::ReplFetch`]); the leader answers
+//! with one batch in one OK frame. Each fetch also moves the follower's WAL
+//! retention hold to the row it asked for, so segments a live follower
 //! still needs outlast `checkpoint`'s pruning; a follower lagging past the
 //! configured cap is evicted from the hold table instead of wedging prune,
 //! after which its cursor eventually points at a pruned segment and the
-//! link errors terminally ("re-seed").
+//! fetch is answered with a terminal error ("re-seed").
 //!
 //! The follower retries its link forever with bounded-exponential jittered
 //! backoff (reusing the client's [`RetryPolicy`]) — a leader restart is a
-//! transient; only divergence, eviction, and local promotion are terminal.
+//! transient; only divergence, eviction, a config mismatch and local
+//! promotion are terminal.
 
-use crate::client::RetryPolicy;
+use crate::client::{BinaryClient, ClientError, RetryPolicy};
 use crate::config::ReplicaSource;
 use crate::server::Shared;
-use crate::tenant::{Tenant, TenantEngine};
+use crate::tenant::{FollowerInfo, Tenant, TenantEngine};
 use crate::wire::{self, Op, Status};
-use mbi_core::{fail, MbiError, ReplEvent, Replica, StreamingMbi, WalFeed};
-use std::io::{Read, Write};
-use std::net::TcpStream;
+use mbi_core::{fail, MbiError, ReplEvent, Replica, WalFeed};
+use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// How long the leader's push loop sleeps when the feed is caught up, and
-/// the granularity at which both sides poll their stop flags.
+/// How long the follower waits after an empty batch before it fetches
+/// again, and the slice its backoff sleeps in between stop-flag checks.
 const LINK_POLL: Duration = Duration::from_millis(20);
-/// Records per feed batch on the leader.
+/// How long the follower waits for one fetch reply before it drops the
+/// link (bounds its shutdown behind a stalled leader).
+const FETCH_TIMEOUT: Duration = Duration::from_secs(2);
+/// Most records in one fetch reply.
 const FEED_BATCH: usize = 256;
-/// The follower acks at least every this many applied records (and after
-/// every seal), bounding how far the leader's retention hold trails.
-const ACK_EVERY: u64 = 32;
 /// The follower checkpoints after every this many seals, bounding replay
 /// work after a follower crash.
 const CHECKPOINT_EVERY_SEALS: u64 = 8;
+/// Event tags of a fetch reply, and the bytes each event takes before its
+/// vector.
+const RECORD: u8 = 0;
+const SEAL: u8 = 1;
+const RECORD_BYTES: usize = 1 + 8 + 8;
+const SEAL_BYTES: usize = 1 + 8 + 4;
 
 /// Live link state of one replica tenant, shared between its tailing
 /// thread and the stats/health endpoints.
@@ -48,10 +52,8 @@ const CHECKPOINT_EVERY_SEALS: u64 = 8;
 pub struct ReplicaState {
     /// Highest leader row count observed over the link (lag numerator).
     pub leader_rows: AtomicU64,
-    /// Whether the subscription is currently established.
+    /// Whether the follower's fetch connection is currently open.
     pub connected: AtomicBool,
-    /// Set once the tenant is promoted; the tailing thread exits.
-    pub promoted: AtomicBool,
     /// Times the link was re-established after a failure.
     pub reconnects: AtomicU64,
     /// The most recent link error, for `/stats`.
@@ -75,193 +77,142 @@ impl ReplicaState {
 // Leader side
 // ---------------------------------------------------------------------------
 
-/// Serves one `REPL_SUBSCRIBE` request: flips the connection into a push
-/// stream and owns it until disconnect, eviction, or shutdown. The caller
-/// (the binary serving loop) must not touch the connection afterwards.
-pub(crate) fn serve_repl_subscribe(
-    stream: &TcpStream,
+/// A follower's fetch connection on the leader: the follower counts as
+/// connected in `/stats` from its first fetch until this drops with the
+/// connection.
+pub(crate) struct FollowerLink {
+    tenant: Arc<Tenant>,
+    id: String,
+}
+
+impl Drop for FollowerLink {
+    fn drop(&mut self) {
+        if let Ok(mut followers) = self.tenant.followers.lock() {
+            if let Some(info) = followers.get_mut(&self.id) {
+                info.links = info.links.saturating_sub(1);
+            }
+        }
+    }
+}
+
+/// Records in one reply: [`FEED_BATCH`], or fewer when that many
+/// `dim`-float records, each perhaps followed by a seal, would not fit one
+/// frame.
+fn batch_records(dim: usize) -> usize {
+    let per_record = RECORD_BYTES + SEAL_BYTES + 4 * dim;
+    ((wire::MAX_FRAME - 64) / per_record).clamp(1, FEED_BATCH)
+}
+
+/// Answers one `REPL_FETCH`: moves the follower's retention hold to
+/// `from_row` and replies with the next batch of the leader's WAL feed from
+/// there, laid out as the [`wire`] module doc sets out. A feed error is
+/// answered with its message. `link` is the connection's follower
+/// registration; a new one replaces (and so uncounts) the old.
+pub(crate) fn serve_fetch(
     payload: &[u8],
     tenant: &Arc<Tenant>,
-    shared: &Shared,
-) {
-    let mut out = stream;
+    link: &mut Option<FollowerLink>,
+) -> (Status, Vec<u8>) {
     let mut r = wire::PayloadReader::new(payload);
     let parsed = (|| {
         let id = r.str16()?;
-        let start = r.u64()?;
+        let from_row = r.u64()?;
         r.finish()?;
-        Ok::<_, String>((id, start))
+        Ok::<_, String>((id, from_row))
     })();
-    let (follower_id, start_row) = match parsed {
+    let (id, from_row) = match parsed {
         Ok(p) => p,
-        Err(m) => {
-            let _ = wire::write_frame(&mut out, Status::BadRequest as u8, m.as_bytes());
-            return;
-        }
+        Err(m) => return (Status::BadRequest, m.into_bytes()),
     };
     let TenantEngine::Streaming(engine) = &tenant.engine else {
-        let _ = wire::write_frame(
-            &mut out,
-            Status::BadRequest as u8,
-            b"only a streaming tenant can lead replication",
-        );
-        return;
+        return (Status::BadRequest, b"only a streaming tenant can lead replication".to_vec());
     };
-    let mut feed = match WalFeed::for_engine(engine, start_row) {
-        Ok(f) => f,
-        Err(e) => {
-            let _ = wire::write_frame(&mut out, Status::BadRequest as u8, e.to_string().as_bytes());
-            return;
-        }
+    engine.set_replica_hold(&id, from_row);
+    let config = engine.config();
+    let batch = WalFeed::for_engine(engine, from_row)
+        .and_then(|mut feed| feed.next_batch(batch_records(config.dim)));
+    let events = match batch {
+        Ok(events) => events,
+        Err(e) => return (Status::Internal, e.to_string().into_bytes()),
     };
-    // Register the retention hold *before* replying: between the reply and
-    // the first batch a checkpoint must not prune the cursor's segment.
-    engine.set_replica_hold(&follower_id, start_row);
-    set_follower(tenant, &follower_id, start_row, true);
-    let hello = wire::PayloadWriter::new()
-        .u32(engine.config().dim as u32)
-        .u32(engine.config().leaf_size as u32)
-        .u64(engine.len() as u64)
-        .build();
-    if wire::write_frame(&mut out, Status::Ok as u8, &hello).is_err() {
-        set_follower(tenant, &follower_id, start_row, false);
-        return;
-    }
-    // Ack reader: a blocking loop on a cloned handle, moving the retention
-    // hold forward as the follower reports durability.
-    let ack_stop = Arc::new(AtomicBool::new(false));
-    let ack_thread = stream.try_clone().ok().and_then(|clone| {
-        let tenant = Arc::clone(tenant);
-        let id = follower_id.clone();
-        let stop = Arc::clone(&ack_stop);
-        std::thread::Builder::new()
-            .name("mbi-repl-ack".into())
-            .spawn(move || ack_loop(clone, &tenant, &id, &stop))
-            .ok()
-    });
-    push_loop(&mut out, &mut feed, engine, shared);
-    // Sever the socket so the ack reader wakes, then mark the follower
-    // disconnected — but keep its retention hold: only the lag cap (or an
-    // explicit release) drops it, so a bounded outage never loses segments.
-    ack_stop.store(true, Ordering::Relaxed);
-    let _ = stream.shutdown(std::net::Shutdown::Both);
-    if let Some(t) = ack_thread {
-        let _ = t.join();
-    }
+    let linked = link.as_ref().is_some_and(|l| l.id == id && Arc::ptr_eq(&l.tenant, tenant));
     if let Ok(mut followers) = tenant.followers.lock() {
-        if let Some(info) = followers.get_mut(&follower_id) {
-            info.connected = false;
-        }
+        let info = followers.entry(id.clone()).or_insert(FollowerInfo { acked_row: 0, links: 0 });
+        info.acked_row = info.acked_row.max(from_row);
+        info.links += usize::from(!linked);
     }
-}
-
-/// The leader's push loop: stream records and seals, heartbeat when caught
-/// up, surface feed errors as a final `REPL_ERR` frame.
-fn push_loop(out: &mut &TcpStream, feed: &mut WalFeed, engine: &StreamingMbi, shared: &Shared) {
-    while !shared.stop.load(Ordering::Relaxed) {
-        let events = match feed.next_batch(FEED_BATCH) {
-            Ok(events) => events,
-            Err(e) => {
-                // Pruned-cursor ("re-seed") and corruption errors are
-                // terminal for this follower; tell it why before closing.
-                let _ = wire::write_frame(out, wire::REPL_ERR, e.to_string().as_bytes());
-                return;
+    if !linked {
+        *link = Some(FollowerLink { tenant: Arc::clone(tenant), id });
+    }
+    let mut w = wire::PayloadWriter::new()
+        .u32(config.dim as u32)
+        .u32(config.leaf_size as u32)
+        .u64(engine.len() as u64)
+        .u32(events.len() as u32);
+    for event in &events {
+        w = match event {
+            ReplEvent::Record { row, timestamp, vector } => {
+                w.u8(RECORD).u64(*row).i64(*timestamp).f32s(vector)
             }
+            ReplEvent::Seal { segment, crc } => w.u8(SEAL).u64(*segment).u32(*crc),
         };
-        if events.is_empty() {
-            let hb = wire::PayloadWriter::new().u64(engine.len() as u64).build();
-            if wire::write_frame(out, wire::REPL_HEARTBEAT, &hb).is_err() {
-                return;
-            }
-            std::thread::sleep(LINK_POLL);
-            continue;
-        }
-        for event in &events {
-            let sent = match event {
-                ReplEvent::Record { row, timestamp, vector } => {
-                    let payload = wire::PayloadWriter::new()
-                        .u64(*row)
-                        .i64(*timestamp)
-                        .u32(vector.len() as u32)
-                        .f32s(vector)
-                        .build();
-                    send_push(out, wire::REPL_RECORD, &payload, "repl::send_record")
-                }
-                ReplEvent::Seal { segment, crc } => {
-                    let payload = wire::PayloadWriter::new().u64(*segment).u32(*crc).build();
-                    send_push(out, wire::REPL_SEAL, &payload, "repl::send_seal")
-                }
-            };
-            if !sent {
-                return;
-            }
-        }
     }
+    (Status::Ok, w.build())
 }
 
-/// Writes one push frame, honouring the link-level failpoints: `ShortWrite`
-/// sends a torn prefix of the frame and severs the socket (the follower
-/// must survive a frame cut mid-record), `IoError` severs it cleanly
-/// between frames, `Panic` kills the leader thread mid-push.
-fn send_push(out: &mut &TcpStream, tag: u8, payload: &[u8], site: &str) -> bool {
-    match fail::trigger(site) {
+/// The fetch reply's failpoint, `repl::fetch_reply`: `ShortWrite` sends a
+/// torn prefix of the reply frame and `IoError` sends nothing, and either
+/// is an error on which the caller drops the connection; `Panic` kills the
+/// connection thread mid-reply.
+pub(crate) fn reply_fault(out: &mut impl Write, response: &[u8]) -> std::io::Result<()> {
+    let injected = || std::io::Error::other(fail::INJECTED_MSG);
+    match fail::trigger("repl::fetch_reply") {
         Some(fail::FailAction::ShortWrite) => {
             let mut frame = Vec::new();
-            if wire::push_frame(&mut frame, tag, payload).is_ok() {
-                let _ = out.write_all(&frame[..5 + payload.len() / 2]);
-            }
-            let _ = out.flush();
-            let _ = out.shutdown(std::net::Shutdown::Both);
-            return false;
+            wire::push_frame(&mut frame, Status::Ok as u8, response)?;
+            out.write_all(&frame[..frame.len() / 2])?;
+            Err(injected())
         }
-        Some(fail::FailAction::IoError) => {
-            let _ = out.shutdown(std::net::Shutdown::Both);
-            return false;
-        }
-        Some(fail::FailAction::Panic) => panic!("injected leader crash mid-push"),
-        None => {}
-    }
-    wire::write_frame(out, tag, payload).is_ok()
-}
-
-/// Reads `REPL_ACK` frames off the subscribed connection until it closes,
-/// advancing the leader's retention hold and the follower's stats entry.
-fn ack_loop(stream: TcpStream, tenant: &Tenant, follower_id: &str, stop: &AtomicBool) {
-    let mut reader = &stream;
-    loop {
-        let frame = match read_frame_poll(&mut reader, stop, None) {
-            Ok(Some(f)) => f,
-            Ok(None) | Err(_) => return,
-        };
-        let (tag, payload) = frame;
-        if tag != wire::REPL_ACK || payload.len() != 8 {
-            continue;
-        }
-        let next_row = u64::from_le_bytes(payload.as_slice().try_into().expect("8 bytes"));
-        if let TenantEngine::Streaming(engine) = &tenant.engine {
-            engine.set_replica_hold(follower_id, next_row);
-        }
-        if let Ok(mut followers) = tenant.followers.lock() {
-            if let Some(info) = followers.get_mut(follower_id) {
-                info.acked_row = info.acked_row.max(next_row);
-            }
-        }
-    }
-}
-
-fn set_follower(tenant: &Tenant, id: &str, acked_row: u64, connected: bool) {
-    if let Ok(mut followers) = tenant.followers.lock() {
-        let info = followers
-            .entry(id.to_string())
-            .or_insert(crate::tenant::FollowerInfo { acked_row, connected });
-        info.connected = connected;
-        info.acked_row = info.acked_row.max(acked_row);
+        Some(fail::FailAction::IoError) => Err(injected()),
+        Some(fail::FailAction::Panic) => panic!("injected leader crash mid-reply"),
+        None => Ok(()),
     }
 }
 
 // ---------------------------------------------------------------------------
 // Follower side
 // ---------------------------------------------------------------------------
+
+/// One decoded fetch reply.
+struct Batch {
+    dim: usize,
+    leaf_size: usize,
+    leader_rows: u64,
+    events: Vec<ReplEvent>,
+}
+
+/// Decodes a whole fetch reply (see [`serve_fetch`]). Nothing is reserved
+/// from the announced count: every event takes its bytes from the payload
+/// before it is kept.
+fn decode_batch(payload: &[u8]) -> Result<Batch, String> {
+    let mut r = wire::PayloadReader::new(payload);
+    let dim = r.u32()? as usize;
+    let leaf_size = r.u32()? as usize;
+    let leader_rows = r.u64()?;
+    let count = r.u32()?;
+    let mut events = Vec::new();
+    for _ in 0..count {
+        events.push(match r.u8()? {
+            RECORD => {
+                ReplEvent::Record { row: r.u64()?, timestamp: r.i64()?, vector: r.f32s(dim)? }
+            }
+            SEAL => ReplEvent::Seal { segment: r.u64()?, crc: r.u32()? },
+            tag => return Err(format!("unknown event tag {tag}")),
+        });
+    }
+    r.finish()?;
+    Ok(Batch { dim, leaf_size, leader_rows, events })
+}
 
 /// How one link attempt ended.
 enum LinkEnd {
@@ -270,26 +221,26 @@ enum LinkEnd {
     /// Unrecoverable (divergence, eviction, config mismatch) — stop tailing
     /// and leave the reason in `last_error`.
     Terminal(String),
-    /// Transient (connect refused, leader restart, torn frame) — back off
+    /// Transient (connect refused, leader restart, torn reply) — back off
     /// and reconnect from the current cursor.
     Transient(String),
 }
 
-/// The tailing thread of one replica tenant: connect, subscribe from the
-/// local row count, apply pushed events, ack durability — forever, with
-/// jittered backoff across link failures, until shutdown, promotion, or a
-/// terminal replication error.
+/// The tailing thread of one replica tenant: connect, fetch from the local
+/// row count, apply each batch — forever, with jittered backoff across link
+/// failures, until shutdown, promotion, or a terminal replication error.
 pub(crate) fn run_follower(tenant: Arc<Tenant>, shared: Arc<Shared>) {
     let TenantEngine::Replica { replica, state, source } = &tenant.engine else {
         return;
     };
+    let stopped = || shared.stop.load(Ordering::Relaxed) || replica.is_promoted();
     let retry = RetryPolicy::default();
     let mut rng = crate::client::jitter_seed();
     let mut attempt = 0usize;
     let mut connected_once = false;
-    while !shared.stop.load(Ordering::Relaxed) && !replica.is_promoted() {
-        let end = follow_once(replica, state, source, &tenant.name, &shared);
-        state.connected.store(false, Ordering::Relaxed);
+    while !stopped() {
+        let end = follow_once(replica, state, source, &tenant.name, &stopped);
+        let was_connected = state.connected.swap(false, Ordering::Relaxed);
         match end {
             LinkEnd::Stopped => break,
             LinkEnd::Terminal(m) => {
@@ -298,9 +249,8 @@ pub(crate) fn run_follower(tenant: Arc<Tenant>, shared: Arc<Shared>) {
             }
             LinkEnd::Transient(m) => {
                 state.note_error(&m);
-                // A leader hello sets `leader_rows`, so this distinguishes
-                // "the link dropped" (counted) from "never got through yet".
-                connected_once = connected_once || state.leader_rows.load(Ordering::Relaxed) > 0;
+                // A dropped link is counted; a leader not reached yet is not.
+                connected_once |= was_connected;
                 if connected_once {
                     state.reconnects.fetch_add(1, Ordering::Relaxed);
                 }
@@ -316,151 +266,77 @@ pub(crate) fn run_follower(tenant: Arc<Tenant>, shared: Arc<Shared>) {
             }
         }
     }
-    state.connected.store(false, Ordering::Relaxed);
 }
 
-/// One link attempt: returns how it ended. On success this blocks for the
-/// life of the subscription.
+/// One link attempt: connect, then fetch and apply until the link breaks
+/// or the follower must stop. Each reply is decoded whole before any of it
+/// is applied.
 fn follow_once(
-    replica: &Arc<Replica>,
-    state: &Arc<ReplicaState>,
+    replica: &Replica,
+    state: &ReplicaState,
     source: &ReplicaSource,
     follower_id: &str,
-    shared: &Shared,
+    stopped: &dyn Fn() -> bool,
 ) -> LinkEnd {
-    let transient = |m: String| LinkEnd::Transient(m);
-    let mut stream = match TcpStream::connect(&source.addr) {
-        Ok(s) => s,
-        Err(e) => return transient(format!("connect {}: {e}", source.addr)),
+    let client = BinaryClient::connect_with_retry(
+        &source.addr,
+        &source.tenant,
+        &source.token,
+        RetryPolicy::none(),
+    );
+    // Auth rejections are usually deterministic, but during a leader
+    // restart the tenant may simply not be up yet: keep retrying rather
+    // than orphan the follower.
+    let mut client = match client {
+        Ok(c) => c,
+        Err(e) => return LinkEnd::Transient(format!("connect {}: {e}", source.addr)),
     };
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(LINK_POLL));
-    // The magic and the AUTH frame go out in one write.
-    let auth = wire::PayloadWriter::new().str16(&source.tenant).str16(&source.token).build();
-    let mut hello = wire::MAGIC.to_vec();
-    let sent =
-        wire::push_frame(&mut hello, Op::Auth as u8, &auth).and_then(|()| stream.write_all(&hello));
-    if let Err(e) = sent {
-        return transient(format!("handshake: {e}"));
+    if let Err(e) = client.set_timeout(Some(FETCH_TIMEOUT)) {
+        return LinkEnd::Transient(format!("link setup: {e}"));
     }
-    match read_reply(&stream, shared, replica) {
-        Ok(Some((tag, body))) if tag == Status::Ok as u8 => drop(body),
-        Ok(Some((_, body))) => {
-            // Auth rejections are usually deterministic, but during a
-            // leader restart the tenant may simply not be up yet — keep
-            // retrying rather than orphan the follower.
-            return transient(format!("auth rejected: {}", String::from_utf8_lossy(&body)));
-        }
-        Ok(None) => return LinkEnd::Stopped,
-        Err(m) => return transient(m),
-    }
-    let subscribe = wire::PayloadWriter::new().str16(follower_id).u64(replica.next_row()).build();
-    if let Err(e) = wire::write_frame(&mut &stream, Op::ReplSubscribe as u8, &subscribe) {
-        return transient(format!("subscribe send: {e}"));
-    }
-    let hello = match read_reply(&stream, shared, replica) {
-        Ok(Some((tag, body))) if tag == Status::Ok as u8 => body,
-        Ok(Some((_, body))) => {
-            return transient(format!("subscribe rejected: {}", String::from_utf8_lossy(&body)))
-        }
-        Ok(None) => return LinkEnd::Stopped,
-        Err(m) => return transient(m),
-    };
-    let mut r = wire::PayloadReader::new(&hello);
-    let parsed = (|| {
-        let dim = r.u32()? as usize;
-        let leaf = r.u32()? as usize;
-        let rows = r.u64()?;
-        r.finish()?;
-        Ok::<_, String>((dim, leaf, rows))
-    })();
-    let (dim, leaf, leader_rows) = match parsed {
-        Ok(p) => p,
-        Err(m) => return transient(format!("bad subscribe reply: {m}")),
-    };
-    let config = replica.engine().config();
-    if dim != config.dim || leaf != config.leaf_size {
-        return LinkEnd::Terminal(format!(
-            "leader config mismatch: leader dim {dim} leaf {leaf}, follower dim {} leaf {}",
-            config.dim, config.leaf_size
-        ));
-    }
-    state.leader_rows.fetch_max(leader_rows, Ordering::Relaxed);
     state.connected.store(true, Ordering::Relaxed);
-    // Established. Apply pushes until the link breaks or we must stop.
-    let mut reader = &stream;
-    let mut unacked = 0u64;
-    let mut seals_since_checkpoint = 0u64;
+    let mut seals = 0u64;
     loop {
-        if replica.is_promoted() {
+        if stopped() {
             return LinkEnd::Stopped;
         }
-        let (tag, payload) = match read_frame_poll(&mut reader, &shared.stop, Some(replica)) {
-            Ok(Some(f)) => f,
-            Ok(None) => {
-                if shared.stop.load(Ordering::Relaxed) || replica.is_promoted() {
-                    return LinkEnd::Stopped;
-                }
-                return transient("leader closed the link".into());
+        let request = wire::PayloadWriter::new().str16(follower_id).u64(replica.next_row()).build();
+        let body = match client.call(Op::ReplFetch, &request) {
+            Ok(body) => body,
+            Err(ClientError::Server { message, .. })
+                if message.contains("diverged") || message.contains("re-seed") =>
+            {
+                return LinkEnd::Terminal(message)
             }
-            Err(e) => return transient(format!("link read: {e}")),
+            Err(e) => return LinkEnd::Transient(format!("fetch: {e}")),
         };
-        match tag {
-            wire::REPL_RECORD => {
-                let mut r = wire::PayloadReader::new(&payload);
-                let parsed = (|| {
-                    let row = r.u64()?;
-                    let timestamp = r.i64()?;
-                    let n = r.u32()? as usize;
-                    let vector = r.f32s(n)?;
-                    r.finish()?;
-                    Ok::<_, String>((row, timestamp, vector))
-                })();
-                let (row, timestamp, vector) = match parsed {
-                    Ok(p) => p,
-                    Err(m) => return transient(format!("bad record frame: {m}")),
-                };
-                match replica.apply(&ReplEvent::Record { row, timestamp, vector }) {
-                    Ok(()) => {}
-                    Err(e @ MbiError::ReplicaDiverged { .. }) => {
-                        return LinkEnd::Terminal(e.to_string())
-                    }
-                    Err(e) => return transient(e.to_string()),
+        let batch = match decode_batch(&body) {
+            Ok(batch) => batch,
+            Err(m) => return LinkEnd::Transient(format!("bad fetch reply: {m}")),
+        };
+        let config = replica.engine().config();
+        if batch.dim != config.dim || batch.leaf_size != config.leaf_size {
+            return LinkEnd::Terminal(format!(
+                "leader config mismatch: leader dim {} leaf {}, follower dim {} leaf {}",
+                batch.dim, batch.leaf_size, config.dim, config.leaf_size
+            ));
+        }
+        state.leader_rows.fetch_max(batch.leader_rows, Ordering::Relaxed);
+        if batch.events.is_empty() {
+            std::thread::sleep(LINK_POLL);
+            continue;
+        }
+        for event in &batch.events {
+            match replica.apply(event) {
+                Ok(()) => {}
+                Err(e @ MbiError::ReplicaDiverged { .. }) => {
+                    return LinkEnd::Terminal(e.to_string())
                 }
-                unacked += 1;
-                if unacked >= ACK_EVERY {
-                    unacked = 0;
-                    if send_ack(&stream, replica).is_err() {
-                        return transient("ack send failed".into());
-                    }
-                }
+                Err(e) => return LinkEnd::Transient(e.to_string()),
             }
-            wire::REPL_SEAL => {
-                let mut r = wire::PayloadReader::new(&payload);
-                let parsed = (|| {
-                    let segment = r.u64()?;
-                    let crc = r.u32()?;
-                    r.finish()?;
-                    Ok::<_, String>((segment, crc))
-                })();
-                let (segment, crc) = match parsed {
-                    Ok(p) => p,
-                    Err(m) => return transient(format!("bad seal frame: {m}")),
-                };
-                match replica.apply(&ReplEvent::Seal { segment, crc }) {
-                    Ok(()) => {}
-                    Err(e @ MbiError::ReplicaDiverged { .. }) => {
-                        return LinkEnd::Terminal(e.to_string())
-                    }
-                    Err(e) => return transient(e.to_string()),
-                }
-                unacked = 0;
-                if send_ack(&stream, replica).is_err() {
-                    return transient("ack send failed".into());
-                }
-                seals_since_checkpoint += 1;
-                if seals_since_checkpoint >= CHECKPOINT_EVERY_SEALS {
-                    seals_since_checkpoint = 0;
+            if matches!(event, ReplEvent::Seal { .. }) {
+                seals += 1;
+                if seals.is_multiple_of(CHECKPOINT_EVERY_SEALS) {
                     if let Err(e) = replica.engine().checkpoint() {
                         // Checkpointing bounds replay, it does not gate
                         // correctness — log it and keep tailing.
@@ -468,160 +344,138 @@ fn follow_once(
                     }
                 }
             }
-            wire::REPL_HEARTBEAT if payload.len() == 8 => {
-                let rows = u64::from_le_bytes(payload.as_slice().try_into().expect("8 bytes"));
-                state.leader_rows.fetch_max(rows, Ordering::Relaxed);
-            }
-            wire::REPL_ERR => {
-                let message = String::from_utf8_lossy(&payload).into_owned();
-                if message.contains("diverged") || message.contains("re-seed") {
-                    return LinkEnd::Terminal(message);
-                }
-                return transient(message);
-            }
-            _ => return transient(format!("unexpected push frame tag {tag:#04x}")),
         }
     }
-}
-
-/// Sends one durability ack carrying the follower's current row count.
-fn send_ack(stream: &TcpStream, replica: &Replica) -> std::io::Result<()> {
-    let payload = wire::PayloadWriter::new().u64(replica.next_row()).build();
-    wire::write_frame(&mut &*stream, wire::REPL_ACK, &payload)
-}
-
-/// Reads one handshake reply, polling the stop flag; `Ok(None)` means we
-/// should stop (shutdown/promotion) or the peer closed.
-fn read_reply(
-    stream: &TcpStream,
-    shared: &Shared,
-    replica: &Replica,
-) -> Result<Option<(u8, Vec<u8>)>, String> {
-    let mut reader = stream;
-    read_frame_poll(&mut reader, &shared.stop, Some(replica)).map_err(|e| e.to_string())
-}
-
-/// [`wire::read_frame`] over a socket with a short read timeout: timeouts
-/// poll `stop` (and promotion, when a replica is given) instead of tearing
-/// the frame — partial reads keep their position and resume. `Ok(None)` on
-/// clean close before a frame starts, or when told to stop.
-fn read_frame_poll(
-    reader: &mut impl Read,
-    stop: &AtomicBool,
-    replica: Option<&Replica>,
-) -> std::io::Result<Option<(u8, Vec<u8>)>> {
-    let should_stop = |started: bool| {
-        !started && (stop.load(Ordering::Relaxed) || replica.is_some_and(|r| r.is_promoted()))
-    };
-    let mut len = [0u8; 4];
-    if !read_exact_poll(reader, &mut len, &should_stop)? {
-        return Ok(None);
-    }
-    let len = u32::from_le_bytes(len) as usize;
-    if len == 0 || len > wire::MAX_FRAME {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("bad push frame length {len}"),
-        ));
-    }
-    let never = |_: bool| false;
-    let mut tag = [0u8; 1];
-    if !read_exact_poll(reader, &mut tag, &never)? {
-        return Err(std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "torn frame"));
-    }
-    let mut payload = vec![0u8; len - 1];
-    if !read_exact_poll(reader, &mut payload, &never)? {
-        return Err(std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "torn frame"));
-    }
-    Ok(Some((tag[0], payload)))
-}
-
-/// `read_exact` that survives read timeouts without losing position.
-/// `Ok(false)` when the peer closed (or `should_stop` said to) before the
-/// first byte; a close mid-buffer is an `UnexpectedEof` error.
-fn read_exact_poll(
-    reader: &mut impl Read,
-    buf: &mut [u8],
-    should_stop: &dyn Fn(bool) -> bool,
-) -> std::io::Result<bool> {
-    let mut got = 0usize;
-    while got < buf.len() {
-        match reader.read(&mut buf[got..]) {
-            Ok(0) => {
-                if got == 0 {
-                    return Ok(false);
-                }
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "peer closed mid-frame",
-                ));
-            }
-            Ok(n) => got += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if should_stop(got > 0) {
-                    return Ok(false);
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(true)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{ServerConfig, TenantConfig};
+    use crate::tenant::TenantRegistry;
+    use mbi_core::engine::WAL_DIR;
+    use mbi_core::MbiConfig;
+    use mbi_math::Metric;
+    use std::path::{Path, PathBuf};
+    use std::sync::OnceLock;
 
-    #[test]
-    fn read_exact_poll_resumes_across_timeouts() {
-        // A reader that yields WouldBlock between every byte must still
-        // deliver the full buffer without losing position.
-        struct Choppy<'a> {
-            bytes: &'a [u8],
-            pos: usize,
-            ready: bool,
+    fn leader_dir(tag: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("mbi_repl_fetch_{tag}_{}", std::process::id()))
+    }
+
+    /// The fetch request of follower `f` from row 3.
+    fn valid_request() -> Vec<u8> {
+        wire::PayloadWriter::new().str16("f").u64(3).build()
+    }
+
+    /// A durable leader tenant in `dir` holding 21 rows at dim 2 and leaf 4
+    /// (five sealed segments and a live one), and its valid reply to
+    /// [`valid_request`].
+    fn leader(dir: &Path) -> (TenantRegistry, Vec<u8>) {
+        let _ = std::fs::remove_dir_all(dir);
+        let config = MbiConfig::new(2, Metric::Euclidean).with_leaf_size(4);
+        let registry = TenantRegistry::build(
+            &ServerConfig::new("127.0.0.1:0", config)
+                .with_tenant(TenantConfig::durable("lead", "tok", dir)),
+        )
+        .unwrap();
+        let tenant = &registry.all()[0];
+        for i in 0..21 {
+            tenant.insert(&[i as f32, -0.5 * i as f32], i).unwrap();
         }
-        impl Read for Choppy<'_> {
-            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-                if !self.ready {
-                    self.ready = true;
-                    return Err(std::io::Error::new(std::io::ErrorKind::WouldBlock, "later"));
-                }
-                self.ready = false;
-                if self.pos == self.bytes.len() {
-                    return Ok(0);
-                }
-                buf[0] = self.bytes[self.pos];
-                self.pos += 1;
-                Ok(1)
-            }
-        }
-        let mut frame = Vec::new();
-        wire::write_frame(&mut frame, wire::REPL_HEARTBEAT, &7u64.to_le_bytes()).unwrap();
-        let mut chopped = Choppy { bytes: &frame, pos: 0, ready: false };
-        let stop = AtomicBool::new(false);
-        let (tag, payload) = read_frame_poll(&mut chopped, &stop, None).unwrap().unwrap();
-        assert_eq!(tag, wire::REPL_HEARTBEAT);
-        assert_eq!(payload, 7u64.to_le_bytes());
-        // Clean EOF between frames is None, not an error.
-        assert!(read_frame_poll(&mut chopped, &stop, None).unwrap().is_none());
+        let (status, reply) = serve_fetch(&valid_request(), tenant, &mut None);
+        assert_eq!(status, Status::Ok);
+        (registry, reply)
     }
 
     #[test]
-    fn stop_flag_only_applies_between_frames() {
-        struct Never;
-        impl Read for Never {
-            fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
-                Err(std::io::Error::new(std::io::ErrorKind::WouldBlock, "idle"))
+    fn a_fetch_reply_carries_the_feed_in_order() {
+        let dir = leader_dir("order");
+        let (registry, reply) = leader(&dir);
+        let batch = decode_batch(&reply).unwrap();
+        assert_eq!((batch.dim, batch.leaf_size, batch.leader_rows), (2, 4, 21));
+        let mut feed = WalFeed::new(dir.join(WAL_DIR), 2, 4, 3);
+        assert_eq!(batch.events, feed.next_batch(FEED_BATCH).unwrap());
+        assert_eq!(batch.events.len(), 18 + 5, "rows 3..21 and the five seals");
+        // The connection's link lists the follower as connected until it
+        // drops.
+        let tenant = &registry.all()[0];
+        let request = wire::PayloadWriter::new().str16("g").u64(21).build();
+        let mut link = None;
+        let (status, reply) = serve_fetch(&request, tenant, &mut link);
+        assert_eq!(status, Status::Ok);
+        assert!(decode_batch(&reply).unwrap().events.is_empty(), "caught up");
+        serve_fetch(&request, tenant, &mut link);
+        assert_eq!(tenant.followers.lock().unwrap()["g"].links, 1);
+        drop(link);
+        assert_eq!(tenant.followers.lock().unwrap()["g"].links, 0);
+        drop(registry);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The leader the hostile cases fetch from, built once.
+    static HOSTILE: OnceLock<(TenantRegistry, Vec<u8>)> = OnceLock::new();
+
+    #[test]
+    fn arbitrary_repl_fetch_bytes_never_panic() {
+        let dir = leader_dir("hostile");
+        HOSTILE.get_or_init(|| leader(&dir));
+        hostile_fetch_bytes();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(1024))]
+
+        /// Hostile bytes on both ends of a fetch — arbitrary bytes, and a
+        /// valid request or reply with bytes overwritten, then maybe cut
+        /// and extended — make the leader's handler and the follower's
+        /// decoder answer `Ok` or an error, never panic. Every reply the
+        /// handler sends decodes and fits a frame, and a decoded batch
+        /// holds no more events and floats than its payload has bytes for.
+        fn hostile_fetch_bytes(
+            kind in 0..4usize,
+            raw in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..96),
+            writes in proptest::collection::vec(
+                (proptest::arbitrary::any::<usize>(), proptest::arbitrary::any::<u8>()), 1..5),
+            cut in proptest::arbitrary::any::<usize>(),
+        ) {
+            let (registry, reply) = HOSTILE.get().expect("the test builds the leader");
+            let bytes = match kind {
+                0 | 2 => raw,
+                _ => {
+                    let mut b = if kind == 1 { valid_request() } else { reply.clone() };
+                    for &(at, x) in &writes {
+                        let at = at % b.len();
+                        b[at] = x;
+                    }
+                    if cut % 2 == 1 {
+                        b.truncate(cut / 2 % (b.len() + 1));
+                        b.extend(raw);
+                    }
+                    b
+                }
+            };
+            let reply = if kind < 2 {
+                let (status, reply) = serve_fetch(&bytes, &registry.all()[0], &mut None);
+                proptest::prop_assert!(reply.len() < wire::MAX_FRAME);
+                proptest::prop_assert!(status != Status::Ok || decode_batch(&reply).is_ok());
+                reply
+            } else {
+                bytes
+            };
+            if let Ok(batch) = decode_batch(&reply) {
+                let floats: usize = batch
+                    .events
+                    .iter()
+                    .map(|e| match e {
+                        ReplEvent::Record { vector, .. } => vector.len(),
+                        ReplEvent::Seal { .. } => 0,
+                    })
+                    .sum();
+                proptest::prop_assert!(batch.events.len() * SEAL_BYTES <= reply.len());
+                proptest::prop_assert!(floats * 4 <= reply.len());
             }
         }
-        let stop = AtomicBool::new(true);
-        assert!(read_frame_poll(&mut Never, &stop, None).unwrap().is_none());
     }
 }

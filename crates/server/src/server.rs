@@ -16,6 +16,7 @@
 use crate::config::ServerConfig;
 use crate::http::{self, ParseError, Request};
 use crate::metrics::ServerMetrics;
+use crate::replicate::{self, FollowerLink};
 use crate::signal;
 use crate::tenant::{Tenant, TenantRegistry};
 use crate::wire::{self, Op, Status};
@@ -63,8 +64,8 @@ impl Server {
             .name("mbi-accept".into())
             .spawn(move || accept_loop(listener, accept_shared))
             .map_err(MbiError::Io)?;
-        // Each replica tenant gets a tailing thread that keeps its
-        // subscription to the leader alive until shutdown or promotion.
+        // Each replica tenant gets a tailing thread that fetches from its
+        // leader until shutdown or promotion.
         let mut followers = Vec::new();
         for tenant in registry.all() {
             if matches!(tenant.engine, crate::tenant::TenantEngine::Replica { .. }) {
@@ -72,7 +73,7 @@ impl Server {
                 let shared = Arc::clone(&shared);
                 let thread = std::thread::Builder::new()
                     .name(format!("mbi-repl-{}", tenant.name))
-                    .spawn(move || crate::replicate::run_follower(tenant, shared))
+                    .spawn(move || replicate::run_follower(tenant, shared))
                     .map_err(MbiError::Io)?;
                 followers.push(thread);
             }
@@ -590,8 +591,10 @@ fn serve_binary(stream: &TcpStream, shared: &Shared) {
     let mut reader = BufReader::new(stream);
     let mut out = stream;
     // The connection's authenticated tenant; every op except AUTH and PING
-    // requires it.
+    // requires it. A follower's first fetch registers it as connected
+    // until the connection closes.
     let mut tenant: Option<Arc<Tenant>> = None;
+    let mut follower = None;
     loop {
         match wait_readable(&mut reader, shared) {
             Ok(true) => {}
@@ -621,18 +624,10 @@ fn serve_binary(stream: &TcpStream, shared: &Shared) {
             let _ = wire::write_frame(&mut out, Status::BadRequest as u8, b"unknown op");
             return;
         };
-        if op == Op::ReplSubscribe {
-            // The subscription takes the whole connection over: the push
-            // loop owns it until disconnect or shutdown.
-            let Some(tenant) = tenant.as_ref() else {
-                let _ =
-                    wire::write_frame(&mut out, Status::Unauthorized as u8, b"authenticate first");
-                return;
-            };
-            crate::replicate::serve_repl_subscribe(stream, &payload, tenant, shared);
+        let (status, response) = handle_binary_op(op, &payload, &mut tenant, &mut follower, shared);
+        if op == Op::ReplFetch && replicate::reply_fault(&mut out, &response).is_err() {
             return;
         }
-        let (status, response) = handle_binary_op(op, &payload, &mut tenant, shared);
         if send_reply(&mut out, status, &response).is_err() {
             return;
         }
@@ -655,6 +650,7 @@ fn handle_binary_op(
     op: Op,
     payload: &[u8],
     tenant: &mut Option<Arc<Tenant>>,
+    follower: &mut Option<FollowerLink>,
     shared: &Shared,
 ) -> (Status, Vec<u8>) {
     match op {
@@ -764,9 +760,12 @@ fn handle_binary_op(
             };
             (Status::Ok, render(tenant.health_value()).into_bytes())
         }
-        // Handled at the connection level in `serve_binary`; reaching the
-        // dispatcher means the interception was bypassed somehow.
-        Op::ReplSubscribe => (Status::BadRequest, b"subscribe is connection-level".to_vec()),
+        Op::ReplFetch => {
+            let Some(tenant) = tenant.as_ref() else {
+                return (Status::Unauthorized, b"authenticate first".to_vec());
+            };
+            replicate::serve_fetch(payload, tenant, follower)
+        }
         Op::Promote => {
             let Some(tenant) = tenant.as_ref() else {
                 return (Status::Unauthorized, b"authenticate first".to_vec());

@@ -24,21 +24,23 @@ pub enum TenantEngine {
     Replica {
         /// The follower applier around the durable engine.
         replica: Arc<Replica>,
-        /// Live link state (lag, connectivity, promotion flag).
+        /// Live link state (lag, connectivity, reconnects).
         state: Arc<ReplicaState>,
         /// The leader this tenant tails.
         source: ReplicaSource,
     },
 }
 
-/// What the leader knows about one subscribed follower (keyed by the
-/// follower id it presented at `REPL_SUBSCRIBE`).
+/// What the leader knows about one follower (keyed by the follower id its
+/// `REPL_FETCH` requests carry).
 #[derive(Clone, Copy, Debug)]
 pub struct FollowerInfo {
-    /// Highest row the follower acked as durable.
+    /// Highest row the follower fetched from: every row below it is
+    /// durable at the follower.
     pub acked_row: u64,
-    /// Whether its subscription connection is currently open.
-    pub connected: bool,
+    /// Fetch connections of this follower currently open; it is connected
+    /// while this is not zero.
+    pub links: usize,
 }
 
 /// One tenant: engine + token + serving metrics.
@@ -50,8 +52,8 @@ pub struct Tenant {
     pub engine: TenantEngine,
     /// Serving counters (latency, shed, timeouts).
     pub metrics: TenantMetrics,
-    /// Leader-side registry of subscribed followers (empty unless this
-    /// tenant has ever served a `REPL_SUBSCRIBE`).
+    /// Leader-side registry of followers (empty unless this tenant has ever
+    /// answered a `REPL_FETCH`).
     pub followers: Mutex<BTreeMap<String, FollowerInfo>>,
 }
 
@@ -132,11 +134,7 @@ impl Tenant {
     /// checkpoints, and opens it for writes. Errors on non-replica tenants.
     pub fn promote(&self) -> Result<(), TenantError> {
         match &self.engine {
-            TenantEngine::Replica { replica, state, .. } => {
-                replica.promote()?;
-                state.promoted.store(true, Ordering::Relaxed);
-                Ok(())
-            }
+            TenantEngine::Replica { replica, .. } => Ok(replica.promote()?),
             _ => Err(TenantError::NotReplica),
         }
     }
@@ -240,7 +238,7 @@ impl Tenant {
 
     /// The leader-side follower section of `/stats`: per-follower acked
     /// row, rows behind, and segments behind. `None` when this tenant has
-    /// never had a subscriber.
+    /// never had a follower.
     pub fn followers_value(&self) -> Option<Value> {
         let followers = self.followers.lock().ok()?;
         if followers.is_empty() {
@@ -264,7 +262,7 @@ impl Tenant {
                         ("acked_row".into(), Value::UInt(info.acked_row)),
                         ("rows_behind".into(), Value::UInt(behind)),
                         ("segments_behind".into(), Value::UInt(behind / leaf)),
-                        ("connected".into(), Value::Bool(info.connected)),
+                        ("connected".into(), Value::Bool(info.links > 0)),
                     ]),
                 )
             })

@@ -18,25 +18,29 @@
 //! | 04 | STATS  | (empty)                                                   |
 //! | 05 | PING   | (empty)                                                   |
 //! | 06 | HEALTH | (empty)                                                   |
-//! | 07 | REPL_SUBSCRIBE | u16 id_len, follower id, u64 start_row            |
+//! | 07 | REPL_FETCH | u16 id_len, follower id, u64 from_row              |
 //! | 08 | PROMOTE | (empty)                                                  |
 //!
 //! Status 0 is OK; the non-zero codes mirror the HTTP error statuses. OK
 //! payloads: QUERY → `u8 flags` (bit 1 timed-out/partial; bit 0 is
 //! reserved: the server never sets it and the client ignores it), `u32 n`,
 //! then `n × (u32 id, i64 timestamp, f32 dist)`; INSERT → `u32 id`;
-//! STATS/HEALTH → a JSON document; AUTH/PING/PROMOTE → empty. Every error
-//! payload is a human-readable message.
+//! STATS/HEALTH → a JSON document; REPL_FETCH → one batch of the leader's
+//! WAL (below); AUTH/PING/PROMOTE → empty. Every error payload is a
+//! human-readable message.
 //!
-//! # Replication frames
+//! # Replication
 //!
-//! `REPL_SUBSCRIBE` flips the connection into a **push stream**: the OK
-//! reply carries `u32 dim, u32 leaf_size, u64 leader_rows`, and from then on
-//! the leader pushes frames tagged with the `REPL_*` constants below
-//! ([`REPL_RECORD`], [`REPL_SEAL`], [`REPL_HEARTBEAT`], [`REPL_ERR`]) while
-//! the follower sends [`REPL_ACK`] frames upstream on the same socket.
-//! Record frames carry their own CRC-checked WAL payload; seal frames carry
-//! the leader's segment CRC the follower verifies its own bytes against.
+//! A follower replicates with ordinary `REPL_FETCH` requests on its
+//! authenticated connection, each asking for the leader's WAL events from
+//! its own row count on. The OK reply is one batch in one frame:
+//! `u32 dim, u32 leaf_size, u64 leader_rows, u32 count`, then `count`
+//! events in feed order, each a `u8` tag and either a record
+//! (`0: u64 row, i64 timestamp, dim × f32`) or a seal (`1: u64 segment,
+//! u32 crc`, the leader's CRC of the sealed segment the follower checks its
+//! own bytes against). An empty batch means the follower is caught up. A
+//! feed error (a pruned cursor, a corrupt segment) is an error status
+//! carrying the feed's message.
 
 use mbi_core::TknnResult;
 use std::io::{Read, Write};
@@ -63,8 +67,8 @@ pub enum Op {
     Ping = 0x05,
     /// Engine health as JSON.
     Health = 0x06,
-    /// Subscribe this connection as a replication follower (push mode).
-    ReplSubscribe = 0x07,
+    /// Fetch the next batch of the tenant's WAL as a replication follower.
+    ReplFetch = 0x07,
     /// Promote a replica tenant: verify its tail and open it for writes.
     Promote = 0x08,
 }
@@ -79,27 +83,12 @@ impl Op {
             0x04 => Some(Op::Stats),
             0x05 => Some(Op::Ping),
             0x06 => Some(Op::Health),
-            0x07 => Some(Op::ReplSubscribe),
+            0x07 => Some(Op::ReplFetch),
             0x08 => Some(Op::Promote),
             _ => None,
         }
     }
 }
-
-/// Push frame (leader → follower): one WAL record —
-/// `u64 row, i64 timestamp, u32 dim, dim × f32`.
-pub const REPL_RECORD: u8 = 0x41;
-/// Push frame (leader → follower): a segment sealed — `u64 segment, u32 crc`.
-pub const REPL_SEAL: u8 = 0x42;
-/// Push frame (leader → follower): keep-alive with `u64 leader_rows`.
-pub const REPL_HEARTBEAT: u8 = 0x43;
-/// Push frame (leader → follower): terminal link error; payload is the
-/// message. The follower decides from the message whether to reconnect
-/// (transient) or stop (divergence/eviction).
-pub const REPL_ERR: u8 = 0x44;
-/// Upstream frame (follower → leader): `u64 next_row` — every row below it
-/// is durable at the follower; the leader moves its retention hold there.
-pub const REPL_ACK: u8 = 0x45;
 
 /// Response status codes, mirroring the HTTP statuses of the JSON protocol.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -224,6 +213,11 @@ impl<'a> PayloadReader<'a> {
             }
             None => Err(format!("payload truncated at byte {}", self.pos)),
         }
+    }
+
+    /// Reads a `u8`.
+    pub fn u8(&mut self) -> Result<u8, String> {
+        Ok(self.take(1)?[0])
     }
 
     /// Reads a `u16`.
@@ -353,7 +347,7 @@ pub fn encode_results(results: &[TknnResult], flags: u8) -> Vec<u8> {
 /// Decodes a QUERY OK payload into `(flags, results)`.
 pub fn decode_results(payload: &[u8]) -> Result<(u8, Vec<TknnResult>), String> {
     let mut r = PayloadReader::new(payload);
-    let flags = *r.take(1)?.first().expect("1 byte");
+    let flags = r.u8()?;
     let n = r.u32()? as usize;
     let mut out = Vec::with_capacity(n.min(1 << 20));
     for _ in 0..n {

@@ -1,5 +1,5 @@
 //! Loopback replication tests: a real leader server and a real follower
-//! server on 127.0.0.1, wired through `REPL_SUBSCRIBE` over the binary
+//! server on 127.0.0.1, wired through `REPL_FETCH` over the binary
 //! protocol.
 //!
 //! The issue's acceptance scenario lives here: a follower serving read-only

@@ -50,8 +50,9 @@ fn torn_push_frame_reconnects_and_converges_bit_identical() {
         lc.insert(&row(i), i as i64).unwrap();
     }
 
-    // The 11th record push sends half a frame and severs the socket.
-    fail::arm("repl::send_record", fail::FailAction::ShortWrite, 10, 1);
+    // The first fetch reply, all 60 records, sends half its frame and
+    // severs the socket: the follower has applied none of them.
+    fail::arm("repl::fetch_reply", fail::FailAction::ShortWrite, 0, 1);
     let source = ReplicaSource {
         addr: leader.addr().to_string(),
         tenant: "alpha".into(),
@@ -112,8 +113,8 @@ fn disconnect_between_frames_is_transparent() {
         lc.insert(&row(i), i as i64).unwrap();
     }
 
-    // Sever the link on the seal push after the first segment.
-    fail::arm("repl::send_seal", fail::FailAction::IoError, 1, 1);
+    // Sever the link at the second fetch, after the first reply's batch.
+    fail::arm("repl::fetch_reply", fail::FailAction::IoError, 1, 1);
     let source = ReplicaSource {
         addr: leader.addr().to_string(),
         tenant: "beta".into(),

@@ -597,8 +597,8 @@ mod failpoints {
     #[test]
     fn publish_path_panic_halts_and_keeps_serving() {
         let _g = Armed(serial());
-        // Panic *after* staging and frontier advance, before the snapshot
-        // swap — the nastiest spot. The engine halts; the published
+        // Panic *after* staging, before the frontier advance and the
+        // snapshot swap — the nastiest spot. The engine halts; the published
         // snapshot stays valid and every row stays served.
         fail::arm("engine::publish", FailAction::Panic, 0, 1);
         let engine = StreamingMbi::with_engine_config(config(), EngineConfig::default());
@@ -611,6 +611,9 @@ mod failpoints {
         assert_halted_on(&engine, 0);
         assert_eq!(engine.stats().build_panics, 1);
         assert_eq!(engine.snapshot().validate(), Ok(()));
+        // The frontier the stats report is the one the snapshot serves.
+        let frontier = engine.snapshot().num_leaves();
+        assert_eq!(engine.stats().published_leaves, frontier);
 
         for i in 16..40usize {
             engine.insert(&row(i), i as i64).unwrap();
@@ -618,6 +621,9 @@ mod failpoints {
         }
         engine.flush();
         assert_eq!(engine.snapshot().validate(), Ok(()));
+        // Later seals publish no block: the panicked chain stays staged.
+        assert_eq!(engine.snapshot().num_leaves(), frontier);
+        assert_eq!(engine.stats().published_leaves, frontier);
         let q = row(29);
         let all = TimeWindow::all();
         assert_eq!(engine.exact_query(&q, 7, all), sync.exact_query(&q, 7, all));
