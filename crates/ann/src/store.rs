@@ -105,21 +105,6 @@ impl VectorStore {
         id
     }
 
-    /// Builds a store from a flat buffer plus a precomputed inverse-norm
-    /// column (one entry per row, `0.0` for zero vectors) — the persist-load
-    /// path, which must not pay a recompute pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len()` is not a multiple of `dim` or the column length
-    /// does not match the row count.
-    pub fn from_flat_with_inv_norms(dim: usize, data: Vec<f32>, inv_norms: Vec<f32>) -> Self {
-        let mut store = Self::from_flat(dim, data);
-        assert_eq!(inv_norms.len(), store.len(), "inverse-norm column does not match row count");
-        store.inv_norms = Some(inv_norms);
-        store
-    }
-
     /// Turns on the inverse-norm column, computing it for any rows already
     /// stored. Subsequent [`push`](Self::push)es maintain it incrementally.
     /// Idempotent. Indexes enable this automatically when their metric is
@@ -686,19 +671,6 @@ mod tests {
         let plain = VectorStore::from_flat(2, vec![0.0; 4]);
         assert_eq!(plain.view().inv_norms(), None);
         assert_eq!(plain.view().inv_norm(0), None);
-    }
-
-    #[test]
-    fn from_flat_with_inv_norms_roundtrips() {
-        let s = VectorStore::from_flat_with_inv_norms(2, vec![3.0, 4.0, 0.0, 0.0], vec![0.2, 0.0]);
-        assert!(s.has_norm_cache());
-        assert_eq!(s.inv_norms().unwrap(), &[0.2, 0.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "does not match row count")]
-    fn from_flat_with_inv_norms_rejects_mismatch() {
-        VectorStore::from_flat_with_inv_norms(2, vec![0.0; 4], vec![0.0; 3]);
     }
 
     #[test]

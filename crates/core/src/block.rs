@@ -88,11 +88,6 @@ impl Block {
         self.rows.is_empty()
     }
 
-    /// Whether this block is a leaf.
-    pub fn is_leaf(&self) -> bool {
-        self.height == 0
-    }
-
     /// The timestamp span `B_i.t_e − B_i.t_s` (denominator of the overlap
     /// ratio; always ≥ 1 because `end_ts` is exclusive).
     pub fn span(&self) -> i64 {
@@ -155,7 +150,7 @@ mod tests {
         let (_, b) = test_block(16);
         assert_eq!(b.len(), 16);
         assert!(!b.is_empty());
-        assert!(b.is_leaf());
+        assert_eq!(b.height, 0);
         assert_eq!(b.span(), 16);
         assert!(b.memory_bytes() > 0);
     }

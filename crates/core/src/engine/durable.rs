@@ -59,8 +59,7 @@ impl StreamingMbi {
         }
         std::fs::create_dir_all(dir)?;
         IndexSnapshot::empty(config).save_file(dir.join(SNAPSHOT_FILE))?;
-        let mut wal = Wal::create(dir.join(WAL_DIR), config.dim)?;
-        wal.set_hold_lag_cap(engine.replica_lag_cap_rows);
+        let wal = Wal::create(dir.join(WAL_DIR), config.dim)?;
         Ok(Self::build(
             config,
             engine,
@@ -119,7 +118,6 @@ impl StreamingMbi {
             // empty after aggressive pruning); restart it at the boundary.
             wal.reset_to(sealed)?;
         }
-        wal.set_hold_lag_cap(engine.replica_lag_cap_rows);
         let this = Self::from_snapshot_internal(
             snapshot,
             engine,
@@ -161,36 +159,11 @@ impl StreamingMbi {
     /// Registers (or refreshes) the replication retention hold `id` at
     /// `row`: [`Self::checkpoint`] will not prune WAL segments containing
     /// row `row` or later while the hold stands, so a follower resuming
-    /// from its durable cursor always finds its segments — unless it lags
-    /// past [`EngineConfig::replica_lag_cap_rows`] and is evicted (see
-    /// [`Self::take_evicted_replica_holds`]). A no-op on a non-durable
-    /// engine.
+    /// from its durable cursor always finds its segments. A no-op on a
+    /// non-durable engine.
     pub fn set_replica_hold(&self, id: &str, row: u64) {
         if let Some(d) = &self.shared.durability {
             d.wal.lock().hold(id, row);
         }
-    }
-
-    /// Releases the retention hold `id` (follower disconnected cleanly or
-    /// was deregistered). A no-op when absent.
-    pub fn release_replica_hold(&self, id: &str) {
-        if let Some(d) = &self.shared.durability {
-            d.wal.lock().release_hold(id);
-        }
-    }
-
-    /// The registered replication holds as `(id, row)` pairs.
-    pub fn replica_holds(&self) -> Vec<(String, u64)> {
-        self.shared.durability.as_ref().map(|d| d.wal.lock().holds()).unwrap_or_default()
-    }
-
-    /// Drains the ids of holds evicted by the lag cap since the last call —
-    /// each names a follower that must be re-seeded.
-    pub fn take_evicted_replica_holds(&self) -> Vec<String> {
-        self.shared
-            .durability
-            .as_ref()
-            .map(|d| d.wal.lock().take_evicted_holds())
-            .unwrap_or_default()
     }
 }

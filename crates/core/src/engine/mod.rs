@@ -145,21 +145,11 @@ pub struct EngineConfig {
     /// WAL fsync cadence for durable engines (default [`WalSync::OnSeal`];
     /// ignored without a durable directory).
     pub wal_sync: WalSync,
-    /// How many rows a replication retention hold
-    /// ([`StreamingMbi::set_replica_hold`]) may lag behind a checkpoint
-    /// before [`Wal::prune`](crate::Wal::prune) evicts it instead of pinning
-    /// log segments forever (default `u64::MAX` — never evict).
-    pub replica_lag_cap_rows: u64,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        EngineConfig {
-            builder_threads: 1,
-            queue_depth: 2,
-            wal_sync: WalSync::OnSeal,
-            replica_lag_cap_rows: u64::MAX,
-        }
+        EngineConfig { builder_threads: 1, queue_depth: 2, wal_sync: WalSync::OnSeal }
     }
 }
 
@@ -179,12 +169,6 @@ impl EngineConfig {
     /// Sets the WAL fsync cadence for durable engines.
     pub fn with_wal_sync(mut self, sync: WalSync) -> Self {
         self.wal_sync = sync;
-        self
-    }
-
-    /// Sets the replication retention-hold lag cap in rows.
-    pub fn with_replica_lag_cap(mut self, rows: u64) -> Self {
-        self.replica_lag_cap_rows = rows;
         self
     }
 }

@@ -1,25 +1,16 @@
 //! Deterministic fault injection for crash-safety tests.
 //!
-//! Two independent facilities:
-//!
-//! * **Failpoints** — named sites compiled into the engine/WAL hot paths,
-//!   active only when the crate is built with `RUSTFLAGS='--cfg failpoints'`
-//!   (the CI crash job does this; ordinary builds compile the sites to
-//!   nothing). A test arms a site with `arm`: *skip* the first `skip` hits,
-//!   then fire `times` times, then fall dormant — fully deterministic, no
-//!   randomness. What "fire" means is site-specific: the builder panics
-//!   mid-build, the WAL writer returns a short write or an I/O error, the
-//!   publish path panics before staging.
-//! * **[`ErrorInjectingWriter`] / [`ErrorInjectingReader`]** — `std::io`
-//!   wrappers that fail after a byte budget, available in every build; the
-//!   persistence tests drive save/load paths through them to prove I/O
-//!   errors surface as [`MbiError::Io`](crate::MbiError::Io), never as
-//!   panics or silent truncation.
+//! **Failpoints** are named sites compiled into the engine/WAL hot paths,
+//! active only when the crate is built with `RUSTFLAGS='--cfg failpoints'`
+//! (the CI crash job does this; ordinary builds compile the sites to
+//! nothing). A test arms a site with `arm`: *skip* the first `skip` hits,
+//! then fire `times` times, then fall dormant — fully deterministic, no
+//! randomness. What "fire" means is site-specific: the builder panics
+//! mid-build, the WAL writer returns a short write or an I/O error, the
+//! publish path panics before staging.
 //!
 //! No external crates: the registry is a `parking_lot`-locked vector keyed
 //! by `&'static str` site names.
-
-use std::io::{Read, Result as IoResult, Write};
 
 /// What an armed failpoint does when it fires. Interpretation is
 /// site-specific; sites ignore actions that make no sense for them.
@@ -98,103 +89,16 @@ pub fn trigger(_name: &str) -> Option<FailAction> {
     None
 }
 
-/// The error every injecting wrapper returns, recognisable in assertions.
+/// The message of every error an armed site injects, recognisable in
+/// assertions.
 pub const INJECTED_MSG: &str = "injected fault";
-
-fn injected() -> std::io::Error {
-    std::io::Error::other(INJECTED_MSG)
-}
-
-/// A writer that forwards to `inner` until `budget` bytes have been written,
-/// then fails: the call that crosses the budget writes only the fitting
-/// prefix (a short write) and every later call errors immediately. Models a
-/// disk filling up or a process dying mid-write.
-#[derive(Debug)]
-pub struct ErrorInjectingWriter<W> {
-    inner: W,
-    budget: usize,
-}
-
-impl<W: Write> ErrorInjectingWriter<W> {
-    /// Wraps `inner`, allowing `budget` bytes through before failing.
-    pub fn new(inner: W, budget: usize) -> Self {
-        ErrorInjectingWriter { inner, budget }
-    }
-
-    /// The wrapped writer (to inspect what made it through).
-    pub fn into_inner(self) -> W {
-        self.inner
-    }
-}
-
-impl<W: Write> Write for ErrorInjectingWriter<W> {
-    fn write(&mut self, buf: &[u8]) -> IoResult<usize> {
-        if self.budget == 0 {
-            return Err(injected());
-        }
-        let n = buf.len().min(self.budget);
-        let written = self.inner.write(&buf[..n])?;
-        self.budget -= written;
-        Ok(written)
-    }
-
-    fn flush(&mut self) -> IoResult<()> {
-        self.inner.flush()
-    }
-}
-
-/// A reader that forwards to `inner` until `budget` bytes have been read,
-/// then fails — the read-side twin of [`ErrorInjectingWriter`].
-#[derive(Debug)]
-pub struct ErrorInjectingReader<R> {
-    inner: R,
-    budget: usize,
-}
-
-impl<R: Read> ErrorInjectingReader<R> {
-    /// Wraps `inner`, allowing `budget` bytes through before failing.
-    pub fn new(inner: R, budget: usize) -> Self {
-        ErrorInjectingReader { inner, budget }
-    }
-}
-
-impl<R: Read> Read for ErrorInjectingReader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> IoResult<usize> {
-        if self.budget == 0 {
-            return Err(injected());
-        }
-        let n = buf.len().min(self.budget);
-        let read = self.inner.read(&mut buf[..n])?;
-        self.budget -= read;
-        Ok(read)
-    }
-}
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
-    #[test]
-    fn writer_short_writes_then_errors() {
-        let mut w = ErrorInjectingWriter::new(Vec::new(), 5);
-        assert_eq!(w.write(b"abc").unwrap(), 3);
-        assert_eq!(w.write(b"defg").unwrap(), 2, "short write at the budget edge");
-        let err = w.write(b"h").unwrap_err();
-        assert!(err.to_string().contains(INJECTED_MSG));
-        assert_eq!(w.into_inner(), b"abcde");
-    }
-
-    #[test]
-    fn reader_reads_budget_then_errors() {
-        let mut r = ErrorInjectingReader::new(&b"abcdef"[..], 4);
-        let mut buf = [0u8; 8];
-        assert_eq!(r.read(&mut buf).unwrap(), 4);
-        assert!(r.read(&mut buf).is_err());
-    }
-
     #[cfg(failpoints)]
     #[test]
     fn registry_skip_and_times_are_deterministic() {
+        use super::*;
         arm("test::site", FailAction::Panic, 2, 2);
         assert_eq!(trigger("test::site"), None);
         assert_eq!(trigger("test::site"), None);

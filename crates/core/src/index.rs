@@ -293,11 +293,6 @@ impl MbiIndex {
         &self.store
     }
 
-    /// Timestamp of row `id`.
-    pub fn timestamp_of(&self, id: u32) -> Timestamp {
-        self.timestamps[id as usize]
-    }
-
     /// Vector of row `id`.
     pub fn vector_of(&self, id: u32) -> &[f32] {
         self.store.get(id as usize)
@@ -448,12 +443,6 @@ impl MbiIndex {
     /// search step of Algorithm 1 (timestamps are sorted by construction).
     pub fn window_rows(&self, window: TimeWindow) -> (usize, usize) {
         self.target().window_rows(window)
-    }
-
-    /// Number of vectors whose timestamps fall in `window` (`|D[t_s:t_e)|`).
-    pub fn window_len(&self, window: TimeWindow) -> usize {
-        let (lo, hi) = self.window_rows(window);
-        hi - lo
     }
 
     /// Per-level summary of the block tree: `(height, block count, total
@@ -912,17 +901,10 @@ mod tests {
     }
 
     #[test]
-    fn window_len_matches_rows() {
-        let idx = line_index(40, small_config());
-        assert_eq!(idx.window_len(TimeWindow::new(5, 25)), 20);
-        assert_eq!(idx.window_len(TimeWindow::new(100, 200)), 0);
-    }
-
-    #[test]
     fn vector_and_timestamp_accessors() {
         let idx = line_index(10, small_config());
         assert_eq!(idx.vector_of(3), &[3.0, 0.0]);
-        assert_eq!(idx.timestamp_of(3), 3);
+        assert_eq!(idx.timestamps()[3], 3);
         assert_eq!(idx.dim(), 2);
         assert_eq!(idx.timestamps().len(), 10);
         assert_eq!(idx.store().len(), 10);

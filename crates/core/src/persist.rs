@@ -137,7 +137,7 @@ use mbi_ann::{
     ADJACENCY_CHUNK,
 };
 use mbi_math::{crc32, Metric};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
@@ -389,22 +389,11 @@ fn rd_u64(b: &[u8], off: usize) -> u64 {
 }
 
 impl MbiIndex {
-    /// Serialises the index to `w`.
-    pub fn save_to(&self, w: &mut impl Write) -> Result<(), MbiError> {
-        w.write_all(&self.to_bytes())?;
-        Ok(())
-    }
-
     /// Serialises the index to a file at `path`, atomically: the bytes land
     /// in a temp file that is fsynced and renamed over the target, so a
     /// crash mid-save never leaves a half-written index.
     pub fn save_file(&self, path: impl AsRef<Path>) -> Result<(), MbiError> {
         atomic_write(path.as_ref(), &self.to_bytes())
-    }
-
-    /// Deserialises an index from `r`.
-    pub fn load_from(r: &mut impl Read) -> Result<Self, MbiError> {
-        IndexSnapshot::load_from(r).map(|snap| snap.to_index())
     }
 
     /// Deserialises an index from a file at `path`.
@@ -432,23 +421,10 @@ impl MbiIndex {
 }
 
 impl IndexSnapshot {
-    /// Serialises the snapshot to `w`.
-    pub fn save_to(&self, w: &mut impl Write) -> Result<(), MbiError> {
-        w.write_all(&self.to_bytes())?;
-        Ok(())
-    }
-
     /// Serialises the snapshot to a file at `path`, atomically (temp file +
     /// fsync + rename, like [`MbiIndex::save_file`]).
     pub fn save_file(&self, path: impl AsRef<Path>) -> Result<(), MbiError> {
         atomic_write(path.as_ref(), &self.to_bytes())
-    }
-
-    /// Deserialises a snapshot from `r`.
-    pub fn load_from(r: &mut impl Read) -> Result<Self, MbiError> {
-        let mut buf = Vec::new();
-        r.read_to_end(&mut buf)?;
-        Self::from_bytes(Bytes::from(buf))
     }
 
     /// Deserialises a snapshot from a file at `path`, read once into the
@@ -1197,7 +1173,6 @@ fn read_graph_header(b: &mut Src<'_>, block_len: usize) -> Result<(usize, usize)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fail::{ErrorInjectingReader, ErrorInjectingWriter};
     use crate::select::TimeWindow;
     use crate::tier::{Check, ColdIndex};
 
@@ -2238,29 +2213,6 @@ mod tests {
                 proptest::prop_assert_eq!(cold.ok(), Some(want), "kind {} seed {}", kind, seed);
             }
         }
-    }
-
-    #[test]
-    fn error_injecting_writer_surfaces_io_error() {
-        let idx = build_index(GraphBackend::default(), 40);
-        let full_len = idx.to_bytes().len();
-        let mut w = ErrorInjectingWriter::new(Vec::new(), full_len / 2);
-        let err = idx.save_to(&mut w).unwrap_err();
-        assert!(matches!(err, MbiError::Io(_)), "{err}");
-        // Whatever made it through is a truncated prefix: loading it fails
-        // cleanly too.
-        let prefix = w.into_inner();
-        assert!(prefix.len() <= full_len / 2);
-        assert!(MbiIndex::from_bytes(Bytes::from(prefix)).is_err());
-    }
-
-    #[test]
-    fn error_injecting_reader_surfaces_io_error() {
-        let idx = build_index(GraphBackend::default(), 40);
-        let bytes = idx.to_bytes();
-        let mut r = ErrorInjectingReader::new(&bytes[..], bytes.len() / 2);
-        let err = MbiIndex::load_from(&mut r).unwrap_err();
-        assert!(matches!(err, MbiError::Io(_)), "{err}");
     }
 
     #[test]

@@ -133,8 +133,8 @@ impl WalFeed {
     /// Reads the next batch of events (at most `max` records, plus any seal
     /// they complete). An empty batch means the feed is caught up with the
     /// live tail — poll again later. A cursor whose segment was pruned away
-    /// (the follower fell behind the retention lag cap and was evicted) is a
-    /// terminal `NotFound` error: the follower must be re-seeded.
+    /// (a checkpoint ran while no retention hold covered it) is a terminal
+    /// `NotFound` error: the follower must be re-seeded.
     pub fn next_batch(&mut self, max: usize) -> Result<Vec<ReplEvent>, MbiError> {
         match fail::trigger("repl::feed") {
             Some(fail::FailAction::IoError | fail::FailAction::ShortWrite) => {
@@ -218,7 +218,7 @@ fn cursor_pruned(cursor: ReplicationCursor) -> MbiError {
         std::io::ErrorKind::NotFound,
         format!(
             "replication cursor at row {} (segment {}) precedes the oldest retained WAL \
-             segment — the follower was evicted by the retention lag cap and must be re-seeded",
+             segment — no retention hold kept its rows, so the follower must be re-seeded",
             cursor.row, cursor.segment
         ),
     ))
@@ -266,12 +266,6 @@ impl Replica {
     /// The wrapped engine (serve read-only queries through it).
     pub fn engine(&self) -> &StreamingMbi {
         &self.engine
-    }
-
-    /// Consumes the replica, returning the engine (after
-    /// [`Replica::promote`], for serving writes directly).
-    pub fn into_engine(self) -> StreamingMbi {
-        self.engine
     }
 
     /// The next row this follower needs — its resume cursor.

@@ -159,16 +159,6 @@ impl TauTuner {
         self.best[bucket]
     }
 
-    /// The calibrated `τ` for a concrete window against `index`.
-    pub fn suggest_for_window(&self, index: &MbiIndex, window: TimeWindow) -> Option<f64> {
-        let ts = index.timestamps();
-        if ts.is_empty() {
-            return None;
-        }
-        let span = (ts[ts.len() - 1] + 1 - ts[0]) as f64;
-        self.suggest(window.len() as f64 / span)
-    }
-
     /// Reporting access: `(bucket_edge, chosen_tau, mean_latency_s)` rows.
     pub fn report(&self) -> Vec<(f64, Option<f64>, Option<f64>)> {
         self.bucket_edges
@@ -242,22 +232,6 @@ mod tests {
             assert!(config.taus.contains(&tau.unwrap()));
         }
         assert_eq!(tuner.report().len(), 3);
-    }
-
-    #[test]
-    fn suggest_for_window_maps_fraction() {
-        let idx = build(256);
-        let queries = vec![vec![0.0f32, 0.0]];
-        let config = TunerConfig {
-            taus: vec![0.5],
-            bucket_edges: vec![0.5, 1.0],
-            min_recall: 0.0,
-            k: 3,
-            search: SearchParams::default(),
-        };
-        let tuner = TauTuner::calibrate(&idx, &queries, &config);
-        let tau = tuner.suggest_for_window(&idx, TimeWindow::new(0, 64));
-        assert_eq!(tau, Some(0.5));
     }
 
     #[test]

@@ -45,8 +45,7 @@
 //! Sealed-and-published leaves let their segments be pruned: once a
 //! persisted snapshot covers a segment's rows, [`Wal::prune`] deletes it —
 //! unless a registered replication *retention hold* ([`Wal::hold`]) still
-//! needs it, in which case the segment survives until the hold advances,
-//! is released, or falls behind the configured lag cap and is evicted.
+//! needs it, in which case the segment survives until the hold advances.
 
 use crate::error::MbiError;
 use crate::fail;
@@ -98,11 +97,6 @@ pub struct Wal {
     /// rows at or past its row, keeping [`Wal::prune`] from deleting
     /// segments the follower has not replicated yet.
     holds: std::collections::BTreeMap<String, u64>,
-    /// A hold lagging more than this many rows behind the prune point is
-    /// evicted (recorded in `evicted`) instead of wedging prune forever.
-    hold_lag_cap: u64,
-    /// Holds evicted by the lag cap, drained by [`Wal::take_evicted_holds`].
-    evicted: Vec<String>,
 }
 
 /// One replayed WAL record, borrowed from the replay buffer.
@@ -129,8 +123,6 @@ impl Wal {
             next_row: 0,
             scratch: Vec::new(),
             holds: std::collections::BTreeMap::new(),
-            hold_lag_cap: u64::MAX,
-            evicted: Vec::new(),
             dir,
             dim,
         };
@@ -257,53 +249,17 @@ impl Wal {
     }
 
     /// Registers (or refreshes) a retention hold: segments holding rows at
-    /// or past `row` survive [`Wal::prune`] until the hold advances, is
-    /// released, or falls more than the lag cap behind the prune point.
+    /// or past `row` survive [`Wal::prune`] until the hold advances.
     pub fn hold(&mut self, id: &str, row: u64) {
         self.holds.insert(id.to_string(), row);
     }
 
-    /// Releases the retention hold registered under `id` (no-op when none).
-    pub fn release_hold(&mut self, id: &str) {
-        self.holds.remove(id);
-    }
-
-    /// The live retention holds as `(id, row)`, ordered by id.
-    pub fn holds(&self) -> Vec<(String, u64)> {
-        self.holds.iter().map(|(k, &v)| (k.clone(), v)).collect()
-    }
-
-    /// Sets the hold lag cap: a hold more than `rows` rows behind the prune
-    /// point is evicted rather than pinning the log forever (default:
-    /// unbounded).
-    pub fn set_hold_lag_cap(&mut self, rows: u64) {
-        self.hold_lag_cap = rows;
-    }
-
-    /// Drains the ids of holds evicted by the lag cap since the last call.
-    pub fn take_evicted_holds(&mut self) -> Vec<String> {
-        std::mem::take(&mut self.evicted)
-    }
-
     /// Deletes every segment whose rows are all `< durable_rows` (covered by
-    /// a persisted snapshot) **and** below every live retention hold. The
-    /// newest segment is never deleted. Holds lagging more than the lag cap
-    /// behind `durable_rows` are evicted first (and reported through
-    /// [`Wal::take_evicted_holds`]) so one dead follower cannot pin the log
-    /// forever. A segment vanishing underneath the delete (concurrent prune,
-    /// manual cleanup) counts as already pruned, not an error.
+    /// a persisted snapshot) **and** below every retention hold. The newest
+    /// segment is never deleted. A segment vanishing underneath the delete
+    /// (concurrent prune, manual cleanup) counts as already pruned, not an
+    /// error.
     pub fn prune(&mut self, durable_rows: u64) -> Result<(), MbiError> {
-        let cap = self.hold_lag_cap;
-        let hopeless: Vec<String> = self
-            .holds
-            .iter()
-            .filter(|&(_, &row)| durable_rows.saturating_sub(row) > cap)
-            .map(|(id, _)| id.clone())
-            .collect();
-        for id in hopeless {
-            self.holds.remove(&id);
-            self.evicted.push(id);
-        }
         let floor =
             self.holds.values().copied().min().map_or(durable_rows, |h| h.min(durable_rows));
         let segments = list_segments(&self.dir)?;
@@ -373,8 +329,6 @@ impl Wal {
             next_row,
             scratch: Vec::new(),
             holds: std::collections::BTreeMap::new(),
-            hold_lag_cap: u64::MAX,
-            evicted: Vec::new(),
             dir,
             dim,
         };
@@ -751,39 +705,11 @@ mod tests {
         wal.prune(9).unwrap();
         let left: Vec<u64> = list_segments(&dir).unwrap().into_iter().map(|(r, _)| r).collect();
         assert_eq!(left, vec![3, 6, 9], "segment [3,6) survives under the hold");
-        assert_eq!(wal.holds(), vec![("follower-a".to_string(), 3)]);
         // The hold advancing releases the pinned prefix.
         wal.hold("follower-a", 6);
         wal.prune(9).unwrap();
         let left: Vec<u64> = list_segments(&dir).unwrap().into_iter().map(|(r, _)| r).collect();
         assert_eq!(left, vec![6, 9]);
-        wal.release_hold("follower-a");
-        wal.prune(9).unwrap();
-        let left: Vec<u64> = list_segments(&dir).unwrap().into_iter().map(|(r, _)| r).collect();
-        assert_eq!(left, vec![9]);
-        assert!(wal.take_evicted_holds().is_empty(), "released, never evicted");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn lag_cap_evicts_hopeless_holds_instead_of_wedging_prune() {
-        let dir = temp_dir("lagcap");
-        let mut wal = Wal::create(&dir, 1).unwrap();
-        wal.set_hold_lag_cap(4);
-        for i in 0..9i64 {
-            wal.append(i, &[i as f32]).unwrap();
-            if (i + 1) % 3 == 0 {
-                wal.rotate().unwrap();
-            }
-        }
-        // Row 3 is 6 rows behind durable_rows = 9 > cap 4: evicted, pruned.
-        wal.hold("dead-follower", 3);
-        wal.hold("live-follower", 6);
-        wal.prune(9).unwrap();
-        assert_eq!(wal.take_evicted_holds(), vec!["dead-follower".to_string()]);
-        let left: Vec<u64> = list_segments(&dir).unwrap().into_iter().map(|(r, _)| r).collect();
-        assert_eq!(left, vec![6, 9], "live hold (lag 3 ≤ cap) still pins [6,9)");
-        assert_eq!(wal.holds().len(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

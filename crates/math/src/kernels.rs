@@ -51,8 +51,9 @@ pub fn angular_from_parts(dp: f32, inv_a: f32, inv_b: f32) -> f32 {
     1.0 - (dp * inv_a * inv_b).clamp(-1.0, 1.0)
 }
 
+/// Reciprocal of `sqrt(n2)`, with `0.0` as the zero-vector sentinel.
 #[inline]
-fn inv_from_norm2(n2: f32) -> f32 {
+pub(crate) fn inv_from_norm2(n2: f32) -> f32 {
     if n2 == 0.0 {
         0.0
     } else {
@@ -77,14 +78,6 @@ pub fn squared_euclidean_batch(query: &[f32], rows: &[f32], out: &mut Vec<f32>) 
     simd::euclidean_batch(query, rows, out);
 }
 
-/// Appends `⟨query, rowᵢ⟩` for each contiguous `dim`-sized row of `rows` onto
-/// `out`. Bit-identical to calling [`dot`](crate::dot) per row.
-pub fn dot_batch(query: &[f32], rows: &[f32], out: &mut Vec<f32>) {
-    let n = row_count(query.len(), rows);
-    out.reserve(n);
-    simd::dot_batch(query, rows, false, out);
-}
-
 /// Appends `−⟨query, rowᵢ⟩` (the inner-product *distance*) for each
 /// contiguous `dim`-sized row of `rows` onto `out`.
 ///
@@ -93,7 +86,7 @@ pub fn dot_batch(query: &[f32], rows: &[f32], out: &mut Vec<f32>) {
 pub fn neg_dot_batch(query: &[f32], rows: &[f32], out: &mut Vec<f32>) {
     let n = row_count(query.len(), rows);
     out.reserve(n);
-    simd::dot_batch(query, rows, true, out);
+    simd::neg_dot_batch(query, rows, out);
 }
 
 /// Appends the angular distance from `query` to each contiguous `dim`-sized
@@ -278,12 +271,12 @@ mod tests {
             let q = rows_of(1, dim, 7);
             let rows = rows_of(5, dim, 99);
             let mut se = Vec::new();
-            let mut dp = Vec::new();
+            let mut ndp = Vec::new();
             squared_euclidean_batch(&q, &rows, &mut se);
-            dot_batch(&q, &rows, &mut dp);
+            neg_dot_batch(&q, &rows, &mut ndp);
             for (i, row) in rows.chunks_exact(dim).enumerate() {
                 assert_eq!(se[i].to_bits(), squared_euclidean(&q, row).to_bits());
-                assert_eq!(dp[i].to_bits(), dot(&q, row).to_bits());
+                assert_eq!(ndp[i].to_bits(), (-dot(&q, row)).to_bits());
             }
         }
     }

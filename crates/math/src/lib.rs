@@ -17,8 +17,7 @@
 //!   matching the complexity accounting in §3.2.1 of the paper.
 //! * [`crc32`] — the one CRC32 (IEEE) kernel behind every checksummed byte
 //!   (persist, cold tier, WAL, replication): a PCLMULQDQ fold on `x86_64`, a
-//!   slice-by-16 table loop elsewhere (see DESIGN.md "SIMD dispatch & SQ8
-//!   quantization").
+//!   slice-by-16 table loop elsewhere (see DESIGN.md "SIMD dispatch").
 //! * [`OnlineStats`] — Welford streaming statistics used by the experiment
 //!   harness for timing summaries.
 //!
@@ -45,8 +44,8 @@ mod topk;
 pub use crc::{crc32, crc32_backend};
 pub use float::OrderedF32;
 pub use kernels::{
-    angular_batch, angular_from_parts, dot_batch, inv_norm_of, neg_dot_batch,
-    squared_euclidean_batch, PreparedQuery,
+    angular_batch, angular_from_parts, inv_norm_of, neg_dot_batch, squared_euclidean_batch,
+    PreparedQuery,
 };
 pub use metric::{angular_distance, dot, norm, squared_euclidean, squared_euclidean_x4, Metric};
 pub use stats::OnlineStats;

@@ -26,12 +26,10 @@
 //! fallback — CI runs the math and ann suites both ways to pin the
 //! bit-identity contract.
 //!
-//! The SQ8 kernel scores `u8` scalar-quantized rows (see `mbi-ann`'s segment
-//! column) without decoding them: with `x̂ᵢ = deltaᵢ · codeᵢ + minᵢ`, the
-//! expanded form `⟨q, x̂⟩ = ⟨q, min⟩ + Σᵢ (qᵢ·deltaᵢ)·codeᵢ` leaves one raw code
-//! dot per row ([`sq8_code_dot_batch`]), folded into the same canonical
-//! reduction, so a quantized scan touches a quarter of the memory of an `f32`
-//! scan.
+//! The SQ8 code dot ([`sq8_code_dot_batch`]) has no vector backend: no scorer
+//! reads SQ8 codes, and the benchmark's kernel probe is its last caller. It
+//! runs the canonical shape in scalar code ([`scalar::sq8_code_dot_row`]) and
+//! is deprecated.
 #![allow(unsafe_code)]
 
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -197,8 +195,8 @@ pub(crate) fn euclidean_batch(query: &[f32], rows: &[f32], out: &mut Vec<f32>) {
 }
 
 #[inline]
-pub(crate) fn dot_batch(query: &[f32], rows: &[f32], negate: bool, out: &mut Vec<f32>) {
-    dispatch!(dot_batch(query, rows, negate, out))
+pub(crate) fn neg_dot_batch(query: &[f32], rows: &[f32], out: &mut Vec<f32>) {
+    dispatch!(neg_dot_batch(query, rows, out))
 }
 
 #[inline]
@@ -223,16 +221,13 @@ pub(crate) fn angular_batch_uncached(
 }
 
 /// Appends `Σⱼ qdⱼ·codeᵢⱼ` for each SQ8-coded row of `codes` — the raw code
-/// dot of the expanded-form scan, where `qd` is the query pre-scaled by the
-/// per-dimension deltas (`qdⱼ = qⱼ·deltaⱼ`).
-///
-/// With per-row decoded norms cached at encode time this reconstructs every
-/// metric's first-pass distance from one pass over the codes:
-/// `⟨q, x̂ᵢ⟩ = ⟨q, min⟩ + Σⱼ qdⱼ·codeᵢⱼ`.
+/// dot of the expanded-form SQ8 scan, where `qd` is the query pre-scaled by
+/// the per-dimension deltas (`qdⱼ = qⱼ·deltaⱼ`). Scalar on every backend.
 ///
 /// # Panics
 ///
 /// Panics if `codes.len()` is not a multiple of `qd.len()`.
+#[deprecated(note = "no scorer uses SQ8; removed with ROADMAP item 1")]
 pub fn sq8_code_dot_batch(qd: &[f32], codes: &[u8], out: &mut Vec<f32>) {
     let dim = qd.len();
     assert!(dim > 0, "query must have at least one dimension");
@@ -243,38 +238,7 @@ pub fn sq8_code_dot_batch(qd: &[f32], codes: &[u8], out: &mut Vec<f32>) {
         codes.len(),
         dim
     );
-    out.reserve(codes.len() / dim);
-    dispatch!(sq8_code_dot_batch(qd, codes, out))
-}
-
-/// Single-row [`sq8_code_dot_batch`] — `Σⱼ qdⱼ·codesⱼ` for one SQ8-coded row,
-/// bit-identical to the row's entry in the batched output. The graph-search
-/// gather path evaluates candidates one row at a time, so it needs a row
-/// primitive that goes through the same dispatch.
-///
-/// # Panics
-///
-/// Panics if `codes.len() != qd.len()`.
-pub fn sq8_code_dot(qd: &[f32], codes: &[u8]) -> f32 {
-    assert_eq!(codes.len(), qd.len(), "code row length does not match dim");
-    dispatch!(sq8_code_dot_row(qd, codes))
-}
-
-#[inline]
-fn inv_from_norm2(n2: f32) -> f32 {
-    if n2 == 0.0 {
-        0.0
-    } else {
-        1.0 / n2.sqrt()
-    }
-}
-
-#[inline]
-fn angular_from_parts(dp: f32, inv_a: f32, inv_b: f32) -> f32 {
-    if inv_a == 0.0 || inv_b == 0.0 {
-        return 1.0;
-    }
-    1.0 - (dp * inv_a * inv_b).clamp(-1.0, 1.0)
+    out.extend(codes.chunks_exact(dim).map(|row| scalar::sq8_code_dot_row(qd, row)));
 }
 
 // ---------------------------------------------------------------------------
@@ -288,7 +252,8 @@ fn angular_from_parts(dp: f32, inv_a: f32, inv_b: f32) -> f32 {
 /// derived angular paths). Public so tests and benches can pin a backend
 /// without going through the env switch.
 pub mod scalar {
-    use super::{angular_from_parts, inv_from_norm2, CHAINS, LANES, SE_CHAINS, SE_STRIDE, STRIDE};
+    use super::{CHAINS, LANES, SE_CHAINS, SE_STRIDE, STRIDE};
+    use crate::kernels::{angular_from_parts, inv_from_norm2};
 
     /// One fused step of a reduction: `acc ← fma(x, y, acc)` style updates.
     /// Each kernel supplies its own `step` so the shape is written once.
@@ -437,17 +402,11 @@ pub mod scalar {
         }
     }
 
-    /// Batched inner products; `negate` fuses the inner-product metric's sign
-    /// flip into the same pass.
-    pub fn dot_batch(query: &[f32], rows: &[f32], negate: bool, out: &mut Vec<f32>) {
-        if negate {
-            for row in rows.chunks_exact(query.len()) {
-                out.push(-dot_row(query, row));
-            }
-        } else {
-            for row in rows.chunks_exact(query.len()) {
-                out.push(dot_row(query, row));
-            }
+    /// Batched inner-product distances `−⟨query, row⟩`, the sign flip fused
+    /// into the same pass.
+    pub fn neg_dot_batch(query: &[f32], rows: &[f32], out: &mut Vec<f32>) {
+        for row in rows.chunks_exact(query.len()) {
+            out.push(-dot_row(query, row));
         }
     }
 
@@ -514,13 +473,6 @@ pub mod scalar {
         }
         s
     }
-
-    /// Batched raw code dots (appends one value per coded row).
-    pub fn sq8_code_dot_batch(qd: &[f32], codes: &[u8], out: &mut Vec<f32>) {
-        for row in codes.chunks_exact(qd.len()) {
-            out.push(sq8_code_dot_row(qd, row));
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -535,7 +487,8 @@ pub mod scalar {
 /// callers must check `is_x86_feature_detected!` first (the dispatcher does).
 #[cfg(target_arch = "x86_64")]
 pub mod avx2 {
-    use super::{angular_from_parts, inv_from_norm2, LANES, SE_STRIDE, STRIDE};
+    use super::{LANES, SE_STRIDE, STRIDE};
+    use crate::kernels::{angular_from_parts, inv_from_norm2};
     use std::arch::x86_64::*;
 
     /// Sums the 8 lanes of `v` sequentially (lane 0 first), matching the
@@ -797,21 +750,15 @@ pub mod avx2 {
         }
     }
 
-    /// Batched inner products; `negate` fuses the sign flip.
+    /// Batched inner-product distances `−⟨query, row⟩`.
     ///
     /// # Safety
     ///
     /// Requires AVX2 and FMA. `rows.len()` must be a multiple of `query.len()`.
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn dot_batch(query: &[f32], rows: &[f32], negate: bool, out: &mut Vec<f32>) {
-        if negate {
-            for row in rows.chunks_exact(query.len()) {
-                out.push(-dot_row(query, row));
-            }
-        } else {
-            for row in rows.chunks_exact(query.len()) {
-                out.push(dot_row(query, row));
-            }
+    pub unsafe fn neg_dot_batch(query: &[f32], rows: &[f32], out: &mut Vec<f32>) {
+        for row in rows.chunks_exact(query.len()) {
+            out.push(-dot_row(query, row));
         }
     }
 
@@ -850,72 +797,6 @@ pub mod avx2 {
             out.push(angular_from_parts(dp, query_inv_norm, inv_from_norm2(nb2)));
         }
     }
-
-    /// Decodes 8 consecutive SQ8 codes starting at `p` to `f32` lanes.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2. `p` must be valid for reading 8 bytes.
-    #[inline]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn load8_codes(p: *const u8) -> __m256 {
-        // SAFETY: caller guarantees 8 readable bytes at `p`.
-        let bytes = _mm_loadl_epi64(p as *const __m128i);
-        _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(bytes))
-    }
-
-    /// `Σⱼ qdⱼ · codeⱼ` for one coded row (expanded-form SQ8 scan).
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2 and FMA. `qd` and `codes` must have equal lengths.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn sq8_code_dot_row(qd: &[f32], codes: &[u8]) -> f32 {
-        debug_assert_eq!(qd.len(), codes.len());
-        let n = qd.len();
-        let (pq, pc) = (qd.as_ptr(), codes.as_ptr());
-        let mut acc0 = _mm256_setzero_ps();
-        let mut acc1 = _mm256_setzero_ps();
-        let mut acc2 = _mm256_setzero_ps();
-        let mut acc3 = _mm256_setzero_ps();
-        let mut i = 0;
-        while i + STRIDE <= n {
-            // SAFETY: i + 32 <= n for both streams.
-            acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(pq.add(i)), load8_codes(pc.add(i)), acc0);
-            acc1 =
-                _mm256_fmadd_ps(_mm256_loadu_ps(pq.add(i + 8)), load8_codes(pc.add(i + 8)), acc1);
-            acc2 =
-                _mm256_fmadd_ps(_mm256_loadu_ps(pq.add(i + 16)), load8_codes(pc.add(i + 16)), acc2);
-            acc3 =
-                _mm256_fmadd_ps(_mm256_loadu_ps(pq.add(i + 24)), load8_codes(pc.add(i + 24)), acc3);
-            i += STRIDE;
-        }
-        let mut v = _mm256_add_ps(_mm256_add_ps(acc0, acc1), _mm256_add_ps(acc2, acc3));
-        while i + LANES <= n {
-            // SAFETY: i + 8 <= n.
-            v = _mm256_fmadd_ps(_mm256_loadu_ps(pq.add(i)), load8_codes(pc.add(i)), v);
-            i += LANES;
-        }
-        let mut s = hsum_ordered(v);
-        while i < n {
-            // SAFETY: i < n.
-            s = (*pq.add(i)).mul_add(*pc.add(i) as f32, s);
-            i += 1;
-        }
-        s
-    }
-
-    /// Batched raw code dots.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2 and FMA. `codes.len()` must be a multiple of `qd.len()`.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn sq8_code_dot_batch(qd: &[f32], codes: &[u8], out: &mut Vec<f32>) {
-        for row in codes.chunks_exact(qd.len()) {
-            out.push(sq8_code_dot_row(qd, row));
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -930,7 +811,8 @@ pub mod avx2 {
 /// bit-identical to the scalar fallback.
 #[cfg(target_arch = "aarch64")]
 pub mod neon {
-    use super::{angular_from_parts, inv_from_norm2, LANES, SE_STRIDE, STRIDE};
+    use super::{LANES, SE_STRIDE, STRIDE};
+    use crate::kernels::{angular_from_parts, inv_from_norm2};
     use std::arch::aarch64::*;
 
     /// One virtual 8-lane accumulator (two q-registers).
@@ -1108,20 +990,14 @@ pub mod neon {
         }
     }
 
-    /// Batched inner products; `negate` fuses the sign flip.
+    /// Batched inner-product distances `−⟨query, row⟩`.
     ///
     /// # Safety
     ///
     /// `rows.len()` must be a multiple of `query.len()`.
-    pub unsafe fn dot_batch(query: &[f32], rows: &[f32], negate: bool, out: &mut Vec<f32>) {
-        if negate {
-            for row in rows.chunks_exact(query.len()) {
-                out.push(-dot_row(query, row));
-            }
-        } else {
-            for row in rows.chunks_exact(query.len()) {
-                out.push(dot_row(query, row));
-            }
+    pub unsafe fn neg_dot_batch(query: &[f32], rows: &[f32], out: &mut Vec<f32>) {
+        for row in rows.chunks_exact(query.len()) {
+            out.push(-dot_row(query, row));
         }
     }
 
@@ -1156,62 +1032,6 @@ pub mod neon {
         for row in rows.chunks_exact(query.len()) {
             let (dp, nb2) = dot_norm2_row(query, row);
             out.push(angular_from_parts(dp, query_inv_norm, inv_from_norm2(nb2)));
-        }
-    }
-
-    /// Decodes 8 consecutive SQ8 codes starting at `p` to two f32 quads.
-    ///
-    /// # Safety
-    ///
-    /// `p` must be valid for reading 8 bytes.
-    #[inline]
-    unsafe fn load8_codes(p: *const u8) -> V8 {
-        let bytes = vld1_u8(p);
-        let wide = vmovl_u8(bytes);
-        let lo = vcvtq_f32_u32(vmovl_u16(vget_low_u16(wide)));
-        let hi = vcvtq_f32_u32(vmovl_u16(vget_high_u16(wide)));
-        V8(lo, hi)
-    }
-
-    /// `Σⱼ qdⱼ · codeⱼ` for one coded row (expanded-form SQ8 scan).
-    ///
-    /// # Safety
-    ///
-    /// `qd` and `codes` must have equal lengths.
-    pub unsafe fn sq8_code_dot_row(qd: &[f32], codes: &[u8]) -> f32 {
-        debug_assert_eq!(qd.len(), codes.len());
-        let n = qd.len();
-        let (pq, pc) = (qd.as_ptr(), codes.as_ptr());
-        let mut acc = [v8_zero(); 4];
-        let mut i = 0;
-        while i + STRIDE <= n {
-            for (c, slot) in acc.iter_mut().enumerate() {
-                let base = i + c * LANES;
-                *slot = v8_fma(*slot, v8_load(pq.add(base)), load8_codes(pc.add(base)));
-            }
-            i += STRIDE;
-        }
-        let mut v = v8_add(v8_add(acc[0], acc[1]), v8_add(acc[2], acc[3]));
-        while i + LANES <= n {
-            v = v8_fma(v, v8_load(pq.add(i)), load8_codes(pc.add(i)));
-            i += LANES;
-        }
-        let mut s = hsum_ordered(v);
-        while i < n {
-            s = (*pq.add(i)).mul_add(*pc.add(i) as f32, s);
-            i += 1;
-        }
-        s
-    }
-
-    /// Batched raw code dots.
-    ///
-    /// # Safety
-    ///
-    /// `codes.len()` must be a multiple of `qd.len()`.
-    pub unsafe fn sq8_code_dot_batch(qd: &[f32], codes: &[u8], out: &mut Vec<f32>) {
-        for row in codes.chunks_exact(qd.len()) {
-            out.push(sq8_code_dot_row(qd, row));
         }
     }
 }
@@ -1307,32 +1127,21 @@ mod tests {
     }
 
     #[test]
-    fn sq8_kernels_agree_across_backends() {
+    fn sq8_expanded_form_reconstructs_the_decoded_dot() {
         for dim in [1usize, 7, 9, 33, 130] {
             let q = vec_of(dim, 3);
             let codes: Vec<u8> = (0..dim * 3).map(|i| (i * 37 % 256) as u8).collect();
             let mins = vec_of(dim, 17);
             let deltas: Vec<f32> = vec_of(dim, 19).iter().map(|x| x.abs() / 255.0).collect();
             let qd: Vec<f32> = q.iter().zip(&deltas).map(|(x, d)| x * d).collect();
-            let mut cd_s = Vec::new();
-            scalar::sq8_code_dot_batch(&qd, &codes, &mut cd_s);
-            #[cfg(target_arch = "x86_64")]
-            if avx2::available() {
-                let mut cd_v = Vec::new();
-                // SAFETY: availability checked above.
-                unsafe { avx2::sq8_code_dot_batch(&qd, &codes, &mut cd_v) };
-                for (i, (v, s)) in cd_v.iter().zip(&cd_s).enumerate() {
-                    assert_eq!(v.to_bits(), s.to_bits(), "sq8 cd dim={dim} i={i}");
-                }
-            }
-            // Expanded form reconstructs the decoded dot to fp tolerance:
-            // ⟨q,x̂⟩ = ⟨q,min⟩ + Σ qdⱼ·codeⱼ with x̂ⱼ = deltaⱼ·codeⱼ + minⱼ.
+            // ⟨q,x̂⟩ = ⟨q,min⟩ + Σ qdⱼ·codeⱼ with x̂ⱼ = deltaⱼ·codeⱼ + minⱼ, to fp
+            // tolerance.
             let qm: f32 = q.iter().zip(&mins).map(|(x, m)| x * m).sum();
-            for (i, (row, &cd)) in codes.chunks_exact(dim).zip(&cd_s).enumerate() {
+            for (i, row) in codes.chunks_exact(dim).enumerate() {
                 let decoded = row.iter().zip(&mins).zip(&deltas);
                 let x_hat = decoded.map(|((&c, &m), &d)| d.mul_add(c as f32, m));
                 let direct: f32 = q.iter().zip(x_hat).map(|(a, b)| a * b).sum();
-                let expanded = qm + cd;
+                let expanded = qm + scalar::sq8_code_dot_row(&qd, row);
                 let tol = 1e-4 * direct.abs().max(1.0);
                 assert!(
                     (expanded - direct).abs() <= tol,

@@ -1,7 +1,7 @@
 //! Property-based tests for the numeric foundations.
 
 use mbi_math::{
-    angular_batch, angular_distance, dot, dot_batch, inv_norm_of, norm, squared_euclidean,
+    angular_batch, angular_distance, dot, inv_norm_of, neg_dot_batch, norm, squared_euclidean,
     squared_euclidean_batch, topk_by_sort, Metric, Neighbor, OnlineStats, OrderedF32,
     PreparedQuery, TopK,
 };
@@ -154,16 +154,16 @@ proptest! {
         let inv: Vec<f32> = rows.chunks_exact(dim).map(inv_norm_of).collect();
         let q_inv = inv_norm_of(q);
 
-        let (mut se, mut dp, mut ang_c, mut ang_u) = (vec![], vec![], vec![], vec![]);
+        let (mut se, mut ndp, mut ang_c, mut ang_u) = (vec![], vec![], vec![], vec![]);
         squared_euclidean_batch(q, rows, &mut se);
-        dot_batch(q, rows, &mut dp);
+        neg_dot_batch(q, rows, &mut ndp);
         angular_batch(q, q_inv, rows, Some(&inv), &mut ang_c);
         angular_batch(q, q_inv, rows, None, &mut ang_u);
 
         for (i, row) in rows.chunks_exact(dim).enumerate() {
-            // Euclidean / dot: bit-identical to the per-call kernels.
+            // Euclidean / inner product: bit-identical to the per-call kernels.
             prop_assert_eq!(se[i].to_bits(), squared_euclidean(q, row).to_bits());
-            prop_assert_eq!(dp[i].to_bits(), dot(q, row).to_bits());
+            prop_assert_eq!(ndp[i].to_bits(), (-dot(q, row)).to_bits());
             // Angular: within 1e-5 of the three-pass scalar kernel, cached
             // and uncached alike.
             let scalar = angular_distance(q, row);

@@ -1,12 +1,12 @@
 //! Property tests pinning the SIMD dispatch contract: whatever backend is
 //! active (AVX2, NEON, or the scalar fallback — forced via `MBI_FORCE_SCALAR`
 //! in one CI leg), the Euclidean and inner-product kernels are bit-identical
-//! to the portable scalar reference shape, the SQ8 code dot is too, and the
-//! angular paths agree with the three-pass scalar formula to within `1e-5`.
+//! to the portable scalar reference shape, and the angular paths agree with the
+//! three-pass scalar formula to within `1e-5`.
 
 use mbi_math::simd::{self, scalar};
 use mbi_math::{
-    angular_batch, angular_distance, dot, dot_batch, inv_norm_of, neg_dot_batch, squared_euclidean,
+    angular_batch, angular_distance, dot, inv_norm_of, neg_dot_batch, squared_euclidean,
     squared_euclidean_batch, squared_euclidean_x4,
 };
 use proptest::prelude::*;
@@ -34,26 +34,24 @@ proptest! {
         let q = &pool[..dim];
         let rows = &pool[dim..dim * (n + 1)];
 
-        let (mut se, mut dp, mut ndp) = (vec![], vec![], vec![]);
+        let (mut se, mut ndp) = (vec![], vec![]);
         squared_euclidean_batch(q, rows, &mut se);
-        dot_batch(q, rows, &mut dp);
         neg_dot_batch(q, rows, &mut ndp);
 
-        let (mut se_ref, mut dp_ref, mut ndp_ref) = (vec![], vec![], vec![]);
+        let (mut se_ref, mut ndp_ref) = (vec![], vec![]);
         scalar::euclidean_batch(q, rows, &mut se_ref);
-        scalar::dot_batch(q, rows, false, &mut dp_ref);
-        scalar::dot_batch(q, rows, true, &mut ndp_ref);
+        scalar::neg_dot_batch(q, rows, &mut ndp_ref);
 
         for i in 0..n {
+            let row = &rows[i * dim..(i + 1) * dim];
+            let dp = dot(q, row);
             prop_assert_eq!(se[i].to_bits(), se_ref[i].to_bits(), "se dim={} i={}", dim, i);
-            prop_assert_eq!(dp[i].to_bits(), dp_ref[i].to_bits(), "dot dim={} i={}", dim, i);
+            prop_assert_eq!(dp.to_bits(), scalar::dot_row(q, row).to_bits(), "dot dim={} i={}", dim, i);
             prop_assert_eq!(ndp[i].to_bits(), ndp_ref[i].to_bits(), "neg dim={} i={}", dim, i);
             // The fused negation is exactly the negated dot, and the per-call
             // kernels dispatch through the same single-row primitives.
-            prop_assert_eq!(ndp[i].to_bits(), (-dp[i]).to_bits());
-            let row = &rows[i * dim..(i + 1) * dim];
+            prop_assert_eq!(ndp[i].to_bits(), (-dp).to_bits());
             prop_assert_eq!(se[i].to_bits(), squared_euclidean(q, row).to_bits());
-            prop_assert_eq!(dp[i].to_bits(), dot(q, row).to_bits());
         }
     }
 
@@ -103,34 +101,6 @@ proptest! {
                 "cached dim={} i={}: {} vs {}", dim, i, cached[i], reference);
             prop_assert!((uncached[i] - reference).abs() <= 1e-5,
                 "uncached dim={} i={}: {} vs {}", dim, i, uncached[i], reference);
-        }
-    }
-
-    #[test]
-    fn dispatched_sq8_code_dot_is_bit_identical_to_scalar_reference(
-        dim_idx in 0usize..DIMS.len(),
-        n in 1usize..=MAX_ROWS,
-        pool in value_pool(),
-        codes in prop::collection::vec(any::<u8>(), MAX_DIM * MAX_ROWS),
-    ) {
-        let dim = DIMS[dim_idx];
-        // The query pre-scaled by the per-dimension deltas, as `Sq8Scan` builds it.
-        let qd: Vec<f32> =
-            pool[..dim].iter().zip(&pool[dim..2 * dim]).map(|(q, d)| q * d.abs() / 255.0).collect();
-        let codes = &codes[..dim * n];
-
-        let mut cd = vec![];
-        simd::sq8_code_dot_batch(&qd, codes, &mut cd);
-        let mut cd_ref = vec![];
-        scalar::sq8_code_dot_batch(&qd, codes, &mut cd_ref);
-
-        prop_assert_eq!(cd.len(), n);
-        for (i, row) in codes.chunks_exact(dim).enumerate() {
-            prop_assert_eq!(cd[i].to_bits(), cd_ref[i].to_bits(), "sq8 cd dim={} i={}", dim, i);
-            // The graph-search gather path scores one row at a time through
-            // the same dispatch.
-            prop_assert_eq!(simd::sq8_code_dot(&qd, row).to_bits(), cd[i].to_bits(),
-                "sq8 row dim={} i={}", dim, i);
         }
     }
 }

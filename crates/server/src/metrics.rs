@@ -3,7 +3,7 @@
 //!
 //! Request threads record with plain atomic adds — no lock, no allocation —
 //! and `/stats` reads a consistent-enough snapshot with relaxed loads.
-//! Unlike [`mbi_eval::LatencyRecorder`] (which stores every observation for
+//! Unlike `mbi-eval`'s `LatencyRecorder` (which stores every observation for
 //! exact offline percentiles), the histogram here must survive an unbounded
 //! request stream, so it buckets instead: 16 sub-buckets per power of two
 //! keeps every reported quantile within ~6% of exact.

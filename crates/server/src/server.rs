@@ -202,8 +202,8 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
                 let conn_shared = Arc::clone(&shared);
                 let spawned =
                     std::thread::Builder::new().name("mbi-conn".into()).spawn(move || {
+                        let _open = GaugeGuard(&conn_shared.metrics.connections);
                         serve_connection(stream, &conn_shared);
-                        conn_shared.metrics.connections.fetch_sub(1, Ordering::Relaxed);
                     });
                 if spawned.is_err() {
                     shared.metrics.connections.fetch_sub(1, Ordering::Relaxed);
@@ -307,24 +307,25 @@ fn wait_readable<R: Read>(reader: &mut BufReader<R>, shared: &Shared) -> std::io
     }
 }
 
-/// RAII decrement for the in-flight gauge.
-struct InflightGuard<'a>(&'a AtomicUsize);
+/// RAII decrement for a gauge (requests in flight, open connections): a
+/// panic that unwinds past it gives the count back too.
+struct GaugeGuard<'a>(&'a AtomicUsize);
 
-impl Drop for InflightGuard<'_> {
+impl Drop for GaugeGuard<'_> {
     fn drop(&mut self) {
         self.0.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
 /// The admission gate: `None` means shed.
-fn admit(shared: &Shared) -> Option<InflightGuard<'_>> {
+fn admit(shared: &Shared) -> Option<GaugeGuard<'_>> {
     let now = shared.metrics.inflight.fetch_add(1, Ordering::Relaxed) + 1;
     if now > shared.config.max_inflight {
         shared.metrics.inflight.fetch_sub(1, Ordering::Relaxed);
         shared.metrics.shed.fetch_add(1, Ordering::Relaxed);
         return None;
     }
-    Some(InflightGuard(&shared.metrics.inflight))
+    Some(GaugeGuard(&shared.metrics.inflight))
 }
 
 /// Runs one query on the connection's thread under its deadline (the

@@ -96,6 +96,17 @@ fn follower_serves_while_lagging_then_promotes_and_accepts_writes() {
     }
     wait_for_rows(&follower, "alpha", 120, Duration::from_secs(20));
 
+    // Every seal the follower applied was checked against its own WAL
+    // segment: none was skipped because the follower's checkpoints had
+    // pruned that segment first.
+    let ft = follower.registry().by_name("alpha").unwrap();
+    let TenantEngine::Replica { replica, .. } = &ft.engine else {
+        panic!("follower tenant is a replica")
+    };
+    let (_, seals_verified, seals_unverified) = replica.apply_counters();
+    assert!(seals_verified >= 1, "the follower checked no seal");
+    assert_eq!(seals_unverified, 0, "the follower skipped a seal check");
+
     // Leader-side observability: /stats lists the follower with its lag.
     let stats = serde_json::from_str(&lc.stats().unwrap()).unwrap();
     let entry = stats

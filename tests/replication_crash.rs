@@ -2,7 +2,7 @@
 //! must end **bit-identical** to its leader after every link/process fault
 //! we can simulate — disconnects mid-batch, leader death before the
 //! follower's ack lands, follower death mid-replay and mid-append, tampered
-//! records (divergence), and retention-hold eviction under `prune`.
+//! records (divergence), and retention holds across `prune`.
 //!
 //! The headline assertion, shared with `tests/crash.rs`: after recovery and
 //! catch-up, `to_index().to_bytes()` on the follower equals the leader's.
@@ -16,6 +16,14 @@ use mbi::core::engine::WAL_DIR;
 use mbi::core::{ReplEvent, Replica, WalFeed};
 use mbi::{EngineConfig, MbiConfig, MbiError, Metric, SearchParams, StreamingMbi, TimeWindow};
 use std::path::{Path, PathBuf};
+
+/// The failpoint registry is process-global, and every test here feeds and
+/// applies through the sites the injected tests arm, so a site armed by one
+/// test could fire in another: the tests run one at a time.
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn config() -> MbiConfig {
     MbiConfig::new(3, Metric::Euclidean).with_leaf_size(16).with_search(SearchParams::new(32, 1.2))
@@ -70,6 +78,7 @@ fn assert_identical(leader: &StreamingMbi, replica: &Replica) {
 /// cursor) resumes without loss or duplication.
 #[test]
 fn disconnect_mid_record_resumes_from_follower_cursor() {
+    let _serial = serial();
     let ldir = temp_dir("disc_leader");
     let fdir = temp_dir("disc_follower");
     let leader = leader(&ldir, 40);
@@ -101,6 +110,7 @@ fn disconnect_mid_record_resumes_from_follower_cursor() {
 /// overlap as duplicates and converges bit-identically.
 #[test]
 fn leader_crash_before_ack_resends_overlap_harmlessly() {
+    let _serial = serial();
     let ldir = temp_dir("preack_leader");
     let fdir = temp_dir("preack_follower");
     let engine = leader(&ldir, 25);
@@ -138,6 +148,7 @@ fn leader_crash_before_ack_resends_overlap_harmlessly() {
 /// replication resumes from the durable prefix.
 #[test]
 fn follower_crash_mid_append_truncates_and_resumes() {
+    let _serial = serial();
     let ldir = temp_dir("torn_leader");
     let fdir = temp_dir("torn_follower");
     let engine = leader(&ldir, 20);
@@ -177,6 +188,7 @@ fn follower_crash_mid_append_truncates_and_resumes() {
 /// The seal handoff catches it and names the segment — never silent drift.
 #[test]
 fn in_flight_corruption_is_reported_as_divergence_at_the_seal() {
+    let _serial = serial();
     let ldir = temp_dir("div_leader");
     let fdir = temp_dir("div_follower");
     let engine = leader(&ldir, 40);
@@ -218,6 +230,7 @@ fn in_flight_corruption_is_reported_as_divergence_at_the_seal() {
 /// lagging-but-live follower can always resume.
 #[test]
 fn retention_hold_keeps_segments_a_follower_still_needs() {
+    let _serial = serial();
     let ldir = temp_dir("hold_leader");
     let fdir = temp_dir("hold_follower");
     let engine = leader(&ldir, 60);
@@ -237,39 +250,13 @@ fn retention_hold_keeps_segments_a_follower_still_needs() {
     let _ = std::fs::remove_dir_all(&fdir);
 }
 
-/// Scenario 5b — the other half of prune-under-tail: a follower lagging
-/// past the configured cap is **evicted** (prune proceeds) and its next
-/// read is a terminal "re-seed" error, not a hang or silent gap.
-#[test]
-fn lag_cap_evicts_hopeless_follower_instead_of_wedging_prune() {
-    let ldir = temp_dir("evict_leader");
-    let engine = {
-        let e =
-            StreamingMbi::open(&ldir, config(), EngineConfig::default().with_replica_lag_cap(32))
-                .unwrap();
-        for i in 0..100usize {
-            e.insert(&row(i), i as i64).unwrap();
-        }
-        e
-    };
-    engine.set_replica_hold("doomed", 0);
-    engine.checkpoint().unwrap(); // lag 100 > cap 32 → evict, then prune
-
-    assert_eq!(engine.take_evicted_replica_holds(), vec!["doomed".to_string()]);
-    assert!(engine.replica_holds().is_empty(), "evicted hold is gone");
-    let mut feed = WalFeed::for_engine(&engine, 0).unwrap();
-    let err = feed.next_batch(8).expect_err("pruned cursor must error, not serve a gap");
-    assert!(err.to_string().contains("re-seeded"), "terminal re-seed error, got: {err}");
-
-    let _ = std::fs::remove_dir_all(&ldir);
-}
-
 /// Scenario 6 (injected) — **feed I/O error**: a transient read failure on
 /// the leader surfaces as an error (the link layer reconnects), and the
 /// retried feed continues from the same cursor.
 #[cfg(failpoints)]
 #[test]
 fn injected_feed_io_error_is_transient_and_resumable() {
+    let _serial = serial();
     use mbi::core::fail;
     let ldir = temp_dir("feedio_leader");
     let fdir = temp_dir("feedio_follower");
@@ -300,6 +287,7 @@ fn injected_feed_io_error_is_transient_and_resumable() {
 #[cfg(failpoints)]
 #[test]
 fn injected_follower_panic_mid_replay_recovers_bit_identical() {
+    let _serial = serial();
     use mbi::core::fail;
     let ldir = temp_dir("fpanic_leader");
     let fdir = temp_dir("fpanic_follower");
