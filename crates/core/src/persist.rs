@@ -130,7 +130,6 @@ use crate::layout;
 use crate::tier::check_in_full;
 use crate::times::TimeChunks;
 use crate::Timestamp;
-use bytes::{BufMut, Bytes, BytesMut};
 use mbi_ann::mapped::Plain;
 use mbi_ann::{
     Col, EntryPolicy, FileMap, KnnGraph, NnDescentParams, SearchParams, Segment, SegmentStore,
@@ -264,7 +263,7 @@ pub(crate) fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), MbiError> {
 /// Appends the footer: per-section CRCs, the footer's own CRC, its
 /// length, and the trailing magic. `bounds` are the section boundaries
 /// (`bounds[i]..bounds[i+1]` is section `i`), tiling `b` exactly.
-fn write_footer(b: &mut BytesMut, bounds: &[usize]) {
+fn write_footer(b: &mut Vec<u8>, bounds: &[usize]) {
     debug_assert_eq!(bounds.len(), SECTIONS.len() + 1);
     debug_assert_eq!(*bounds.last().unwrap(), b.len());
     let crcs: Vec<u32> = bounds.windows(2).map(|w| crc32(&b[w[0]..w[1]])).collect();
@@ -403,7 +402,7 @@ impl MbiIndex {
 
     /// Serialises the index into one contiguous buffer: its whole leaves as
     /// leaf records, its partial leaf as the tail record.
-    pub fn to_bytes(&self) -> Bytes {
+    pub fn to_bytes(&self) -> Vec<u8> {
         let (s_l, dim) = (self.config.leaf_size, self.config.dim);
         let inv = self.store.inv_norms();
         let rows = self.store.as_flat().chunks(s_l * dim);
@@ -415,7 +414,7 @@ impl MbiIndex {
 
     /// Deserialises an index from one contiguous buffer: the snapshot the
     /// stream decodes to ([`IndexSnapshot::from_bytes`]), flattened.
-    pub fn from_bytes(b: Bytes) -> Result<Self, MbiError> {
+    pub fn from_bytes(b: impl AsRef<[u8]>) -> Result<Self, MbiError> {
         IndexSnapshot::from_bytes(b).map(|snap| snap.to_index())
     }
 }
@@ -442,7 +441,7 @@ impl IndexSnapshot {
     /// the tail record. Sealed but unbuilt leaves are left out: a checkpoint
     /// prunes the WAL only up to the leaves under blocks, so recovery
     /// replays their rows and rebuilds their chains.
-    pub fn to_bytes(&self) -> Bytes {
+    pub fn to_bytes(&self) -> Vec<u8> {
         let chunks = self.store.segments().iter().zip(self.times.chunks());
         let chunks =
             chunks.map(|(seg, ts)| Chunk { ts, rows: seg.as_flat(), inv: seg.inv_norms() });
@@ -454,8 +453,8 @@ impl IndexSnapshot {
     /// the buffer its columns view. A stream with a tail record loads with
     /// its tail as a short last segment, scanned exactly like the rows of an
     /// [`MbiIndex`]'s partial leaf.
-    pub fn from_bytes(b: Bytes) -> Result<Self, MbiError> {
-        Self::load_buffer(FileMap::from_slice(&b))
+    pub fn from_bytes(b: impl AsRef<[u8]>) -> Result<Self, MbiError> {
+        Self::load_buffer(FileMap::from_slice(b.as_ref()))
     }
 
     /// The eager load: the cold open ([`decode_snapshot`]) of an owned
@@ -493,7 +492,7 @@ fn encode(
     mut chunks: Vec<Chunk<'_>>,
     num_leaves: usize,
     blocks: Vec<&Block>,
-) -> Bytes {
+) -> Vec<u8> {
     let (dim, s_l) = (config.dim, config.leaf_size);
     let tail_rows = chunks.get(num_leaves).map_or(0, |c| c.ts.len());
     let tail_rows = if tail_rows < s_l { tail_rows } else { 0 };
@@ -502,17 +501,17 @@ fn encode(
 
     // Serialise every block graph up front: the directories need graph
     // lengths and CRCs before the first record byte is written.
-    let graphs: Vec<Bytes> = (blocks.iter())
+    let graphs: Vec<Vec<u8>> = (blocks.iter())
         .map(|blk| {
-            let mut g = BytesMut::new();
+            let mut g = Vec::new();
             write_graph(&mut g, &blk.graph, blk.len());
-            g.freeze()
+            g
         })
         .collect();
 
-    struct Blob {
+    struct Blob<'a> {
         payload: Vec<u8>,
-        graph: Bytes,
+        graph: &'a [u8],
         crcs: [u32; 4],
     }
     let mut blobs = Vec::with_capacity(chunks.len());
@@ -535,11 +534,10 @@ fn encode(
         debug_assert_eq!(p.len(), c.end);
         // A leaf's graph is co-located with its record; the tail has none.
         let (graph, crc_graph) = if i < num_leaves {
-            let graph = graphs[layout::leaf_block(i)].clone();
-            let crc = graph_crc(&graph, s_l);
-            (graph, crc)
+            let graph = graphs[layout::leaf_block(i)].as_slice();
+            (graph, graph_crc(graph, s_l))
         } else {
-            (Bytes::new(), 0)
+            (&[][..], 0)
         };
         let crc_inv = if has_norms { crc32(&p[c.inv..c.end]) } else { 0 };
         let crcs = [crc32(&p[c.ts..c.rows]), crc32(&p[c.crcs..c.inv]), crc_inv, crc_graph];
@@ -547,8 +545,8 @@ fn encode(
     }
 
     let payload_total: usize = blobs.iter().map(|b| b.payload.len()).sum();
-    let graph_total: usize = graphs.iter().map(Bytes::len).sum();
-    let mut b = BytesMut::with_capacity(
+    let graph_total: usize = graphs.iter().map(Vec::len).sum();
+    let mut b = Vec::with_capacity(
         (256 + blobs.len() * LEAF_DIR_ENTRY_LEN + payload_total + graph_total)
             .next_multiple_of(PAGE)
             + blobs.len() * PAGE,
@@ -584,7 +582,7 @@ fn encode(
     for blob in &blobs {
         pad_to_page(&mut b);
         b.put_slice(&blob.payload);
-        b.put_slice(&blob.graph);
+        b.put_slice(blob.graph);
     }
     pad_to_page(&mut b);
     bounds.push(b.len());
@@ -620,11 +618,46 @@ fn encode(
     }
     bounds.push(b.len());
     write_footer(&mut b, &bounds);
-    b.freeze()
+    b
+}
+
+/// The little-endian appends the encoder writes a stream with.
+trait Put {
+    fn put_u8(&mut self, x: u8);
+    fn put_u32_le(&mut self, x: u32);
+    fn put_u64_le(&mut self, x: u64);
+    fn put_i64_le(&mut self, x: i64);
+    fn put_f32_le(&mut self, x: f32);
+    fn put_f64_le(&mut self, x: f64);
+    fn put_slice(&mut self, s: &[u8]);
+}
+
+impl Put for Vec<u8> {
+    fn put_u8(&mut self, x: u8) {
+        self.push(x);
+    }
+    fn put_u32_le(&mut self, x: u32) {
+        self.extend_from_slice(&x.to_le_bytes());
+    }
+    fn put_u64_le(&mut self, x: u64) {
+        self.extend_from_slice(&x.to_le_bytes());
+    }
+    fn put_i64_le(&mut self, x: i64) {
+        self.extend_from_slice(&x.to_le_bytes());
+    }
+    fn put_f32_le(&mut self, x: f32) {
+        self.extend_from_slice(&x.to_le_bytes());
+    }
+    fn put_f64_le(&mut self, x: f64) {
+        self.extend_from_slice(&x.to_le_bytes());
+    }
+    fn put_slice(&mut self, s: &[u8]) {
+        self.extend_from_slice(s);
+    }
 }
 
 /// Zero-fills `b` up to the next page boundary.
-fn pad_to_page(b: &mut BytesMut) {
+fn pad_to_page(b: &mut Vec<u8>) {
     b.resize(b.len().next_multiple_of(PAGE), 0);
 }
 
@@ -1020,7 +1053,7 @@ fn inv_norms(col: Col<f32>, off: usize) -> Result<Col<f32>, MbiError> {
     }
 }
 
-fn write_config(b: &mut BytesMut, c: &MbiConfig) {
+fn write_config(b: &mut Vec<u8>, c: &MbiConfig) {
     b.put_u64_le(c.dim as u64);
     b.put_u8(metric_tag(c.metric));
     b.put_u64_le(c.leaf_size as u64);
@@ -1109,7 +1142,7 @@ fn metric_from_tag(b: &mut Src<'_>) -> Result<Metric, MbiError> {
 
 /// Appends the graph `g` of a block of `block_len` rows, reserving its
 /// exact serialised size first.
-fn write_graph(b: &mut BytesMut, BlockGraph(g): &BlockGraph, block_len: usize) {
+fn write_graph(b: &mut Vec<u8>, BlockGraph(g): &BlockGraph, block_len: usize) {
     let flat = g.as_flat();
     let chunks = block_len.div_ceil(ADJACENCY_CHUNK);
     b.reserve(GRAPH_HEADER_LEN + flat.len() * 4 + chunks * 4);
@@ -1232,14 +1265,14 @@ mod tests {
     /// Re-seals a mutated stream so the structural check *behind* the CRCs
     /// is what fires: strips the footer, lets `mutate` edit (or extend) the
     /// section bytes, and writes a fresh footer over the same section starts.
-    fn refooter(stream: &[u8], mutate: impl FnOnce(&mut Vec<u8>)) -> Bytes {
+    fn refooter(stream: &[u8], mutate: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
         let sections = parse_footer(stream).unwrap();
         let mut body = stream[..sections[3].1].to_vec();
         mutate(&mut body);
-        let mut b = BytesMut::with_capacity(body.len() + 80);
+        let mut b = Vec::with_capacity(body.len() + 80);
         b.put_slice(&body);
         write_footer(&mut b, &[0, sections[1].0, sections[2].0, sections[3].0, body.len()]);
-        b.freeze()
+        b
     }
 
     fn put_u32(b: &mut [u8], off: usize, x: u32) {
@@ -1283,7 +1316,7 @@ mod tests {
 
         /// `refooter` that also rewrites both directory CRCs after `mutate`,
         /// so only the structural checks behind them can object.
-        fn reseal(&self, stream: &[u8], mutate: impl FnOnce(&mut Vec<u8>)) -> Bytes {
+        fn reseal(&self, stream: &[u8], mutate: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
             refooter(stream, |body| {
                 mutate(body);
                 let dir_end = self.leaf_entry(self.lay.leaves.len());
@@ -1300,7 +1333,12 @@ mod tests {
         /// then the graph's directory CRC over its header and chunk-CRC
         /// column — the last field of the block's entry and, for a leaf
         /// block, of its leaf's entry too — before the directory CRCs.
-        fn reseal_graph(&self, stream: &[u8], bi: usize, mutate: impl FnOnce(&mut [u8])) -> Bytes {
+        fn reseal_graph(
+            &self,
+            stream: &[u8],
+            bi: usize,
+            mutate: impl FnOnce(&mut [u8]),
+        ) -> Vec<u8> {
             let m = &self.lay.blocks[bi];
             let (n, degree) = (m.rows.len(), rd_u64(stream, m.graph_off + 4) as usize);
             self.reseal(stream, |body| {
@@ -1403,7 +1441,7 @@ mod tests {
     /// index and its snapshot write the same stream.
     #[test]
     fn v12_bytes_are_pinned() {
-        let pin = |b: Bytes| (b.len(), crc32(&b));
+        let pin = |b: Vec<u8>| (b.len(), crc32(&b));
         for (idx, want) in [
             (build_index(GraphBackend::default(), 64), (33841, 0xaeec_9f21)),
             (build_angular_index(64), (33841, 0x158e_f1bb)),
@@ -1502,7 +1540,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_magic() {
-        let err = MbiIndex::from_bytes(Bytes::from_static(b"NOPE\0\0\0\0")).unwrap_err();
+        let err = MbiIndex::from_bytes(b"NOPE\0\0\0\0").unwrap_err();
         assert!(matches!(err, MbiError::Corrupt { offset: 0, .. }));
     }
 
@@ -1513,8 +1551,8 @@ mod tests {
             let mut raw = stream.to_vec();
             put_u32(&mut raw, 4, version);
             let errs = [
-                MbiIndex::from_bytes(Bytes::from(raw.clone())).unwrap_err(),
-                IndexSnapshot::from_bytes(Bytes::from(raw.clone())).unwrap_err(),
+                MbiIndex::from_bytes(raw.clone()).unwrap_err(),
+                IndexSnapshot::from_bytes(raw.clone()).unwrap_err(),
                 cold_from(&raw).unwrap_err(),
             ];
             for err in errs {
@@ -1532,9 +1570,9 @@ mod tests {
         // prefix must fail cleanly in both eager loaders.
         let full = build_angular_index(40).to_bytes();
         for cut in [0, 3, 7, 20, 60, full.len() / 2, full.len() - 1] {
-            let err = MbiIndex::from_bytes(full.slice(0..cut));
+            let err = MbiIndex::from_bytes(&full[..cut]);
             assert!(err.is_err(), "index prefix of {cut} bytes was accepted");
-            let err = IndexSnapshot::from_bytes(full.slice(0..cut));
+            let err = IndexSnapshot::from_bytes(&full[..cut]);
             assert!(err.is_err(), "snapshot prefix of {cut} bytes was accepted");
         }
     }
@@ -1545,9 +1583,9 @@ mod tests {
         let mut raw = idx.to_bytes().to_vec();
         raw.extend_from_slice(b"junk");
         // Appended junk displaces the footer → bad footer magic.
-        let err = MbiIndex::from_bytes(Bytes::from(raw.clone())).unwrap_err();
+        let err = MbiIndex::from_bytes(raw.clone()).unwrap_err();
         assert!(err.to_string().contains("footer magic"), "{err}");
-        assert!(IndexSnapshot::from_bytes(Bytes::from(raw)).is_err());
+        assert!(IndexSnapshot::from_bytes(raw).is_err());
         // Junk sealed *inside* the blocks section is caught structurally.
         let sealed = refooter(&idx.to_bytes(), |body| body.extend_from_slice(b"junk"));
         let err = MbiIndex::from_bytes(sealed.clone()).unwrap_err();
@@ -1621,7 +1659,7 @@ mod tests {
         ] {
             let mut bad = raw.clone();
             bad[pos] ^= 0x10;
-            match MbiIndex::from_bytes(Bytes::from(bad)) {
+            match MbiIndex::from_bytes(bad) {
                 Err(MbiError::ChecksumMismatch { section, .. }) => {
                     assert_eq!(section, expect_section, "flip at byte {pos}");
                 }
@@ -1641,10 +1679,10 @@ mod tests {
         // flip in the trailing magic → corrupt.
         let mut bad = raw.clone();
         bad[n - 20] ^= 0x01;
-        assert!(MbiIndex::from_bytes(Bytes::from(bad)).is_err());
+        assert!(MbiIndex::from_bytes(bad).is_err());
         let mut bad = raw.clone();
         bad[n - 1] ^= 0x01;
-        let err = MbiIndex::from_bytes(Bytes::from(bad)).unwrap_err();
+        let err = MbiIndex::from_bytes(bad).unwrap_err();
         assert!(err.to_string().contains("footer magic"), "{err}");
     }
 
@@ -1787,8 +1825,8 @@ mod tests {
                 let what = format!("block {bi}, {what} byte {at} of the graph");
                 let mut raw = stream.to_vec();
                 raw[m.graph_off + at] ^= 0x04;
-                assert!(MbiIndex::from_bytes(Bytes::from(raw.clone())).is_err(), "index, {what}");
-                let err = IndexSnapshot::from_bytes(Bytes::from(raw.clone())).err();
+                assert!(MbiIndex::from_bytes(raw.clone()).is_err(), "index, {what}");
+                let err = IndexSnapshot::from_bytes(raw.clone()).err();
                 assert!(err.is_some(), "snapshot, {what}");
                 let sealed = refooter(&raw, |_| {});
                 let got = MbiIndex::from_bytes(sealed.clone()).map(|_| ());
@@ -1850,7 +1888,7 @@ mod tests {
                 if e == n { u32::MAX } else { e }
             });
             let graph = KnnGraph::from_flat(degree, flat.collect::<Vec<_>>());
-            let mut b = BytesMut::new();
+            let mut b = Vec::new();
             b.put_slice(&[0xa5; 8][..base]);
             write_graph(&mut b, &BlockGraph(graph.clone()), block_len);
             let mut stream = b.to_vec();
@@ -1950,14 +1988,14 @@ mod tests {
             .collect();
         let q = [20.0f32, 0.5, -20.0];
         type Answers = Vec<Vec<crate::TknnResult>>;
-        let eager = |s: &Bytes| -> Result<Answers, MbiError> {
+        let eager = |s: &Vec<u8>| -> Result<Answers, MbiError> {
             let snap = IndexSnapshot::from_bytes(s.clone())?;
             let params = snap.config().search;
             let answer =
                 |w| [snap.query_with_params(&q, 5, w, &params).results, snap.exact_query(&q, 5, w)];
             Ok(windows.iter().flat_map(|&w| answer(w)).collect())
         };
-        let cold = |s: &Bytes| -> Result<Answers, MbiError> {
+        let cold = |s: &Vec<u8>| -> Result<Answers, MbiError> {
             let cold = cold_from(s)?;
             let mut out = Vec::new();
             for &w in &windows {
@@ -2122,8 +2160,8 @@ mod tests {
     /// `row_crc_verdict_table` (Euclidean, with a tail record, and its
     /// angular twin with a norm column), of `graph_chunk_verdict_table`,
     /// and of four whole leaves with no tail record, with their directories.
-    fn hostile_seeds() -> &'static [(Bytes, Dirs)] {
-        static SEEDS: std::sync::OnceLock<Vec<(Bytes, Dirs)>> = std::sync::OnceLock::new();
+    fn hostile_seeds() -> &'static [(Vec<u8>, Dirs)] {
+        static SEEDS: std::sync::OnceLock<Vec<(Vec<u8>, Dirs)>> = std::sync::OnceLock::new();
         SEEDS.get_or_init(|| {
             [
                 build_index(GraphBackend::default(), 70),
@@ -2170,19 +2208,19 @@ mod tests {
                     }
                 }
             };
-            let stream: Bytes = match kind {
-                0 => tail.into(),
+            let stream: Vec<u8> = match kind {
+                0 => tail,
                 1 => {
                     let mut b = clean[..HEADER_LEN].to_vec();
                     b.extend(tail);
-                    b.into()
+                    b
                 }
                 2 => {
                     let mut b = clean.to_vec();
                     overwrite(&mut b, 0..clean.len());
                     b.truncate(cut % (b.len() + 1));
                     b.extend(tail);
-                    b.into()
+                    b
                 }
                 3 => dirs.reseal(clean, |body| {
                     let leaves = dirs.d0..dirs.leaf_entry(dirs.lay.leaves.len());

@@ -63,10 +63,7 @@ fn cold_sweep(bytes: Vec<u8>, rows: i64) -> Option<Answers> {
 /// must refuse it at open or answer each query of the sweep with an error
 /// or the clean stream's answer — never panic, never answer differently.
 fn assert_snapshot_rejected(clean: &[u8], bad: Vec<u8>, rows: i64, what: &str) {
-    assert!(
-        IndexSnapshot::from_bytes(bytes::Bytes::from(bad.clone())).is_err(),
-        "{what} accepted by the eager loader"
-    );
+    assert!(IndexSnapshot::from_bytes(bad.clone()).is_err(), "{what} accepted by the eager loader");
     let reference = cold_sweep(clean.to_vec(), rows).expect("the clean stream opens cold");
     if let Some(answers) = cold_sweep(bad, rows) {
         for (i, (got, want)) in answers.iter().zip(&reference).enumerate() {
@@ -213,7 +210,7 @@ proptest! {
         let pos = (pos_seed % bytes.len() as u64) as usize;
         let mut bad = bytes;
         bad[pos] ^= 1u8 << bit;
-        let res = MbiIndex::from_bytes(bytes::Bytes::from(bad));
+        let res = MbiIndex::from_bytes(bad);
         prop_assert!(res.is_err(), "flip at byte {} bit {} accepted", pos, bit);
     }
 
@@ -228,7 +225,7 @@ proptest! {
         let idx = build(n, leaf_size, Metric::Euclidean, 0.5, 1);
         let bytes = idx.to_bytes();
         let cut = (cut_seed % bytes.len() as u64) as usize;
-        prop_assert!(MbiIndex::from_bytes(bytes.slice(0..cut)).is_err(),
+        prop_assert!(MbiIndex::from_bytes(&bytes[..cut]).is_err(),
             "truncation to {} bytes accepted", cut);
     }
 
@@ -249,8 +246,8 @@ proptest! {
         let pos = graph_byte(&bad, pos_seed);
         bad[pos] ^= 1u8 << bit;
         let what = format!("flip at graph byte {pos} bit {bit}");
-        prop_assert!(MbiIndex::from_bytes(bytes::Bytes::from(bad.clone())).is_err(), "{}", what);
-        let sealed = bytes::Bytes::from(reseal_sections(bad));
+        prop_assert!(MbiIndex::from_bytes(bad.clone()).is_err(), "{}", what);
+        let sealed = reseal_sections(bad);
         prop_assert!(MbiIndex::from_bytes(sealed).is_err(), "resealed {}", what);
     }
 
@@ -265,7 +262,7 @@ proptest! {
         let idx = build(leaf_size + extra, leaf_size, Metric::Euclidean, 0.5, 1);
         let bytes = idx.to_bytes();
         let cut = graph_byte(&bytes, cut_seed);
-        prop_assert!(MbiIndex::from_bytes(bytes.slice(0..cut)).is_err(),
+        prop_assert!(MbiIndex::from_bytes(&bytes[..cut]).is_err(),
             "truncation to {} bytes accepted", cut);
     }
 }

@@ -2,7 +2,7 @@
 //! protocol, and a minimal [`http_request`] helper the tests and bench use
 //! against the JSON endpoints.
 
-use crate::wire::{self, Op, Status};
+use crate::wire::{self, Op, Request, Status};
 use mbi_core::{TimeWindow, TknnResult};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -52,6 +52,27 @@ impl RetryPolicy {
             .min(self.max_backoff);
         let half = base / 2;
         half + base.mul_f64(0.5 * (xorshift(rng) % 1024) as f64 / 1024.0)
+    }
+
+    /// Runs `call` until it succeeds, fails with an error `transient` does
+    /// not accept, or the retries are spent, sleeping the jittered backoff
+    /// before each retry.
+    fn run<T>(
+        &self,
+        rng: &mut u64,
+        transient: impl Fn(&ClientError) -> bool,
+        mut call: impl FnMut() -> Result<T, ClientError>,
+    ) -> Result<T, ClientError> {
+        let mut attempt = 0usize;
+        loop {
+            match call() {
+                Err(e) if transient(&e) && attempt < self.max_retries => {
+                    std::thread::sleep(self.backoff(attempt, rng));
+                    attempt += 1;
+                }
+                done => return done,
+            }
+        }
     }
 }
 
@@ -161,22 +182,13 @@ impl BinaryClient {
             .next()
             .ok_or_else(|| ClientError::Protocol("address resolved to nothing".into()))?;
         let mut rng = jitter_seed();
-        let mut attempt = 0usize;
-        let conn = loop {
-            match Self::dial(peer, tenant, token, None) {
-                Ok(c) => break c,
-                // Auth/protocol rejections are deterministic; only
-                // transport errors are worth retrying.
-                Err(e @ (ClientError::Server { .. } | ClientError::Protocol(_))) => return Err(e),
-                Err(ClientError::Io(e)) => {
-                    if attempt >= retry.max_retries {
-                        return Err(ClientError::Io(e));
-                    }
-                    std::thread::sleep(retry.backoff(attempt, &mut rng));
-                    attempt += 1;
-                }
-            }
-        };
+        // Auth/protocol rejections are deterministic; only transport errors
+        // are worth retrying.
+        let conn = retry.run(
+            &mut rng,
+            |e| matches!(e, ClientError::Io(_)),
+            || Self::dial(peer, tenant, token, None),
+        )?;
         Ok(BinaryClient {
             conn: Some(conn),
             peer,
@@ -199,22 +211,13 @@ impl BinaryClient {
         let stream = TcpStream::connect(peer)?;
         stream.set_nodelay(true).ok();
         stream.set_read_timeout(timeout)?;
-        let payload = wire::PayloadWriter::new().str16(tenant).str16(token).build();
+        let (op, auth) = Request::Auth { tenant: tenant.into(), token: token.into() }.encode();
         let mut hello = wire::MAGIC.to_vec();
-        wire::push_frame(&mut hello, Op::Auth as u8, &payload)?;
+        wire::push_frame(&mut hello, op as u8, &auth)?;
         (&stream).write_all(&hello)?;
         let mut conn = BufReader::new(stream);
-        let Some((tag, body)) = wire::read_frame(&mut conn)? else {
-            return Err(ClientError::Protocol("server closed mid-call".into()));
-        };
-        match Status::from_u8(tag) {
-            Some(Status::Ok) => Ok(conn),
-            Some(status) => Err(ClientError::Server {
-                status,
-                message: String::from_utf8_lossy(&body).into_owned(),
-            }),
-            None => Err(ClientError::Protocol(format!("unknown status byte {tag}"))),
-        }
+        ok_body(read_reply(&mut conn)?)?;
+        Ok(conn)
     }
 
     /// Sets a receive timeout on the connection (it survives reconnects).
@@ -234,26 +237,12 @@ impl BinaryClient {
             Some(conn) => conn,
             None => Self::dial(self.peer, &self.tenant, &self.token, self.timeout)?,
         };
-        let reply = Self::round_trip(&mut conn, op, payload);
+        let sent = wire::write_frame(&mut conn.get_ref(), op as u8, payload);
+        let reply = sent.map_err(ClientError::Io).and_then(|()| read_reply(&mut conn));
         if !matches!(reply, Err(ClientError::Io(_) | ClientError::Protocol(_))) {
             self.conn = Some(conn);
         }
         reply
-    }
-
-    fn round_trip(
-        conn: &mut BufReader<TcpStream>,
-        op: Op,
-        payload: &[u8],
-    ) -> Result<(Status, Vec<u8>), ClientError> {
-        wire::write_frame(&mut conn.get_ref(), op as u8, payload)?;
-        let Some((tag, body)) = wire::read_frame(conn)? else {
-            return Err(ClientError::Protocol("server closed mid-call".into()));
-        };
-        match Status::from_u8(tag) {
-            Some(status) => Ok((status, body)),
-            None => Err(ClientError::Protocol(format!("unknown status byte {tag}"))),
-        }
     }
 
     /// [`Self::call_raw`] with retry on transport errors — only safe for
@@ -261,44 +250,23 @@ impl BinaryClient {
     /// (`Protocol("server closed mid-call")`) retries too: for a read-only
     /// op the work was either not done or safely repeatable. Each retry
     /// re-dials, and a failed re-dial consumes the attempt.
-    fn call_raw_idempotent(
-        &mut self,
-        op: Op,
-        payload: &[u8],
-    ) -> Result<(Status, Vec<u8>), ClientError> {
-        let mut attempt = 0usize;
-        loop {
-            let err = match self.call_raw(op, payload) {
-                Ok(reply) => return Ok(reply),
-                Err(e @ ClientError::Server { .. }) => return Err(e),
-                Err(e) => e,
-            };
-            if attempt >= self.retry.max_retries {
-                return Err(err);
-            }
-            std::thread::sleep(self.retry.backoff(attempt, &mut self.rng));
-            attempt += 1;
-        }
+    fn call_raw_idempotent(&mut self, request: &Request) -> Result<(Status, Vec<u8>), ClientError> {
+        let (op, payload) = request.encode();
+        let (retry, mut rng) = (self.retry, self.rng);
+        let transient = |e: &ClientError| !matches!(e, ClientError::Server { .. });
+        let reply = retry.run(&mut rng, transient, || self.call_raw(op, &payload));
+        self.rng = rng;
+        reply
     }
 
-    pub(crate) fn call(&mut self, op: Op, payload: &[u8]) -> Result<Vec<u8>, ClientError> {
-        match self.call_raw(op, payload)? {
-            (Status::Ok, body) => Ok(body),
-            (status, body) => Err(ClientError::Server {
-                status,
-                message: String::from_utf8_lossy(&body).into_owned(),
-            }),
-        }
+    /// One request, not retried; a non-OK status is an error.
+    pub(crate) fn call(&mut self, request: &Request) -> Result<Vec<u8>, ClientError> {
+        let (op, payload) = request.encode();
+        ok_body(self.call_raw(op, &payload)?)
     }
 
-    fn call_idempotent(&mut self, op: Op, payload: &[u8]) -> Result<Vec<u8>, ClientError> {
-        match self.call_raw_idempotent(op, payload)? {
-            (Status::Ok, body) => Ok(body),
-            (status, body) => Err(ClientError::Server {
-                status,
-                message: String::from_utf8_lossy(&body).into_owned(),
-            }),
-        }
+    fn call_idempotent(&mut self, request: &Request) -> Result<Vec<u8>, ClientError> {
+        ok_body(self.call_raw_idempotent(request)?)
     }
 
     /// One kNN query. `deadline` of `None` uses the server's default.
@@ -309,25 +277,12 @@ impl BinaryClient {
         window: TimeWindow,
         deadline: Option<Duration>,
     ) -> Result<QueryReply, ClientError> {
-        let deadline_ms =
-            deadline.map_or(0, |d| d.as_millis().clamp(1, u128::from(u32::MAX)) as u32);
-        let payload = wire::PayloadWriter::new()
-            .u32(k as u32)
-            .i64(window.start)
-            .i64(window.end)
-            .u32(deadline_ms)
-            .u32(vector.len() as u32)
-            .f32s(vector)
-            .build();
-        let (status, body) = match self.call_raw_idempotent(Op::Query, &payload)? {
+        let (from, to) = (window.start, window.end);
+        let request = Request::Query { vector: vector.to_vec(), k, from, to, deadline };
+        let (status, body) = match self.call_raw_idempotent(&request)? {
             // A timed-out query still carries its (partial) encoded results.
             reply @ ((Status::Ok, _) | (Status::Timeout, _)) => reply,
-            (status, body) => {
-                return Err(ClientError::Server {
-                    status,
-                    message: String::from_utf8_lossy(&body).into_owned(),
-                })
-            }
+            (status, body) => return Err(server_error(status, &body)),
         };
         let (flags, results) = wire::decode_results(&body).map_err(ClientError::Protocol)?;
         Ok(QueryReply {
@@ -338,9 +293,7 @@ impl BinaryClient {
 
     /// One insert; returns the assigned row id.
     pub fn insert(&mut self, vector: &[f32], timestamp: i64) -> Result<u32, ClientError> {
-        let payload =
-            wire::PayloadWriter::new().i64(timestamp).u32(vector.len() as u32).f32s(vector).build();
-        let body = self.call(Op::Insert, &payload)?;
+        let body = self.call(&Request::Insert { vector: vector.to_vec(), timestamp })?;
         let bytes: [u8; 4] = body
             .as_slice()
             .try_into()
@@ -350,26 +303,51 @@ impl BinaryClient {
 
     /// The `/stats` document as a JSON string.
     pub fn stats(&mut self) -> Result<String, ClientError> {
-        let body = self.call_idempotent(Op::Stats, &[])?;
+        let body = self.call_idempotent(&Request::Stats)?;
         String::from_utf8(body).map_err(|_| ClientError::Protocol("stats not utf-8".into()))
     }
 
     /// The tenant's health document as a JSON string.
     pub fn health(&mut self) -> Result<String, ClientError> {
-        let body = self.call_idempotent(Op::Health, &[])?;
+        let body = self.call_idempotent(&Request::Health)?;
         String::from_utf8(body).map_err(|_| ClientError::Protocol("health not utf-8".into()))
     }
 
     /// Round-trip liveness check.
     pub fn ping(&mut self) -> Result<(), ClientError> {
-        self.call_idempotent(Op::Ping, &[]).map(|_| ())
+        self.call_idempotent(&Request::Ping).map(|_| ())
     }
 
     /// Promotes the authenticated replica tenant: verify its WAL tail and
     /// open it for writes (manual failover). Deliberately **not** retried:
     /// promotion is a state change the operator should observe directly.
     pub fn promote(&mut self) -> Result<(), ClientError> {
-        self.call(Op::Promote, &[]).map(|_| ())
+        self.call(&Request::Promote).map(|_| ())
+    }
+}
+
+/// Reads one reply frame: its status and payload.
+fn read_reply(conn: &mut BufReader<TcpStream>) -> Result<(Status, Vec<u8>), ClientError> {
+    let Some((tag, body)) = wire::read_frame(conn)? else {
+        return Err(ClientError::Protocol("server closed mid-call".into()));
+    };
+    match Status::from_u8(tag) {
+        Some(status) => Ok((status, body)),
+        None => Err(ClientError::Protocol(format!("unknown status byte {tag}"))),
+    }
+}
+
+/// The error a non-OK reply stands for: its status and the server's
+/// message.
+fn server_error(status: Status, body: &[u8]) -> ClientError {
+    ClientError::Server { status, message: String::from_utf8_lossy(body).into_owned() }
+}
+
+/// The body of an OK reply; any other status is an error.
+fn ok_body((status, body): (Status, Vec<u8>)) -> Result<Vec<u8>, ClientError> {
+    match status {
+        Status::Ok => Ok(body),
+        status => Err(server_error(status, &body)),
     }
 }
 

@@ -58,13 +58,7 @@ impl TenantConfig {
         token: impl Into<String>,
         dir: impl Into<PathBuf>,
     ) -> Self {
-        TenantConfig {
-            name: name.into(),
-            token: token.into(),
-            dir: Some(dir.into()),
-            cold_path: None,
-            replica_of: None,
-        }
+        TenantConfig { dir: Some(dir.into()), ..Self::memory(name, token) }
     }
 
     /// A read-only cold tenant served from a saved index file.
@@ -73,13 +67,7 @@ impl TenantConfig {
         token: impl Into<String>,
         path: impl Into<PathBuf>,
     ) -> Self {
-        TenantConfig {
-            name: name.into(),
-            token: token.into(),
-            dir: None,
-            cold_path: Some(path.into()),
-            replica_of: None,
-        }
+        TenantConfig { cold_path: Some(path.into()), ..Self::memory(name, token) }
     }
 
     /// A replica tenant: a durable follower rooted at `dir` tailing
@@ -90,13 +78,7 @@ impl TenantConfig {
         dir: impl Into<PathBuf>,
         source: ReplicaSource,
     ) -> Self {
-        TenantConfig {
-            name: name.into(),
-            token: token.into(),
-            dir: Some(dir.into()),
-            cold_path: None,
-            replica_of: Some(source),
-        }
+        TenantConfig { replica_of: Some(source), ..Self::durable(name, token, dir) }
     }
 }
 

@@ -1,12 +1,16 @@
 //! Minimal HTTP/1.1 request parsing and response writing — just enough for
-//! `curl` and the JSON endpoints; not a general web server.
+//! `curl` and the JSON endpoints; not a general web server — and the
+//! decoders of the JSON request bodies.
 //!
 //! Supported: request line + headers + `Content-Length` bodies, keep-alive,
 //! `Authorization: Bearer` extraction, and an `X-Tenant` namespace header.
 //! Not supported (responds `400`): chunked transfer encoding, multi-line
 //! headers, upgrades.
 
+use crate::wire;
+use serde::Value;
 use std::io::{BufRead, BufReader, Read, Write};
+use std::time::Duration;
 
 /// Cap on the request head (request line + headers).
 const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -155,14 +159,52 @@ pub fn write_response<W: Write>(
 
 /// A JSON error body `{"error": "..."}`.
 pub fn error_body(message: &str) -> String {
-    let value = serde::Value::Map(vec![("error".into(), serde::Value::Str(message.into()))]);
-    struct W(serde::Value);
+    render(Value::Map(vec![("error".into(), Value::Str(message.into()))]))
+}
+
+/// A JSON document as response body text.
+pub(crate) fn render(value: Value) -> String {
+    struct W(Value);
     impl serde::Serialize for W {
-        fn to_value(&self) -> serde::Value {
+        fn to_value(&self) -> Value {
             self.0.clone()
         }
     }
     serde_json::to_string(&W(value)).expect("serialiser is total")
+}
+
+/// Decodes a `POST /query` body: `vector` and `k` are required, `from` and
+/// `to` default to the whole timeline, a `deadline_ms` of 0 is a deadline
+/// already passed and a missing one is the server default. The server
+/// checks what the values mean.
+pub fn decode_query(body: &str) -> Result<wire::Request, String> {
+    let v = serde_json::from_str(body).map_err(|e| e.to_string())?;
+    let vector = decode_vector(&v)?;
+    let k = v.get("k").and_then(Value::as_u64).ok_or("missing \"k\"")? as usize;
+    let from = v.get("from").and_then(Value::as_i64).unwrap_or(i64::MIN);
+    let to = v.get("to").and_then(Value::as_i64).unwrap_or(i64::MAX);
+    let deadline = match v.get("deadline_ms") {
+        None => None,
+        Some(d) => Some(Duration::from_millis(
+            d.as_u64().ok_or("\"deadline_ms\" must be a non-negative integer")?,
+        )),
+    };
+    Ok(wire::Request::Query { vector, k, from, to, deadline })
+}
+
+/// Decodes a `POST /insert` body: its vector and timestamp.
+pub fn decode_insert(body: &str) -> Result<wire::Request, String> {
+    let v = serde_json::from_str(body).map_err(|e| e.to_string())?;
+    let vector = decode_vector(&v)?;
+    let timestamp = v.get("timestamp").and_then(Value::as_i64).ok_or("missing \"timestamp\"")?;
+    Ok(wire::Request::Insert { vector, timestamp })
+}
+
+/// The `"vector"` array of a request body.
+fn decode_vector(v: &Value) -> Result<Vec<f32>, String> {
+    let seq = v.get("vector").and_then(Value::as_seq).ok_or("missing \"vector\" array")?;
+    let floats = seq.iter().map(|x| x.as_f64().map(|f| f as f32));
+    floats.collect::<Option<_>>().ok_or_else(|| "non-numeric vector element".into())
 }
 
 #[cfg(test)]

@@ -4,25 +4,28 @@
 //! The durable substrate lives in [`mbi_core::replicate`] ([`WalFeed`] on
 //! the leader, [`Replica`] on the follower); this module moves its events
 //! over the binary protocol as ordinary requests. A follower asks for the
-//! events from its own row count on ([`Op::ReplFetch`]); the leader answers
+//! events from its own row count on ([`Request::Fetch`]); the leader answers
 //! with one batch in one OK frame. Each fetch also moves the follower's WAL
 //! retention hold to the row it asked for, so segments a live follower
-//! still needs outlast `checkpoint`'s pruning; a follower lagging past the
-//! configured cap is evicted from the hold table instead of wedging prune,
-//! after which its cursor eventually points at a pruned segment and the
-//! fetch is answered with a terminal error ("re-seed").
+//! still needs outlast `checkpoint`'s pruning. A cursor that points at a
+//! pruned segment anyway is answered with a terminal error ("re-seed").
+//!
+//! Every batch carries the leader's whole index config, and a follower
+//! whose own config differs in any field stops before it applies a row:
+//! replaying the same rows under another degree, metric or `τ` passes
+//! every seal check (seals cover WAL bytes only) but builds other graphs.
 //!
 //! The follower retries its link forever with bounded-exponential jittered
 //! backoff (reusing the client's [`RetryPolicy`]) — a leader restart is a
-//! transient; only divergence, eviction, a config mismatch and local
+//! transient; only divergence, a pruned cursor, a config mismatch and local
 //! promotion are terminal.
 
 use crate::client::{BinaryClient, ClientError, RetryPolicy};
 use crate::config::ReplicaSource;
-use crate::server::Shared;
+use crate::server::{Refusal, Shared};
 use crate::tenant::{FollowerInfo, Tenant, TenantEngine};
-use crate::wire::{self, Op, Status};
-use mbi_core::{fail, MbiError, ReplEvent, Replica, WalFeed};
+use crate::wire::{self, Request, Status};
+use mbi_core::{fail, MbiConfig, MbiError, ReplEvent, Replica, WalFeed};
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -61,11 +64,6 @@ pub struct ReplicaState {
 }
 
 impl ReplicaState {
-    /// Fresh state: disconnected, no lag observed.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     fn note_error(&self, message: &str) {
         if let Ok(mut slot) = self.last_error.lock() {
             *slot = Some(message.to_string());
@@ -97,44 +95,36 @@ impl Drop for FollowerLink {
 
 /// Records in one reply: [`FEED_BATCH`], or fewer when that many
 /// `dim`-float records, each perhaps followed by a seal, would not fit one
-/// frame.
-fn batch_records(dim: usize) -> usize {
+/// frame beside the reply's header and its `config_bytes` of config.
+fn batch_records(dim: usize, config_bytes: usize) -> usize {
     let per_record = RECORD_BYTES + SEAL_BYTES + 4 * dim;
-    ((wire::MAX_FRAME - 64) / per_record).clamp(1, FEED_BATCH)
+    ((wire::MAX_FRAME - 64 - config_bytes) / per_record).clamp(1, FEED_BATCH)
 }
 
-/// Answers one `REPL_FETCH`: moves the follower's retention hold to
+/// An index config as a fetch reply carries it: its JSON form.
+fn config_json(config: &MbiConfig) -> String {
+    serde_json::to_string(config).expect("serialiser is total")
+}
+
+/// Answers one `REPL_FETCH` of follower `id`: moves its retention hold to
 /// `from_row` and replies with the next batch of the leader's WAL feed from
 /// there, laid out as the [`wire`] module doc sets out. A feed error is
-/// answered with its message. `link` is the connection's follower
+/// refused with its message. `link` is the connection's follower
 /// registration; a new one replaces (and so uncounts) the old.
 pub(crate) fn serve_fetch(
-    payload: &[u8],
     tenant: &Arc<Tenant>,
+    id: String,
+    from_row: u64,
     link: &mut Option<FollowerLink>,
-) -> (Status, Vec<u8>) {
-    let mut r = wire::PayloadReader::new(payload);
-    let parsed = (|| {
-        let id = r.str16()?;
-        let from_row = r.u64()?;
-        r.finish()?;
-        Ok::<_, String>((id, from_row))
-    })();
-    let (id, from_row) = match parsed {
-        Ok(p) => p,
-        Err(m) => return (Status::BadRequest, m.into_bytes()),
-    };
+) -> Result<Vec<u8>, Refusal> {
     let TenantEngine::Streaming(engine) = &tenant.engine else {
-        return (Status::BadRequest, b"only a streaming tenant can lead replication".to_vec());
+        return Err(Refusal::bad_request("only a streaming tenant can lead replication"));
     };
     engine.set_replica_hold(&id, from_row);
-    let config = engine.config();
-    let batch = WalFeed::for_engine(engine, from_row)
-        .and_then(|mut feed| feed.next_batch(batch_records(config.dim)));
-    let events = match batch {
-        Ok(events) => events,
-        Err(e) => return (Status::Internal, e.to_string().into_bytes()),
-    };
+    let config = config_json(engine.config());
+    let events = WalFeed::for_engine(engine, from_row)
+        .and_then(|mut feed| feed.next_batch(batch_records(tenant.dim(), config.len())))
+        .map_err(|e| Refusal::new((500, Status::Internal), e.to_string()))?;
     let linked = link.as_ref().is_some_and(|l| l.id == id && Arc::ptr_eq(&l.tenant, tenant));
     if let Ok(mut followers) = tenant.followers.lock() {
         let info = followers.entry(id.clone()).or_insert(FollowerInfo { acked_row: 0, links: 0 });
@@ -145,8 +135,8 @@ pub(crate) fn serve_fetch(
         *link = Some(FollowerLink { tenant: Arc::clone(tenant), id });
     }
     let mut w = wire::PayloadWriter::new()
-        .u32(config.dim as u32)
-        .u32(config.leaf_size as u32)
+        .u32(tenant.dim() as u32)
+        .str16(&config)
         .u64(engine.len() as u64)
         .u32(events.len() as u32);
     for event in &events {
@@ -157,7 +147,7 @@ pub(crate) fn serve_fetch(
             ReplEvent::Seal { segment, crc } => w.u8(SEAL).u64(*segment).u32(*crc),
         };
     }
-    (Status::Ok, w.build())
+    Ok(w.build())
 }
 
 /// The fetch reply's failpoint, `repl::fetch_reply`: `ShortWrite` sends a
@@ -185,8 +175,8 @@ pub(crate) fn reply_fault(out: &mut impl Write, response: &[u8]) -> std::io::Res
 
 /// One decoded fetch reply.
 struct Batch {
-    dim: usize,
-    leaf_size: usize,
+    /// The leader's index config, as [`config_json`] renders it.
+    config: String,
     leader_rows: u64,
     events: Vec<ReplEvent>,
 }
@@ -197,7 +187,7 @@ struct Batch {
 fn decode_batch(payload: &[u8]) -> Result<Batch, String> {
     let mut r = wire::PayloadReader::new(payload);
     let dim = r.u32()? as usize;
-    let leaf_size = r.u32()? as usize;
+    let config = r.str16()?;
     let leader_rows = r.u64()?;
     let count = r.u32()?;
     let mut events = Vec::new();
@@ -211,15 +201,15 @@ fn decode_batch(payload: &[u8]) -> Result<Batch, String> {
         });
     }
     r.finish()?;
-    Ok(Batch { dim, leaf_size, leader_rows, events })
+    Ok(Batch { config, leader_rows, events })
 }
 
 /// How one link attempt ended.
 enum LinkEnd {
     /// Shutdown or promotion — stop tailing.
     Stopped,
-    /// Unrecoverable (divergence, eviction, config mismatch) — stop tailing
-    /// and leave the reason in `last_error`.
+    /// Unrecoverable (divergence, a pruned cursor, config mismatch) — stop
+    /// tailing and leave the reason in `last_error`.
     Terminal(String),
     /// Transient (connect refused, leader restart, torn reply) — back off
     /// and reconnect from the current cursor.
@@ -295,13 +285,15 @@ fn follow_once(
         return LinkEnd::Transient(format!("link setup: {e}"));
     }
     state.connected.store(true, Ordering::Relaxed);
+    let own_config = config_json(replica.engine().config());
     let mut seals = 0u64;
     loop {
         if stopped() {
             return LinkEnd::Stopped;
         }
-        let request = wire::PayloadWriter::new().str16(follower_id).u64(replica.next_row()).build();
-        let body = match client.call(Op::ReplFetch, &request) {
+        let request =
+            Request::Fetch { follower: follower_id.to_string(), from_row: replica.next_row() };
+        let body = match client.call(&request) {
             Ok(body) => body,
             Err(ClientError::Server { message, .. })
                 if message.contains("diverged") || message.contains("re-seed") =>
@@ -314,11 +306,10 @@ fn follow_once(
             Ok(batch) => batch,
             Err(m) => return LinkEnd::Transient(format!("bad fetch reply: {m}")),
         };
-        let config = replica.engine().config();
-        if batch.dim != config.dim || batch.leaf_size != config.leaf_size {
+        if batch.config != own_config {
             return LinkEnd::Terminal(format!(
-                "leader config mismatch: leader dim {} leaf {}, follower dim {} leaf {}",
-                batch.dim, batch.leaf_size, config.dim, config.leaf_size
+                "leader config mismatch: leader {}, follower {own_config}",
+                batch.config
             ));
         }
         state.leader_rows.fetch_max(batch.leader_rows, Ordering::Relaxed);
@@ -365,7 +356,21 @@ mod tests {
 
     /// The fetch request of follower `f` from row 3.
     fn valid_request() -> Vec<u8> {
-        wire::PayloadWriter::new().str16("f").u64(3).build()
+        Request::Fetch { follower: "f".into(), from_row: 3 }.encode().1
+    }
+
+    /// The leader's reply to a fetch frame's payload, or its refusal.
+    fn fetch(
+        payload: &[u8],
+        tenant: &Arc<Tenant>,
+        link: &mut Option<FollowerLink>,
+    ) -> Result<Vec<u8>, String> {
+        match Request::decode(wire::Op::ReplFetch, payload)? {
+            Request::Fetch { follower, from_row } => {
+                serve_fetch(tenant, follower, from_row, link).map_err(|r| r.message)
+            }
+            other => Err(format!("a fetch frame decoded to {other:?}")),
+        }
     }
 
     /// A durable leader tenant in `dir` holding 21 rows at dim 2 and leaf 4
@@ -383,8 +388,7 @@ mod tests {
         for i in 0..21 {
             tenant.insert(&[i as f32, -0.5 * i as f32], i).unwrap();
         }
-        let (status, reply) = serve_fetch(&valid_request(), tenant, &mut None);
-        assert_eq!(status, Status::Ok);
+        let reply = fetch(&valid_request(), tenant, &mut None).unwrap();
         (registry, reply)
     }
 
@@ -393,19 +397,19 @@ mod tests {
         let dir = leader_dir("order");
         let (registry, reply) = leader(&dir);
         let batch = decode_batch(&reply).unwrap();
-        assert_eq!((batch.dim, batch.leaf_size, batch.leader_rows), (2, 4, 21));
+        let config = MbiConfig::new(2, Metric::Euclidean).with_leaf_size(4);
+        assert_eq!((batch.config, batch.leader_rows), (config_json(&config), 21));
         let mut feed = WalFeed::new(dir.join(WAL_DIR), 2, 4, 3);
         assert_eq!(batch.events, feed.next_batch(FEED_BATCH).unwrap());
         assert_eq!(batch.events.len(), 18 + 5, "rows 3..21 and the five seals");
         // The connection's link lists the follower as connected until it
         // drops.
         let tenant = &registry.all()[0];
-        let request = wire::PayloadWriter::new().str16("g").u64(21).build();
+        let request = Request::Fetch { follower: "g".into(), from_row: 21 }.encode().1;
         let mut link = None;
-        let (status, reply) = serve_fetch(&request, tenant, &mut link);
-        assert_eq!(status, Status::Ok);
+        let reply = fetch(&request, tenant, &mut link).unwrap();
         assert!(decode_batch(&reply).unwrap().events.is_empty(), "caught up");
-        serve_fetch(&request, tenant, &mut link);
+        fetch(&request, tenant, &mut link).unwrap();
         assert_eq!(tenant.followers.lock().unwrap()["g"].links, 1);
         drop(link);
         assert_eq!(tenant.followers.lock().unwrap()["g"].links, 0);
@@ -457,10 +461,14 @@ mod tests {
                 }
             };
             let reply = if kind < 2 {
-                let (status, reply) = serve_fetch(&bytes, &registry.all()[0], &mut None);
-                proptest::prop_assert!(reply.len() < wire::MAX_FRAME);
-                proptest::prop_assert!(status != Status::Ok || decode_batch(&reply).is_ok());
-                reply
+                match fetch(&bytes, &registry.all()[0], &mut None) {
+                    Ok(reply) => {
+                        proptest::prop_assert!(reply.len() < wire::MAX_FRAME);
+                        proptest::prop_assert!(decode_batch(&reply).is_ok());
+                        reply
+                    }
+                    Err(message) => message.into_bytes(),
+                }
             } else {
                 bytes
             };

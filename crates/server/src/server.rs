@@ -14,15 +14,15 @@
 //! answered with `408`/`Timeout` — the connection and server keep serving.
 
 use crate::config::ServerConfig;
-use crate::http::{self, ParseError, Request};
+use crate::http::{self, ParseError};
 use crate::metrics::ServerMetrics;
 use crate::replicate::{self, FollowerLink};
 use crate::signal;
-use crate::tenant::{Tenant, TenantRegistry};
-use crate::wire::{self, Op, Status};
+use crate::tenant::{Reader, Tenant, TenantEngine, TenantError, TenantRegistry};
+use crate::wire::{self, Op, Request, Status};
 use mbi_core::{MbiError, QueryOutput, TimeWindow};
 use serde::Value;
-use std::io::{BufReader, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -68,7 +68,7 @@ impl Server {
         // leader until shutdown or promotion.
         let mut followers = Vec::new();
         for tenant in registry.all() {
-            if matches!(tenant.engine, crate::tenant::TenantEngine::Replica { .. }) {
+            if matches!(tenant.engine, TenantEngine::Replica { .. }) {
                 let tenant = Arc::clone(tenant);
                 let shared = Arc::clone(&shared);
                 let thread = std::thread::Builder::new()
@@ -78,7 +78,7 @@ impl Server {
                 followers.push(thread);
             }
         }
-        Ok(ServerHandle { addr, shared, registry, accept: Some(accept), followers })
+        Ok(ServerHandle { addr, shared, accept: Some(accept), followers })
     }
 }
 
@@ -86,7 +86,6 @@ impl Server {
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    registry: Arc<TenantRegistry>,
     accept: Option<std::thread::JoinHandle<()>>,
     followers: Vec<std::thread::JoinHandle<()>>,
 }
@@ -99,7 +98,7 @@ impl ServerHandle {
 
     /// The tenant registry (tests and the CLI read metrics through it).
     pub fn registry(&self) -> &Arc<TenantRegistry> {
-        &self.registry
+        &self.shared.registry
     }
 
     /// Blocks until a termination signal (or [`signal::request_shutdown`])
@@ -125,7 +124,7 @@ impl ServerHandle {
     /// from the log alone.
     pub fn abort(mut self) {
         self.stop_accepting();
-        std::mem::forget(Arc::clone(&self.registry));
+        std::mem::forget(Arc::clone(&self.shared.registry));
     }
 
     /// Raises the stop flag and wakes the accept loop, which blocks in
@@ -156,19 +155,12 @@ impl ServerHandle {
         while self.shared.metrics.connections.load(Ordering::Relaxed) > 0 && Instant::now() < gone {
             std::thread::sleep(Duration::from_millis(5));
         }
-        for tenant in self.registry.all() {
-            match &tenant.engine {
-                crate::tenant::TenantEngine::Streaming(e) if e.durable_dir().is_some() => {
-                    if let Err(err) = e.checkpoint() {
-                        eprintln!("checkpoint of tenant {:?} failed: {err}", tenant.name);
-                    }
+        for tenant in self.shared.registry.all() {
+            let Reader::Streaming(e) = tenant.reader() else { continue };
+            if e.durable_dir().is_some() {
+                if let Err(err) = e.checkpoint() {
+                    eprintln!("checkpoint of tenant {:?} failed: {err}", tenant.name);
                 }
-                crate::tenant::TenantEngine::Replica { replica, .. } => {
-                    if let Err(err) = replica.engine().checkpoint() {
-                        eprintln!("checkpoint of replica {:?} failed: {err}", tenant.name);
-                    }
-                }
-                _ => {}
             }
         }
     }
@@ -222,28 +214,8 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
 /// cannot know its protocol yet, so answer in both.
 fn refuse(mut stream: TcpStream) {
     let _ = stream.set_write_timeout(Some(Duration::from_millis(200)));
-    let mut buf = Vec::new();
-    let _ =
-        http::write_response(&mut buf, 503, &http::error_body("connection limit reached"), false);
-    let _ = stream.write_all(&buf);
-}
-
-/// A `Read` that replays the sniffed prefix before the live stream.
-struct PrefixedStream<'a> {
-    prefix: &'a [u8],
-    pos: usize,
-    stream: &'a TcpStream,
-}
-
-impl Read for PrefixedStream<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        if self.pos < self.prefix.len() {
-            let n = (&self.prefix[self.pos..]).read(buf)?;
-            self.pos += n;
-            return Ok(n);
-        }
-        self.stream.read(buf)
-    }
+    let body = http::error_body("connection limit reached");
+    let _ = http::write_response(&mut stream, 503, &body, false);
 }
 
 fn serve_connection(stream: TcpStream, shared: &Shared) {
@@ -251,24 +223,13 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
     let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
     let mut sniff = [0u8; 4];
     let mut got = 0usize;
-    // Collect the 4 sniff bytes, polling the stop flag on timeouts. The
-    // idle deadline (the slow-loris guard) starts here: a connection that
-    // cannot even produce 4 bytes in time is dropped.
+    // The idle deadline (the slow-loris guard) starts here: a connection
+    // that cannot even produce its 4 sniff bytes in time is dropped.
     let idle_gone = shared.config.idle_timeout.map(|d| Instant::now() + d);
     while got < 4 {
-        match (&stream).read(&mut sniff[got..]) {
-            Ok(0) => return,
-            Ok(n) => got += n,
-            Err(e) if is_timeout(&e) => {
-                if shared.stop.load(Ordering::Relaxed) {
-                    return;
-                }
-                if idle_gone.is_some_and(|gone| Instant::now() >= gone) {
-                    shared.metrics.idle_dropped.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-            }
-            Err(_) => return,
+        match poll_read(shared, idle_gone, || (&stream).read(&mut sniff[got..])) {
+            Some(0) | None => return,
+            Some(n) => got += n,
         }
     }
     if sniff == wire::MAGIC {
@@ -278,33 +239,38 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
     }
 }
 
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut)
-}
-
-/// Waits until the reader has buffered data, the peer closes (`Ok(false)`),
-/// the server stops (`Ok(false)`), or the idle deadline passes without a
-/// byte arriving (`Ok(false)`, counted in `idle_dropped`). The deadline is
-/// re-armed per request — it bounds *idle* time, not connection lifetime.
-fn wait_readable<R: Read>(reader: &mut BufReader<R>, shared: &Shared) -> std::io::Result<bool> {
-    use std::io::BufRead;
-    let idle_gone = shared.config.idle_timeout.map(|d| Instant::now() + d);
+/// Runs `read` until it returns without timing out, checking the stop flag
+/// and the idle deadline at each read timeout. `None` when the server
+/// stops, the deadline passes (counted in `idle_dropped`) or `read` fails.
+fn poll_read<T>(
+    shared: &Shared,
+    idle_gone: Option<Instant>,
+    mut read: impl FnMut() -> std::io::Result<T>,
+) -> Option<T> {
     loop {
-        match reader.fill_buf() {
-            Ok([]) => return Ok(false),
-            Ok(_) => return Ok(true),
-            Err(e) if is_timeout(&e) => {
+        match read() {
+            Ok(v) => return Some(v),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                 if shared.stop.load(Ordering::Relaxed) {
-                    return Ok(false);
+                    return None;
                 }
                 if idle_gone.is_some_and(|gone| Instant::now() >= gone) {
                     shared.metrics.idle_dropped.fetch_add(1, Ordering::Relaxed);
-                    return Ok(false);
+                    return None;
                 }
             }
-            Err(e) => return Err(e),
+            Err(_) => return None,
         }
     }
+}
+
+/// Waits until the reader has buffered data: `false` when the peer closes,
+/// the server stops, or the idle deadline passes without a byte arriving.
+/// The deadline is re-armed per request — it bounds *idle* time, not
+/// connection lifetime.
+fn wait_readable<R: Read>(reader: &mut BufReader<R>, shared: &Shared) -> bool {
+    let idle_gone = shared.config.idle_timeout.map(|d| Instant::now() + d);
+    poll_read(shared, idle_gone, || reader.fill_buf().map(|b| !b.is_empty())) == Some(true)
 }
 
 /// RAII decrement for a gauge (requests in flight, open connections): a
@@ -317,43 +283,186 @@ impl Drop for GaugeGuard<'_> {
     }
 }
 
-/// The admission gate: `None` means shed.
-fn admit(shared: &Shared) -> Option<GaugeGuard<'_>> {
+/// The admission gate: a query or an insert over the in-flight cap is shed
+/// and counted on its tenant.
+fn admit<'a>(shared: &'a Shared, tenant: &Tenant) -> Result<GaugeGuard<'a>, Refusal> {
     let now = shared.metrics.inflight.fetch_add(1, Ordering::Relaxed) + 1;
     if now > shared.config.max_inflight {
         shared.metrics.inflight.fetch_sub(1, Ordering::Relaxed);
         shared.metrics.shed.fetch_add(1, Ordering::Relaxed);
-        return None;
+        tenant.metrics.shed.fetch_add(1, Ordering::Relaxed);
+        return Err(Refusal::new((503, Status::Overloaded), "server overloaded"));
     }
-    Some(GaugeGuard(&shared.metrics.inflight))
+    Ok(GaugeGuard(&shared.metrics.inflight))
 }
 
-/// Runs one query on the connection's thread under its deadline (the
-/// request's own, else the server default) and records tenant metrics.
-fn run_query(
-    tenant: &Tenant,
-    query: &[f32],
-    k: usize,
-    window: TimeWindow,
-    explicit_deadline: Option<Duration>,
-    shared: &Shared,
-) -> Result<QueryOutput, String> {
-    if query.len() != tenant.dim() {
-        return Err(format!(
-            "query dimension {} does not match index dimension {}",
-            query.len(),
-            tenant.dim()
-        ));
+// ---------------------------------------------------------------------------
+// The request path both protocols share
+// ---------------------------------------------------------------------------
+
+/// Who sends a request. HTTP presents credentials with every request; a
+/// binary connection authenticates once, with AUTH, and acts for that
+/// tenant from then on.
+enum Caller<'a> {
+    /// An HTTP request's `X-Tenant` name and bearer token.
+    Credentials { tenant: Option<&'a str>, token: Option<&'a str> },
+    /// A binary connection's tenant: `None` until an AUTH succeeds.
+    Session(Option<&'a Arc<Tenant>>),
+}
+
+/// What a served request answers with; each protocol encodes it.
+enum Outcome {
+    /// AUTH succeeded: the connection acts for this tenant from now on.
+    Authenticated(Arc<Tenant>),
+    /// PING.
+    Pong,
+    /// A replica tenant was promoted.
+    Promoted,
+    /// A query's results, partial if its deadline expired.
+    Results(QueryOutput),
+    /// The row id an insert was given.
+    Inserted(u32),
+    /// A stats or health document.
+    Document(Value),
+    /// A fetch reply, laid out as the [`wire`] module doc sets out.
+    Batch(Vec<u8>),
+}
+
+/// A refused request: its HTTP status and binary status, and a message.
+pub(crate) struct Refusal {
+    pub(crate) status: (u16, Status),
+    pub(crate) message: String,
+}
+
+impl Refusal {
+    pub(crate) fn new(status: (u16, Status), message: impl Into<String>) -> Self {
+        Refusal { status, message: message.into() }
     }
-    let start = Instant::now();
-    let deadline = explicit_deadline.or(shared.config.default_deadline).map(|d| Instant::now() + d);
-    let out = tenant.query(query, k, window, deadline).map_err(|e| e.to_string())?;
-    if out.timed_out {
-        tenant.metrics.timeouts.fetch_add(1, Ordering::Relaxed);
+
+    /// A request the client got wrong: 400 and `BadRequest`.
+    pub(crate) fn bad_request(message: impl Into<String>) -> Self {
+        Self::new((400, Status::BadRequest), message)
     }
-    tenant.metrics.queries.fetch_add(1, Ordering::Relaxed);
-    tenant.metrics.query_latency.record(start.elapsed());
-    Ok(out)
+}
+
+impl From<TenantError> for Refusal {
+    fn from(e: TenantError) -> Self {
+        Self::new(e.status(), e.to_string())
+    }
+}
+
+const UNAUTHORIZED: (u16, Status) = (401, Status::Unauthorized);
+
+/// Resolves credentials to a tenant. With a tenant name the `(name, token)`
+/// pair must match; without one the token alone must identify its tenant.
+/// A rejection is counted on the tenant it names.
+fn authenticate<'a>(
+    shared: &'a Shared,
+    name: Option<&str>,
+    token: &str,
+) -> Result<&'a Arc<Tenant>, Refusal> {
+    let registry = &shared.registry;
+    let found = match name {
+        Some(name) => registry.authenticate(name, token),
+        None => registry.by_token(token),
+    };
+    found.ok_or_else(|| {
+        if let Some(t) = name.and_then(|n| registry.by_name(n)) {
+            t.metrics.unauthorized.fetch_add(1, Ordering::Relaxed);
+        }
+        Refusal::new(UNAUTHORIZED, "invalid credentials")
+    })
+}
+
+/// Serves one decoded request: the one path both protocols take. It
+/// authenticates the caller, admits a query or an insert through the
+/// in-flight gate, checks a query's `k`, window order and dimension, runs
+/// the tenant operation and counts it in the tenant's metrics. A query runs
+/// on the calling thread under its own deadline, else the server default.
+fn serve<'a>(
+    caller: Caller<'a>,
+    request: Request,
+    link: &mut Option<FollowerLink>,
+    shared: &'a Shared,
+) -> Result<Outcome, Refusal> {
+    let tenant = match (&request, caller) {
+        (Request::Ping, _) => return Ok(Outcome::Pong),
+        (Request::Auth { tenant, token }, _) => {
+            let tenant = authenticate(shared, Some(tenant), token)?;
+            return Ok(Outcome::Authenticated(Arc::clone(tenant)));
+        }
+        (_, Caller::Session(Some(tenant))) => tenant,
+        (_, Caller::Session(None)) => return Err(Refusal::new(UNAUTHORIZED, "authenticate first")),
+        (_, Caller::Credentials { token: None, .. }) => {
+            return Err(Refusal::new(UNAUTHORIZED, "missing bearer token"))
+        }
+        (_, Caller::Credentials { tenant, token: Some(token) }) => {
+            authenticate(shared, tenant, token)?
+        }
+    };
+    let _inflight = match request {
+        Request::Query { .. } | Request::Insert { .. } => Some(admit(shared, tenant)?),
+        _ => None,
+    };
+    match request {
+        Request::Query { vector, k, from, to, deadline } => {
+            if k == 0 {
+                return Err(Refusal::bad_request("k must be positive"));
+            }
+            if from > to {
+                return Err(Refusal::bad_request(format!("window start {from} is after end {to}")));
+            }
+            if vector.len() != tenant.dim() {
+                return Err(Refusal::bad_request(format!(
+                    "query dimension {} does not match index dimension {}",
+                    vector.len(),
+                    tenant.dim()
+                )));
+            }
+            let start = Instant::now();
+            let deadline = deadline.or(shared.config.default_deadline).map(|d| start + d);
+            let window = TimeWindow::new(from, to);
+            let out = (tenant.query(&vector, k, window, deadline))
+                .map_err(|e| Refusal::bad_request(e.to_string()))?;
+            if out.timed_out {
+                tenant.metrics.timeouts.fetch_add(1, Ordering::Relaxed);
+            }
+            tenant.metrics.queries.fetch_add(1, Ordering::Relaxed);
+            tenant.metrics.query_latency.record(start.elapsed());
+            Ok(Outcome::Results(out))
+        }
+        Request::Insert { vector, timestamp } => {
+            let id = tenant.insert(&vector, timestamp)?;
+            tenant.metrics.inserts.fetch_add(1, Ordering::Relaxed);
+            Ok(Outcome::Inserted(id))
+        }
+        Request::Stats => Ok(Outcome::Document(stats_value(tenant, shared))),
+        Request::Health => Ok(Outcome::Document(tenant.health_value())),
+        Request::Promote => {
+            tenant.promote()?;
+            Ok(Outcome::Promoted)
+        }
+        Request::Fetch { follower, from_row } => {
+            replicate::serve_fetch(tenant, follower, from_row, link).map(Outcome::Batch)
+        }
+        Request::Ping | Request::Auth { .. } => unreachable!("answered before the tenant lookup"),
+    }
+}
+
+/// The `/stats` document: server-wide gauges plus the authenticated
+/// tenant's own serving metrics and engine stats.
+fn stats_value(tenant: &Arc<Tenant>, shared: &Shared) -> Value {
+    let uptime = shared.metrics.started.elapsed();
+    let mut doc = vec![
+        ("server".into(), shared.metrics.to_value()),
+        ("tenant".into(), Value::Str(tenant.name.clone())),
+        ("serving".into(), tenant.metrics.to_value(uptime)),
+        ("engine".into(), tenant.engine_stats_value()),
+    ];
+    if let Some(followers) = tenant.followers_value() {
+        doc.push(("followers".into(), followers));
+    }
+    Value::Map(doc)
 }
 
 // ---------------------------------------------------------------------------
@@ -361,27 +470,25 @@ fn run_query(
 // ---------------------------------------------------------------------------
 
 fn serve_http(stream: &TcpStream, sniffed: &[u8], shared: &Shared) {
-    let mut reader = BufReader::new(PrefixedStream { prefix: sniffed, pos: 0, stream });
+    // The sniffed bytes are the start of the request line.
+    let mut reader = BufReader::new(sniffed.chain(stream));
     let mut out = stream;
     loop {
-        match wait_readable(&mut reader, shared) {
-            Ok(true) => {}
-            Ok(false) | Err(_) => return,
+        if !wait_readable(&mut reader, shared) {
+            return;
         }
         let request = match http::read_request(&mut reader) {
             Ok(r) => r,
-            Err(ParseError::Closed) => return,
-            Err(ParseError::Io(_)) => return,
+            Err(ParseError::Closed | ParseError::Io(_)) => return,
             Err(ParseError::Malformed(m)) => {
                 // An oversized request head is the HTTP face of the frame
                 // cap: 431 and its own counter, not a generic 400.
-                let status = if m == "request head too large" {
-                    shared.metrics.oversized.fetch_add(1, Ordering::Relaxed);
-                    431
+                let (counter, status) = if m == "request head too large" {
+                    (&shared.metrics.oversized, 431)
                 } else {
-                    shared.metrics.bad_requests.fetch_add(1, Ordering::Relaxed);
-                    400
+                    (&shared.metrics.bad_requests, 400)
                 };
+                counter.fetch_add(1, Ordering::Relaxed);
                 let _ = http::write_response(&mut out, status, &http::error_body(&m), false);
                 return;
             }
@@ -394,54 +501,51 @@ fn serve_http(stream: &TcpStream, sniffed: &[u8], shared: &Shared) {
     }
 }
 
-fn handle_http_request(req: &Request, shared: &Shared) -> (u16, String) {
-    match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/healthz") => healthz(shared),
-        ("GET", "/stats") => match authenticate_http(req, shared) {
-            Ok(tenant) => (200, render(stats_value(tenant, shared))),
-            Err(resp) => resp,
-        },
-        ("POST", "/query") => match authenticate_http(req, shared) {
-            Ok(tenant) => http_query(req, tenant, shared),
-            Err(resp) => resp,
-        },
-        ("POST", "/insert") => match authenticate_http(req, shared) {
-            Ok(tenant) => http_insert(req, tenant, shared),
-            Err(resp) => resp,
-        },
-        ("POST", "/promote") => match authenticate_http(req, shared) {
-            Ok(tenant) => match tenant.promote() {
-                Ok(()) => (200, render(Value::Map(vec![("promoted".into(), Value::Bool(true))]))),
-                Err(e) => (e.status().0, http::error_body(&e.to_string())),
-            },
-            Err(resp) => resp,
-        },
-        ("GET" | "POST", _) => (404, http::error_body("no such endpoint")),
-        _ => (405, http::error_body("method not allowed")),
-    }
-}
-
-/// Resolves the request's credentials to a tenant. With an `X-Tenant`
-/// header the `(name, token)` pair must match; without one the token alone
-/// must uniquely identify its tenant.
-fn authenticate_http<'a>(
-    req: &Request,
-    shared: &'a Shared,
-) -> Result<&'a Arc<Tenant>, (u16, String)> {
-    let Some(token) = req.bearer.as_deref() else {
-        return Err((401, http::error_body("missing bearer token")));
+/// Routes one HTTP request: `/healthz` is answered here, for the whole
+/// server and without credentials; every other endpoint decodes its body
+/// into a [`Request`] that [`serve`] answers for the caller's tenant.
+fn handle_http_request(req: &http::Request, shared: &Shared) -> (u16, String) {
+    let decoded = match (req.method.as_str(), req.path.as_str()) {
+        ("GET", "/healthz") => return healthz(shared),
+        ("GET", "/stats") => Ok(Request::Stats),
+        ("POST", "/query") => http::decode_query(&req.body),
+        ("POST", "/insert") => http::decode_insert(&req.body),
+        ("POST", "/promote") => Ok(Request::Promote),
+        ("GET" | "POST", _) => return (404, http::error_body("no such endpoint")),
+        _ => return (405, http::error_body("method not allowed")),
     };
-    let found = match req.tenant.as_deref() {
-        Some(name) => shared.registry.authenticate(name, token),
-        None => shared.registry.by_token(token),
-    };
-    found.ok_or_else(|| {
-        // Attribute the rejection to the named tenant when one was claimed.
-        if let Some(t) = req.tenant.as_deref().and_then(|n| shared.registry.by_name(n)) {
-            t.metrics.unauthorized.fetch_add(1, Ordering::Relaxed);
+    let caller =
+        Caller::Credentials { tenant: req.tenant.as_deref(), token: req.bearer.as_deref() };
+    let served = decoded
+        .map_err(Refusal::bad_request)
+        .and_then(|request| serve(caller, request, &mut None, shared));
+    let field = |name: &str, value| http::render(Value::Map(vec![(name.into(), value)]));
+    match served {
+        Ok(Outcome::Results(done)) => {
+            let results = (done.results.iter())
+                .map(|r| {
+                    Value::Map(vec![
+                        ("id".into(), Value::UInt(u64::from(r.id))),
+                        ("timestamp".into(), Value::Int(r.timestamp)),
+                        ("dist".into(), Value::Float(f64::from(r.dist))),
+                    ])
+                })
+                .collect();
+            let body = Value::Map(vec![
+                ("results".into(), Value::Seq(results)),
+                ("timed_out".into(), Value::Bool(done.timed_out)),
+            ]);
+            (if done.timed_out { 408 } else { 200 }, http::render(body))
         }
-        (401, http::error_body("invalid credentials"))
-    })
+        Ok(Outcome::Inserted(id)) => (200, field("id", Value::UInt(u64::from(id)))),
+        Ok(Outcome::Promoted) => (200, field("promoted", Value::Bool(true))),
+        Ok(Outcome::Document(doc)) => (200, http::render(doc)),
+        // No HTTP endpoint decodes to AUTH, PING or a fetch.
+        Ok(Outcome::Authenticated(_) | Outcome::Pong | Outcome::Batch(_)) => {
+            (200, http::render(Value::Map(Vec::new())))
+        }
+        Err(refusal) => (refusal.status.0, http::error_body(&refusal.message)),
+    }
 }
 
 fn healthz(shared: &Shared) -> (u16, String) {
@@ -464,124 +568,7 @@ fn healthz(shared: &Shared) -> (u16, String) {
         ("status".into(), Value::Str(status.into())),
         ("tenants".into(), Value::Map(tenants)),
     ]);
-    (if halted { 503 } else { 200 }, render(body))
-}
-
-/// The `/stats` document: server-wide gauges plus the authenticated
-/// tenant's own serving metrics and engine stats.
-fn stats_value(tenant: &Arc<Tenant>, shared: &Shared) -> Value {
-    let uptime = shared.metrics.started.elapsed();
-    let mut doc = vec![
-        ("server".into(), shared.metrics.to_value()),
-        ("tenant".into(), Value::Str(tenant.name.clone())),
-        ("serving".into(), tenant.metrics.to_value(uptime)),
-        ("engine".into(), tenant.engine_stats_value()),
-    ];
-    if let Some(followers) = tenant.followers_value() {
-        doc.push(("followers".into(), followers));
-    }
-    Value::Map(doc)
-}
-
-fn http_query(req: &Request, tenant: &Arc<Tenant>, shared: &Shared) -> (u16, String) {
-    let Some(guard) = admit(shared) else {
-        tenant.metrics.shed.fetch_add(1, Ordering::Relaxed);
-        return (503, http::error_body("server overloaded"));
-    };
-    let _guard = guard;
-    let parsed = match parse_query_body(&req.body) {
-        Ok(p) => p,
-        Err(m) => return (400, http::error_body(&m)),
-    };
-    let (query, k, window, deadline) = parsed;
-    match run_query(tenant, &query, k, window, deadline, shared) {
-        Ok(done) => {
-            let results: Vec<Value> = done
-                .results
-                .iter()
-                .map(|r| {
-                    Value::Map(vec![
-                        ("id".into(), Value::UInt(u64::from(r.id))),
-                        ("timestamp".into(), Value::Int(r.timestamp)),
-                        ("dist".into(), Value::Float(f64::from(r.dist))),
-                    ])
-                })
-                .collect();
-            let body = Value::Map(vec![
-                ("results".into(), Value::Seq(results)),
-                ("timed_out".into(), Value::Bool(done.timed_out)),
-            ]);
-            (if done.timed_out { 408 } else { 200 }, render(body))
-        }
-        Err(m) => (400, http::error_body(&m)),
-    }
-}
-
-type ParsedQuery = (Vec<f32>, usize, TimeWindow, Option<Duration>);
-
-fn parse_query_body(body: &str) -> Result<ParsedQuery, String> {
-    let v = serde_json::from_str(body).map_err(|e| e.to_string())?;
-    let query = parse_vector(&v)?;
-    let k = v.get("k").and_then(Value::as_u64).ok_or("missing \"k\"")? as usize;
-    if k == 0 {
-        return Err("k must be positive".into());
-    }
-    let from = v.get("from").and_then(Value::as_i64).unwrap_or(i64::MIN);
-    let to = v.get("to").and_then(Value::as_i64).unwrap_or(i64::MAX);
-    if from > to {
-        return Err(format!("window start {from} is after end {to}"));
-    }
-    let deadline = match v.get("deadline_ms") {
-        None => None,
-        Some(d) => Some(Duration::from_millis(
-            d.as_u64().ok_or("\"deadline_ms\" must be a non-negative integer")?,
-        )),
-    };
-    Ok((query, k, TimeWindow::new(from, to), deadline))
-}
-
-/// The `"vector"` array of a request body.
-fn parse_vector(v: &Value) -> Result<Vec<f32>, String> {
-    let seq = v.get("vector").and_then(Value::as_seq).ok_or("missing \"vector\" array")?;
-    let floats = seq.iter().map(|x| x.as_f64().map(|f| f as f32));
-    floats.collect::<Option<_>>().ok_or_else(|| "non-numeric vector element".into())
-}
-
-/// An insert body: its vector and timestamp. Every error is a 400.
-fn parse_insert_body(body: &str) -> Result<(Vec<f32>, i64), String> {
-    let v = serde_json::from_str(body).map_err(|e| e.to_string())?;
-    let vector = parse_vector(&v)?;
-    let t = v.get("timestamp").and_then(Value::as_i64).ok_or("missing \"timestamp\"")?;
-    Ok((vector, t))
-}
-
-fn http_insert(req: &Request, tenant: &Arc<Tenant>, shared: &Shared) -> (u16, String) {
-    let Some(guard) = admit(shared) else {
-        tenant.metrics.shed.fetch_add(1, Ordering::Relaxed);
-        return (503, http::error_body("server overloaded"));
-    };
-    let _guard = guard;
-    let (vector, t) = match parse_insert_body(&req.body) {
-        Ok(p) => p,
-        Err(m) => return (400, http::error_body(&m)),
-    };
-    match tenant.insert(&vector, t) {
-        Ok(id) => {
-            tenant.metrics.inserts.fetch_add(1, Ordering::Relaxed);
-            (200, render(Value::Map(vec![("id".into(), Value::UInt(u64::from(id)))])))
-        }
-        Err(e) => (e.status().0, http::error_body(&e.to_string())),
-    }
-}
-
-fn render(value: Value) -> String {
-    struct W(Value);
-    impl serde::Serialize for W {
-        fn to_value(&self) -> Value {
-            self.0.clone()
-        }
-    }
-    serde_json::to_string(&W(value)).expect("serialiser is total")
+    (if halted { 503 } else { 200 }, http::render(body))
 }
 
 // ---------------------------------------------------------------------------
@@ -591,41 +578,55 @@ fn render(value: Value) -> String {
 fn serve_binary(stream: &TcpStream, shared: &Shared) {
     let mut reader = BufReader::new(stream);
     let mut out = stream;
-    // The connection's authenticated tenant; every op except AUTH and PING
-    // requires it. A follower's first fetch registers it as connected
-    // until the connection closes.
+    // The connection's authenticated tenant. A follower's first fetch
+    // registers it as connected until the connection closes.
     let mut tenant: Option<Arc<Tenant>> = None;
     let mut follower = None;
     loop {
-        match wait_readable(&mut reader, shared) {
-            Ok(true) => {}
-            Ok(false) | Err(_) => return,
-        }
-        let (tag, payload) =
-            match wire::read_frame_limit(&mut reader, shared.config.max_frame_bytes) {
-                Ok(Some(f)) => f,
-                Ok(None) => return,
-                Err(e) => {
-                    if e.to_string().contains("exceeds cap") {
-                        shared.metrics.oversized.fetch_add(1, Ordering::Relaxed);
-                        let _ = wire::write_frame(
-                            &mut out,
-                            Status::BadRequest as u8,
-                            b"frame too large",
-                        );
-                    } else {
-                        shared.metrics.bad_requests.fetch_add(1, Ordering::Relaxed);
-                        let _ = wire::write_frame(&mut out, Status::BadRequest as u8, b"bad frame");
-                    }
-                    return;
-                }
-            };
-        let Some(op) = Op::from_u8(tag) else {
-            shared.metrics.bad_requests.fetch_add(1, Ordering::Relaxed);
-            let _ = wire::write_frame(&mut out, Status::BadRequest as u8, b"unknown op");
+        if !wait_readable(&mut reader, shared) {
             return;
+        }
+        // A frame that cannot be read, or names no op, is answered and ends
+        // the connection: the stream is out of step.
+        let frame = match wire::read_frame_limit(&mut reader, shared.config.max_frame_bytes) {
+            Ok(None) => return,
+            Ok(Some((tag, payload))) => match Op::from_u8(tag) {
+                Some(op) => Ok((op, payload)),
+                None => Err((&shared.metrics.bad_requests, "unknown op")),
+            },
+            Err(e) if e.to_string().contains("exceeds cap") => {
+                Err((&shared.metrics.oversized, "frame too large"))
+            }
+            Err(_) => Err((&shared.metrics.bad_requests, "bad frame")),
         };
-        let (status, response) = handle_binary_op(op, &payload, &mut tenant, &mut follower, shared);
+        let (op, payload) = match frame {
+            Ok(frame) => frame,
+            Err((counter, message)) => {
+                counter.fetch_add(1, Ordering::Relaxed);
+                let _ = wire::write_frame(&mut out, Status::BadRequest as u8, message.as_bytes());
+                return;
+            }
+        };
+        let served =
+            Request::decode(op, &payload).map_err(Refusal::bad_request).and_then(|request| {
+                serve(Caller::Session(tenant.as_ref()), request, &mut follower, shared)
+            });
+        let (status, response) = match served {
+            Ok(Outcome::Results(done)) => {
+                let flags = if done.timed_out { wire::FLAG_TIMED_OUT } else { 0 };
+                let body = wire::encode_results(&done.results, flags);
+                (if done.timed_out { Status::Timeout } else { Status::Ok }, body)
+            }
+            Ok(Outcome::Inserted(id)) => (Status::Ok, id.to_le_bytes().to_vec()),
+            Ok(Outcome::Document(doc)) => (Status::Ok, http::render(doc).into_bytes()),
+            Ok(Outcome::Batch(batch)) => (Status::Ok, batch),
+            Ok(Outcome::Authenticated(t)) => {
+                tenant = Some(t);
+                (Status::Ok, Vec::new())
+            }
+            Ok(Outcome::Pong | Outcome::Promoted) => (Status::Ok, Vec::new()),
+            Err(refusal) => (refusal.status.1, refusal.message.into_bytes()),
+        };
         if op == Op::ReplFetch && replicate::reply_fault(&mut out, &response).is_err() {
             return;
         }
@@ -640,142 +641,10 @@ fn serve_binary(stream: &TcpStream, shared: &Shared) {
 /// in step: the client gets a `BadRequest` frame in its place.
 fn send_reply<W: Write>(out: &mut W, status: Status, response: &[u8]) -> std::io::Result<()> {
     match wire::write_frame(out, status as u8, response) {
-        Err(e) if e.kind() == std::io::ErrorKind::InvalidInput => {
+        Err(e) if e.kind() == ErrorKind::InvalidInput => {
             wire::write_frame(out, Status::BadRequest as u8, e.to_string().as_bytes())
         }
         sent => sent,
-    }
-}
-
-fn handle_binary_op(
-    op: Op,
-    payload: &[u8],
-    tenant: &mut Option<Arc<Tenant>>,
-    follower: &mut Option<FollowerLink>,
-    shared: &Shared,
-) -> (Status, Vec<u8>) {
-    match op {
-        Op::Ping => (Status::Ok, Vec::new()),
-        Op::Auth => {
-            let mut r = wire::PayloadReader::new(payload);
-            let parsed = (|| {
-                let name = r.str16()?;
-                let token = r.str16()?;
-                r.finish()?;
-                Ok::<_, String>((name, token))
-            })();
-            match parsed {
-                Ok((name, token)) => match shared.registry.authenticate(&name, &token) {
-                    Some(t) => {
-                        *tenant = Some(Arc::clone(t));
-                        (Status::Ok, Vec::new())
-                    }
-                    None => {
-                        if let Some(t) = shared.registry.by_name(&name) {
-                            t.metrics.unauthorized.fetch_add(1, Ordering::Relaxed);
-                        }
-                        (Status::Unauthorized, b"invalid credentials".to_vec())
-                    }
-                },
-                Err(m) => (Status::BadRequest, m.into_bytes()),
-            }
-        }
-        Op::Query => {
-            let Some(tenant) = tenant.as_ref() else {
-                return (Status::Unauthorized, b"authenticate first".to_vec());
-            };
-            let Some(guard) = admit(shared) else {
-                tenant.metrics.shed.fetch_add(1, Ordering::Relaxed);
-                return (Status::Overloaded, b"server overloaded".to_vec());
-            };
-            let _guard = guard;
-            let mut r = wire::PayloadReader::new(payload);
-            let parsed = (|| {
-                let k = r.u32()? as usize;
-                let from = r.i64()?;
-                let to = r.i64()?;
-                let deadline_ms = r.u32()?;
-                let dim = r.u32()? as usize;
-                let query = r.f32s(dim)?;
-                r.finish()?;
-                if k == 0 {
-                    return Err("k must be positive".into());
-                }
-                if from > to {
-                    return Err(format!("window start {from} is after end {to}"));
-                }
-                Ok::<_, String>((k, TimeWindow::new(from, to), deadline_ms, query))
-            })();
-            let (k, window, deadline_ms, query) = match parsed {
-                Ok(p) => p,
-                Err(m) => return (Status::BadRequest, m.into_bytes()),
-            };
-            let deadline = (deadline_ms > 0).then(|| Duration::from_millis(u64::from(deadline_ms)));
-            match run_query(tenant, &query, k, window, deadline, shared) {
-                Ok(done) => {
-                    let flags = if done.timed_out { wire::FLAG_TIMED_OUT } else { 0 };
-                    let body = wire::encode_results(&done.results, flags);
-                    (if done.timed_out { Status::Timeout } else { Status::Ok }, body)
-                }
-                Err(m) => (Status::BadRequest, m.into_bytes()),
-            }
-        }
-        Op::Insert => {
-            let Some(tenant) = tenant.as_ref() else {
-                return (Status::Unauthorized, b"authenticate first".to_vec());
-            };
-            let Some(guard) = admit(shared) else {
-                tenant.metrics.shed.fetch_add(1, Ordering::Relaxed);
-                return (Status::Overloaded, b"server overloaded".to_vec());
-            };
-            let _guard = guard;
-            let mut r = wire::PayloadReader::new(payload);
-            let parsed = (|| {
-                let t = r.i64()?;
-                let dim = r.u32()? as usize;
-                let vector = r.f32s(dim)?;
-                r.finish()?;
-                Ok::<_, String>((t, vector))
-            })();
-            let (t, vector) = match parsed {
-                Ok(p) => p,
-                Err(m) => return (Status::BadRequest, m.into_bytes()),
-            };
-            match tenant.insert(&vector, t) {
-                Ok(id) => {
-                    tenant.metrics.inserts.fetch_add(1, Ordering::Relaxed);
-                    (Status::Ok, id.to_le_bytes().to_vec())
-                }
-                Err(e) => (e.status().1, e.to_string().into_bytes()),
-            }
-        }
-        Op::Stats => {
-            let Some(tenant) = tenant.as_ref() else {
-                return (Status::Unauthorized, b"authenticate first".to_vec());
-            };
-            (Status::Ok, render(stats_value(tenant, shared)).into_bytes())
-        }
-        Op::Health => {
-            let Some(tenant) = tenant.as_ref() else {
-                return (Status::Unauthorized, b"authenticate first".to_vec());
-            };
-            (Status::Ok, render(tenant.health_value()).into_bytes())
-        }
-        Op::ReplFetch => {
-            let Some(tenant) = tenant.as_ref() else {
-                return (Status::Unauthorized, b"authenticate first".to_vec());
-            };
-            replicate::serve_fetch(payload, tenant, follower)
-        }
-        Op::Promote => {
-            let Some(tenant) = tenant.as_ref() else {
-                return (Status::Unauthorized, b"authenticate first".to_vec());
-            };
-            match tenant.promote() {
-                Ok(()) => (Status::Ok, Vec::new()),
-                Err(e) => (e.status().1, e.to_string().into_bytes()),
-            }
-        }
     }
 }
 
@@ -800,7 +669,7 @@ mod tests {
         assert_eq!((Status::from_u8(tag), body.as_slice()), (Some(Status::Ok), &b"fits"[..]));
     }
 
-    /// A query body and an insert body the parsers accept.
+    /// A query body and an insert body the decoders accept.
     const VALID_BODIES: [&str; 2] = [
         r#"{"vector":[0.1,-2e3,3],"k":5,"from":-7,"to":90,"deadline_ms":250}"#,
         r#"{"vector":[0.1,0.2,0.3,0.4],"timestamp":-12}"#,
@@ -812,9 +681,9 @@ mod tests {
         /// Hostile HTTP bodies — arbitrary bytes, and the valid bodies with
         /// bytes overwritten, then maybe cut and extended, each decoded
         /// lossily (the request reader refuses a body that is not UTF-8) —
-        /// make the query and the insert body parsers answer `Ok` or an
-        /// error, which the handlers send as a 400, never panic. An accepted
-        /// query asks for at least one neighbour over an ordered window.
+        /// make the query and the insert body decoders answer `Ok` or an
+        /// error, which the server sends as a 400, never panic. (`k > 0`
+        /// and the window order are the request handler's checks.)
         #[test]
         fn arbitrary_http_bodies_never_panic(
             kind in 0..3usize,
@@ -823,8 +692,8 @@ mod tests {
                 (proptest::arbitrary::any::<usize>(), proptest::arbitrary::any::<u8>()), 1..5),
             cut in proptest::arbitrary::any::<usize>(),
         ) {
-            proptest::prop_assert!(parse_query_body(VALID_BODIES[0]).is_ok());
-            proptest::prop_assert!(parse_insert_body(VALID_BODIES[1]).is_ok());
+            proptest::prop_assert!(http::decode_query(VALID_BODIES[0]).is_ok());
+            proptest::prop_assert!(http::decode_insert(VALID_BODIES[1]).is_ok());
             let bytes = match kind {
                 0 => raw,
                 _ => {
@@ -841,10 +710,8 @@ mod tests {
                 }
             };
             let body = String::from_utf8_lossy(&bytes);
-            if let Ok((_, k, window, _)) = parse_query_body(&body) {
-                proptest::prop_assert!(k > 0 && window.start <= window.end, "{}", body);
-            }
-            let _ = parse_insert_body(&body);
+            let _ = http::decode_query(&body);
+            let _ = http::decode_insert(&body);
         }
     }
 }

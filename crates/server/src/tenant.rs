@@ -5,8 +5,9 @@ use crate::config::{ReplicaSource, ServerConfig, TenantConfig};
 use crate::metrics::TenantMetrics;
 use crate::replicate::ReplicaState;
 use crate::wire::Status;
-use mbi_ann::SearchParams;
-use mbi_core::{ColdIndex, EngineHealth, MbiError, QueryOutput, Replica, StreamingMbi, TimeWindow};
+use mbi_core::{
+    ColdIndex, EngineHealth, MbiConfig, MbiError, QueryOutput, Replica, StreamingMbi, TimeWindow,
+};
 use serde::Value;
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
@@ -43,6 +44,15 @@ pub struct FollowerInfo {
     pub links: usize,
 }
 
+/// What answers a tenant's reads: the [`StreamingMbi`] of a streaming or a
+/// replica tenant, or a cold tenant's file.
+pub(crate) enum Reader<'a> {
+    /// A streaming engine, a replica's included.
+    Streaming(&'a StreamingMbi),
+    /// A read-only disk-tiered index.
+    Cold(&'a ColdIndex),
+}
+
 /// One tenant: engine + token + serving metrics.
 pub struct Tenant {
     /// Namespace name.
@@ -50,6 +60,8 @@ pub struct Tenant {
     token: String,
     /// The tenant's engine.
     pub engine: TenantEngine,
+    /// The engine's index config.
+    config: MbiConfig,
     /// Serving counters (latency, shed, timeouts).
     pub metrics: TenantMetrics,
     /// Leader-side registry of followers (empty unless this tenant has ever
@@ -70,26 +82,22 @@ impl Tenant {
         a.iter().zip(b).fold(0u8, |acc, (x, y)| acc | (x ^ y)) == 0
     }
 
-    /// Default search parameters of this tenant's index config.
-    pub fn search_params(&self) -> SearchParams {
-        match &self.engine {
-            TenantEngine::Streaming(e) => e.config().search,
-            TenantEngine::Cold(c) => c.config().search,
-            TenantEngine::Replica { replica, .. } => replica.engine().config().search,
-        }
-    }
-
     /// Vector dimensionality this tenant expects.
     pub fn dim(&self) -> usize {
+        self.config.dim
+    }
+
+    /// The engine that answers this tenant's reads.
+    pub(crate) fn reader(&self) -> Reader<'_> {
         match &self.engine {
-            TenantEngine::Streaming(e) => e.config().dim,
-            TenantEngine::Cold(c) => c.config().dim,
-            TenantEngine::Replica { replica, .. } => replica.engine().config().dim,
+            TenantEngine::Streaming(e) => Reader::Streaming(e),
+            TenantEngine::Replica { replica, .. } => Reader::Streaming(replica.engine()),
+            TenantEngine::Cold(c) => Reader::Cold(c),
         }
     }
 
     /// One query with an optional cooperative deadline, on the calling
-    /// thread.
+    /// thread, under the config's search parameters.
     pub fn query(
         &self,
         query: &[f32],
@@ -97,20 +105,10 @@ impl Tenant {
         window: TimeWindow,
         deadline: Option<Instant>,
     ) -> Result<QueryOutput, MbiError> {
-        match &self.engine {
-            TenantEngine::Streaming(e) => {
-                Ok(e.query_with_deadline(query, k, window, &self.search_params(), deadline))
-            }
-            TenantEngine::Cold(c) => {
-                c.query_with_deadline(query, k, window, &self.search_params(), deadline)
-            }
-            TenantEngine::Replica { replica, .. } => Ok(replica.engine().query_with_deadline(
-                query,
-                k,
-                window,
-                &self.search_params(),
-                deadline,
-            )),
+        let search = &self.config.search;
+        match self.reader() {
+            Reader::Streaming(e) => Ok(e.query_with_deadline(query, k, window, search, deadline)),
+            Reader::Cold(c) => c.query_with_deadline(query, k, window, search, deadline),
         }
     }
 
@@ -119,44 +117,35 @@ impl Tenant {
     pub fn insert(&self, vector: &[f32], t: i64) -> Result<u32, TenantError> {
         match &self.engine {
             TenantEngine::Streaming(e) => Ok(e.insert(vector, t)?),
-            TenantEngine::Cold(_) => Err(TenantError::ReadOnly),
-            TenantEngine::Replica { replica, .. } => {
-                if replica.is_promoted() {
-                    Ok(replica.engine().insert(vector, t)?)
-                } else {
-                    Err(TenantError::ReadOnly)
-                }
+            TenantEngine::Replica { replica, .. } if replica.is_promoted() => {
+                Ok(replica.engine().insert(vector, t)?)
             }
+            _ => Err(TenantError::ReadOnly),
         }
     }
 
     /// Promotes a replica tenant (manual failover): verifies its WAL tail,
     /// checkpoints, and opens it for writes. Errors on non-replica tenants.
     pub fn promote(&self) -> Result<(), TenantError> {
-        match &self.engine {
-            TenantEngine::Replica { replica, .. } => Ok(replica.promote()?),
-            _ => Err(TenantError::NotReplica),
-        }
+        let TenantEngine::Replica { replica, .. } = &self.engine else {
+            return Err(TenantError::NotReplica);
+        };
+        Ok(replica.promote()?)
     }
 
     /// Rows this replica lags its leader by (`None` for non-replicas).
     /// Lag is against the highest leader row count observed over the link,
     /// so a disconnected follower reports its last-known lag, not zero.
     pub fn replication_lag_rows(&self) -> Option<u64> {
-        match &self.engine {
-            TenantEngine::Replica { replica, state, .. } => {
-                Some(state.leader_rows.load(Ordering::Relaxed).saturating_sub(replica.next_row()))
-            }
-            _ => None,
-        }
+        let TenantEngine::Replica { replica, state, .. } = &self.engine else { return None };
+        Some(state.leader_rows.load(Ordering::Relaxed).saturating_sub(replica.next_row()))
     }
 
     /// Rows currently committed.
     pub fn len(&self) -> usize {
-        match &self.engine {
-            TenantEngine::Streaming(e) => e.len(),
-            TenantEngine::Cold(c) => c.len(),
-            TenantEngine::Replica { replica, .. } => replica.engine().len(),
+        match self.reader() {
+            Reader::Streaming(e) => e.len(),
+            Reader::Cold(c) => c.len(),
         }
     }
 
@@ -167,10 +156,9 @@ impl Tenant {
 
     /// Engine health (cold tenants are immutable, hence always healthy).
     pub fn health(&self) -> EngineHealth {
-        match &self.engine {
-            TenantEngine::Streaming(e) => e.health(),
-            TenantEngine::Cold(_) => EngineHealth::Healthy,
-            TenantEngine::Replica { replica, .. } => replica.engine().health(),
+        match self.reader() {
+            Reader::Streaming(e) => e.health(),
+            Reader::Cold(_) => EngineHealth::Healthy,
         }
     }
 
@@ -207,8 +195,10 @@ impl Tenant {
                 let rows = replica.next_row();
                 let leader_rows = state.leader_rows.load(Ordering::Relaxed);
                 let lag = leader_rows.saturating_sub(rows);
-                let leaf = replica.engine().config().leaf_size.max(1) as u64;
+                let leaf = self.config.leaf_size.max(1) as u64;
                 let (duplicates, verified, unverified) = replica.apply_counters();
+                let last_error =
+                    state.last_error.lock().ok().and_then(|e| e.clone()).unwrap_or_default();
                 Value::Map(vec![
                     ("kind".into(), Value::Str("replica".into())),
                     ("rows".into(), Value::UInt(rows)),
@@ -222,15 +212,7 @@ impl Tenant {
                     ("duplicates_skipped".into(), Value::UInt(duplicates)),
                     ("seals_verified".into(), Value::UInt(verified)),
                     ("seals_unverified".into(), Value::UInt(unverified)),
-                    (
-                        "last_error".into(),
-                        Value::Str(
-                            state
-                                .last_error
-                                .lock()
-                                .map_or_else(|_| String::new(), |e| e.clone().unwrap_or_default()),
-                        ),
-                    ),
+                    ("last_error".into(), Value::Str(last_error)),
                 ])
             }
         }
@@ -245,13 +227,7 @@ impl Tenant {
             return None;
         }
         let rows = self.len() as u64;
-        let leaf = match &self.engine {
-            TenantEngine::Streaming(e) => e.config().leaf_size.max(1) as u64,
-            TenantEngine::Cold(c) => c.config().leaf_size.max(1) as u64,
-            TenantEngine::Replica { replica, .. } => {
-                replica.engine().config().leaf_size.max(1) as u64
-            }
-        };
+        let leaf = self.config.leaf_size.max(1) as u64;
         let entries = followers
             .iter()
             .map(|(id, info)| {
@@ -336,6 +312,11 @@ impl std::fmt::Display for TenantError {
     }
 }
 
+/// A server config the tenants cannot be built from.
+fn invalid(message: String) -> MbiError {
+    MbiError::Io(std::io::Error::new(std::io::ErrorKind::InvalidInput, message))
+}
+
 /// All tenants of one server, resolved at start-up.
 pub struct TenantRegistry {
     tenants: Vec<Arc<Tenant>>,
@@ -349,8 +330,6 @@ impl TenantRegistry {
     /// approximation of one shared pool. A cold tenant maps its file; the
     /// kernel's page cache decides what of it stays resident.
     pub fn build(config: &ServerConfig) -> Result<TenantRegistry, MbiError> {
-        let invalid =
-            |msg: String| MbiError::Io(std::io::Error::new(std::io::ErrorKind::InvalidInput, msg));
         for (i, a) in config.tenants.iter().enumerate() {
             for b in &config.tenants[i + 1..] {
                 if a.name == b.name {
@@ -369,11 +348,12 @@ impl TenantRegistry {
         engine.builder_threads = (engine.builder_threads / streaming).max(1);
         let mut tenants = Vec::with_capacity(config.tenants.len());
         for tc in &config.tenants {
-            let engine_impl = Self::build_engine(config, tc, engine)?;
+            let (engine, index) = Self::build_engine(config, tc, engine)?;
             tenants.push(Arc::new(Tenant {
                 name: tc.name.clone(),
                 token: tc.token.clone(),
-                engine: engine_impl,
+                engine,
+                config: index,
                 metrics: TenantMetrics::default(),
                 followers: Mutex::new(BTreeMap::new()),
             }));
@@ -381,32 +361,32 @@ impl TenantRegistry {
         Ok(TenantRegistry { tenants })
     }
 
+    /// One tenant's engine, and the index config it runs with.
     fn build_engine(
         config: &ServerConfig,
         tc: &TenantConfig,
         engine: mbi_core::EngineConfig,
-    ) -> Result<TenantEngine, MbiError> {
+    ) -> Result<(TenantEngine, MbiConfig), MbiError> {
         if let Some(source) = &tc.replica_of {
-            let dir = tc.dir.as_ref().ok_or_else(|| {
-                MbiError::Io(std::io::Error::new(
-                    std::io::ErrorKind::InvalidInput,
-                    format!("replica tenant {:?} needs a durable dir", tc.name),
-                ))
+            let dir = (tc.dir.as_ref()).ok_or_else(|| {
+                invalid(format!("replica tenant {:?} needs a durable dir", tc.name))
             })?;
             let replica = Arc::new(Replica::open(dir, config.index, engine)?);
-            return Ok(TenantEngine::Replica {
-                replica,
-                state: Arc::new(ReplicaState::new()),
-                source: source.clone(),
-            });
+            let index = *replica.engine().config();
+            let state = Arc::new(ReplicaState::default());
+            return Ok((TenantEngine::Replica { replica, state, source: source.clone() }, index));
         }
         if let Some(path) = &tc.cold_path {
-            return Ok(TenantEngine::Cold(Box::new(ColdIndex::open(path)?)));
+            let cold = ColdIndex::open(path)?;
+            let index = *cold.config();
+            return Ok((TenantEngine::Cold(Box::new(cold)), index));
         }
-        if let Some(dir) = &tc.dir {
-            return Ok(TenantEngine::Streaming(StreamingMbi::open(dir, config.index, engine)?));
-        }
-        Ok(TenantEngine::Streaming(StreamingMbi::with_engine_config(config.index, engine)))
+        let streaming = match &tc.dir {
+            Some(dir) => StreamingMbi::open(dir, config.index, engine)?,
+            None => StreamingMbi::with_engine_config(config.index, engine),
+        };
+        let index = *streaming.config();
+        Ok((TenantEngine::Streaming(streaming), index))
     }
 
     /// Resolves a `(tenant, token)` pair. Both must match: a valid token

@@ -29,13 +29,19 @@
 //! WAL (below); AUTH/PING/PROMOTE → empty. Every error payload is a
 //! human-readable message.
 //!
+//! [`Request`] is the one encoder and decoder of these request payloads:
+//! the client and the follower link encode with it, and the server decodes
+//! with it. The HTTP endpoints decode their JSON bodies into the same type.
+//!
 //! # Replication
 //!
 //! A follower replicates with ordinary `REPL_FETCH` requests on its
 //! authenticated connection, each asking for the leader's WAL events from
 //! its own row count on. The OK reply is one batch in one frame:
-//! `u32 dim, u32 leaf_size, u64 leader_rows, u32 count`, then `count`
-//! events in feed order, each a `u8` tag and either a record
+//! `u32 dim, u16 config_len, config, u64 leader_rows, u32 count`, then
+//! `count` events in feed order, where `config` is the leader's whole
+//! `MbiConfig` as JSON (a follower whose own config differs stops before it
+//! applies anything), and each event is a `u8` tag and either a record
 //! (`0: u64 row, i64 timestamp, dim × f32`) or a seal (`1: u64 segment,
 //! u32 crc`, the leader's CRC of the sealed segment the follower checks its
 //! own bytes against). An empty batch means the follower is caught up. A
@@ -44,6 +50,7 @@
 
 use mbi_core::TknnResult;
 use std::io::{Read, Write};
+use std::time::Duration;
 
 /// The protocol magic a binary connection opens with.
 pub const MAGIC: [u8; 4] = *b"MBI1";
@@ -76,17 +83,10 @@ pub enum Op {
 impl Op {
     /// Decodes an opcode byte.
     pub fn from_u8(b: u8) -> Option<Op> {
-        match b {
-            0x01 => Some(Op::Auth),
-            0x02 => Some(Op::Query),
-            0x03 => Some(Op::Insert),
-            0x04 => Some(Op::Stats),
-            0x05 => Some(Op::Ping),
-            0x06 => Some(Op::Health),
-            0x07 => Some(Op::ReplFetch),
-            0x08 => Some(Op::Promote),
-            _ => None,
-        }
+        use Op::*;
+        [Auth, Query, Insert, Stats, Ping, Health, ReplFetch, Promote]
+            .into_iter()
+            .find(|&op| op as u8 == b)
     }
 }
 
@@ -113,21 +113,130 @@ pub enum Status {
 impl Status {
     /// Decodes a status byte.
     pub fn from_u8(b: u8) -> Option<Status> {
-        match b {
-            0 => Some(Status::Ok),
-            1 => Some(Status::Unauthorized),
-            2 => Some(Status::Overloaded),
-            3 => Some(Status::Timeout),
-            4 => Some(Status::BadRequest),
-            5 => Some(Status::Internal),
-            6 => Some(Status::ReadOnly),
-            _ => None,
-        }
+        use Status::{BadRequest, Internal, Overloaded, ReadOnly, Timeout, Unauthorized};
+        [Status::Ok, Unauthorized, Overloaded, Timeout, BadRequest, Internal, ReadOnly]
+            .into_iter()
+            .find(|&status| status as u8 == b)
     }
 }
 
 /// QUERY response flag: the deadline expired; results are partial.
 pub const FLAG_TIMED_OUT: u8 = 1 << 1;
+
+/// One request to the service, whichever protocol carried it: the binary
+/// protocol sends every kind, HTTP sends a query, an insert, stats and a
+/// promotion. Decoding checks only the layout; the server's one handler
+/// checks what the values mean (`k > 0`, the window order, the dimension).
+#[derive(Clone, Debug, PartialEq)]
+pub enum Request {
+    /// Authenticate the connection as one tenant.
+    Auth {
+        /// The tenant's name.
+        tenant: String,
+        /// Its bearer token.
+        token: String,
+    },
+    /// Liveness no-op.
+    Ping,
+    /// One TkNN query: the `k` rows nearest `vector` with a timestamp in
+    /// `[from, to)`.
+    Query {
+        /// The query vector.
+        vector: Vec<f32>,
+        /// Neighbours asked for.
+        k: usize,
+        /// Window start (inclusive).
+        from: i64,
+        /// Window end (exclusive).
+        to: i64,
+        /// The query's own deadline; `None` takes the server default.
+        deadline: Option<Duration>,
+    },
+    /// One append.
+    Insert {
+        /// The row.
+        vector: Vec<f32>,
+        /// Its timestamp.
+        timestamp: i64,
+    },
+    /// Tenant and server stats.
+    Stats,
+    /// The tenant's engine health.
+    Health,
+    /// Promote a replica tenant.
+    Promote,
+    /// A follower's fetch of the leader's WAL events from `from_row` on.
+    Fetch {
+        /// The follower's id (its tenant name).
+        follower: String,
+        /// The follower's row count.
+        from_row: u64,
+    },
+}
+
+impl Request {
+    /// The op this request travels under and its frame's payload, laid out
+    /// as the table above sets out. A deadline goes out in whole
+    /// milliseconds, at least 1.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a name, token or follower id is longer than `u16::MAX`
+    /// bytes.
+    pub fn encode(&self) -> (Op, Vec<u8>) {
+        let w = PayloadWriter::new();
+        let (op, w) = match self {
+            Request::Auth { tenant, token } => (Op::Auth, w.str16(tenant).str16(token)),
+            Request::Query { vector, k, from, to, deadline } => {
+                let deadline_ms =
+                    deadline.map_or(0, |d| d.as_millis().clamp(1, u128::from(u32::MAX)) as u32);
+                let w = w.u32(*k as u32).i64(*from).i64(*to).u32(deadline_ms);
+                (Op::Query, w.u32(vector.len() as u32).f32s(vector))
+            }
+            Request::Insert { vector, timestamp } => {
+                (Op::Insert, w.i64(*timestamp).u32(vector.len() as u32).f32s(vector))
+            }
+            Request::Fetch { follower, from_row } => {
+                (Op::ReplFetch, w.str16(follower).u64(*from_row))
+            }
+            Request::Ping => (Op::Ping, w),
+            Request::Stats => (Op::Stats, w),
+            Request::Health => (Op::Health, w),
+            Request::Promote => (Op::Promote, w),
+        };
+        (op, w.build())
+    }
+
+    /// Decodes the payload of an `op` frame. A payload that ends early,
+    /// runs on, or holds a string that is not UTF-8 is an error; an op
+    /// without a payload ignores whatever it carries. A `deadline_ms` of 0
+    /// is no deadline of the query's own.
+    pub fn decode(op: Op, payload: &[u8]) -> Result<Request, String> {
+        let mut r = PayloadReader::new(payload);
+        let request = match op {
+            Op::Ping => return Ok(Request::Ping),
+            Op::Stats => return Ok(Request::Stats),
+            Op::Health => return Ok(Request::Health),
+            Op::Promote => return Ok(Request::Promote),
+            Op::Auth => Request::Auth { tenant: r.str16()?, token: r.str16()? },
+            Op::Query => {
+                let (k, from, to, deadline_ms) = (r.u32()? as usize, r.i64()?, r.i64()?, r.u32()?);
+                let deadline =
+                    (deadline_ms > 0).then(|| Duration::from_millis(u64::from(deadline_ms)));
+                let dim = r.u32()? as usize;
+                Request::Query { vector: r.f32s(dim)?, k, from, to, deadline }
+            }
+            Op::Insert => {
+                let timestamp = r.i64()?;
+                let dim = r.u32()? as usize;
+                Request::Insert { vector: r.f32s(dim)?, timestamp }
+            }
+            Op::ReplFetch => Request::Fetch { follower: r.str16()?, from_row: r.u64()? },
+        };
+        r.finish()?;
+        Ok(request)
+    }
+}
 
 /// Reads one frame, returning the tag byte (op or status) and payload.
 /// `Ok(None)` means the peer closed cleanly between frames.
@@ -191,6 +300,27 @@ pub fn write_frame<W: Write>(w: &mut W, tag: u8, payload: &[u8]) -> std::io::Res
     w.flush()
 }
 
+/// Defines a reader method per little-endian scalar type.
+macro_rules! read_le {
+    ($($t:ident),*) => {$(
+        #[doc = concat!("Reads a `", stringify!($t), "`.")]
+        pub fn $t(&mut self) -> Result<$t, String> {
+            Ok($t::from_le_bytes(self.take(std::mem::size_of::<$t>())?.try_into().expect("sized")))
+        }
+    )*};
+}
+
+/// Defines a writer method per little-endian scalar type.
+macro_rules! write_le {
+    ($($t:ident),*) => {$(
+        #[doc = concat!("Appends a `", stringify!($t), "`.")]
+        pub fn $t(mut self, v: $t) -> Self {
+            self.bytes.extend_from_slice(&v.to_le_bytes());
+            self
+        }
+    )*};
+}
+
 /// A little-endian payload reader with bounds-checked accessors.
 pub struct PayloadReader<'a> {
     bytes: &'a [u8],
@@ -215,39 +345,11 @@ impl<'a> PayloadReader<'a> {
         }
     }
 
-    /// Reads a `u8`.
-    pub fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads a `u16`.
-    pub fn u16(&mut self) -> Result<u16, String> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
-    }
-
-    /// Reads a `u32`.
-    pub fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    /// Reads a `u64`.
-    pub fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    /// Reads an `i64`.
-    pub fn i64(&mut self) -> Result<i64, String> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    /// Reads an `f32`.
-    pub fn f32(&mut self) -> Result<f32, String> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
+    read_le!(u8, u32, u64, i64, f32);
 
     /// Reads a length-prefixed (`u16`) UTF-8 string.
     pub fn str16(&mut self) -> Result<String, String> {
-        let n = self.u16()? as usize;
+        let n = u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")) as usize;
         String::from_utf8(self.take(n)?.to_vec()).map_err(|_| "string not utf-8".into())
     }
 
@@ -282,35 +384,7 @@ impl PayloadWriter {
         Self::default()
     }
 
-    /// Appends a `u16`.
-    pub fn u16(mut self, v: u16) -> Self {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
-        self
-    }
-
-    /// Appends a `u32`.
-    pub fn u32(mut self, v: u32) -> Self {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
-        self
-    }
-
-    /// Appends a `u64`.
-    pub fn u64(mut self, v: u64) -> Self {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
-        self
-    }
-
-    /// Appends an `i64`.
-    pub fn i64(mut self, v: i64) -> Self {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
-        self
-    }
-
-    /// Appends a single byte.
-    pub fn u8(mut self, v: u8) -> Self {
-        self.bytes.push(v);
-        self
-    }
+    write_le!(u8, u32, u64, i64, f32);
 
     /// Appends a length-prefixed (`u16`) string.
     pub fn str16(mut self, s: &str) -> Self {
@@ -338,8 +412,7 @@ impl PayloadWriter {
 pub fn encode_results(results: &[TknnResult], flags: u8) -> Vec<u8> {
     let mut w = PayloadWriter::new().u8(flags).u32(results.len() as u32);
     for r in results {
-        w = w.u32(r.id).i64(r.timestamp);
-        w.bytes.extend_from_slice(&r.dist.to_le_bytes());
+        w = w.u32(r.id).i64(r.timestamp).f32(r.dist);
     }
     w.build()
 }
@@ -457,6 +530,74 @@ mod tests {
         let mut r = PayloadReader::new(&payload);
         r.u32().unwrap();
         assert!(r.finish().is_err());
+    }
+
+    /// A request of kind `kind` (0..8, one per op) built from the given
+    /// fields.
+    fn request(kind: usize, text: &str, vector: Vec<f32>, ints: (u32, i64, i64, u32)) -> Request {
+        let (k, a, b, ms) = ints;
+        match kind {
+            0 => Request::Auth { tenant: text.into(), token: text.repeat(2) },
+            1 => Request::Ping,
+            2 => {
+                let deadline = (ms > 0).then(|| Duration::from_millis(u64::from(ms)));
+                Request::Query { vector, k: k as usize, from: a, to: b, deadline }
+            }
+            3 => Request::Insert { vector, timestamp: a },
+            4 => Request::Stats,
+            5 => Request::Health,
+            6 => Request::Promote,
+            _ => Request::Fetch { follower: text.into(), from_row: b as u64 },
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(2048))]
+
+        /// Every request decodes from its own encoding to itself, and a
+        /// payload cut short is an error for every op that carries one.
+        /// Hostile payloads — arbitrary bytes, and a valid payload with
+        /// bytes overwritten, then maybe cut and extended — decode under
+        /// every op to `Ok` or an error, never a panic.
+        #[test]
+        fn requests_round_trip_and_hostile_payloads_never_panic(
+            kind in 0..8usize,
+            text in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..24),
+            vector in proptest::collection::vec(-1e6f32..1e6f32, 0..12),
+            ints in (
+                proptest::arbitrary::any::<u32>(),
+                proptest::arbitrary::any::<i64>(),
+                proptest::arbitrary::any::<i64>(),
+                proptest::arbitrary::any::<u32>(),
+            ),
+            raw in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..96),
+            writes in proptest::collection::vec(
+                (proptest::arbitrary::any::<usize>(), proptest::arbitrary::any::<u8>()), 1..5),
+            cut in proptest::arbitrary::any::<usize>(),
+        ) {
+            let request = request(kind, &String::from_utf8_lossy(&text), vector, ints);
+            let (op, payload) = request.encode();
+            proptest::prop_assert_eq!(Request::decode(op, &payload), Ok(request));
+            if !payload.is_empty() {
+                let short = &payload[..cut % payload.len()];
+                proptest::prop_assert!(Request::decode(op, short).is_err(), "{:?}", short);
+            }
+            let mut hostile = payload;
+            if !hostile.is_empty() {
+                for &(at, x) in &writes {
+                    let at = at % hostile.len();
+                    hostile[at] = x;
+                }
+            }
+            if cut % 2 == 1 {
+                hostile.truncate(cut / 2 % (hostile.len() + 1));
+                hostile.extend(&raw);
+            }
+            for op in (0..=u8::MAX).filter_map(Op::from_u8) {
+                let _ = Request::decode(op, &hostile);
+                let _ = Request::decode(op, &raw);
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! queries while it lags, catching up to a bit-identical copy of the
 //! leader's index, then being promoted and accepting writes.
 
-use mbi_core::{MbiConfig, TimeWindow};
+use mbi_ann::NnDescentParams;
+use mbi_core::{GraphBackend, MbiConfig, TimeWindow};
 use mbi_math::Metric;
 use mbi_server::client::{http_request, BinaryClient, ClientError};
 use mbi_server::wire::Status;
@@ -181,5 +182,51 @@ fn healthz_degrades_when_replication_lag_exceeds_threshold() {
     assert_eq!(v.get("status").and_then(|s| s.as_str()), Some("degraded"), "{body}");
 
     follower.shutdown();
+    let _ = std::fs::remove_dir_all(&fdir);
+}
+
+#[test]
+fn follower_refuses_a_leader_with_another_index_config() {
+    let ldir = temp_dir("config_leader");
+    let fdir = temp_dir("config_follower");
+    // Same dim and leaf size, another graph degree: replaying the leader's
+    // rows would pass every seal check and still build other graphs.
+    let leader_config =
+        index_config().with_backend(GraphBackend::NnDescent(NnDescentParams::with_degree(8)));
+    let (leader, laddr) = start(
+        ServerConfig::new("127.0.0.1:0", leader_config)
+            .with_tenant(TenantConfig::durable("alpha", "tok-a", &ldir)),
+    );
+    let mut lc = BinaryClient::connect(laddr, "alpha", "tok-a").unwrap();
+    for i in 0..20 {
+        lc.insert(&row(i), i as i64).unwrap();
+    }
+    let source =
+        ReplicaSource { addr: laddr.to_string(), tenant: "alpha".into(), token: "tok-a".into() };
+    let (follower, _) = start(
+        ServerConfig::new("127.0.0.1:0", index_config())
+            .with_tenant(TenantConfig::replica("alpha", "tok-a", &fdir, source)),
+    );
+    let tenant = follower.registry().by_name("alpha").unwrap();
+    let TenantEngine::Replica { state, .. } = &tenant.engine else { panic!("replica tenant") };
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let error = loop {
+        let error = state.last_error.lock().unwrap().clone().unwrap_or_default();
+        if error.contains("config mismatch") {
+            break error;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the follower took the leader's rows: {} rows, last error {error:?}",
+            tenant.len()
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    // The error names both configs, and not one row was applied.
+    assert!(error.contains("\"degree\":8") && error.contains("\"degree\":24"), "{error}");
+    assert_eq!(tenant.len(), 0);
+    follower.shutdown();
+    leader.shutdown();
+    let _ = std::fs::remove_dir_all(&ldir);
     let _ = std::fs::remove_dir_all(&fdir);
 }

@@ -20,6 +20,15 @@ use mbi::{
 };
 use std::path::PathBuf;
 
+/// Every test in this file takes this lock. The failpoint registry is
+/// process-global, and the tests outside `failpoints` build chains through
+/// the same `builder::build` site those tests arm, so a panic armed for one
+/// test must not fire in another.
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 const SNAPSHOT_FILE: &str = mbi::core::engine::SNAPSHOT_FILE;
 const WAL_DIR: &str = mbi::core::engine::WAL_DIR;
 
@@ -76,6 +85,7 @@ fn assert_recovered_equals_sync(dir: &std::path::Path, n: usize) {
 
 #[test]
 fn drop_without_checkpoint_recovers_every_acked_row() {
+    let _serial = serial();
     let dir = temp_dir("no_checkpoint");
     {
         let engine = StreamingMbi::open(&dir, config(), EngineConfig::default()).unwrap();
@@ -90,6 +100,7 @@ fn drop_without_checkpoint_recovers_every_acked_row() {
 
 #[test]
 fn torn_final_wal_record_is_truncated_not_fatal() {
+    let _serial = serial();
     let dir = temp_dir("torn_tail");
     let n = 20usize; // leaf 16 → one rotated segment + 4 rows in the current
     {
@@ -110,6 +121,7 @@ fn torn_final_wal_record_is_truncated_not_fatal() {
 
 #[test]
 fn torn_tail_recovery_then_new_inserts_share_one_log() {
+    let _serial = serial();
     // After a torn-tail recovery the log is truncated back to the last
     // record boundary; new inserts must append cleanly from there.
     let dir = temp_dir("torn_then_grow");
@@ -136,6 +148,7 @@ fn torn_tail_recovery_then_new_inserts_share_one_log() {
 
 #[test]
 fn wal_bitflip_in_sealed_segment_is_wal_corrupt() {
+    let _serial = serial();
     let dir = temp_dir("wal_flip");
     {
         let engine = StreamingMbi::open(&dir, config(), EngineConfig::default()).unwrap();
@@ -162,6 +175,7 @@ fn wal_bitflip_in_sealed_segment_is_wal_corrupt() {
 
 #[test]
 fn snapshot_bitflip_is_rejected_at_recovery() {
+    let _serial = serial();
     let dir = temp_dir("snap_flip");
     {
         let engine = StreamingMbi::open(&dir, config(), EngineConfig::default()).unwrap();
@@ -185,6 +199,7 @@ fn snapshot_bitflip_is_rejected_at_recovery() {
 
 #[test]
 fn truncated_snapshot_is_rejected_at_recovery() {
+    let _serial = serial();
     let dir = temp_dir("snap_trunc");
     {
         let engine = StreamingMbi::open(&dir, config(), EngineConfig::default()).unwrap();
@@ -202,6 +217,7 @@ fn truncated_snapshot_is_rejected_at_recovery() {
 
 #[test]
 fn checkpoint_then_crash_replays_only_the_suffix() {
+    let _serial = serial();
     let dir = temp_dir("suffix");
     {
         let engine = StreamingMbi::open(&dir, config(), EngineConfig::default()).unwrap();
@@ -220,6 +236,7 @@ fn checkpoint_then_crash_replays_only_the_suffix() {
 
 #[test]
 fn wal_sync_always_survives_unsynced_drop_path() {
+    let _serial = serial();
     // WalSync::Always fsyncs inside insert, so durability cannot depend on
     // the Drop-time sync. (We cannot SIGKILL ourselves in-process; the
     // fsync-before-ack ordering is the load-bearing property.)
@@ -241,6 +258,7 @@ fn wal_sync_always_survives_unsynced_drop_path() {
 
 #[test]
 fn recovered_engine_answers_windowed_queries_exactly() {
+    let _serial = serial();
     let dir = temp_dir("queries");
     let n = 45usize;
     {
@@ -261,6 +279,7 @@ fn recovered_engine_answers_windowed_queries_exactly() {
 
 #[test]
 fn tiered_checkpoint_crash_recovers_bit_identically_and_serves_cold() {
+    let _serial = serial();
     use mbi::ColdIndex;
     // The engine's checkpoint file is a snapshot stream, so after a crash
     // the same file must (a) recover the engine bit-identically and (b) open
@@ -313,6 +332,7 @@ fn tiered_checkpoint_crash_recovers_bit_identically_and_serves_cold() {
 
 #[test]
 fn server_killed_mid_ingest_recovers_every_tenant_bit_identically() {
+    let _serial = serial();
     use mbi::server::client::BinaryClient;
     use mbi::server::{Server, ServerConfig, TenantConfig};
 
@@ -363,18 +383,17 @@ fn server_killed_mid_ingest_recovers_every_tenant_bit_identically() {
 }
 
 /// Fault-injection half: compiled only with `RUSTFLAGS='--cfg failpoints'`.
-/// The failpoint registry is process-global, so these tests serialise on a
-/// mutex and disarm everything on entry and exit.
+/// These tests take the file's lock too, and disarm everything on entry
+/// and exit.
 #[cfg(failpoints)]
 mod failpoints {
     use super::*;
     use mbi::core::fail::{self, FailAction};
     use mbi::EngineHealth;
-    use std::sync::{Mutex, MutexGuard, OnceLock};
+    use std::sync::MutexGuard;
 
     fn serial() -> MutexGuard<'static, ()> {
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        let guard = LOCK.get_or_init(|| Mutex::new(())).lock().unwrap_or_else(|e| e.into_inner());
+        let guard = super::serial();
         fail::disarm_all();
         guard
     }

@@ -73,7 +73,7 @@ fn truncation_fuzz_never_panics() {
     for _ in 0..200 {
         x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
         let cut = (x % bytes.len() as u64) as usize;
-        let res = MbiIndex::from_bytes(bytes.slice(0..cut));
+        let res = MbiIndex::from_bytes(&bytes[..cut]);
         assert!(res.is_err(), "truncation at {cut} accepted");
     }
 }
@@ -92,7 +92,7 @@ fn bitflip_fuzz_never_panics() {
         // v5 streams are section-checksummed: *every* flip — including one
         // in the vector payload, which pre-v5 loaded as a silently
         // different index — must surface as an error, never a panic.
-        let res = MbiIndex::from_bytes(bytes::Bytes::from(corrupted));
+        let res = MbiIndex::from_bytes(corrupted);
         assert!(res.is_err(), "flip at byte {pos} (bit mask {bit:#04x}) accepted");
     }
 }
