@@ -10,10 +10,12 @@
 //! still needs outlast `checkpoint`'s pruning. A cursor that points at a
 //! pruned segment anyway is answered with a terminal error ("re-seed").
 //!
-//! Every batch carries the leader's whole index config, and a follower
-//! whose own config differs in any field stops before it applies a row:
-//! replaying the same rows under another degree, metric or `τ` passes
-//! every seal check (seals cover WAL bytes only) but builds other graphs.
+//! Every batch carries the leader's index config, and a follower whose own
+//! config differs in a field that shapes the graphs (everything but the
+//! query-time search defaults and the build schedule) stops before it
+//! applies a row: replaying the same rows under another degree, metric or
+//! `τ` passes every seal check (seals cover WAL bytes only) but builds
+//! other graphs.
 //!
 //! The follower retries its link forever with bounded-exponential jittered
 //! backoff (reusing the client's [`RetryPolicy`]) — a leader restart is a
@@ -101,9 +103,15 @@ fn batch_records(dim: usize, config_bytes: usize) -> usize {
     ((wire::MAX_FRAME - 64 - config_bytes) / per_record).clamp(1, FEED_BATCH)
 }
 
-/// An index config as a fetch reply carries it: its JSON form.
+/// The part of an index config that shapes the graphs a follower builds,
+/// as a fetch reply carries it: the JSON form of the config with the
+/// query-time `search` defaults and the `parallel_build` schedule reset,
+/// since neither changes what is built.
 fn config_json(config: &MbiConfig) -> String {
-    serde_json::to_string(config).expect("serialiser is total")
+    let defaults = MbiConfig::new(config.dim, config.metric);
+    let built =
+        MbiConfig { search: defaults.search, parallel_build: defaults.parallel_build, ..*config };
+    serde_json::to_string(&built).expect("serialiser is total")
 }
 
 /// Answers one `REPL_FETCH` of follower `id`: moves its retention hold to

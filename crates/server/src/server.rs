@@ -540,9 +540,8 @@ fn handle_http_request(req: &http::Request, shared: &Shared) -> (u16, String) {
         Ok(Outcome::Inserted(id)) => (200, field("id", Value::UInt(u64::from(id)))),
         Ok(Outcome::Promoted) => (200, field("promoted", Value::Bool(true))),
         Ok(Outcome::Document(doc)) => (200, http::render(doc)),
-        // No HTTP endpoint decodes to AUTH, PING or a fetch.
         Ok(Outcome::Authenticated(_) | Outcome::Pong | Outcome::Batch(_)) => {
-            (200, http::render(Value::Map(Vec::new())))
+            unreachable!("no HTTP endpoint decodes to AUTH, PING or a fetch")
         }
         Err(refusal) => (refusal.status.0, http::error_body(&refusal.message)),
     }
@@ -675,6 +674,25 @@ mod tests {
         r#"{"vector":[0.1,0.2,0.3,0.4],"timestamp":-12}"#,
     ];
 
+    /// The state of a server with one in-memory tenant `t` (token `tok`)
+    /// of the dimension of the valid query body, holding a few rows. Built
+    /// once and shared by every case.
+    fn one_tenant() -> &'static Shared {
+        static SHARED: std::sync::OnceLock<Shared> = std::sync::OnceLock::new();
+        SHARED.get_or_init(|| {
+            let index = mbi_core::MbiConfig::new(3, mbi_math::Metric::Euclidean).with_leaf_size(4);
+            let config = ServerConfig::new("127.0.0.1:0", index)
+                .with_tenant(crate::TenantConfig::memory("t", "tok"));
+            let registry = Arc::new(TenantRegistry::build(&config).unwrap());
+            let tenant = registry.by_name("t").unwrap();
+            for i in 0..6 {
+                tenant.insert(&[i as f32, 0.5, -1.0], i64::from(i)).unwrap();
+            }
+            let (metrics, stop) = (ServerMetrics::default(), AtomicBool::new(false));
+            Shared { config, registry, metrics, stop }
+        })
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(2048))]
 
@@ -682,8 +700,11 @@ mod tests {
         /// bytes overwritten, then maybe cut and extended, each decoded
         /// lossily (the request reader refuses a body that is not UTF-8) —
         /// make the query and the insert body decoders answer `Ok` or an
-        /// error, which the server sends as a 400, never panic. (`k > 0`
-        /// and the window order are the request handler's checks.)
+        /// error, never panic. Each body is also served as a `POST /query`,
+        /// and its decoded query through [`serve`] as a binary session
+        /// sends it: a body that does not decode, a query for no
+        /// neighbours, over a reversed window or of another dimension is
+        /// refused with 400/`BadRequest`, and every other query is answered.
         #[test]
         fn arbitrary_http_bodies_never_panic(
             kind in 0..3usize,
@@ -710,8 +731,48 @@ mod tests {
                 }
             };
             let body = String::from_utf8_lossy(&bytes);
-            let _ = http::decode_query(&body);
             let _ = http::decode_insert(&body);
+            let shared = one_tenant();
+            let post = http::Request {
+                method: "POST".into(),
+                path: "/query".into(),
+                bearer: Some("tok".into()),
+                tenant: Some("t".into()),
+                keep_alive: true,
+                body: body.to_string(),
+            };
+            let (status, answer) = handle_http_request(&post, shared);
+            let query = http::decode_query(&body);
+            // What the refusal's message names: the decoder's error, or the
+            // first of the handler's checks the query fails.
+            let refused = match &query {
+                Err(m) => Some(m.clone()),
+                Ok(Request::Query { k: 0, .. }) => Some("k must".to_string()),
+                Ok(Request::Query { from, to, .. }) if from > to => {
+                    Some(format!("window start {from} "))
+                }
+                Ok(Request::Query { vector, .. }) if vector.len() != 3 => {
+                    Some(format!("query dimension {} ", vector.len()))
+                }
+                Ok(_) => None,
+            };
+            let tenant = shared.registry.by_name("t");
+            let session = query
+                .map_err(Refusal::bad_request)
+                .and_then(|query| serve(Caller::Session(tenant), query, &mut None, shared));
+            match refused {
+                Some(m) => {
+                    let refusal = session.err().expect("the session's query is refused");
+                    proptest::prop_assert_eq!(refusal.status, (400, Status::BadRequest));
+                    proptest::prop_assert!(refusal.message.starts_with(&m), "{}", refusal.message);
+                    let same = (400, http::error_body(&refusal.message));
+                    proptest::prop_assert_eq!((status, answer), same);
+                }
+                None => {
+                    proptest::prop_assert!(status == 200 || status == 408, "{} {}", status, answer);
+                    proptest::prop_assert!(matches!(session, Ok(Outcome::Results(_))));
+                }
+            }
         }
     }
 }

@@ -39,14 +39,15 @@
 //! authenticated connection, each asking for the leader's WAL events from
 //! its own row count on. The OK reply is one batch in one frame:
 //! `u32 dim, u16 config_len, config, u64 leader_rows, u32 count`, then
-//! `count` events in feed order, where `config` is the leader's whole
-//! `MbiConfig` as JSON (a follower whose own config differs stops before it
-//! applies anything), and each event is a `u8` tag and either a record
-//! (`0: u64 row, i64 timestamp, dim × f32`) or a seal (`1: u64 segment,
-//! u32 crc`, the leader's CRC of the sealed segment the follower checks its
-//! own bytes against). An empty batch means the follower is caught up. A
-//! feed error (a pruned cursor, a corrupt segment) is an error status
-//! carrying the feed's message.
+//! `count` events in feed order, where `config` is the leader's
+//! `MbiConfig` as JSON with its query-time `search` defaults and its
+//! `parallel_build` flag reset (a follower whose own config, so reset,
+//! differs stops before it applies anything), and each event is a `u8`
+//! tag and either a record (`0: u64 row, i64 timestamp, dim × f32`) or a
+//! seal (`1: u64 segment, u32 crc`, the leader's CRC of the sealed segment
+//! the follower checks its own bytes against). An empty batch means the
+//! follower is caught up. A feed error (a pruned cursor, a corrupt segment)
+//! is an error status carrying the feed's message.
 
 use mbi_core::TknnResult;
 use std::io::{Read, Write};
@@ -83,10 +84,17 @@ pub enum Op {
 impl Op {
     /// Decodes an opcode byte.
     pub fn from_u8(b: u8) -> Option<Op> {
-        use Op::*;
-        [Auth, Query, Insert, Stats, Ping, Health, ReplFetch, Promote]
-            .into_iter()
-            .find(|&op| op as u8 == b)
+        match b {
+            0x01 => Some(Op::Auth),
+            0x02 => Some(Op::Query),
+            0x03 => Some(Op::Insert),
+            0x04 => Some(Op::Stats),
+            0x05 => Some(Op::Ping),
+            0x06 => Some(Op::Health),
+            0x07 => Some(Op::ReplFetch),
+            0x08 => Some(Op::Promote),
+            _ => None,
+        }
     }
 }
 
@@ -113,10 +121,16 @@ pub enum Status {
 impl Status {
     /// Decodes a status byte.
     pub fn from_u8(b: u8) -> Option<Status> {
-        use Status::{BadRequest, Internal, Overloaded, ReadOnly, Timeout, Unauthorized};
-        [Status::Ok, Unauthorized, Overloaded, Timeout, BadRequest, Internal, ReadOnly]
-            .into_iter()
-            .find(|&status| status as u8 == b)
+        match b {
+            0 => Some(Status::Ok),
+            1 => Some(Status::Unauthorized),
+            2 => Some(Status::Overloaded),
+            3 => Some(Status::Timeout),
+            4 => Some(Status::BadRequest),
+            5 => Some(Status::Internal),
+            6 => Some(Status::ReadOnly),
+            _ => None,
+        }
     }
 }
 
@@ -300,27 +314,6 @@ pub fn write_frame<W: Write>(w: &mut W, tag: u8, payload: &[u8]) -> std::io::Res
     w.flush()
 }
 
-/// Defines a reader method per little-endian scalar type.
-macro_rules! read_le {
-    ($($t:ident),*) => {$(
-        #[doc = concat!("Reads a `", stringify!($t), "`.")]
-        pub fn $t(&mut self) -> Result<$t, String> {
-            Ok($t::from_le_bytes(self.take(std::mem::size_of::<$t>())?.try_into().expect("sized")))
-        }
-    )*};
-}
-
-/// Defines a writer method per little-endian scalar type.
-macro_rules! write_le {
-    ($($t:ident),*) => {$(
-        #[doc = concat!("Appends a `", stringify!($t), "`.")]
-        pub fn $t(mut self, v: $t) -> Self {
-            self.bytes.extend_from_slice(&v.to_le_bytes());
-            self
-        }
-    )*};
-}
-
 /// A little-endian payload reader with bounds-checked accessors.
 pub struct PayloadReader<'a> {
     bytes: &'a [u8],
@@ -345,11 +338,39 @@ impl<'a> PayloadReader<'a> {
         }
     }
 
-    read_le!(u8, u32, u64, i64, f32);
+    /// Reads a `u8`.
+    pub fn u8(&mut self) -> Result<u8, String> {
+        Ok(self.take(1)?[0])
+    }
+
+    /// Reads a `u16`.
+    pub fn u16(&mut self) -> Result<u16, String> {
+        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
+    }
+
+    /// Reads a `u32`.
+    pub fn u32(&mut self) -> Result<u32, String> {
+        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
+    }
+
+    /// Reads a `u64`.
+    pub fn u64(&mut self) -> Result<u64, String> {
+        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+    }
+
+    /// Reads an `i64`.
+    pub fn i64(&mut self) -> Result<i64, String> {
+        Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+    }
+
+    /// Reads an `f32`.
+    pub fn f32(&mut self) -> Result<f32, String> {
+        Ok(f32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
+    }
 
     /// Reads a length-prefixed (`u16`) UTF-8 string.
     pub fn str16(&mut self) -> Result<String, String> {
-        let n = u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")) as usize;
+        let n = self.u16()? as usize;
         String::from_utf8(self.take(n)?.to_vec()).map_err(|_| "string not utf-8".into())
     }
 
@@ -384,7 +405,35 @@ impl PayloadWriter {
         Self::default()
     }
 
-    write_le!(u8, u32, u64, i64, f32);
+    /// Appends a `u32`.
+    pub fn u32(mut self, v: u32) -> Self {
+        self.bytes.extend_from_slice(&v.to_le_bytes());
+        self
+    }
+
+    /// Appends a `u64`.
+    pub fn u64(mut self, v: u64) -> Self {
+        self.bytes.extend_from_slice(&v.to_le_bytes());
+        self
+    }
+
+    /// Appends an `i64`.
+    pub fn i64(mut self, v: i64) -> Self {
+        self.bytes.extend_from_slice(&v.to_le_bytes());
+        self
+    }
+
+    /// Appends a single byte.
+    pub fn u8(mut self, v: u8) -> Self {
+        self.bytes.push(v);
+        self
+    }
+
+    /// Appends an `f32`.
+    pub fn f32(mut self, v: f32) -> Self {
+        self.bytes.extend_from_slice(&v.to_le_bytes());
+        self
+    }
 
     /// Appends a length-prefixed (`u16`) string.
     pub fn str16(mut self, s: &str) -> Self {

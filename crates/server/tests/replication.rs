@@ -6,7 +6,7 @@
 //! queries while it lags, catching up to a bit-identical copy of the
 //! leader's index, then being promoted and accepting writes.
 
-use mbi_ann::NnDescentParams;
+use mbi_ann::{NnDescentParams, SearchParams};
 use mbi_core::{GraphBackend, MbiConfig, TimeWindow};
 use mbi_math::Metric;
 use mbi_server::client::{http_request, BinaryClient, ClientError};
@@ -226,7 +226,25 @@ fn follower_refuses_a_leader_with_another_index_config() {
     assert!(error.contains("\"degree\":8") && error.contains("\"degree\":24"), "{error}");
     assert_eq!(tenant.len(), 0);
     follower.shutdown();
+
+    // A follower that differs from the leader only in its query-time search
+    // defaults and its build schedule builds the same graphs: it replicates.
+    let pdir = temp_dir("config_parallel_follower");
+    let source =
+        ReplicaSource { addr: laddr.to_string(), tenant: "alpha".into(), token: "tok-a".into() };
+    let follower_config =
+        leader_config.with_parallel_build(true).with_search(SearchParams::new(64, 1.2));
+    let (follower, _) = start(
+        ServerConfig::new("127.0.0.1:0", follower_config)
+            .with_tenant(TenantConfig::replica("alpha", "tok-a", &pdir, source)),
+    );
+    wait_for_rows(&follower, "alpha", 20, Duration::from_secs(10));
+    let tenant = follower.registry().by_name("alpha").unwrap();
+    let TenantEngine::Replica { state, .. } = &tenant.engine else { panic!("replica tenant") };
+    assert_eq!(*state.last_error.lock().unwrap(), None);
+    follower.shutdown();
     leader.shutdown();
     let _ = std::fs::remove_dir_all(&ldir);
     let _ = std::fs::remove_dir_all(&fdir);
+    let _ = std::fs::remove_dir_all(&pdir);
 }
