@@ -69,11 +69,10 @@ pub fn brute_force_prepared(
     top.into_sorted_vec()
 }
 
-/// Exact kNN over the rows of `view` accepted by `filter`.
-///
-/// The filter runs *before* the distance computation, so rejected rows cost
-/// one predicate call and nothing else — this is what makes BSBF fast on
-/// short windows.
+/// Exact kNN over the rows of `view` accepted by `filter`, one row at a
+/// time: the reference the filtered graph search is tested against. The
+/// filter runs before the distance, so a rejected row costs one predicate
+/// call and nothing else.
 pub fn brute_force_filtered(
     view: VectorView<'_>,
     metric: Metric,
@@ -83,19 +82,6 @@ pub fn brute_force_filtered(
     stats: &mut SearchStats,
 ) -> Vec<Neighbor> {
     let pq = PreparedQuery::new(metric, query);
-    brute_force_filtered_prepared(view, &pq, k, filter, stats)
-}
-
-/// [`brute_force_filtered`] under a [`PreparedQuery`]. The accepted rows are
-/// not contiguous in general, so this stays a per-row loop, but each distance
-/// still goes through the prepared path (cached norms on angular views).
-pub fn brute_force_filtered_prepared(
-    view: VectorView<'_>,
-    pq: &PreparedQuery<'_>,
-    k: usize,
-    filter: &mut dyn FnMut(u32) -> bool,
-    stats: &mut SearchStats,
-) -> Vec<Neighbor> {
     let mut top = TopK::new(k);
     for i in 0..view.len() {
         let id = i as u32;
@@ -104,7 +90,7 @@ pub fn brute_force_filtered_prepared(
         }
         stats.scanned += 1;
         stats.dist_evals += 1;
-        top.offer(id, view.distance(pq, i));
+        top.offer(id, view.distance(&pq, i));
     }
     top.into_sorted_vec()
 }

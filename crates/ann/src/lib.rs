@@ -21,8 +21,9 @@
 //!   used for the time window. When the filter accepts everything this is
 //!   plain graph kNN search. Every candidate is scored with the exact
 //!   distance.
-//! * [`brute_force`] — exact (optionally filtered) kNN, used by the BSBF
-//!   baseline, by MBI's non-full tail leaf, and for ground truth.
+//! * [`brute_force`] — exact kNN, used by the BSBF baseline, by MBI's
+//!   non-full tail leaf, and for ground truth ([`brute_force_filtered`] is
+//!   the per-row reference the filtered graph search is tested against).
 //!
 //! The hot entry points take a [`PreparedQuery`] plus a caller-owned
 //! [`SearchScratch`], so the query path never re-derives the query norm and
@@ -45,9 +46,7 @@ mod search;
 mod segment;
 mod store;
 
-pub use bruteforce::{
-    brute_force, brute_force_filtered, brute_force_filtered_prepared, brute_force_prepared,
-};
+pub use bruteforce::{brute_force, brute_force_filtered, brute_force_prepared};
 pub use check::ChunkFault;
 pub use graph::{KnnGraph, ADJACENCY_CHUNK};
 pub use mapped::{Col, FileMap, PAGE_SIZE};

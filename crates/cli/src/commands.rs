@@ -84,6 +84,20 @@ pub(crate) fn parse_metric(s: &str) -> Result<Metric, CliError> {
     }
 }
 
+/// The index options `build`, `serve` and `replicate` share (`--metric`,
+/// `--leaf-size`, `--tau`, `--degree`), read into a config of dimension
+/// `dim`.
+pub(crate) fn index_config(args: &CliArgs, dim: usize) -> Result<MbiConfig, CliError> {
+    let metric = parse_metric(args.get("metric").unwrap_or("euclidean"))?;
+    let leaf_size = args.get_parsed("leaf-size", 4096)?;
+    let tau = args.get_parsed("tau", 0.5)?;
+    let degree = args.get_parsed("degree", 24)?;
+    Ok(MbiConfig::new(dim, metric)
+        .with_leaf_size(leaf_size)
+        .with_tau(tau)
+        .with_backend(GraphBackend::NnDescent(NnDescentParams { degree, ..Default::default() })))
+}
+
 /// `mbi generate` — emit a synthetic dataset (one of the paper presets) as
 /// fvecs + timestamps, for trying the tool without real data.
 fn generate(args: &CliArgs, out: &mut dyn Write) -> Result<(), CliError> {
@@ -138,15 +152,7 @@ fn build(args: &CliArgs, out: &mut dyn Write) -> Result<(), CliError> {
         )));
     }
 
-    let metric = parse_metric(args.get("metric").unwrap_or("euclidean"))?;
-    let leaf_size: usize = args.get_parsed("leaf-size", 4096)?;
-    let tau: f64 = args.get_parsed("tau", 0.5)?;
-    let degree: usize = args.get_parsed("degree", 24)?;
-    let config = MbiConfig::new(store.dim(), metric)
-        .with_leaf_size(leaf_size)
-        .with_tau(tau)
-        .with_backend(GraphBackend::NnDescent(NnDescentParams { degree, ..Default::default() }))
-        .with_parallel_build(args.switch("parallel"));
+    let config = index_config(args, store.dim())?.with_parallel_build(args.switch("parallel"));
 
     let t0 = Instant::now();
     let mut index = MbiIndex::new(config);

@@ -1,9 +1,9 @@
 //! `mbi serve` — run the multi-tenant network query service.
 
 use crate::args::CliArgs;
+use crate::commands::index_config;
 use crate::CliError;
-use mbi_ann::NnDescentParams;
-use mbi_core::{EngineConfig, GraphBackend, MbiConfig};
+use mbi_core::EngineConfig;
 use mbi_server::{signal, ReplicaSource, Server, ServerConfig, TenantConfig};
 use std::io::Write;
 use std::time::Duration;
@@ -32,10 +32,7 @@ fn parse_tenant(spec: &str) -> Result<TenantConfig, CliError> {
 pub fn parse_serve_config(args: &CliArgs) -> Result<ServerConfig, CliError> {
     let addr = args.get("addr").unwrap_or("127.0.0.1:7171");
     let dim: usize = args.get_parsed("dim", 0)?;
-    let metric = crate::commands::parse_metric(args.get("metric").unwrap_or("euclidean"))?;
-    let leaf_size: usize = args.get_parsed("leaf-size", 4096)?;
-    let tau: f64 = args.get_parsed("tau", 0.5)?;
-    let degree: usize = args.get_parsed("degree", 24)?;
+    let index = index_config(args, dim.max(1))?;
 
     let tenant_specs = args.get("tenants").ok_or_else(|| {
         CliError("missing required option --tenants (name:token[:path],…)".into())
@@ -51,10 +48,6 @@ pub fn parse_serve_config(args: &CliArgs) -> Result<ServerConfig, CliError> {
         return Err(CliError("--dim is required when serving a streaming tenant".into()));
     }
 
-    let index = MbiConfig::new(dim.max(1), metric)
-        .with_leaf_size(leaf_size)
-        .with_tau(tau)
-        .with_backend(GraphBackend::NnDescent(NnDescentParams { degree, ..Default::default() }));
     let mut engine = EngineConfig::default();
     engine.builder_threads = args.get_parsed("builders", engine.builder_threads)?;
 
@@ -102,14 +95,7 @@ pub fn parse_replicate_config(args: &CliArgs) -> Result<ServerConfig, CliError> 
     let token = args.get("token").unwrap_or(leader_token);
     let addr = args.get("addr").unwrap_or("127.0.0.1:7172");
 
-    let metric = crate::commands::parse_metric(args.get("metric").unwrap_or("euclidean"))?;
-    let leaf_size: usize = args.get_parsed("leaf-size", 4096)?;
-    let tau: f64 = args.get_parsed("tau", 0.5)?;
-    let degree: usize = args.get_parsed("degree", 24)?;
-    let index = MbiConfig::new(dim, metric)
-        .with_leaf_size(leaf_size)
-        .with_tau(tau)
-        .with_backend(GraphBackend::NnDescent(NnDescentParams { degree, ..Default::default() }));
+    let index = index_config(args, dim)?;
 
     let source = ReplicaSource {
         addr: from.to_string(),

@@ -152,6 +152,11 @@ impl DriftingMixture {
 
         let timestamps = self.timestamps.generate(n_train);
         let mut train = VectorStore::with_capacity(self.dim, n_train);
+        // Every angular index store caches each row's inverse norm, so
+        // ground truth over this store scores rows as the indexes do.
+        if metric == Metric::Angular {
+            train.enable_norm_cache();
+        }
         let mut buf = vec![0.0f32; self.dim];
         for i in 0..n_train {
             let progress = if n_train > 1 { i as f32 / (n_train - 1) as f32 } else { 0.0 };
@@ -257,6 +262,13 @@ mod tests {
         assert_eq!(a.test.as_flat(), b.test.as_flat());
         let c = DriftingMixture::new(6, 10).generate("t", Metric::Angular, 100, 10);
         assert_ne!(a.train.as_flat(), c.train.as_flat());
+    }
+
+    #[test]
+    fn angular_train_caches_norms() {
+        let gen = DriftingMixture::new(4, 2);
+        assert!(gen.generate("t", Metric::Angular, 10, 1).train.has_norm_cache());
+        assert!(!gen.generate("t", Metric::Euclidean, 10, 1).train.has_norm_cache());
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! 2. the *candidate's* norm being recomputed on every comparison — stores
 //!    can cache a per-vector **inverse norm** at insert time (`0.0` is the
 //!    sentinel for zero vectors) and feed it back via the `*_cached` paths,
-//!    collapsing angular distance to a single fused dot pass;
+//!    collapsing angular distance to a single dot pass (a row without one
+//!    is scored by the same formula over [`inv_norm_of`], a second dot pass);
 //! 3. per-call dispatch overhead when scanning contiguous rows — the
 //!    `*_batch` kernels hold the query hot while streaming `N` candidates.
 //!
@@ -19,7 +20,7 @@
 //! angular path agrees with [`angular_distance`](crate::angular_distance) to
 //! within `1e-5`, including the zero-vector → `1.0` convention.
 
-use crate::metric::{dot_norm2, Metric};
+use crate::metric::Metric;
 use crate::simd;
 use crate::{dot, norm, squared_euclidean};
 
@@ -49,16 +50,6 @@ pub fn angular_from_parts(dp: f32, inv_a: f32, inv_b: f32) -> f32 {
     }
     // Clamp for numerical safety: floating error can push |cos| past 1.
     1.0 - (dp * inv_a * inv_b).clamp(-1.0, 1.0)
-}
-
-/// Reciprocal of `sqrt(n2)`, with `0.0` as the zero-vector sentinel.
-#[inline]
-pub(crate) fn inv_from_norm2(n2: f32) -> f32 {
-    if n2 == 0.0 {
-        0.0
-    } else {
-        1.0 / n2.sqrt()
-    }
 }
 
 /// Checks that `rows` is a flat `[n × dim]` buffer and returns `n`.
@@ -94,11 +85,11 @@ pub fn neg_dot_batch(query: &[f32], rows: &[f32], out: &mut Vec<f32>) {
 ///
 /// `query_inv_norm` is the query's precomputed inverse norm (`0.0` sentinel
 /// for a zero query). When `inv_norms` is `Some`, it must hold one cached
-/// inverse norm per row and each comparison is a single fused dot pass;
-/// otherwise the row norm is recovered in the same pass via
-/// `dot_norm2`. Either way the result is within `1e-5` of the scalar
-/// [`angular_distance`](crate::angular_distance), with zero vectors mapping
-/// to exactly `1.0`.
+/// inverse norm per row and each comparison is a single dot pass; otherwise
+/// each row's inverse norm is taken from [`inv_norm_of`] first, which gives
+/// the same bits as a cached column would. Either way the result is within
+/// `1e-5` of the scalar [`angular_distance`](crate::angular_distance), with
+/// zero vectors mapping to exactly `1.0`.
 pub fn angular_batch(
     query: &[f32],
     query_inv_norm: f32,
@@ -113,9 +104,10 @@ pub fn angular_batch(
             assert_eq!(inv.len(), n, "inverse-norm column does not match row count");
             simd::angular_batch_cached(query, query_inv_norm, rows, inv, out);
         }
-        None => {
-            simd::angular_batch_uncached(query, query_inv_norm, rows, out);
-        }
+        None => out.extend(
+            rows.chunks_exact(query.len())
+                .map(|row| angular_from_parts(dot(query, row), query_inv_norm, inv_norm_of(row))),
+        ),
     }
 }
 
@@ -174,8 +166,9 @@ impl<'q> PreparedQuery<'q> {
     /// Distance to a candidate whose inverse norm is *not* cached.
     ///
     /// Euclidean and inner product are bit-identical to
-    /// [`Metric::distance`]; angular fuses the dot and candidate-norm passes
-    /// and reuses the prepared query norm (within `1e-5` of scalar).
+    /// [`Metric::distance`]; angular is
+    /// [`distance_to_cached`](Self::distance_to_cached) over
+    /// [`inv_norm_of`]`(b)`, bit for bit (within `1e-5` of scalar).
     ///
     /// # Panics
     ///
@@ -192,10 +185,7 @@ impl<'q> PreparedQuery<'q> {
         match self.metric {
             Metric::Euclidean => squared_euclidean(self.query, b),
             Metric::InnerProduct => -dot(self.query, b),
-            Metric::Angular => {
-                let (dp, nb2) = dot_norm2(self.query, b);
-                angular_from_parts(dp, self.inv_norm, inv_from_norm2(nb2))
-            }
+            Metric::Angular => self.distance_to_cached(b, inv_norm_of(b)),
         }
     }
 

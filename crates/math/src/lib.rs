@@ -5,8 +5,8 @@
 //!
 //! * [`Metric`] — the distance functions used by the paper's datasets
 //!   (Euclidean for SIFT/GIST, angular a.k.a. cosine distance for
-//!   MovieLens/COMS/GloVe/DEEP), written as chunked kernels the compiler can
-//!   auto-vectorise.
+//!   MovieLens/COMS/GloVe/DEEP), run by the explicit AVX2/NEON or portable
+//!   scalar kernels of [`simd`].
 //! * [`PreparedQuery`] and the `*_batch` kernels — the norm-cached,
 //!   1-to-many fast paths used by every search loop (see DESIGN.md
 //!   "Distance-kernel architecture").

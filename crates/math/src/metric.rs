@@ -77,19 +77,6 @@ impl std::fmt::Display for Metric {
     }
 }
 
-/// Computes `(⟨a,b⟩, ‖b‖²)` in a single fused pass over both slices.
-///
-/// The accumulation order per component is identical to running the
-/// standalone kernels, so each half of the result is bit-equal to the
-/// corresponding standalone kernel (`dot(a, b)` and `dot(b, b)`), while
-/// touching `b` only once. This is the workhorse of the prepared-query
-/// angular path, where the query norm is already known.
-#[inline]
-pub(crate) fn dot_norm2(a: &[f32], b: &[f32]) -> (f32, f32) {
-    debug_assert_eq!(a.len(), b.len());
-    simd::dot_norm2(a, b)
-}
-
 /// Squared Euclidean distance `‖a − b‖²`.
 ///
 /// # Panics
@@ -260,18 +247,6 @@ mod tests {
         assert_eq!(Metric::Angular.name(), "angular");
         assert_eq!(Metric::InnerProduct.name(), "inner_product");
         assert_eq!(Metric::Angular.to_string(), "angular");
-    }
-
-    #[test]
-    fn dot_norm2_matches_standalone_kernels_bitwise() {
-        // Same accumulation order ⇒ bit-equal halves, across chunk tails.
-        for len in [1usize, 7, 8, 9, 16, 37, 64, 65] {
-            let a: Vec<f32> = (0..len).map(|i| (i as f32 * 0.37).sin()).collect();
-            let b: Vec<f32> = (0..len).map(|i| (i as f32 * 0.91).cos()).collect();
-            let (dp, nb2) = dot_norm2(&a, &b);
-            assert_eq!(dp.to_bits(), dot(&a, &b).to_bits(), "len={len}");
-            assert_eq!(nb2.to_bits(), dot(&b, &b).to_bits(), "len={len}");
-        }
     }
 
     #[test]

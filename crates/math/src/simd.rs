@@ -44,7 +44,7 @@ pub const STRIDE: usize = LANES * CHAINS;
 /// Accumulator chains in the squared-Euclidean kernels. The extra `sub` per
 /// 8-lane group makes a 4-chain loop front-end-bound, so Euclidean unrolls
 /// twice as deep; the dot-style kernels would gain nothing (they are already
-/// port- or bandwidth-bound) and `dot_norm2` would spill registers.
+/// port- or bandwidth-bound).
 pub const SE_CHAINS: usize = 8;
 /// Floats consumed per unrolled iteration of the squared-Euclidean kernels.
 pub const SE_STRIDE: usize = LANES * SE_CHAINS;
@@ -185,11 +185,6 @@ pub(crate) fn dot(a: &[f32], b: &[f32]) -> f32 {
 }
 
 #[inline]
-pub(crate) fn dot_norm2(a: &[f32], b: &[f32]) -> (f32, f32) {
-    dispatch!(dot_norm2_row(a, b))
-}
-
-#[inline]
 pub(crate) fn euclidean_batch(query: &[f32], rows: &[f32], out: &mut Vec<f32>) {
     dispatch!(euclidean_batch(query, rows, out))
 }
@@ -208,16 +203,6 @@ pub(crate) fn angular_batch_cached(
     out: &mut Vec<f32>,
 ) {
     dispatch!(angular_batch_cached(query, query_inv_norm, rows, inv_norms, out))
-}
-
-#[inline]
-pub(crate) fn angular_batch_uncached(
-    query: &[f32],
-    query_inv_norm: f32,
-    rows: &[f32],
-    out: &mut Vec<f32>,
-) {
-    dispatch!(angular_batch_uncached(query, query_inv_norm, rows, out))
 }
 
 /// Appends `Σⱼ qdⱼ·codeᵢⱼ` for each SQ8-coded row of `codes` — the raw code
@@ -253,7 +238,7 @@ pub fn sq8_code_dot_batch(qd: &[f32], codes: &[u8], out: &mut Vec<f32>) {
 /// without going through the env switch.
 pub mod scalar {
     use super::{CHAINS, LANES, SE_CHAINS, SE_STRIDE, STRIDE};
-    use crate::kernels::{angular_from_parts, inv_from_norm2};
+    use crate::kernels::angular_from_parts;
 
     /// One fused step of a reduction: `acc ← fma(x, y, acc)` style updates.
     /// Each kernel supplies its own `step` so the shape is written once.
@@ -347,54 +332,6 @@ pub mod scalar {
         reduce(a, b, |acc, x, y| x.mul_add(y, acc))
     }
 
-    /// Fused `(⟨a,b⟩, ‖b‖²)`; each half is bit-equal to the standalone kernel.
-    #[inline]
-    pub fn dot_norm2_row(a: &[f32], b: &[f32]) -> (f32, f32) {
-        debug_assert_eq!(a.len(), b.len());
-        let n = a.len();
-        let mut acc_dp = [[0.0f32; LANES]; CHAINS];
-        let mut acc_nb = [[0.0f32; LANES]; CHAINS];
-        let mut i = 0;
-        while i + STRIDE <= n {
-            for c in 0..CHAINS {
-                let base = i + c * LANES;
-                for l in 0..LANES {
-                    let (x, y) = (a[base + l], b[base + l]);
-                    acc_dp[c][l] = x.mul_add(y, acc_dp[c][l]);
-                    acc_nb[c][l] = y.mul_add(y, acc_nb[c][l]);
-                }
-            }
-            i += STRIDE;
-        }
-        let mut v_dp = [0.0f32; LANES];
-        let mut v_nb = [0.0f32; LANES];
-        for l in 0..LANES {
-            v_dp[l] = (acc_dp[0][l] + acc_dp[1][l]) + (acc_dp[2][l] + acc_dp[3][l]);
-            v_nb[l] = (acc_nb[0][l] + acc_nb[1][l]) + (acc_nb[2][l] + acc_nb[3][l]);
-        }
-        while i + LANES <= n {
-            for l in 0..LANES {
-                let (x, y) = (a[i + l], b[i + l]);
-                v_dp[l] = x.mul_add(y, v_dp[l]);
-                v_nb[l] = y.mul_add(y, v_nb[l]);
-            }
-            i += LANES;
-        }
-        let mut dp = v_dp[0];
-        let mut nb = v_nb[0];
-        for l in 1..LANES {
-            dp += v_dp[l];
-            nb += v_nb[l];
-        }
-        while i < n {
-            let (x, y) = (a[i], b[i]);
-            dp = x.mul_add(y, dp);
-            nb = y.mul_add(y, nb);
-            i += 1;
-        }
-        (dp, nb)
-    }
-
     /// Batched squared Euclidean distances (appends one value per row).
     pub fn euclidean_batch(query: &[f32], rows: &[f32], out: &mut Vec<f32>) {
         for row in rows.chunks_exact(query.len()) {
@@ -420,19 +357,6 @@ pub mod scalar {
     ) {
         for (row, &inv_b) in rows.chunks_exact(query.len()).zip(inv_norms) {
             out.push(angular_from_parts(dot_row(query, row), query_inv_norm, inv_b));
-        }
-    }
-
-    /// Batched angular distances recovering each row norm in the same pass.
-    pub fn angular_batch_uncached(
-        query: &[f32],
-        query_inv_norm: f32,
-        rows: &[f32],
-        out: &mut Vec<f32>,
-    ) {
-        for row in rows.chunks_exact(query.len()) {
-            let (dp, nb2) = dot_norm2_row(query, row);
-            out.push(angular_from_parts(dp, query_inv_norm, inv_from_norm2(nb2)));
         }
     }
 
@@ -488,7 +412,7 @@ pub mod scalar {
 #[cfg(target_arch = "x86_64")]
 pub mod avx2 {
     use super::{LANES, SE_STRIDE, STRIDE};
-    use crate::kernels::{angular_from_parts, inv_from_norm2};
+    use crate::kernels::angular_from_parts;
     use std::arch::x86_64::*;
 
     /// Sums the 8 lanes of `v` sequentially (lane 0 first), matching the
@@ -682,62 +606,6 @@ pub mod avx2 {
         s
     }
 
-    /// Fused `(⟨a,b⟩, ‖b‖²)`; each half is bit-equal to the standalone kernel.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2 and FMA. `a` and `b` must have equal lengths.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn dot_norm2_row(a: &[f32], b: &[f32]) -> (f32, f32) {
-        debug_assert_eq!(a.len(), b.len());
-        let n = a.len();
-        let (pa, pb) = (a.as_ptr(), b.as_ptr());
-        let mut dp0 = _mm256_setzero_ps();
-        let mut dp1 = _mm256_setzero_ps();
-        let mut dp2 = _mm256_setzero_ps();
-        let mut dp3 = _mm256_setzero_ps();
-        let mut nb0 = _mm256_setzero_ps();
-        let mut nb1 = _mm256_setzero_ps();
-        let mut nb2 = _mm256_setzero_ps();
-        let mut nb3 = _mm256_setzero_ps();
-        let mut i = 0;
-        while i + STRIDE <= n {
-            // SAFETY: i + 32 <= n.
-            let (x0, y0) = (_mm256_loadu_ps(pa.add(i)), _mm256_loadu_ps(pb.add(i)));
-            let (x1, y1) = (_mm256_loadu_ps(pa.add(i + 8)), _mm256_loadu_ps(pb.add(i + 8)));
-            let (x2, y2) = (_mm256_loadu_ps(pa.add(i + 16)), _mm256_loadu_ps(pb.add(i + 16)));
-            let (x3, y3) = (_mm256_loadu_ps(pa.add(i + 24)), _mm256_loadu_ps(pb.add(i + 24)));
-            dp0 = _mm256_fmadd_ps(x0, y0, dp0);
-            nb0 = _mm256_fmadd_ps(y0, y0, nb0);
-            dp1 = _mm256_fmadd_ps(x1, y1, dp1);
-            nb1 = _mm256_fmadd_ps(y1, y1, nb1);
-            dp2 = _mm256_fmadd_ps(x2, y2, dp2);
-            nb2 = _mm256_fmadd_ps(y2, y2, nb2);
-            dp3 = _mm256_fmadd_ps(x3, y3, dp3);
-            nb3 = _mm256_fmadd_ps(y3, y3, nb3);
-            i += STRIDE;
-        }
-        let mut vdp = _mm256_add_ps(_mm256_add_ps(dp0, dp1), _mm256_add_ps(dp2, dp3));
-        let mut vnb = _mm256_add_ps(_mm256_add_ps(nb0, nb1), _mm256_add_ps(nb2, nb3));
-        while i + LANES <= n {
-            // SAFETY: i + 8 <= n.
-            let (x, y) = (_mm256_loadu_ps(pa.add(i)), _mm256_loadu_ps(pb.add(i)));
-            vdp = _mm256_fmadd_ps(x, y, vdp);
-            vnb = _mm256_fmadd_ps(y, y, vnb);
-            i += LANES;
-        }
-        let mut dp = hsum_ordered(vdp);
-        let mut nb = hsum_ordered(vnb);
-        while i < n {
-            // SAFETY: i < n.
-            let (x, y) = (*pa.add(i), *pb.add(i));
-            dp = x.mul_add(y, dp);
-            nb = y.mul_add(y, nb);
-            i += 1;
-        }
-        (dp, nb)
-    }
-
     /// Batched squared Euclidean distances.
     ///
     /// # Safety
@@ -779,24 +647,6 @@ pub mod avx2 {
             out.push(angular_from_parts(dot_row(query, row), query_inv_norm, inv_b));
         }
     }
-
-    /// Batched angular distances recovering each row norm in the same pass.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2 and FMA. `rows.len()` must be a multiple of `query.len()`.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn angular_batch_uncached(
-        query: &[f32],
-        query_inv_norm: f32,
-        rows: &[f32],
-        out: &mut Vec<f32>,
-    ) {
-        for row in rows.chunks_exact(query.len()) {
-            let (dp, nb2) = dot_norm2_row(query, row);
-            out.push(angular_from_parts(dp, query_inv_norm, inv_from_norm2(nb2)));
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -812,7 +662,7 @@ pub mod avx2 {
 #[cfg(target_arch = "aarch64")]
 pub mod neon {
     use super::{LANES, SE_STRIDE, STRIDE};
-    use crate::kernels::{angular_from_parts, inv_from_norm2};
+    use crate::kernels::angular_from_parts;
     use std::arch::aarch64::*;
 
     /// One virtual 8-lane accumulator (two q-registers).
@@ -937,48 +787,6 @@ pub mod neon {
         s
     }
 
-    /// Fused `(⟨a,b⟩, ‖b‖²)`.
-    ///
-    /// # Safety
-    ///
-    /// `a` and `b` must have equal lengths.
-    pub unsafe fn dot_norm2_row(a: &[f32], b: &[f32]) -> (f32, f32) {
-        debug_assert_eq!(a.len(), b.len());
-        let n = a.len();
-        let (pa, pb) = (a.as_ptr(), b.as_ptr());
-        let mut acc_dp = [v8_zero(); 4];
-        let mut acc_nb = [v8_zero(); 4];
-        let mut i = 0;
-        while i + STRIDE <= n {
-            for c in 0..4 {
-                let base = i + c * LANES;
-                let x = v8_load(pa.add(base));
-                let y = v8_load(pb.add(base));
-                acc_dp[c] = v8_fma(acc_dp[c], x, y);
-                acc_nb[c] = v8_fma(acc_nb[c], y, y);
-            }
-            i += STRIDE;
-        }
-        let mut vdp = v8_add(v8_add(acc_dp[0], acc_dp[1]), v8_add(acc_dp[2], acc_dp[3]));
-        let mut vnb = v8_add(v8_add(acc_nb[0], acc_nb[1]), v8_add(acc_nb[2], acc_nb[3]));
-        while i + LANES <= n {
-            let x = v8_load(pa.add(i));
-            let y = v8_load(pb.add(i));
-            vdp = v8_fma(vdp, x, y);
-            vnb = v8_fma(vnb, y, y);
-            i += LANES;
-        }
-        let mut dp = hsum_ordered(vdp);
-        let mut nb = hsum_ordered(vnb);
-        while i < n {
-            let (x, y) = (*pa.add(i), *pb.add(i));
-            dp = x.mul_add(y, dp);
-            nb = y.mul_add(y, nb);
-            i += 1;
-        }
-        (dp, nb)
-    }
-
     /// Batched squared Euclidean distances.
     ///
     /// # Safety
@@ -1015,23 +823,6 @@ pub mod neon {
     ) {
         for (row, &inv_b) in rows.chunks_exact(query.len()).zip(inv_norms) {
             out.push(angular_from_parts(dot_row(query, row), query_inv_norm, inv_b));
-        }
-    }
-
-    /// Batched angular distances recovering each row norm in the same pass.
-    ///
-    /// # Safety
-    ///
-    /// `rows.len()` must be a multiple of `query.len()`.
-    pub unsafe fn angular_batch_uncached(
-        query: &[f32],
-        query_inv_norm: f32,
-        rows: &[f32],
-        out: &mut Vec<f32>,
-    ) {
-        for row in rows.chunks_exact(query.len()) {
-            let (dp, nb2) = dot_norm2_row(query, row);
-            out.push(angular_from_parts(dp, query_inv_norm, inv_from_norm2(nb2)));
         }
     }
 }
@@ -1078,10 +869,6 @@ mod tests {
                     scalar::dot_row(&a, &b).to_bits(),
                     "dot dim={dim}"
                 );
-                let (dp_v, nb_v) = avx2::dot_norm2_row(&a, &b);
-                let (dp_s, nb_s) = scalar::dot_norm2_row(&a, &b);
-                assert_eq!(dp_v.to_bits(), dp_s.to_bits(), "dp dim={dim}");
-                assert_eq!(nb_v.to_bits(), nb_s.to_bits(), "nb dim={dim}");
             }
         }
     }
@@ -1113,17 +900,6 @@ mod tests {
             prefetch(&rows[lo..hi]);
         }
         prefetch(&b"x"[..]);
-    }
-
-    #[test]
-    fn scalar_dot_norm2_halves_match_standalone() {
-        for dim in [1usize, 7, 9, 33, 130] {
-            let a = vec_of(dim, 5);
-            let b = vec_of(dim, 9);
-            let (dp, nb) = scalar::dot_norm2_row(&a, &b);
-            assert_eq!(dp.to_bits(), scalar::dot_row(&a, &b).to_bits());
-            assert_eq!(nb.to_bits(), scalar::dot_row(&b, &b).to_bits());
-        }
     }
 
     #[test]

@@ -174,8 +174,8 @@ impl TopK {
 
 /// Exact top-k via selection: partition the `k` smallest entries to the
 /// front with `select_nth_unstable` (`O(n)` expected), then sort only those
-/// `k` survivors. Hot in BSBF tail scans with large windows, where sorting
-/// the full candidate list was pure waste.
+/// `k` survivors. No search path calls it: it is the reference [`TopK`]
+/// is tested against.
 pub fn topk_by_sort(mut items: Vec<Neighbor>, k: usize) -> Vec<Neighbor> {
     if k == 0 {
         items.clear();

@@ -2,12 +2,13 @@
 //! active (AVX2, NEON, or the scalar fallback — forced via `MBI_FORCE_SCALAR`
 //! in one CI leg), the Euclidean and inner-product kernels are bit-identical
 //! to the portable scalar reference shape, and the angular paths agree with the
-//! three-pass scalar formula to within `1e-5`.
+//! three-pass scalar formula to within `1e-5` (a row with no cached norm is
+//! scored bit for bit like one whose cached norm is `inv_norm_of(row)`).
 
 use mbi_math::simd::{self, scalar};
 use mbi_math::{
     angular_batch, angular_distance, dot, inv_norm_of, neg_dot_batch, squared_euclidean,
-    squared_euclidean_batch, squared_euclidean_x4,
+    squared_euclidean_batch, squared_euclidean_x4, Metric, PreparedQuery,
 };
 use proptest::prelude::*;
 
@@ -95,12 +96,19 @@ proptest! {
         angular_batch(q, q_inv, rows, Some(&inv), &mut cached);
         angular_batch(q, q_inv, rows, None, &mut uncached);
 
+        let pq = PreparedQuery::new(Metric::Angular, q);
         for (i, row) in rows.chunks_exact(dim).enumerate() {
             let reference = angular_distance(q, row);
             prop_assert!((cached[i] - reference).abs() <= 1e-5,
                 "cached dim={} i={}: {} vs {}", dim, i, cached[i], reference);
-            prop_assert!((uncached[i] - reference).abs() <= 1e-5,
-                "uncached dim={} i={}: {} vs {}", dim, i, uncached[i], reference);
+            // A row with no cached norm is scored by the cached formula over
+            // `inv_norm_of(row)`, so both paths give the same bits.
+            prop_assert_eq!(uncached[i].to_bits(), cached[i].to_bits(), "uncached dim={} i={}", dim, i);
+            prop_assert_eq!(
+                pq.distance_to(row).to_bits(),
+                pq.distance_to_cached(row, inv_norm_of(row)).to_bits(),
+                "distance_to dim={} i={}", dim, i
+            );
         }
     }
 }

@@ -422,8 +422,7 @@ fn serve<'a>(
             let start = Instant::now();
             let deadline = deadline.or(shared.config.default_deadline).map(|d| start + d);
             let window = TimeWindow::new(from, to);
-            let out = (tenant.query(&vector, k, window, deadline))
-                .map_err(|e| Refusal::bad_request(e.to_string()))?;
+            let out = tenant.query(&vector, k, window, deadline)?;
             if out.timed_out {
                 tenant.metrics.timeouts.fetch_add(1, Ordering::Relaxed);
             }

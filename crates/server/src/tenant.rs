@@ -97,18 +97,19 @@ impl Tenant {
     }
 
     /// One query with an optional cooperative deadline, on the calling
-    /// thread, under the config's search parameters.
+    /// thread, under the config's search parameters. Only a cold tenant
+    /// fails, when a row or adjacency chunk it reads fails its check.
     pub fn query(
         &self,
         query: &[f32],
         k: usize,
         window: TimeWindow,
         deadline: Option<Instant>,
-    ) -> Result<QueryOutput, MbiError> {
+    ) -> Result<QueryOutput, TenantError> {
         let search = &self.config.search;
         match self.reader() {
             Reader::Streaming(e) => Ok(e.query_with_deadline(query, k, window, search, deadline)),
-            Reader::Cold(c) => c.query_with_deadline(query, k, window, search, deadline),
+            Reader::Cold(c) => Ok(c.query_with_deadline(query, k, window, search, deadline)?),
         }
     }
 

@@ -5,7 +5,8 @@
 //! cross-tenant auth rejection, concurrent connections bit-identical to
 //! serial, a deadline-exceeded query answered with an error frame while the
 //! server keeps serving, graceful shutdown checkpointing every durable
-//! tenant's WAL, and a read-only cold tenant served from a snapshot file.
+//! tenant's WAL, and a read-only cold tenant served from a snapshot file,
+//! whose damaged rows are answered as the server's error.
 
 use mbi_core::{ColdIndex, EngineConfig, MbiConfig, MbiIndex, StreamingMbi, TimeWindow};
 use mbi_math::Metric;
@@ -281,6 +282,43 @@ fn a_cold_tenant_answers_like_its_cold_index_and_refuses_inserts() {
     std::fs::remove_file(&path).unwrap();
 }
 
+/// A cold tenant whose file has one flipped row byte opens (no check the
+/// open runs covers the byte), and the query that reads the row fails its
+/// row CRC: the damaged file is the server's fault, so both protocols
+/// answer it as an internal error (500 / `Internal`), not as the client's.
+#[test]
+fn a_corrupt_row_in_a_cold_tenant_is_a_server_error() {
+    let path = std::env::temp_dir().join(format!("mbi_server_bad_row_{}.mbi", std::process::id()));
+    let mut idx = MbiIndex::new(index_config());
+    for i in 0..64 {
+        idx.insert(&row(i), i as i64).unwrap();
+    }
+    idx.save_file(&path).unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+    let stored: Vec<u8> = idx.store().get(5).iter().flat_map(|x| x.to_le_bytes()).collect();
+    let at = bytes.windows(stored.len()).position(|w| w == stored).expect("row 5 is in the file");
+    bytes[at + 1] ^= 0x40;
+    std::fs::write(&path, bytes).unwrap();
+    let (handle, addr) = start(
+        ServerConfig::new("127.0.0.1:0", index_config())
+            .with_tenant(TenantConfig::cold("archive", "tok-c", &path)),
+    );
+    let mut client = BinaryClient::connect(addr, "archive", "tok-c").unwrap();
+    match client.query(&row(5), 3, TimeWindow::new(0, 32), None) {
+        Err(ClientError::Server { status: Status::Internal, message }) => {
+            assert!(message.contains("leaf rows"), "{message}")
+        }
+        Err(e) => panic!("a corrupt row must be an internal error, got {e}"),
+        Ok(_) => panic!("a query over a corrupt row must fail"),
+    }
+    let auth = [("Authorization", "Bearer tok-c")];
+    let body = r#"{"vector":[0.1,0.2,0.3,0.4],"k":3,"from":0,"to":32}"#;
+    let (status, body) = http_request(addr, "POST", "/query", &auth, body).unwrap();
+    assert_eq!(status, 500, "{body}");
+    handle.shutdown();
+    std::fs::remove_file(&path).unwrap();
+}
+
 #[test]
 fn connection_cap_refuses_excess_connections() {
     let (handle, addr) = start(
@@ -526,6 +564,8 @@ fn a_reply_that_arrives_after_its_timeout_is_never_read_as_the_next_answer() {
     }
     // Let the late reply to request 1 land on the old connection.
     std::thread::sleep(Duration::from_millis(400));
+    // The re-dial's AUTH reply need not beat 100 ms on a loaded host.
+    client.set_timeout(Some(Duration::from_secs(5))).unwrap();
     // Request 2 must get its own answer (id 2), not request 1's stale one.
     assert_eq!(client.insert(&row(2), 2).unwrap(), 2);
     assert_eq!(client.insert(&row(3), 3).unwrap(), 3);
