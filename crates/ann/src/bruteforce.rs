@@ -5,6 +5,7 @@
 //! ground-truth computation for recall measurements. Costs `O(m log k)` for
 //! `m` scanned rows using the bounded heap, as analysed in §3.2.1.
 
+use crate::scratch::SearchScratch;
 use crate::store::VectorView;
 use crate::SearchStats;
 use mbi_math::{Metric, Neighbor, PreparedQuery, TopK};
@@ -25,30 +26,48 @@ pub fn brute_force(
     brute_force_prepared(view, &pq, k, stats)
 }
 
-/// Exact kNN over every row of `view` under a [`PreparedQuery`].
-///
-/// Streams the view's contiguous runs (one run for a flat view, one per
-/// segment for a segmented view) through the 1-to-many batched kernels,
-/// `SCAN_BATCH` rows at a time, feeding the cached inverse-norm column when
-/// present. Per-row distances do not depend on how rows are grouped into
-/// batches and ids are offered in ascending order, so results, tie-breaking,
-/// and stats totals are identical to the per-row scan this replaces —
-/// regardless of where segment seams fall.
+/// Exact kNN over every row of `view` under a [`PreparedQuery`], ascending
+/// by distance: [`brute_force_into`] a fresh [`TopK`].
 pub fn brute_force_prepared(
     view: VectorView<'_>,
     pq: &PreparedQuery<'_>,
     k: usize,
     stats: &mut SearchStats,
 ) -> Vec<Neighbor> {
-    let n = view.len();
     let mut top = TopK::new(k);
+    brute_force_into(view, pq, 0, &mut top, &mut SearchScratch::new(), stats);
+    top.into_sorted_vec()
+}
+
+/// Offers every row of `view` to `top`, row `i` as id `base + i` — the scan
+/// of a block or of the tail, straight into the query's merged top-k.
+///
+/// Streams the view's contiguous runs (one run for a flat view, one per
+/// segment for a segmented view) through the 1-to-many batched kernels,
+/// `SCAN_BATCH` rows at a time into the scratch's distance buffer, feeding
+/// the cached inverse-norm column when present. Per-row distances do not
+/// depend on how rows are grouped into batches and ids are offered in
+/// ascending order, so results, tie-breaking, and stats totals are identical
+/// to a per-row scan, regardless of where segment seams fall. Offering
+/// every row into a merged top-k keeps the same `k` as merging this view's
+/// own top-k would, since `(dist, id)` orders all rows totally. Allocates
+/// nothing once the scratch's buffer has grown.
+pub fn brute_force_into(
+    view: VectorView<'_>,
+    pq: &PreparedQuery<'_>,
+    base: u32,
+    top: &mut TopK,
+    scratch: &mut SearchScratch,
+    stats: &mut SearchStats,
+) {
+    let n = view.len();
     if n == 0 {
-        return top.into_sorted_vec();
+        return;
     }
     let dim = view.dim();
     assert_eq!(pq.query().len(), dim, "query has wrong dimension");
 
-    let mut dists: Vec<f32> = Vec::with_capacity(SCAN_BATCH.min(n));
+    let dists = &mut scratch.distances;
     let mut row = 0usize;
     while row < n {
         // One `chunk_at` per run: it checks every row of the run.
@@ -57,31 +76,31 @@ pub fn brute_force_prepared(
             let m = (run - at).min(SCAN_BATCH);
             dists.clear();
             let rows = &flat[at * dim..(at + m) * dim];
-            pq.distance_batch(rows, inv.map(|s| &s[at..at + m]), &mut dists);
+            pq.distance_batch(rows, inv.map(|s| &s[at..at + m]), dists);
             for (j, &d) in dists.iter().enumerate() {
-                top.offer((row + at + j) as u32, d);
+                top.offer(base + (row + at + j) as u32, d);
             }
         }
         row += run;
     }
     stats.scanned += n as u64;
     stats.dist_evals += n as u64;
-    top.into_sorted_vec()
 }
 
 /// Exact kNN over the rows of `view` accepted by `filter`, one row at a
 /// time: the reference the filtered graph search is tested against. The
 /// filter runs before the distance, so a rejected row costs one predicate
 /// call and nothing else.
-pub fn brute_force_filtered(
+pub fn brute_force_filtered<F: FnMut(u32) -> bool + ?Sized>(
     view: VectorView<'_>,
     metric: Metric,
     query: &[f32],
     k: usize,
-    filter: &mut dyn FnMut(u32) -> bool,
+    filter: &mut F,
     stats: &mut SearchStats,
 ) -> Vec<Neighbor> {
     let pq = PreparedQuery::new(metric, query);
+    let scorer = view.scorer(&pq);
     let mut top = TopK::new(k);
     for i in 0..view.len() {
         let id = i as u32;
@@ -90,7 +109,7 @@ pub fn brute_force_filtered(
         }
         stats.scanned += 1;
         stats.dist_evals += 1;
-        top.offer(id, view.distance(&pq, i));
+        top.offer(id, scorer.distance(i));
     }
     top.into_sorted_vec()
 }

@@ -142,18 +142,33 @@ impl KnnGraph {
     /// Out-neighbours of node `id`; none if its chunk fails its check.
     #[inline]
     pub fn neighbors(&self, id: u32) -> &[u32] {
-        if let Some(check) = &self.check {
-            if !check.verify(id as usize / ADJACENCY_CHUNK) {
-                return &[];
-            }
-        }
-        let start = id as usize * self.degree;
-        let row = &self.nbrs[start..start + self.degree];
+        let row = self.padded_neighbors(id);
         // Padding is always at the tail; cut it off.
         match row.iter().position(|&n| n == NO_NEIGHBOR) {
             Some(end) => &row[..end],
             None => row,
         }
+    }
+
+    /// Node `id`'s whole adjacency row, `degree` slots with the padding in
+    /// place (the graph search skips it without looking for where it
+    /// starts); empty if its chunk fails its check.
+    #[inline]
+    pub(crate) fn padded_neighbors(&self, id: u32) -> &[u32] {
+        if let Some(check) = &self.check {
+            if !check.verify(id as usize / ADJACENCY_CHUNK) {
+                return &[];
+            }
+        }
+        self.unverified_neighbors(id)
+    }
+
+    /// Node `id`'s adjacency row without its check — only for a prefetch
+    /// hint, which reads nothing.
+    #[inline]
+    pub(crate) fn unverified_neighbors(&self, id: u32) -> &[u32] {
+        let start = id as usize * self.degree;
+        &self.nbrs[start..start + self.degree]
     }
 
     /// Number of nodes.

@@ -46,7 +46,7 @@ mod search;
 mod segment;
 mod store;
 
-pub use bruteforce::{brute_force, brute_force_filtered, brute_force_prepared};
+pub use bruteforce::{brute_force, brute_force_filtered, brute_force_into, brute_force_prepared};
 pub use check::ChunkFault;
 pub use graph::{KnnGraph, ADJACENCY_CHUNK};
 pub use mapped::{Col, FileMap, PAGE_SIZE};

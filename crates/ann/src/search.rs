@@ -13,7 +13,7 @@ use crate::graph::KnnGraph;
 use crate::scratch::{with_thread_scratch, SearchScratch};
 use crate::store::VectorView;
 use mbi_math::simd::prefetch;
-use mbi_math::{Metric, Neighbor, OrderedF32, PreparedQuery};
+use mbi_math::{Metric, Neighbor, PreparedQuery};
 use serde::{Deserialize, Serialize};
 
 /// How the search seeds its candidate set (Algorithm 2 line 1 samples one
@@ -108,16 +108,28 @@ const _: () = {
     assert_send_sync::<crate::KnnGraph>();
 };
 
-/// FNV-1a over the query's raw bits; used by [`EntryPolicy::QueryHash`].
-fn hash_query(query: &[f32]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for v in query {
-        for b in v.to_bits().to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    h
+/// A candidate `(dist, id)` as one integer whose order is that of
+/// `(OrderedF32(dist), id)`: the distance's bits mapped so that unsigned
+/// order is [`f32::total_cmp`] order, above the id. The candidate set
+/// compares and moves one word per entry.
+#[inline]
+fn key(dist: f32, id: u32) -> u64 {
+    let ordered = total_order_bits(dist.to_bits()) ^ 0x8000_0000;
+    (ordered as u64) << 32 | id as u64
+}
+
+/// The `(dist, id)` of a [`key`].
+#[inline]
+fn unkey(key: u64) -> (f32, u32) {
+    let dist = f32::from_bits(total_order_bits((key >> 32) as u32 ^ 0x8000_0000));
+    (dist, key as u32)
+}
+
+/// `total_cmp`'s map of `f32` bits to signed-integer order: a negative
+/// value's magnitude bits are flipped. The map is its own inverse.
+#[inline]
+fn total_order_bits(bits: u32) -> u32 {
+    bits ^ (((bits as i32 >> 31) as u32) >> 1)
 }
 
 /// Algorithm 2: best-first search over `graph` for the `k` nearest rows of
@@ -126,13 +138,18 @@ fn hash_query(query: &[f32]) -> u64 {
 ///
 /// This is the allocation-free core: the visited set clears by epoch, the
 /// candidate set and result heap live in `scratch`, and results land in
-/// `out` (cleared first, then sorted ascending). Semantics — visit order,
-/// result set, and every [`SearchStats`] counter — are identical to the
-/// original per-call-allocating implementation; the neighbour expansion
-/// gathers unseen ids first, prefetches all their rows, and then evaluates
-/// their distances in one tight pass, so the rows' cache misses overlap and
-/// the query row stays hot while candidates stream through the prepared
-/// kernel (norm-cached single-dot-pass on angular views).
+/// `out` (cleared first, then sorted ascending). The loop is written for the
+/// memory system, not the kernel (DESIGN.md "The search loop"):
+///
+/// * rows are scored through one `RowScorer`, whose
+///   metric, norm column and dimension check are settled once per search;
+/// * a visited vertex's unseen neighbours are gathered without a branch per
+///   adjacency slot: padding and ids out of range count as the always-set
+///   visited mark past the last node;
+/// * every gathered row is prefetched before the first is scored, so their
+///   cache misses overlap;
+/// * a candidate's adjacency row is prefetched when it enters `C`, so it
+///   has arrived by the time the candidate is visited.
 ///
 /// Ids passed to `filter` and placed in `out` are view-local. The candidate
 /// set `C` holds unvisited candidates ordered by distance and is pruned to
@@ -141,13 +158,13 @@ fn hash_query(query: &[f32]) -> u64 {
 /// current worst accepted distance (line 11). `out` is empty when the graph
 /// is empty or `k == 0`.
 #[allow(clippy::too_many_arguments)]
-pub fn greedy_search_prepared(
+pub fn greedy_search_prepared<F: FnMut(u32) -> bool + ?Sized>(
     graph: &KnnGraph,
     view: VectorView<'_>,
     pq: &PreparedQuery<'_>,
     k: usize,
     params: &SearchParams,
-    filter: &mut dyn FnMut(u32) -> bool,
+    filter: &mut F,
     stats: &mut SearchStats,
     scratch: &mut SearchScratch,
     out: &mut Vec<Neighbor>,
@@ -159,41 +176,46 @@ pub fn greedy_search_prepared(
         return;
     }
 
-    scratch.begin(n, k);
-    let SearchScratch { epoch, visited, candidates, results, neighbor_ids, distances } = scratch;
+    let scorer = view.scorer(pq);
+    scratch.begin(n, graph.degree(), k);
+    let SearchScratch { epoch, visited, candidates, results, neighbor_ids, .. } = scratch;
     let epoch = *epoch;
 
     // `visited` covers both "currently in C" and "already visited": a node
     // is offered to C at most once (pruned candidates are not re-offered;
     // see DESIGN.md for the deviation note — standard in best-first graph
-    // searchers). `candidates` is sorted descending, so the best candidate
-    // is `last()`.
+    // searchers). `candidates` holds `key`s sorted descending, so the best
+    // candidate is `last()`.
     //
     // Line 1: seed C with the entry vertices, every row prefetched before
     // the first is scored.
-    match params.entry {
-        EntryPolicy::Fixed(id) => neighbor_ids.push((id as usize).min(n - 1) as u32),
+    let (first, count, stride) = match params.entry {
+        EntryPolicy::Fixed(id) => ((id as usize).min(n - 1), 1, 0),
         EntryPolicy::QueryHash => {
             let pivots = n.min(PIVOTS);
-            let (h, stride) = ((hash_query(pq.query()) % n as u64) as usize, n / pivots);
-            neighbor_ids.extend((0..pivots).map(|i| ((h + i * stride) % n) as u32));
+            ((pq.bits_hash() % n as u64) as usize, pivots, n / pivots)
         }
+    };
+    let seeds = (0..count).map(|i| (first + i * stride) % n);
+    for s in seeds.clone() {
+        scorer.prefetch(s);
     }
-    for &s in neighbor_ids.iter() {
-        prefetch(view.unverified_row(s as usize));
+    for s in seeds {
+        visited[s] = epoch;
+        candidates.push(key(scorer.distance(s), s as u32));
     }
-    for &s in neighbor_ids.iter() {
-        visited[s as usize] = epoch;
-        candidates.push((OrderedF32(view.distance(pq, s as usize)), s));
-    }
-    stats.dist_evals += neighbor_ids.len() as u64;
+    stats.dist_evals += count as u64;
     candidates.sort_unstable_by(|a, b| b.cmp(a));
     // Keep the M_C best starts, and at least one, so a `Fixed` start
     // survives any M_C.
     let excess = candidates.len().saturating_sub(params.max_candidates.max(1));
     candidates.drain(..excess);
+    for &c in candidates.iter() {
+        prefetch(graph.unverified_neighbors(c as u32));
+    }
 
-    while let Some(&(dist, id)) = candidates.last() {
+    while let Some(&top) = candidates.last() {
+        let (dist, id) = unkey(top);
         // Early termination: candidates are visited in ascending distance,
         // so once the best unvisited candidate exceeds the ε-range bound no
         // future vertex can enter C (line 11 admits only σ < ε·max_R σ) and
@@ -201,7 +223,7 @@ pub fn greedy_search_prepared(
         // full — while |R| < k the search must keep expanding (line 9),
         // which is what makes SF slow on short windows. This is the bound
         // implied by the paper's O(log n + k) query complexity (§4.4.3).
-        if results.is_full() && dist.get() > params.epsilon * results.worst() {
+        if results.is_full() && dist > params.epsilon * results.worst() {
             break;
         }
         candidates.pop();
@@ -209,39 +231,37 @@ pub fn greedy_search_prepared(
 
         // Line 12: the visited vertex joins R iff it passes the filter.
         if filter(id) {
-            results.offer(id, dist.get());
+            results.offer(id, dist);
         }
 
         // Expansion bound (lines 8–11).
         let bound =
             if results.is_full() { params.epsilon * results.worst() } else { f32::INFINITY };
 
-        // Gather unseen neighbours, prefetch all their rows so the misses
-        // overlap, then evaluate their distances in one pass (1-to-many: the
-        // query stays in registers).
-        neighbor_ids.clear();
-        for &nb in graph.neighbors(id) {
-            let mark = &mut visited[nb as usize];
-            if *mark != epoch {
-                *mark = epoch;
-                neighbor_ids.push(nb);
-            }
+        // Gather the unseen neighbours: every slot is written, and the
+        // count advances only past an unseen one.
+        let mut unseen = 0;
+        for &nb in graph.padded_neighbors(id) {
+            let mark = &mut visited[(nb as usize).min(n)];
+            let fresh = *mark != epoch;
+            *mark = epoch;
+            neighbor_ids[unseen] = nb;
+            unseen += fresh as usize;
         }
-        for &nb in neighbor_ids.iter() {
-            prefetch(view.unverified_row(nb as usize));
+        let gathered = &neighbor_ids[..unseen];
+        for &nb in gathered {
+            scorer.prefetch(nb as usize);
         }
-        distances.clear();
-        for &nb in neighbor_ids.iter() {
-            distances.push(view.distance(pq, nb as usize));
-        }
-        stats.dist_evals += neighbor_ids.len() as u64;
+        stats.dist_evals += unseen as u64;
 
-        for (&nb, &d) in neighbor_ids.iter().zip(distances.iter()) {
+        for &nb in gathered {
+            let d = scorer.distance(nb as usize);
             if d < bound {
-                // Descending order ⇒ compare the probe against the key.
-                let key = (OrderedF32(d), nb);
-                let pos = candidates.binary_search_by(|probe| key.cmp(probe)).unwrap_or_else(|e| e);
+                // Descending order: the new key goes after every greater one.
+                let key = key(d, nb);
+                let pos = candidates.partition_point(|&probe| probe > key);
                 candidates.insert(pos, key);
+                prefetch(graph.unverified_neighbors(nb));
             }
         }
 
@@ -285,14 +305,14 @@ pub fn greedy_search_prepared(
 /// assert_eq!(hits[1].id, 201);
 /// ```
 #[allow(clippy::too_many_arguments)]
-pub fn greedy_search(
+pub fn greedy_search<F: FnMut(u32) -> bool + ?Sized>(
     graph: &KnnGraph,
     view: VectorView<'_>,
     metric: Metric,
     query: &[f32],
     k: usize,
     params: &SearchParams,
-    filter: &mut dyn FnMut(u32) -> bool,
+    filter: &mut F,
     stats: &mut SearchStats,
 ) -> Vec<Neighbor> {
     let pq = PreparedQuery::new(metric, query);
@@ -308,6 +328,7 @@ mod tests {
     use super::*;
     use crate::nndescent::exact_graph;
     use crate::store::VectorStore;
+    use mbi_math::OrderedF32;
 
     /// 1-D line dataset where distances are obvious.
     fn line(n: usize) -> VectorStore {
@@ -542,8 +563,38 @@ mod tests {
 
     #[test]
     fn query_hash_is_deterministic() {
-        assert_eq!(hash_query(&[1.0, 2.0]), hash_query(&[1.0, 2.0]));
-        assert_ne!(hash_query(&[1.0, 2.0]), hash_query(&[2.0, 1.0]));
+        let hash = |q: &[f32]| PreparedQuery::new(Metric::Euclidean, q).bits_hash();
+        assert_eq!(hash(&[1.0, 2.0]), hash(&[1.0, 2.0]));
+        assert_ne!(hash(&[1.0, 2.0]), hash(&[2.0, 1.0]));
+        // The metric does not enter the hash: the pivots depend on the bits.
+        assert_eq!(hash(&[1.0, 2.0]), PreparedQuery::new(Metric::Angular, &[1.0, 2.0]).bits_hash());
+    }
+
+    #[test]
+    fn candidate_keys_order_like_distance_then_id() {
+        let dists = [
+            f32::NEG_INFINITY,
+            -3.5,
+            -0.0,
+            0.0,
+            f32::MIN_POSITIVE,
+            1.0,
+            1.0 + f32::EPSILON,
+            7.25e9,
+            f32::INFINITY,
+            f32::NAN,
+            -f32::NAN,
+        ];
+        for &a in &dists {
+            for &b in &dists {
+                for (ia, ib) in [(3u32, 3u32), (0, u32::MAX), (9, 2)] {
+                    let want = (OrderedF32(a), ia).cmp(&(OrderedF32(b), ib));
+                    assert_eq!(key(a, ia).cmp(&key(b, ib)), want, "({a}, {ia}) vs ({b}, {ib})");
+                }
+            }
+            let (d, id) = unkey(key(a, 17));
+            assert_eq!((d.to_bits(), id), (a.to_bits(), 17), "round trip of {a}");
+        }
     }
 
     #[test]

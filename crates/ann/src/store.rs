@@ -5,7 +5,8 @@
 
 use crate::check::ChunkCheck;
 use crate::segment::Segment;
-use mbi_math::{inv_norm_of, Metric, PreparedQuery};
+use mbi_math::simd::prefetch;
+use mbi_math::{angular_from_parts, dot, inv_norm_of, squared_euclidean, Metric, PreparedQuery};
 use std::sync::Arc;
 
 /// An append-only store of `d`-dimensional `f32` vectors.
@@ -393,16 +394,22 @@ impl<'a> VectorView<'a> {
         }
     }
 
-    /// Exact distance from `pq` to row `i`, through the cached inverse norm
-    /// when present — the scorer of the graph search.
+    /// The scorer of `pq` against this view's rows: the metric's kernel,
+    /// whether it reads the cached inverse norms, and the query's dimension
+    /// check are settled here, once per search, instead of at every row.
     ///
     /// # Panics
     ///
-    /// Panics if `i >= len()`.
-    #[inline]
-    pub(crate) fn distance(&self, pq: &PreparedQuery<'_>, i: usize) -> f32 {
-        let (row, inv) = self.row_with_inv(i);
-        pq.distance_to_row(row, inv)
+    /// Panics if the query's dimension differs from the view's.
+    pub(crate) fn scorer<'q>(&self, pq: &PreparedQuery<'q>) -> RowScorer<'a, 'q> {
+        assert_eq!(pq.query().len(), self.dim, "query has wrong dimension");
+        let kernel = match pq.metric() {
+            Metric::Euclidean => Kernel::Euclidean,
+            Metric::InnerProduct => Kernel::NegDot,
+            Metric::Angular if self.has_norm_cache() => Kernel::AngularCached,
+            Metric::Angular => Kernel::Angular,
+        };
+        RowScorer { view: *self, query: pq.query(), inv_q: pq.inv_norm(), kernel }
     }
 
     /// The longest contiguous run starting at row `row`: its flat row-major
@@ -506,6 +513,62 @@ impl<'a> VectorView<'a> {
             }
         }
         metric.distance(a, b)
+    }
+}
+
+/// The distance a [`RowScorer`] computes per row, picked once from the
+/// metric and whether the view carries the inverse-norm column.
+#[derive(Clone, Copy, Debug)]
+enum Kernel {
+    /// `‖q − row‖²`.
+    Euclidean,
+    /// `−⟨q, row⟩`.
+    NegDot,
+    /// Angular over the row's cached inverse norm: one dot pass.
+    AngularCached,
+    /// Angular over the row's inverse norm taken by [`inv_norm_of`].
+    Angular,
+}
+
+/// Distances from one [`PreparedQuery`] to rows of one [`VectorView`]
+/// ([`VectorView::scorer`]). Per row it looks the row up, checks it the
+/// first time it is read (on a row-checked view) and makes one dispatched
+/// kernel call. Each distance is bit-identical to the prepared query's own:
+/// [`PreparedQuery::distance_to`], or
+/// [`PreparedQuery::distance_to_cached`] on an angular view with the norm
+/// column.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct RowScorer<'a, 'q> {
+    view: VectorView<'a>,
+    query: &'q [f32],
+    inv_q: f32,
+    kernel: Kernel,
+}
+
+impl RowScorer<'_, '_> {
+    /// Distance from the query to row `i` of the view.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not a row of the view.
+    #[inline]
+    pub(crate) fn distance(&self, i: usize) -> f32 {
+        let (row, inv) = self.view.row_with_inv(i);
+        let (q, inv_q) = (self.query, self.inv_q);
+        match self.kernel {
+            Kernel::Euclidean => squared_euclidean(q, row),
+            Kernel::NegDot => -dot(q, row),
+            Kernel::AngularCached => {
+                angular_from_parts(dot(q, row), inv_q, inv.expect("the view has the column"))
+            }
+            Kernel::Angular => angular_from_parts(dot(q, row), inv_q, inv_norm_of(row)),
+        }
+    }
+
+    /// Starts loading row `i` into the cache without reading or checking it.
+    #[inline]
+    pub(crate) fn prefetch(&self, i: usize) {
+        prefetch(self.view.unverified_row(i));
     }
 }
 
@@ -698,6 +761,42 @@ mod tests {
         let mut dst = VectorStore::new(3);
         let src = VectorStore::from_flat(2, vec![0.0; 4]);
         dst.extend_from_view(src.view());
+    }
+
+    #[test]
+    fn scorer_matches_the_prepared_query_bit_for_bit() {
+        let rows = [[1.0, 0.0, 0.5], [0.0, 2.0, -1.0], [0.0, 0.0, 0.0], [-0.3, 0.7, 0.1]];
+        for norms in [false, true] {
+            let mut s = VectorStore::new(3);
+            if norms {
+                s.enable_norm_cache();
+            }
+            for r in &rows {
+                s.push(r);
+            }
+            for m in [Metric::Euclidean, Metric::Angular, Metric::InnerProduct] {
+                for q in [[0.2f32, -0.4, 0.9], [0.0; 3]] {
+                    let pq = PreparedQuery::new(m, &q);
+                    let scorer = s.slice(1..4).scorer(&pq);
+                    for i in 0..3 {
+                        let want = match s.slice(1..4).row_with_inv(i) {
+                            (row, Some(inv)) if m == Metric::Angular => {
+                                pq.distance_to_cached(row, inv)
+                            }
+                            (row, _) => pq.distance_to(row),
+                        };
+                        assert_eq!(scorer.distance(i).to_bits(), want.to_bits(), "{m} {norms} {i}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "query has wrong dimension")]
+    fn scorer_rejects_a_query_of_another_dimension() {
+        let s = VectorStore::from_flat(2, vec![0.0; 4]);
+        s.view().scorer(&PreparedQuery::new(Metric::Euclidean, &[1.0]));
     }
 
     #[test]

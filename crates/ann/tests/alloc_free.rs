@@ -1,18 +1,21 @@
-//! A warm graph search allocates nothing.
+//! A warm graph search, and a warm scan into a caller's top-k, allocate
+//! nothing.
 //!
 //! `SearchScratch` owns every buffer a beam search needs — the visited
-//! marks, the candidate set, the result heap and the gather buffers — so
-//! once a scratch and an output vector have served a set of queries, serving
-//! them again must not touch the allocator. A counting global allocator
-//! (delegating to `System`) checks that for the graph search over a
-//! three-segment store, under a time-style filter and without one. It counts
-//! per thread, so the test harness's own threads do not disturb it; this
-//! binary holds only this test.
+//! marks, the candidate set, the result heap and the gather buffer — and the
+//! scan's distance buffer, so once a scratch and an output vector (or top-k)
+//! have served a set of queries, serving them again must not touch the
+//! allocator. A counting global allocator (delegating to `System`) checks
+//! that for the graph search over a three-segment store, under a time-style
+//! filter and without one, and for the exact scan of a segmented and a
+//! contiguous row range. It counts per thread, so the test harness's own
+//! threads do not disturb it.
 
 use mbi_ann::{
-    greedy_search_prepared, Metric, NnDescentParams, PreparedQuery, SearchParams, SearchScratch,
-    SearchStats, Segment, SegmentStore, VectorStore,
+    brute_force_into, greedy_search_prepared, Metric, NnDescentParams, PreparedQuery, SearchParams,
+    SearchScratch, SearchStats, Segment, SegmentStore, VectorStore,
 };
+use mbi_math::TopK;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -121,4 +124,39 @@ fn warm_graph_searches_do_not_allocate() {
     let warm = allocations() - before;
     assert_eq!(warm, 0, "warm graph searches allocated {warm} times");
     assert!(stats.dist_evals > 0 && !out.is_empty(), "the searches ran");
+}
+
+#[test]
+fn warm_scans_into_a_callers_topk_do_not_allocate() {
+    let flat = lcg_rows(3 * SEG_ROWS, 11);
+    let mut segmented = SegmentStore::new(DIM, SEG_ROWS);
+    for c in 0..3 {
+        let seg = Segment::from_view(flat.slice(c * SEG_ROWS..(c + 1) * SEG_ROWS));
+        segmented.push_segment(Arc::new(seg));
+    }
+    let queries = lcg_rows(8, 909);
+    let mut scratch = SearchScratch::new();
+    let mut top = TopK::new(10);
+    let mut stats = SearchStats::default();
+
+    let mut run_all = |scratch: &mut SearchScratch, top: &mut TopK| {
+        for qi in 0..queries.len() {
+            let pq = PreparedQuery::new(Metric::Euclidean, queries.get(qi));
+            for k in [1, 10] {
+                top.reset(k);
+                // A scan across two segment seams, then the query's other
+                // rows from the flat store, into one merged top-k.
+                brute_force_into(segmented.slice(150..520), &pq, 150, top, scratch, &mut stats);
+                brute_force_into(flat.slice(520..600), &pq, 520, top, scratch, &mut stats);
+            }
+        }
+    };
+
+    run_all(&mut scratch, &mut top);
+    let before = allocations();
+    run_all(&mut scratch, &mut top);
+    let warm = allocations() - before;
+    assert_eq!(warm, 0, "warm scans allocated {warm} times");
+    assert_eq!(stats.scanned, 2 * 8 * 2 * 450, "the scans ran");
+    assert_eq!(top.len(), 10);
 }

@@ -37,13 +37,13 @@ impl BlockGraph {
     /// hot path used by Algorithm 4's per-block loop. Ids are local to
     /// `view`.
     #[allow(clippy::too_many_arguments)]
-    pub fn search_prepared(
+    pub fn search_prepared<F: FnMut(u32) -> bool + ?Sized>(
         &self,
         view: VectorView<'_>,
         pq: &PreparedQuery<'_>,
         k: usize,
         params: &SearchParams,
-        filter: &mut dyn FnMut(u32) -> bool,
+        filter: &mut F,
         stats: &mut SearchStats,
         scratch: &mut SearchScratch,
         out: &mut Vec<Neighbor>,

@@ -16,8 +16,8 @@ use crate::select::{select_blocks, SearchBlockSet, TimeWindow};
 use crate::times::TimeChunks;
 use crate::Timestamp;
 use mbi_ann::{
-    brute_force_prepared, with_thread_scratch, SearchParams, SearchScratch, SearchStats,
-    SegmentStore, VectorStore, VectorView,
+    brute_force_into, with_thread_scratch, SearchParams, SearchScratch, SearchStats, SegmentStore,
+    VectorStore, VectorView,
 };
 use mbi_math::{Neighbor, PreparedQuery, TopK};
 use std::cell::Cell;
@@ -234,23 +234,21 @@ where
                     buf,
                 );
             }
-        });
 
-        // Tail: binary search + brute force (Algorithm 4 line 6 — rows no
-        // block covers have no graph, so BSBF applies).
-        if selection.tail && !deadline.expired() {
-            let tail = self.tail_rows();
-            let lo = wlo.max(tail.start);
-            let hi = whi.max(lo);
-            if hi > lo {
-                stats.blocks_searched += 1;
-                stats.blocks_bruteforced += 1;
-                let view = self.store.slice(lo..hi);
-                for n in brute_force_prepared(view, &pq, k, &mut stats) {
-                    merged.offer(lo as u32 + n.id, n.dist);
+            // Tail: binary search + brute force (Algorithm 4 line 6 — rows
+            // no block covers have no graph, so BSBF applies).
+            if selection.tail && !deadline.expired() {
+                let tail = self.tail_rows();
+                let lo = wlo.max(tail.start);
+                let hi = whi.max(lo);
+                if hi > lo {
+                    stats.blocks_searched += 1;
+                    stats.blocks_bruteforced += 1;
+                    let view = self.store.slice(lo..hi);
+                    brute_force_into(view, &pq, lo as u32, &mut merged, scratch, &mut stats);
                 }
             }
-        }
+        });
 
         QueryOutput {
             results: self.to_results(merged),
@@ -295,10 +293,7 @@ where
         if !graph_search_pays(self.config, k, block.len(), m) {
             // Exact scan of the in-window rows of this block.
             stats.blocks_bruteforced += 1;
-            let view = self.store.slice(lo..hi);
-            for n in brute_force_prepared(view, pq, k, stats) {
-                merged.offer(lo as u32 + n.id, n.dist);
-            }
+            brute_force_into(self.store.slice(lo..hi), pq, lo as u32, merged, scratch, stats);
             return;
         }
         let view = self.store.slice(block.rows.clone());
@@ -319,11 +314,11 @@ where
         let (lo, hi) = self.window_rows(window);
         let mut stats = SearchStats::default();
         let pq = PreparedQuery::new(self.config.metric, query);
-        let top = brute_force_prepared(self.store.slice(lo..hi), &pq, k, &mut stats);
         let mut merged = TopK::new(k);
-        for n in top {
-            merged.offer(lo as u32 + n.id, n.dist);
-        }
+        let view = self.store.slice(lo..hi);
+        with_thread_scratch(|scratch, _| {
+            brute_force_into(view, &pq, lo as u32, &mut merged, scratch, &mut stats)
+        });
         self.to_results(merged)
     }
 

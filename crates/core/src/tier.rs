@@ -302,8 +302,8 @@ mod tests {
     use crate::layout;
     use crate::persist::{parse_layout, GRAPH_HEADER_LEN};
     use crate::GraphBackend;
-    use mbi_ann::{NnDescentParams, ADJACENCY_CHUNK};
-    use mbi_math::Metric;
+    use mbi_ann::{NnDescentParams, SearchStats, ADJACENCY_CHUNK};
+    use mbi_math::{Metric, PreparedQuery};
 
     fn build_snapshot(metric: Metric, n: usize) -> IndexSnapshot {
         snapshot_of(MbiConfig::new(3, metric).with_leaf_size(16), n)
@@ -442,6 +442,69 @@ mod tests {
         let second = cold.query_with_params(&query, 7, w, &params).unwrap();
         assert_eq!((&second.results, second.stats), (&first.results, first.stats));
         assert_eq!(cold.stats().bytes_verified, after_first, "the second pass checks nothing");
+    }
+
+    /// A block answered by graph search on a fresh open checks exactly what
+    /// the search reads, once: each row it scores and each adjacency chunk
+    /// holding a vertex it expands, and nothing it only prefetches. The
+    /// same search on the hot snapshot, with a filter that records the
+    /// vertices it expands, says which those are. A flipped byte in a row
+    /// the search scores then fails the query.
+    #[test]
+    fn a_graph_search_checks_each_row_and_chunk_it_reads_once() {
+        let snap = snapshot_of(MbiConfig::new(3, Metric::Euclidean).with_leaf_size(64), 512);
+        let params = snap.config().search;
+        let (w, query, k) = (TimeWindow::new(0, 512), [1.5f32, 0.1, 0.2], 3);
+        let root = snap.blocks().last().expect("a root");
+        let view = snap.store.slice(root.rows.clone());
+        let (mut expanded, mut stats, mut out) = (Vec::new(), SearchStats::default(), Vec::new());
+        let pq = PreparedQuery::new(Metric::Euclidean, &query);
+        let mut record = |id: u32| {
+            expanded.push(id);
+            true
+        };
+        let mut scratch = mbi_ann::SearchScratch::new();
+        root.graph.search_prepared(
+            view,
+            &pq,
+            k,
+            &params,
+            &mut record,
+            &mut stats,
+            &mut scratch,
+            &mut out,
+        );
+
+        let cold = cold_of(&snap);
+        let opened = cold.stats().bytes_verified;
+        let answer = cold.query_with_params(&query, k, w, &params).unwrap();
+        assert_eq!(answer.selection.blocks, [snap.blocks().len() - 1], "the root covers it");
+        assert_eq!(
+            (answer.stats.dist_evals, answer.stats.blocks_bruteforced),
+            (stats.dist_evals, 0)
+        );
+        let degree = root.graph.0.degree();
+        let mut chunks: Vec<usize> =
+            expanded.iter().map(|&v| v as usize / ADJACENCY_CHUNK).collect();
+        chunks.sort_unstable();
+        chunks.dedup();
+        let chunk_bytes: usize = chunks
+            .iter()
+            .map(|c| (root.len() - c * ADJACENCY_CHUNK).min(ADJACENCY_CHUNK) * degree * 4)
+            .sum();
+        let row_bytes = stats.dist_evals as usize * 3 * 4;
+        let checked = cold.stats().bytes_verified - opened;
+        assert_eq!(checked as usize, row_bytes + chunk_bytes, "rows scored and chunks expanded");
+        cold.query_with_params(&query, k, w, &params).unwrap();
+        assert_eq!(cold.stats().bytes_verified - opened, checked, "and each only once per open");
+
+        // Flip a byte of the best answer's row, which the search scored.
+        let best = answer.results[0].id as usize;
+        let mut bytes = snap.to_bytes().to_vec();
+        let layout = parse_layout(&bytes).unwrap();
+        bytes[layout.record(best / 64).rows + (best % 64) * 3 * 4 + 1] ^= 0x10;
+        let err = cold_from(bytes).unwrap().query_with_params(&query, k, w, &params).unwrap_err();
+        assert!(matches!(err, MbiError::ChecksumMismatch { section: "leaf rows", .. }), "{err}");
     }
 
     /// Four threads query one index at once, each starting the windows at

@@ -23,6 +23,7 @@
 use crate::metric::Metric;
 use crate::simd;
 use crate::{dot, norm, squared_euclidean};
+use std::cell::OnceCell;
 
 /// Reciprocal Euclidean norm of `v`, with `0.0` as the zero-vector sentinel.
 ///
@@ -127,11 +128,12 @@ pub fn angular_batch(
 /// let d = pq.distance_to(&[4.0, 3.0]);
 /// assert!((d - Metric::Angular.distance(&q, &[4.0, 3.0])).abs() < 1e-6);
 /// ```
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct PreparedQuery<'q> {
     metric: Metric,
     query: &'q [f32],
     inv_norm: f32,
+    bits_hash: OnceCell<u64>,
 }
 
 impl<'q> PreparedQuery<'q> {
@@ -141,7 +143,7 @@ impl<'q> PreparedQuery<'q> {
     /// metrics never read it.
     pub fn new(metric: Metric, query: &'q [f32]) -> Self {
         let inv_norm = if metric == Metric::Angular { inv_norm_of(query) } else { 0.0 };
-        PreparedQuery { metric, query, inv_norm }
+        PreparedQuery { metric, query, inv_norm, bits_hash: OnceCell::new() }
     }
 
     /// The metric this query was prepared for.
@@ -161,6 +163,23 @@ impl<'q> PreparedQuery<'q> {
     #[inline]
     pub fn inv_norm(&self) -> f32 {
         self.inv_norm
+    }
+
+    /// FNV-1a over the query's raw bits, computed on the first call and
+    /// kept: the graph search seeds its entry pivots from it, so a query
+    /// hashes its 4·d bytes once however many blocks it searches, and a
+    /// query that no graph search reaches never hashes them.
+    pub fn bits_hash(&self) -> u64 {
+        *self.bits_hash.get_or_init(|| {
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            for v in self.query {
+                for b in v.to_bits().to_le_bytes() {
+                    h ^= b as u64;
+                    h = h.wrapping_mul(0x100_0000_01b3);
+                }
+            }
+            h
+        })
     }
 
     /// Distance to a candidate whose inverse norm is *not* cached.
@@ -207,16 +226,6 @@ impl<'q> PreparedQuery<'q> {
                 }
                 angular_from_parts(dot(self.query, b), self.inv_norm, b_inv_norm)
             }
-            _ => self.distance_to(b),
-        }
-    }
-
-    /// Distance to a row whose inverse norm may or may not be cached —
-    /// the common shape at call sites holding an `Option<&[f32]>` column.
-    #[inline]
-    pub fn distance_to_row(&self, b: &[f32], inv_norm: Option<f32>) -> f32 {
-        match inv_norm {
-            Some(inv_b) if self.metric == Metric::Angular => self.distance_to_cached(b, inv_b),
             _ => self.distance_to(b),
         }
     }
@@ -333,7 +342,6 @@ mod tests {
                     let tol = if metric == Metric::Angular { 1e-5 } else { 0.0 };
                     assert!((pq.distance_to(row) - scalar).abs() <= tol);
                     assert!((pq.distance_to_cached(row, inv[i]) - scalar).abs() <= tol);
-                    assert!((pq.distance_to_row(row, Some(inv[i])) - scalar).abs() <= tol);
                     assert!((batch[i] - scalar).abs() <= tol);
                     if metric != Metric::Angular {
                         // Bit-identical on Euclidean / inner product.
